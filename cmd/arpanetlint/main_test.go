@@ -110,64 +110,6 @@ func TestUnknownRuleExitTwo(t *testing.T) {
 	}
 }
 
-func TestSchemaFlag(t *testing.T) {
-	code, out, _ := runCLI(t, "-schema")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if strings.TrimSpace(out) != "2" {
-		t.Errorf("-schema printed %q, want the current ResultVersion", out)
-	}
-}
-
-func TestExplainFlag(t *testing.T) {
-	code, out, _ := runCLI(t, "-explain", "allocfree")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	for _, want := range []string{"allocfree —", "lint:alloc", "witness"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-explain allocfree output missing %q:\n%s", want, out)
-		}
-	}
-	code, _, errOut := runCLI(t, "-explain", "bogus")
-	if code != 2 || !strings.Contains(errOut, "bogus") {
-		t.Errorf("-explain bogus: exit %d stderr %q, want 2 naming the rule", code, errOut)
-	}
-}
-
-// TestDiffDryRun: -diff must print the fix as a diff, change nothing on
-// disk, and still exit 1 for the findings.
-func TestDiffDryRun(t *testing.T) {
-	root := repoRoot(t)
-	fixture := filepath.Join(root, "internal", "analysis", "testdata", "src", "errcheck", "errcheck.go")
-	before, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ := runCLI(t, "-C", root, "-diff", "internal/analysis/testdata/src/errcheck")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\noutput: %s", code, out)
-	}
-	for _, want := range []string{
-		"--- a/internal/analysis/testdata/src/errcheck/errcheck.go",
-		"+\tif _, err := ScheduleAt(1); err != nil {",
-		"+\t\tpanic(err)",
-		"auto-fixable",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-diff output missing %q:\n%s", want, out)
-		}
-	}
-	after, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("-diff modified the file; it must be a dry run")
-	}
-}
-
 func TestLoadErrorExitOne(t *testing.T) {
 	root := repoRoot(t)
 	code, out, _ := runCLI(t, "-C", root, "internal/analysis/testdata/src/broken")

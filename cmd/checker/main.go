@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/analysis"
 	"repro/internal/check"
 )
 
@@ -34,7 +33,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "base seed; campaign i uses seed+i")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		out       = flag.String("out", "", "directory to write failure reproducers into")
-		lint      = flag.Bool("lint", false, "render reproducers as Go fixtures in -out and run the static-analysis suite over them")
 		verbose   = flag.Bool("v", false, "print every campaign's log line, not just failures")
 	)
 	flag.Parse()
@@ -53,50 +51,14 @@ func main() {
 				if err := writeRepro(*out, failures, f); err != nil {
 					log.Printf("writing reproducer: %v", err)
 				}
-				if *lint {
-					if _, err := check.WriteLintFixture(*out, failures, f); err != nil {
-						log.Printf("writing lint fixture: %v", err)
-					}
-				}
 			}
 		}
 	}
 	fmt.Printf("checker: %d campaigns, %d failures (seeds %d..%d)\n",
 		len(results), failures, *seed, *seed+int64(*campaigns)-1)
-	if *lint && *out != "" && failures > 0 {
-		if err := lintRepro(*out); err != nil {
-			log.Printf("lint: %v", err)
-			os.Exit(1)
-		}
-	}
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// lintRepro runs the full static-analysis suite over the rendered
-// reproducer fixtures. A finding means the fixture generator emits code
-// that violates the very invariants the reproducers exist to defend.
-func lintRepro(dir string) error {
-	if err := check.FixtureModule(dir); err != nil {
-		return err
-	}
-	res, err := analysis.Analyze(dir, []string{"./..."}, nil)
-	if err != nil {
-		return err
-	}
-	if !res.Clean() {
-		for _, e := range res.Errors {
-			fmt.Printf("lint: load error: %s\n", e)
-		}
-		for _, d := range res.Findings {
-			fmt.Printf("lint: %s\n", d.String())
-		}
-		return fmt.Errorf("%d finding(s)/error(s) in generated fixtures",
-			len(res.Findings)+len(res.Errors))
-	}
-	fmt.Printf("lint: reproducer fixtures in %s are clean\n", dir)
-	return nil
 }
 
 // writeRepro saves one failure's minimized reproducer. Scenario audits

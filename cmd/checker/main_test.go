@@ -40,26 +40,6 @@ func TestWriteRepro(t *testing.T) {
 	}
 }
 
-// TestLintReproSmoke drives the -lint code path end to end: render a
-// fixture for a synthetic failure, then run the suite over the output
-// directory and require it clean.
-func TestLintReproSmoke(t *testing.T) {
-	dir := t.TempDir()
-	f := &check.Failure{
-		Check: "spf-differential",
-		Seed:  7,
-		Topo:  "grid 4x4",
-		Err:   "dist mismatch at root 2",
-		Repro: "topo: grid 4x4\nnetseed: 99\ndown 6\nstep\nup 6\n",
-	}
-	if _, err := check.WriteLintFixture(dir, 1, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := lintRepro(dir); err != nil {
-		t.Fatalf("lint smoke over generated fixture failed: %v", err)
-	}
-}
-
 // TestCheckerSmoke runs a miniature campaign batch through the same entry
 // the CI job uses, asserting a clean, deterministic pass.
 func TestCheckerSmoke(t *testing.T) {

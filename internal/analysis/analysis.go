@@ -5,7 +5,9 @@
 // queue, one read of a pooled packet after Release, and reproducibility or
 // the conservation ledger silently breaks. The rules here make those
 // conventions mechanical, so the whole bug class is caught at lint time
-// instead of one instance per fuzzing campaign.
+// instead of one instance per fuzzing campaign. A rule earns its place by
+// a real finding or by guarding something no runtime test can observe;
+// DESIGN.md "Static analysis" records the evidence for each.
 //
 // The framework deliberately uses nothing outside the standard library
 // (go/parser, go/types, go/importer): the module has zero external
@@ -41,8 +43,6 @@ type Diagnostic struct {
 	Hint     string         `json:"hint,omitempty"`
 	Package  string         `json:"package"` // import path of the offending package
 	Severity string         `json:"severity"`
-	// Fix, when present, is a machine-applicable remediation (see fix.go).
-	Fix *Fix `json:"fix,omitempty"`
 }
 
 func (d Diagnostic) String() string {
@@ -64,13 +64,6 @@ type Rule interface {
 	Check(pass *Pass)
 }
 
-// Explainer is an optional Rule extension: long-form documentation for
-// `arpanetlint -explain <rule>` — what the rule proves, what it
-// deliberately does not, and how to suppress it.
-type Explainer interface {
-	Explain() string
-}
-
 // Pass carries one package through one rule.
 type Pass struct {
 	Fset *token.FileSet
@@ -83,11 +76,6 @@ type Pass struct {
 // Report records a finding at pos. Findings in generated files are
 // dropped: the generator, not the generated text, is the thing to fix.
 func (p *Pass) Report(pos token.Pos, msg, hint string) {
-	p.ReportWithFix(pos, msg, hint, nil)
-}
-
-// ReportWithFix is Report with an attached machine-applicable fix.
-func (p *Pass) ReportWithFix(pos token.Pos, msg, hint string, fix *Fix) {
 	position := p.Fset.Position(pos)
 	if p.Pkg.Generated[position.Filename] {
 		return
@@ -102,7 +90,6 @@ func (p *Pass) ReportWithFix(pos token.Pos, msg, hint string, fix *Fix) {
 		Hint:     hint,
 		Package:  p.Pkg.Path,
 		Severity: "error",
-		Fix:      fix,
 	})
 }
 
@@ -126,7 +113,6 @@ func AllRules() []Rule {
 		&HandleCheck{},
 		&FloatExact{},
 		&ErrCheckLite{},
-		&AllocFree{},
 		&ShardSafe{},
 	}
 }
@@ -153,19 +139,11 @@ func RulesByName(names []string) ([]Rule, error) {
 	return out, nil
 }
 
-// Run applies the rules to every package, filters suppressed findings,
-// and returns the survivors sorted by position. Suppressions without a
-// reason are reported under the pseudo-rule "lint". The program for
-// interprocedural rules is built from the given packages alone; use
-// RunProgram when dependency packages are loaded and should contribute
-// effect summaries.
-func Run(pkgs []*Package, rules []Rule) []Diagnostic {
-	return RunProgram(NewProgram(pkgs, nil), pkgs, rules)
-}
-
-// RunProgram is Run with a caller-built Program (typically spanning the
-// analyzed packages plus every loaded dependency, and optionally a
-// summary cache).
+// RunProgram applies the rules to every package, filters suppressed
+// findings, and returns the survivors sorted by position. Suppressions
+// without a reason are reported under the pseudo-rule "lint". prog feeds
+// the interprocedural rules and typically spans the analyzed packages
+// plus every loaded dependency, so those contribute effect summaries.
 func RunProgram(prog *Program, pkgs []*Package, rules []Rule) []Diagnostic {
 	for _, r := range rules {
 		if pr, ok := r.(ProgramRule); ok {

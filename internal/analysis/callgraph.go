@@ -1,87 +1,57 @@
 package analysis
 
 // The call-graph and effect-summary layer: the flow-aware substrate under
-// allocfree, shardsafe and the interprocedural half of detdrift. A Program
-// indexes every function declaration of every loaded package, resolves the
-// static call edges between them, and computes one Summary per function —
-// does it allocate, does it reach the wall clock or the global math/rand
-// stream, does it return data in map-iteration order, which parameters flow
-// into ordered sinks — by a bounded fixed point over the in-module call
+// the interprocedural half of detdrift. A Program indexes every function
+// declaration of every loaded package, resolves the static call edges
+// between them, and computes one Summary per function — does it reach the
+// wall clock or the global math/rand stream, does it return data in
+// map-iteration order — by a bounded fixed point over the in-module call
 // graph (packages in dependency order, iterating inside each package until
 // the summaries stop changing).
 //
 // Resolution is deliberately static: a call through an interface method or
 // a function value has no edge, so effects do not propagate through dynamic
 // dispatch. That is a documented precision floor, not an accident — the
-// runtime twins (TestSteadyStateZeroAllocs, the golden traces) still own
-// the dynamic residue, and the rules built here stay free of false
-// positives from targets they cannot see.
+// golden traces own the dynamic residue, and the rule built here stays
+// free of false positives from targets it cannot see.
 //
 // Summaries honor suppressions at the effect's source: a time.Now behind a
-// reasoned "lint:ignore detdrift" or an append behind "lint:alloc" does not
-// taint callers. A suppression consulted this way counts as used, which is
-// what lets the stale-suppression check distinguish a blessing that still
-// covers something from one that rotted.
+// reasoned "lint:ignore detdrift" does not taint callers. A suppression
+// consulted this way counts as used, which is what lets the
+// stale-suppression check distinguish a directive that still covers
+// something from one that rotted.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"os"
 	"sort"
+	"strconv"
 )
 
 // Summary is one function's computed effect set. The fields are the facts
 // the rules consume; Witness strings carry a human-readable provenance
 // ("time.Now at internal/x/y.go:12" or "via helper") for messages.
 type Summary struct {
-	Allocates    bool   `json:"alloc,omitempty"`
-	AllocWitness string `json:"allocWitness,omitempty"`
+	WallClock   bool
+	WallWitness string
 
-	WallClock   bool   `json:"wallClock,omitempty"`
-	WallWitness string `json:"wallWitness,omitempty"`
-
-	GlobalRand  bool   `json:"globalRand,omitempty"`
-	RandWitness string `json:"randWitness,omitempty"`
+	GlobalRand  bool
+	RandWitness string
 
 	// RetMapOrder marks a function whose return value is a slice collected
 	// from a map range without sorting — legal in itself, but callers must
 	// launder it through a sort before it feeds anything ordered.
-	RetMapOrder bool `json:"retMapOrder,omitempty"`
-
-	// ParamSink[i] reports that argument i flows into an ordered sink
-	// (event scheduling, queue push, channel send, formatted output, float
-	// accumulation) inside the callee or its callees.
-	ParamSink []bool `json:"paramSink,omitempty"`
+	RetMapOrder bool
 }
 
 func (s *Summary) equal(o *Summary) bool {
-	if s.Allocates != o.Allocates || s.WallClock != o.WallClock ||
-		s.GlobalRand != o.GlobalRand || s.RetMapOrder != o.RetMapOrder ||
-		len(s.ParamSink) != len(o.ParamSink) {
-		return false
-	}
-	for i := range s.ParamSink {
-		if s.ParamSink[i] != o.ParamSink[i] {
-			return false
-		}
-	}
-	return true
+	return s.WallClock == o.WallClock && s.GlobalRand == o.GlobalRand && s.RetMapOrder == o.RetMapOrder
 }
 
 // FuncInfo is one declared function or method with a body.
 type FuncInfo struct {
-	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-
-	// Calls lists the statically resolved in-module callees, in source
-	// order with duplicates. Dynamic calls (interface methods, function
-	// values) have no entry.
-	Calls []*types.Func
 
 	Sum Summary
 }
@@ -105,18 +75,13 @@ type ProgramRule interface {
 	Prepare(prog *Program)
 }
 
-// FuncOf returns the program's info for fn, or nil (unresolved, external,
-// or body-less).
-func (prog *Program) FuncOf(fn *types.Func) *FuncInfo {
+// SummaryOf returns fn's effect summary, or nil when the program has none
+// (unresolved, external, or body-less).
+func (prog *Program) SummaryOf(fn *types.Func) *Summary {
 	if prog == nil || fn == nil {
 		return nil
 	}
-	return prog.funcs[fn]
-}
-
-// SummaryOf returns fn's effect summary, or nil when the program has none.
-func (prog *Program) SummaryOf(fn *types.Func) *Summary {
-	if fi := prog.FuncOf(fn); fi != nil {
+	if fi := prog.funcs[fn]; fi != nil {
 		return &fi.Sum
 	}
 	return nil
@@ -141,8 +106,8 @@ func (prog *Program) Package(path string) *Package {
 // NewProgram builds the call graph and effect summaries over the given
 // packages. Packages with load errors contribute nothing (their syntax may
 // be half-typed) but do not abort the build — the layer must tolerate a
-// broken tree exactly as the per-package rules do. cache may be nil.
-func NewProgram(pkgs []*Package, cache *SummaryCache) *Program {
+// broken tree exactly as the per-package rules do.
+func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		byPath: map[string]*Package{},
 		funcs:  map[*types.Func]*FuncInfo{},
@@ -163,13 +128,7 @@ func NewProgram(pkgs []*Package, cache *SummaryCache) *Program {
 		prog.indexPackage(p)
 	}
 	for _, p := range prog.pkgs {
-		if cache != nil && cache.restore(prog, p) {
-			continue
-		}
 		prog.summarizePackage(p)
-		if cache != nil {
-			cache.store(prog, p)
-		}
 	}
 	return prog
 }
@@ -203,8 +162,8 @@ func (prog *Program) sortDeps() {
 	prog.pkgs = order
 }
 
-// indexPackage registers every function declaration with a body and
-// resolves its static call edges.
+// indexPackage registers every function declaration with a body; call
+// edges are resolved on demand by staticCallee.
 func (prog *Program) indexPackage(p *Package) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -216,16 +175,7 @@ func (prog *Program) indexPackage(p *Package) {
 			if !ok {
 				continue
 			}
-			fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: p}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee := staticCallee(p.Info, call); callee != nil {
-						fi.Calls = append(fi.Calls, callee)
-					}
-				}
-				return true
-			})
-			prog.funcs[obj] = fi
+			prog.funcs[obj] = &FuncInfo{Decl: fd, Pkg: p}
 		}
 	}
 }
@@ -322,30 +272,6 @@ func nondetWitness(p *Package, sel *ast.SelectorExpr) (kind, name string) {
 func computeSummary(prog *Program, fi *FuncInfo) Summary {
 	p := fi.Pkg
 	var sum Summary
-	declPos := p.Fset.Position(fi.Decl.Pos())
-
-	// A "lint:alloc" on the declaration line (or above it) blesses the
-	// whole function's allocations: its growth is amortized by design.
-	funcBlessed := p.suppressed("allocfree", declPos.Filename, declPos.Line)
-	if !funcBlessed {
-		walkAllocs(prog, p, fi.Decl, func(pos token.Pos, what, _ string) {
-			if sum.Allocates {
-				return
-			}
-			site := p.Fset.Position(pos)
-			if p.suppressed("allocfree", site.Filename, site.Line) {
-				return
-			}
-			sum.Allocates = true
-			sum.AllocWitness = what + " at " + p.relPath(site.Filename) + ":" + itoa(site.Line)
-		})
-	}
-
-	params := paramVars(p, fi.Decl)
-	if len(params) > 0 {
-		sum.ParamSink = make([]bool, len(params))
-	}
-
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -357,7 +283,7 @@ func computeSummary(prog *Program, fi *FuncInfo) Summary {
 			if p.suppressed("detdrift", site.Filename, site.Line) {
 				return true // reasoned at the source; do not taint callers
 			}
-			w := name + " at " + p.relPath(site.Filename) + ":" + itoa(site.Line)
+			w := name + " at " + p.relPath(site.Filename) + ":" + strconv.Itoa(site.Line)
 			if kind == "wall" && !sum.WallClock {
 				sum.WallClock, sum.WallWitness = true, w
 			}
@@ -377,114 +303,12 @@ func computeSummary(prog *Program, fi *FuncInfo) Summary {
 					sum.GlobalRand, sum.RandWitness = true, "via "+callee.Name()+" ("+cs.RandWitness+")"
 				}
 			}
-			markParamSinks(p, n, callee, cs, params, sum.ParamSink)
-		case *ast.SendStmt:
-			markParamsIn(p, n.Value, params, sum.ParamSink)
-		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN || n.Tok == token.MUL_ASSIGN {
-				if len(n.Lhs) == 1 && isFloat(p.Info.TypeOf(n.Lhs[0])) {
-					for _, r := range n.Rhs {
-						markParamsIn(p, r, params, sum.ParamSink)
-					}
-				}
-			}
 		}
 		return true
 	})
 
 	sum.RetMapOrder = returnsMapOrdered(prog, p, fi.Decl)
 	return sum
-}
-
-// paramVars collects the declared parameter objects in order.
-func paramVars(p *Package, decl *ast.FuncDecl) []*types.Var {
-	var out []*types.Var
-	if decl.Type.Params == nil {
-		return nil
-	}
-	for _, field := range decl.Type.Params.List {
-		for _, name := range field.Names {
-			if v, ok := p.Info.Defs[name].(*types.Var); ok {
-				out = append(out, v)
-			}
-		}
-		if len(field.Names) == 0 {
-			out = append(out, nil) // unnamed parameter can never sink
-		}
-	}
-	return out
-}
-
-// markParamsIn sets sink[i] for every parameter mentioned inside e.
-func markParamsIn(p *Package, e ast.Expr, params []*types.Var, sink []bool) {
-	if e == nil || len(sink) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := p.Info.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		for i, pv := range params {
-			if pv != nil && pv == v {
-				sink[i] = true
-			}
-		}
-		return true
-	})
-}
-
-// markParamSinks propagates ordered-sink flow from a call site: a
-// parameter passed into a known ordered sink, into a callee position that
-// sinks, or into a call we cannot resolve (conservative) becomes a sink.
-// sort/slices calls launder rather than sink.
-func markParamSinks(p *Package, call *ast.CallExpr, callee *types.Func, cs *Summary, params []*types.Var, sink []bool) {
-	if len(sink) == 0 || len(call.Args) == 0 {
-		return
-	}
-	name := calleeName(call)
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
-			if name == "append" {
-				for _, a := range call.Args[1:] {
-					markParamsIn(p, a, params, sink)
-				}
-			}
-			return
-		}
-	}
-	if callee != nil && callee.Pkg() != nil {
-		if cp := callee.Pkg().Path(); cp == "sort" || cp == "slices" {
-			return // sorting launders order, it does not observe it
-		}
-	}
-	if orderedSinkNames[name] {
-		for _, a := range call.Args {
-			markParamsIn(p, a, params, sink)
-		}
-		return
-	}
-	if cs != nil {
-		for i, a := range call.Args {
-			j := i
-			if j >= len(cs.ParamSink) {
-				j = len(cs.ParamSink) - 1 // variadic tail
-			}
-			if j >= 0 && cs.ParamSink[j] {
-				markParamsIn(p, a, params, sink)
-			}
-		}
-		return
-	}
-	// Unresolved callee (dynamic, external, or summary-less): assume the
-	// worst, exactly as detdrift v1 did for every call.
-	for _, a := range call.Args {
-		markParamsIn(p, a, params, sink)
-	}
 }
 
 // returnsMapOrdered reports whether the function returns a slice collected
@@ -624,7 +448,7 @@ func directNondetIn(p *Package, expr ast.Expr) string {
 			if kind, name := nondetWitness(p, sel); kind != "" {
 				site := p.Fset.Position(sel.Pos())
 				if !p.suppressed("detdrift", site.Filename, site.Line) {
-					witness = name + " at " + p.relPath(site.Filename) + ":" + itoa(site.Line)
+					witness = name + " at " + p.relPath(site.Filename) + ":" + strconv.Itoa(site.Line)
 				}
 			}
 		}
@@ -648,234 +472,4 @@ func fieldKey(recv types.Type, field *types.Var) string {
 		return ""
 	}
 	return obj.Pkg().Path() + "." + obj.Name() + "." + field.Name()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// --- summary cache ---------------------------------------------------------
-
-// summaryCacheVersion invalidates every entry when the summary format or
-// the facts feeding it change.
-const summaryCacheVersion = 1
-
-// SummaryCache persists per-package effect summaries keyed by a content
-// hash of the package's files and the hashes of its in-module imports, so
-// a whole-repo lint only recomputes summaries for packages whose code (or
-// whose dependencies' code) actually changed.
-type SummaryCache struct {
-	path    string
-	read    func(string) ([]byte, error)
-	entries map[string]*cacheEntry
-	hashes  map[string]string // pkg path -> content hash, this run
-	dirty   bool
-}
-
-type cacheEntry struct {
-	Hash   string              `json:"hash"`
-	Funcs  map[string]*Summary `json:"funcs,omitempty"`
-	Fields map[string]string   `json:"fields,omitempty"`
-	// Used records the suppression directives the summary computation
-	// consulted (file relative to the module root). Replaying them on a
-	// cache hit keeps the stale-suppression check honest: a blessing that
-	// covers an effect is live even when the summary came from the cache.
-	Used []usedMark `json:"used,omitempty"`
-}
-
-type usedMark struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Rule string `json:"rule"`
-}
-
-type cacheFile struct {
-	Version  int                    `json:"version"`
-	Packages map[string]*cacheEntry `json:"packages"`
-}
-
-// OpenSummaryCache loads (or initializes) the cache at path. read supplies
-// file contents for hashing; nil means os.ReadFile (loaders with overlays
-// pass a reader that sees them).
-func OpenSummaryCache(path string, read func(string) ([]byte, error)) *SummaryCache {
-	if read == nil {
-		read = os.ReadFile
-	}
-	c := &SummaryCache{path: path, read: read, entries: map[string]*cacheEntry{}, hashes: map[string]string{}}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return c
-	}
-	var cf cacheFile
-	if json.Unmarshal(data, &cf) != nil || cf.Version != summaryCacheVersion {
-		return c
-	}
-	if cf.Packages != nil {
-		c.entries = cf.Packages
-	}
-	return c
-}
-
-// Save writes the cache back when anything changed.
-func (c *SummaryCache) Save() error {
-	if c == nil || !c.dirty {
-		return nil
-	}
-	data, err := json.Marshal(cacheFile{Version: summaryCacheVersion, Packages: c.entries})
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(c.path, data, 0o644)
-}
-
-// hash computes the package's content hash: file names and bytes in sorted
-// order, then the hashes of its in-module imports, then the cache version.
-func (c *SummaryCache) hash(prog *Program, p *Package) string {
-	h := sha256.New()
-	var names []string
-	for _, f := range p.Files {
-		names = append(names, prog.filenameOf(p, f))
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h.Write([]byte(name))
-		if data, err := c.read(name); err == nil {
-			h.Write(data)
-		}
-	}
-	var deps []string
-	if p.Types != nil {
-		for _, imp := range p.Types.Imports() {
-			if prog.byPath[imp.Path()] != nil {
-				deps = append(deps, imp.Path())
-			}
-		}
-	}
-	sort.Strings(deps)
-	for _, dep := range deps {
-		h.Write([]byte(dep))
-		h.Write([]byte(c.hashes[dep]))
-	}
-	h.Write([]byte{byte(summaryCacheVersion)})
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func (prog *Program) filenameOf(p *Package, f *ast.File) string {
-	return p.Fset.Position(f.Pos()).Filename
-}
-
-// restore attaches cached summaries when the package's hash matches.
-// Packages processed in dependency order guarantee dep hashes are final.
-func (c *SummaryCache) restore(prog *Program, p *Package) bool {
-	hash := c.hash(prog, p)
-	c.hashes[p.Path] = hash
-	e := c.entries[p.Path]
-	if e == nil || e.Hash != hash {
-		return false
-	}
-	for _, fi := range prog.funcs {
-		if fi.Pkg != p {
-			continue
-		}
-		if s := e.Funcs[fi.Obj.FullName()]; s != nil {
-			fi.Sum = *s
-		}
-	}
-	for k, v := range e.Fields {
-		if prog.fields[k] == "" {
-			prog.fields[k] = v
-		}
-	}
-	if len(e.Used) > 0 {
-		absOf := map[string]string{}
-		for _, f := range p.Files {
-			abs := prog.filenameOf(p, f)
-			absOf[p.relPath(abs)] = abs
-		}
-		for _, m := range e.Used {
-			if abs := absOf[m.File]; abs != "" {
-				p.suppressed(m.Rule, abs, m.Line) // re-mark the directive live
-			}
-		}
-	}
-	return true
-}
-
-// store records the freshly computed summaries for p.
-func (c *SummaryCache) store(prog *Program, p *Package) {
-	hash := c.hashes[p.Path]
-	if hash == "" {
-		hash = c.hash(prog, p)
-		c.hashes[p.Path] = hash
-	}
-	e := &cacheEntry{Hash: hash, Funcs: map[string]*Summary{}, Fields: map[string]string{}}
-	for _, fi := range prog.funcs {
-		if fi.Pkg != p {
-			continue
-		}
-		sum := fi.Sum
-		e.Funcs[fi.Obj.FullName()] = &sum
-	}
-	for k, v := range prog.fields {
-		if pkgOfFieldKey(k) == p.Path {
-			e.Fields[k] = v
-		}
-	}
-	for filename, byLine := range p.suppressions {
-		for _, s := range byLine {
-			for rule := range s.used {
-				e.Used = append(e.Used, usedMark{File: p.relPath(filename), Line: s.line, Rule: rule})
-			}
-		}
-	}
-	sort.Slice(e.Used, func(i, j int) bool {
-		a, b := e.Used[i], e.Used[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Rule < b.Rule
-	})
-	c.entries[p.Path] = e
-	c.dirty = true
-}
-
-// pkgOfFieldKey strips ".Type.Field" from a field-taint key.
-func pkgOfFieldKey(key string) string {
-	// key = pkgpath.Type.Field; pkgpath itself contains dots/slashes, so
-	// cut the final two dot-separated components.
-	i := len(key) - 1
-	dots := 0
-	for ; i >= 0; i-- {
-		if key[i] == '.' {
-			dots++
-			if dots == 2 {
-				break
-			}
-		}
-	}
-	if i <= 0 {
-		return ""
-	}
-	return key[:i]
 }

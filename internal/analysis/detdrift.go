@@ -32,7 +32,7 @@ var DeterministicPackages = []string{
 // iteration whose order can leak into ordered output or event scheduling.
 // Test files are exempt (the loader does not even load them).
 //
-// Since v2 the rule is flow-aware, built on the Program effect summaries:
+// The rule is flow-aware, built on the Program effect summaries:
 //
 //   - a call whose callee (transitively) reads the wall clock or the
 //     global rand stream is flagged at the call site when the callee lives
@@ -44,10 +44,15 @@ var DeterministicPackages = []string{
 //     result before use, and returning it onward just defers again;
 //   - struct fields assigned wall-clock- or rand-derived values anywhere
 //     in the module are tainted, and reads of them inside deterministic
-//     packages are flagged;
-//   - feeding a map-iteration variable into a call is judged by the
-//     callee's parameter-sink summary when one exists, so passing the
-//     variable to a pure helper no longer needs a suppression.
+//     packages are flagged.
+//
+// Feeding a map-iteration variable into any non-builtin call is a finding:
+// the callee may schedule, queue or mutate ordered state, and the one real
+// bug this suite has caught (the map-order SetLineUp repair loop in
+// internal/check/floodcheck.go, fixed in PR 5) was exactly that shape. Do
+// not exonerate callees by summarizing which parameters reach a *known*
+// sink — SetLineUp's reaches none, and that silenced the catch; an
+// order-insensitive callee takes a reasoned suppression instead.
 //
 // Laundering is recognized syntactically: a sort/slices call over the
 // collected slice after the loop (or after the producing call) clears the
@@ -66,39 +71,6 @@ func (d *DetDrift) Prepare(prog *Program) { d.prog = prog }
 // Doc implements Rule.
 func (*DetDrift) Doc() string {
 	return "no wall clock, global math/rand, or order-leaking map iteration in deterministic packages"
-}
-
-// Explain implements Explainer.
-func (*DetDrift) Explain() string {
-	return `detdrift keeps the deterministic package set byte-reproducible.
-
-Inside packages marked "// lint:deterministic" (and the built-in set),
-three sources of run-to-run drift are flagged:
-
-  - wall-clock reads (time.Now/Since/Until/Sleep and friends),
-  - the global math/rand stream (seeded per-process, shared across
-    goroutines; use a private *rand.Rand seeded from the scenario),
-  - map iteration whose order can leak into output: printing, float
-    accumulation, sends into the event queue.
-
-Since v2 the rule is interprocedural. A call to a function outside the
-deterministic set whose effect summary reaches the wall clock or the
-global stream is flagged at the call site, with a witness chain naming
-the transitive source. A field that is assigned a nondeterministic
-value anywhere in the module taints its reads. And the collect-then-
-sort idiom is recognized across functions: a function returning values
-gathered from a map range gets a RetMapOrder summary, and the
-obligation to sort transfers to each caller — callers that sort are
-clean, callers that return the slice onward defer the obligation, and
-callers that consume it unsorted are flagged. Passing a range variable
-to a callee whose parameter provably never reaches an ordered sink is
-also clean.
-
-What it does not prove: taint through interface dispatch, channels, or
-global mutable state; the golden-trace differential tests own that
-residue. Suppress with "// lint:ignore detdrift <reason>" where order
-insensitivity is a fact the analysis cannot see (e.g. integral
-counters whose addition commutes exactly).`
 }
 
 // wallClockFuncs are the package time functions that read or depend on
@@ -508,14 +480,7 @@ func (d *DetDrift) callPassesRangeVar(pass *Pass, call *ast.CallExpr, rng *ast.R
 	default:
 		return false
 	}
-	// When the callee has an effect summary, trust its parameter-sink
-	// facts: an argument position proven not to reach an ordered sink
-	// cannot leak iteration order. Unresolved callees stay conservative.
-	var cs *Summary
-	if d.prog != nil {
-		cs = d.prog.SummaryOf(staticCallee(pass.Pkg.Info, call))
-	}
-	for i, arg := range call.Args {
+	for _, arg := range call.Args {
 		found := false
 		ast.Inspect(arg, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
@@ -525,19 +490,9 @@ func (d *DetDrift) callPassesRangeVar(pass *Pass, call *ast.CallExpr, rng *ast.R
 			}
 			return !found
 		})
-		if !found {
-			continue
+		if found {
+			return true
 		}
-		if cs != nil {
-			j := i
-			if j >= len(cs.ParamSink) {
-				j = len(cs.ParamSink) - 1 // variadic tail
-			}
-			if j < 0 || !cs.ParamSink[j] {
-				continue // summarized: this position provably does not sink
-			}
-		}
-		return true
 	}
 	return false
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // errCheckTargets are the function/method names whose error results carry
@@ -32,24 +31,6 @@ func (*ErrCheckLite) Doc() string {
 	return "no ignored errors from ScheduleAt/ScheduleCallAt/Parse call sites"
 }
 
-// Explain implements Explainer.
-func (*ErrCheckLite) Explain() string {
-	return `errcheck-lite guards the handful of error results with domain meaning.
-
-A past-time ScheduleAt/ScheduleCallAt/ScheduleTailCallAt or EveryAt
-returns an error and schedules nothing: dropping it turns a clock
-arithmetic bug into an event that silently never fires. An unchecked
-Parse admits malformed scenarios. The rule flags bare-statement calls,
-errors assigned to _, and go/defer discards of these targets.
-
-Bare-statement findings carry a machine-applicable fix (-fix / -diff):
-the call is wrapped in "if _, err := <call>; err != nil { panic(err) }".
-Blanked assignments and go/defer discards are not auto-fixed — they
-need judgment about the surrounding control flow.
-
-Suppress with "// lint:ignore errcheck-lite <reason>".`
-}
-
 // Check implements Rule.
 func (ec *ErrCheckLite) Check(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
@@ -58,10 +39,9 @@ func (ec *ErrCheckLite) Check(pass *Pass) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
 					if name, idx := ec.targetWithError(pass, call); idx >= 0 {
-						pass.ReportWithFix(call.Pos(),
+						pass.Report(call.Pos(),
 							"error from "+name+" discarded",
-							"a failed "+name+" means the event never fires or the input never loads; check it",
-							ec.bareStmtFix(pass, n, idx))
+							"a failed "+name+" means the event never fires or the input never loads; check it")
 					}
 				}
 			case *ast.AssignStmt:
@@ -79,38 +59,6 @@ func (ec *ErrCheckLite) Check(pass *Pass) {
 			}
 			return true
 		})
-	}
-}
-
-// bareStmtFix rewrites a bare-statement target call into the checked
-// idiom, binding the error and panicking on it:
-//
-//	k.ScheduleAt(at, fn)   →   if _, err := k.ScheduleAt(at, fn); err != nil {
-//	                               panic(err)
-//	                           }
-//
-// The call text itself stays in place — the edits only wrap it — so the
-// fix is correct regardless of how complex the arguments are. Only this
-// bare-statement shape is auto-fixable: blanked assignments and go/defer
-// discards need judgment about the surrounding flow.
-func (ec *ErrCheckLite) bareStmtFix(pass *Pass, stmt *ast.ExprStmt, errIdx int) *Fix {
-	start := pass.Fset.Position(stmt.Pos())
-	end := pass.Fset.Position(stmt.End())
-	if start.Filename != end.Filename || start.Offset < 0 || end.Offset < start.Offset {
-		return nil
-	}
-	// Assume one tab per indent level, which gofmt guarantees; a statement
-	// not at the start of its line (e.g. inside a one-liner) is left alone.
-	indent := strings.Repeat("\t", start.Column-1)
-	binding := strings.Repeat("_, ", errIdx) + "err"
-	file := pass.Pkg.relPath(start.Filename)
-	return &Fix{
-		Description: "bind the error and panic on failure",
-		Edits: []TextEdit{
-			{File: file, Start: start.Offset, End: start.Offset, New: "if " + binding + " := "},
-			{File: file, Start: end.Offset, End: end.Offset,
-				New: "; err != nil {\n" + indent + "\tpanic(err)\n" + indent + "}"},
-		},
 	}
 }
 

@@ -91,7 +91,7 @@ func TestGoldenFixtures(t *testing.T) {
 	root := moduleRoot(t)
 	for _, fixture := range []string{
 		"detdrift", "detdrift2", "poolsafe", "handlecheck", "floatexact",
-		"errcheck", "allocfree", "shardsafe", "stale",
+		"errcheck", "shardsafe", "stale",
 	} {
 		t.Run(fixture, func(t *testing.T) {
 			relDir := "internal/analysis/testdata/src/" + fixture

@@ -1,68 +1,17 @@
 package analysis_test
 
-// Acceptance probes for the interprocedural layer: each new rule must
-// demonstrably catch a bug planted (by overlay, without touching the
-// tree) in the real packages it guards, the program layer must tolerate
-// broken packages, the summary cache must not invent stale-suppression
-// findings on warm runs, and the errcheck-lite auto-fix must round-trip
-// to a clean, gofmt-stable tree.
+// Acceptance probes for the interprocedural layer: each rule built on it
+// must demonstrably catch a bug planted (by overlay, without touching the
+// tree) in the real packages it guards, and the program layer must
+// tolerate broken packages.
 
 import (
-	"bytes"
-	"go/format"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 )
-
-// TestInjectedHotPathAllocCaught: a closure allocation planted in a
-// kernel hot function (registered via the lint:hotpath directive in the
-// overlay itself) must be an allocfree finding with the exact message.
-func TestInjectedHotPathAllocCaught(t *testing.T) {
-	root := moduleRoot(t)
-	l, err := analysis.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Overlay = map[string][]byte{
-		filepath.Join(root, "internal", "sim", "zz_injected.go"): []byte(
-			"package sim\n\n// lint:hotpath zzInjectedHot\n\n" +
-				"func zzInjectedHot(n int) func() int {\n" +
-				"\tgrow := make([]int, n)\n" +
-				"\treturn func() int { return len(grow) }\n" +
-				"}\n"),
-	}
-	res, err := analysis.AnalyzeWith(l, []string{"internal/sim"}, []string{"allocfree"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Errors) > 0 {
-		t.Fatalf("overlay failed to load: %v", res.Errors)
-	}
-	want := map[string]bool{
-		"hot path allocates: make([]int)":            false,
-		"hot path allocates: closure capturing grow": false,
-	}
-	for _, d := range res.Findings {
-		if d.Rule != "allocfree" || d.File != "internal/sim/zz_injected.go" {
-			t.Errorf("finding outside the injected file: %s", d)
-			continue
-		}
-		if _, ok := want[d.Message]; !ok {
-			t.Errorf("unexpected message: %q", d.Message)
-			continue
-		}
-		want[d.Message] = true
-	}
-	for msg, got := range want {
-		if !got {
-			t.Errorf("injected hot-path allocation not caught: want %q; findings %v", msg, res.Findings)
-		}
-	}
-}
 
 // TestInjectedPostExportMutationCaught: a write through a shared
 // *flooding.Update planted in internal/shard must be a shardsafe
@@ -167,135 +116,17 @@ func TestProgramToleratesBrokenPackage(t *testing.T) {
 	}
 }
 
-// TestSummaryCacheWarmRun: a second run over the same tree through the
-// same cache must restore summaries AND the suppression marks they
-// consumed — a warm run must not invent stale-suppression findings for
-// blessings whose effect was served from the cache.
-func TestSummaryCacheWarmRun(t *testing.T) {
-	root := moduleRoot(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	for _, run := range []string{"cold", "warm"} {
-		l, err := analysis.NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := analysis.AnalyzeCached(l, []string{"internal/sim", "internal/spf"}, nil, cachePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Errors) > 0 {
-			t.Fatalf("%s run: load errors: %v", run, res.Errors)
-		}
-		for _, d := range res.Findings {
-			t.Errorf("%s run: unexpected finding: %s", run, d)
-		}
-	}
-	if _, err := os.Stat(cachePath); err != nil {
-		t.Fatalf("cache file not written: %v", err)
-	}
-}
-
-// TestFixRoundTrip: the errcheck-lite auto-fix applied to a discarded
-// target call must yield a gofmt-stable tree that re-lints clean.
-func TestFixRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	writeFile := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("go.mod", "module fixmod\n\ngo 1.22\n")
-	writeFile("fixmod.go", `package fixmod
-
-import "errors"
-
-func ScheduleAt(at int64) (int, error) {
-	if at < 0 {
-		return 0, errors.New("past")
-	}
-	return int(at), nil
-}
-
-func run() {
-	ScheduleAt(5)
-}
-`)
-	res, err := analysis.Analyze(dir, []string{"./..."}, []string{"errcheck-lite"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Findings) != 1 || res.Findings[0].Fix == nil {
-		t.Fatalf("want one auto-fixable finding, got %v", res.Findings)
-	}
-	files, n, err := analysis.ApplyFixes(dir, res.Findings)
-	if err != nil || n != 1 {
-		t.Fatalf("ApplyFixes: n=%d err=%v", n, err)
-	}
-	fixed, ok := files["fixmod.go"]
-	if !ok {
-		t.Fatalf("fix did not touch fixmod.go: %v", files)
-	}
-	formatted, err := format.Source(fixed)
-	if err != nil {
-		t.Fatalf("fixed source does not parse: %v\n%s", err, fixed)
-	}
-	if !bytes.Equal(formatted, fixed) {
-		t.Errorf("fixed source is not gofmt-stable:\n--- applied ---\n%s--- gofmt ---\n%s", fixed, formatted)
-	}
-	if !strings.Contains(string(fixed), "if _, err := ScheduleAt(5); err != nil {") {
-		t.Errorf("fix did not produce the checked idiom:\n%s", fixed)
-	}
-	if err := analysis.WriteFixes(dir, files); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := analysis.Analyze(dir, []string{"./..."}, []string{"errcheck-lite"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Clean() {
-		t.Errorf("tree not clean after applying fixes: %v findings, %v errors", res2.Findings, res2.Errors)
-	}
-}
-
-// BenchmarkLintRepo measures a full-repo lint, cold (no cache) and warm
-// (second run through a primed summary cache). CI runs it with
-// -benchtime 1x as a runtime smoke line.
+// BenchmarkLintRepo measures a full-repo lint: load, type-check, build the
+// program, run every rule.
 func BenchmarkLintRepo(b *testing.B) {
 	root := moduleRoot(b)
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := analysis.Analyze(root, []string{"./..."}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Clean() {
-				b.Fatalf("repo not clean: %v %v", res.Findings, res.Errors)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cachePath := filepath.Join(b.TempDir(), "cache.json")
-		prime, err := analysis.NewLoader(root)
+	for i := 0; i < b.N; i++ {
+		res, err := analysis.Analyze(root, []string{"./..."}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := analysis.AnalyzeCached(prime, []string{"./..."}, nil, cachePath); err != nil {
-			b.Fatal(err)
+		if !res.Clean() {
+			b.Fatalf("repo not clean: %v %v", res.Findings, res.Errors)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l, err := analysis.NewLoader(root)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := analysis.AnalyzeCached(l, []string{"./..."}, nil, cachePath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Clean() {
-				b.Fatalf("repo not clean: %v %v", res.Findings, res.Errors)
-			}
-		}
-	})
+	}
 }

@@ -152,15 +152,6 @@ func (l *Loader) All() []*Package {
 	return out
 }
 
-// ReadFile reads a file's bytes as the loader sees them: overlay contents
-// win over the disk. The summary cache hashes through this.
-func (l *Loader) ReadFile(name string) ([]byte, error) {
-	if data, ok := l.Overlay[name]; ok {
-		return data, nil
-	}
-	return os.ReadFile(name)
-}
-
 // Load expands the patterns ("./...", "dir/...", or plain directories,
 // relative to the module root) and returns the matching packages in a
 // deterministic order. A package that fails to parse or type-check is
@@ -245,9 +236,8 @@ func (l *Loader) expand(pat string) ([]string, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		// A nested module (e.g. the reproducer-fixture output of
-		// checker -lint) is its own world: "..." does not cross into it,
-		// exactly as with the go tool.
+		// A nested module (bench/) is its own world: "..." does not cross
+		// into it, exactly as with the go tool.
 		if p != dir {
 			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir

@@ -15,10 +15,9 @@ type Result struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// ResultVersion is the current -json schema version. Version 2 added the
-// optional "fix" field on findings (machine-applicable text edits) and the
-// interprocedural rules.
-const ResultVersion = 2
+// ResultVersion is the current -json schema version. Version 3 dropped the
+// "fix" field on findings and the allocfree rule.
+const ResultVersion = 3
 
 // Clean reports whether the run found nothing at all.
 func (r Result) Clean() bool { return len(r.Findings) == 0 && len(r.Errors) == 0 }
@@ -36,17 +35,11 @@ func Analyze(dir string, patterns, ruleNames []string) (Result, error) {
 }
 
 // AnalyzeWith is Analyze over a caller-configured loader (overlays, test
-// files).
+// files). The interprocedural program is built over every package the
+// load pulled in — dependencies included — so effects propagate across
+// package boundaries; findings are still reported only for the packages
+// the patterns named.
 func AnalyzeWith(l *Loader, patterns, ruleNames []string) (Result, error) {
-	return AnalyzeCached(l, patterns, ruleNames, "")
-}
-
-// AnalyzeCached is AnalyzeWith with a persistent effect-summary cache at
-// cachePath ("" disables caching). The interprocedural program is built
-// over every package the load pulled in — dependencies included — so
-// effects propagate across package boundaries; findings are still
-// reported only for the packages the patterns named.
-func AnalyzeCached(l *Loader, patterns, ruleNames []string, cachePath string) (Result, error) {
 	rules, err := RulesByName(ruleNames)
 	if err != nil {
 		return Result{}, err
@@ -55,15 +48,6 @@ func AnalyzeCached(l *Loader, patterns, ruleNames []string, cachePath string) (R
 	if err != nil {
 		return Result{}, err
 	}
-	var cache *SummaryCache
-	if cachePath != "" {
-		cache = OpenSummaryCache(cachePath, l.ReadFile)
-	}
-	prog := NewProgram(l.All(), cache)
-	if cache != nil {
-		// Best effort: a read-only tree still lints, it just re-summarizes.
-		_ = cache.Save()
-	}
 	res := Result{Version: ResultVersion, Findings: []Diagnostic{}}
 	for _, p := range pkgs {
 		for _, e := range p.Errors {
@@ -71,6 +55,6 @@ func AnalyzeCached(l *Loader, patterns, ruleNames []string, cachePath string) (R
 		}
 	}
 	sort.Strings(res.Errors)
-	res.Findings = RunProgram(prog, pkgs, rules)
+	res.Findings = RunProgram(NewProgram(l.All()), pkgs, rules)
 	return res, nil
 }

@@ -1,44 +1,40 @@
 package analysis
 
-// ShardSafe checks the conventions the sharded engine's correctness
-// arguments lean on. The shard package's golden-trace and conservation
-// tests catch violations *statistically* — when a run happens to cross the
-// broken path; this rule catches them structurally:
+// ShardSafe checks the two conventions of the sharded engine's
+// correctness argument that no runtime test observes exactly. The shard
+// package's golden-trace tests catch violations *statistically* — when a
+// run happens to cross the broken path; this rule catches them
+// structurally:
 //
 //  1. Payload immutability. A *flooding.Update is shared by pointer with
 //     every shard that imports it over a wire; any write through an
 //     Update-typed expression (field or element) inside the shard package
 //     mutates a payload another shard may already hold. Updates are
-//     immutable once published — build a fresh one instead.
+//     immutable once published — build a fresh one instead. (The race
+//     detector sees such a write only when reader and writer sit in the
+//     same window on different shards.)
 //
 //  2. The delay floor. Cross-window events must sit at least one tick in
 //     the future or the conservative-sync lookahead contract breaks.
-//     sim.FromSeconds truncates, so a FromSeconds-derived delay can be
-//     zero ticks; scheduling with such a term is flagged unless the value
-//     passed through the floor-guard idiom
+//     sim.FromSeconds rounds, so a FromSeconds-derived delay can be zero
+//     ticks — which the kernel accepts; scheduling with such a term is
+//     flagged unless the value passed through the floor-guard idiom
 //
 //	if d < 1 { d = 1 }
 //
 //     ScheduleTailCallAt is exempt (tail events deliberately run at the
 //     current instant, after every normal event).
 //
-//  3. Custody ledger discipline. Each Ledger counter has audited terminal
-//     sites — the functions whose correctness argument in ledger.go's
-//     conservation identity accounts for that movement. Incrementing a
-//     counter anywhere else silently unbalances the books in a way the
-//     identity can no longer localize.
-//
-//  4. Control-trace sequence space. Control-packet sequence numbers are
-//     minted only in forwardUpdate and must carry ctrlSeqBit; using the
-//     bit elsewhere, or building a packet that assigns both .Update and
-//     .Seq without the bit, lets control traffic collide with the user
-//     sequence space and corrupts dedup and trace ordering.
+// Custody-ledger discipline and the control sequence space are not checked
+// here: Sim.Audit's ledger identity at every barrier and the committed
+// adaptive golden trace (which pins every control sequence number) observe
+// them exactly at run time.
 //
 // What the rule deliberately does not prove: delays carried through struct
 // fields (llink.propLat is validated at build time by CutLookahead), and
-// mutations behind interface or cross-package calls — the runtime ledger
-// and golden-trace tests own those. Scope is any package whose import path
-// ends in internal/shard, or any package carrying a
+// mutations behind interface or cross-package calls — the golden-trace
+// tests own those. Scope is any package whose import path ends in
+// internal/shard, or any package carrying a
 //
 //	// lint:shardsafe
 //
@@ -52,29 +48,6 @@ import (
 	"strings"
 )
 
-// custodySites maps each Ledger counter to the functions allowed to
-// increment it — the terminal sites ledger.go's conservation identity
-// audits. Counters absent from the map (InFlight: a snapshot, assigned
-// wholesale) are not increment-tracked.
-var custodySites = map[string][]string{
-	"Generated":       {"source"},
-	"Delivered":       {"handlePacket"},
-	"LoopDrops":       {"handlePacket"},
-	"NoRouteDrops":    {"handlePacket"},
-	"BufferDrops":     {"handlePacket"},
-	"OutageDrops":     {"handlePacket", "dropOutage"},
-	"Exported":        {"txDone"},
-	"Imported":        {"importWire"},
-	"CtrlGenerated":   {"forwardUpdate"},
-	"CtrlConsumed":    {"handleUpdate"},
-	"CtrlExported":    {"txDone"},
-	"CtrlImported":    {"importWire"},
-	"CtrlOutageDrops": {"dropOutage"},
-}
-
-// ctrlMintSites are the functions allowed to touch ctrlSeqBit.
-var ctrlMintSites = map[string]bool{"forwardUpdate": true}
-
 // ShardSafe enforces the sharded engine's structural invariants; see the
 // package comment above.
 type ShardSafe struct{}
@@ -84,40 +57,7 @@ func (*ShardSafe) Name() string { return "shardsafe" }
 
 // Doc implements Rule.
 func (*ShardSafe) Doc() string {
-	return "shard-engine invariants: immutable exported payloads, 1-tick delay floor, audited ledger sites, reserved control seq space"
-}
-
-// Explain implements Explainer.
-func (*ShardSafe) Explain() string {
-	return `shardsafe mechanizes the shard engine's cross-barrier invariants.
-
-Four sub-checks, each the static twin of a convention the sharded
-simulator relies on for byte-identical distributed replay:
-
-  1. Exported payload immutability: a flooding.Update that has crossed
-     the shard barrier is shared by reference; any write through a
-     *flooding.Update (field, index, or nested) is flagged. Copy before
-     mutating.
-  2. 1-tick delay floor: a schedule timestamp derived from FromSeconds
-     without the "if d < 1 { d = 1 }" floor can schedule at the current
-     tick and break the conservative-sync lookahead contract.
-  3. Custody-ledger audit: each conservation counter (Generated,
-     Delivered, Exported, Imported, the drop families, and the Ctrl
-     twins) may only be incremented inside its audited site(s); an
-     increment anywhere else silently breaks the conservation identity
-     the differential tests check.
-  4. Reserved control-sequence space: ctrlSeqBit is minted only inside
-     forwardUpdate; using it elsewhere, or building a control packet
-     (.Update set) whose .Seq lacks the bit, corrupts the user/control
-     packet partition.
-
-Scope: packages with import-path suffix internal/shard, or any package
-carrying a "// lint:shardsafe" directive (fixtures). The rule does not
-do alias analysis — it matches mutation targets and counter names
-structurally — and it does not track payloads laundered through
-interface{}; the differential replay tests own that residue.
-
-Suppress with "// lint:ignore shardsafe <reason>" at the site.`
+	return "shard-engine invariants: immutable exported payloads, 1-tick delay floor"
 }
 
 func (*ShardSafe) applies(pkg *Package) bool {
@@ -137,8 +77,6 @@ func (s *ShardSafe) Check(pass *Pass) {
 			}
 			s.checkUpdateMutation(pass, fd)
 			s.checkDelayFloor(pass, fd)
-			s.checkCustody(pass, fd)
-			s.checkCtrlSeq(pass, fd)
 		}
 	}
 }
@@ -352,146 +290,6 @@ func containsFromSeconds(pass *Pass, e ast.Expr) *ast.CallExpr {
 			}
 		}
 		return found == nil
-	})
-	return found
-}
-
-// --- 3: custody ledger ----------------------------------------------------
-
-// checkCustody flags ++/--/+=/-= on an audited Ledger counter outside its
-// terminal sites.
-func (s *ShardSafe) checkCustody(pass *Pass, fd *ast.FuncDecl) {
-	check := func(lhs ast.Expr, pos token.Pos) {
-		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		if !isShardLedger(pass.TypeOf(sel.X)) {
-			return
-		}
-		allowed, audited := custodySites[sel.Sel.Name]
-		if !audited {
-			return
-		}
-		fn := fd.Name.Name
-		for _, a := range allowed {
-			if a == fn {
-				return
-			}
-		}
-		pass.Report(pos,
-			"custody counter "+sel.Sel.Name+" incremented in "+fn+
-				", outside its audited site ("+strings.Join(allowed, ", ")+")",
-			"ledger counters move only at the terminal sites the conservation identity audits; route the packet through the audited path")
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.IncDecStmt:
-			check(n.X, n.Pos())
-		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN {
-				for _, lhs := range n.Lhs {
-					check(lhs, n.Pos())
-				}
-			}
-		}
-		return true
-	})
-}
-
-// isShardLedger matches the shard custody Ledger type (by name, in a shard
-// or fixture package).
-func isShardLedger(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Ledger"
-}
-
-// --- 4: control sequence space --------------------------------------------
-
-// checkCtrlSeq flags (a) any use of ctrlSeqBit outside the mint sites, and
-// (b) a block that builds a control packet — assigns both X.Update and
-// X.Seq — where the Seq value does not carry ctrlSeqBit.
-func (s *ShardSafe) checkCtrlSeq(pass *Pass, fd *ast.FuncDecl) {
-	inMint := ctrlMintSites[fd.Name.Name]
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "ctrlSeqBit" && !inMint {
-			if _, isConst := pass.ObjectOf(id).(*types.Const); isConst {
-				pass.Report(id.Pos(),
-					"ctrlSeqBit used outside forwardUpdate — control sequence numbers are minted in one place",
-					"mint control seqs only in forwardUpdate so the reserved bit space stays auditable")
-			}
-		}
-		block, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		type mint struct {
-			upd bool
-			seq *ast.AssignStmt
-		}
-		byRecv := map[types.Object]*mint{}
-		for _, st := range block.List {
-			as, ok := st.(*ast.AssignStmt)
-			if !ok {
-				continue
-			}
-			for i, lhs := range as.Lhs {
-				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				base, ok := ast.Unparen(sel.X).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := pass.ObjectOf(base)
-				if obj == nil {
-					continue
-				}
-				m := byRecv[obj]
-				if m == nil {
-					m = &mint{}
-					byRecv[obj] = m
-				}
-				switch sel.Sel.Name {
-				case "Update":
-					if i < len(as.Rhs) && !isNilIdent(as.Rhs[i]) {
-						m.upd = true
-					}
-				case "Seq":
-					m.seq = as
-				}
-			}
-		}
-		for _, m := range byRecv {
-			if m.upd && m.seq != nil && !mentionsCtrlSeqBit(m.seq) {
-				pass.Report(m.seq.Pos(),
-					"control packet minted without ctrlSeqBit: .Update is set but .Seq lacks the reserved bit",
-					"control copies must carry ctrlSeqBit or they collide with the user sequence space (dedup and trace order break)")
-			}
-		}
-		return true
-	})
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func mentionsCtrlSeqBit(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && id.Name == "ctrlSeqBit" {
-			found = true
-		}
-		return !found
 	})
 	return found
 }

@@ -6,26 +6,18 @@ import (
 	"strings"
 )
 
-// suppression is one parsed directive: either
+// suppression is one parsed directive:
 //
 //	// lint:ignore rule[,rule] reason
-//
-// or the allocation blessing
-//
-//	// lint:alloc reason
-//
-// which is sugar for "lint:ignore allocfree reason" and additionally marks
-// an amortized/cold allocation the allocfree summaries must not propagate.
 type suppression struct {
 	rules  []string
 	reason string
 	line   int
-	alloc  bool // written as lint:alloc
 
 	// used records which of the named rules this directive actually
-	// silenced during the run (a filtered finding, or an effect summary it
-	// blessed). A well-formed directive whose rule ran but silenced
-	// nothing is stale and is itself reported.
+	// silenced during the run (a filtered finding, or an effect it kept out
+	// of a function summary). A well-formed directive whose rule ran but
+	// silenced nothing is stale and is itself reported.
 	used map[string]bool
 }
 
@@ -49,25 +41,21 @@ func (p *Package) parseSuppressions() {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, alloc, ok := suppressionDirective(c.Text)
+				rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "lint:ignore")
 				if !ok {
 					continue
 				}
+				text := strings.TrimSpace(rest)
 				pos := p.Fset.Position(c.Pos())
-				s := &suppression{line: pos.Line, alloc: alloc, used: map[string]bool{}}
-				if alloc {
-					s.rules = []string{"allocfree"}
-					s.reason = text
-				} else {
-					fields := strings.Fields(text)
-					if len(fields) > 0 {
-						for _, r := range strings.Split(fields[0], ",") {
-							if r = strings.TrimSpace(r); r != "" {
-								s.rules = append(s.rules, r)
-							}
+				s := &suppression{line: pos.Line, used: map[string]bool{}}
+				fields := strings.Fields(text)
+				if len(fields) > 0 {
+					for _, r := range strings.Split(fields[0], ",") {
+						if r = strings.TrimSpace(r); r != "" {
+							s.rules = append(s.rules, r)
 						}
-						s.reason = strings.TrimSpace(strings.TrimPrefix(text, fields[0]))
 					}
+					s.reason = strings.TrimSpace(strings.TrimPrefix(text, fields[0]))
 				}
 				byLine := p.suppressions[pos.Filename]
 				if byLine == nil {
@@ -78,23 +66,6 @@ func (p *Package) parseSuppressions() {
 			}
 		}
 	}
-}
-
-// suppressionDirective extracts the payload of a lint:ignore or lint:alloc
-// comment. A longer token that merely shares the prefix — "lint:allocXYZ",
-// say — is neither (the word must end where the payload's space begins).
-func suppressionDirective(comment string) (text string, alloc, ok bool) {
-	t := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
-	if rest, found := strings.CutPrefix(t, "lint:ignore"); found {
-		return strings.TrimSpace(rest), false, true
-	}
-	if rest, found := strings.CutPrefix(t, "lint:alloc"); found {
-		if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-			return "", false, false // lint:allocfree etc.
-		}
-		return strings.TrimSpace(rest), true, true
-	}
-	return "", false, false
 }
 
 // suppressed reports whether a diagnostic at (filename, line) for rule is
@@ -122,13 +93,9 @@ func (p *Package) badSuppressions() []Diagnostic {
 			if len(s.rules) > 0 && s.reason != "" {
 				continue
 			}
-			msg := "malformed lint:ignore: need \"lint:ignore <rule>[,<rule>] <reason>\" " +
-				"— a directive without a reason does not suppress"
-			if s.alloc {
-				msg = "malformed lint:alloc: need \"lint:alloc <reason>\" " +
-					"— an allocation blessing without a reason does not bless"
-			}
-			out = append(out, p.lintDiag(filename, s.line, msg))
+			out = append(out, p.lintDiag(filename, s.line,
+				"malformed lint:ignore: need \"lint:ignore <rule>[,<rule>] <reason>\" "+
+					"— a directive without a reason does not suppress"))
 		}
 	}
 	return out
@@ -154,9 +121,6 @@ func (p *Package) staleSuppressions(ranRules map[string]bool) []Diagnostic {
 			}
 			for _, rule := range s.rules {
 				directive := "lint:ignore " + rule
-				if s.alloc {
-					directive = "lint:alloc"
-				}
 				if !known[rule] {
 					out = append(out, p.lintDiag(filename, s.line,
 						"unknown rule "+rule+" in "+directive+" — the directive suppresses nothing"))

@@ -32,8 +32,8 @@ func seeded(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// mapToOrderedSlice collects map values and returns them unsorted. Since
-// v2 this is legal at the range — the collect half of the idiom — and the
+// mapToOrderedSlice collects map values and returns them unsorted. This
+// is legal at the range — the collect half of the idiom — and the
 // obligation to sort transfers to every caller (Summary.RetMapOrder).
 func mapToOrderedSlice(m map[int]float64) []float64 {
 	var out []float64
@@ -97,24 +97,30 @@ func mapFloatSum(m map[int]float64) float64 {
 
 func consume(int) {}
 
-// mapFeedsCall passes the key to a summarized callee whose parameter
-// provably never reaches an ordered sink — v2 stays quiet where v1 needed
-// a suppression.
+// mapFeedsCall hands the key to a callee. Whether consume orders anything
+// is not the linter's call to make: the callee may schedule, queue or
+// mutate ordered state, so the loop is a finding, and an order-insensitive
+// callee takes a reasoned suppression.
 func mapFeedsCall(m map[int]bool) {
-	for k := range m {
+	for k := range m { // want detdrift "a call to consume with the iteration variable"
 		consume(k)
 	}
 }
 
-// record's parameter flows into formatted output, so its summary marks
-// the position as an ordered sink.
-func record(v int) {
-	fmt.Println(v)
-}
+// lineEngine stands in for updating.Network: SetLineUp queues a full-table
+// resync on the restored line, so the order of calls is observable.
+type lineEngine struct{ resync []int }
 
-func mapFeedsSink(m map[int]bool) {
-	for k := range m { // want detdrift "a call to record with the iteration variable"
-		record(k)
+func (e *lineEngine) SetLineUp(l int) { e.resync = append(e.resync, l) }
+
+// repairInMapOrder is the one real bug this rule has caught, verbatim from
+// internal/check/floodcheck.go:136 at tree 89e0fd6 (fixed in PR 5 by
+// collecting and sorting the links first): the flood checker's repair loop
+// restored downed lines in map order, so a "deterministic" reproducer
+// replayed differently from run to run and ddmin shrinking chased noise.
+func repairInMapOrder(nw *lineEngine, down map[int]bool) {
+	for l := range down { // want detdrift "a call to SetLineUp with the iteration variable"
+		nw.SetLineUp(l)
 	}
 }
 

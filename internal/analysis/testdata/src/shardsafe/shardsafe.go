@@ -66,66 +66,3 @@ func scheduleGood(k kernel, now int64, lat float64) {
 func scheduleTail(k kernel, now int64, lat float64) {
 	k.ScheduleTailCallAt(now+FromSeconds(lat), noop)
 }
-
-// --- 3: custody ledger ----------------------------------------------------
-
-// Ledger is a fixture twin of the shard custody ledger (matched by type
-// name). InFlight is a snapshot, not increment-tracked.
-type Ledger struct {
-	Generated int64
-	Delivered int64
-	InFlight  int64
-}
-
-// source and handlePacket are audited terminal sites: no findings.
-func source(led *Ledger) { led.Generated++ }
-
-func handlePacket(led *Ledger) { led.Delivered++ }
-
-func retryPath(led *Ledger) {
-	led.Delivered++ // want shardsafe "custody counter Delivered incremented in retryPath, outside its audited site"
-	led.InFlight++
-}
-
-func bulkCount(led *Ledger, n int64) {
-	led.Generated += n // want shardsafe "custody counter Generated incremented in bulkCount, outside its audited site"
-}
-
-// --- 4: control sequence space --------------------------------------------
-
-const ctrlSeqBit = uint64(1) << 63
-
-type packet struct {
-	Seq    uint64
-	Update *flooding.Update
-}
-
-// forwardUpdate is the one audited mint site.
-func forwardUpdate(p *packet, u *flooding.Update, seq uint64) {
-	p.Update = u
-	p.Seq = seq | ctrlSeqBit
-}
-
-func forgeCtrl(p *packet, u *flooding.Update, seq uint64) {
-	p.Update = u
-	p.Seq = seq // want shardsafe "control packet minted without ctrlSeqBit"
-}
-
-func stealBit(seq uint64) bool {
-	return seq&ctrlSeqBit != 0 // want shardsafe "ctrlSeqBit used outside forwardUpdate"
-}
-
-// sendUser carries a plain sequence number and never touches .Update:
-// user packets are outside the reserved space.
-func sendUser(p *packet, seq uint64) {
-	p.Seq = seq
-}
-
-// importWire mirrors the real import path: the Update pointer lands in
-// a nested block, so the outer Seq bookkeeping is not a mint.
-func importWire(p *packet, u *flooding.Update, seq uint64) {
-	p.Seq = seq
-	if u != nil {
-		p.Update = u
-	}
-}

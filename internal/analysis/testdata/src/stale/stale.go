@@ -15,9 +15,3 @@ func ruleNoLongerFires() int {
 	// lint:ignore detdrift nothing here has fired since the code moved
 	return 2
 }
-
-func staleBlessing() int {
-	// want(+1) lint "stale lint:alloc"
-	// lint:alloc nothing allocates here any more
-	return 3
-}

@@ -8,10 +8,9 @@ import (
 
 // bellmanFordDist computes single-source shortest distances by naive
 // repeated edge relaxation. It is deliberately written from the textbook —
-// independent of both internal/spf (heap Dijkstra) and
-// internal/bellmanford (the distributed 1969 engine) — so that it can
-// serve as a second opinion on both: an algorithmic bug would have to be
-// reproduced here, in a different algorithm, to go unnoticed.
+// independent of internal/spf (heap Dijkstra) — so that it can serve as a
+// second opinion: an algorithmic bug would have to be reproduced here, in
+// a different algorithm, to go unnoticed.
 func bellmanFordDist(g *topology.Graph, root topology.NodeID, costs []float64) []float64 {
 	n := g.NumNodes()
 	dist := make([]float64, n)

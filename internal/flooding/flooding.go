@@ -99,7 +99,7 @@ func ForwardLinks(g *topology.Graph, node topology.NodeID, arrival topology.Link
 
 // AppendForwardLinks appends the forward links to dst (usually dst[:0] of a
 // per-PSN scratch buffer) and returns it, allocating only on growth.
-// lint:alloc appends into the caller's reusable scratch; growth is amortized to node degree
+// Allocates: appends into the caller's reusable scratch; growth is amortized to node degree
 func AppendForwardLinks(dst []topology.LinkID, g *topology.Graph, node topology.NodeID, arrival topology.LinkID) []topology.LinkID {
 	var skip topology.LinkID = topology.NoLink
 	if arrival != topology.NoLink {

@@ -35,6 +35,11 @@ func TestBF1969ConvergesAndDelivers(t *testing.T) {
 			t.Errorf("dist to %d = %v for %v hops", d, dist[d], hops)
 		}
 	}
+	// At light load queues are near empty, so costs are near static and the
+	// converged next hops form loop-free paths: no packet's TTL expires.
+	if r.LoopDrops != 0 {
+		t.Errorf("%d loop drops at light load; near-static costs must route loop-free", r.LoopDrops)
+	}
 	// Exchanges happen every 2/3 s per node.
 	if r.UpdatePeriodPerNode < 0.5 || r.UpdatePeriodPerNode > 1.0 {
 		t.Errorf("exchange period %.2f s, want ~0.67", r.UpdatePeriodPerNode)

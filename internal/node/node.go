@@ -73,7 +73,7 @@ type PacketPool struct {
 func (pp *PacketPool) Get() *Packet {
 	p := pp.free
 	if p == nil {
-		return &Packet{} // lint:alloc pool refill: the fresh packet is recycled forever after
+		return &Packet{} // pool refill: the fresh packet is recycled forever after
 	}
 	pp.free = p.poolNext
 	p.poolNext = nil
@@ -134,7 +134,7 @@ func NewQueue(limit int) *Queue {
 
 // grow doubles the ring, linearizing the contents. Only routing packets can
 // push the length past the user limit, so growth is rare.
-// lint:alloc queue doubling is amortized O(1) per push
+// Allocates: queue doubling is amortized O(1) per push
 func (q *Queue) grow() {
 	capacity := len(q.buf) * 2
 	if capacity == 0 {

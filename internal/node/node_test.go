@@ -200,3 +200,48 @@ func TestMultipathToleranceFraction(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateZeroAllocs is the node-side counterpart of the sim
+// kernel's test of the same name: once the pool holds a packet and the
+// queue ring has its first backing array, the per-packet operations every
+// trunk performs — pool Get/Put, queue Push/Pop/Scan for both packet
+// classes, measurement Record/Take — allocate nothing.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	var pp PacketPool
+	pp.Put(pp.Get()) // prime the free-list
+	if avg := testing.AllocsPerRun(1000, func() { pp.Put(pp.Get()) }); avg != 0 {
+		t.Errorf("PacketPool Get+Put allocates %.1f objects/op in steady state, want 0", avg)
+	}
+
+	q := NewQueue(4)
+	u, r := user(1), routing(2)
+	q.Push(u) // prime the ring
+	q.Pop()
+	var scanned int
+	count := func(*Packet) { scanned++ }
+	if avg := testing.AllocsPerRun(1000, func() {
+		q.Push(u)
+		q.Push(r) // head insert
+		q.Scan(count)
+		q.Pop()
+		q.Pop()
+	}); avg != 0 {
+		t.Errorf("Queue Push+Scan+Pop allocates %.1f objects/op in steady state, want 0", avg)
+	}
+	if scanned == 0 {
+		t.Fatal("Scan visited nothing")
+	}
+
+	var m Measurement
+	var sink float64
+	if avg := testing.AllocsPerRun(1000, func() {
+		m.Record(0.01)
+		m.Record(0.02)
+		sink += m.Take()
+	}); avg != 0 {
+		t.Errorf("Measurement Record+Take allocates %.1f objects/op, want 0", avg)
+	}
+	if sink == 0 {
+		t.Fatal("Take returned no delay")
+	}
+}

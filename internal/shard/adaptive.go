@@ -195,7 +195,7 @@ func (sh *shardState) applyUpdate(n *lnode, u *flooding.Update, now sim.Time) {
 		}
 	}
 	if changed > 0 {
-		// lint:alloc the trace record buffer grows amortized and is drained per window
+		// Allocates: the trace record buffer grows amortized and is drained per window
 		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recReroute,
 			link: topology.NoLink, pkt: uint64(u.Origin)<<32 | (u.Seq & 0xffffffff), count: changed})
 		n.rseq++

@@ -13,7 +13,8 @@ package shard
 // overhead — source, transmit, drain, barrier — rather than route length.
 // It is NOT comparable to the root package's BenchmarkSimPacketsPerSec,
 // which runs the full adaptive-routing model (~13 events per packet) on
-// the 59-node ARPANET; see BENCH_4.json's notes for the honest read.
+// the 59-node ARPANET; see DESIGN.md's legacy trajectory table (snapshot 4)
+// for the honest read.
 
 import (
 	"testing"
@@ -88,5 +89,6 @@ func BenchmarkShardedPacketsPerSec1(b *testing.B) { benchThroughput(b, 1, false)
 // benchmarks above: the adaptive run also carries ~5k update copies per
 // simulated second and repairs every node's SPF tree on each wave — the
 // honest comparison is against BenchmarkSimPacketsPerSec's full adaptive
-// model, which this exceeds by running 17x the nodes. See BENCH_6.json.
+// model, which this exceeds by running 17x the nodes. See DESIGN.md's legacy
+// trajectory table (snapshot 6).
 func BenchmarkShardedAdaptivePacketsPerSec(b *testing.B) { benchThroughput(b, 4, true) }

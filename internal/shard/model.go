@@ -343,7 +343,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	}
 }
 
-// lint:alloc the trace record buffer grows amortized and is drained per window
+// Allocates: the trace record buffer grows amortized and is drained per window
 func (sh *shardState) dropRec(n *lnode, now sim.Time, kind recKind, link topology.LinkID, pkt uint64) {
 	if !sh.s.cfg.TraceDrops {
 		n.rseq++ // keep sequence numbering identical whether or not traced
@@ -389,7 +389,7 @@ func (sh *shardState) txDone(now sim.Time, arg any) {
 		p.Arrival = ls.l.ID
 		sh.deliverArrival(ls.toLocal, at, ls.l.ID, p)
 	} else {
-		// lint:alloc the outbox grows to the per-window export high-watermark, then reuses
+		// Allocates: the outbox grows to the per-window export high-watermark, then reuses
 		sh.outbox = append(sh.outbox, wire{
 			at: at, link: ls.l.ID, seq: p.Seq, src: p.Src, dst: p.Dst,
 			size: p.SizeBits, created: p.Created, hops: p.Hops, upd: p.Update,
@@ -441,7 +441,7 @@ func (sh *shardState) deliverArrival(n *lnode, at sim.Time, link topology.LinkID
 		i--
 	}
 	sameAt := (i > 0 && n.pend[i-1].at == at) || (i < len(n.pend) && n.pend[i].at == at)
-	n.pend = append(n.pend, pendArr{}) // lint:alloc pending-arrival buffer grows to its high-watermark, then reuses
+	n.pend = append(n.pend, pendArr{}) // pending-arrival buffer grows to its high-watermark, then reuses
 	copy(n.pend[i+1:], n.pend[i:])
 	n.pend[i] = pendArr{at: at, link: link, pkt: p}
 	if !sameAt {

@@ -249,9 +249,6 @@ func (s *Sim) Lookahead() sim.Time {
 	return s.lookahead
 }
 
-// Partition returns the node→shard assignment. The caller must not modify it.
-func (s *Sim) PartitionOf() []int { return s.part }
-
 // Fired returns the total number of kernel events executed across shards.
 func (s *Sim) Fired() uint64 {
 	var n uint64

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -273,4 +274,67 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestSteadyStateAllocsPerPacket is the run-time guard on the data plane's
+// allocation-free contract (source → handlePacket → startTx → txDone →
+// deliverArrival → drain, importWire at 2 shards, adaptiveNextHop on the
+// adaptive plane): after warm-up the heap allocations per delivered packet
+// stay at amortized-growth level. The three rows differ in what still
+// allocates by design, so each has its own bound; an allocation planted on
+// any per-packet path adds ≥ 1 to every row.
+//
+// Measured on the PR 15 box (go1.24, 128-node hier:8x16, 50 pkt/s/node,
+// 4 simulated seconds ≈ 25k delivered packets): ~30 mallocs static at one
+// shard (slot-store and pending-buffer growth), ~1,750 at two shards (one
+// goroutine per shard per window), ~790 adaptive (514 flooded updates,
+// each a fresh immutable payload). Bounds leave 3–9× headroom over those.
+func TestSteadyStateAllocsPerPacket(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		shards   int
+		adaptive bool
+		bound    float64 // mallocs per delivered packet
+	}{
+		{"static/1shard", 1, false, 0.01},
+		{"static/2shards", 2, false, 0.25},
+		{"adaptive/1shard", 1, true, 0.1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{
+				Graph:      topology.Hierarchical(8, 16, 7),
+				Shards:     c.shards,
+				Seed:       7,
+				PktRate:    50,
+				Dests:      4,
+				DestRadius: 1,
+			}
+			if c.adaptive {
+				cfg.Adaptive, cfg.Metric, cfg.MeasurePeriod = true, node.HNSPF, sim.Second
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const warm, span = 3 * sim.Second, 4 * sim.Second
+			s.Run(warm)
+			delivered := s.Report().Delivered
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.Run(warm + span)
+			runtime.ReadMemStats(&after)
+			delivered = s.Report().Delivered - delivered
+			if delivered < 10000 {
+				t.Fatalf("only %d packets delivered; the measurement is vacuous", delivered)
+			}
+			perPkt := float64(after.Mallocs-before.Mallocs) / float64(delivered)
+			t.Logf("%d mallocs over %d delivered packets = %.5f/packet", after.Mallocs-before.Mallocs, delivered, perPkt)
+			if perPkt > c.bound {
+				t.Errorf("%.4f heap allocations per delivered packet in steady state, want <= %g", perPkt, c.bound)
+			}
+			if err := s.Audit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -193,7 +193,7 @@ func (k *Kernel) enqueueSlow(s int32, ab int64) {
 // slotLess. Push/pop reuse the shared backing array; no per-event
 // allocation once it has grown to the workload's high-watermark.
 
-// lint:alloc the overflow ladder grows to the workload high-watermark, then reuses its backing array
+// Allocates: the overflow ladder grows to the workload high-watermark, then reuses its backing array
 func (k *Kernel) overPush(s int32) {
 	k.loc[s] = locOver
 	k.over = append(k.over, s)
@@ -245,7 +245,7 @@ func (k *Kernel) overPruneTop() {
 // just reached — into ascending (at, eseq) order, pruning cancelled slots
 // on the way through. Short chains (the steady case) use an insertion
 // sort; a surge bucket falls back to slices.SortFunc.
-// lint:alloc chain-sort scratch and comparator are amortized across fires (see the zero-alloc benchmark)
+// Allocates: chain-sort scratch and comparator are amortized across fires (see the zero-alloc benchmark)
 func (k *Kernel) sortFront(i int) {
 	k.sortedAbs = k.scanAbs
 	k.lastIns = -1
@@ -463,7 +463,7 @@ func (k *Kernel) fireBatch(deadline Time) bool {
 // earliest event, cancelled slots pruned along the way. Called when the
 // buckets over-fill, the width drifts from the event rate, or the ladder
 // churns; never on the steady path.
-// lint:alloc the retune rebuild may grow its reused scratch; it never runs on the steady path
+// Allocates: the retune rebuild may grow its reused scratch; it never runs on the steady path
 func (k *Kernel) retune() {
 	live := k.scratch[:0]
 	for i := range k.bucket {
@@ -575,7 +575,7 @@ func (k *Kernel) tuneWidth(ats []Time) Time {
 
 // setBuckets installs an empty bucket array of exactly nb entries (a power
 // of two), reusing the current array when the size already matches.
-// lint:alloc the bucket array reallocates only when the tuned size changes
+// Allocates: the bucket array reallocates only when the tuned size changes
 func (k *Kernel) setBuckets(nb int) {
 	if len(k.bucket) != nb {
 		k.bucket = make([]int32, nb)

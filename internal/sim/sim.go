@@ -231,7 +231,7 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 func (k *Kernel) Pending() int { return k.pending }
 
 // alloc takes a slot off the free-list, or extends the store on first use.
-// lint:alloc slot-store growth to the live high-watermark is amortized; steady state reuses freed slots
+// Allocates: slot-store growth to the live high-watermark is amortized; steady state reuses freed slots
 func (k *Kernel) alloc() int32 {
 	s := k.freeHead
 	if s < 0 {
@@ -318,7 +318,7 @@ func (k *Kernel) scheduleSlot(at Time, fn Event, cfn Call, arg any, tail bool) H
 // that can cancel the event, and an error if at precedes the current time.
 func (k *Kernel) ScheduleAt(at Time, fn Event) (Handle, error) {
 	if at < k.now {
-		// lint:alloc error construction on the rejected-schedule path, never in steady state
+		// Allocates: error construction on the rejected-schedule path, never in steady state
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
 	}
 	return k.scheduleSlot(at, fn, nil, nil, false), nil
@@ -339,7 +339,7 @@ func (k *Kernel) Schedule(delay Time, fn Event) Handle {
 // it is boxed).
 func (k *Kernel) ScheduleCallAt(at Time, fn Call, arg any) (Handle, error) {
 	if at < k.now {
-		// lint:alloc error construction on the rejected-schedule path, never in steady state
+		// Allocates: error construction on the rejected-schedule path, never in steady state
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
 	}
 	return k.scheduleSlot(at, nil, fn, arg, false), nil
@@ -370,7 +370,7 @@ func (k *Kernel) ScheduleCall(delay Time, fn Call, arg any) Handle {
 // precisely so the case never arises.
 func (k *Kernel) ScheduleTailCallAt(at Time, fn Call, arg any) (Handle, error) {
 	if at < k.now {
-		// lint:alloc error construction on the rejected-schedule path, never in steady state
+		// Allocates: error construction on the rejected-schedule path, never in steady state
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
 	}
 	return k.scheduleSlot(at, nil, fn, arg, true), nil
@@ -549,7 +549,7 @@ func (k *Kernel) decay() {
 // allocation then prefers low slots, compacting the live population — and
 // truncates the store when it holds more than four times the recent live
 // high-watermark and the tail above twice the watermark is entirely free.
-// lint:alloc the decay rebuild copies the slot store to shed capacity, amortized over the decay period
+// Allocates: the decay rebuild copies the slot store to shed capacity, amortized over the decay period
 func (k *Kernel) decaySlots() {
 	total := len(k.at)
 	target := 2 * k.liveHigh

@@ -509,6 +509,33 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("ScheduleCall+Step allocates %.1f objects/op in steady state, want 0", avg)
 	}
+	// The absolute-time and tail variants, cancellation, the peek, and the
+	// batched run loop: every entry point a packet engine calls per event.
+	if avg := testing.AllocsPerRun(1000, func() {
+		h, err := k.ScheduleAt(k.Now()+2*Microsecond, fn)
+		if err != nil || !h.Pending() || !h.Cancel() {
+			t.Fatal("ScheduleAt/Pending/Cancel failed")
+		}
+		if _, err := k.ScheduleCallAt(k.Now()+Microsecond, call, arg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.ScheduleTailCallAt(k.Now()+Microsecond, call, arg); err != nil {
+			t.Fatal(err)
+		}
+		at, ok := k.NextEventTime()
+		if !ok {
+			t.Fatal("NextEventTime found nothing")
+		}
+		k.RunUntil(at)
+	}); avg != 0 {
+		t.Errorf("ScheduleAt/ScheduleCallAt/ScheduleTailCallAt+Cancel+RunUntil allocates %.1f objects/op in steady state, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		k.Schedule(Microsecond, fn)
+		k.Run()
+	}); avg != 0 {
+		t.Errorf("Schedule+Run allocates %.1f objects/op in steady state, want 0", avg)
+	}
 	tick := k.Every(Microsecond, fn)
 	k.Step() // prime the ticker's entry
 	if avg := testing.AllocsPerRun(1000, func() { k.Step() }); avg != 0 {

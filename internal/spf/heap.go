@@ -25,7 +25,7 @@ func (h *nodeHeap) reset() {
 func (h *nodeHeap) empty() bool { return len(h.nodes) == 0 }
 
 // push inserts an entry and sifts it up.
-// lint:alloc heap storage grows to the topology high-watermark, then reuses
+// Allocates: heap storage grows to the topology high-watermark, then reuses
 func (h *nodeHeap) push(n topology.NodeID, d float64) {
 	h.nodes = append(h.nodes, n)
 	h.dists = append(h.dists, d)

@@ -178,7 +178,7 @@ func (r *IncrementalRouter) relaxFrontier(pq *nodeHeap, inSet []bool) {
 // repairIncrease handles a cost rise on (u,v). If (u,v) is not v's parent
 // link the tree is unaffected. Otherwise the subtree rooted at v is
 // detached and re-attached through its cheapest boundary edges.
-// lint:alloc repair scratch (inSet, stack) grows to the affected-set high-watermark, then reuses
+// Allocates: repair scratch (inSet, stack) grows to the affected-set high-watermark, then reuses
 func (r *IncrementalRouter) repairIncrease(link topology.Link) {
 	t := r.tree
 	if t.parent[link.To] != link.ID {

@@ -58,8 +58,8 @@ func ComputeInto(ws *Workspace, g *topology.Graph, root topology.NodeID, cost Co
 	// strict improvement, at most once per link): pre-sizing keeps the whole
 	// computation allocation-free.
 	if cap(pq.nodes) < nl+1 {
-		pq.nodes = make([]topology.NodeID, 0, nl+1) // lint:alloc pre-sized once per topology high-watermark
-		pq.dists = make([]float64, 0, nl+1)         // lint:alloc pre-sized once per topology high-watermark
+		pq.nodes = make([]topology.NodeID, 0, nl+1) // pre-sized once per topology high-watermark
+		pq.dists = make([]float64, 0, nl+1)         // pre-sized once per topology high-watermark
 	}
 	pq.push(root, 0)
 	for !pq.empty() {
@@ -91,7 +91,7 @@ func ComputeInto(ws *Workspace, g *topology.Graph, root topology.NodeID, cost Co
 
 // growFloats returns s resized to n, reusing its backing array when large
 // enough. Contents are unspecified.
-// lint:alloc workspace doubling to the topology high-watermark is amortized
+// Allocates: workspace doubling to the topology high-watermark is amortized
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) >= n {
 		return s[:n]
@@ -99,7 +99,7 @@ func growFloats(s []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// lint:alloc workspace doubling to the topology high-watermark is amortized
+// Allocates: workspace doubling to the topology high-watermark is amortized
 func growLinks(s []topology.LinkID, n int) []topology.LinkID {
 	if cap(s) >= n {
 		return s[:n]
@@ -107,7 +107,7 @@ func growLinks(s []topology.LinkID, n int) []topology.LinkID {
 	return make([]topology.LinkID, n)
 }
 
-// lint:alloc workspace doubling to the topology high-watermark is amortized
+// Allocates: workspace doubling to the topology high-watermark is amortized
 func growBools(s []bool, n int) []bool {
 	if cap(s) >= n {
 		return s[:n]

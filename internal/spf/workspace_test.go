@@ -92,3 +92,53 @@ func TestComputeIntoValidatesAllCosts(t *testing.T) {
 		return 1
 	})
 }
+
+// TestSteadyStateZeroAllocs pins the allocation-free contract of the SPF
+// hot paths at run time: a full Dijkstra through a warm Workspace, tree
+// lookups, and incremental repairs (Update and UpdateBatch, cost rises and
+// drops alike) once the router's scratch has grown to the topology's size.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	g := topology.Arpanet()
+	far := topology.NodeID(g.NumNodes() - 1)
+	cost := func(l topology.LinkID) float64 { return 1 + float64(l%7) }
+	ws := NewWorkspace()
+	ComputeInto(ws, g, 0, cost) // warm the workspace
+	var sink float64
+	if avg := testing.AllocsPerRun(100, func() {
+		tree := ComputeInto(ws, g, 0, cost)
+		sink += tree.Dist(far) + float64(tree.NextHop(far))
+	}); avg != 0 {
+		t.Errorf("ComputeInto on a warm workspace allocates %.1f objects/op, want 0", avg)
+	}
+
+	costs := make([]float64, g.NumLinks())
+	for i := range costs {
+		costs[i] = 30
+	}
+	r := NewIncrementalRouter(g, 0, costs)
+	// Every link takes both a rise and a drop per pass, so tree links hit
+	// repairIncrease and the rest repairDecrease or the skip path.
+	links := make([]topology.LinkID, g.NumLinks())
+	up, down := make([]float64, len(links)), make([]float64, len(links))
+	for i := range links {
+		links[i] = topology.LinkID(i)
+		up[i], down[i] = 90, 30
+	}
+	pass := func() {
+		r.UpdateBatch(links, up)
+		for i, l := range links {
+			r.Update(l, down[i])
+		}
+	}
+	pass() // grow the repair scratch to its high-watermark
+	_, before, _, _ := r.Stats()
+	if avg := testing.AllocsPerRun(20, pass); avg != 0 {
+		t.Errorf("incremental Update/UpdateBatch allocates %.1f objects/op in steady state, want 0", avg)
+	}
+	if _, after, _, _ := r.Stats(); after == before {
+		t.Fatal("no incremental repair ran; the measurement is vacuous")
+	}
+	if sink == 0 {
+		t.Fatal("tree lookups returned nothing")
+	}
+}

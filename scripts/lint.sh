@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Run the domain static-analysis suite (cmd/arpanetlint) over the whole
 # repository: determinism (interprocedural), pool-safety, sim.Handle
-# discipline, float comparison hygiene, domain error checking, hot-path
-# allocation freedom and shard-barrier invariants.
+# discipline, float comparison hygiene, domain error checking and
+# shard-barrier invariants.
 #
 # Usage:
 #   scripts/lint.sh               # whole repo, human-readable
 #   scripts/lint.sh -json         # machine-readable result schema
-#   scripts/lint.sh -rules detdrift,allocfree
-#   scripts/lint.sh -diff         # dry-run the auto-fixes as a diff
+#   scripts/lint.sh -rules detdrift,poolsafe
 #
 # Exit status distinguishes outcomes so CI can route them:
 #   0  clean tree
@@ -17,16 +16,10 @@
 #      run itself is unusable; do not treat it as "findings"
 #
 # Suppress an intentional site with "// lint:ignore <rule> <reason>" on
-# the flagged line or the line above; a deliberate hot-path allocation
-# takes "// lint:alloc <reason>". The reason is mandatory, and stale
+# the flagged line or the line above. The reason is mandatory, and stale
 # suppressions are themselves findings.
 set -uo pipefail
 cd "$(dirname "$0")/.."
-
-# The effect-summary cache makes warm runs cheap; it is keyed by package
-# content hash so a stale cache can only cause extra work, never wrong
-# results. It lives untracked at the module root (see .gitignore).
-CACHE=.arpanetlint.cache.json
 
 # Build a real binary instead of `go run`: go run collapses any nonzero
 # child exit into its own exit 1, which would erase the findings(1) vs
@@ -35,8 +28,7 @@ BINDIR="$(mktemp -d)"
 trap 'rm -rf "$BINDIR"' EXIT
 go build -o "$BINDIR/arpanetlint" ./cmd/arpanetlint || exit 2
 
-echo "arpanetlint: json schema version $("$BINDIR/arpanetlint" -schema)"
-"$BINDIR/arpanetlint" -cache "$CACHE" "$@" ./...
+"$BINDIR/arpanetlint" "$@" ./...
 status=$?
 case "$status" in
   0) echo "lint: clean" ;;
