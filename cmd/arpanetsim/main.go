@@ -54,19 +54,31 @@ func main() {
 		// offered loads far past what event-by-event simulation can afford.
 		backgroundK = flag.Float64("background", 0, "fluid background demand in kbps, gravity-shaped (0 = pure packet engine)")
 		bgEpochSecs = flag.Float64("background-epoch", 10, "fluid re-routing epoch in seconds (with -background)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
 	)
 	flag.Parse()
 	if *seeds < 1 {
 		log.Fatal("-seeds must be >= 1")
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	finish := func(live any) {
+		if err := stopProfiles(live); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *shardsN > 0 {
 		spec := *topoName
 		if spec == "arpanet" {
 			spec = "hier:8x16" // the Table 1 maps are too small to shard usefully
 		}
-		runSharded(*shardsN, spec, *rate, *dests, *radius, *seconds, *seed, *adaptive, *metricName)
+		finish(runSharded(*shardsN, spec, *rate, *dests, *radius, *seconds, *seed, *adaptive, *metricName))
 		return
 	}
+	defer finish(nil)
 	if *adaptive {
 		log.Fatal("-adaptive requires -shards (the Table 1 study is always adaptive)")
 	}

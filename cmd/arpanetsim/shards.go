@@ -67,7 +67,9 @@ func parseGenTopology(spec string, seed int64) (*topology.Graph, error) {
 	}
 }
 
-func runSharded(shards int, topoSpec string, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metricName string) {
+// runSharded returns the simulator it ran, which main keeps reachable until
+// the -memprofile heap profile is written.
+func runSharded(shards int, topoSpec string, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metricName string) any {
 	g, err := parseGenTopology(topoSpec, seed)
 	if err != nil {
 		log.Fatal(err)
@@ -89,8 +91,7 @@ func runSharded(shards int, topoSpec string, rate float64, dests, radius int, se
 		case "minhop":
 			cfg.Metric = node.MinHop
 		case "bf1969":
-			runShardedBF1969(g, cfg, seconds)
-			return
+			return runShardedBF1969(g, cfg, seconds)
 		default:
 			log.Fatalf("unknown -metric %q for -adaptive (want hnspf, dspf, minhop, or bf1969)", metricName)
 		}
@@ -114,6 +115,7 @@ func runSharded(shards int, topoSpec string, rate float64, dests, radius int, se
 	}
 	fmt.Print(s.Report().String())
 	fmt.Printf("events      %d\n", s.Fired())
+	return s
 }
 
 // runShardedBF1969 is the BF-1969 leg of the large-topology study. The 1969
@@ -124,7 +126,7 @@ func runSharded(shards int, topoSpec string, rate float64, dests, radius int, se
 // destination sets from the same seed, and the matrix reproduces the
 // sharded source rate exactly (network divides the matrix total by the
 // clamped mean packet size to recover pkt/s).
-func runShardedBF1969(g *topology.Graph, cfg shard.Config, seconds float64) {
+func runShardedBF1969(g *topology.Graph, cfg shard.Config, seconds float64) *network.Network {
 	cfg.Shards = 1
 	probe, err := shard.New(cfg)
 	if err != nil {
@@ -145,4 +147,5 @@ func runShardedBF1969(g *topology.Graph, cfg shard.Config, seconds float64) {
 		log.Fatalf("conservation audit failed: %v", err)
 	}
 	fmt.Print(n.Report().String())
+	return n
 }

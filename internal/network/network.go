@@ -298,8 +298,17 @@ func New(cfg Config) *Network {
 		ls.lastFlooded = initial[i]
 	}
 
-	// PSNs with routers booted from the identical database.
+	// PSNs with routers booted from the identical database. The single-path
+	// routers share one spf.Table: one kernel, one goroutine drives them all.
 	n.psns = make([]*psn, n.g.NumNodes())
+	var routers *spf.Table
+	if cfg.Metric != node.BF1969 && !cfg.Multipath {
+		roots := make([]topology.NodeID, n.g.NumNodes())
+		for i := range roots {
+			roots[i] = topology.NodeID(i)
+		}
+		routers = spf.NewTable(n.g, roots, initial)
+	}
 	for i := range n.psns {
 		id := topology.NodeID(i)
 		p := &psn{
@@ -315,7 +324,7 @@ func New(cfg Config) *Network {
 			p.mrouter = spf.NewMultipathRouter(n.g, id, initial, n.multipathTol())
 			p.pathRand = n.rnd.Stream(fmt.Sprintf("path/%d", i))
 		default:
-			p.router = spf.NewIncrementalRouter(n.g, id, initial)
+			p.router = routers.Router(i)
 		}
 		n.psns[i] = p
 		n.setupSource(p)

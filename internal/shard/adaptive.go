@@ -29,6 +29,9 @@ package shard
 // benchmark keep their meaning.
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/flooding"
 	"repro/internal/network"
 	"repro/internal/node"
@@ -45,16 +48,25 @@ const ctrlSeqBit = uint64(1) << 63
 
 // bootAdaptive builds the per-node routing state: every router starts from
 // the identical initial cost database (each module's link-up cost), the
-// same boot internal/network performs.
+// same boot internal/network performs. Each shard gets its own spf.Table,
+// because a table's routers share repair scratch and a shard's nodes are
+// exactly the ones its goroutine drives.
 func (s *Sim) bootAdaptive() {
 	initial := make([]float64, s.g.NumLinks())
 	for lid, ls := range s.linkAt {
 		initial[lid] = ls.module.Cost()
 	}
-	for id, n := range s.nodeAt {
-		n.router = spf.NewIncrementalRouter(s.g, topology.NodeID(id), initial)
-		n.dedup = flooding.NewDedup(s.g.NumNodes())
-		n.nhScratch = make([]topology.LinkID, len(n.dests))
+	for _, sh := range s.shards {
+		roots := make([]topology.NodeID, len(sh.nodes))
+		for i, n := range sh.nodes {
+			roots[i] = n.id
+		}
+		routers := spf.NewTable(s.g, roots, initial)
+		for i, n := range sh.nodes {
+			n.router = routers.Router(i)
+			n.dedup = flooding.NewDedup(s.g.NumNodes())
+			n.nhScratch = make([]topology.LinkID, len(n.dests))
+		}
 	}
 }
 
@@ -155,6 +167,9 @@ func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now s
 		ls := sh.s.linkAt[lid]
 		if ls.down {
 			continue
+		}
+		if n.cseq == math.MaxUint32 {
+			panic(fmt.Sprintf("shard: node %d used all 2^32 control sequence numbers; the next would carry into the origin field of Packet.Seq", n.id))
 		}
 		p := sh.pool.Get()
 		n.cseq++

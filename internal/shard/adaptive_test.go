@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,7 +50,7 @@ func TestAdaptiveDeterminismAcrossShardCounts(t *testing.T) {
 		}
 	}
 
-	for _, shards := range []int{2, 3, 4} {
+	for _, shards := range []int{2, 3, 4, 8} {
 		c := cfg
 		c.Shards = shards
 		s := run(t, c, until)
@@ -155,5 +157,61 @@ func TestAdaptiveUpdatesSurviveCongestion(t *testing.T) {
 	}
 	if r.CtrlOutageDrops != 0 {
 		t.Errorf("control outage drops %d without any fault", r.CtrlOutageDrops)
+	}
+}
+
+// Packet.Seq of a control copy is ctrlSeqBit | node<<32 | cseq. The last
+// counter value that fits must pack with the origin field intact, and the
+// one after it must panic instead of carrying into that field.
+func TestCtrlSeqExhaustionPanics(t *testing.T) {
+	s, err := New(adaptiveConfig(testGraph(t), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.nodeAt[5]
+	if len(n.out) < 2 {
+		t.Fatalf("node %d has %d out-links; the test needs two copies per flood", n.id, len(n.out))
+	}
+	n.cseq = math.MaxUint32 - 1
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "control sequence") || !strings.Contains(msg, "node 5") {
+			t.Fatalf("second copy past the limit: recovered %q, want the named control-sequence panic", msg)
+		}
+		first := n.out[0].txPkt
+		if first == nil || first.Seq != ctrlSeqBit|5<<32|math.MaxUint32 {
+			t.Fatalf("last in-range copy: %+v, want Seq %#x", first, ctrlSeqBit|5<<32|uint64(math.MaxUint32))
+		}
+	}()
+	n.sh.originate(n, sim.Millisecond)
+	t.Fatal("originate returned: cseq passed 2^32 unnoticed")
+}
+
+// What an adaptive Sim keeps per node after set-up: the router model of
+// §2.2 (8·L + 16·N bytes: cost database and tree), 9·N of flood dedup, and
+// the data plane (queues, links, sources, the per-epoch route skeleton).
+// Measured on hier:8x8 (64 nodes, 266 links, 2 shards): 13.2 KB/node, of
+// which 3.2 KB is the router model. One SPF Workspace left reachable per
+// router — the retention this test exists for — adds a second cost array,
+// an (L+1)-entry heap and a settled set, 5.9 KB/node here, and measures
+// 19.1 KB/node.
+func TestAdaptiveRetainedHeapPerNode(t *testing.T) {
+	const bound = 16 << 10 // bytes per node
+	g := topology.Hierarchical(8, 8, 7)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := New(Config{Graph: g, Shards: 2, Seed: 7, PktRate: 1, Dests: 4, Adaptive: true, Metric: node.HNSPF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	n, l := g.NumNodes(), g.NumLinks()
+	perNode := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+	t.Logf("%d nodes, %d links: %.0f B/node live after New; router model 8L+16N = %d B/node", n, l, perNode, 8*l+16*n)
+	if perNode > bound {
+		t.Errorf("%.0f bytes of live heap per node after New, want <= %d", perNode, bound)
 	}
 }

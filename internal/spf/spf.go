@@ -4,14 +4,16 @@
 // revised metric changed none of this — only the link costs changed — so
 // this package is shared by D-SPF, HN-SPF and min-hop routing.
 //
-// Router additionally implements the PSN's *incremental* SPF: "the
-// algorithm... attempts to perform only incremental adjustments
+// IncrementalRouter additionally implements the PSN's *incremental* SPF:
+// "the algorithm... attempts to perform only incremental adjustments
 // necessitated by a link cost change, e.g., if a routing update reports an
 // increase in the cost for a link not in the tree, the algorithm does not
-// recompute any part of the tree."
+// recompute any part of the tree." A Table holds the routers one goroutine
+// drives in the 8·L + 16·N bytes per PSN that §2.2 asks for.
 package spf
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/topology"
@@ -24,12 +26,24 @@ var Infinite = math.Inf(1)
 type CostFunc func(topology.LinkID) float64
 
 // Tree is a shortest-path tree rooted at one PSN. It answers next-hop,
-// distance and path queries toward every destination.
+// distance and path queries toward every destination. Link IDs are stored
+// as int32 (mustFitInt32 guards the narrowing): a PSN's tree is 16 bytes a
+// node, and a Table holds one per router.
 type Tree struct {
 	root    topology.NodeID
 	dist    []float64
-	parent  []topology.LinkID // link entering each node on its shortest path
-	nextHop []topology.LinkID // first link out of root toward each node
+	parent  []int32 // link entering each node on its shortest path
+	nextHop []int32 // first link out of root toward each node
+}
+
+const noLink = int32(topology.NoLink)
+
+// mustFitInt32 panics when a graph of the given size has link IDs a Tree
+// would truncate.
+func mustFitInt32(nodes, links int) {
+	if nodes > math.MaxInt32 || links > math.MaxInt32 {
+		panic(fmt.Sprintf("spf: graph with %d nodes and %d links exceeds the int32 range of tree link IDs", nodes, links))
+	}
 }
 
 // Compute runs Dijkstra's algorithm from root over g with the given link
@@ -42,11 +56,14 @@ type Tree struct {
 // relaxation came first wins, and relaxations scan links in ID order. The
 // model layer relies on this determinism.
 //
-// The returned Tree is freshly allocated and never mutated afterwards;
-// callers that run many computations should reuse a Workspace via
-// ComputeInto instead.
+// The returned Tree is freshly allocated, never mutated afterwards and
+// detached from the scratch that built it (holding the Tree keeps no
+// Workspace alive); callers that run many computations should reuse a
+// Workspace via ComputeInto instead.
 func Compute(g *topology.Graph, root topology.NodeID, cost CostFunc) *Tree {
-	return ComputeInto(NewWorkspace(), g, root, cost)
+	var ws Workspace
+	t := *ComputeInto(&ws, g, root, cost)
+	return &t
 }
 
 // Root returns the tree's root node.
@@ -62,10 +79,10 @@ func (t *Tree) Reachable(dst topology.NodeID) bool { return !math.IsInf(t.dist[d
 // NextHop returns the first link on the shortest path from the root to
 // dst, or NoLink for the root itself and unreachable nodes. This is what
 // the PSN's forwarding table contains — single-path, destination-based.
-func (t *Tree) NextHop(dst topology.NodeID) topology.LinkID { return t.nextHop[dst] }
+func (t *Tree) NextHop(dst topology.NodeID) topology.LinkID { return topology.LinkID(t.nextHop[dst]) }
 
 // Parent returns the link entering dst on its shortest path from the root.
-func (t *Tree) Parent(dst topology.NodeID) topology.LinkID { return t.parent[dst] }
+func (t *Tree) Parent(dst topology.NodeID) topology.LinkID { return topology.LinkID(t.parent[dst]) }
 
 // Path returns the links of the shortest path from the root to dst in
 // order, or nil if unreachable or dst is the root.
@@ -75,7 +92,7 @@ func (t *Tree) Path(g *topology.Graph, dst topology.NodeID) []topology.LinkID {
 	}
 	var rev []topology.LinkID
 	for n := dst; n != t.root; {
-		l := t.parent[n]
+		l := t.Parent(n)
 		rev = append(rev, l)
 		n = g.Link(l).From
 	}
@@ -97,7 +114,7 @@ func (t *Tree) Hops(g *topology.Graph, dst topology.NodeID) int {
 	h := 0
 	for n := dst; n != t.root; {
 		h++
-		n = g.Link(t.parent[n]).From
+		n = g.Link(t.Parent(n)).From
 	}
 	return h
 }
@@ -109,7 +126,7 @@ func (t *Tree) UsesLink(g *topology.Graph, dst topology.NodeID, link topology.Li
 		return false
 	}
 	for n := dst; n != t.root; {
-		l := t.parent[n]
+		l := t.Parent(n)
 		if l == link {
 			return true
 		}
@@ -118,13 +135,24 @@ func (t *Tree) UsesLink(g *topology.Graph, dst topology.NodeID, link topology.Li
 	return false
 }
 
-// InTree reports whether link carries any shortest path of the tree, i.e.
-// it is some node's parent link.
-func (t *Tree) InTree(link topology.LinkID) bool {
-	for _, p := range t.parent {
-		if p == link {
-			return true
+// HopTree computes the min-hop tree from root (all links cost 1); shared by
+// the Table 1 "minimum path" indicator and the equilibrium model.
+func HopTree(g *topology.Graph, root topology.NodeID) *Tree {
+	return Compute(g, root, func(topology.LinkID) float64 { return 1 })
+}
+
+// AllPairsHops returns the min-hop distance matrix as [src][dst] hop
+// counts (-1 when unreachable).
+func AllPairsHops(g *topology.Graph) [][]int {
+	n := g.NumNodes()
+	m := make([][]int, n)
+	for s := 0; s < n; s++ {
+		t := HopTree(g, topology.NodeID(s))
+		row := make([]int, n)
+		for d := 0; d < n; d++ {
+			row[d] = t.Hops(g, topology.NodeID(d))
 		}
+		m[s] = row
 	}
-	return false
+	return m
 }

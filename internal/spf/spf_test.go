@@ -152,23 +152,13 @@ func TestTreeHereditary(t *testing.T) {
 	}
 }
 
-func TestInTree(t *testing.T) {
-	g := topology.Line(3, topology.T56)
-	tree := Compute(g, 0, unit)
-	l01, _ := g.FindTrunk(0, 1)
-	l10 := g.Link(l01).Reverse()
-	if !tree.InTree(l01) {
-		t.Error("forward link should be in tree")
-	}
-	if tree.InTree(l10) {
-		t.Error("reverse link should not be in tree rooted at 0")
-	}
-}
-
+// The three update shortcuts of §2.2 that every router shares: an increase
+// off the tree, a decrease that improves nothing and an unchanged cost are
+// absorbed without a repair; an increase on the tree repairs and reroutes.
 func TestRouterIncrementalSkips(t *testing.T) {
 	g, _ := diamond()
 	a, d := g.MustLookup("A"), g.MustLookup("D")
-	r := NewRouter(g, a, 1)
+	r := NewIncrementalRouter(g, a, unitCosts(g))
 	base := r.Recomputes()
 
 	// Find a link not in A's tree: the reverse of the chosen first hop.
@@ -176,35 +166,36 @@ func TestRouterIncrementalSkips(t *testing.T) {
 	notInTree := g.Link(inTree).Reverse()
 
 	// Increase on an out-of-tree link: must skip (§2.2's example).
-	if r.Update(notInTree, 5) {
-		t.Error("increase on out-of-tree link should not change the tree")
-	}
+	r.Update(notInTree, 5)
 	if r.Recomputes() != base {
-		t.Error("increase on out-of-tree link should skip recomputation")
+		t.Error("increase on out-of-tree link should skip the repair")
 	}
-	if r.Skipped() == 0 {
-		t.Error("skip counter should increment")
+	if r.Skipped() != 1 {
+		t.Errorf("skip counter = %d after one skipped increase, want 1", r.Skipped())
 	}
 
 	// Decrease that cannot improve any path: skip.
-	if r.Update(notInTree, 4) {
-		t.Error("harmless decrease should not change the tree")
-	}
+	r.Update(notInTree, 4)
 	if r.Recomputes() != base {
-		t.Error("harmless decrease should skip recomputation")
+		t.Error("harmless decrease should skip the repair")
+	}
+	if r.Skipped() != 2 {
+		t.Errorf("skip counter = %d after a skipped decrease, want 2", r.Skipped())
 	}
 
-	// Unchanged cost: no-op.
-	if r.Update(notInTree, 4) {
+	// Unchanged cost: no-op, not even counted.
+	r.Update(notInTree, 4)
+	if r.Recomputes() != base || r.Skipped() != 2 {
 		t.Error("unchanged cost should be a no-op")
 	}
-
-	// Increase on the in-tree link: must recompute and reroute.
-	if !r.Update(inTree, 10) {
-		t.Error("increase on the used link should change the route")
+	if r.Tree().NextHop(d) != inTree {
+		t.Error("skipped updates must leave the route alone")
 	}
+
+	// Increase on the in-tree link: must repair and reroute.
+	r.Update(inTree, 10)
 	if r.Recomputes() == base {
-		t.Error("in-tree increase must recompute")
+		t.Error("in-tree increase must repair")
 	}
 	if r.Tree().NextHop(d) == inTree {
 		t.Error("route should have moved off the expensive link")
@@ -214,16 +205,14 @@ func TestRouterIncrementalSkips(t *testing.T) {
 func TestRouterDecreaseAttracts(t *testing.T) {
 	g, ids := diamond()
 	a, d := g.MustLookup("A"), g.MustLookup("D")
-	r := NewRouter(g, a, 1)
+	r := NewIncrementalRouter(g, a, unitCosts(g))
 	// Push traffic to C by pricing the B path up.
 	r.Update(ids["ab"], 10)
 	if r.Tree().NextHop(d) != ids["ac"] {
 		t.Fatal("setup: route should be via C")
 	}
 	// Now make the B path very attractive again.
-	if !r.Update(ids["ab"], 0.1) {
-		t.Error("a strong decrease should re-attract the route")
-	}
+	r.Update(ids["ab"], 0.1)
 	if r.Tree().NextHop(d) != ids["ab"] {
 		t.Error("route should be via B after the decrease")
 	}
@@ -232,36 +221,32 @@ func TestRouterDecreaseAttracts(t *testing.T) {
 func TestRouterUpdateBatch(t *testing.T) {
 	g, ids := diamond()
 	a, d := g.MustLookup("A"), g.MustLookup("D")
-	r := NewRouter(g, a, 1)
-	before := r.Recomputes()
-	changed := r.UpdateBatch(
+	r := NewIncrementalRouter(g, a, unitCosts(g))
+	r.UpdateBatch(
 		[]topology.LinkID{ids["ab"], ids["bd"]},
 		[]float64{10, 10},
 	)
-	if !changed {
-		t.Error("batch pricing the whole B path up must change the route")
-	}
-	if r.Recomputes() != before+1 {
-		t.Errorf("batch should recompute exactly once, did %d", r.Recomputes()-before)
-	}
 	if r.Tree().NextHop(d) != ids["ac"] {
-		t.Error("route should be via C")
+		t.Error("batch pricing the whole B path up must move the route to C")
 	}
-	// A batch of pure no-ops must not recompute.
-	before = r.Recomputes()
-	if r.UpdateBatch([]topology.LinkID{ids["ab"]}, []float64{10}) {
-		t.Error("no-op batch should not change the tree")
+	if r.Cost(ids["ab"]) != 10 || r.Cost(ids["bd"]) != 10 {
+		t.Error("batch must install every cost it carries")
 	}
-	if r.Recomputes() != before {
-		t.Error("no-op batch should not recompute")
+	// A batch of pure no-ops must neither repair nor count as skipped.
+	before, skipped := r.Recomputes(), r.Skipped()
+	r.UpdateBatch([]topology.LinkID{ids["ab"]}, []float64{10})
+	if r.Recomputes() != before || r.Skipped() != skipped {
+		t.Error("no-op batch should not touch the router")
 	}
 }
 
 func TestRouterPanics(t *testing.T) {
 	g, _ := diamond()
-	r := NewRouter(g, 0, 1)
+	r := NewIncrementalRouter(g, 0, unitCosts(g))
+	negative := unitCosts(g)
+	negative[1] = -1
 	for name, fn := range map[string]func(){
-		"bad initial":    func() { NewRouter(g, 0, 0) },
+		"bad initial":    func() { NewIncrementalRouter(g, 0, negative) },
 		"bad cost":       func() { r.Update(0, -1) },
 		"batch mismatch": func() { r.UpdateBatch([]topology.LinkID{0}, nil) },
 		"batch bad cost": func() { r.UpdateBatch([]topology.LinkID{0}, []float64{math.NaN()}) },
@@ -300,8 +285,7 @@ func TestAllPairsHops(t *testing.T) {
 }
 
 // Property: Dijkstra on random graphs satisfies the triangle inequality
-// dist(d) <= dist(u) + cost(u→d) for every link, and incremental Router
-// updates always agree with a from-scratch recomputation.
+// dist(d) <= dist(u) + cost(u→d) for every link.
 func TestDijkstraProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := topology.Random(12, 3, seed)
@@ -319,19 +303,30 @@ func TestDijkstraProperty(t *testing.T) {
 	}
 }
 
+// Property: a router fed whole update batches (several links per routing
+// update, the shape flooding delivers) agrees with a from-scratch Dijkstra
+// over the same costs.
 func TestRouterMatchesScratchProperty(t *testing.T) {
 	f := func(seed int64, updates []uint16) bool {
 		g := topology.Random(8, 2.5, seed)
-		r := NewRouter(g, 0, 3)
 		costs := make([]float64, g.NumLinks())
 		for i := range costs {
 			costs[i] = 3
 		}
-		for _, u := range updates {
-			l := topology.LinkID(int(u) % g.NumLinks())
-			c := 1 + float64(u%29)
-			r.Update(l, c)
-			costs[l] = c
+		r := NewIncrementalRouter(g, 0, costs)
+		for len(updates) > 0 {
+			k := 1 + int(updates[0])%4
+			if k > len(updates) {
+				k = len(updates)
+			}
+			links, cs := make([]topology.LinkID, k), make([]float64, k)
+			for i, u := range updates[:k] {
+				links[i] = topology.LinkID(int(u) % g.NumLinks())
+				cs[i] = 1 + float64(u%29)
+				costs[links[i]] = cs[i]
+			}
+			updates = updates[k:]
+			r.UpdateBatch(links, cs)
 		}
 		scratch := Compute(g, 0, func(l topology.LinkID) float64 { return costs[l] })
 		for d := 0; d < g.NumNodes(); d++ {

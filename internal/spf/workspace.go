@@ -36,8 +36,14 @@ func ComputeInto(ws *Workspace, g *topology.Graph, root topology.NodeID, cost Co
 		}
 		ws.costs[li] = c
 	}
+	return ws.dijkstra(g, root, ws.costs)
+}
 
-	n := g.NumNodes()
+// dijkstra is the computation proper over an already validated cost array
+// (one entry per link), which it only reads.
+func (ws *Workspace) dijkstra(g *topology.Graph, root topology.NodeID, costs []float64) *Tree {
+	nl, n := g.NumLinks(), g.NumNodes()
+	mustFitInt32(n, nl)
 	t := &ws.tree
 	t.root = root
 	t.dist = growFloats(t.dist, n)
@@ -46,8 +52,8 @@ func ComputeInto(ws *Workspace, g *topology.Graph, root topology.NodeID, cost Co
 	ws.settled = growBools(ws.settled, n)
 	for i := 0; i < n; i++ {
 		t.dist[i] = Infinite
-		t.parent[i] = topology.NoLink
-		t.nextHop[i] = topology.NoLink
+		t.parent[i] = noLink
+		t.nextHop[i] = noLink
 		ws.settled[i] = false
 	}
 	t.dist[root] = 0
@@ -74,11 +80,11 @@ func ComputeInto(ws *Workspace, g *topology.Graph, root topology.NodeID, cost Co
 			if ws.settled[v] {
 				continue
 			}
-			if d := du + ws.costs[lid]; d < t.dist[v] {
+			if d := du + costs[lid]; d < t.dist[v] {
 				t.dist[v] = d
-				t.parent[v] = lid
+				t.parent[v] = int32(lid)
 				if u == root {
-					t.nextHop[v] = lid
+					t.nextHop[v] = int32(lid)
 				} else {
 					t.nextHop[v] = t.nextHop[u]
 				}
@@ -100,11 +106,11 @@ func growFloats(s []float64, n int) []float64 {
 }
 
 // Allocates: workspace doubling to the topology high-watermark is amortized
-func growLinks(s []topology.LinkID, n int) []topology.LinkID {
+func growLinks(s []int32, n int) []int32 {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]topology.LinkID, n)
+	return make([]int32, n)
 }
 
 // Allocates: workspace doubling to the topology high-watermark is amortized
