@@ -242,79 +242,3 @@ func BenchmarkBellmanFord1969(b *testing.B) {
 	b.ReportMetric(bf, "delivered-bf1969")
 	b.ReportMetric(dspf, "delivered-dspf")
 }
-
-// BenchmarkSimPacketsPerSec measures raw packet-simulator throughput on the
-// Table-1 ARPANET workload: the revised metric at the calibrated peak-hour
-// load, 80 simulated seconds per iteration. The pkts/sec metric is offered
-// packets (measurement window) per wall-clock second; events/sec is kernel
-// events fired per wall-clock second — the two numbers the allocation-free
-// simulator core is judged by.
-func BenchmarkSimPacketsPerSec(b *testing.B) {
-	topo := Arpanet1987()
-	tr := topo.GravityTraffic(ArpanetWeights(), 280_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pkts, events int64
-	for i := 0; i < b.N; i++ {
-		s := NewSimulation(topo, tr, SimConfig{Metric: HNSPF, Seed: 1987, WarmupSeconds: 20})
-		s.RunSeconds(80)
-		r := s.Report()
-		if r.DeliveredPackets == 0 {
-			b.Fatal("no traffic delivered")
-		}
-		pkts += r.OfferedPackets
-		events += int64(s.n.Kernel().Fired())
-	}
-	if el := b.Elapsed().Seconds(); el > 0 {
-		b.ReportMetric(float64(pkts)/el, "pkts/sec")
-		b.ReportMetric(float64(events)/el, "events/sec")
-	}
-}
-
-// BenchmarkHybridSimSecondsPerSec measures the hybrid fluid/packet engine's
-// headline number: wall-clock throughput in simulated seconds per second on
-// the Table-1 ARPANET workload at 100x the calibrated peak-hour offered
-// load — the 280 kbps packet foreground plus a 27.72 Mbps gravity
-// background carried as fluid. Event count stays at the foreground's scale
-// (the background costs one fluid assignment per 10 s epoch), which is the
-// whole point: the pure packet engine would need ~100x the events. The
-// sim-sec/sec figure is NOT comparable to pkts/sec numbers — it answers
-// "how much simulated time per wall second", the capacity-planning question
-// for Table-1 sweeps at loads the packet engine cannot reach.
-func BenchmarkHybridSimSecondsPerSec(b *testing.B) {
-	topo := Arpanet1987()
-	fg := topo.GravityTraffic(ArpanetWeights(), 280_000)
-	bg := topo.GravityTraffic(ArpanetWeights(), 99*280_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	const simSeconds = 80.0
-	for i := 0; i < b.N; i++ {
-		s := NewSimulation(topo, fg, SimConfig{
-			Metric: HNSPF, Seed: 1987, WarmupSeconds: 20,
-			Background: bg, BackgroundEpochSeconds: 10,
-		})
-		s.RunSeconds(simSeconds)
-		if s.Report().DeliveredPackets == 0 {
-			b.Fatal("no traffic delivered")
-		}
-	}
-	if el := b.Elapsed().Seconds(); el > 0 {
-		b.ReportMetric(simSeconds*float64(b.N)/el, "sim-sec/sec")
-	}
-}
-
-// BenchmarkNewAnalysis measures the §5 model build through the public API —
-// the dominant cost behind Figures 7-12 and the target of the parallel,
-// workspace-recycling build.
-func BenchmarkNewAnalysis(b *testing.B) {
-	topo := Arpanet1987()
-	tr := topo.GravityTraffic(ArpanetWeights(), 400_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := NewAnalysis(topo, tr)
-		if a.MaxShedCost() <= 0 {
-			b.Fatal("empty model")
-		}
-	}
-}

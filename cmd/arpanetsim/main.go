@@ -23,13 +23,14 @@ import (
 	"os"
 
 	arpanet "repro"
+	"repro/internal/node"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("arpanetsim: ")
 	var (
-		metricName = flag.String("metric", "both", "hnspf, dspf, minhop, or both (the before/after study)")
+		metricName = flag.String("metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with -shards -adaptive)")
 		// 280 kbps plays the role of the paper's May-1987 peak-hour load
 		// (366 kbps over 71 trunks) on this 44-trunk topology: heavy enough
 		// that D-SPF's oscillations dominate, light enough that HN-SPF
@@ -61,6 +62,12 @@ func main() {
 	if *seeds < 1 {
 		log.Fatal("-seeds must be >= 1")
 	}
+	kinds, err := metricKinds(*metricName)
+	if err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
@@ -75,36 +82,31 @@ func main() {
 		if spec == "arpanet" {
 			spec = "hier:8x16" // the Table 1 maps are too small to shard usefully
 		}
-		finish(runSharded(*shardsN, spec, *rate, *dests, *radius, *seconds, *seed, *adaptive, *metricName))
+		finish(runSharded(*shardsN, spec, *rate, *dests, *radius, *seconds, *seed, *adaptive, kinds[0]))
 		return
 	}
 	defer finish(nil)
 	if *adaptive {
 		log.Fatal("-adaptive requires -shards (the Table 1 study is always adaptive)")
 	}
-	switch *topoName {
-	case "arpanet", "milnet":
-		topoChoice = *topoName
-	default:
+	if *topoName != "arpanet" && *topoName != "milnet" {
 		log.Fatalf("unknown topology %q (want arpanet or milnet)", *topoName)
 	}
-	bgBPS = *backgroundK * 1000
-	bgEpoch = *bgEpochSecs
-	if topoChoice == "milnet" && *trafficK == 280 {
+	nc := netChoice{topo: *topoName, bgBPS: *backgroundK * 1000, bgEpoch: *bgEpochSecs}
+	if nc.topo == "milnet" && *trafficK == 280 {
 		// MILNET's aggregate capacity is smaller; rescale the default load
 		// to the equivalent regime (see milnet_test.go).
 		*trafficK = 150
 	}
 
 	if *scenFile != "" {
-		runScenario(*scenFile, *metricName, *trafficK*1000, *warmup, *seed, *seeds, *asJSON)
+		runScenario(nc, *scenFile, kinds, *trafficK*1000, *warmup, *seed, *seeds, *asJSON)
 		return
 	}
 
-	switch *metricName {
-	case "both":
-		before := runSeeds(arpanet.DSPF, *trafficK*1000, *seconds, *warmup, *seed, *seeds)
-		after := runSeeds(arpanet.HNSPF, *trafficK*1000**growth, *seconds, *warmup, *seed, *seeds)
+	if len(kinds) == 2 { // "both": the before/after study
+		before := runSeeds(nc, kinds[0], *trafficK*1000, *seconds, *warmup, *seed, *seeds)
+		after := runSeeds(nc, kinds[1], *trafficK*1000**growth, *seconds, *warmup, *seed, *seeds)
 		if *asJSON {
 			emitJSON(map[string]arpanet.Report{"before": mean(before), "after": mean(after)})
 			return
@@ -113,18 +115,51 @@ func main() {
 		if *seeds > 1 {
 			printSpread(before, after)
 		}
-	case "hnspf", "dspf", "minhop":
-		r := runSeeds(parseMetric(*metricName), *trafficK*1000, *seconds, *warmup, *seed, *seeds)
-		if *asJSON {
-			emitJSON(mean(r))
-			return
-		}
-		fmt.Print(mean(r).String())
-	default:
-		log.Printf("unknown metric %q", *metricName)
-		flag.Usage()
-		os.Exit(2)
+		return
 	}
+	r := runSeeds(nc, kinds[0], *trafficK*1000, *seconds, *warmup, *seed, *seeds)
+	if *asJSON {
+		emitJSON(mean(r))
+		return
+	}
+	fmt.Print(mean(r).String())
+}
+
+// metricKinds maps the -metric flag to the engine's metric kinds, for every
+// mode. "both" is the before/after pair, D-SPF first; a mode that runs a
+// single metric (-shards) takes the first.
+func metricKinds(name string) ([]node.MetricKind, error) {
+	switch name {
+	case "both":
+		return []node.MetricKind{node.DSPF, node.HNSPF}, nil
+	case "hnspf":
+		return []node.MetricKind{node.HNSPF}, nil
+	case "dspf":
+		return []node.MetricKind{node.DSPF}, nil
+	case "minhop":
+		return []node.MetricKind{node.MinHop}, nil
+	case "bf1969":
+		return []node.MetricKind{node.BF1969}, nil
+	default:
+		return nil, fmt.Errorf("unknown -metric %q (want hnspf, dspf, minhop, bf1969, or both)", name)
+	}
+}
+
+// apiMetric names each engine metric kind in the public API, which the
+// Table 1 study runs through.
+var apiMetric = map[node.MetricKind]arpanet.Metric{
+	node.HNSPF:  arpanet.HNSPF,
+	node.DSPF:   arpanet.DSPF,
+	node.MinHop: arpanet.MinHop,
+	node.BF1969: arpanet.BF1969,
+}
+
+// netChoice is the -topology/-background selection every run of one
+// invocation shares.
+type netChoice struct {
+	topo    string  // "arpanet" or "milnet"
+	bgBPS   float64 // fluid background demand (0 = pure packet engine)
+	bgEpoch float64 // fluid re-routing epoch, seconds
 }
 
 func emitJSON(v any) {
@@ -135,10 +170,10 @@ func emitJSON(v any) {
 	}
 }
 
-func runSeeds(m arpanet.Metric, bps, seconds, warmup float64, seed int64, n int) []arpanet.Report {
+func runSeeds(nc netChoice, kind node.MetricKind, bps, seconds, warmup float64, seed int64, n int) []arpanet.Report {
 	out := make([]arpanet.Report, n)
 	for i := range out {
-		out[i] = run(m, bps, seconds, warmup, seed+int64(i))
+		out[i] = run(nc, apiMetric[kind], bps, seconds, warmup, seed+int64(i))
 	}
 	return out
 }
@@ -208,37 +243,18 @@ func printSpread(before, after []arpanet.Report) {
 		sd(before, drops), sd(after, drops))
 }
 
-func parseMetric(s string) arpanet.Metric {
-	switch s {
-	case "hnspf":
-		return arpanet.HNSPF
-	case "dspf":
-		return arpanet.DSPF
-	default:
-		return arpanet.MinHop
-	}
-}
-
-// topoChoice selects the network for every run ("arpanet" or "milnet");
-// bgBPS and bgEpoch configure the hybrid engine (0 = pure packet).
-var (
-	topoChoice = "arpanet"
-	bgBPS      float64
-	bgEpoch    float64
-)
-
-func run(m arpanet.Metric, bps, seconds, warmup float64, seed int64) arpanet.Report {
+func run(nc netChoice, m arpanet.Metric, bps, seconds, warmup float64, seed int64) arpanet.Report {
 	topo := arpanet.Arpanet1987()
 	weights := arpanet.ArpanetWeights()
-	if topoChoice == "milnet" {
+	if nc.topo == "milnet" {
 		topo = arpanet.Milnet1987()
 		weights = arpanet.MilnetWeights()
 	}
 	tr := topo.GravityTraffic(weights, bps)
 	cfg := arpanet.SimConfig{Metric: m, Seed: seed, WarmupSeconds: warmup}
-	if bgBPS > 0 {
-		cfg.Background = topo.GravityTraffic(weights, bgBPS)
-		cfg.BackgroundEpochSeconds = bgEpoch
+	if nc.bgBPS > 0 {
+		cfg.Background = topo.GravityTraffic(weights, nc.bgBPS)
+		cfg.BackgroundEpochSeconds = nc.bgEpoch
 	}
 	s := arpanet.NewSimulation(topo, tr, cfg)
 	s.RunSeconds(warmup + seconds)

@@ -23,35 +23,14 @@ import (
 	"repro/internal/traffic"
 )
 
-// scenarioMetrics maps the -metric flag to the engine's metric kinds;
-// "both" runs the before/after pair.
-func scenarioMetrics(name string) ([]node.MetricKind, error) {
-	switch name {
-	case "both":
-		return []node.MetricKind{node.DSPF, node.HNSPF}, nil
-	case "hnspf":
-		return []node.MetricKind{node.HNSPF}, nil
-	case "dspf":
-		return []node.MetricKind{node.DSPF}, nil
-	case "minhop":
-		return []node.MetricKind{node.MinHop}, nil
-	default:
-		return nil, fmt.Errorf("unknown metric %q", name)
-	}
-}
-
-func runScenario(path, metricName string, bps, warmup float64, seed int64, nSeeds int, asJSON bool) {
+func runScenario(nc netChoice, path string, metrics []node.MetricKind, bps, warmup float64, seed int64, nSeeds int, asJSON bool) {
 	sc, err := scenario.ParseFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	metrics, err := scenarioMetrics(metricName)
 	if err != nil {
 		log.Fatal(err)
 	}
 	g := topology.Arpanet()
 	weights := topology.ArpanetWeights()
-	if topoChoice == "milnet" {
+	if nc.topo == "milnet" {
 		g = topology.Milnet()
 		weights = topology.MilnetWeights()
 	}
@@ -70,11 +49,11 @@ func runScenario(path, metricName string, bps, warmup float64, seed int64, nSeed
 			Metric: metric,
 			Warmup: sim.FromSeconds(warmup),
 		}
-		if bgBPS > 0 {
+		if nc.bgBPS > 0 {
 			// Hybrid mode: scripts may then use the 'surge background'
 			// directive against this fluid demand.
-			cfg.Background = traffic.Gravity(g, weights, bgBPS)
-			cfg.BackgroundEpoch = sim.FromSeconds(bgEpoch)
+			cfg.Background = traffic.Gravity(g, weights, nc.bgBPS)
+			cfg.BackgroundEpoch = sim.FromSeconds(nc.bgEpoch)
 		}
 		results, err := scenario.RunBatch(cfg, sc, seeds)
 		if err != nil {

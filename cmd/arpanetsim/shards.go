@@ -69,7 +69,7 @@ func parseGenTopology(spec string, seed int64) (*topology.Graph, error) {
 
 // runSharded returns the simulator it ran, which main keeps reachable until
 // the -memprofile heap profile is written.
-func runSharded(shards int, topoSpec string, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metricName string) any {
+func runSharded(shards int, topoSpec string, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metric node.MetricKind) any {
 	g, err := parseGenTopology(topoSpec, seed)
 	if err != nil {
 		log.Fatal(err)
@@ -83,18 +83,10 @@ func runSharded(shards int, topoSpec string, rate float64, dests, radius int, se
 		DestRadius: radius,
 	}
 	if adaptive {
-		switch metricName {
-		case "hnspf":
-			cfg.Metric = node.HNSPF
-		case "dspf", "both": // "both" is the Table-1-study default; D-SPF here
-			cfg.Metric = node.DSPF
-		case "minhop":
-			cfg.Metric = node.MinHop
-		case "bf1969":
+		if metric == node.BF1969 {
 			return runShardedBF1969(g, cfg, seconds)
-		default:
-			log.Fatalf("unknown -metric %q for -adaptive (want hnspf, dspf, minhop, or bf1969)", metricName)
 		}
+		cfg.Metric = metric
 		cfg.Adaptive = true
 	}
 	s, err := shard.New(cfg)

@@ -32,7 +32,7 @@ func main() {
 	fmt.Println("The single-path run pins the whole flow on one path (~62% gets")
 	fmt.Println("through); multipath splits it per packet and delivers everything.")
 	fmt.Println("Many small flows, by contrast, are load-shared by the metric")
-	fmt.Println("itself — see examples/oscillation.")
+	fmt.Println("itself — see go run ./cmd/figures -fig 1.")
 }
 
 func run(multipath bool) arpanet.Report {

@@ -214,7 +214,7 @@ func TestClampedMeanPktBits(t *testing.T) {
 	t.Parallel()
 	// E[min(max(X, lo), hi)] for X ~ Exp(mean), integrated by quadrature.
 	const steps = 4_000_000
-	lo, hi, mean := network.MinPktBits, network.MaxPktBits, network.MeanPktBits
+	lo, hi, mean := node.MinPktBits, node.MaxPktBits, node.MeanPktBits
 	var want float64
 	for i := 0; i < steps; i++ {
 		u := (float64(i) + 0.5) / steps

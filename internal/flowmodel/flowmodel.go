@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/queueing"
 	"repro/internal/spf"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -130,15 +129,6 @@ func (a *Assignment) MaxUtilization() float64 {
 		}
 	}
 	return max
-}
-
-// UtilizationStats returns mean/max statistics over all links.
-func (a *Assignment) UtilizationStats() stats.Welford {
-	var w stats.Welford
-	for l := range a.LinkBPS {
-		w.Add(a.Utilization(topology.LinkID(l)))
-	}
-	return w
 }
 
 // FloorCosts returns the cost function of an idle network under a metric's

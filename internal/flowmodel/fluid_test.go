@@ -185,32 +185,3 @@ func panics(fn func()) (p bool) {
 	fn()
 	return
 }
-
-// BenchmarkAssign measures the full-matrix routing pass on the ARPANET
-// gravity matrix. The workspace-reusing assignInto (one spf.Workspace
-// across all roots, parent-walk accumulation instead of per-flow path
-// slices) cut this from 2,833 allocs/op and ~266µs to 11 allocs/op and
-// ~66µs on the recording host.
-func BenchmarkAssign(b *testing.B) {
-	g := topology.Arpanet()
-	m := traffic.Gravity(g, topology.ArpanetWeights(), 500000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Assign(g, m, unit)
-	}
-}
-
-// BenchmarkFluidReassign measures one background epoch on the ARPANET:
-// the per-epoch cost the hybrid engine pays instead of scheduling
-// background packets. 0 allocs/op after the first call.
-func BenchmarkFluidReassign(b *testing.B) {
-	g := topology.Arpanet()
-	m := traffic.Gravity(g, topology.ArpanetWeights(), 500000)
-	f := NewFluid(g, m)
-	f.Reassign(unit, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Reassign(unit, nil)
-	}
-}

@@ -19,51 +19,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// Conservation is a snapshot of the packet ledger over Counted packets
-// (user packets generated inside the measurement window).
-type Conservation struct {
-	Offered      int64
-	Delivered    int64
-	BufferDrops  int64
-	LoopDrops    int64
-	NoRouteDrops int64
-	OutageDrops  int64
-	InFlight     int64 // queued, on a transmitter, or propagating
-}
-
-// Balanced reports whether the ledger balances: offered equals delivered
-// plus every drop class plus in-flight.
-func (c Conservation) Balanced() bool {
-	return c.Offered == c.Delivered+c.BufferDrops+c.LoopDrops+c.NoRouteDrops+c.OutageDrops+c.InFlight
-}
-
-// Plus returns the component-wise sum of two ledgers. The sharded runner
-// composes its per-shard custody ledgers into one global Conservation with
-// it: export/import counters cancel in the sum (every exported packet is
-// imported exactly once or still on the wire), so the composed ledger obeys
-// the same Balanced identity as a single-kernel run.
-func (c Conservation) Plus(d Conservation) Conservation {
-	return Conservation{
-		Offered:      c.Offered + d.Offered,
-		Delivered:    c.Delivered + d.Delivered,
-		BufferDrops:  c.BufferDrops + d.BufferDrops,
-		LoopDrops:    c.LoopDrops + d.LoopDrops,
-		NoRouteDrops: c.NoRouteDrops + d.NoRouteDrops,
-		OutageDrops:  c.OutageDrops + d.OutageDrops,
-		InFlight:     c.InFlight + d.InFlight,
-	}
-}
-
-// Err returns nil when balanced, or an error naming the imbalance.
-func (c Conservation) Err() error {
-	if c.Balanced() {
-		return nil
-	}
-	accounted := c.Delivered + c.BufferDrops + c.LoopDrops + c.NoRouteDrops + c.OutageDrops + c.InFlight
-	return fmt.Errorf("packet conservation violated: offered %d != accounted %d (missing %d): %+v",
-		c.Offered, accounted, c.Offered-accounted, c)
-}
-
 // Conservation computes the current packet ledger. The in-flight term is
 // counted by walking the queues and transmitters plus the propagation
 // counter — independently of the terminal counters — so a packet destroyed
@@ -79,16 +34,13 @@ func (n *Network) Conservation() Conservation {
 		OutageDrops:  n.outageDrops.Value(),
 		InFlight:     int64(n.propCounted),
 	}
-	counted := func(p *node.Packet) bool { return !p.IsRouting() && p.Counted }
-	for _, ls := range n.links {
-		ls.queue.Scan(func(p *node.Packet) {
-			if counted(p) {
-				c.InFlight++
-			}
-		})
-		if ls.txPkt != nil && counted(ls.txPkt) {
+	counted := func(p *node.Packet) {
+		if !p.IsRouting() && p.Counted {
 			c.InFlight++
 		}
+	}
+	for _, ls := range n.links {
+		ls.Holding(counted)
 	}
 	return c
 }
@@ -98,50 +50,24 @@ func (n *Network) Conservation() Conservation {
 // propagating. Zero means the last flood has fully quiesced.
 func (n *Network) RoutingInFlight() int {
 	inFlight := n.propRouting
-	for _, ls := range n.links {
-		ls.queue.Scan(func(p *node.Packet) {
-			if p.IsRouting() {
-				inFlight++
-			}
-		})
-		if ls.txPkt != nil && ls.txPkt.IsRouting() {
+	routing := func(p *node.Packet) {
+		if p.IsRouting() {
 			inFlight++
 		}
+	}
+	for _, ls := range n.links {
+		ls.Holding(routing)
 	}
 	return inFlight
 }
 
-// TransmitterAudit checks the single-transmitter-per-link invariant: a busy
-// link has exactly one in-flight packet and one pending completion event, an
-// idle link has neither, a down link transmits nothing and holds no backlog,
-// and an idle up link has no backlog (the transmitter is work-conserving).
+// TransmitterAudit checks the single-transmitter invariant (node.Trunk.Audit)
+// on every link and names the first one that breaks it.
 func (n *Network) TransmitterAudit() error {
 	for _, ls := range n.links {
-		name := fmt.Sprintf("link %d (%s->%s)", ls.link.ID,
-			n.g.Node(ls.link.From).Name, n.g.Node(ls.link.To).Name)
-		if ls.busy {
-			if ls.down {
-				return fmt.Errorf("%s: transmitting while down", name)
-			}
-			if ls.txPkt == nil {
-				return fmt.Errorf("%s: busy with no in-flight packet", name)
-			}
-			if !ls.txEvent.Pending() {
-				return fmt.Errorf("%s: busy with no pending completion event", name)
-			}
-		} else {
-			if ls.txPkt != nil {
-				return fmt.Errorf("%s: idle with an in-flight packet", name)
-			}
-			if ls.txEvent.Pending() {
-				return fmt.Errorf("%s: idle with a pending completion event (double transmitter)", name)
-			}
-			if !ls.down && ls.queue.Len() > 0 {
-				return fmt.Errorf("%s: idle with %d queued packets", name, ls.queue.Len())
-			}
-		}
-		if ls.down && ls.queue.Len() > 0 {
-			return fmt.Errorf("%s: down with %d queued packets", name, ls.queue.Len())
+		if err := ls.Audit(); err != nil {
+			return fmt.Errorf("link %d (%s->%s): %w", ls.link.ID,
+				n.g.Node(ls.link.From).Name, n.g.Node(ls.link.To).Name, err)
 		}
 	}
 	return nil
@@ -204,7 +130,7 @@ func (n *Network) components() []int {
 			u := queue[0]
 			queue = queue[1:]
 			for _, l := range n.g.Out(u) {
-				if n.links[l].down {
+				if n.links[l].Down() {
 					continue
 				}
 				if v := n.g.Link(l).To; comp[v] < 0 {
@@ -310,12 +236,6 @@ func (n *Network) BackgroundReassigns() int64 {
 	}
 	return n.fluid.Reassigns()
 }
-
-// LastFlooded returns the cost most recently flooded for the link.
-func (n *Network) LastFlooded(l topology.LinkID) float64 { return n.links[l].lastFlooded }
-
-// WarmupOver reports whether statistics collection has begun.
-func (n *Network) WarmupOver() bool { return n.warmed }
 
 // Stop halts the current Run after the executing event returns, leaving the
 // clock at the stopping event's time; the scenario engine uses it to freeze

@@ -25,38 +25,23 @@ import (
 	"repro/internal/traffic"
 )
 
-// DownCost is the cost flooded for a dead link: large enough that no
-// finite alternative ever loses to it, finite so SPF arithmetic stays
-// well-defined.
-const DownCost = 1e9
-
-// MaxHops is the forwarding TTL: a packet that has crossed this many links
-// is the victim of a transient routing loop and is dropped (and counted).
-const MaxHops = 64
-
-// DefaultQueueLimit is the per-trunk output buffer in packets.
-const DefaultQueueLimit = 40
-
-// User packet sizes are exponential with mean MeanPktBits, clamped to
-// [MinPktBits, MaxPktBits] (the ARPANET's single-packet message range).
+// The packet-life constants and the conservation ledger live in
+// internal/node, shared with the sharded engine; these are the names
+// bench/ and the commands already use for them.
 const (
-	MeanPktBits = 600.0
-	MinPktBits  = 100.0
-	MaxPktBits  = 8000.0
+	DownCost          = node.DownCost
+	MaxHops           = node.MaxHops
+	DefaultQueueLimit = node.DefaultQueueLimit
 )
 
-// clampedMeanPktBits is the true mean of the clamped size distribution:
-// E[clamp(X,a,b)] = a + λ(e^{-a/λ} - e^{-b/λ}) for X ~ Exp(λ). The source
-// rate must divide by this, not by the nominal λ, or offered bits run ~1.3%
-// above the traffic matrix in every experiment.
-var clampedMeanPktBits = MinPktBits +
-	MeanPktBits*(math.Exp(-MinPktBits/MeanPktBits)-math.Exp(-MaxPktBits/MeanPktBits))
+// ClampedMeanPktBits is node.ClampedMeanPktBits.
+func ClampedMeanPktBits() float64 { return node.ClampedMeanPktBits() }
 
-// ClampedMeanPktBits is the realized mean user packet size in bits — the
-// conversion factor between a packets-per-second rate and a traffic-matrix
-// bps entry, used by callers (the shard differential, the BF-1969 study
-// leg) that must offer this engine a matrix matching a pkt/s source model.
-func ClampedMeanPktBits() float64 { return clampedMeanPktBits }
+// Conservation is node.Conservation.
+type Conservation = node.Conservation
+
+// sampleInterval is the period of the link-utilization and cost series.
+const sampleInterval = sim.Second
 
 // Config describes one simulation run.
 type Config struct {
@@ -71,8 +56,6 @@ type Config struct {
 	QueueLimit int
 	// Warmup: statistics before this time are discarded.
 	Warmup sim.Time
-	// SampleInterval for link-utilization series (1 s if zero).
-	SampleInterval sim.Time
 	// ModuleFactory overrides the per-link cost module (nil = build from
 	// Metric). Used by the ablation experiments to run modified HNMs.
 	ModuleFactory func(l topology.Link) node.CostModule
@@ -203,26 +186,16 @@ func (n *Network) putProp(e *propEntry) {
 	n.propFree = e
 }
 
+// linkState is one directed link: the shared trunk model plus what only
+// this engine keeps — the far end's latency, the flooded-cost view the
+// auditors and the fluid layer read, and the utilization statistics.
 type linkState struct {
-	link   topology.Link
-	queue  *node.Queue
-	module node.CostModule
-	meas   node.Measurement
-	busy   bool
-	down   bool
+	node.Trunk
+	link topology.Link
 
-	// Per-packet constants hoisted out of the transmit path: the line
-	// bandwidth (saves a line-type table lookup per transmission) and the
-	// fixed propagation + processing latency (saves a float conversion).
-	bandwidth float64
-	propLat   sim.Time
-
-	// In-flight transmission: the packet on the transmitter and the handle
-	// of its completion event, so SetTrunkDown can cancel the transmission
-	// instead of letting a stale txDone fire after a repair and start a
-	// second concurrent transmitter.
-	txPkt   *node.Packet
-	txEvent sim.Handle
+	// propLat is the fixed propagation + processing latency to the far-end
+	// PSN, hoisted out of the transmit path (saves a float conversion).
+	propLat sim.Time
 
 	// lastFlooded is the cost most recently flooded for this link by its
 	// owning PSN (DownCost while out of service). The convergence auditor
@@ -233,7 +206,6 @@ type linkState struct {
 	series       *stats.Series
 	costSeries   *stats.Series
 	util         stats.Welford // sampled utilization (post-warmup)
-	txPackets    int64
 }
 
 // New builds a network ready to run. It validates the topology, creates
@@ -252,9 +224,6 @@ func New(cfg Config) *Network {
 	}
 	if cfg.QueueLimit == 0 {
 		cfg.QueueLimit = DefaultQueueLimit
-	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = sim.Second
 	}
 	n := &Network{
 		cfg:    cfg,
@@ -287,14 +256,12 @@ func New(cfg Config) *Network {
 			}
 		}
 		ls := &linkState{
-			link:      l,
-			queue:     node.NewQueue(cfg.QueueLimit),
-			module:    mod(l),
-			bandwidth: l.Type.Bandwidth(),
-			propLat:   sim.FromSeconds(l.PropDelay) + node.ProcessingDelay,
+			Trunk:   node.NewTrunk(cfg.QueueLimit, mod(l), l.Type.Bandwidth()),
+			link:    l,
+			propLat: sim.FromSeconds(l.PropDelay) + node.ProcessingDelay,
 		}
 		n.links[i] = ls
-		initial[i] = ls.module.Cost()
+		initial[i] = ls.Module.Cost()
 		ls.lastFlooded = initial[i]
 	}
 
@@ -359,7 +326,7 @@ func (n *Network) setupSource(p *psn) {
 	}
 	// packets/s at the *realized* mean size — the clamped-distribution mean,
 	// so offered bits match the matrix exactly in expectation.
-	p.pktRate = total / clampedMeanPktBits
+	p.pktRate = total / node.ClampedMeanPktBits()
 	for i := range p.dstCum {
 		p.dstCum[i] /= total
 	}
@@ -382,7 +349,7 @@ func (n *Network) setupBackground() {
 		n.cfg.BackgroundEpoch = node.MeasurementPeriod
 	}
 	n.bgCost = func(l topology.LinkID) float64 { return n.links[l].lastFlooded }
-	n.bgDown = func(l topology.LinkID) bool { return n.links[l].down }
+	n.bgDown = func(l topology.LinkID) bool { return n.links[l].Down() }
 	n.fluid = flowmodel.NewFluid(n.g, n.cfg.Background)
 	n.fluid.Reassign(n.bgCost, n.bgDown)
 	// Fire-and-forget: background re-routing runs for the lifetime of the
@@ -398,7 +365,7 @@ func (n *Network) setupBackground() {
 func (n *Network) multipathTol() float64 {
 	min := math.Inf(1)
 	for _, ls := range n.links {
-		if f := ls.module.Floor(); f < min {
+		if f := ls.Module.Floor(); f < min {
 			min = f
 		}
 	}
@@ -470,7 +437,7 @@ func (n *Network) TrackLink(l topology.LinkID) *stats.Series {
 
 // LinkCost returns the cost currently advertised by the link's metric
 // module.
-func (n *Network) LinkCost(l topology.LinkID) float64 { return n.links[l].module.Cost() }
+func (n *Network) LinkCost(l topology.LinkID) float64 { return n.links[l].Module.Cost() }
 
 // TrackLinkCost records the link's advertised cost once per sample
 // interval; call before Run.
@@ -514,13 +481,7 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 		return
 	}
 	dst := p.pickDst()
-	size := sim.Exp(p.size, MeanPktBits)
-	if size < MinPktBits {
-		size = MinPktBits
-	}
-	if size > MaxPktBits {
-		size = MaxPktBits
-	}
+	size := node.ClampPktBits(sim.Exp(p.size, node.MeanPktBits))
 	n.pktSeq++
 	pkt := n.pool.Get()
 	pkt.Seq, pkt.Src, pkt.Dst = n.pktSeq, p.id, dst
@@ -587,7 +548,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		return
 	}
 	nh := p.nextHop(pkt.Dst)
-	if nh == topology.NoLink || n.links[nh].down {
+	if nh == topology.NoLink || n.links[nh].Down() {
 		if pkt.Counted {
 			n.noRouteDrops.Inc()
 		}
@@ -600,7 +561,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 
 func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
 	pkt.Enqueued = now
-	if !ls.queue.Push(pkt) {
+	if !ls.Queue.Push(pkt) {
 		if pkt.Counted {
 			n.bufferDrops.Inc()
 		}
@@ -608,69 +569,41 @@ func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
 		n.pool.Put(pkt)
 		return
 	}
-	n.startTx(ls, now)
+	n.startTx(ls)
 }
 
-// startTx begins transmitting the next queued packet, if the link is up and
-// the transmitter idle. The busy guard is load-bearing: without it a stale
-// completion event surviving a down→up flap would start a second concurrent
-// transmitter and the trunk would run at 2× bandwidth forever after.
-func (n *Network) startTx(ls *linkState, now sim.Time) {
-	if ls.busy || ls.down {
-		return
+// startTx puts the next queued packet on the transmitter if the trunk will
+// take one (in service, idle, backlog non-empty — Trunk.Next decides), with
+// its completion a relative delay on the one kernel.
+func (n *Network) startTx(ls *linkState) {
+	if pkt, txTime := ls.Next(); pkt != nil {
+		ls.Started(n.kernel.ScheduleCall(txTime, n.txDoneFn, ls))
 	}
-	pkt := ls.queue.Pop()
-	if pkt == nil {
-		return
-	}
-	ls.busy = true
-	ls.txPkt = pkt
-	txTime := sim.FromSeconds(pkt.SizeBits / ls.bandwidth)
-	ls.txEvent = n.kernel.ScheduleCall(txTime, n.txDoneFn, ls)
 }
 
+// txDone books one completed transmission and sends the packet down the
+// wire: a propagation event to the far-end PSN.
 func (n *Network) txDone(ls *linkState, now sim.Time) {
-	pkt := ls.txPkt
-	if !ls.busy || pkt == nil {
-		// Stale completion: the transmission was cancelled by an outage
-		// after this event was already committed. SetTrunkDown cancels the
-		// handle so this should be unreachable; the guard keeps a missed
-		// cancellation from double-starting the transmitter.
-		return
+	pkt := ls.Done(now)
+	if pkt == nil {
+		return // stale completion; see Trunk.Done
 	}
-	ls.busy = false
-	ls.txPkt = nil
-	ls.txEvent = sim.Handle{}
-	// §2.2 measurement: queueing (+ transmission) delay, plus the fixed
-	// processing term. Propagation is tabled inside the metric module.
-	ls.meas.Record((now - pkt.Enqueued).Seconds() + node.ProcessingDelay.Seconds())
 	ls.txBitsWindow += pkt.SizeBits
-	ls.txPackets++
 	if pkt.IsRouting() {
 		if n.warmed {
 			n.updateTx.Inc()
 			n.routingBits += pkt.SizeBits
 		}
+		n.propRouting++
+	} else if pkt.Counted {
+		n.propCounted++
 	}
-	pkt.Hops++
-	if ls.down {
-		// The trunk failed mid-transmission and the completion was not
-		// cancelled (unreachable today; kept so the packet can never vanish
-		// uncounted if a future code path forgets the cancel).
-		n.dropOutage(ls, pkt, now)
-	} else {
-		if pkt.IsRouting() {
-			n.propRouting++
-		} else if pkt.Counted {
-			n.propCounted++
-		}
-		e := n.getProp()
-		e.pkt, e.ls = pkt, ls
-		// Fire-and-forget: a packet on the wire is past cancellation; an
-		// outage mid-propagation is handled at arrival, not by cancel.
-		_ = n.kernel.ScheduleCall(ls.propLat, n.propArriveFn, e)
-	}
-	n.startTx(ls, now)
+	e := n.getProp()
+	e.pkt, e.ls = pkt, ls
+	// Fire-and-forget: a packet on the wire is past cancellation; an
+	// outage mid-propagation is handled at arrival, not by cancel.
+	_ = n.kernel.ScheduleCall(ls.propLat, n.propArriveFn, e)
+	n.startTx(ls)
 }
 
 // propArrive completes one link traversal: the packet reaches the far-end
@@ -710,7 +643,7 @@ func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
 	p.applyCosts(u.Links, u.Costs)
 	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, pkt.Arrival)
 	for _, l := range p.fwd {
-		if n.links[l].down {
+		if n.links[l].Down() {
 			continue
 		}
 		n.pktSeq++
@@ -733,10 +666,7 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	costs := make([]float64, 0, len(out))
 	for _, l := range out {
 		links = append(links, l)
-		c := n.links[l].module.Cost()
-		if n.links[l].down {
-			c = DownCost
-		}
+		c := n.links[l].Advertised()
 		costs = append(costs, c)
 		n.links[l].lastFlooded = c
 	}
@@ -750,7 +680,7 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.id, Link: topology.NoLink})
 	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, topology.NoLink)
 	for _, l := range p.fwd {
-		if n.links[l].down {
+		if n.links[l].Down() {
 			continue
 		}
 		n.pktSeq++
@@ -781,14 +711,14 @@ func (n *Network) measure(p *psn, now sim.Time) {
 	report := false
 	for _, l := range n.g.Out(p.id) {
 		ls := n.links[l]
-		avg := ls.meas.Take()
-		if ls.down {
+		avg := ls.Meas.Take()
+		if ls.Down() {
 			continue
 		}
 		if n.fluid != nil {
 			avg = n.superpose(ls, avg)
 		}
-		if _, rep := ls.module.Update(avg); rep {
+		if _, rep := ls.Module.Update(avg); rep {
 			report = true
 		}
 	}
@@ -812,8 +742,8 @@ func (n *Network) superpose(ls *linkState, avg float64) float64 {
 	if bg <= 0 {
 		return avg
 	}
-	s := queueing.ServiceTime(ls.bandwidth)
-	rho := bg / ls.bandwidth
+	s := queueing.ServiceTime(ls.Bandwidth)
+	rho := bg / ls.Bandwidth
 	if avg <= 0 {
 		if rho > queueing.MaxRho {
 			rho = queueing.MaxRho
@@ -827,12 +757,12 @@ func (n *Network) superpose(ls *linkState, avg float64) float64 {
 
 func (n *Network) scheduleSampling() {
 	// Fire-and-forget: sampling runs for the lifetime of the network.
-	_ = n.kernel.Every(n.cfg.SampleInterval, func(now sim.Time) {
-		dt := n.cfg.SampleInterval.Seconds()
+	_ = n.kernel.Every(sampleInterval, func(now sim.Time) {
+		dt := sampleInterval.Seconds()
 		for _, ls := range n.links {
 			u := ls.txBitsWindow / (ls.link.Type.Bandwidth() * dt)
 			ls.txBitsWindow = 0
-			if n.fluid != nil && !ls.down {
+			if n.fluid != nil && !ls.Down() {
 				// The fluid background occupies capacity the transmitter
 				// never sees; a dead trunk's stranded fluid counts nothing
 				// until the next epoch re-routes it.
@@ -842,9 +772,9 @@ func (n *Network) scheduleSampling() {
 				ls.series.Add(now.Seconds(), u)
 			}
 			if ls.costSeries != nil {
-				ls.costSeries.Add(now.Seconds(), ls.module.Cost())
+				ls.costSeries.Add(now.Seconds(), ls.Module.Cost())
 			}
-			if n.warmed && !ls.down {
+			if n.warmed && !ls.Down() {
 				ls.util.Add(u)
 			}
 		}
@@ -865,31 +795,21 @@ func (n *Network) startMeasuring() {
 // stale completion event survives to double-start a transmitter after a
 // repair. A no-op on a trunk that is already down.
 func (n *Network) SetTrunkDown(l topology.LinkID) {
-	if n.links[l].down {
+	if n.links[l].Down() {
 		return
 	}
 	now := n.kernel.Now()
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.LinkDown, Node: n.g.Link(l).From, Link: l})
 	for _, id := range []topology.LinkID{l, n.g.Link(l).Reverse()} {
 		ls := n.links[id]
-		ls.down = true
-		// Cancel the in-flight transmission; the packet is lost.
-		if ls.busy {
-			ls.txEvent.Cancel()
-			n.dropOutage(ls, ls.txPkt, now)
-			ls.busy = false
-			ls.txPkt = nil
-			ls.txEvent = sim.Handle{}
-		}
-		// Flush the backlog into the outage-drop class. Nothing can be
-		// enqueued while the link is down, so the queue stays empty until
-		// the repair — and the first post-repair measurement period cannot
-		// be polluted by stale pre-outage Enqueued timestamps.
-		for pkt := ls.queue.Pop(); pkt != nil; pkt = ls.queue.Pop() {
+		// The packet on the transmitter and the backlog are lost to the
+		// outage (see Trunk.Fail); each is booked as an outage drop.
+		if pkt := ls.Fail(); pkt != nil {
 			n.dropOutage(ls, pkt, now)
 		}
-		// Discard partial delay samples from before the outage.
-		ls.meas.Take()
+		for pkt := ls.Queue.Pop(); pkt != nil; pkt = ls.Queue.Pop() {
+			n.dropOutage(ls, pkt, now)
+		}
 	}
 	n.originate(n.psns[n.g.Link(l).From], now)
 	n.originate(n.psns[n.g.Link(l).To], now)
@@ -899,17 +819,13 @@ func (n *Network) SetTrunkDown(l topology.LinkID) {
 // HN-SPF link comes back at its maximum cost and eases in (§5.4). A no-op
 // on a trunk that is already up.
 func (n *Network) SetTrunkUp(l topology.LinkID) {
-	if !n.links[l].down {
+	if !n.links[l].Down() {
 		return
 	}
 	now := n.kernel.Now()
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.LinkUp, Node: n.g.Link(l).From, Link: l})
-	for _, id := range []topology.LinkID{l, n.g.Link(l).Reverse()} {
-		ls := n.links[id]
-		ls.down = false
-		ls.module.Reset()
-		ls.meas.Take()
-	}
+	n.links[l].Restore()
+	n.links[n.g.Link(l).Reverse()].Restore()
 	// Flooding the repair enqueues the updates on the restored trunk itself,
 	// which restarts its transmitter.
 	n.originate(n.psns[n.g.Link(l).From], now)
@@ -917,4 +833,4 @@ func (n *Network) SetTrunkUp(l topology.LinkID) {
 }
 
 // LinkIsDown reports whether the link is currently out of service.
-func (n *Network) LinkIsDown(l topology.LinkID) bool { return n.links[l].down }
+func (n *Network) LinkIsDown(l topology.LinkID) bool { return n.links[l].Down() }

@@ -19,7 +19,7 @@ import (
 // transmitter is mid-packet (or the deadline passes).
 func stepUntilBusy(t *testing.T, n *Network, l topology.LinkID, deadline sim.Time) {
 	t.Helper()
-	for !n.links[l].busy {
+	for n.links[l].Sending() == nil {
 		if n.kernel.Now() > deadline || !n.kernel.Step() {
 			t.Fatalf("link %d never started transmitting before %v", l, deadline)
 		}
@@ -100,11 +100,11 @@ func TestOutageDropAccounting(t *testing.T) {
 
 			ls := n.links[l]
 			inFlight := int64(0)
-			if ls.txPkt != nil && ls.txPkt.Counted && !ls.txPkt.IsRouting() {
+			if p := ls.Sending(); p != nil && p.Counted && !p.IsRouting() {
 				inFlight = 1
 			}
 			queued := int64(0)
-			ls.queue.Scan(func(p *node.Packet) {
+			ls.Queue.Scan(func(p *node.Packet) {
 				if p.Counted && !p.IsRouting() {
 					queued++
 				}
@@ -118,11 +118,13 @@ func TestOutageDropAccounting(t *testing.T) {
 				t.Errorf("outage drops = %d after failure, want %d (1 in flight + %d queued)",
 					got, inFlight+queued, queued)
 			}
-			if ls.busy || ls.txPkt != nil || ls.txEvent.Pending() {
-				t.Error("transmitter not fully cancelled by SetTrunkDown")
+			// A cancelled transmitter is idle, holds no packet and has no
+			// completion pending; Audit names any leftover.
+			if err := ls.Audit(); err != nil {
+				t.Errorf("transmitter not fully cancelled by SetTrunkDown: %v", err)
 			}
-			if ls.queue.Len() != 0 {
-				t.Errorf("queue holds %d packets after SetTrunkDown, want 0", ls.queue.Len())
+			if ls.Queue.Len() != 0 {
+				t.Errorf("queue holds %d packets after SetTrunkDown, want 0", ls.Queue.Len())
 			}
 			auditAll(t, n, "after failure")
 
@@ -148,7 +150,7 @@ func TestRepairMeasurementNotPolluted(t *testing.T) {
 
 	n.SetTrunkDown(l)
 	ls := n.links[l]
-	if c := ls.meas.Count(); c != 0 {
+	if c := ls.Meas.Count(); c != 0 {
 		t.Errorf("measurement accumulator holds %d samples across the outage, want 0", c)
 	}
 	// A minute later the trunk returns; the accumulator must still be
@@ -156,12 +158,12 @@ func TestRepairMeasurementNotPolluted(t *testing.T) {
 	// state, so the first post-repair period measures only fresh traffic.
 	n.Run(n.kernel.Now() + 60*sim.Second)
 	n.SetTrunkUp(l)
-	if c := ls.meas.Count(); c != 0 {
+	if c := ls.Meas.Count(); c != 0 {
 		t.Errorf("measurement accumulator holds %d stale samples at repair, want 0", c)
 	}
-	before := ls.module.Cost()
+	before := ls.Module.Cost()
 	n.Run(n.kernel.Now() + node.MeasurementPeriod + sim.Second)
-	after := ls.module.Cost()
+	after := ls.Module.Cost()
 	// HN-SPF resets to its ceiling and walks down by at most one movement
 	// limit per period; a polluted measurement could not lower it faster,
 	// but a stale-backlog transmission burst would show up as cost *above*
@@ -261,17 +263,10 @@ func TestClampedMeanFormula(t *testing.T) {
 	var sum float64
 	const nSamples = 2_000_000
 	for i := 0; i < nSamples; i++ {
-		s := sim.Exp(r, MeanPktBits)
-		if s < MinPktBits {
-			s = MinPktBits
-		}
-		if s > MaxPktBits {
-			s = MaxPktBits
-		}
-		sum += s
+		sum += node.ClampPktBits(sim.Exp(r, node.MeanPktBits))
 	}
 	got := sum / nSamples
-	if math.Abs(got-clampedMeanPktBits)/clampedMeanPktBits > 0.005 {
-		t.Errorf("empirical clamped mean %.2f vs formula %.2f", got, clampedMeanPktBits)
+	if want := ClampedMeanPktBits(); math.Abs(got-want)/want > 0.005 {
+		t.Errorf("empirical clamped mean %.2f vs formula %.2f", got, want)
 	}
 }

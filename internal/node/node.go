@@ -1,16 +1,22 @@
-// Package node provides the PSN-side building blocks of the simulator:
-// packets, the finite FIFO output queue with drop accounting, the per-link
-// delay-measurement accumulator of §2.2 ("For every packet the PSN receives
-// and forwards, it measures queueing and processing delay to which it adds
-// tabled values of transmission and propagation delay... it averages this
-// total delay over a ten-second period"), and the cost-module abstraction
-// that lets a network run with the HNM, the delay metric, or min-hop.
+// Package node provides the PSN-side model both packet engines run:
+// packets and their size law, the finite FIFO output queue with drop
+// accounting, the per-link delay-measurement accumulator of §2.2 ("For
+// every packet the PSN receives and forwards, it measures queueing and
+// processing delay to which it adds tabled values of transmission and
+// propagation delay... it averages this total delay over a ten-second
+// period"), the cost-module abstraction that lets a network run with the
+// HNM, the delay metric, or min-hop, the Trunk that ties queue, transmitter,
+// measurement and module into one state machine with its fail/repair
+// transitions, and the Conservation ledger the engines report into.
 //
-// internal/network wires these into the event loop.
+// internal/network (one kernel) and internal/shard (one kernel per shard
+// behind a conservative barrier) wire these into their event loops; sources,
+// forwarding, flooding and SPF stay with the engines.
 package node
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/flooding"
@@ -29,6 +35,43 @@ const MaxUpdateInterval = 50 * sim.Second
 
 // ProcessingDelay is the fixed per-packet PSN processing time.
 const ProcessingDelay = 500 * sim.Microsecond
+
+// DownCost is the cost flooded for a dead link: large enough that no
+// finite alternative ever loses to it, finite so SPF arithmetic stays
+// well-defined.
+const DownCost = 1e9
+
+// MaxHops is the forwarding TTL: a packet that has crossed this many links
+// is the victim of a transient routing loop and is dropped (and counted).
+const MaxHops = 64
+
+// DefaultQueueLimit is the per-trunk output buffer in packets.
+const DefaultQueueLimit = 40
+
+// User packet sizes are exponential with mean MeanPktBits, clamped to
+// [MinPktBits, MaxPktBits] (the ARPANET's single-packet message range).
+const (
+	MeanPktBits = 600.0
+	MinPktBits  = 100.0
+	MaxPktBits  = 8000.0
+)
+
+// ClampPktBits turns an exponential draw of mean MeanPktBits into a user
+// packet size.
+func ClampPktBits(draw float64) float64 {
+	return min(max(draw, MinPktBits), MaxPktBits)
+}
+
+// clampedMeanPktBits is the true mean of the clamped size distribution:
+// E[clamp(X,a,b)] = a + λ(e^{-a/λ} - e^{-b/λ}) for X ~ Exp(λ).
+var clampedMeanPktBits = MinPktBits +
+	MeanPktBits*(math.Exp(-MinPktBits/MeanPktBits)-math.Exp(-MaxPktBits/MeanPktBits))
+
+// ClampedMeanPktBits is the realized mean user packet size in bits — the
+// conversion factor between a packets-per-second rate and a traffic-matrix
+// bps entry. A source rate must divide by this, not by the nominal
+// MeanPktBits, or offered bits run ~1.3% above the traffic matrix.
+func ClampedMeanPktBits() float64 { return clampedMeanPktBits }
 
 // Packet is one message or routing update moving through the network.
 type Packet struct {

@@ -205,7 +205,8 @@ func TestMultipathToleranceFraction(t *testing.T) {
 // kernel's test of the same name: once the pool holds a packet and the
 // queue ring has its first backing array, the per-packet operations every
 // trunk performs — pool Get/Put, queue Push/Pop/Scan for both packet
-// classes, measurement Record/Take — allocate nothing.
+// classes, the transmitter's Next/Started/Done, measurement Record/Take —
+// allocate nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	var pp PacketPool
 	pp.Put(pp.Get()) // prime the free-list
@@ -230,6 +231,18 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if scanned == 0 {
 		t.Fatal("Scan visited nothing")
+	}
+
+	tr, k := newTestTrunk()
+	cycle := func() {
+		tr.Queue.Push(u)
+		transmit(tr, k)
+		k.Step()
+		tr.Done(k.Now())
+	}
+	cycle() // prime the trunk's ring and the kernel's slots
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("Trunk Next+Started+Done allocates %.1f objects/op in steady state, want 0", avg)
 	}
 
 	var m Measurement

@@ -1,15 +1,21 @@
 package shard
 
 // The adaptive routing plane: measurement → cost module → flooded update →
-// per-node incremental SPF, the same protocol stack internal/network runs,
-// rebuilt on the shard model's determinism rules. Routing updates are just
-// more packets: they ride the output queues at head priority, consume trunk
-// bandwidth, and cross shard boundaries on the buffered wires under the same
-// propagation-delay lookahead bound as user traffic — an update generated
-// inside a window can only arrive at a remote shard at or after the window's
-// end plus the cut's minimum propagation delay, so the conservative barrier
-// needs no new machinery (cf. DESIGN.md "Adaptive routing through the
-// barrier").
+// per-node incremental SPF. The pieces are the ones internal/network wires
+// up — node.Trunk for measurement and advertised cost, flooding for update
+// payloads, dedup and forward sets, spf.Table for the routers — driven here
+// under the shard model's determinism rules; the measure/originate/forward
+// loops themselves stay per engine because their hooks differ (trace
+// sampling and the control custody ledger here; fluid superposition,
+// multipath and BF-1969 there).
+//
+// Routing updates are just more packets: they ride the output queues at
+// head priority, consume trunk bandwidth, and cross shard boundaries on the
+// buffered wires under the same propagation-delay lookahead bound as user
+// traffic — an update generated inside a window can only arrive at a remote
+// shard at or after the window's end plus the cut's minimum propagation
+// delay, so the conservative barrier needs no new machinery (cf. DESIGN.md
+// "Adaptive routing through the barrier").
 //
 // Determinism by construction carries over untouched:
 //
@@ -33,7 +39,6 @@ import (
 	"math"
 
 	"repro/internal/flooding"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/spf"
@@ -47,14 +52,14 @@ import (
 const ctrlSeqBit = uint64(1) << 63
 
 // bootAdaptive builds the per-node routing state: every router starts from
-// the identical initial cost database (each module's link-up cost), the
-// same boot internal/network performs. Each shard gets its own spf.Table,
-// because a table's routers share repair scratch and a shard's nodes are
-// exactly the ones its goroutine drives.
+// the identical initial cost database (each module's link-up cost), as in
+// internal/network. Each shard gets its own spf.Table, because a table's
+// routers share repair scratch and a shard's nodes are exactly the ones its
+// goroutine drives.
 func (s *Sim) bootAdaptive() {
 	initial := make([]float64, s.g.NumLinks())
 	for lid, ls := range s.linkAt {
-		initial[lid] = ls.module.Cost()
+		initial[lid] = ls.Module.Cost()
 	}
 	for _, sh := range s.shards {
 		roots := make([]topology.NodeID, len(sh.nodes))
@@ -77,27 +82,26 @@ func (s *Sim) bootAdaptive() {
 // epoch boundary.
 func (n *lnode) adaptiveNextHop(dst topology.NodeID) topology.LinkID {
 	lid := n.router.Tree().NextHop(dst)
-	if lid == topology.NoLink || n.sh.s.linkAt[lid].down {
+	if lid == topology.NoLink || n.sh.s.linkAt[lid].Down() {
 		return topology.NoLink
 	}
 	return lid
 }
 
-// measureAdaptive is one measurement period of the adaptive plane,
-// mirroring network.measure: take every out-link's period average (down
-// links discard theirs), feed the cost modules, and originate a flood when
-// any module reports a significant change or the 50-second reliability
-// refresh is due.
+// measureAdaptive is one measurement period of the adaptive plane: take
+// every out-link's period average (down links discard theirs), feed the
+// cost modules, and originate a flood when any module reports a significant
+// change or the 50-second reliability refresh is due.
 func (sh *shardState) measureAdaptive(n *lnode, now sim.Time) {
 	sample := sh.s.cfg.MeasureSample
 	report := false
 	for _, ls := range n.out {
-		count := ls.meas.Count()
-		avg := ls.meas.Take()
-		if ls.down {
+		count := ls.Meas.Count()
+		avg := ls.Meas.Take()
+		if ls.Down() {
 			continue
 		}
-		cost, rep := ls.module.Update(avg)
+		cost, rep := ls.Module.Update(avg)
 		if rep {
 			report = true
 		}
@@ -114,19 +118,15 @@ func (sh *shardState) measureAdaptive(n *lnode, now sim.Time) {
 }
 
 // originate floods n's current link costs (DownCost for out-of-service
-// links) to the whole network and applies them locally, mirroring
-// network.originate. The links/costs slices are allocated fresh per update
-// because the Update retains them for its lifetime.
+// links) to the whole network and applies them locally. The links/costs
+// slices are allocated fresh per update because the Update retains them for
+// its lifetime.
 func (sh *shardState) originate(n *lnode, now sim.Time) {
 	links := make([]topology.LinkID, 0, len(n.out))
 	costs := make([]float64, 0, len(n.out))
 	for _, ls := range n.out {
 		links = append(links, ls.l.ID)
-		c := ls.module.Cost()
-		if ls.down {
-			c = network.DownCost
-		}
-		costs = append(costs, c)
+		costs = append(costs, ls.Advertised())
 	}
 	u := flooding.NewUpdate(n.id, n.seq.Next(), links, costs)
 	n.dedup.Accept(u.Origin, u.Seq)
@@ -165,7 +165,7 @@ func (sh *shardState) handleUpdate(n *lnode, p *node.Packet, now sim.Time) {
 func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now sim.Time) {
 	for _, lid := range n.fwd {
 		ls := sh.s.linkAt[lid]
-		if ls.down {
+		if ls.Down() {
 			continue
 		}
 		if n.cseq == math.MaxUint32 {
@@ -179,11 +179,9 @@ func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now s
 		p.Update = u
 		p.Arrival = ls.l.ID // the link this copy will traverse
 		p.Enqueued = now
-		ls.q.Push(p)
+		ls.Queue.Push(p)
 		sh.led.CtrlGenerated++
-		if !ls.busy {
-			sh.startTx(ls, now)
-		}
+		sh.startTx(ls, now)
 	}
 }
 

@@ -178,7 +178,7 @@ func TestCtrlSeqExhaustionPanics(t *testing.T) {
 		if !strings.Contains(msg, "control sequence") || !strings.Contains(msg, "node 5") {
 			t.Fatalf("second copy past the limit: recovered %q, want the named control-sequence panic", msg)
 		}
-		first := n.out[0].txPkt
+		first := n.out[0].Sending()
 		if first == nil || first.Seq != ctrlSeqBit|5<<32|math.MaxUint32 {
 			t.Fatalf("last in-range copy: %+v, want Seq %#x", first, ctrlSeqBit|5<<32|uint64(math.MaxUint32))
 		}

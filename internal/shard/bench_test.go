@@ -1,7 +1,6 @@
 package shard
 
-// Sharded-throughput benchmarks, mirroring the root package's
-// BenchmarkSimPacketsPerSec metrics: pkts/sec is offered packets per
+// Sharded-throughput benchmarks: pkts/sec is offered packets per
 // wall-clock second, events/sec is kernel events fired per wall-clock
 // second. The simulation persists across iterations (each iteration
 // extends the run by a fixed simulated slice), so the numbers measure the
@@ -11,10 +10,10 @@ package shard
 // traffic (DestRadius 1, ~1 hop per packet, 3 kernel events per packet):
 // the configuration that measures the sharded runner's own per-packet
 // overhead — source, transmit, drain, barrier — rather than route length.
-// It is NOT comparable to the root package's BenchmarkSimPacketsPerSec,
-// which runs the full adaptive-routing model (~13 events per packet) on
-// the 59-node ARPANET; see DESIGN.md's legacy trajectory table (snapshot 4)
-// for the honest read.
+// It is NOT comparable to internal/network on Table 1 (the repo
+// benchmark's table1_arpanet workload), which runs the full
+// adaptive-routing model at ~13 events per packet; see DESIGN.md's legacy
+// trajectory table (snapshot 4) for the honest read.
 
 import (
 	"testing"
@@ -88,7 +87,7 @@ func BenchmarkShardedPacketsPerSec1(b *testing.B) { benchThroughput(b, 1, false)
 // pkts/sec counts user packets only and is NOT comparable to the static
 // benchmarks above: the adaptive run also carries ~5k update copies per
 // simulated second and repairs every node's SPF tree on each wave — the
-// honest comparison is against BenchmarkSimPacketsPerSec's full adaptive
-// model, which this exceeds by running 17x the nodes. See DESIGN.md's legacy
-// trajectory table (snapshot 6).
+// honest comparison is against internal/network's full adaptive model on
+// Table 1, which this exceeds by running 17x the nodes. See DESIGN.md's
+// legacy trajectory table (snapshot 6).
 func BenchmarkShardedAdaptivePacketsPerSec(b *testing.B) { benchThroughput(b, 4, true) }

@@ -7,7 +7,7 @@ package shard
 //
 //	Generated + Imported == Delivered + drops + Exported + InFlight
 //
-// holds at every barrier, and composing all shards (network.Conservation.Plus)
+// holds at every barrier, and composing all shards (node.Conservation.Plus)
 // cancels the export/import terms so the global ledger obeys the classic
 // single-kernel conservation identity.
 //
@@ -22,7 +22,7 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/network"
+	"repro/internal/node"
 )
 
 // Ledger is one shard's packet custody record.
@@ -70,14 +70,14 @@ func (l Ledger) Err() error {
 	return fmt.Errorf("shard control ledger violated: in %d != out %d (missing %d): %+v", cin, cout, cin-cout, l)
 }
 
-// Conservation converts the shard ledger into the network package's global
-// ledger shape: exported packets count as in flight (they are on a wire or
-// in a neighbour shard's future), imported packets are deducted from that
-// same in-flight term since the neighbour already exported them. Control
-// copies are deliberately excluded — network.Conservation models offered
-// user traffic, and the control plane has its own identity above.
-func (l Ledger) Conservation() network.Conservation {
-	return network.Conservation{
+// Conservation converts the shard ledger into the single-kernel ledger
+// shape: exported packets count as in flight (they are on a wire or in a
+// neighbour shard's future), imported packets are deducted from that same
+// in-flight term since the neighbour already exported them. Control copies
+// are deliberately excluded — node.Conservation models offered user
+// traffic, and the control plane has its own identity above.
+func (l Ledger) Conservation() node.Conservation {
+	return node.Conservation{
 		Offered:      l.Generated,
 		Delivered:    l.Delivered,
 		BufferDrops:  l.BufferDrops,
@@ -89,8 +89,8 @@ func (l Ledger) Conservation() network.Conservation {
 }
 
 // Compose folds per-shard ledgers into one global conservation ledger.
-func Compose(ledgers []Ledger) network.Conservation {
-	var c network.Conservation
+func Compose(ledgers []Ledger) node.Conservation {
+	var c node.Conservation
 	for _, l := range ledgers {
 		c = c.Plus(l.Conservation())
 	}

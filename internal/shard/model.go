@@ -1,18 +1,22 @@
 package shard
 
-// The per-shard traffic model: Poisson sources, finite FIFO output queues,
-// store-and-forward transmission, per-link delay measurement feeding a cost
-// module, and scripted trunk faults. This is a lean replica of
-// internal/network's data plane, built so that every event a node observes
-// is independent of the partition (see the package comment for the ordering
-// rules it follows). With Config.Adaptive the static per-epoch tables are
-// replaced by the full adaptive routing plane of adaptive.go.
+// The per-shard traffic model: Poisson sources, store-and-forward over
+// node.Trunk, and scripted trunk faults. The trunk — output queue, single
+// transmitter, §2.2 measurement, cost module, fail/repair transitions — the
+// packet size law and the conservation ledger are internal/node's, the same
+// code internal/network runs. What is this engine's own is what makes every
+// event a node observes independent of the partition (see the package
+// comment for the ordering rules): completions are scheduled at absolute
+// times, a transmitted packet goes to the far node's content-sorted arrival
+// buffer or over the wire to another shard rather than into a propagation
+// event, draws come from per-node value-type streams, and outcomes are
+// booked into per-shard custody ledgers. With Config.Adaptive the static
+// per-epoch tables are replaced by the adaptive routing plane of adaptive.go.
 
 import (
 	"fmt"
 
 	"repro/internal/flooding"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/spf"
@@ -90,22 +94,15 @@ type pendArr struct {
 	pkt  *node.Packet
 }
 
-// llink is one directed link's shard-local state. It lives in the shard of
-// its From node; To may be remote, in which case completed transmissions
-// export over the wire instead of buffering an arrival.
+// llink is one directed link's shard-local state: the shared trunk model
+// plus where its packets land. It lives in the shard of its From node; To
+// may be remote, in which case completed transmissions export over the wire
+// instead of buffering an arrival.
 type llink struct {
+	node.Trunk
 	l       topology.Link
-	bw      float64  // bits/second
 	propLat sim.Time // >= 1 tick
-	q       *node.Queue
-	busy    bool
-	down    bool
-	txPkt   *node.Packet
-	txEvent sim.Handle
-	toLocal *lnode // nil when To lives in another shard
-	meas    node.Measurement
-	module  node.CostModule
-	fwd     int64 // packets forwarded over this link
+	toLocal *lnode   // nil when To lives in another shard
 }
 
 // wire is one packet in transit between shards, fully serialized: the
@@ -229,11 +226,10 @@ func (s *Sim) buildLinks(id topology.NodeID) {
 	for _, lid := range s.g.Out(id) {
 		l := s.g.Link(lid)
 		ls := &llink{
+			Trunk: node.NewTrunk(s.cfg.QueueLimit,
+				node.NewCostModule(s.cfg.Metric, l.Type, l.PropDelay), l.Type.Bandwidth()),
 			l:       l,
-			bw:      l.Type.Bandwidth(),
 			propLat: sim.FromSeconds(l.PropDelay),
-			q:       node.NewQueue(s.cfg.QueueLimit),
-			module:  node.NewCostModule(s.cfg.Metric, l.Type, l.PropDelay),
 		}
 		if ls.propLat < 1 {
 			ls.propLat = 1
@@ -266,14 +262,7 @@ func (sh *shardState) source(now sim.Time, arg any) {
 	n.pseq++
 	p.Src = n.id
 	p.Dst = n.dests[n.dst.intn(len(n.dests))]
-	size := n.size.exp(network.MeanPktBits)
-	if size < network.MinPktBits {
-		size = network.MinPktBits
-	}
-	if size > network.MaxPktBits {
-		size = network.MaxPktBits
-	}
-	p.SizeBits = size
+	p.SizeBits = node.ClampPktBits(n.size.exp(node.MeanPktBits))
 	p.Created = now
 	p.Arrival = topology.NoLink
 	p.Counted = true
@@ -296,7 +285,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		sh.pool.Put(p)
 		return
 	}
-	if p.Hops >= network.MaxHops {
+	if p.Hops >= node.MaxHops {
 		sh.led.LoopDrops++
 		sh.dropRec(n, now, recLoopDrop, p.Arrival, p.Seq)
 		sh.pool.Put(p)
@@ -306,7 +295,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	if sh.s.cfg.Adaptive {
 		// Adaptive: the node's own SPF tree decides. A next hop onto a link
 		// this node knows to be down is "no route" (the database is stale),
-		// matching internal/network's classification.
+		// the classification internal/network uses too.
 		lid = n.adaptiveNextHop(p.Dst)
 		if lid == topology.NoLink {
 			sh.led.NoRouteDrops++
@@ -323,7 +312,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 			sh.pool.Put(p)
 			return
 		}
-		if sh.s.linkAt[lid].down {
+		if sh.s.linkAt[lid].Down() {
 			sh.led.OutageDrops++
 			sh.dropRec(n, now, recOutageDrop, lid, p.Seq)
 			sh.pool.Put(p)
@@ -332,15 +321,13 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	}
 	ls := sh.s.linkAt[lid]
 	p.Enqueued = now
-	if !ls.q.Push(p) {
+	if !ls.Queue.Push(p) {
 		sh.led.BufferDrops++
 		sh.dropRec(n, now, recBufferDrop, lid, p.Seq)
 		sh.pool.Put(p)
 		return
 	}
-	if !ls.busy {
-		sh.startTx(ls, now)
-	}
+	sh.startTx(ls, now)
 }
 
 // Allocates: the trace record buffer grows amortized and is drained per window
@@ -353,37 +340,31 @@ func (sh *shardState) dropRec(n *lnode, now sim.Time, kind recKind, link topolog
 	n.rseq++
 }
 
-// startTx begins transmitting the queue head. Transmission time is at
-// least one tick, so the completion never collides with the event that
-// started it.
+// startTx puts the queue head on the transmitter if the trunk will take one
+// (in service, idle, backlog non-empty — Trunk.Next decides), with its
+// completion at an absolute time on the shard's kernel. Trunk.Next keeps
+// the transmission at least one tick long, so the completion never collides
+// with the event that started it.
 func (sh *shardState) startTx(ls *llink, now sim.Time) {
-	p := ls.q.Pop()
+	p, tx := ls.Next()
 	if p == nil {
 		return
-	}
-	ls.busy = true
-	ls.txPkt = p
-	tx := sim.FromSeconds(p.SizeBits / ls.bw)
-	if tx < 1 {
-		tx = 1
 	}
 	h, err := sh.kernel.ScheduleCallAt(now+tx, sh.txDoneCall, ls)
 	if err != nil {
 		panic(fmt.Sprintf("shard: %v", err))
 	}
-	ls.txEvent = h
+	ls.Started(h)
 }
 
-// txDone completes a transmission: records the measured delay, then either
-// buffers the arrival at the local peer or exports it over the wire.
+// txDone completes a transmission, then either buffers the arrival at the
+// local peer or exports it over the wire.
 func (sh *shardState) txDone(now sim.Time, arg any) {
 	ls := arg.(*llink)
-	p := ls.txPkt
-	ls.txPkt = nil
-	ls.busy = false
-	ls.meas.Record((now - p.Enqueued).Seconds() + node.ProcessingDelay.Seconds())
-	ls.fwd++
-	p.Hops++
+	p := ls.Done(now)
+	if p == nil {
+		return // stale completion; see Trunk.Done
+	}
 	at := now + ls.propLat
 	if ls.toLocal != nil {
 		p.Arrival = ls.l.ID
@@ -401,9 +382,7 @@ func (sh *shardState) txDone(now sim.Time, arg any) {
 		}
 		sh.pool.Put(p)
 	}
-	if !ls.down && ls.q.Len() > 0 {
-		sh.startTx(ls, now)
-	}
+	sh.startTx(ls, now)
 }
 
 // importWire materializes a cross-shard arrival in the target shard.
@@ -480,12 +459,12 @@ func (sh *shardState) measure(now sim.Time, arg any) {
 	}
 	sample := sh.s.cfg.MeasureSample
 	for _, ls := range n.out {
-		if ls.down {
+		if ls.Down() {
 			continue
 		}
-		count := ls.meas.Count()
-		avg := ls.meas.Take()
-		cost, _ := ls.module.Update(avg)
+		count := ls.Meas.Count()
+		avg := ls.Meas.Take()
+		cost, _ := ls.Module.Update(avg)
 		if sample > 0 && int(n.id)%sample == 0 {
 			sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recMeasure,
 				link: ls.l.ID, count: count, avg: avg, cost: cost})
@@ -502,50 +481,42 @@ type faultEv struct {
 	up bool
 }
 
-// fault applies one scripted state change to a directed link. Taking a link
-// down aborts the in-flight transmission and flushes the queue as outage
-// drops (packets already propagating are past the cut and survive);
-// restoring it resets the measurement state, like network does on repair.
-// In adaptive mode either transition also makes the endpoint originate an
-// update advertising the new state (DownCost or the module's reset cost) —
-// the other direction's own fault event does the same at the far endpoint,
-// which is internal/network's originate-from-both-ends in per-direction form.
+// fault applies one scripted state change to a directed link through the
+// trunk's Fail/Restore transitions. Going down, the packet on the
+// transmitter and the backlog are booked as outage drops (packets already
+// propagating are past the cut and survive). Fail also discards the partial
+// measurement period; on the static plane nothing can observe that — no
+// packet records on a down link, measure skips it, and Restore discards
+// again. In adaptive mode either transition also makes the endpoint
+// originate an update advertising the new state (DownCost or the module's
+// reset cost) — the other direction's own fault event does the same at the
+// far endpoint, which is internal/network's originate-from-both-ends in
+// per-direction form.
 func (sh *shardState) fault(now sim.Time, arg any) {
 	f := arg.(*faultEv)
 	ls := f.ls
 	n := sh.s.nodeAt[ls.l.From]
 	if f.up {
-		if !ls.down {
+		if !ls.Down() {
 			return
 		}
-		ls.down = false
-		ls.meas.Take() // discard any partial period measured before the cut
-		ls.module.Reset()
+		ls.Restore()
 		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkUp, link: ls.l.ID})
 		n.rseq++
-		if sh.s.cfg.Adaptive {
-			sh.originate(n, now)
+	} else {
+		if ls.Down() {
+			return
 		}
-		return
-	}
-	if ls.down {
-		return
-	}
-	ls.down = true
-	sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
-	n.rseq++
-	if ls.busy {
-		ls.txEvent.Cancel()
-		ls.busy = false
-		p := ls.txPkt
-		ls.txPkt = nil
-		sh.dropOutage(n, ls, p, now)
-	}
-	for p := ls.q.Pop(); p != nil; p = ls.q.Pop() {
-		sh.dropOutage(n, ls, p, now)
+		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
+		n.rseq++
+		if p := ls.Fail(); p != nil {
+			sh.dropOutage(n, ls, p, now)
+		}
+		for p := ls.Queue.Pop(); p != nil; p = ls.Queue.Pop() {
+			sh.dropOutage(n, ls, p, now)
+		}
 	}
 	if sh.s.cfg.Adaptive {
-		ls.meas.Take() // discard the partial period, as network's SetTrunkDown does
 		sh.originate(n, now)
 	}
 }
@@ -573,10 +544,7 @@ func (sh *shardState) inFlight() (user, ctrl int64) {
 		}
 	}
 	for _, ls := range sh.links {
-		ls.q.Scan(classify)
-		if ls.txPkt != nil {
-			classify(ls.txPkt)
-		}
+		ls.Holding(classify)
 	}
 	for _, ln := range sh.nodes {
 		for i := range ln.pend {

@@ -5,13 +5,13 @@ package shard
 // partition-independent as the trace. Audit enforces the custody-ledger
 // invariants — per-shard balance, composed balance, and the wire identity
 // ΣExported − ΣImported == packets pending injection — plus the
-// single-transmitter invariant on every link.
+// single-transmitter invariant (node.Trunk.Audit) on every link.
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/network"
+	"repro/internal/node"
 )
 
 // Report is a run summary, identical for every shard count.
@@ -25,7 +25,7 @@ type Report struct {
 	InFlight     int64
 	AvgDelay     float64 // seconds, over delivered packets
 	AvgHops      float64
-	Conservation network.Conservation
+	Conservation node.Conservation
 
 	// Control plane (all zero without Config.Adaptive).
 	Originated      int64 // routing updates flooded
@@ -134,31 +134,10 @@ func (s *Sim) Audit() error {
 		return fmt.Errorf("control wire imbalance: exported-imported = %d, pending wires = %d",
 			onWire, ctrlWires)
 	}
-	for _, sh := range s.shards {
-		for _, ls := range sh.links {
-			name := fmt.Sprintf("link %d (%s->%s)", ls.l.ID,
-				s.g.Node(ls.l.From).Name, s.g.Node(ls.l.To).Name)
-			if ls.busy {
-				if ls.down {
-					return fmt.Errorf("%s: transmitting while down", name)
-				}
-				if ls.txPkt == nil {
-					return fmt.Errorf("%s: busy with no in-flight packet", name)
-				}
-				if !ls.txEvent.Pending() {
-					return fmt.Errorf("%s: busy with no pending completion event", name)
-				}
-			} else {
-				if ls.txPkt != nil {
-					return fmt.Errorf("%s: idle with an in-flight packet", name)
-				}
-				if !ls.down && ls.q.Len() > 0 {
-					return fmt.Errorf("%s: idle with %d queued packets", name, ls.q.Len())
-				}
-			}
-			if ls.down && ls.q.Len() > 0 {
-				return fmt.Errorf("%s: down with %d queued packets", name, ls.q.Len())
-			}
+	for _, ls := range s.linkAt {
+		if err := ls.Audit(); err != nil {
+			return fmt.Errorf("link %d (%s->%s): %w", ls.l.ID,
+				s.g.Node(ls.l.From).Name, s.g.Node(ls.l.To).Name, err)
 		}
 	}
 	return nil

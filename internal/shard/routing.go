@@ -15,7 +15,6 @@ package shard
 import (
 	"math"
 
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -43,21 +42,13 @@ type routing struct {
 // The mean transmission term uses the truncated-exponential mean matching
 // the traffic model's size clamp.
 func linkCost(l topology.Link) sim.Time {
-	mean := clampedMeanBits()
 	c := sim.FromSeconds(l.PropDelay) +
-		sim.FromSeconds(mean/l.Type.Bandwidth()) +
+		sim.FromSeconds(node.ClampedMeanPktBits()/l.Type.Bandwidth()) +
 		node.ProcessingDelay
 	if c < 1 {
 		c = 1
 	}
 	return c
-}
-
-// clampedMeanBits is the mean of the exponential(MeanPktBits) size
-// distribution after clamping to [MinPktBits, MaxPktBits].
-func clampedMeanBits() float64 {
-	lo, hi, mean := network.MinPktBits, network.MaxPktBits, network.MeanPktBits
-	return lo + mean*(math.Exp(-lo/mean)-math.Exp(-hi/mean))
 }
 
 // buildRouting computes the per-epoch next-hop tables for every node that

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -66,7 +65,7 @@ type Config struct {
 	Dests      int
 	DestRadius int
 
-	QueueLimit int             // per-link output buffer (default network.DefaultQueueLimit)
+	QueueLimit int             // per-link output buffer (default node.DefaultQueueLimit)
 	Metric     node.MetricKind // cost module for the per-link metric readings
 
 	// Adaptive switches routing from the static per-epoch tables to the full
@@ -134,7 +133,7 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("shard: BF1969 has no cost module; use HNSPF, DSPF or MinHop")
 	}
 	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = network.DefaultQueueLimit
+		cfg.QueueLimit = node.DefaultQueueLimit
 	}
 	if cfg.MeasurePeriod == 0 {
 		cfg.MeasurePeriod = node.MeasurementPeriod
@@ -382,4 +381,4 @@ func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id
 // LinkCost returns the cost currently advertised by the link's metric
 // module — the same observable network.LinkCost exposes, for per-trunk
 // advertised-cost time-series comparison.
-func (s *Sim) LinkCost(l topology.LinkID) float64 { return s.linkAt[l].module.Cost() }
+func (s *Sim) LinkCost(l topology.LinkID) float64 { return s.linkAt[l].Module.Cost() }

@@ -229,6 +229,39 @@ func TestLedgerUnderCongestion(t *testing.T) {
 	}
 }
 
+// A completion event pending on an idle link is the double-transmitter bug
+// in waiting — it would complete a transmission that is not under way, or
+// cut a later one short. Audit must name the link; and a completion that
+// does fire on an idle link must be ignored, not dereferenced.
+func TestAuditNamesDoubleTransmitter(t *testing.T) {
+	s := run(t, testConfig(testGraph(t), 2), sim.Second)
+	var ls *llink
+	for _, l := range s.linkAt {
+		if l.Sending() == nil {
+			ls = l
+			break
+		}
+	}
+	if ls == nil {
+		t.Fatal("no idle link after 1 s at 2 pkts/s/node")
+	}
+	sh := s.nodeAt[ls.l.From].sh
+	sh.txDone(sh.kernel.Now(), ls) // stale: nothing is on the transmitter
+	if err := s.Audit(); err != nil {
+		t.Fatalf("after a stale completion: %v", err)
+	}
+	h, err := sh.kernel.ScheduleCallAt(sh.kernel.Now()+sim.Millisecond, sh.txDoneCall, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.Started(h)
+	want := "link " + itoa(int(ls.l.ID)) + " ("
+	if err := s.Audit(); err == nil || !strings.Contains(err.Error(), want) ||
+		!strings.Contains(err.Error(), "double transmitter") {
+		t.Fatalf("Audit = %v, want the double transmitter named on %q", err, want)
+	}
+}
+
 // backboneTrunks returns the trunks joining different regions of a
 // Hierarchical graph, by trunk index.
 func backboneTrunks(g *topology.Graph) []int {

@@ -105,12 +105,3 @@ func (s *Sim) TraceText() string {
 	}
 	return b.String()
 }
-
-// TraceLen returns the number of trace records accumulated so far.
-func (s *Sim) TraceLen() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.recs)
-	}
-	return n
-}

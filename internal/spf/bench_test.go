@@ -1,80 +1,20 @@
 package spf
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/topology"
 )
 
-// The reason the PSN ran an *incremental* SPF: repairing the tree after a
-// single cost change is far cheaper than recomputing it. These benchmarks
-// quantify that on the ARPANET-like graph.
-
-func arpanetCosts(g *topology.Graph) []float64 {
-	cs := make([]float64, g.NumLinks())
-	for i := range cs {
-		cs[i] = 30
-	}
-	return cs
-}
-
-// BenchmarkCompute measures one from-scratch Dijkstra on the 1987 ARPANET
-// graph — the unit of work the §5 model build repeats thousands of times.
-func BenchmarkCompute(b *testing.B) {
-	g := topology.Arpanet()
-	cost := func(l topology.LinkID) float64 { return 1 + float64(l%7) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := Compute(g, 0, cost)
-		if !t.Reachable(topology.NodeID(g.NumNodes() - 1)) {
-			b.Fatal("unreachable")
-		}
-	}
-}
-
-// BenchmarkComputeInto measures the same Dijkstra through a recycled
-// Workspace — the allocation-free fast path used by the model build.
-func BenchmarkComputeInto(b *testing.B) {
-	g := topology.Arpanet()
-	cost := func(l topology.LinkID) float64 { return 1 + float64(l%7) }
-	ws := NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := ComputeInto(ws, g, 0, cost)
-		if !t.Reachable(topology.NodeID(g.NumNodes() - 1)) {
-			b.Fatal("unreachable")
-		}
-	}
-}
-
-func BenchmarkFullSPF(b *testing.B) {
-	g := topology.Arpanet()
-	costs := arpanetCosts(g)
-	rnd := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		costs[rnd.Intn(len(costs))] = 30 + float64(rnd.Intn(60))
-		Compute(g, 0, func(l topology.LinkID) float64 { return costs[l] })
-	}
-}
-
-func BenchmarkIncrementalSPF(b *testing.B) {
-	g := topology.Arpanet()
-	r := NewIncrementalRouter(g, 0, arpanetCosts(g))
-	rnd := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := topology.LinkID(rnd.Intn(g.NumLinks()))
-		r.Update(l, 30+float64(rnd.Intn(60)))
-	}
-}
-
+// BenchmarkMultipathDAG measures one equal-cost DAG build on the ARPANET
+// graph, the per-update work of a multipath PSN (§4.5). bench/micro.go
+// times the single-path Dijkstra and its incremental repair, not this.
 func BenchmarkMultipathDAG(b *testing.B) {
 	g := topology.Arpanet()
-	costs := arpanetCosts(g)
+	costs := make([]float64, g.NumLinks())
+	for i := range costs {
+		costs[i] = 30
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ComputeDAG(g, 0, func(l topology.LinkID) float64 { return costs[l] }, 15)

@@ -121,12 +121,6 @@ func (s *Simulation) TrackTrunk(a, b string) *Series {
 	return s.n.TrackLink(s.trunk(a, b))
 }
 
-// TrackTrunkCost records the advertised cost of the a→b direction once
-// per simulated second. Call before RunSeconds.
-func (s *Simulation) TrackTrunkCost(a, b string) *Series {
-	return s.n.TrackLinkCost(s.trunk(a, b))
-}
-
 // TrunkCost returns the cost currently advertised for the a→b direction.
 func (s *Simulation) TrunkCost(a, b string) float64 {
 	return s.n.LinkCost(s.trunk(a, b))
