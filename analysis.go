@@ -21,39 +21,14 @@ type ShedStat = equilibrium.ShedStat
 // CobwebPoint is one period of the dynamic-behaviour iteration.
 type CobwebPoint = equilibrium.CobwebPoint
 
-// AnalysisOption configures NewAnalysis.
-type AnalysisOption func(*analysisConfig)
-
-type analysisConfig struct {
-	workers int
-}
-
-// AnalysisWorkers bounds the worker pool the model build fans its per-link
-// shortest-path computations over. The default is GOMAXPROCS; 1 forces a
-// sequential build. The result is identical for any worker count.
-func AnalysisWorkers(n int) AnalysisOption {
-	if n < 1 {
-		panic("arpanet: analysis workers must be at least 1")
-	}
-	return func(c *analysisConfig) { c.workers = n }
-}
-
 // NewAnalysis builds the model: one shortest-path computation per link and
-// source, fanned out over a bounded worker pool (see AnalysisWorkers) with
-// per-worker reusable SPF workspaces.
-func NewAnalysis(t *Topology, tr *Traffic, opts ...AnalysisOption) *Analysis {
+// source, fanned out over GOMAXPROCS workers with per-worker reusable SPF
+// workspaces. The result is identical at any GOMAXPROCS.
+func NewAnalysis(t *Topology, tr *Traffic) *Analysis {
 	if tr.t != t {
 		panic("arpanet: Traffic was built for a different Topology")
 	}
-	var cfg analysisConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var eopts []equilibrium.Option
-	if cfg.workers > 0 {
-		eopts = append(eopts, equilibrium.WithWorkers(cfg.workers))
-	}
-	return &Analysis{mo: equilibrium.New(t.g, tr.m, eopts...)}
+	return &Analysis{mo: equilibrium.New(t.g, tr.m)}
 }
 
 // Response returns the Network Response Map (Figure 8): the fraction of

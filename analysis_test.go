@@ -1,14 +1,20 @@
 package arpanet
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// TestAnalysisWorkerKnob: the public worker option must not change any
-// analysis output — sequential and wide builds agree exactly.
+// TestAnalysisWorkerKnob: the one worker knob left is GOMAXPROCS, and it
+// must not change any analysis output — sequential and wide builds agree
+// exactly.
 func TestAnalysisWorkerKnob(t *testing.T) {
 	topo := Arpanet1987()
 	tr := topo.GravityTraffic(ArpanetWeights(), 400_000)
-	seq := NewAnalysis(topo, tr, AnalysisWorkers(1))
-	par := NewAnalysis(topo, tr, AnalysisWorkers(8))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq := NewAnalysis(topo, tr)
+	runtime.GOMAXPROCS(8)
+	par := NewAnalysis(topo, tr)
 
 	if s, p := seq.MeanShedCost(), par.MeanShedCost(); s != p {
 		t.Errorf("MeanShedCost: %v vs %v", s, p)
@@ -28,13 +34,4 @@ func TestAnalysisWorkerKnob(t *testing.T) {
 			t.Errorf("Equilibrium(%v): (%v,%v) vs (%v,%v)", f, cs, us, cp, up)
 		}
 	}
-}
-
-func TestAnalysisWorkersPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AnalysisWorkers(0) should panic")
-		}
-	}()
-	AnalysisWorkers(0)
 }

@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -62,7 +63,12 @@ func main() {
 	if *seeds < 1 {
 		log.Fatal("-seeds must be >= 1")
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	kinds, err := metricKinds(*metricName)
+	if err == nil {
+		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *backgroundK, len(kinds))
+	}
 	if err != nil {
 		log.Print(err)
 		flag.Usage()
@@ -86,9 +92,6 @@ func main() {
 		return
 	}
 	defer finish(nil)
-	if *adaptive {
-		log.Fatal("-adaptive requires -shards (the Table 1 study is always adaptive)")
-	}
 	if *topoName != "arpanet" && *topoName != "milnet" {
 		log.Fatalf("unknown topology %q (want arpanet or milnet)", *topoName)
 	}
@@ -143,6 +146,38 @@ func metricKinds(name string) ([]node.MetricKind, error) {
 	default:
 		return nil, fmt.Errorf("unknown -metric %q (want hnspf, dspf, minhop, bf1969, or both)", name)
 	}
+}
+
+// checkFlags rejects a flag that the chosen mode never reads: setting one
+// is an error, not a silent no-op (`-shards 2 -scenario flap.scn` used to
+// run no script, `-shards 2 -seeds 5` one seed). set holds the flags given
+// on the command line (flag.Visit), so defaults never count; kinds is how
+// many metrics -metric named.
+func checkFlags(set map[string]bool, shards int, adaptive bool, scenario string, backgroundK float64, kinds int) error {
+	mode := "without -shards (the Table 1 study is always adaptive)"
+	ignored := []string{"rate", "dests", "radius", "adaptive"}
+	switch {
+	case shards > 0:
+		mode = "with -shards"
+		ignored = []string{"scenario", "background", "background-epoch", "seeds", "json", "traffic", "growth", "warmup"}
+	case scenario != "":
+		mode = "with -scenario"
+		ignored = append(ignored, "seconds", "growth")
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s has no effect %s", name, mode)
+		}
+	}
+	switch {
+	case shards > 0 && !adaptive && set["metric"]:
+		return errors.New("-metric has no effect with -shards unless -adaptive is set (static routes otherwise)")
+	case shards <= 0 && set["background-epoch"] && backgroundK <= 0:
+		return errors.New("-background-epoch has no effect without -background")
+	case shards <= 0 && scenario == "" && kinds == 1 && set["growth"]:
+		return errors.New("-growth has no effect with a single -metric (it scales the after run of -metric both)")
+	}
+	return nil
 }
 
 // apiMetric names each engine metric kind in the public API, which the

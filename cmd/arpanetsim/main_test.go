@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/node"
@@ -32,6 +33,67 @@ func TestMetricKinds(t *testing.T) {
 			if m, ok := apiMetric[k]; !ok || m.String() != k.String() {
 				t.Errorf("metricKinds(%q): kind %v has no public-API twin (got %v)", tc.name, k, m)
 			}
+		}
+	}
+}
+
+// A flag the chosen mode never reads is rejected by name before anything
+// runs; a flag left at its default never counts.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		args       string // flags set on the command line
+		shards     int
+		adaptive   bool
+		scenario   string
+		background float64
+		metric     string
+		reject     string // "": accepted; else the flag the error must name
+	}{
+		// The three modes with the flags they read.
+		{args: "", metric: "both"},
+		{args: "metric traffic growth seconds warmup seed seeds json topology background background-epoch", background: 28000, metric: "both"},
+		{args: "metric traffic seconds", metric: "hnspf"},
+		{args: "scenario metric traffic warmup seed seeds json topology background", scenario: "flap.scn", background: 100, metric: "hnspf"},
+		{args: "shards topology seconds seed rate dests radius cpuprofile memprofile", shards: 2, metric: "both"},
+		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "hnspf"},
+		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "bf1969"},
+		// -shards returns before these were ever looked at.
+		{args: "shards scenario", shards: 2, scenario: "flap.scn", metric: "both", reject: "-scenario"},
+		{args: "shards background", shards: 2, background: 100, metric: "both", reject: "-background"},
+		{args: "shards seeds", shards: 2, metric: "both", reject: "-seeds"},
+		{args: "shards json", shards: 2, metric: "both", reject: "-json"},
+		{args: "shards traffic", shards: 2, metric: "both", reject: "-traffic"},
+		{args: "shards growth", shards: 2, metric: "both", reject: "-growth"},
+		{args: "shards warmup", shards: 2, metric: "both", reject: "-warmup"},
+		{args: "shards metric", shards: 2, metric: "hnspf", reject: "-metric"},
+		// The sharded runner's knobs without -shards.
+		{args: "adaptive", adaptive: true, metric: "both", reject: "-adaptive"},
+		{args: "rate", metric: "both", reject: "-rate"},
+		{args: "dests", metric: "both", reject: "-dests"},
+		{args: "radius", metric: "both", reject: "-radius"},
+		{args: "shards rate", shards: 0, metric: "both", reject: "-rate"},
+		{args: "scenario adaptive", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-adaptive"},
+		// The script supplies the duration, and runs every metric at one load.
+		{args: "scenario seconds", scenario: "flap.scn", metric: "both", reject: "-seconds"},
+		{args: "scenario growth", scenario: "flap.scn", metric: "both", reject: "-growth"},
+		{args: "metric growth", metric: "dspf", reject: "-growth"},
+		{args: "background-epoch", metric: "both", reject: "-background-epoch"},
+	}
+	for _, tc := range cases {
+		set := map[string]bool{}
+		for _, name := range strings.Fields(tc.args) {
+			set[name] = true
+		}
+		kinds, err := metricKinds(tc.metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = checkFlags(set, tc.shards, tc.adaptive, tc.scenario, tc.background, len(kinds))
+		switch {
+		case tc.reject == "" && err != nil:
+			t.Errorf("flags %q: rejected: %v", tc.args, err)
+		case tc.reject != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.reject+" has no effect")):
+			t.Errorf("flags %q: err = %v, want %s rejected", tc.args, err, tc.reject)
 		}
 	}
 }

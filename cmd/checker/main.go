@@ -8,8 +8,9 @@
 //	checker -campaigns 5000 -seed 1 -out ./repro   # the weekly long run
 //
 // Campaign i runs under seed+i and every campaign is deterministic from
-// its seed, so output is byte-identical for any -workers value and a
-// failure reruns alone with -campaigns 1 -seed <its seed>. On failure the
+// its seed, so output is byte-identical at any GOMAXPROCS (the campaigns
+// fan out over that many workers) and a failure reruns alone with
+// -campaigns 1 -seed <its seed>. On failure the
 // minimized reproducers are printed and, with -out, written one file per
 // failure (scenario failures as runnable .scn scripts); the exit status
 // is 1.
@@ -31,13 +32,12 @@ func main() {
 	var (
 		campaigns = flag.Int("campaigns", 100, "number of campaigns to run")
 		seed      = flag.Int64("seed", 1, "base seed; campaign i uses seed+i")
-		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		out       = flag.String("out", "", "directory to write failure reproducers into")
 		verbose   = flag.Bool("v", false, "print every campaign's log line, not just failures")
 	)
 	flag.Parse()
 
-	results := check.Run(check.Options{Campaigns: *campaigns, Seed: *seed, Workers: *workers})
+	results := check.Run(check.Options{Campaigns: *campaigns, Seed: *seed})
 
 	failures := 0
 	for _, r := range results {

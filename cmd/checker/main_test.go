@@ -41,19 +41,15 @@ func TestWriteRepro(t *testing.T) {
 }
 
 // TestCheckerSmoke runs a miniature campaign batch through the same entry
-// the CI job uses, asserting a clean, deterministic pass.
+// the CI job uses, asserting a clean pass (worker-count determinism is
+// check.TestCampaignDeterminism's job).
 func TestCheckerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign batch")
 	}
-	a := check.Run(check.Options{Campaigns: 5, Seed: 1})
-	b := check.Run(check.Options{Campaigns: 5, Seed: 1, Workers: 2})
-	for i := range a {
-		if len(a[i].Failures) > 0 {
-			t.Errorf("campaign seed=%d failed:\n%s", a[i].Seed, a[i].Failures[0].Repro)
-		}
-		if a[i].Log != b[i].Log {
-			t.Errorf("campaign %d nondeterministic", i)
+	for _, r := range check.Run(check.Options{Campaigns: 5, Seed: 1}) {
+		if len(r.Failures) > 0 {
+			t.Errorf("campaign seed=%d failed:\n%s", r.Seed, r.Failures[0].Repro)
 		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // PoolSafe is a flow-sensitive, intra-function check that a pooled object
-// (a *node.Packet, a recycled event entry, a propagation record) is not
-// read, written, re-queued, or released again after it has been returned
-// to its pool. This is exactly the bug class the conservation ledger of
+// (a *node.Packet, a recycled event entry) is not read, written, re-queued,
+// or released again after it has been returned to its pool. This is exactly the bug class the conservation ledger of
 // PR 3 catches only at runtime — and only when a fuzzing campaign happens
 // to drive the broken path.
 //
@@ -20,7 +19,7 @@ import (
 //   - a method named Put or Release on a receiver whose type name
 //     contains "Pool" (node.PacketPool.Put), or
 //   - a method whose name starts with "put", "recycle" or "release"
-//     (Network.putProp, Kernel.recycle) taking that single pointer.
+//     (Kernel.recycle) taking that single pointer.
 //
 // The analysis walks each statement sequence in order: a release marks the
 // variable; any later use in the same straight-line sequence is reported

@@ -77,7 +77,7 @@ func deferRelease(pp *ObjPool) int {
 	return o.Seq
 }
 
-// Owner releases through a put-prefixed method, like Network.putProp.
+// Owner releases through a put-prefixed method wrapping the pool.
 type Owner struct{ pool ObjPool }
 
 func (w *Owner) putObj(o *Obj) { w.pool.Put(o) }

@@ -3,59 +3,34 @@ package check
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/fanout"
 )
 
 // Options configures a campaign run.
 type Options struct {
-	// Campaigns is how many independent campaigns to run. Campaign i uses
-	// seed Seed+i, so a failing campaign reruns alone with -campaigns 1
-	// -seed <its seed>.
+	// Campaigns is how many independent campaigns to run (at least one).
+	// Campaign i uses seed Seed+i, so a failing campaign reruns alone with
+	// -campaigns 1 -seed <its seed>.
 	Campaigns int
 	// Seed is the base seed.
 	Seed int64
-	// Workers bounds the goroutines; <=0 means GOMAXPROCS. Results are
-	// identical for any worker count.
-	Workers int
-	// Trials per campaign for each pillar; zero values take the defaults
-	// (2 SPF, 2 metric, 2 flood, 1 scenario, 1 hybrid, 1 shard
-	// differential, 1 shard custody torture).
-	SPFTrials, MetricTrials, FloodTrials, ScenarioTrials, HybridTrials int
-	ShardDiffTrials, ShardCustodyTrials                                int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Campaigns <= 0 {
-		o.Campaigns = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SPFTrials == 0 {
-		o.SPFTrials = 2
-	}
-	if o.MetricTrials == 0 {
-		o.MetricTrials = 2
-	}
-	if o.FloodTrials == 0 {
-		o.FloodTrials = 2
-	}
-	if o.ScenarioTrials == 0 {
-		o.ScenarioTrials = 1
-	}
-	if o.HybridTrials == 0 {
-		o.HybridTrials = 1
-	}
-	if o.ShardDiffTrials == 0 {
-		o.ShardDiffTrials = 1
-	}
-	if o.ShardCustodyTrials == 0 {
-		o.ShardCustodyTrials = 1
-	}
-	return o
+// trials is how often one campaign runs each pillar, in campaign order:
+// the cheap pure-function checks twice, the packet-simulation ones once.
+var trials = []struct {
+	n     int
+	check func(rng *rand.Rand, seed int64) *Failure
+}{
+	{2, func(rng *rand.Rand, seed int64) *Failure { return CheckSPF(rng, seed, IncrementalFactory) }},
+	{2, CheckMetric},
+	{2, CheckFlood},
+	{1, CheckScenario},
+	{1, CheckHybrid},
+	{1, CheckShardRouting},
+	{1, CheckShardCustody},
 }
 
 // CampaignResult is one campaign's outcome: its seed, any failures (each
@@ -66,38 +41,19 @@ type CampaignResult struct {
 	Log      string
 }
 
-// RunCampaign runs every checker pillar once under a single seed. All
-// randomness flows from one rand source, so the whole campaign replays
-// bit-for-bit from the seed alone.
-func RunCampaign(seed int64, opt Options) CampaignResult {
-	opt = opt.withDefaults()
+// RunCampaign runs every checker pillar under a single seed. All randomness
+// flows from one rand source, so the whole campaign replays bit-for-bit
+// from the seed alone. The Options argument carries nothing a campaign
+// reads; it stays because bench/ calls this signature.
+func RunCampaign(seed int64, _ Options) CampaignResult {
 	rng := rand.New(rand.NewSource(seed))
 	var failures []*Failure
-	record := func(f *Failure) {
-		if f != nil {
-			failures = append(failures, f)
+	for _, t := range trials {
+		for i := 0; i < t.n; i++ {
+			if f := t.check(rng, seed); f != nil {
+				failures = append(failures, f)
+			}
 		}
-	}
-	for i := 0; i < opt.SPFTrials; i++ {
-		record(CheckSPF(rng, seed, IncrementalFactory))
-	}
-	for i := 0; i < opt.MetricTrials; i++ {
-		record(CheckMetric(rng, seed))
-	}
-	for i := 0; i < opt.FloodTrials; i++ {
-		record(CheckFlood(rng, seed))
-	}
-	for i := 0; i < opt.ScenarioTrials; i++ {
-		record(CheckScenario(rng, seed))
-	}
-	for i := 0; i < opt.HybridTrials; i++ {
-		record(CheckHybrid(rng, seed))
-	}
-	for i := 0; i < opt.ShardDiffTrials; i++ {
-		record(CheckShardRouting(rng, seed))
-	}
-	for i := 0; i < opt.ShardCustodyTrials; i++ {
-		record(CheckShardCustody(rng, seed))
 	}
 
 	var b strings.Builder
@@ -112,32 +68,15 @@ func RunCampaign(seed int64, opt Options) CampaignResult {
 	return CampaignResult{Seed: seed, Failures: failures, Log: b.String()}
 }
 
-// Run fans opt.Campaigns campaigns over a worker pool. Workers claim
-// campaign indices off an atomic counter and write disjoint result slots,
-// so the returned slice — ordered by campaign index — is identical for any
-// worker count.
+// Run fans opt.Campaigns campaigns over the cores. Workers write disjoint
+// result slots, so the returned slice — ordered by campaign index — is
+// identical at any GOMAXPROCS.
 func Run(opt Options) []CampaignResult {
-	opt = opt.withDefaults()
-	results := make([]CampaignResult, opt.Campaigns)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := opt.Workers
-	if workers > opt.Campaigns {
-		workers = opt.Campaigns
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= opt.Campaigns {
-					return
-				}
-				results[i] = RunCampaign(opt.Seed+int64(i), opt)
-			}
-		}()
-	}
-	wg.Wait()
+	results := make([]CampaignResult, max(opt.Campaigns, 1))
+	fanout.Do(len(results), func(next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			results[i] = RunCampaign(opt.Seed+int64(i), opt)
+		}
+	})
 	return results
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,15 +24,17 @@ func TestCampaignsPass(t *testing.T) {
 
 // TestCampaignDeterminism runs the same seed range twice with different
 // worker counts: the per-campaign logs must be byte-identical, which is
-// what makes a CI failure reproducible from its seed alone.
+// what makes a CI failure reproducible from its seed alone. GOMAXPROCS is
+// process-wide, so the test does not run in parallel with the others.
 func TestCampaignDeterminism(t *testing.T) {
-	t.Parallel()
 	n := 12
 	if testing.Short() {
 		n = 4
 	}
-	a := Run(Options{Campaigns: n, Seed: 400, Workers: 1})
-	b := Run(Options{Campaigns: n, Seed: 400, Workers: 8})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := Run(Options{Campaigns: n, Seed: 400})
+	runtime.GOMAXPROCS(8)
+	b := Run(Options{Campaigns: n, Seed: 400})
 	if len(a) != len(b) {
 		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
 	}

@@ -30,7 +30,7 @@
 // Campaigns (campaign.go) bundle the pillars behind one seed: the same
 // seed always generates the same topologies, inputs and verdicts, so any
 // failure anywhere reproduces from its campaign seed alone. cmd/checker
-// fans campaigns over worker goroutines.
+// fans campaigns over the cores (internal/fanout).
 package check
 
 import "fmt"
@@ -40,7 +40,8 @@ import "fmt"
 // input's description, and a minimized reproducer.
 type Failure struct {
 	// Check names the failed checker: "spf-differential", "metric-invariant",
-	// "flood-delivery" or "scenario-audit".
+	// "flood-delivery", "scenario-audit", "hybrid-differential",
+	// "shard-differential" or "shard-custody".
 	Check string
 	// Seed is the campaign seed that generated the failing input.
 	Seed int64
@@ -48,8 +49,8 @@ type Failure struct {
 	Topo string
 	// Err is the violated property.
 	Err string
-	// Repro is the minimized reproducer: an op list, or for scenario
-	// failures a complete .scn script.
+	// Repro is the minimized reproducer: an op list, or for the four
+	// scripted checks (scenario-audit onward) a complete .scn script.
 	Repro string
 }
 

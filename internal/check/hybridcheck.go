@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"repro/internal/flowmodel"
 	"repro/internal/network"
@@ -80,17 +79,9 @@ const (
 // transient carries no information about superposition).
 const hybridWarmup = 20 * sim.Second
 
-// hybridOp is one scripted disturbance of a hybrid-differential trial,
-// kept flat (like scenOp) so ddmin can drop ops and rebuild.
-type hybridOp struct {
-	kind   string // "down", "up" (trunk fault), "bgsurge" (background scale)
-	at     sim.Time
-	a, b   string
-	factor float64
-}
-
 // hybridTrial is the generated-but-fixed part of a trial: everything except
-// the fault ops, which ddmin varies.
+// the disturbances (trunk down/up pairs and background surges), which ddmin
+// varies.
 type hybridTrial struct {
 	g        *topology.Graph
 	metric   node.MetricKind
@@ -138,9 +129,8 @@ const (
 const hybridMaxSurge = 1.15
 
 // genHybridTrial draws one trial: metric, loads (background painted into
-// the fluid model's validity regime), seed, duration and the disturbance
-// ops.
-func genHybridTrial(rng *rand.Rand) (hybridTrial, []hybridOp) {
+// the fluid model's validity regime), seed, duration and the disturbances.
+func genHybridTrial(rng *rand.Rand) (hybridTrial, []scenario.Event) {
 	g := topology.Arpanet()
 	trial := hybridTrial{
 		g:        g,
@@ -176,19 +166,17 @@ func genHybridTrial(rng *rand.Rand) (hybridTrial, []hybridOp) {
 	// Disturbances land after warmup and leave 40 s of tail so every fault
 	// is repaired and both engines re-converge before the run ends.
 	window := trial.duration - hybridWarmup - 40*sim.Second
-	var ops []hybridOp
+	var sc scenario.Scenario
 	for i := rng.Intn(3); i > 0; i-- {
 		at := hybridWarmup + sim.Time(rng.Int63n(int64(window)))
 		if rng.Intn(2) == 0 {
 			a, b := randTrunkNames(rng, g)
-			ops = append(ops,
-				hybridOp{kind: "down", at: at, a: a, b: b},
-				hybridOp{kind: "up", at: at + sim.FromSeconds(15+15*rng.Float64()), a: a, b: b})
+			sc.DownAt(at, a, b).UpAt(at+sim.FromSeconds(15+15*rng.Float64()), a, b)
 		} else {
-			ops = append(ops, hybridOp{kind: "bgsurge", at: at, factor: 0.8 + (hybridMaxSurge-0.8)*rng.Float64()})
+			sc.BackgroundSurgeAt(at, 0.8+(hybridMaxSurge-0.8)*rng.Float64())
 		}
 	}
-	return trial, ops
+	return trial, sc.Events
 }
 
 // CheckHybrid runs one randomized hybrid-vs-full-packet differential on the
@@ -200,61 +188,26 @@ func genHybridTrial(rng *rand.Rand) (hybridTrial, []hybridOp) {
 // must pass the conservation and transmitter audits. On failure the
 // disturbance script is minimized and rendered as a .scn reproducer.
 func CheckHybrid(rng *rand.Rand, seed int64) *Failure {
-	trial, ops := genHybridTrial(rng)
-	err := runHybridDiff(trial, ops)
+	trial, events := genHybridTrial(rng)
+	run := func(sub []scenario.Event) error { return runHybridDiff(trial, sub) }
+	err := run(events)
 	if err == nil {
 		return nil
 	}
-	min := Minimize(ops, func(sub []hybridOp) bool {
-		return runHybridDiff(trial, sub) != nil
-	})
-	finalErr := runHybridDiff(trial, min)
-	if finalErr == nil {
-		finalErr = err // minimization raced a non-deterministic bug; report the original
-	}
-	script, scErr := buildHybridScenario(trial.duration, min).Script()
-	if scErr != nil {
-		script = fmt.Sprintf("# unserializable: %v\n", scErr)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# topo: arpanet\n# metric: %v\n# fg: %.0f bps gravity, bg: %.0f bps painted per-trunk\n# cfgseed: %d\n",
+	header := fmt.Sprintf("# topo: arpanet\n# metric: %v\n# fg: %.0f bps gravity, bg: %.0f bps painted per-trunk\n# cfgseed: %d\n",
 		trial.metric, trial.fgLoad, trial.bgLoad, trial.seed)
-	b.WriteString(script)
-	fmt.Fprintf(&b, "# error: %v\n", finalErr)
-	return &Failure{
-		Check: "hybrid-differential",
-		Seed:  seed,
-		Topo:  "arpanet",
-		Err:   finalErr.Error(),
-		Repro: b.String(),
-	}
+	return scriptFailure("hybrid-differential", seed, "arpanet", header,
+		script("hybrid-diff", trial.duration, 0, events), err, run)
 }
 
-// buildHybridScenario renders the op list as the hybrid-side scenario (the
-// .scn reproducer form: 'surge background' carries the bg surges).
-func buildHybridScenario(duration sim.Time, ops []hybridOp) *scenario.Scenario {
-	sc := scenario.NewScenario("hybrid-diff", duration)
-	for _, op := range ops {
-		switch op.kind {
-		case "down":
-			sc.DownAt(op.at, op.a, op.b)
-		case "up":
-			sc.UpAt(op.at, op.a, op.b)
-		case "bgsurge":
-			sc.BackgroundSurgeAt(op.at, op.factor)
-		}
-	}
-	return sc
-}
-
-// runHybridDiff runs both engines over the same trial and ops and returns
-// the first tolerance violation (or audit failure) as an error.
-func runHybridDiff(t hybridTrial, ops []hybridOp) error {
-	h, err := runHybridSide(t, ops, true)
+// runHybridDiff runs both engines over the same trial and disturbances and
+// returns the first tolerance violation (or audit failure) as an error.
+func runHybridDiff(t hybridTrial, events []scenario.Event) error {
+	h, err := runHybridSide(t, events, true)
 	if err != nil {
 		return fmt.Errorf("hybrid run: %w", err)
 	}
-	p, err := runHybridSide(t, ops, false)
+	p, err := runHybridSide(t, events, false)
 	if err != nil {
 		return fmt.Errorf("full-packet run: %w", err)
 	}
@@ -267,23 +220,15 @@ func runHybridDiff(t hybridTrial, ops []hybridOp) error {
 // time-mean advertised cost. hybrid=true carries the background as fluid;
 // hybrid=false folds it into the packet matrix, translating each
 // cumulative background surge into the equivalent matrix switch.
-func runHybridSide(t hybridTrial, ops []hybridOp, hybrid bool) ([]float64, error) {
-	sorted := append([]hybridOp(nil), ops...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].at < sorted[j].at })
-	sc := scenario.NewScenario("hybrid-diff", t.duration)
-	bgScale := 1.0
-	for _, op := range sorted {
-		switch op.kind {
-		case "down":
-			sc.DownAt(op.at, op.a, op.b)
-		case "up":
-			sc.UpAt(op.at, op.a, op.b)
-		case "bgsurge":
-			if hybrid {
-				sc.BackgroundSurgeAt(op.at, op.factor)
-			} else {
-				bgScale *= op.factor
-				sc.SwitchMatrixAt(op.at, sumMatrix(t.fg, t.bg, bgScale))
+func runHybridSide(t hybridTrial, events []scenario.Event, hybrid bool) ([]float64, error) {
+	evs := append([]scenario.Event(nil), events...)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	if !hybrid {
+		bgScale := 1.0
+		for i, ev := range evs {
+			if ev.Kind == scenario.BackgroundSurge {
+				bgScale *= ev.Factor
+				evs[i] = scenario.Event{At: ev.At, Kind: scenario.SwitchMatrix, Matrix: sumMatrix(t.fg, t.bg, bgScale)}
 			}
 		}
 	}
@@ -305,13 +250,8 @@ func runHybridSide(t hybridTrial, ops []hybridOp, hybrid bool) ([]float64, error
 			series[l] = n.TrackLinkCost(topology.LinkID(l))
 		}
 	}
-	res, err := scenario.Run(cfg, sc)
-	if err != nil {
+	if err := runScript(cfg, script("hybrid-diff", t.duration, 0, evs)); err != nil {
 		return nil, err
-	}
-	if len(res.Violations) > 0 {
-		v := res.Violations[0]
-		return nil, fmt.Errorf("%s violation at %v: %s", v.Check, v.At, v.Err)
 	}
 	means := make([]float64, len(series))
 	for l, s := range series {

@@ -3,7 +3,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"sort"
 
 	"repro/internal/node"
 	"repro/internal/scenario"
@@ -12,16 +12,53 @@ import (
 	"repro/internal/traffic"
 )
 
-// scenOp is one scripted fault of a scenario-audit trial. Keeping the trial
-// as a flat op list (rather than a built Scenario) is what lets ddmin drop
-// ops and rebuild.
-type scenOp struct {
-	kind   string // "down", "up", "flap", "surge", "checkpoint"
-	at     sim.Time
-	a, b   string // trunk endpoints for down/up/flap
-	period sim.Time
-	cycles int
-	factor float64
+// Every scripted check — scenario audit, hybrid differential, the two
+// sharded checks — keeps its disturbances as a flat []scenario.Event: the
+// form ddmin shrinks, scenario.Run executes, shardFaults resolves and
+// Script renders as a .scn reproducer.
+
+// script wraps a disturbance list as a runnable scenario.
+func script(name string, duration, checkEvery sim.Time, events []scenario.Event) *scenario.Scenario {
+	return &scenario.Scenario{Name: name, Duration: duration, CheckEvery: checkEvery, Events: events}
+}
+
+// runScript runs one scenario and reports the first audit violation (or
+// setup error) as an error; nil means every checkpoint's conservation,
+// transmitter and convergence audit passed.
+func runScript(cfg scenario.Config, sc *scenario.Scenario) error {
+	res, err := scenario.Run(cfg, sc)
+	if err != nil {
+		return err
+	}
+	if len(res.Violations) > 0 {
+		v := res.Violations[0]
+		return fmt.Errorf("%s violation at %v: %s", v.Check, v.At, v.Err)
+	}
+	return nil
+}
+
+// scriptFailure turns a failing scripted trial into its Failure: sc.Events
+// — which made run report err — are minimized by ddmin, re-run for the
+// final error, put in time order and rendered as a self-contained .scn
+// whose comment lines carry the trial (header) and the violated property.
+func scriptFailure(check string, seed int64, topo, header string, sc *scenario.Scenario,
+	err error, run func([]scenario.Event) error) *Failure {
+	min := Minimize(sc.Events, func(sub []scenario.Event) bool { return run(sub) != nil })
+	if finalErr := run(min); finalErr != nil {
+		err = finalErr // else minimization raced a non-deterministic bug; report the original
+	}
+	sort.SliceStable(min, func(i, j int) bool { return min[i].At < min[j].At })
+	text, scErr := script(sc.Name, sc.Duration, sc.CheckEvery, min).Script()
+	if scErr != nil {
+		text = fmt.Sprintf("# unserializable: %v\n", scErr)
+	}
+	return &Failure{
+		Check: check,
+		Seed:  seed,
+		Topo:  topo,
+		Err:   err.Error(),
+		Repro: fmt.Sprintf("%s%s# error: %v\n", header, text, err),
+	}
 }
 
 // CheckScenario runs one randomized fault-script trial: a small generated
@@ -39,34 +76,41 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 	cfgSeed := rng.Int63()
 	duration := sim.FromSeconds(60 + 90*rng.Float64())
 
+	// nOps counts drawn disturbances; a flap is one, however many down/up
+	// events it expands to.
 	nOps := 3 + rng.Intn(6)
-	ops := make([]scenOp, 0, nOps)
-	for len(ops) < nOps {
+	sc := script("check", duration, 10*sim.Second, nil)
+	for n := 0; n < nOps; {
 		at := sim.Time(rng.Int63n(int64(duration) * 3 / 4))
 		switch rng.Intn(6) {
 		case 0, 1:
 			a, b := randTrunkNames(rng, g)
-			ops = append(ops, scenOp{kind: "down", at: at, a: a, b: b})
+			sc.DownAt(at, a, b)
+			n++
 			if rng.Intn(2) == 0 {
-				up := at + sim.FromSeconds(5+20*rng.Float64())
-				if up < duration {
-					ops = append(ops, scenOp{kind: "up", at: up, a: a, b: b})
+				if up := at + sim.FromSeconds(5+20*rng.Float64()); up < duration {
+					sc.UpAt(up, a, b)
+					n++
 				}
 			}
 		case 2:
 			a, b := randTrunkNames(rng, g)
-			ops = append(ops, scenOp{kind: "up", at: at, a: a, b: b})
+			sc.UpAt(at, a, b)
+			n++
 		case 3:
 			a, b := randTrunkNames(rng, g)
 			cycles := 1 + rng.Intn(3)
 			period := sim.FromSeconds(2 + 6*rng.Float64())
 			if at+sim.Time(2*cycles+1)*period < duration {
-				ops = append(ops, scenOp{kind: "flap", at: at, a: a, b: b, period: period, cycles: cycles})
+				sc.FlapAt(at, a, b, period, cycles)
+				n++
 			}
 		case 4:
-			ops = append(ops, scenOp{kind: "surge", at: at, factor: 0.5 + 1.5*rng.Float64()})
+			sc.SurgeAt(at, 0.5+1.5*rng.Float64())
+			n++
 		default:
-			ops = append(ops, scenOp{kind: "checkpoint", at: at})
+			sc.CheckpointAt(at)
+			n++
 		}
 	}
 
@@ -78,67 +122,23 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 		Warmup:          15 * sim.Second,
 		StopOnViolation: true,
 	}
-	if err := runScenOps(cfg, duration, ops); err != nil {
-		min := Minimize(ops, func(sub []scenOp) bool {
-			return runScenOps(cfg, duration, sub) != nil
-		})
-		finalErr := runScenOps(cfg, duration, min)
-		script, scErr := buildScenario(duration, min).Script()
-		if scErr != nil {
-			script = fmt.Sprintf("# unserializable: %v\n", scErr)
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "# topo: %s\n# metric: %v\n# load: %.0f bps uniform\n# cfgseed: %d\n",
-			topo.Desc, metric, load, cfgSeed)
-		b.WriteString(script)
-		fmt.Fprintf(&b, "# error: %v\n", finalErr)
-		return &Failure{
-			Check: "scenario-audit",
-			Seed:  seed,
-			Topo:  topo.Desc,
-			Err:   finalErr.Error(),
-			Repro: b.String(),
-		}
+	run := func(events []scenario.Event) error {
+		return runScript(cfg, script(sc.Name, duration, sc.CheckEvery, events))
 	}
-	return nil
+	err := run(sc.Events)
+	if err == nil {
+		return nil
+	}
+	header := fmt.Sprintf("# topo: %s\n# metric: %v\n# load: %.0f bps uniform\n# cfgseed: %d\n",
+		topo.Desc, metric, load, cfgSeed)
+	return scriptFailure("scenario-audit", seed, topo.Desc, header, sc, err, run)
 }
 
 func randTrunkNames(rng *rand.Rand, g *topology.Graph) (string, string) {
-	l := g.Link(topology.LinkID(2 * rng.Intn(g.NumTrunks())))
+	return trunkNames(g, rng.Intn(g.NumTrunks()))
+}
+
+func trunkNames(g *topology.Graph, trunk int) (string, string) {
+	l := g.Link(topology.LinkID(2 * trunk))
 	return g.Node(l.From).Name, g.Node(l.To).Name
-}
-
-func buildScenario(duration sim.Time, ops []scenOp) *scenario.Scenario {
-	sc := scenario.NewScenario("check", duration)
-	sc.CheckEvery = 10 * sim.Second
-	for _, op := range ops {
-		switch op.kind {
-		case "down":
-			sc.DownAt(op.at, op.a, op.b)
-		case "up":
-			sc.UpAt(op.at, op.a, op.b)
-		case "flap":
-			sc.FlapAt(op.at, op.a, op.b, op.period, op.cycles)
-		case "surge":
-			sc.SurgeAt(op.at, op.factor)
-		case "checkpoint":
-			sc.CheckpointAt(op.at)
-		}
-	}
-	return sc
-}
-
-// runScenOps builds and runs one scenario and reports the first audit
-// violation (or run error) as an error; nil means every checkpoint's
-// conservation, transmitter and convergence audit passed.
-func runScenOps(cfg scenario.Config, duration sim.Time, ops []scenOp) error {
-	res, err := scenario.Run(cfg, buildScenario(duration, ops))
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	if len(res.Violations) > 0 {
-		v := res.Violations[0]
-		return fmt.Errorf("%s violation at %v: %s", v.Check, v.At, v.Err)
-	}
-	return nil
 }

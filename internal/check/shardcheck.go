@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/network"
@@ -74,17 +73,13 @@ const (
 	shardSampleSeconds = 1    // advertised-cost sampling cadence, seconds
 )
 
+// shardCheckEvery is the audit cadence of the differential's network leg.
+const shardCheckEvery = 20 * sim.Second
+
 // shardWarmup is the cost-series cutoff: two measurement periods, so every
 // node's first flood wave (always reported) and the second settling wave
 // are behind the comparison window.
 const shardWarmup = 2 * node.MeasurementPeriod
-
-// shardOp is one scripted trunk fault, flat for ddmin.
-type shardOp struct {
-	kind  string // "down", "up"
-	at    sim.Time
-	trunk int
-}
 
 // shardTrial is the generated-but-fixed part of a differential trial.
 type shardTrial struct {
@@ -101,7 +96,7 @@ type shardTrial struct {
 // are light: HN-SPF must sit in its flat floor region (the exact-ish leg)
 // and D-SPF in the linear queueing band where the engines' independent
 // sample paths stay coherent.
-func genShardTrial(rng *rand.Rand) (shardTrial, []shardOp) {
+func genShardTrial(rng *rand.Rand) (shardTrial, []scenario.Event) {
 	trial := shardTrial{
 		metric:   []node.MetricKind{node.MinHop, node.DSPF, node.HNSPF}[rng.Intn(3)],
 		pktRate:  0.5 + rng.Float64(),
@@ -118,82 +113,44 @@ func genShardTrial(rng *rand.Rand) (shardTrial, []shardOp) {
 	}
 	// Fault pairs land after warmup with >= 20 s of tail so the repair's
 	// ease-in has begun (not necessarily finished — the tolerance covers it).
-	var ops []shardOp
+	var sc scenario.Scenario
 	for i := rng.Intn(3); i > 0; i-- {
 		window := trial.duration - shardWarmup - 20*sim.Second
 		at := shardWarmup + sim.Time(rng.Int63n(int64(window)))
-		tr := rng.Intn(trial.g.NumTrunks())
-		ops = append(ops, shardOp{kind: "down", at: at, trunk: tr})
+		a, b := randTrunkNames(rng, trial.g)
+		sc.DownAt(at, a, b)
 		up := at + sim.FromSeconds(5+10*rng.Float64())
 		if up < trial.duration-15*sim.Second {
-			ops = append(ops, shardOp{kind: "up", at: up, trunk: tr})
+			sc.UpAt(up, a, b)
 		}
 	}
-	return trial, ops
+	return trial, sc.Events
+}
+
+// header renders the trial as the comment lines that open its .scn
+// reproducer. partition is the explicit cut of a custody trial ("" when the
+// partitioner chose).
+func (t shardTrial) header(partition string) string {
+	h := fmt.Sprintf("# topo: %s\n# metric: %v\n# rate: %.3f pkt/s/node x %d dests\n# cfgseed: %d\n",
+		t.topoName, t.metric, t.pktRate, t.dests, t.seed)
+	if partition != "" {
+		h += fmt.Sprintf("# partition: %s\n", partition)
+	}
+	return h
 }
 
 // CheckShardRouting runs one randomized sharded-vs-unsharded adaptive
 // differential (both legs above). On failure the fault script is minimized
 // and rendered as a .scn reproducer with the trial in comment headers.
 func CheckShardRouting(rng *rand.Rand, seed int64) *Failure {
-	trial, ops := genShardTrial(rng)
-	err := runShardDiff(trial, ops)
+	trial, events := genShardTrial(rng)
+	run := func(sub []scenario.Event) error { return runShardDiff(trial, sub) }
+	err := run(events)
 	if err == nil {
 		return nil
 	}
-	min := Minimize(ops, func(sub []shardOp) bool {
-		return runShardDiff(trial, sub) != nil
-	})
-	finalErr := runShardDiff(trial, min)
-	if finalErr == nil {
-		finalErr = err
-	}
-	return &Failure{
-		Check: "shard-differential",
-		Seed:  seed,
-		Topo:  trial.topoName,
-		Err:   finalErr.Error(),
-		Repro: renderShardRepro(trial, min, "", finalErr),
-	}
-}
-
-// renderShardRepro renders a trial + fault script as a .scn with headers.
-// partition is the explicit cut for custody trials ("" when default).
-func renderShardRepro(t shardTrial, ops []shardOp, partition string, err error) string {
-	sc := scenario.NewScenario("shard-diff", t.duration)
-	for _, op := range sortedShardOps(ops) {
-		a, b := trunkNames(t.g, op.trunk)
-		switch op.kind {
-		case "down":
-			sc.DownAt(op.at, a, b)
-		case "up":
-			sc.UpAt(op.at, a, b)
-		}
-	}
-	script, scErr := sc.Script()
-	if scErr != nil {
-		script = fmt.Sprintf("# unserializable: %v\n", scErr)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# topo: %s\n# metric: %v\n# rate: %.3f pkt/s/node x %d dests\n# cfgseed: %d\n",
-		t.topoName, t.metric, t.pktRate, t.dests, t.seed)
-	if partition != "" {
-		fmt.Fprintf(&b, "# partition: %s\n", partition)
-	}
-	b.WriteString(script)
-	fmt.Fprintf(&b, "# error: %v\n", err)
-	return b.String()
-}
-
-func trunkNames(g *topology.Graph, trunk int) (string, string) {
-	l := g.Link(topology.LinkID(2 * trunk))
-	return g.Node(l.From).Name, g.Node(l.To).Name
-}
-
-func sortedShardOps(ops []shardOp) []shardOp {
-	sorted := append([]shardOp(nil), ops...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].at < sorted[j].at })
-	return sorted
+	return scriptFailure("shard-differential", seed, trial.topoName, trial.header(""),
+		script("shard-diff", trial.duration, shardCheckEvery, events), err, run)
 }
 
 // shardLeg is one shard-engine run's observables.
@@ -206,7 +163,7 @@ type shardLeg struct {
 // runShardLeg runs the shard engine at the given shard count, sampling
 // every link's advertised cost once per shardSampleSeconds and auditing the
 // custody ledgers along the way.
-func runShardLeg(t shardTrial, ops []shardOp, shards int) (*shardLeg, error) {
+func runShardLeg(t shardTrial, events []scenario.Event, shards int) (*shardLeg, error) {
 	cfg := shard.Config{
 		Graph:         t.g,
 		Shards:        shards,
@@ -217,7 +174,7 @@ func runShardLeg(t shardTrial, ops []shardOp, shards int) (*shardLeg, error) {
 		Metric:        t.metric,
 		MeasureSample: 8,
 		TraceDrops:    true,
-		Faults:        shardFaults(ops),
+		Faults:        shardFaults(t.g, events),
 	}
 	s, err := shard.New(cfg)
 	if err != nil {
@@ -249,24 +206,29 @@ func runShardLeg(t shardTrial, ops []shardOp, shards int) (*shardLeg, error) {
 	return leg, nil
 }
 
-func shardFaults(ops []shardOp) []shard.Fault {
+// shardFaults resolves trunk down/up events, in script order, into the
+// shard engine's fault list. Endpoints resolve as scenario.Run resolves
+// them — the first trunk joining the pair — so the shard run, the network
+// leg and a replayed reproducer all fault the same trunk.
+func shardFaults(g *topology.Graph, events []scenario.Event) []shard.Fault {
 	var faults []shard.Fault
-	for _, op := range ops {
-		faults = append(faults, shard.Fault{Trunk: op.trunk, At: op.at, Up: op.kind == "up"})
+	for _, ev := range events {
+		l, _ := g.FindTrunk(g.MustLookup(ev.A), g.MustLookup(ev.B))
+		faults = append(faults, shard.Fault{Trunk: g.Link(l).Trunk, At: ev.At, Up: ev.Kind == scenario.TrunkUp})
 	}
 	return faults
 }
 
 // runShardDiff runs both legs of the differential and returns the first
 // violated property as an error.
-func runShardDiff(t shardTrial, ops []shardOp) error {
-	ref, err := runShardLeg(t, ops, 1)
+func runShardDiff(t shardTrial, events []scenario.Event) error {
+	ref, err := runShardLeg(t, events, 1)
 	if err != nil {
 		return fmt.Errorf("shards=1: %w", err)
 	}
 	// Leg 1 — exact: 2 and 4 shards reproduce the cost series and trace.
 	for _, shards := range []int{2, 4} {
-		leg, err := runShardLeg(t, ops, shards)
+		leg, err := runShardLeg(t, events, shards)
 		if err != nil {
 			return fmt.Errorf("shards=%d: %w", shards, err)
 		}
@@ -285,7 +247,7 @@ func runShardDiff(t shardTrial, ops []shardOp) error {
 		}
 	}
 	// Leg 2 — toleranced: the unsharded engine over the identical scenario.
-	netMeans, err := runNetworkLeg(t, ops, ref.dests)
+	netMeans, err := runNetworkLeg(t, events, ref.dests)
 	if err != nil {
 		return fmt.Errorf("network leg: %w", err)
 	}
@@ -313,23 +275,12 @@ func seriesMeans(series [][]float64) []float64 {
 // engine, with the fault script riding as a scenario so the conservation,
 // transmitter and convergence audits run too. Returns the per-link
 // post-warmup time-mean advertised cost.
-func runNetworkLeg(t shardTrial, ops []shardOp, dests [][]topology.NodeID) ([]float64, error) {
+func runNetworkLeg(t shardTrial, events []scenario.Event, dests [][]topology.NodeID) ([]float64, error) {
 	m := traffic.NewMatrix(t.g.NumNodes())
 	meanBits := network.ClampedMeanPktBits()
 	for id, ds := range dests {
 		for _, d := range ds {
 			m.Set(topology.NodeID(id), d, t.pktRate*meanBits/float64(len(ds)))
-		}
-	}
-	sc := scenario.NewScenario("shard-diff", t.duration)
-	sc.CheckEvery = 20 * sim.Second
-	for _, op := range sortedShardOps(ops) {
-		a, b := trunkNames(t.g, op.trunk)
-		switch op.kind {
-		case "down":
-			sc.DownAt(op.at, a, b)
-		case "up":
-			sc.UpAt(op.at, a, b)
 		}
 	}
 	series := make([]*stats.Series, t.g.NumLinks())
@@ -345,13 +296,8 @@ func runNetworkLeg(t shardTrial, ops []shardOp, dests [][]topology.NodeID) ([]fl
 			}
 		},
 	}
-	res, err := scenario.Run(cfg, sc)
-	if err != nil {
+	if err := runScript(cfg, script("shard-diff", t.duration, shardCheckEvery, events)); err != nil {
 		return nil, err
-	}
-	if len(res.Violations) > 0 {
-		v := res.Violations[0]
-		return nil, fmt.Errorf("%s violation at %v: %s", v.Check, v.At, v.Err)
 	}
 	means := make([]float64, len(series))
 	for l, s := range series {
@@ -469,36 +415,26 @@ func CheckShardCustody(rng *rand.Rand, seed int64) *Failure {
 	queueLimit := []int{0, 2, 8}[rng.Intn(3)]
 
 	nOps := 2 + rng.Intn(6)
-	var ops []shardOp
-	for len(ops) < nOps {
+	var sc scenario.Scenario
+	for len(sc.Events) < nOps {
 		at := sim.Second + sim.Time(rng.Int63n(int64(trial.duration*3/4)))
-		tr := rng.Intn(trial.g.NumTrunks())
+		a, b := randTrunkNames(rng, trial.g)
 		if rng.Intn(3) == 0 {
-			ops = append(ops, shardOp{kind: "up", at: at, trunk: tr})
+			sc.UpAt(at, a, b)
 		} else {
-			ops = append(ops, shardOp{kind: "down", at: at, trunk: tr})
+			sc.DownAt(at, a, b)
 		}
 	}
 
-	runOnce := func(sub []shardOp) error {
+	run := func(sub []scenario.Event) error {
 		return runShardCustody(trial, sub, shards, part, queueLimit)
 	}
-	err := runOnce(ops)
+	err := run(sc.Events)
 	if err == nil {
 		return nil
 	}
-	min := Minimize(ops, func(sub []shardOp) bool { return runOnce(sub) != nil })
-	finalErr := runOnce(min)
-	if finalErr == nil {
-		finalErr = err
-	}
-	return &Failure{
-		Check: "shard-custody",
-		Seed:  seed,
-		Topo:  trial.topoName,
-		Err:   finalErr.Error(),
-		Repro: renderShardRepro(trial, min, partitionString(part), finalErr),
-	}
+	return scriptFailure("shard-custody", seed, trial.topoName, trial.header(partitionString(part)),
+		script("shard-diff", trial.duration, 0, sc.Events), err, run)
 }
 
 // randPartition draws a uniformly random node→shard map, patched so every
@@ -544,7 +480,7 @@ func partitionString(part []int) string {
 // runShardCustody runs one adaptive sharded simulation over an explicit cut
 // with barrier-by-barrier audits, and cross-checks every observable against
 // the canonical single-shard run (an explicit partition must be invisible).
-func runShardCustody(t shardTrial, ops []shardOp, shards int, part []int, queueLimit int) error {
+func runShardCustody(t shardTrial, events []scenario.Event, shards int, part []int, queueLimit int) error {
 	cfg := shard.Config{
 		Graph:         t.g,
 		Shards:        shards,
@@ -558,7 +494,7 @@ func runShardCustody(t shardTrial, ops []shardOp, shards int, part []int, queueL
 		MeasureSample: 4,
 		TraceDrops:    true,
 		Partition:     part,
-		Faults:        shardFaults(ops),
+		Faults:        shardFaults(t.g, events),
 	}
 	s, err := shard.New(cfg)
 	if err != nil {

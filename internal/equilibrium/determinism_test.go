@@ -3,18 +3,20 @@ package equilibrium
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
-// TestParallelBuildDeterminism: New with workers=N must produce results
-// deeply equal to workers=1 — routes, base traffic, response tables, shed
+// TestParallelBuildDeterminism: New at GOMAXPROCS=N must produce results
+// deeply equal to GOMAXPROCS=1 — routes, base traffic, response tables, shed
 // statistics and response samples — on both reference topologies. The
 // worker pool only partitions the per-link work; it must not influence any
 // output bit.
 func TestParallelBuildDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := []struct {
 		name    string
 		g       *topology.Graph
@@ -26,9 +28,11 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := traffic.Gravity(tc.g, tc.weights, 400000)
-			seq := New(tc.g, m, WithWorkers(1))
+			runtime.GOMAXPROCS(1)
+			seq := New(tc.g, m)
 			for _, workers := range []int{2, 8} {
-				par := New(tc.g, m, WithWorkers(workers))
+				runtime.GOMAXPROCS(workers)
+				par := New(tc.g, m)
 				if !reflect.DeepEqual(seq.routes, par.routes) {
 					t.Fatalf("workers=%d: routes differ from sequential build", workers)
 				}
@@ -109,15 +113,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TestWithWorkersPanics: a non-positive worker count is a programming
-// error.
-func TestWithWorkersPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("WithWorkers(0) should panic")
-		}
-	}()
-	WithWorkers(0)
 }

@@ -12,19 +12,17 @@
 //
 // The build fans out over links: each directed link's thresholds depend
 // only on shortest paths with that one link priced out, so links are
-// embarrassingly parallel. A bounded worker pool (default GOMAXPROCS,
-// see WithWorkers) processes links off a shared counter; every worker owns
-// one spf.Workspace and writes only its link's routes/base slots, so the
-// result is identical — bit for bit — to a sequential build.
+// embarrassingly parallel. fanout.Do's GOMAXPROCS workers claim links off
+// a shared counter; every worker owns one spf.Workspace and writes only its
+// link's routes/base slots, so the result is identical — bit for bit — to
+// a sequential build.
 package equilibrium
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/spf"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -57,23 +55,6 @@ type routeStat struct {
 	rate   float64 // bps
 }
 
-// Option configures the model build.
-type Option func(*config)
-
-type config struct {
-	workers int
-}
-
-// WithWorkers sets the number of goroutines the build fans the per-link
-// computations over. The default is GOMAXPROCS; 1 forces a fully
-// sequential build. The result does not depend on the worker count.
-func WithWorkers(n int) Option {
-	if n < 1 {
-		panic("equilibrium: workers must be at least 1")
-	}
-	return func(c *config) { c.workers = n }
-}
-
 // New builds the model for a topology and traffic matrix. For every
 // directed link L = (u,v) it computes hop distances on the graph without L
 // and derives, per source-destination pair, the threshold
@@ -82,16 +63,12 @@ func WithWorkers(n int) Option {
 //
 // — the largest cost of L (in hops) at which the s→t route still crosses L
 // (ties in favor of L). Pairs with w* < 1 never use the link.
-func New(g *topology.Graph, m *traffic.Matrix, opts ...Option) *Model {
+func New(g *topology.Graph, m *traffic.Matrix) *Model {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
 	if m.NumNodes() != g.NumNodes() {
 		panic("equilibrium: matrix size mismatch")
-	}
-	cfg := config{workers: runtime.GOMAXPROCS(0)}
-	for _, o := range opts {
-		o(&cfg)
 	}
 	nl := g.NumLinks()
 	mod := &Model{
@@ -102,46 +79,18 @@ func New(g *topology.Graph, m *traffic.Matrix, opts ...Option) *Model {
 		tables: make([]responseTable, nl),
 	}
 
-	workers := cfg.workers
-	if workers > nl {
-		workers = nl
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Workers claim links off a shared counter. Each worker writes only
-	// routes[li], base[li] and tables[li] for the links it claimed — the
-	// slots are disjoint, so no synchronization beyond the WaitGroup is
-	// needed and the outcome matches a sequential build exactly.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicked atomic.Value
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicked.Store(p)
-				}
-			}()
-			b := newLinkBuilder(g, m)
-			for {
-				li := int(next.Add(1)) - 1
-				if li >= nl {
-					return
-				}
-				routes, base := b.build(topology.LinkID(li))
-				mod.routes[li] = routes
-				mod.base[li] = base
-				mod.tables[li] = newResponseTable(routes)
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
-	}
+	// Each worker writes only routes[li], base[li] and tables[li] for the
+	// links it claimed — the slots are disjoint, so the outcome matches a
+	// sequential build exactly.
+	fanout.Do(nl, func(next func() (int, bool)) {
+		b := newLinkBuilder(g, m)
+		for li, ok := next(); ok; li, ok = next() {
+			routes, base := b.build(topology.LinkID(li))
+			mod.routes[li] = routes
+			mod.base[li] = base
+			mod.tables[li] = newResponseTable(routes)
+		}
+	})
 
 	// Aggregate table for the average-link response: concatenating every
 	// link's routes in link order keeps the build order — and hence the

@@ -91,9 +91,8 @@ func (n *Network) dvExchange(p *psn, now sim.Time) {
 		if n.links[l].Down() {
 			continue
 		}
-		n.pktSeq++
 		pkt := n.pool.Get()
-		pkt.Seq, pkt.SizeBits, pkt.Created = n.pktSeq, size, now
+		pkt.SizeBits, pkt.Created = size, now
 		pkt.Vector, pkt.Arrival = vec, l
 		n.enqueue(n.links[l], pkt, now)
 	}

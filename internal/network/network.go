@@ -89,7 +89,6 @@ type Network struct {
 	links  []*linkState
 	rnd    *sim.Source
 
-	pktSeq uint64
 	warmed bool
 
 	// Hybrid engine state (nil without cfg.Background): the fluid layer
@@ -103,9 +102,6 @@ type Network struct {
 	// releases into it, which is exactly why recycling is safe — a packet
 	// the ledger still counts as in flight can never reach a Put.
 	pool node.PacketPool
-	// propFree recycles the propagation-event records (packet + link pairs
-	// riding the wire between txDone and the far-end handlePacket).
-	propFree *propEntry
 
 	// Bound callbacks for the closure-free kernel API, created once in New
 	// so the hot path never allocates a closure per event.
@@ -160,32 +156,6 @@ type psn struct {
 	fwd []topology.LinkID // scratch for flood forwarding
 }
 
-// propEntry carries one packet across a link's propagation delay: the
-// argument of the shared propArrive callback. Entries are recycled through
-// the network's free-list.
-type propEntry struct {
-	pkt  *node.Packet
-	ls   *linkState
-	next *propEntry
-}
-
-func (n *Network) getProp() *propEntry {
-	e := n.propFree
-	if e == nil {
-		return &propEntry{}
-	}
-	n.propFree = e.next
-	e.next = nil
-	return e
-}
-
-func (n *Network) putProp(e *propEntry) {
-	e.pkt = nil
-	e.ls = nil
-	e.next = n.propFree
-	n.propFree = e
-}
-
 // linkState is one directed link: the shared trunk model plus what only
 // this engine keeps — the far end's latency, the flooded-cost view the
 // auditors and the fluid layer read, and the utilization statistics.
@@ -235,7 +205,7 @@ func New(cfg Config) *Network {
 	}
 	n.sourceFireFn = func(t sim.Time, a any) { n.sourceFire(a.(*psn), t) }
 	n.txDoneFn = func(t sim.Time, a any) { n.txDone(a.(*linkState), t) }
-	n.propArriveFn = func(t sim.Time, a any) { n.propArrive(a.(*propEntry), t) }
+	n.propArriveFn = func(t sim.Time, a any) { n.propArrive(a.(*node.Packet), t) }
 	n.measureFn = func(t sim.Time, a any) { n.measure(a.(*psn), t) }
 	n.dvExchangeFn = func(t sim.Time, a any) { n.dvExchange(a.(*psn), t) }
 
@@ -482,9 +452,8 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 	}
 	dst := p.pickDst()
 	size := node.ClampPktBits(sim.Exp(p.size, node.MeanPktBits))
-	n.pktSeq++
 	pkt := n.pool.Get()
-	pkt.Seq, pkt.Src, pkt.Dst = n.pktSeq, p.id, dst
+	pkt.Src, pkt.Dst = p.id, dst
 	pkt.SizeBits, pkt.Created = size, now
 	pkt.Arrival = topology.NoLink
 	pkt.Counted = n.warmed
@@ -598,25 +567,23 @@ func (n *Network) txDone(ls *linkState, now sim.Time) {
 	} else if pkt.Counted {
 		n.propCounted++
 	}
-	e := n.getProp()
-	e.pkt, e.ls = pkt, ls
-	// Fire-and-forget: a packet on the wire is past cancellation; an
-	// outage mid-propagation is handled at arrival, not by cancel.
-	_ = n.kernel.ScheduleCall(ls.propLat, n.propArriveFn, e)
+	// The packet is its own propagation record: Arrival names the link it
+	// is crossing. Fire-and-forget: a packet on the wire is past
+	// cancellation; an outage mid-propagation is handled at arrival.
+	pkt.Arrival = ls.link.ID
+	_ = n.kernel.ScheduleCall(ls.propLat, n.propArriveFn, pkt)
 	n.startTx(ls)
 }
 
 // propArrive completes one link traversal: the packet reaches the far-end
 // PSN after the propagation and processing delays.
-func (n *Network) propArrive(e *propEntry, now sim.Time) {
-	pkt, ls := e.pkt, e.ls
-	n.putProp(e)
+func (n *Network) propArrive(pkt *node.Packet, now sim.Time) {
 	if pkt.IsRouting() {
 		n.propRouting--
 	} else if pkt.Counted {
 		n.propCounted--
 	}
-	n.handlePacket(n.psns[ls.link.To], pkt, now)
+	n.handlePacket(n.psns[n.links[pkt.Arrival].link.To], pkt, now)
 }
 
 // dropOutage accounts one packet destroyed by a trunk failure. Routing
@@ -646,9 +613,8 @@ func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
 		if n.links[l].Down() {
 			continue
 		}
-		n.pktSeq++
 		copyPkt := n.pool.Get()
-		copyPkt.Seq, copyPkt.SizeBits = n.pktSeq, u.SizeBits()
+		copyPkt.SizeBits = u.SizeBits()
 		copyPkt.Created, copyPkt.Update, copyPkt.Arrival = pkt.Created, u, l
 		n.enqueue(n.links[l], copyPkt, now)
 	}
@@ -683,9 +649,8 @@ func (n *Network) originate(p *psn, now sim.Time) {
 		if n.links[l].Down() {
 			continue
 		}
-		n.pktSeq++
 		pkt := n.pool.Get()
-		pkt.Seq, pkt.SizeBits = n.pktSeq, u.SizeBits()
+		pkt.SizeBits = u.SizeBits()
 		pkt.Created, pkt.Update, pkt.Arrival = now, u, l
 		n.enqueue(n.links[l], pkt, now)
 	}
@@ -804,12 +769,7 @@ func (n *Network) SetTrunkDown(l topology.LinkID) {
 		ls := n.links[id]
 		// The packet on the transmitter and the backlog are lost to the
 		// outage (see Trunk.Fail); each is booked as an outage drop.
-		if pkt := ls.Fail(); pkt != nil {
-			n.dropOutage(ls, pkt, now)
-		}
-		for pkt := ls.Queue.Pop(); pkt != nil; pkt = ls.Queue.Pop() {
-			n.dropOutage(ls, pkt, now)
-		}
+		ls.Fail(func(pkt *node.Packet) { n.dropOutage(ls, pkt, now) })
 	}
 	n.originate(n.psns[n.g.Link(l).From], now)
 	n.originate(n.psns[n.g.Link(l).To], now)

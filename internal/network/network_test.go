@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -282,5 +283,50 @@ func TestDelayPercentiles(t *testing.T) {
 	}
 	if r.DelayMsP95 > 20*r.RoundTripDelayMs {
 		t.Errorf("P95 (%.1f ms) implausibly above the mean (%.1f ms)", r.DelayMsP95, r.RoundTripDelayMs)
+	}
+}
+
+// TestSteadyStateAllocsPerPacket is the runtime twin of the engine's
+// allocation-free packet path (sourceFire → handlePacket → enqueue → startTx
+// → txDone → propArrive): on the ARPANET map under D-SPF, so floods run,
+// the heap allocations per delivered packet after warm-up stay at what
+// still allocates by design — one immutable payload plus its two slices per
+// originated update — and a packet in flight needs no record beside itself.
+// An allocation planted on the per-packet path adds >= 1 per hop.
+//
+// Measured (go1.24, 400 kb/s gravity matrix, 60 simulated seconds): 590
+// mallocs over 23,867 delivered packets = 0.0247 per packet, the same count
+// before and after the propagation-record pool was deleted. The bound is
+// twice that.
+func TestSteadyStateAllocsPerPacket(t *testing.T) {
+	g := topology.Arpanet()
+	n := New(Config{
+		Graph:  g,
+		Matrix: traffic.Gravity(g, topology.ArpanetWeights(), 400_000),
+		Metric: node.DSPF,
+		Seed:   7,
+	})
+	const warm, span = 60 * sim.Second, 60 * sim.Second
+	n.Run(warm)
+	delivered := n.Conservation().Delivered
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n.Run(warm + span)
+	runtime.ReadMemStats(&after)
+	delivered = n.Conservation().Delivered - delivered
+	if delivered < 10000 {
+		t.Fatalf("only %d packets delivered; the measurement is vacuous", delivered)
+	}
+	if n.Report().UpdatesOriginated == 0 {
+		t.Fatal("no routing update originated; the flood path was not exercised")
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(delivered)
+	t.Logf("%d mallocs over %d delivered packets = %.5f/packet", after.Mallocs-before.Mallocs, delivered, perPkt)
+	const bound = 0.05
+	if perPkt > bound {
+		t.Errorf("%.4f heap allocations per delivered packet in steady state, want <= %g", perPkt, bound)
+	}
+	if err := n.Conservation().Err(); err != nil {
+		t.Fatal(err)
 	}
 }

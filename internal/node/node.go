@@ -75,7 +75,7 @@ func ClampedMeanPktBits() float64 { return clampedMeanPktBits }
 
 // Packet is one message or routing update moving through the network.
 type Packet struct {
-	Seq      uint64          // unique per network, for tracing
+	Seq      uint64          // set by internal/shard only, for its drop records
 	Src, Dst topology.NodeID // endpoints (user packets)
 	SizeBits float64
 	Created  sim.Time // when generated at the source

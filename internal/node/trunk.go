@@ -89,19 +89,24 @@ func (t *Trunk) Done(now sim.Time) *Packet {
 	return p
 }
 
-// Fail takes the trunk out of service. The transmission under way, if any,
-// is cancelled and its packet returned — the outage destroyed it, and the
-// caller books the loss. The caller must also drain Queue the same way:
-// nothing is enqueued on a down trunk, so the backlog stays empty until
-// Restore and no pre-outage Enqueued stamp can reach a later measurement.
-// The partial period measured so far is discarded.
-func (t *Trunk) Fail() *Packet {
+// Fail takes the trunk out of service. The outage destroys everything in
+// the trunk's custody, and drop books each loss: first the packet on the
+// transmitter, whose completion is cancelled, then the backlog head to
+// tail. Nothing is enqueued on a down trunk, so the backlog stays empty
+// until Restore and no pre-outage Enqueued stamp can reach a later
+// measurement. The partial period measured so far is discarded.
+func (t *Trunk) Fail(drop func(*Packet)) {
 	t.down = true
 	p := t.pkt
 	t.done.Cancel()
 	t.busy, t.pkt, t.done = false, nil, sim.Handle{}
 	t.Meas.Take()
-	return p
+	if p != nil {
+		drop(p)
+	}
+	for p := t.Queue.Pop(); p != nil; p = t.Queue.Pop() {
+		drop(p)
+	}
 }
 
 // Restore returns the trunk to service with its cost module reset — an

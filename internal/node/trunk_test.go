@@ -1,7 +1,7 @@
 package node
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -59,7 +59,7 @@ func TestTrunkAuditNamesEachViolation(t *testing.T) {
 			tr.Queue.Push(user(1)) // enqueued, transmitter never kicked
 		}},
 		{"down with 1 queued packets", func(tr *Trunk, k *sim.Kernel) {
-			tr.Fail()
+			tr.Fail(func(*Packet) {})
 			tr.Queue.Push(user(1))
 		}},
 	}
@@ -113,10 +113,14 @@ func TestTrunkFlap(t *testing.T) {
 	}
 	tr.Meas.Record(0.25) // a partial period the outage must discard
 
-	// Fail mid-transmission: the packet comes back, its completion is gone.
+	// Fail mid-transmission: drop gets the transmitter's packet first, then
+	// the backlog head to tail, and the completion is gone.
 	second, _, h := transmit(tr, k)
-	if got := tr.Fail(); got != second || got.Seq != 2 {
-		t.Fatalf("Fail returned %+v, want packet 2 off the transmitter", got)
+	tr.Queue.Push(user(4))
+	var dropped []uint64
+	tr.Fail(func(p *Packet) { dropped = append(dropped, p.Seq) })
+	if second.Seq != 2 || !slices.Equal(dropped, []uint64{2, 3, 4}) {
+		t.Fatalf("Fail dropped packets %v, want [2 3 4]: transmitter, then backlog in order", dropped)
 	}
 	if h.Pending() {
 		t.Error("Fail left the completion event pending")
@@ -131,10 +135,8 @@ func TestTrunkFlap(t *testing.T) {
 	if p, _ := tr.Next(); p != nil {
 		t.Error("Next started a transmission on a down trunk")
 	}
-	if err := tr.Audit(); err == nil || !strings.HasPrefix(err.Error(), "down with") {
-		t.Errorf("Audit = %v before the caller drained the backlog, want it named", err)
-	}
-	for tr.Queue.Pop() != nil {
+	if err := tr.Audit(); err != nil {
+		t.Errorf("Audit after Fail flushed the trunk: %v", err)
 	}
 
 	// Repair: back in service at the reset cost, with nothing measured, and
@@ -150,8 +152,8 @@ func TestTrunkFlap(t *testing.T) {
 	if err := tr.Audit(); err != nil {
 		t.Errorf("after the flap: %v", err)
 	}
-	tr.Queue.Push(user(4))
-	if p, _, _ := transmit(tr, k); p == nil || p.Seq != 4 {
+	tr.Queue.Push(user(5))
+	if p, _, _ := transmit(tr, k); p == nil || p.Seq != 5 {
 		t.Errorf("transmitter did not restart after the repair: Next = %+v", p)
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/node"
@@ -10,7 +11,7 @@ import (
 )
 
 // TestBatchDeterministicAcrossWorkerCounts: RunBatch must produce
-// byte-for-byte identical results for any worker count — each seed runs in
+// byte-for-byte identical results at any GOMAXPROCS — each seed runs in
 // its own Network and workers write disjoint slots, so parallelism cannot
 // leak into the physics.
 func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -23,7 +24,8 @@ func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc.UpAt(110*sim.Second, g.Node(0).Name, g.Node(1).Name)
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7}
 
-	sequential, err := RunBatch(cfg, sc, seeds, WithWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sequential, err := RunBatch(cfg, sc, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,8 @@ func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		parallel, err := RunBatch(cfg, sc, seeds, WithWorkers(workers))
+		runtime.GOMAXPROCS(workers)
+		parallel, err := RunBatch(cfg, sc, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +44,7 @@ func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(baseline) {
-			t.Errorf("WithWorkers(%d) diverged from the sequential batch", workers)
+			t.Errorf("GOMAXPROCS=%d diverged from the sequential batch", workers)
 		}
 	}
 

@@ -2,10 +2,8 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -24,13 +22,12 @@ const ConvergenceGrace = node.MaxUpdateInterval + node.MeasurementPeriod + 5*sim
 // Config describes how to build the network under test. It mirrors
 // network.Config; RunBatch varies only the seed between runs.
 type Config struct {
-	Graph      *topology.Graph
-	Matrix     *traffic.Matrix
-	Metric     node.MetricKind
-	Seed       int64
-	Warmup     sim.Time
-	QueueLimit int
-	Multipath  bool
+	Graph     *topology.Graph
+	Matrix    *traffic.Matrix
+	Metric    node.MetricKind
+	Seed      int64
+	Warmup    sim.Time
+	Multipath bool
 	// Background and BackgroundEpoch configure the hybrid fluid/packet
 	// engine (see network.Config). Scenarios containing BackgroundSurge or
 	// SwitchBackgroundMatrix events require a non-nil Background; schedule
@@ -94,7 +91,6 @@ func Run(cfg Config, sc *Scenario) (Result, error) {
 		Metric:          cfg.Metric,
 		Seed:            cfg.Seed,
 		Warmup:          cfg.Warmup,
-		QueueLimit:      cfg.QueueLimit,
 		Multipath:       cfg.Multipath,
 		Trace:           cfg.Trace,
 		Background:      cfg.Background,
@@ -279,62 +275,25 @@ func (r *runner) checkpoint(now sim.Time) {
 	}
 }
 
-// Option configures RunBatch.
-type Option func(*batchConfig)
-
-type batchConfig struct{ workers int }
-
-// WithWorkers bounds the batch's parallelism. The default is GOMAXPROCS;
-// results are identical for any worker count.
-func WithWorkers(n int) Option {
-	if n < 1 {
-		panic("scenario: WithWorkers needs at least one worker")
-	}
-	return func(c *batchConfig) { c.workers = n }
-}
-
 // RunBatch runs the scenario once per seed, each seed in its own
-// independent Network, fanned over a bounded worker pool. Workers claim
-// seeds off a shared counter and write disjoint result slots, so the
-// returned slice — indexed like seeds — is byte-for-byte identical for any
-// worker count. The first setup error (if any) is returned; invariant
-// violations live in the per-seed Results.
-func RunBatch(cfg Config, sc *Scenario, seeds []int64, opts ...Option) ([]Result, error) {
-	bc := batchConfig{workers: runtime.GOMAXPROCS(0)}
-	for _, o := range opts {
-		o(&bc)
-	}
+// independent Network, fanned over the cores. Workers write disjoint result
+// slots, so the returned slice — indexed like seeds — is byte-for-byte
+// identical at any GOMAXPROCS. The first setup error (if any) is returned;
+// invariant violations live in the per-seed Results.
+func RunBatch(cfg Config, sc *Scenario, seeds []int64) ([]Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	workers := bc.workers
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	results := make([]Result, len(seeds))
 	errs := make([]error, len(seeds))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(seeds) {
-					return
-				}
-				c := cfg
-				c.Seed = seeds[i]
-				c.Trace = nil // a shared ring across goroutines would race
-				results[i], errs[i] = Run(c, sc)
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Do(len(seeds), func(next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			c := cfg
+			c.Seed = seeds[i]
+			c.Trace = nil // a shared ring across goroutines would race
+			results[i], errs[i] = Run(c, sc)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

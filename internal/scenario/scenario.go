@@ -16,9 +16,8 @@
 // Scenarios come from the builder API (NewScenario().DownAt(...)...) or
 // from the line-oriented script format (Parse / ParseFile; see the grammar
 // in script.go). Run executes one seed; RunBatch fans a scenario over many
-// seeds on a bounded worker pool, each seed in its own independent
-// Network, with results that are byte-for-byte identical for any worker
-// count.
+// seeds (internal/fanout), each seed in its own independent Network, with
+// results that are byte-for-byte identical at any GOMAXPROCS.
 package scenario
 
 import (

@@ -88,35 +88,6 @@ func (n *lnode) adaptiveNextHop(dst topology.NodeID) topology.LinkID {
 	return lid
 }
 
-// measureAdaptive is one measurement period of the adaptive plane: take
-// every out-link's period average (down links discard theirs), feed the
-// cost modules, and originate a flood when any module reports a significant
-// change or the 50-second reliability refresh is due.
-func (sh *shardState) measureAdaptive(n *lnode, now sim.Time) {
-	sample := sh.s.cfg.MeasureSample
-	report := false
-	for _, ls := range n.out {
-		count := ls.Meas.Count()
-		avg := ls.Meas.Take()
-		if ls.Down() {
-			continue
-		}
-		cost, rep := ls.Module.Update(avg)
-		if rep {
-			report = true
-		}
-		if sample > 0 && int(n.id)%sample == 0 {
-			sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recMeasure,
-				link: ls.l.ID, count: count, avg: avg, cost: cost})
-			n.rseq++
-		}
-	}
-	if report || now-n.lastOrig >= node.MaxUpdateInterval {
-		sh.originate(n, now)
-	}
-	mustCallAt(sh.kernel, now+sh.s.cfg.MeasurePeriod, sh.measureCall, n)
-}
-
 // originate floods n's current link costs (DownCost for out-of-service
 // links) to the whole network and applies them locally. The links/costs
 // slices are allocated fresh per update because the Update retains them for

@@ -448,28 +448,33 @@ func (sh *shardState) drain(now sim.Time, arg any) {
 
 // --- measurement ----------------------------------------------------------
 
-// measure takes every out-link's period average, feeds the cost module, and
-// re-arms the node's tick. In adaptive mode the reported changes also drive
-// update origination — see adaptive.go.
+// measure is one measurement period at node n: take every out-link's period
+// average (a down link discards its — unobservable on the static plane, see
+// fault), feed the cost modules, re-arm the tick, and on the adaptive plane
+// originate a flood when any module reports a significant change or the
+// 50-second reliability refresh is due.
 func (sh *shardState) measure(now sim.Time, arg any) {
 	n := arg.(*lnode)
-	if sh.s.cfg.Adaptive {
-		sh.measureAdaptive(n, now)
-		return
-	}
 	sample := sh.s.cfg.MeasureSample
+	report := false
 	for _, ls := range n.out {
+		count := ls.Meas.Count()
+		avg := ls.Meas.Take()
 		if ls.Down() {
 			continue
 		}
-		count := ls.Meas.Count()
-		avg := ls.Meas.Take()
-		cost, _ := ls.Module.Update(avg)
+		cost, rep := ls.Module.Update(avg)
+		if rep {
+			report = true
+		}
 		if sample > 0 && int(n.id)%sample == 0 {
 			sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recMeasure,
 				link: ls.l.ID, count: count, avg: avg, cost: cost})
 			n.rseq++
 		}
+	}
+	if sh.s.cfg.Adaptive && (report || now-n.lastOrig >= node.MaxUpdateInterval) {
+		sh.originate(n, now)
 	}
 	mustCallAt(sh.kernel, now+sh.s.cfg.MeasurePeriod, sh.measureCall, n)
 }
@@ -486,8 +491,8 @@ type faultEv struct {
 // transmitter and the backlog are booked as outage drops (packets already
 // propagating are past the cut and survive). Fail also discards the partial
 // measurement period; on the static plane nothing can observe that — no
-// packet records on a down link, measure skips it, and Restore discards
-// again. In adaptive mode either transition also makes the endpoint
+// packet records on a down link, measure feeds no module from it, and
+// Restore discards again. In adaptive mode either transition also makes the endpoint
 // originate an update advertising the new state (DownCost or the module's
 // reset cost) — the other direction's own fault event does the same at the
 // far endpoint, which is internal/network's originate-from-both-ends in
@@ -509,12 +514,7 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 		}
 		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
 		n.rseq++
-		if p := ls.Fail(); p != nil {
-			sh.dropOutage(n, ls, p, now)
-		}
-		for p := ls.Queue.Pop(); p != nil; p = ls.Queue.Pop() {
-			sh.dropOutage(n, ls, p, now)
-		}
+		ls.Fail(func(p *node.Packet) { sh.dropOutage(n, ls, p, now) })
 	}
 	if sh.s.cfg.Adaptive {
 		sh.originate(n, now)

@@ -5,8 +5,8 @@ package shard
 // one table generation ("epoch") per distinct fault time. Every shard reads
 // the same precomputed tables, and each advances a private epoch cursor off
 // its own clock, so routing adds no cross-shard communication and no
-// nondeterminism. Adaptive (measurement-driven) routing across shards is a
-// documented follow-up — see DESIGN.md.
+// nondeterminism. Config.Adaptive replaces these tables with the
+// measurement-driven plane of adaptive.go.
 //
 // All arithmetic is integer: costs are ticks (microseconds) and the
 // priority-queue key packs (dist, node) into one int64, so relaxation order

@@ -26,9 +26,10 @@
 //     consumed by a drain event scheduled with sim.ScheduleTailCallAt, so
 //     the drain fires after every normal same-instant event at the node no
 //     matter which side of a shard boundary armed it;
-//  3. all randomness comes from per-node sim.Source streams, all floating
-//     point state is node- or link-local, and merged output is sorted by
-//     (time, node, per-node sequence).
+//  3. all randomness comes from per-node value-type streams (rng.go's
+//     splitmix64, three per node), all floating point state is node- or
+//     link-local, and merged output is sorted by (time, node, per-node
+//     sequence).
 //
 // Under those rules the event order observed by any single node — and
 // therefore its random draws, its float accumulations, and its trace

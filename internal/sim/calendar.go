@@ -436,17 +436,13 @@ func (k *Kernel) fireBatch(deadline Time) bool {
 		}
 		k.fired++
 		k.pending--
-		fn, cfn, arg := k.fn[s], k.cfn[s], k.arg[s]
+		cfn, arg := k.cfn[s], k.arg[s]
 		k.recycle(s)
 		k.decayTick--
 		if k.decayTick <= 0 {
 			k.decay()
 		}
-		if cfn != nil {
-			cfn(t, arg)
-		} else {
-			fn(t)
-		}
+		cfn(t, arg)
 		if k.halted {
 			return true
 		}

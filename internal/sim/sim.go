@@ -127,7 +127,7 @@ func (h Handle) Cancel() bool {
 		return false
 	}
 	k.loc[s] |= flagStop
-	k.fn[s], k.cfn[s], k.arg[s] = nil, nil, nil
+	k.cfn[s], k.arg[s] = nil, nil
 	k.pending--
 	if s == k.peeked {
 		k.peeked = -1
@@ -152,7 +152,6 @@ type Kernel struct {
 	// pointer-free, so queue maintenance never touches the write barrier.
 	at   []Time
 	eseq []uint64
-	fn   []Event
 	cfn  []Call
 	arg  []any
 	gen  []uint64
@@ -237,7 +236,6 @@ func (k *Kernel) alloc() int32 {
 	if s < 0 {
 		k.at = append(k.at, 0)
 		k.eseq = append(k.eseq, 0)
-		k.fn = append(k.fn, nil)
 		k.cfn = append(k.cfn, nil)
 		k.arg = append(k.arg, nil)
 		k.gen = append(k.gen, k.genFloor)
@@ -270,7 +268,7 @@ func (k *Kernel) allocFast() int32 {
 }
 
 // recycle retires a slot to the free-list, invalidating every Handle to
-// its current life. The payload fields are left in place — three barriered
+// its current life. The payload fields are left in place — two barriered
 // pointer stores per fired event would dominate the fire path — which is
 // safe because Cancel nils them eagerly (so a cancelled slot pins nothing
 // while it waits to be drained) and a fired slot's stale payload is
@@ -294,12 +292,12 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // assigned from a counter starting at zero and can never reach the bit.
 const tailSeq = uint64(1) << 63
 
-// scheduleSlot allocates and enqueues one event; exactly one of fn and cfn
-// is non-nil. Sequence numbers are assigned in call order — the FIFO
-// tie-break for same-instant events. A tail event takes the same sequence
-// number with the tail bit set, so tail events keep FIFO order among
-// themselves while sorting after every normal event at their instant.
-func (k *Kernel) scheduleSlot(at Time, fn Event, cfn Call, arg any, tail bool) Handle {
+// scheduleSlot allocates and enqueues one event. Sequence numbers are
+// assigned in call order — the FIFO tie-break for same-instant events. A
+// tail event takes the same sequence number with the tail bit set, so tail
+// events keep FIFO order among themselves while sorting after every normal
+// event at their instant.
+func (k *Kernel) scheduleSlot(at Time, cfn Call, arg any, tail bool) Handle {
 	s := k.allocFast()
 	k.at[s] = at
 	if tail {
@@ -308,11 +306,16 @@ func (k *Kernel) scheduleSlot(at Time, fn Event, cfn Call, arg any, tail bool) H
 		k.eseq[s] = k.seq
 	}
 	k.seq++
-	k.fn[s], k.cfn[s], k.arg[s] = fn, cfn, arg
+	k.cfn[s], k.arg[s] = cfn, arg
 	k.pending++
 	k.enqueue(s)
 	return Handle{k: k, slot: s, gen: k.gen[s]}
 }
+
+// callEvent is the one adapter behind Schedule and ScheduleAt: the Event
+// rides as the argument (a func value is pointer-shaped, so boxing it
+// allocates nothing) and the slot store keeps a single callback form.
+func callEvent(now Time, arg any) { arg.(Event)(now) }
 
 // ScheduleAt schedules fn to run at absolute time at. It returns a Handle
 // that can cancel the event, and an error if at precedes the current time.
@@ -321,7 +324,7 @@ func (k *Kernel) ScheduleAt(at Time, fn Event) (Handle, error) {
 		// Allocates: error construction on the rejected-schedule path, never in steady state
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
 	}
-	return k.scheduleSlot(at, fn, nil, nil, false), nil
+	return k.scheduleSlot(at, callEvent, fn, false), nil
 }
 
 // Schedule schedules fn to run after delay (which may be zero). A negative
@@ -330,7 +333,7 @@ func (k *Kernel) Schedule(delay Time, fn Event) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.scheduleSlot(k.now+delay, fn, nil, nil, false)
+	return k.scheduleSlot(k.now+delay, callEvent, fn, false)
 }
 
 // ScheduleCallAt schedules fn(at, arg) at absolute time at. fn is typically
@@ -342,7 +345,7 @@ func (k *Kernel) ScheduleCallAt(at Time, fn Call, arg any) (Handle, error) {
 		// Allocates: error construction on the rejected-schedule path, never in steady state
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
 	}
-	return k.scheduleSlot(at, nil, fn, arg, false), nil
+	return k.scheduleSlot(at, fn, arg, false), nil
 }
 
 // ScheduleCall schedules fn(now, arg) after delay (which may be zero). A
@@ -351,7 +354,7 @@ func (k *Kernel) ScheduleCall(delay Time, fn Call, arg any) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.scheduleSlot(k.now+delay, nil, fn, arg, false)
+	return k.scheduleSlot(k.now+delay, fn, arg, false)
 }
 
 // ScheduleTailCallAt schedules fn(at, arg) at absolute time at, ordered
@@ -373,7 +376,7 @@ func (k *Kernel) ScheduleTailCallAt(at Time, fn Call, arg any) (Handle, error) {
 		// Allocates: error construction on the rejected-schedule path, never in steady state
 		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
 	}
-	return k.scheduleSlot(at, nil, fn, arg, true), nil
+	return k.scheduleSlot(at, fn, arg, true), nil
 }
 
 // NextEventTime returns the timestamp of the earliest pending event, or ok
@@ -411,7 +414,7 @@ func (k *Kernel) EveryAt(first, period Time, fn Event) (*Ticker, error) {
 		return nil, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, first, k.now)
 	}
 	t := &Ticker{k: k, period: period, fn: fn}
-	t.handle = k.scheduleSlot(first, nil, tickerFire, t, false)
+	t.handle = k.scheduleSlot(first, tickerFire, t, false)
 	return t, nil
 }
 
@@ -465,7 +468,7 @@ func (k *Kernel) Step() bool {
 	k.now = k.at[s]
 	k.fired++
 	k.pending--
-	fn, cfn, arg := k.fn[s], k.cfn[s], k.arg[s]
+	cfn, arg := k.cfn[s], k.arg[s]
 	// Recycle before invoking: the callback may schedule new events into
 	// this slot, and outstanding Handles are severed by the generation
 	// bump exactly as they were by the stopped flag alone.
@@ -474,11 +477,7 @@ func (k *Kernel) Step() bool {
 	if k.decayTick <= 0 {
 		k.decay()
 	}
-	if cfn != nil {
-		cfn(k.now, arg)
-	} else {
-		fn(k.now)
-	}
+	cfn(k.now, arg)
 	return true
 }
 
@@ -578,7 +577,6 @@ func (k *Kernel) decaySlots() {
 		}
 		k.at = append(make([]Time, 0, cut), k.at[:cut]...)
 		k.eseq = append(make([]uint64, 0, cut), k.eseq[:cut]...)
-		k.fn = append(make([]Event, 0, cut), k.fn[:cut]...)
 		k.cfn = append(make([]Call, 0, cut), k.cfn[:cut]...)
 		k.arg = append(make([]any, 0, cut), k.arg[:cut]...)
 		k.gen = append(make([]uint64, 0, cut), k.gen[:cut]...)

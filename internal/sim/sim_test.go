@@ -408,7 +408,8 @@ func TestCancelReleasesPayload(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	h := k.Schedule(Second, func(Time) { _ = payload[0] })
 	hc := k.ScheduleCall(Second, func(Time, any) {}, &payload)
-	if h.Cancel(); k.fn[h.slot] != nil {
+	// The closure form rides in arg: the same array releases both forms.
+	if h.Cancel(); k.cfn[h.slot] != nil || k.arg[h.slot] != nil {
 		t.Error("Cancel left the closure (and its captures) referenced")
 	}
 	if hc.Cancel(); k.cfn[hc.slot] != nil || k.arg[hc.slot] != nil {
@@ -492,7 +493,8 @@ func TestStaleHandleCannotTouchRecycledEntry(t *testing.T) {
 // — closure-free or not — performs zero heap allocations.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	k := New()
-	fn := func(Time) {}
+	fired := 0
+	var fn Event = func(Time) { fired++ }
 	call := func(Time, any) {}
 	arg := new(int)
 	k.Schedule(Microsecond, fn)
@@ -502,6 +504,20 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		k.Step()
 	}); avg != 0 {
 		t.Errorf("Schedule+Step allocates %.1f objects/op in steady state, want 0", avg)
+	}
+	// A pre-built Event rides as the argument of the one callback form:
+	// boxing a func value must not allocate, and it must actually fire.
+	before := fired
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, err := k.ScheduleAt(k.Now()+Microsecond, fn); err != nil {
+			t.Fatal(err)
+		}
+		k.Step()
+	}); avg != 0 {
+		t.Errorf("ScheduleAt+Step allocates %.1f objects/op in steady state, want 0", avg)
+	}
+	if fired-before < 1000 {
+		t.Errorf("closure-form events fired %d times, want >= 1000", fired-before)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		k.ScheduleCall(Microsecond, call, arg)

@@ -27,8 +27,6 @@ type SimConfig struct {
 	Seed int64
 	// WarmupSeconds discards statistics collected before this time.
 	WarmupSeconds float64
-	// QueueLimit is the per-trunk output buffer in packets (default 40).
-	QueueLimit int
 	// Ablations disable individual HNM stabilization mechanisms (only
 	// meaningful with Metric == HNSPF); see the HNM* options.
 	Ablations []HNMOption
@@ -71,13 +69,12 @@ func NewSimulation(t *Topology, tr *Traffic, cfg SimConfig) *Simulation {
 		panic("arpanet: Traffic was built for a different Topology")
 	}
 	nc := network.Config{
-		Graph:      t.g,
-		Matrix:     tr.m,
-		Metric:     cfg.Metric.kind(),
-		Seed:       cfg.Seed,
-		QueueLimit: cfg.QueueLimit,
-		Warmup:     sim.FromSeconds(cfg.WarmupSeconds),
-		Multipath:  cfg.Multipath,
+		Graph:     t.g,
+		Matrix:    tr.m,
+		Metric:    cfg.Metric.kind(),
+		Seed:      cfg.Seed,
+		Warmup:    sim.FromSeconds(cfg.WarmupSeconds),
+		Multipath: cfg.Multipath,
 	}
 	if cfg.Background != nil {
 		if cfg.Background.t != t {
