@@ -67,6 +67,9 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	kinds, err := metricKinds(*metricName)
 	if err == nil {
+		err = nanFlag(flag.CommandLine)
+	}
+	if err == nil {
 		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *backgroundK, len(kinds))
 	}
 	if err != nil {
@@ -146,6 +149,17 @@ func metricKinds(name string) ([]node.MetricKind, error) {
 	default:
 		return nil, fmt.Errorf("unknown -metric %q (want hnspf, dspf, minhop, bf1969, or both)", name)
 	}
+}
+
+// nanFlag rejects a float flag set to NaN, which flag.Float64 parses
+// happily and sim.FromSeconds treats as a caller bug (it panics).
+func nanFlag(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && math.IsNaN(v) {
+			err = fmt.Errorf("-%s is not a number", f.Name)
+		}
+	})
+	return err
 }
 
 // checkFlags rejects a flag that the chosen mode never reads: setting one

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,6 +95,29 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("flags %q: rejected: %v", tc.args, err)
 		case tc.reject != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.reject+" has no effect")):
 			t.Errorf("flags %q: err = %v, want %s rejected", tc.args, err, tc.reject)
+		}
+	}
+}
+
+// flag.Float64 accepts "NaN"; the simulator's time conversion panics on it,
+// so the command line must refuse it by name first.
+func TestNaNFlagRejected(t *testing.T) {
+	for _, tc := range []struct{ args, reject string }{
+		{"-seconds 12 -rate 0.5", ""},
+		{"-seconds NaN", "-seconds"},
+		{"-seconds 12 -rate nan", "-rate"},
+		{"-seconds +Inf", ""}, // a run that never ends is the caller's to ask for
+	} {
+		fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
+		fs.Float64("seconds", 600, "")
+		fs.Float64("rate", 1, "")
+		fs.Int("seeds", 1, "")
+		if err := fs.Parse(strings.Fields(tc.args)); err != nil {
+			t.Fatal(err)
+		}
+		err := nanFlag(fs)
+		if (tc.reject == "") != (err == nil) || err != nil && !strings.HasPrefix(err.Error(), tc.reject+" ") {
+			t.Errorf("%q: err = %v, want %q rejected", tc.args, err, tc.reject)
 		}
 	}
 }

@@ -6,15 +6,14 @@ import (
 )
 
 // errCheckTargets are the function/method names whose error results carry
-// domain meaning and must never be dropped: a past-time ScheduleAt,
-// ScheduleCallAt or EveryAt means the caller's clock arithmetic is wrong
-// (the event or ticker silently never fires), and an unchecked Parse
-// admits malformed scenarios or topologies.
+// domain meaning and must never be dropped: a past-time ScheduleAt or
+// ScheduleCallAt means the caller's clock arithmetic is wrong (the event
+// silently never fires), and an unchecked Parse admits malformed scenarios
+// or topologies.
 var errCheckTargets = map[string]bool{
 	"ScheduleAt":         true,
 	"ScheduleCallAt":     true,
 	"ScheduleTailCallAt": true,
-	"EveryAt":            true,
 	"Parse":              true,
 }
 

@@ -15,8 +15,8 @@ import (
 //     statement — the event can never be cancelled. Fire-and-forget is
 //     legitimate but must be explicit: assign to a variable or to `_`.
 //     The handle may be one component of a multi-result call — the
-//     (Handle, error) shape of ScheduleAt/ScheduleCallAt and the
-//     (*Ticker, error) shape of EveryAt — not just the sole result.
+//     (Handle, error) shape of ScheduleAt/ScheduleCallAt — not just the
+//     sole result.
 //  2. h.Pending() reached after an unconditional h.Cancel() in the same
 //     statement sequence with no reassignment of h — it is always false.
 //
@@ -72,9 +72,9 @@ func isHandleType(t types.Type) (name string, ok bool) {
 
 // handleResult finds a sim.Handle/Ticker anywhere in a call's result
 // type: the single-result schedulers (Schedule, Every) type as the handle
-// itself, while the error-returning forms (ScheduleAt, ScheduleCallAt,
-// EveryAt) type as a tuple with the handle as one component — discarding
-// the statement drops the handle either way.
+// itself, while the error-returning forms (ScheduleAt, ScheduleCallAt)
+// type as a tuple with the handle as one component — discarding the
+// statement drops the handle either way.
 func handleResult(t types.Type) (string, bool) {
 	if tup, ok := t.(*types.Tuple); ok {
 		for i := 0; i < tup.Len(); i++ {

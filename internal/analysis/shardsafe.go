@@ -170,7 +170,7 @@ func scheduleTimeArg(call *ast.CallExpr) ast.Expr {
 		return nil
 	}
 	switch name {
-	case "ScheduleAt", "ScheduleCallAt", "EveryAt":
+	case "ScheduleAt", "ScheduleCallAt":
 		if len(call.Args) > 0 {
 			return call.Args[0]
 		}

@@ -14,15 +14,6 @@ func ScheduleAt(at int) (int, error) {
 	return at, nil
 }
 
-// EveryAt mimics the phase-offset ticker API shape: handle-like result
-// plus the past-anchor error.
-func EveryAt(first, period int) (int, error) {
-	if first < 0 {
-		return 0, errPast
-	}
-	return first + period, nil
-}
-
 // Parse mimics scenario/topology parsing.
 func Parse(s string) error {
 	if s == "" {
@@ -38,15 +29,6 @@ func dropBare() {
 func dropBlank() int {
 	h, _ := ScheduleAt(2) // want errcheck-lite "error from ScheduleAt assigned to _"
 	return h
-}
-
-func dropEveryAt() {
-	EveryAt(1, 2) // want errcheck-lite "error from EveryAt discarded"
-}
-
-func dropEveryAtBlank() int {
-	tk, _ := EveryAt(1, 2) // want errcheck-lite "error from EveryAt assigned to _"
-	return tk
 }
 
 func dropParse() {

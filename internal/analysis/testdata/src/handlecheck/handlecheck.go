@@ -24,10 +24,6 @@ func discardTupleHandle(k *sim.Kernel) {
 	k.ScheduleAt(5, func(sim.Time) {}) // want handlecheck "sim.Handle discarded" // want errcheck-lite "error from ScheduleAt discarded"
 }
 
-func discardTupleTicker(k *sim.Kernel) {
-	k.EveryAt(5, 7, func(sim.Time) {}) // want handlecheck "sim.Ticker discarded" // want errcheck-lite "error from EveryAt discarded"
-}
-
 // explicitTupleFireAndForget keeps the error but deliberately blanks the
 // handle — the accepted marker, same as the single-result form.
 func explicitTupleFireAndForget(k *sim.Kernel) error {

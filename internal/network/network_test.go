@@ -330,3 +330,36 @@ func TestSteadyStateAllocsPerPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKernelStatsSteadyLoad turns "the calendar finds its width once and a
+// steady load never retunes it again" into an assertion, on the Table 1
+// load. Measured (seed 7, 280 kb/s gravity matrix, 272,628 events): 1 retune
+// and 139 slots by t = 60 s; the bounds are twice that. The counters must
+// also account for every event at any instant.
+func TestKernelStatsSteadyLoad(t *testing.T) {
+	g := topology.Arpanet()
+	n := New(Config{
+		Graph:  g,
+		Matrix: traffic.Gravity(g, topology.ArpanetWeights(), 280_000),
+		Metric: node.DSPF,
+		Seed:   7,
+	})
+	k := n.Kernel()
+	var st sim.Stats
+	for at := 10 * sim.Second; at <= 60*sim.Second; at += 10 * sim.Second {
+		n.Run(at)
+		st = k.Stats()
+		if got := int(st.Scheduled - st.Fired - st.Cancelled); got != k.Pending() {
+			t.Fatalf("at %v: Scheduled-Fired-Cancelled = %d, Pending() = %d (%+v)", at, got, k.Pending(), st)
+		}
+	}
+	t.Logf("%+v", st)
+	if st.Fired < 200_000 {
+		t.Fatalf("only %d events in 60 s; the measurement is vacuous", st.Fired)
+	}
+	const maxRetunes, maxSlots = 2, 278
+	if st.Retunes > maxRetunes || st.Slots > maxSlots {
+		t.Errorf("%d retunes and %d slots after 60 s of steady load, want <= %d and <= %d",
+			st.Retunes, st.Slots, maxRetunes, maxSlots)
+	}
+}

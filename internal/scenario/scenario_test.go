@@ -3,6 +3,7 @@ package scenario
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/network"
 	"repro/internal/node"
@@ -195,5 +196,56 @@ func TestRunRejectsBadScenarios(t *testing.T) {
 				t.Errorf("error %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestVanishingSurgeFinishes runs a script Validate accepts whose surge
+// factor drives every source's mean gap past what sim.Time can hold. The
+// gap used to convert to MinInt64, clamp to a zero delay, and spin the run
+// in a source storm at t = 10 s forever; saturated, it means "never", and
+// each source offers at most the one arrival it had already scheduled
+// (ScaleTraffic is effective from each source's next arrival).
+func TestVanishingSurgeFinishes(t *testing.T) {
+	sc, err := Parse(strings.NewReader("duration 60\ncheck-every 20\nat 10 checkpoint\nat 10 surge 1e-30\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ringCfg(node.HNSPF, 3)
+	cfg.Warmup = 0 // count every offered packet
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1) // the runner never blocks on a test that gave up
+	go func() {
+		res, err := Run(cfg, sc)
+		done <- outcome{res, err}
+	}()
+	var res Result
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		res = o.res
+	case <-time.After(30 * time.Second): // the run takes milliseconds
+		t.Fatal("surge 1e-30 never finished: zero-delay source storm")
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %+v", res.Violations)
+	}
+	first, last := res.Checkpoints[0], res.Checkpoints[len(res.Checkpoints)-1]
+	if first.At != 10*sim.Second || last.At != 60*sim.Second {
+		t.Fatalf("checkpoints span %v..%v, want 10s..60s", first.At, last.At)
+	}
+	before, after := first.Conservation.Offered, last.Conservation.Offered-first.Conservation.Offered
+	if before == 0 {
+		t.Fatal("nothing offered before the surge")
+	}
+	if sources := int64(cfg.Graph.NumNodes()); after > sources {
+		t.Fatalf("%d packets offered after the surge by %d sources, want at most one each", after, sources)
+	}
+	if last.Conservation.InFlight != 0 {
+		t.Fatalf("%d packets in flight 50 s after the sources went quiet", last.Conservation.InFlight)
 	}
 }

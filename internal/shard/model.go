@@ -268,7 +268,7 @@ func (sh *shardState) source(now sim.Time, arg any) {
 	p.Counted = true
 	sh.led.Generated++
 	sh.handlePacket(n, p, now)
-	mustCallAt(sh.kernel, now+n.nextGap(), sh.sourceCall, n)
+	mustCallAt(sh.kernel, now.Add(n.nextGap()), sh.sourceCall, n)
 }
 
 // handlePacket delivers, drops, or forwards a packet at node n.

@@ -204,6 +204,18 @@ func TestRunResume(t *testing.T) {
 	}
 }
 
+// A vanishing packet rate means a mean gap longer than sim.Time can hold.
+// It must read as "never": the gap used to convert to MinInt64 and be
+// floored to one tick, so every node offered a packet per microsecond.
+func TestVanishingRateGeneratesNothing(t *testing.T) {
+	cfg := testConfig(testGraph(t), 2)
+	cfg.PktRate = 1e-30
+	s := run(t, cfg, sim.Millisecond)
+	if got := s.Generated(); got != 0 {
+		t.Errorf("generated %d packets in 1 ms at 1e-30 pkts/s/node, want 0", got)
+	}
+}
+
 // Saturate tiny queues so buffer drops appear, and check the books balance.
 func TestLedgerUnderCongestion(t *testing.T) {
 	g := topology.Hierarchical(2, 6, 5)

@@ -20,9 +20,10 @@ package sim
 // events is drained as one contiguous head run, already in FIFO order —
 // no per-event scan, no re-sort. A bucket is sorted exactly once, when the
 // scan reaches it, amortizing to O(1) per event for the steady workload's
-// short chains. Inserts into the sorted front walk from the last insert
-// position, so a monotone same-instant storm (each event scheduling the
-// next) appends in O(1).
+// short chains. An insert into the sorted front walks the chain from its
+// head, so n same-instant events scheduled into a live front cost O(n²)
+// compares; such inserts are under 0.03% of schedules on every benchmark
+// workload, and their chains a handful of events.
 //
 // Width tuning: the bucket width targets about one event per bucket at
 // the scan front, estimated from the observed fire rate — simulated time
@@ -126,28 +127,20 @@ func (k *Kernel) placeSlow(s int32, ab int64) {
 	k.frontInsert(int(ab&int64(len(k.bucket)-1)), s)
 }
 
-// frontInsert inserts a slot into the sorted front chain at bucket index
-// i. The walk starts at the previous insert position when the new key is
-// not smaller, so monotone insert patterns — a same-instant storm, a
-// retune re-filling the front in order — append without rescanning.
+// frontInsert inserts a slot into the sorted front chain at bucket index i.
 func (k *Kernel) frontInsert(i int, s int32) {
 	head := k.bucket[i]
 	if head < 0 || k.slotLess(s, head) {
 		k.next[s] = head
 		k.bucket[i] = s
-		k.lastIns = s
 		return
 	}
 	prev := head
-	if li := k.lastIns; li >= 0 && li != s && !k.slotLess(s, li) {
-		prev = li
-	}
 	for n := k.next[prev]; n >= 0 && k.slotLess(n, s); n = k.next[prev] {
 		prev = n
 	}
 	k.next[s] = k.next[prev]
 	k.next[prev] = s
-	k.lastIns = s
 }
 
 // enqueue places a freshly scheduled slot. The fast path — an in-window
@@ -167,21 +160,15 @@ func (k *Kernel) enqueue(s int32) {
 		k.calN++
 		k.next[s] = k.bucket[i]
 		k.bucket[i] = s
-	} else {
-		k.enqueueSlow(s, ab)
+		return
 	}
-	// A freshly scheduled event beats the memoized minimum only if it
-	// sorts before it; the overall minimum is one of the two.
-	if k.peeked >= 0 && k.slotLess(s, k.peeked) {
-		k.peeked, k.peekedOver = s, k.loc[s] == locOver
-	}
+	k.enqueueSlow(s, ab)
 }
 
 func (k *Kernel) enqueueSlow(s int32, ab int64) {
 	if k.calN == 0 && len(k.over) == 0 {
 		k.scanAbs = ab
 		k.sortedAbs = ab
-		k.lastIns = -1
 	}
 	k.place(s)
 	if k.calN > 2*len(k.bucket) && len(k.bucket) < maxBuckets {
@@ -248,7 +235,6 @@ func (k *Kernel) overPruneTop() {
 // Allocates: chain-sort scratch and comparator are amortized across fires (see the zero-alloc benchmark)
 func (k *Kernel) sortFront(i int) {
 	k.sortedAbs = k.scanAbs
-	k.lastIns = -1
 	c := k.scratch[:0]
 	for s := k.bucket[i]; s >= 0; {
 		nxt := k.next[s] // recycle reuses the link, so read it first
@@ -294,9 +280,6 @@ func (k *Kernel) sortFront(i int) {
 // no live events remain. The steady path — sorted non-empty front, live
 // head — is a handful of loads and compares.
 func (k *Kernel) peekNext() (int32, bool, bool) {
-	if s := k.peeked; s >= 0 {
-		return s, k.peekedOver, true
-	}
 	for {
 		k.overPruneTop()
 		if k.calN == 0 {
@@ -317,7 +300,6 @@ func (k *Kernel) peekNext() (int32, bool, bool) {
 				// Single-entry chain — the overwhelmingly common case at
 				// the tuned occupancy — is sorted by construction.
 				k.sortedAbs = k.scanAbs
-				k.lastIns = -1
 			} else if n := k.next[h]; k.next[n] < 0 &&
 				k.loc[h]&flagStop == 0 && k.loc[n]&flagStop == 0 {
 				// Two live entries: order them in place, skipping the
@@ -328,7 +310,6 @@ func (k *Kernel) peekNext() (int32, bool, bool) {
 					k.bucket[i] = n
 				}
 				k.sortedAbs = k.scanAbs
-				k.lastIns = -1
 			} else {
 				k.sortFront(i)
 				if k.bucket[i] < 0 {
@@ -340,9 +321,6 @@ func (k *Kernel) peekNext() (int32, bool, bool) {
 		for h >= 0 && k.loc[h]&flagStop != 0 {
 			k.bucket[i] = k.next[h]
 			k.calN--
-			if h == k.lastIns {
-				k.lastIns = -1
-			}
 			k.recycle(h)
 			h = k.bucket[i]
 		}
@@ -350,28 +328,22 @@ func (k *Kernel) peekNext() (int32, bool, bool) {
 			continue
 		}
 		if len(k.over) > 0 && k.slotLess(k.over[0], h) {
-			k.peeked, k.peekedOver = k.over[0], true
 			return k.over[0], true, true
 		}
-		k.peeked, k.peekedOver = h, false
 		return h, false, true
 	}
 }
 
 // take removes a slot just returned by peekNext from its container.
 func (k *Kernel) take(s int32, fromOver bool) {
-	k.peeked = -1
 	if fromOver {
 		// peekNext only ever surfaces the ladder's top.
 		k.overPop()
 		return
 	}
-	i := int(k.scanAbs & int64(len(k.bucket)-1))
-	k.bucket[i] = k.next[s]
+	// Otherwise s heads the sorted front chain.
+	k.bucket[k.scanAbs&int64(len(k.bucket)-1)] = k.next[s]
 	k.calN--
-	if s == k.lastIns {
-		k.lastIns = -1
-	}
 }
 
 // migrateOverflow re-anchors the empty calendar at the ladder's earliest
@@ -379,7 +351,6 @@ func (k *Kernel) take(s int32, fromOver bool) {
 func (k *Kernel) migrateOverflow() {
 	k.scanAbs = k.absBucket(k.at[k.over[0]])
 	k.sortedAbs = sortedInvalid
-	k.lastIns = -1
 	for len(k.over) > 0 {
 		s := k.over[0]
 		if k.loc[s]&flagStop != 0 {
@@ -397,63 +368,6 @@ func (k *Kernel) migrateOverflow() {
 	}
 }
 
-// fireBatch fires every live event at the next pending timestamp — the
-// same-instant batch — in eseq order, provided that timestamp is <=
-// deadline. It reports false, firing nothing, when the queue is empty or
-// the next event lies beyond the deadline. The batch needs no collection
-// pass: same-instant events are a contiguous run at the sorted front
-// (interleaved with matching ladder tops by sequence), so each is an O(1)
-// head pop, and events a callback schedules at the same instant carry
-// higher sequence numbers and join the tail of the run. When Stop() halts
-// the batch mid-run, the unfired remainder simply stays queued.
-func (k *Kernel) fireBatch(deadline Time) bool {
-	s, fromOver := k.peeked, k.peekedOver
-	if s < 0 {
-		var ok bool
-		s, fromOver, ok = k.peekNext()
-		if !ok {
-			return false
-		}
-	}
-	t := k.at[s]
-	if t > deadline {
-		return false
-	}
-	k.now = t
-	for {
-		// take, unrolled: the front take is two stores and a decrement,
-		// paid once per fired event.
-		k.peeked = -1
-		if fromOver {
-			k.overPop()
-		} else {
-			i := int(k.scanAbs & int64(len(k.bucket)-1))
-			k.bucket[i] = k.next[s]
-			k.calN--
-			if s == k.lastIns {
-				k.lastIns = -1
-			}
-		}
-		k.fired++
-		k.pending--
-		cfn, arg := k.cfn[s], k.arg[s]
-		k.recycle(s)
-		k.decayTick--
-		if k.decayTick <= 0 {
-			k.decay()
-		}
-		cfn(t, arg)
-		if k.halted {
-			return true
-		}
-		var ok bool
-		s, fromOver, ok = k.peekNext()
-		if !ok || k.at[s] != t {
-			return true
-		}
-	}
-}
-
 // retune rebuilds the calendar: bucket count and width re-derived from the
 // live population and the observed fire rate, window re-anchored at the
 // earliest event, cancelled slots pruned along the way. Called when the
@@ -461,6 +375,7 @@ func (k *Kernel) fireBatch(deadline Time) bool {
 // churns; never on the steady path.
 // Allocates: the retune rebuild may grow its reused scratch; it never runs on the steady path
 func (k *Kernel) retune() {
+	k.retunes++
 	live := k.scratch[:0]
 	for i := range k.bucket {
 		for s := k.bucket[i]; s >= 0; {
@@ -484,7 +399,6 @@ func (k *Kernel) retune() {
 	k.over = k.over[:0]
 	k.calN = 0
 	k.sortedAbs = sortedInvalid
-	k.lastIns = -1
 	defer func() { k.scratch = live[:0] }()
 
 	if len(live) == 0 {
@@ -521,12 +435,6 @@ func (k *Kernel) retune() {
 	for _, s := range live {
 		k.place(s)
 	}
-	// The rebuild leaves every bucket chain unsorted (sortedAbs is
-	// invalidated above), so a memoized minimum need no longer head its
-	// chain — and the head unlink in take/fireBatch, keyed on the memo,
-	// would orphan whatever a later insert pushed ahead of it. Drop the
-	// memo; the next peek re-scans and re-sorts the front.
-	k.peeked = -1
 }
 
 // tuneWidth derives the bucket width. The primary estimator is the

@@ -3,15 +3,17 @@ package sim
 // Calendar-queue pathological-schedule tests. The differential tests in
 // differential_test.go cover the adversarial random mix; the cases here
 // aim at the calendar's specific failure modes: timestamps at the Time
-// extremes (window anchoring and shift arithmetic near MaxInt64),
-// zero-delay self-rescheduling storms (sorted-front append and same-batch
-// growth), resize thrash between sparse and dense epochs (retune under a
-// live mixed population), scheduling below a stale window after a long
-// RunUntil gap, free-list decay after a burst, and the counter semantics
-// visible from inside a same-instant dispatch batch.
+// extremes (window anchoring, shift arithmetic and saturation near
+// MaxInt64), zero-delay self-rescheduling storms (sorted-front inserts at
+// the firing instant), resize thrash between sparse and dense epochs
+// (retune under a live mixed population), scheduling below a stale window
+// after a long RunUntil gap, a retune between two runs, and the counter and
+// Stop semantics visible from inside a run of same-instant events.
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -103,8 +105,8 @@ func TestTimeExtremes(t *testing.T) {
 		t.Fatalf("clock after drain = %v, want maxTime", m.k.Now())
 	}
 
-	// The same extremes must survive batched dispatch: both maxTime events
-	// fire (RunUntil's deadline comparison is inclusive at the extreme).
+	// The same extremes under Run: both maxTime events fire (the deadline
+	// comparison is inclusive at the extreme).
 	k := New()
 	var order []int
 	for i, at := range []Time{maxTime, 0, maxTime, 7 * Second} {
@@ -128,12 +130,109 @@ func TestTimeExtremes(t *testing.T) {
 	}
 }
 
+// TestTimeSaturation drives every place a duration becomes a timestamp to
+// the int64 boundary. "Never" — an infinite or absurdly long delay, which a
+// source with a vanishing packet rate draws — must stay never: before the
+// arithmetic saturated, FromSeconds(+Inf) was MinInt64 (clamped to a zero
+// delay) and now+MaxInt64 wrapped negative, so the event fired at once and
+// dragged the clock below zero.
+func TestTimeSaturation(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		s    float64
+		want Time
+	}{
+		{math.Inf(1), maxTime},
+		{math.Inf(-1), -maxTime},
+		{9.3e12, maxTime}, // just past MaxInt64 microseconds
+		{-9.3e12, -maxTime},
+		{1e300, maxTime},
+		{1 / 1e-30, maxTime}, // the mean gap of a 1e-30 pkt/s source
+		{9.2e12, 9_200_000_000_000 * Second},
+		{-9.2e12, -9_200_000_000_000 * Second},
+	} {
+		if got := FromSeconds(c.s); got != c.want {
+			t.Errorf("FromSeconds(%v) = %d, want %d", c.s, got, c.want)
+		}
+	}
+	func() {
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "FromSeconds(NaN)") {
+				t.Errorf("FromSeconds(NaN) panicked with %q, want the guard's name", r)
+			}
+		}()
+		FromSeconds(math.NaN())
+	}()
+
+	for _, c := range []struct{ t, d, want Time }{
+		{10 * Second, maxTime, maxTime},
+		{maxTime - 1, 1, maxTime},
+		{maxTime - 1, 0, maxTime - 1},
+		{maxTime - 1, 2, maxTime},
+		{maxTime, maxTime, maxTime},
+		{5, -3, 2},
+		{0, -5, -5},
+		{-maxTime, -1, -maxTime},
+		{-10 * Second, -maxTime, -maxTime},
+		{maxTime, -maxTime, 0},
+	} {
+		if got := c.t.Add(c.d); got != c.want {
+			t.Errorf("Time(%d).Add(%d) = %d, want %d", c.t, c.d, got, c.want)
+		}
+	}
+
+	// The relative schedule forms and the ticker, from a clock past zero.
+	k := New()
+	k.RunUntil(10 * Second)
+	var order []string
+	rec := func(name string) Event { return func(Time) { order = append(order, name) } }
+	k.Schedule(maxTime, rec("max"))                // saturates
+	k.Schedule(maxTime-1, rec("max-1"))            // saturates: now+delay is past the end
+	k.Schedule(maxTime-10*Second-1, rec("before")) // lands on maxTime-1 exactly
+	k.ScheduleCall(maxTime, func(Time, any) { order = append(order, "call") }, nil)
+	tk := k.Every(maxTime, rec("tick"))
+	k.Schedule(-maxTime, rec("neg")) // negative delays clamp to zero, as ever
+	k.Schedule(-1, rec("neg1"))
+	if at, ok := k.NextEventTime(); !ok || at != 10*Second {
+		t.Fatalf("NextEventTime() = %v, %v; want the clamped events at 10s", at, ok)
+	}
+	last := k.Now()
+	for _, until := range []Time{10 * Second, 11 * Second, 3600 * Second, maxTime - 2} {
+		k.RunUntil(until)
+		if k.Now() < last || k.Now() != until {
+			t.Fatalf("RunUntil(%v) left the clock at %v (was %v)", until, k.Now(), last)
+		}
+		last = k.Now()
+	}
+	if len(order) != 2 || order[0] != "neg" || order[1] != "neg1" {
+		t.Fatalf("fired %v before maxTime-2, want only the two clamped events", order)
+	}
+	if at, ok := k.NextEventTime(); !ok || at != maxTime-1 || k.Pending() != 5 {
+		t.Fatalf("NextEventTime() = %v, %v with %d pending; want maxTime-1 and 5", at, ok, k.Pending())
+	}
+	// Only a drain to the end of time reaches them, in (at, seq) order.
+	tk.Stop()
+	k.Run()
+	want := []string{"neg", "neg1", "before", "max", "max-1", "call"}
+	if len(order) != len(want) {
+		t.Fatalf("drain fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("drain fired %v, want %v", order, want)
+		}
+	}
+	if k.Now() != maxTime {
+		t.Fatalf("clock after drain = %v, want maxTime", k.Now())
+	}
+}
+
 // TestZeroDelayStorm drives a self-rescheduling zero-delay chain — each
 // firing schedules the next at the same instant — interleaved with
 // pre-queued same-instant events. The chain stresses the sorted front's
-// append path: every reschedule must join the tail of the current batch
-// (higher sequence number), never preempt queued same-time events, and
-// the clock must not advance.
+// insert path: every reschedule must go behind everything already queued
+// at the instant (higher sequence number), never preempt it, and the clock
+// must not advance.
 func TestZeroDelayStorm(t *testing.T) {
 	t.Parallel()
 	const depth = 5000
@@ -179,8 +278,8 @@ func TestZeroDelayStorm(t *testing.T) {
 		t.Fatalf("storm fired %d events, want %d", len(m.fired), depth+3)
 	}
 
-	// The same storm under Run: the whole chain is one same-instant batch,
-	// and FIFO-by-sequence means fire order is exactly schedule order.
+	// The same storm under Run: the whole chain fires at one instant, and
+	// FIFO-by-sequence means fire order is exactly schedule order.
 	k := New()
 	var order []int
 	n := 0
@@ -255,19 +354,19 @@ func TestResizeThrash(t *testing.T) {
 	}
 }
 
-// TestRetuneWithLiveMemo covers the one path where a retune can run while
-// peekNext's memoized minimum is live: events scheduled between runs, after
-// a RunUntil's final fireBatch has peeked (and memoized) the next event
-// without firing it. A burst large enough to trigger the grow-retune in
-// enqueueSlow rebuilds every bucket as an unsorted chain; a subsequent
+// TestRetuneBetweenRuns retunes the calendar between two runs, after a
+// RunUntil's final peek has found (and sorted the front around) the next
+// event without firing it. A burst large enough to trigger the grow-retune
+// in enqueueSlow rebuilds every bucket as an unsorted chain; a subsequent
 // same-instant tie chain-pushed into the minimum's bucket then sits ahead
-// of the memoized slot, where a head unlink keyed on the stale memo would
-// orphan it — silently losing the event and desyncing calN.
-func TestRetuneWithLiveMemo(t *testing.T) {
+// of the earlier-scheduled minimum. A kernel that remembered the minimum
+// slot across the rebuild unlinked the wrong chain head here — silently
+// losing the event and desyncing calN (the PR 6 hotfix).
+func TestRetuneBetweenRuns(t *testing.T) {
 	t.Parallel()
 	m := newMirror()
 	min := 10 * Millisecond
-	m.at(t, min) // parked beyond the deadline: RunUntil memoizes, never fires
+	m.at(t, min) // parked beyond the deadline: RunUntil peeks it, never fires
 	m.k.RunUntil(5 * Millisecond)
 	m.ref.now = 5 * Millisecond
 	if len(m.fired) != 0 {
@@ -275,12 +374,12 @@ func TestRetuneWithLiveMemo(t *testing.T) {
 	}
 
 	// Burst between runs: overfills the initial calendar and forces the
-	// grow-retune while the memo is live.
+	// grow-retune.
 	for i := 0; i < 300; i++ {
 		m.at(t, min+Millisecond+Time(i%64)*Microsecond)
 	}
-	// Same-instant tie in the memoized minimum's bucket: lands ahead of the
-	// memo in the rebuilt (unsorted) chain, but must fire after it (FIFO).
+	// Same-instant tie in the minimum's bucket: lands ahead of it in the
+	// rebuilt (unsorted) chain, but must fire after it (FIFO).
 	m.at(t, min)
 	m.drain(t)
 	if m.k.Now() != min+Millisecond+63*Microsecond {
@@ -315,56 +414,11 @@ func TestBelowWindowAfterGap(t *testing.T) {
 	}
 }
 
-// TestFreeListDecayAfterBurst proves the slot store is bounded by the
-// high-watermark decay: a burst ten-plus times the steady population must
-// be handed back once it subsides, and handles minted during the burst
-// must stay inert after their slots are truncated away.
-func TestFreeListDecayAfterBurst(t *testing.T) {
-	t.Parallel()
-	const burst = 20000
-	rng := rand.New(rand.NewSource(3))
-	k := New()
-	var handles []Handle
-	for i := 0; i < burst; i++ {
-		handles = append(handles, k.Schedule(Time(rng.Intn(1000))*Millisecond, func(Time) {}))
-	}
-	if got := k.slotCap(); got < burst {
-		t.Fatalf("slot store holds %d slots during a %d-event burst", got, burst)
-	}
-	k.Run()
-
-	// Steady phase: a single self-rescheduling event. A few decay periods
-	// later the store must have shrunk back near the floor.
-	n := 0
-	var tick Event
-	tick = func(Time) {
-		n++
-		if n < 5*decayPeriod {
-			k.Schedule(Millisecond, tick)
-		}
-	}
-	k.Schedule(Millisecond, tick)
-	k.Run()
-	if got := k.slotCap(); got > 2*minSlots {
-		t.Fatalf("slot store still holds %d slots after the burst subsided (floor %d)", got, minSlots)
-	}
-
-	// A burst-era handle whose slot was truncated away must read as dead
-	// and refuse to cancel whatever lives there now.
-	h := handles[burst-1]
-	if h.Pending() {
-		t.Fatal("truncated-slot handle reports Pending")
-	}
-	if h.Cancel() {
-		t.Fatal("truncated-slot handle Cancel() reported true")
-	}
-}
-
 // TestCounterSemanticsMidBatch pins the documented Fired/Pending counter
-// semantics as observed from inside a same-instant dispatch batch: Fired
+// semantics as observed from inside a run of same-instant events: Fired
 // includes the observing event itself, counted one at a time, and Pending
-// counts the unfired remainder of the batch alongside later events —
-// including a same-instant event the batch itself schedules.
+// counts the instant's unfired remainder alongside later events —
+// including a same-instant event one of them schedules.
 func TestCounterSemanticsMidBatch(t *testing.T) {
 	t.Parallel()
 	k := New()
@@ -384,7 +438,7 @@ func TestCounterSemanticsMidBatch(t *testing.T) {
 		}
 	}
 	mustAt(at, look)            // e1
-	mustAt(at, func(now Time) { // e2: schedules e5 into its own batch
+	mustAt(at, func(now Time) { // e2: schedules e5 at its own instant
 		look(now)
 		mustAt(now, look) // e5
 	})
@@ -392,11 +446,11 @@ func TestCounterSemanticsMidBatch(t *testing.T) {
 	mustAt(later, look) // e4
 	k.Run()
 
-	// Fire order: e1, e2, e3, e5 (batch tail), then e4.
+	// Fire order: e1, e2, e3, e5 (last of the instant), then e4.
 	want := []obs{
 		{1, 3}, // e1: itself fired; e2, e3, e4 pending
 		{2, 2}, // e2: e3, e4 pending (e5 scheduled after the look)
-		{3, 2}, // e3: e5 (same batch) and e4 pending
+		{3, 2}, // e3: e5 (same instant) and e4 pending
 		{4, 1}, // e5: e4 pending
 		{5, 0}, // e4
 	}
@@ -411,8 +465,8 @@ func TestCounterSemanticsMidBatch(t *testing.T) {
 	}
 }
 
-// TestStopMidBatch halts a run from the middle of a same-instant batch:
-// the unfired remainder must stay queued, the clock must hold at the
+// TestStopMidBatch halts a run between two events of one instant: the
+// unfired remainder must stay queued, the clock must hold at the
 // halted instant, and a resumed Run must continue exactly where the first
 // left off.
 func TestStopMidBatch(t *testing.T) {
@@ -449,46 +503,4 @@ func TestStopMidBatch(t *testing.T) {
 	if k.Now() != at || k.Pending() != 0 {
 		t.Fatalf("after resume: now=%v pending=%d, want %v and 0", k.Now(), k.Pending(), at)
 	}
-}
-
-// TestEveryAt covers the phase-offset ticker: the first firing lands at
-// the absolute anchor, subsequent firings at period intervals, Stop ends
-// the series, a past anchor errors, and a non-positive period panics.
-func TestEveryAt(t *testing.T) {
-	t.Parallel()
-	k := New()
-	var fires []Time
-	tk, err := k.EveryAt(2*Second+500*Millisecond, Second, func(now Time) {
-		fires = append(fires, now)
-	})
-	if err != nil {
-		t.Fatalf("EveryAt: %v", err)
-	}
-	k.RunUntil(5 * Second)
-	want := []Time{2*Second + 500*Millisecond, 3*Second + 500*Millisecond, 4*Second + 500*Millisecond}
-	if len(fires) != len(want) {
-		t.Fatalf("ticker fired %d times by 5s, want %d (%v)", len(fires), len(want), fires)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("ticker firings %v, want %v", fires, want)
-		}
-	}
-	tk.Stop()
-	k.RunUntil(20 * Second)
-	if len(fires) != len(want) {
-		t.Fatalf("ticker fired after Stop: %v", fires)
-	}
-
-	if _, err := k.EveryAt(Second, Second, func(Time) {}); err == nil {
-		t.Fatal("EveryAt with a past anchor did not error")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EveryAt with period 0 did not panic")
-			}
-		}()
-		_, _ = k.EveryAt(25*Second, 0, func(Time) {}) // panics before returning
-	}()
 }

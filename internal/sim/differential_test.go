@@ -194,9 +194,9 @@ func (k *refKernel) runUntil(deadline Time, fired *[]int) {
 // TestDifferentialBurstsBetweenRuns interleaves RunUntil segments with
 // schedule/cancel bursts issued while the kernel is idle — the regime the
 // step-driven differential tests never enter. Each RunUntil's final peek
-// memoizes the next event beyond the deadline, so a burst big enough to
-// force a grow-retune (or a below-window detour through the ladder)
-// mutates the calendar under a live memo; fire order must still match the
+// leaves the scan parked on the next event beyond the deadline, so a burst
+// big enough to force a grow-retune (or a below-window detour through the
+// ladder) rebuilds the calendar around it; fire order must still match the
 // reference heap exactly.
 func TestDifferentialBurstsBetweenRuns(t *testing.T) {
 	t.Parallel()
@@ -265,12 +265,12 @@ func TestDifferentialBurstsBetweenRuns(t *testing.T) {
 	}
 }
 
-// TestDifferentialStopMidBatchThenRetune halts a RunUntil from inside a
-// same-instant batch, re-arms the peek memo via NextEventTime, then forces
-// grow-retunes with a dense burst before resuming — the PR 6 hotfix class
-// (calendar rebuilt under a live memo) combined with the halted-batch
-// resume path. The eventual fire order must match the reference heap: a
-// lost or reordered remainder of the halted batch would diverge.
+// TestDifferentialStopMidBatchThenRetune halts a RunUntil between two
+// events of one instant, peeks with NextEventTime, then forces grow-retunes
+// with a dense burst before resuming — the PR 6 hotfix class (calendar
+// rebuilt after a peek) combined with the resume after a halt. The eventual
+// fire order must match the reference heap: a lost or reordered remainder
+// of the halted instant would diverge.
 func TestDifferentialStopMidBatchThenRetune(t *testing.T) {
 	t.Parallel()
 	for seed := int64(300); seed < 308; seed++ {
@@ -294,7 +294,7 @@ func TestDifferentialStopMidBatchThenRetune(t *testing.T) {
 		rec := func(id *int) Event { return func(Time) { fired = append(fired, *id) } }
 
 		for round := 0; round < 25; round++ {
-			// A same-instant batch with a Stop planted at a random depth.
+			// A run of same-instant events with a Stop planted at a random depth.
 			batchAt := k.Now() + Time(1+rng.Intn(2000))*Microsecond
 			n := 3 + rng.Intn(12)
 			stopAt := rng.Intn(n)
@@ -315,10 +315,10 @@ func TestDifferentialStopMidBatchThenRetune(t *testing.T) {
 				t.Fatalf("seed %d round %d: halted clock %v, want %v",
 					seed, round, k.Now(), batchAt)
 			}
-			// Memoize the earliest unfired event (possibly the batch
-			// remainder), then mutate the calendar under the live memo:
-			// a burst dense enough to force one or more grow-retunes,
-			// plus cancels of random pending events.
+			// Peek the earliest unfired event (possibly the instant's
+			// remainder), then rebuild the calendar under it: a burst
+			// dense enough to force one or more grow-retunes, plus
+			// cancels of random pending events.
 			k.NextEventTime()
 			for i, m := 0, 200+rng.Intn(400); i < m; i++ {
 				id := new(int)
@@ -358,24 +358,32 @@ func TestDifferentialStopMidBatchThenRetune(t *testing.T) {
 	}
 }
 
-// refMin returns the id of the reference's earliest live event, or -1 —
-// which identifies the kernel's memoized slot after a completed RunUntil.
-func (k *refKernel) refMin() int {
+// top prunes cancelled items off the heap and returns the earliest live
+// one, or nil.
+func (k *refKernel) top() *refItem {
 	for len(k.queue) > 0 && k.queue[0].stopped {
 		heap.Pop(&k.queue)
 	}
 	if len(k.queue) == 0 {
-		return -1
+		return nil
 	}
-	return k.queue[0].id
+	return k.queue[0]
 }
 
-// TestDifferentialCancelRescheduleAcrossGap targets the peek memo a
-// completed RunUntil leaves live: cancel exactly the memoized minimum in
-// the idle gap, reschedule replacements at the same instant, and run again.
-// A memo surviving the cancel (or missing the replacement) would fire a
-// dead slot or skip the new minimum; the reference heap has no memo to
-// corrupt.
+// refMin returns the id of the reference's earliest live event, or -1 —
+// the event a completed RunUntil's final peek stopped at.
+func (k *refKernel) refMin() int {
+	if it := k.top(); it != nil {
+		return it.id
+	}
+	return -1
+}
+
+// TestDifferentialCancelRescheduleAcrossGap targets the event a completed
+// RunUntil's final peek stopped at: cancel exactly that minimum in the idle
+// gap, reschedule replacements at the same instant, and run again. A kernel
+// that carried the peek across the gap would fire a dead slot or skip the
+// new minimum.
 func TestDifferentialCancelRescheduleAcrossGap(t *testing.T) {
 	t.Parallel()
 	for seed := int64(500); seed < 508; seed++ {
@@ -401,10 +409,10 @@ func TestDifferentialCancelRescheduleAcrossGap(t *testing.T) {
 				at(k.Now() + Time(rng.Intn(2500))*Microsecond)
 			}
 			deadline := k.Now() + Time(rng.Intn(2000))*Microsecond
-			k.RunUntil(deadline) // final peek leaves a live memo beyond deadline
+			k.RunUntil(deadline) // final peek stops at the minimum beyond deadline
 			ref.runUntil(deadline, &refFired)
 
-			// Cancel the memoized minimum itself, half the time twice.
+			// Cancel that minimum itself, half the time twice.
 			if min := ref.refMin(); min >= 0 {
 				handles[min].Cancel()
 				refHandles[min].stopped = true

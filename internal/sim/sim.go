@@ -25,10 +25,9 @@
 // fired or cancelled-and-drained, and the ScheduleCall variants take a
 // reusable callback plus an argument instead of a per-event closure.
 // Handles carry a generation tag so a stale Handle can never cancel the
-// event that later reuses its recycled slot. After a scheduling surge
-// subsides, a periodic decay pass shrinks the slot store back toward the
-// live high-watermark, so burst capacity is reclaimed rather than held for
-// the rest of the run.
+// event that later reuses its recycled slot. The store only grows: it
+// holds as many slots as the largest population the run ever had pending
+// (Stats.Slots), 53 bytes each.
 //
 // The kernel knows nothing about networks; internal/network builds the
 // ARPANET model on top of it.
@@ -51,7 +50,9 @@ const (
 )
 
 // maxTime is the latest representable instant; Run drains with it as the
-// deadline.
+// deadline. It doubles as "never": time arithmetic saturates here instead
+// of wrapping, and RunUntil with any earlier deadline leaves an event
+// parked at maxTime unfired.
 const maxTime = Time(math.MaxInt64)
 
 // Seconds converts t to floating-point seconds.
@@ -64,8 +65,33 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 // from zero to the nearest microsecond. (An earlier version added 0.5 and
 // truncated, which rounds toward zero for negative inputs: -1.4µs mapped to
 // -0 instead of -1. For non-negative inputs the two agree, so recorded
-// traces are unaffected.)
-func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
+// traces are unaffected.) Anything beyond the representable range,
+// infinities included, saturates at ±maxTime — the conversion would
+// otherwise yield MinInt64 and turn "never" into "immediately" — and NaN,
+// which only a caller's arithmetic bug can produce, panics by name.
+func FromSeconds(s float64) Time {
+	us := math.Round(s * float64(Second))
+	switch {
+	case us >= float64(maxTime):
+		return maxTime
+	case us <= -float64(maxTime):
+		return -maxTime
+	case us != us:
+		panic("sim: FromSeconds(NaN)")
+	}
+	return Time(us)
+}
+
+// Add returns t+d, saturating at ±maxTime instead of wrapping around.
+func (t Time) Add(d Time) Time {
+	switch {
+	case d > 0 && t > maxTime-d:
+		return maxTime
+	case d < 0 && t < -maxTime-d:
+		return -maxTime
+	}
+	return t + d
+}
 
 // String formats the time as seconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
@@ -78,15 +104,9 @@ type Event func(now Time)
 // a fresh closure per event bind one Call once and pass varying arguments.
 type Call func(now Time, arg any)
 
-// Slot-store tuning. The decay pass runs every decayPeriod fired events;
-// it rebuilds the free-list lowest-slot-first (so live events compact into
-// the low slots) and, when the store has grown past four times the recent
-// live high-watermark, truncates the all-free tail back to twice the
-// watermark. minSlots floors the store so small kernels never churn.
-const (
-	minSlots    = 64
-	decayPeriod = 4096
-)
+// tunePeriod is how many fired events pass between checks of the calendar's
+// width against the observed event rate (tuneCheck).
+const tunePeriod = 4096
 
 // Slot location/state byte: the low bits say which container holds the
 // slot, the top bit marks a cancelled (stopped) event awaiting lazy
@@ -107,10 +127,9 @@ type Handle struct {
 }
 
 // live reports whether the handle still refers to the scheduled event it
-// was created for (the slot may since have been recycled for another, or
-// truncated away by the decay pass).
+// was created for (the slot may since have been recycled for another).
 func (h Handle) live() bool {
-	return h.k != nil && int(h.slot) < len(h.k.gen) && h.k.gen[h.slot] == h.gen
+	return h.k != nil && h.k.gen[h.slot] == h.gen
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -129,9 +148,7 @@ func (h Handle) Cancel() bool {
 	k.loc[s] |= flagStop
 	k.cfn[s], k.arg[s] = nil, nil
 	k.pending--
-	if s == k.peeked {
-		k.peeked = -1
-	}
+	k.cancelled++
 	return true
 }
 
@@ -159,9 +176,6 @@ type Kernel struct {
 	next []int32
 
 	freeHead int32 // free-list head, -1 when empty
-	freeN    int   // slots on the free-list
-	liveHigh int   // high-watermark of live slots since the last decay
-	genFloor uint64
 
 	// Calendar queue + overflow ladder (calendar.go).
 	bucket    []int32 // chain heads, len is a power of two, -1 when empty
@@ -169,23 +183,18 @@ type Kernel struct {
 	shift     uint    // log2(width): time→bucket is a shift, not a divide
 	scanAbs   int64   // absolute bucket number of the scan position
 	sortedAbs int64   // scan position whose bucket chain is known-sorted
-	lastIns   int32   // last sorted-front insert position, -1 when unknown
 	calN      int     // slots linked into buckets (including cancelled)
 	over      []int32 // overflow ladder: binary heap ordered by (at, eseq)
 
-	// Memoized peekNext result: the known-earliest live slot, or -1. Kept
-	// current on enqueue (a new minimum replaces it) and invalidated by
-	// take and by Cancel of the memoized slot, so repeated peeks — one per
-	// fired event to close the same-instant batch — skip the scan.
-	peeked     int32
-	peekedOver bool
-
 	pending   int // scheduled events still able to fire
 	fired     uint64
-	decayTick int
+	cancelled uint64
+	retunes   uint64
+	overPops  uint64 // ladder pops, cumulative
+	tuneTick  int    // fires left until the next tuneCheck
 	tuneNow   Time   // clock at the last retune — fire-rate width sampling
 	tuneFired uint64 // fire count at the last retune
-	overPops  int    // ladder pops since the last decay — churn detector
+	tunePops  uint64 // overPops at the last tuneCheck — churn detector
 	running   bool
 	halted    bool
 
@@ -196,14 +205,12 @@ type Kernel struct {
 // New returns an empty kernel with the clock at time zero.
 func New() *Kernel {
 	k := &Kernel{
-		bucket:    make([]int32, minBuckets),
-		freeHead:  -1,
-		lastIns:   -1,
-		peeked:    -1,
-		decayTick: decayPeriod,
+		bucket:   make([]int32, minBuckets),
+		freeHead: -1,
+		tuneTick: tunePeriod,
 		// Pre-sized so a small kernel's first retune stays allocation-free.
-		scratch:   make([]int32, 0, minSlots),
-		atScratch: make([]Time, 0, minSlots),
+		scratch:   make([]int32, 0, minBuckets),
+		atScratch: make([]Time, 0, minBuckets),
 	}
 	k.setWidth(initialWidth)
 	for i := range k.bucket {
@@ -216,55 +223,55 @@ func New() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Fired returns the number of events executed so far. The count is
-// incremented as each event fires — an event observing Fired from its own
-// callback sees itself included, and same-instant events dispatched as one
-// batch are still counted one at a time.
+// incremented as each event fires, so an event observing Fired from its
+// own callback sees itself included.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Pending returns the number of events currently scheduled and still able
-// to fire. Cancelled events awaiting lazy removal are not counted. During
-// a same-instant dispatch batch the not-yet-fired remainder of the batch
-// still counts: a callback observes exactly the events that can still run,
-// whether they sit in a bucket, the overflow ladder, or later in its own
-// batch.
+// to fire. Cancelled events awaiting lazy removal are not counted.
 func (k *Kernel) Pending() int { return k.pending }
 
-// alloc takes a slot off the free-list, or extends the store on first use.
-// Allocates: slot-store growth to the live high-watermark is amortized; steady state reuses freed slots
-func (k *Kernel) alloc() int32 {
-	s := k.freeHead
-	if s < 0 {
-		k.at = append(k.at, 0)
-		k.eseq = append(k.eseq, 0)
-		k.cfn = append(k.cfn, nil)
-		k.arg = append(k.arg, nil)
-		k.gen = append(k.gen, k.genFloor)
-		k.loc = append(k.loc, locFree)
-		k.next = append(k.next, -1)
-		s = int32(len(k.at) - 1)
-	} else {
-		k.freeHead = k.next[s]
-		k.freeN--
-	}
-	if live := len(k.at) - k.freeN; live > k.liveHigh {
-		k.liveHigh = live
-	}
-	return s
+// Stats is a snapshot of the kernel's own counters. Everything in it is
+// simulation state — no wall-clock quantity — so it is as reproducible as
+// the run itself.
+type Stats struct {
+	Scheduled  uint64 // events ever scheduled; Scheduled-Fired-Cancelled == Pending()
+	Fired      uint64
+	Cancelled  uint64
+	Retunes    uint64 // calendar rebuilds, whatever the trigger
+	LadderPops uint64 // events (live or cancelled) that left through the overflow ladder
+	Slots      int    // slot-store size: the peak number of events ever queued at once
+	Buckets    int    // current calendar size
+	Width      Time   // current bucket width
 }
 
-// allocFast pops the free-list, deferring to the full alloc when the
-// store must grow or the live high-watermark needs a bump; small enough
-// to inline into the schedule path. An empty free-list implies the live
-// count equals len(at) >= liveHigh, so the watermark test alone also
-// routes the must-grow case to alloc.
-func (k *Kernel) allocFast() int32 {
-	if len(k.at)-k.freeN >= k.liveHigh {
-		return k.alloc()
+// Stats returns the current counters. It reads fields the kernel keeps
+// anyway; nothing is recorded on the schedule or fire path for it.
+func (k *Kernel) Stats() Stats {
+	return Stats{
+		Scheduled: k.seq, Fired: k.fired, Cancelled: k.cancelled,
+		Retunes: k.retunes, LadderPops: k.overPops,
+		Slots: len(k.at), Buckets: len(k.bucket), Width: k.width,
 	}
+}
+
+// alloc takes a slot off the free-list, or extends the store when every
+// slot is in use.
+// Allocates: slot-store growth to the peak pending population is amortized; steady state reuses freed slots
+func (k *Kernel) alloc() int32 {
 	s := k.freeHead
-	k.freeHead = k.next[s]
-	k.freeN--
-	return s
+	if s >= 0 {
+		k.freeHead = k.next[s]
+		return s
+	}
+	k.at = append(k.at, 0)
+	k.eseq = append(k.eseq, 0)
+	k.cfn = append(k.cfn, nil)
+	k.arg = append(k.arg, nil)
+	k.gen = append(k.gen, 0)
+	k.loc = append(k.loc, locFree)
+	k.next = append(k.next, -1)
+	return int32(len(k.at) - 1)
 }
 
 // recycle retires a slot to the free-list, invalidating every Handle to
@@ -272,14 +279,15 @@ func (k *Kernel) allocFast() int32 {
 // pointer stores per fired event would dominate the fire path — which is
 // safe because Cancel nils them eagerly (so a cancelled slot pins nothing
 // while it waits to be drained) and a fired slot's stale payload is
-// overwritten on reuse; with the store bounded near the live population,
-// a fired slot waits at most a few events for that.
+// overwritten on reuse. The free-list is LIFO, so in steady state that is
+// the next schedule; slots a burst left deep in the list keep pointing at
+// their last payload — in this tree a pooled packet or a node, link or
+// ticker that lives as long as the run — until the population grows back.
 func (k *Kernel) recycle(s int32) {
 	k.gen[s]++
 	k.loc[s] = locFree
 	k.next[s] = k.freeHead
 	k.freeHead = s
-	k.freeN++
 }
 
 // ErrPastEvent is returned by ScheduleAt when the requested time is before
@@ -298,7 +306,7 @@ const tailSeq = uint64(1) << 63
 // events keep FIFO order among themselves while sorting after every normal
 // event at their instant.
 func (k *Kernel) scheduleSlot(at Time, cfn Call, arg any, tail bool) Handle {
-	s := k.allocFast()
+	s := k.alloc()
 	k.at[s] = at
 	if tail {
 		k.eseq[s] = tailSeq | k.seq
@@ -328,12 +336,13 @@ func (k *Kernel) ScheduleAt(at Time, fn Event) (Handle, error) {
 }
 
 // Schedule schedules fn to run after delay (which may be zero). A negative
-// delay is treated as zero.
+// delay is treated as zero; a delay that would carry the clock past
+// maxTime schedules at maxTime.
 func (k *Kernel) Schedule(delay Time, fn Event) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.scheduleSlot(k.now+delay, callEvent, fn, false)
+	return k.scheduleSlot(k.now.Add(delay), callEvent, fn, false)
 }
 
 // ScheduleCallAt schedules fn(at, arg) at absolute time at. fn is typically
@@ -348,13 +357,13 @@ func (k *Kernel) ScheduleCallAt(at Time, fn Call, arg any) (Handle, error) {
 	return k.scheduleSlot(at, fn, arg, false), nil
 }
 
-// ScheduleCall schedules fn(now, arg) after delay (which may be zero). A
-// negative delay is treated as zero.
+// ScheduleCall schedules fn(now, arg) after delay (which may be zero),
+// clamped like Schedule's.
 func (k *Kernel) ScheduleCall(delay Time, fn Call, arg any) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.scheduleSlot(k.now+delay, fn, arg, false)
+	return k.scheduleSlot(k.now.Add(delay), fn, arg, false)
 }
 
 // ScheduleTailCallAt schedules fn(at, arg) at absolute time at, ordered
@@ -367,7 +376,7 @@ func (k *Kernel) ScheduleCall(delay Time, fn Call, arg any) Handle {
 // which, for a cross-shard arrival, depends on the shard count.
 //
 // A non-tail event scheduled at the current instant from within a tail
-// callback still fires (the batch continues at the queue minimum), but such
+// callback still fires (it is the queue minimum), but such
 // scheduling forfeits the after-everything guarantee for the remaining tail
 // events of the instant; model code keeps every non-drain delay >= 1 tick
 // precisely so the case never arises.
@@ -403,21 +412,6 @@ func (k *Kernel) Every(period Time, fn Event) *Ticker {
 	return t
 }
 
-// EveryAt schedules fn to fire first at absolute time first and every
-// period thereafter — a phase-offset ticker for staggered periodic work.
-// It returns an error if first precedes the current time.
-func (k *Kernel) EveryAt(first, period Time, fn Event) (*Ticker, error) {
-	if period <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	if first < k.now {
-		return nil, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, first, k.now)
-	}
-	t := &Ticker{k: k, period: period, fn: fn}
-	t.handle = k.scheduleSlot(first, tickerFire, t, false)
-	return t, nil
-}
-
 // Ticker repeatedly fires an event at a fixed period until stopped.
 type Ticker struct {
 	k       *Kernel
@@ -450,18 +444,17 @@ func (t *Ticker) Stop() {
 	t.handle.Cancel()
 }
 
-// Stop halts the run loop after the currently executing event returns.
-// When the event was part of a same-instant batch, the unfired remainder
-// of the batch stays queued, so a resumed run continues exactly where the
-// halted one left off.
+// Stop halts the run loop after the currently executing event returns;
+// everything not yet fired stays queued, so a resumed run continues
+// exactly where the halted one left off.
 func (k *Kernel) Stop() { k.halted = true }
 
-// Step executes the single next pending event. It reports false when the
-// queue is empty. Unlike Run/RunUntil it never batches: callers that
-// interleave their own bookkeeping between events see one event per call.
-func (k *Kernel) Step() bool {
+// fireNext executes the earliest pending event if its timestamp is <=
+// deadline, and reports whether it did. It is the only place an event
+// leaves the queue to run: Step, Run and RunUntil are loops over it.
+func (k *Kernel) fireNext(deadline Time) bool {
 	s, fromOver, ok := k.peekNext()
-	if !ok {
+	if !ok || k.at[s] > deadline {
 		return false
 	}
 	k.take(s, fromOver)
@@ -473,19 +466,23 @@ func (k *Kernel) Step() bool {
 	// this slot, and outstanding Handles are severed by the generation
 	// bump exactly as they were by the stopped flag alone.
 	k.recycle(s)
-	k.decayTick--
-	if k.decayTick <= 0 {
-		k.decay()
+	k.tuneTick--
+	if k.tuneTick <= 0 {
+		k.tuneCheck()
 	}
 	cfn(k.now, arg)
 	return true
 }
 
+// Step executes the single next pending event. It reports false when the
+// queue is empty.
+func (k *Kernel) Step() bool { return k.fireNext(maxTime) }
+
 // Run executes events until the queue is empty or Stop is called.
 func (k *Kernel) Run() {
 	k.runGuard()
 	defer func() { k.running = false }()
-	for !k.halted && k.fireBatch(maxTime) {
+	for !k.halted && k.fireNext(maxTime) {
 	}
 	k.halted = false
 }
@@ -498,7 +495,7 @@ func (k *Kernel) Run() {
 func (k *Kernel) RunUntil(deadline Time) {
 	k.runGuard()
 	defer func() { k.running = false }()
-	for !k.halted && k.fireBatch(deadline) {
+	for !k.halted && k.fireNext(deadline) {
 	}
 	halted := k.halted
 	k.halted = false
@@ -514,14 +511,12 @@ func (k *Kernel) runGuard() {
 	k.running = true
 }
 
-// decay is the periodic housekeeping pass: every decayPeriod fired events
-// it re-tunes an over-provisioned calendar (see calendar.go) and bounds
-// the slot store by high-watermark decay, so memory taken by a scheduling
-// surge is handed back once the surge subsides.
-func (k *Kernel) decay() {
-	k.decayTick = decayPeriod
-	pops := k.overPops
-	k.overPops = 0
+// tuneCheck runs every tunePeriod fired events and rebuilds the calendar
+// when it no longer fits the load (see calendar.go for the rebuild).
+func (k *Kernel) tuneCheck() {
+	k.tuneTick = tunePeriod
+	pops := k.overPops - k.tunePops
+	k.tunePops = k.overPops
 	if fires := k.fired - k.tuneFired; fires >= 512 {
 		// Width drift: the bucket width the calendar was tuned for no
 		// longer matches the observed event rate (events per unit of
@@ -536,64 +531,8 @@ func (k *Kernel) decay() {
 			expect = 1
 		}
 		if k.width > 8*expect || (expect <= maxWidth && expect > 8*k.width) ||
-			pops > decayPeriod/2 {
+			pops > tunePeriod/2 {
 			k.retune()
 		}
 	}
-	k.decaySlots()
-	k.liveHigh = len(k.at) - k.freeN
 }
-
-// decaySlots rebuilds the free-list lowest-slot-first — steady-state
-// allocation then prefers low slots, compacting the live population — and
-// truncates the store when it holds more than four times the recent live
-// high-watermark and the tail above twice the watermark is entirely free.
-// Allocates: the decay rebuild copies the slot store to shed capacity, amortized over the decay period
-func (k *Kernel) decaySlots() {
-	total := len(k.at)
-	target := 2 * k.liveHigh
-	if target < minSlots {
-		target = minSlots
-	}
-	cut := total
-	if total > 2*target {
-		cut = target
-		for s := total - 1; s >= target; s-- {
-			if k.loc[s] != locFree {
-				cut = s + 1
-				break
-			}
-		}
-	}
-	if cut < total {
-		// Drop slots [cut:) by copying into right-sized arrays (releasing
-		// the old backing memory to the collector). Future slots at the
-		// dropped indices start above every generation the dropped slots
-		// ever had, so a stale Handle can never match a reborn slot.
-		for s := cut; s < total; s++ {
-			if g := k.gen[s] + 1; g > k.genFloor {
-				k.genFloor = g
-			}
-		}
-		k.at = append(make([]Time, 0, cut), k.at[:cut]...)
-		k.eseq = append(make([]uint64, 0, cut), k.eseq[:cut]...)
-		k.cfn = append(make([]Call, 0, cut), k.cfn[:cut]...)
-		k.arg = append(make([]any, 0, cut), k.arg[:cut]...)
-		k.gen = append(make([]uint64, 0, cut), k.gen[:cut]...)
-		k.loc = append(make([]uint8, 0, cut), k.loc[:cut]...)
-		k.next = append(make([]int32, 0, cut), k.next[:cut]...)
-	}
-	k.freeHead = -1
-	k.freeN = 0
-	for s := len(k.at) - 1; s >= 0; s-- {
-		if k.loc[s] == locFree {
-			k.next[s] = k.freeHead
-			k.freeHead = int32(s)
-			k.freeN++
-		}
-	}
-}
-
-// slotCap reports the slot-store capacity; the free-list decay tests use
-// it to prove surge memory is handed back.
-func (k *Kernel) slotCap() int { return len(k.at) }

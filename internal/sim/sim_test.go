@@ -526,7 +526,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("ScheduleCall+Step allocates %.1f objects/op in steady state, want 0", avg)
 	}
 	// The absolute-time and tail variants, cancellation, the peek, and the
-	// batched run loop: every entry point a packet engine calls per event.
+	// run loop: every entry point a packet engine calls per event.
 	if avg := testing.AllocsPerRun(1000, func() {
 		h, err := k.ScheduleAt(k.Now()+2*Microsecond, fn)
 		if err != nil || !h.Pending() || !h.Cancel() {

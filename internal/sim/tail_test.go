@@ -185,7 +185,7 @@ func TestNextEventTime(t *testing.T) {
 	if at, ok := k.NextEventTime(); !ok || at != 5*Millisecond {
 		t.Fatalf("NextEventTime() after cancel = %v, %v; want 5ms, true", at, ok)
 	}
-	// A newly scheduled earlier event replaces the memoized minimum.
+	// A newly scheduled earlier event becomes the minimum.
 	k.Schedule(Millisecond, func(Time) {})
 	if at, ok := k.NextEventTime(); !ok || at != Millisecond {
 		t.Fatalf("NextEventTime() after earlier schedule = %v, %v; want 1ms, true", at, ok)
@@ -198,8 +198,8 @@ func TestNextEventTime(t *testing.T) {
 
 // TestNextEventTimeWindowHandshake exercises the shard runner's idle-time
 // protocol: RunUntil to a bounded window, read the next event time, inject
-// at-or-after it, repeat. The peek memo NextEventTime leaves behind must
-// never desynchronize the following RunUntil.
+// at-or-after it, repeat. The peek must never desynchronize the following
+// RunUntil.
 func TestNextEventTimeWindowHandshake(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	k := New()

@@ -25,4 +25,5 @@ go run ./cmd/checker -campaigns "$campaigns" -seed "$seed" -out repro-artifacts
 if [ "$fuzztime" != 0 ]; then
   go test -fuzz FuzzScenarioParse -fuzztime "$fuzztime" ./internal/scenario/
   go test -fuzz FuzzGraphBuild -fuzztime "$fuzztime" ./internal/topology/
+  go test -fuzz FuzzKernelOps -fuzztime "$fuzztime" ./internal/sim/
 fi
