@@ -5,14 +5,16 @@
 // one it arrived on; duplicates are recognized by (origin, sequence number)
 // and dropped.
 //
-// The package provides the update format, its wire-size accounting (routing
-// updates consume trunk bandwidth — one of the §3.3 costs of D-SPF), and
-// the per-node duplicate filter. Delivery timing lives in internal/network,
-// which moves updates over the simulated trunks at high priority.
+// The package provides the update format (immutable once made, so PSNs share
+// an accepted update by reference), its wire-size accounting (routing
+// updates consume trunk bandwidth — one of the §3.3 costs of D-SPF), and a
+// per-node duplicate filter. Delivery timing lives in the engines, which
+// move updates over the simulated trunks at high priority.
 package flooding
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/topology"
 )
@@ -35,14 +37,17 @@ type Update struct {
 	Costs  []float64
 }
 
-// NewUpdate builds an update after validating its shape.
+// NewUpdate builds an update after validating its shape and costs. It is the
+// one place an update is made, and an update is immutable afterwards (both
+// slices are retained, never written), so no PSN accepting it re-validates.
 func NewUpdate(origin topology.NodeID, seq uint64, links []topology.LinkID, costs []float64) *Update {
 	if len(links) != len(costs) {
 		panic("flooding: links/costs length mismatch")
 	}
-	for _, c := range costs {
-		if c <= 0 {
-			panic(fmt.Sprintf("flooding: non-positive cost %v in update", c))
+	for i, c := range costs {
+		if !(c > 0) || math.IsInf(c, 1) { // !(c > 0) is true for NaN
+			panic(fmt.Sprintf("flooding: update from node %d carries cost %v for link %d; costs must be positive and finite",
+				origin, c, links[i]))
 		}
 	}
 	return &Update{Origin: origin, Seq: seq, Links: links, Costs: costs}
@@ -56,7 +61,9 @@ func (u *Update) SizeBits() float64 {
 // Dedup is one PSN's duplicate filter: the highest sequence number accepted
 // from each origin. Sequence numbers are monotone per origin (the real
 // protocol's 6-bit wrap-around and its lost-update recovery are out of
-// scope; our 64-bit numbers never wrap in a simulation).
+// scope; our 64-bit numbers never wrap in a simulation). It serves the
+// multipath router, which keeps plain costs; a single-path router's database
+// is the updates it accepted, sequence numbers included.
 type Dedup struct {
 	seen []uint64
 	any  []bool

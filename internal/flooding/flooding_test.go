@@ -1,6 +1,9 @@
 package flooding
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +33,29 @@ func TestNewUpdatePanics(t *testing.T) {
 				}
 			}()
 			fn()
+		})
+	}
+}
+
+// A cost no router could use is refused where the update is made, by a
+// message that says whose update, which link and what value — not later,
+// from whichever of N routers meets it first. NaN is the case `c <= 0` let
+// through.
+func TestNewUpdateRejectsUnusableCostsByName(t *testing.T) {
+	for name, c := range map[string]float64{
+		"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1), "negative": -3,
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{"node 7", "link 12", fmt.Sprint(c)} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("recovered %q, want it to name %q", msg, want)
+					}
+				}
+			}()
+			NewUpdate(7, 1, []topology.LinkID{10, 12}, []float64{30, c})
+			t.Error("NewUpdate returned")
 		})
 	}
 }

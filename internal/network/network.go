@@ -140,7 +140,7 @@ type psn struct {
 	mrouter        *spf.MultipathRouter   // multipath (nil otherwise)
 	dv             *dvState               // 1969 distance vector (nil otherwise)
 	pathRand       *rand.Rand             // multipath next-hop selection
-	dedup          *flooding.Dedup
+	dedup          *flooding.Dedup        // beside mrouter only: the single-path router filters itself
 	seq            flooding.Sequencer
 	lastOriginated sim.Time
 
@@ -249,16 +249,16 @@ func New(cfg Config) *Network {
 	for i := range n.psns {
 		id := topology.NodeID(i)
 		p := &psn{
-			id:    id,
-			dedup: flooding.NewDedup(n.g.NumNodes()),
-			rand:  n.rnd.Stream(fmt.Sprintf("dst/%d", i)),
-			size:  n.rnd.Stream(fmt.Sprintf("size/%d", i)),
+			id:   id,
+			rand: n.rnd.Stream(fmt.Sprintf("dst/%d", i)),
+			size: n.rnd.Stream(fmt.Sprintf("size/%d", i)),
 		}
 		switch {
 		case cfg.Metric == node.BF1969:
 			// distance-vector state is installed by dvSetup below
 		case cfg.Multipath:
 			p.mrouter = spf.NewMultipathRouter(n.g, id, initial, n.multipathTol())
+			p.dedup = flooding.NewDedup(n.g.NumNodes())
 			p.pathRand = n.rnd.Stream(fmt.Sprintf("path/%d", i))
 		default:
 			p.router = routers.Router(i)
@@ -362,13 +362,18 @@ func (p *psn) nextHop(dst topology.NodeID) topology.LinkID {
 	}
 }
 
-// applyCosts installs flooded costs into whichever router the PSN runs.
-func (p *psn) applyCosts(links []topology.LinkID, costs []float64) {
-	if p.mrouter != nil {
-		p.mrouter.UpdateBatch(links, costs)
-		return
+// accept offers one update copy to whichever router the PSN runs and reports
+// whether it was new. The single-path router is its own duplicate filter;
+// the multipath router keeps plain costs and a flooding.Dedup beside them.
+func (p *psn) accept(u *flooding.Update) bool {
+	if p.mrouter == nil {
+		return p.router.Accept(u)
 	}
-	p.router.UpdateBatch(links, costs)
+	if !p.dedup.Accept(u.Origin, u.Seq) {
+		return false
+	}
+	p.mrouter.UpdateBatch(u.Links, u.Costs)
+	return true
 }
 
 // recomputes returns the PSN's route-computation count (0 in BF1969 mode,
@@ -604,10 +609,9 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 
 func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
 	u := pkt.Update
-	if !p.dedup.Accept(u.Origin, u.Seq) {
+	if !p.accept(u) {
 		return
 	}
-	p.applyCosts(u.Links, u.Costs)
 	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, pkt.Arrival)
 	for _, l := range p.fwd {
 		if n.links[l].Down() {
@@ -627,18 +631,16 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	if p.dv != nil {
 		return
 	}
+	// The update lists the graph's own out-link slice (read-only); the costs
+	// are fresh because the update, and every router accepting it, keeps them.
 	out := n.g.Out(p.id)
-	links := make([]topology.LinkID, 0, len(out))
-	costs := make([]float64, 0, len(out))
-	for _, l := range out {
-		links = append(links, l)
-		c := n.links[l].Advertised()
-		costs = append(costs, c)
-		n.links[l].lastFlooded = c
+	costs := make([]float64, len(out))
+	for i, l := range out {
+		costs[i] = n.links[l].Advertised()
+		n.links[l].lastFlooded = costs[i]
 	}
-	u := flooding.NewUpdate(p.id, p.seq.Next(), links, costs)
-	p.dedup.Accept(u.Origin, u.Seq)
-	p.applyCosts(u.Links, u.Costs)
+	u := flooding.NewUpdate(p.id, p.seq.Next(), out, costs)
+	p.accept(u)
 	p.lastOriginated = now
 	if n.warmed {
 		n.updatesOrig.Inc()

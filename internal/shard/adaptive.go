@@ -3,7 +3,8 @@ package shard
 // The adaptive routing plane: measurement → cost module → flooded update →
 // per-node incremental SPF. The pieces are the ones internal/network wires
 // up — node.Trunk for measurement and advertised cost, flooding for update
-// payloads, dedup and forward sets, spf.Table for the routers — driven here
+// payloads and forward sets, spf.Table for the routers, whose link-state
+// database is the set of updates each accepted — driven here
 // under the shard model's determinism rules; the measure/originate/forward
 // loops themselves stay per engine because their hooks differ (trace
 // sampling and the control custody ledger here; fluid superposition,
@@ -22,8 +23,10 @@ package shard
 //   - an update's payload (*flooding.Update) is immutable after NewUpdate,
 //     so sharing the pointer across the barrier is value semantics: the
 //     importing shard reads exactly the bytes any partitioning would read
-//     (the barrier's WaitGroup edges order the write before every read);
-//   - origination, dedup, applying costs and rerouting are all node-local
+//     (the barrier's WaitGroup edges order the write before every read),
+//     and a router that accepts it keeps the pointer as its database row,
+//     still only reading;
+//   - origination, accepting an update and rerouting are all node-local
 //     state transitions driven by the node's own event order;
 //   - forwarded copies are new packets enqueued on the forwarding node's own
 //     out-links, so the ≥1-tick transmission delay separates every
@@ -66,13 +69,26 @@ func (s *Sim) bootAdaptive() {
 		for i, n := range sh.nodes {
 			roots[i] = n.id
 		}
-		routers := spf.NewTable(s.g, roots, initial)
+		sh.routers = spf.NewTable(s.g, roots, initial)
 		for i, n := range sh.nodes {
-			n.router = routers.Router(i)
-			n.dedup = flooding.NewDedup(s.g.NumNodes())
+			n.router = sh.routers.Router(i)
 			n.nhScratch = make([]topology.LinkID, len(n.dests))
 		}
 	}
+}
+
+// RoutingStats sums the routing-plane counters of every shard's routers (zero
+// without Config.Adaptive). Every update copy consumed or originated was
+// offered to a router exactly once: Accepted + Duplicates == CtrlConsumed +
+// Originated. Call it between Run invocations; it enters no Report or trace.
+func (s *Sim) RoutingStats() spf.TableStats {
+	var st spf.TableStats
+	for _, sh := range s.shards {
+		if sh.routers != nil {
+			st = st.Plus(sh.routers.Stats())
+		}
+	}
+	return st
 }
 
 // adaptiveNextHop picks n's outgoing link toward dst from its own SPF tree.
@@ -89,19 +105,17 @@ func (n *lnode) adaptiveNextHop(dst topology.NodeID) topology.LinkID {
 }
 
 // originate floods n's current link costs (DownCost for out-of-service
-// links) to the whole network and applies them locally. The links/costs
-// slices are allocated fresh per update because the Update retains them for
-// its lifetime.
+// links) to the whole network and accepts them locally. The update lists the
+// graph's own out-link slice (read-only; n.out is in the same order); the
+// costs are fresh because the Update, and every router accepting it, keeps them.
 func (sh *shardState) originate(n *lnode, now sim.Time) {
-	links := make([]topology.LinkID, 0, len(n.out))
-	costs := make([]float64, 0, len(n.out))
-	for _, ls := range n.out {
-		links = append(links, ls.l.ID)
-		costs = append(costs, ls.Advertised())
+	links := sh.s.g.Out(n.id)
+	costs := make([]float64, len(n.out))
+	for i, ls := range n.out {
+		costs[i] = ls.Advertised()
 	}
 	u := flooding.NewUpdate(n.id, n.seq.Next(), links, costs)
-	n.dedup.Accept(u.Origin, u.Seq)
-	sh.applyUpdate(n, u, now)
+	sh.acceptUpdate(n, u, now)
 	n.lastOrig = now
 	sh.origs++
 	if sample := sh.s.cfg.MeasureSample; sample > 0 && int(n.id)%sample == 0 {
@@ -113,19 +127,19 @@ func (sh *shardState) originate(n *lnode, now sim.Time) {
 	sh.forwardUpdate(n, u, now, now)
 }
 
-// handleUpdate consumes one arriving update copy: dedup, apply, forward on
-// every link except the arrival's reverse. The carrying packet dies here;
-// forwarded copies are fresh packets sharing the immutable payload.
+// handleUpdate consumes one arriving update copy: accept it or drop it as a
+// duplicate, forward a new one on every link except the arrival's reverse.
+// The carrying packet dies here; forwarded copies are fresh packets sharing
+// the immutable payload.
 func (sh *shardState) handleUpdate(n *lnode, p *node.Packet, now sim.Time) {
 	u := p.Update
 	arrival := p.Arrival
 	created := p.Created
 	sh.led.CtrlConsumed++
 	sh.pool.Put(p)
-	if !n.dedup.Accept(u.Origin, u.Seq) {
+	if !sh.acceptUpdate(n, u, now) {
 		return
 	}
-	sh.applyUpdate(n, u, now)
 	n.fwd = flooding.AppendForwardLinks(n.fwd[:0], sh.s.g, n.id, arrival)
 	sh.forwardUpdate(n, u, created, now)
 }
@@ -156,22 +170,23 @@ func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now s
 	}
 }
 
-// applyUpdate installs the flooded costs into n's router. For trace-sampled
-// nodes it also diffs the next hops toward the node's own destination set
-// and records a reroute event when any changed — the observable that pins
-// "the reroute happened here, at this instant" into the golden trace.
-func (sh *shardState) applyUpdate(n *lnode, u *flooding.Update, now sim.Time) {
+// acceptUpdate offers u to n's router and reports whether it was new. For
+// trace-sampled nodes it also diffs the next hops toward the node's own
+// destination set around an accepted update and records a reroute event when
+// any changed — the observable that pins "the reroute happened here, at this
+// instant" into the golden trace.
+func (sh *shardState) acceptUpdate(n *lnode, u *flooding.Update, now sim.Time) bool {
 	sample := sh.s.cfg.MeasureSample
 	if sample == 0 || int(n.id)%sample != 0 {
-		n.router.UpdateBatch(u.Links, u.Costs)
-		return
+		return n.router.Accept(u)
 	}
-	tree := n.router.Tree()
+	tree := n.router.Tree() // repaired in place: snapshot before Accept
 	for i, d := range n.dests {
 		n.nhScratch[i] = tree.NextHop(d)
 	}
-	n.router.UpdateBatch(u.Links, u.Costs)
-	tree = n.router.Tree()
+	if !n.router.Accept(u) {
+		return false
+	}
 	changed := int64(0)
 	for i, d := range n.dests {
 		if tree.NextHop(d) != n.nhScratch[i] {
@@ -184,4 +199,5 @@ func (sh *shardState) applyUpdate(n *lnode, u *flooding.Update, now sim.Time) {
 			link: topology.NoLink, pkt: uint64(u.Origin)<<32 | (u.Seq & 0xffffffff), count: changed})
 		n.rseq++
 	}
+	return true
 }

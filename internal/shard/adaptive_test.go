@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/sim"
+	"repro/internal/spf"
 	"repro/internal/topology"
 )
 
@@ -187,31 +188,119 @@ func TestCtrlSeqExhaustionPanics(t *testing.T) {
 	t.Fatal("originate returned: cseq passed 2^32 unnoticed")
 }
 
-// What an adaptive Sim keeps per node after set-up: the router model of
-// §2.2 (8·L + 16·N bytes: cost database and tree), 9·N of flood dedup, and
-// the data plane (queues, links, sources, the per-epoch route skeleton).
-// Measured on hier:8x8 (64 nodes, 266 links, 2 shards): 13.2 KB/node, of
-// which 3.2 KB is the router model. One SPF Workspace left reachable per
-// router — the retention this test exists for — adds a second cost array,
-// an (L+1)-entry heap and a settled set, 5.9 KB/node here, and measures
-// 19.1 KB/node.
-func TestAdaptiveRetainedHeapPerNode(t *testing.T) {
-	const bound = 16 << 10 // bytes per node
-	g := topology.Hierarchical(8, 8, 7)
+// Packet.Seq of a user packet is node<<32 | pseq. The last counter value the
+// guard lets through must pack with the node field intact, and the one after
+// it must panic instead of carrying into that field.
+func TestUserSeqExhaustionPanics(t *testing.T) {
+	s, err := New(testConfig(testGraph(t), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.nodeAt[5]
+	n.pseq = math.MaxUint32 - 1
+	sent := func() *node.Packet {
+		for _, ls := range n.out {
+			if p := ls.Sending(); p != nil {
+				return p
+			}
+		}
+		return nil
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "user sequence") || !strings.Contains(msg, "node 5") {
+			t.Fatalf("packet past the limit: recovered %q, want the named user-sequence panic", msg)
+		}
+		if p := sent(); p == nil || p.Seq != 5<<32|(math.MaxUint32-1) {
+			t.Fatalf("last in-range packet: %+v, want Seq %#x", p, uint64(5<<32|(math.MaxUint32-1)))
+		}
+	}()
+	n.sh.source(sim.Millisecond, n)
+	if sent() == nil {
+		t.Fatal("the in-range packet is on no transmitter of its source")
+	}
+	n.sh.source(2*sim.Millisecond, n)
+	t.Fatal("source returned: pseq passed 2^32 unnoticed")
+}
+
+// Accept is the one place an update copy is ruled new or duplicate, so the
+// routers' own counters must add up to the custody ledger's: every copy a
+// node consumed and every update it originated was offered exactly once.
+// bench/ only estimates this by division (shard.ctrl_copies_per_update).
+func TestRoutingStatsMatchLedger(t *testing.T) {
+	g := testGraph(t)
+	bb := backboneTrunks(g)
+	for _, shards := range []int{1, 2} {
+		cfg := adaptiveConfig(g, shards)
+		cfg.Faults = []Fault{{Trunk: bb[0], At: 3 * sim.Second}, {Trunk: bb[0], At: 6 * sim.Second, Up: true}}
+		s := run(t, cfg, 8*sim.Second)
+		st, r := s.RoutingStats(), s.Report()
+		t.Logf("shards=%d: %+v; consumed %d, originated %d", shards, st, r.CtrlConsumed, r.Originated)
+		if r.Originated == 0 || st.Duplicates == 0 || st.Repairs == 0 {
+			t.Fatalf("shards=%d: nothing to compare: %+v, %+v", shards, st, r)
+		}
+		if st.Accepted+st.Duplicates != r.CtrlConsumed+r.Originated {
+			t.Errorf("shards=%d: accepted %d + duplicates %d != consumed %d + originated %d",
+				shards, st.Accepted, st.Duplicates, r.CtrlConsumed, r.Originated)
+		}
+	}
+	if st := run(t, testConfig(g, 2), sim.Second).RoutingStats(); st != (spf.TableStats{}) {
+		t.Errorf("static plane reports routing stats %+v", st)
+	}
+}
+
+// liveHeapAfter builds a Sim and returns it with the live heap it added.
+func liveHeapAfter(t *testing.T, cfg Config) (*Sim, float64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s, err := New(Config{Graph: g, Shards: 2, Seed: 7, PktRate: 1, Dests: 4, Adaptive: true, Metric: node.HNSPF})
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	return s, float64(after.HeapAlloc) - float64(before.HeapAlloc)
+}
+
+// What an adaptive Sim keeps per node after set-up: the router model of
+// §2.2 (24·N bytes: one database row per origin — a pointer to the update
+// last accepted from it, shared with every other PSN — and the tree) and the
+// data plane (queues, links, sources, the per-epoch route skeleton).
+// Measured on hier:8x8 (64 nodes, 266 links, 2 shards), the test run alone:
+// 11.0 KB/node, of which 1.5 KB is the router model and 8 KB the process-wide
+// HN-SPF delay tables (already built, and not counted, when an earlier test
+// made an HN-SPF module). A private cost per link per PSN — what the rows
+// replaced — adds 8·L = 2.1 KB/node and a dedup table 9·N = 0.6 KB
+// (13.2 KB/node); one SPF Workspace left reachable per router, the retention
+// this test was written for, 5.9 KB more.
+func TestAdaptiveRetainedHeapPerNode(t *testing.T) {
+	const bound = 12 << 10 // bytes per node
+	g := topology.Hierarchical(8, 8, 7)
+	s, live := liveHeapAfter(t, Config{Graph: g, Shards: 2, Seed: 7, PktRate: 1, Dests: 4, Adaptive: true, Metric: node.HNSPF})
 	runtime.KeepAlive(s)
 	n, l := g.NumNodes(), g.NumLinks()
-	perNode := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
-	t.Logf("%d nodes, %d links: %.0f B/node live after New; router model 8L+16N = %d B/node", n, l, perNode, 8*l+16*n)
+	perNode := live / float64(n)
+	t.Logf("%d nodes, %d links: %.0f B/node live after New; router model 24N = %d B/node", n, l, perNode, 24*n)
 	if perNode > bound {
 		t.Errorf("%.0f bytes of live heap per node after New, want <= %d", perNode, bound)
+	}
+}
+
+// The benchmark's hier1k_adaptive configuration, at the size the benchmark
+// runs it: the in-repo twin of go.heap_live_mb_after_setup, so a routing
+// table that grows back an L·N term fails here without the benchmark.
+// 26.7 MB with the database held by reference (24 MB of it n·24·N); 63.0 MB
+// with 8·L of copied costs and a dedup table per PSN.
+func TestHier1kAdaptiveLiveHeap(t *testing.T) {
+	const bound = 30 << 20
+	g := topology.Hierarchical(32, 32, 1987)
+	s, live := liveHeapAfter(t, Config{Graph: g, Shards: 2, Seed: 1987, PktRate: 2, Dests: 3, Adaptive: true, Metric: node.HNSPF})
+	runtime.KeepAlive(s)
+	n := g.NumNodes()
+	t.Logf("%d nodes, %d links: %.1f MB live after New, %.0f B/node; router model 24N = %d B/node",
+		n, g.NumLinks(), live/(1<<20), live/float64(n), 24*n)
+	if live > bound {
+		t.Errorf("%.1f MB of live heap after New, want <= %d MB", live/(1<<20), bound>>20)
 	}
 }

@@ -15,6 +15,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/flooding"
 	"repro/internal/node"
@@ -36,6 +37,8 @@ type shardState struct {
 	epoch  int    // routing table generation cursor (monotone in shard time)
 	outbox []wire // packets exported during the current window
 	origs  int64  // routing updates originated by this shard's nodes (adaptive)
+
+	routers *spf.Table // this shard's nodes' routers (adaptive), driven by its goroutine only
 
 	// Bound callbacks, allocated once so the hot path closures nothing.
 	sourceCall  sim.Call
@@ -77,7 +80,6 @@ type lnode struct {
 	// node-local state driven by the node's own event order, so it inherits
 	// the partition-independence argument unchanged.
 	router    *spf.IncrementalRouter
-	dedup     *flooding.Dedup
 	seq       flooding.Sequencer
 	lastOrig  sim.Time
 	cseq      uint64            // control copies enqueued (low word of ctrl Seq)
@@ -257,6 +259,9 @@ func (n *lnode) nextGap() sim.Time {
 // source generates one packet and re-arms itself.
 func (sh *shardState) source(now sim.Time, arg any) {
 	n := arg.(*lnode)
+	if n.pseq == math.MaxUint32 {
+		panic(fmt.Sprintf("shard: node %d used up its 32-bit user sequence numbers; one more would carry into the node field of Packet.Seq", n.id))
+	}
 	p := sh.pool.Get()
 	p.Seq = uint64(n.id)<<32 | n.pseq
 	n.pseq++

@@ -1,8 +1,11 @@
 package spf
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/flooding"
 	"repro/internal/topology"
 )
 
@@ -19,37 +22,47 @@ import (
 // tie-breaking among equal-cost paths may differ, which routing is
 // insensitive to.
 
-// Table is the routing state of the PSNs one goroutine drives: every
-// router's link-cost database and SPF tree — the 8·L + 16·N bytes per PSN
-// §2.2 asks for — cut from four slabs, plus the one repair scratch its
-// routers share. Every repair initializes what it reads of the scratch, so
-// sharing never shows in a result; it does mean a Table and its routers
-// belong to one goroutine.
+// Table is the routing state of the PSNs one goroutine drives. The only
+// writer of a PSN's link-cost database is a flooded update carrying all of
+// one origin's lines, so the database is held as what it is: per origin, the
+// update last accepted — by reference, shared with every PSN that accepted
+// the same one. With the SPF tree that is 8·N + 16·N bytes per PSN, cut from
+// four slabs; the table adds what its routers share. Every repair
+// initializes what it reads of the scratch, so sharing never shows in a
+// result; it does mean a Table and its routers belong to one goroutine. An
+// accepted update may be held by many tables and is never written.
 type Table struct {
 	g       *topology.Graph
 	routers []IncrementalRouter
+	boot    []float64 // by link: the cost every router started from
+	pos     []int32   // by link: its index in g.Out(link.From), i.e. in its origin's Update.Costs
 
 	// Repair scratch, reused across updates and routers so steady-state
-	// repairs allocate nothing.
-	pq    nodeHeap
-	inSet []bool
-	stack []topology.NodeID
+	// repairs allocate nothing. staging is the row Accept repairs against.
+	pq      nodeHeap
+	inSet   []bool
+	stack   []topology.NodeID
+	staging flooding.Update
 }
 
-// IncrementalRouter is one PSN's routing state: its view of every link's
-// cost (identical at every PSN once flooding converges) and the SPF tree
-// rooted at the PSN, repaired in place. It reports how many nodes each
-// update touched — the PSN-CPU proxy used by the routing-overhead
-// experiments.
+// IncrementalRouter is one PSN's routing state: its link-cost database
+// (identical at every PSN once flooding converges) and the SPF tree rooted
+// at the PSN, repaired in place. It reports how many nodes each update
+// touched — the PSN-CPU proxy used by the routing-overhead experiments.
 type IncrementalRouter struct {
-	tab   *Table
-	root  topology.NodeID
-	costs []float64 // this router's row of the table's cost slab
-	tree  Tree      // rows of the table's tree slabs
+	tab  *Table
+	root topology.NodeID
+	// rows[o] is origin o's row: nil while its links read their boot cost, a
+	// shared update installed by Accept, or own[o] once Update has written one.
+	rows []*flooding.Update
+	own  []*flooding.Update // router-private clones; nil until the first Update
+	tree Tree               // rows of the table's tree slabs
 
+	accepted    int64 // updates installed by Accept
+	duplicates  int64 // updates Accept refused as stale or repeated
 	full        int64 // from-scratch computations (the boot)
 	incremental int64 // in-place repairs
-	skipped     int64 // updates provably without effect
+	skipped     int64 // link changes provably without effect
 	touched     int64 // total nodes visited by repairs
 }
 
@@ -67,8 +80,18 @@ func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Tabl
 			panic("spf: link cost must be positive and finite")
 		}
 	}
-	t := &Table{g: g, routers: make([]IncrementalRouter, len(roots))}
-	costSlab := make([]float64, len(roots)*nl)
+	t := &Table{
+		g:       g,
+		routers: make([]IncrementalRouter, len(roots)),
+		boot:    append([]float64(nil), costs...),
+		pos:     make([]int32, nl),
+	}
+	for n := 0; n < nn; n++ {
+		for i, l := range g.Out(topology.NodeID(n)) {
+			t.pos[l] = int32(i)
+		}
+	}
+	rows := make([]*flooding.Update, len(roots)*nn)
 	dist := make([]float64, len(roots)*nn)
 	parent := make([]int32, len(roots)*nn)
 	nextHop := make([]int32, len(roots)*nn)
@@ -76,9 +99,8 @@ func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Tabl
 	for i, root := range roots {
 		r := &t.routers[i]
 		r.tab, r.root, r.full = t, root, 1
-		r.costs = costSlab[i*nl : (i+1)*nl : (i+1)*nl]
-		copy(r.costs, costs)
 		lo, hi := i*nn, (i+1)*nn
+		r.rows = rows[lo:hi:hi]
 		r.tree = Tree{root: root, dist: dist[lo:hi:hi], parent: parent[lo:hi:hi], nextHop: nextHop[lo:hi:hi]}
 		boot := ws.dijkstra(g, root, costs)
 		copy(r.tree.dist, boot.dist)
@@ -92,6 +114,29 @@ func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Tabl
 // for the life of the table.
 func (t *Table) Router(i int) *IncrementalRouter { return &t.routers[i] }
 
+// TableStats sums the counters of a table's routers: every update copy was
+// Accepted or a Duplicate; every link change an accepted update carried
+// Repaired the tree (visiting Touched nodes) or was Skipped as without effect.
+type TableStats struct {
+	Accepted, Duplicates, Repairs, Skipped, Touched int64
+}
+
+// Plus adds two tables' counters.
+func (s TableStats) Plus(o TableStats) TableStats {
+	return TableStats{s.Accepted + o.Accepted, s.Duplicates + o.Duplicates,
+		s.Repairs + o.Repairs, s.Skipped + o.Skipped, s.Touched + o.Touched}
+}
+
+// Stats returns the table's counters, on the owning goroutine.
+func (t *Table) Stats() TableStats {
+	var s TableStats
+	for i := range t.routers {
+		r := &t.routers[i]
+		s = s.Plus(TableStats{r.accepted, r.duplicates, r.incremental, r.skipped, r.touched})
+	}
+	return s
+}
+
 // NewIncrementalRouter creates an incremental router with explicit initial
 // costs (copied): a Table of one.
 func NewIncrementalRouter(g *topology.Graph, root topology.NodeID, costs []float64) *IncrementalRouter {
@@ -103,11 +148,21 @@ func validCost(c float64) bool {
 }
 
 // Tree returns the current SPF tree. It is mutated in place by updates;
-// callers must re-read after Update.
+// callers must re-read after Accept or Update.
 func (r *IncrementalRouter) Tree() *Tree { return &r.tree }
 
 // Cost returns the router's current belief about a link's cost.
-func (r *IncrementalRouter) Cost(l topology.LinkID) float64 { return r.costs[l] }
+func (r *IncrementalRouter) Cost(l topology.LinkID) float64 {
+	return r.cost(r.tab.g.Link(l).From, l)
+}
+
+// cost reads link l, which leaves node from, out of the database.
+func (r *IncrementalRouter) cost(from topology.NodeID, l topology.LinkID) float64 {
+	if row := r.rows[from]; row != nil {
+		return row.Costs[r.tab.pos[l]]
+	}
+	return r.tab.boot[l]
+}
 
 // Stats returns the repair counters: full recomputations, incremental
 // repairs, skipped updates, and total nodes touched by repairs.
@@ -122,28 +177,89 @@ func (r *IncrementalRouter) Recomputes() int64 { return r.full + r.incremental }
 // Skipped returns how many updates were absorbed without touching the tree.
 func (r *IncrementalRouter) Skipped() int64 { return r.skipped }
 
-// UpdateBatch applies several (link, cost) changes from one routing
-// update, repairing the tree after each.
-func (r *IncrementalRouter) UpdateBatch(links []topology.LinkID, costs []float64) {
-	if len(links) != len(costs) {
-		panic("spf: UpdateBatch length mismatch")
+// Accept is the PSN's whole reaction to one copy of a routing update. A
+// sequence number no newer than the one held for u's origin is a duplicate:
+// nothing changes and Accept reports false (the caller does not forward).
+// Otherwise u — the pointer; it is immutable and only ever read — becomes
+// the origin's row, the tree is repaired, and Accept reports true. u must
+// list exactly the origin's out-links in graph order, as both engines do.
+//
+// Tie-breaks among equal-cost paths depend on the order repairs see costs
+// change, so the repairs run against the staging row, which starts as the
+// old row and takes u's costs one link at a time — links before the one
+// under repair read new, links after it old, exactly as through per-link
+// Update — and u itself is published after the last repair.
+func (r *IncrementalRouter) Accept(u *flooding.Update) bool {
+	t := r.tab
+	old := r.rows[u.Origin]
+	if old != nil && u.Seq <= old.Seq {
+		r.duplicates++
+		return false
 	}
-	for i, l := range links {
-		r.Update(l, costs[i])
+	out := t.g.Out(u.Origin)
+	if !slices.Equal(u.Links, out) {
+		panic(fmt.Sprintf("spf: update %d from node %d lists links %v, want exactly its out-links %v in order",
+			u.Seq, u.Origin, u.Links, out))
 	}
+	stage := t.staging.Costs[:0]
+	for _, l := range out {
+		// Allocates: the staging row grows to the largest out-degree seen, then reuses
+		stage = append(stage, r.cost(u.Origin, l))
+	}
+	t.staging.Costs = stage
+	r.rows[u.Origin] = &t.staging
+	for i, l := range out {
+		r.set(l, &stage[i], u.Costs[i])
+	}
+	r.rows[u.Origin] = u
+	r.accepted++
+	return true
 }
 
-// Update applies one link-cost change, repairing the tree incrementally.
+// Update applies one link-cost change, repairing the tree incrementally —
+// the single-link form the SPF oracle and the micro-benchmark drive. A
+// shared row is never written: the first Update on a link of origin o clones
+// o's row, later ones write the clone in place and allocate nothing, and an
+// Accept for o replaces it like any other row.
 func (r *IncrementalRouter) Update(l topology.LinkID, newCost float64) {
 	if !validCost(newCost) {
 		panic("spf: link cost must be positive and finite")
 	}
-	old := r.costs[l]
+	row := r.private(r.tab.g.Link(l).From)
+	r.set(l, &row.Costs[r.tab.pos[l]], newCost)
+}
+
+// private returns origin o's row as one this router alone holds and may
+// write, cloning the current row (sequence number included) if it is not.
+func (r *IncrementalRouter) private(o topology.NodeID) *flooding.Update {
+	if r.own == nil {
+		r.own = make([]*flooding.Update, len(r.rows))
+	}
+	cur := r.rows[o]
+	if cur != nil && cur == r.own[o] {
+		return cur
+	}
+	out := r.tab.g.Out(o)
+	p := &flooding.Update{Origin: o, Links: out, Costs: make([]float64, len(out))}
+	for i, l := range out {
+		p.Costs[i] = r.cost(o, l)
+	}
+	if cur != nil {
+		p.Seq = cur.Seq
+	}
+	r.own[o], r.rows[o] = p, p
+	return p
+}
+
+// set writes one link's new cost into its slot of a writable row (staging or
+// private, already installed in r.rows) and repairs the tree for it.
+func (r *IncrementalRouter) set(l topology.LinkID, slot *float64, newCost float64) {
+	old := *slot
 	// lint:ignore floatexact change detection against the stored copy of this link's cost, not recomputed arithmetic
 	if newCost == old {
 		return
 	}
-	r.costs[l] = newCost
+	*slot = newCost
 	link := r.tab.g.Link(l)
 	if newCost < old {
 		r.repairDecrease(link, newCost)
@@ -186,7 +302,7 @@ func (r *IncrementalRouter) improve(n topology.NodeID, d float64, via topology.L
 // non-nil, only nodes with inSet true may be improved (used by the
 // increase repair, which must not touch the intact part of the tree).
 func (r *IncrementalRouter) relaxFrontier(pq *nodeHeap, inSet []bool) {
-	t, g := &r.tree, r.tab.g
+	t, g, boot := &r.tree, r.tab.g, r.tab.boot
 	for !pq.empty() {
 		// Lazy deletion: skip stale entries.
 		top, topDist := pq.pop()
@@ -194,12 +310,17 @@ func (r *IncrementalRouter) relaxFrontier(pq *nodeHeap, inSet []bool) {
 			continue
 		}
 		r.touched++
-		for _, lid := range g.Out(top) {
+		row := r.rows[top] // top's out-links, in g.Out order; nil = still at boot
+		for i, lid := range g.Out(top) {
 			to := g.Link(lid).To
 			if inSet != nil && !inSet[to] {
 				continue
 			}
-			if d := t.dist[top] + r.costs[lid]; d < t.dist[to] {
+			c := boot[lid]
+			if row != nil {
+				c = row.Costs[i]
+			}
+			if d := t.dist[top] + c; d < t.dist[to] {
 				r.improve(to, d, lid, pq)
 			}
 		}
@@ -267,7 +388,7 @@ func (r *IncrementalRouter) repairIncrease(link topology.Link) {
 			if inSet[from] || math.IsInf(t.dist[from], 1) {
 				continue
 			}
-			if d := t.dist[from] + r.costs[lid]; d < t.dist[node] {
+			if d := t.dist[from] + r.cost(from, lid); d < t.dist[node] {
 				r.improve(node, d, lid, pq)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/flooding"
 	"repro/internal/topology"
 )
 
@@ -218,25 +219,38 @@ func TestRouterDecreaseAttracts(t *testing.T) {
 	}
 }
 
+// A whole routing update — every link of one origin, two of them changing at
+// once — goes in through Accept.
 func TestRouterUpdateBatch(t *testing.T) {
 	g, ids := diamond()
 	a, d := g.MustLookup("A"), g.MustLookup("D")
 	r := NewIncrementalRouter(g, a, unitCosts(g))
-	r.UpdateBatch(
-		[]topology.LinkID{ids["ab"], ids["bd"]},
-		[]float64{10, 10},
-	)
-	if r.Tree().NextHop(d) != ids["ac"] {
-		t.Error("batch pricing the whole B path up must move the route to C")
+	costs := map[topology.LinkID]float64{ids["ab"]: 10, ids["ac"]: 5}
+	fromA := func(seq uint64) *flooding.Update {
+		return wholeUpdate(g, a, seq, func(l topology.LinkID) float64 { return costs[l] })
 	}
-	if r.Cost(ids["ab"]) != 10 || r.Cost(ids["bd"]) != 10 {
-		t.Error("batch must install every cost it carries")
+	if !r.Accept(fromA(1)) {
+		t.Fatal("first update from A refused")
 	}
-	// A batch of pure no-ops must neither repair nor count as skipped.
+	if r.Tree().NextHop(d) != ids["ac"] || r.Tree().Dist(d) != 6 {
+		t.Error("pricing both of A's links up must route via C at cost 6")
+	}
+	if r.Cost(ids["ab"]) != 10 || r.Cost(ids["ac"]) != 5 || r.Cost(ids["bd"]) != 1 {
+		t.Error("the update must install every cost it carries and no other")
+	}
+	// A newer update that changes nothing is accepted (and would be
+	// forwarded) but neither repairs nor counts as skipped.
 	before, skipped := r.Recomputes(), r.Skipped()
-	r.UpdateBatch([]topology.LinkID{ids["ab"]}, []float64{10})
+	if !r.Accept(fromA(2)) {
+		t.Error("a newer sequence number must be accepted even with equal costs")
+	}
 	if r.Recomputes() != before || r.Skipped() != skipped {
-		t.Error("no-op batch should not touch the router")
+		t.Error("no-op update should not touch the tree or the counters")
+	}
+	// The same or an older sequence number is a duplicate.
+	costs[ids["ab"]] = 1
+	if r.Accept(fromA(2)) || r.Accept(fromA(1)) || r.Cost(ids["ab"]) != 10 {
+		t.Error("duplicate and stale updates must be refused and leave the database alone")
 	}
 }
 
@@ -248,8 +262,8 @@ func TestRouterPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad initial":    func() { NewIncrementalRouter(g, 0, negative) },
 		"bad cost":       func() { r.Update(0, -1) },
-		"batch mismatch": func() { r.UpdateBatch([]topology.LinkID{0}, nil) },
-		"batch bad cost": func() { r.UpdateBatch([]topology.LinkID{0}, []float64{math.NaN()}) },
+		"batch mismatch": func() { r.Accept(flooding.NewUpdate(0, 1, []topology.LinkID{0}, []float64{1})) },
+		"batch bad cost": func() { r.Accept(flooding.NewUpdate(0, 1, g.Out(0), []float64{math.NaN(), 1})) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -303,9 +317,9 @@ func TestDijkstraProperty(t *testing.T) {
 	}
 }
 
-// Property: a router fed whole update batches (several links per routing
-// update, the shape flooding delivers) agrees with a from-scratch Dijkstra
-// over the same costs.
+// Property: a router fed whole routing updates (every link of one origin,
+// the shape flooding delivers) agrees with a from-scratch Dijkstra over the
+// same costs.
 func TestRouterMatchesScratchProperty(t *testing.T) {
 	f := func(seed int64, updates []uint16) bool {
 		g := topology.Random(8, 2.5, seed)
@@ -314,19 +328,14 @@ func TestRouterMatchesScratchProperty(t *testing.T) {
 			costs[i] = 3
 		}
 		r := NewIncrementalRouter(g, 0, costs)
-		for len(updates) > 0 {
-			k := 1 + int(updates[0])%4
-			if k > len(updates) {
-				k = len(updates)
+		for seq, u := range updates {
+			origin := topology.NodeID(int(u) % g.NumNodes())
+			for i, l := range g.Out(origin) {
+				costs[l] = 1 + float64((int(u)>>uint(i))%29)
 			}
-			links, cs := make([]topology.LinkID, k), make([]float64, k)
-			for i, u := range updates[:k] {
-				links[i] = topology.LinkID(int(u) % g.NumLinks())
-				cs[i] = 1 + float64(u%29)
-				costs[links[i]] = cs[i]
+			if !r.Accept(wholeUpdate(g, origin, uint64(seq+1), func(l topology.LinkID) float64 { return costs[l] })) {
+				return false
 			}
-			updates = updates[k:]
-			r.UpdateBatch(links, cs)
 		}
 		scratch := Compute(g, 0, func(l topology.LinkID) float64 { return costs[l] })
 		for d := 0; d < g.NumNodes(); d++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/flooding"
 	"repro/internal/topology"
 )
 
@@ -95,8 +96,10 @@ func TestComputeIntoValidatesAllCosts(t *testing.T) {
 
 // TestSteadyStateZeroAllocs pins the allocation-free contract of the SPF
 // hot paths at run time: a full Dijkstra through a warm Workspace, tree
-// lookups, and incremental repairs (Update and UpdateBatch, cost rises and
-// drops alike) once the router's scratch has grown to the topology's size.
+// lookups, and incremental repairs — whole updates through Accept and single
+// links through Update, cost rises and drops alike — once the table's
+// scratch has grown to the topology's size and Update has touched each
+// origin once.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	g := topology.Arpanet()
 	far := topology.NodeID(g.NumNodes() - 1)
@@ -116,27 +119,54 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		costs[i] = 30
 	}
 	r := NewIncrementalRouter(g, 0, costs)
+	repairs := func() int64 { _, n, _, _ := r.Stats(); return n }
+
 	// Every link takes both a rise and a drop per pass, so tree links hit
-	// repairIncrease and the rest repairDecrease or the skip path.
-	links := make([]topology.LinkID, g.NumLinks())
-	up, down := make([]float64, len(links)), make([]float64, len(links))
-	for i := range links {
-		links[i] = topology.LinkID(i)
-		up[i], down[i] = 90, 30
-	}
-	pass := func() {
-		r.UpdateBatch(links, up)
-		for i, l := range links {
-			r.Update(l, down[i])
+	// repairIncrease and the rest repairDecrease or the skip path. The
+	// updates of the Accept leg are made up front, as the engines' are made
+	// by the originating PSN, not by the one accepting.
+	const runs = 20
+	var updates []*flooding.Update
+	for pass := 0; pass < runs+2; pass++ { // one warm-up here, one inside AllocsPerRun
+		for _, level := range []float64{90, 30} {
+			for o := 0; o < g.NumNodes(); o++ {
+				updates = append(updates, wholeUpdate(g, topology.NodeID(o), uint64(len(updates)+1),
+					func(topology.LinkID) float64 { return level }))
+			}
 		}
 	}
-	pass() // grow the repair scratch to its high-watermark
-	_, before, _, _ := r.Stats()
-	if avg := testing.AllocsPerRun(20, pass); avg != 0 {
-		t.Errorf("incremental Update/UpdateBatch allocates %.1f objects/op in steady state, want 0", avg)
+	acceptPass := func() {
+		for _, u := range updates[:2*g.NumNodes()] {
+			if !r.Accept(u) {
+				t.Fatal("fresh update refused")
+			}
+		}
+		updates = updates[2*g.NumNodes():]
 	}
-	if _, after, _, _ := r.Stats(); after == before {
-		t.Fatal("no incremental repair ran; the measurement is vacuous")
+	acceptPass() // grow the repair scratch and the staging row to their high-watermark
+	before := repairs()
+	if avg := testing.AllocsPerRun(runs, acceptPass); avg != 0 {
+		t.Errorf("Accept allocates %.1f objects/op in steady state, want 0", avg)
+	}
+	if repairs() == before {
+		t.Fatal("no incremental repair ran under Accept; the measurement is vacuous")
+	}
+
+	updatePass := func() {
+		for l := 0; l < g.NumLinks(); l++ {
+			r.Update(topology.LinkID(l), 90)
+		}
+		for l := 0; l < g.NumLinks(); l++ {
+			r.Update(topology.LinkID(l), 30)
+		}
+	}
+	updatePass() // first touch: clones each origin's shared row into a private one
+	before = repairs()
+	if avg := testing.AllocsPerRun(runs, updatePass); avg != 0 {
+		t.Errorf("single-link Update allocates %.1f objects/op after the first touch per origin, want 0", avg)
+	}
+	if repairs() == before {
+		t.Fatal("no incremental repair ran under Update; the measurement is vacuous")
 	}
 	if sink == 0 {
 		t.Fatal("tree lookups returned nothing")
