@@ -414,12 +414,12 @@ func TestBelowWindowAfterGap(t *testing.T) {
 	}
 }
 
-// TestCounterSemanticsMidBatch pins the documented Fired/Pending counter
+// TestCounterSemanticsMidInstant pins the documented Fired/Pending counter
 // semantics as observed from inside a run of same-instant events: Fired
 // includes the observing event itself, counted one at a time, and Pending
 // counts the instant's unfired remainder alongside later events —
 // including a same-instant event one of them schedules.
-func TestCounterSemanticsMidBatch(t *testing.T) {
+func TestCounterSemanticsMidInstant(t *testing.T) {
 	t.Parallel()
 	k := New()
 	at := 5 * Millisecond
@@ -465,11 +465,11 @@ func TestCounterSemanticsMidBatch(t *testing.T) {
 	}
 }
 
-// TestStopMidBatch halts a run between two events of one instant: the
+// TestStopMidInstant halts a run between two events of one instant: the
 // unfired remainder must stay queued, the clock must hold at the
 // halted instant, and a resumed Run must continue exactly where the first
 // left off.
-func TestStopMidBatch(t *testing.T) {
+func TestStopMidInstant(t *testing.T) {
 	t.Parallel()
 	k := New()
 	at := 3 * Millisecond

@@ -265,13 +265,13 @@ func TestDifferentialBurstsBetweenRuns(t *testing.T) {
 	}
 }
 
-// TestDifferentialStopMidBatchThenRetune halts a RunUntil between two
+// TestDifferentialStopMidInstantThenRetune halts a RunUntil between two
 // events of one instant, peeks with NextEventTime, then forces grow-retunes
 // with a dense burst before resuming — the PR 6 hotfix class (calendar
 // rebuilt after a peek) combined with the resume after a halt. The eventual
 // fire order must match the reference heap: a lost or reordered remainder
 // of the halted instant would diverge.
-func TestDifferentialStopMidBatchThenRetune(t *testing.T) {
+func TestDifferentialStopMidInstantThenRetune(t *testing.T) {
 	t.Parallel()
 	for seed := int64(300); seed < 308; seed++ {
 		rng := rand.New(rand.NewSource(seed))

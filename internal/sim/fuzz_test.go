@@ -33,7 +33,7 @@ package sim
 // replays the hand-written regressions as op sequences — retune-between-runs
 // (TestRetuneBetweenRuns), bursts-between-runs
 // (TestDifferentialBurstsBetweenRuns), below-window-after-gap
-// (TestBelowWindowAfterGap), stop-mid-instant (TestStopMidBatch and its
+// (TestBelowWindowAfterGap), stop-mid-instant (TestStopMidInstant and its
 // retune differential) — plus one seed per remaining family: near-maxtime,
 // tickers-across-retune, children-and-tails, cancel-reschedule. -v prints
 // the decoded operations.

@@ -84,9 +84,9 @@ func TestTailOrdersAfterLaterSchedules(t *testing.T) {
 	}
 }
 
-// TestTailSchedulingMidBatch arms a tail from within the firing instant
+// TestTailSchedulingMidInstant arms a tail from within the firing instant
 // itself: normal events already queued at the instant still beat it.
-func TestTailSchedulingMidBatch(t *testing.T) {
+func TestTailSchedulingMidInstant(t *testing.T) {
 	k := New()
 	var order []string
 	tail := func(Time, any) { order = append(order, "tail") }

@@ -1,6 +1,7 @@
 package spf
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -175,6 +176,19 @@ func TestAcceptRejectsMisshapenUpdate(t *testing.T) {
 				costs[i] = 2
 			}
 			r.Accept(flooding.NewUpdate(0, 1, links, costs))
+			t.Error("Accept returned")
+		})
+	}
+	// An origin the graph does not have indexes nothing either.
+	for name, origin := range map[string]topology.NodeID{"origin past the graph": topology.NodeID(g.NumNodes()), "no origin": topology.NoNode} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				want := fmt.Sprintf("spf: update 7 from node %d: graph has %d nodes", origin, g.NumNodes())
+				if msg, _ := recover().(string); msg != want {
+					t.Errorf("recovered %q, want %q", msg, want)
+				}
+			}()
+			r.Accept(flooding.NewUpdate(origin, 7, nil, nil))
 			t.Error("Accept returned")
 		})
 	}

@@ -22,41 +22,49 @@ import (
 // tie-breaking among equal-cost paths may differ, which routing is
 // insensitive to.
 
-// Table is the routing state of the PSNs one goroutine drives. The only
-// writer of a PSN's link-cost database is a flooded update carrying all of
-// one origin's lines, so the database is held as what it is: per origin, the
-// update last accepted — by reference, shared with every PSN that accepted
-// the same one. With the SPF tree that is 8·N + 16·N bytes per PSN, cut from
-// four slabs; the table adds what its routers share. Every repair
-// initializes what it reads of the scratch, so sharing never shows in a
-// result; it does mean a Table and its routers belong to one goroutine. An
-// accepted update may be held by many tables and is never written.
+// Table is the routing state of the PSNs one goroutine drives, link-cost
+// database included. Its only writer is a flooded update carrying all of one
+// origin's lines, and it is "identical at every PSN once flooding converges"
+// (§2.2), so the table holds it once: per origin, the updates some router
+// still holds — one, outside a flood wave — each with the set of routers whose
+// row it is. A PSN keeps its tree, 16·N bytes, and a bit per version. Every
+// repair initializes what it reads of the scratch, so sharing never shows in a
+// result; it does mean a Table, database and routers, belongs to one goroutine.
 type Table struct {
 	g       *topology.Graph
 	routers []IncrementalRouter
-	boot    []float64 // by link: the cost every router started from
-	pos     []int32   // by link: its index in g.Out(link.From), i.e. in its origin's Update.Costs
+	boot    []float64   // by link: the cost every router started from
+	pos     []int32     // by link: its index in g.Out(link.From), i.e. in its origin's Update.Costs
+	db      [][]version // by origin: the versions held, newest first; none held = boot costs
+	sets    []uint64    // holder sets, words apiece: bit i of a version's set says routers[i] holds it
+	free    []int32     // sets no version uses, all zero
+	words   int
 
-	// Repair scratch, reused across updates and routers so steady-state
-	// repairs allocate nothing. staging is the row Accept repairs against.
-	pq      nodeHeap
-	inSet   []bool
-	stack   []topology.NodeID
-	staging flooding.Update
+	// Repair scratch, reused so steady-state repairs allocate nothing. While
+	// Accept repairs, staging is the row of origin repairing (else topology.NoNode).
+	pq        nodeHeap
+	inSet     []bool
+	stack     []topology.NodeID
+	staging   flooding.Update
+	repairing topology.NodeID
 }
 
-// IncrementalRouter is one PSN's routing state: its link-cost database
-// (identical at every PSN once flooding converges) and the SPF tree rooted
-// at the PSN, repaired in place. It reports how many nodes each update
-// touched — the PSN-CPU proxy used by the routing-overhead experiments.
+// version is one update of an origin and the routers whose row it is.
+type version struct {
+	u       *flooding.Update
+	set     int32 // its holder set, t.sets[set*words:][:words]
+	n       int32 // bits set there; the version is dropped at 0
+	private bool  // cloned by Update for its one holder, which may write it
+}
+
+// IncrementalRouter is one PSN's routing state: the SPF tree rooted at it,
+// repaired in place, and its bit in the table's database. It reports how many
+// nodes each update touched — the PSN-CPU proxy of the overhead experiments.
 type IncrementalRouter struct {
 	tab  *Table
 	root topology.NodeID
-	// rows[o] is origin o's row: nil while its links read their boot cost, a
-	// shared update installed by Accept, or own[o] once Update has written one.
-	rows []*flooding.Update
-	own  []*flooding.Update // router-private clones; nil until the first Update
-	tree Tree               // rows of the table's tree slabs
+	idx  int32 // position in tab.routers: its bit in every holder set
+	tree Tree  // rows of the table's tree slabs
 
 	accepted    int64 // updates installed by Accept
 	duplicates  int64 // updates Accept refused as stale or repeated
@@ -81,26 +89,32 @@ func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Tabl
 		}
 	}
 	t := &Table{
-		g:       g,
-		routers: make([]IncrementalRouter, len(roots)),
-		boot:    append([]float64(nil), costs...),
-		pos:     make([]int32, nl),
+		g:         g,
+		routers:   make([]IncrementalRouter, len(roots)),
+		boot:      append([]float64(nil), costs...),
+		pos:       make([]int32, nl),
+		db:        make([][]version, nn),
+		words:     (len(roots) + 63) / 64,
+		free:      make([]int32, 0, 2*nn),
+		repairing: topology.NoNode,
 	}
+	// Room for a flood wave everywhere at once (two holder sets an origin) and a third version: origins outrun their floods.
+	t.sets = make([]uint64, 0, 2*nn*t.words)
+	slots := make([]version, 3*nn)
 	for n := 0; n < nn; n++ {
+		t.db[n] = slots[3*n : 3*n : 3*n+3]
 		for i, l := range g.Out(topology.NodeID(n)) {
 			t.pos[l] = int32(i)
 		}
 	}
-	rows := make([]*flooding.Update, len(roots)*nn)
 	dist := make([]float64, len(roots)*nn)
 	parent := make([]int32, len(roots)*nn)
 	nextHop := make([]int32, len(roots)*nn)
 	var ws Workspace
 	for i, root := range roots {
 		r := &t.routers[i]
-		r.tab, r.root, r.full = t, root, 1
+		r.tab, r.root, r.idx, r.full = t, root, int32(i), 1
 		lo, hi := i*nn, (i+1)*nn
-		r.rows = rows[lo:hi:hi]
 		r.tree = Tree{root: root, dist: dist[lo:hi:hi], parent: parent[lo:hi:hi], nextHop: nextHop[lo:hi:hi]}
 		boot := ws.dijkstra(g, root, costs)
 		copy(r.tree.dist, boot.dist)
@@ -153,15 +167,75 @@ func (r *IncrementalRouter) Tree() *Tree { return &r.tree }
 
 // Cost returns the router's current belief about a link's cost.
 func (r *IncrementalRouter) Cost(l topology.LinkID) float64 {
-	return r.cost(r.tab.g.Link(l).From, l)
+	return r.cost(r.tab.origin(l), l)
+}
+
+// origin returns the node link l leaves; a link outside the graph panics by name.
+func (t *Table) origin(l topology.LinkID) topology.NodeID {
+	if uint(l) >= uint(len(t.pos)) {
+		panic(fmt.Sprintf("spf: link %d: graph has %d links", l, len(t.pos)))
+	}
+	return t.g.Link(l).From
 }
 
 // cost reads link l, which leaves node from, out of the database.
 func (r *IncrementalRouter) cost(from topology.NodeID, l topology.LinkID) float64 {
-	if row := r.rows[from]; row != nil {
+	if row := r.row(from); row != nil {
 		return row.Costs[r.tab.pos[l]]
 	}
 	return r.tab.boot[l]
+}
+
+// held returns the index in db[o] of the version this router holds, -1 for boot costs.
+func (r *IncrementalRouter) held(o topology.NodeID) int {
+	for i, vs := 0, r.tab.db[o]; i < len(vs); i++ {
+		if r.tab.sets[int(vs[i].set)*r.tab.words+int(r.idx>>6)]>>(r.idx&63)&1 != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// row returns origin o's row: the staging row while Accept repairs o, else the update held, nil for boot costs.
+func (r *IncrementalRouter) row(o topology.NodeID) *flooding.Update {
+	if o == r.tab.repairing {
+		return &r.tab.staging
+	}
+	if i := r.held(o); i >= 0 {
+		return r.tab.db[o][i].u
+	}
+	return nil
+}
+
+// hold makes u this router's row for u's origin. Its bit leaves version from (-1: boot costs), dropped with its
+// last holder, and joins u's version, made — newest first — if no router of the table holds u; hold returns its index.
+func (r *IncrementalRouter) hold(u *flooding.Update, from int, private bool) int {
+	t := r.tab
+	vs, w, bit := t.db[u.Origin], int(r.idx>>6), uint64(1)<<(r.idx&63)
+	if from >= 0 {
+		v := &vs[from]
+		t.sets[int(v.set)*t.words+w] &^= bit
+		if v.n--; v.n == 0 {
+			t.free = append(t.free, v.set)
+			vs = slices.Delete(vs, from, from+1)
+		}
+	}
+	to := slices.IndexFunc(vs, func(v version) bool { return v.u == u })
+	if to < 0 {
+		for to = 0; to < len(vs) && vs[to].u.Seq > u.Seq; to++ {
+		}
+		if len(t.free) == 0 {
+			t.free = append(t.free, int32(len(t.sets)/t.words))
+			t.sets = append(t.sets, make([]uint64, t.words)...)
+		}
+		n := len(t.free) - 1
+		vs = slices.Insert(vs, to, version{u: u, set: t.free[n], private: private})
+		t.free = t.free[:n]
+	}
+	t.sets[int(vs[to].set)*t.words+w] |= bit
+	vs[to].n++
+	t.db[u.Origin] = vs
+	return to
 }
 
 // Stats returns the repair counters: full recomputations, incremental
@@ -191,13 +265,17 @@ func (r *IncrementalRouter) Skipped() int64 { return r.skipped }
 // Update — and u itself is published after the last repair.
 func (r *IncrementalRouter) Accept(u *flooding.Update) bool {
 	t := r.tab
-	old := r.rows[u.Origin]
-	if old != nil && u.Seq <= old.Seq {
+	if uint(u.Origin) >= uint(len(t.db)) {
+		panic(fmt.Sprintf("spf: update %d from node %d: graph has %d nodes", u.Seq, u.Origin, len(t.db)))
+	}
+	held := r.held(u.Origin)
+	// Most copies repeat the version held: identity settles those before the dependent load of its Seq.
+	if old := t.db[u.Origin]; held >= 0 && (old[held].u == u || u.Seq <= old[held].u.Seq) {
 		r.duplicates++
 		return false
 	}
 	out := t.g.Out(u.Origin)
-	if !slices.Equal(u.Links, out) {
+	if own := len(u.Links) == len(out) && (len(out) == 0 || &u.Links[0] == &out[0]); !own && !slices.Equal(u.Links, out) {
 		panic(fmt.Sprintf("spf: update %d from node %d lists links %v, want exactly its out-links %v in order",
 			u.Seq, u.Origin, u.Links, out))
 	}
@@ -207,52 +285,44 @@ func (r *IncrementalRouter) Accept(u *flooding.Update) bool {
 		stage = append(stage, r.cost(u.Origin, l))
 	}
 	t.staging.Costs = stage
-	r.rows[u.Origin] = &t.staging
+	t.repairing = u.Origin
 	for i, l := range out {
 		r.set(l, &stage[i], u.Costs[i])
 	}
-	r.rows[u.Origin] = u
+	t.repairing = topology.NoNode
+	r.hold(u, held, false)
 	r.accepted++
 	return true
 }
 
 // Update applies one link-cost change, repairing the tree incrementally —
-// the single-link form the SPF oracle and the micro-benchmark drive. A
-// shared row is never written: the first Update on a link of origin o clones
-// o's row, later ones write the clone in place and allocate nothing, and an
-// Accept for o replaces it like any other row.
+// the single-link form the SPF oracle and the micro-benchmark drive. A shared
+// update is never written: the first Update on a link of origin o clones o's
+// row, sequence number included, into a private version this router alone
+// holds; later ones write it in place, and an Accept for o replaces it.
 func (r *IncrementalRouter) Update(l topology.LinkID, newCost float64) {
 	if !validCost(newCost) {
 		panic("spf: link cost must be positive and finite")
 	}
-	row := r.private(r.tab.g.Link(l).From)
-	r.set(l, &row.Costs[r.tab.pos[l]], newCost)
-}
-
-// private returns origin o's row as one this router alone holds and may
-// write, cloning the current row (sequence number included) if it is not.
-func (r *IncrementalRouter) private(o topology.NodeID) *flooding.Update {
-	if r.own == nil {
-		r.own = make([]*flooding.Update, len(r.rows))
+	t := r.tab
+	o := t.origin(l)
+	i := r.held(o)
+	if i < 0 || !t.db[o][i].private {
+		out := t.g.Out(o)
+		p := &flooding.Update{Origin: o, Links: out, Costs: make([]float64, len(out))}
+		for j, ol := range out {
+			p.Costs[j] = r.cost(o, ol)
+		}
+		if i >= 0 {
+			p.Seq = t.db[o][i].u.Seq
+		}
+		i = r.hold(p, i, true)
 	}
-	cur := r.rows[o]
-	if cur != nil && cur == r.own[o] {
-		return cur
-	}
-	out := r.tab.g.Out(o)
-	p := &flooding.Update{Origin: o, Links: out, Costs: make([]float64, len(out))}
-	for i, l := range out {
-		p.Costs[i] = r.cost(o, l)
-	}
-	if cur != nil {
-		p.Seq = cur.Seq
-	}
-	r.own[o], r.rows[o] = p, p
-	return p
+	r.set(l, &t.db[o][i].u.Costs[t.pos[l]], newCost)
 }
 
 // set writes one link's new cost into its slot of a writable row (staging or
-// private, already installed in r.rows) and repairs the tree for it.
+// private, already the one row reads) and repairs the tree for it.
 func (r *IncrementalRouter) set(l topology.LinkID, slot *float64, newCost float64) {
 	old := *slot
 	// lint:ignore floatexact change detection against the stored copy of this link's cost, not recomputed arithmetic
@@ -310,7 +380,7 @@ func (r *IncrementalRouter) relaxFrontier(pq *nodeHeap, inSet []bool) {
 			continue
 		}
 		r.touched++
-		row := r.rows[top] // top's out-links, in g.Out order; nil = still at boot
+		row := r.row(top) // top's out-links, in g.Out order; nil = still at boot
 		for i, lid := range g.Out(top) {
 			to := g.Link(lid).To
 			if inSet != nil && !inSet[to] {

@@ -9,9 +9,9 @@
 // necessitated by a link cost change, e.g., if a routing update reports an
 // increase in the cost for a link not in the tree, the algorithm does not
 // recompute any part of the tree." A Table holds the routers one goroutine
-// drives in 24·N bytes per PSN: the SPF tree and, as the link-cost database
-// §2.2 asks for, one pointer per origin to the flooded update last accepted
-// from it — shared with every other PSN, never copied.
+// drives in 16·N bytes per PSN, the SPF tree, and once for all of them the
+// link-cost database §2.2 asks for: per origin the flooded updates still
+// held — by reference, never copied — and a bitset of which routers hold each.
 package spf
 
 import (

@@ -1,7 +1,9 @@
 package spf
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -259,19 +261,28 @@ func TestRouterPanics(t *testing.T) {
 	r := NewIncrementalRouter(g, 0, unitCosts(g))
 	negative := unitCosts(g)
 	negative[1] = -1
-	for name, fn := range map[string]func(){
-		"bad initial":    func() { NewIncrementalRouter(g, 0, negative) },
-		"bad cost":       func() { r.Update(0, -1) },
-		"batch mismatch": func() { r.Accept(flooding.NewUpdate(0, 1, []topology.LinkID{0}, []float64{1})) },
-		"batch bad cost": func() { r.Accept(flooding.NewUpdate(0, 1, g.Out(0), []float64{math.NaN(), 1})) },
+	past := topology.LinkID(g.NumLinks())
+	for name, tc := range map[string]struct {
+		want string // every boundary panics by name, never on a bare index
+		fn   func()
+	}{
+		"bad initial":       {"spf: link cost must be positive", func() { NewIncrementalRouter(g, 0, negative) }},
+		"bad cost":          {"spf: link cost must be positive", func() { r.Update(0, -1) }},
+		"batch mismatch":    {"want exactly its out-links", func() { r.Accept(flooding.NewUpdate(0, 1, []topology.LinkID{0}, []float64{1})) }},
+		"batch bad cost":    {"carries cost NaN", func() { r.Accept(flooding.NewUpdate(0, 1, g.Out(0), []float64{math.NaN(), 1})) }},
+		"update past end":   {fmt.Sprintf("spf: link %d: graph has %d links", past, past), func() { r.Update(past, 1) }},
+		"cost past end":     {fmt.Sprintf("spf: link %d: graph has %d links", past, past), func() { r.Cost(past) }},
+		"cost of no link":   {fmt.Sprintf("spf: link -1: graph has %d links", past), func() { r.Cost(topology.NoLink) }},
+		"update of no link": {fmt.Sprintf("spf: link -1: graph has %d links", past), func() { r.Update(topology.NoLink, 1) }},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("recovered %q, want a panic naming %q", msg, tc.want)
 				}
 			}()
-			fn()
+			tc.fn()
+			t.Errorf("%s returned", name)
 		})
 	}
 }

@@ -18,12 +18,13 @@ func allRoots(g *topology.Graph) []topology.NodeID {
 	return roots
 }
 
-// A table keeps what §2.2 gives a PSN — one database row per origin (a
-// pointer to the update last accepted from it) and its own tree, 8·N + 16·N
-// bytes — plus, once per table, the boot costs and each link's position in
-// its origin's update, 12·L; and nothing else: no per-link cost copy, no
-// boot Workspace, no per-router repair scratch. The runtime twin of
-// TestSteadyStateZeroAllocs for retained memory.
+// A table keeps, per PSN, its tree — 16·N bytes — and, once for all of them,
+// the database §2.2 gives each: the boot costs and each link's position in its
+// origin's update, 12·L, and per origin a version list with room for three
+// (24 + 3·24 bytes), two holder sets of ⌈n/64⌉ words and their free-list
+// entries (2·8·⌈n/64⌉ + 8). Nothing else: no row of pointers per router, no
+// per-link cost copy, no boot Workspace, no per-router repair scratch. The
+// runtime twin of TestSteadyStateZeroAllocs for retained memory.
 func TestTableRetainsOnlyTheModel(t *testing.T) {
 	g := topology.Hierarchical(16, 16, 3)
 	costs := unitCosts(g)
@@ -34,12 +35,13 @@ func TestTableRetainsOnlyTheModel(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	n, l := g.NumNodes(), g.NumLinks()
-	model := float64(n*24*n + 12*l)
+	perOrigin := 24 + 3*24 + 2*8*((n+63)/64) + 8
+	model := float64(n*16*n + 12*l + n*perOrigin)
 	got := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	t.Logf("%d routers, %d links: %.0f B retained, model %.0f B (%.3fx), %.0f B per PSN against 24N = %d",
-		n, l, got, model, got/model, got/float64(n), 24*n)
+	t.Logf("%d routers, %d links: %.0f B retained, model %.0f B (%.3fx), %.0f B per PSN against 16N = %d",
+		n, l, got, model, got/model, got/float64(n), 16*n)
 	if got > 1.10*model {
-		t.Errorf("table retains %.0f B for %d routers, want <= 1.10 x (n·24N + 12L) = %.0f B", got, n, 1.10*model)
+		t.Errorf("table retains %.0f B for %d routers, want <= 1.10 x (n·16N + 12L + %d·N) = %.0f B", got, n, perOrigin, 1.10*model)
 	}
 	if tab.Router(n-1).Tree().Root() != topology.NodeID(n-1) {
 		t.Error("last router is not rooted at the last node")

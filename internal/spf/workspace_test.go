@@ -96,8 +96,9 @@ func TestComputeIntoValidatesAllCosts(t *testing.T) {
 
 // TestSteadyStateZeroAllocs pins the allocation-free contract of the SPF
 // hot paths at run time: a full Dijkstra through a warm Workspace, tree
-// lookups, and incremental repairs — whole updates through Accept and single
-// links through Update, cost rises and drops alike — once the table's
+// lookups, and incremental repairs — whole updates through Accept, with two
+// versions of every origin in flight between the table's two routers, and
+// single links through Update, cost rises and drops alike — once the table's
 // scratch has grown to the topology's size and Update has touched each
 // origin once.
 func TestSteadyStateZeroAllocs(t *testing.T) {
@@ -118,7 +119,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	for i := range costs {
 		costs[i] = 30
 	}
-	r := NewIncrementalRouter(g, 0, costs)
+	tab := NewTable(g, []topology.NodeID{0, far}, costs)
+	r, behind := tab.Router(0), tab.Router(1)
 	repairs := func() int64 { _, n, _, _ := r.Stats(); return n }
 
 	// Every link takes both a rise and a drop per pass, so tree links hit
@@ -135,10 +137,17 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			}
 		}
 	}
+	// One router takes the whole pass before the other takes any of it, so
+	// every origin's version list grows to two and shrinks again, twice a
+	// pass: versions and holder sets must come from the slabs NewTable made.
+	inFlight := 0
 	acceptPass := func() {
-		for _, u := range updates[:2*g.NumNodes()] {
-			if !r.Accept(u) {
-				t.Fatal("fresh update refused")
+		for _, router := range []*IncrementalRouter{r, behind} {
+			for _, u := range updates[:2*g.NumNodes()] {
+				if !router.Accept(u) {
+					t.Fatal("fresh update refused")
+				}
+				inFlight = max(inFlight, len(tab.db[u.Origin]))
 			}
 		}
 		updates = updates[2*g.NumNodes():]
@@ -148,8 +157,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(runs, acceptPass); avg != 0 {
 		t.Errorf("Accept allocates %.1f objects/op in steady state, want 0", avg)
 	}
-	if repairs() == before {
-		t.Fatal("no incremental repair ran under Accept; the measurement is vacuous")
+	if repairs() == before || inFlight != 2 {
+		t.Fatalf("no incremental repair ran under Accept, or %d versions in flight, want 2; the measurement is vacuous", inFlight)
 	}
 
 	updatePass := func() {

@@ -26,4 +26,5 @@ if [ "$fuzztime" != 0 ]; then
   go test -fuzz FuzzScenarioParse -fuzztime "$fuzztime" ./internal/scenario/
   go test -fuzz FuzzGraphBuild -fuzztime "$fuzztime" ./internal/topology/
   go test -fuzz FuzzKernelOps -fuzztime "$fuzztime" ./internal/sim/
+  go test -fuzz FuzzTableOps -fuzztime "$fuzztime" ./internal/spf/
 fi
