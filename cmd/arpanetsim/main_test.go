@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,6 +119,34 @@ func TestNaNFlagRejected(t *testing.T) {
 		err := nanFlag(fs)
 		if (tc.reject == "") != (err == nil) || err != nil && !strings.HasPrefix(err.Error(), tc.reject+" ") {
 			t.Errorf("%q: err = %v, want %q rejected", tc.args, err, tc.reject)
+		}
+	}
+}
+
+// -topology is outside input: a spec the generators would panic on must come
+// back as an error that names it, and an accepted one as a graph a simulator
+// can boot from — Validate-clean, every link at the line number it reports.
+func TestParseGenTopology(t *testing.T) {
+	for _, spec := range []string{"hier:2x2", "hier:1x9", "hier:3", "hier:ax4", "hier:4xb", "waxman:1", "waxman:x", "ring:5", "hier", ""} {
+		g, err := parseGenTopology(spec, 1)
+		if err == nil || g != nil || !strings.Contains(err.Error(), strconv.Quote(spec)) {
+			t.Errorf("parseGenTopology(%q) = %v, %v; want an error naming the spec", spec, g, err)
+		}
+	}
+	for spec, nodes := range map[string]int{"hier:8x8": 64, "waxman:64": 64} {
+		g, err := parseGenTopology(spec, 1)
+		if err != nil || g.NumNodes() != nodes {
+			t.Errorf("parseGenTopology(%q): %v, want %d nodes", spec, err, nodes)
+			continue
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
+		for _, l := range g.Links() {
+			if o, in := g.OutLine(l.ID), g.InLine(l.ID); o >= g.Degree(l.From) || in >= g.Degree(l.To) {
+				t.Errorf("%s: link %d is line %d of %d out of node %d, line %d of %d into node %d",
+					spec, l.ID, o, g.Degree(l.From), l.From, in, g.Degree(l.To), l.To)
+			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestBF1969ConvergesAndDelivers(t *testing.T) {
 	dist := n.DVDistances(0)
 	want := spf.HopTree(g, 0)
 	for d := 1; d < g.NumNodes(); d++ {
-		hops := float64(want.Hops(g, topology.NodeID(d)))
+		hops := float64(want.Hops(topology.NodeID(d)))
 		if math.IsInf(dist[d], 1) {
 			t.Fatalf("node 0 never learned a route to %d", d)
 		}

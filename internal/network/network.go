@@ -136,6 +136,7 @@ type Network struct {
 
 type psn struct {
 	id             topology.NodeID
+	lines          []*linkState           // its out-links in Graph.Out order, so line i of its SPF tree is lines[i]
 	router         *spf.IncrementalRouter // single-path (nil when multipath or BF1969)
 	mrouter        *spf.MultipathRouter   // multipath (nil otherwise)
 	dv             *dvState               // 1969 distance vector (nil otherwise)
@@ -249,9 +250,13 @@ func New(cfg Config) *Network {
 	for i := range n.psns {
 		id := topology.NodeID(i)
 		p := &psn{
-			id:   id,
-			rand: n.rnd.Stream(fmt.Sprintf("dst/%d", i)),
-			size: n.rnd.Stream(fmt.Sprintf("size/%d", i)),
+			id:    id,
+			lines: make([]*linkState, n.g.Degree(id)),
+			rand:  n.rnd.Stream(fmt.Sprintf("dst/%d", i)),
+			size:  n.rnd.Stream(fmt.Sprintf("size/%d", i)),
+		}
+		for j, l := range n.g.Out(id) {
+			p.lines[j] = n.links[l]
 		}
 		switch {
 		case cfg.Metric == node.BF1969:
@@ -342,24 +347,22 @@ func (n *Network) multipathTol() float64 {
 	return node.MultipathToleranceFraction * min
 }
 
-// nextHop picks the outgoing link toward dst: the single SPF tree hop, or
-// a random choice among the equal-cost first hops when multipath is on.
-func (p *psn) nextHop(dst topology.NodeID) topology.LinkID {
+// altNextHop picks the outgoing link toward dst, nil for none, in the two
+// modes without an SPF tree of line numbers: the distance vector's choice, or
+// a random one among the equal-cost first hops when multipath is on.
+func (n *Network) altNextHop(p *psn, dst topology.NodeID) *linkState {
+	nh := topology.NoLink
 	if p.dv != nil {
-		return p.dv.next[dst]
+		nh = p.dv.next[dst]
+	} else if hops := p.mrouter.NextHops(dst); len(hops) == 1 {
+		nh = hops[0]
+	} else if len(hops) > 1 {
+		nh = hops[p.pathRand.Intn(len(hops))]
 	}
-	if p.mrouter == nil {
-		return p.router.Tree().NextHop(dst)
+	if nh == topology.NoLink {
+		return nil
 	}
-	hops := p.mrouter.NextHops(dst)
-	switch len(hops) {
-	case 0:
-		return topology.NoLink
-	case 1:
-		return hops[0]
-	default:
-		return hops[p.pathRand.Intn(len(hops))]
-	}
+	return n.links[nh]
 }
 
 // accept offers one update copy to whichever router the PSN runs and reports
@@ -521,16 +524,26 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		n.pool.Put(pkt)
 		return
 	}
-	nh := p.nextHop(pkt.Dst)
-	if nh == topology.NoLink || n.links[nh].Down() {
+	// The single SPF tree hop is a line number: the PSN's own lines answer it.
+	var nh *linkState
+	if p.router == nil {
+		nh = n.altNextHop(p, pkt.Dst)
+	} else if i := p.router.Tree().NextLine(pkt.Dst); i >= 0 {
+		nh = p.lines[i]
+	}
+	if nh == nil || nh.Down() {
 		if pkt.Counted {
 			n.noRouteDrops.Inc()
 		}
-		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketNoRoute, Node: p.id, Link: nh})
+		link := topology.NoLink
+		if nh != nil {
+			link = nh.link.ID
+		}
+		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketNoRoute, Node: p.id, Link: link})
 		n.pool.Put(pkt)
 		return
 	}
-	n.enqueue(n.links[nh], pkt, now)
+	n.enqueue(nh, pkt, now)
 }
 
 func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {

@@ -126,7 +126,7 @@ func (n *Network) minPathHops() float64 {
 			if rate <= 0 {
 				continue
 			}
-			if h := tree.Hops(n.g, dst); h > 0 {
+			if h := tree.Hops(dst); h > 0 {
 				sum += rate * float64(h)
 				weight += rate
 			}

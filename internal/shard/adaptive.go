@@ -91,17 +91,17 @@ func (s *Sim) RoutingStats() spf.TableStats {
 	return st
 }
 
-// adaptiveNextHop picks n's outgoing link toward dst from its own SPF tree.
-// A next hop onto a link this node knows to be down counts as no route —
-// the same classification internal/network uses — because with flooded
-// costs a down link is a transiently stale database entry, not a scripted
-// epoch boundary.
-func (n *lnode) adaptiveNextHop(dst topology.NodeID) topology.LinkID {
-	lid := n.router.Tree().NextHop(dst)
-	if lid == topology.NoLink || n.sh.s.linkAt[lid].Down() {
-		return topology.NoLink
+// adaptiveNextHop picks n's outgoing link toward dst from its own SPF tree,
+// whose line numbers index n.out; nil is no route. A next hop onto a link
+// this node knows to be down counts as no route — the same classification
+// internal/network uses — because with flooded costs a down link is a
+// transiently stale database entry, not a scripted epoch boundary.
+func (n *lnode) adaptiveNextHop(dst topology.NodeID) *llink {
+	i := n.router.Tree().NextLine(dst)
+	if i < 0 || n.out[i].Down() {
+		return nil
 	}
-	return lid
+	return n.out[i]
 }
 
 // originate floods n's current link costs (DownCost for out-of-service

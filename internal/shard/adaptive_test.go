@@ -264,25 +264,26 @@ func liveHeapAfter(t *testing.T, cfg Config) (*Sim, float64) {
 }
 
 // What an adaptive Sim keeps per node after set-up: the router model of
-// §2.2 (16·N bytes, the tree; the link-cost database is its shard's table's,
-// 120 bytes an origin and 12 a link shared by the shard's 32 routers) and the
+// §2.2 (12·N bytes, the tree; the link-cost database is its shard's table's,
+// 120 bytes an origin and 8 a link shared by the shard's 32 routers) and the
 // data plane (queues, links, sources, the per-epoch route skeleton). Measured
 // on hier:8x8 (64 nodes, 266 links, 2 shards), the test run alone:
-// 10.4 KB/node, of which 1.0 KB is the router model, 0.3 KB its share of the
+// 10.1 KB/node, of which 0.75 KB is the router model, 0.3 KB its share of the
 // database and 8 KB the process-wide HN-SPF delay tables (already built, and
-// not counted, when an earlier test made an HN-SPF module). A row of pointers
-// per PSN adds 8·N = 0.5 KB/node, which only TestTableRetainsOnlyTheModel is
-// sharp enough to catch; a private cost per link 8·L = 2.1 KB and a dedup
-// table 9·N = 0.6 KB more (13.2 KB/node); one SPF Workspace left reachable
-// per router, the retention this test was written for, 5.9 KB on top.
+// not counted, when an earlier test made an HN-SPF module). Link IDs in the
+// tree again add 4·N = 0.25 KB/node, which only TestTableRetainsOnlyTheModel
+// and TestHier1kAdaptiveLiveHeap are sharp enough to catch; a row of pointers
+// per PSN 8·N = 0.5 KB (10.6 KB/node), a private cost per link 8·L = 2.1 KB
+// and a dedup table 9·N = 0.6 KB more (12.9 KB/node); one SPF Workspace left
+// reachable per router, the retention this test was written for, 5.6 KB on top.
 func TestAdaptiveRetainedHeapPerNode(t *testing.T) {
-	const bound = 11 << 10 // bytes per node
+	const bound = 10<<10 + 512 // bytes per node
 	g := topology.Hierarchical(8, 8, 7)
 	s, live := liveHeapAfter(t, Config{Graph: g, Shards: 2, Seed: 7, PktRate: 1, Dests: 4, Adaptive: true, Metric: node.HNSPF})
 	runtime.KeepAlive(s)
 	n, l := g.NumNodes(), g.NumLinks()
 	perNode := live / float64(n)
-	t.Logf("%d nodes, %d links: %.0f B/node live after New; router model 16N = %d B/node", n, l, perNode, 16*n)
+	t.Logf("%d nodes, %d links: %.0f B/node live after New; router model 12N = %d B/node", n, l, perNode, 12*n)
 	if perNode > bound {
 		t.Errorf("%.0f bytes of live heap per node after New, want <= %d", perNode, bound)
 	}
@@ -291,17 +292,17 @@ func TestAdaptiveRetainedHeapPerNode(t *testing.T) {
 // The benchmark's hier1k_adaptive configuration, at the size the benchmark
 // runs it: the in-repo twin of go.heap_live_mb_after_setup, so a routing
 // table that grows back an L·N term fails here without the benchmark.
-// 18.7 MB with one database per shard's table (16 MB of it n·16·N); 26.3 MB
-// with a row of pointers per PSN, 63.0 MB with 8·L of copied costs and a dedup
-// table per PSN.
+// 14.6 MB with line numbers in the trees (12 MB of it n·12·N); 18.7 MB with
+// link IDs there, 26.3 MB with a row of pointers per PSN as well, 63.0 MB with
+// 8·L of copied costs and a dedup table per PSN.
 func TestHier1kAdaptiveLiveHeap(t *testing.T) {
-	const bound = 21 << 20
+	const bound = 16 << 20
 	g := topology.Hierarchical(32, 32, 1987)
 	s, live := liveHeapAfter(t, Config{Graph: g, Shards: 2, Seed: 1987, PktRate: 2, Dests: 3, Adaptive: true, Metric: node.HNSPF})
 	runtime.KeepAlive(s)
 	n := g.NumNodes()
-	t.Logf("%d nodes, %d links: %.1f MB live after New, %.0f B/node; router model 16N = %d B/node",
-		n, g.NumLinks(), live/(1<<20), live/float64(n), 16*n)
+	t.Logf("%d nodes, %d links: %.1f MB live after New, %.0f B/node; router model 12N = %d B/node",
+		n, g.NumLinks(), live/(1<<20), live/float64(n), 12*n)
 	if live > bound {
 		t.Errorf("%.1f MB of live heap after New, want <= %d MB", live/(1<<20), bound>>20)
 	}

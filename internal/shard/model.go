@@ -66,7 +66,7 @@ type lnode struct {
 	dst  rng // destination choice (also seeds the setup-time dest sample)
 
 	dests []topology.NodeID
-	out   []*llink // this node's out-links, ascending LinkID
+	out   []*llink // this node's out-links in Graph.Out order: line i of its SPF tree is out[i]
 
 	pseq uint64 // packets generated (low word of Packet.Seq)
 	rseq uint32 // trace records emitted
@@ -296,13 +296,13 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		sh.pool.Put(p)
 		return
 	}
-	var lid topology.LinkID
+	var ls *llink
 	if sh.s.cfg.Adaptive {
 		// Adaptive: the node's own SPF tree decides. A next hop onto a link
 		// this node knows to be down is "no route" (the database is stale),
 		// the classification internal/network uses too.
-		lid = n.adaptiveNextHop(p.Dst)
-		if lid == topology.NoLink {
+		ls = n.adaptiveNextHop(p.Dst)
+		if ls == nil {
 			sh.led.NoRouteDrops++
 			sh.dropRec(n, now, recNoRouteDrop, p.Arrival, p.Seq)
 			sh.pool.Put(p)
@@ -310,25 +310,25 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		}
 	} else {
 		sh.epoch = sh.s.routes.epochAt(sh.epoch, now)
-		lid = sh.s.routes.nextHop(sh.epoch, p.Dst, n.id)
+		lid := sh.s.routes.nextHop(sh.epoch, p.Dst, n.id)
 		if lid < 0 {
 			sh.led.NoRouteDrops++
 			sh.dropRec(n, now, recNoRouteDrop, p.Arrival, p.Seq)
 			sh.pool.Put(p)
 			return
 		}
-		if sh.s.linkAt[lid].Down() {
+		ls = sh.s.linkAt[lid]
+		if ls.Down() {
 			sh.led.OutageDrops++
 			sh.dropRec(n, now, recOutageDrop, lid, p.Seq)
 			sh.pool.Put(p)
 			return
 		}
 	}
-	ls := sh.s.linkAt[lid]
 	p.Enqueued = now
 	if !ls.Queue.Push(p) {
 		sh.led.BufferDrops++
-		sh.dropRec(n, now, recBufferDrop, lid, p.Seq)
+		sh.dropRec(n, now, recBufferDrop, ls.l.ID, p.Seq)
 		sh.pool.Put(p)
 		return
 	}

@@ -76,7 +76,8 @@ func checkDatabase(t *Table) error {
 
 // dbHarness feeds the routers of one shared table and as many tables of one
 // (the layout in which a router's database is its own) the same operations,
-// and after each requires them indistinguishable and the shared database sound.
+// and after each requires them indistinguishable, every tree entry a line of
+// the right PSN (checkLines) and the shared database sound.
 type dbHarness struct {
 	t        testing.TB
 	g        *topology.Graph
@@ -155,6 +156,9 @@ func (h *dbHarness) check() {
 		}
 		if !sameTree(a.Tree(), b.Tree()) {
 			h.t.Fatalf("router %d: trees differ between the shared table and a table of one", i)
+		}
+		if err := checkLines(a); err != nil {
+			h.t.Fatalf("router %d: %v", i, err)
 		}
 		if a.accepted != b.accepted || a.duplicates != b.duplicates || a.incremental != b.incremental ||
 			a.skipped != b.skipped || a.touched != b.touched {

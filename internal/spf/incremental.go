@@ -27,14 +27,13 @@ import (
 // origin's lines, and it is "identical at every PSN once flooding converges"
 // (§2.2), so the table holds it once: per origin, the updates some router
 // still holds — one, outside a flood wave — each with the set of routers whose
-// row it is. A PSN keeps its tree, 16·N bytes, and a bit per version. Every
+// row it is. A PSN keeps its tree, 12·N bytes, and a bit per version. Every
 // repair initializes what it reads of the scratch, so sharing never shows in a
 // result; it does mean a Table, database and routers, belongs to one goroutine.
 type Table struct {
 	g       *topology.Graph
 	routers []IncrementalRouter
 	boot    []float64   // by link: the cost every router started from
-	pos     []int32     // by link: its index in g.Out(link.From), i.e. in its origin's Update.Costs
 	db      [][]version // by origin: the versions held, newest first; none held = boot costs
 	sets    []uint64    // holder sets, words apiece: bit i of a version's set says routers[i] holds it
 	free    []int32     // sets no version uses, all zero
@@ -79,7 +78,6 @@ type IncrementalRouter struct {
 // router holds aliases Dijkstra scratch.
 func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Table {
 	nl, nn := g.NumLinks(), g.NumNodes()
-	mustFitInt32(nn, nl)
 	if len(costs) != nl {
 		panic("spf: costs length mismatch")
 	}
@@ -92,7 +90,6 @@ func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Tabl
 		g:         g,
 		routers:   make([]IncrementalRouter, len(roots)),
 		boot:      append([]float64(nil), costs...),
-		pos:       make([]int32, nl),
 		db:        make([][]version, nn),
 		words:     (len(roots) + 63) / 64,
 		free:      make([]int32, 0, 2*nn),
@@ -103,19 +100,16 @@ func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Tabl
 	slots := make([]version, 3*nn)
 	for n := 0; n < nn; n++ {
 		t.db[n] = slots[3*n : 3*n : 3*n+3]
-		for i, l := range g.Out(topology.NodeID(n)) {
-			t.pos[l] = int32(i)
-		}
 	}
 	dist := make([]float64, len(roots)*nn)
-	parent := make([]int32, len(roots)*nn)
-	nextHop := make([]int32, len(roots)*nn)
+	parent := make([]uint16, len(roots)*nn)
+	nextHop := make([]uint16, len(roots)*nn)
 	var ws Workspace
 	for i, root := range roots {
 		r := &t.routers[i]
 		r.tab, r.root, r.idx, r.full = t, root, int32(i), 1
 		lo, hi := i*nn, (i+1)*nn
-		r.tree = Tree{root: root, dist: dist[lo:hi:hi], parent: parent[lo:hi:hi], nextHop: nextHop[lo:hi:hi]}
+		r.tree = Tree{g: g, root: root, dist: dist[lo:hi:hi], parent: parent[lo:hi:hi], nextHop: nextHop[lo:hi:hi]}
 		boot := ws.dijkstra(g, root, costs)
 		copy(r.tree.dist, boot.dist)
 		copy(r.tree.parent, boot.parent)
@@ -172,8 +166,8 @@ func (r *IncrementalRouter) Cost(l topology.LinkID) float64 {
 
 // origin returns the node link l leaves; a link outside the graph panics by name.
 func (t *Table) origin(l topology.LinkID) topology.NodeID {
-	if uint(l) >= uint(len(t.pos)) {
-		panic(fmt.Sprintf("spf: link %d: graph has %d links", l, len(t.pos)))
+	if uint(l) >= uint(len(t.boot)) {
+		panic(fmt.Sprintf("spf: link %d: graph has %d links", l, len(t.boot)))
 	}
 	return t.g.Link(l).From
 }
@@ -181,7 +175,7 @@ func (t *Table) origin(l topology.LinkID) topology.NodeID {
 // cost reads link l, which leaves node from, out of the database.
 func (r *IncrementalRouter) cost(from topology.NodeID, l topology.LinkID) float64 {
 	if row := r.row(from); row != nil {
-		return row.Costs[r.tab.pos[l]]
+		return row.Costs[r.tab.g.OutLine(l)]
 	}
 	return r.tab.boot[l]
 }
@@ -318,7 +312,7 @@ func (r *IncrementalRouter) Update(l topology.LinkID, newCost float64) {
 		}
 		i = r.hold(p, i, true)
 	}
-	r.set(l, &t.db[o][i].u.Costs[t.pos[l]], newCost)
+	r.set(l, &t.db[o][i].u.Costs[t.g.OutLine(l)], newCost)
 }
 
 // set writes one link's new cost into its slot of a writable row (staging or
@@ -356,12 +350,12 @@ func (r *IncrementalRouter) repairDecrease(link topology.Link, c float64) {
 
 // improve lowers a node's distance and fixes its parent/next-hop.
 func (r *IncrementalRouter) improve(n topology.NodeID, d float64, via topology.LinkID, pq *nodeHeap) {
-	t := &r.tree
+	t, g := &r.tree, r.tab.g
 	t.dist[n] = d
-	t.parent[n] = int32(via)
-	from := r.tab.g.Link(via).From
+	t.parent[n] = uint16(g.InLine(via))
+	from := g.Link(via).From
 	if from == r.root {
-		t.nextHop[n] = int32(via)
+		t.nextHop[n] = uint16(g.OutLine(via))
 	} else {
 		t.nextHop[n] = t.nextHop[from]
 	}
@@ -403,7 +397,7 @@ func (r *IncrementalRouter) relaxFrontier(pq *nodeHeap, inSet []bool) {
 // Allocates: repair scratch (inSet, stack) grows to the affected-set high-watermark, then reuses
 func (r *IncrementalRouter) repairIncrease(link topology.Link) {
 	t, tab, g := &r.tree, r.tab, r.tab.g
-	if t.parent[link.To] != int32(link.ID) {
+	if t.parent[link.To] != uint16(g.InLine(link.ID)) {
 		r.skipped++
 		return
 	}
@@ -428,7 +422,7 @@ func (r *IncrementalRouter) repairIncrease(link topology.Link) {
 		stack = stack[:len(stack)-1]
 		for _, lid := range g.Out(x) {
 			child := g.Link(lid).To
-			if !inSet[child] && t.parent[child] == int32(lid) {
+			if !inSet[child] && t.parent[child] == uint16(g.InLine(lid)) {
 				inSet[child] = true
 				stack = append(stack, child)
 			}
@@ -442,8 +436,8 @@ func (r *IncrementalRouter) repairIncrease(link topology.Link) {
 	for i := range inSet {
 		if inSet[i] {
 			t.dist[i] = Infinite
-			t.parent[i] = noLink
-			t.nextHop[i] = noLink
+			t.parent[i] = noLine
+			t.nextHop[i] = noLine
 		}
 	}
 	pq := &tab.pq

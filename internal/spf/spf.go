@@ -9,13 +9,12 @@
 // necessitated by a link cost change, e.g., if a routing update reports an
 // increase in the cost for a link not in the tree, the algorithm does not
 // recompute any part of the tree." A Table holds the routers one goroutine
-// drives in 16·N bytes per PSN, the SPF tree, and once for all of them the
+// drives in 12·N bytes per PSN, the SPF tree, and once for all of them the
 // link-cost database §2.2 asks for: per origin the flooded updates still
 // held — by reference, never copied — and a bitset of which routers hold each.
 package spf
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/topology"
@@ -28,25 +27,21 @@ var Infinite = math.Inf(1)
 type CostFunc func(topology.LinkID) float64
 
 // Tree is a shortest-path tree rooted at one PSN. It answers next-hop,
-// distance and path queries toward every destination. Link IDs are stored
-// as int32 (mustFitInt32 guards the narrowing): a PSN's tree is 16 bytes a
-// node, and a Table holds one per router.
+// distance and path queries toward every destination. A forwarding table
+// names one of the PSN's own lines, so the tree stores line numbers
+// (topology.Graph.OutLine/InLine, 16 bits; AddTrunk guards the width), not
+// link IDs: 12 bytes a node, and a Table holds one tree per router.
 type Tree struct {
+	g       *topology.Graph
 	root    topology.NodeID
 	dist    []float64
-	parent  []int32 // link entering each node on its shortest path
-	nextHop []int32 // first link out of root toward each node
+	parent  []uint16 // by node: the line its shortest path enters it on, an index into g.In(node)
+	nextHop []uint16 // by node: the root's line toward it, an index into g.Out(root)
 }
 
-const noLink = int32(topology.NoLink)
-
-// mustFitInt32 panics when a graph of the given size has link IDs a Tree
-// would truncate.
-func mustFitInt32(nodes, links int) {
-	if nodes > math.MaxInt32 || links > math.MaxInt32 {
-		panic(fmt.Sprintf("spf: graph with %d nodes and %d links exceeds the int32 range of tree link IDs", nodes, links))
-	}
-}
+// noLine marks the root and unreachable nodes; topology.MaxLines keeps it
+// out of the line numbers.
+const noLine = math.MaxUint16
 
 // Compute runs Dijkstra's algorithm from root over g with the given link
 // costs. Every link's cost is evaluated and validated once per computation;
@@ -81,14 +76,34 @@ func (t *Tree) Reachable(dst topology.NodeID) bool { return !math.IsInf(t.dist[d
 // NextHop returns the first link on the shortest path from the root to
 // dst, or NoLink for the root itself and unreachable nodes. This is what
 // the PSN's forwarding table contains — single-path, destination-based.
-func (t *Tree) NextHop(dst topology.NodeID) topology.LinkID { return topology.LinkID(t.nextHop[dst]) }
+func (t *Tree) NextHop(dst topology.NodeID) topology.LinkID {
+	if i := t.NextLine(dst); i >= 0 {
+		return t.g.Out(t.root)[i]
+	}
+	return topology.NoLink
+}
+
+// NextLine is NextHop as the forwarding table stores it: the index in
+// Out(root) of the line toward dst, or -1. The engines keep their lines in
+// that order and forward on it without going through the link ID.
+func (t *Tree) NextLine(dst topology.NodeID) int {
+	if l := t.nextHop[dst]; l != noLine {
+		return int(l)
+	}
+	return -1
+}
 
 // Parent returns the link entering dst on its shortest path from the root.
-func (t *Tree) Parent(dst topology.NodeID) topology.LinkID { return topology.LinkID(t.parent[dst]) }
+func (t *Tree) Parent(dst topology.NodeID) topology.LinkID {
+	if l := t.parent[dst]; l != noLine {
+		return t.g.In(dst)[l]
+	}
+	return topology.NoLink
+}
 
 // Path returns the links of the shortest path from the root to dst in
 // order, or nil if unreachable or dst is the root.
-func (t *Tree) Path(g *topology.Graph, dst topology.NodeID) []topology.LinkID {
+func (t *Tree) Path(dst topology.NodeID) []topology.LinkID {
 	if dst == t.root || !t.Reachable(dst) {
 		return nil
 	}
@@ -96,7 +111,7 @@ func (t *Tree) Path(g *topology.Graph, dst topology.NodeID) []topology.LinkID {
 	for n := dst; n != t.root; {
 		l := t.Parent(n)
 		rev = append(rev, l)
-		n = g.Link(l).From
+		n = t.g.Link(l).From
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -106,7 +121,7 @@ func (t *Tree) Path(g *topology.Graph, dst topology.NodeID) []topology.LinkID {
 
 // Hops returns the number of links on the shortest path to dst, or -1 if
 // unreachable.
-func (t *Tree) Hops(g *topology.Graph, dst topology.NodeID) int {
+func (t *Tree) Hops(dst topology.NodeID) int {
 	if dst == t.root {
 		return 0
 	}
@@ -116,14 +131,14 @@ func (t *Tree) Hops(g *topology.Graph, dst topology.NodeID) int {
 	h := 0
 	for n := dst; n != t.root; {
 		h++
-		n = g.Link(t.Parent(n)).From
+		n = t.g.Link(t.Parent(n)).From
 	}
 	return h
 }
 
 // UsesLink reports whether the shortest path from the root to dst crosses
 // the given link.
-func (t *Tree) UsesLink(g *topology.Graph, dst topology.NodeID, link topology.LinkID) bool {
+func (t *Tree) UsesLink(dst topology.NodeID, link topology.LinkID) bool {
 	if dst == t.root || !t.Reachable(dst) {
 		return false
 	}
@@ -132,7 +147,7 @@ func (t *Tree) UsesLink(g *topology.Graph, dst topology.NodeID, link topology.Li
 		if l == link {
 			return true
 		}
-		n = g.Link(l).From
+		n = t.g.Link(l).From
 	}
 	return false
 }
@@ -152,7 +167,7 @@ func AllPairsHops(g *topology.Graph) [][]int {
 		t := HopTree(g, topology.NodeID(s))
 		row := make([]int, n)
 		for d := 0; d < n; d++ {
-			row[d] = t.Hops(g, topology.NodeID(d))
+			row[d] = t.Hops(topology.NodeID(d))
 		}
 		m[s] = row
 	}

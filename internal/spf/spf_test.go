@@ -39,7 +39,7 @@ func TestComputeLine(t *testing.T) {
 		if got := tree.Dist(topology.NodeID(d)); got != float64(d) {
 			t.Errorf("Dist(%d) = %v, want %d", d, got, d)
 		}
-		if got := tree.Hops(g, topology.NodeID(d)); got != d {
+		if got := tree.Hops(topology.NodeID(d)); got != d {
 			t.Errorf("Hops(%d) = %v, want %d", d, got, d)
 		}
 	}
@@ -53,7 +53,7 @@ func TestComputeLine(t *testing.T) {
 	if tree.NextHop(0) != topology.NoLink {
 		t.Error("NextHop(root) should be NoLink")
 	}
-	if tree.Hops(g, 0) != 0 {
+	if tree.Hops(0) != 0 {
 		t.Error("Hops(root) should be 0")
 	}
 }
@@ -75,11 +75,11 @@ func TestComputeRespectsCosts(t *testing.T) {
 	if tree.NextHop(d) != ids["ac"] {
 		t.Error("path should start with A→C")
 	}
-	path := tree.Path(g, d)
+	path := tree.Path(d)
 	if len(path) != 2 || path[0] != ids["ac"] || path[1] != ids["cd"] {
 		t.Errorf("Path = %v, want [ac cd]", path)
 	}
-	if !tree.UsesLink(g, d, ids["cd"]) || tree.UsesLink(g, d, ids["bd"]) {
+	if !tree.UsesLink(d, ids["cd"]) || tree.UsesLink(d, ids["bd"]) {
 		t.Error("UsesLink wrong")
 	}
 }
@@ -126,13 +126,13 @@ func TestUnreachable(t *testing.T) {
 	if tree.Reachable(2) {
 		t.Error("isolated node should be unreachable")
 	}
-	if tree.Hops(g, 2) != -1 {
+	if tree.Hops(2) != -1 {
 		t.Error("Hops to unreachable should be -1")
 	}
-	if tree.Path(g, 2) != nil {
+	if tree.Path(2) != nil {
 		t.Error("Path to unreachable should be nil")
 	}
-	if tree.UsesLink(g, 2, 0) {
+	if tree.UsesLink(2, 0) {
 		t.Error("UsesLink to unreachable should be false")
 	}
 }

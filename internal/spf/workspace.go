@@ -43,17 +43,16 @@ func ComputeInto(ws *Workspace, g *topology.Graph, root topology.NodeID, cost Co
 // (one entry per link), which it only reads.
 func (ws *Workspace) dijkstra(g *topology.Graph, root topology.NodeID, costs []float64) *Tree {
 	nl, n := g.NumLinks(), g.NumNodes()
-	mustFitInt32(n, nl)
 	t := &ws.tree
-	t.root = root
+	t.g, t.root = g, root
 	t.dist = growFloats(t.dist, n)
-	t.parent = growLinks(t.parent, n)
-	t.nextHop = growLinks(t.nextHop, n)
+	t.parent = growLines(t.parent, n)
+	t.nextHop = growLines(t.nextHop, n)
 	ws.settled = growBools(ws.settled, n)
 	for i := 0; i < n; i++ {
 		t.dist[i] = Infinite
-		t.parent[i] = noLink
-		t.nextHop[i] = noLink
+		t.parent[i] = noLine
+		t.nextHop[i] = noLine
 		ws.settled[i] = false
 	}
 	t.dist[root] = 0
@@ -75,16 +74,16 @@ func (ws *Workspace) dijkstra(g *topology.Graph, root topology.NodeID, costs []f
 		}
 		ws.settled[u] = true
 		du := t.dist[u]
-		for _, lid := range g.Out(u) {
+		for i, lid := range g.Out(u) {
 			v := g.Link(lid).To
 			if ws.settled[v] {
 				continue
 			}
 			if d := du + costs[lid]; d < t.dist[v] {
 				t.dist[v] = d
-				t.parent[v] = int32(lid)
+				t.parent[v] = uint16(g.InLine(lid))
 				if u == root {
-					t.nextHop[v] = int32(lid)
+					t.nextHop[v] = uint16(i)
 				} else {
 					t.nextHop[v] = t.nextHop[u]
 				}
@@ -106,11 +105,11 @@ func growFloats(s []float64, n int) []float64 {
 }
 
 // Allocates: workspace doubling to the topology high-watermark is amortized
-func growLinks(s []int32, n int) []int32 {
+func growLines(s []uint16, n int) []uint16 {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int32, n)
+	return make([]uint16, n)
 }
 
 // Allocates: workspace doubling to the topology high-watermark is amortized

@@ -9,7 +9,8 @@ import (
 // clamped-to-contract) parameters and asserts the structural invariants the
 // rest of the simulator assumes of any built graph: Validate passes (ID
 // consistency, trunk pairing, connectivity), link/trunk counts agree, every
-// adjacency list entry is consistent, and the builders are deterministic —
+// adjacency list entry is consistent and sits at the line number the graph
+// records for it, and the builders are deterministic —
 // the same parameters build byte-identical graphs.
 func FuzzGraphBuild(f *testing.F) {
 	f.Add(int64(0), int64(4), int64(3), 2.5, int64(1))
@@ -51,14 +52,21 @@ func FuzzGraphBuild(f *testing.F) {
 		degSum := 0
 		for _, n := range g.Nodes() {
 			degSum += g.Degree(n.ID)
-			for _, lid := range g.Out(n.ID) {
+			for i, lid := range g.Out(n.ID) {
 				if g.Link(lid).From != n.ID {
 					t.Fatalf("out-list of %d holds link %d with From %d", n.ID, lid, g.Link(lid).From)
 				}
+				if g.OutLine(lid) != i {
+					t.Fatalf("link %d is line %d out of node %d, OutLine says %d", lid, i, n.ID, g.OutLine(lid))
+				}
 			}
-			for _, lid := range g.In(n.ID) {
+			for i, lid := range g.In(n.ID) {
 				if g.Link(lid).To != n.ID {
 					t.Fatalf("in-list of %d holds link %d with To %d", n.ID, lid, g.Link(lid).To)
+				}
+				if g.InLine(lid) != i || g.Out(n.ID)[i] != g.Link(lid).Reverse() {
+					t.Fatalf("link %d is line %d into node %d, InLine says %d and line %d out is link %d",
+						lid, i, n.ID, g.InLine(lid), i, g.Out(n.ID)[i])
 				}
 			}
 			if id, ok := g.Lookup(n.Name); !ok || id != n.ID {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -16,6 +17,10 @@ const (
 	NoNode NodeID = -1
 	NoLink LinkID = -1
 )
+
+// MaxLines is the most lines (trunks) one PSN can have: line numbers are
+// 16-bit, and the last value is kept for "no line".
+const MaxLines = math.MaxUint16
 
 // Node is a PSN.
 type Node struct {
@@ -55,6 +60,13 @@ type Graph struct {
 	in     [][]LinkID // incoming link IDs per node
 	byName map[string]NodeID
 	trunks int
+
+	// By link: its line number at either end, the index in out[From] and in
+	// in[To]. A PSN's forwarding table names one of its own lines, so 16 bits
+	// hold it (AddTrunk guards); out[n][i] and in[n][i] are the two halves of
+	// one trunk, n's line i.
+	outLine []uint16
+	inLine  []uint16
 }
 
 // New returns an empty graph.
@@ -101,6 +113,11 @@ func (g *Graph) AddTrunkDelay(a, b NodeID, lt LineType, propDelay float64) (Link
 	if propDelay < 0 {
 		panic("topology: negative propagation delay")
 	}
+	for _, n := range [2]NodeID{a, b} {
+		if len(g.out[n]) >= MaxLines {
+			panic(fmt.Sprintf("topology: node %q has %d lines; line numbers are 16-bit", g.nodes[n].Name, MaxLines))
+		}
+	}
 	trunk := g.trunks
 	g.trunks++
 	ab := g.addLink(a, b, lt, trunk, propDelay)
@@ -113,6 +130,8 @@ func (g *Graph) addLink(from, to NodeID, lt LineType, trunk int, prop float64) L
 	g.links = append(g.links, Link{
 		ID: id, From: from, To: to, Type: lt, Trunk: trunk, PropDelay: prop,
 	})
+	g.outLine = append(g.outLine, uint16(len(g.out[from])))
+	g.inLine = append(g.inLine, uint16(len(g.in[to])))
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
 	return id
@@ -146,6 +165,12 @@ func (g *Graph) Out(n NodeID) []LinkID { return g.out[n] }
 
 // In returns the IDs of links entering n. The caller must not modify it.
 func (g *Graph) In(n NodeID) []LinkID { return g.in[n] }
+
+// OutLine returns l's line number at the PSN it leaves: Out(From)[OutLine(l)] == l.
+func (g *Graph) OutLine(l LinkID) int { return int(g.outLine[l]) }
+
+// InLine returns l's line number at the PSN it enters: In(To)[InLine(l)] == l.
+func (g *Graph) InLine(l LinkID) int { return int(g.inLine[l]) }
 
 // Lookup returns the node with the given name.
 func (g *Graph) Lookup(name string) (NodeID, bool) {
@@ -221,6 +246,10 @@ func (g *Graph) Validate() error {
 		}
 		if rev.Type != l.Type {
 			return fmt.Errorf("topology: trunk %d has mismatched line types", l.Trunk)
+		}
+		if o, in := g.OutLine(l.ID), g.InLine(l.ID); o >= len(g.out[l.From]) || g.out[l.From][o] != l.ID ||
+			in >= len(g.in[l.To]) || g.in[l.To][in] != l.ID {
+			return fmt.Errorf("topology: link %d is not line %d out of node %d and line %d into node %d", i, o, l.From, in, l.To)
 		}
 	}
 	if !g.Connected() {

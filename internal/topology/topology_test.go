@@ -123,6 +123,61 @@ func TestGraphPanics(t *testing.T) {
 	}
 }
 
+// Line numbers are 16-bit, and SPF trees store them. The largest PSN that
+// fits — MaxLines trunks, all but one of them parallel — must build, validate and
+// number its last line MaxLines-1 at both ends; one more trunk at either end
+// must be refused by name, not wrapped around.
+func TestGraphSizeGuard(t *testing.T) {
+	g := New()
+	hub, peer, other := g.AddNode("HUB"), g.AddNode("PEER"), g.AddNode("OTHER")
+	g.AddTrunk(peer, other, T56)
+	for i := 0; i < MaxLines-1; i++ {
+		g.AddTrunk(hub, other, T56)
+	}
+	last, _ := g.AddTrunk(hub, peer, T56)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate on a %d-line node: %v", MaxLines, err)
+	}
+	if o, in := g.OutLine(last), g.InLine(g.Link(last).Reverse()); o != MaxLines-1 || in != MaxLines-1 {
+		t.Errorf("last trunk is line %d out of / %d into HUB, want %d", o, in, MaxLines-1)
+	}
+	for name, add := range map[string]func(){
+		"from": func() { g.AddTrunk(hub, peer, T56) },
+		"to":   func() { g.AddTrunk(peer, hub, T56) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				want := `topology: node "HUB" has 65535 lines; line numbers are 16-bit`
+				if msg, _ := recover().(string); msg != want {
+					t.Errorf("recovered %q, want %q", msg, want)
+				}
+				if g.Degree(hub) != MaxLines || g.NumLinks() != 2*g.NumTrunks() {
+					t.Errorf("refused trunk left %d lines on HUB, %d links for %d trunks", g.Degree(hub), g.NumLinks(), g.NumTrunks())
+				}
+			}()
+			add()
+		})
+	}
+}
+
+// Validate must notice a link recorded at a line that is not its own, at
+// either end: an SPF tree would forward on the line's real occupant.
+func TestValidateChecksLineNumbers(t *testing.T) {
+	for name, lines := range map[string]func(*Graph) []uint16{
+		"out": func(g *Graph) []uint16 { return g.outLine },
+		"in":  func(g *Graph) []uint16 { return g.inLine },
+	} {
+		g := Ring(4, T56)
+		l := g.Out(0)[0]
+		for _, wrong := range []uint16{1, 2} { // another link's line, then no line of this node
+			lines(g)[l] = wrong
+			if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "is not line") {
+				t.Errorf("%s line of link %d set to %d: Validate says %v", name, l, wrong, err)
+			}
+		}
+	}
+}
+
 func TestDisconnectedGraph(t *testing.T) {
 	g := New()
 	g.AddNode("A")
