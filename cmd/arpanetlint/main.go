@@ -1,8 +1,7 @@
 // Command arpanetlint runs the domain-aware static-analysis suite of
 // internal/analysis over the repository: determinism (detdrift,
-// interprocedural), pool-safety (poolsafe), sim.Handle discipline
-// (handlecheck), float comparison hygiene (floatexact), domain error
-// checking (errcheck-lite) and shard-barrier invariants (shardsafe).
+// interprocedural), sim.Handle discipline (handlecheck) and float
+// comparison hygiene (floatexact).
 //
 //	arpanetlint ./...                   # whole repo (the CI lint job)
 //	arpanetlint -rules detdrift ./internal/sim

@@ -91,22 +91,26 @@ func TestJSONOutput(t *testing.T) {
 func TestRuleSubset(t *testing.T) {
 	root := repoRoot(t)
 	// The floatexact fixture is clean under every other rule.
-	code, out, _ := runCLI(t, "-C", root, "-rules", "detdrift,poolsafe",
+	code, out, _ := runCLI(t, "-C", root, "-rules", "detdrift,handlecheck",
 		"internal/analysis/testdata/src/floatexact")
 	if code != 0 || out != "" {
 		t.Fatalf("rule subset leaked findings: exit %d\n%s", code, out)
 	}
 }
 
+// A rule that no longer exists is as unknown as a typo: selecting one of the
+// three whose invariants run-time guards took over must not lint nothing.
 func TestUnknownRuleExitTwo(t *testing.T) {
 	root := repoRoot(t)
-	code, _, errOut := runCLI(t, "-C", root, "-rules", "bogus",
-		"internal/analysis/testdata/src/floatexact")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "bogus") {
-		t.Errorf("stderr does not name the unknown rule: %s", errOut)
+	for _, name := range []string{"bogus", "poolsafe", "shardsafe", "errcheck-lite"} {
+		code, _, errOut := runCLI(t, "-C", root, "-rules", name,
+			"internal/analysis/testdata/src/floatexact")
+		if code != 2 {
+			t.Fatalf("-rules %s: exit %d, want 2", name, code)
+		}
+		if !strings.Contains(errOut, "unknown rule") || !strings.Contains(errOut, name) {
+			t.Errorf("-rules %s: stderr does not name the unknown rule: %s", name, errOut)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 
 	arpanet "repro"
 	"repro/internal/node"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -67,10 +68,18 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	kinds, err := metricKinds(*metricName)
 	if err == nil {
-		err = nanFlag(flag.CommandLine)
+		err = numberFlag(flag.CommandLine)
 	}
 	if err == nil {
 		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *backgroundK, len(kinds))
+	}
+	var generated *topology.Graph
+	if err == nil && *shardsN > 0 {
+		spec := *topoName
+		if spec == "arpanet" {
+			spec = "hier:8x16" // the Table 1 maps are too small to shard usefully
+		}
+		generated, err = parseGenTopology(spec, *seed)
 	}
 	if err != nil {
 		log.Print(err)
@@ -87,11 +96,7 @@ func main() {
 		}
 	}
 	if *shardsN > 0 {
-		spec := *topoName
-		if spec == "arpanet" {
-			spec = "hier:8x16" // the Table 1 maps are too small to shard usefully
-		}
-		finish(runSharded(*shardsN, spec, *rate, *dests, *radius, *seconds, *seed, *adaptive, kinds[0]))
+		finish(runSharded(*shardsN, generated, *rate, *dests, *radius, *seconds, *seed, *adaptive, kinds[0]))
 		return
 	}
 	defer finish(nil)
@@ -151,12 +156,27 @@ func metricKinds(name string) ([]node.MetricKind, error) {
 	}
 }
 
-// nanFlag rejects a float flag set to NaN, which flag.Float64 parses
-// happily and sim.FromSeconds treats as a caller bug (it panics).
-func nanFlag(fs *flag.FlagSet) (err error) {
+// numberFlag rejects a number no mode can mean: NaN, which flag.Float64
+// parses happily and sim.FromSeconds panics on; anything below zero, which
+// panics in traffic.Gravity (-traffic, -growth) or silently runs something
+// else (no measured time, no warm-up, uniform destinations, no background,
+// -shards -1 the Table 1 study); and a fluid epoch of zero, the default one.
+func numberFlag(fs *flag.FlagSet) (err error) {
 	fs.Visit(func(f *flag.Flag) {
-		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && math.IsNaN(v) {
+		var v float64
+		switch x := f.Value.(flag.Getter).Get().(type) {
+		case float64:
+			v = x
+		case int:
+			v = float64(x)
+		}
+		switch {
+		case math.IsNaN(v):
 			err = fmt.Errorf("-%s is not a number", f.Name)
+		case v < 0:
+			err = fmt.Errorf("-%s %s is negative", f.Name, f.Value)
+		case v == 0 && f.Name == "background-epoch":
+			err = errors.New("-background-epoch must be positive")
 		}
 	})
 	return err

@@ -116,9 +116,47 @@ func TestNaNFlagRejected(t *testing.T) {
 		if err := fs.Parse(strings.Fields(tc.args)); err != nil {
 			t.Fatal(err)
 		}
-		err := nanFlag(fs)
+		err := numberFlag(fs)
 		if (tc.reject == "") != (err == nil) || err != nil && !strings.HasPrefix(err.Error(), tc.reject+" ") {
 			t.Errorf("%q: err = %v, want %q rejected", tc.args, err, tc.reject)
+		}
+	}
+}
+
+// A number below zero means nothing to any mode: -traffic and -growth used to
+// panic inside traffic.Gravity and the rest ran something else, so each is
+// refused by name — as is a fluid epoch of zero — and zero itself, a negative
+// -seed and every default pass.
+func TestNegativeFlagRejected(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-traffic -5", "-traffic -5 is negative"},
+		{"-growth -1", "-growth -1 is negative"},
+		{"-seconds -5", "-seconds -5 is negative"},
+		{"-warmup -10", "-warmup -10 is negative"},
+		{"-rate -0.5", "-rate -0.5 is negative"},
+		{"-shards 2 -radius -3", "-radius -3 is negative"},
+		{"-shards -1", "-shards -1 is negative"},
+		{"-shards 2 -dests -2", "-dests -2 is negative"},
+		{"-seeds -1", "-seeds -1 is negative"},
+		{"-background -5", "-background -5 is negative"},
+		{"-background 100 -background-epoch 0", "-background-epoch must be positive"},
+		{"-background 100 -background-epoch -2", "-background-epoch -2 is negative"},
+		{"-background 100 -background-epoch 0.5 -traffic 0 -warmup 0 -seconds 0 -radius 0 -seed -7", ""},
+		{"", ""},
+	} {
+		fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
+		for _, name := range []string{"traffic", "growth", "seconds", "warmup", "rate", "background", "background-epoch"} {
+			fs.Float64(name, 1, "")
+		}
+		for _, name := range []string{"seeds", "shards", "dests", "radius"} {
+			fs.Int(name, 1, "")
+		}
+		fs.Int64("seed", 1987, "")
+		if err := fs.Parse(strings.Fields(tc.args)); err != nil {
+			t.Fatal(err)
+		}
+		if err := numberFlag(fs); (err == nil) != (tc.want == "") || err != nil && err.Error() != tc.want {
+			t.Errorf("%q: err = %v, want %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -127,7 +165,11 @@ func TestNaNFlagRejected(t *testing.T) {
 // back as an error that names it, and an accepted one as a graph a simulator
 // can boot from — Validate-clean, every link at the line number it reports.
 func TestParseGenTopology(t *testing.T) {
-	for _, spec := range []string{"hier:2x2", "hier:1x9", "hier:3", "hier:ax4", "hier:4xb", "waxman:1", "waxman:x", "ring:5", "hier", ""} {
+	for _, spec := range []string{"hier:2x2", "hier:1x9", "hier:3", "hier:ax4", "hier:4xb", "waxman:1", "waxman:x", "ring:5", "hier", "",
+		// Sizes nothing could run are refused before a node is built; a hub with
+		// more lines than a 16-bit line number names is the generator's refusal.
+		"hier:99999x99999", "hier:1024x1025", "waxman:100000000", "waxman:16385", "hier:3x70000",
+	} {
 		g, err := parseGenTopology(spec, 1)
 		if err == nil || g != nil || !strings.Contains(err.Error(), strconv.Quote(spec)) {
 			t.Errorf("parseGenTopology(%q) = %v, %v; want an error naming the spec", spec, g, err)

@@ -28,13 +28,25 @@ import (
 	"repro/internal/traffic"
 )
 
+// maxWaxmanNodes bounds waxman:<N>: the generator weighs every pair of nodes,
+// so 2^14 is already 10^8 pairs. hier:<R>x<P> is linear and bounded by what
+// the sharded engine can route, shard.MaxStaticNodes.
+const maxWaxmanNodes = 1 << 14
+
 // parseGenTopology builds a generated topology from a "hier:RxP" or
-// "waxman:N" spec.
-func parseGenTopology(spec string, seed int64) (*topology.Graph, error) {
+// "waxman:N" spec. The spec is outside input: a size no engine could run is
+// refused before anything is built, and what a generator itself refuses — a
+// hub with more lines than 16-bit line numbers name — comes back as an error.
+func parseGenTopology(spec string, seed int64) (g *topology.Graph, err error) {
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
 		return nil, fmt.Errorf("topology %q: want hier:<regions>x<perRegion> or waxman:<nodes>", spec)
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			g, err = nil, fmt.Errorf("topology %q: %v", spec, r)
+		}
+	}()
 	switch kind {
 	case "hier":
 		rs, ps, ok := strings.Cut(arg, "x")
@@ -52,14 +64,17 @@ func parseGenTopology(spec string, seed int64) (*topology.Graph, error) {
 		if regions < 2 || per < 3 {
 			return nil, fmt.Errorf("topology %q: need >= 2 regions and >= 3 nodes per region", spec)
 		}
+		if regions > shard.MaxStaticNodes/per {
+			return nil, fmt.Errorf("topology %q: more than %d nodes", spec, shard.MaxStaticNodes)
+		}
 		return topology.Hierarchical(regions, per, seed), nil
 	case "waxman":
 		n, err := strconv.Atoi(arg)
 		if err != nil {
 			return nil, fmt.Errorf("topology %q: %v", spec, err)
 		}
-		if n < 2 {
-			return nil, fmt.Errorf("topology %q: need >= 2 nodes", spec)
+		if n < 2 || n > maxWaxmanNodes {
+			return nil, fmt.Errorf("topology %q: need 2 to %d nodes", spec, maxWaxmanNodes)
 		}
 		return topology.Waxman(n, 0.6, 0.12, seed, topology.T56, topology.T112), nil
 	default:
@@ -69,11 +84,7 @@ func parseGenTopology(spec string, seed int64) (*topology.Graph, error) {
 
 // runSharded returns the simulator it ran, which main keeps reachable until
 // the -memprofile heap profile is written.
-func runSharded(shards int, topoSpec string, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metric node.MetricKind) any {
-	g, err := parseGenTopology(topoSpec, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
+func runSharded(shards int, g *topology.Graph, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metric node.MetricKind) any {
 	cfg := shard.Config{
 		Graph:      g,
 		Shards:     shards,

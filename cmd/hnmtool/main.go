@@ -10,7 +10,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -20,23 +21,35 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("hnmtool: ")
-	var (
-		curves = flag.Bool("curves", false, "print cost-vs-utilization samples per line type")
-		trace  = flag.String("trace", "", "comma-separated utilizations to drive a 56T module with")
-		kind   = flag.String("line", "56T", "line type for -trace (9.6T, 9.6S, 19.2T, 50T, 56T, 56S, 112T, 112S)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is main minus the process exit, so tests drive it directly: 0 after the
+// table, curves or trace is written, 2 with one line on stderr for a flag
+// that does not parse, an unknown line type or a bad utilization.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hnmtool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		curves = fs.Bool("curves", false, "print cost-vs-utilization samples per line type")
+		trace  = fs.String("trace", "", "comma-separated utilizations to drive a 56T module with")
+		kind   = fs.String("line", "56T", "line type for -trace (9.6T, 9.6S, 19.2T, 50T, 56T, 56S, 112T, 112S)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	switch {
 	case *trace != "":
-		runTrace(*kind, *trace)
+		if err := runTrace(stdout, *kind, *trace); err != nil {
+			fmt.Fprintf(stderr, "hnmtool: %v\n", err)
+			return 2
+		}
 	case *curves:
-		printCurves()
+		printCurves(stdout)
 	default:
-		printTable()
+		printTable(stdout)
 	}
+	return 0
 }
 
 var kinds = map[string]topology.LineType{
@@ -45,65 +58,72 @@ var kinds = map[string]topology.LineType{
 	"112T": topology.T112, "112S": topology.S112,
 }
 
-func printTable() {
-	fmt.Println("HN-SPF parameter table (routing units; reconstruction of §4.2-§4.4)")
-	fmt.Printf("%-6s %9s %5s %5s %6s %6s %7s %7s %9s\n",
+func printTable(w io.Writer) {
+	fmt.Fprintln(w, "HN-SPF parameter table (routing units; reconstruction of §4.2-§4.4)")
+	fmt.Fprintf(w, "%-6s %9s %5s %5s %6s %6s %7s %7s %9s\n",
 		"line", "bandwidth", "min", "max", "ramp@", "ramp→", "max-up", "max-dn", "minchange")
 	for _, name := range []string{"9.6T", "9.6S", "19.2T", "50T", "56T", "56S", "112T", "112S"} {
 		lt := kinds[name]
 		p := core.DefaultParams(lt)
-		fmt.Printf("%-6s %9.0f %5.0f %5.0f %5.0f%% %5.0f%% %7.0f %7.0f %9.0f\n",
+		fmt.Fprintf(w, "%-6s %9.0f %5.0f %5.0f %5.0f%% %5.0f%% %7.0f %7.0f %9.0f\n",
 			name, lt.Bandwidth(), p.MinCost, p.MaxCost,
 			p.RampStart*100, p.RampEnd*100,
 			p.MaxIncrease(), p.MaxDecrease(), p.MinChange())
 	}
-	fmt.Println()
-	fmt.Println("Floors with default propagation delay (satellite lines pay the")
-	fmt.Println("slowly-increasing propagation term of §4.2, one unit per 10 ms):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Floors with default propagation delay (satellite lines pay the")
+	fmt.Fprintln(w, "slowly-increasing propagation term of §4.2, one unit per 10 ms):")
 	for _, name := range []string{"56T", "56S", "9.6T", "9.6S"} {
 		lt := kinds[name]
 		m := core.NewModule(lt, lt.DefaultPropDelay())
-		fmt.Printf("  %-6s floor %5.1f  ceiling %5.1f  (%.0f ms propagation)\n",
+		fmt.Fprintf(w, "  %-6s floor %5.1f  ceiling %5.1f  (%.0f ms propagation)\n",
 			name, m.Floor(), m.Ceiling(), lt.DefaultPropDelay()*1000)
 	}
 }
 
-func printCurves() {
-	fmt.Println("HN-SPF cost (routing units) by utilization")
+func printCurves(w io.Writer) {
+	fmt.Fprintln(w, "HN-SPF cost (routing units) by utilization")
 	names := []string{"9.6T", "9.6S", "56T", "56S", "112T"}
-	fmt.Printf("%-6s", "util")
+	fmt.Fprintf(w, "%-6s", "util")
 	for _, n := range names {
-		fmt.Printf(" %7s", n)
+		fmt.Fprintf(w, " %7s", n)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for u := 0.0; u <= 0.951; u += 0.05 {
-		fmt.Printf("%-6.2f", u)
+		fmt.Fprintf(w, "%-6.2f", u)
 		for _, n := range names {
 			lt := kinds[n]
 			m := core.NewModule(lt, lt.DefaultPropDelay())
-			fmt.Printf(" %7.1f", m.RawCost(u))
+			fmt.Fprintf(w, " %7.1f", m.RawCost(u))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
-func runTrace(kindName, schedule string) {
+// runTrace drives one module through the schedule, which is checked whole
+// before the first line is printed.
+func runTrace(w io.Writer, kindName, schedule string) error {
 	lt, ok := kinds[kindName]
 	if !ok {
-		log.Fatalf("unknown line type %q", kindName)
+		return fmt.Errorf("unknown line type %q", kindName)
+	}
+	var utils []float64
+	for _, f := range strings.Split(schedule, ",") {
+		u, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil || !(u >= 0 && u < 1) {
+			return fmt.Errorf("bad utilization %q (want [0,1))", f)
+		}
+		utils = append(utils, u)
 	}
 	m := core.NewModule(lt, lt.DefaultPropDelay())
 	s := queueing.ServiceTime(lt.Bandwidth())
-	fmt.Printf("driving a %s module (floor %.1f, ceiling %.1f) through a utilization schedule\n",
+	fmt.Fprintf(w, "driving a %s module (floor %.1f, ceiling %.1f) through a utilization schedule\n",
 		kindName, m.Floor(), m.Ceiling())
-	fmt.Printf("%-8s %6s %12s %10s %8s\n", "period", "util", "delay(ms)", "cost", "update")
-	for i, f := range strings.Split(schedule, ",") {
-		u, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || u < 0 || u >= 1 {
-			log.Fatalf("bad utilization %q (want [0,1))", f)
-		}
+	fmt.Fprintf(w, "%-8s %6s %12s %10s %8s\n", "period", "util", "delay(ms)", "cost", "update")
+	for i, u := range utils {
 		d := queueing.MM1Delay(s, u)
 		cost, rep := m.Update(d)
-		fmt.Printf("%-8d %6.2f %12.2f %10.1f %8v\n", i+1, u, d*1000, cost, rep)
+		fmt.Fprintf(w, "%-8d %6.2f %12.2f %10.1f %8v\n", i+1, u, d*1000, cost, rep)
 	}
+	return nil
 }

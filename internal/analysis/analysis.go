@@ -2,12 +2,14 @@
 // simulator's domain invariants. The last three PRs made the simulator
 // allocation-free and byte-deterministic; every one of those properties is
 // a *convention* — one stray time.Now, one map-range feeding the event
-// queue, one read of a pooled packet after Release, and reproducibility or
-// the conservation ledger silently breaks. The rules here make those
+// queue, and reproducibility silently breaks. The rules here make those
 // conventions mechanical, so the whole bug class is caught at lint time
 // instead of one instance per fuzzing campaign. A rule earns its place by
 // a real finding or by guarding something no runtime test can observe;
-// DESIGN.md "Static analysis" records the evidence for each.
+// where a run-time guard at the invariant's home sees every violation (a
+// pooled packet after Put, a published update, a shard schedule, a dropped
+// schedule error) there is no rule. DESIGN.md "Static analysis" records
+// the evidence for each.
 //
 // The framework deliberately uses nothing outside the standard library
 // (go/parser, go/types, go/importer): the module has zero external
@@ -109,11 +111,8 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 func AllRules() []Rule {
 	return []Rule{
 		&DetDrift{},
-		&PoolSafe{},
 		&HandleCheck{},
 		&FloatExact{},
-		&ErrCheckLite{},
-		&ShardSafe{},
 	}
 }
 

@@ -90,8 +90,7 @@ func parseWants(t *testing.T, root, relDir string) []*wantDiag {
 func TestGoldenFixtures(t *testing.T) {
 	root := moduleRoot(t)
 	for _, fixture := range []string{
-		"detdrift", "detdrift2", "poolsafe", "handlecheck", "floatexact",
-		"errcheck", "shardsafe", "stale",
+		"detdrift", "detdrift2", "handlecheck", "floatexact", "stale",
 	} {
 		t.Run(fixture, func(t *testing.T) {
 			relDir := "internal/analysis/testdata/src/" + fixture

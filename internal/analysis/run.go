@@ -15,9 +15,11 @@ type Result struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// ResultVersion is the current -json schema version. Version 3 dropped the
-// "fix" field on findings and the allocfree rule.
-const ResultVersion = 3
+// ResultVersion is the current -json schema version. Version 4 dropped the
+// poolsafe, shardsafe and errcheck-lite rules: a consumer selecting or
+// expecting one by name must learn that they are gone (run-time guards at
+// the invariants' homes replaced them; DESIGN.md "Run-time guards").
+const ResultVersion = 4
 
 // Clean reports whether the run found nothing at all.
 func (r Result) Clean() bool { return len(r.Findings) == 0 && len(r.Errors) == 0 }

@@ -35,11 +35,15 @@ type Update struct {
 	Seq    uint64
 	Links  []topology.LinkID
 	Costs  []float64
+
+	seal uint64 // digest of the four fields above as NewUpdate published them
 }
 
 // NewUpdate builds an update after validating its shape and costs. It is the
 // one place an update is made, and an update is immutable afterwards (both
 // slices are retained, never written), so no PSN accepting it re-validates.
+// Every PSN, on every shard, shares the one pointer; the seal lets an audit
+// tell that none of them wrote through it (Intact).
 func NewUpdate(origin topology.NodeID, seq uint64, links []topology.LinkID, costs []float64) *Update {
 	if len(links) != len(costs) {
 		panic("flooding: links/costs length mismatch")
@@ -50,8 +54,31 @@ func NewUpdate(origin topology.NodeID, seq uint64, links []topology.LinkID, cost
 				origin, c, links[i]))
 		}
 	}
-	return &Update{Origin: origin, Seq: seq, Links: links, Costs: costs}
+	u := &Update{Origin: origin, Seq: seq, Links: links, Costs: costs}
+	u.seal = u.digest()
+	return u
 }
+
+// digest folds origin, sequence number, links and cost bits FNV-style, a
+// word at a time: each step is a bijection of the running value, so no
+// change to a single word goes unseen.
+func (u *Update) digest() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	mix(uint64(u.Origin))
+	mix(u.Seq)
+	for _, l := range u.Links {
+		mix(uint64(l))
+	}
+	for _, c := range u.Costs {
+		mix(math.Float64bits(c))
+	}
+	return h
+}
+
+// Intact reports whether u still reads exactly as NewUpdate published it.
+// The audits of both engines ask it of every update a router holds.
+func (u *Update) Intact() bool { return u.seal == u.digest() }
 
 // SizeBits returns the update's wire size.
 func (u *Update) SizeBits() float64 {

@@ -82,9 +82,11 @@ func (n *Network) TransmitterAudit() error {
 // period) after a topology change before treating a mismatch as a bug:
 // floods missed across a partition are only repaired by the periodic
 // refresh.
+//
+// node.AuditRun's two checks need no quiescence and come first, in every mode.
 func (n *Network) ConvergenceAudit() error {
-	if n.cfg.Metric == node.BF1969 {
-		return nil
+	if err := node.AuditRun(n.kernel, n.routers); err != nil || n.cfg.Metric == node.BF1969 {
+		return err
 	}
 	if n.RoutingInFlight() > 0 {
 		return nil

@@ -88,6 +88,9 @@ type Network struct {
 	psns   []*psn
 	links  []*linkState
 	rnd    *sim.Source
+	// routers is the single-path PSNs' shared table: one kernel, one goroutine
+	// drives them all (nil when multipath or BF1969).
+	routers *spf.Table
 
 	warmed bool
 
@@ -236,16 +239,14 @@ func New(cfg Config) *Network {
 		ls.lastFlooded = initial[i]
 	}
 
-	// PSNs with routers booted from the identical database. The single-path
-	// routers share one spf.Table: one kernel, one goroutine drives them all.
+	// PSNs with routers booted from the identical database.
 	n.psns = make([]*psn, n.g.NumNodes())
-	var routers *spf.Table
 	if cfg.Metric != node.BF1969 && !cfg.Multipath {
 		roots := make([]topology.NodeID, n.g.NumNodes())
 		for i := range roots {
 			roots[i] = topology.NodeID(i)
 		}
-		routers = spf.NewTable(n.g, roots, initial)
+		n.routers = spf.NewTable(n.g, roots, initial)
 	}
 	for i := range n.psns {
 		id := topology.NodeID(i)
@@ -266,7 +267,7 @@ func New(cfg Config) *Network {
 			p.dedup = flooding.NewDedup(n.g.NumNodes())
 			p.pathRand = n.rnd.Stream(fmt.Sprintf("path/%d", i))
 		default:
-			p.router = routers.Router(i)
+			p.router = n.routers.Router(i)
 		}
 		n.psns[i] = p
 		n.setupSource(p)

@@ -1,6 +1,12 @@
 package node
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/flooding"
+	"repro/internal/sim"
+	"repro/internal/spf"
+)
 
 // Conservation is a snapshot of the packet ledger over Counted packets
 // (user packets generated inside the measurement window).
@@ -45,4 +51,25 @@ func (c Conservation) Err() error {
 	accounted := c.Delivered + c.BufferDrops + c.LoopDrops + c.NoRouteDrops + c.OutageDrops + c.InFlight
 	return fmt.Errorf("packet conservation violated: offered %d != accounted %d (missing %d): %+v",
 		c.Offered, accounted, c.Offered-accounted, c)
+}
+
+// AuditRun checks the two invariants of a run that no ledger shows, for one
+// kernel and the routing table it drives (nil without one). The kernel refused
+// no schedule: an ErrPastEvent dropped anywhere, by any spelling, is an event
+// that never fires. And every update a router holds still reads as
+// flooding.NewUpdate published it: the PSNs, on every shard, share the
+// pointer. Both engines' audits call it.
+func AuditRun(k *sim.Kernel, routers *spf.Table) error {
+	if n := k.Stats().Rejected; n != 0 {
+		return fmt.Errorf("the kernel refused %d schedules as in the past; each is an event that never fired", n)
+	}
+	var err error
+	if routers != nil {
+		routers.Updates(func(u *flooding.Update) {
+			if !u.Intact() {
+				err = fmt.Errorf("update %d from node %d was written after NewUpdate published it; every PSN reads the same pointer", u.Seq, u.Origin)
+			}
+		})
+	}
+	return err
 }

@@ -101,11 +101,13 @@ type Packet struct {
 }
 
 // PacketPool recycles Packets through an intrusive free-list so a long run
-// allocates no packet after warm-up. Safety rests on the conservation
-// ledger: a packet is released exactly at the terminal sites the ledger
-// enumerates (delivered, each drop class, routing consumption), so a packet
-// still queued, on a transmitter, or propagating can never be recycled —
-// the ledger would not balance if one were unaccounted.
+// allocates no packet after warm-up. A packet is released at the terminal
+// sites the conservation ledger enumerates (delivered, each drop class,
+// routing consumption) — but the ledger counts packets, not pointers, so the
+// pool guards the pointer itself: Put leaves poison in the packet and Get
+// expects to find it intact. A second release and a write after release
+// panic by name, from any package at any call depth, and a read after release
+// gets the poison, not the zeros of a fresh packet.
 //
 // Not safe for concurrent use; each Network owns one.
 type PacketPool struct {
@@ -118,20 +120,37 @@ func (pp *PacketPool) Get() *Packet {
 	if p == nil {
 		return &Packet{} // pool refill: the fresh packet is recycled forever after
 	}
+	if !p.poisoned() {
+		panic(fmt.Sprintf("node: pooled packet written after release: %+v", *p))
+	}
 	pp.free = p.poolNext
-	p.poolNext = nil
+	*p = Packet{}
 	return p
 }
 
-// Put releases a packet back to the pool, zeroing every field so no state
-// can leak into its next life. Releasing the same packet twice panics —
-// that would silently alias two live packets later.
+// Put releases a packet back to the pool, poisoning every field so no state
+// can leak into its next life: the size becomes NaN, which sim.FromSeconds
+// refuses by name, the endpoints and the arrival link index nothing, time and
+// hops run backwards. Releasing the same packet twice panics — that would
+// silently alias two live packets later — wherever the packet sits in the
+// free list: its size says it is pooled, and every live packet's is a number.
 func (pp *PacketPool) Put(p *Packet) {
-	if p == pp.free || p.poolNext != nil {
+	if math.IsNaN(p.SizeBits) {
 		panic("node: packet released twice")
 	}
-	*p = Packet{poolNext: pp.free}
+	// Field by field: assigning a Packet literal goes through a stack copy and
+	// a typed move, four times the cost on the per-packet path.
+	p.Seq, p.Src, p.Dst, p.SizeBits = math.MaxUint64, topology.NoNode, topology.NoNode, math.NaN()
+	p.Created, p.Enqueued, p.Hops, p.Counted = -1, -1, -1, false
+	p.Update, p.Vector, p.Arrival, p.poolNext = nil, nil, topology.NoLink, pp.free
 	pp.free = p
+}
+
+// poisoned reports whether every field still holds what Put left there.
+func (p *Packet) poisoned() bool {
+	return p.Seq == math.MaxUint64 && p.Src == topology.NoNode && p.Dst == topology.NoNode && math.IsNaN(p.SizeBits) &&
+		p.Created == -1 && p.Enqueued == -1 && p.Hops == -1 && !p.Counted && p.Update == nil && p.Vector == nil &&
+		p.Arrival == topology.NoLink
 }
 
 // Vector is a 1969 distance-vector table as exchanged between neighbors

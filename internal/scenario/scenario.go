@@ -177,8 +177,12 @@ func (s *Scenario) CheckpointAt(at sim.Time) *Scenario {
 }
 
 // Validate checks the scenario is runnable: a positive duration and every
-// event inside [0, Duration].
+// event inside [0, Duration]. A nil scenario — all a failed Parse returns —
+// is not, so a dropped Parse error stops at the first Run.
 func (s *Scenario) Validate() error {
+	if s == nil {
+		return fmt.Errorf("scenario: nil scenario (was a Parse error dropped?)")
+	}
 	if s.Duration <= 0 {
 		return fmt.Errorf("scenario %q: duration must be positive", s.Name)
 	}

@@ -94,9 +94,16 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.script))
+			sc, err := Parse(strings.NewReader(tc.script))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %v, want mention of %q", err, tc.want)
+			}
+			// A caller that dropped the error holds nothing it could run instead.
+			if sc != nil {
+				t.Errorf("a failed Parse returned a scenario: %+v", sc)
+			}
+			if _, err := Run(ringCfg(0, 7), sc); err == nil || !strings.Contains(err.Error(), "nil scenario") {
+				t.Errorf("Run of a failed Parse's result: %v, want the nil scenario refused", err)
 			}
 		})
 	}

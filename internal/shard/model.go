@@ -273,7 +273,7 @@ func (sh *shardState) source(now sim.Time, arg any) {
 	p.Counted = true
 	sh.led.Generated++
 	sh.handlePacket(n, p, now)
-	mustCallAt(sh.kernel, now.Add(n.nextGap()), sh.sourceCall, n)
+	_ = mustCallAt(sh.kernel, now.Add(n.nextGap()), sh.sourceCall, n)
 }
 
 // handlePacket delivers, drops, or forwards a packet at node n.
@@ -355,11 +355,7 @@ func (sh *shardState) startTx(ls *llink, now sim.Time) {
 	if p == nil {
 		return
 	}
-	h, err := sh.kernel.ScheduleCallAt(now+tx, sh.txDoneCall, ls)
-	if err != nil {
-		panic(fmt.Sprintf("shard: %v", err))
-	}
-	ls.Started(h)
+	ls.Started(mustCallAt(sh.kernel, now+tx, sh.txDoneCall, ls))
 }
 
 // txDone completes a transmission, then either buffers the arrival at the
@@ -481,7 +477,7 @@ func (sh *shardState) measure(now sim.Time, arg any) {
 	if sh.s.cfg.Adaptive && (report || now-n.lastOrig >= node.MaxUpdateInterval) {
 		sh.originate(n, now)
 	}
-	mustCallAt(sh.kernel, now+sh.s.cfg.MeasurePeriod, sh.measureCall, n)
+	_ = mustCallAt(sh.kernel, now+sh.s.cfg.MeasurePeriod, sh.measureCall, n)
 }
 
 // --- faults ---------------------------------------------------------------

@@ -5,7 +5,8 @@ package shard
 // partition-independent as the trace. Audit enforces the custody-ledger
 // invariants — per-shard balance, composed balance, and the wire identity
 // ΣExported − ΣImported == packets pending injection — plus the
-// single-transmitter invariant (node.Trunk.Audit) on every link.
+// single-transmitter invariant (node.Trunk.Audit) on every link, that no
+// kernel refused a schedule, and that every update a router holds is intact.
 
 import (
 	"fmt"
@@ -108,8 +109,8 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// Audit checks every custody and transmitter invariant. Call it between
-// Run invocations.
+// Audit checks every custody, transmitter, schedule and shared-payload
+// invariant. Call it between Run invocations.
 func (s *Sim) Audit() error {
 	ledgers := s.Ledgers()
 	var exported, imported, ctrlExported, ctrlImported int64
@@ -138,6 +139,11 @@ func (s *Sim) Audit() error {
 		if err := ls.Audit(); err != nil {
 			return fmt.Errorf("link %d (%s->%s): %w", ls.l.ID,
 				s.g.Node(ls.l.From).Name, s.g.Node(ls.l.To).Name, err)
+		}
+	}
+	for i, sh := range s.shards {
+		if err := node.AuditRun(sh.kernel, sh.routers); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil

@@ -13,6 +13,7 @@ package shard
 // never depends on float comparison quirks.
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/node"
@@ -25,6 +26,20 @@ import (
 // hops. Packing makes heap order a single integer comparison, totally
 // ordered even between equal distances (lowest node wins).
 const nodeBits = 20
+
+// MaxStaticNodes is the largest graph the static plane routes: one node more
+// and two heap keys alias. New refuses it by name; the adaptive plane, which
+// keeps no packed key, has no such limit.
+const MaxStaticNodes = 1 << nodeBits
+
+// staticPlaneFits is New's check of that limit, on the node count alone.
+func staticPlaneFits(nodes int, adaptive bool) error {
+	if !adaptive && nodes > MaxStaticNodes {
+		return fmt.Errorf("shard: %d nodes, but static routes pack the node ID into %d bits (at most %d nodes); set Adaptive",
+			nodes, nodeBits, MaxStaticNodes)
+	}
+	return nil
+}
 
 const infDist = math.MaxInt64
 

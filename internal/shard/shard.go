@@ -124,6 +124,9 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Shards > cfg.Graph.NumNodes() {
 		return nil, fmt.Errorf("shard: %d shards for %d nodes", cfg.Shards, cfg.Graph.NumNodes())
 	}
+	if err := staticPlaneFits(cfg.Graph.NumNodes(), cfg.Adaptive); err != nil {
+		return nil, err
+	}
 	if cfg.PktRate <= 0 {
 		return nil, fmt.Errorf("shard: PktRate must be positive")
 	}
@@ -213,14 +216,14 @@ func New(cfg Config) (*Sim, error) {
 	for id := 0; id < g.NumNodes(); id++ {
 		n := s.nodeAt[id]
 		sh := n.sh
-		mustCallAt(sh.kernel, cfg.MeasurePeriod+sim.Time(id)*step, sh.measureCall, n)
-		mustCallAt(sh.kernel, n.nextGap(), sh.sourceCall, n)
+		_ = mustCallAt(sh.kernel, cfg.MeasurePeriod+sim.Time(id)*step, sh.measureCall, n)
+		_ = mustCallAt(sh.kernel, n.nextGap(), sh.sourceCall, n)
 		for fi := range cfg.Faults {
 			f := &cfg.Faults[fi]
 			for _, lid := range []topology.LinkID{topology.LinkID(2 * f.Trunk), topology.LinkID(2*f.Trunk + 1)} {
 				ls := s.linkAt[lid]
 				if ls.l.From == topology.NodeID(id) {
-					mustCallAt(sh.kernel, f.At, sh.faultCall, &faultEv{ls: ls, up: f.Up})
+					_ = mustCallAt(sh.kernel, f.At, sh.faultCall, &faultEv{ls: ls, up: f.Up})
 				}
 			}
 		}
@@ -228,13 +231,16 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// mustCallAt schedules an event whose timestamp is in the future by
-// construction; a past-time error here is a runner bug, not a caller
-// mistake, so it panics.
-func mustCallAt(k *sim.Kernel, at sim.Time, fn sim.Call, arg any) {
-	if _, err := k.ScheduleCallAt(at, fn, arg); err != nil {
-		panic(fmt.Sprintf("shard: %v", err))
+// mustCallAt is the one way the shard model schedules anything but an arrival
+// drain, so it is where rule 1 of the package comment is held: the event sits
+// at least one tick after the instant scheduling it, whatever the delay was
+// computed from. The kernel takes a 0-tick delay; a node's event order would
+// then depend on the partition. A runner bug, never a caller's: it panics.
+func mustCallAt(k *sim.Kernel, at sim.Time, fn sim.Call, arg any) sim.Handle {
+	if at <= k.Now() {
+		panic(fmt.Sprintf("shard: event scheduled for %v at %v; every non-drain delay must be at least one tick", at, k.Now()))
 	}
+	return k.ScheduleCall(at-k.Now(), fn, arg)
 }
 
 // Shards returns the number of shards.

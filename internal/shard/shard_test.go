@@ -108,6 +108,22 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
+	// The static plane's heap key holds 20 bits of node ID: one node more
+	// would alias two keys and return a wrong table, so New refuses the count
+	// (checked on the count alone — no million-node graph here).
+	for _, tc := range []struct {
+		nodes    int
+		adaptive bool
+		ok       bool
+	}{
+		{MaxStaticNodes, false, true},
+		{MaxStaticNodes + 1, false, false},
+		{MaxStaticNodes + 1, true, true},
+	} {
+		if err := staticPlaneFits(tc.nodes, tc.adaptive); (err == nil) != tc.ok {
+			t.Errorf("staticPlaneFits(%d, adaptive %v) = %v", tc.nodes, tc.adaptive, err)
+		}
+	}
 }
 
 // run builds and runs one simulation to until, auditing at the end.

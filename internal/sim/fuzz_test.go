@@ -140,6 +140,7 @@ type fuzzHarness struct {
 	rfired  []int
 	rbudget int
 	rhalted bool
+	refused uint64 // schedules the reference refused as in the past
 
 	// Tickers fire as id -1-i on both sides.
 	tickers   []*Ticker
@@ -300,8 +301,8 @@ func (h *fuzzHarness) check(op fuzzOp, peek bool) {
 	if k.Fired() != uint64(len(h.rfired)) {
 		t.Fatalf("%v: Fired() = %d, reference %d", op, k.Fired(), len(h.rfired))
 	}
-	if st := k.Stats(); st.Scheduled != h.ref.seq || int(st.Scheduled-st.Fired-st.Cancelled) != live {
-		t.Fatalf("%v: %+v; reference scheduled %d, %d live", op, st, h.ref.seq, live)
+	if st := k.Stats(); st.Scheduled != h.ref.seq || int(st.Scheduled-st.Fired-st.Cancelled) != live || st.Rejected != h.refused {
+		t.Fatalf("%v: %+v; reference scheduled %d, %d live, %d refused", op, st, h.ref.seq, live, h.refused)
 	}
 	if len(h.handles) != len(h.items) {
 		t.Fatalf("%v: %d events scheduled, reference %d", op, len(h.handles), len(h.items))
@@ -359,6 +360,7 @@ func fuzzRun(t *testing.T, data []byte) {
 				if !errors.Is(err, ErrPastEvent) {
 					t.Fatalf("%v: error %v, want ErrPastEvent", op, err)
 				}
+				h.refused++
 			}
 		case fzCancel:
 			i, twice := int(next())<<8|int(next()), next()%2 == 1

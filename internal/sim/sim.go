@@ -189,6 +189,7 @@ type Kernel struct {
 	pending   int // scheduled events still able to fire
 	fired     uint64
 	cancelled uint64
+	rejected  uint64 // schedules refused with ErrPastEvent
 	retunes   uint64
 	overPops  uint64 // ladder pops, cumulative
 	tuneTick  int    // fires left until the next tuneCheck
@@ -238,6 +239,7 @@ type Stats struct {
 	Scheduled  uint64 // events ever scheduled; Scheduled-Fired-Cancelled == Pending()
 	Fired      uint64
 	Cancelled  uint64
+	Rejected   uint64 // schedules refused with ErrPastEvent: events their callers wanted and never got
 	Retunes    uint64 // calendar rebuilds, whatever the trigger
 	LadderPops uint64 // events (live or cancelled) that left through the overflow ladder
 	Slots      int    // slot-store size: the peak number of events ever queued at once
@@ -249,7 +251,7 @@ type Stats struct {
 // anyway; nothing is recorded on the schedule or fire path for it.
 func (k *Kernel) Stats() Stats {
 	return Stats{
-		Scheduled: k.seq, Fired: k.fired, Cancelled: k.cancelled,
+		Scheduled: k.seq, Fired: k.fired, Cancelled: k.cancelled, Rejected: k.rejected,
 		Retunes: k.retunes, LadderPops: k.overPops,
 		Slots: len(k.at), Buckets: len(k.bucket), Width: k.width,
 	}
@@ -294,6 +296,15 @@ func (k *Kernel) recycle(s int32) {
 // the current simulation time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
+// reject refuses a schedule at a time already past — and counts it: the error
+// is the caller's to handle, but one dropped anywhere is an event that never
+// fires, which nothing else can observe. Both engines' audits demand zero.
+func (k *Kernel) reject(at Time) error {
+	k.rejected++
+	// Allocates: error construction on the rejected-schedule path, never in steady state
+	return fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
+}
+
 // tailSeq is the high bit of an event sequence number. A tail event carries
 // it so that, at its timestamp, it sorts after every normally scheduled
 // event — including ones scheduled after it. Normal sequence numbers are
@@ -329,8 +340,7 @@ func callEvent(now Time, arg any) { arg.(Event)(now) }
 // that can cancel the event, and an error if at precedes the current time.
 func (k *Kernel) ScheduleAt(at Time, fn Event) (Handle, error) {
 	if at < k.now {
-		// Allocates: error construction on the rejected-schedule path, never in steady state
-		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
+		return Handle{}, k.reject(at)
 	}
 	return k.scheduleSlot(at, callEvent, fn, false), nil
 }
@@ -351,8 +361,7 @@ func (k *Kernel) Schedule(delay Time, fn Event) Handle {
 // it is boxed).
 func (k *Kernel) ScheduleCallAt(at Time, fn Call, arg any) (Handle, error) {
 	if at < k.now {
-		// Allocates: error construction on the rejected-schedule path, never in steady state
-		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
+		return Handle{}, k.reject(at)
 	}
 	return k.scheduleSlot(at, fn, arg, false), nil
 }
@@ -382,8 +391,7 @@ func (k *Kernel) ScheduleCall(delay Time, fn Call, arg any) Handle {
 // precisely so the case never arises.
 func (k *Kernel) ScheduleTailCallAt(at Time, fn Call, arg any) (Handle, error) {
 	if at < k.now {
-		// Allocates: error construction on the rejected-schedule path, never in steady state
-		return Handle{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
+		return Handle{}, k.reject(at)
 	}
 	return k.scheduleSlot(at, fn, arg, true), nil
 }

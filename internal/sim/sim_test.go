@@ -384,6 +384,16 @@ func TestScheduleCallAtPast(t *testing.T) {
 	if _, err := k.ScheduleCallAt(Second, func(Time, any) {}, nil); err == nil {
 		t.Error("ScheduleCallAt in the past should error")
 	}
+	// The refusal is counted, whatever the caller does with the error, and
+	// only the refusal: the clock's own instant is not the past.
+	_, _ = k.ScheduleAt(Second, func(Time) {})
+	_, _ = k.ScheduleTailCallAt(k.Now()-1, func(Time, any) {}, nil)
+	if _, err := k.ScheduleCallAt(k.Now(), func(Time, any) {}, nil); err != nil {
+		t.Error(err)
+	}
+	if st := k.Stats(); st.Rejected != 3 || st.Scheduled != 2 {
+		t.Errorf("Stats() = %+v, want 3 rejected and 2 scheduled", st)
+	}
 }
 
 func TestScheduleCallCancel(t *testing.T) {

@@ -145,6 +145,19 @@ func (t *Table) Stats() TableStats {
 	return s
 }
 
+// Updates calls fn with every flooded update some router of the table still
+// holds, each once: by origin, newest first. The rows Update cloned for one
+// router to write are not flooded updates and are left out.
+func (t *Table) Updates(fn func(*flooding.Update)) {
+	for _, vs := range t.db {
+		for _, v := range vs {
+			if !v.private {
+				fn(v.u)
+			}
+		}
+	}
+}
+
 // NewIncrementalRouter creates an incremental router with explicit initial
 // costs (copied): a Table of one.
 func NewIncrementalRouter(g *topology.Graph, root topology.NodeID, costs []float64) *IncrementalRouter {

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Run the domain static-analysis suite (cmd/arpanetlint) over the whole
-# repository: determinism (interprocedural), pool-safety, sim.Handle
-# discipline, float comparison hygiene, domain error checking and
-# shard-barrier invariants.
+# repository: determinism (detdrift, interprocedural), sim.Handle
+# discipline (handlecheck) and float comparison hygiene (floatexact).
 #
 # Usage:
 #   scripts/lint.sh               # whole repo, human-readable
 #   scripts/lint.sh -json         # machine-readable result schema
-#   scripts/lint.sh -rules detdrift,poolsafe
+#   scripts/lint.sh -rules detdrift,handlecheck
 #
 # Exit status distinguishes outcomes so CI can route them:
 #   0  clean tree
