@@ -66,7 +66,7 @@ type lnode struct {
 	dst  rng // destination choice (also seeds the setup-time dest sample)
 
 	dests []topology.NodeID
-	out   []*llink // this node's out-links in Graph.Out order: line i of its SPF tree is out[i]
+	out   []*llink // this node's out-links in Graph.Out order: line i of its SPF tree, or of the static table, is out[i]
 
 	pseq uint64 // packets generated (low word of Packet.Seq)
 	rseq uint32 // trace records emitted
@@ -310,17 +310,17 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		}
 	} else {
 		sh.epoch = sh.s.routes.epochAt(sh.epoch, now)
-		lid := sh.s.routes.nextHop(sh.epoch, p.Dst, n.id)
-		if lid < 0 {
+		line := sh.s.routes.nextLine(sh.epoch, p.Dst, n.id)
+		if line == noLine {
 			sh.led.NoRouteDrops++
 			sh.dropRec(n, now, recNoRouteDrop, p.Arrival, p.Seq)
 			sh.pool.Put(p)
 			return
 		}
-		ls = sh.s.linkAt[lid]
+		ls = n.out[line]
 		if ls.Down() {
 			sh.led.OutageDrops++
-			sh.dropRec(n, now, recOutageDrop, lid, p.Seq)
+			sh.dropRec(n, now, recOutageDrop, ls.l.ID, p.Seq)
 			sh.pool.Put(p)
 			return
 		}

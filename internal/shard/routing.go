@@ -5,8 +5,10 @@ package shard
 // one table generation ("epoch") per distinct fault time. Every shard reads
 // the same precomputed tables, and each advances a private epoch cursor off
 // its own clock, so routing adds no cross-shard communication and no
-// nondeterminism. Config.Adaptive replaces these tables with the
-// measurement-driven plane of adaptive.go.
+// nondeterminism. An entry is a line number of the forwarding node — which of
+// its own lines, §2.2 — so both planes forward on lnode.out[line] and the table
+// costs 2·D·N bytes an epoch for D destinations. Config.Adaptive replaces these
+// tables with the measurement-driven plane of adaptive.go.
 //
 // All arithmetic is integer: costs are ticks (microseconds) and the
 // priority-queue key packs (dist, node) into one int64, so relaxation order
@@ -48,8 +50,27 @@ type routing struct {
 	epochs  []sim.Time // ascending; epochs[0] == 0
 	destOrd []int32    // by NodeID; ordinal into dests, -1 if not a destination
 	dests   []topology.NodeID
-	cost    []sim.Time // per link: prop + mean transmission + processing, >= 1 tick
-	next    [][]int32  // [epoch][ord*n + node] = LinkID, -1 unreachable
+	next    [][]uint16 // [epoch][ord*n + node] = the node's line, its index in Graph.Out(node) and lnode.out; noLine unreachable
+}
+
+// noLine is a table entry without a route; no node has a line of that number
+// (topology.AddTrunk refuses it).
+const noLine = topology.MaxLines
+
+// arc is what a tree reads of a link, 24 bytes of it instead of a 48-byte
+// topology.Link copy per relaxation.
+type arc struct {
+	cost     int64 // linkCost: prop + mean transmission + processing, >= 1 tick
+	from, to int32
+	trunk    int32
+}
+
+// treeScratch is what finalize's trees share and nothing keeps afterwards.
+type treeScratch struct {
+	arcs []arc // per link
+	down []bool
+	dist []int64
+	heap []int64 // (dist, node) keys, emptied by every tree
 }
 
 // linkCost returns the static routing weight of a link in ticks: propagation
@@ -107,110 +128,117 @@ func (r *routing) addDest(d topology.NodeID) {
 
 // finalize computes every (epoch, destination) shortest-path tree.
 func (r *routing) finalize(g *topology.Graph, faults []Fault) {
-	r.cost = make([]sim.Time, g.NumLinks())
-	for i := 0; i < g.NumLinks(); i++ {
-		r.cost[i] = linkCost(g.Link(topology.LinkID(i)))
+	ts := treeScratch{
+		arcs: make([]arc, g.NumLinks()),
+		down: make([]bool, g.NumTrunks()),
+		dist: make([]int64, r.n),
+		heap: make([]int64, 0, r.n),
 	}
-	down := make([]bool, g.NumTrunks())
-	dist := make([]int64, r.n)
-	r.next = make([][]int32, len(r.epochs))
+	for i, l := range g.Links() {
+		ts.arcs[i] = arc{cost: int64(linkCost(l)), from: int32(l.From), to: int32(l.To), trunk: int32(l.Trunk)}
+	}
+	r.next = make([][]uint16, len(r.epochs))
 	for e := range r.epochs {
 		// Trunk state at this epoch: replay the fault script through the
 		// epoch time, later entries in config order winning ties.
-		for i := range down {
-			down[i] = false
-		}
+		clear(ts.down)
 		for _, f := range faults {
 			if f.At <= r.epochs[e] {
-				down[f.Trunk] = !f.Up
+				ts.down[f.Trunk] = !f.Up
 			}
 		}
-		tab := make([]int32, len(r.dests)*r.n)
+		tab := make([]uint16, len(r.dests)*r.n)
 		for ord, d := range r.dests {
-			r.tree(g, down, dist, d, tab[ord*r.n:(ord+1)*r.n])
+			ts.tree(g, d, tab[ord*r.n:(ord+1)*r.n])
 		}
 		r.next[e] = tab
 	}
 }
 
 // tree runs one reverse Dijkstra to dest over up trunks and fills out[v]
-// with v's next-hop LinkID toward dest (-1 at dest itself or when
-// unreachable). The next hop is the argmin of linkCost+dist over v's out
-// links, strict < with ascending LinkID scan, so ties break to the lowest
-// link ID.
-func (r *routing) tree(g *topology.Graph, down []bool, dist []int64, dest topology.NodeID, out []int32) {
+// with v's line toward dest (noLine at dest itself or when unreachable). The
+// line is the argmin of linkCost+dist over v's out links, strict < in
+// Graph.Out order — ascending LinkID — so ties break to the lowest link ID.
+func (ts *treeScratch) tree(g *topology.Graph, dest topology.NodeID, out []uint16) {
+	dist := ts.dist
 	for i := range dist {
 		dist[i] = infDist
 	}
 	dist[dest] = 0
-	heap := []int64{int64(dest)}
-	push := func(key int64) {
-		heap = append(heap, key)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p] <= heap[i] {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() int64 {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= last {
-				break
-			}
-			if c+1 < last && heap[c+1] < heap[c] {
-				c++
-			}
-			if heap[i] <= heap[c] {
-				break
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-		return top
-	}
+	heap := append(ts.heap[:0], int64(dest))
 	for len(heap) > 0 {
-		key := pop()
+		var key int64
+		key, heap = popKey(heap)
 		d := key >> nodeBits
 		v := topology.NodeID(key & (1<<nodeBits - 1))
 		if d > dist[v] {
 			continue // stale heap entry
 		}
 		for _, lid := range g.In(v) {
-			l := g.Link(lid)
-			if down[l.Trunk] {
+			a := &ts.arcs[lid]
+			if ts.down[a.trunk] {
 				continue
 			}
-			if nd := d + int64(r.cost[lid]); nd < dist[l.From] {
-				dist[l.From] = nd
-				push(nd<<nodeBits | int64(l.From))
+			if nd := d + a.cost; nd < dist[a.from] {
+				dist[a.from] = nd
+				heap = pushKey(heap, nd<<nodeBits|int64(a.from))
 			}
 		}
 	}
-	for v := 0; v < r.n; v++ {
-		out[v] = -1
+	ts.heap = heap // keep what it grew to
+	for v := range out {
+		out[v] = noLine
 		if topology.NodeID(v) == dest || dist[v] == infDist {
 			continue
 		}
 		best := int64(infDist)
-		for _, lid := range g.Out(topology.NodeID(v)) {
-			l := g.Link(lid)
-			if down[l.Trunk] || dist[l.To] == infDist {
+		for line, lid := range g.Out(topology.NodeID(v)) {
+			a := &ts.arcs[lid]
+			if ts.down[a.trunk] || dist[a.to] == infDist {
 				continue
 			}
-			if c := int64(r.cost[lid]) + dist[l.To]; c < best {
+			if c := a.cost + dist[a.to]; c < best {
 				best = c
-				out[v] = int32(lid)
+				out[v] = uint16(line)
 			}
 		}
 	}
+}
+
+// pushKey and popKey keep h a binary min-heap of packed (dist, node) keys.
+func pushKey(h []int64, key int64) []int64 {
+	h = append(h, key)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+func popKey(h []int64) (int64, []int64) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top, h
 }
 
 // epochAt returns the table generation in effect at time t, given a cursor
@@ -234,12 +262,13 @@ func (r *routing) epochAt(hint int, t sim.Time) int {
 	return hint
 }
 
-// nextHop returns the LinkID node from should forward on toward dst in the
-// given epoch, or -1 when dst is unreachable.
-func (r *routing) nextHop(epoch int, dst, from topology.NodeID) topology.LinkID {
+// nextLine returns the line node from should forward on toward dst in the
+// given epoch — an index into its out-links, as a tree's NextLine is on the
+// adaptive plane — or noLine when dst is unreachable.
+func (r *routing) nextLine(epoch int, dst, from topology.NodeID) uint16 {
 	ord := r.destOrd[dst]
 	if ord < 0 {
-		return -1
+		return noLine
 	}
-	return topology.LinkID(r.next[epoch][int(ord)*r.n+int(from)])
+	return r.next[epoch][int(ord)*r.n+int(from)]
 }

@@ -103,6 +103,7 @@ type Sim struct {
 	nodeAt    []*lnode // by global NodeID
 	linkAt    []*llink // by global LinkID
 	wires     [][]wire // pending cross-shard arrivals, by target shard
+	barrier   BarrierStats
 
 	ballSeen []int32 // scratch for destination-ball BFS
 	ballGen  int32
@@ -196,6 +197,9 @@ func New(cfg Config) (*Sim, error) {
 
 	for id := 0; id < g.NumNodes(); id++ {
 		s.buildNode(topology.NodeID(id))
+		if len(s.nodeAt[id].dests) == 0 {
+			return nil, fmt.Errorf("shard: node %d (%s) has nowhere to send: its destination set is empty", id, g.Node(topology.NodeID(id)).Name)
+		}
 	}
 	for id := 0; id < g.NumNodes(); id++ {
 		s.buildLinks(topology.NodeID(id))
@@ -273,6 +277,21 @@ func (s *Sim) Generated() int64 {
 	return n
 }
 
+// BarrierStats counts what Run's serial section did between windows. The
+// counts are a function of the configuration, the partition and the deadlines
+// Run was given — never of GOMAXPROCS or the goroutine schedule — and enter no
+// Report, trace or digest.
+type BarrierStats struct {
+	Windows          int64 // barrier windows run; the two below add up to it
+	EndedByLookahead int64 // cut at tmin+lookahead-1: the cut's propagation delay bounded the window
+	EndedByDeadline  int64 // ran to Run's deadline
+	WiresDelivered   int64 // cross-shard arrivals injected: the sum of the ledgers' Imported + CtrlImported
+}
+
+// BarrierStats returns the barrier counters so far. Call it between Run
+// invocations.
+func (s *Sim) BarrierStats() BarrierStats { return s.barrier }
+
 // Run advances the simulation to the absolute time until. It may be called
 // repeatedly with increasing deadlines.
 func (s *Sim) Run(until sim.Time) {
@@ -283,10 +302,12 @@ func (s *Sim) Run(until sim.Time) {
 			break
 		}
 		w := until
-		if s.hasCross {
-			if b := tmin + s.lookahead - 1; b < w {
-				w = b
-			}
+		s.barrier.Windows++
+		if b := tmin + s.lookahead - 1; s.hasCross && b < w {
+			w = b
+			s.barrier.EndedByLookahead++
+		} else {
+			s.barrier.EndedByDeadline++
 		}
 		s.runWindow(w)
 		s.collectOutboxes()
@@ -339,6 +360,7 @@ func (s *Sim) deliverWires() {
 		for i := range ws {
 			sh.importWire(&ws[i])
 		}
+		s.barrier.WiresDelivered += int64(len(ws))
 		s.wires[target] = ws[:0]
 	}
 }

@@ -91,6 +91,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	lone := topology.New()
+	lone.AddNode("ALONE")
 	bad := []func(*Config){
 		func(c *Config) { c.Graph = nil },
 		func(c *Config) { c.Shards = 0 },
@@ -100,6 +102,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Metric = node.BF1969 },
 		func(c *Config) { c.Faults = []Fault{{Trunk: g.NumTrunks(), At: sim.Second}} },
 		func(c *Config) { c.Faults = []Fault{{Trunk: 0, At: 0}} },
+		func(c *Config) { c.Graph, c.Shards = lone, 1 }, // its first source event would divide by len(dests) == 0
 	}
 	for i, mutate := range bad {
 		cfg := testConfig(g, 2)
@@ -107,6 +110,9 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	if _, err := New(Config{Graph: lone, Shards: 1, PktRate: 5, Dests: 1}); err == nil || !strings.Contains(err.Error(), "ALONE") {
+		t.Errorf("one-node graph: error %v, want one naming the node with nowhere to send", err)
 	}
 	// The static plane's heap key holds 20 bits of node ID: one node more
 	// would alias two keys and return a wrong table, so New refuses the count
@@ -310,6 +316,42 @@ func backboneTrunks(g *topology.Graph) []int {
 		}
 	}
 	return out
+}
+
+// The barrier counters are a function of the configuration, the partition and
+// Run's deadlines: two runs agree, at one OS thread or two, and every wire
+// delivered is some shard's import.
+func TestBarrierStats(t *testing.T) {
+	g := testGraph(t)
+	cfg := adaptiveConfig(g, 3)
+	cfg.Faults = []Fault{{Trunk: backboneTrunks(g)[0], At: 2 * sim.Second}}
+	stats := func(procs int) BarrierStats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := run(t, cfg, 3*sim.Second)
+		s.Run(5 * sim.Second)
+		st := s.BarrierStats()
+		var imported int64
+		for _, l := range s.Ledgers() {
+			imported += l.Imported + l.CtrlImported
+		}
+		if st.WiresDelivered != imported || imported == 0 {
+			t.Errorf("GOMAXPROCS=%d: %d wires delivered, ledgers imported %d", procs, st.WiresDelivered, imported)
+		}
+		if st.Windows != st.EndedByLookahead+st.EndedByDeadline || st.EndedByLookahead == 0 || st.EndedByDeadline == 0 {
+			t.Errorf("GOMAXPROCS=%d: %+v: windows are not lookahead-cut plus deadline-cut, both seen", procs, st)
+		}
+		return st
+	}
+	want := stats(1)
+	t.Logf("%+v", want)
+	for _, procs := range []int{1, 2} {
+		if got := stats(procs); got != want {
+			t.Errorf("GOMAXPROCS=%d: %+v, first run %+v", procs, got, want)
+		}
+	}
+	if st := run(t, testConfig(g, 1), sim.Second).BarrierStats(); st.EndedByLookahead != 0 || st.WiresDelivered != 0 || st.Windows == 0 {
+		t.Errorf("one shard cuts nothing, yet %+v", st)
+	}
 }
 
 // firstDiff renders the first line where two strings diverge.
