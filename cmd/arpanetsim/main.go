@@ -25,6 +25,7 @@ import (
 
 	arpanet "repro"
 	"repro/internal/node"
+	"repro/internal/shard"
 	"repro/internal/topology"
 )
 
@@ -73,13 +74,17 @@ func main() {
 	if err == nil {
 		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *backgroundK, len(kinds))
 	}
-	var generated *topology.Graph
+	var shardCfg shard.Config
 	if err == nil && *shardsN > 0 {
 		spec := *topoName
 		if spec == "arpanet" {
 			spec = "hier:8x16" // the Table 1 maps are too small to shard usefully
 		}
-		generated, err = parseGenTopology(spec, *seed)
+		var g *topology.Graph
+		if g, err = parseGenTopology(spec, *seed); err == nil {
+			shardCfg = shardConfig(*shardsN, g, *rate, *dests, *radius, *seed, *adaptive, kinds[0])
+			err = shardCfg.Validate()
+		}
 	}
 	if err != nil {
 		log.Print(err)
@@ -96,7 +101,7 @@ func main() {
 		}
 	}
 	if *shardsN > 0 {
-		finish(runSharded(*shardsN, generated, *rate, *dests, *radius, *seconds, *seed, *adaptive, kinds[0]))
+		finish(runSharded(shardCfg, *seconds, *adaptive && kinds[0] == node.BF1969))
 		return
 	}
 	defer finish(nil)

@@ -161,6 +161,38 @@ func TestNegativeFlagRejected(t *testing.T) {
 	}
 }
 
+// What the sharded simulator would refuse is refused with the other flags,
+// before anything runs (main exits 2 with usage), never by log.Fatal after
+// set-up. The BF-1969 leg is validated as the one-shard probe it builds.
+func TestShardConfigValidated(t *testing.T) {
+	g, err := parseGenTopology("hier:4x8", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args        string
+		shards      int
+		rate        float64
+		dests       int
+		adaptive    bool
+		metric      node.MetricKind
+		errContains string // "": accepted
+	}{
+		{"-shards 2", 2, 1, 3, false, node.HNSPF, ""},
+		{"-shards 2 -adaptive -metric dspf", 2, 1, 3, true, node.DSPF, ""},
+		{"-shards 200 -adaptive -metric bf1969", 200, 1, 3, true, node.BF1969, ""},
+		{"-shards 2 -rate 0", 2, 0, 3, false, node.HNSPF, "PktRate"},
+		{"-shards 2 -dests 0", 2, 1, 0, false, node.HNSPF, "Dests"},
+		{"-shards 200", 200, 1, 3, false, node.HNSPF, "200 shards for 32 nodes"},
+		{"-shards 2 -adaptive -metric bf1969 -dests 0", 2, 1, 0, true, node.BF1969, "Dests"},
+	} {
+		err := shardConfig(tc.shards, g, tc.rate, tc.dests, 0, 1, tc.adaptive, tc.metric).Validate()
+		if (err == nil) != (tc.errContains == "") || err != nil && !strings.Contains(err.Error(), tc.errContains) {
+			t.Errorf("%s -topology hier:4x8: err = %v, want %q", tc.args, err, tc.errContains)
+		}
+	}
+}
+
 // -topology is outside input: a spec the generators would panic on must come
 // back as an error that names it, and an accepted one as a graph a simulator
 // can boot from — Validate-clean, every link at the line number it reports.

@@ -82,9 +82,10 @@ func parseGenTopology(spec string, seed int64) (g *topology.Graph, err error) {
 	}
 }
 
-// runSharded returns the simulator it ran, which main keeps reachable until
-// the -memprofile heap profile is written.
-func runSharded(shards int, g *topology.Graph, rate float64, dests, radius int, seconds float64, seed int64, adaptive bool, metric node.MetricKind) any {
+// shardConfig is the simulator configuration the -shards mode runs; main
+// validates it before anything starts. The BF-1969 leg runs unsharded, so
+// for it this is the one-shard static probe that draws its traffic.
+func shardConfig(shards int, g *topology.Graph, rate float64, dests, radius int, seed int64, adaptive bool, metric node.MetricKind) shard.Config {
 	cfg := shard.Config{
 		Graph:      g,
 		Shards:     shards,
@@ -93,19 +94,30 @@ func runSharded(shards int, g *topology.Graph, rate float64, dests, radius int, 
 		Dests:      dests,
 		DestRadius: radius,
 	}
-	if adaptive {
-		if metric == node.BF1969 {
-			return runShardedBF1969(g, cfg, seconds)
-		}
+	switch {
+	case adaptive && metric == node.BF1969:
+		cfg.Shards = 1
+	case adaptive:
 		cfg.Metric = metric
 		cfg.Adaptive = true
+	}
+	return cfg
+}
+
+// runSharded runs cfg (from shardConfig), or the BF-1969 leg for which cfg
+// is the probe. It returns the simulator it ran, which main keeps reachable
+// until the -memprofile heap profile is written.
+func runSharded(cfg shard.Config, seconds float64, bf1969 bool) any {
+	if bf1969 {
+		return runShardedBF1969(cfg, seconds)
 	}
 	s, err := shard.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), shards)
-	if adaptive {
+	g := cfg.Graph
+	fmt.Printf("sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), cfg.Shards)
+	if cfg.Adaptive {
 		fmt.Printf(", adaptive %v", cfg.Metric)
 	}
 	if la := s.Lookahead(); la > 0 {
@@ -118,6 +130,9 @@ func runSharded(shards int, g *topology.Graph, rate float64, dests, radius int, 
 	}
 	fmt.Print(s.Report().String())
 	fmt.Printf("events      %d\n", s.Fired())
+	b := s.BarrierStats()
+	fmt.Printf("barrier     %d windows, %d lookahead-cut, %d wires, %d critical events, bound %.2fx\n",
+		b.Windows, b.EndedByLookahead, b.WiresDelivered, b.CriticalEvents, float64(s.Fired())/float64(max(b.CriticalEvents, 1)))
 	return s
 }
 
@@ -125,12 +140,12 @@ func runSharded(shards int, g *topology.Graph, rate float64, dests, radius int, 
 // metric is distance-vector — periodic neighbor table exchanges, not
 // link-state floods — and only the packet-level engine implements it, so it
 // runs on one kernel. To stay comparable, it offers the exact traffic the
-// sharded runs do: a throwaway static shard.Sim draws the per-node
-// destination sets from the same seed, and the matrix reproduces the
-// sharded source rate exactly (network divides the matrix total by the
+// sharded runs do: a throwaway static shard.Sim built from cfg draws the
+// per-node destination sets from the same seed, and the matrix reproduces
+// the sharded source rate exactly (network divides the matrix total by the
 // clamped mean packet size to recover pkt/s).
-func runShardedBF1969(g *topology.Graph, cfg shard.Config, seconds float64) *network.Network {
-	cfg.Shards = 1
+func runShardedBF1969(cfg shard.Config, seconds float64) *network.Network {
+	g := cfg.Graph
 	probe, err := shard.New(cfg)
 	if err != nil {
 		log.Fatal(err)

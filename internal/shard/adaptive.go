@@ -23,7 +23,8 @@ package shard
 //   - an update's payload (*flooding.Update) is immutable after NewUpdate,
 //     so sharing the pointer across the barrier is value semantics: the
 //     importing shard reads exactly the bytes any partitioning would read
-//     (the barrier's WaitGroup edges order the write before every read),
+//     (the workers' done and deadline channel operations order the write
+//     before every read),
 //     and a router that accepts it keeps the pointer as its database row,
 //     still only reading;
 //   - origination, accepting an update and rerouting are all node-local
@@ -194,7 +195,7 @@ func (sh *shardState) acceptUpdate(n *lnode, u *flooding.Update, now sim.Time) b
 		}
 	}
 	if changed > 0 {
-		// Allocates: the trace record buffer grows amortized and is drained per window
+		// Allocates: the trace record buffer grows amortized; it is never drained (TraceText reads every record)
 		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recReroute,
 			link: topology.NoLink, pkt: uint64(u.Origin)<<32 | (u.Seq & 0xffffffff), count: changed})
 		n.rseq++

@@ -335,7 +335,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	sh.startTx(ls, now)
 }
 
-// Allocates: the trace record buffer grows amortized and is drained per window
+// Allocates: the trace record buffer grows amortized; it is never drained (TraceText reads every record)
 func (sh *shardState) dropRec(n *lnode, now sim.Time, kind recKind, link topology.LinkID, pkt uint64) {
 	if !sh.s.cfg.TraceDrops {
 		n.rseq++ // keep sequence numbering identical whether or not traced

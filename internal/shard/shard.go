@@ -38,7 +38,7 @@ package shard
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -104,38 +104,84 @@ type Sim struct {
 	linkAt    []*llink // by global LinkID
 	wires     [][]wire // pending cross-shard arrivals, by target shard
 	barrier   BarrierStats
+	fired     []uint64 // each kernel's Fired() when the current window opened
+
+	// During a multi-shard Run: each worker's window-deadline channel, and
+	// the channel every worker signals on when it reaches a deadline.
+	deadlines []chan sim.Time
+	done      chan struct{}
 
 	ballSeen []int32 // scratch for destination-ball BFS
 	ballGen  int32
+}
+
+// Validate reports why New would refuse the configuration, without building
+// anything: every check New makes except that each node has somewhere to
+// send, which needs the destination sets New draws.
+func (cfg Config) Validate() error {
+	if cfg.Graph == nil {
+		return fmt.Errorf("shard: nil graph")
+	}
+	if err := cfg.Graph.Validate(); err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	if cfg.Shards < 1 {
+		return fmt.Errorf("shard: Shards must be >= 1, got %d", cfg.Shards)
+	}
+	if cfg.Shards > cfg.Graph.NumNodes() {
+		return fmt.Errorf("shard: %d shards for %d nodes", cfg.Shards, cfg.Graph.NumNodes())
+	}
+	if err := staticPlaneFits(cfg.Graph.NumNodes(), cfg.Adaptive); err != nil {
+		return err
+	}
+	if cfg.PktRate <= 0 {
+		return fmt.Errorf("shard: PktRate must be positive")
+	}
+	if cfg.Dests < 1 {
+		return fmt.Errorf("shard: Dests must be >= 1")
+	}
+	if cfg.Metric == node.BF1969 {
+		return fmt.Errorf("shard: BF1969 has no cost module; use HNSPF, DSPF or MinHop")
+	}
+	if cfg.MeasurePeriod < 0 { // 0 is the default period
+		return fmt.Errorf("shard: MeasurePeriod must be positive")
+	}
+	g := cfg.Graph
+	for _, f := range cfg.Faults {
+		if f.Trunk < 0 || f.Trunk >= g.NumTrunks() {
+			return fmt.Errorf("shard: fault on unknown trunk %d", f.Trunk)
+		}
+		if f.At < 1 {
+			return fmt.Errorf("shard: fault at %v precedes the run", f.At)
+		}
+	}
+	if cfg.Partition != nil {
+		if len(cfg.Partition) != g.NumNodes() {
+			return fmt.Errorf("shard: Partition has %d entries for %d nodes",
+				len(cfg.Partition), g.NumNodes())
+		}
+		used := make([]bool, cfg.Shards)
+		for id, p := range cfg.Partition {
+			if p < 0 || p >= cfg.Shards {
+				return fmt.Errorf("shard: Partition[%d] = %d out of range [0,%d)", id, p, cfg.Shards)
+			}
+			used[p] = true
+		}
+		for p, u := range used {
+			if !u {
+				return fmt.Errorf("shard: Partition leaves shard %d empty", p)
+			}
+		}
+	}
+	return nil
 }
 
 // New builds a sharded simulation. The configuration and seed fully
 // determine every subsequent observable: trace, report and ledgers are
 // identical for any Shards value.
 func New(cfg Config) (*Sim, error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("shard: nil graph")
-	}
-	if err := cfg.Graph.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: Shards must be >= 1, got %d", cfg.Shards)
-	}
-	if cfg.Shards > cfg.Graph.NumNodes() {
-		return nil, fmt.Errorf("shard: %d shards for %d nodes", cfg.Shards, cfg.Graph.NumNodes())
-	}
-	if err := staticPlaneFits(cfg.Graph.NumNodes(), cfg.Adaptive); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PktRate <= 0 {
-		return nil, fmt.Errorf("shard: PktRate must be positive")
-	}
-	if cfg.Dests < 1 {
-		return nil, fmt.Errorf("shard: Dests must be >= 1")
-	}
-	if cfg.Metric == node.BF1969 {
-		return nil, fmt.Errorf("shard: BF1969 has no cost module; use HNSPF, DSPF or MinHop")
 	}
 	if cfg.QueueLimit == 0 {
 		cfg.QueueLimit = node.DefaultQueueLimit
@@ -143,36 +189,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.MeasurePeriod == 0 {
 		cfg.MeasurePeriod = node.MeasurementPeriod
 	}
-	if cfg.MeasurePeriod < 1 {
-		return nil, fmt.Errorf("shard: MeasurePeriod must be positive")
-	}
 	g := cfg.Graph
-	for _, f := range cfg.Faults {
-		if f.Trunk < 0 || f.Trunk >= g.NumTrunks() {
-			return nil, fmt.Errorf("shard: fault on unknown trunk %d", f.Trunk)
-		}
-		if f.At < 1 {
-			return nil, fmt.Errorf("shard: fault at %v precedes the run", f.At)
-		}
-	}
-	if cfg.Partition != nil {
-		if len(cfg.Partition) != g.NumNodes() {
-			return nil, fmt.Errorf("shard: Partition has %d entries for %d nodes",
-				len(cfg.Partition), g.NumNodes())
-		}
-		used := make([]bool, cfg.Shards)
-		for id, p := range cfg.Partition {
-			if p < 0 || p >= cfg.Shards {
-				return nil, fmt.Errorf("shard: Partition[%d] = %d out of range [0,%d)", id, p, cfg.Shards)
-			}
-			used[p] = true
-		}
-		for p, u := range used {
-			if !u {
-				return nil, fmt.Errorf("shard: Partition leaves shard %d empty", p)
-			}
-		}
-	}
 
 	s := &Sim{cfg: cfg, g: g}
 	if cfg.Partition != nil {
@@ -185,6 +202,7 @@ func New(cfg Config) (*Sim, error) {
 	s.nodeAt = make([]*lnode, g.NumNodes())
 	s.linkAt = make([]*llink, g.NumLinks())
 	s.wires = make([][]wire, cfg.Shards)
+	s.fired = make([]uint64, cfg.Shards)
 	s.ballSeen = make([]int32, g.NumNodes())
 	for i := range s.ballSeen {
 		s.ballSeen[i] = -1
@@ -286,15 +304,34 @@ type BarrierStats struct {
 	EndedByLookahead int64 // cut at tmin+lookahead-1: the cut's propagation delay bounded the window
 	EndedByDeadline  int64 // ran to Run's deadline
 	WiresDelivered   int64 // cross-shard arrivals injected: the sum of the ledgers' Imported + CtrlImported
+
+	// CriticalEvents sums, over windows, the events of the shard that fired
+	// the most in the window: the events a window must wait for however many
+	// cores run it. Fired()/CriticalEvents is the speed-up a barrier that cost
+	// nothing could reach.
+	CriticalEvents  int64
+	EventsPerWindow Pow2Hist // events fired across all shards, one count per window
+	WiresPerWindow  Pow2Hist // cross-shard packets exported, one count per window
 }
+
+// Pow2Hist counts values by power of two: bucket 0 holds the zeros and
+// bucket k >= 1 the values in [2^(k-1), 2^k).
+type Pow2Hist [65]int64
+
+func (h *Pow2Hist) add(v uint64) { h[bits.Len64(v)]++ }
 
 // BarrierStats returns the barrier counters so far. Call it between Run
 // invocations.
 func (s *Sim) BarrierStats() BarrierStats { return s.barrier }
 
 // Run advances the simulation to the absolute time until. It may be called
-// repeatedly with increasing deadlines.
+// repeatedly with increasing deadlines. With more than one shard, the
+// kernels run on one worker goroutine per shard that lives as long as the
+// call.
 func (s *Sim) Run(until sim.Time) {
+	if len(s.shards) > 1 {
+		defer s.startWorkers()()
+	}
 	for {
 		s.deliverWires()
 		tmin, ok := s.nextEventTime()
@@ -309,11 +346,28 @@ func (s *Sim) Run(until sim.Time) {
 		} else {
 			s.barrier.EndedByDeadline++
 		}
+		for i, sh := range s.shards {
+			s.fired[i] = sh.kernel.Fired()
+		}
 		s.runWindow(w)
-		s.collectOutboxes()
+		s.countWindow(s.collectOutboxes())
 	}
 	// No pending event at or before until remains; advance every clock.
 	s.runWindow(until)
+}
+
+// countWindow adds the window just run to the per-window counters, from
+// each kernel's Fired() delta and the wires its outboxes held.
+func (s *Sim) countWindow(wires int) {
+	var sum, critical uint64
+	for i, sh := range s.shards {
+		n := sh.kernel.Fired() - s.fired[i]
+		sum += n
+		critical = max(critical, n)
+	}
+	s.barrier.CriticalEvents += int64(critical)
+	s.barrier.EventsPerWindow.add(sum)
+	s.barrier.WiresPerWindow.add(uint64(wires))
 }
 
 // nextEventTime returns the earliest pending event time across shards.
@@ -328,25 +382,54 @@ func (s *Sim) nextEventTime() (sim.Time, bool) {
 	return tmin, found
 }
 
-// runWindow runs every kernel to the window deadline, concurrently when
-// there is more than one shard. Kernels share no mutable state — the
-// barrier rounds exchange packets only while every kernel is idle — so the
-// goroutines race on nothing, and the window results are identical no
-// matter how they are scheduled.
+// startWorkers starts one goroutine per shard for the length of a Run. Each
+// receives window deadlines on its own channel, runs its kernel to each and
+// signals done. Kernels share no mutable state — the serial section between
+// windows exchanges packets only while every worker waits for a deadline —
+// and the channels order the two sides: a deadline send happens before the
+// window it opens, and a worker's done send before the receive that ends the
+// window. So the workers race on nothing, and a window's results are the
+// same however they are scheduled. The returned stop closes the deadline
+// channels and returns once every worker has left its loop.
+func (s *Sim) startWorkers() (stop func()) {
+	done := make(chan struct{}, len(s.shards)) // one send per worker per window
+	s.done = done
+	s.deadlines = make([]chan sim.Time, len(s.shards))
+	for i, sh := range s.shards {
+		deadline := make(chan sim.Time)
+		s.deadlines[i] = deadline
+		go func() {
+			for w := range deadline {
+				sh.kernel.RunUntil(w)
+				done <- struct{}{}
+			}
+			done <- struct{}{}
+		}()
+	}
+	return func() {
+		for _, deadline := range s.deadlines {
+			close(deadline)
+		}
+		for range s.deadlines {
+			<-done
+		}
+		s.deadlines, s.done = nil, nil
+	}
+}
+
+// runWindow runs every kernel to the window deadline: on the caller when
+// there is one shard, else on the workers, waiting for all of them.
 func (s *Sim) runWindow(w sim.Time) {
 	if len(s.shards) == 1 {
 		s.shards[0].kernel.RunUntil(w)
 		return
 	}
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *shardState) {
-			defer wg.Done()
-			sh.kernel.RunUntil(w)
-		}(sh)
+	for _, deadline := range s.deadlines {
+		deadline <- w
 	}
-	wg.Wait()
+	for range s.deadlines {
+		<-s.done
+	}
 }
 
 // deliverWires injects the pending cross-shard arrivals into their target
@@ -366,9 +449,10 @@ func (s *Sim) deliverWires() {
 }
 
 // collectOutboxes routes every shard's exported packets to their target
-// shards' pending-wire lists.
-func (s *Sim) collectOutboxes() {
+// shards' pending-wire lists and returns how many there were.
+func (s *Sim) collectOutboxes() (n int) {
 	for _, sh := range s.shards {
+		n += len(sh.outbox)
 		for i := range sh.outbox {
 			w := sh.outbox[i]
 			t := s.part[s.g.Link(w.link).To]
@@ -376,6 +460,7 @@ func (s *Sim) collectOutboxes() {
 		}
 		sh.outbox = sh.outbox[:0]
 	}
+	return n
 }
 
 // pendingWires returns the cross-shard packets not yet injected.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -104,11 +105,18 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Faults = []Fault{{Trunk: 0, At: 0}} },
 		func(c *Config) { c.Graph, c.Shards = lone, 1 }, // its first source event would divide by len(dests) == 0
 	}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid config fails Validate: %v", err)
+	}
 	for i, mutate := range bad {
 		cfg := testConfig(g, 2)
 		mutate(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		// Only the empty destination set needs New's draw to be seen.
+		if err := cfg.Validate(); (err == nil) != (i == len(bad)-1) {
+			t.Errorf("bad config %d: Validate = %v", i, err)
 		}
 	}
 	if _, err := New(Config{Graph: lone, Shards: 1, PktRate: 5, Dests: 1}); err == nil || !strings.Contains(err.Error(), "ALONE") {
@@ -319,8 +327,9 @@ func backboneTrunks(g *topology.Graph) []int {
 }
 
 // The barrier counters are a function of the configuration, the partition and
-// Run's deadlines: two runs agree, at one OS thread or two, and every wire
-// delivered is some shard's import.
+// Run's deadlines: two runs agree, at one OS thread or two; every wire
+// delivered is some shard's import; each histogram has one count a window;
+// and the busiest shard's events lie between an even split and all of them.
 func TestBarrierStats(t *testing.T) {
 	g := testGraph(t)
 	cfg := adaptiveConfig(g, 3)
@@ -340,18 +349,89 @@ func TestBarrierStats(t *testing.T) {
 		if st.Windows != st.EndedByLookahead+st.EndedByDeadline || st.EndedByLookahead == 0 || st.EndedByDeadline == 0 {
 			t.Errorf("GOMAXPROCS=%d: %+v: windows are not lookahead-cut plus deadline-cut, both seen", procs, st)
 		}
+		checkWindowCounters(t, s)
 		return st
 	}
 	want := stats(1)
-	t.Logf("%+v", want)
+	t.Logf("%d windows (%d by lookahead), %d wires, %d critical events",
+		want.Windows, want.EndedByLookahead, want.WiresDelivered, want.CriticalEvents)
 	for _, procs := range []int{1, 2} {
 		if got := stats(procs); got != want {
 			t.Errorf("GOMAXPROCS=%d: %+v, first run %+v", procs, got, want)
 		}
 	}
-	if st := run(t, testConfig(g, 1), sim.Second).BarrierStats(); st.EndedByLookahead != 0 || st.WiresDelivered != 0 || st.Windows == 0 {
-		t.Errorf("one shard cuts nothing, yet %+v", st)
+	one := run(t, testConfig(g, 1), sim.Second)
+	if st := one.BarrierStats(); st.EndedByLookahead != 0 || st.WiresDelivered != 0 || st.Windows == 0 ||
+		st.CriticalEvents != int64(one.Fired()) {
+		t.Errorf("one shard cuts nothing and waits for every event, yet %+v after %d events", st, one.Fired())
 	}
+	checkWindowCounters(t, one)
+}
+
+// checkWindowCounters holds the per-window counters of s to what they count:
+// one entry a window in each histogram, and critical events between Fired/Shards
+// (an even split) and Fired (one shard fired everything).
+func checkWindowCounters(t *testing.T, s *Sim) {
+	t.Helper()
+	st := s.BarrierStats()
+	for name, h := range map[string]Pow2Hist{"EventsPerWindow": st.EventsPerWindow, "WiresPerWindow": st.WiresPerWindow} {
+		var n int64
+		for _, c := range h {
+			n += c
+		}
+		if n != st.Windows {
+			t.Errorf("%d shards: %s counts %d windows of %d", s.Shards(), name, n, st.Windows)
+		}
+	}
+	if fired := int64(s.Fired()); st.CriticalEvents > fired || st.CriticalEvents*int64(s.Shards()) < fired {
+		t.Errorf("%d shards: %d critical events for %d fired", s.Shards(), st.CriticalEvents, fired)
+	}
+}
+
+// Run's workers live exactly as long as the call: afterwards the goroutine
+// count is no higher than before, at any shard count and GOMAXPROCS, and a Sim
+// run to a and then to b ends where one run straight to b does.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	g := testGraph(t)
+	const a, b = 1500 * sim.Millisecond, 3 * sim.Second
+	for _, procs := range []int{1, 2} {
+		for _, shards := range []int{1, 2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				split, err := New(testConfig(g, shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := runtime.NumGoroutine()
+				for _, until := range []sim.Time{a, b} {
+					split.Run(until)
+					if n := settledGoroutines(before); n > before {
+						t.Errorf("GOMAXPROCS=%d, %d shards: %d goroutines after Run(%v), %d before", procs, shards, n, until, before)
+					}
+				}
+				one := run(t, testConfig(g, shards), b)
+				if got, want := split.TraceText(), one.TraceText(); got != want {
+					t.Errorf("GOMAXPROCS=%d, %d shards: Run(a); Run(b) trace differs from Run(b): %s", procs, shards, firstDiff(got, want))
+				}
+				if got, want := split.Report().String(), one.Report().String(); got != want {
+					t.Errorf("GOMAXPROCS=%d, %d shards: Run(a); Run(b) report:\n%s\nRun(b):\n%s", procs, shards, got, want)
+				}
+			}()
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is at most want, or
+// after a second. Run returns only after every worker has signalled that it
+// left its loop, but a worker may not yet be off the runtime's books — nor
+// one an earlier Run started, counted in want (seen under -race).
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 // firstDiff renders the first line where two strings diverge.
@@ -387,11 +467,12 @@ func itoa(n int) string {
 // allocates by design, so each has its own bound; an allocation planted on
 // any per-packet path adds ≥ 1 to every row.
 //
-// Measured on the PR 15 box (go1.24, 128-node hier:8x16, 50 pkt/s/node,
-// 4 simulated seconds ≈ 25k delivered packets): ~30 mallocs static at one
-// shard (slot-store and pending-buffer growth), ~1,750 at two shards (one
-// goroutine per shard per window), ~790 adaptive (514 flooded updates,
-// each a fresh immutable payload). Bounds leave 3–9× headroom over those.
+// Measured in PR 25 (go1.24, 128-node hier:8x16, 50 pkt/s/node,
+// 4 simulated seconds ≈ 25k delivered packets): 27–45 mallocs static at any
+// shard count (slot-store and pending-buffer growth; a window allocates
+// nothing, and Run's workers and their channels are a few mallocs a call),
+// 520–565 adaptive (flooded updates, each a fresh immutable payload). Bounds
+// leave 4.5–9× headroom over those.
 func TestSteadyStateAllocsPerPacket(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -400,8 +481,10 @@ func TestSteadyStateAllocsPerPacket(t *testing.T) {
 		bound    float64 // mallocs per delivered packet
 	}{
 		{"static/1shard", 1, false, 0.01},
-		{"static/2shards", 2, false, 0.25},
+		{"static/2shards", 2, false, 0.01},
+		{"static/4shards", 4, false, 0.01},
 		{"adaptive/1shard", 1, true, 0.1},
+		{"adaptive/2shards", 2, true, 0.1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{
