@@ -71,7 +71,7 @@ func MetricCurve(m Metric, kind LineKind, propDelaySeconds, utilization float64)
 }
 
 // metricMapCache memoizes the maps: they are stateless closures, and
-// building one allocates the HNM's delay→utilization table.
+// building one allocates a metric module and the closure over it.
 var metricMapCache sync.Map // mapKey → equilibrium.MetricMap
 
 type mapKey struct {

@@ -2,12 +2,16 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/node"
+	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 // One parser serves the Table 1 study, -scenario and -shards: every name
@@ -190,6 +194,39 @@ func TestShardConfigValidated(t *testing.T) {
 		if (err == nil) != (tc.errContains == "") || err != nil && !strings.Contains(err.Error(), tc.errContains) {
 			t.Errorf("%s -topology hier:4x8: err = %v, want %q", tc.args, err, tc.errContains)
 		}
+	}
+}
+
+// The kernel line follows the barrier line and says what KernelStats says.
+func TestKernelLine(t *testing.T) {
+	g, err := parseGenTopology("hier:4x8", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := shard.New(shardConfig(2, g, 20, 3, 1, 1, false, node.HNSPF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2 * sim.Second)
+	var out strings.Builder
+	printCounters(&out, s)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[1], "barrier ") {
+		t.Fatalf("counters printed %q, want events, barrier and kernel lines", out.String())
+	}
+	var slots, buckets int
+	var width sim.Time
+	var retunes uint64
+	var ladder float64
+	if _, err := fmt.Sscanf(lines[2], "kernel %d slots, %d buckets, width %dus, %d retunes, ladder %f%% of fires",
+		&slots, &buckets, &width, &retunes, &ladder); err != nil {
+		t.Fatalf("kernel line %q: %v", lines[2], err)
+	}
+	k := s.KernelStats()
+	share := 100 * float64(k.LadderPops) / float64(k.Fired)
+	if slots != k.Slots || buckets != k.Buckets || width != k.Width || retunes != k.Retunes ||
+		math.Abs(ladder-share) > 0.005 || k.Fired == 0 {
+		t.Errorf("kernel line %q, KernelStats %+v (ladder %.4f%%)", lines[2], k, share)
 	}
 }
 

@@ -16,7 +16,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
@@ -129,11 +131,20 @@ func runSharded(cfg shard.Config, seconds float64, bf1969 bool) any {
 		log.Fatalf("conservation audit failed: %v", err)
 	}
 	fmt.Print(s.Report().String())
-	fmt.Printf("events      %d\n", s.Fired())
-	b := s.BarrierStats()
-	fmt.Printf("barrier     %d windows, %d lookahead-cut, %d wires, %d critical events, bound %.2fx\n",
-		b.Windows, b.EndedByLookahead, b.WiresDelivered, b.CriticalEvents, float64(s.Fired())/float64(max(b.CriticalEvents, 1)))
+	printCounters(os.Stdout, s)
 	return s
+}
+
+// printCounters prints the run's event count and the barrier and kernel
+// counters, summed over shards.
+func printCounters(w io.Writer, s *shard.Sim) {
+	fmt.Fprintf(w, "events      %d\n", s.Fired())
+	b := s.BarrierStats()
+	fmt.Fprintf(w, "barrier     %d windows, %d lookahead-cut, %d wires, %d critical events, bound %.2fx\n",
+		b.Windows, b.EndedByLookahead, b.WiresDelivered, b.CriticalEvents, float64(s.Fired())/float64(max(b.CriticalEvents, 1)))
+	k := s.KernelStats()
+	fmt.Fprintf(w, "kernel      %d slots, %d buckets, width %dus, %d retunes, ladder %.2f%% of fires\n",
+		k.Slots, k.Buckets, k.Width, k.Retunes, 100*float64(k.LadderPops)/float64(max(k.Fired, 1)))
 }
 
 // runShardedBF1969 is the BF-1969 leg of the large-topology study. The 1969

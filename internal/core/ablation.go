@@ -60,8 +60,8 @@ func NewModuleOptions(p LineParams, bandwidth, propDelay float64, opts ...Option
 		o(&m.opts)
 	}
 	if m.opts.md1Table {
-		s := m.serviceTime
-		m.table = queueing.NewTableMD1(s, s/100, s*200)
+		s := m.table.ServiceTime()
+		m.table = queueing.NewTable(s, s/100, s*200, queueing.UtilizationFromDelayMD1)
 	}
 	return m
 }

@@ -13,10 +13,9 @@ import (
 // A Module is not safe for concurrent use; in the simulator each link owns
 // one and the single-threaded event loop drives it.
 type Module struct {
-	params      LineParams
-	serviceTime float64 // M/M/1 service time for the 600-bit average packet
-	floor       float64 // MinCost + propagation term
-	table       *queueing.Table
+	params LineParams
+	floor  float64        // MinCost + propagation term
+	table  queueing.Table // delay→utilization at the 600-bit average packet's service time
 
 	lastAverage  float64 // Last_Average: the recursive utilization filter
 	lastReported float64 // Last_Reported: cost in the last flooded update
@@ -52,13 +51,12 @@ func NewModuleParams(p LineParams, bandwidth, propDelay float64) *Module {
 		floor = p.MaxCost
 	}
 	m := &Module{
-		params:      p,
-		serviceTime: s,
-		floor:       floor,
+		params: p,
+		floor:  floor,
 		// The real PSN used a lookup table; quantize to 1% of the service
 		// time out to the delay of a 99.5%-utilized line (beyond which the
 		// estimate saturates — the cost is capped well before that).
-		table: queueing.NewTable(s, s/100, s*200),
+		table: queueing.NewTable(s, s/100, s*200, queueing.UtilizationFromDelay),
 	}
 	m.Reset()
 	return m

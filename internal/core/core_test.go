@@ -290,6 +290,20 @@ func TestConstructorPanics(t *testing.T) {
 	}
 }
 
+var moduleSink *Module
+
+// A module carries its delay→utilization table by value: building one is
+// the Module itself and nothing else — no table, no entry array — for every
+// line of every network.
+func TestNewModuleOneAllocation(t *testing.T) {
+	p := DefaultParams(topology.T56)
+	if allocs := testing.AllocsPerRun(100, func() {
+		moduleSink = NewModuleParams(p, topology.T56.Bandwidth(), 0.010)
+	}); allocs != 1 {
+		t.Errorf("NewModuleParams made %.0f allocations, want 1 (the Module)", allocs)
+	}
+}
+
 func TestExtremePropagationClampedToCeiling(t *testing.T) {
 	// A pathological 2-second line: floor must not exceed the ceiling.
 	m := NewModule(topology.T56, 2.0)

@@ -331,35 +331,57 @@ func TestSteadyStateAllocsPerPacket(t *testing.T) {
 	}
 }
 
-// TestKernelStatsSteadyLoad turns "the calendar finds its width once and a
+// TestKernelStatsSteadyLoad turns "the calendar finds its size once and a
 // steady load never retunes it again" into an assertion, on the Table 1
-// load. Measured (seed 7, 280 kb/s gravity matrix, 272,628 events): 1 retune
-// and 139 slots by t = 60 s; the bounds are twice that. The counters must
-// also account for every event at any instant.
+// load, under D-SPF and under BF-1969. Measured (seed 7, 280 kb/s gravity
+// matrix, 272,628 D-SPF events): 1 retune, 139 slots and 2,048 buckets by
+// t = 60 s; the bounds are twice that (sized to the pending span instead,
+// the calendar would keep 65,536 buckets). The counters must also account
+// for every event at any instant.
 func TestKernelStatsSteadyLoad(t *testing.T) {
-	g := topology.Arpanet()
-	n := New(Config{
-		Graph:  g,
-		Matrix: traffic.Gravity(g, topology.ArpanetWeights(), 280_000),
-		Metric: node.DSPF,
-		Seed:   7,
-	})
-	k := n.Kernel()
-	var st sim.Stats
-	for at := 10 * sim.Second; at <= 60*sim.Second; at += 10 * sim.Second {
-		n.Run(at)
-		st = k.Stats()
-		if got := int(st.Scheduled - st.Fired - st.Cancelled); got != k.Pending() {
-			t.Fatalf("at %v: Scheduled-Fired-Cancelled = %d, Pending() = %d (%+v)", at, got, k.Pending(), st)
-		}
-	}
-	t.Logf("%+v", st)
-	if st.Fired < 200_000 {
-		t.Fatalf("only %d events in 60 s; the measurement is vacuous", st.Fired)
-	}
-	const maxRetunes, maxSlots = 2, 278
-	if st.Retunes > maxRetunes || st.Slots > maxSlots {
-		t.Errorf("%d retunes and %d slots after 60 s of steady load, want <= %d and <= %d",
-			st.Retunes, st.Slots, maxRetunes, maxSlots)
+	for _, tc := range []struct {
+		metric    node.MetricKind
+		maxLadder float64 // share of fires through the ladder, boot included
+	}{
+		// 1.9% by t = 60 s, boot included; 0.5% over the benchmark's 700 s.
+		{node.DSPF, 0.04},
+		// BF-1969's vectors lie beyond the 64-bucket boot window: unless
+		// ladder churn retunes the calendar once, a fifth of all fires go
+		// through the ladder for the whole run. Measured 0.39% with the
+		// retune, 20.5% without.
+		{node.BF1969, 0.01},
+	} {
+		metric := tc.metric
+		t.Run(metric.String(), func(t *testing.T) {
+			g := topology.Arpanet()
+			n := New(Config{
+				Graph:  g,
+				Matrix: traffic.Gravity(g, topology.ArpanetWeights(), 280_000),
+				Metric: metric,
+				Seed:   7,
+			})
+			k := n.Kernel()
+			var st sim.Stats
+			for at := 10 * sim.Second; at <= 60*sim.Second; at += 10 * sim.Second {
+				n.Run(at)
+				st = k.Stats()
+				if got := int(st.Scheduled - st.Fired - st.Cancelled); got != k.Pending() {
+					t.Fatalf("at %v: Scheduled-Fired-Cancelled = %d, Pending() = %d (%+v)", at, got, k.Pending(), st)
+				}
+			}
+			ladder := float64(st.LadderPops) / float64(st.Fired)
+			t.Logf("%+v, %.3f%% of fires through the ladder", st, 100*ladder)
+			if st.Fired < 200_000 {
+				t.Fatalf("only %d events in 60 s; the measurement is vacuous", st.Fired)
+			}
+			const maxRetunes, maxSlots, maxBuckets = 2, 278, 4096
+			if st.Retunes < 1 || st.Retunes > maxRetunes || st.Slots > maxSlots || st.Buckets > maxBuckets {
+				t.Errorf("%d retunes, %d slots and %d buckets after 60 s of steady load, want 1 to %d, <= %d and <= %d",
+					st.Retunes, st.Slots, st.Buckets, maxRetunes, maxSlots, maxBuckets)
+			}
+			if ladder > tc.maxLadder {
+				t.Errorf("%.2f%% of fires through the ladder, want <= %g%%", 100*ladder, 100*tc.maxLadder)
+			}
+		})
 	}
 }

@@ -2,13 +2,12 @@
 // metric depends on: M/M/1 and M/M/1/K formulas and the delay-to-utilization
 // transform of Figure 3 ("A simple M/M/1 queueing model is used with the
 // service time being the network-wide average packet size (600 bits/packet)
-// divided by the trunk's bandwidth").
+// divided by the trunk's bandwidth"). The PSN's delay_to_utilization[]
+// array keeps its quantization here (Table) but not its storage: each
+// entry is computed when it is looked up.
 package queueing
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // AvgPacketBits is the network-wide average packet size used by the PSN to
 // convert measured delay into a utilization estimate (paper §4.1).
@@ -132,79 +131,33 @@ func MM1KQueueLen(rho float64, k int) float64 {
 	return rho/(1-rho) - float64(k+1)*rk1/(1-rk1)
 }
 
-// Table is a precomputed delay→utilization lookup covering the delays a
-// PSN can plausibly measure on one line type. The real PSN used a table for
-// speed; we keep one for fidelity and to make the quantization explicit.
+// Table is the PSN's delay→utilization table for one line type: a measured
+// delay rounds to the nearest multiple of step, saturating at the last one
+// within maxDelay, and that multiple is inverted. The PSN stored the
+// entries; a trunk reads one per 10-s period, so Lookup computes it — the
+// same value, bit for bit. A Table is a small immutable value.
 type Table struct {
 	serviceTime float64
 	step        float64 // delay quantum in seconds
-	rho         []float64
+	last        int     // index of the last entry: int(maxDelay/step)
+	invert      func(serviceTime, delay float64) float64
 }
 
-// A Table is immutable once built, so identical parameter sets can share
-// one instance: a network build constructs a table per line, the topology
-// has only a handful of distinct line speeds, and each table runs to tens
-// of thousands of entries. The cache is locked because batch runners build
-// networks concurrently. It never evicts — the key space is the set of
-// line types ever instantiated, which is tiny and stable.
-var (
-	tableMu    sync.Mutex
-	tableCache = map[tableKey]*Table{}
-)
-
-type tableKey struct {
-	serviceTime, step, maxDelay float64
-	md1                         bool
-}
-
-func cachedTable(serviceTime, step, maxDelay float64, md1 bool,
-	invert func(serviceTime, delay float64) float64) *Table {
-	key := tableKey{serviceTime, step, maxDelay, md1}
-	tableMu.Lock()
-	t := tableCache[key]
-	tableMu.Unlock()
-	if t != nil {
-		return t
-	}
-	// Build outside the lock; a concurrent duplicate build is harmless,
-	// the first one stored wins.
-	t = NewTableFunc(serviceTime, step, maxDelay, invert)
-	tableMu.Lock()
-	if prev := tableCache[key]; prev != nil {
-		t = prev
-	} else {
-		tableCache[key] = t
-	}
-	tableMu.Unlock()
-	return t
-}
-
-// NewTable returns a lookup table for a line with the given service time,
-// quantized to step seconds, covering delays up to maxDelay, under the
-// M/M/1 inversion the paper uses. Tables are cached: repeated calls with
-// the same parameters return the same (immutable) instance.
-func NewTable(serviceTime, step, maxDelay float64) *Table {
-	return cachedTable(serviceTime, step, maxDelay, false, UtilizationFromDelay)
-}
-
-// NewTableMD1 is NewTable under the M/D/1 inversion (the sensitivity
-// ablation), with the same parameter-keyed caching.
-func NewTableMD1(serviceTime, step, maxDelay float64) *Table {
-	return cachedTable(serviceTime, step, maxDelay, true, UtilizationFromDelayMD1)
-}
-
-// NewTableFunc is NewTable with an explicit delay→utilization inverter —
-// e.g. UtilizationFromDelayMD1 for the M/D/1 sensitivity analysis.
-func NewTableFunc(serviceTime, step, maxDelay float64, invert func(serviceTime, delay float64) float64) *Table {
+// NewTable returns the table for a line with the given service time,
+// quantized to step seconds, covering delays up to maxDelay, under invert:
+// UtilizationFromDelay is the paper's M/M/1, UtilizationFromDelayMD1 the
+// sensitivity ablation's M/D/1.
+func NewTable(serviceTime, step, maxDelay float64, invert func(serviceTime, delay float64) float64) Table {
 	if serviceTime <= 0 || step <= 0 || maxDelay <= serviceTime {
 		panic("queueing: invalid table parameters")
 	}
-	n := int(maxDelay/step) + 1
-	t := &Table{serviceTime: serviceTime, step: step, rho: make([]float64, n)}
-	for i := range t.rho {
-		t.rho[i] = invert(serviceTime, float64(i)*step)
-	}
-	return t
+	return Table{serviceTime: serviceTime, step: step, last: int(maxDelay / step), invert: invert}
+}
+
+// NewTableFunc is NewTable for a caller that holds the table by pointer.
+func NewTableFunc(serviceTime, step, maxDelay float64, invert func(serviceTime, delay float64) float64) *Table {
+	t := NewTable(serviceTime, step, maxDelay, invert)
+	return &t
 }
 
 // Lookup returns the tabled utilization estimate for a measured delay in
@@ -213,11 +166,12 @@ func (t *Table) Lookup(delay float64) float64 {
 	if delay <= 0 {
 		return 0
 	}
-	i := int(delay/t.step + 0.5)
-	if i >= len(t.rho) {
-		i = len(t.rho) - 1
+	// Compared as a float so a delay past the int range saturates too.
+	i := t.last
+	if x := delay/t.step + 0.5; x < float64(t.last+1) {
+		i = int(x)
 	}
-	return t.rho[i]
+	return t.invert(t.serviceTime, float64(i)*t.step)
 }
 
 // ServiceTime returns the service time the table was built for.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/topology"
 )
 
 func TestServiceTime(t *testing.T) {
@@ -140,7 +142,7 @@ func TestMM1KQueueLen(t *testing.T) {
 
 func TestTable(t *testing.T) {
 	s := ServiceTime(56000)
-	tab := NewTable(s, 0.0001, 1.0)
+	tab := NewTable(s, 0.0001, 1.0, UtilizationFromDelay)
 	if tab.ServiceTime() != s {
 		t.Error("ServiceTime mismatch")
 	}
@@ -161,13 +163,71 @@ func TestTable(t *testing.T) {
 	}
 }
 
+// TestTableMatchesMaterialized holds Lookup to the array the PSN stored:
+// entry i = invert(S, i·step) for i = 0…int(maxDelay/step), indexed by the
+// delay rounded to the nearest step and saturating at the last entry. At the
+// HNM's parameters (core.NewModuleParams: 1% of S out to 200 S) on the three
+// terrestrial line types, under both inversions, every entry must come back
+// bit for bit — at its own delay, on both sides of each half-step rounding
+// boundary, at and below zero, and past maxDelay.
+func TestTableMatchesMaterialized(t *testing.T) {
+	for _, inv := range []struct {
+		name   string
+		invert func(serviceTime, delay float64) float64
+	}{
+		{"M/M/1", UtilizationFromDelay},
+		{"M/D/1", UtilizationFromDelayMD1},
+	} {
+		for _, lt := range []topology.LineType{topology.T50, topology.T56, topology.T112} {
+			s := ServiceTime(lt.Bandwidth())
+			step, maxDelay := s/100, s*200
+			tab := NewTable(s, step, maxDelay, inv.invert)
+			rho := make([]float64, int(maxDelay/step)+1)
+			for i := range rho {
+				rho[i] = inv.invert(s, float64(i)*step)
+			}
+			if len(rho) != 20_001 {
+				t.Fatalf("%s %v: %d entries, want 20,001", inv.name, lt, len(rho))
+			}
+			stored := func(delay float64) float64 {
+				if delay <= 0 {
+					return 0
+				}
+				if x := delay/step + 0.5; x < float64(len(rho)) {
+					return rho[int(x)]
+				}
+				return rho[len(rho)-1]
+			}
+			check := func(delay float64) {
+				if got, want := tab.Lookup(delay), stored(delay); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v: Lookup(%v) = %v, the stored table holds %v", inv.name, lt, delay, got, want)
+				}
+			}
+			for i := range rho {
+				check(float64(i) * step)
+				half := (float64(i) + 0.5) * step
+				check(math.Nextafter(half, 0))
+				check(half)
+				check(math.Nextafter(half, math.Inf(1)))
+			}
+			for _, d := range []float64{0, math.Copysign(0, -1), -step, -1, math.Inf(-1),
+				math.SmallestNonzeroFloat64, maxDelay, maxDelay + step, 2 * maxDelay, 1e300, math.Inf(1)} {
+				check(d)
+			}
+			if got := tab.Lookup(math.Inf(1)); got != rho[len(rho)-1] || got == 0 {
+				t.Errorf("%s %v: Lookup(+Inf) = %v, want the last entry %v", inv.name, lt, got, rho[len(rho)-1])
+			}
+		}
+	}
+}
+
 func TestTablePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("invalid table parameters should panic")
 		}
 	}()
-	NewTable(0, 0.001, 1)
+	NewTable(0, 0.001, 1, UtilizationFromDelay)
 }
 
 func TestSuperposeDelay(t *testing.T) {

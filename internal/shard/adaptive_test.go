@@ -268,14 +268,16 @@ func liveHeapAfter(t *testing.T, cfg Config) (*Sim, float64) {
 // 120 bytes an origin and 8 a link shared by the shard's 32 routers) and the
 // data plane (queues, links, sources, the per-epoch route skeleton). Measured
 // on hier:8x8 (64 nodes, 266 links, 2 shards), the test run alone:
-// 10.1 KB/node, of which 0.75 KB is the router model, 0.3 KB its share of the
-// database and 8 KB the process-wide HN-SPF delay tables (already built, and
-// not counted, when an earlier test made an HN-SPF module). Link IDs in the
-// tree again add 4·N = 0.25 KB/node, which only TestTableRetainsOnlyTheModel
-// and TestHier1kAdaptiveLiveHeap are sharp enough to catch; a row of pointers
-// per PSN 8·N = 0.5 KB (10.6 KB/node), a private cost per link 8·L = 2.1 KB
-// and a dedup table 9·N = 0.6 KB more (12.9 KB/node); one SPF Workspace left
-// reachable per router, the retention this test was written for, 5.6 KB on top.
+// 2.7 KB/node, of which 0.75 KB is the router model and 0.3 KB its share of
+// the database; beside the package's parallel tests it reads up to 3.3 KB.
+// (While the HN-SPF delay→utilization arrays were stored, a process-wide
+// cache added 8 KB/node to whichever test built them first; the bound dates
+// from then.) Link IDs in the tree again add 4·N = 0.25 KB/node, which only
+// TestTableRetainsOnlyTheModel and TestHier1kAdaptiveLiveHeap are sharp
+// enough to catch; a row of pointers per PSN 8·N = 0.5 KB, a private cost
+// per link 8·L = 2.1 KB and a dedup table 9·N = 0.6 KB more; one SPF
+// Workspace left reachable per router, the retention this test was written
+// for, 5.6 KB on top.
 func TestAdaptiveRetainedHeapPerNode(t *testing.T) {
 	const bound = 10<<10 + 512 // bytes per node
 	g := topology.Hierarchical(8, 8, 7)
@@ -292,11 +294,12 @@ func TestAdaptiveRetainedHeapPerNode(t *testing.T) {
 // The benchmark's hier1k_adaptive configuration, at the size the benchmark
 // runs it: the in-repo twin of go.heap_live_mb_after_setup, so a routing
 // table that grows back an L·N term fails here without the benchmark.
-// 14.6 MB with line numbers in the trees (12 MB of it n·12·N); 18.7 MB with
-// link IDs there, 26.3 MB with a row of pointers per PSN as well, 63.0 MB with
-// 8·L of copied costs and a dedup table per PSN.
+// 14.7 MB with line numbers in the trees (12 MB of it n·12·N); 15.1 MB with
+// the delay→utilization arrays stored as well, 18.7 MB with link IDs in the
+// trees, 26.3 MB with a row of pointers per PSN as well, 63.0 MB with 8·L of
+// copied costs and a dedup table per PSN.
 func TestHier1kAdaptiveLiveHeap(t *testing.T) {
-	const bound = 16 << 20
+	const bound = 15 << 20
 	g := topology.Hierarchical(32, 32, 1987)
 	s, live := liveHeapAfter(t, Config{Graph: g, Shards: 2, Seed: 1987, PktRate: 2, Dests: 3, Adaptive: true, Metric: node.HNSPF})
 	runtime.KeepAlive(s)

@@ -12,7 +12,7 @@ package shard
 // overhead — source, transmit, drain, barrier — rather than route length.
 // It is NOT comparable to internal/network on Table 1 (the repo
 // benchmark's table1_arpanet workload), which runs the full
-// adaptive-routing model at ~13 events per packet; see DESIGN.md's legacy
+// adaptive-routing model at 11.41 events per packet; see DESIGN.md's legacy
 // trajectory table (snapshot 4) for the honest read.
 
 import (

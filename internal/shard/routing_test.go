@@ -290,10 +290,12 @@ func TestFinalizeAllocations(t *testing.T) {
 
 // TestHier1kDataplaneLiveHeap is TestHier1kAdaptiveLiveHeap's static twin:
 // the benchmark's hier1k_dataplane configuration at the size the benchmark
-// runs it. 4.4 MB with 16-bit lines in the tables (2·D·N = 2.0 MB of it, every
-// node being someone's neighbour); 6.4 MB with 32-bit link IDs there.
+// runs it. 4.0 MB with 16-bit lines in the tables (2·D·N = 2.0 MB of it, every
+// node being someone's neighbour); 4.4 MB with the three line types'
+// 20,001-entry delay→utilization arrays as well, 6.4 MB with 32-bit link IDs
+// in the tables.
 func TestHier1kDataplaneLiveHeap(t *testing.T) {
-	const bound = 5.5 * (1 << 20)
+	const bound = 4.5 * (1 << 20)
 	g := topology.Hierarchical(32, 32, 1987)
 	s, live := liveHeapAfter(t, Config{Graph: g, Shards: 2, Seed: 1987, PktRate: 50, Dests: 4, DestRadius: 1})
 	n, d := g.NumNodes(), len(s.routes.dests)

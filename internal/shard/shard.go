@@ -286,6 +286,27 @@ func (s *Sim) Fired() uint64 {
 	return n
 }
 
+// KernelStats sums the shards' kernel counters: every count, the slots and
+// the buckets add up across shards; Width is the widest shard's. Like
+// BarrierStats it depends on the configuration and Run's deadlines alone and
+// enters no Report, trace or digest. Call it between Run invocations.
+func (s *Sim) KernelStats() sim.Stats {
+	var t sim.Stats
+	for _, sh := range s.shards {
+		k := sh.kernel.Stats()
+		t.Scheduled += k.Scheduled
+		t.Fired += k.Fired
+		t.Cancelled += k.Cancelled
+		t.Rejected += k.Rejected
+		t.Retunes += k.Retunes
+		t.LadderPops += k.LadderPops
+		t.Slots += k.Slots
+		t.Buckets += k.Buckets
+		t.Width = max(t.Width, k.Width)
+	}
+	return t
+}
+
 // Generated returns the total number of packets offered so far.
 func (s *Sim) Generated() int64 {
 	var n int64

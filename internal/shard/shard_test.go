@@ -388,6 +388,32 @@ func checkWindowCounters(t *testing.T, s *Sim) {
 	}
 }
 
+// The benchmark's hier1k_dataplane configuration holds about 1,300 pending
+// events a shard, and each shard's calendar is sized to them: 32,768 buckets
+// after one retune, where sizing to their span kept 65,536. KernelStats is
+// the shards' sum.
+func TestKernelGeometryDataplane(t *testing.T) {
+	g := topology.Hierarchical(32, 32, 1987)
+	s := run(t, Config{Graph: g, Shards: 2, Seed: 1987, PktRate: 50, Dests: 4, DestRadius: 1}, 5*sim.Second)
+	var sum sim.Stats
+	for i, sh := range s.shards {
+		st := sh.kernel.Stats()
+		t.Logf("shard %d: %+v, %d pending", i, st, sh.kernel.Pending())
+		if st.Buckets > 32768 || st.Retunes > 2 {
+			t.Errorf("shard %d: %d buckets and %d retunes after 5 s, want <= 32768 and <= 2", i, st.Buckets, st.Retunes)
+		}
+		sum.Fired += st.Fired
+		sum.Buckets += st.Buckets
+		sum.Retunes += st.Retunes
+		sum.LadderPops += st.LadderPops
+		sum.Slots += st.Slots
+	}
+	if k := s.KernelStats(); k.Fired != sum.Fired || k.Fired != s.Fired() || k.Buckets != sum.Buckets ||
+		k.Retunes != sum.Retunes || k.LadderPops != sum.LadderPops || k.Slots != sum.Slots {
+		t.Errorf("KernelStats() = %+v, the shards sum to %+v", k, sum)
+	}
+}
+
 // Run's workers live exactly as long as the call: afterwards the goroutine
 // count is no higher than before, at any shard count and GOMAXPROCS, and a Sim
 // run to a and then to b ends where one run straight to b does.

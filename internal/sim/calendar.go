@@ -25,17 +25,24 @@ package sim
 // compares; such inserts are under 0.03% of schedules on every benchmark
 // workload, and their chains a handful of events.
 //
-// Width tuning: the bucket width targets about one event per bucket at
-// the scan front, estimated from the observed fire rate — simulated time
-// advanced per fired event — rather than from gaps in the pending
-// population (see tuneWidth for why the population statistic fails). The
-// bucket count then covers the pending span at that width, capped at
-// maxBuckets; generous counts are harmless because the scan's
-// empty-bucket cost is bounded by the clock advance rate over the width,
-// not by the array size. Retunes are triggered by bucket over-fill, by
-// width drift against the observed rate, or by sustained ladder churn,
-// and never fire under a steady load — which is how the zero-allocation
-// guarantee holds.
+// Sizing: the bucket width targets about one event per bucket at the scan
+// front, estimated from the observed fire rate — simulated time advanced
+// per fired event — rather than from gaps in the pending population (see
+// tuneWidth for why the population statistic fails). The bucket count is
+// sized from the live population, not from its span: sixteen buckets per
+// pending event, rounded up to a power of two within
+// [minBuckets, maxBuckets]. By Little's law the mean time an event waits
+// between schedule and fire is live × fire interval; the window is more
+// than eight times that (sixteen buckets per event, each more than half a
+// fire interval wide once floored to a power of two), so by Markov's
+// inequality at most one fire in eight was scheduled beyond it while the
+// population and rate hold. In practice the share is a fraction of a
+// percent: what lies beyond — periodic tickers, outage timers — pops off
+// the ladder once per firing. Retunes are triggered by bucket over-fill,
+// by width drift against the observed rate, or by ladder churn (more than
+// one fire in eight leaving through the ladder, as on a kernel whose
+// traffic lies beyond its boot window), and never fire under a steady load
+// — which is how the zero-allocation guarantee holds.
 //
 // Tie-breaking: dequeue order is lexicographic (at, eseq) everywhere —
 // the sorted front, the ladder heap, and the interleave between them.
@@ -415,22 +422,14 @@ func (k *Kernel) retune() {
 	k.setWidth(k.tuneWidth(ats))
 	k.tuneNow, k.tuneFired = k.now, k.fired
 
-	// Bucket count: enough buckets to cover the live span at the chosen
-	// width (so steady traffic stays out of the ladder) and to hold the
-	// live population at about half an event per bucket. Generous counts
-	// are harmless — the scan's empty-bucket cost is bounded by how fast
-	// the clock advances relative to the width, not by the array size —
-	// so only maxBuckets (256KB of chain heads) caps the window.
-	span := int64(ats[len(ats)-1] - ats[0])
-	target := span/int64(k.width) + 1
-	if c := int64(2 * len(live)); c > target {
-		target = c
-	}
-	nb := int64(minBuckets)
-	for nb < target && nb < maxBuckets {
+	// Bucket count: sixteen per live event (see the file comment), not the
+	// span over the width — one ticker seconds away would buy 65,536 heads
+	// for a hundred events.
+	nb := minBuckets
+	for nb < 16*len(live) && nb < maxBuckets {
 		nb <<= 1
 	}
-	k.setBuckets(int(nb))
+	k.setBuckets(nb)
 	k.scanAbs = k.absBucket(ats[0])
 	for _, s := range live {
 		k.place(s)

@@ -531,6 +531,95 @@ func TestDifferentialTickersAcrossRetune(t *testing.T) {
 	}
 }
 
+// TestDifferentialChurnRetune keeps a self-replacing population of 100
+// events of which one in four lands 0.1–1 s out, far beyond the 16-ms boot
+// window, while the rest fire within 4 ms. Neither over-fill nor width drift
+// fires, so only ladder churn — a quarter of the fires leaving through the
+// ladder — can retune the calendar, mid-run, between RunUntil gaps with
+// cancels and replacements made while the kernel is idle. Fire order must
+// match the reference heap throughout, and after the retune the far events
+// must fit the window.
+func TestDifferentialChurnRetune(t *testing.T) {
+	t.Parallel()
+	for seed := int64(900); seed < 906; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New()
+		ref := &refKernel{}
+
+		var fired, refFired []int
+		var handles []Handle
+		var refHandles []*refItem
+		delay := func() Time {
+			if rng.Intn(4) == 0 {
+				return 100*Millisecond + Time(rng.Intn(900))*Millisecond
+			}
+			return Time(rng.Intn(4000)) * Microsecond
+		}
+		stopping := false
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			id := len(handles)
+			h, err := k.ScheduleAt(at, func(now Time) {
+				fired = append(fired, id)
+				if !stopping {
+					schedule(now + delay()) // replace itself
+				}
+			})
+			if err != nil {
+				t.Fatalf("seed %d: ScheduleAt(%v) at now=%v: %v", seed, at, k.Now(), err)
+			}
+			handles = append(handles, h)
+			refHandles = append(refHandles, ref.schedule(at-ref.now, id))
+		}
+
+		for i := 0; i < 100; i++ {
+			schedule(delay())
+		}
+		var beforeRetune Stats
+		for round := 0; round < 60; round++ {
+			for i, n := 0, rng.Intn(4); i < n; i++ {
+				j := rng.Intn(len(handles))
+				if handles[j].Cancel() {
+					refHandles[j].stopped = true
+					schedule(k.Now() + delay())
+				}
+			}
+			deadline := k.Now() + Time(100+rng.Intn(200))*Millisecond
+			k.RunUntil(deadline)
+			ref.runUntil(deadline, &refFired)
+			if len(fired) != len(refFired) || k.Now() != ref.now {
+				t.Fatalf("seed %d round %d: fired %d events at %v, reference fired %d at %v",
+					seed, round, len(fired), k.Now(), len(refFired), ref.now)
+			}
+			if st := k.Stats(); st.Retunes == 0 {
+				beforeRetune = st
+			}
+		}
+		st := k.Stats()
+		after := float64(st.LadderPops-beforeRetune.LadderPops) / float64(st.Fired-beforeRetune.Fired)
+		if st.Retunes < 1 || beforeRetune.Fired == 0 || after > 0.05 {
+			t.Errorf("seed %d: %d retunes, the first after %d fires; %.1f%% of later fires through the ladder, want >= 1 retune mid-run and <= 5%%",
+				seed, st.Retunes, beforeRetune.Fired, 100*after)
+		}
+
+		stopping = true
+		k.Run()
+		ref.runUntil(maxTime, &refFired)
+		if len(fired) != len(refFired) {
+			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(fired), len(refFired))
+		}
+		for i := range fired {
+			if fired[i] != refFired[i] {
+				t.Fatalf("seed %d: fire order diverged at %d: got event %d, reference %d",
+					seed, i, fired[i], refFired[i])
+			}
+		}
+		if k.Pending() != 0 {
+			t.Fatalf("seed %d: %d events pending after drain", seed, k.Pending())
+		}
+	}
+}
+
 func TestDifferentialFireOrder(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))

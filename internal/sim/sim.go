@@ -529,17 +529,18 @@ func (k *Kernel) tuneCheck() {
 		// Width drift: the bucket width the calendar was tuned for no
 		// longer matches the observed event rate (events per unit of
 		// simulated time), so chains are bunching up or the scan is
-		// sprinting over empties. Ladder churn: a large share of recent
-		// fires drained through the overflow heap, meaning the window is
-		// mis-anchored or mis-sized for the near-future population. Either
-		// way, rebuild. A ladder merely *holding* far-future events (idle
-		// tickers, outage timers) pops rarely and triggers nothing.
+		// sprinting over empties. Ladder churn: more than one recent fire
+		// in eight drained through the overflow heap, more than a window
+		// sized to the population lets through (calendar.go), so the window
+		// is mis-anchored or mis-sized. Either way, rebuild. A ladder merely
+		// *holding* far-future events (idle tickers, outage timers) pops
+		// rarely and triggers nothing.
 		expect := (k.now - k.tuneNow) / Time(fires)
 		if expect < 1 {
 			expect = 1
 		}
 		if k.width > 8*expect || (expect <= maxWidth && expect > 8*k.width) ||
-			pops > tunePeriod/2 {
+			pops > tunePeriod/8 {
 			k.retune()
 		}
 	}
