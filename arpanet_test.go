@@ -240,20 +240,61 @@ func TestMetricCurve(t *testing.T) {
 	}
 }
 
+// TestDeterministicSimulation runs each configuration four times in one
+// process and wants the same Report every time. Go randomises map iteration
+// per range statement and seeds the global math/rand stream per process, so a
+// wall-clock read, a global draw or a map order that reaches the report makes
+// a later run differ from run 1, whichever line leaked it.
 func TestDeterministicSimulation(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
-		t.Skip("runs a full simulation")
+		t.Skip("runs full simulations")
 	}
-	run := func() Report {
-		topo := Arpanet1987()
-		tr := topo.GravityTraffic(ArpanetWeights(), 200000)
-		s := NewSimulation(topo, tr, SimConfig{Metric: DSPF, Seed: 42, WarmupSeconds: 20})
-		s.RunSeconds(80)
-		return s.Report()
-	}
-	if run() != run() {
-		t.Error("identical configs should reproduce identical reports")
+	const runs = 4
+	for _, tc := range []struct {
+		name    string
+		build   func() (*Topology, *Traffic)
+		cfg     SimConfig
+		seconds float64
+	}{
+		{
+			// The ARPANET map under D-SPF: delay measurement, flooding, SPF.
+			name: "arpanet-dspf",
+			build: func() (*Topology, *Traffic) {
+				topo := Arpanet1987()
+				return topo, topo.GravityTraffic(ArpanetWeights(), 200000)
+			},
+			cfg:     SimConfig{Metric: DSPF, Seed: 42, WarmupSeconds: 20},
+			seconds: 80,
+		},
+		{
+			// Multipath on a 2×2 grid: opposite corners are two equal-cost
+			// hops apart, so their packets draw one of two first hops. No
+			// golden trace reaches that draw.
+			name: "grid-multipath",
+			build: func() (*Topology, *Traffic) {
+				topo := Grid(2, 2, T56)
+				return topo, topo.UniformTraffic(40000)
+			},
+			cfg:     SimConfig{Metric: MinHop, Seed: 5, WarmupSeconds: 30, Multipath: true},
+			seconds: 120,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			run := func() Report {
+				topo, tr := tc.build()
+				s := NewSimulation(topo, tr, tc.cfg)
+				s.RunSeconds(tc.seconds)
+				return s.Report()
+			}
+			first := run()
+			for i := 2; i <= runs; i++ {
+				if r := run(); r != first {
+					t.Fatalf("nondeterministic: run %d differs from run 1:\n  run 1: %#v\n  run %d: %#v", i, first, i, r)
+				}
+			}
+		})
 	}
 }
 

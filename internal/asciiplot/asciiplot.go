@@ -35,11 +35,11 @@ func Chart(title string, width, height int, series ...*stats.Series) string {
 	if math.IsInf(minX, 1) {
 		return title + "\n(no data)\n"
 	}
-	// lint:ignore floatexact degenerate-range guard: maxX is a verbatim copy of some sample, equality is exact by construction
+	// Degenerate-range guard: maxX is a verbatim copy of some sample, equality is exact by construction
 	if maxX == minX {
 		maxX = minX + 1
 	}
-	// lint:ignore floatexact degenerate-range guard: maxY is a verbatim copy of some sample, equality is exact by construction
+	// Degenerate-range guard: maxY is a verbatim copy of some sample, equality is exact by construction
 	if maxY == minY {
 		maxY = minY + 1
 	}

@@ -43,7 +43,7 @@ func TestLargeGraphSPFOracle(t *testing.T) {
 			for dst := 0; dst < n; dst++ {
 				got := routers[root].Dist(topology.NodeID(dst))
 				want := fresh.Dist(topology.NodeID(dst))
-				// lint:ignore floatexact bit-exact differential: incremental SPF must match fresh Dijkstra
+				// Bit-exact differential: incremental SPF must match fresh Dijkstra
 				if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 					t.Fatalf("step %d root %d: dist to %d = %v, fresh Dijkstra says %v",
 						step, root, dst, got, want)

@@ -140,12 +140,12 @@ func runMetricTraceErr(p metricProps, delays []float64) error {
 		if cost < p.floor || cost > p.ceiling {
 			return fmt.Errorf("step %d: cost %v outside [%v, %v]", i, cost, p.floor, p.ceiling)
 		}
-		// lint:ignore floatexact bit-exact differential oracle: Cost() must return the same stored value Update reported
+		// Bit-exact differential oracle: Cost() must return the same stored value Update reported
 		if cost != m.Cost() {
 			return fmt.Errorf("step %d: Update returned %v but Cost() says %v", i, cost, m.Cost())
 		}
 		if !report {
-			// lint:ignore floatexact bit-exact oracle: a silent step must leave the reported cost untouched, not merely close
+			// Bit-exact oracle: a silent step must leave the reported cost untouched, not merely close
 			if cost != prev {
 				return fmt.Errorf("step %d: cost moved %v -> %v without a report", i, prev, cost)
 			}

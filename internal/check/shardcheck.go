@@ -234,7 +234,7 @@ func runShardDiff(t shardTrial, events []scenario.Event) error {
 		}
 		for l := range ref.series {
 			for i := range ref.series[l] {
-				// lint:ignore floatexact the exact leg's whole point is bitwise equality across shard counts
+				// The exact leg's whole point is bitwise equality across shard counts
 				if leg.series[l][i] != ref.series[l][i] {
 					a, b := t.g.Link(topology.LinkID(l)).From, t.g.Link(topology.LinkID(l)).To
 					return fmt.Errorf("shards=%d: advertised cost of %s->%s diverged at sample %d: %.9g vs %.9g",
@@ -312,7 +312,7 @@ func compareShardNetwork(t shardTrial, sm, nm []float64) error {
 	switch t.metric {
 	case node.MinHop:
 		for l := range sm {
-			// lint:ignore floatexact both sides are time means of the constant 1.0 — any difference is a bug
+			// Both sides are time means of the constant 1.0 — any difference is a bug
 			if sm[l] != nm[l] {
 				return fmt.Errorf("min-hop cost of link %d differs: shard %.9g vs network %.9g (must be exactly 1)",
 					l, sm[l], nm[l])

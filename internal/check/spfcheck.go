@@ -149,7 +149,7 @@ func verifySPF(g *topology.Graph, cur []float64, routers []Router, ws *spf.Works
 		for dst := 0; dst < n; dst++ {
 			got := r.Dist(topology.NodeID(dst))
 			want := fresh.Dist(topology.NodeID(dst))
-			// lint:ignore floatexact bit-exact differential oracle: incremental SPF must match a fresh Dijkstra exactly, same ops in same order
+			// Bit-exact differential oracle: incremental SPF must match a fresh Dijkstra exactly, same ops in same order
 			if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 				return fmt.Errorf("root %d: dist to %d = %v, fresh Dijkstra says %v", root, dst, got, want)
 			}

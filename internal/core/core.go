@@ -115,7 +115,7 @@ func (m *Module) Update(measuredDelay float64) (cost float64, report bool) {
 	if m.initialized && !m.opts.noMinChange && !m.significant(revised) {
 		return m.lastReported, false
 	}
-	// lint:ignore floatexact change detection against the stored copy of the last reported cost, not recomputed arithmetic
+	// Change detection against the stored copy of the last reported cost, not recomputed arithmetic
 	if m.opts.noMinChange && revised == m.lastReported && m.initialized {
 		return revised, false
 	}
@@ -179,7 +179,7 @@ func (m *Module) significant(revised float64) bool {
 	if d == 0 {
 		return false
 	}
-	// lint:ignore floatexact revised was clipped to exactly floor/MaxCost by clip(); boundary equality is exact by construction
+	// revised was clipped to exactly floor/MaxCost by clip(); boundary equality is exact by construction
 	if revised == m.floor || revised == m.params.MaxCost {
 		return true
 	}

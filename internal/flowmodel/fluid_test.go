@@ -156,7 +156,7 @@ func TestFluidDeterministic(t *testing.T) {
 	}
 	a, b := run(), run()
 	for i := range a {
-		// lint:ignore floatexact determinism check: identical runs must agree bit-for-bit
+		// Determinism check: identical runs must agree bit-for-bit
 		if a[i] != b[i] {
 			t.Fatalf("link %d: %v vs %v — fluid reassignment is not deterministic", i, a[i], b[i])
 		}

@@ -103,7 +103,7 @@ func (n *Network) ConvergenceAudit() error {
 			} else {
 				got = p.router.Cost(ls.link.ID)
 			}
-			// lint:ignore floatexact the flooded cost is copied verbatim into databases; convergence means bit-identical
+			// The flooded cost is copied verbatim into databases; convergence means bit-identical
 			if got != ls.lastFlooded {
 				return fmt.Errorf("PSN %s believes cost %v for link %d (%s->%s), last flooded %v",
 					n.g.Node(p.id).Name, got, ls.link.ID,

@@ -37,7 +37,7 @@ type goldenCase struct {
 
 // goldenCases covers the three packet populations the pooling change
 // touches: SPF user+update traffic under failures, the 1969 distance-vector
-// exchange, and multipath forwarding.
+// exchange, and multipath routing.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 
@@ -83,8 +83,11 @@ func goldenCases() []goldenCase {
 		sc: rsc,
 	})
 
-	// Multipath forwarding: the per-packet next-hop randomness must stay
-	// on the same stream positions.
+	// Multipath forwarding: pins the multipath router's tables, and the
+	// single-hop forwarding they yield, under a surge. On this ring no
+	// destination has two equal-cost first hops, so the per-packet random
+	// choice among several is never drawn here; the root package's
+	// TestDeterministicSimulation multipath row (a 2×2 grid) pins that draw.
 	mg := topology.Ring(5, topology.T56)
 	msc := NewScenario("ring-multipath", 150*sim.Second)
 	msc.CheckEvery = 50 * sim.Second
@@ -117,21 +120,38 @@ func renderGolden(res Result, ring *trace.Ring) []byte {
 	return b.Bytes()
 }
 
+// goldenRuns is how often TestGoldenTrace renders each case. Go randomises
+// map iteration per range statement and seeds the global math/rand stream
+// per process, so a wall clock, a global draw or a map order that reaches
+// the output makes two renders in one process differ.
+const goldenRuns = 3
+
 func TestGoldenTrace(t *testing.T) {
 	for _, tc := range goldenCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			ring := trace.NewRing(1 << 17)
-			cfg := tc.cfg
-			cfg.Trace = ring
-			res, err := Run(cfg, tc.sc)
-			if err != nil {
-				t.Fatal(err)
+			// Renders must agree with each other before the file is asked:
+			// a failure then says "nondeterministic" apart from "behaviour
+			// changed".
+			var got []byte
+			for run := 1; run <= goldenRuns; run++ {
+				ring := trace.NewRing(1 << 17)
+				cfg := tc.cfg
+				cfg.Trace = ring
+				res, err := Run(cfg, tc.sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Violations) != 0 {
+					t.Fatalf("golden scenario violated invariants: %+v", res.Violations)
+				}
+				out := renderGolden(res, ring)
+				if run == 1 {
+					got = out
+				} else if !bytes.Equal(out, got) {
+					t.Fatalf("nondeterministic: run %d differs from run 1 at %s", run, firstDiff(got, out))
+				}
 			}
-			if len(res.Violations) != 0 {
-				t.Fatalf("golden scenario violated invariants: %+v", res.Violations)
-			}
-			got := renderGolden(res, ring)
 			path := filepath.Join("testdata", tc.name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -147,14 +167,15 @@ func TestGoldenTrace(t *testing.T) {
 				t.Fatalf("missing golden (run with -update to create): %v", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("output diverged from the committed golden:\n%s",
+				t.Errorf("behaviour changed: output diverged from the committed golden at %s",
 					firstDiff(want, got))
 			}
 		})
 	}
 }
 
-// firstDiff locates the first differing line for a readable failure.
+// firstDiff locates the first differing line for a readable failure; want
+// is the reference (the golden file, or run 1).
 func firstDiff(want, got []byte) string {
 	wl := bytes.Split(want, []byte("\n"))
 	gl := bytes.Split(got, []byte("\n"))
@@ -164,8 +185,8 @@ func firstDiff(want, got []byte) string {
 	}
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(wl[i], gl[i]) {
-			return fmt.Sprintf("line %d:\n  golden: %s\n  got:    %s", i+1, wl[i], gl[i])
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, wl[i], gl[i])
 		}
 	}
-	return fmt.Sprintf("line count: golden %d, got %d", len(wl), len(gl))
+	return fmt.Sprintf("line count: want %d, got %d", len(wl), len(gl))
 }

@@ -332,7 +332,7 @@ func (r *IncrementalRouter) Update(l topology.LinkID, newCost float64) {
 // private, already the one row reads) and repairs the tree for it.
 func (r *IncrementalRouter) set(l topology.LinkID, slot *float64, newCost float64) {
 	old := *slot
-	// lint:ignore floatexact change detection against the stored copy of this link's cost, not recomputed arithmetic
+	// Change detection against the stored copy of this link's cost, not recomputed arithmetic
 	if newCost == old {
 		return
 	}

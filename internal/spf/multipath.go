@@ -141,7 +141,7 @@ func (r *MultipathRouter) UpdateBatch(links []topology.LinkID, costs []float64) 
 		if !validCost(c) {
 			panic("spf: link cost must be positive and finite")
 		}
-		// lint:ignore floatexact change detection against the stored copy of this link's cost, not recomputed arithmetic
+		// Change detection against the stored copy of this link's cost, not recomputed arithmetic
 		if r.costs[l] != c {
 			r.costs[l] = c
 			changed = true
