@@ -62,9 +62,6 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
 	)
 	flag.Parse()
-	if *seeds < 1 {
-		log.Fatal("-seeds must be >= 1")
-	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	kinds, err := metricKinds(*metricName)
@@ -72,7 +69,7 @@ func main() {
 		err = numberFlag(flag.CommandLine)
 	}
 	if err == nil {
-		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *backgroundK, len(kinds))
+		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *topoName, *backgroundK, len(kinds))
 	}
 	var shardCfg shard.Config
 	if err == nil && *shardsN > 0 {
@@ -105,9 +102,6 @@ func main() {
 		return
 	}
 	defer finish(nil)
-	if *topoName != "arpanet" && *topoName != "milnet" {
-		log.Fatalf("unknown topology %q (want arpanet or milnet)", *topoName)
-	}
 	nc := netChoice{topo: *topoName, bgBPS: *backgroundK * 1000, bgEpoch: *bgEpochSecs}
 	if nc.topo == "milnet" && *trafficK == 280 {
 		// MILNET's aggregate capacity is smaller; rescale the default load
@@ -165,7 +159,8 @@ func metricKinds(name string) ([]node.MetricKind, error) {
 // parses happily and sim.FromSeconds panics on; anything below zero, which
 // panics in traffic.Gravity (-traffic, -growth) or silently runs something
 // else (no measured time, no warm-up, uniform destinations, no background,
-// -shards -1 the Table 1 study); and a fluid epoch of zero, the default one.
+// -shards -1 the Table 1 study); a fluid epoch of zero, the default one; and
+// -seeds 0, no run to average.
 func numberFlag(fs *flag.FlagSet) (err error) {
 	fs.Visit(func(f *flag.Flag) {
 		var v float64
@@ -180,8 +175,8 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 			err = fmt.Errorf("-%s is not a number", f.Name)
 		case v < 0:
 			err = fmt.Errorf("-%s %s is negative", f.Name, f.Value)
-		case v == 0 && f.Name == "background-epoch":
-			err = errors.New("-background-epoch must be positive")
+		case v == 0 && (f.Name == "background-epoch" || f.Name == "seeds"):
+			err = fmt.Errorf("-%s must be positive", f.Name)
 		}
 	})
 	return err
@@ -191,8 +186,9 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 // is an error, not a silent no-op (`-shards 2 -scenario flap.scn` used to
 // run no script, `-shards 2 -seeds 5` one seed). set holds the flags given
 // on the command line (flag.Visit), so defaults never count; kinds is how
-// many metrics -metric named.
-func checkFlags(set map[string]bool, shards int, adaptive bool, scenario string, backgroundK float64, kinds int) error {
+// many metrics -metric named. It also refuses a -topology only -shards can
+// build: the other modes run the arpanet or milnet map.
+func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topology string, backgroundK float64, kinds int) error {
 	mode := "without -shards (the Table 1 study is always adaptive)"
 	ignored := []string{"rate", "dests", "radius", "adaptive"}
 	switch {
@@ -215,6 +211,8 @@ func checkFlags(set map[string]bool, shards int, adaptive bool, scenario string,
 		return errors.New("-background-epoch has no effect without -background")
 	case shards <= 0 && scenario == "" && kinds == 1 && set["growth"]:
 		return errors.New("-growth has no effect with a single -metric (it scales the after run of -metric both)")
+	case shards <= 0 && topology != "arpanet" && topology != "milnet":
+		return fmt.Errorf("-topology %q without -shards (want arpanet or milnet)", topology)
 	}
 	return nil
 }

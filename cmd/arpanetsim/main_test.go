@@ -44,13 +44,15 @@ func TestMetricKinds(t *testing.T) {
 }
 
 // A flag the chosen mode never reads is rejected by name before anything
-// runs; a flag left at its default never counts.
+// runs, as is a -topology only -shards builds; a flag left at its default
+// never counts.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		args       string // flags set on the command line
 		shards     int
 		adaptive   bool
 		scenario   string
+		topology   string // "": the default, arpanet
 		background float64
 		metric     string
 		reject     string // "": accepted; else the flag the error must name
@@ -84,6 +86,12 @@ func TestCheckFlags(t *testing.T) {
 		{args: "scenario growth", scenario: "flap.scn", metric: "both", reject: "-growth"},
 		{args: "metric growth", metric: "dspf", reject: "-growth"},
 		{args: "background-epoch", metric: "both", reject: "-background-epoch"},
+		// Generated maps are the sharded runner's; the other modes know two.
+		{args: "shards topology", shards: 2, topology: "hier:4x8", metric: "both"},
+		{args: "topology", topology: "milnet", metric: "both"},
+		{args: "topology", topology: "foo", metric: "both", reject: "-topology"},
+		{args: "topology", topology: "hier:4x8", metric: "both", reject: "-topology"},
+		{args: "scenario topology", scenario: "flap.scn", topology: "waxman:64", metric: "hnspf", reject: "-topology"},
 	}
 	for _, tc := range cases {
 		set := map[string]bool{}
@@ -94,11 +102,15 @@ func TestCheckFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = checkFlags(set, tc.shards, tc.adaptive, tc.scenario, tc.background, len(kinds))
+		topology := tc.topology
+		if topology == "" {
+			topology = "arpanet"
+		}
+		err = checkFlags(set, tc.shards, tc.adaptive, tc.scenario, topology, tc.background, len(kinds))
 		switch {
 		case tc.reject == "" && err != nil:
 			t.Errorf("flags %q: rejected: %v", tc.args, err)
-		case tc.reject != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.reject+" has no effect")):
+		case tc.reject != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.reject+" ")):
 			t.Errorf("flags %q: err = %v, want %s rejected", tc.args, err, tc.reject)
 		}
 	}
@@ -129,8 +141,8 @@ func TestNaNFlagRejected(t *testing.T) {
 
 // A number below zero means nothing to any mode: -traffic and -growth used to
 // panic inside traffic.Gravity and the rest ran something else, so each is
-// refused by name — as is a fluid epoch of zero — and zero itself, a negative
-// -seed and every default pass.
+// refused by name — as are a fluid epoch of zero and -seeds 0 — and zero
+// itself, a negative -seed and every default pass.
 func TestNegativeFlagRejected(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-traffic -5", "-traffic -5 is negative"},
@@ -142,6 +154,7 @@ func TestNegativeFlagRejected(t *testing.T) {
 		{"-shards -1", "-shards -1 is negative"},
 		{"-shards 2 -dests -2", "-dests -2 is negative"},
 		{"-seeds -1", "-seeds -1 is negative"},
+		{"-seeds 0", "-seeds must be positive"},
 		{"-background -5", "-background -5 is negative"},
 		{"-background 100 -background-epoch 0", "-background-epoch must be positive"},
 		{"-background 100 -background-epoch -2", "-background-epoch -2 is negative"},

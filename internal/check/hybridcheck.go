@@ -11,7 +11,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/spf"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -324,23 +323,7 @@ func compareHybrid(g *topology.Graph, w, h, p []float64) error {
 			out, hybridMaxOutliers, g.Node(lnk.From).Name, g.Node(lnk.To).Name,
 			100*worst, h[worstLink], p[worstLink])
 	}
-	hc := func(l topology.LinkID) float64 { return h[l] }
-	pc := func(l topology.LinkID) float64 { return p[l] }
-	agree, total := 0, 0
-	for s := 0; s < g.NumNodes(); s++ {
-		src := topology.NodeID(s)
-		ht := spf.Compute(g, src, hc)
-		pt := spf.Compute(g, src, pc)
-		for d := 0; d < g.NumNodes(); d++ {
-			if d == s {
-				continue
-			}
-			total++
-			if ht.NextHop(topology.NodeID(d)) == pt.NextHop(topology.NodeID(d)) {
-				agree++
-			}
-		}
-	}
+	agree, total := nextHopAgreement(g, h, p)
 	if frac := float64(agree) / float64(total); frac < hybridAgreeMin {
 		return fmt.Errorf("SPF next-hop agreement on time-mean costs is %.3f (%d/%d pairs), below %.2f",
 			frac, agree, total, hybridAgreeMin)

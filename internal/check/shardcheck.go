@@ -357,7 +357,8 @@ func compareShardNetwork(t shardTrial, sm, nm []float64) error {
 				out, 100*shardDspfRelOut, shardDspfMaxOut,
 				t.g.Node(lnk.From).Name, t.g.Node(lnk.To).Name, 100*worst)
 		}
-		if frac := nextHopAgreement(t.g, sm, nm); frac < shardDspfAgreeMin {
+		agree, total := nextHopAgreement(t.g, sm, nm)
+		if frac := float64(agree) / float64(total); frac < shardDspfAgreeMin {
 			return fmt.Errorf("SPF next-hop agreement on time-mean D-SPF costs is %.3f, below %.2f",
 				frac, shardDspfAgreeMin)
 		}
@@ -365,12 +366,11 @@ func compareShardNetwork(t shardTrial, sm, nm []float64) error {
 	}
 }
 
-// nextHopAgreement is the fraction of (source, destination) pairs whose SPF
+// nextHopAgreement counts the (source, destination) pairs, of total, whose SPF
 // next hop agrees between two per-link cost vectors.
-func nextHopAgreement(g *topology.Graph, sm, nm []float64) float64 {
+func nextHopAgreement(g *topology.Graph, sm, nm []float64) (agree, total int) {
 	sc := func(l topology.LinkID) float64 { return math.Max(sm[l], 1e-9) }
 	nc := func(l topology.LinkID) float64 { return math.Max(nm[l], 1e-9) }
-	agree, total := 0, 0
 	for s := 0; s < g.NumNodes(); s++ {
 		src := topology.NodeID(s)
 		st := spf.Compute(g, src, sc)
@@ -385,7 +385,7 @@ func nextHopAgreement(g *topology.Graph, sm, nm []float64) float64 {
 			}
 		}
 	}
-	return float64(agree) / float64(total)
+	return agree, total
 }
 
 // --- custody torture --------------------------------------------------------

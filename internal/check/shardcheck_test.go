@@ -116,9 +116,8 @@ func TestShardDiffCalibration(t *testing.T) {
 			a.maxOut = out
 		}
 		if trial.metric == node.DSPF {
-			if frac := nextHopAgreement(trial.g, sm, nm); frac < a.minAgree {
-				a.minAgree = frac
-			}
+			agree, total := nextHopAgreement(trial.g, sm, nm)
+			a.minAgree = math.Min(a.minAgree, float64(agree)/float64(total))
 		}
 		t.Logf("seed %d: %-7v %-24s faults=%d out=%d", seed, trial.metric, trial.topoName, len(ops), out)
 	}

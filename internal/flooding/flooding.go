@@ -88,9 +88,10 @@ func (u *Update) SizeBits() float64 {
 // Dedup is one PSN's duplicate filter: the highest sequence number accepted
 // from each origin. Sequence numbers are monotone per origin (the real
 // protocol's 6-bit wrap-around and its lost-update recovery are out of
-// scope; our 64-bit numbers never wrap in a simulation). It serves the
-// multipath router, which keeps plain costs; a single-path router's database
-// is the updates it accepted, sequence numbers included.
+// scope; our 64-bit numbers never wrap in a simulation). Neither engine runs
+// it: a router's database is the updates it accepted, sequence numbers
+// included, so spf.IncrementalRouter.Accept is its own filter. The repo
+// benchmark still times it.
 type Dedup struct {
 	seen []uint64
 	any  []bool

@@ -97,14 +97,8 @@ func (n *Network) ConvergenceAudit() error {
 			if comp[p.id] != comp[ls.link.From] {
 				continue
 			}
-			var got float64
-			if p.mrouter != nil {
-				got = p.mrouter.Cost(ls.link.ID)
-			} else {
-				got = p.router.Cost(ls.link.ID)
-			}
 			// The flooded cost is copied verbatim into databases; convergence means bit-identical
-			if got != ls.lastFlooded {
+			if got := p.router.Cost(ls.link.ID); got != ls.lastFlooded {
 				return fmt.Errorf("PSN %s believes cost %v for link %d (%s->%s), last flooded %v",
 					n.g.Node(p.id).Name, got, ls.link.ID,
 					n.g.Node(ls.link.From).Name, n.g.Node(ls.link.To).Name, ls.lastFlooded)

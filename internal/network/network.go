@@ -88,8 +88,8 @@ type Network struct {
 	psns   []*psn
 	links  []*linkState
 	rnd    *sim.Source
-	// routers is the single-path PSNs' shared table: one kernel, one goroutine
-	// drives them all (nil when multipath or BF1969).
+	// routers is the PSNs' shared table, the one link-state database: one
+	// kernel, one goroutine drives them all (nil in BF1969 mode).
 	routers *spf.Table
 
 	warmed bool
@@ -140,11 +140,10 @@ type Network struct {
 type psn struct {
 	id             topology.NodeID
 	lines          []*linkState           // its out-links in Graph.Out order, so line i of its SPF tree is lines[i]
-	router         *spf.IncrementalRouter // single-path (nil when multipath or BF1969)
-	mrouter        *spf.MultipathRouter   // multipath (nil otherwise)
+	router         *spf.IncrementalRouter // SPF (nil in BF1969 mode)
 	dv             *dvState               // 1969 distance vector (nil otherwise)
-	pathRand       *rand.Rand             // multipath next-hop selection
-	dedup          *flooding.Dedup        // beside mrouter only: the single-path router filters itself
+	pathRand       *rand.Rand             // multipath next-hop selection (nil otherwise)
+	dag            *spf.DAG               // multipath first hops over router's tree (nil: stale, built at the next lookup)
 	seq            flooding.Sequencer
 	lastOriginated sim.Time
 
@@ -241,7 +240,7 @@ func New(cfg Config) *Network {
 
 	// PSNs with routers booted from the identical database.
 	n.psns = make([]*psn, n.g.NumNodes())
-	if cfg.Metric != node.BF1969 && !cfg.Multipath {
+	if cfg.Metric != node.BF1969 {
 		roots := make([]topology.NodeID, n.g.NumNodes())
 		for i := range roots {
 			roots[i] = topology.NodeID(i)
@@ -259,15 +258,11 @@ func New(cfg Config) *Network {
 		for j, l := range n.g.Out(id) {
 			p.lines[j] = n.links[l]
 		}
-		switch {
-		case cfg.Metric == node.BF1969:
-			// distance-vector state is installed by dvSetup below
-		case cfg.Multipath:
-			p.mrouter = spf.NewMultipathRouter(n.g, id, initial, n.multipathTol())
-			p.dedup = flooding.NewDedup(n.g.NumNodes())
-			p.pathRand = n.rnd.Stream(fmt.Sprintf("path/%d", i))
-		default:
+		if n.routers != nil { // else dvSetup below installs distance-vector state
 			p.router = n.routers.Router(i)
+			if cfg.Multipath {
+				p.pathRand = n.rnd.Stream(fmt.Sprintf("path/%d", i))
+			}
 		}
 		n.psns[i] = p
 		n.setupSource(p)
@@ -349,16 +344,23 @@ func (n *Network) multipathTol() float64 {
 }
 
 // altNextHop picks the outgoing link toward dst, nil for none, in the two
-// modes without an SPF tree of line numbers: the distance vector's choice, or
-// a random one among the equal-cost first hops when multipath is on.
+// modes that do not forward on the SPF tree's one line: the distance vector's
+// choice, or a random one among the equal-cost first hops when multipath is
+// on. Those come from a DAG over the router's tree, rebuilt at the first
+// lookup after the router accepts an update.
 func (n *Network) altNextHop(p *psn, dst topology.NodeID) *linkState {
 	nh := topology.NoLink
 	if p.dv != nil {
 		nh = p.dv.next[dst]
-	} else if hops := p.mrouter.NextHops(dst); len(hops) == 1 {
-		nh = hops[0]
-	} else if len(hops) > 1 {
-		nh = hops[p.pathRand.Intn(len(hops))]
+	} else {
+		if p.dag == nil {
+			p.dag = spf.ComputeDAG(p.router.Tree(), p.router.Cost, n.multipathTol())
+		}
+		if hops := p.dag.NextHops(dst); len(hops) == 1 {
+			nh = hops[0]
+		} else if len(hops) > 1 {
+			nh = hops[p.pathRand.Intn(len(hops))]
+		}
 	}
 	if nh == topology.NoLink {
 		return nil
@@ -366,31 +368,23 @@ func (n *Network) altNextHop(p *psn, dst topology.NodeID) *linkState {
 	return n.links[nh]
 }
 
-// accept offers one update copy to whichever router the PSN runs and reports
-// whether it was new. The single-path router is its own duplicate filter;
-// the multipath router keeps plain costs and a flooding.Dedup beside them.
+// accept offers one update copy to the PSN's router, its own duplicate
+// filter, and reports whether it was new; a new one drops the multipath DAG.
 func (p *psn) accept(u *flooding.Update) bool {
-	if p.mrouter == nil {
-		return p.router.Accept(u)
-	}
-	if !p.dedup.Accept(u.Origin, u.Seq) {
+	if !p.router.Accept(u) {
 		return false
 	}
-	p.mrouter.UpdateBatch(u.Links, u.Costs)
+	p.dag = nil
 	return true
 }
 
 // recomputes returns the PSN's route-computation count (0 in BF1969 mode,
 // where there is no SPF).
 func (p *psn) recomputes() int64 {
-	switch {
-	case p.dv != nil:
+	if p.router == nil {
 		return 0
-	case p.mrouter != nil:
-		return p.mrouter.Recomputes()
-	default:
-		return p.router.Recomputes()
 	}
+	return p.router.Recomputes()
 }
 
 // Kernel exposes the simulation clock for callers that schedule scenario
@@ -526,8 +520,9 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		return
 	}
 	// The single SPF tree hop is a line number: the PSN's own lines answer it.
+	// Distance vectors and multipath (pathRand set) choose elsewhere.
 	var nh *linkState
-	if p.router == nil {
+	if p.router == nil || p.pathRand != nil {
 		nh = n.altNextHop(p, pkt.Dst)
 	} else if i := p.router.Tree().NextLine(pkt.Dst); i >= 0 {
 		nh = p.lines[i]

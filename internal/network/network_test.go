@@ -14,9 +14,13 @@ import (
 )
 
 func lightRing(metric node.MetricKind, seed int64) *Network {
+	return New(lightRingConfig(metric, seed))
+}
+
+func lightRingConfig(metric node.MetricKind, seed int64) Config {
 	g := topology.Ring(6, topology.T56)
 	m := traffic.Uniform(g, 60000) // 60 kbps across 30 pairs: light
-	return New(Config{Graph: g, Matrix: m, Metric: metric, Seed: seed, Warmup: 30 * sim.Second})
+	return Config{Graph: g, Matrix: m, Metric: metric, Seed: seed, Warmup: 30 * sim.Second}
 }
 
 func TestLightLoadDelivery(t *testing.T) {

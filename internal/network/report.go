@@ -42,7 +42,7 @@ type Report struct {
 	// Overhead.
 	UpdatesOriginated int64
 	RoutingKbps       float64
-	SPFRecomputes     int64 // total full SPF runs across all PSNs
+	SPFRecomputes     int64 // route computations across all PSNs' routers: boot SPF runs plus incremental repairs
 
 	// Utilization.
 	MeanLinkUtilization float64

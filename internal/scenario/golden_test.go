@@ -83,8 +83,8 @@ func goldenCases() []goldenCase {
 		sc: rsc,
 	})
 
-	// Multipath forwarding: pins the multipath router's tables, and the
-	// single-hop forwarding they yield, under a surge. On this ring no
+	// Multipath forwarding: pins the first-hop DAGs over the shared table's
+	// trees, and the single-hop forwarding they yield, under a surge. On this ring no
 	// destination has two equal-cost first hops, so the per-packet random
 	// choice among several is never drawn here; the root package's
 	// TestDeterministicSimulation multipath row (a 2×2 grid) pins that draw.

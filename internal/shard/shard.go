@@ -484,15 +484,6 @@ func (s *Sim) collectOutboxes() (n int) {
 	return n
 }
 
-// pendingWires returns the cross-shard packets not yet injected.
-func (s *Sim) pendingWires() int64 {
-	var n int64
-	for _, ws := range s.wires {
-		n += int64(len(ws))
-	}
-	return n
-}
-
 // pendingWireKinds splits the pending cross-shard packets into user traffic
 // and routing-update copies, for the per-class custody audits.
 func (s *Sim) pendingWireKinds() (user, ctrl int64) {

@@ -6,17 +6,16 @@ import (
 	"repro/internal/topology"
 )
 
-// BenchmarkMultipathDAG measures one equal-cost DAG build on the ARPANET
-// graph, the per-update work of a multipath PSN (§4.5). bench/micro.go
-// times the single-path Dijkstra and its incremental repair, not this.
+// BenchmarkMultipathDAG measures one equal-cost DAG build over a tree on the
+// ARPANET graph, what a multipath PSN does at its first lookup after an update
+// (§4.5). bench/micro.go times the single-path Dijkstra and its incremental
+// repair, not this.
 func BenchmarkMultipathDAG(b *testing.B) {
 	g := topology.Arpanet()
-	costs := make([]float64, g.NumLinks())
-	for i := range costs {
-		costs[i] = 30
-	}
+	cost := func(topology.LinkID) float64 { return 30 }
+	tree := Compute(g, 0, cost)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeDAG(g, 0, func(l topology.LinkID) float64 { return costs[l] }, 15)
+		ComputeDAG(tree, cost, 15)
 	}
 }

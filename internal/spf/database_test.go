@@ -77,7 +77,8 @@ func checkDatabase(t *Table) error {
 // dbHarness feeds the routers of one shared table and as many tables of one
 // (the layout in which a router's database is its own) the same operations,
 // and after each requires them indistinguishable, every tree entry a line of
-// the right PSN (checkLines) and the shared database sound.
+// the right PSN (checkLines), the multipath DAG over the tree an operation
+// touched the one over a fresh Compute (checkDAG) and the shared database sound.
 type dbHarness struct {
 	t        testing.TB
 	g        *topology.Graph
@@ -85,6 +86,7 @@ type dbHarness struct {
 	alone    []*IncrementalRouter
 	made     [][]*flooding.Update // by origin, oldest first
 	inFlight int                  // most versions of one origin ever held at once
+	widened  int                  // DAGs the positive tolerance made wider than tolerance 0's
 }
 
 func newDBHarness(t testing.TB, g *topology.Graph, roots []topology.NodeID, costs []float64) *dbHarness {
@@ -111,14 +113,14 @@ func (h *dbHarness) accept(i int, u *flooding.Update) {
 	if got, want := h.shared.Router(i).Accept(u), h.alone[i].Accept(u); got != want {
 		h.t.Fatalf("router %d, update %d/%d: shared table accepted = %v, table of one %v", i, u.Origin, u.Seq, got, want)
 	}
-	h.check()
+	h.check(i)
 }
 
 func (h *dbHarness) update(i int, l topology.LinkID, c float64) {
 	h.t.Helper()
 	h.shared.Router(i).Update(l, c)
 	h.alone[i].Update(l, c)
-	h.check()
+	h.check(i)
 }
 
 // op decodes one operation from three bytes. Costs are small integers, so
@@ -145,7 +147,7 @@ func (h *dbHarness) op(router, target, arg byte) {
 	}
 }
 
-func (h *dbHarness) check() {
+func (h *dbHarness) check(touched int) {
 	h.t.Helper()
 	for i, b := range h.alone {
 		a := h.shared.Router(i)
@@ -167,11 +169,39 @@ func (h *dbHarness) check() {
 				b.accepted, b.duplicates, b.incremental, b.skipped, b.touched)
 		}
 	}
+	h.checkDAG(touched, h.shared.Router(touched))
 	if err := checkDatabase(h.shared); err != nil {
 		h.t.Fatal(err)
 	}
 	for _, vs := range h.shared.db {
 		h.inFlight = max(h.inFlight, len(vs))
+	}
+}
+
+// dagTol is checkDAG's positive tolerance: costs are small integers, so it
+// admits paths one unit longer than the shortest and widens the DAG.
+const dagTol = 1.5
+
+// checkDAG requires the multipath DAG over a router's tree, at tolerance 0 and
+// at dagTol, to be the DAG over a fresh Compute with the router's costs: a
+// multipath PSN reads its distances from the repaired tree, never a Dijkstra.
+func (h *dbHarness) checkDAG(i int, r *IncrementalRouter) {
+	h.t.Helper()
+	fresh := Compute(h.g, r.root, r.Cost)
+	var exact *DAG
+	for _, tol := range []float64{0, dagTol} {
+		got, want := ComputeDAG(r.Tree(), r.Cost, tol), ComputeDAG(fresh, r.Cost, tol)
+		for d := 0; d < h.g.NumNodes(); d++ {
+			dst := topology.NodeID(d)
+			if !slices.Equal(got.NextHops(dst), want.NextHops(dst)) {
+				h.t.Fatalf("router %d, tolerance %v: first hops to %d are %v over its tree, %v over a fresh Compute",
+					i, tol, d, got.NextHops(dst), want.NextHops(dst))
+			}
+			if exact != nil && len(got.NextHops(dst)) > len(exact.NextHops(dst)) {
+				h.widened++
+			}
+		}
+		exact = got
 	}
 }
 
@@ -197,13 +227,15 @@ func (h *dbHarness) converge() {
 // of new, out-of-order, repeated and twin updates and single-link Updates.
 // The last router stops listening a third of the way in, so the versions it
 // holds stay alive while the others move on; 70 routers on 10 nodes put the
-// holder sets across a word boundary. (Leaving a router's bit set in the
-// version it left fails the walk at the first supersession.)
+// holder sets across a word boundary, and three doubled trunks give the DAGs
+// parallel first hops. (Leaving a router's bit set in the version it left
+// fails the walk at the first supersession.)
 func TestSharedDatabaseMatchesTablesOfOne(t *testing.T) {
 	for _, tc := range []struct{ nodes, routers, steps int }{{10, 70, 400}, {14, 9, 500}, {6, 3, 300}} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			g := topology.Random(tc.nodes, 3, seed)
+			addParallelTrunks(g, rng, 3)
 			costs := make([]float64, g.NumLinks())
 			for i := range costs {
 				costs[i] = float64(1 + rng.Intn(4))
@@ -223,6 +255,9 @@ func TestSharedDatabaseMatchesTablesOfOne(t *testing.T) {
 			}
 			if h.inFlight < 3 {
 				t.Errorf("%d routers, seed %d: at most %d versions of an origin in flight; the run proves little", tc.routers, seed, h.inFlight)
+			}
+			if h.widened == 0 {
+				t.Errorf("%d routers, seed %d: tolerance %v never widened a DAG; the run proves little", tc.routers, seed, dagTol)
 			}
 			behind := 0
 			for o := range h.shared.db {
@@ -272,10 +307,12 @@ func TestSupersededUpdateIsCollectable(t *testing.T) {
 
 // FuzzTableOps runs (router, target, arg) byte triples through the harness of
 // TestSharedDatabaseMatchesTablesOfOne: five routers on one table of a
-// six-node graph, two of them at one root, against five tables of one. The
-// seeds are testdata/fuzz/FuzzTableOps, one per situation named there.
+// six-node graph with two doubled trunks, two of them at one root, against
+// five tables of one. The seeds are testdata/fuzz/FuzzTableOps, one per
+// situation named there.
 func FuzzTableOps(f *testing.F) {
 	g := topology.Random(6, 3, 1)
+	addParallelTrunks(g, rand.New(rand.NewSource(1)), 2)
 	costs := make([]float64, g.NumLinks())
 	for i := range costs {
 		costs[i] = float64(1 + i%3)

@@ -168,6 +168,15 @@ func (r *refRouter) update(l topology.LinkID, c float64) {
 	}
 }
 
+// addParallelTrunks lays k trunks beside existing ones, each picked by rng
+// from every link the graph has so far, so one may be tripled.
+func addParallelTrunks(g *topology.Graph, rng *rand.Rand, k int) {
+	for ; k > 0; k-- {
+		l := g.Link(topology.LinkID(rng.Intn(g.NumLinks())))
+		g.AddTrunk(l.To, l.From, topology.T56)
+	}
+}
+
 // A tree stores which of a PSN's lines, not which of the graph's links. Two
 // encodings can agree with each other and both be wrong, so the routers of a
 // shared table are compared, after every Accept and Update, with a reference
@@ -186,10 +195,7 @@ func TestLineNumbersAgainstLinkIDReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := topology.Random(8+rng.Intn(10), 3, seed)
-		for k := 0; k < 6; k++ { // double, sometimes triple, existing trunks
-			l := g.Link(topology.LinkID(rng.Intn(g.NumLinks())))
-			g.AddTrunk(l.To, l.From, topology.T56)
-		}
+		addParallelTrunks(g, rng, 6) // double, sometimes triple, existing trunks
 		cases = append(cases, tc{fmt.Sprintf("parallel trunks, seed %d", seed), g, allRoots(g)})
 	}
 	hub := topology.New()

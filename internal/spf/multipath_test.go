@@ -10,7 +10,8 @@ import (
 func TestDAGDiamond(t *testing.T) {
 	g, ids := diamond()
 	a, d := g.MustLookup("A"), g.MustLookup("D")
-	dag := ComputeDAG(g, a, unit, 0)
+	tree := Compute(g, a, unit)
+	dag := ComputeDAG(tree, unit, 0)
 	// Two equal-cost 2-hop paths: both first hops are valid.
 	hops := dag.NextHops(d)
 	if len(hops) != 2 {
@@ -28,8 +29,8 @@ func TestDAGDiamond(t *testing.T) {
 	if dag.NextHops(a) != nil {
 		t.Error("NextHops(root) should be nil")
 	}
-	if dag.Dist(d) != 2 {
-		t.Errorf("Dist(D) = %v", dag.Dist(d))
+	if tree.Dist(d) != 2 {
+		t.Errorf("Dist(D) = %v", tree.Dist(d))
 	}
 }
 
@@ -42,7 +43,7 @@ func TestDAGAsymmetricCosts(t *testing.T) {
 		}
 		return 1
 	}
-	dag := ComputeDAG(g, a, cost, 0)
+	dag := ComputeDAG(Compute(g, a, cost), cost, 0)
 	hops := dag.NextHops(d)
 	if len(hops) != 1 || hops[0] != ids["ac"] {
 		t.Errorf("with unequal costs only the C path qualifies, got %v", hops)
@@ -55,7 +56,7 @@ func TestDAGUnreachable(t *testing.T) {
 	g.AddNode("B")
 	g.AddNode("C")
 	g.AddTrunk(0, 1, topology.T56)
-	dag := ComputeDAG(g, 0, unit, 0)
+	dag := ComputeDAG(Compute(g, 0, unit), unit, 0)
 	if dag.NextHops(2) != nil {
 		t.Error("unreachable node should have no next hops")
 	}
@@ -67,8 +68,8 @@ func TestDAGContainsTreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := topology.Random(10, 3, seed)
 		cost := func(l topology.LinkID) float64 { return 1 + float64((uint64(l)*uint64(seed)>>2)%5) }
-		dag := ComputeDAG(g, 0, cost, 0)
 		tree := Compute(g, 0, cost)
+		dag := ComputeDAG(tree, cost, 0)
 		for d := 1; d < g.NumNodes(); d++ {
 			dst := topology.NodeID(d)
 			if !tree.Reachable(dst) {
@@ -114,50 +115,23 @@ func dstDist(g *topology.Graph, src, dst topology.NodeID, cost CostFunc) float64
 	return t.Dist(dst)
 }
 
-func TestMultipathRouter(t *testing.T) {
+// A multipath PSN's first hops are a DAG over its router's own tree: both
+// equal-cost first hops at boot, one once an accepted update prices the other
+// out.
+func TestDAGOverRouterTree(t *testing.T) {
 	g, ids := diamond()
 	a, d := g.MustLookup("A"), g.MustLookup("D")
-	costs := unitCosts(g)
-	r := NewMultipathRouter(g, a, costs, 0)
-	if got := len(r.NextHops(d)); got != 2 {
-		t.Fatalf("initial NextHops = %d, want 2", got)
+	r := NewIncrementalRouter(g, a, unitCosts(g))
+	if got := ComputeDAG(r.Tree(), r.Cost, 0).NextHops(d); len(got) != 2 {
+		t.Fatalf("boot NextHops(D) = %v, want both first hops", got)
 	}
-	base := r.Recomputes()
-	// No-op batch: no recompute.
-	r.UpdateBatch([]topology.LinkID{ids["ab"]}, []float64{1})
-	if r.Recomputes() != base {
-		t.Error("no-op batch should not recompute")
-	}
-	// Price one path out: only one next hop remains.
-	r.UpdateBatch([]topology.LinkID{ids["ab"]}, []float64{9})
-	if got := r.NextHops(d); len(got) != 1 || got[0] != ids["ac"] {
-		t.Errorf("after pricing out B, NextHops = %v", got)
-	}
-	if r.Cost(ids["ab"]) != 9 {
-		t.Error("Cost not updated")
-	}
-}
-
-func TestMultipathRouterPanics(t *testing.T) {
-	g, _ := diamond()
-	for name, fn := range map[string]func(){
-		"wrong len": func() { NewMultipathRouter(g, 0, []float64{1}, 0) },
-		"bad cost": func() {
-			r := NewMultipathRouter(g, 0, unitCosts(g), 0)
-			r.UpdateBatch([]topology.LinkID{0}, []float64{0})
-		},
-		"len mismatch": func() {
-			r := NewMultipathRouter(g, 0, unitCosts(g), 0)
-			r.UpdateBatch([]topology.LinkID{0}, nil)
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			fn()
-		})
+	r.Accept(wholeUpdate(g, a, 1, func(l topology.LinkID) float64 {
+		if l == ids["ab"] {
+			return 9
+		}
+		return 1
+	}))
+	if got := ComputeDAG(r.Tree(), r.Cost, 0).NextHops(d); len(got) != 1 || got[0] != ids["ac"] {
+		t.Errorf("after pricing out B, NextHops(D) = %v, want [ac]", got)
 	}
 }
