@@ -243,6 +243,29 @@ func TestKernelLine(t *testing.T) {
 	}
 }
 
+// The routes line, printed after the kernel line on the static plane, says
+// what RouteStats says.
+func TestRoutesLine(t *testing.T) {
+	g, err := parseGenTopology("hier:4x8", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := shard.New(shardConfig(2, g, 20, 3, 1, 1, false, node.HNSPF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	printRoutes(&out, s)
+	var r shard.RouteStats
+	if _, err := fmt.Sscanf(out.String(), "routes %d epochs, %d entries, %d bytes, dense 2·D·N·E %d bytes\n",
+		&r.Epochs, &r.Entries, &r.Bytes, &r.DenseBytes); err != nil {
+		t.Fatalf("routes line %q: %v", out.String(), err)
+	}
+	if want := s.RouteStats(); r != want || r.Epochs != 1 || r.Entries == 0 {
+		t.Errorf("routes line %q, RouteStats %+v", out.String(), want)
+	}
+}
+
 // -topology is outside input: a spec the generators would panic on must come
 // back as an error that names it, and an accepted one as a graph a simulator
 // can boot from — Validate-clean, every link at the line number it reports.

@@ -132,6 +132,9 @@ func runSharded(cfg shard.Config, seconds float64, bf1969 bool) any {
 	}
 	fmt.Print(s.Report().String())
 	printCounters(os.Stdout, s)
+	if !cfg.Adaptive {
+		printRoutes(os.Stdout, s)
+	}
 	return s
 }
 
@@ -145,6 +148,15 @@ func printCounters(w io.Writer, s *shard.Sim) {
 	k := s.KernelStats()
 	fmt.Fprintf(w, "kernel      %d slots, %d buckets, width %dus, %d retunes, ladder %.2f%% of fires\n",
 		k.Slots, k.Buckets, k.Width, k.Retunes, 100*float64(k.LadderPops)/float64(max(k.Fired, 1)))
+}
+
+// printRoutes prints the size of the static plane's route table beside the
+// 2·D·N·E bytes of a table holding every node's line toward every one of the
+// D destinations in each of the E epochs.
+func printRoutes(w io.Writer, s *shard.Sim) {
+	r := s.RouteStats()
+	fmt.Fprintf(w, "routes      %d epochs, %d entries, %d bytes, dense 2·D·N·E %d bytes\n",
+		r.Epochs, r.Entries, r.Bytes, r.DenseBytes)
 }
 
 // runShardedBF1969 is the BF-1969 leg of the large-topology study. The 1969

@@ -34,7 +34,7 @@ type shardState struct {
 	links  []*llink // ascending global LinkID
 	led    Ledger
 	recs   []rec
-	epoch  int    // routing table generation cursor (monotone in shard time)
+	epoch  int    // static routes' generation cursor (monotone in shard time)
 	outbox []wire // packets exported during the current window
 	origs  int64  // routing updates originated by this shard's nodes (adaptive)
 
@@ -141,9 +141,6 @@ func (s *Sim) buildNode(id topology.NodeID) {
 	s.nodeAt[id] = n
 	sh.nodes = append(sh.nodes, n)
 	n.dests = s.sampleDests(n)
-	for _, d := range n.dests {
-		s.routes.addDest(d)
-	}
 }
 
 // sampleDests draws the node's destination set from its dst stream: within

@@ -98,7 +98,7 @@ type Sim struct {
 	part      []int
 	lookahead sim.Time
 	hasCross  bool
-	routes    *routing
+	routes    *routing // static plane only
 	shards    []*shardState
 	nodeAt    []*lnode // by global NodeID
 	linkAt    []*llink // by global LinkID
@@ -139,6 +139,15 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Dests < 1 {
 		return fmt.Errorf("shard: Dests must be >= 1")
+	}
+	if cfg.DestRadius < 0 { // 0 draws destinations uniformly
+		return fmt.Errorf("shard: DestRadius must be >= 0, got %d", cfg.DestRadius)
+	}
+	if cfg.QueueLimit < 0 { // 0 is the default limit
+		return fmt.Errorf("shard: QueueLimit must be positive, got %d", cfg.QueueLimit)
+	}
+	if cfg.MeasureSample < 0 { // 0 disables sampling
+		return fmt.Errorf("shard: MeasureSample must be >= 0, got %d", cfg.MeasureSample)
 	}
 	if cfg.Metric == node.BF1969 {
 		return fmt.Errorf("shard: BF1969 has no cost module; use HNSPF, DSPF or MinHop")
@@ -198,7 +207,6 @@ func New(cfg Config) (*Sim, error) {
 		s.part = Partition(g, cfg.Shards)
 	}
 	s.lookahead, s.hasCross = CutLookahead(g, s.part)
-	s.routes = buildRouting(g, cfg.Faults)
 	s.nodeAt = make([]*lnode, g.NumNodes())
 	s.linkAt = make([]*llink, g.NumLinks())
 	s.wires = make([][]wire, cfg.Shards)
@@ -225,7 +233,10 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Adaptive {
 		s.bootAdaptive() // per-node SPF over the modules' initial costs
 	} else {
-		s.routes.finalize(g, cfg.Faults)
+		var err error
+		if s.routes, err = buildRouting(g, cfg.Faults, s.DestsOf); err != nil {
+			return nil, err
+		}
 	}
 	// Setup events in one canonical global order (ascending node, then the
 	// node's measurement tick, source, and fault events): within a shard,

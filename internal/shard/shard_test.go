@@ -119,6 +119,25 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d: Validate = %v", i, err)
 		}
 	}
+	// A negative value has no meaning to these three, whose zero is a default:
+	// each is refused by name, never read as something else.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"QueueLimit", func(c *Config) { c.QueueLimit = -1 }},
+		{"DestRadius", func(c *Config) { c.DestRadius = -1 }},
+		{"MeasureSample", func(c *Config) { c.MeasureSample = -4 }},
+	} {
+		cfg := testConfig(g, 2)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: Validate = %v, want it refused by name", tc.field, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("negative %s: New accepted it", tc.field)
+		}
+	}
 	if _, err := New(Config{Graph: lone, Shards: 1, PktRate: 5, Dests: 1}); err == nil || !strings.Contains(err.Error(), "ALONE") {
 		t.Errorf("one-node graph: error %v, want one naming the node with nowhere to send", err)
 	}
