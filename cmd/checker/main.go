@@ -13,13 +13,14 @@
 // -campaigns 1 -seed <its seed>. On failure the
 // minimized reproducers are printed and, with -out, written one file per
 // failure (scenario failures as runnable .scn scripts); the exit status
-// is 1.
+// is 1. A -campaigns below one or a stray argument is refused with usage
+// and exit status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -27,38 +28,60 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("checker: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the campaigns and returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("checker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		campaigns = flag.Int("campaigns", 100, "number of campaigns to run")
-		seed      = flag.Int64("seed", 1, "base seed; campaign i uses seed+i")
-		out       = flag.String("out", "", "directory to write failure reproducers into")
-		verbose   = flag.Bool("v", false, "print every campaign's log line, not just failures")
+		campaigns = fs.Int("campaigns", 100, "number of campaigns to run (at least one)")
+		seed      = fs.Int64("seed", 1, "base seed; campaign i uses seed+i")
+		out       = fs.String("out", "", "directory to write failure reproducers into")
+		verbose   = fs.Bool("v", false, "print every campaign's log line, not just failures")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "checker: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		// Flag parsing stops at the first non-flag, so every flag after it
+		// would be ignored.
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
+	if *campaigns < 1 {
+		return usage("-campaigns must be at least 1, got %d", *campaigns)
+	}
 
 	results := check.Run(check.Options{Campaigns: *campaigns, Seed: *seed})
 
 	failures := 0
 	for _, r := range results {
 		if *verbose || len(r.Failures) > 0 {
-			fmt.Println(r.Log)
+			fmt.Fprintln(stdout, r.Log)
 		}
 		for _, f := range r.Failures {
 			failures++
-			fmt.Printf("--- %s\n", f.String())
+			fmt.Fprintf(stdout, "--- %s\n", f.String())
 			if *out != "" {
 				if err := writeRepro(*out, failures, f); err != nil {
-					log.Printf("writing reproducer: %v", err)
+					fmt.Fprintf(stderr, "checker: writing reproducer: %v\n", err)
 				}
 			}
 		}
 	}
-	fmt.Printf("checker: %d campaigns, %d failures (seeds %d..%d)\n",
+	fmt.Fprintf(stdout, "checker: %d campaigns, %d failures (seeds %d..%d)\n",
 		len(results), failures, *seed, *seed+int64(*campaigns)-1)
 	if failures > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // writeRepro saves one failure's minimized reproducer. Scenario audits

@@ -40,16 +40,29 @@ func TestWriteRepro(t *testing.T) {
 	}
 }
 
-// TestCheckerSmoke runs a miniature campaign batch through the same entry
-// the CI job uses, asserting a clean pass (worker-count determinism is
-// check.TestCampaignDeterminism's job).
-func TestCheckerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign batch")
-	}
-	for _, r := range check.Run(check.Options{Campaigns: 5, Seed: 1}) {
-		if len(r.Failures) > 0 {
-			t.Errorf("campaign seed=%d failed:\n%s", r.Seed, r.Failures[0].Repro)
+// TestRunRejectsBadArgs: arguments the checker cannot honour exit 2 with
+// usage before any campaign runs. No row runs a campaign; the CI
+// checker-smoke job covers the success path.
+func TestRunRejectsBadArgs(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // in stderr
+	}{
+		{[]string{"-campaigns", "0"}, "-campaigns must be at least 1, got 0"},
+		{[]string{"-campaigns", "-3"}, "-campaigns must be at least 1, got -3"},
+		// Flag parsing stops at "extra": -campaigns 1 would be ignored and
+		// the default 100 campaigns run.
+		{[]string{"extra", "-campaigns", "1"}, `unexpected argument "extra"`},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(c.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.want) || !strings.Contains(stderr.String(), "Usage of checker") {
+			t.Errorf("%q: stderr %q, want %q and usage", c.args, stderr.String(), c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: stdout %q, want nothing", c.args, stdout.String())
 		}
 	}
 }

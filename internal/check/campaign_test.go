@@ -2,54 +2,39 @@ package check
 
 import (
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 )
 
+// campaignsPerRun is how many campaigns TestCampaignsPass runs, from the
+// planted-bug census (DESIGN.md "Correctness harness"). No plant there is
+// caught by a campaign alone, and the latest deterministic first catch is
+// campaign 2. Six is the fewest campaigns whose trials draw every mode
+// their generators know: seeds 1..6 give the hybrid pillar both metrics
+// (D-SPF first at seed 3) and shard routing and shard custody all three
+// (min-hop and D-SPF by seed 6). CI's checker-smoke job runs 25 per push.
+const campaignsPerRun = 6
+
 // TestCampaignsPass is the in-tree slice of what cmd/checker runs in CI:
-// every campaign over a seed range must pass every pillar.
+// every campaign over a seed range must pass every pillar, and Run must
+// return one result per campaign in seed order.
 func TestCampaignsPass(t *testing.T) {
 	t.Parallel()
-	n := 20
-	if testing.Short() {
-		n = 5
+	results := Run(Options{Campaigns: campaignsPerRun, Seed: 1})
+	if len(results) != campaignsPerRun {
+		t.Fatalf("Run returned %d results, want %d", len(results), campaignsPerRun)
 	}
-	for _, r := range Run(Options{Campaigns: n, Seed: 1}) {
+	for i, r := range results {
+		if r.Seed != 1+int64(i) {
+			t.Errorf("result %d has seed %d, want %d", i, r.Seed, 1+i)
+		}
 		for _, f := range r.Failures {
 			t.Errorf("campaign seed=%d:\n%s", r.Seed, f.Repro)
 		}
 	}
 }
 
-// TestCampaignDeterminism runs the same seed range twice with different
-// worker counts: the per-campaign logs must be byte-identical, which is
-// what makes a CI failure reproducible from its seed alone. GOMAXPROCS is
-// process-wide, so the test does not run in parallel with the others.
-func TestCampaignDeterminism(t *testing.T) {
-	n := 12
-	if testing.Short() {
-		n = 4
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	a := Run(Options{Campaigns: n, Seed: 400})
-	runtime.GOMAXPROCS(8)
-	b := Run(Options{Campaigns: n, Seed: 400})
-	if len(a) != len(b) {
-		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Log != b[i].Log {
-			t.Errorf("campaign %d differs between worker counts:\n  %s\n  %s", i, a[i].Log, b[i].Log)
-		}
-		if a[i].Seed != 400+int64(i) {
-			t.Errorf("campaign %d has seed %d, want %d", i, a[i].Seed, 400+int64(i))
-		}
-	}
-}
-
-// TestCheckFloodCleanAndDeterministic: the reliable flood delivers under
-// drops and partitions, and a trial replays identically from its seed.
+// TestCheckFlood: the reliable flood delivers under drops and partitions.
 func TestCheckFlood(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 8; seed++ {

@@ -2,30 +2,41 @@
 // property-based and differential testing for the routing stack, one rung
 // above the hand-picked scenarios and golden traces.
 //
-// It has three pillars:
+// A campaign runs seven pillars, the rows of campaign.go's trials, in this
+// order:
 //
-//   - differential oracles (spfcheck.go): on seeded generated topologies
-//     with random weights and failures, the incremental SPF router is
-//     checked after every link-cost change against a fresh from-scratch
-//     Dijkstra and against an independent naive Bellman-Ford reference,
-//     with distance equality and hop-by-hop loop freedom asserted for
-//     every (src, dst) pair;
+//   - spf-differential (CheckSPF, spfcheck.go): on seeded generated
+//     topologies with random weights and failures, the incremental SPF
+//     router is checked after every link-cost change against a fresh
+//     from-scratch Dijkstra and an independent naive Bellman-Ford
+//     reference, with distance equality and hop-by-hop loop freedom
+//     asserted for every (src, dst) pair;
+//   - metric-invariant (CheckMetric, metriccheck.go): every metric stays
+//     within its Floor/Ceiling band, respects the §4.2/§4.3 per-update
+//     movement limits and never stays silent past its forced-update
+//     horizon;
+//   - flood-delivery (CheckFlood, floodcheck.go): the reliable flood of
+//     the updating protocol delivers every update to every node under
+//     random losses and partitions once the lines are back;
+//   - scenario-audit (CheckScenario, scenariocheck.go): the packet-
+//     conservation ledger, single-transmitter and convergence audits of
+//     internal/scenario hold under randomized fault scripts;
+//   - hybrid-differential (CheckHybrid, hybridcheck.go): a run carrying
+//     background demand as fluid tracks the full-packet run's advertised
+//     costs and routes on the ARPANET map;
+//   - shard-differential (CheckShardRouting, shardcheck.go): the sharded
+//     adaptive engine matches itself at 1, 2 and 4 shards exactly, and the
+//     unsharded engine within calibrated tolerances;
+//   - shard-custody (CheckShardCustody, shardcheck.go): the user and
+//     control custody ledgers balance at every barrier under random shard
+//     cuts and fault scripts.
 //
-//   - paper-invariant checkers (metriccheck.go, floodcheck.go,
-//     scenariocheck.go): every metric implementation stays within its
-//     Floor/Ceiling band and respects the §4.2/§4.3 per-update movement
-//     limits; the reliable flood of the updating protocol delivers every
-//     update to every node under random losses and partitions once the
-//     lines are back; and the packet-conservation ledger, single-
-//     transmitter and convergence audits of internal/scenario hold under
-//     randomized fault scripts;
-//
-//   - shrinking reproducers (shrink.go): when a check fails, the input
-//     that broke it — an update stream, a delay sequence, a flood op list,
-//     a fault script — is minimized by delta debugging and rendered as a
-//     self-contained reproducer (for scenario failures, a committable .scn
-//     script), so a campaign failure becomes a regression test instead of
-//     a seed number in a log.
+// Every failure shrinks before it surfaces (shrink.go): the input that
+// broke it — an update stream, a delay sequence, a flood op list, a fault
+// script — is minimized by delta debugging and rendered as a self-contained
+// reproducer (for the four scripted pillars, a committable .scn script), so
+// a campaign failure becomes a regression test instead of a seed number in
+// a log.
 //
 // Campaigns (campaign.go) bundle the pillars behind one seed: the same
 // seed always generates the same topologies, inputs and verdicts, so any

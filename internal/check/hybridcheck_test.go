@@ -11,23 +11,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestCheckHybrid is the acceptance criterion for the hybrid engine: on
-// the ARPANET map, hybrid metric readings and the reroute decisions they
-// imply track the full-packet run within the documented tolerance band,
-// across both metrics and randomized faults and surges.
-func TestCheckHybrid(t *testing.T) {
-	t.Parallel()
-	n := int64(6)
-	if testing.Short() {
-		n = 2
-	}
-	for seed := int64(1); seed <= n; seed++ {
-		if f := CheckHybrid(rand.New(rand.NewSource(seed)), seed); f != nil {
-			t.Fatalf("hybrid differential failed:\n%s", f.Repro)
-		}
-	}
-}
-
 // TestHybridSensitivity proves the tolerance band actually detects the
 // canonical superposition bug — background that never reaches the metric
 // loop — by comparing a hybrid run against a packet run carrying only the

@@ -37,16 +37,6 @@ func DSPFMap(lt topology.LineType, propDelay float64) MetricMap {
 // MinHopMap is the static metric: always one hop.
 func MinHopMap() MetricMap { return func(float64) float64 { return 1 } }
 
-// MetricSeries samples a metric map over utilization [0, uMax] for the
-// Figure 4/5 plots.
-func MetricSeries(name string, m MetricMap, uMax, step float64) *stats.Series {
-	s := stats.NewSeries(name)
-	for u := 0.0; u <= uMax+1e-9; u += step {
-		s.Add(u, m(u))
-	}
-	return s
-}
-
 // Equilibrium solves the §5.3 fixed point for the average link: the
 // reported cost w at which the cost the metric computes from the resulting
 // utilization equals w. offered is the utilization the link would see

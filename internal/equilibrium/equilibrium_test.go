@@ -126,16 +126,6 @@ func TestMetricMaps(t *testing.T) {
 	}
 }
 
-func TestMetricSeriesSampling(t *testing.T) {
-	s := MetricSeries("hn", HNSPFMap(topology.T56, 0), 0.9, 0.1)
-	if s.Len() != 10 {
-		t.Errorf("series length = %d, want 10", s.Len())
-	}
-	if s.Y[0] != 1 {
-		t.Errorf("first sample = %v, want 1", s.Y[0])
-	}
-}
-
 func TestEquilibriumLightLoad(t *testing.T) {
 	mo := model()
 	// At low offered load HN-SPF and min-hop sit at ambient cost with

@@ -123,17 +123,11 @@ func (d *Dedup) Last(origin topology.NodeID) (uint64, bool) {
 	return d.seen[origin], d.any[origin]
 }
 
-// ForwardLinks returns the links an update arriving at node via arrival
-// should be forwarded on: every outgoing link except the reverse of the
-// arrival link. Pass NoLink for locally originated updates (forwarded on
-// every link). The returned slice is freshly allocated; hot paths use
-// AppendForwardLinks with a reusable buffer instead.
-func ForwardLinks(g *topology.Graph, node topology.NodeID, arrival topology.LinkID) []topology.LinkID {
-	return AppendForwardLinks(nil, g, node, arrival)
-}
-
-// AppendForwardLinks appends the forward links to dst (usually dst[:0] of a
-// per-PSN scratch buffer) and returns it, allocating only on growth.
+// AppendForwardLinks appends to dst (usually dst[:0] of a per-PSN scratch
+// buffer) the links an update arriving at node via arrival should be
+// forwarded on: every outgoing link except the reverse of the arrival link.
+// Pass NoLink for locally originated updates (forwarded on every link). It
+// returns dst, allocating only on growth.
 // Allocates: appends into the caller's reusable scratch; growth is amortized to node degree
 func AppendForwardLinks(dst []topology.LinkID, g *topology.Graph, node topology.NodeID, arrival topology.LinkID) []topology.LinkID {
 	var skip topology.LinkID = topology.NoLink

@@ -109,7 +109,7 @@ func TestForwardLinks(t *testing.T) {
 		t.Fatal("ring node should have 2 outgoing links")
 	}
 	// Locally originated: forward on all.
-	all := ForwardLinks(g, n, topology.NoLink)
+	all := AppendForwardLinks(nil, g, n, topology.NoLink)
 	if len(all) != 2 {
 		t.Errorf("local update should forward on 2 links, got %d", len(all))
 	}
@@ -118,7 +118,7 @@ func TestForwardLinks(t *testing.T) {
 	if !ok {
 		t.Fatal("missing trunk")
 	}
-	fwd := ForwardLinks(g, n, arr)
+	fwd := AppendForwardLinks(nil, g, n, arr)
 	if len(fwd) != 1 {
 		t.Fatalf("should forward on 1 link, got %d", len(fwd))
 	}
@@ -160,7 +160,7 @@ func TestFloodReachesAllOnceProperty(t *testing.T) {
 				continue
 			}
 			received[cur.at]++
-			for _, l := range ForwardLinks(g, cur.at, cur.via) {
+			for _, l := range AppendForwardLinks(nil, g, cur.at, cur.via) {
 				transmissions++
 				queue = append(queue, inflight{g.Link(l).To, l})
 			}

@@ -130,18 +130,3 @@ func (a *Assignment) MaxUtilization() float64 {
 	}
 	return max
 }
-
-// FloorCosts returns the cost function of an idle network under a metric's
-// floor costs — what every link advertises when unloaded. metricFloor maps
-// a link to its floor cost.
-func FloorCosts(g *topology.Graph, metricFloor func(topology.Link) float64) spf.CostFunc {
-	costs := make([]float64, g.NumLinks())
-	for i, l := range g.Links() {
-		c := metricFloor(l)
-		if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-			panic("flowmodel: floor cost must be positive and finite")
-		}
-		costs[i] = c
-	}
-	return func(l topology.LinkID) float64 { return costs[l] }
-}

@@ -103,29 +103,6 @@ func TestSaturationFlag(t *testing.T) {
 	}
 }
 
-func TestFloorCosts(t *testing.T) {
-	g := topology.Arpanet()
-	cost := FloorCosts(g, func(l topology.Link) float64 {
-		return core.NewModule(l.Type, l.PropDelay).Floor()
-	})
-	// A 56T link's floor is 30 + 100×prop.
-	for _, l := range g.Links() {
-		if l.Type == topology.T56 {
-			want := 30 + 100*l.PropDelay
-			if math.Abs(cost(l.ID)-want) > 1e-9 {
-				t.Errorf("floor cost = %v, want %v", cost(l.ID), want)
-			}
-			break
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid floor should panic")
-		}
-	}()
-	FloorCosts(g, func(topology.Link) float64 { return 0 })
-}
-
 // Sanity: the flow model reproduces the §4.4 story — when a satellite
 // shortcut parallels a multi-hop terrestrial path, HN-SPF floor costs take
 // the shortcut (under one extra hop of penalty) while D-SPF floor costs
@@ -139,12 +116,14 @@ func TestMetricFloorsRouteDifferently(t *testing.T) {
 
 	m := traffic.NewMatrix(3)
 	m.Set(a_, c, 20000)
-	hn := Assign(g, m, FloorCosts(g, func(l topology.Link) float64 {
+	hn := Assign(g, m, func(id topology.LinkID) float64 {
+		l := g.Link(id)
 		return core.NewModule(l.Type, l.PropDelay).Floor()
-	}))
-	d := Assign(g, m, FloorCosts(g, func(l topology.Link) float64 {
+	})
+	d := Assign(g, m, func(id topology.LinkID) float64 {
+		l := g.Link(id)
 		return metric.NewDSPF(l.Type, l.PropDelay).Bias()
-	}))
+	})
 	if hn.LinkBPS[sat] != 20000 {
 		t.Errorf("HN-SPF floors should take the satellite shortcut, got %v bps", hn.LinkBPS[sat])
 	}

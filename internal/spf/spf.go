@@ -136,40 +136,8 @@ func (t *Tree) Hops(dst topology.NodeID) int {
 	return h
 }
 
-// UsesLink reports whether the shortest path from the root to dst crosses
-// the given link.
-func (t *Tree) UsesLink(dst topology.NodeID, link topology.LinkID) bool {
-	if dst == t.root || !t.Reachable(dst) {
-		return false
-	}
-	for n := dst; n != t.root; {
-		l := t.Parent(n)
-		if l == link {
-			return true
-		}
-		n = t.g.Link(l).From
-	}
-	return false
-}
-
 // HopTree computes the min-hop tree from root (all links cost 1); shared by
 // the Table 1 "minimum path" indicator and the equilibrium model.
 func HopTree(g *topology.Graph, root topology.NodeID) *Tree {
 	return Compute(g, root, func(topology.LinkID) float64 { return 1 })
-}
-
-// AllPairsHops returns the min-hop distance matrix as [src][dst] hop
-// counts (-1 when unreachable).
-func AllPairsHops(g *topology.Graph) [][]int {
-	n := g.NumNodes()
-	m := make([][]int, n)
-	for s := 0; s < n; s++ {
-		t := HopTree(g, topology.NodeID(s))
-		row := make([]int, n)
-		for d := 0; d < n; d++ {
-			row[d] = t.Hops(topology.NodeID(d))
-		}
-		m[s] = row
-	}
-	return m
 }

@@ -79,9 +79,6 @@ func TestComputeRespectsCosts(t *testing.T) {
 	if len(path) != 2 || path[0] != ids["ac"] || path[1] != ids["cd"] {
 		t.Errorf("Path = %v, want [ac cd]", path)
 	}
-	if !tree.UsesLink(d, ids["cd"]) || tree.UsesLink(d, ids["bd"]) {
-		t.Error("UsesLink wrong")
-	}
 }
 
 func TestComputeDeterministicTieBreak(t *testing.T) {
@@ -131,9 +128,6 @@ func TestUnreachable(t *testing.T) {
 	}
 	if tree.Path(2) != nil {
 		t.Error("Path to unreachable should be nil")
-	}
-	if tree.UsesLink(2, 0) {
-		t.Error("UsesLink to unreachable should be false")
 	}
 }
 
@@ -284,28 +278,6 @@ func TestRouterPanics(t *testing.T) {
 			tc.fn()
 			t.Errorf("%s returned", name)
 		})
-	}
-}
-
-func TestAllPairsHops(t *testing.T) {
-	g := topology.Ring(6, topology.T56)
-	m := AllPairsHops(g)
-	if m[0][3] != 3 {
-		t.Errorf("opposite nodes on a 6-ring = %d hops, want 3", m[0][3])
-	}
-	if m[0][1] != 1 || m[0][5] != 1 {
-		t.Error("ring neighbors should be 1 hop")
-	}
-	if m[2][2] != 0 {
-		t.Error("self distance should be 0")
-	}
-	// Symmetry for a symmetric topology.
-	for s := range m {
-		for d := range m[s] {
-			if m[s][d] != m[d][s] {
-				t.Errorf("asymmetric hop count %d→%d", s, d)
-			}
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates a streaming mean and variance without storing samples.
@@ -37,13 +36,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// AddN incorporates an observation with integer weight n >= 0.
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (w *Welford) N() int64 { return w.n }
 
@@ -70,41 +62,16 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest observation (0 with no observations).
 func (w *Welford) Max() float64 { return w.max }
 
-// Merge folds other into w, as if every observation of other had been Added.
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	d := other.mean - w.mean
-	mean := w.mean + d*float64(other.n)/float64(n)
-	m2 := w.m2 + other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	min, max := w.min, w.max
-	if other.min < min {
-		min = other.min
-	}
-	if other.max > max {
-		max = other.max
-	}
-	*w = Welford{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
 // String renders mean ± stddev [min, max] (n).
 func (w *Welford) String() string {
 	return fmt.Sprintf("%.4g ± %.4g [%.4g, %.4g] (n=%d)", w.Mean(), w.StdDev(), w.min, w.max, w.n)
 }
 
 // Histogram is a fixed-width bucket histogram over [Lo, Hi). Values outside
-// the range are clamped into the first/last bucket and counted separately.
+// the range are clamped into the first/last bucket.
 type Histogram struct {
 	Lo, Hi  float64
 	buckets []int64
-	under   int64
-	over    int64
 	w       Welford
 }
 
@@ -120,14 +87,7 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 func (h *Histogram) Add(x float64) {
 	h.w.Add(x)
 	i := int(float64(len(h.buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-	switch {
-	case i < 0:
-		h.under++
-		i = 0
-	case i >= len(h.buckets):
-		h.over++
-		i = len(h.buckets) - 1
-	}
+	i = min(max(i, 0), len(h.buckets)-1)
 	h.buckets[i]++
 }
 
@@ -136,12 +96,6 @@ func (h *Histogram) Count() int64 { return h.w.N() }
 
 // Mean returns the mean of all observations (unclamped values).
 func (h *Histogram) Mean() float64 { return h.w.Mean() }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// Outliers returns how many observations fell below Lo and at/above Hi.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
 
 // Quantile returns an approximation of the q-quantile (0 <= q <= 1) from the
 // bucket midpoints. Exact for values that fall inside the range.
@@ -226,22 +180,6 @@ func (s *Series) Crossings(level float64) int {
 	return n
 }
 
-// Percentile returns the p-th percentile (0-100) of ys by sorting a copy.
-func Percentile(ys []float64, p float64) float64 {
-	if len(ys) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), ys...)
-	sort.Float64s(c)
-	idx := p / 100 * float64(len(c)-1)
-	lo := int(idx)
-	if lo >= len(c)-1 {
-		return c[len(c)-1]
-	}
-	frac := idx - float64(lo)
-	return c[lo]*(1-frac) + c[lo+1]*frac
-}
-
 // Counter is a named monotonically increasing count.
 type Counter struct {
 	n int64
@@ -249,9 +187,6 @@ type Counter struct {
 
 // Inc adds one.
 func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.n += n }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }

@@ -9,7 +9,6 @@ package traffic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/topology"
 )
@@ -66,17 +65,6 @@ func (m *Matrix) Pairs(fn func(s, d topology.NodeID, bps float64)) {
 			}
 		}
 	}
-}
-
-// NumFlows returns the number of pairs with positive rate.
-func (m *Matrix) NumFlows() int {
-	n := 0
-	for _, r := range m.rate {
-		if r > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Scale multiplies every entry by f and returns m for chaining.
@@ -195,20 +183,4 @@ func Hotspot(g *topology.Graph, inRegionA func(topology.NodeID) bool, total, fra
 		}
 	}
 	return m
-}
-
-// Perturb multiplies each entry by a factor drawn uniformly from
-// [1-jitter, 1+jitter], modelling day-to-day traffic variation for the
-// Figure 13 experiment. Deterministic for a given rand source.
-func (m *Matrix) Perturb(r *rand.Rand, jitter float64) *Matrix {
-	if jitter < 0 || jitter >= 1 {
-		panic("traffic: jitter must be in [0,1)")
-	}
-	c := m.Clone()
-	for i, v := range c.rate {
-		if v > 0 {
-			c.rate[i] = v * (1 - jitter + 2*jitter*r.Float64())
-		}
-	}
-	return c
 }
