@@ -15,7 +15,7 @@ import (
 // ablationRun drives the two-region scenario with the given HNM options
 // and returns the trunk-difference swing (oscillation measure) and the
 // routing updates per trunk per second.
-func ablationRun(seed int64, opts ...HNMOption) (swing float64, updates float64, rep Report) {
+func ablationRun(tb testing.TB, seed int64, opts ...HNMOption) (swing float64, updates float64, rep Report) {
 	topo := TwoRegion(5, T56)
 	// Heavier than the Figure 1 test: the balanced split sits at ~61% per
 	// trunk, inside the metric's ramp, so the stabilization mechanisms are
@@ -23,17 +23,17 @@ func ablationRun(seed int64, opts ...HNMOption) (swing float64, updates float64,
 	tr := topo.HotspotTraffic(func(n string) bool {
 		return strings.HasPrefix(n, "W")
 	}, 170_000, 0.80)
-	s := NewSimulation(topo, tr, SimConfig{
-		Metric: HNSPF, Seed: seed, WarmupSeconds: 100, Ablations: opts,
+	res := mustRun(tb, Spec{
+		Topology: topo, Traffic: tr,
+		Metric: HNSPF, Seed: seed, WarmupSeconds: 100, Seconds: 700, Ablations: opts,
+		Track: [][2]string{{"W0", "E0"}, {"W1", "E1"}},
 	})
-	a := s.TrackTrunk("W0", "E0")
-	b := s.TrackTrunk("W1", "E1")
-	s.RunSeconds(700)
+	a, b := res.Tracked[0].Utilization, res.Tracked[1].Utilization
 	var w stats.Welford
 	for i := 0; i < a.Len() && i < b.Len(); i++ {
 		w.Add(a.Y[i] - b.Y[i])
 	}
-	rep = s.Report()
+	rep = res.Report
 	return w.StdDev(), rep.UpdatesPerTrunkSec, rep
 }
 
@@ -41,8 +41,8 @@ func TestAblationMovementLimits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	base, _, _ := ablationRun(11)
-	noLimits, _, _ := ablationRun(11, HNMWithoutMovementLimits())
+	base, _, _ := ablationRun(t, 11)
+	noLimits, _, _ := ablationRun(t, 11, HNMWithoutMovementLimits())
 	t.Logf("oscillation swing: full HNM %.3f, without movement limits %.3f", base, noLimits)
 	// §4.3: the limits "are essential for limiting the amplitude of
 	// routing oscillations".
@@ -56,8 +56,8 @@ func TestAblationMinChange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	_, base, baseRep := ablationRun(11)
-	_, noThresh, noRep := ablationRun(11, HNMWithoutMinChange())
+	_, base, baseRep := ablationRun(t, 11)
+	_, noThresh, noRep := ablationRun(t, 11, HNMWithoutMinChange())
 	t.Logf("updates/trunk/sec: full HNM %.2f (orig %d), without threshold %.2f (orig %d)",
 		base, baseRep.UpdatesOriginated, noThresh, noRep.UpdatesOriginated)
 	// §4.3: the threshold reduces routing-related bandwidth consumption.
@@ -67,15 +67,15 @@ func TestAblationMinChange(t *testing.T) {
 	}
 }
 
+// Ablations apply only to HN-SPF; Run refuses them with another metric,
+// naming Spec.Ablations.
 func TestAblationRequiresHNSPF(t *testing.T) {
 	topo := Ring(4, T56)
-	tr := topo.UniformTraffic(1000)
-	defer func() {
-		if recover() == nil {
-			t.Error("Ablations with a non-HNSPF metric should panic")
-		}
-	}()
-	NewSimulation(topo, tr, SimConfig{Metric: DSPF, Ablations: []HNMOption{HNMWithoutAveraging()}})
+	_, err := Run(Spec{Topology: topo, Traffic: topo.UniformTraffic(1000), Seconds: 60,
+		Metric: DSPF, Ablations: []HNMOption{HNMWithoutAveraging()}})
+	if err == nil || !strings.Contains(err.Error(), "Spec.Ablations") {
+		t.Errorf("Run: err = %v, want one naming Spec.Ablations", err)
+	}
 }
 
 // BenchmarkAblationBaseline is the unmodified HNM on the oscillation
@@ -99,7 +99,7 @@ func BenchmarkAblationNoMinChange(b *testing.B) { benchAblation(b, HNMWithoutMin
 func benchAblation(b *testing.B, opts ...HNMOption) {
 	var swing, updates float64
 	for i := 0; i < b.N; i++ {
-		swing, updates, _ = ablationRun(11, opts...)
+		swing, updates, _ = ablationRun(b, 11, opts...)
 	}
 	b.ReportMetric(swing, "swing")
 	b.ReportMetric(updates, "updates/trunk/s")
@@ -107,17 +107,17 @@ func benchAblation(b *testing.B, opts ...HNMOption) {
 
 // oscillationPeriod measures the dominant period (in 1-second samples) of
 // the trunk-utilization difference in the two-region scenario.
-func oscillationPeriod(seed int64, opts ...HNMOption) int {
+func oscillationPeriod(tb testing.TB, seed int64, opts ...HNMOption) int {
 	topo := TwoRegion(5, T56)
 	tr := topo.HotspotTraffic(func(n string) bool {
 		return strings.HasPrefix(n, "W")
 	}, 170_000, 0.80)
-	s := NewSimulation(topo, tr, SimConfig{
-		Metric: HNSPF, Seed: seed, WarmupSeconds: 100, Ablations: opts,
+	res := mustRun(tb, Spec{
+		Topology: topo, Traffic: tr,
+		Metric: HNSPF, Seed: seed, WarmupSeconds: 100, Seconds: 900, Ablations: opts,
+		Track: [][2]string{{"W0", "E0"}, {"W1", "E1"}},
 	})
-	a := s.TrackTrunk("W0", "E0")
-	b := s.TrackTrunk("W1", "E1")
-	s.RunSeconds(900)
+	a, b := res.Tracked[0].Utilization, res.Tracked[1].Utilization
 	diff := make([]float64, 0, a.Len())
 	for i := 0; i < a.Len() && i < b.Len(); i++ {
 		diff = append(diff, a.Y[i]-b.Y[i])
@@ -132,8 +132,8 @@ func TestAblationAveragingLengthensPeriod(t *testing.T) {
 	// §4.3: "Averaging increases the period of routing oscillations, thus
 	// reducing routing overhead." Remove the movement limits so the
 	// oscillation is fully visible, then toggle the averaging filter.
-	with := oscillationPeriod(11, HNMWithoutMovementLimits())
-	without := oscillationPeriod(11, HNMWithoutMovementLimits(), HNMWithoutAveraging())
+	with := oscillationPeriod(t, 11, HNMWithoutMovementLimits())
+	without := oscillationPeriod(t, 11, HNMWithoutMovementLimits(), HNMWithoutAveraging())
 	t.Logf("oscillation period: with averaging %d s, without %d s", with, without)
 	if without == 0 || with == 0 {
 		t.Skip("no dominant period detected at this seed; the swing assertions cover the mechanism")
@@ -150,8 +150,8 @@ func TestAblationMD1Simulation(t *testing.T) {
 	// The queueing-model sensitivity end to end: an HNM with the M/D/1
 	// table still stabilizes the oscillation scenario (the metric's
 	// stability does not hinge on the M/M/1 assumption).
-	swing, _, rep := ablationRun(11, HNMWithMD1Table())
-	base, _, _ := ablationRun(11)
+	swing, _, rep := ablationRun(t, 11, HNMWithMD1Table())
+	base, _, _ := ablationRun(t, 11)
 	t.Logf("oscillation swing: M/M/1 table %.3f, M/D/1 table %.3f (delivered %.3f)",
 		base, swing, rep.DeliveredRatio)
 	if rep.DeliveredRatio < 0.95 {

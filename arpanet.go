@@ -11,8 +11,8 @@
 //
 //   - LinkMetric is the revised metric itself (Figure 3's HNM), usable in
 //     any router that can feed it a measured delay every ten seconds.
-//   - Simulation runs a packet-level network under a chosen metric and
-//     produces the Table 1 indicators.
+//   - Run runs a packet-level network under a chosen metric, optionally
+//     under a fault-injection script, and produces the Table 1 indicators.
 //   - Analysis is the §5 equilibrium model: network response maps, metric
 //     maps, fixed points and cobweb dynamics (Figures 7-12).
 //
@@ -20,9 +20,11 @@
 //
 //	topo := arpanet.Arpanet1987()
 //	tm := topo.GravityTraffic(arpanet.ArpanetWeights(), 420_000)
-//	sim := arpanet.NewSimulation(topo, tm, arpanet.SimConfig{Metric: arpanet.HNSPF})
-//	sim.RunSeconds(600)
-//	fmt.Println(sim.Report())
+//	res, err := arpanet.Run(arpanet.Spec{Topology: topo, Traffic: tm, WarmupSeconds: 100, Seconds: 700})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	fmt.Println(res.Report)
 package arpanet
 
 import (
@@ -33,41 +35,24 @@ import (
 	"repro/internal/topology"
 )
 
-// Metric selects the link metric a simulation or analysis runs with.
-type Metric int
+// Metric selects the link metric a run or an analysis uses; its String
+// method returns the paper's name for it.
+type Metric = node.MetricKind
 
 // The three metrics the paper compares in §5, plus the 1969 baseline.
 const (
 	// HNSPF is the revised metric — the paper's contribution.
-	HNSPF Metric = iota
+	HNSPF = node.HNSPF
 	// DSPF is the measured-delay metric of May 1979 that HN-SPF replaced.
-	DSPF
+	DSPF = node.DSPF
 	// MinHop is static shortest-hop routing.
-	MinHop
+	MinHop = node.MinHop
 	// BF1969 is the original 1969 algorithm (§2.1): distributed
 	// Bellman-Ford with tables exchanged every 2/3 second and the
 	// instantaneous queue length plus a constant as the metric. Valid for
-	// Simulation only; it has no SPF metric map for Analysis.
-	BF1969
+	// Run only; it has no SPF metric map for Analysis.
+	BF1969 = node.BF1969
 )
-
-// String returns the paper's name for the metric.
-func (m Metric) String() string { return m.kind().String() }
-
-func (m Metric) kind() node.MetricKind {
-	switch m {
-	case HNSPF:
-		return node.HNSPF
-	case DSPF:
-		return node.DSPF
-	case MinHop:
-		return node.MinHop
-	case BF1969:
-		return node.BF1969
-	default:
-		panic(fmt.Sprintf("arpanet: unknown metric %d", int(m)))
-	}
-}
 
 // LineKind is one of the eight trunk line types (§4.1). T = terrestrial,
 // S = satellite; the number is kb/s (112 models a 2×56 multi-trunk line).
@@ -148,7 +133,7 @@ func (l *LinkMetric) CostAt(utilization float64) float64 { return l.m.RawCost(ut
 const HopCost = core.HopCost
 
 // HNMOption disables one of the HNM's stabilization mechanisms for
-// ablation experiments (see SimConfig.Ablations). The paper motivates each
+// ablation experiments (see Spec.Ablations). The paper motivates each
 // mechanism in §4.3 and §5.4; the ablation benchmarks demonstrate what it
 // buys.
 type HNMOption = core.Option

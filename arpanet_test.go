@@ -2,6 +2,7 @@ package arpanet
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -124,31 +125,46 @@ func TestTrafficAPI(t *testing.T) {
 	}
 }
 
+// mustRun is Run for tests and benchmarks: a setup error fails tb.
+func mustRun(tb testing.TB, s Spec) Result {
+	tb.Helper()
+	r, err := Run(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func TestSimulationEndToEnd(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs a full simulation")
 	}
 	topo := Ring(5, T56)
-	tr := topo.UniformTraffic(50000)
-	s := NewSimulation(topo, tr, SimConfig{Metric: HNSPF, Seed: 1, WarmupSeconds: 20})
-	util := s.TrackTrunk("N0", "N1")
-	s.RunSeconds(120)
-	r := s.Report()
+	res := mustRun(t, Spec{
+		Topology: topo, Traffic: topo.UniformTraffic(50000),
+		Metric: HNSPF, Seed: 1, WarmupSeconds: 20, Seconds: 120,
+		Track: [][2]string{{"N0", "N1"}},
+	})
+	r := res.Report
 	if r.DeliveredRatio < 0.99 {
 		t.Errorf("delivered ratio %.4f", r.DeliveredRatio)
 	}
 	if !strings.Contains(r.String(), "HN-SPF") {
 		t.Error("report should name the metric")
 	}
-	if util.Len() == 0 {
-		t.Error("tracked series should have samples")
+	util, cost := res.Tracked[0].Utilization, res.Tracked[0].Cost
+	if util.Len() == 0 || cost.Len() != util.Len() {
+		t.Errorf("tracked series have %d and %d samples", util.Len(), cost.Len())
 	}
-	if c := s.TrunkCost("N0", "N1"); c < HopCost || c > 3*HopCost {
+	if c := cost.Y[cost.Len()-1]; c < HopCost || c > 3*HopCost {
 		t.Errorf("trunk cost %v out of range", c)
 	}
-	if s.BufferDrops() != 0 {
+	if r.BufferDrops != 0 {
 		t.Error("no drops expected at light load")
+	}
+	if len(res.Violations) != 0 || len(res.Checkpoints) != 1 {
+		t.Errorf("end-of-run audit: %d checkpoints, violations %v", len(res.Checkpoints), res.Violations)
 	}
 }
 
@@ -158,26 +174,63 @@ func TestSimulationFailRestore(t *testing.T) {
 		t.Skip("runs a full simulation")
 	}
 	topo := Ring(4, T56)
-	tr := topo.UniformTraffic(30000)
-	s := NewSimulation(topo, tr, SimConfig{Metric: HNSPF, Seed: 2, WarmupSeconds: 10})
-	s.FailTrunkAt(30, "N0", "N1")
-	s.RestoreTrunkAt(90, "N0", "N1")
-	s.RunSeconds(240)
-	if r := s.Report(); r.DeliveredRatio < 0.98 {
+	res := mustRun(t, Spec{
+		Topology: topo, Traffic: topo.UniformTraffic(30000),
+		Metric: HNSPF, Seed: 2, WarmupSeconds: 10,
+		Script: "duration 240\nat 30 down N0 N1\nat 90 up N0 N1\n",
+	})
+	if r := res.Report; r.DeliveredRatio < 0.98 {
 		t.Errorf("delivered ratio %.4f across fail/restore", r.DeliveredRatio)
 	}
 }
 
+// Traffic built on another topology is refused by Run, naming Spec.Traffic.
 func TestSimulationPanicsOnMismatchedTraffic(t *testing.T) {
 	t.Parallel()
 	a, b := Ring(4, T56), Ring(4, T56)
-	tr := a.UniformTraffic(1000)
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched Traffic should panic")
-		}
-	}()
-	NewSimulation(b, tr, SimConfig{})
+	_, err := Run(Spec{Topology: b, Traffic: a.UniformTraffic(1000), Seconds: 60})
+	if err == nil || !strings.Contains(err.Error(), "Spec.Traffic") {
+		t.Errorf("Run: err = %v, want one naming Spec.Traffic", err)
+	}
+}
+
+// Bad input to Run is an error that names the Spec field at fault, never a
+// panic, and nothing runs.
+func TestRunRejectsBadSpecs(t *testing.T) {
+	t.Parallel()
+	ring, other := Ring(4, T56), Ring(4, T56)
+	for _, tc := range []struct {
+		name  string
+		spec  func(*Spec)
+		field string // the error must name it
+	}{
+		{"no traffic", func(s *Spec) { s.Traffic = nil }, "Spec.Traffic"},
+		{"no topology", func(s *Spec) { s.Topology = nil }, "Spec.Topology"},
+		{"background from another topology", func(s *Spec) { s.Background = other.UniformTraffic(1000) }, "Spec.Background"},
+		{"multipath with BF-1969", func(s *Spec) { s.Metric, s.Multipath = BF1969, true }, "Spec.Multipath"},
+		{"unknown metric", func(s *Spec) { s.Metric = BF1969 + 1 }, "Spec.Metric"},
+		{"unknown PSN tracked", func(s *Spec) { s.Track = [][2]string{{"N0", "X9"}} }, `Spec.Track: no trunk joins PSNs "N0" and "X9"`},
+		{"no trunk tracked", func(s *Spec) { s.Track = [][2]string{{"N0", "N2"}} }, `Spec.Track: no trunk joins PSNs "N0" and "N2"`},
+		{"unknown PSN scripted", func(s *Spec) { s.Seconds, s.Script = 0, "duration 60\nat 10 down N0 X9\n" }, `Spec.Script: scenario "scenario": down at 10.000000s: unknown node "X9"`},
+		{"fault at a negative time", func(s *Spec) { s.Seconds, s.Script = 0, "duration 60\nat -5 down N0 N1\n" }, "Spec.Script: line 2"},
+		{"script without a duration", func(s *Spec) { s.Seconds, s.Script = 0, "at 5 down N0 N1\n" }, "Spec.Script"},
+		{"script and seconds", func(s *Spec) { s.Script = "duration 60\n" }, "Spec.Seconds"},
+		{"no horizon", func(s *Spec) { s.Seconds = 0 }, "Spec.Seconds"},
+		{"negative warm-up", func(s *Spec) { s.WarmupSeconds = -1 }, "Spec.WarmupSeconds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60}
+			tc.spec(&s)
+			_, err := Run(s)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("Run: err = %v, want one naming %s", err, tc.field)
+			}
+		})
+	}
+	s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60, Track: [][2]string{{"N0", "N1"}}}
+	if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.Track") {
+		t.Errorf("RunSeeds with Track: err = %v, want one naming Spec.Track", err)
+	}
 }
 
 func TestAnalysisEndToEnd(t *testing.T) {
@@ -252,10 +305,9 @@ func TestDeterministicSimulation(t *testing.T) {
 	}
 	const runs = 4
 	for _, tc := range []struct {
-		name    string
-		build   func() (*Topology, *Traffic)
-		cfg     SimConfig
-		seconds float64
+		name  string
+		build func() (*Topology, *Traffic)
+		spec  Spec
 	}{
 		{
 			// The ARPANET map under D-SPF: delay measurement, flooding, SPF.
@@ -264,8 +316,7 @@ func TestDeterministicSimulation(t *testing.T) {
 				topo := Arpanet1987()
 				return topo, topo.GravityTraffic(ArpanetWeights(), 200000)
 			},
-			cfg:     SimConfig{Metric: DSPF, Seed: 42, WarmupSeconds: 20},
-			seconds: 80,
+			spec: Spec{Metric: DSPF, Seed: 42, WarmupSeconds: 20, Seconds: 80},
 		},
 		{
 			// Multipath on a 2×2 grid: opposite corners are two equal-cost
@@ -276,17 +327,15 @@ func TestDeterministicSimulation(t *testing.T) {
 				topo := Grid(2, 2, T56)
 				return topo, topo.UniformTraffic(40000)
 			},
-			cfg:     SimConfig{Metric: MinHop, Seed: 5, WarmupSeconds: 30, Multipath: true},
-			seconds: 120,
+			spec: Spec{Metric: MinHop, Seed: 5, WarmupSeconds: 30, Seconds: 120, Multipath: true},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			run := func() Report {
-				topo, tr := tc.build()
-				s := NewSimulation(topo, tr, tc.cfg)
-				s.RunSeconds(tc.seconds)
-				return s.Report()
+				s := tc.spec
+				s.Topology, s.Traffic = tc.build()
+				return mustRun(t, s).Report
 			}
 			first := run()
 			for i := 2; i <= runs; i++ {
@@ -323,27 +372,32 @@ func TestBF1969PublicAPI(t *testing.T) {
 		t.Errorf("name = %q", BF1969.String())
 	}
 	topo := Ring(5, T56)
-	s := NewSimulation(topo, topo.UniformTraffic(40000), SimConfig{
-		Metric: BF1969, Seed: 6, WarmupSeconds: 20,
+	res := mustRun(t, Spec{
+		Topology: topo, Traffic: topo.UniformTraffic(40000),
+		Metric: BF1969, Seed: 6, WarmupSeconds: 20, Seconds: 120,
 	})
-	s.RunSeconds(120)
-	if r := s.Report(); r.DeliveredRatio < 0.98 {
+	if r := res.Report; r.DeliveredRatio < 0.98 {
 		t.Errorf("BF1969 delivered %.3f at light load", r.DeliveredRatio)
 	}
 	// Analysis rejects it with a clear message.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MetricCurve(BF1969) should panic")
-			}
-		}()
-		MetricCurve(BF1969, T56, 0, 0.5)
-	}()
-	// So does multipath.
 	defer func() {
 		if recover() == nil {
-			t.Error("Multipath with BF1969 should panic")
+			t.Error("MetricCurve(BF1969) should panic")
 		}
 	}()
-	NewSimulation(topo, topo.UniformTraffic(1000), SimConfig{Metric: BF1969, Multipath: true})
+	MetricCurve(BF1969, T56, 0, 0.5)
+}
+
+// The benchmark's entry point is a shell over Run: the same Report and the
+// same event log.
+func TestSimulationShellIsRun(t *testing.T) {
+	t.Parallel()
+	topo := Ring(4, T56)
+	tr := topo.UniformTraffic(20000)
+	s := NewSimulation(topo, tr, SimConfig{Metric: DSPF, Seed: 3, WarmupSeconds: 10, TraceCapacity: 100})
+	s.RunSeconds(60)
+	res := mustRun(t, Spec{Topology: topo, Traffic: tr, Metric: DSPF, Seed: 3, WarmupSeconds: 10, Seconds: 60, TraceCapacity: 100})
+	if s.Report() != res.Report || s.Trace().Len() == 0 || !reflect.DeepEqual(s.Trace().Events(), res.Trace.Events()) {
+		t.Errorf("Simulation:\n  %+v\nRun:\n  %+v", s.Report(), res.Report)
+	}
 }

@@ -15,9 +15,7 @@ func table1Run(b *testing.B, m Metric, bps float64) Report {
 	b.Helper()
 	topo := Arpanet1987()
 	tr := topo.GravityTraffic(ArpanetWeights(), bps)
-	s := NewSimulation(topo, tr, SimConfig{Metric: m, Seed: 1987, WarmupSeconds: 20})
-	s.RunSeconds(80)
-	return s.Report()
+	return mustRun(b, Spec{Topology: topo, Traffic: tr, Metric: m, Seed: 1987, WarmupSeconds: 20, Seconds: 80}).Report
 }
 
 // BenchmarkTable1DSPF is the "May 1987" column: the delay metric at the
@@ -51,10 +49,10 @@ func BenchmarkFig1Oscillation(b *testing.B) {
 			tr := topo.HotspotTraffic(func(n string) bool {
 				return strings.HasPrefix(n, "W")
 			}, 120_000, 0.80)
-			s := NewSimulation(topo, tr, SimConfig{Metric: m, Seed: 11, WarmupSeconds: 50})
-			s.TrackTrunk("W0", "E0")
-			s.TrackTrunk("W1", "E1")
-			s.RunSeconds(250)
+			mustRun(b, Spec{
+				Topology: topo, Traffic: tr, Metric: m, Seed: 11, WarmupSeconds: 50, Seconds: 250,
+				Track: [][2]string{{"W0", "E0"}, {"W1", "E1"}},
+			})
 		}
 	}
 }
@@ -188,9 +186,7 @@ func BenchmarkFig13Drops(b *testing.B) {
 			}
 			topo := Arpanet1987()
 			tr := topo.GravityTraffic(ArpanetWeights(), 285_000)
-			s := NewSimulation(topo, tr, SimConfig{Metric: m, Seed: int64(day), WarmupSeconds: 15})
-			s.RunSeconds(50)
-			total += s.BufferDrops()
+			total += mustRun(b, Spec{Topology: topo, Traffic: tr, Metric: m, Seed: int64(day), WarmupSeconds: 15, Seconds: 50}).Report.BufferDrops
 		}
 		_ = total
 	}
@@ -206,14 +202,13 @@ func BenchmarkMultipathLargeFlow(b *testing.B) {
 			topo := Grid(2, 2, T56)
 			tr := topo.NewTraffic()
 			tr.SetRate("R0.C0", "R1.C1", 1.6*56000)
-			s := NewSimulation(topo, tr, SimConfig{
-				Metric: HNSPF, Seed: 3, WarmupSeconds: 30, Multipath: mp,
-			})
-			s.RunSeconds(150)
+			r := mustRun(b, Spec{
+				Topology: topo, Traffic: tr, Metric: HNSPF, Seed: 3, WarmupSeconds: 30, Seconds: 150, Multipath: mp,
+			}).Report
 			if mp {
-				multi = s.Report().DeliveredRatio
+				multi = r.DeliveredRatio
 			} else {
-				single = s.Report().DeliveredRatio
+				single = r.DeliveredRatio
 			}
 		}
 	}
@@ -230,12 +225,11 @@ func BenchmarkBellmanFord1969(b *testing.B) {
 		for _, m := range []Metric{BF1969, DSPF} {
 			topo := Arpanet1987()
 			tr := topo.GravityTraffic(ArpanetWeights(), 260_000)
-			s := NewSimulation(topo, tr, SimConfig{Metric: m, Seed: 31, WarmupSeconds: 30})
-			s.RunSeconds(130)
+			r := mustRun(b, Spec{Topology: topo, Traffic: tr, Metric: m, Seed: 31, WarmupSeconds: 30, Seconds: 130}).Report
 			if m == BF1969 {
-				bf = s.Report().DeliveredRatio
+				bf = r.DeliveredRatio
 			} else {
-				dspf = s.Report().DeliveredRatio
+				dspf = r.DeliveredRatio
 			}
 		}
 	}

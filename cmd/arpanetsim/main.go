@@ -7,11 +7,24 @@
 //	arpanetsim -metric hnspf       # a single run
 //	arpanetsim -traffic 500 -seconds 900
 //	arpanetsim -background 28000   # hybrid mode: 28 Mbps fluid background
+//	arpanetsim -scenario examples/flapping/utah-collins.scn -seeds 5
 //
 // The topology is the synthetic ARPANET-like network (see DESIGN.md); the
 // absolute numbers therefore differ from the paper's, but the comparisons
 // — who wins each row, by roughly what factor — are the reproduction
 // target (see EXPERIMENTS.md).
+//
+// -scenario runs a fault-injection script (the .scn format of
+// arpanet.Spec.Script) instead, once per seed and metric, and prints each
+// seed's outcome and any violated invariant: packet conservation, single
+// transmitter per link, post-flood convergence. The script supplies the
+// duration and the timeline; -traffic, -warmup, -seed and -topology keep
+// their meaning. -shards runs the sharded simulator (shards.go).
+//
+// The exit status is 0 after the output is written; 1 with the reason on
+// stderr when a run cannot start or a script does not load, and after the
+// per-seed table when a -scenario seed violates an invariant; 2 with usage
+// for flags no mode can mean.
 package main
 
 import (
@@ -19,137 +32,151 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
 	"os"
+	"reflect"
 
 	arpanet "repro"
-	"repro/internal/node"
-	"repro/internal/shard"
-	"repro/internal/topology"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("arpanetsim: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command minus the process exit, so tests drive it
+// directly.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		metricName = flag.String("metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with -shards -adaptive)")
+		metricName = fs.String("metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with -shards -adaptive)")
 		// 280 kbps plays the role of the paper's May-1987 peak-hour load
 		// (366 kbps over 71 trunks) on this 44-trunk topology: heavy enough
 		// that D-SPF's oscillations dominate, light enough that HN-SPF
 		// carries nearly everything. See EXPERIMENTS.md for the calibration.
-		trafficK = flag.Float64("traffic", 280, "offered internode traffic in kbps ('May-1987' level)")
-		growth   = flag.Float64("growth", 413.99/366.26, "traffic multiplier for the after run")
-		seconds  = flag.Float64("seconds", 600, "measured simulation time")
-		warmup   = flag.Float64("warmup", 100, "warmup time before measurement")
-		seed     = flag.Int64("seed", 1987, "random seed")
-		seeds    = flag.Int("seeds", 1, "number of independent seeds to average over")
-		asJSON   = flag.Bool("json", false, "emit reports as JSON instead of the table")
-		topoName = flag.String("topology", "arpanet", "arpanet, milnet, or (with -shards) hier:<R>x<P> / waxman:<N>")
-		scenFile = flag.String("scenario", "", "fault-injection script to run instead of the Table 1 study")
-		shardsN  = flag.Int("shards", 0, "run the sharded simulator with this many shards (0 = Table 1 study)")
-		rate     = flag.Float64("rate", 1.0, "per-node packet rate for -shards mode (pkts/sec)")
-		dests    = flag.Int("dests", 3, "destinations per source for -shards mode")
-		radius   = flag.Int("radius", 0, "destination locality radius in hops for -shards mode (0 = uniform)")
-		adaptive = flag.Bool("adaptive", false, "with -shards: route by the adaptive plane (-metric hnspf/dspf/minhop; bf1969 falls back to the unsharded engine)")
+		trafficK = fs.Float64("traffic", 280, "offered internode traffic in kbps ('May-1987' level)")
+		growth   = fs.Float64("growth", 413.99/366.26, "traffic multiplier for the after run")
+		seconds  = fs.Float64("seconds", 600, "measured simulation time")
+		warmup   = fs.Float64("warmup", 100, "warmup time before measurement")
+		seed     = fs.Int64("seed", 1987, "random seed")
+		seeds    = fs.Int("seeds", 1, "number of independent seeds to average over")
+		asJSON   = fs.Bool("json", false, "emit reports as JSON instead of the table")
+		topoName = fs.String("topology", "arpanet", "arpanet, milnet, or (with -shards) hier:<R>x<P> / waxman:<N>")
+		scenFile = fs.String("scenario", "", "fault-injection script to run instead of the Table 1 study")
+		shardsN  = fs.Int("shards", 0, "run the sharded simulator with this many shards (0 = Table 1 study)")
+		rate     = fs.Float64("rate", 1.0, "per-node packet rate for -shards mode (pkts/sec)")
+		dests    = fs.Int("dests", 3, "destinations per source for -shards mode")
+		radius   = fs.Int("radius", 0, "destination locality radius in hops for -shards mode (0 = uniform)")
+		adaptive = fs.Bool("adaptive", false, "with -shards: route by the adaptive plane (-metric hnspf/dspf/minhop; bf1969 falls back to the unsharded engine)")
 		// Hybrid fluid/packet mode: the background demand is carried as
 		// fluid flows superposed onto the trunks' measured state instead of
 		// being simulated packet by packet, so Table-1 experiments run at
 		// offered loads far past what event-by-event simulation can afford.
-		backgroundK = flag.Float64("background", 0, "fluid background demand in kbps, gravity-shaped (0 = pure packet engine)")
-		bgEpochSecs = flag.Float64("background-epoch", 10, "fluid re-routing epoch in seconds (with -background)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
+		backgroundK = fs.Float64("background", 0, "fluid background demand in kbps, gravity-shaped (0 = pure packet engine)")
+		bgEpochSecs = fs.Float64("background-epoch", 10, "fluid re-routing epoch in seconds (with -background)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	kinds, err := metricKinds(*metricName)
 	if err == nil {
-		err = numberFlag(flag.CommandLine)
+		err = numberFlag(fs)
 	}
 	if err == nil {
 		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *topoName, *backgroundK, len(kinds))
 	}
-	var shardCfg shard.Config
+	var sharded func(io.Writer) (any, error)
 	if err == nil && *shardsN > 0 {
-		spec := *topoName
-		if spec == "arpanet" {
-			spec = "hier:8x16" // the Table 1 maps are too small to shard usefully
-		}
-		var g *topology.Graph
-		if g, err = parseGenTopology(spec, *seed); err == nil {
-			shardCfg = shardConfig(*shardsN, g, *rate, *dests, *radius, *seed, *adaptive, kinds[0])
-			err = shardCfg.Validate()
-		}
+		sharded, err = shardedRun(*topoName, *shardsN, *rate, *dests, *radius, *seed, *seconds, *adaptive, kinds[0])
 	}
 	if err != nil {
-		log.Print(err)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "arpanetsim:", err)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "arpanetsim:", err)
+		return 1
+	}
+	// The unsharded modes, the Table 1 study and -scenario, run one Spec per
+	// metric: the script's timeline at one load, or the study's measured
+	// window with the after run's load grown.
+	var script []byte
+	if *scenFile != "" {
+		if script, err = os.ReadFile(*scenFile); err == nil && len(script) == 0 {
+			err = fmt.Errorf("%s: empty script", *scenFile)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	}
+	topo, weights, bps := arpanet.Arpanet1987(), arpanet.ArpanetWeights(), *trafficK*1000
+	if *topoName == "milnet" {
+		topo, weights = arpanet.Milnet1987(), arpanet.MilnetWeights()
+		if *trafficK == 280 {
+			// MILNET's aggregate capacity is smaller; rescale the default load
+			// to the equivalent regime (see milnet_test.go).
+			bps = 150_000
+		}
+	}
+	var specs []arpanet.Spec
+	for i, m := range kinds {
+		load := bps
+		if i == 1 && script == nil {
+			load *= *growth
+		}
+		s := arpanet.Spec{Topology: topo, Traffic: topo.GravityTraffic(weights, load), Metric: m,
+			Seed: *seed, WarmupSeconds: *warmup, Script: string(script)}
+		if script == nil {
+			s.Seconds = *warmup + *seconds
+		}
+		if *backgroundK > 0 {
+			// Hybrid mode: scripts may then use the 'surge background'
+			// directive against this fluid demand.
+			s.Background, s.BackgroundEpochSeconds = topo.GravityTraffic(weights, *backgroundK*1000), *bgEpochSecs
+		}
+		specs = append(specs, s)
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	finish := func(live any) {
-		if err := stopProfiles(live); err != nil {
-			log.Fatal(err)
-		}
+	var live any
+	code := 0
+	if sharded != nil {
+		live, err = sharded(stdout)
+	} else if code, err = study(stdout, specs, *seeds, *asJSON); err != nil && script != nil {
+		err = fmt.Errorf("%s: %w", *scenFile, err)
 	}
-	if *shardsN > 0 {
-		finish(runSharded(shardCfg, *seconds, *adaptive && kinds[0] == node.BF1969))
-		return
+	if perr := stopProfiles(live); err == nil {
+		err = perr
 	}
-	defer finish(nil)
-	nc := netChoice{topo: *topoName, bgBPS: *backgroundK * 1000, bgEpoch: *bgEpochSecs}
-	if nc.topo == "milnet" && *trafficK == 280 {
-		// MILNET's aggregate capacity is smaller; rescale the default load
-		// to the equivalent regime (see milnet_test.go).
-		*trafficK = 150
+	if err != nil {
+		return fail(err)
 	}
-
-	if *scenFile != "" {
-		runScenario(nc, *scenFile, kinds, *trafficK*1000, *warmup, *seed, *seeds, *asJSON)
-		return
-	}
-
-	if len(kinds) == 2 { // "both": the before/after study
-		before := runSeeds(nc, kinds[0], *trafficK*1000, *seconds, *warmup, *seed, *seeds)
-		after := runSeeds(nc, kinds[1], *trafficK*1000**growth, *seconds, *warmup, *seed, *seeds)
-		if *asJSON {
-			emitJSON(map[string]arpanet.Report{"before": mean(before), "after": mean(after)})
-			return
-		}
-		printTable1(mean(before), mean(after))
-		if *seeds > 1 {
-			printSpread(before, after)
-		}
-		return
-	}
-	r := runSeeds(nc, kinds[0], *trafficK*1000, *seconds, *warmup, *seed, *seeds)
-	if *asJSON {
-		emitJSON(mean(r))
-		return
-	}
-	fmt.Print(mean(r).String())
+	return code
 }
 
-// metricKinds maps the -metric flag to the engine's metric kinds, for every
+// metricKinds maps the -metric flag to the metrics it names, for every
 // mode. "both" is the before/after pair, D-SPF first; a mode that runs a
 // single metric (-shards) takes the first.
-func metricKinds(name string) ([]node.MetricKind, error) {
+func metricKinds(name string) ([]arpanet.Metric, error) {
 	switch name {
 	case "both":
-		return []node.MetricKind{node.DSPF, node.HNSPF}, nil
+		return []arpanet.Metric{arpanet.DSPF, arpanet.HNSPF}, nil
 	case "hnspf":
-		return []node.MetricKind{node.HNSPF}, nil
+		return []arpanet.Metric{arpanet.HNSPF}, nil
 	case "dspf":
-		return []node.MetricKind{node.DSPF}, nil
+		return []arpanet.Metric{arpanet.DSPF}, nil
 	case "minhop":
-		return []node.MetricKind{node.MinHop}, nil
+		return []arpanet.Metric{arpanet.MinHop}, nil
 	case "bf1969":
-		return []node.MetricKind{node.BF1969}, nil
+		return []arpanet.Metric{arpanet.BF1969}, nil
 	default:
 		return nil, fmt.Errorf("unknown -metric %q (want hnspf, dspf, minhop, bf1969, or both)", name)
 	}
@@ -217,129 +244,101 @@ func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topolo
 	return nil
 }
 
-// apiMetric names each engine metric kind in the public API, which the
-// Table 1 study runs through.
-var apiMetric = map[node.MetricKind]arpanet.Metric{
-	node.HNSPF:  arpanet.HNSPF,
-	node.DSPF:   arpanet.DSPF,
-	node.MinHop: arpanet.MinHop,
-	node.BF1969: arpanet.BF1969,
+// study runs every spec over n seeds, in parallel through arpanet.RunSeeds,
+// and writes the Table 1 output, or with a script the -scenario output.
+func study(w io.Writer, specs []arpanet.Spec, n int, asJSON bool) (code int, err error) {
+	results := make([][]arpanet.Result, len(specs))
+	for i, s := range specs {
+		if results[i], err = arpanet.RunSeeds(s, n); err != nil {
+			return 0, err
+		}
+	}
+	if specs[0].Script != "" {
+		return printScenario(w, results, asJSON)
+	}
+	switch {
+	case asJSON && len(results) == 2:
+		return 0, emitJSON(w, map[string]arpanet.Report{"before": mean(results[0]), "after": mean(results[1])})
+	case asJSON:
+		return 0, emitJSON(w, mean(results[0]))
+	case len(results) == 2: // "both": the before/after study
+		printTable1(w, mean(results[0]), mean(results[1]))
+		if n > 1 {
+			printSpread(w, results[0], results[1])
+		}
+	default:
+		fmt.Fprint(w, mean(results[0]).String())
+	}
+	return 0, nil
 }
 
-// netChoice is the -topology/-background selection every run of one
-// invocation shares.
-type netChoice struct {
-	topo    string  // "arpanet" or "milnet"
-	bgBPS   float64 // fluid background demand (0 = pure packet engine)
-	bgEpoch float64 // fluid re-routing epoch, seconds
-}
-
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Fatal(err)
-	}
+	return enc.Encode(v)
 }
 
-func runSeeds(nc netChoice, kind node.MetricKind, bps, seconds, warmup float64, seed int64, n int) []arpanet.Report {
-	out := make([]arpanet.Report, n)
-	for i := range out {
-		out[i] = run(nc, apiMetric[kind], bps, seconds, warmup, seed+int64(i))
-	}
-	return out
-}
-
-// mean averages the headline indicators over several reports (counters are
-// summed proportionally by averaging too — they share a duration).
-func mean(rs []arpanet.Report) arpanet.Report {
-	out := rs[0]
+// mean averages every numeric field of the seeds' reports — floats as
+// floats, counters by integer division — and recomputes the path ratio from
+// the mean hop counts. The reports share a metric and a duration.
+func mean(rs []arpanet.Result) arpanet.Report {
+	out := rs[0].Report
 	if len(rs) == 1 {
 		return out
 	}
-	n := float64(len(rs))
-	var traffic, delay, upd, period, actual, min, offered, routing, meanU, maxU, deliv float64
-	var drops int64
-	for _, r := range rs {
-		traffic += r.InternodeTrafficKbps
-		delay += r.RoundTripDelayMs
-		upd += r.UpdatesPerTrunkSec
-		period += r.UpdatePeriodPerNode
-		actual += r.ActualPathHops
-		min += r.MinPathHops
-		offered += r.OfferedKbps
-		routing += r.RoutingKbps
-		meanU += r.MeanLinkUtilization
-		maxU += r.MaxLinkUtilization
-		deliv += r.DeliveredRatio
-		drops += r.BufferDrops
+	o := reflect.ValueOf(&out).Elem()
+	for i := 0; i < o.NumField(); i++ {
+		switch f := o.Field(i); f.Kind() {
+		case reflect.Float64:
+			sum := 0.0
+			for _, r := range rs {
+				sum += reflect.ValueOf(r.Report).Field(i).Float()
+			}
+			f.SetFloat(sum / float64(len(rs)))
+		case reflect.Int64:
+			var sum int64
+			for _, r := range rs {
+				sum += reflect.ValueOf(r.Report).Field(i).Int()
+			}
+			f.SetInt(sum / int64(len(rs)))
+		}
 	}
-	out.InternodeTrafficKbps = traffic / n
-	out.RoundTripDelayMs = delay / n
-	out.UpdatesPerTrunkSec = upd / n
-	out.UpdatePeriodPerNode = period / n
-	out.ActualPathHops = actual / n
-	out.MinPathHops = min / n
 	if out.MinPathHops > 0 {
 		out.PathRatio = out.ActualPathHops / out.MinPathHops
 	}
-	out.OfferedKbps = offered / n
-	out.RoutingKbps = routing / n
-	out.MeanLinkUtilization = meanU / n
-	out.MaxLinkUtilization = maxU / n
-	out.DeliveredRatio = deliv / n
-	out.BufferDrops = drops / int64(len(rs))
 	return out
 }
 
-func printSpread(before, after []arpanet.Report) {
-	sd := func(rs []arpanet.Report, f func(arpanet.Report) float64) float64 {
+func printSpread(w io.Writer, before, after []arpanet.Result) {
+	sd := func(rs []arpanet.Result, f func(arpanet.Report) float64) float64 {
 		m := 0.0
 		for _, r := range rs {
-			m += f(r)
+			m += f(r.Report)
 		}
 		m /= float64(len(rs))
 		v := 0.0
 		for _, r := range rs {
-			d := f(r) - m
+			d := f(r.Report) - m
 			v += d * d
 		}
 		return math.Sqrt(v / float64(len(rs)-1))
 	}
 	delay := func(r arpanet.Report) float64 { return r.RoundTripDelayMs }
 	drops := func(r arpanet.Report) float64 { return float64(r.BufferDrops) }
-	fmt.Printf("\nSpread over %d seeds (standard deviation):\n", len(before))
-	fmt.Printf("  Round Trip Delay (ms): D-SPF ±%.1f, HN-SPF ±%.1f\n",
+	fmt.Fprintf(w, "\nSpread over %d seeds (standard deviation):\n", len(before))
+	fmt.Fprintf(w, "  Round Trip Delay (ms): D-SPF ±%.1f, HN-SPF ±%.1f\n",
 		sd(before, delay), sd(after, delay))
-	fmt.Printf("  Dropped Packets:       D-SPF ±%.0f, HN-SPF ±%.0f\n",
+	fmt.Fprintf(w, "  Dropped Packets:       D-SPF ±%.0f, HN-SPF ±%.0f\n",
 		sd(before, drops), sd(after, drops))
 }
 
-func run(nc netChoice, m arpanet.Metric, bps, seconds, warmup float64, seed int64) arpanet.Report {
-	topo := arpanet.Arpanet1987()
-	weights := arpanet.ArpanetWeights()
-	if nc.topo == "milnet" {
-		topo = arpanet.Milnet1987()
-		weights = arpanet.MilnetWeights()
-	}
-	tr := topo.GravityTraffic(weights, bps)
-	cfg := arpanet.SimConfig{Metric: m, Seed: seed, WarmupSeconds: warmup}
-	if nc.bgBPS > 0 {
-		cfg.Background = topo.GravityTraffic(weights, nc.bgBPS)
-		cfg.BackgroundEpochSeconds = nc.bgEpoch
-	}
-	s := arpanet.NewSimulation(topo, tr, cfg)
-	s.RunSeconds(warmup + seconds)
-	return s.Report()
-}
-
-func printTable1(before, after arpanet.Report) {
-	fmt.Println("Table 1: Network-wide Performance Indicators")
-	fmt.Println("(paper: ARPANET May 87 / Aug 87; here: simulated before/after)")
-	fmt.Println()
-	fmt.Printf("  %-30s %12s %12s\n", "", "D-SPF", "HN-SPF")
+func printTable1(w io.Writer, before, after arpanet.Report) {
+	fmt.Fprintln(w, "Table 1: Network-wide Performance Indicators")
+	fmt.Fprintln(w, "(paper: ARPANET May 87 / Aug 87; here: simulated before/after)")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  %-30s %12s %12s\n", "", "D-SPF", "HN-SPF")
 	row := func(name string, b, a float64) {
-		fmt.Printf("  %-30s %12.2f %12.2f\n", name, b, a)
+		fmt.Fprintf(w, "  %-30s %12.2f %12.2f\n", name, b, a)
 	}
 	row("Internode Traffic (kbps)", before.InternodeTrafficKbps, after.InternodeTrafficKbps)
 	row("Round Trip Delay (ms)", before.RoundTripDelayMs, after.RoundTripDelayMs)
@@ -348,14 +347,53 @@ func printTable1(before, after arpanet.Report) {
 	row("Internode Actual Path (hops)", before.ActualPathHops, after.ActualPathHops)
 	row("Internode Minimum Path", before.MinPathHops, after.MinPathHops)
 	row("Path Ratio (Actual/Min.)", before.PathRatio, after.PathRatio)
-	fmt.Println()
-	fmt.Printf("  %-30s %12d %12d\n", "Dropped Packets (buffers)", before.BufferDrops, after.BufferDrops)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  %-30s %12d %12d\n", "Dropped Packets (buffers)", before.BufferDrops, after.BufferDrops)
 	row("Delivered Ratio", before.DeliveredRatio, after.DeliveredRatio)
 	row("Mean Link Utilization", before.MeanLinkUtilization, after.MeanLinkUtilization)
 	row("Routing Overhead (kbps)", before.RoutingKbps, after.RoutingKbps)
-	fmt.Println()
-	fmt.Println("Paper's measured values for reference:")
-	fmt.Println("  Traffic 366.26→413.99 kbps, Delay 635.45→338.59 ms,")
-	fmt.Println("  Updates/Trunk/sec 2.04→1.74, Update Period 22.06→26.32 s,")
-	fmt.Println("  Actual Path 4.91→3.70, Min Path 3.97→3.24, Ratio 1.24→1.14")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Paper's measured values for reference:")
+	fmt.Fprintln(w, "  Traffic 366.26→413.99 kbps, Delay 635.45→338.59 ms,")
+	fmt.Fprintln(w, "  Updates/Trunk/sec 2.04→1.74, Update Period 22.06→26.32 s,")
+	fmt.Fprintln(w, "  Actual Path 4.91→3.70, Min Path 3.97→3.24, Ratio 1.24→1.14")
+}
+
+// printScenario writes the per-seed results of every metric, as JSON keyed
+// by metric name or as one table per metric. The code is 1 when any seed
+// violated an invariant.
+func printScenario(w io.Writer, byMetric [][]arpanet.Result, asJSON bool) (code int, err error) {
+	m := map[string][]arpanet.Result{}
+	for _, results := range byMetric {
+		m[results[0].Report.Metric] = results
+		for _, r := range results {
+			if len(r.Violations) > 0 {
+				code = 1
+			}
+		}
+	}
+	if asJSON {
+		return code, emitJSON(w, m)
+	}
+	sc := byMetric[0][0].Script
+	fmt.Fprintf(w, "Scenario %q: %.0f s, %d events\n", sc.Name, sc.Duration.Seconds(), len(sc.Events))
+	for _, results := range byMetric {
+		fmt.Fprintf(w, "\n%s\n", results[0].Report.Metric)
+		fmt.Fprintf(w, "  %6s %10s %10s %10s %10s %12s\n",
+			"seed", "delivered", "buf-drops", "outages", "no-route", "checkpoints")
+		for _, r := range results {
+			fmt.Fprintf(w, "  %6d %10.4f %10d %10d %10d %12d\n",
+				r.Seed, r.Report.DeliveredRatio, r.Report.BufferDrops,
+				r.Report.OutageDrops, r.Report.NoRouteDrops, len(r.Checkpoints))
+		}
+		for _, r := range results {
+			for _, v := range r.Violations {
+				fmt.Fprintf(w, "  VIOLATION seed %d at %v [%s]: %s\n", r.Seed, v.At, v.Check, v.Err)
+			}
+			if r.StoppedAt != 0 {
+				fmt.Fprintf(w, "  seed %d frozen at %v\n", r.Seed, r.StoppedAt)
+			}
+		}
+	}
+	return code, nil
 }

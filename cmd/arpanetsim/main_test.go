@@ -2,16 +2,13 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"math"
+	"os"
+	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/node"
-	"repro/internal/shard"
-	"repro/internal/sim"
+	arpanet "repro"
 )
 
 // One parser serves the Table 1 study, -scenario and -shards: every name
@@ -20,13 +17,13 @@ import (
 func TestMetricKinds(t *testing.T) {
 	cases := []struct {
 		name string
-		want []node.MetricKind // nil: rejected
+		want []arpanet.Metric // nil: rejected
 	}{
-		{"hnspf", []node.MetricKind{node.HNSPF}},
-		{"dspf", []node.MetricKind{node.DSPF}},
-		{"minhop", []node.MetricKind{node.MinHop}},
-		{"both", []node.MetricKind{node.DSPF, node.HNSPF}},
-		{"bf1969", []node.MetricKind{node.BF1969}},
+		{"hnspf", []arpanet.Metric{arpanet.HNSPF}},
+		{"dspf", []arpanet.Metric{arpanet.DSPF}},
+		{"minhop", []arpanet.Metric{arpanet.MinHop}},
+		{"both", []arpanet.Metric{arpanet.DSPF, arpanet.HNSPF}},
+		{"bf1969", []arpanet.Metric{arpanet.BF1969}},
 		{"", nil},
 		{"nonsense", nil},
 	}
@@ -34,11 +31,6 @@ func TestMetricKinds(t *testing.T) {
 		got, err := metricKinds(tc.name)
 		if (err != nil) != (tc.want == nil) || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("metricKinds(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
-		}
-		for _, k := range got {
-			if m, ok := apiMetric[k]; !ok || m.String() != k.String() {
-				t.Errorf("metricKinds(%q): kind %v has no public-API twin (got %v)", tc.name, k, m)
-			}
 		}
 	}
 }
@@ -178,122 +170,90 @@ func TestNegativeFlagRejected(t *testing.T) {
 	}
 }
 
-// What the sharded simulator would refuse is refused with the other flags,
-// before anything runs (main exits 2 with usage), never by log.Fatal after
-// set-up. The BF-1969 leg is validated as the one-shard probe it builds.
-func TestShardConfigValidated(t *testing.T) {
-	g, err := parseGenTopology("hier:4x8", 1)
-	if err != nil {
+// mean averages every numeric field of Report, whatever is added to it
+// later: each field of the first report is set to k and of the second to
+// 3k, so the mean must read 2k everywhere but the path ratio, which it
+// recomputes from the mean hop counts.
+func TestMeanAveragesEveryField(t *testing.T) {
+	var a, b arpanet.Report
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		k := int64(i + 1)
+		switch va.Field(i).Kind() {
+		case reflect.Float64:
+			va.Field(i).SetFloat(float64(k))
+			vb.Field(i).SetFloat(float64(3 * k))
+		case reflect.Int64:
+			va.Field(i).SetInt(k)
+			vb.Field(i).SetInt(3 * k)
+		case reflect.String:
+			va.Field(i).SetString("D-SPF")
+			vb.Field(i).SetString("D-SPF")
+		default:
+			t.Fatalf("Report.%s is a %v; mean averages float64 and int64 fields", va.Type().Field(i).Name, va.Field(i).Kind())
+		}
+	}
+	rs := make([]arpanet.Result, 2)
+	rs[0].Report, rs[1].Report = a, b
+	m := mean(rs)
+	vm := reflect.ValueOf(m)
+	for i := 0; i < vm.NumField(); i++ {
+		name, k := vm.Type().Field(i).Name, float64(i+1)
+		want := 2 * k
+		switch name {
+		case "PathRatio":
+			want = m.ActualPathHops / m.MinPathHops
+		case "Metric":
+			if m.Metric != "D-SPF" {
+				t.Errorf("Metric = %q", m.Metric)
+			}
+			continue
+		}
+		var got float64
+		if f := vm.Field(i); f.Kind() == reflect.Int64 {
+			got = float64(f.Int())
+		} else {
+			got = f.Float()
+		}
+		if got != want {
+			t.Errorf("mean %s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// run's exit status: a script that cannot be read or names a PSN the map
+// does not have exits 1 with the reason on stderr; a committed script runs
+// and exits 0; flags no mode can mean exit 2 with usage.
+func TestRunExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	unknown, empty := filepath.Join(dir, "unknown.scn"), filepath.Join(dir, "empty.scn")
+	if err := os.WriteFile(unknown, []byte("duration 60\nat 10 down UTAH NOWHERE\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		args        string
-		shards      int
-		rate        float64
-		dests       int
-		adaptive    bool
-		metric      node.MetricKind
-		errContains string // "": accepted
+		args   string
+		code   int
+		stderr string // a substring of stderr's first line
+		stdout string // a substring of stdout
 	}{
-		{"-shards 2", 2, 1, 3, false, node.HNSPF, ""},
-		{"-shards 2 -adaptive -metric dspf", 2, 1, 3, true, node.DSPF, ""},
-		{"-shards 200 -adaptive -metric bf1969", 200, 1, 3, true, node.BF1969, ""},
-		{"-shards 2 -rate 0", 2, 0, 3, false, node.HNSPF, "PktRate"},
-		{"-shards 2 -dests 0", 2, 1, 0, false, node.HNSPF, "Dests"},
-		{"-shards 200", 200, 1, 3, false, node.HNSPF, "200 shards for 32 nodes"},
-		{"-shards 2 -adaptive -metric bf1969 -dests 0", 2, 1, 0, true, node.BF1969, "Dests"},
+		{"-scenario " + filepath.Join(dir, "missing.scn"), 1, "missing.scn: no such file", ""},
+		{"-scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
+		{"-scenario " + empty, 1, "empty.scn: empty script", ""},
+		{"-scenario ../../examples/flapping/utah-collins.scn -metric hnspf", 0, "", `Scenario "utah-collins": 700 s, 8 events`},
+		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
+		{"-shards 2 -seeds 3", 2, "-seeds has no effect with -shards", ""},
+		{"-nonsense", 2, "flag provided but not defined: -nonsense", ""},
 	} {
-		err := shardConfig(tc.shards, g, tc.rate, tc.dests, 0, 1, tc.adaptive, tc.metric).Validate()
-		if (err == nil) != (tc.errContains == "") || err != nil && !strings.Contains(err.Error(), tc.errContains) {
-			t.Errorf("%s -topology hier:4x8: err = %v, want %q", tc.args, err, tc.errContains)
-		}
-	}
-}
-
-// The kernel line follows the barrier line and says what KernelStats says.
-func TestKernelLine(t *testing.T) {
-	g, err := parseGenTopology("hier:4x8", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := shard.New(shardConfig(2, g, 20, 3, 1, 1, false, node.HNSPF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(2 * sim.Second)
-	var out strings.Builder
-	printCounters(&out, s)
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 3 || !strings.HasPrefix(lines[1], "barrier ") {
-		t.Fatalf("counters printed %q, want events, barrier and kernel lines", out.String())
-	}
-	var slots, buckets int
-	var width sim.Time
-	var retunes uint64
-	var ladder float64
-	if _, err := fmt.Sscanf(lines[2], "kernel %d slots, %d buckets, width %dus, %d retunes, ladder %f%% of fires",
-		&slots, &buckets, &width, &retunes, &ladder); err != nil {
-		t.Fatalf("kernel line %q: %v", lines[2], err)
-	}
-	k := s.KernelStats()
-	share := 100 * float64(k.LadderPops) / float64(k.Fired)
-	if slots != k.Slots || buckets != k.Buckets || width != k.Width || retunes != k.Retunes ||
-		math.Abs(ladder-share) > 0.005 || k.Fired == 0 {
-		t.Errorf("kernel line %q, KernelStats %+v (ladder %.4f%%)", lines[2], k, share)
-	}
-}
-
-// The routes line, printed after the kernel line on the static plane, says
-// what RouteStats says.
-func TestRoutesLine(t *testing.T) {
-	g, err := parseGenTopology("hier:4x8", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := shard.New(shardConfig(2, g, 20, 3, 1, 1, false, node.HNSPF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	printRoutes(&out, s)
-	var r shard.RouteStats
-	if _, err := fmt.Sscanf(out.String(), "routes %d epochs, %d entries, %d bytes, dense 2·D·N·E %d bytes\n",
-		&r.Epochs, &r.Entries, &r.Bytes, &r.DenseBytes); err != nil {
-		t.Fatalf("routes line %q: %v", out.String(), err)
-	}
-	if want := s.RouteStats(); r != want || r.Epochs != 1 || r.Entries == 0 {
-		t.Errorf("routes line %q, RouteStats %+v", out.String(), want)
-	}
-}
-
-// -topology is outside input: a spec the generators would panic on must come
-// back as an error that names it, and an accepted one as a graph a simulator
-// can boot from — Validate-clean, every link at the line number it reports.
-func TestParseGenTopology(t *testing.T) {
-	for _, spec := range []string{"hier:2x2", "hier:1x9", "hier:3", "hier:ax4", "hier:4xb", "waxman:1", "waxman:x", "ring:5", "hier", "",
-		// Sizes nothing could run are refused before a node is built; a hub with
-		// more lines than a 16-bit line number names is the generator's refusal.
-		"hier:99999x99999", "hier:1024x1025", "waxman:100000000", "waxman:16385", "hier:3x70000",
-	} {
-		g, err := parseGenTopology(spec, 1)
-		if err == nil || g != nil || !strings.Contains(err.Error(), strconv.Quote(spec)) {
-			t.Errorf("parseGenTopology(%q) = %v, %v; want an error naming the spec", spec, g, err)
-		}
-	}
-	for spec, nodes := range map[string]int{"hier:8x8": 64, "waxman:64": 64} {
-		g, err := parseGenTopology(spec, 1)
-		if err != nil || g.NumNodes() != nodes {
-			t.Errorf("parseGenTopology(%q): %v, want %d nodes", spec, err, nodes)
-			continue
-		}
-		if err := g.Validate(); err != nil {
-			t.Errorf("%s: %v", spec, err)
-		}
-		for _, l := range g.Links() {
-			if o, in := g.OutLine(l.ID), g.InLine(l.ID); o >= g.Degree(l.From) || in >= g.Degree(l.To) {
-				t.Errorf("%s: link %d is line %d of %d out of node %d, line %d of %d into node %d",
-					spec, l.ID, o, g.Degree(l.From), l.From, in, g.Degree(l.To), l.To)
-			}
+		var out, errb strings.Builder
+		code := run(strings.Fields(tc.args), &out, &errb)
+		first, _, _ := strings.Cut(errb.String(), "\n")
+		if code != tc.code || !strings.Contains(first, tc.stderr) || tc.stderr == "" && errb.Len() > 0 ||
+			!strings.Contains(out.String(), tc.stdout) {
+			t.Errorf("arpanetsim %s: exit %d, stderr %q, stdout %q; want exit %d, stderr with %q, stdout with %q",
+				tc.args, code, first, out.String(), tc.code, tc.stderr, tc.stdout)
 		}
 	}
 }

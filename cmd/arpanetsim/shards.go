@@ -17,11 +17,10 @@ package main
 import (
 	"fmt"
 	"io"
-	"log"
-	"os"
 	"strconv"
 	"strings"
 
+	arpanet "repro"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/shard"
@@ -84,7 +83,29 @@ func parseGenTopology(spec string, seed int64) (g *topology.Graph, err error) {
 	}
 }
 
-// shardConfig is the simulator configuration the -shards mode runs; main
+// shardedRun checks the -shards invocation with the other flags and returns
+// the run, which returns the simulator it ran for the -memprofile heap
+// profile. The Table 1 maps are too small to shard usefully, so "arpanet"
+// means hier:8x16.
+func shardedRun(spec string, shards int, rate float64, dests, radius int, seed int64, seconds float64, adaptive bool, metric arpanet.Metric) (func(io.Writer) (any, error), error) {
+	if spec == "arpanet" {
+		spec = "hier:8x16"
+	}
+	g, err := parseGenTopology(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	cfg := shardConfig(shards, g, rate, dests, radius, seed, adaptive, metric)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if adaptive && metric == arpanet.BF1969 {
+		return func(w io.Writer) (any, error) { return runShardedBF1969(w, cfg, seconds) }, nil
+	}
+	return func(w io.Writer) (any, error) { return runSharded(w, cfg, seconds) }, nil
+}
+
+// shardConfig is the configuration the -shards mode runs; shardedRun
 // validates it before anything starts. The BF-1969 leg runs unsharded, so
 // for it this is the one-shard static probe that draws its traffic.
 func shardConfig(shards int, g *topology.Graph, rate float64, dests, radius int, seed int64, adaptive bool, metric node.MetricKind) shard.Config {
@@ -106,36 +127,31 @@ func shardConfig(shards int, g *topology.Graph, rate float64, dests, radius int,
 	return cfg
 }
 
-// runSharded runs cfg (from shardConfig), or the BF-1969 leg for which cfg
-// is the probe. It returns the simulator it ran, which main keeps reachable
-// until the -memprofile heap profile is written.
-func runSharded(cfg shard.Config, seconds float64, bf1969 bool) any {
-	if bf1969 {
-		return runShardedBF1969(cfg, seconds)
-	}
+// runSharded runs cfg and writes its report and counters.
+func runSharded(w io.Writer, cfg shard.Config, seconds float64) (*shard.Sim, error) {
 	s, err := shard.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	g := cfg.Graph
-	fmt.Printf("sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), cfg.Shards)
+	fmt.Fprintf(w, "sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), cfg.Shards)
 	if cfg.Adaptive {
-		fmt.Printf(", adaptive %v", cfg.Metric)
+		fmt.Fprintf(w, ", adaptive %v", cfg.Metric)
 	}
 	if la := s.Lookahead(); la > 0 {
-		fmt.Printf(", lookahead %v", la)
+		fmt.Fprintf(w, ", lookahead %v", la)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	s.Run(sim.FromSeconds(seconds))
 	if err := s.Audit(); err != nil {
-		log.Fatalf("conservation audit failed: %v", err)
+		return s, fmt.Errorf("conservation audit failed: %w", err)
 	}
-	fmt.Print(s.Report().String())
-	printCounters(os.Stdout, s)
+	fmt.Fprint(w, s.Report().String())
+	printCounters(w, s)
 	if !cfg.Adaptive {
-		printRoutes(os.Stdout, s)
+		printRoutes(w, s)
 	}
-	return s
+	return s, nil
 }
 
 // printCounters prints the run's event count and the barrier and kernel
@@ -167,11 +183,11 @@ func printRoutes(w io.Writer, s *shard.Sim) {
 // per-node destination sets from the same seed, and the matrix reproduces
 // the sharded source rate exactly (network divides the matrix total by the
 // clamped mean packet size to recover pkt/s).
-func runShardedBF1969(cfg shard.Config, seconds float64) *network.Network {
+func runShardedBF1969(w io.Writer, cfg shard.Config, seconds float64) (*network.Network, error) {
 	g := cfg.Graph
 	probe, err := shard.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	m := traffic.NewMatrix(g.NumNodes())
 	for id := 0; id < g.NumNodes(); id++ {
@@ -180,13 +196,13 @@ func runShardedBF1969(cfg shard.Config, seconds float64) *network.Network {
 			m.Set(topology.NodeID(id), d, cfg.PktRate*network.ClampedMeanPktBits()/float64(len(ds)))
 		}
 	}
-	fmt.Printf("unsharded run: %d nodes, %d trunks, Bellman-Ford 1969 (distance-vector; no shard barrier)\n",
+	fmt.Fprintf(w, "unsharded run: %d nodes, %d trunks, Bellman-Ford 1969 (distance-vector; no shard barrier)\n",
 		g.NumNodes(), g.NumTrunks())
 	n := network.New(network.Config{Graph: g, Matrix: m, Metric: node.BF1969, Seed: cfg.Seed})
 	n.Run(sim.FromSeconds(seconds))
 	if err := n.Conservation().Err(); err != nil {
-		log.Fatalf("conservation audit failed: %v", err)
+		return n, fmt.Errorf("conservation audit failed: %w", err)
 	}
-	fmt.Print(n.Report().String())
-	return n
+	fmt.Fprint(w, n.Report().String())
+	return n, nil
 }

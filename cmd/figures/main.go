@@ -40,7 +40,8 @@ func main() {
 
 // run is main minus the process exit, so tests drive it directly: 0 after the
 // figures are written, 2 with one line on stderr (then usage) for a flag
-// that does not parse or a figure that does not exist.
+// that does not parse, a -seconds that is not a positive time or a figure
+// that does not exist.
 func run(args []string, stdout, stderr io.Writer) int {
 	fg := &figs{out: stdout}
 	figures := map[string]func(){
@@ -56,6 +57,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&fg.days, "days", 30, "simulated days for figure 13")
 	fs.Float64Var(&fg.seconds, "seconds", 600, "simulated seconds per run (figures 1, 13 use their own scale)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !(fg.seconds > 0) {
+		fmt.Fprintf(stderr, "figures: -seconds %v is not a positive time\n", fg.seconds)
+		fs.Usage()
 		return 2
 	}
 	if *fig == "all" {
@@ -83,6 +89,15 @@ func (fg *figs) render(title string, series ...*stats.Series) {
 	fmt.Fprint(fg.out, asciiplot.Chart(title, 64, 16, series...))
 }
 
+// run performs one packet-level run; its -seconds was checked, so an error is a bug.
+func (fg *figs) run(s arpanet.Spec) arpanet.Result {
+	res, err := arpanet.Run(s)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // analysis builds the §5 model on the ARPANET-like network once.
 func analysis() *arpanet.Analysis {
 	topo := arpanet.Arpanet1987()
@@ -97,11 +112,11 @@ func (fg *figs) figure1() {
 		tr := topo.HotspotTraffic(func(name string) bool {
 			return strings.HasPrefix(name, "W")
 		}, 120000, 0.80)
-		s := arpanet.NewSimulation(topo, tr, arpanet.SimConfig{Metric: m, Seed: fg.seed, WarmupSeconds: 100})
-		a = s.TrackTrunk("W0", "E0")
-		b = s.TrackTrunk("W1", "E1")
-		s.RunSeconds(100 + fg.seconds)
-		return a, b, s.Report()
+		res := fg.run(arpanet.Spec{
+			Topology: topo, Traffic: tr, Metric: m, Seed: fg.seed, WarmupSeconds: 100, Seconds: 100 + fg.seconds,
+			Track: [][2]string{{"W0", "E0"}, {"W1", "E1"}},
+		})
+		return res.Tracked[0].Utilization, res.Tracked[1].Utilization, res.Report
 	}
 	da, db, dr := run(arpanet.DSPF)
 	ha, hb, hr := run(arpanet.HNSPF)
@@ -292,11 +307,11 @@ func (fg *figs) figure13() {
 		}
 		topo := arpanet.Arpanet1987()
 		tr := topo.GravityTraffic(arpanet.ArpanetWeights(), base*(1+growth*float64(day)))
-		s := arpanet.NewSimulation(topo, tr, arpanet.SimConfig{
-			Metric: m, Seed: fg.seed + int64(day), WarmupSeconds: warmSecs,
+		res := fg.run(arpanet.Spec{
+			Topology: topo, Traffic: tr, Metric: m, Seed: fg.seed + int64(day),
+			WarmupSeconds: warmSecs, Seconds: warmSecs + daySecs,
 		})
-		s.RunSeconds(warmSecs + daySecs)
-		drops.Add(float64(day), float64(s.BufferDrops()))
+		drops.Add(float64(day), float64(res.Report.BufferDrops))
 	}
 	fg.render("dropped packets vs day (metric switched after day 15)", drops)
 }

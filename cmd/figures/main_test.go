@@ -24,6 +24,8 @@ func TestBadInvocationExitsTwo(t *testing.T) {
 		{[]string{"-fig", ""}, `figures: unknown figure ""`},
 		{[]string{"-figure", "8"}, "flag provided but not defined: -figure"},
 		{[]string{"-days", "many"}, `invalid value "many" for flag -days`},
+		{[]string{"-fig", "1", "-seconds", "0"}, "figures: -seconds 0 is not a positive time"},
+		{[]string{"-seconds", "NaN"}, "figures: -seconds NaN is not a positive time"},
 	} {
 		code, out, errOut := runCLI(tc.args...)
 		first, _, _ := strings.Cut(errOut, "\n")

@@ -1,8 +1,8 @@
 // Flapping: the §5.4 failure/recovery behavior under fault injection,
-// driven by the scenario engine. The cross-country trunk UTAH—COLLINS is
-// failed, repaired, and then flapped (three fast down/up cycles) while the
-// engine audits packet conservation, the single-transmitter invariant and
-// post-flood convergence at every checkpoint.
+// driven by the script utah-collins.scn. The cross-country trunk
+// UTAH—COLLINS is failed, repaired, and then flapped (three fast down/up
+// cycles) while the run audits packet conservation, the single-transmitter
+// invariant and post-flood convergence at every checkpoint.
 //
 // The paper's claim (§5.4): a recovered HN-SPF link re-advertises its
 // maximum cost and "eases in" — traffic returns a little at a time, one
@@ -10,52 +10,40 @@
 // a small measured delay and yanks every cross-country route back at once.
 //
 //	go run ./examples/flapping
+//
+// The same script runs from the command line, with the same numbers:
+//
+//	go run ./cmd/arpanetsim -scenario examples/flapping/utah-collins.scn -traffic 250 -warmup 60
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 
-	"repro/internal/network"
-	"repro/internal/node"
-	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/topology"
-	"repro/internal/traffic"
+	arpanet "repro"
 )
+
+// script fails UTAH—COLLINS at t=200, repairs it at t=400 and flaps it
+// three times from t=550, with audits every 50 s.
+//
+//go:embed utah-collins.scn
+var script string
 
 func main() {
 	log.SetFlags(0)
-	g := topology.Arpanet()
-	m := traffic.Gravity(g, topology.ArpanetWeights(), 250_000)
+	topo := arpanet.Arpanet1987()
+	tm := topo.GravityTraffic(arpanet.ArpanetWeights(), 250_000)
 
-	sc := scenario.NewScenario("utah-collins", 700*sim.Second)
-	sc.CheckEvery = 50 * sim.Second
-	sc.DownAt(200*sim.Second, "UTAH", "COLLINS")
-	sc.UpAt(400*sim.Second, "UTAH", "COLLINS")
-	// Three fast cycles: each failure destroys whatever the trunk carried,
-	// each repair must ease back in without double-starting a transmitter.
-	sc.FlapAt(550*sim.Second, "UTAH", "COLLINS", 10*sim.Second, 3)
-
-	link, _ := g.FindTrunk(g.MustLookup("UTAH"), g.MustLookup("COLLINS"))
-	for _, metric := range []node.MetricKind{node.HNSPF, node.DSPF} {
-		var cost, util *stats.Series
-		cfg := scenario.Config{
-			Graph:  g,
-			Matrix: m,
-			Metric: metric,
-			Seed:   1987,
-			Warmup: 60 * sim.Second,
-			Prepare: func(n *network.Network) {
-				cost = n.TrackLinkCost(link)
-				util = n.TrackLink(link)
-			},
-		}
-		res, err := scenario.Run(cfg, sc)
+	for _, metric := range []arpanet.Metric{arpanet.HNSPF, arpanet.DSPF} {
+		res, err := arpanet.Run(arpanet.Spec{
+			Topology: topo, Traffic: tm, Metric: metric, Seed: 1987, WarmupSeconds: 60,
+			Script: script, Track: [][2]string{{"UTAH", "COLLINS"}},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		cost, util := res.Tracked[0].Cost, res.Tracked[0].Utilization
 
 		fmt.Printf("=== %s ===\n", metric)
 		fmt.Println("t(s)   UTAH->COLLINS cost   utilization")
@@ -85,7 +73,7 @@ func main() {
 }
 
 // seriesAt returns the series value at the last sample not after t.
-func seriesAt(s *stats.Series, t float64) float64 {
+func seriesAt(s *arpanet.Series, t float64) float64 {
 	v := 0.0
 	for i := 0; i < s.Len(); i++ {
 		if s.X[i] > t {

@@ -22,6 +22,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	arpanet "repro"
 )
@@ -72,11 +73,12 @@ func run(m arpanet.Metric, bps float64) (terr, sat *arpanet.Series, rep arpanet.
 	tm := topo.NewTraffic()
 	tm.SetRate("SRC", "DST", bps)
 	tm.SetRate("DST", "SRC", bps/4) // light reverse chatter
-	sim := arpanet.NewSimulation(topo, tm, arpanet.SimConfig{
-		Metric: m, Seed: 7, WarmupSeconds: 100,
+	res, err := arpanet.Run(arpanet.Spec{
+		Topology: topo, Traffic: tm, Metric: m, Seed: 7, WarmupSeconds: 100, Seconds: 400,
+		Track: [][2]string{{"SRC", "MID"}, {"SRC", "DST"}},
 	})
-	terr = sim.TrackTrunk("SRC", "MID")
-	sat = sim.TrackTrunk("SRC", "DST")
-	sim.RunSeconds(400)
-	return terr, sat, sim.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Tracked[0].Utilization, res.Tracked[1].Utilization, res.Report
 }

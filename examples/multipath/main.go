@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	arpanet "repro"
 )
@@ -39,9 +40,11 @@ func run(multipath bool) arpanet.Report {
 	topo := arpanet.Grid(2, 2, arpanet.T56)
 	tr := topo.NewTraffic()
 	tr.SetRate("R0.C0", "R1.C1", 1.6*56_000)
-	s := arpanet.NewSimulation(topo, tr, arpanet.SimConfig{
-		Metric: arpanet.HNSPF, Seed: 3, WarmupSeconds: 60, Multipath: multipath,
+	res, err := arpanet.Run(arpanet.Spec{
+		Topology: topo, Traffic: tr, Metric: arpanet.HNSPF, Seed: 3, WarmupSeconds: 60, Seconds: 300, Multipath: multipath,
 	})
-	s.RunSeconds(300)
-	return s.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Report
 }

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	arpanet "repro"
 )
@@ -22,15 +23,15 @@ func main() {
 
 	// Run two minutes of simulated peak hour under HN-SPF. The warmup
 	// lets routing and queues reach steady state before measuring.
-	sim := arpanet.NewSimulation(topo, tm, arpanet.SimConfig{
-		Metric:        arpanet.HNSPF,
-		Seed:          1,
-		WarmupSeconds: 60,
+	res, err := arpanet.Run(arpanet.Spec{
+		Topology: topo, Traffic: tm, Metric: arpanet.HNSPF, Seed: 1, WarmupSeconds: 60, Seconds: 180,
 	})
-	sim.RunSeconds(180)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println()
-	fmt.Print(sim.Report())
+	fmt.Print(res.Report)
 
 	// The revised metric is also usable on its own: feed it a measured
 	// delay every ten seconds, flood the cost it reports.

@@ -79,7 +79,7 @@ func TestQueueLimitControlsDrops(t *testing.T) {
 		n := New(Config{Graph: g, Matrix: m, Metric: node.MinHop, Seed: 11,
 			QueueLimit: limit, Warmup: 20 * sim.Second})
 		n.Run(120 * sim.Second)
-		return n.BufferDrops()
+		return n.Report().BufferDrops
 	}
 	small, large := run(5), run(200)
 	if small <= large {

@@ -109,10 +109,6 @@ func (n *Network) Report() Report {
 	return r
 }
 
-// BufferDrops returns user packets generated since warmup and dropped to
-// full buffers.
-func (n *Network) BufferDrops() int64 { return n.bufferDrops.Value() }
-
 // minPathHops is the traffic-weighted mean minimum (hop) path length over
 // the matrix — Table 1's "Internode Minimum Path".
 func (n *Network) minPathHops() float64 {

@@ -28,6 +28,9 @@ type Config struct {
 	Seed      int64
 	Warmup    sim.Time
 	Multipath bool
+	// ModuleFactory overrides the per-link cost module (see
+	// network.Config); the ablation experiments run modified HNMs with it.
+	ModuleFactory func(l topology.Link) node.CostModule
 	// Background and BackgroundEpoch configure the hybrid fluid/packet
 	// engine (see network.Config). Scenarios containing BackgroundSurge or
 	// SwitchBackgroundMatrix events require a non-nil Background; schedule
@@ -92,6 +95,7 @@ func Run(cfg Config, sc *Scenario) (Result, error) {
 		Seed:            cfg.Seed,
 		Warmup:          cfg.Warmup,
 		Multipath:       cfg.Multipath,
+		ModuleFactory:   cfg.ModuleFactory,
 		Trace:           cfg.Trace,
 		Background:      cfg.Background,
 		BackgroundEpoch: cfg.BackgroundEpoch,

@@ -14,7 +14,7 @@
 //     within its connected component.
 //
 // Scenarios come from the builder API (NewScenario().DownAt(...)...) or
-// from the line-oriented script format (Parse / ParseFile; see the grammar
+// from the line-oriented script format (Parse; see the grammar
 // in script.go). Run executes one seed; RunBatch fans a scenario over many
 // seeds (internal/fanout), each seed in its own independent Network, with
 // results that are byte-for-byte identical at any GOMAXPROCS.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -75,20 +74,6 @@ func Parse(r io.Reader) (*Scenario, error) {
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
-	}
-	return sc, nil
-}
-
-// ParseFile reads a scenario script from a file.
-func ParseFile(path string) (*Scenario, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc, err := Parse(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return sc, nil
 }

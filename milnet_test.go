@@ -12,9 +12,7 @@ func milnetRun(t *testing.T, m Metric, bps float64) Report {
 	t.Helper()
 	topo := Milnet1987()
 	tr := topo.GravityTraffic(MilnetWeights(), bps)
-	s := NewSimulation(topo, tr, SimConfig{Metric: m, Seed: 88, WarmupSeconds: 60})
-	s.RunSeconds(360)
-	return s.Report()
+	return mustRun(t, Spec{Topology: topo, Traffic: tr, Metric: m, Seed: 88, WarmupSeconds: 60, Seconds: 360}).Report
 }
 
 func TestMilnetTopologyAPI(t *testing.T) {

@@ -17,11 +17,10 @@ func largeFlowRun(t *testing.T, multipath bool, seed int64) Report {
 	topo := Grid(2, 2, T56)
 	tr := topo.NewTraffic()
 	tr.SetRate("R0.C0", "R1.C1", 1.6*56000)
-	s := NewSimulation(topo, tr, SimConfig{
-		Metric: HNSPF, Seed: seed, WarmupSeconds: 60, Multipath: multipath,
-	})
-	s.RunSeconds(300)
-	return s.Report()
+	return mustRun(t, Spec{
+		Topology: topo, Traffic: tr,
+		Metric: HNSPF, Seed: seed, WarmupSeconds: 60, Seconds: 300, Multipath: multipath,
+	}).Report
 }
 
 func TestMultipathSplitsLargeFlow(t *testing.T) {
@@ -84,11 +83,10 @@ func TestMultipathHarmlessOnTreePaths(t *testing.T) {
 		topo.AddTrunk("B", "C", T56, 0.001)
 		tr := topo.NewTraffic()
 		tr.SetRate("A", "C", 20000)
-		s := NewSimulation(topo, tr, SimConfig{
-			Metric: HNSPF, Seed: 4, WarmupSeconds: 30, Multipath: multipath,
-		})
-		s.RunSeconds(120)
-		return s.Report()
+		return mustRun(t, Spec{
+			Topology: topo, Traffic: tr,
+			Metric: HNSPF, Seed: 4, WarmupSeconds: 30, Seconds: 120, Multipath: multipath,
+		}).Report
 	}
 	a, b := run(false), run(true)
 	if a.DeliveredPackets != b.DeliveredPackets || a.ActualPathHops != b.ActualPathHops {
@@ -105,9 +103,8 @@ func TestMultipathWorksWithAllMetrics(t *testing.T) {
 	for _, m := range []Metric{HNSPF, DSPF, MinHop} {
 		topo := Grid(2, 2, T56)
 		tr := topo.UniformTraffic(40000)
-		s := NewSimulation(topo, tr, SimConfig{Metric: m, Seed: 5, WarmupSeconds: 30, Multipath: true})
-		s.RunSeconds(120)
-		if r := s.Report(); r.DeliveredRatio < 0.99 {
+		r := mustRun(t, Spec{Topology: topo, Traffic: tr, Metric: m, Seed: 5, WarmupSeconds: 30, Seconds: 120, Multipath: true}).Report
+		if r.DeliveredRatio < 0.99 {
 			t.Errorf("%v multipath delivered %.3f at light load", m, r.DeliveredRatio)
 		}
 	}

@@ -12,9 +12,7 @@ func table1Test(t *testing.T, m Metric, bps float64) Report {
 	t.Helper()
 	topo := Arpanet1987()
 	tr := topo.GravityTraffic(ArpanetWeights(), bps)
-	s := NewSimulation(topo, tr, SimConfig{Metric: m, Seed: 1987, WarmupSeconds: 60})
-	s.RunSeconds(260)
-	return s.Report()
+	return mustRun(t, Spec{Topology: topo, Traffic: tr, Metric: m, Seed: 1987, WarmupSeconds: 60, Seconds: 260}).Report
 }
 
 func TestTable1Shape(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 // Topology is a network of PSNs joined by bidirectional trunks. Build one
 // with NewTopology/AddNode/AddTrunk or use a canned builder
 // (Arpanet1987, TwoRegion, Ring). Topologies are immutable once a
-// Simulation or Analysis is constructed from them.
+// run or an Analysis is built from them.
 type Topology struct {
 	g *topology.Graph
 }

@@ -4,24 +4,21 @@ import "testing"
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	topo := Ring(4, T56)
-	s := NewSimulation(topo, topo.UniformTraffic(10000), SimConfig{Seed: 1})
-	s.RunSeconds(30)
-	if s.Trace() != nil {
+	res := mustRun(t, Spec{Topology: topo, Traffic: topo.UniformTraffic(10000), Seed: 1, Seconds: 30})
+	if res.Trace != nil {
 		t.Error("trace should be nil unless TraceCapacity is set")
 	}
 }
 
 func TestTraceRecordsLinkEventsAndUpdates(t *testing.T) {
 	topo := Ring(4, T56)
-	tr := topo.UniformTraffic(20000)
-	s := NewSimulation(topo, tr, SimConfig{
+	res := mustRun(t, Spec{
+		Topology: topo, Traffic: topo.UniformTraffic(20000),
 		Metric: HNSPF, Seed: 2, TraceCapacity: 10000,
+		Script: "duration 120\nat 30 down N0 N1\nat 60 up N0 N1\n",
 	})
-	s.FailTrunkAt(30, "N0", "N1")
-	s.RestoreTrunkAt(60, "N0", "N1")
-	s.RunSeconds(120)
 
-	ring := s.Trace()
+	ring := res.Trace
 	if ring == nil {
 		t.Fatal("trace enabled but nil")
 	}
@@ -53,11 +50,10 @@ func TestTraceRecordsDrops(t *testing.T) {
 	topo.AddTrunk("A", "B", T56, 0.001)
 	tr := topo.NewTraffic()
 	tr.SetRate("A", "B", 80000) // 1.4× the trunk
-	s := NewSimulation(topo, tr, SimConfig{
-		Metric: MinHop, Seed: 3, TraceCapacity: 100,
-	})
-	s.RunSeconds(60)
-	ring := s.Trace()
+	ring := mustRun(t, Spec{
+		Topology: topo, Traffic: tr,
+		Metric: MinHop, Seed: 3, TraceCapacity: 100, Seconds: 60,
+	}).Trace
 	if ring.Count(TraceDrop) == 0 {
 		t.Fatal("sustained 140% load must log drops")
 	}
