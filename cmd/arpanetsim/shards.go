@@ -162,8 +162,8 @@ func printCounters(w io.Writer, s *shard.Sim) {
 	fmt.Fprintf(w, "barrier     %d windows, %d lookahead-cut, %d wires, %d critical events, bound %.2fx\n",
 		b.Windows, b.EndedByLookahead, b.WiresDelivered, b.CriticalEvents, float64(s.Fired())/float64(max(b.CriticalEvents, 1)))
 	k := s.KernelStats()
-	fmt.Fprintf(w, "kernel      %d slots, %d buckets, width %dus, %d retunes, ladder %.2f%% of fires\n",
-		k.Slots, k.Buckets, k.Width, k.Retunes, 100*float64(k.LadderPops)/float64(max(k.Fired, 1)))
+	fmt.Fprintf(w, "kernel      %d slots, %d buckets, width %dus, %d retunes, ladder %.2f%% of fires, %d front-sorted\n",
+		k.Slots, k.Buckets, k.Width, k.Retunes, 100*float64(k.LadderPops)/float64(max(k.Fired, 1)), k.Sorted)
 }
 
 // printRoutes prints the size of the static plane's route table beside the

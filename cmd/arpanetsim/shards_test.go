@@ -54,7 +54,7 @@ func TestKernelLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(2 * sim.Second)
+	s.Run(10 * sim.Second) // past a tune check, so the calendar has sorted a front
 	var out strings.Builder
 	printCounters(&out, s)
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -63,16 +63,16 @@ func TestKernelLine(t *testing.T) {
 	}
 	var slots, buckets int
 	var width sim.Time
-	var retunes uint64
+	var retunes, sorted uint64
 	var ladder float64
-	if _, err := fmt.Sscanf(lines[2], "kernel %d slots, %d buckets, width %dus, %d retunes, ladder %f%% of fires",
-		&slots, &buckets, &width, &retunes, &ladder); err != nil {
+	if _, err := fmt.Sscanf(lines[2], "kernel %d slots, %d buckets, width %dus, %d retunes, ladder %f%% of fires, %d front-sorted",
+		&slots, &buckets, &width, &retunes, &ladder, &sorted); err != nil {
 		t.Fatalf("kernel line %q: %v", lines[2], err)
 	}
 	k := s.KernelStats()
 	share := 100 * float64(k.LadderPops) / float64(k.Fired)
 	if slots != k.Slots || buckets != k.Buckets || width != k.Width || retunes != k.Retunes ||
-		math.Abs(ladder-share) > 0.005 || k.Fired == 0 {
+		math.Abs(ladder-share) > 0.005 || sorted != k.Sorted || k.Fired == 0 || k.Sorted == 0 {
 		t.Errorf("kernel line %q, KernelStats %+v (ladder %.4f%%)", lines[2], k, share)
 	}
 }

@@ -29,17 +29,18 @@ const dvEntryBits = 24
 
 // dvState is one PSN's distance-vector routing state.
 type dvState struct {
-	dist []float64                     // own estimated distance per destination
-	next []topology.LinkID             // chosen outgoing link per destination
-	nbr  map[topology.LinkID][]float64 // last vector heard per outgoing link
+	dist []float64         // own estimated distance per destination
+	next []topology.LinkID // chosen outgoing link per destination
+	nbr  [][]float64       // by out-line: the last vector heard over it, nil until one is
 }
 
-// newDVState initializes a vector knowing only the node itself.
-func newDVState(self topology.NodeID, n int) *dvState {
+// newDVState initializes the vector of a node with the given number of
+// out-lines, knowing only the node itself.
+func newDVState(self topology.NodeID, n, lines int) *dvState {
 	s := &dvState{
 		dist: make([]float64, n),
 		next: make([]topology.LinkID, n),
-		nbr:  make(map[topology.LinkID][]float64),
+		nbr:  make([][]float64, lines),
 	}
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)
@@ -60,8 +61,8 @@ func (n *Network) dvRecompute(p *psn) {
 		}
 		best := math.Inf(1)
 		bestLink := topology.NoLink
-		for _, lid := range n.g.Out(self) {
-			v := s.nbr[lid]
+		for i, lid := range n.g.Out(self) {
+			v := s.nbr[i]
 			if v == nil || n.links[lid].Down() {
 				continue
 			}
@@ -110,7 +111,7 @@ func (n *Network) dvReceive(p *psn, pkt *node.Packet) {
 	if rev.From != p.id {
 		panic(fmt.Sprintf("network: vector mis-associated at node %d", p.id))
 	}
-	p.dv.nbr[out] = pkt.Vector.Dist
+	p.dv.nbr[n.g.OutLine(out)] = pkt.Vector.Dist
 }
 
 // dvSetup converts the network's PSNs to 1969 distance-vector routing and
@@ -118,7 +119,7 @@ func (n *Network) dvReceive(p *psn, pkt *node.Packet) {
 // Config.Metric is node.BF1969.
 func (n *Network) dvSetup() {
 	for i, p := range n.psns {
-		p.dv = newDVState(p.id, n.g.NumNodes())
+		p.dv = newDVState(p.id, n.g.NumNodes(), len(n.g.Out(p.id)))
 		offset := sim.Time(int64(dvExchangePeriod) * int64(i) / int64(len(n.psns)))
 		// Fire-and-forget: see dvExchange — the chain is never cancelled.
 		_ = n.kernel.ScheduleCall(offset+dvExchangePeriod, n.dvExchangeFn, p)

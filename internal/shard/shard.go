@@ -311,6 +311,7 @@ func (s *Sim) KernelStats() sim.Stats {
 		t.Rejected += k.Rejected
 		t.Retunes += k.Retunes
 		t.LadderPops += k.LadderPops
+		t.Sorted += k.Sorted
 		t.Slots += k.Slots
 		t.Buckets += k.Buckets
 		t.Width = max(t.Width, k.Width)

@@ -20,29 +20,35 @@ package sim
 // events is drained as one contiguous head run, already in FIFO order —
 // no per-event scan, no re-sort. A bucket is sorted exactly once, when the
 // scan reaches it, amortizing to O(1) per event for the steady workload's
-// short chains. An insert into the sorted front walks the chain from its
-// head, so n same-instant events scheduled into a live front cost O(n²)
-// compares; such inserts are under 0.03% of schedules on every benchmark
-// workload, and their chains a handful of events.
+// short chains. Chains are pushed LIFO, so one node's same-instant fan-out
+// — a flooded update's copies, scheduled in eseq order — reaches the sort
+// strictly descending; the sort reverses the chain first, and such a run
+// costs one compare per event, not n²/2. An insert into the sorted front
+// walks the chain from its head, so n same-instant events scheduled into a
+// live front cost O(n²) compares; such inserts are under 0.03% of
+// schedules on every benchmark workload, and their chains a handful of
+// events.
 //
 // Sizing: the bucket width targets about one event per bucket at the scan
 // front, estimated from the observed fire rate — simulated time advanced
-// per fired event — rather than from gaps in the pending population (see
-// tuneWidth for why the population statistic fails). The bucket count is
-// sized from the live population, not from its span: sixteen buckets per
-// pending event, rounded up to a power of two within
-// [minBuckets, maxBuckets]. By Little's law the mean time an event waits
-// between schedule and fire is live × fire interval; the window is more
-// than eight times that (sixteen buckets per event, each more than half a
-// fire interval wide once floored to a power of two), so by Markov's
-// inequality at most one fire in eight was scheduled beyond it while the
-// population and rate hold. In practice the share is a fraction of a
-// percent: what lies beyond — periodic tickers, outage timers — pops off
-// the ladder once per firing. Retunes are triggered by bucket over-fill,
-// by width drift against the observed rate, or by ladder churn (more than
-// one fire in eight leaving through the ladder, as on a kernel whose
-// traffic lies beyond its boot window), and never fire under a steady load
-// — which is how the zero-allocation guarantee holds.
+// per fired event over the last tunePeriod fires, not since the last
+// retune, so a flood wave after a quiet stretch is sized by its own rate —
+// rather than from gaps in the pending population (see tuneWidth for why
+// the population statistic fails). The bucket count is sized from the live
+// population, not from its span: sixteen buckets per pending event,
+// rounded up to a power of two within [minBuckets, maxBuckets]. By
+// Little's law the mean time an event waits between schedule and fire is
+// live × fire interval; the window is more than eight times that (sixteen
+// buckets per event, each more than half a fire interval wide once floored
+// to a power of two), so by Markov's inequality at most one fire in eight
+// was scheduled beyond it while the population and rate hold. In practice
+// the share is a fraction of a percent: what lies beyond — periodic
+// tickers, outage timers — pops off the ladder once per firing. Retunes
+// are triggered by bucket over-fill, by width drift against the observed
+// rate, or by ladder churn (more than one fire in eight leaving through
+// the ladder, as on a kernel whose traffic lies beyond its boot window),
+// and never fire under a steady load — which is how the zero-allocation
+// guarantee holds.
 //
 // Tie-breaking: dequeue order is lexicographic (at, eseq) everywhere —
 // the sorted front, the ladder heap, and the interleave between them.
@@ -253,6 +259,10 @@ func (k *Kernel) sortFront(i int) {
 		}
 		s = nxt
 	}
+	// c holds the LIFO chain newest first: reversed, a same-instant fan-out
+	// is already sorted (see the file comment).
+	slices.Reverse(c)
+	k.sorted += uint64(len(c))
 	if len(c) > 32 {
 		slices.SortFunc(c, func(a, b int32) int {
 			if k.slotLess(a, b) {
@@ -438,15 +448,16 @@ func (k *Kernel) retune() {
 
 // tuneWidth derives the bucket width. The primary estimator is the
 // observed fire rate — the simulated time advanced per event since the
-// last retune — which directly targets an occupancy of about one event
-// per bucket at the scan front regardless of how the *pending* population
-// is shaped. (Population gaps are a trap here: the simulator's pending
-// set is bimodal, a handful of fast in-flight packet events plus a crowd
-// of slow periodic tickers, and any population-gap statistic tunes for
-// the tickers and piles the hot events into one bucket.) When too few
-// events have fired since the last retune to estimate a rate — cold
-// start, or a burst enqueue forcing a grow — fall back to twice the mean
-// gap of the middle 80% of the sorted pending timestamps.
+// last tuneCheck or retune, at most tunePeriod fires back — which directly
+// targets an occupancy of about one event per bucket at the scan front
+// regardless of how the *pending* population is shaped. (Population gaps
+// are a trap here: the simulator's pending set is bimodal, a handful of
+// fast in-flight packet events plus a crowd of slow periodic tickers, and
+// any population-gap statistic tunes for the tickers and piles the hot
+// events into one bucket.) When too few events have fired since the last
+// check to estimate a rate — cold start, or a burst enqueue forcing a grow
+// — fall back to twice the mean gap of the middle 80% of the sorted
+// pending timestamps.
 func (k *Kernel) tuneWidth(ats []Time) Time {
 	var w Time
 	if fires := k.fired - k.tuneFired; fires >= 512 && k.now > k.tuneNow {

@@ -504,3 +504,64 @@ func TestStopMidInstant(t *testing.T) {
 		t.Fatalf("after resume: now=%v pending=%d, want %v and 0", k.Now(), k.Pending(), at)
 	}
 }
+
+// TestRetuneFollowsBurst runs a sparse stretch — 64 tickers firing every
+// 50–150 ms for several tune periods, so the calendar settles on
+// millisecond buckets — and then a dense burst: 200 events rescheduling
+// themselves 1 µs to 2 ms ahead, five fires a millisecond per event, the
+// way a flood wave follows a quiet spell. The width check samples the rate
+// of the last tunePeriod fires, so the first check after the burst begins
+// must retune to microsecond buckets. Averaged since the last retune
+// instead, the quiet stretch outweighs the burst for dozens of checks, the
+// burst piles into a few wide buckets and three fires in four go through
+// a front sort (one in five after the retune).
+func TestRetuneFollowsBurst(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1987))
+	k := New()
+	var tick Event
+	tick = func(now Time) { k.Schedule(50*Millisecond+Time(rng.Intn(100_000)), tick) }
+	for i := 0; i < 64; i++ {
+		k.Schedule(Time(rng.Intn(100_000)), tick)
+	}
+	// Sparse stretch: stop right after a width check, so the burst's first
+	// check samples only its own fires (and the tickers among them).
+	for k.Fired() < 4*tunePeriod {
+		k.Step()
+	}
+	quiet := k.Stats()
+	if quiet.Width < 256*Microsecond {
+		t.Fatalf("after the sparse stretch: %+v; want buckets of 256 µs or more", quiet)
+	}
+
+	const burstFires = 4 * tunePeriod
+	left := burstFires
+	var hot Event
+	hot = func(now Time) {
+		if left--; left > 0 {
+			k.Schedule(1+Time(rng.Intn(2000)), hot)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		k.Schedule(1+Time(rng.Intn(2000)), hot)
+	}
+	for k.Fired() < quiet.Fired+tunePeriod {
+		k.Step()
+	}
+	first := k.Stats()
+	for left > 0 {
+		k.Step()
+	}
+	burst := k.Stats()
+	t.Logf("quiet %+v", quiet)
+	t.Logf("first check of the burst %+v", first)
+	t.Logf("end of the burst %+v", burst)
+	if first.Retunes != quiet.Retunes+1 || first.Width > 8*Microsecond {
+		t.Errorf("first check of the burst: %d retunes (%d before it), width %d µs; want one more retune, to buckets of 8 µs or less",
+			first.Retunes, quiet.Retunes, int64(first.Width))
+	}
+	fires := burst.Fired - first.Fired
+	if sorted := burst.Sorted - first.Sorted; sorted > fires/3 {
+		t.Errorf("after the burst's first check, %d of %d fires went through a front sort; want at most a third", sorted, fires)
+	}
+}

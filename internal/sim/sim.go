@@ -192,9 +192,13 @@ type Kernel struct {
 	rejected  uint64 // schedules refused with ErrPastEvent
 	retunes   uint64
 	overPops  uint64 // ladder pops, cumulative
+	sorted    uint64 // events through sortFront's general path, cumulative
 	tuneTick  int    // fires left until the next tuneCheck
-	tuneNow   Time   // clock at the last retune — fire-rate width sampling
-	tuneFired uint64 // fire count at the last retune
+	// tuneNow and tuneFired sample the fire rate over the fires since the
+	// last tuneCheck or retune, whichever came later: at most tunePeriod
+	// fires, so a flood after a quiet stretch is measured at its own rate.
+	tuneNow   Time   // clock at the last tuneCheck or retune
+	tuneFired uint64 // fire count at the last tuneCheck or retune
 	tunePops  uint64 // overPops at the last tuneCheck — churn detector
 	running   bool
 	halted    bool
@@ -242,6 +246,7 @@ type Stats struct {
 	Rejected   uint64 // schedules refused with ErrPastEvent: events their callers wanted and never got
 	Retunes    uint64 // calendar rebuilds, whatever the trigger
 	LadderPops uint64 // events (live or cancelled) that left through the overflow ladder
+	Sorted     uint64 // live events the front bucket sorted as a chain of three or more (or holding a cancelled slot)
 	Slots      int    // slot-store size: the peak number of events ever queued at once
 	Buckets    int    // current calendar size
 	Width      Time   // current bucket width
@@ -252,7 +257,7 @@ type Stats struct {
 func (k *Kernel) Stats() Stats {
 	return Stats{
 		Scheduled: k.seq, Fired: k.fired, Cancelled: k.cancelled, Rejected: k.rejected,
-		Retunes: k.retunes, LadderPops: k.overPops,
+		Retunes: k.retunes, LadderPops: k.overPops, Sorted: k.sorted,
 		Slots: len(k.at), Buckets: len(k.bucket), Width: k.width,
 	}
 }
@@ -527,14 +532,17 @@ func (k *Kernel) tuneCheck() {
 	k.tunePops = k.overPops
 	if fires := k.fired - k.tuneFired; fires >= 512 {
 		// Width drift: the bucket width the calendar was tuned for no
-		// longer matches the observed event rate (events per unit of
-		// simulated time), so chains are bunching up or the scan is
-		// sprinting over empties. Ladder churn: more than one recent fire
-		// in eight drained through the overflow heap, more than a window
-		// sized to the population lets through (calendar.go), so the window
-		// is mis-anchored or mis-sized. Either way, rebuild. A ladder merely
-		// *holding* far-future events (idle tickers, outage timers) pops
-		// rarely and triggers nothing.
+		// longer matches the event rate of the last tunePeriod fires
+		// (events per unit of simulated time), so chains are bunching up or
+		// the scan is sprinting over empties. The rate is the recent one,
+		// not the average since the last retune: a flood wave after a quiet
+		// stretch would otherwise be diluted by the quiet and run on
+		// buckets an order of magnitude too wide. Ladder churn: more than
+		// one recent fire in eight drained through the overflow heap, more
+		// than a window sized to the population lets through (calendar.go),
+		// so the window is mis-anchored or mis-sized. Either way, rebuild.
+		// A ladder merely *holding* far-future events (idle tickers, outage
+		// timers) pops rarely and triggers nothing.
 		expect := (k.now - k.tuneNow) / Time(fires)
 		if expect < 1 {
 			expect = 1
@@ -544,4 +552,5 @@ func (k *Kernel) tuneCheck() {
 			k.retune()
 		}
 	}
+	k.tuneNow, k.tuneFired = k.now, k.fired
 }

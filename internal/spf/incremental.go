@@ -378,6 +378,13 @@ func (r *IncrementalRouter) improve(n topology.NodeID, d float64, via topology.L
 // relaxFrontier runs Dijkstra from an initialized frontier. If inSet is
 // non-nil, only nodes with inSet true may be improved (used by the
 // increase repair, which must not touch the intact part of the tree).
+//
+// A node whose distance fell may have changed its first line while its
+// children's sums round to their old distances — a one-ulp improvement
+// above a long link — so they are never improved. A child reached at its
+// own distance over its own parent line therefore takes top's line and
+// is pushed to pass it down; its distance and parent stay. (top is never
+// the root: every node pushed here has a positive distance.)
 func (r *IncrementalRouter) relaxFrontier(pq *nodeHeap, inSet []bool) {
 	t, g, boot := &r.tree, r.tab.g, r.tab.boot
 	for !pq.empty() {
@@ -399,6 +406,9 @@ func (r *IncrementalRouter) relaxFrontier(pq *nodeHeap, inSet []bool) {
 			}
 			if d := t.dist[top] + c; d < t.dist[to] {
 				r.improve(to, d, lid, pq)
+			} else if d == t.dist[to] && t.parent[to] == uint16(g.InLine(lid)) && t.nextHop[to] != t.nextHop[top] {
+				t.nextHop[to] = t.nextHop[top]
+				pq.push(to, d)
 			}
 		}
 	}

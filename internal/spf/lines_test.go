@@ -116,6 +116,9 @@ func (r *refRouter) relax(inSet []bool) {
 			}
 			if d := r.dist[top] + r.costs[lid]; d < r.dist[to] {
 				r.improve(to, d, lid)
+			} else if d == r.dist[to] && r.parent[to] == lid && r.nextHop[to] != r.nextHop[top] {
+				r.nextHop[to] = r.nextHop[top] // top's line moved, to's sum did not
+				r.pq.push(to, d)
 			}
 		}
 	}
@@ -264,22 +267,61 @@ func TestLineNumbersAgainstLinkIDReference(t *testing.T) {
 					}
 				}
 			}
-			for i, ref := range refs {
-				r := tab.Router(i)
-				if err := checkLines(r); err != nil {
-					t.Fatalf("%s step %d: %v", c.name, step, err)
-				}
-				for d := 0; d < g.NumNodes(); d++ {
-					dst := topology.NodeID(d)
-					if r.Tree().Dist(dst) != ref.dist[d] || r.Tree().Parent(dst) != ref.parent[d] || r.Tree().NextHop(dst) != ref.nextHop[d] {
-						t.Fatalf("%s step %d root %d node %d: tree says dist %v parent %d next hop %d, the link-ID reference %v / %d / %d",
-							c.name, step, ref.root, d, r.Tree().Dist(dst), r.Tree().Parent(dst), r.Tree().NextHop(dst), ref.dist[d], ref.parent[d], ref.nextHop[d])
-					}
-				}
-			}
+			compareWithReference(t, fmt.Sprintf("%s step %d", c.name, step), tab, refs)
 		}
 		if st := tab.Stats(); st.Repairs < 100 || st.Skipped == 0 {
 			t.Errorf("%s: only %d repairs and %d skips; the run proves little", c.name, st.Repairs, st.Skipped)
+		}
+	}
+
+	// One input small integer costs never reach: a one-ulp improvement above
+	// a long link. R reaches A directly at 3 and through M at 3.5; M→A then
+	// drops so A sits one ulp below 3 through M, on R's other line. B lies
+	// 1000 beyond A: 1003 either way, so B is never improved — yet its path
+	// now leaves through M, and its line must follow.
+	g := topology.New()
+	r, a, m, b := g.AddNode("R"), g.AddNode("A"), g.AddNode("M"), g.AddNode("B")
+	ra, _ := g.AddTrunk(r, a, topology.T56)
+	rm, _ := g.AddTrunk(r, m, topology.T56)
+	ma, _ := g.AddTrunk(m, a, topology.T56)
+	ab, _ := g.AddTrunk(a, b, topology.T56)
+	costs := make([]float64, g.NumLinks())
+	for i := range costs {
+		costs[i] = 1
+	}
+	costs[ra], costs[rm], costs[ma], costs[ab] = 3, 1, 2.5, 1000
+	tab := NewTable(g, allRoots(g), costs)
+	var refs []*refRouter
+	for _, root := range allRoots(g) {
+		refs = append(refs, newRefRouter(g, root, costs))
+	}
+	ulp := math.Nextafter(3, 0) - 1 // exact: 1 + ulp is the float below 3
+	for i, ref := range refs {
+		tab.Router(i).Update(ma, ulp)
+		ref.update(ma, ulp)
+	}
+	compareWithReference(t, "one-ulp improvement", tab, refs)
+	if line := tab.Router(int(r)).Tree().NextLine(b); line != g.OutLine(rm) {
+		t.Errorf("one-ulp improvement: R forwards to B on line %d, want %d (toward M)", line, g.OutLine(rm))
+	}
+}
+
+// compareWithReference requires every router of tab to pass checkLines and
+// to agree, entry by entry, with its link-ID reference.
+func compareWithReference(t *testing.T, at string, tab *Table, refs []*refRouter) {
+	t.Helper()
+	g := tab.g
+	for i, ref := range refs {
+		r := tab.Router(i)
+		if err := checkLines(r); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		for d := 0; d < g.NumNodes(); d++ {
+			dst := topology.NodeID(d)
+			if r.Tree().Dist(dst) != ref.dist[d] || r.Tree().Parent(dst) != ref.parent[d] || r.Tree().NextHop(dst) != ref.nextHop[d] {
+				t.Fatalf("%s root %d node %d: tree says dist %v parent %d next hop %d, the link-ID reference %v / %d / %d",
+					at, ref.root, d, r.Tree().Dist(dst), r.Tree().Parent(dst), r.Tree().NextHop(dst), ref.dist[d], ref.parent[d], ref.nextHop[d])
+			}
 		}
 	}
 }
