@@ -122,7 +122,7 @@ func oscillationPeriod(tb testing.TB, seed int64, opts ...HNMOption) int {
 	for i := 0; i < a.Len() && i < b.Len(); i++ {
 		diff = append(diff, a.Y[i]-b.Y[i])
 	}
-	return stats.DominantPeriod(diff, 200, 0.15)
+	return dominantPeriod(diff, 200, 0.15)
 }
 
 func TestAblationAveragingLengthensPeriod(t *testing.T) {

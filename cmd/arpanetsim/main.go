@@ -390,9 +390,6 @@ func printScenario(w io.Writer, byMetric [][]arpanet.Result, asJSON bool) (code 
 			for _, v := range r.Violations {
 				fmt.Fprintf(w, "  VIOLATION seed %d at %v [%s]: %s\n", r.Seed, v.At, v.Check, v.Err)
 			}
-			if r.StoppedAt != 0 {
-				fmt.Fprintf(w, "  seed %d frozen at %v\n", r.Seed, r.StoppedAt)
-			}
 		}
 	}
 	return code, nil

@@ -1,0 +1,195 @@
+package arpanet
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// docsChecked are the documents whose code names TestDocsNameRealCode holds
+// to the code. bench/README.md is not among them: bench/ is frozen, and its
+// stale internal/analysis.TestRepoIsClean waits for the benchmark's next
+// revision.
+var docsChecked = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"}
+
+var (
+	fence     = regexp.MustCompile("(?s)```[^\n]*\n(.*?)```")
+	codeSpan  = regexp.MustCompile("`([^`]+)`")
+	testName  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
+	goRunCmd  = regexp.MustCompile(`go run \./cmd/([a-z]+)((?:[ \t]+[^\s|;&>#]+)*)`)
+	flagDecls = map[string]bool{
+		"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+		"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+		"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+		"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+	}
+)
+
+// codeIn returns the code of a Markdown document: every fenced block and
+// every inline span, a span's line breaks read as spaces.
+func codeIn(doc string) []string {
+	var code []string
+	for _, m := range fence.FindAllStringSubmatch(doc, -1) {
+		code = append(code, m[1])
+	}
+	for _, m := range codeSpan.FindAllStringSubmatch(fence.ReplaceAllString(doc, ""), -1) {
+		code = append(code, strings.ReplaceAll(m[1], "\n", " "))
+	}
+	return code
+}
+
+// moduleFuncs returns the name of every function declared in the module,
+// test files and bench/ included.
+func moduleFuncs(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// commandFlags returns the flags cmd/<name> defines: the name argument of
+// every flag.Xxx or fs.Xxx declaration in its non-test files.
+func commandFlags(t *testing.T, name string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("cmd", name, "*.go"))
+	if err != nil || len(files) == 0 {
+		return nil
+	}
+	flags := map[string]bool{}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagDecls[sel.Sel.Name] {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil {
+						flags[s] = true
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	return flags
+}
+
+// checkDoc reports every stale name in one document's code: a TestX,
+// BenchmarkX or FuzzX that is no prefix of a module function (docs cite -run
+// patterns such as TestBF1969 and TestStaticRoute*), and a `go run ./cmd/X`
+// flag that X does not define.
+func checkDoc(t *testing.T, doc, text string, funcs []string) []string {
+	t.Helper()
+	var stale []string
+	flagsOf := map[string]map[string]bool{}
+	for _, code := range codeIn(text) {
+		for _, name := range testName.FindAllString(code, -1) {
+			found := false
+			for _, fn := range funcs {
+				if strings.HasPrefix(fn, name) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				stale = append(stale, doc+": "+name+" names no function in the module")
+			}
+		}
+		for _, m := range goRunCmd.FindAllStringSubmatch(code, -1) {
+			cmd := m[1]
+			if flagsOf[cmd] == nil {
+				flagsOf[cmd] = commandFlags(t, cmd)
+			}
+			if flagsOf[cmd] == nil {
+				stale = append(stale, doc+": go run ./cmd/"+cmd+" names no command")
+				continue
+			}
+			for _, arg := range strings.Fields(m[2]) {
+				if !strings.HasPrefix(arg, "-") || len(arg) < 2 {
+					continue
+				}
+				flag, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+				if !flagsOf[cmd][flag] {
+					stale = append(stale, doc+": go run ./cmd/"+cmd+" -"+flag+": "+cmd+" defines no such flag")
+				}
+			}
+		}
+	}
+	return stale
+}
+
+// TestDocsNameRealCode keeps the documents' names true: every test,
+// benchmark or fuzz target they cite exists, and every flag they pass a
+// command is one it defines.
+func TestDocsNameRealCode(t *testing.T) {
+	funcs := moduleFuncs(t)
+	for _, doc := range docsChecked {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range checkDoc(t, doc, string(text), funcs) {
+			t.Error(s)
+		}
+	}
+}
+
+// TestDocsCheckCatchesStaleNames plants one stale name of each kind.
+func TestDocsCheckCatchesStaleNames(t *testing.T) {
+	funcs := []string{"TestRunUntil", "TestStaticRouteClosures"}
+	doc := "Run `TestStaticRoute*` and\n\n```\ngo run ./cmd/checker -campaigns 3 -seed 1 | tee out\n" +
+		"go run ./cmd/figures -fig 1\ngo test -run TestRunUntil ./internal/sim\n```\n" +
+		"then `TestStopOnViolationFreezes`, `go run ./cmd/arpanetsim -seeds 3\n-frozen` and `go run ./cmd/nosuch -x`."
+	got := checkDoc(t, "doc.md", doc, funcs)
+	want := []string{
+		"doc.md: TestStopOnViolationFreezes names no function in the module",
+		"doc.md: go run ./cmd/arpanetsim -frozen: arpanetsim defines no such flag",
+		"doc.md: go run ./cmd/nosuch names no command",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("stale names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -115,12 +115,11 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 	}
 
 	cfg := scenario.Config{
-		Graph:           g,
-		Matrix:          traffic.Uniform(g, load),
-		Metric:          metric,
-		Seed:            cfgSeed,
-		Warmup:          15 * sim.Second,
-		StopOnViolation: true,
+		Graph:  g,
+		Matrix: traffic.Uniform(g, load),
+		Metric: metric,
+		Seed:   cfgSeed,
+		Warmup: 15 * sim.Second,
 	}
 	run := func(events []scenario.Event) error {
 		return runScript(cfg, script(sc.Name, duration, sc.CheckEvery, events))

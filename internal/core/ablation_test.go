@@ -42,20 +42,20 @@ func TestWithLimitsCannotJump(t *testing.T) {
 		m.Update(cold())
 	}
 	c, _ := m.Update(hot())
-	if c != 30+m.Params().MaxIncrease() {
-		t.Errorf("limited module moved to %v, want %v", c, 30+m.Params().MaxIncrease())
+	if c != 30+m.params.MaxIncrease() {
+		t.Errorf("limited module moved to %v, want %v", c, 30+m.params.MaxIncrease())
 	}
 }
 
 func TestWithoutAveraging(t *testing.T) {
 	m := ablated(WithoutAveraging())
 	m.Update(hot())
-	if got := m.UtilizationEstimate(); got < 0.95 {
+	if got := m.lastAverage; got < 0.95 {
 		t.Errorf("estimate after one hot sample = %v, want the raw sample (~0.99)", got)
 	}
 	withAvg := ablated()
 	withAvg.Update(hot())
-	if got := withAvg.UtilizationEstimate(); got > 0.55 {
+	if got := withAvg.lastAverage; got > 0.55 {
 		t.Errorf("averaged estimate after one hot sample = %v, want ~0.5", got)
 	}
 }

@@ -62,9 +62,6 @@ func NewModuleParams(p LineParams, bandwidth, propDelay float64) *Module {
 	return m
 }
 
-// Params returns the module's parameter set.
-func (m *Module) Params() LineParams { return m.params }
-
 // Floor returns the link's lower cost bound (MinCost plus the propagation
 // term).
 func (m *Module) Floor() float64 { return m.floor }
@@ -123,11 +120,6 @@ func (m *Module) Update(measuredDelay float64) (cost float64, report bool) {
 	m.lastReported = revised
 	return revised, true
 }
-
-// UtilizationEstimate returns the current output of the averaging filter —
-// the module's belief about link utilization. Exposed for the experiments
-// and the analytic model.
-func (m *Module) UtilizationEstimate() float64 { return m.lastAverage }
 
 // RawCost returns the unclipped, unlimited cost for a given utilization —
 // the pure metric map used by the Figure 4/5 plots and the §5 equilibrium

@@ -56,8 +56,8 @@ func TestNewLinkStartsAtMaxAndEasesIn(t *testing.T) {
 	steps := 0
 	for {
 		c, _ := m.Update(idle)
-		if prev-c > m.Params().MaxDecrease()+1e-9 {
-			t.Fatalf("cost fell by %v in one period, limit %v", prev-c, m.Params().MaxDecrease())
+		if prev-c > m.params.MaxDecrease()+1e-9 {
+			t.Fatalf("cost fell by %v in one period, limit %v", prev-c, m.params.MaxDecrease())
 		}
 		if c == prev {
 			break
@@ -123,8 +123,8 @@ func TestMovementLimitedPerUpdate(t *testing.T) {
 	prev := m.Cost()
 	for i := 0; i < 10; i++ {
 		c, _ := m.Update(hot)
-		if c-prev > m.Params().MaxIncrease()+1e-9 {
-			t.Fatalf("cost rose by %v in one period, limit %v", c-prev, m.Params().MaxIncrease())
+		if c-prev > m.params.MaxIncrease()+1e-9 {
+			t.Fatalf("cost rose by %v in one period, limit %v", c-prev, m.params.MaxIncrease())
 		}
 		prev = c
 	}
@@ -166,7 +166,7 @@ func TestAveragingFilter(t *testing.T) {
 	m := NewModule(topology.T56, 0)
 	settle(m, delayAt(topology.T56, 0))
 	m.Update(delayAt(topology.T56, 0.8))
-	got := m.UtilizationEstimate()
+	got := m.lastAverage
 	if math.Abs(got-0.4) > 0.02 {
 		t.Errorf("utilization estimate after one 80%% sample = %v, want ~0.4", got)
 	}
@@ -208,7 +208,7 @@ func TestResetRestoresLinkUpState(t *testing.T) {
 	if m.Cost() != 90 {
 		t.Errorf("cost after Reset = %v, want 90", m.Cost())
 	}
-	if m.UtilizationEstimate() != 0 {
+	if m.lastAverage != 0 {
 		t.Error("utilization filter should clear on Reset")
 	}
 }
@@ -241,7 +241,7 @@ func TestCostInvariantsProperty(t *testing.T) {
 			if c < m.Floor()-1e-9 || c > m.Ceiling()+1e-9 {
 				return false
 			}
-			if c-prev > m.Params().MaxIncrease()+1e-9 || prev-c > m.Params().MaxDecrease()+1e-9 {
+			if c-prev > m.params.MaxIncrease()+1e-9 || prev-c > m.params.MaxDecrease()+1e-9 {
 				return false
 			}
 			prev = c

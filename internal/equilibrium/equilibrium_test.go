@@ -292,11 +292,11 @@ func TestResponseSeries(t *testing.T) {
 
 func TestBaseTraffic(t *testing.T) {
 	mo := model()
-	if mo.MeanBaseTraffic() <= 0 {
-		t.Error("mean base traffic should be positive")
+	if mo.allBase <= 0 {
+		t.Error("total base traffic should be positive")
 	}
 	any := false
-	for l := 0; l < mo.g.NumLinks(); l++ {
+	for l := 0; l < len(mo.base); l++ {
 		if mo.BaseTraffic(topology.LinkID(l)) > 0 {
 			any = true
 		}
@@ -309,7 +309,7 @@ func TestBaseTraffic(t *testing.T) {
 func TestLinkResponse(t *testing.T) {
 	mo := model()
 	// Every loaded link keeps all its traffic at ambient cost.
-	for l := 0; l < mo.g.NumLinks(); l++ {
+	for l := 0; l < len(mo.base); l++ {
 		lid := topology.LinkID(l)
 		if mo.BaseTraffic(lid) == 0 {
 			if mo.LinkResponse(lid, 1) != 0 {

@@ -31,9 +31,6 @@ import (
 
 // Model holds the per-route shed thresholds for every link of a network.
 type Model struct {
-	g *topology.Graph
-	m *traffic.Matrix
-
 	// For each directed link, the routes that use it at ambient cost:
 	// (shed threshold w* in hops, route length in hops, traffic in bps),
 	// sorted by ascending threshold.
@@ -72,8 +69,6 @@ func New(g *topology.Graph, m *traffic.Matrix) *Model {
 	}
 	nl := g.NumLinks()
 	mod := &Model{
-		g:      g,
-		m:      m,
 		routes: make([][]routeStat, nl),
 		base:   make([]float64, nl),
 		tables: make([]responseTable, nl),
@@ -368,8 +363,3 @@ func (mo *Model) MaxShedCost() float64 {
 
 // BaseTraffic returns the ambient-cost traffic of link l in bps.
 func (mo *Model) BaseTraffic(l topology.LinkID) float64 { return mo.base[l] }
-
-// MeanBaseTraffic returns the ambient-cost traffic of the average link.
-func (mo *Model) MeanBaseTraffic() float64 {
-	return mo.allBase / float64(len(mo.base))
-}

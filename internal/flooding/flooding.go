@@ -117,12 +117,6 @@ func (d *Dedup) Accept(origin topology.NodeID, seq uint64) bool {
 	return true
 }
 
-// Last returns the highest sequence number accepted from origin and
-// whether any update from it has been seen.
-func (d *Dedup) Last(origin topology.NodeID) (uint64, bool) {
-	return d.seen[origin], d.any[origin]
-}
-
 // AppendForwardLinks appends to dst (usually dst[:0] of a per-PSN scratch
 // buffer) the links an update arriving at node via arrival should be
 // forwarded on: every outgoing link except the reverse of the arrival link.

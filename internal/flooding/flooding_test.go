@@ -77,11 +77,11 @@ func TestDedup(t *testing.T) {
 	if !d.Accept(2, 1) {
 		t.Error("different origin should be independent")
 	}
-	if seq, ok := d.Last(1); !ok || seq != 6 {
-		t.Errorf("Last(1) = %d, %v; want 6, true", seq, ok)
+	if !d.any[1] || d.seen[1] != 6 {
+		t.Errorf("origin 1: seen %d, any %v; want 6, true", d.seen[1], d.any[1])
 	}
-	if _, ok := d.Last(0); ok {
-		t.Error("Last of unseen origin should report false")
+	if d.any[0] {
+		t.Error("an unseen origin is marked seen")
 	}
 	// Seq 0 from a fresh origin is accepted (any[] flag, not a magic zero).
 	if !d.Accept(0, 0) {

@@ -30,7 +30,6 @@ type Assignment struct {
 	HopMean     float64
 	DelayMean   float64 // seconds, one-way, M/M/1 + propagation
 	Unreachable float64 // bps of demand with no route
-	saturated   bool
 }
 
 // Assign routes every matrix entry on the SPF shortest path under cost and
@@ -105,19 +104,8 @@ func (a *Assignment) LinkDelay(l topology.LinkID) float64 {
 	rho := a.Utilization(l)
 	if rho > 0.99 {
 		rho = 0.99
-		a.saturated = true
 	}
 	return queueing.MM1Delay(queueing.ServiceTime(lnk.Type.Bandwidth()), rho) + lnk.PropDelay
-}
-
-// Saturated reports whether any link was driven past 99% utilization (the
-// delay prediction is then a lower bound — a real network would drop).
-func (a *Assignment) Saturated() bool {
-	// LinkDelay sets the flag lazily; make sure every link was looked at.
-	for l := range a.LinkBPS {
-		a.LinkDelay(topology.LinkID(l))
-	}
-	return a.saturated
 }
 
 // MaxUtilization returns the highest link utilization in the assignment.

@@ -43,8 +43,8 @@ func TestAssignLine(t *testing.T) {
 	if a.Unreachable != 0 {
 		t.Error("nothing should be unreachable")
 	}
-	if a.Saturated() {
-		t.Error("half-loaded line is not saturated")
+	if u := a.MaxUtilization(); u > 0.99 {
+		t.Errorf("half-loaded line at utilization %v", u)
 	}
 }
 
@@ -95,8 +95,10 @@ func TestSaturationFlag(t *testing.T) {
 	m := traffic.NewMatrix(2)
 	m.Set(0, 1, 100000) // ~1.8× the trunk
 	a := Assign(g, m, unit)
-	if !a.Saturated() {
-		t.Error("oversubscribed trunk should flag saturation")
+	// The delay prediction caps at 99% utilization: large but finite.
+	l := g.Out(0)[0]
+	if got, want := a.LinkDelay(l), queueing.MM1Delay(queueing.ServiceTime(56000), 0.99)+g.Link(l).PropDelay; got != want {
+		t.Errorf("saturated LinkDelay = %v, want %v", got, want)
 	}
 	if a.MaxUtilization() < 1.5 {
 		t.Errorf("MaxUtilization = %v, want > 1.5", a.MaxUtilization())

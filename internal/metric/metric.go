@@ -3,10 +3,11 @@
 //
 //   - DSPF: the measured-delay metric of the May 1979 SPF algorithm (§2.2),
 //     with its bias floor and decaying significance threshold;
-//   - MinHop: a static unit metric (§5.3's min-hop baseline);
-//   - QueueLength: the original 1969 metric — instantaneous output queue
-//     length plus a constant (§2.1) — used by the distributed Bellman-Ford
-//     baseline.
+//   - MinHop: a static unit metric (§5.3's min-hop baseline).
+//
+// The original 1969 metric — instantaneous output queue length plus
+// QueueLengthConstant (§2.1) — is computed inline by the distributed
+// Bellman-Ford baseline (internal/network's distvec.go).
 //
 // All metrics share the Update(measuredDelay) → (cost, report) contract of
 // internal/core.Module, so the node layer can swap them freely.
@@ -167,35 +168,3 @@ func (m *MinHop) Update(float64) (float64, bool) {
 // the instantaneous queue length; it "helped to alleviate" oscillation
 // (§2.1).
 const QueueLengthConstant = 4
-
-// QueueLength is the original 1969 metric: the instantaneous output-queue
-// length at the moment of updating, plus a fixed constant. Unlike the
-// others, its Update argument is a queue length in packets, not a delay;
-// the Bellman-Ford baseline drives it directly.
-type QueueLength struct {
-	last float64
-}
-
-// NewQueueLength returns the 1969 metric.
-func NewQueueLength() *QueueLength {
-	q := &QueueLength{}
-	q.Reset()
-	return q
-}
-
-// Cost returns the last sampled cost.
-func (q *QueueLength) Cost() float64 { return q.last }
-
-// Reset returns the metric to the idle state.
-func (q *QueueLength) Reset() { q.last = QueueLengthConstant }
-
-// Update samples the instantaneous queue length (in packets). The 1969
-// scheme had no significance criterion — tables were exchanged every
-// 2/3 second regardless — so report is always true.
-func (q *QueueLength) Update(queueLen float64) (float64, bool) {
-	if queueLen < 0 {
-		queueLen = 0
-	}
-	q.last = queueLen + QueueLengthConstant
-	return q.last, true
-}

@@ -209,28 +209,3 @@ func TestMinHop(t *testing.T) {
 		t.Error("Cost must always be 1")
 	}
 }
-
-func TestQueueLength(t *testing.T) {
-	q := NewQueueLength()
-	if q.Cost() != QueueLengthConstant {
-		t.Errorf("idle cost = %v, want %v", q.Cost(), QueueLengthConstant)
-	}
-	c, rep := q.Update(7)
-	if c != 7+QueueLengthConstant || !rep {
-		t.Errorf("Update(7) = (%v, %v)", c, rep)
-	}
-	// §2.1: it is an instantaneous sample — no averaging, full swing.
-	c, _ = q.Update(0)
-	if c != QueueLengthConstant {
-		t.Errorf("Update(0) = %v, want constant", c)
-	}
-	c, _ = q.Update(-3)
-	if c != QueueLengthConstant {
-		t.Errorf("negative queue length should clamp, got %v", c)
-	}
-	q.Update(9)
-	q.Reset()
-	if q.Cost() != QueueLengthConstant {
-		t.Error("Reset should restore idle cost")
-	}
-}

@@ -232,8 +232,3 @@ func (n *Network) BackgroundReassigns() int64 {
 	}
 	return n.fluid.Reassigns()
 }
-
-// Stop halts the current Run after the executing event returns, leaving the
-// clock at the stopping event's time; the scenario engine uses it to freeze
-// the simulation at an invariant violation.
-func (n *Network) Stop() { n.kernel.Stop() }

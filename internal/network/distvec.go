@@ -125,11 +125,3 @@ func (n *Network) dvSetup() {
 		_ = n.kernel.ScheduleCall(offset+dvExchangePeriod, n.dvExchangeFn, p)
 	}
 }
-
-// DVDistances exposes a node's current distance vector for tests.
-func (n *Network) DVDistances(id topology.NodeID) []float64 {
-	if n.psns[id].dv == nil {
-		return nil
-	}
-	return append([]float64(nil), n.psns[id].dv.dist...)
-}

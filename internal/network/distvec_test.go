@@ -22,7 +22,7 @@ func TestBF1969ConvergesAndDelivers(t *testing.T) {
 	}
 	// Vectors converge to hop-counts plus queue constants: under light
 	// load distances ≈ (queue-constant) × hops.
-	dist := n.DVDistances(0)
+	dist := n.psns[0].dv.dist
 	want := spf.HopTree(g, 0)
 	for d := 1; d < g.NumNodes(); d++ {
 		hops := float64(want.Hops(topology.NodeID(d)))

@@ -127,7 +127,7 @@ func TestDownTrunkAdvertisedAtDownCost(t *testing.T) {
 	n.Run(120 * sim.Second)
 	// Every PSN's router must believe the link is unusable.
 	for _, p := range n.psns {
-		if c := p.router.Cost(l); c != DownCost {
+		if c := p.router.Cost(l); c != node.DownCost {
 			t.Fatalf("PSN %d believes cost %v for the down link, want DownCost", p.id, c)
 		}
 	}

@@ -43,7 +43,7 @@ func TestBackgroundRaisesCostAndReroutes(t *testing.T) {
 		Warmup: 30 * sim.Second})
 	n.Run(120 * sim.Second)
 	base.Run(120 * sim.Second)
-	loaded, idle := n.LinkCost(l01), base.LinkCost(l01)
+	loaded, idle := n.links[l01].Module.Cost(), base.links[l01].Module.Cost()
 	if loaded <= idle {
 		t.Errorf("bg-loaded trunk advertises %v, idle one %v — background is invisible to the metric",
 			loaded, idle)
@@ -74,9 +74,9 @@ func TestBackgroundCongestionSteersForeground(t *testing.T) {
 	sc := n.TrackLinkCost(ab)
 	_ = sc
 	n.Run(300 * sim.Second)
-	if n.LinkCost(ab) <= n.LinkCost(ac) {
+	if n.links[ab].Module.Cost() <= n.links[ac].Module.Cost() {
 		t.Errorf("A-B carries the background (cost %v) and should be pricier than A-C (cost %v)",
-			n.LinkCost(ab), n.LinkCost(ac))
+			n.links[ab].Module.Cost(), n.links[ac].Module.Cost())
 	}
 	r := n.Report()
 	if r.DeliveredRatio < 0.95 {
@@ -101,7 +101,7 @@ func TestBackgroundSaturationClamps(t *testing.T) {
 		Warmup: 30 * sim.Second, Background: bg})
 	n.Run(180 * sim.Second)
 	l01, _ := g.FindTrunk(0, 1)
-	c := n.LinkCost(l01)
+	c := n.links[l01].Module.Cost()
 	if math.IsInf(c, 0) || math.IsNaN(c) {
 		t.Fatalf("saturated trunk advertises %v", c)
 	}
@@ -198,7 +198,7 @@ func TestBackgroundSurgeAndSwitch(t *testing.T) {
 		t.Errorf("old-direction carrier = %v bps after the switch, want 0", got)
 	}
 	var total float64
-	for i := 0; i < n.Graph().NumLinks(); i++ {
+	for i := 0; i < n.g.NumLinks(); i++ {
 		total += n.BackgroundLinkBPS(topology.LinkID(i))
 	}
 	if total != 16000 { // 8000 bps × 2 hops on the diamond
@@ -207,7 +207,7 @@ func TestBackgroundSurgeAndSwitch(t *testing.T) {
 	if !panics(func() { n.ScaleBackground(0) }) {
 		t.Error("ScaleBackground(0) should panic")
 	}
-	base := New(Config{Graph: n.Graph(), Matrix: n.cfg.Matrix, Metric: node.HNSPF, Seed: 9})
+	base := New(Config{Graph: n.g, Matrix: n.cfg.Matrix, Metric: node.HNSPF, Seed: 9})
 	if !panics(func() { base.ScaleBackground(2) }) {
 		t.Error("ScaleBackground without a background matrix should panic")
 	}

@@ -29,7 +29,6 @@ import (
 // internal/node, shared with the sharded engine; these are the names
 // bench/ and the commands already use for them.
 const (
-	DownCost          = node.DownCost
 	MaxHops           = node.MaxHops
 	DefaultQueueLimit = node.DefaultQueueLimit
 )
@@ -323,9 +322,9 @@ func (n *Network) setupBackground() {
 	n.bgDown = func(l topology.LinkID) bool { return n.links[l].Down() }
 	n.fluid = flowmodel.NewFluid(n.g, n.cfg.Background)
 	n.fluid.Reassign(n.bgCost, n.bgDown)
-	// Fire-and-forget: background re-routing runs for the lifetime of the
-	// network, like measurement and sampling.
-	_ = n.kernel.Every(n.cfg.BackgroundEpoch, func(sim.Time) {
+	// Background re-routing runs for the lifetime of the network, like
+	// measurement and sampling.
+	n.kernel.Every(n.cfg.BackgroundEpoch, func(sim.Time) {
 		n.fluid.Reassign(n.bgCost, n.bgDown)
 	})
 }
@@ -391,9 +390,6 @@ func (p *psn) recomputes() int64 {
 // events (link failures, matrix switches).
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
 
-// Graph returns the topology the network runs over.
-func (n *Network) Graph() *topology.Graph { return n.g }
-
 // Run advances the simulation to the given absolute time.
 func (n *Network) Run(until sim.Time) { n.kernel.RunUntil(until) }
 
@@ -407,10 +403,6 @@ func (n *Network) TrackLink(l topology.LinkID) *stats.Series {
 	}
 	return ls.series
 }
-
-// LinkCost returns the cost currently advertised by the link's metric
-// module.
-func (n *Network) LinkCost(l topology.LinkID) float64 { return n.links[l].Module.Cost() }
 
 // TrackLinkCost records the link's advertised cost once per sample
 // interval; call before Run.
@@ -732,8 +724,8 @@ func (n *Network) superpose(ls *linkState, avg float64) float64 {
 // --- utilization sampling -----------------------------------------------
 
 func (n *Network) scheduleSampling() {
-	// Fire-and-forget: sampling runs for the lifetime of the network.
-	_ = n.kernel.Every(sampleInterval, func(now sim.Time) {
+	// Sampling runs for the lifetime of the network.
+	n.kernel.Every(sampleInterval, func(now sim.Time) {
 		dt := sampleInterval.Seconds()
 		for _, ls := range n.links {
 			u := ls.txBitsWindow / (ls.link.Type.Bandwidth() * dt)

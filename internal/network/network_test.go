@@ -132,7 +132,7 @@ func TestLinkFailureReroutes(t *testing.T) {
 		t.Errorf("%d no-route drops after convergence window", r.NoRouteDrops)
 	}
 	// The failed link must be advertised at DownCost.
-	if c := n.LinkCost(l); c == DownCost {
+	if c := n.links[l].Module.Cost(); c == node.DownCost {
 		t.Log("module cost unchanged (down is flooded, not stored in module) — expected")
 	}
 }
@@ -148,12 +148,12 @@ func TestLinkRecoveryEasesIn(t *testing.T) {
 	n.Kernel().Schedule(60*sim.Second+sim.Millisecond, func(sim.Time) { n.SetTrunkUp(l) })
 	n.Run(60*sim.Second + 2*sim.Millisecond)
 	// Just after coming up, an HN-SPF link advertises its maximum cost.
-	if c := n.LinkCost(l); c != 90 {
+	if c := n.links[l].Module.Cost(); c != 90 {
 		t.Errorf("cost just after link-up = %v, want 90 (ease-in)", c)
 	}
 	n.Run(240 * sim.Second)
 	// After easing in under light load it returns to its floor.
-	if c := n.LinkCost(l); c > 35 {
+	if c := n.links[l].Module.Cost(); c > 35 {
 		t.Errorf("cost after ease-in = %v, want near the floor", c)
 	}
 }

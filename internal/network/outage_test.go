@@ -19,7 +19,7 @@ import (
 // transmitter is mid-packet (or the deadline passes).
 func stepUntilBusy(t *testing.T, n *Network, l topology.LinkID, deadline sim.Time) {
 	t.Helper()
-	for n.links[l].Sending() == nil {
+	for sending(&n.links[l].Trunk) == nil {
 		if n.kernel.Now() > deadline || !n.kernel.Step() {
 			t.Fatalf("link %d never started transmitting before %v", l, deadline)
 		}
@@ -100,7 +100,7 @@ func TestOutageDropAccounting(t *testing.T) {
 
 			ls := n.links[l]
 			inFlight := int64(0)
-			if p := ls.Sending(); p != nil && p.Counted && !p.IsRouting() {
+			if p := sending(&ls.Trunk); p != nil && p.Counted && !p.IsRouting() {
 				inFlight = 1
 			}
 			queued := int64(0)
@@ -269,4 +269,18 @@ func TestClampedMeanFormula(t *testing.T) {
 	if want := ClampedMeanPktBits(); math.Abs(got-want)/want > 0.005 {
 		t.Errorf("empirical clamped mean %.2f vs formula %.2f", got, want)
 	}
+}
+
+// sending returns the packet on the trunk's transmitter, or nil when it is
+// idle: the one Holding visits after the backlog.
+func sending(t *node.Trunk) *node.Packet {
+	var on *node.Packet
+	i := 0
+	t.Holding(func(p *node.Packet) {
+		if i == t.Queue.Len() {
+			on = p
+		}
+		i++
+	})
+	return on
 }

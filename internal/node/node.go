@@ -176,14 +176,12 @@ func (p *Packet) IsRouting() bool { return p.Update != nil || p.Vector != nil }
 // wrapping is a mask, not a division — Push/Pop are on the per-packet hot
 // path of every trunk.
 type Queue struct {
-	limit   int // maximum queued user packets
-	buf     []*Packet
-	mask    int // len(buf)-1; len(buf) is always a power of two
-	head    int // index of the front packet
-	n       int // packets in the queue (all classes)
-	users   int // user packets in the queue
-	drops   int64
-	maxSeen int
+	limit int // maximum queued user packets
+	buf   []*Packet
+	mask  int // len(buf)-1; len(buf) is always a power of two
+	head  int // index of the front packet
+	n     int // packets in the queue (all classes)
+	users int // user packets in the queue
 }
 
 // NewQueue creates a queue holding at most limit user packets.
@@ -221,13 +219,9 @@ func (q *Queue) Push(p *Packet) bool {
 		q.head = (q.head - 1) & q.mask
 		q.buf[q.head] = p
 		q.n++
-		if q.n > q.maxSeen {
-			q.maxSeen = q.n
-		}
 		return true
 	}
 	if q.users >= q.limit {
-		q.drops++
 		return false
 	}
 	if q.n == len(q.buf) {
@@ -236,9 +230,6 @@ func (q *Queue) Push(p *Packet) bool {
 	q.buf[(q.head+q.n)&q.mask] = p
 	q.n++
 	q.users++
-	if q.n > q.maxSeen {
-		q.maxSeen = q.n
-	}
 	return true
 }
 
@@ -268,12 +259,6 @@ func (q *Queue) Scan(fn func(*Packet)) {
 		fn(q.buf[(q.head+i)&q.mask])
 	}
 }
-
-// Drops returns the number of user packets dropped for lack of buffers.
-func (q *Queue) Drops() int64 { return q.drops }
-
-// MaxSeen returns the high-water mark of the queue length.
-func (q *Queue) MaxSeen() int { return q.maxSeen }
 
 // Measurement accumulates per-link packet delays over one measurement
 // period.

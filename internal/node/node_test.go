@@ -37,9 +37,6 @@ func TestQueueDropsWhenFull(t *testing.T) {
 	if q.Push(user(3)) {
 		t.Error("push over limit should be rejected")
 	}
-	if q.Drops() != 1 {
-		t.Errorf("Drops = %d, want 1", q.Drops())
-	}
 	if q.Len() != 2 {
 		t.Errorf("Len = %d, want 2", q.Len())
 	}
@@ -58,20 +55,6 @@ func TestQueueRoutingPriority(t *testing.T) {
 	}
 	if got := q.Pop(); got.Seq != 1 {
 		t.Error("user order should be preserved behind routing packets")
-	}
-	if q.Drops() != 0 {
-		t.Error("routing priority insert must not count as a drop")
-	}
-}
-
-func TestQueueMaxSeen(t *testing.T) {
-	q := NewQueue(5)
-	q.Push(user(1))
-	q.Push(user(2))
-	q.Pop()
-	q.Push(user(3))
-	if q.MaxSeen() != 2 {
-		t.Errorf("MaxSeen = %d, want 2", q.MaxSeen())
 	}
 }
 

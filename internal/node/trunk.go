@@ -122,9 +122,6 @@ func (t *Trunk) Restore() {
 // Down reports whether the trunk is out of service.
 func (t *Trunk) Down() bool { return t.down }
 
-// Sending returns the packet on the transmitter, or nil when it is idle.
-func (t *Trunk) Sending() *Packet { return t.pkt }
-
 // Advertised is the cost the owning PSN floods for the trunk: the module's
 // current cost, or DownCost while out of service.
 func (t *Trunk) Advertised() float64 {

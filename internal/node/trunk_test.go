@@ -102,8 +102,8 @@ func TestTrunkFlap(t *testing.T) {
 	}
 	held := 0
 	tr.Holding(func(*Packet) { held++ })
-	if held != 3 || tr.Sending() != first {
-		t.Fatalf("Holding visited %d packets, Sending = %v; want 3 and packet 1", held, tr.Sending())
+	if held != 3 || tr.pkt != first {
+		t.Fatalf("Holding visited %d packets, Sending = %v; want 3 and packet 1", held, tr.pkt)
 	}
 	if got := tr.Done(enq + tx); got != first || got.Hops != 1 {
 		t.Fatalf("Done = %+v, want packet 1 with one hop counted", got)
@@ -125,9 +125,9 @@ func TestTrunkFlap(t *testing.T) {
 	if h.Pending() {
 		t.Error("Fail left the completion event pending")
 	}
-	if !tr.Down() || tr.Sending() != nil || tr.Meas.Count() != 0 {
+	if !tr.Down() || tr.pkt != nil || tr.Meas.Count() != 0 {
 		t.Errorf("after Fail: down=%v sending=%v samples=%d, want down, idle, empty",
-			tr.Down(), tr.Sending(), tr.Meas.Count())
+			tr.Down(), tr.pkt, tr.Meas.Count())
 	}
 	if got := tr.Advertised(); got != DownCost {
 		t.Errorf("Advertised = %v while down, want DownCost", got)

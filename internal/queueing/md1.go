@@ -1,31 +1,16 @@
 package queueing
 
-// M/D/1 variants: the paper's delay↔utilization transforms assume M/M/1
+// M/D/1 variant: the paper's delay↔utilization transforms assume M/M/1
 // "for illustrative purposes" (§5); real trunk traffic had less variable
 // packet sizes, for which M/D/1 (deterministic service) is the opposite
-// extreme. These functions support the sensitivity analysis: any queueing
-// assumption between the two gives the same qualitative metric behaviour,
-// because the HNM only needs delay to be a monotone, invertible function
-// of utilization.
+// extreme. The M/D/1 inversion supports the sensitivity analysis: any
+// queueing assumption between the two gives the same qualitative metric
+// behaviour, because the HNM only needs delay to be a monotone, invertible
+// function of utilization.
 
-// MD1Delay returns the expected time in system for an M/D/1 queue with the
-// given deterministic service time at utilization rho in [0, 1):
-//
-//	D = S + S·rho / (2(1−rho))
-//
-// (Pollaczek–Khinchine with zero service variance). +Inf at rho >= 1.
-func MD1Delay(serviceTime, rho float64) float64 {
-	if rho < 0 {
-		rho = 0
-	}
-	if rho >= 1 {
-		return inf()
-	}
-	return serviceTime * (1 + rho/(2*(1-rho)))
-}
-
-// UtilizationFromDelayMD1 inverts MD1Delay. Solving
-// D = S(1 + rho/(2(1−rho))) for rho:
+// UtilizationFromDelayMD1 inverts the M/D/1 expected time in system with
+// deterministic service time S (Pollaczek–Khinchine with zero service
+// variance). Solving D = S(1 + rho/(2(1−rho))) for rho:
 //
 //	rho = 2(D−S) / (2D − S)
 //
@@ -44,5 +29,3 @@ func UtilizationFromDelayMD1(serviceTime, delay float64) float64 {
 	}
 	return rho
 }
-
-func inf() float64 { return MM1Delay(1, 1) }

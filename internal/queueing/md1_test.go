@@ -6,6 +6,22 @@ import (
 	"testing/quick"
 )
 
+// MD1Delay returns the expected time in system for an M/D/1 queue with the
+// given deterministic service time at utilization rho in [0, 1):
+//
+//	D = S + S·rho / (2(1−rho))
+//
+// (Pollaczek–Khinchine with zero service variance). +Inf at rho >= 1.
+func MD1Delay(serviceTime, rho float64) float64 {
+	if rho < 0 {
+		rho = 0
+	}
+	if rho >= 1 {
+		return math.Inf(1)
+	}
+	return serviceTime * (1 + rho/(2*(1-rho)))
+}
+
 func TestMD1Delay(t *testing.T) {
 	s := ServiceTime(56000)
 	if got := MD1Delay(s, 0); got != s {

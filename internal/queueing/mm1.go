@@ -1,5 +1,5 @@
 // Package queueing implements the queueing-theory substrate the revised
-// metric depends on: M/M/1 and M/M/1/K formulas and the delay-to-utilization
+// metric depends on: the M/M/1 delay formula and the delay-to-utilization
 // transform of Figure 3 ("A simple M/M/1 queueing model is used with the
 // service time being the network-wide average packet size (600 bits/packet)
 // divided by the trunk's bandwidth"). The PSN's delay_to_utilization[]
@@ -33,17 +33,6 @@ func MM1Delay(serviceTime, rho float64) float64 {
 		return math.Inf(1)
 	}
 	return serviceTime / (1 - rho)
-}
-
-// MM1QueueLen returns the expected number of packets in system (L = rho/(1-rho)).
-func MM1QueueLen(rho float64) float64 {
-	if rho < 0 {
-		rho = 0
-	}
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return rho / (1 - rho)
 }
 
 // UtilizationFromDelay inverts MM1Delay: given a measured average delay
@@ -92,43 +81,6 @@ func SuperposeDelay(serviceTime, measured, bgRho float64) float64 {
 		total = MaxRho
 	}
 	return measured + MM1Delay(serviceTime, total) - MM1Delay(serviceTime, fgRho)
-}
-
-// MM1KBlocking returns the blocking (drop) probability of an M/M/1/K queue:
-// the probability an arriving packet finds K packets already in system.
-func MM1KBlocking(rho float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if rho < 0 {
-		rho = 0
-	}
-	if rho == 1 {
-		return 1 / float64(k+1)
-	}
-	// P_K = (1-rho) rho^K / (1 - rho^(K+1))
-	num := (1 - rho) * math.Pow(rho, float64(k))
-	den := 1 - math.Pow(rho, float64(k+1))
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// MM1KQueueLen returns the expected number in system for an M/M/1/K queue.
-func MM1KQueueLen(rho float64, k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if rho < 0 {
-		rho = 0
-	}
-	if rho == 1 {
-		return float64(k) / 2
-	}
-	// L = rho/(1-rho) - (K+1) rho^(K+1) / (1 - rho^(K+1))
-	rk1 := math.Pow(rho, float64(k+1))
-	return rho/(1-rho) - float64(k+1)*rk1/(1-rk1)
 }
 
 // Table is the PSN's delay→utilization table for one line type: a measured

@@ -35,21 +35,6 @@ func TestMM1Delay(t *testing.T) {
 	}
 }
 
-func TestMM1QueueLen(t *testing.T) {
-	if got := MM1QueueLen(0.5); got != 1 {
-		t.Errorf("L(0.5) = %v, want 1", got)
-	}
-	if got := MM1QueueLen(0.9); math.Abs(got-9) > 1e-12 {
-		t.Errorf("L(0.9) = %v, want 9", got)
-	}
-	if !math.IsInf(MM1QueueLen(1), 1) {
-		t.Error("L(1) should be +Inf")
-	}
-	if MM1QueueLen(-1) != 0 {
-		t.Error("L(negative) should be 0")
-	}
-}
-
 // Property: UtilizationFromDelay inverts MM1Delay on (0, 0.999].
 func TestDelayUtilizationRoundTrip(t *testing.T) {
 	s := ServiceTime(56000)
@@ -94,49 +79,6 @@ func TestPaperUtilizationAnchors(t *testing.T) {
 	d95 := MM1Delay(s, 0.95)
 	if ratio := d95 / s; math.Abs(ratio-20) > 1e-9 {
 		t.Errorf("delay ratio at 95%% = %v, want 20", ratio)
-	}
-}
-
-func TestMM1KBlocking(t *testing.T) {
-	// K=0: every arrival blocked.
-	if MM1KBlocking(0.5, 0) != 1 {
-		t.Error("K=0 should block everything")
-	}
-	// rho=1 special case: 1/(K+1).
-	if got := MM1KBlocking(1, 4); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("blocking at rho=1,K=4 = %v, want 0.2", got)
-	}
-	// Light load: nearly no blocking with a decent buffer.
-	if got := MM1KBlocking(0.1, 20); got > 1e-18 {
-		t.Errorf("blocking at rho=0.1,K=20 = %v, want ~0", got)
-	}
-	// Blocking grows with rho.
-	if MM1KBlocking(0.9, 10) <= MM1KBlocking(0.5, 10) {
-		t.Error("blocking should increase with utilization")
-	}
-	// Blocking shrinks with K.
-	if MM1KBlocking(0.9, 20) >= MM1KBlocking(0.9, 5) {
-		t.Error("blocking should decrease with buffer size")
-	}
-	if MM1KBlocking(-0.5, 10) != MM1KBlocking(0, 10) {
-		t.Error("negative rho should clamp to 0")
-	}
-}
-
-func TestMM1KQueueLen(t *testing.T) {
-	if MM1KQueueLen(0.5, 0) != 0 {
-		t.Error("K=0 queue should be empty")
-	}
-	if got := MM1KQueueLen(1, 10); got != 5 {
-		t.Errorf("L at rho=1,K=10 = %v, want K/2 = 5", got)
-	}
-	// Large K converges to M/M/1.
-	if got, want := MM1KQueueLen(0.5, 500), MM1QueueLen(0.5); math.Abs(got-want) > 1e-9 {
-		t.Errorf("L(0.5, K=500) = %v, want ~%v", got, want)
-	}
-	// Finite queue is shorter than infinite at high load.
-	if MM1KQueueLen(0.95, 10) >= MM1QueueLen(0.95) {
-		t.Error("finite queue should be shorter than infinite queue")
 	}
 }
 

@@ -40,9 +40,6 @@ type Config struct {
 	// Trace, when non-nil, receives the network's event ring. RunBatch
 	// ignores it: a shared ring across concurrent seeds would race.
 	Trace *trace.Ring
-	// StopOnViolation freezes the simulation at the first checkpoint that
-	// finds a violated invariant, leaving Result.StoppedAt at that instant.
-	StopOnViolation bool
 	// Prepare, when non-nil, is called on the freshly built network before
 	// the scenario starts — the hook for TrackLink / TrackLinkCost. Under
 	// RunBatch it runs once per seed, concurrently; it must not touch
@@ -76,9 +73,6 @@ type Result struct {
 	Report      network.Report
 	Checkpoints []CheckpointResult
 	Violations  []Violation
-	// StoppedAt is the freeze instant when StopOnViolation fired (zero
-	// when the run completed).
-	StoppedAt sim.Time
 }
 
 // Run executes the scenario once. The returned error covers setup problems
@@ -108,11 +102,9 @@ func Run(cfg Config, sc *Scenario) (Result, error) {
 		return Result{}, err
 	}
 	net.Run(sc.Duration)
-	// The run may have frozen early on a violation; audit wherever it
-	// ended, unless a scheduled checkpoint already covered that instant.
-	if now := net.Kernel().Now(); len(r.res.Checkpoints) == 0 ||
-		r.res.Checkpoints[len(r.res.Checkpoints)-1].At != now {
-		r.checkpoint(now)
+	// Audit the horizon, unless a scheduled checkpoint already covered it.
+	if len(r.res.Checkpoints) == 0 || r.res.Checkpoints[len(r.res.Checkpoints)-1].At != sc.Duration {
+		r.checkpoint(sc.Duration)
 	}
 	r.res.Report = net.Report()
 	return r.res, nil
@@ -130,7 +122,6 @@ type runner struct {
 	// nodeDowned remembers which trunks each NodeDown actually failed, so
 	// the matching NodeUp restores exactly those.
 	nodeDowned map[topology.NodeID][]topology.LinkID
-	stopped    bool
 }
 
 // schedule resolves names and places every event plus the periodic
@@ -196,9 +187,8 @@ func (r *runner) schedule(sc *Scenario) error {
 		}
 	}
 	if sc.CheckEvery > 0 {
-		// Fire-and-forget: checkpoints run until the scenario's horizon;
-		// StopOnViolation freezes the kernel rather than cancelling them.
-		_ = k.Every(sc.CheckEvery, func(now sim.Time) { r.checkpoint(now) })
+		// Checkpoints run until the scenario's horizon.
+		k.Every(sc.CheckEvery, func(now sim.Time) { r.checkpoint(now) })
 	}
 	return nil
 }
@@ -246,12 +236,8 @@ func (r *runner) nodeUp(id topology.NodeID) {
 	delete(r.nodeDowned, id)
 }
 
-// checkpoint audits every invariant and records the outcome. On a
-// violation under StopOnViolation it freezes the run.
+// checkpoint audits every invariant and records the outcome.
 func (r *runner) checkpoint(now sim.Time) {
-	if r.stopped {
-		return
-	}
 	cp := CheckpointResult{
 		At:              now,
 		Conservation:    r.net.Conservation(),
@@ -272,11 +258,6 @@ func (r *runner) checkpoint(now sim.Time) {
 	}
 	r.res.Checkpoints = append(r.res.Checkpoints, cp)
 	r.res.Violations = append(r.res.Violations, violations...)
-	if len(violations) > 0 && r.cfg.StopOnViolation {
-		r.stopped = true
-		r.res.StoppedAt = now
-		r.net.Stop()
-	}
 }
 
 // RunBatch runs the scenario once per seed, each seed in its own

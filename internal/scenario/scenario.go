@@ -164,12 +164,6 @@ func (s *Scenario) SwitchBackgroundMatrixAt(at sim.Time, m *traffic.Matrix) *Sce
 	return s
 }
 
-// SwitchMatrixAt replaces the traffic matrix at time at.
-func (s *Scenario) SwitchMatrixAt(at sim.Time, m *traffic.Matrix) *Scenario {
-	s.Events = append(s.Events, Event{At: at, Kind: SwitchMatrix, Matrix: m})
-	return s
-}
-
 // CheckpointAt audits the invariants at time at.
 func (s *Scenario) CheckpointAt(at sim.Time) *Scenario {
 	s.Events = append(s.Events, Event{At: at, Kind: Checkpoint})

@@ -17,8 +17,8 @@ package scenario
 //	at 300 checkpoint                # extra audit instant
 //
 // Matrix switches (foreground and background) carry a whole traffic matrix
-// and have no script syntax; use Scenario.SwitchMatrixAt /
-// SwitchBackgroundMatrixAt from code. 'surge background' requires the run
+// and have no script syntax; append a SwitchMatrix or SwitchBackgroundMatrix
+// Event to Scenario.Events from code. 'surge background' requires the run
 // to configure a background matrix (the hybrid fluid/packet mode).
 
 import (

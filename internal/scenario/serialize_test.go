@@ -56,7 +56,8 @@ func TestScriptOverlappingRestarts(t *testing.T) {
 
 func TestScriptInexpressible(t *testing.T) {
 	m := traffic.NewMatrix(2)
-	withMatrix := NewScenario("m", 10*sim.Second).SwitchMatrixAt(5*sim.Second, m)
+	withMatrix := NewScenario("m", 10*sim.Second)
+	withMatrix.Events = append(withMatrix.Events, Event{At: 5 * sim.Second, Kind: SwitchMatrix, Matrix: m})
 	if _, err := withMatrix.Script(); err == nil {
 		t.Error("Script accepted a matrix event")
 	}

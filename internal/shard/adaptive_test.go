@@ -179,7 +179,7 @@ func TestCtrlSeqExhaustionPanics(t *testing.T) {
 		if !strings.Contains(msg, "control sequence") || !strings.Contains(msg, "node 5") {
 			t.Fatalf("second copy past the limit: recovered %q, want the named control-sequence panic", msg)
 		}
-		first := n.out[0].Sending()
+		first := sending(&n.out[0].Trunk)
 		if first == nil || first.Seq != ctrlSeqBit|5<<32|math.MaxUint32 {
 			t.Fatalf("last in-range copy: %+v, want Seq %#x", first, ctrlSeqBit|5<<32|uint64(math.MaxUint32))
 		}
@@ -200,7 +200,7 @@ func TestUserSeqExhaustionPanics(t *testing.T) {
 	n.pseq = math.MaxUint32 - 1
 	sent := func() *node.Packet {
 		for _, ls := range n.out {
-			if p := ls.Sending(); p != nil {
+			if p := sending(&ls.Trunk); p != nil {
 				return p
 			}
 		}

@@ -50,7 +50,7 @@ func benchThroughput(b *testing.B, shards int, adaptive bool) {
 		b.Fatal(err)
 	}
 	s.Run(warm)
-	startPkts := s.Generated()
+	startPkts := generated(s)
 	startEv := s.Fired()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,10 +61,10 @@ func benchThroughput(b *testing.B, shards int, adaptive bool) {
 	}
 	b.StopTimer()
 	if el := b.Elapsed().Seconds(); el > 0 {
-		b.ReportMetric(float64(s.Generated()-startPkts)/el, "pkts/sec")
+		b.ReportMetric(float64(generated(s)-startPkts)/el, "pkts/sec")
 		b.ReportMetric(float64(s.Fired()-startEv)/el, "events/sec")
 	}
-	if s.Generated() == startPkts {
+	if generated(s) == startPkts {
 		b.Fatal("no traffic generated")
 	}
 	if err := s.Audit(); err != nil {

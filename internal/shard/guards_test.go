@@ -91,12 +91,12 @@ func TestZeroTickScheduleCaught(t *testing.T) {
 
 // A schedule the kernel refused is an event that never fires, and nothing
 // else in a run can observe an absence. However the error was lost — never
-// looked at, blanked, deferred, on any of the three absolute-time forms — the
+// looked at, blanked, deferred, on either absolute-time form — the
 // kernel counted the refusal and the next Audit reports it.
 func TestAuditCatchesDroppedScheduleError(t *testing.T) {
 	drops := map[string]func(k *sim.Kernel){
 		"bare ScheduleAt":             func(k *sim.Kernel) { k.ScheduleAt(k.Now()-1, func(sim.Time) {}) },
-		"blanked ScheduleCallAt":      func(k *sim.Kernel) { h, _ := k.ScheduleCallAt(k.Now()-1, func(sim.Time, any) {}, nil); _ = h },
+		"blanked ScheduleAt":          func(k *sim.Kernel) { h, _ := k.ScheduleAt(k.Now()-1, func(sim.Time) {}); _ = h },
 		"deferred ScheduleTailCallAt": func(k *sim.Kernel) { defer k.ScheduleTailCallAt(k.Now()-1, func(sim.Time, any) {}, nil) },
 	}
 	for name, drop := range drops {

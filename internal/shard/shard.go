@@ -276,9 +276,6 @@ func mustCallAt(k *sim.Kernel, at sim.Time, fn sim.Call, arg any) sim.Handle {
 	return k.ScheduleCall(at-k.Now(), fn, arg)
 }
 
-// Shards returns the number of shards.
-func (s *Sim) Shards() int { return len(s.shards) }
-
 // Lookahead returns the conservative lookahead (the minimum propagation
 // delay over cut trunks), or 0 when no trunk is cut.
 func (s *Sim) Lookahead() sim.Time {
@@ -317,15 +314,6 @@ func (s *Sim) KernelStats() sim.Stats {
 		t.Width = max(t.Width, k.Width)
 	}
 	return t
-}
-
-// Generated returns the total number of packets offered so far.
-func (s *Sim) Generated() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.led.Generated
-	}
-	return n
 }
 
 // BarrierStats counts what Run's serial section did between windows. The

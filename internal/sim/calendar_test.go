@@ -115,7 +115,7 @@ func TestTimeExtremes(t *testing.T) {
 			t.Fatalf("ScheduleAt(%v): %v", at, err)
 		}
 	}
-	k.Run()
+	drain(k)
 	want := []int{1, 3, 0, 2}
 	if len(order) != len(want) {
 		t.Fatalf("Run fired %d events, want %d", len(order), len(want))
@@ -190,7 +190,7 @@ func TestTimeSaturation(t *testing.T) {
 	k.Schedule(maxTime-1, rec("max-1"))            // saturates: now+delay is past the end
 	k.Schedule(maxTime-10*Second-1, rec("before")) // lands on maxTime-1 exactly
 	k.ScheduleCall(maxTime, func(Time, any) { order = append(order, "call") }, nil)
-	tk := k.Every(maxTime, rec("tick"))
+	k.Every(maxTime, rec("tick"))
 	k.Schedule(-maxTime, rec("neg")) // negative delays clamp to zero, as ever
 	k.Schedule(-1, rec("neg1"))
 	if at, ok := k.NextEventTime(); !ok || at != 10*Second {
@@ -210,20 +210,22 @@ func TestTimeSaturation(t *testing.T) {
 	if at, ok := k.NextEventTime(); !ok || at != maxTime-1 || k.Pending() != 5 {
 		t.Fatalf("NextEventTime() = %v, %v with %d pending; want maxTime-1 and 5", at, ok, k.Pending())
 	}
-	// Only a drain to the end of time reaches them, in (at, seq) order.
-	tk.Stop()
-	k.Run()
-	want := []string{"neg", "neg1", "before", "max", "max-1", "call"}
+	// Only a run to the end of time reaches them, in (at, seq) order; the
+	// ticker then re-arms at maxTime itself, saturated, never wrapped.
+	want := []string{"neg", "neg1", "before", "max", "max-1", "call", "tick"}
+	for len(order) < len(want) && k.Step() {
+	}
 	if len(order) != len(want) {
-		t.Fatalf("drain fired %v, want %v", order, want)
+		t.Fatalf("steps fired %v, want %v", order, want)
 	}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("drain fired %v, want %v", order, want)
+			t.Fatalf("steps fired %v, want %v", order, want)
 		}
 	}
-	if k.Now() != maxTime {
-		t.Fatalf("clock after drain = %v, want maxTime", k.Now())
+	if at, ok := k.NextEventTime(); k.Now() != maxTime || !ok || at != maxTime || k.Pending() != 1 {
+		t.Fatalf("after the steps: clock %v, next %v, %v with %d pending; want maxTime, the re-armed tick alone",
+			k.Now(), at, ok, k.Pending())
 	}
 }
 
@@ -293,7 +295,7 @@ func TestZeroDelayStorm(t *testing.T) {
 		}
 	}
 	k.Schedule(base, chain)
-	k.Run()
+	drain(k)
 	if k.Now() != base {
 		t.Fatalf("Run clock = %v, want %v", k.Now(), base)
 	}
@@ -444,7 +446,7 @@ func TestCounterSemanticsMidInstant(t *testing.T) {
 	})
 	mustAt(at, look)    // e3
 	mustAt(later, look) // e4
-	k.Run()
+	drain(k)
 
 	// Fire order: e1, e2, e3, e5 (last of the instant), then e4.
 	want := []obs{
@@ -465,38 +467,30 @@ func TestCounterSemanticsMidInstant(t *testing.T) {
 	}
 }
 
-// TestStopMidInstant halts a run between two events of one instant: the
-// unfired remainder must stay queued, the clock must hold at the
-// halted instant, and a resumed Run must continue exactly where the first
-// left off.
+// TestStopMidInstant stops stepping between two events of one instant: the
+// unfired remainder must stay queued, the clock must hold at the stopped
+// instant, and a resumed run must continue exactly where the first left off.
 func TestStopMidInstant(t *testing.T) {
 	t.Parallel()
 	k := New()
 	at := 3 * Millisecond
 	var order []string
-	mustAt := func(name string, stop bool) {
-		if _, err := k.ScheduleAt(at, func(Time) {
-			order = append(order, name)
-			if stop {
-				k.Stop()
-			}
-		}); err != nil {
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := k.ScheduleAt(at, func(Time) { order = append(order, name) }); err != nil {
 			t.Fatalf("ScheduleAt: %v", err)
 		}
 	}
-	mustAt("a", false)
-	mustAt("b", true)
-	mustAt("c", false)
 
-	k.Run()
+	k.Step()
+	k.Step()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("halted run fired %v, want [a b]", order)
+		t.Fatalf("two steps fired %v, want [a b]", order)
 	}
 	if k.Now() != at || k.Pending() != 1 {
-		t.Fatalf("after halt: now=%v pending=%d, want %v and 1", k.Now(), k.Pending(), at)
+		t.Fatalf("after two steps: now=%v pending=%d, want %v and 1", k.Now(), k.Pending(), at)
 	}
 
-	k.Run()
+	drain(k)
 	if len(order) != 3 || order[2] != "c" {
 		t.Fatalf("resumed run fired %v, want [a b c]", order)
 	}

@@ -247,7 +247,7 @@ func TestDifferentialBurstsBetweenRuns(t *testing.T) {
 				t.Fatalf("seed %d round %d: clock %v, reference %v", seed, round, k.Now(), ref.now)
 			}
 		}
-		k.Run()
+		drain(k)
 		ref.runUntil(maxTime, &refFired)
 
 		if len(fired) != len(refFired) {
@@ -265,12 +265,12 @@ func TestDifferentialBurstsBetweenRuns(t *testing.T) {
 	}
 }
 
-// TestDifferentialStopMidInstantThenRetune halts a RunUntil between two
+// TestDifferentialStopMidInstantThenRetune stops stepping between two
 // events of one instant, peeks with NextEventTime, then forces grow-retunes
 // with a dense burst before resuming — the PR 6 hotfix class (calendar
-// rebuilt after a peek) combined with the resume after a halt. The eventual
+// rebuilt after a peek) combined with the resume mid-instant. The eventual
 // fire order must match the reference heap: a lost or reordered remainder
-// of the halted instant would diverge.
+// of the stopped instant would diverge.
 func TestDifferentialStopMidInstantThenRetune(t *testing.T) {
 	t.Parallel()
 	for seed := int64(300); seed < 308; seed++ {
@@ -294,25 +294,27 @@ func TestDifferentialStopMidInstantThenRetune(t *testing.T) {
 		rec := func(id *int) Event { return func(Time) { fired = append(fired, *id) } }
 
 		for round := 0; round < 25; round++ {
-			// A run of same-instant events with a Stop planted at a random depth.
+			// A run of same-instant events, stepped up to a random depth.
 			batchAt := k.Now() + Time(1+rng.Intn(2000))*Microsecond
 			n := 3 + rng.Intn(12)
 			stopAt := rng.Intn(n)
+			stopped := false
 			for i := 0; i < n; i++ {
 				id := new(int)
 				if i == stopAt {
 					*id = at(batchAt, func(Time) {
 						fired = append(fired, *id)
-						k.Stop()
+						stopped = true
 					})
 				} else {
 					*id = at(batchAt, rec(id))
 				}
 			}
 			deadline := batchAt + Time(rng.Intn(3000))*Microsecond
-			k.RunUntil(deadline)
+			for !stopped && k.Step() {
+			}
 			if k.Now() != batchAt {
-				t.Fatalf("seed %d round %d: halted clock %v, want %v",
+				t.Fatalf("seed %d round %d: stopped clock %v, want %v",
 					seed, round, k.Now(), batchAt)
 			}
 			// Peek the earliest unfired event (possibly the instant's
@@ -343,7 +345,7 @@ func TestDifferentialStopMidInstantThenRetune(t *testing.T) {
 				t.Fatalf("seed %d round %d: clock %v, reference %v", seed, round, k.Now(), ref.now)
 			}
 		}
-		k.Run()
+		drain(k)
 		ref.runUntil(maxTime, &refFired)
 		for i := range fired {
 			if fired[i] != refFired[i] {
@@ -431,7 +433,7 @@ func TestDifferentialCancelRescheduleAcrossGap(t *testing.T) {
 					seed, round, len(fired), len(refFired))
 			}
 		}
-		k.Run()
+		drain(k)
 		ref.runUntil(maxTime, &refFired)
 		for i := range fired {
 			if fired[i] != refFired[i] {
@@ -460,14 +462,12 @@ func TestDifferentialTickersAcrossRetune(t *testing.T) {
 
 		var fired, refFired []int
 		nTickers := 2 + rng.Intn(3)
-		tickers := make([]*Ticker, nTickers)
-		refTick := make([]*refItem, nTickers)
 		periods := make([]Time, nTickers)
 		for i := 0; i < nTickers; i++ {
 			i := i
 			periods[i] = Time(200+rng.Intn(1500)) * Microsecond
-			tickers[i] = k.Every(periods[i], func(Time) { fired = append(fired, -1-i) })
-			refTick[i] = ref.schedule(periods[i], -1-i)
+			k.Every(periods[i], func(Time) { fired = append(fired, -1-i) })
+			ref.schedule(periods[i], -1-i)
 		}
 		nextID := 0
 		refStep := func() {
@@ -478,7 +478,7 @@ func TestDifferentialTickersAcrossRetune(t *testing.T) {
 			refFired = append(refFired, id)
 			if id < 0 {
 				// A ticker: mirror the kernel's immediate re-arm.
-				refTick[-1-id] = ref.schedule(periods[-1-id], id)
+				ref.schedule(periods[-1-id], id)
 			}
 		}
 
@@ -503,13 +503,11 @@ func TestDifferentialTickersAcrossRetune(t *testing.T) {
 				refStep()
 			}
 		}
-		for i, tk := range tickers {
-			tk.Stop()
-			refTick[i].stopped = true
-		}
-		for k.Step() {
-		}
-		for len(ref.queue) > 0 {
+		// Every burst event lies within 3 ms of the last schedule; step both
+		// sides past them, leaving only the tickers queued.
+		end := k.Now() + 3*Millisecond
+		for top := ref.top(); top != nil && top.at <= end; top = ref.top() {
+			k.Step()
 			refStep()
 		}
 
@@ -525,8 +523,8 @@ func TestDifferentialTickersAcrossRetune(t *testing.T) {
 		if k.now != ref.now {
 			t.Fatalf("seed %d: clock %v, reference %v", seed, k.now, ref.now)
 		}
-		if k.Pending() != 0 {
-			t.Fatalf("seed %d: %d events pending after drain", seed, k.Pending())
+		if k.Pending() != nTickers {
+			t.Fatalf("seed %d: %d events pending after the bursts, want the %d tickers", seed, k.Pending(), nTickers)
 		}
 	}
 }
@@ -603,7 +601,7 @@ func TestDifferentialChurnRetune(t *testing.T) {
 		}
 
 		stopping = true
-		k.Run()
+		drain(k)
 		ref.runUntil(maxTime, &refFired)
 		if len(fired) != len(refFired) {
 			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(fired), len(refFired))

@@ -12,13 +12,11 @@ package sim
 // operation's operand bytes (missing bytes read as zero):
 //
 //	fzRel, fzAbs, fzTail   c x     Schedule / ScheduleAt / ScheduleTailCallAt, delay fuzzDelay(c, x)
-//	fzPast                 x       the three absolute forms at now-1-x: ErrPastEvent, nothing scheduled
+//	fzPast                 x       both absolute forms at now-1-x: ErrPastEvent, nothing scheduled
 //	fzCancel               hi lo y Cancel event (hi<<8|lo) mod scheduled; odd y cancels it twice
 //	fzEvery                c x     Every(fuzzDelay(c, x)), a zero period bumped to one tick; at most four tickers
-//	fzTickStop             x       Stop ticker x mod tickers
 //	fzStep                         Step
 //	fzRunUntil             c x     RunUntil(now + fuzzDelay(c, x))
-//	fzStopper              c x     Schedule an event that calls Stop from its callback
 //	fzParent               c x n   Schedule an event that schedules 1+n%3 children at its own instant, every second one a tail
 //	fzBurst                n b s   130+n%171 events at now + b·64µs + (i mod (1+16·s))µs: over-fills the calendar, forcing a retune
 //
@@ -27,14 +25,20 @@ package sim
 // NextEventTime is compared only when the op byte asks: a peek advances the
 // scan, sorts the front bucket and prunes cancelled heads, so peeking after
 // every operation would put the states between two peeks out of reach.
-// When the input ends, tickers are stopped and both queues drained with Run.
+// When the input ends, both sides run to the end of time.
+//
+// Tickers never stop, so every input runs under a fire budget. The
+// reference runs each RunUntil first; when the budget runs out inside it, the
+// kernel fires the same number of events with Step instead, and the input
+// ends there.
 //
 // The committed corpus (testdata/fuzz/FuzzKernelOps, run by plain go test)
 // replays the hand-written regressions as op sequences — retune-between-runs
 // (TestRetuneBetweenRuns), bursts-between-runs
 // (TestDifferentialBurstsBetweenRuns), below-window-after-gap
 // (TestBelowWindowAfterGap), stop-mid-instant (TestStopMidInstant and its
-// retune differential) — plus one seed per remaining family: near-maxtime,
+// retune differential: two Steps into a four-event instant, then a burst) —
+// plus one seed per remaining family: near-maxtime,
 // tickers-across-retune, children-and-tails, cancel-reschedule. -v prints
 // the decoded operations.
 
@@ -52,10 +56,8 @@ const (
 	fzPast
 	fzCancel
 	fzEvery
-	fzTickStop
 	fzStep
 	fzRunUntil
-	fzStopper
 	fzParent
 	fzBurst
 	fzNumOps
@@ -63,7 +65,7 @@ const (
 	fzPeek = 0x80 // op-byte flag: compare NextEventTime after the operation
 
 	// Per-input bounds, so a 100 µs ticker under a RunUntil of days ends:
-	// the event that exhausts the fire budget calls Stop and the input ends.
+	// the event that exhausts the fire budget ends the input.
 	fzMaxOps    = 400
 	fzMaxEvents = 4096
 	fzMaxFires  = 20000
@@ -114,7 +116,7 @@ type fuzzOp struct {
 func (o fuzzOp) String() string { return fmt.Sprintf("op %d: %s %v", o.n, o.what, o.args) }
 
 // fuzzSpec is what an event does when it fires, beyond being recorded:
-// kind fzParent or fzStopper, anything else is a plain event.
+// kind fzParent, anything else is a plain event.
 type fuzzSpec struct {
 	kind int
 	n    int // fzParent: children to schedule
@@ -128,7 +130,6 @@ type fuzzHarness struct {
 	specs   []fuzzSpec
 	handles []Handle
 	fired   []int
-	budget  int
 
 	// Reference side. It assigns its own ids from its own fire order, so a
 	// divergence shows as a fired-order mismatch rather than hiding in
@@ -138,22 +139,18 @@ type fuzzHarness struct {
 	items   []*refItem
 	done    []bool
 	rfired  []int
-	rbudget int
-	rhalted bool
+	budget  int    // reference fires left
 	refused uint64 // schedules the reference refused as in the past
 
 	// Tickers fire as id -1-i on both sides.
-	tickers   []*Ticker
-	periods   []Time
-	tickItems []*refItem
-	tickDead  []bool
+	periods []Time
 
 	checked int // prefix of fired already compared
 	callFn  Call
 }
 
 func newFuzzHarness(t *testing.T) *fuzzHarness {
-	h := &fuzzHarness{t: t, k: New(), budget: fzMaxFires, rbudget: fzMaxFires}
+	h := &fuzzHarness{t: t, k: New(), budget: fzMaxFires}
 	h.callFn = func(now Time, arg any) { h.kFire(arg.(int), now) }
 	return h
 }
@@ -218,18 +215,13 @@ func (h *fuzzHarness) kFire(id int, now Time) {
 		h.t.Fatalf("event %d called with now=%d, Now()=%d", id, now, h.k.Now())
 	}
 	h.fired = append(h.fired, id)
-	if id >= 0 {
-		switch sp := h.specs[id]; sp.kind {
-		case fzParent:
-			for j := 0; j < sp.n; j++ {
-				h.kSchedule(childForm(j), now, 0, fuzzSpec{})
-			}
-		case fzStopper:
-			h.k.Stop()
-		}
+	if len(h.fired) > fzMaxFires {
+		h.t.Fatalf("kernel fired past the budget of %d", fzMaxFires)
 	}
-	if h.budget--; h.budget == 0 {
-		h.k.Stop()
+	if id >= 0 && h.specs[id].kind == fzParent {
+		for j := 0; j < h.specs[id].n; j++ {
+			h.kSchedule(childForm(j), now, 0, fuzzSpec{})
+		}
 	}
 }
 
@@ -241,34 +233,36 @@ func (h *fuzzHarness) rFire() {
 	h.rfired = append(h.rfired, it.id)
 	if it.id >= 0 {
 		h.done[it.id] = true
-		switch sp := h.rspecs[it.id]; sp.kind {
-		case fzParent:
+		if sp := h.rspecs[it.id]; sp.kind == fzParent {
 			for j := 0; j < sp.n; j++ {
 				h.rSchedule(childForm(j), 0, fuzzSpec{})
 			}
-		case fzStopper:
-			h.rhalted = true
 		}
+	} else {
+		h.rPush(satAdd(h.ref.now, h.periods[-1-it.id]), it.id, false)
 	}
-	if h.rbudget--; h.rbudget == 0 {
-		h.rhalted = true
-	}
-	if i := -1 - it.id; it.id < 0 && !h.tickDead[i] {
-		h.tickItems[i] = h.rPush(satAdd(h.ref.now, h.periods[i]), it.id, false)
-	}
+	h.budget--
 }
 
-// rRun is Run (advance false) and RunUntil (advance true) on the reference.
-func (h *fuzzHarness) rRun(deadline Time, advance bool) {
-	for !h.rhalted {
+// runUntil runs both sides to deadline. The reference goes first: if the
+// budget runs out before the deadline, the kernel steps through the same
+// number of events and its clock stays at the last of them.
+func (h *fuzzHarness) runUntil(deadline Time) {
+	n := 0
+	for ; h.budget > 0; n++ {
 		if top := h.ref.top(); top == nil || top.at > deadline {
 			break
 		}
 		h.rFire()
 	}
-	halted := h.rhalted
-	h.rhalted = false
-	if advance && !halted && h.ref.now < deadline {
+	if h.budget == 0 {
+		for i := 0; i < n; i++ {
+			h.k.Step()
+		}
+		return
+	}
+	h.k.RunUntil(deadline)
+	if h.ref.now < deadline {
 		h.ref.now = deadline
 	}
 }
@@ -337,13 +331,10 @@ func fuzzRun(t *testing.T, data []byte) {
 		op := fuzzOp{n: n}
 		room := len(h.specs) < fzMaxEvents
 		switch code := int(b&^fzPeek) % fzNumOps; code {
-		case fzRel, fzAbs, fzTail, fzStopper, fzParent:
+		case fzRel, fzAbs, fzTail, fzParent:
 			d := fuzzDelay(next(), next())
 			sp, form := fuzzSpec{}, code
-			switch code {
-			case fzStopper:
-				sp, form = fuzzSpec{kind: fzStopper}, fzRel
-			case fzParent:
+			if code == fzParent {
 				sp, form = fuzzSpec{kind: fzParent, n: 1 + int(next())%3}, fzRel
 			}
 			op.what, op.args = "schedule (form, delay, kind)", [3]int64{int64(form), int64(d), int64(sp.kind)}
@@ -354,9 +345,8 @@ func fuzzRun(t *testing.T, data []byte) {
 			at := k.Now() - 1 - Time(next())
 			op.what, op.args[0] = "schedule in the past (at)", int64(at)
 			_, err1 := k.ScheduleAt(at, func(Time) { t.Fatal("past event fired") })
-			_, err2 := k.ScheduleCallAt(at, h.callFn, -1)
-			_, err3 := k.ScheduleTailCallAt(at, h.callFn, -1)
-			for _, err := range []error{err1, err2, err3} {
+			_, err2 := k.ScheduleTailCallAt(at, h.callFn, -1)
+			for _, err := range []error{err1, err2} {
 				if !errors.Is(err, ErrPastEvent) {
 					t.Fatalf("%v: error %v, want ErrPastEvent", op, err)
 				}
@@ -383,17 +373,10 @@ func fuzzRun(t *testing.T, data []byte) {
 				period = 1
 			}
 			op.what, op.args[0] = "Every (period)", int64(period)
-			if i := len(h.tickers); i < 4 {
-				h.tickers = append(h.tickers, k.Every(period, func(now Time) { h.kFire(-1-i, now) }))
+			if i := len(h.periods); i < 4 {
+				k.Every(period, func(now Time) { h.kFire(-1-i, now) })
 				h.periods = append(h.periods, period)
-				h.tickItems = append(h.tickItems, h.rPush(satAdd(h.ref.now, period), -1-i, false))
-				h.tickDead = append(h.tickDead, false)
-			}
-		case fzTickStop:
-			i := int(next())
-			op.what, op.args[0] = "stop ticker (mod tickers)", int64(i)
-			if len(h.tickers) > 0 {
-				h.stopTicker(i % len(h.tickers))
+				h.rPush(satAdd(h.ref.now, period), -1-i, false)
 			}
 		case fzStep:
 			op.what = "Step"
@@ -407,8 +390,7 @@ func fuzzRun(t *testing.T, data []byte) {
 		case fzRunUntil:
 			deadline := satAdd(k.Now(), fuzzDelay(next(), next()))
 			op.what, op.args[0] = "RunUntil (deadline)", int64(deadline)
-			k.RunUntil(deadline)
-			h.rRun(deadline, true)
+			h.runUntil(deadline)
 		case fzBurst:
 			count, base, spread := 130+int(next())%171, Time(next())*64*Microsecond, 1+16*int(next())
 			op.what, op.args = "burst (count, base, spread)", [3]int64{int64(count), int64(base), int64(spread)}
@@ -421,28 +403,10 @@ func fuzzRun(t *testing.T, data []byte) {
 		}
 		h.check(op, b&fzPeek != 0)
 	}
-	if h.budget == 0 {
-		return // the budget's Stop ended the input mid-run
+	if h.budget > 0 {
+		h.runUntil(maxTime)
+		h.check(fuzzOp{what: "run to the end of time"}, true)
 	}
-	for i := range h.tickers {
-		h.stopTicker(i)
-	}
-	// A Stop left behind by a stepped stopper makes the first Run a no-op,
-	// and a stopper still queued halts one; neither can repeat forever.
-	for pass := 0; k.Pending() > 0 && h.budget > 0; pass++ {
-		if pass > fzMaxEvents {
-			t.Fatalf("drain made no progress with %d pending", k.Pending())
-		}
-		k.Run()
-		h.rRun(maxTime, false)
-		h.check(fuzzOp{n: pass, what: "drain pass"}, true)
-	}
-}
-
-func (h *fuzzHarness) stopTicker(i int) {
-	h.tickers[i].Stop()
-	h.tickItems[i].stopped = true
-	h.tickDead[i] = true
 }
 
 func FuzzKernelOps(f *testing.F) {

@@ -49,7 +49,7 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// maxTime is the latest representable instant; Run drains with it as the
+// maxTime is the latest representable instant; Step drains with it as the
 // deadline. It doubles as "never": time arithmetic saturates here instead
 // of wrapping, and RunUntil with any earlier deadline leaves an event
 // parked at maxTime unfired.
@@ -201,7 +201,6 @@ type Kernel struct {
 	tuneFired uint64 // fire count at the last tuneCheck or retune
 	tunePops  uint64 // overPops at the last tuneCheck — churn detector
 	running   bool
-	halted    bool
 
 	scratch   []int32 // retune / front-sort slot scratch (reused)
 	atScratch []Time  // retune timestamp scratch (reused)
@@ -360,17 +359,6 @@ func (k *Kernel) Schedule(delay Time, fn Event) Handle {
 	return k.scheduleSlot(k.now.Add(delay), callEvent, fn, false)
 }
 
-// ScheduleCallAt schedules fn(at, arg) at absolute time at. fn is typically
-// a long-lived function value shared by every event of its kind, so the
-// call allocates nothing in steady state (arg itself must be a pointer, or
-// it is boxed).
-func (k *Kernel) ScheduleCallAt(at Time, fn Call, arg any) (Handle, error) {
-	if at < k.now {
-		return Handle{}, k.reject(at)
-	}
-	return k.scheduleSlot(at, fn, arg, false), nil
-}
-
 // ScheduleCall schedules fn(now, arg) after delay (which may be zero),
 // clamped like Schedule's.
 func (k *Kernel) ScheduleCall(delay Time, fn Call, arg any) Handle {
@@ -413,58 +401,36 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 	return k.at[s], true
 }
 
-// Every schedules fn to run every period, starting after the first period.
-// The returned Handle cancels the *next* occurrence; after each firing the
-// ticker reschedules itself, so keep the Ticker to stop it.
-func (k *Kernel) Every(period Time, fn Event) *Ticker {
+// Every schedules fn to run every period, starting after the first period,
+// for the rest of the run.
+func (k *Kernel) Every(period Time, fn Event) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{k: k, period: period, fn: fn}
+	t := &ticker{k: k, period: period, fn: fn}
 	t.arm()
-	return t
 }
 
-// Ticker repeatedly fires an event at a fixed period until stopped.
-type Ticker struct {
-	k       *Kernel
-	period  Time
-	fn      Event
-	handle  Handle
-	stopped bool
+// ticker repeatedly fires an event at a fixed period.
+type ticker struct {
+	k      *Kernel
+	period Time
+	fn     Event
 }
 
 // tickerFire is the single shared callback behind every ticker: re-arming
 // allocates no closure, only a recycled slot.
 func tickerFire(now Time, arg any) {
-	t := arg.(*Ticker)
-	if t.stopped {
-		return
-	}
+	t := arg.(*ticker)
 	t.fn(now)
-	if !t.stopped {
-		t.arm()
-	}
+	t.arm()
 }
 
-func (t *Ticker) arm() {
-	t.handle = t.k.ScheduleCall(t.period, tickerFire, t)
-}
-
-// Stop cancels all future firings.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.handle.Cancel()
-}
-
-// Stop halts the run loop after the currently executing event returns;
-// everything not yet fired stays queued, so a resumed run continues
-// exactly where the halted one left off.
-func (k *Kernel) Stop() { k.halted = true }
+func (t *ticker) arm() { t.k.ScheduleCall(t.period, tickerFire, t) }
 
 // fireNext executes the earliest pending event if its timestamp is <=
 // deadline, and reports whether it did. It is the only place an event
-// leaves the queue to run: Step, Run and RunUntil are loops over it.
+// leaves the queue to run: Step and RunUntil are loops over it.
 func (k *Kernel) fireNext(deadline Time) bool {
 	s, fromOver, ok := k.peekNext()
 	if !ok || k.at[s] > deadline {
@@ -477,7 +443,7 @@ func (k *Kernel) fireNext(deadline Time) bool {
 	cfn, arg := k.cfn[s], k.arg[s]
 	// Recycle before invoking: the callback may schedule new events into
 	// this slot, and outstanding Handles are severed by the generation
-	// bump exactly as they were by the stopped flag alone.
+	// bump.
 	k.recycle(s)
 	k.tuneTick--
 	if k.tuneTick <= 0 {
@@ -491,35 +457,21 @@ func (k *Kernel) fireNext(deadline Time) bool {
 // queue is empty.
 func (k *Kernel) Step() bool { return k.fireNext(maxTime) }
 
-// Run executes events until the queue is empty or Stop is called.
-func (k *Kernel) Run() {
-	k.runGuard()
-	defer func() { k.running = false }()
-	for !k.halted && k.fireNext(maxTime) {
-	}
-	k.halted = false
-}
-
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled at exactly the deadline do run.
-// If Stop is called mid-run the clock stays at the stopping event's time —
-// a run halted by an invariant violation must report when it halted, not
-// the deadline it never reached.
 func (k *Kernel) RunUntil(deadline Time) {
 	k.runGuard()
 	defer func() { k.running = false }()
-	for !k.halted && k.fireNext(deadline) {
+	for k.fireNext(deadline) {
 	}
-	halted := k.halted
-	k.halted = false
-	if !halted && k.now < deadline {
+	if k.now < deadline {
 		k.now = deadline
 	}
 }
 
 func (k *Kernel) runGuard() {
 	if k.running {
-		panic("sim: Run called re-entrantly from an event")
+		panic("sim: RunUntil called re-entrantly from an event")
 	}
 	k.running = true
 }

@@ -30,7 +30,7 @@ func TestScheduleOrdering(t *testing.T) {
 	k.Schedule(3*Second, func(Time) { order = append(order, 3) })
 	k.Schedule(1*Second, func(Time) { order = append(order, 1) })
 	k.Schedule(2*Second, func(Time) { order = append(order, 2) })
-	k.Run()
+	drain(k)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v, want [1 2 3]", order)
 	}
@@ -46,7 +46,7 @@ func TestSameTimeFIFO(t *testing.T) {
 		i := i
 		k.Schedule(Second, func(Time) { order = append(order, i) })
 	}
-	k.Run()
+	drain(k)
 	if !sort.IntsAreSorted(order) {
 		t.Errorf("same-time events did not fire FIFO: %v", order)
 	}
@@ -65,7 +65,7 @@ func TestCancel(t *testing.T) {
 	if h.Cancel() {
 		t.Error("second Cancel should report false")
 	}
-	k.Run()
+	drain(k)
 	if fired {
 		t.Error("cancelled event fired")
 	}
@@ -74,7 +74,7 @@ func TestCancel(t *testing.T) {
 func TestCancelAfterFire(t *testing.T) {
 	k := New()
 	h := k.Schedule(Second, func(Time) {})
-	k.Run()
+	drain(k)
 	if h.Cancel() {
 		t.Error("Cancel after firing should report false")
 	}
@@ -86,9 +86,16 @@ func TestCancelAfterFire(t *testing.T) {
 func TestScheduleAtPast(t *testing.T) {
 	k := New()
 	k.Schedule(2*Second, func(Time) {})
-	k.Run()
+	drain(k)
 	if _, err := k.ScheduleAt(Second, func(Time) {}); err == nil {
 		t.Error("ScheduleAt in the past should error")
+	}
+}
+
+// drain fires every pending event: a run to the end of time that leaves
+// the clock at the last event instead of at the deadline.
+func drain(k *Kernel) {
+	for k.Step() {
 	}
 }
 
@@ -101,7 +108,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 			}
 		})
 	})
-	k.Run()
+	drain(k)
 }
 
 func TestRunUntil(t *testing.T) {
@@ -126,60 +133,11 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunUntilStoppedKeepsClock(t *testing.T) {
-	// A run halted by Stop must leave the clock at the stopping event, not
-	// jump it to the deadline: a scenario that stops on an invariant
-	// violation reports the violation time.
-	k := New()
-	var lastFired Time
-	k.Schedule(2*Second, func(now Time) { lastFired = now; k.Stop() })
-	k.Schedule(5*Second, func(now Time) { lastFired = now })
-	k.RunUntil(100 * Second)
-	if lastFired != 2*Second {
-		t.Fatalf("stop event fired at %v, want 2s", lastFired)
-	}
-	if k.Now() != 2*Second {
-		t.Errorf("Now() = %v after mid-run Stop, want 2s", k.Now())
-	}
-	// Resuming drains the remaining events and then advances to the
-	// deadline as usual.
-	k.RunUntil(100 * Second)
-	if lastFired != 5*Second {
-		t.Errorf("resume did not fire the remaining event (last %v)", lastFired)
-	}
-	if k.Now() != 100*Second {
-		t.Errorf("Now() = %v after a drained run, want 100s", k.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i)*Second, func(Time) {
-			count++
-			if count == 4 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 4 {
-		t.Errorf("Stop did not halt the loop: count = %d", count)
-	}
-	// The kernel must be restartable after Stop.
-	k.Run()
-	if count != 10 {
-		t.Errorf("resume after Stop ran %d total, want 10", count)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	k := New()
 	var at []Time
-	tk := k.Every(Second, func(now Time) { at = append(at, now) })
-	k.Schedule(3500*Millisecond, func(Time) { tk.Stop() })
-	k.Run()
+	k.Every(Second, func(now Time) { at = append(at, now) })
+	k.RunUntil(3500 * Millisecond)
 	if len(at) != 3 {
 		t.Fatalf("ticker fired %d times, want 3: %v", len(at), at)
 	}
@@ -190,33 +148,17 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-func TestTickerStopInsideCallback(t *testing.T) {
-	k := New()
-	n := 0
-	var tk *Ticker
-	tk = k.Every(Second, func(Time) {
-		n++
-		if n == 2 {
-			tk.Stop()
-		}
-	})
-	k.Run()
-	if n != 2 {
-		t.Errorf("ticker fired %d times after self-stop, want 2", n)
-	}
-}
-
 func TestReentrantRunPanics(t *testing.T) {
 	k := New()
 	k.Schedule(Second, func(Time) {
 		defer func() {
 			if recover() == nil {
-				t.Error("re-entrant Run did not panic")
+				t.Error("re-entrant RunUntil did not panic")
 			}
 		}()
-		k.Run()
+		k.RunUntil(2 * Second)
 	})
-	k.Run()
+	k.RunUntil(2 * Second)
 }
 
 func TestEventsScheduledDuringRun(t *testing.T) {
@@ -230,7 +172,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 		}
 	}
 	k.Schedule(0, grow)
-	k.Run()
+	drain(k)
 	if depth != 100 {
 		t.Errorf("chained scheduling depth = %d, want 100", depth)
 	}
@@ -247,7 +189,7 @@ func TestEventOrderProperty(t *testing.T) {
 		for _, d := range delays {
 			k.Schedule(Time(d)*Millisecond, func(now Time) { times = append(times, now) })
 		}
-		k.Run()
+		drain(k)
 		for i := 1; i < len(times); i++ {
 			if times[i] < times[i-1] {
 				return false
@@ -327,7 +269,7 @@ func TestPendingExcludesCancelled(t *testing.T) {
 		t.Errorf("Pending() after two cancels = %d, want 1", got)
 	}
 	// Draining the heap (firing the survivor) brings the count to zero.
-	k.Run()
+	drain(k)
 	if got := k.Pending(); got != 0 {
 		t.Errorf("Pending() after run = %d, want 0", got)
 	}
@@ -336,7 +278,7 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	}
 	// Cancelling an already-fired event must not disturb the count.
 	h4 := k.Schedule(Second, func(Time) {})
-	k.Run()
+	drain(k)
 	h4.Cancel()
 	if got := k.Pending(); got != 0 {
 		t.Errorf("Pending() after cancelling fired event = %d, want 0", got)
@@ -354,12 +296,6 @@ func TestPendingWithPeekDrain(t *testing.T) {
 	if got := k.Pending(); got != 1 {
 		t.Errorf("Pending() = %d, want 1 (only the 5s event remains)", got)
 	}
-	// Stopped tickers also leave a cancelled entry behind.
-	tick := k.Every(Second, func(Time) {})
-	tick.Stop()
-	if got := k.Pending(); got != 1 {
-		t.Errorf("Pending() after stopped ticker = %d, want 1", got)
-	}
 }
 
 // --- free-list, ScheduleCall and payload-retention tests (PR 3) ----------
@@ -371,24 +307,25 @@ func TestScheduleCallOrderingAndArgs(t *testing.T) {
 	k.ScheduleCall(3*Second, record, 3)
 	k.ScheduleCall(1*Second, record, 1)
 	k.Schedule(2*Second, func(Time) { got = append(got, 2) })
-	k.Run()
+	drain(k)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v, want [1 2 3]", got)
 	}
 }
 
 func TestScheduleCallAtPast(t *testing.T) {
+	// ScheduleTailCallAt is the absolute-time form of ScheduleCall.
 	k := New()
 	k.Schedule(2*Second, func(Time) {})
-	k.Run()
-	if _, err := k.ScheduleCallAt(Second, func(Time, any) {}, nil); err == nil {
-		t.Error("ScheduleCallAt in the past should error")
+	drain(k)
+	if _, err := k.ScheduleTailCallAt(Second, func(Time, any) {}, nil); err == nil {
+		t.Error("ScheduleTailCallAt in the past should error")
 	}
 	// The refusal is counted, whatever the caller does with the error, and
 	// only the refusal: the clock's own instant is not the past.
 	_, _ = k.ScheduleAt(Second, func(Time) {})
 	_, _ = k.ScheduleTailCallAt(k.Now()-1, func(Time, any) {}, nil)
-	if _, err := k.ScheduleCallAt(k.Now(), func(Time, any) {}, nil); err != nil {
+	if _, err := k.ScheduleTailCallAt(k.Now(), func(Time, any) {}, nil); err != nil {
 		t.Error(err)
 	}
 	if st := k.Stats(); st.Rejected != 3 || st.Scheduled != 2 {
@@ -403,7 +340,7 @@ func TestScheduleCallCancel(t *testing.T) {
 	if !h.Cancel() {
 		t.Error("first Cancel should report true")
 	}
-	k.Run()
+	drain(k)
 	if fired {
 		t.Error("cancelled ScheduleCall event fired")
 	}
@@ -462,7 +399,7 @@ func TestItemRecycling(t *testing.T) {
 	fn := func(Time) {}
 	h1 := k.Schedule(Second, fn)
 	first := h1.slot
-	k.Run()
+	drain(k)
 	h2 := k.Schedule(Second, fn)
 	if h2.slot != first {
 		t.Error("fired slot was not recycled for the next schedule")
@@ -477,7 +414,7 @@ func TestItemRecycling(t *testing.T) {
 func TestStaleHandleCannotTouchRecycledEntry(t *testing.T) {
 	k := New()
 	h1 := k.Schedule(Second, func(Time) {})
-	k.Run()
+	drain(k)
 	fired := false
 	h2 := k.Schedule(Second, func(Time) { fired = true })
 	if h1.slot != h2.slot {
@@ -492,7 +429,7 @@ func TestStaleHandleCannotTouchRecycledEntry(t *testing.T) {
 	if !h2.Pending() {
 		t.Error("stale Cancel killed the new occupant")
 	}
-	k.Run()
+	drain(k)
 	if !fired {
 		t.Error("new occupant did not fire after stale Cancel")
 	}
@@ -542,9 +479,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil || !h.Pending() || !h.Cancel() {
 			t.Fatal("ScheduleAt/Pending/Cancel failed")
 		}
-		if _, err := k.ScheduleCallAt(k.Now()+Microsecond, call, arg); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := k.ScheduleTailCallAt(k.Now()+Microsecond, call, arg); err != nil {
 			t.Fatal(err)
 		}
@@ -554,18 +488,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		k.RunUntil(at)
 	}); avg != 0 {
-		t.Errorf("ScheduleAt/ScheduleCallAt/ScheduleTailCallAt+Cancel+RunUntil allocates %.1f objects/op in steady state, want 0", avg)
+		t.Errorf("ScheduleAt/ScheduleTailCallAt+Cancel+RunUntil allocates %.1f objects/op in steady state, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		k.Schedule(Microsecond, fn)
-		k.Run()
-	}); avg != 0 {
-		t.Errorf("Schedule+Run allocates %.1f objects/op in steady state, want 0", avg)
-	}
-	tick := k.Every(Microsecond, fn)
+	k.Every(Microsecond, fn)
 	k.Step() // prime the ticker's entry
 	if avg := testing.AllocsPerRun(1000, func() { k.Step() }); avg != 0 {
 		t.Errorf("ticker re-arm allocates %.1f objects/op in steady state, want 0", avg)
 	}
-	tick.Stop()
 }

@@ -72,7 +72,7 @@ func TestTailOrdersAfterLaterSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Schedule(2*Millisecond, func(Time) { order = append(order, "next-instant") })
-	k.Run()
+	drain(k)
 	want := []string{"early", "late", "tail1", "tail2", "next-instant"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -98,7 +98,7 @@ func TestTailSchedulingMidInstant(t *testing.T) {
 	})
 	k.Schedule(Millisecond, func(Time) { order = append(order, "b") })
 	k.Schedule(Millisecond, func(Time) { order = append(order, "c") })
-	k.Run()
+	drain(k)
 	want := []string{"a", "b", "c", "tail"}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
@@ -125,7 +125,7 @@ func TestTailCancelAndPending(t *testing.T) {
 	if h.Pending() || h.Cancel() {
 		t.Fatal("cancelled tail event should be inert")
 	}
-	k.Run()
+	drain(k)
 	if fired {
 		t.Fatal("cancelled tail event fired")
 	}
@@ -144,24 +144,26 @@ func TestTailCancelAndPending(t *testing.T) {
 func TestTailOrderAcrossContainers(t *testing.T) {
 	k := New()
 	var order []int
-	rec := func(id int) Call { return func(Time, any) { order = append(order, id) } }
 	const at = 90 * Second // far beyond the initial window: ladder territory
-	if _, err := k.ScheduleTailCallAt(at, rec(100), nil); err != nil {
-		t.Fatal(err)
+	mustAt := func(id int, tail bool) {
+		var err error
+		if tail {
+			_, err = k.ScheduleTailCallAt(at, func(Time, any) { order = append(order, id) }, nil)
+		} else {
+			_, err = k.ScheduleAt(at, func(Time) { order = append(order, id) })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := k.ScheduleCallAt(at, rec(0), nil); err != nil {
-		t.Fatal(err)
-	}
+	mustAt(100, true)
+	mustAt(0, false)
 	// Drain everything before at: the calendar re-anchors and the ladder
 	// entries migrate into buckets.
 	k.RunUntil(at - Second)
-	if _, err := k.ScheduleCallAt(at, rec(1), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.ScheduleTailCallAt(at, rec(101), nil); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
+	mustAt(1, false)
+	mustAt(101, true)
+	drain(k)
 	want := []int{0, 1, 100, 101}
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
@@ -190,7 +192,7 @@ func TestNextEventTime(t *testing.T) {
 	if at, ok := k.NextEventTime(); !ok || at != Millisecond {
 		t.Fatalf("NextEventTime() after earlier schedule = %v, %v; want 1ms, true", at, ok)
 	}
-	k.Run()
+	drain(k)
 	if _, ok := k.NextEventTime(); ok {
 		t.Fatal("drained kernel reported a next event")
 	}
@@ -205,9 +207,9 @@ func TestNextEventTimeWindowHandshake(t *testing.T) {
 	k := New()
 	var fired []Time
 	var n int
-	cb := func(now Time, _ any) { fired = append(fired, now); n++ }
+	cb := func(now Time) { fired = append(fired, now); n++ }
 	for i := 0; i < 50; i++ {
-		if _, err := k.ScheduleCallAt(Time(rng.Intn(2000))*Millisecond, cb, nil); err != nil {
+		if _, err := k.ScheduleAt(Time(rng.Intn(2000))*Millisecond, cb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +223,7 @@ func TestNextEventTimeWindowHandshake(t *testing.T) {
 		// Inject between the peek and the run, like a barrier delivery.
 		for i, m := 0, rng.Intn(3); i < m; i++ {
 			inj := at + Time(rng.Intn(100))*Millisecond
-			if _, err := k.ScheduleCallAt(inj, cb, nil); err != nil {
+			if _, err := k.ScheduleAt(inj, cb); err != nil {
 				t.Fatal(err)
 			}
 			scheduled++

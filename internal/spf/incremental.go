@@ -255,9 +255,6 @@ func (r *IncrementalRouter) Stats() (full, incremental, skipped, touched int64) 
 // incremental) — the Table 1 "PSN CPU" proxy.
 func (r *IncrementalRouter) Recomputes() int64 { return r.full + r.incremental }
 
-// Skipped returns how many updates were absorbed without touching the tree.
-func (r *IncrementalRouter) Skipped() int64 { return r.skipped }
-
 // Accept is the PSN's whole reaction to one copy of a routing update. A
 // sequence number no newer than the one held for u's origin is a duplicate:
 // nothing changes and Accept reports false (the caller does not forward).

@@ -63,9 +63,6 @@ func Compute(g *topology.Graph, root topology.NodeID, cost CostFunc) *Tree {
 	return &t
 }
 
-// Root returns the tree's root node.
-func (t *Tree) Root() topology.NodeID { return t.root }
-
 // Dist returns the cost of the shortest path from the root to dst
 // (Infinite if unreachable, 0 for the root itself).
 func (t *Tree) Dist(dst topology.NodeID) float64 { return t.dist[dst] }

@@ -32,7 +32,7 @@ func unit(topology.LinkID) float64 { return 1 }
 func TestComputeLine(t *testing.T) {
 	g := topology.Line(4, topology.T56)
 	tree := Compute(g, 0, unit)
-	if tree.Root() != 0 {
+	if tree.root != 0 {
 		t.Error("root wrong")
 	}
 	for d := 0; d < 4; d++ {
@@ -167,8 +167,8 @@ func TestRouterIncrementalSkips(t *testing.T) {
 	if r.Recomputes() != base {
 		t.Error("increase on out-of-tree link should skip the repair")
 	}
-	if r.Skipped() != 1 {
-		t.Errorf("skip counter = %d after one skipped increase, want 1", r.Skipped())
+	if r.skipped != 1 {
+		t.Errorf("skip counter = %d after one skipped increase, want 1", r.skipped)
 	}
 
 	// Decrease that cannot improve any path: skip.
@@ -176,13 +176,13 @@ func TestRouterIncrementalSkips(t *testing.T) {
 	if r.Recomputes() != base {
 		t.Error("harmless decrease should skip the repair")
 	}
-	if r.Skipped() != 2 {
-		t.Errorf("skip counter = %d after a skipped decrease, want 2", r.Skipped())
+	if r.skipped != 2 {
+		t.Errorf("skip counter = %d after a skipped decrease, want 2", r.skipped)
 	}
 
 	// Unchanged cost: no-op, not even counted.
 	r.Update(notInTree, 4)
-	if r.Recomputes() != base || r.Skipped() != 2 {
+	if r.Recomputes() != base || r.skipped != 2 {
 		t.Error("unchanged cost should be a no-op")
 	}
 	if r.Tree().NextHop(d) != inTree {
@@ -236,11 +236,11 @@ func TestRouterUpdateBatch(t *testing.T) {
 	}
 	// A newer update that changes nothing is accepted (and would be
 	// forwarded) but neither repairs nor counts as skipped.
-	before, skipped := r.Recomputes(), r.Skipped()
+	before, skipped := r.Recomputes(), r.skipped
 	if !r.Accept(fromA(2)) {
 		t.Error("a newer sequence number must be accepted even with equal costs")
 	}
-	if r.Recomputes() != before || r.Skipped() != skipped {
+	if r.Recomputes() != before || r.skipped != skipped {
 		t.Error("no-op update should not touch the tree or the counters")
 	}
 	// The same or an older sequence number is a duplicate.

@@ -41,7 +41,7 @@ func TestTableRetainsOnlyTheModel(t *testing.T) {
 	if got > 1.10*model {
 		t.Errorf("table retains %.0f B for %d routers, want <= 1.10 x (n·12N + 8L + %d·N) = %.0f B", got, n, perOrigin, 1.10*model)
 	}
-	if tab.Router(n-1).Tree().Root() != topology.NodeID(n-1) {
+	if tab.Router(n-1).Tree().root != topology.NodeID(n-1) {
 		t.Error("last router is not rooted at the last node")
 	}
 }

@@ -12,8 +12,8 @@ import (
 // and next hops.
 func treesMatch(t *testing.T, got, want *Tree, label string) {
 	t.Helper()
-	if got.Root() != want.Root() {
-		t.Fatalf("%s: root = %v, want %v", label, got.Root(), want.Root())
+	if got.root != want.root {
+		t.Fatalf("%s: root = %v, want %v", label, got.root, want.root)
 	}
 	if len(got.dist) != len(want.dist) {
 		t.Fatalf("%s: %d nodes, want %d", label, len(got.dist), len(want.dist))
@@ -71,7 +71,7 @@ func TestComputeIntoAliasing(t *testing.T) {
 	if first != second {
 		t.Fatal("ComputeInto should return the workspace-owned tree both times")
 	}
-	if first.Root() != 3 {
+	if first.root != 3 {
 		t.Fatal("second computation should have overwritten the first")
 	}
 }

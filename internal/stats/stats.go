@@ -42,9 +42,6 @@ func (w *Welford) N() int64 { return w.n }
 // Mean returns the sample mean, or 0 with no observations.
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Sum returns the running total of all observations.
-func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
 // Var returns the unbiased sample variance (0 for n < 2).
 func (w *Welford) Var() float64 {
 	if w.n < 2 {
@@ -90,12 +87,6 @@ func (h *Histogram) Add(x float64) {
 	i = min(max(i, 0), len(h.buckets)-1)
 	h.buckets[i]++
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.w.N() }
-
-// Mean returns the mean of all observations (unclamped values).
-func (h *Histogram) Mean() float64 { return h.w.Mean() }
 
 // Quantile returns an approximation of the q-quantile (0 <= q <= 1) from the
 // bucket midpoints. Exact for values that fall inside the range.
@@ -190,11 +181,3 @@ func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
-
-// Rate returns the count divided by an elapsed duration in seconds.
-func (c *Counter) Rate(seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(c.n) / seconds
-}
