@@ -44,55 +44,77 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole command minus the process exit, so tests drive it
-// directly.
-func run(args []string, stdout, stderr io.Writer) int {
+// options holds the command's flags.
+type options struct {
+	metric, topology, scenario, cpuProfile, memProfile        string
+	traffic, growth, seconds, warmup, rate, background, epoch float64
+	seed                                                      int64
+	seeds, shards, dests, radius                              int
+	json, adaptive                                            bool
+}
+
+// parse reads args into options. The error is a bad flag, already reported
+// with usage on stderr.
+func parse(args []string, stderr io.Writer) (*options, *flag.FlagSet, error) {
 	fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		metricName = fs.String("metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with -shards -adaptive)")
-		// 280 kbps plays the role of the paper's May-1987 peak-hour load
-		// (366 kbps over 71 trunks) on this 44-trunk topology: heavy enough
-		// that D-SPF's oscillations dominate, light enough that HN-SPF
-		// carries nearly everything. See EXPERIMENTS.md for the calibration.
-		trafficK = fs.Float64("traffic", 280, "offered internode traffic in kbps ('May-1987' level)")
-		growth   = fs.Float64("growth", 413.99/366.26, "traffic multiplier for the after run")
-		seconds  = fs.Float64("seconds", 600, "measured simulation time")
-		warmup   = fs.Float64("warmup", 100, "warmup time before measurement")
-		seed     = fs.Int64("seed", 1987, "random seed")
-		seeds    = fs.Int("seeds", 1, "number of independent seeds to average over")
-		asJSON   = fs.Bool("json", false, "emit reports as JSON instead of the table")
-		topoName = fs.String("topology", "arpanet", "arpanet, milnet, or (with -shards) hier:<R>x<P> / waxman:<N>")
-		scenFile = fs.String("scenario", "", "fault-injection script to run instead of the Table 1 study")
-		shardsN  = fs.Int("shards", 0, "run the sharded simulator with this many shards (0 = Table 1 study)")
-		rate     = fs.Float64("rate", 1.0, "per-node packet rate for -shards mode (pkts/sec)")
-		dests    = fs.Int("dests", 3, "destinations per source for -shards mode")
-		radius   = fs.Int("radius", 0, "destination locality radius in hops for -shards mode (0 = uniform)")
-		adaptive = fs.Bool("adaptive", false, "with -shards: route by the adaptive plane (-metric hnspf/dspf/minhop; bf1969 falls back to the unsharded engine)")
-		// Hybrid fluid/packet mode: the background demand is carried as
-		// fluid flows superposed onto the trunks' measured state instead of
-		// being simulated packet by packet, so Table-1 experiments run at
-		// offered loads far past what event-by-event simulation can afford.
-		backgroundK = fs.Float64("background", 0, "fluid background demand in kbps, gravity-shaped (0 = pure packet engine)")
-		bgEpochSecs = fs.Float64("background-epoch", 10, "fluid re-routing epoch in seconds (with -background)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile  = fs.String("memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
+	o := &options{}
+	fs.StringVar(&o.metric, "metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with -shards -adaptive)")
+	// 280 kbps plays the role of the paper's May-1987 peak-hour load
+	// (366 kbps over 71 trunks) on this 44-trunk topology: heavy enough
+	// that D-SPF's oscillations dominate, light enough that HN-SPF
+	// carries nearly everything. See EXPERIMENTS.md for the calibration.
+	fs.Float64Var(&o.traffic, "traffic", 280, "offered internode traffic in kbps ('May-1987' level)")
+	fs.Float64Var(&o.growth, "growth", 413.99/366.26, "traffic multiplier for the after run")
+	fs.Float64Var(&o.seconds, "seconds", 600, "measured simulation time")
+	fs.Float64Var(&o.warmup, "warmup", 100, "warmup time before measurement")
+	fs.Int64Var(&o.seed, "seed", 1987, "random seed")
+	fs.IntVar(&o.seeds, "seeds", 1, "number of independent seeds to average over")
+	fs.BoolVar(&o.json, "json", false, "emit reports as JSON instead of the table")
+	fs.StringVar(&o.topology, "topology", "arpanet", "arpanet, milnet, or (with -shards) hier:<R>x<P> / waxman:<N>")
+	fs.StringVar(&o.scenario, "scenario", "", "fault-injection script to run instead of the Table 1 study")
+	fs.IntVar(&o.shards, "shards", 0, "run the sharded simulator with this many shards (0 = Table 1 study)")
+	fs.Float64Var(&o.rate, "rate", 1.0, "per-node packet rate for -shards mode (pkts/sec)")
+	fs.IntVar(&o.dests, "dests", 3, "destinations per source for -shards mode")
+	fs.IntVar(&o.radius, "radius", 0, "destination locality radius in hops for -shards mode (0 = uniform)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "with -shards: route by the adaptive plane (-metric hnspf/dspf/minhop; bf1969 falls back to the unsharded engine)")
+	// Hybrid fluid/packet mode: the background demand is carried as
+	// fluid flows superposed onto the trunks' measured state instead of
+	// being simulated packet by packet, so Table-1 experiments run at
+	// offered loads far past what event-by-event simulation can afford.
+	fs.Float64Var(&o.background, "background", 0, "fluid background demand in kbps, gravity-shaped (0 = pure packet engine)")
+	fs.Float64Var(&o.epoch, "background-epoch", 10, "fluid re-routing epoch in seconds (with -background)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
+	return o, fs, fs.Parse(args)
+}
+
+// check returns the metrics -metric names, or why no mode can run the
+// flags fs parsed into o.
+func (o *options) check(fs *flag.FlagSet) ([]arpanet.Metric, error) {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	kinds, err := metricKinds(*metricName)
+	kinds, err := metricKinds(o.metric)
 	if err == nil {
 		err = numberFlag(fs)
 	}
 	if err == nil {
-		err = checkFlags(set, *shardsN, *adaptive, *scenFile, *topoName, *backgroundK, len(kinds))
+		err = checkFlags(set, o.shards, o.adaptive, o.scenario, o.topology, o.background, len(kinds))
 	}
+	return kinds, err
+}
+
+// run is the whole command minus the process exit, so tests drive it
+// directly.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, fs, err := parse(args, stderr)
+	if err != nil {
+		return 2
+	}
+	kinds, err := o.check(fs)
 	var sharded func(io.Writer) (any, error)
-	if err == nil && *shardsN > 0 {
-		sharded, err = shardedRun(*topoName, *shardsN, *rate, *dests, *radius, *seed, *seconds, *adaptive, kinds[0])
+	if err == nil && o.shards > 0 {
+		sharded, err = shardedRun(o.topology, o.shards, o.rate, o.dests, o.radius, o.seed, o.seconds, o.adaptive, kinds[0])
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "arpanetsim:", err)
@@ -107,18 +129,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// metric: the script's timeline at one load, or the study's measured
 	// window with the after run's load grown.
 	var script []byte
-	if *scenFile != "" {
-		if script, err = os.ReadFile(*scenFile); err == nil && len(script) == 0 {
-			err = fmt.Errorf("%s: empty script", *scenFile)
+	if o.scenario != "" {
+		if script, err = os.ReadFile(o.scenario); err == nil && len(script) == 0 {
+			err = fmt.Errorf("%s: empty script", o.scenario)
 		}
 		if err != nil {
 			return fail(err)
 		}
 	}
-	topo, weights, bps := arpanet.Arpanet1987(), arpanet.ArpanetWeights(), *trafficK*1000
-	if *topoName == "milnet" {
+	topo, weights, bps := arpanet.Arpanet1987(), arpanet.ArpanetWeights(), o.traffic*1000
+	if o.topology == "milnet" {
 		topo, weights = arpanet.Milnet1987(), arpanet.MilnetWeights()
-		if *trafficK == 280 {
+		if o.traffic == 280 {
 			// MILNET's aggregate capacity is smaller; rescale the default load
 			// to the equivalent regime (see milnet_test.go).
 			bps = 150_000
@@ -128,21 +150,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, m := range kinds {
 		load := bps
 		if i == 1 && script == nil {
-			load *= *growth
+			load *= o.growth
 		}
 		s := arpanet.Spec{Topology: topo, Traffic: topo.GravityTraffic(weights, load), Metric: m,
-			Seed: *seed, WarmupSeconds: *warmup, Script: string(script)}
+			Seed: o.seed, WarmupSeconds: o.warmup, Script: string(script)}
 		if script == nil {
-			s.Seconds = *warmup + *seconds
+			s.Seconds = o.warmup + o.seconds
 		}
-		if *backgroundK > 0 {
+		if o.background > 0 {
 			// Hybrid mode: scripts may then use the 'surge background'
 			// directive against this fluid demand.
-			s.Background, s.BackgroundEpochSeconds = topo.GravityTraffic(weights, *backgroundK*1000), *bgEpochSecs
+			s.Background, s.BackgroundEpochSeconds = topo.GravityTraffic(weights, o.background*1000), o.epoch
 		}
 		specs = append(specs, s)
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
 		return fail(err)
 	}
@@ -150,8 +172,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	code := 0
 	if sharded != nil {
 		live, err = sharded(stdout)
-	} else if code, err = study(stdout, specs, *seeds, *asJSON); err != nil && script != nil {
-		err = fmt.Errorf("%s: %w", *scenFile, err)
+	} else if code, err = study(stdout, specs, o.seeds, o.json); err != nil && script != nil {
+		err = fmt.Errorf("%s: %w", o.scenario, err)
 	}
 	if perr := stopProfiles(live); err == nil {
 		err = perr

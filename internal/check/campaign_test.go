@@ -11,8 +11,9 @@ import (
 // caught by a campaign alone, and the latest deterministic first catch is
 // campaign 2. Six is the fewest campaigns whose trials draw every mode
 // their generators know: seeds 1..6 give the hybrid pillar both metrics
-// (D-SPF first at seed 3) and shard routing and shard custody all three
-// (min-hop and D-SPF by seed 6). CI's checker-smoke job runs 25 per push.
+// (D-SPF first at seed 2) and shard routing and shard custody all three
+// (shard routing's min-hop first at seed 6). CI's checker-smoke job runs 25
+// per push.
 const campaignsPerRun = 6
 
 // TestCampaignsPass is the in-tree slice of what cmd/checker runs in CI:
@@ -34,7 +35,7 @@ func TestCampaignsPass(t *testing.T) {
 	}
 }
 
-// TestCheckFlood: the reliable flood delivers under drops and partitions.
+// TestCheckFlood: a healed cut resynchronises every PSN within a flood time.
 func TestCheckFlood(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 8; seed++ {

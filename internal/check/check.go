@@ -15,9 +15,10 @@
 //     within its Floor/Ceiling band, respects the §4.2/§4.3 per-update
 //     movement limits and never stays silent past its forced-update
 //     horizon;
-//   - flood-delivery (CheckFlood, floodcheck.go): the reliable flood of
-//     the updating protocol delivers every update to every node under
-//     random losses and partitions once the lines are back;
+//   - flood-delivery (CheckFlood, scenariocheck.go): the engines' flood
+//     heals a partition — a generated topology is cut into components,
+//     news floods on each side, the cut heals, and one flood time later
+//     every PSN holds every origin's latest update;
 //   - scenario-audit (CheckScenario, scenariocheck.go): the packet-
 //     conservation ledger, single-transmitter and convergence audits of
 //     internal/scenario hold under randomized fault scripts;
@@ -32,9 +33,9 @@
 //     cuts and fault scripts.
 //
 // Every failure shrinks before it surfaces (shrink.go): the input that
-// broke it — an update stream, a delay sequence, a flood op list, a fault
-// script — is minimized by delta debugging and rendered as a self-contained
-// reproducer (for the four scripted pillars, a committable .scn script), so
+// broke it — an update stream, a delay sequence, a fault script — is
+// minimized by delta debugging and rendered as a self-contained reproducer
+// (for the five scripted pillars, a committable .scn script), so
 // a campaign failure becomes a regression test instead of a seed number in
 // a log.
 //
@@ -60,8 +61,8 @@ type Failure struct {
 	Topo string
 	// Err is the violated property.
 	Err string
-	// Repro is the minimized reproducer: an op list, or for the four
-	// scripted checks (scenario-audit onward) a complete .scn script.
+	// Repro is the minimized reproducer: an op list, or for the five
+	// scripted checks (flood-delivery onward) a complete .scn script.
 	Repro string
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -12,10 +13,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// Every scripted check — scenario audit, hybrid differential, the two
-// sharded checks — keeps its disturbances as a flat []scenario.Event: the
-// form ddmin shrinks, scenario.Run executes, shardFaults resolves and
-// Script renders as a .scn reproducer.
+// Every scripted check — flood heal, scenario audit, hybrid differential,
+// the two sharded checks — keeps its disturbances as a flat
+// []scenario.Event: the form ddmin shrinks, scenario.Run executes,
+// shardFaults resolves and Script renders as a .scn reproducer.
 
 // script wraps a disturbance list as a runnable scenario.
 func script(name string, duration, checkEvery sim.Time, events []scenario.Event) *scenario.Scenario {
@@ -131,6 +132,88 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 	header := fmt.Sprintf("# topo: %s\n# metric: %v\n# load: %.0f bps uniform\n# cfgseed: %d\n",
 		topo.Desc, metric, load, cfgSeed)
 	return scriptFailure("scenario-audit", seed, topo.Desc, header, sc, err, run)
+}
+
+// fixedCost is a cost module whose cost never moves. On idle lines it leaves
+// the faults and the 50 s refresh as the only floods, so a heal trial's
+// checkpoint finds the network quiescent and its convergence audit conclusive.
+type fixedCost struct{}
+
+func (fixedCost) Update(float64) (float64, bool) { return 1, false }
+func (fixedCost) Cost() float64                  { return 1 }
+func (fixedCost) Floor() float64                 { return 1 }
+func (fixedCost) Reset()                         {}
+
+// CheckFlood runs one heal trial, the case random fault scripts rarely draw.
+// On a generated topology with idle lines, just after every PSN's first 50 s
+// refresh, the trunks between a random half of the nodes and the rest fail,
+// cutting the network into components; one more trunk fails on each side of
+// the cut; and the cut heals. Each side has flooded news the other missed,
+// and only the line-up exchange of a repaired trunk carries it across:
+// node.FloodTime after the heal the floods must have quiesced, and every PSN
+// must hold each origin's latest update (network.ConvergenceAudit) with
+// every other audit passing. A failure shrinks to a .scn script.
+func CheckFlood(rng *rand.Rand, seed int64) *Failure {
+	topo := GenTopology(rng, 16)
+	g := topo.G
+	in := make([]bool, g.NumNodes()) // the cut separates these nodes from the rest
+	for i := range in {
+		in[i] = rng.Intn(2) == 0
+	}
+
+	start := node.MaxUpdateInterval + node.MeasurementPeriod + sim.Second
+	heal := start + 3*sim.Second
+	sc := script("flood", 0, 0, nil)
+	var sides [2][]int // trunks among the nodes in, then among the rest
+	for tr := 0; tr < g.NumTrunks(); tr++ {
+		l := g.Link(topology.LinkID(2 * tr))
+		a, b := trunkNames(g, tr)
+		switch {
+		case in[l.From] != in[l.To]:
+			sc.DownAt(start, a, b)
+			sc.UpAt(heal, a, b)
+		case in[l.From]:
+			sides[0] = append(sides[0], tr)
+		default:
+			sides[1] = append(sides[1], tr)
+		}
+	}
+	down := make([]bool, g.NumLinks()) // the links still down after the heal
+	for _, side := range sides {
+		if len(side) > 0 {
+			tr := side[rng.Intn(len(side))]
+			a, b := trunkNames(g, tr)
+			sc.DownAt(start+sim.Second, a, b)
+			down[2*tr], down[2*tr+1] = true, true
+		}
+	}
+	settle := node.FloodTime(g, func(l topology.LinkID) bool { return down[l] })
+	sc.Duration = heal + settle
+
+	var net *network.Network
+	cfg := scenario.Config{
+		Graph:         g,
+		Matrix:        traffic.NewMatrix(g.NumNodes()),
+		Metric:        node.MinHop,
+		Seed:          seed,
+		ModuleFactory: func(topology.Link) node.CostModule { return fixedCost{} },
+		Prepare:       func(n *network.Network) { net = n },
+	}
+	run := func(events []scenario.Event) error {
+		if err := runScript(cfg, script(sc.Name, sc.Duration, 0, events)); err != nil {
+			return err
+		}
+		if n := net.RoutingInFlight(); n > 0 {
+			return fmt.Errorf("%d routing packets still in flight %v after the heal", n, settle)
+		}
+		return nil
+	}
+	err := run(sc.Events)
+	if err == nil {
+		return nil
+	}
+	header := fmt.Sprintf("# topo: %s\n# idle lines, every link at a fixed cost of 1\n# seed: %d\n", topo.Desc, seed)
+	return scriptFailure("flood-delivery", seed, topo.Desc, header, sc, err, run)
 }
 
 func randTrunkNames(rng *rand.Rand, g *topology.Graph) (string, string) {

@@ -18,14 +18,16 @@ import (
 const OutageCost = 1e6
 
 // Router is the forwarding surface the SPF differential oracle verifies:
-// apply a link-cost change, then answer distance and next-hop queries.
-// The production implementation is internal/spf's IncrementalRouter; tests
-// inject deliberately broken implementations to prove the oracle catches
-// them.
+// apply a link-cost change, then answer distance, next-hop and path
+// queries. The production implementation is internal/spf's
+// IncrementalRouter; tests inject deliberately broken implementations to
+// prove the oracle catches them.
 type Router interface {
 	Update(l topology.LinkID, cost float64)
 	Dist(dst topology.NodeID) float64
 	NextHop(dst topology.NodeID) topology.LinkID
+	// Path is the router's own shortest path to dst, root first.
+	Path(dst topology.NodeID) []topology.LinkID
 }
 
 // RouterFactory builds the Router under test for one root.
@@ -38,6 +40,7 @@ type incrRouter struct{ r *spf.IncrementalRouter }
 func (a incrRouter) Update(l topology.LinkID, c float64)       { a.r.Update(l, c) }
 func (a incrRouter) Dist(d topology.NodeID) float64            { return a.r.Tree().Dist(d) }
 func (a incrRouter) NextHop(d topology.NodeID) topology.LinkID { return a.r.Tree().NextHop(d) }
+func (a incrRouter) Path(d topology.NodeID) []topology.LinkID  { return a.r.Tree().Path(d) }
 
 // IncrementalFactory is the production RouterFactory: the incremental
 // repair path of internal/spf.
@@ -55,7 +58,8 @@ type SPFOp struct {
 // random costs, one Router per root, and a random stream of cost changes
 // (including outage-grade jumps and repairs). After every change, every
 // root's distances must equal a fresh from-scratch Dijkstra exactly and a
-// naive Bellman-Ford reference to within float tolerance, and hop-by-hop
+// naive Bellman-Ford reference to within float tolerance, each next hop
+// must be the first line of the root's own tree path, and hop-by-hop
 // forwarding between every (src, dst) pair must be loop-free. On failure
 // the op stream is minimized and rendered as a reproducer.
 func CheckSPF(rng *rand.Rand, seed int64, factory RouterFactory) *Failure {
@@ -166,6 +170,11 @@ func verifySPF(g *topology.Graph, cur []float64, routers []Router, ws *spf.Works
 				return fmt.Errorf("root %d: reachable node %d has no next hop", root, dst)
 			case g.Link(next).From != topology.NodeID(root):
 				return fmt.Errorf("root %d: next hop to %d is link %d leaving node %d", root, dst, next, g.Link(next).From)
+			default:
+				// The forwarding line and the tree can disagree where distances tie to the last ulp.
+				if path := r.Path(topology.NodeID(dst)); len(path) == 0 || path[0] != next {
+					return fmt.Errorf("root %d: next hop to %d is link %d, but its tree path is %v", root, dst, next, path)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -25,6 +26,7 @@ type tiePersistRouter struct {
 	ws    *spf.Workspace
 	dist  []float64
 	next  []topology.LinkID
+	tree  *spf.Tree // the last recompute's, ws's scratch
 }
 
 func newTiePersistRouter(g *topology.Graph, root topology.NodeID, costs []float64) Router {
@@ -42,6 +44,7 @@ func newTiePersistRouter(g *topology.Graph, root topology.NodeID, costs []float6
 
 func (b *tiePersistRouter) recompute() {
 	t := spf.ComputeInto(b.ws, b.g, b.root, func(l topology.LinkID) float64 { return b.costs[l] })
+	b.tree = t
 	for i := range b.dist {
 		b.dist[i] = t.Dist(topology.NodeID(i))
 		b.next[i] = t.NextHop(topology.NodeID(i))
@@ -81,6 +84,7 @@ func (b *tiePersistRouter) Update(l topology.LinkID, c float64) {
 
 func (b *tiePersistRouter) Dist(dst topology.NodeID) float64            { return b.dist[dst] }
 func (b *tiePersistRouter) NextHop(dst topology.NodeID) topology.LinkID { return b.next[dst] }
+func (b *tiePersistRouter) Path(dst topology.NodeID) []topology.LinkID  { return b.tree.Path(dst) }
 
 // TestInjectedTieBreakBugCaught proves the differential oracle's teeth: the
 // tie-persistence bug above must be detected, and the reproducer that comes
@@ -137,6 +141,32 @@ func TestCheckSPFProductionClean(t *testing.T) {
 		if f := CheckSPF(rng, seed, IncrementalFactory); f != nil {
 			t.Fatalf("production router failed the oracle:\n%s", f.Repro)
 		}
+	}
+}
+
+// TestOneULPImprovement replays spf.TestLineNumbersAgainstLinkIDReference's
+// one-ulp input through the oracle, a regression no campaign draws: R reaches
+// A directly at 3 and through M at 3.5, then M→A drops so A sits one ulp below
+// 3 through M. B, 1000 beyond A, keeps its distance, but its tree path now
+// leaves through M; a router whose next hop to B stayed on the direct line
+// fails verifySPF's tree-path assertion.
+func TestOneULPImprovement(t *testing.T) {
+	t.Parallel()
+	g := topology.New()
+	r, a, m, b := g.AddNode("R"), g.AddNode("A"), g.AddNode("M"), g.AddNode("B")
+	ra, _ := g.AddTrunk(r, a, topology.T56)
+	rm, _ := g.AddTrunk(r, m, topology.T56)
+	ma, _ := g.AddTrunk(m, a, topology.T56)
+	ab, _ := g.AddTrunk(a, b, topology.T56)
+	costs := make([]float64, g.NumLinks())
+	for i := range costs {
+		costs[i] = 1
+	}
+	costs[ra], costs[rm], costs[ma], costs[ab] = 3, 1, 2.5, 1000
+	routers, cur := buildRouters(g, costs, IncrementalFactory)
+	applyOp(routers, cur, SPFOp{Link: ma, Cost: math.Nextafter(3, 0) - 1})
+	if err := verifySPF(g, cur, routers, spf.NewWorkspace()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,7 +9,9 @@
 // an accepted update by reference), its wire-size accounting (routing
 // updates consume trunk bandwidth — one of the §3.3 costs of D-SPF), and a
 // per-node duplicate filter. Delivery timing lives in the engines, which
-// move updates over the simulated trunks at high priority.
+// move updates over the simulated trunks at high priority, as does the
+// protocol's line-up exchange: the two ends of a repaired trunk send each
+// other the update they hold for every other origin.
 package flooding
 
 import (

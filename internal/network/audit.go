@@ -5,14 +5,15 @@ package network
 // The auditors check, from outside the event loop, that the simulator's
 // books balance: every offered packet is delivered, dropped into exactly
 // one drop class, or still demonstrably in flight; every trunk runs at most
-// one transmitter; and, once floods quiesce, every PSN's cost database
-// matches what was last flooded. internal/scenario calls these at every
+// one transmitter; and, once floods quiesce, every PSN holds every
+// reachable origin's latest update. internal/scenario calls these at every
 // checkpoint, turning the failure-path bugfixes into permanently enforced
 // invariants.
 
 import (
 	"fmt"
 
+	"repro/internal/flooding"
 	"repro/internal/node"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -73,15 +74,15 @@ func (n *Network) TransmitterAudit() error {
 	return nil
 }
 
-// ConvergenceAudit checks that every PSN's cost database matches the last
-// flooded cost of every link, within connected components: a PSN cut off by
-// a partition legitimately holds stale entries for the far side. The check
-// is inconclusive (nil) while routing packets are still in flight, and does
-// not apply to the 1969 distance-vector mode. Callers should additionally
-// allow one refresh interval (node.MaxUpdateInterval plus a measurement
-// period) after a topology change before treating a mismatch as a bug:
-// floods missed across a partition are only repaired by the periodic
-// refresh.
+// ConvergenceAudit checks that, within each connected component, every PSN
+// holds each origin's latest update — the sequence number the origin's own
+// router holds — and that its cost database matches the last flooded cost of
+// every link. A PSN cut off by a partition legitimately holds stale entries
+// for the far side. The check is inconclusive (nil) while routing packets
+// are still in flight, and does not apply to the 1969 distance-vector mode.
+// Once floods quiesce it needs no grace period: a repaired trunk resyncs both
+// ends (SetTrunkUp), so whatever a partition kept from either side has
+// crossed by the time the last routing packet lands.
 //
 // node.AuditRun's two checks need no quiescence and come first, in every mode.
 func (n *Network) ConvergenceAudit() error {
@@ -92,7 +93,24 @@ func (n *Network) ConvergenceAudit() error {
 		return nil
 	}
 	comp := n.components()
+	latest := make([]uint64, len(n.psns)) // by origin; 0 while it floods nothing but its boot costs
 	for _, p := range n.psns {
+		p.router.Updates(func(u *flooding.Update) {
+			if u.Origin == p.id {
+				latest[p.id] = u.Seq
+			}
+		})
+	}
+	held := make([]uint64, len(n.psns))
+	for _, p := range n.psns {
+		clear(held)
+		p.router.Updates(func(u *flooding.Update) { held[u.Origin] = u.Seq })
+		for o, seq := range latest {
+			if comp[o] == comp[p.id] && held[o] != seq {
+				return fmt.Errorf("PSN %s holds update %d from %s, which last flooded update %d",
+					n.g.Node(p.id).Name, held[o], n.g.Node(topology.NodeID(o)).Name, seq)
+			}
+		}
 		for _, ls := range n.links {
 			if comp[p.id] != comp[ls.link.From] {
 				continue

@@ -6,6 +6,7 @@ package network
 import (
 	"testing"
 
+	"repro/internal/flooding"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -199,5 +200,70 @@ func TestConvergenceAfterFailureIsFast(t *testing.T) {
 	t.Logf("no-route drops: %d within 3 s of failure, %d more in the following 67 s", early, late-early)
 	if late != early {
 		t.Errorf("drops kept accumulating after convergence: %d → %d", early, late)
+	}
+}
+
+// TestHealResyncsPartition cuts the ARPANET map coast to coast (UTAH–COLLINS,
+// UCLA–TEXAS, SRI–WISC) and fails one more trunk on each side while it is
+// cut, so each side floods news the other never hears. When the cut heals,
+// the line-up exchange must carry that news across: the floods quiesce within
+// node.FloodTime of the heal — seconds, where the 50 s refresh used to be the
+// only repair — and then every PSN holds every origin's latest update. On
+// idle lines only the refresh floods unprompted; the cut starts after every
+// PSN's first one, so the resync carries an update from every origin.
+func TestHealResyncsPartition(t *testing.T) {
+	g := topology.Arpanet()
+	n := New(Config{Graph: g, Matrix: traffic.NewMatrix(g.NumNodes()), Metric: node.HNSPF, Seed: 1})
+	trunk := func(a, b string) topology.LinkID {
+		l, ok := g.FindTrunk(g.MustLookup(a), g.MustLookup(b))
+		if !ok {
+			t.Fatalf("no trunk joins %s and %s", a, b)
+		}
+		return l
+	}
+	cut := []topology.LinkID{trunk("UTAH", "COLLINS"), trunk("UCLA", "TEXAS"), trunk("SRI", "WISC")}
+	start := node.MaxUpdateInterval + node.MeasurementPeriod + sim.Second
+	n.Run(start)
+	for _, l := range cut {
+		n.SetTrunkDown(l)
+	}
+	n.Run(start + sim.Second)
+	n.SetTrunkDown(trunk("UCLA", "ISI"))
+	n.SetTrunkDown(trunk("MIT", "BBN"))
+	heal := start + 3*sim.Second
+	n.Run(heal)
+	if comp := n.components(); comp[g.MustLookup("SRI")] == comp[g.MustLookup("WISC")] {
+		t.Fatal("the coast-to-coast cut left the map connected")
+	}
+	if in := n.RoutingInFlight(); in != 0 {
+		t.Fatalf("%d routing packets still in flight before the heal", in)
+	}
+	if err := n.ConvergenceAudit(); err != nil {
+		t.Fatalf("a side of the cut disagrees with itself: %v", err)
+	}
+
+	copies := 0
+	for _, l := range cut {
+		for _, id := range []topology.NodeID{g.Link(l).From, g.Link(l).To} {
+			n.psns[id].router.Updates(func(u *flooding.Update) {
+				if u.Origin != id {
+					copies++
+				}
+			})
+		}
+		n.SetTrunkUp(l)
+	}
+	bound := node.FloodTime(g, n.LinkIsDown)
+	for n.RoutingInFlight() > 0 && n.Kernel().Now() < heal+bound {
+		n.Run(n.Kernel().Now() + sim.Millisecond)
+	}
+	settled := n.Kernel().Now() - heal
+	t.Logf("resync: %d update copies over %d restored trunks; settled %v after the heal, bound %v",
+		copies, len(cut), settled, bound)
+	if in := n.RoutingInFlight(); in != 0 {
+		t.Fatalf("%d routing packets still in flight %v after the heal", in, bound)
+	}
+	if err := n.ConvergenceAudit(); err != nil {
+		t.Fatalf("%v after the heal: %v", settled, err)
 	}
 }

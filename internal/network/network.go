@@ -609,20 +609,29 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 // --- routing updates ----------------------------------------------------
 
 func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
-	u := pkt.Update
-	if !p.accept(u) {
-		return
+	if p.accept(pkt.Update) {
+		n.flood(p, pkt.Update, pkt.Arrival, pkt.Created, now)
 	}
-	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, pkt.Arrival)
+}
+
+// flood sends u on every in-service line of p but the reverse of arrival
+// (NoLink: every line), one fresh routing packet per line.
+func (n *Network) flood(p *psn, u *flooding.Update, arrival topology.LinkID, created, now sim.Time) {
+	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, arrival)
 	for _, l := range p.fwd {
-		if n.links[l].Down() {
-			continue
+		if !n.links[l].Down() {
+			n.send(l, u, created, now)
 		}
-		copyPkt := n.pool.Get()
-		copyPkt.SizeBits = u.SizeBits()
-		copyPkt.Created, copyPkt.Update, copyPkt.Arrival = pkt.Created, u, l
-		n.enqueue(n.links[l], copyPkt, now)
 	}
+}
+
+// send enqueues one copy of u on link l; a routing packet goes to the head
+// of the queue and is never refused.
+func (n *Network) send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
+	pkt := n.pool.Get()
+	pkt.SizeBits = u.SizeBits()
+	pkt.Created, pkt.Update, pkt.Arrival = created, u, l
+	n.enqueue(n.links[l], pkt, now)
 }
 
 // originate floods p's current link costs to the whole network and applies
@@ -647,16 +656,7 @@ func (n *Network) originate(p *psn, now sim.Time) {
 		n.updatesOrig.Inc()
 	}
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.id, Link: topology.NoLink})
-	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, topology.NoLink)
-	for _, l := range p.fwd {
-		if n.links[l].Down() {
-			continue
-		}
-		pkt := n.pool.Get()
-		pkt.SizeBits = u.SizeBits()
-		pkt.Created, pkt.Update, pkt.Arrival = now, u, l
-		n.enqueue(n.links[l], pkt, now)
-	}
+	n.flood(p, u, topology.NoLink, now, now)
 }
 
 // --- measurement periods ------------------------------------------------
@@ -779,20 +779,42 @@ func (n *Network) SetTrunkDown(l topology.LinkID) {
 }
 
 // SetTrunkUp returns the trunk to service. The metric modules Reset, so an
-// HN-SPF link comes back at its maximum cost and eases in (§5.4). A no-op
-// on a trunk that is already up.
+// HN-SPF link comes back at its maximum cost and eases in (§5.4). Both ends
+// flood the repair and resynchronise each other over the trunk (resync). A
+// no-op on a trunk that is already up.
 func (n *Network) SetTrunkUp(l topology.LinkID) {
 	if !n.links[l].Down() {
 		return
 	}
 	now := n.kernel.Now()
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.LinkUp, Node: n.g.Link(l).From, Link: l})
+	rev := n.g.Link(l).Reverse()
 	n.links[l].Restore()
-	n.links[n.g.Link(l).Reverse()].Restore()
+	n.links[rev].Restore()
 	// Flooding the repair enqueues the updates on the restored trunk itself,
 	// which restarts its transmitter.
-	n.originate(n.psns[n.g.Link(l).From], now)
-	n.originate(n.psns[n.g.Link(l).To], now)
+	from, to := n.psns[n.g.Link(l).From], n.psns[n.g.Link(l).To]
+	n.originate(from, now)
+	n.originate(to, now)
+	n.resync(from, l, now)
+	n.resync(to, rev, now)
+}
+
+// resync is the line-up exchange of Rosen's updating protocol: p sends on its
+// restored line l the update its router holds for every other origin (its
+// own rode the repair's origination), and the far end's Accept keeps what is
+// newer and floods it on. Whatever either side of a healed partition missed
+// crosses here, so quiescence means convergence without waiting for the 50 s
+// refresh. The distance-vector mode has no database to send.
+func (n *Network) resync(p *psn, l topology.LinkID, now sim.Time) {
+	if p.router == nil {
+		return
+	}
+	p.router.Updates(func(u *flooding.Update) {
+		if u.Origin != p.id {
+			n.send(l, u, now, now)
+		}
+	})
 }
 
 // LinkIsDown reports whether the link is currently out of service.

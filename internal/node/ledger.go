@@ -2,10 +2,12 @@ package node
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/flooding"
 	"repro/internal/sim"
 	"repro/internal/spf"
+	"repro/internal/topology"
 )
 
 // Conservation is a snapshot of the packet ledger over Counted packets
@@ -72,4 +74,49 @@ func AuditRun(k *sim.Kernel, routers *spf.Table) error {
 		})
 	}
 	return err
+}
+
+// FloodTime bounds how long the floods a trunk repair starts take to settle
+// on an otherwise idle network, given which links are down: the most a
+// repaired line carries — its resync, one update from every origin, and up
+// to two newer versions of each flooded back — over the slowest line in
+// service, plus one flood crossing. The news reaches every node in at most D
+// hops, D the most hops between two nodes that reach each other, and its
+// last duplicate lands one hop later; each hop is one update's transmission
+// on that line, the longest propagation delay and ProcessingDelay. On the
+// ARPANET map it is a few seconds, far below the MaxUpdateInterval refresh.
+func FloodTime(g *topology.Graph, down func(topology.LinkID) bool) sim.Time {
+	var vol, update, prop float64
+	for id := 0; id < g.NumNodes(); id++ {
+		bits := float64(flooding.HeaderBits + flooding.PerLinkBits*g.Degree(topology.NodeID(id)))
+		vol += bits
+		update = max(update, bits)
+	}
+	slow := math.Inf(1)
+	for _, l := range g.Links() {
+		if !down(l.ID) {
+			slow = min(slow, l.Type.Bandwidth())
+			prop = max(prop, l.PropDelay)
+		}
+	}
+	diameter := 0
+	dist := make([]int, g.NumNodes())
+	for s := range dist {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		for queue := []topology.NodeID{topology.NodeID(s)}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			diameter = max(diameter, dist[u])
+			for _, l := range g.Out(u) {
+				if v := g.Link(l).To; !down(l) && dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	hop := update/slow + prop + ProcessingDelay.Seconds()
+	return sim.FromSeconds(3*vol/slow + float64(diameter+1)*hop)
 }

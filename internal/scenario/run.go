@@ -12,13 +12,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// ConvergenceGrace is how long after the last topology change a checkpoint
-// waits before treating a cost-database mismatch as a violation: floods
-// lost across a partition are only repaired by the periodic refresh
-// (node.MaxUpdateInterval), which itself rides on a measurement period,
-// plus a small margin for the flood to drain.
-const ConvergenceGrace = node.MaxUpdateInterval + node.MeasurementPeriod + 5*sim.Second
-
 // Config describes how to build the network under test. It mirrors
 // network.Config; RunBatch varies only the seed between runs.
 type Config struct {
@@ -59,9 +52,11 @@ type CheckpointResult struct {
 	At              sim.Time
 	Conservation    network.Conservation
 	RoutingInFlight int
-	// ConvergenceChecked is false when the checkpoint fell inside the
-	// post-change grace window (or floods were still in flight) and the
-	// convergence audit was therefore skipped.
+	// ConvergenceChecked is false when routing packets were still in flight
+	// and the convergence audit was therefore skipped. Quiescence needs no
+	// grace period after a topology change: a repaired trunk resyncs both
+	// ends, so once the last routing packet lands every PSN holds the latest
+	// update of every origin it can reach (network.ConvergenceAudit).
 	ConvergenceChecked bool
 }
 
@@ -115,10 +110,6 @@ type runner struct {
 	cfg Config
 	net *network.Network
 	res Result
-
-	// lastTopoChange gates the convergence audit; it starts at zero, so the
-	// first ConvergenceGrace of the run is conservatively unaudited.
-	lastTopoChange sim.Time
 	// nodeDowned remembers which trunks each NodeDown actually failed, so
 	// the matching NodeUp restores exactly those.
 	nodeDowned map[topology.NodeID][]topology.LinkID
@@ -139,8 +130,7 @@ func (r *runner) schedule(sc *Scenario) error {
 				return fmt.Errorf("scenario %q: %s at %v: %w", sc.Name, ev.Kind, ev.At, err)
 			}
 			down := ev.Kind == TrunkDown
-			fire = func(now sim.Time) {
-				r.lastTopoChange = now
+			fire = func(sim.Time) {
 				if down {
 					r.net.SetTrunkDown(link)
 				} else {
@@ -153,8 +143,7 @@ func (r *runner) schedule(sc *Scenario) error {
 				return fmt.Errorf("scenario %q: %s at %v: unknown node %q", sc.Name, ev.Kind, ev.At, ev.Node)
 			}
 			down := ev.Kind == NodeDown
-			fire = func(now sim.Time) {
-				r.lastTopoChange = now
+			fire = func(sim.Time) {
 				if down {
 					r.nodeDown(id)
 				} else {
@@ -250,7 +239,7 @@ func (r *runner) checkpoint(now sim.Time) {
 	if err := r.net.TransmitterAudit(); err != nil {
 		violations = append(violations, Violation{At: now, Check: "transmitter", Err: err.Error()})
 	}
-	if now-r.lastTopoChange >= ConvergenceGrace && cp.RoutingInFlight == 0 {
+	if cp.RoutingInFlight == 0 {
 		cp.ConvergenceChecked = true
 		if err := r.net.ConvergenceAudit(); err != nil {
 			violations = append(violations, Violation{At: now, Check: "convergence", Err: err.Error()})

@@ -3,9 +3,11 @@ package shard
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/flooding"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/spf"
@@ -309,4 +311,111 @@ func TestHier1kAdaptiveLiveHeap(t *testing.T) {
 	if live > bound {
 		t.Errorf("%.1f MB of live heap after New, want <= %d MB", live/(1<<20), bound>>20)
 	}
+}
+
+// TestAdaptiveHealResyncs is internal/network's TestHealResyncsPartition on
+// the adaptive plane: a two-region map is cut between its regions, one more
+// trunk fails in each region while it is cut, and the cut heals. The cut must
+// hide news (some node lags an origin across it just before the heal); within
+// node.FloodTime of the heal every node holds, for each origin it reaches, an
+// update at least as new as the one the origin held at the heal. At 1 and 2
+// shards, with byte-identical traces and reports, and balanced ledgers.
+func TestAdaptiveHealResyncs(t *testing.T) {
+	g := topology.Hierarchical(2, 6, 5)
+	bb := backboneTrunks(g)
+	start, heal := 3*sim.Second, 6*sim.Second
+	var faults []Fault
+	for _, tr := range bb {
+		faults = append(faults, Fault{Trunk: tr, At: start}, Fault{Trunk: tr, At: heal, Up: true})
+	}
+	hit := map[byte]bool{}
+	for tr := 0; tr < g.NumTrunks(); tr++ {
+		l := g.Link(topology.LinkID(2 * tr))
+		if region := g.Node(l.From).Name[1]; !slices.Contains(bb, tr) && !hit[region] {
+			hit[region] = true
+			faults = append(faults, Fault{Trunk: tr, At: start + sim.Second})
+		}
+	}
+	cfg := Config{Graph: g, Seed: 1, PktRate: 20, Dests: 3, Adaptive: true, Metric: node.DSPF,
+		MeasurePeriod: sim.Second, MeasureSample: 3, Faults: faults}
+	var trace, report string
+	for _, shards := range []int{1, 2} {
+		cfg.Shards = shards
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// held[i][o] is the sequence number node i holds for origin o.
+		held := func() [][]uint64 {
+			h := make([][]uint64, g.NumNodes())
+			for i, n := range s.nodeAt {
+				h[i] = make([]uint64, g.NumNodes())
+				n.router.Updates(func(u *flooding.Update) { h[i][u.Origin] = u.Seq })
+			}
+			return h
+		}
+		s.Run(heal - 1)
+		before, stale := held(), 0
+		for _, row := range before {
+			for o, seq := range row {
+				if seq < before[o][o] {
+					stale++
+				}
+			}
+		}
+		if stale == 0 {
+			t.Fatalf("shards=%d: the cut hid no news; the heal has nothing to resync", shards)
+		}
+		s.Run(heal)
+		latest := held()
+		down := func(l topology.LinkID) bool { return s.linkAt[l].Down() }
+		bound := node.FloodTime(g, down)
+		s.Run(heal + bound)
+		if err := s.Audit(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		comp := components(g, down)
+		for i, row := range held() {
+			for o, seq := range row {
+				if comp[i] == comp[o] && seq < latest[o][o] {
+					t.Fatalf("shards=%d: node %s holds update %d from %s %v after the heal; it sent %d at the heal",
+						shards, g.Node(topology.NodeID(i)).Name, seq, g.Node(topology.NodeID(o)).Name, bound, latest[o][o])
+				}
+			}
+		}
+		t.Logf("shards=%d: %d (node, origin) pairs stale just before the heal; bound %v", shards, stale, bound)
+		if shards == 1 {
+			trace, report = s.TraceText(), s.Report().String()
+		} else if got := s.TraceText(); got != trace {
+			t.Fatalf("shards=%d: trace differs from one shard's: %s", shards, firstDiff(got, trace))
+		} else if got := s.Report().String(); got != report {
+			t.Fatalf("shards=%d: report differs:\n%s\nwant:\n%s", shards, got, report)
+		}
+	}
+}
+
+// components labels each node of g with its connected component over the
+// links down does not name.
+func components(g *topology.Graph, down func(topology.LinkID) bool) []int {
+	comp := make([]int, g.NumNodes())
+	for i := range comp {
+		comp[i] = -1
+	}
+	for s := range comp {
+		if comp[s] >= 0 {
+			continue
+		}
+		comp[s] = s
+		for stack := []topology.NodeID{topology.NodeID(s)}; len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, l := range g.Out(u) {
+				if v := g.Link(l).To; !down(l) && comp[v] < 0 {
+					comp[v] = s
+					stack = append(stack, v)
+				}
+			}
+		}
+	}
+	return comp
 }

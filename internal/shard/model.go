@@ -494,7 +494,9 @@ type faultEv struct {
 // originate an update advertising the new state (DownCost or the module's
 // reset cost) — the other direction's own fault event does the same at the
 // far endpoint, which is internal/network's originate-from-both-ends in
-// per-direction form.
+// per-direction form. A repair also sends the far end, on the restored
+// link, the update n's router holds for every other origin: Rosen's
+// line-up exchange, internal/network's resync in the same per-direction form.
 func (sh *shardState) fault(now sim.Time, arg any) {
 	f := arg.(*faultEv)
 	ls := f.ls
@@ -514,8 +516,17 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 		n.rseq++
 		ls.Fail(func(p *node.Packet) { sh.dropOutage(n, ls, p, now) })
 	}
-	if sh.s.cfg.Adaptive {
-		sh.originate(n, now)
+	if !sh.s.cfg.Adaptive {
+		return
+	}
+	sh.originate(n, now)
+	if f.up {
+		n.fwd = append(n.fwd[:0], ls.l.ID)
+		n.router.Updates(func(u *flooding.Update) {
+			if u.Origin != n.id {
+				sh.forwardUpdate(n, u, now, now)
+			}
+		})
 	}
 }
 

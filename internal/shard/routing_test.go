@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -429,6 +430,12 @@ func TestStaticRouteOutsideClosurePanics(t *testing.T) {
 // extends a closure past its sources grows the entry buffer (logged for the
 // benchmark's neighbour traffic).
 func TestFinalizeAllocations(t *testing.T) {
+	// AllocsPerRun counts the whole process's mallocs and drops GOMAXPROCS to
+	// 1, which moves the other P's timers onto this one; the runtime's
+	// background scavenger then grows that P's timer heap the next time it
+	// sleeps, one malloc that may land in the measured window. Dropping to one
+	// P here, before the set-up below, lets that growth happen first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := topology.Hierarchical(32, 32, 1987)
 	bb := backboneTrunks(g)
 	faults := []Fault{{Trunk: bb[0], At: sim.Second}, {Trunk: bb[0], At: 2 * sim.Second, Up: true}}

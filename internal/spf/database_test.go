@@ -159,6 +159,15 @@ func (h *dbHarness) check(touched int) {
 		if !sameTree(a.Tree(), b.Tree()) {
 			h.t.Fatalf("router %d: trees differ between the shared table and a table of one", i)
 		}
+		// A table of one holds only its router's rows, so its walk is the router's.
+		var shared, alone, table []*flooding.Update
+		a.Updates(func(u *flooding.Update) { shared = append(shared, u) })
+		b.Updates(func(u *flooding.Update) { alone = append(alone, u) })
+		b.tab.Updates(func(u *flooding.Update) { table = append(table, u) })
+		if !slices.Equal(shared, alone) || !slices.Equal(alone, table) {
+			h.t.Fatalf("router %d walks %d updates on the shared table, %d alone; its table of one holds %d",
+				i, len(shared), len(alone), len(table))
+		}
 		if err := checkLines(a); err != nil {
 			h.t.Fatalf("router %d: %v", i, err)
 		}

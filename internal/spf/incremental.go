@@ -158,6 +158,17 @@ func (t *Table) Updates(fn func(*flooding.Update)) {
 	}
 }
 
+// Updates calls fn with the flooded update this router holds for each origin,
+// in origin order: its row, unless the row is still the boot costs or a clone
+// Update made. It is what a PSN sends a neighbour whose line comes back up.
+func (r *IncrementalRouter) Updates(fn func(*flooding.Update)) {
+	for o, vs := range r.tab.db {
+		if i := r.held(topology.NodeID(o)); i >= 0 && !vs[i].private {
+			fn(vs[i].u)
+		}
+	}
+}
+
 // NewIncrementalRouter creates an incremental router with explicit initial
 // costs (copied): a Table of one.
 func NewIncrementalRouter(g *topology.Graph, root topology.NodeID, costs []float64) *IncrementalRouter {

@@ -27,4 +27,5 @@ if [ "$fuzztime" != 0 ]; then
   go test -fuzz FuzzGraphBuild -fuzztime "$fuzztime" ./internal/topology/
   go test -fuzz FuzzKernelOps -fuzztime "$fuzztime" ./internal/sim/
   go test -fuzz FuzzTableOps -fuzztime "$fuzztime" ./internal/spf/
+  go test -fuzz FuzzRun -fuzztime "$fuzztime" ./cmd/arpanetsim/
 fi
