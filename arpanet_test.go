@@ -198,7 +198,7 @@ func TestSimulationPanicsOnMismatchedTraffic(t *testing.T) {
 // panic, and nothing runs.
 func TestRunRejectsBadSpecs(t *testing.T) {
 	t.Parallel()
-	ring, other := Ring(4, T56), Ring(4, T56)
+	ring := Ring(4, T56)
 	for _, tc := range []struct {
 		name  string
 		spec  func(*Spec)
@@ -206,12 +206,12 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}{
 		{"no traffic", func(s *Spec) { s.Traffic = nil }, "Spec.Traffic"},
 		{"no topology", func(s *Spec) { s.Topology = nil }, "Spec.Topology"},
-		{"background from another topology", func(s *Spec) { s.Background = other.UniformTraffic(1000) }, "Spec.Background"},
 		{"multipath with BF-1969", func(s *Spec) { s.Metric, s.Multipath = BF1969, true }, "Spec.Multipath"},
 		{"unknown metric", func(s *Spec) { s.Metric = BF1969 + 1 }, "Spec.Metric"},
 		{"unknown PSN tracked", func(s *Spec) { s.Track = [][2]string{{"N0", "X9"}} }, `Spec.Track: no trunk joins PSNs "N0" and "X9"`},
 		{"no trunk tracked", func(s *Spec) { s.Track = [][2]string{{"N0", "N2"}} }, `Spec.Track: no trunk joins PSNs "N0" and "N2"`},
 		{"unknown PSN scripted", func(s *Spec) { s.Seconds, s.Script = 0, "duration 60\nat 10 down N0 X9\n" }, `Spec.Script: scenario "scenario": down at 10.000000s: unknown node "X9"`},
+		{"fluid background scripted", func(s *Spec) { s.Seconds, s.Script = 0, "duration 60\nat 10 surge background 2\n" }, `Spec.Script: scenario "scenario": surge background at 10.000000s requires a background matrix`},
 		{"fault at a negative time", func(s *Spec) { s.Seconds, s.Script = 0, "duration 60\nat -5 down N0 N1\n" }, "Spec.Script: line 2"},
 		{"script without a duration", func(s *Spec) { s.Seconds, s.Script = 0, "at 5 down N0 N1\n" }, "Spec.Script"},
 		{"script and seconds", func(s *Spec) { s.Script = "duration 60\n" }, "Spec.Seconds"},

@@ -6,7 +6,6 @@
 //	arpanetsim                     # the before/after study
 //	arpanetsim -metric hnspf       # a single run
 //	arpanetsim -traffic 500 -seconds 900
-//	arpanetsim -background 28000   # hybrid mode: 28 Mbps fluid background
 //	arpanetsim -scenario examples/flapping/utah-collins.scn -seeds 5
 //
 // The topology is the synthetic ARPANET-like network (see DESIGN.md); the
@@ -46,11 +45,11 @@ func main() {
 
 // options holds the command's flags.
 type options struct {
-	metric, topology, scenario, cpuProfile, memProfile        string
-	traffic, growth, seconds, warmup, rate, background, epoch float64
-	seed                                                      int64
-	seeds, shards, dests, radius                              int
-	json, adaptive                                            bool
+	metric, topology, scenario, cpuProfile, memProfile string
+	traffic, growth, seconds, warmup, rate             float64
+	seed                                               int64
+	seeds, shards, dests, radius                       int
+	json, adaptive                                     bool
 }
 
 // parse reads args into options. The error is a bad flag, already reported
@@ -78,12 +77,6 @@ func parse(args []string, stderr io.Writer) (*options, *flag.FlagSet, error) {
 	fs.IntVar(&o.dests, "dests", 3, "destinations per source for -shards mode")
 	fs.IntVar(&o.radius, "radius", 0, "destination locality radius in hops for -shards mode (0 = uniform)")
 	fs.BoolVar(&o.adaptive, "adaptive", false, "with -shards: route by the adaptive plane (-metric hnspf/dspf/minhop; bf1969 falls back to the unsharded engine)")
-	// Hybrid fluid/packet mode: the background demand is carried as
-	// fluid flows superposed onto the trunks' measured state instead of
-	// being simulated packet by packet, so Table-1 experiments run at
-	// offered loads far past what event-by-event simulation can afford.
-	fs.Float64Var(&o.background, "background", 0, "fluid background demand in kbps, gravity-shaped (0 = pure packet engine)")
-	fs.Float64Var(&o.epoch, "background-epoch", 10, "fluid re-routing epoch in seconds (with -background)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
 	return o, fs, fs.Parse(args)
@@ -99,7 +92,7 @@ func (o *options) check(fs *flag.FlagSet) ([]arpanet.Metric, error) {
 		err = numberFlag(fs)
 	}
 	if err == nil {
-		err = checkFlags(set, o.shards, o.adaptive, o.scenario, o.topology, o.background, len(kinds))
+		err = checkFlags(set, o.shards, o.adaptive, o.scenario, o.topology, len(kinds))
 	}
 	return kinds, err
 }
@@ -157,11 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if script == nil {
 			s.Seconds = o.warmup + o.seconds
 		}
-		if o.background > 0 {
-			// Hybrid mode: scripts may then use the 'surge background'
-			// directive against this fluid demand.
-			s.Background, s.BackgroundEpochSeconds = topo.GravityTraffic(weights, o.background*1000), o.epoch
-		}
 		specs = append(specs, s)
 	}
 	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
@@ -207,9 +195,8 @@ func metricKinds(name string) ([]arpanet.Metric, error) {
 // numberFlag rejects a number no mode can mean: NaN, which flag.Float64
 // parses happily and sim.FromSeconds panics on; anything below zero, which
 // panics in traffic.Gravity (-traffic, -growth) or silently runs something
-// else (no measured time, no warm-up, uniform destinations, no background,
-// -shards -1 the Table 1 study); a fluid epoch of zero, the default one; and
-// -seeds 0, no run to average.
+// else (no measured time, no warm-up, uniform destinations, -shards -1 the
+// Table 1 study); and -seeds 0, no run to average.
 func numberFlag(fs *flag.FlagSet) (err error) {
 	fs.Visit(func(f *flag.Flag) {
 		var v float64
@@ -224,7 +211,7 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 			err = fmt.Errorf("-%s is not a number", f.Name)
 		case v < 0:
 			err = fmt.Errorf("-%s %s is negative", f.Name, f.Value)
-		case v == 0 && (f.Name == "background-epoch" || f.Name == "seeds"):
+		case v == 0 && f.Name == "seeds":
 			err = fmt.Errorf("-%s must be positive", f.Name)
 		}
 	})
@@ -237,13 +224,13 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 // on the command line (flag.Visit), so defaults never count; kinds is how
 // many metrics -metric named. It also refuses a -topology only -shards can
 // build: the other modes run the arpanet or milnet map.
-func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topology string, backgroundK float64, kinds int) error {
+func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topology string, kinds int) error {
 	mode := "without -shards (the Table 1 study is always adaptive)"
 	ignored := []string{"rate", "dests", "radius", "adaptive"}
 	switch {
 	case shards > 0:
 		mode = "with -shards"
-		ignored = []string{"scenario", "background", "background-epoch", "seeds", "json", "traffic", "growth", "warmup"}
+		ignored = []string{"scenario", "seeds", "json", "traffic", "growth", "warmup"}
 	case scenario != "":
 		mode = "with -scenario"
 		ignored = append(ignored, "seconds", "growth")
@@ -256,8 +243,6 @@ func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topolo
 	switch {
 	case shards > 0 && !adaptive && set["metric"]:
 		return errors.New("-metric has no effect with -shards unless -adaptive is set (static routes otherwise)")
-	case shards <= 0 && set["background-epoch"] && backgroundK <= 0:
-		return errors.New("-background-epoch has no effect without -background")
 	case shards <= 0 && scenario == "" && kinds == 1 && set["growth"]:
 		return errors.New("-growth has no effect with a single -metric (it scales the after run of -metric both)")
 	case shards <= 0 && topology != "arpanet" && topology != "milnet":

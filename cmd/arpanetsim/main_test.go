@@ -40,26 +40,24 @@ func TestMetricKinds(t *testing.T) {
 // never counts.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
-		args       string // flags set on the command line
-		shards     int
-		adaptive   bool
-		scenario   string
-		topology   string // "": the default, arpanet
-		background float64
-		metric     string
-		reject     string // "": accepted; else the flag the error must name
+		args     string // flags set on the command line
+		shards   int
+		adaptive bool
+		scenario string
+		topology string // "": the default, arpanet
+		metric   string
+		reject   string // "": accepted; else the flag the error must name
 	}{
 		// The three modes with the flags they read.
 		{args: "", metric: "both"},
-		{args: "metric traffic growth seconds warmup seed seeds json topology background background-epoch", background: 28000, metric: "both"},
+		{args: "metric traffic growth seconds warmup seed seeds json topology", metric: "both"},
 		{args: "metric traffic seconds", metric: "hnspf"},
-		{args: "scenario metric traffic warmup seed seeds json topology background", scenario: "flap.scn", background: 100, metric: "hnspf"},
+		{args: "scenario metric traffic warmup seed seeds json topology", scenario: "flap.scn", metric: "hnspf"},
 		{args: "shards topology seconds seed rate dests radius cpuprofile memprofile", shards: 2, metric: "both"},
 		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "hnspf"},
 		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "bf1969"},
 		// -shards returns before these were ever looked at.
 		{args: "shards scenario", shards: 2, scenario: "flap.scn", metric: "both", reject: "-scenario"},
-		{args: "shards background", shards: 2, background: 100, metric: "both", reject: "-background"},
 		{args: "shards seeds", shards: 2, metric: "both", reject: "-seeds"},
 		{args: "shards json", shards: 2, metric: "both", reject: "-json"},
 		{args: "shards traffic", shards: 2, metric: "both", reject: "-traffic"},
@@ -77,7 +75,6 @@ func TestCheckFlags(t *testing.T) {
 		{args: "scenario seconds", scenario: "flap.scn", metric: "both", reject: "-seconds"},
 		{args: "scenario growth", scenario: "flap.scn", metric: "both", reject: "-growth"},
 		{args: "metric growth", metric: "dspf", reject: "-growth"},
-		{args: "background-epoch", metric: "both", reject: "-background-epoch"},
 		// Generated maps are the sharded runner's; the other modes know two.
 		{args: "shards topology", shards: 2, topology: "hier:4x8", metric: "both"},
 		{args: "topology", topology: "milnet", metric: "both"},
@@ -98,7 +95,7 @@ func TestCheckFlags(t *testing.T) {
 		if topology == "" {
 			topology = "arpanet"
 		}
-		err = checkFlags(set, tc.shards, tc.adaptive, tc.scenario, topology, tc.background, len(kinds))
+		err = checkFlags(set, tc.shards, tc.adaptive, tc.scenario, topology, len(kinds))
 		switch {
 		case tc.reject == "" && err != nil:
 			t.Errorf("flags %q: rejected: %v", tc.args, err)
@@ -133,8 +130,8 @@ func TestNaNFlagRejected(t *testing.T) {
 
 // A number below zero means nothing to any mode: -traffic and -growth used to
 // panic inside traffic.Gravity and the rest ran something else, so each is
-// refused by name — as are a fluid epoch of zero and -seeds 0 — and zero
-// itself, a negative -seed and every default pass.
+// refused by name — as is -seeds 0 — and zero itself, a negative -seed and
+// every default pass.
 func TestNegativeFlagRejected(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-traffic -5", "-traffic -5 is negative"},
@@ -147,14 +144,11 @@ func TestNegativeFlagRejected(t *testing.T) {
 		{"-shards 2 -dests -2", "-dests -2 is negative"},
 		{"-seeds -1", "-seeds -1 is negative"},
 		{"-seeds 0", "-seeds must be positive"},
-		{"-background -5", "-background -5 is negative"},
-		{"-background 100 -background-epoch 0", "-background-epoch must be positive"},
-		{"-background 100 -background-epoch -2", "-background-epoch -2 is negative"},
-		{"-background 100 -background-epoch 0.5 -traffic 0 -warmup 0 -seconds 0 -radius 0 -seed -7", ""},
+		{"-traffic 0 -warmup 0 -seconds 0 -radius 0 -seed -7", ""},
 		{"", ""},
 	} {
 		fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
-		for _, name := range []string{"traffic", "growth", "seconds", "warmup", "rate", "background", "background-epoch"} {
+		for _, name := range []string{"traffic", "growth", "seconds", "warmup", "rate"} {
 			fs.Float64(name, 1, "")
 		}
 		for _, name := range []string{"seeds", "shards", "dests", "radius"} {
@@ -230,6 +224,10 @@ func TestRunExitStatus(t *testing.T) {
 	if err := os.WriteFile(unknown, []byte("duration 60\nat 10 down UTAH NOWHERE\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	fluid := filepath.Join(dir, "fluid.scn")
+	if err := os.WriteFile(fluid, []byte("duration 60\nat 10 surge background 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +240,13 @@ func TestRunExitStatus(t *testing.T) {
 		{"-scenario " + filepath.Join(dir, "missing.scn"), 1, "missing.scn: no such file", ""},
 		{"-scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
 		{"-scenario " + empty, 1, "empty.scn: empty script", ""},
+		{"-scenario " + fluid, 1, "surge background at 10.000000s requires a background matrix", ""},
 		{"-scenario ../../examples/flapping/utah-collins.scn -metric hnspf", 0, "", `Scenario "utah-collins": 700 s, 8 events`},
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
 		{"-shards 2 -seeds 3", 2, "-seeds has no effect with -shards", ""},
 		{"-nonsense", 2, "flag provided but not defined: -nonsense", ""},
+		{"-background 28000", 2, "flag provided but not defined: -background", ""},
+		{"-background-epoch 5", 2, "flag provided but not defined: -background-epoch", ""},
 	} {
 		var out, errb strings.Builder
 		code := run(strings.Fields(tc.args), &out, &errb)

@@ -147,23 +147,62 @@ func checkDoc(t *testing.T, doc, text string, funcs []string) []string {
 				stale = append(stale, doc+": go run ./cmd/"+cmd+" names no command")
 				continue
 			}
-			for _, arg := range strings.Fields(m[2]) {
-				if !strings.HasPrefix(arg, "-") || len(arg) < 2 {
-					continue
-				}
-				flag, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
-				if !flagsOf[cmd][flag] {
-					stale = append(stale, doc+": go run ./cmd/"+cmd+" -"+flag+": "+cmd+" defines no such flag")
-				}
+			for _, flag := range unknownFlags(strings.Fields(m[2]), flagsOf[cmd]) {
+				stale = append(stale, doc+": go run ./cmd/"+cmd+" -"+flag+": "+cmd+" defines no such flag")
 			}
 		}
 	}
 	return stale
 }
 
+// unknownFlags returns the flags among args that are not in flags.
+func unknownFlags(args []string, flags map[string]bool) []string {
+	var unknown []string
+	for _, arg := range args {
+		if !strings.HasPrefix(arg, "-") || len(arg) < 2 {
+			continue
+		}
+		flag, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+		if !flags[flag] {
+			unknown = append(unknown, flag)
+		}
+	}
+	return unknown
+}
+
+// checkCommandDoc reports every example line of command name's package
+// comment — an indented line `name -flag …`, a '#' comment after it — that
+// passes a flag the command does not define.
+func checkCommandDoc(name, comment string, flags map[string]bool) []string {
+	var stale []string
+	for _, line := range strings.Split(comment, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			continue
+		}
+		line, _, _ = strings.Cut(line, "#")
+		if args := strings.Fields(line); len(args) > 0 && args[0] == name {
+			for _, flag := range unknownFlags(args[1:], flags) {
+				stale = append(stale, "cmd/"+name+": "+name+" -"+flag+": "+name+" defines no such flag")
+			}
+		}
+	}
+	return stale
+}
+
+// commandDoc returns the package comment of cmd/<name>/main.go.
+func commandDoc(t *testing.T, name string) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", name, "main.go"), nil,
+		parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Doc.Text()
+}
+
 // TestDocsNameRealCode keeps the documents' names true: every test,
-// benchmark or fuzz target they cite exists, and every flag they pass a
-// command is one it defines.
+// benchmark or fuzz target they cite exists, and every flag they or a
+// command's own package comment pass a command is one it defines.
 func TestDocsNameRealCode(t *testing.T) {
 	funcs := moduleFuncs(t)
 	for _, doc := range docsChecked {
@@ -172,6 +211,16 @@ func TestDocsNameRealCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range checkDoc(t, doc, string(text), funcs) {
+			t.Error(s)
+		}
+	}
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no cmd/*/main.go: %v", err)
+	}
+	for _, main := range mains {
+		name := filepath.Base(filepath.Dir(main))
+		for _, s := range checkCommandDoc(name, commandDoc(t, name), commandFlags(t, name)) {
 			t.Error(s)
 		}
 	}
@@ -191,5 +240,13 @@ func TestDocsCheckCatchesStaleNames(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("stale names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	comment := commandDoc(t, "arpanetsim") + "\tarpanetsim -background 28000   # -fluid\n" +
+		"-frozen in prose is no example.\n"
+	got = checkCommandDoc("arpanetsim", comment, commandFlags(t, "arpanetsim"))
+	want = []string{"cmd/arpanetsim: arpanetsim -background: arpanetsim defines no such flag"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("stale command-doc flags:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -40,7 +40,8 @@ func Assign(g *topology.Graph, m *traffic.Matrix, cost spf.CostFunc) *Assignment
 	}
 	a := &Assignment{g: g, LinkBPS: make([]float64, g.NumLinks())}
 	var ws spf.Workspace
-	weight := assignInto(&ws, a.LinkBPS, &a.Unreachable, g, m, 1, cost, math.Inf(1))
+	var weight float64
+	weight, a.Unreachable = assignInto(&ws, a.LinkBPS, g, m, 1, cost, math.Inf(1))
 	// The rate-weighted path sums collapse onto the per-link loads by
 	// exchanging the order of summation: Σ_flows rate·|path| = Σ_links
 	// load(l), and Σ_flows rate·Σ_{l∈path} delay(l) = Σ_links load(l)·delay(l).
@@ -64,10 +65,9 @@ func Assign(g *topology.Graph, m *traffic.Matrix, cost spf.CostFunc) *Assignment
 // per-link accumulator linkBPS, reusing ws across roots so the routing pass
 // is allocation-free after warmup. Demand whose shortest path costs maxDist
 // or more (no route at all, or only a route through a penalized dead link)
-// is added to unroutable instead. Returns the total routed rate.
-func assignInto(ws *spf.Workspace, linkBPS []float64, unroutable *float64,
-	g *topology.Graph, m *traffic.Matrix, scale float64, cost spf.CostFunc, maxDist float64) float64 {
-	var weight float64
+// loads no link. Returns the total routed and unroutable rates.
+func assignInto(ws *spf.Workspace, linkBPS []float64, g *topology.Graph, m *traffic.Matrix,
+	scale float64, cost spf.CostFunc, maxDist float64) (weight, unroutable float64) {
 	for s := 0; s < g.NumNodes(); s++ {
 		src := topology.NodeID(s)
 		tree := spf.ComputeInto(ws, g, src, cost)
@@ -78,7 +78,7 @@ func assignInto(ws *spf.Workspace, linkBPS []float64, unroutable *float64,
 				continue
 			}
 			if tree.Dist(dst) >= maxDist {
-				*unroutable += rate
+				unroutable += rate
 				continue
 			}
 			for l := tree.Parent(dst); l != topology.NoLink; l = tree.Parent(g.Link(l).From) {
@@ -87,7 +87,7 @@ func assignInto(ws *spf.Workspace, linkBPS []float64, unroutable *float64,
 			weight += rate
 		}
 	}
-	return weight
+	return weight, unroutable
 }
 
 // Utilization returns a link's assigned utilization (may exceed 1 when the

@@ -34,9 +34,7 @@ type Fluid struct {
 	ws      spf.Workspace
 	costBuf []float64 // penalized per-link costs for the current Reassign
 
-	linkBPS    []float64
-	unroutable float64
-	reassigns  int64
+	linkBPS []float64
 }
 
 // NewFluid returns a fluid layer for the background matrix m over g. All
@@ -57,7 +55,7 @@ func NewFluid(g *topology.Graph, m *traffic.Matrix) *Fluid {
 // Reassign re-routes the whole background matrix over SPF under the given
 // advertised costs, with links the down predicate reports out of service
 // priced at deadCost (demand that can only reach its destination through a
-// dead link becomes unroutable for this epoch). cost must return positive,
+// dead link loads no link this epoch). cost must return positive,
 // finite values for every link; down may be nil when nothing is out of
 // service. Allocation-free after the first call.
 func (f *Fluid) Reassign(cost spf.CostFunc, down func(topology.LinkID) bool) {
@@ -72,16 +70,13 @@ func (f *Fluid) Reassign(cost spf.CostFunc, down func(topology.LinkID) bool) {
 	for i := range f.linkBPS {
 		f.linkBPS[i] = 0
 	}
-	f.unroutable = 0
-	assignInto(&f.ws, f.linkBPS, &f.unroutable, f.g, f.m, f.scale,
+	assignInto(&f.ws, f.linkBPS, f.g, f.m, f.scale,
 		func(l topology.LinkID) float64 { return f.costBuf[l] }, deadCost)
-	f.reassigns++
 }
 
 // Scale multiplies the background demand by factor, effective immediately
-// on the current routes: per-link rates and the unroutable remainder jump
-// now, rerouting happens at the next Reassign. The scenario engine's
-// background surge.
+// on the current routes: per-link rates jump now, rerouting happens at the
+// next Reassign. The scenario engine's background surge.
 func (f *Fluid) Scale(factor float64) {
 	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		panic("flowmodel: fluid scale factor must be positive and finite")
@@ -90,31 +85,8 @@ func (f *Fluid) Scale(factor float64) {
 	for i := range f.linkBPS {
 		f.linkBPS[i] *= factor
 	}
-	f.unroutable *= factor
-}
-
-// SetMatrix replaces the background matrix and resets any accumulated Scale
-// factor (mirroring network.SetMatrix, which rebuilds sources from the new
-// matrix). The new demand takes effect at the next Reassign.
-func (f *Fluid) SetMatrix(m *traffic.Matrix) {
-	if m.NumNodes() != f.g.NumNodes() {
-		panic("flowmodel: matrix size mismatch")
-	}
-	f.m = m
-	f.scale = 1
 }
 
 // LinkBPS returns the background rate currently assigned to the link in
 // bits/second.
 func (f *Fluid) LinkBPS(l topology.LinkID) float64 { return f.linkBPS[l] }
-
-// Unroutable returns the background demand (bps) the last Reassign could
-// not route — destinations unreachable without crossing a dead link.
-func (f *Fluid) Unroutable() float64 { return f.unroutable }
-
-// TotalBPS returns the background demand currently offered (matrix total
-// times the accumulated scale factor), routable or not.
-func (f *Fluid) TotalBPS() float64 { return f.m.Total() * f.scale }
-
-// Reassigns returns how many epochs have re-routed the background so far.
-func (f *Fluid) Reassigns() int64 { return f.reassigns }

@@ -26,7 +26,7 @@ func TestFluidReassignFollowsCosts(t *testing.T) {
 	m := traffic.NewMatrix(4)
 	m.Set(0, 3, 10000) // A -> D
 	f := NewFluid(g, m)
-	if f.LinkBPS(ab) != 0 || f.Reassigns() != 0 {
+	if f.LinkBPS(ab) != 0 {
 		t.Fatal("rates must be zero before the first Reassign")
 	}
 
@@ -59,9 +59,6 @@ func TestFluidReassignFollowsCosts(t *testing.T) {
 	if f.LinkBPS(ab) != 0 {
 		t.Errorf("B path should drain after the flip, got %v", f.LinkBPS(ab))
 	}
-	if f.Reassigns() != 2 {
-		t.Errorf("Reassigns = %d, want 2", f.Reassigns())
-	}
 }
 
 func TestFluidReroutesAroundDownLink(t *testing.T) {
@@ -71,7 +68,7 @@ func TestFluidReroutesAroundDownLink(t *testing.T) {
 	f := NewFluid(g, m)
 	f.Reassign(unit, nil) // ties break somewhere; force the interesting case below
 
-	// A-B down: all demand must route via C, none unroutable.
+	// A-B down: all demand must route via C.
 	isDown := func(l topology.LinkID) bool {
 		return l == ab || l == g.Link(ab).Reverse()
 	}
@@ -82,17 +79,11 @@ func TestFluidReroutesAroundDownLink(t *testing.T) {
 	if f.LinkBPS(ab) != 0 || f.LinkBPS(bd) != 0 {
 		t.Errorf("dead path must carry nothing, got ab=%v bd=%v", f.LinkBPS(ab), f.LinkBPS(bd))
 	}
-	if f.Unroutable() != 0 {
-		t.Errorf("Unroutable = %v, want 0 (an alive path exists)", f.Unroutable())
-	}
 
 	// Both A exits down: the demand is unroutable, no link carries it.
 	f.Reassign(unit, func(l topology.LinkID) bool {
 		return l == ab || l == g.Link(ab).Reverse() || l == ac || l == g.Link(ac).Reverse()
 	})
-	if f.Unroutable() != 10000 {
-		t.Errorf("Unroutable = %v, want 10000", f.Unroutable())
-	}
 	for i := 0; i < g.NumLinks(); i++ {
 		if f.LinkBPS(topology.LinkID(i)) != 0 {
 			t.Errorf("link %d carries %v bps of unroutable demand", i, f.LinkBPS(topology.LinkID(i)))
@@ -118,25 +109,10 @@ func TestFluidScaleImmediateRoutesLazy(t *testing.T) {
 	if f.LinkBPS(ab) != 20000 || f.LinkBPS(bd) != 20000 {
 		t.Errorf("Scale must be immediate: ab=%v bd=%v, want 20000", f.LinkBPS(ab), f.LinkBPS(bd))
 	}
-	if f.TotalBPS() != 20000 {
-		t.Errorf("TotalBPS = %v, want 20000", f.TotalBPS())
-	}
 	// And it persists across the next epoch's rerouting.
 	f.Reassign(cheapB, nil)
-	if f.LinkBPS(ab) != 20000 {
-		t.Errorf("scale must persist across Reassign, got %v", f.LinkBPS(ab))
-	}
-
-	// SetMatrix forgets the surge, like network.SetMatrix rebuilding sources.
-	m2 := traffic.NewMatrix(4)
-	m2.Set(0, 3, 5000)
-	f.SetMatrix(m2)
-	if f.TotalBPS() != 5000 {
-		t.Errorf("TotalBPS after SetMatrix = %v, want 5000", f.TotalBPS())
-	}
-	f.Reassign(cheapB, nil)
-	if f.LinkBPS(ab) != 5000 {
-		t.Errorf("post-SetMatrix rate = %v, want 5000", f.LinkBPS(ab))
+	if f.LinkBPS(ab) != 20000 || f.scale != 2 {
+		t.Errorf("scale must persist across Reassign, got %v (scale %v)", f.LinkBPS(ab), f.scale)
 	}
 }
 
@@ -174,9 +150,6 @@ func TestFluidPanics(t *testing.T) {
 	}
 	if !panics(func() { f.Scale(math.Inf(1)) }) {
 		t.Error("Scale(+Inf) should panic")
-	}
-	if !panics(func() { f.SetMatrix(traffic.NewMatrix(4)) }) {
-		t.Error("SetMatrix size mismatch should panic")
 	}
 }
 

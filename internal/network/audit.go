@@ -209,44 +209,3 @@ func (n *Network) ScaleBackground(factor float64) {
 	n.cfg.Trace.Add(trace.Event{At: n.kernel.Now(), Kind: trace.TrafficChange,
 		Node: topology.NoNode, Link: topology.NoLink, Cost: factor})
 }
-
-// SetBackgroundMatrix switches the fluid background to a new matrix and
-// re-routes it immediately (mirroring SetMatrix, which rebuilds the packet
-// sources at once). Any accumulated background surge factor is forgotten.
-// Panics when the network has no background matrix.
-func (n *Network) SetBackgroundMatrix(m *traffic.Matrix) {
-	if n.fluid == nil {
-		panic("network: SetBackgroundMatrix without a background matrix")
-	}
-	n.fluid.SetMatrix(m)
-	n.fluid.Reassign(n.bgCost, n.bgDown)
-	n.cfg.Trace.Add(trace.Event{At: n.kernel.Now(), Kind: trace.TrafficChange,
-		Node: topology.NoNode, Link: topology.NoLink})
-}
-
-// BackgroundLinkBPS returns the fluid background rate currently assigned
-// to the link (0 without a background matrix).
-func (n *Network) BackgroundLinkBPS(l topology.LinkID) float64 {
-	if n.fluid == nil {
-		return 0
-	}
-	return n.fluid.LinkBPS(l)
-}
-
-// BackgroundUnroutable returns the background demand (bps) the last epoch
-// could not route around dead trunks (0 without a background matrix).
-func (n *Network) BackgroundUnroutable() float64 {
-	if n.fluid == nil {
-		return 0
-	}
-	return n.fluid.Unroutable()
-}
-
-// BackgroundReassigns returns how many fluid epochs have re-routed the
-// background so far (0 without a background matrix).
-func (n *Network) BackgroundReassigns() int64 {
-	if n.fluid == nil {
-		return 0
-	}
-	return n.fluid.Reassigns()
-}

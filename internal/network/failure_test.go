@@ -70,28 +70,6 @@ func TestFlappingTrunk(t *testing.T) {
 	}
 }
 
-func TestQueueLimitControlsDrops(t *testing.T) {
-	// At overload, a smaller buffer drops more. (With M/M/1-ish arrivals
-	// the blocking probability of M/M/1/K rises as K falls.)
-	run := func(limit int) int64 {
-		g := topology.Line(2, topology.T56)
-		m := traffic.NewMatrix(2)
-		m.Set(0, 1, 64000) // ~1.14× the trunk
-		n := New(Config{Graph: g, Matrix: m, Metric: node.MinHop, Seed: 11,
-			QueueLimit: limit, Warmup: 20 * sim.Second})
-		n.Run(120 * sim.Second)
-		return n.Report().BufferDrops
-	}
-	small, large := run(5), run(200)
-	if small <= large {
-		t.Errorf("5-packet buffer dropped %d, 200-packet buffer %d; want more drops with less buffer",
-			small, large)
-	}
-	if large == 0 {
-		t.Error("even a big buffer must drop at sustained 114% load")
-	}
-}
-
 func TestCostSeriesTracksMetricDynamics(t *testing.T) {
 	// Track the advertised cost of a trunk that gets loaded mid-run: the
 	// series must stay within the metric's bounds and actually move.

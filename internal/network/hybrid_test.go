@@ -48,8 +48,8 @@ func TestBackgroundRaisesCostAndReroutes(t *testing.T) {
 		t.Errorf("bg-loaded trunk advertises %v, idle one %v — background is invisible to the metric",
 			loaded, idle)
 	}
-	if n.BackgroundLinkBPS(l01) != 44800 {
-		t.Errorf("background assignment = %v bps, want 44800", n.BackgroundLinkBPS(l01))
+	if n.fluid.LinkBPS(l01) != 44800 {
+		t.Errorf("background assignment = %v bps, want 44800", n.fluid.LinkBPS(l01))
 	}
 	// Utilization sampling must see the combined load on the loaded
 	// direction: ~0.8 fluid plus a little foreground, where the pure
@@ -124,32 +124,25 @@ func TestBackgroundReroutesAfterTrunkDown(t *testing.T) {
 	n.Run(55 * sim.Second)
 
 	carrier, alt := ab, ac
-	if n.BackgroundLinkBPS(ab) == 0 {
+	if n.fluid.LinkBPS(ab) == 0 {
 		carrier, alt = ac, ab
 	}
-	if n.BackgroundLinkBPS(carrier) != 20000 {
+	if n.fluid.LinkBPS(carrier) != 20000 {
 		t.Fatalf("setup: background not on a single path (ab=%v ac=%v)",
-			n.BackgroundLinkBPS(ab), n.BackgroundLinkBPS(ac))
+			n.fluid.LinkBPS(ab), n.fluid.LinkBPS(ac))
 	}
 
 	n.SetTrunkDown(carrier)
 	// Before the next epoch the fluid is stranded on the dead trunk.
-	if got := n.BackgroundLinkBPS(carrier); got != 20000 {
+	if got := n.fluid.LinkBPS(carrier); got != 20000 {
 		t.Errorf("fluid re-routed before the epoch boundary: carrier at %v bps", got)
 	}
-	epochs := n.BackgroundReassigns()
-	n.Run(66 * sim.Second) // cross the next 10 s epoch
-	if n.BackgroundReassigns() <= epochs {
-		t.Fatal("no fluid epoch elapsed")
-	}
-	if got := n.BackgroundLinkBPS(carrier); got != 0 {
+	n.Run(66 * sim.Second) // cross the 60 s epoch
+	if got := n.fluid.LinkBPS(carrier); got != 0 {
 		t.Errorf("dead trunk still carries %v bps of fluid after the epoch", got)
 	}
-	if got := n.BackgroundLinkBPS(alt); got != 20000 {
+	if got := n.fluid.LinkBPS(alt); got != 20000 {
 		t.Errorf("surviving path carries %v bps, want the whole 20000", got)
-	}
-	if n.BackgroundUnroutable() != 0 {
-		t.Errorf("unroutable = %v, want 0 (an alive path exists)", n.BackgroundUnroutable())
 	}
 	if err := n.Conservation().Err(); err != nil {
 		t.Errorf("outage with live background broke the packet ledger: %v", err)
@@ -158,8 +151,10 @@ func TestBackgroundReroutesAfterTrunkDown(t *testing.T) {
 	// Cut the last path too: the demand becomes unroutable, no phantom load.
 	n.SetTrunkDown(alt)
 	n.Run(80 * sim.Second)
-	if n.BackgroundUnroutable() != 20000 {
-		t.Errorf("unroutable = %v, want 20000 with both paths dead", n.BackgroundUnroutable())
+	for i := 0; i < n.g.NumLinks(); i++ {
+		if got := n.fluid.LinkBPS(topology.LinkID(i)); got != 0 {
+			t.Errorf("link %d carries %v bps of fluid with both paths dead", i, got)
+		}
 	}
 	if err := n.Conservation().Err(); err != nil {
 		t.Error(err)
@@ -168,41 +163,27 @@ func TestBackgroundReroutesAfterTrunkDown(t *testing.T) {
 	// Repair: the next epoch routes the background again.
 	n.SetTrunkUp(carrier)
 	n.Run(95 * sim.Second)
-	if n.BackgroundUnroutable() != 0 {
-		t.Errorf("unroutable = %v after repair, want 0", n.BackgroundUnroutable())
+	if got := n.fluid.LinkBPS(carrier); got != 20000 {
+		t.Errorf("repaired path carries %v bps after the epoch, want the whole 20000", got)
 	}
 	if err := n.TransmitterAudit(); err != nil {
 		t.Error(err)
 	}
 }
 
-// Background surge and matrix switch: Scale is immediate on current fluid
-// routes; SetBackgroundMatrix re-routes at once and forgets the surge.
-func TestBackgroundSurgeAndSwitch(t *testing.T) {
+// A background surge is immediate on the current fluid routes.
+func TestBackgroundSurge(t *testing.T) {
 	bg := traffic.NewMatrix(4)
 	bg.Set(0, 3, 10000)
 	n, ab, ac := hybridDiamond(bg, 9)
 	n.Run(20 * sim.Second)
 	carrier := ab
-	if n.BackgroundLinkBPS(ab) == 0 {
+	if n.fluid.LinkBPS(ab) == 0 {
 		carrier = ac
 	}
 	n.ScaleBackground(3)
-	if got := n.BackgroundLinkBPS(carrier); got != 30000 {
+	if got := n.fluid.LinkBPS(carrier); got != 30000 {
 		t.Errorf("surged carrier = %v bps, want 30000 immediately", got)
-	}
-	bg2 := traffic.NewMatrix(4)
-	bg2.Set(3, 0, 8000) // reverse direction
-	n.SetBackgroundMatrix(bg2)
-	if got := n.BackgroundLinkBPS(carrier); got != 0 {
-		t.Errorf("old-direction carrier = %v bps after the switch, want 0", got)
-	}
-	var total float64
-	for i := 0; i < n.g.NumLinks(); i++ {
-		total += n.BackgroundLinkBPS(topology.LinkID(i))
-	}
-	if total != 16000 { // 8000 bps × 2 hops on the diamond
-		t.Errorf("switched background occupies %v link-bps, want 16000", total)
 	}
 	if !panics(func() { n.ScaleBackground(0) }) {
 		t.Error("ScaleBackground(0) should panic")
@@ -210,9 +191,6 @@ func TestBackgroundSurgeAndSwitch(t *testing.T) {
 	base := New(Config{Graph: n.g, Matrix: n.cfg.Matrix, Metric: node.HNSPF, Seed: 9})
 	if !panics(func() { base.ScaleBackground(2) }) {
 		t.Error("ScaleBackground without a background matrix should panic")
-	}
-	if !panics(func() { base.SetBackgroundMatrix(bg2) }) {
-		t.Error("SetBackgroundMatrix without a background matrix should panic")
 	}
 }
 

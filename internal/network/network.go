@@ -50,9 +50,6 @@ type Config struct {
 
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// QueueLimit is the per-link output buffer in user packets
-	// (DefaultQueueLimit if zero).
-	QueueLimit int
 	// Warmup: statistics before this time are discarded.
 	Warmup sim.Time
 	// ModuleFactory overrides the per-link cost module (nil = build from
@@ -67,15 +64,12 @@ type Config struct {
 
 	// Background, when non-nil, turns on the hybrid fluid/packet engine:
 	// this matrix is modeled as fluid flows routed over the advertised
-	// link costs (re-routed every BackgroundEpoch) and superposed onto
+	// link costs (re-routed every measurement period) and superposed onto
 	// each trunk's measured delay and sampled utilization, so the metric
 	// modules see the combined load without a background packet ever being
 	// scheduled. Foreground traffic (Matrix) stays packet-level. With a
 	// nil Background the engine is bit-for-bit the pure packet simulator.
 	Background *traffic.Matrix
-	// BackgroundEpoch is the fluid re-routing period
-	// (node.MeasurementPeriod if zero). Only meaningful with Background.
-	BackgroundEpoch sim.Time
 }
 
 // Network is a running simulation. Build with New, drive with Run/RunUntil,
@@ -93,12 +87,9 @@ type Network struct {
 
 	warmed bool
 
-	// Hybrid engine state (nil without cfg.Background): the fluid layer
-	// plus the cost/down views it re-routes over, built once so the epoch
-	// callback never allocates a closure.
-	fluid  *flowmodel.Fluid
-	bgCost spf.CostFunc
-	bgDown func(topology.LinkID) bool
+	// fluid is the hybrid engine's background layer (nil without
+	// cfg.Background).
+	fluid *flowmodel.Fluid
 
 	// pool recycles packets; every terminal site of the conservation ledger
 	// releases into it, which is exactly why recycling is safe — a packet
@@ -194,9 +185,6 @@ func New(cfg Config) *Network {
 	if cfg.Matrix.NumNodes() != cfg.Graph.NumNodes() {
 		panic("network: matrix size does not match graph")
 	}
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = DefaultQueueLimit
-	}
 	n := &Network{
 		cfg:    cfg,
 		kernel: sim.New(),
@@ -228,7 +216,7 @@ func New(cfg Config) *Network {
 			}
 		}
 		ls := &linkState{
-			Trunk:   node.NewTrunk(cfg.QueueLimit, mod(l), l.Type.Bandwidth()),
+			Trunk:   node.NewTrunk(node.DefaultQueueLimit, mod(l), l.Type.Bandwidth()),
 			link:    l,
 			propLat: sim.FromSeconds(l.PropDelay) + node.ProcessingDelay,
 		}
@@ -306,8 +294,9 @@ func (n *Network) setupSource(p *psn) {
 // matrix is routed over the last-flooded costs (what every converged PSN's
 // database holds — so the fluid follows exactly the routes the packet
 // engine would have used), assigned once at boot and re-assigned every
-// epoch. In BF1969 mode nothing floods, so the background stays on the
-// boot-time min-hop routes; the hybrid mode is meant for the SPF metrics.
+// measurement period. In BF1969 mode nothing floods, so the background
+// stays on the boot-time min-hop routes; the hybrid mode is meant for the
+// SPF metrics.
 func (n *Network) setupBackground() {
 	if n.cfg.Background == nil {
 		return
@@ -315,18 +304,13 @@ func (n *Network) setupBackground() {
 	if n.cfg.Background.NumNodes() != n.g.NumNodes() {
 		panic("network: background matrix size does not match graph")
 	}
-	if n.cfg.BackgroundEpoch == 0 {
-		n.cfg.BackgroundEpoch = node.MeasurementPeriod
-	}
-	n.bgCost = func(l topology.LinkID) float64 { return n.links[l].lastFlooded }
-	n.bgDown = func(l topology.LinkID) bool { return n.links[l].Down() }
+	cost := func(l topology.LinkID) float64 { return n.links[l].lastFlooded }
+	down := func(l topology.LinkID) bool { return n.links[l].Down() }
 	n.fluid = flowmodel.NewFluid(n.g, n.cfg.Background)
-	n.fluid.Reassign(n.bgCost, n.bgDown)
+	n.fluid.Reassign(cost, down)
 	// Background re-routing runs for the lifetime of the network, like
 	// measurement and sampling.
-	n.kernel.Every(n.cfg.BackgroundEpoch, func(sim.Time) {
-		n.fluid.Reassign(n.bgCost, n.bgDown)
-	})
+	n.kernel.Every(node.MeasurementPeriod, func(sim.Time) { n.fluid.Reassign(cost, down) })
 }
 
 // multipathTol derives the near-equality tolerance from the cheapest link

@@ -69,13 +69,6 @@ func TestScriptRoundTripBackground(t *testing.T) {
 		back.Events[0].Factor != 1.75 || back.Events[0].At != 30*sim.Second {
 		t.Errorf("round trip lost the background surge: %+v", back.Events)
 	}
-
-	// Background matrix switches carry a matrix and are not expressible.
-	m := NewScenario("m", 100*sim.Second)
-	m.SwitchBackgroundMatrixAt(10*sim.Second, traffic.NewMatrix(3))
-	if _, err := m.Script(); err == nil {
-		t.Error("SwitchBackgroundMatrix should not serialize")
-	}
 }
 
 func TestBackgroundEventsRequireMatrix(t *testing.T) {
@@ -86,12 +79,6 @@ func TestBackgroundEventsRequireMatrix(t *testing.T) {
 	if _, err := Run(cfg, sc); err == nil ||
 		!strings.Contains(err.Error(), "requires a background matrix") {
 		t.Errorf("want a setup error naming the missing background matrix, got %v", err)
-	}
-	sw := NewScenario("needs-bg2", 60*sim.Second)
-	sw.SwitchBackgroundMatrixAt(10*sim.Second, traffic.NewMatrix(4))
-	if _, err := Run(cfg, sw); err == nil ||
-		!strings.Contains(err.Error(), "requires a background matrix") {
-		t.Errorf("want a setup error for the background matrix switch, got %v", err)
 	}
 }
 

@@ -24,12 +24,11 @@ type Config struct {
 	// ModuleFactory overrides the per-link cost module (see
 	// network.Config); the ablation experiments run modified HNMs with it.
 	ModuleFactory func(l topology.Link) node.CostModule
-	// Background and BackgroundEpoch configure the hybrid fluid/packet
-	// engine (see network.Config). Scenarios containing BackgroundSurge or
-	// SwitchBackgroundMatrix events require a non-nil Background; schedule
-	// reports the mismatch as a setup error before the run starts.
-	Background      *traffic.Matrix
-	BackgroundEpoch sim.Time
+	// Background configures the hybrid fluid/packet engine (see
+	// network.Config). A scenario with a BackgroundSurge event requires a
+	// non-nil Background; schedule reports the mismatch as a setup error
+	// before the run starts.
+	Background *traffic.Matrix
 	// Trace, when non-nil, receives the network's event ring. RunBatch
 	// ignores it: a shared ring across concurrent seeds would race.
 	Trace *trace.Ring
@@ -78,16 +77,15 @@ func Run(cfg Config, sc *Scenario) (Result, error) {
 		return Result{}, err
 	}
 	net := network.New(network.Config{
-		Graph:           cfg.Graph,
-		Matrix:          cfg.Matrix,
-		Metric:          cfg.Metric,
-		Seed:            cfg.Seed,
-		Warmup:          cfg.Warmup,
-		Multipath:       cfg.Multipath,
-		ModuleFactory:   cfg.ModuleFactory,
-		Trace:           cfg.Trace,
-		Background:      cfg.Background,
-		BackgroundEpoch: cfg.BackgroundEpoch,
+		Graph:         cfg.Graph,
+		Matrix:        cfg.Matrix,
+		Metric:        cfg.Metric,
+		Seed:          cfg.Seed,
+		Warmup:        cfg.Warmup,
+		Multipath:     cfg.Multipath,
+		ModuleFactory: cfg.ModuleFactory,
+		Trace:         cfg.Trace,
+		Background:    cfg.Background,
 	})
 	if cfg.Prepare != nil {
 		cfg.Prepare(net)
@@ -160,12 +158,6 @@ func (r *runner) schedule(sc *Scenario) error {
 					sc.Name, ev.Kind, ev.At)
 			}
 			fire = func(sim.Time) { r.net.ScaleBackground(ev.Factor) }
-		case SwitchBackgroundMatrix:
-			if r.cfg.Background == nil {
-				return fmt.Errorf("scenario %q: %s at %v requires a background matrix (hybrid mode)",
-					sc.Name, ev.Kind, ev.At)
-			}
-			fire = func(sim.Time) { r.net.SetBackgroundMatrix(ev.Matrix) }
 		case Checkpoint:
 			fire = func(now sim.Time) { r.checkpoint(now) }
 		default:

@@ -51,9 +51,6 @@ const (
 	// BackgroundSurge multiplies the hybrid engine's fluid background
 	// demand by Factor (requires Config.Background).
 	BackgroundSurge
-	// SwitchBackgroundMatrix replaces the fluid background matrix with
-	// Matrix (requires Config.Background).
-	SwitchBackgroundMatrix
 )
 
 // String returns the script keyword for the kind.
@@ -75,8 +72,6 @@ func (k Kind) String() string {
 		return "checkpoint"
 	case BackgroundSurge:
 		return "surge background"
-	case SwitchBackgroundMatrix:
-		return "matrix background"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -157,13 +152,6 @@ func (s *Scenario) BackgroundSurgeAt(at sim.Time, factor float64) *Scenario {
 	return s
 }
 
-// SwitchBackgroundMatrixAt replaces the fluid background matrix at time at.
-// The run must configure a background matrix.
-func (s *Scenario) SwitchBackgroundMatrixAt(at sim.Time, m *traffic.Matrix) *Scenario {
-	s.Events = append(s.Events, Event{At: at, Kind: SwitchBackgroundMatrix, Matrix: m})
-	return s
-}
-
 // CheckpointAt audits the invariants at time at.
 func (s *Scenario) CheckpointAt(at sim.Time) *Scenario {
 	s.Events = append(s.Events, Event{At: at, Kind: Checkpoint})
@@ -191,7 +179,7 @@ func (s *Scenario) Validate() error {
 		if (ev.Kind == Surge || ev.Kind == BackgroundSurge) && ev.Factor <= 0 {
 			return fmt.Errorf("scenario %q: %s factor %v must be positive", s.Name, ev.Kind, ev.Factor)
 		}
-		if (ev.Kind == SwitchMatrix || ev.Kind == SwitchBackgroundMatrix) && ev.Matrix == nil {
+		if ev.Kind == SwitchMatrix && ev.Matrix == nil {
 			return fmt.Errorf("scenario %q: %s event without a matrix", s.Name, ev.Kind)
 		}
 	}

@@ -16,10 +16,10 @@ package scenario
 //	at 260 surge background 2        # double the fluid background demand
 //	at 300 checkpoint                # extra audit instant
 //
-// Matrix switches (foreground and background) carry a whole traffic matrix
-// and have no script syntax; append a SwitchMatrix or SwitchBackgroundMatrix
-// Event to Scenario.Events from code. 'surge background' requires the run
-// to configure a background matrix (the hybrid fluid/packet mode).
+// Matrix switches carry a whole traffic matrix and have no script syntax;
+// append a SwitchMatrix Event to Scenario.Events from code. 'surge
+// background' requires the run to configure a background matrix (the
+// hybrid fluid/packet mode).
 
 import (
 	"bufio"

@@ -65,7 +65,7 @@ func (s *Scenario) Script() (string, error) {
 				formatTime(ev.At), ev.Node, formatTime(s.Events[j].At-ev.At))
 		case NodeUp:
 			return "", fmt.Errorf("node-up %q at %v has no preceding node-down", ev.Node, ev.At)
-		case SwitchMatrix, SwitchBackgroundMatrix:
+		case SwitchMatrix:
 			return "", fmt.Errorf("%s event at %v has no script syntax", ev.Kind, ev.At)
 		default:
 			return "", fmt.Errorf("unknown event kind %v", ev.Kind)

@@ -67,12 +67,6 @@ type Spec struct {
 	Multipath bool
 	// TraceCapacity, when positive, keeps that many events in Result.Trace.
 	TraceCapacity int
-	// Background, when non-nil, is demand from Topology carried as fluid
-	// flows, re-routed over the flooded costs once per epoch and superposed
-	// onto each trunk's measured load (the hybrid engine).
-	Background *Traffic
-	// BackgroundEpochSeconds is the fluid re-routing epoch (default 10 s).
-	BackgroundEpochSeconds float64
 }
 
 // Result is one run. The embedded scenario.Result — the Report over the
@@ -92,8 +86,9 @@ type Result struct {
 type Tracked struct{ Utilization, Cost *Series }
 
 // Run performs one run. Bad input — a Traffic from another Topology, an
-// unknown PSN name, a script that does not parse — is an error naming the
-// Spec field; invariant violations are data, in Result.Violations.
+// unknown PSN name, a script that does not parse or surges a fluid
+// background no Spec carries — is an error naming the Spec field; invariant
+// violations are data, in Result.Violations.
 func Run(s Spec) (Result, error) {
 	var res Result
 	cfg, err := s.config(&res)
@@ -156,10 +151,6 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 		Warmup:    sim.FromSeconds(s.WarmupSeconds),
 		Multipath: s.Multipath,
 	}
-	if s.Background != nil {
-		cfg.Background = s.Background.m
-		cfg.BackgroundEpoch = sim.FromSeconds(s.BackgroundEpochSeconds)
-	}
 	if opts := s.Ablations; len(opts) > 0 {
 		cfg.ModuleFactory = func(l topology.Link) node.CostModule {
 			return core.NewModuleOptions(core.DefaultParams(l.Type), l.Type.Bandwidth(), l.PropDelay, opts...)
@@ -192,8 +183,6 @@ func (s Spec) check() error {
 	switch {
 	case s.Traffic == nil || s.Traffic.t != s.Topology:
 		return errors.New("Spec.Traffic was not built from Spec.Topology")
-	case s.Background != nil && s.Background.t != s.Topology:
-		return errors.New("Spec.Background was not built from Spec.Topology")
 	case s.Metric < HNSPF || s.Metric > BF1969:
 		return fmt.Errorf("Spec.Metric %d is not a metric", int(s.Metric))
 	case s.Multipath && s.Metric == BF1969:
@@ -202,8 +191,6 @@ func (s Spec) check() error {
 		return fmt.Errorf("Spec.Ablations require Metric HNSPF, not %v", s.Metric)
 	case !(s.WarmupSeconds >= 0):
 		return fmt.Errorf("Spec.WarmupSeconds %v is not a time", s.WarmupSeconds)
-	case !(s.BackgroundEpochSeconds >= 0):
-		return fmt.Errorf("Spec.BackgroundEpochSeconds %v is not a time", s.BackgroundEpochSeconds)
 	case s.Script != "" && s.Seconds != 0:
 		return errors.New("Spec.Seconds must be zero with Spec.Script (its duration is the horizon)")
 	case s.Script == "" && !(s.Seconds > 0):
