@@ -21,9 +21,8 @@ type ShedStat = equilibrium.ShedStat
 // CobwebPoint is one period of the dynamic-behaviour iteration.
 type CobwebPoint = equilibrium.CobwebPoint
 
-// NewAnalysis builds the model: one shortest-path computation per link and
-// source, fanned out over GOMAXPROCS workers with per-worker reusable SPF
-// workspaces. The result is identical at any GOMAXPROCS.
+// NewAnalysis builds the model: one breadth-first search per link and
+// source, over the graph without that link, on the calling goroutine.
 func NewAnalysis(t *Topology, tr *Traffic) *Analysis {
 	if tr.t != t {
 		panic("arpanet: Traffic was built for a different Topology")

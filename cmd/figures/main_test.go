@@ -36,7 +36,7 @@ func TestBadInvocationExitsTwo(t *testing.T) {
 }
 
 // The analytic figures are exactly deterministic: the same bytes on every run
-// and at any worker count (the §5 model builds through internal/fanout).
+// and at any GOMAXPROCS (the §5 model builds serially, one goroutine).
 func TestFigure8TSVIsStable(t *testing.T) {
 	var runs []string
 	for _, procs := range []int{1, 8} {

@@ -14,10 +14,13 @@ import (
 )
 
 // docsChecked are the documents whose code names TestDocsNameRealCode holds
-// to the code. bench/README.md is not among them: bench/ is frozen, and its
-// stale internal/analysis.TestRepoIsClean waits for the benchmark's next
-// revision.
-var docsChecked = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"}
+// to the code: in a Markdown document its code spans and blocks, in a CI
+// workflow or script all of it (a `go test -run 'A|B'` whose B is stale runs
+// nothing and passes). bench/README.md is not among them: bench/ is frozen,
+// and its stale internal/analysis.TestRepoIsClean waits for the benchmark's
+// next revision.
+var docsChecked = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md",
+	".github/workflows/*.yml", "scripts/*.sh"}
 
 var (
 	fence     = regexp.MustCompile("(?s)```[^\n]*\n(.*?)```")
@@ -117,7 +120,8 @@ func commandFlags(t *testing.T, name string) map[string]bool {
 	return flags
 }
 
-// checkDoc reports every stale name in one document's code: a TestX,
+// checkDoc reports every stale name in one document's code (a Markdown
+// document's code spans and blocks, any other file whole): a TestX,
 // BenchmarkX or FuzzX that is no prefix of a module function (docs cite -run
 // patterns such as TestBF1969 and TestStaticRoute*), and a `go run ./cmd/X`
 // flag that X does not define.
@@ -125,7 +129,11 @@ func checkDoc(t *testing.T, doc, text string, funcs []string) []string {
 	t.Helper()
 	var stale []string
 	flagsOf := map[string]map[string]bool{}
-	for _, code := range codeIn(text) {
+	codes := []string{text}
+	if strings.HasSuffix(doc, ".md") {
+		codes = codeIn(text)
+	}
+	for _, code := range codes {
 		for _, name := range testName.FindAllString(code, -1) {
 			found := false
 			for _, fn := range funcs {
@@ -205,13 +213,19 @@ func commandDoc(t *testing.T, name string) string {
 // command's own package comment pass a command is one it defines.
 func TestDocsNameRealCode(t *testing.T) {
 	funcs := moduleFuncs(t)
-	for _, doc := range docsChecked {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
+	for _, pattern := range docsChecked {
+		docs, err := filepath.Glob(pattern)
+		if err != nil || len(docs) == 0 {
+			t.Fatalf("%s names no file: %v", pattern, err)
 		}
-		for _, s := range checkDoc(t, doc, string(text), funcs) {
-			t.Error(s)
+		for _, doc := range docs {
+			text, err := os.ReadFile(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range checkDoc(t, doc, string(text), funcs) {
+				t.Error(s)
+			}
 		}
 	}
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
@@ -240,6 +254,21 @@ func TestDocsCheckCatchesStaleNames(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("stale names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// A workflow is code throughout, comments and prose included.
+	ci := "      - name: Race\n        # TestRunUntil, then the renamed FuzzGone target\n" +
+		"        run: |\n          go test -run 'TestRunUntil|TestRenamedAway' ./internal/sim\n" +
+		"          go test -fuzz FuzzGone ./internal/sim\n          go run ./cmd/checker -campaigns 25 -frozen\n"
+	got = checkDoc(t, "ci.yml", ci, funcs)
+	want = []string{
+		"ci.yml: FuzzGone names no function in the module",
+		"ci.yml: TestRenamedAway names no function in the module",
+		"ci.yml: FuzzGone names no function in the module",
+		"ci.yml: go run ./cmd/checker -frozen: checker defines no such flag",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("stale workflow names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
 	comment := commandDoc(t, "arpanetsim") + "\tarpanetsim -background 28000   # -fluid\n" +

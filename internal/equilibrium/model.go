@@ -10,20 +10,15 @@
 // the route moves off the link, with ties always broken in favor of using
 // the link. Aggregating over all links gives the average link's response.
 //
-// The build fans out over links: each directed link's thresholds depend
-// only on shortest paths with that one link priced out, so links are
-// embarrassingly parallel. fanout.Do's GOMAXPROCS workers claim links off
-// a shared counter; every worker owns one spf.Workspace and writes only its
-// link's routes/base slots, so the result is identical — bit for bit — to
-// a sequential build.
+// Every distance the model needs is a hop count with one link removed, so
+// the build is one breadth-first search per link and source
+// (topology.Search), serial: about 2,700 searches on the ARPANET map.
 package equilibrium
 
 import (
 	"math"
 	"sort"
 
-	"repro/internal/fanout"
-	"repro/internal/spf"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -73,23 +68,17 @@ func New(g *topology.Graph, m *traffic.Matrix) *Model {
 		base:   make([]float64, nl),
 		tables: make([]responseTable, nl),
 	}
+	search := topology.NewSearch(g)
+	fromV := make([]float64, g.NumNodes())
+	for li := range mod.routes {
+		routes, base := linkRoutes(search, m, g.Link(topology.LinkID(li)), fromV)
+		mod.routes[li] = routes
+		mod.base[li] = base
+		mod.tables[li] = newResponseTable(routes)
+	}
 
-	// Each worker writes only routes[li], base[li] and tables[li] for the
-	// links it claimed — the slots are disjoint, so the outcome matches a
-	// sequential build exactly.
-	fanout.Do(nl, func(next func() (int, bool)) {
-		b := newLinkBuilder(g, m)
-		for li, ok := next(); ok; li, ok = next() {
-			routes, base := b.build(topology.LinkID(li))
-			mod.routes[li] = routes
-			mod.base[li] = base
-			mod.tables[li] = newResponseTable(routes)
-		}
-	})
-
-	// Aggregate table for the average-link response: concatenating every
-	// link's routes in link order keeps the build order — and hence the
-	// floating-point sums — independent of the worker count.
+	// Aggregate table for the average-link response: every link's routes in
+	// link order, stable-sorted by threshold.
 	total := 0
 	for _, rs := range mod.routes {
 		total += len(rs)
@@ -106,69 +95,35 @@ func New(g *topology.Graph, m *traffic.Matrix) *Model {
 	return mod
 }
 
-// linkBuilder is one worker's scratch state: a reusable SPF workspace, the
-// cost vector (all ambient except the link under consideration) and the
-// d(v,t | ¬L) row saved from the link head's shortest-path tree.
-type linkBuilder struct {
-	g     *topology.Graph
-	m     *traffic.Matrix
-	ws    *spf.Workspace
-	costs []float64 // 1 everywhere except costs[current link] = huge
-	fromV []float64 // cleaned d(v, t | ¬L) per destination
-	huge  float64
-}
+// linkRoutes computes one link's route thresholds and base traffic from
+// hop counts on the graph without the link. The routes come out in
+// (source, destination) order, then stable-sorted by threshold. fromV is
+// scratch of one entry per node.
+func linkRoutes(search *topology.Search, m *traffic.Matrix, link topology.Link, fromV []float64) ([]routeStat, float64) {
+	without := func(l topology.LinkID) bool { return l != link.ID }
 
-func newLinkBuilder(g *topology.Graph, m *traffic.Matrix) *linkBuilder {
-	b := &linkBuilder{
-		g:     g,
-		m:     m,
-		ws:    spf.NewWorkspace(),
-		costs: make([]float64, g.NumLinks()),
-		fromV: make([]float64, g.NumNodes()),
-		// spf.Compute rejects infinite costs, so link removal is emulated
-		// with a cost larger than any simple path; clean() maps distances
-		// that had to cross the link back to +Inf.
-		huge: float64(10 * g.NumNodes()),
-	}
-	for i := range b.costs {
-		b.costs[i] = 1
-	}
-	return b
-}
-
-// build computes one link's route thresholds and base traffic. The routes
-// come out in (source, destination) order, then sorted by threshold — the
-// same order for any worker assignment.
-func (b *linkBuilder) build(lid topology.LinkID) ([]routeStat, float64) {
-	g, n := b.g, b.g.NumNodes()
-	link := g.Link(lid)
-	b.costs[lid] = b.huge
-	defer func() { b.costs[lid] = 1 }()
-	costFn := func(l topology.LinkID) float64 { return b.costs[l] }
-
-	// d(v, t | ¬L) for every destination, from one tree rooted at the
-	// link's head. The tree lives in the shared workspace, so the row is
-	// copied out before the per-source trees overwrite it.
-	tv := spf.ComputeInto(b.ws, g, link.To, costFn)
-	for t := 0; t < n; t++ {
-		b.fromV[t] = clean(tv.Dist(topology.NodeID(t)), b.huge)
+	// d(v, t | ¬L) for every destination, saved before the per-source
+	// searches reuse the search.
+	search.From(link.To, -1, without)
+	for t := range fromV {
+		fromV[t] = hops(search, topology.NodeID(t))
 	}
 
 	var routes []routeStat
 	var base float64
-	for s := 0; s < n; s++ {
-		ts := spf.ComputeInto(b.ws, g, topology.NodeID(s), costFn)
-		toU := clean(ts.Dist(link.From), b.huge) // d(s, u | ¬L)
-		for t := 0; t < n; t++ {
+	for s := range fromV {
+		search.From(topology.NodeID(s), -1, without)
+		toU := hops(search, link.From) // d(s, u | ¬L)
+		for t := range fromV {
 			if s == t {
 				continue
 			}
-			rate := b.m.Rate(topology.NodeID(s), topology.NodeID(t))
+			rate := m.Rate(topology.NodeID(s), topology.NodeID(t))
 			if rate <= 0 {
 				continue
 			}
-			dst := clean(ts.Dist(topology.NodeID(t)), b.huge)
-			a := toU + b.fromV[t]
+			dst := hops(search, topology.NodeID(t))
+			a := toU + fromV[t]
 			if math.IsInf(dst, 1) && math.IsInf(a, 1) {
 				continue
 			}
@@ -188,13 +143,12 @@ func (b *linkBuilder) build(lid topology.LinkID) ([]routeStat, float64) {
 	return routes, base
 }
 
-// clean converts path lengths that had to route over the "removed" link
-// back to +Inf.
-func clean(d, huge float64) float64 {
-	if d >= huge {
-		return math.Inf(1)
+// hops is the last search's distance to v, +Inf where it did not reach.
+func hops(search *topology.Search, v topology.NodeID) float64 {
+	if h := search.Hops(v); h >= 0 {
+		return float64(h)
 	}
-	return d
+	return math.Inf(1)
 }
 
 // responseTable answers "traffic remaining at reported cost w" queries in

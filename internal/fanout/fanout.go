@@ -1,6 +1,6 @@
 // Package fanout spreads independent, index-addressed work over the cores:
-// the one worker pool behind the equilibrium model build, the scenario seed
-// batch and the checker's campaigns.
+// the one worker pool behind the scenario seed batch and the checker's
+// campaigns.
 package fanout
 
 import (

@@ -92,7 +92,7 @@ func (n *Network) ConvergenceAudit() error {
 	if n.RoutingInFlight() > 0 {
 		return nil
 	}
-	comp := n.components()
+	comp := topology.Components(n.g, func(l topology.LinkID) bool { return !n.links[l].Down() })
 	latest := make([]uint64, len(n.psns)) // by origin; 0 while it floods nothing but its boot costs
 	for _, p := range n.psns {
 		p.router.Updates(func(u *flooding.Update) {
@@ -124,38 +124,6 @@ func (n *Network) ConvergenceAudit() error {
 		}
 	}
 	return nil
-}
-
-// components labels each node with its connected component over up links.
-func (n *Network) components() []int {
-	comp := make([]int, n.g.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var queue []topology.NodeID
-	for s := 0; s < n.g.NumNodes(); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = next
-		queue = append(queue[:0], topology.NodeID(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, l := range n.g.Out(u) {
-				if n.links[l].Down() {
-					continue
-				}
-				if v := n.g.Link(l).To; comp[v] < 0 {
-					comp[v] = next
-					queue = append(queue, v)
-				}
-			}
-		}
-		next++
-	}
-	return comp
 }
 
 // --- runtime traffic control ---------------------------------------------

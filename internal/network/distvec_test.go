@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/sim"
-	"repro/internal/spf"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -23,7 +22,8 @@ func TestBF1969ConvergesAndDelivers(t *testing.T) {
 	// Vectors converge to hop-counts plus queue constants: under light
 	// load distances ≈ (queue-constant) × hops.
 	dist := n.psns[0].dv.dist
-	want := spf.HopTree(g, 0)
+	want := topology.NewSearch(g)
+	want.From(0, -1, nil)
 	for d := 1; d < g.NumNodes(); d++ {
 		hops := float64(want.Hops(topology.NodeID(d)))
 		if math.IsInf(dist[d], 1) {

@@ -210,7 +210,8 @@ func TestHealResyncsPartition(t *testing.T) {
 	n.SetTrunkDown(trunk("MIT", "BBN"))
 	heal := start + 3*sim.Second
 	n.Run(heal)
-	if comp := n.components(); comp[g.MustLookup("SRI")] == comp[g.MustLookup("WISC")] {
+	comp := topology.Components(g, func(l topology.LinkID) bool { return !n.LinkIsDown(l) })
+	if comp[g.MustLookup("SRI")] == comp[g.MustLookup("WISC")] {
 		t.Fatal("the coast-to-coast cut left the map connected")
 	}
 	if in := n.RoutingInFlight(); in != 0 {

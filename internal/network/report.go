@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/spf"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -113,16 +112,17 @@ func (n *Network) Report() Report {
 // the matrix — Table 1's "Internode Minimum Path".
 func (n *Network) minPathHops() float64 {
 	var sum, weight float64
+	search := topology.NewSearch(n.g)
 	for s := 0; s < n.g.NumNodes(); s++ {
 		src := topology.NodeID(s)
-		tree := spf.HopTree(n.g, src)
+		search.From(src, -1, nil)
 		for d := 0; d < n.g.NumNodes(); d++ {
 			dst := topology.NodeID(d)
 			rate := n.cfg.Matrix.Rate(src, dst)
 			if rate <= 0 {
 				continue
 			}
-			if h := tree.Hops(dst); h > 0 {
+			if h := search.Hops(dst); h > 0 {
 				sum += rate * float64(h)
 				weight += rate
 			}

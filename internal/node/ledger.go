@@ -100,22 +100,11 @@ func FloodTime(g *topology.Graph, down func(topology.LinkID) bool) sim.Time {
 		}
 	}
 	diameter := 0
-	dist := make([]int, g.NumNodes())
-	for s := range dist {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		for queue := []topology.NodeID{topology.NodeID(s)}; len(queue) > 0; queue = queue[1:] {
-			u := queue[0]
-			diameter = max(diameter, dist[u])
-			for _, l := range g.Out(u) {
-				if v := g.Link(l).To; !down(l) && dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
+	search := topology.NewSearch(g)
+	up := func(l topology.LinkID) bool { return !down(l) }
+	for s := 0; s < g.NumNodes(); s++ {
+		reached := search.From(topology.NodeID(s), -1, up)
+		diameter = max(diameter, search.Hops(reached[len(reached)-1]))
 	}
 	hop := update/slow + prop + ProcessingDelay.Seconds()
 	return sim.FromSeconds(3*vol/slow + float64(diameter+1)*hop)

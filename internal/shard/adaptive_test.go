@@ -374,7 +374,7 @@ func TestAdaptiveHealResyncs(t *testing.T) {
 		if err := s.Audit(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		comp := components(g, down)
+		comp := topology.Components(g, func(l topology.LinkID) bool { return !down(l) })
 		for i, row := range held() {
 			for o, seq := range row {
 				if comp[i] == comp[o] && seq < latest[o][o] {
@@ -392,30 +392,4 @@ func TestAdaptiveHealResyncs(t *testing.T) {
 			t.Fatalf("shards=%d: report differs:\n%s\nwant:\n%s", shards, got, report)
 		}
 	}
-}
-
-// components labels each node of g with its connected component over the
-// links down does not name.
-func components(g *topology.Graph, down func(topology.LinkID) bool) []int {
-	comp := make([]int, g.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	for s := range comp {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = s
-		for stack := []topology.NodeID{topology.NodeID(s)}; len(stack) > 0; {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, l := range g.Out(u) {
-				if v := g.Link(l).To; !down(l) && comp[v] < 0 {
-					comp[v] = s
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return comp
 }

@@ -16,6 +16,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/flooding"
 	"repro/internal/node"
@@ -128,7 +129,7 @@ type wire struct {
 
 // --- setup ----------------------------------------------------------------
 
-func (s *Sim) buildNode(id topology.NodeID) {
+func (s *Sim) buildNode(id topology.NodeID, balls *topology.Search) {
 	sh := s.shards[s.part[id]]
 	n := &lnode{
 		id:   id,
@@ -140,16 +141,19 @@ func (s *Sim) buildNode(id topology.NodeID) {
 	}
 	s.nodeAt[id] = n
 	sh.nodes = append(sh.nodes, n)
-	n.dests = s.sampleDests(n)
+	n.dests = s.sampleDests(n, balls)
 }
 
 // sampleDests draws the node's destination set from its dst stream: within
-// DestRadius hops when set (locality traffic), else uniformly.
-func (s *Sim) sampleDests(n *lnode) []topology.NodeID {
+// DestRadius hops when set (locality traffic; balls is then New's search),
+// else uniformly.
+func (s *Sim) sampleDests(n *lnode, balls *topology.Search) []topology.NodeID {
 	total := s.g.NumNodes()
 	want := s.cfg.Dests
 	if s.cfg.DestRadius > 0 {
-		cand := s.ball(n.id, s.cfg.DestRadius)
+		// The ball, n excluded, ascending by ID: the draw indexes into it.
+		cand := slices.Clone(balls.From(n.id, s.cfg.DestRadius, nil)[1:])
+		slices.Sort(cand)
 		if len(cand) <= want {
 			return cand
 		}
@@ -185,38 +189,6 @@ func containsNode(s []topology.NodeID, d topology.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// ball returns the nodes within radius hops of origin, ascending by ID,
-// excluding origin itself. BFS over Out in link order — deterministic.
-func (s *Sim) ball(origin topology.NodeID, radius int) []topology.NodeID {
-	s.ballGen++
-	gen := s.ballGen
-	s.ballSeen[origin] = gen
-	frontier := []topology.NodeID{origin}
-	var members []topology.NodeID
-	for d := 0; d < radius && len(frontier) > 0; d++ {
-		var next []topology.NodeID
-		for _, u := range frontier {
-			for _, lid := range s.g.Out(u) {
-				v := s.g.Link(lid).To
-				if s.ballSeen[v] != gen {
-					s.ballSeen[v] = gen
-					members = append(members, v)
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	// BFS emits in distance order; normalize to ascending ID (insertion sort
-	// — the balls are small).
-	for i := 1; i < len(members); i++ {
-		for j := i; j > 0 && members[j] < members[j-1]; j-- {
-			members[j], members[j-1] = members[j-1], members[j]
-		}
-	}
-	return members
 }
 
 func (s *Sim) buildLinks(id topology.NodeID) {

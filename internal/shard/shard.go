@@ -110,9 +110,6 @@ type Sim struct {
 	// the channel every worker signals on when it reaches a deadline.
 	deadlines []chan sim.Time
 	done      chan struct{}
-
-	ballSeen []int32 // scratch for destination-ball BFS
-	ballGen  int32
 }
 
 // Validate reports why New would refuse the configuration, without building
@@ -211,18 +208,18 @@ func New(cfg Config) (*Sim, error) {
 	s.linkAt = make([]*llink, g.NumLinks())
 	s.wires = make([][]wire, cfg.Shards)
 	s.fired = make([]uint64, cfg.Shards)
-	s.ballSeen = make([]int32, g.NumNodes())
-	for i := range s.ballSeen {
-		s.ballSeen[i] = -1
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shardState{s: s, id: i, kernel: sim.New()}
 		sh.bind()
 		s.shards = append(s.shards, sh)
 	}
 
+	var balls *topology.Search
+	if cfg.DestRadius > 0 {
+		balls = topology.NewSearch(g)
+	}
 	for id := 0; id < g.NumNodes(); id++ {
-		s.buildNode(topology.NodeID(id))
+		s.buildNode(topology.NodeID(id), balls)
 		if len(s.nodeAt[id].dests) == 0 {
 			return nil, fmt.Errorf("shard: node %d (%s) has nowhere to send: its destination set is empty", id, g.Node(topology.NodeID(id)).Name)
 		}

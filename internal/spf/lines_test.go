@@ -43,8 +43,8 @@ func checkLines(r *IncrementalRouter) error {
 		if out := g.Out(root); line < 0 || line >= len(out) || out[line] != nh {
 			return fmt.Errorf("root %d: NextLine(%d) = %d of %d lines, NextHop says link %d", root, d, line, len(out), nh)
 		}
-		if len(path) == 0 || path[0] != nh || path[len(path)-1] != p || len(path) != t.Hops(dst) {
-			return fmt.Errorf("root %d: Path(%d) = %v with NextHop %d, Parent %d, Hops %d", root, d, path, nh, p, t.Hops(dst))
+		if len(path) == 0 || path[0] != nh || path[len(path)-1] != p || len(path) != treeHops(t, dst) {
+			return fmt.Errorf("root %d: Path(%d) = %v with NextHop %d, Parent %d, Hops %d", root, d, path, nh, p, treeHops(t, dst))
 		}
 		for i, at := 0, root; i < len(path); i++ {
 			if g.Link(path[i]).From != at {

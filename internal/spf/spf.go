@@ -115,26 +115,3 @@ func (t *Tree) Path(dst topology.NodeID) []topology.LinkID {
 	}
 	return rev
 }
-
-// Hops returns the number of links on the shortest path to dst, or -1 if
-// unreachable.
-func (t *Tree) Hops(dst topology.NodeID) int {
-	if dst == t.root {
-		return 0
-	}
-	if !t.Reachable(dst) {
-		return -1
-	}
-	h := 0
-	for n := dst; n != t.root; {
-		h++
-		n = t.g.Link(t.Parent(n)).From
-	}
-	return h
-}
-
-// HopTree computes the min-hop tree from root (all links cost 1); shared by
-// the Table 1 "minimum path" indicator and the equilibrium model.
-func HopTree(g *topology.Graph, root topology.NodeID) *Tree {
-	return Compute(g, root, func(topology.LinkID) float64 { return 1 })
-}

@@ -4,7 +4,7 @@ import "repro/internal/topology"
 
 // Workspace holds the scratch state of one SPF computation — the result
 // arrays, the settled set, the per-link cost cache and the priority queue —
-// so the thousands of Dijkstras behind the §5 model build can run without
+// so the repeated Dijkstras of the fluid model and the checker run without
 // allocating. A Workspace may be reused across graphs of different sizes;
 // ComputeInto re-dimensions the arrays as needed. It is not safe for
 // concurrent use: give each goroutine its own Workspace.

@@ -137,7 +137,7 @@ func Waxman(n int, alpha, beta float64, seed int64, lts ...LineType) *Graph {
 	// ties on distance break toward the lowest node-ID pair, compared with
 	// strict inequalities only.
 	for {
-		comp := components(g)
+		comp := Components(g, nil)
 		bi, bj := -1, -1
 		var bd float64
 		for i := 0; i < n; i++ {
@@ -155,34 +155,4 @@ func Waxman(n int, alpha, beta float64, seed int64, lts ...LineType) *Graph {
 		}
 		g.AddTrunkDelay(ids[bi], ids[bj], pick(), delay(bd))
 	}
-}
-
-// components labels every node with a connected-component index, assigned
-// in increasing order of the component's lowest node ID.
-func components(g *Graph) []int {
-	comp := make([]int, g.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var stack []NodeID
-	for s := 0; s < g.NumNodes(); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = next
-		stack = append(stack[:0], NodeID(s))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, l := range g.Out(u) {
-				if v := g.Link(l).To; comp[v] < 0 {
-					comp[v] = next
-					stack = append(stack, v)
-				}
-			}
-		}
-		next++
-	}
-	return comp
 }

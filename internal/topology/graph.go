@@ -203,26 +203,7 @@ func (g *Graph) Degree(n NodeID) int { return len(g.out[n]) }
 
 // Connected reports whether every node can reach every other node.
 func (g *Graph) Connected() bool {
-	if len(g.nodes) == 0 {
-		return true
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, lid := range g.out[n] {
-			to := g.links[lid].To
-			if !seen[to] {
-				seen[to] = true
-				count++
-				stack = append(stack, to)
-			}
-		}
-	}
-	return count == len(g.nodes)
+	return len(g.nodes) == 0 || len(NewSearch(g).From(0, -1, nil)) == len(g.nodes)
 }
 
 // Validate checks structural invariants: connectivity, trunk pairing, and

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -372,6 +373,23 @@ func TestArpanetSurvivesSingleTrunkFailure(t *testing.T) {
 		if !g.Connected() {
 			t.Errorf("removing trunk %d (%s-%s) disconnects the network",
 				skip, arpanetTrunks[skip].a, arpanetTrunks[skip].b)
+		}
+	}
+}
+
+// TestSearchGenerationWraps: when the generation stamp wraps to a value an
+// old search stamped with, the search clears its stamps first, so no node
+// of that search looks reached.
+func TestSearchGenerationWraps(t *testing.T) {
+	s := NewSearch(Line(4, T56))
+	s.From(0, -1, nil) // stamps every node with generation 1
+	s.gen = math.MaxUint32
+	if got := s.From(3, 0, nil); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("From(3, 0) after the wrap reached %v, want [3]", got)
+	}
+	for v, want := range []int{-1, -1, -1, 0} {
+		if h := s.Hops(NodeID(v)); h != want {
+			t.Errorf("Hops(%d) = %d after the wrap, want %d", v, h, want)
 		}
 	}
 }
