@@ -7,12 +7,12 @@ package main
 //	arpanetsim -shards 2 -topology waxman:500 -rate 2 -dests 4
 //	arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric hnspf
 //
-// By default the sharded runner uses static per-epoch routing; -adaptive
-// switches it to the full measurement → flood → incremental-SPF plane
-// under the chosen -metric, which is how the hier:32x32 Table-1-style
-// study in EXPERIMENTS.md is produced. BF-1969 is a distance-vector
-// protocol implemented only by the packet-level engine, so that leg runs
-// unsharded over the identical offered traffic.
+// By default the sharded runner routes by one static table over fixed link
+// costs; -adaptive switches it to the full measurement → flood →
+// incremental-SPF plane under the chosen -metric, which is how the
+// hier:32x32 Table-1-style study in EXPERIMENTS.md is produced. BF-1969 is
+// a distance-vector protocol implemented only by the packet-level engine, so
+// that leg runs unsharded over the identical offered traffic.
 
 import (
 	"fmt"
@@ -167,12 +167,12 @@ func printCounters(w io.Writer, s *shard.Sim) {
 }
 
 // printRoutes prints the size of the static plane's route table beside the
-// 2·D·N·E bytes of a table holding every node's line toward every one of the
-// D destinations in each of the E epochs.
+// 2·D·N bytes of a table holding every node's line toward every one of the D
+// destinations.
 func printRoutes(w io.Writer, s *shard.Sim) {
 	r := s.RouteStats()
-	fmt.Fprintf(w, "routes      %d epochs, %d entries, %d bytes, dense 2·D·N·E %d bytes\n",
-		r.Epochs, r.Entries, r.Bytes, r.DenseBytes)
+	fmt.Fprintf(w, "routes      %d entries, %d bytes, dense 2·D·N %d bytes\n",
+		r.Entries, r.Bytes, r.DenseBytes)
 }
 
 // runShardedBF1969 is the BF-1969 leg of the large-topology study. The 1969

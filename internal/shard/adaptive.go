@@ -34,9 +34,10 @@ package shard
 //     cross-node consequence from the event that caused it, exactly as for
 //     user packets.
 //
-// The per-epoch static tables of routing.go remain the default; Adaptive is
-// opt-in so the committed static golden trace and the lean-data-plane
-// benchmark keep their meaning.
+// The static table of routing.go remains the default; Adaptive is opt-in so
+// the committed static golden trace and the lean-data-plane benchmark keep
+// their meaning. Faults need Adaptive: only flooded updates tell a PSN of a
+// line's state.
 
 import (
 	"fmt"
@@ -96,7 +97,7 @@ func (s *Sim) RoutingStats() spf.TableStats {
 // whose line numbers index n.out; nil is no route. A next hop onto a link
 // this node knows to be down counts as no route — the same classification
 // internal/network uses — because with flooded costs a down link is a
-// transiently stale database entry, not a scripted epoch boundary.
+// transiently stale database entry.
 func (n *lnode) adaptiveNextHop(dst topology.NodeID) *llink {
 	i := n.router.Tree().NextLine(dst)
 	if i < 0 || n.out[i].Down() {

@@ -268,7 +268,7 @@ func liveHeapAfter(t *testing.T, cfg Config) (*Sim, float64) {
 // What an adaptive Sim keeps per node after set-up: the router model of
 // §2.2 (12·N bytes, the tree; the link-cost database is its shard's table's,
 // 120 bytes an origin and 8 a link shared by the shard's 32 routers) and the
-// data plane (queues, links, sources, the per-epoch route skeleton). Measured
+// data plane (queues, links, sources). Measured
 // on hier:8x8 (64 nodes, 266 links, 2 shards), the test run alone:
 // 2.7 KB/node, of which 0.75 KB is the router model and 0.3 KB its share of
 // the database; beside the package's parallel tests it reads up to 3.3 KB.

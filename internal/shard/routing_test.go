@@ -6,92 +6,18 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// scanEpoch is the brute-force oracle for epochAt: the last epoch whose
-// start time is <= t.
-func scanEpoch(epochs []sim.Time, t sim.Time) int {
-	e := 0
-	for i, at := range epochs {
-		if at <= t {
-			e = i
-		}
-	}
-	return e
-}
-
-// TestEpochCursor pins the fault-epoch cursor's contract (see epochAt's
-// doc): for ANY hint at or before the correct epoch — not just the
-// immediately preceding one — and any query time, the cursor lands exactly
-// where a linear scan does. Fault scripts are drawn with unsorted and
-// duplicate times, since faultEpochs must dedup and sort them first.
-func TestEpochCursor(t *testing.T) {
-	g := topology.Arpanet()
-	rng := rand.New(rand.NewSource(20260807))
-	for trial := 0; trial < 200; trial++ {
-		var faults []Fault
-		for i := rng.Intn(8); i > 0; i-- {
-			at := sim.Time(rng.Int63n(100)) * 100 * sim.Millisecond
-			faults = append(faults, Fault{Trunk: rng.Intn(g.NumTrunks()), At: at, Up: rng.Intn(2) == 0})
-		}
-		r := &routing{epochs: faultEpochs(faults)}
-		for i := 1; i < len(r.epochs); i++ {
-			if r.epochs[i] <= r.epochs[i-1] {
-				t.Fatalf("trial %d: epochs not strictly ascending: %v", trial, r.epochs)
-			}
-		}
-		for q := 0; q < 50; q++ {
-			at := sim.Time(rng.Int63n(11 * int64(sim.Second)))
-			want := scanEpoch(r.epochs, at)
-			for hint := 0; hint <= want; hint++ {
-				if got := r.epochAt(hint, at); got != want {
-					t.Fatalf("trial %d: epochAt(%d, %v) = %d, scan says %d (epochs %v)",
-						trial, hint, at, got, want, r.epochs)
-				}
-			}
-		}
-	}
-}
-
-// TestEpochCursorMonotoneCarry replays the hot-path usage: one cursor
-// carried through a monotone event-time sequence (repeats included, as
-// simultaneous events produce) must track the scan at every step.
-func TestEpochCursorMonotoneCarry(t *testing.T) {
-	g := topology.Arpanet()
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		var faults []Fault
-		for i := 1 + rng.Intn(6); i > 0; i-- {
-			faults = append(faults, Fault{
-				Trunk: rng.Intn(g.NumTrunks()),
-				At:    sim.Time(rng.Int63n(int64(10 * sim.Second))),
-				Up:    rng.Intn(2) == 0,
-			})
-		}
-		r := &routing{epochs: faultEpochs(faults)}
-		cursor, now := 0, sim.Time(0)
-		for step := 0; step < 300; step++ {
-			if rng.Intn(4) > 0 { // 1-in-4 steps repeat the same instant
-				now += sim.Time(rng.Int63n(int64(100 * sim.Millisecond)))
-			}
-			cursor = r.epochAt(cursor, now)
-			if want := scanEpoch(r.epochs, now); cursor != want {
-				t.Fatalf("trial %d step %d: carried cursor %d at %v, scan says %d (epochs %v)",
-					trial, step, cursor, now, want, r.epochs)
-			}
-		}
-	}
-}
-
 // refTree is the static plane's tree as it stood before the tables held line
 // numbers — 32-bit global link IDs, a topology.Link copy per relaxation, a
-// fresh heap behind two closures per call — kept verbatim as the oracle of
+// fresh heap behind two closures per call — kept as the oracle of
 // TestStaticRoutesAgainstLinkIDReference: out[v] is v's next-hop LinkID toward
 // dest, -1 at dest itself or when unreachable.
-func refTree(g *topology.Graph, cost []sim.Time, down []bool, dest topology.NodeID, out []int32) {
+func refTree(g *topology.Graph, cost []sim.Time, dest topology.NodeID, out []int32) {
 	dist := make([]int64, g.NumNodes())
 	for i := range dist {
 		dist[i] = infDist
@@ -139,9 +65,6 @@ func refTree(g *topology.Graph, cost []sim.Time, down []bool, dest topology.Node
 		}
 		for _, lid := range g.In(v) {
 			l := g.Link(lid)
-			if down[l.Trunk] {
-				continue
-			}
 			if nd := d + int64(cost[lid]); nd < dist[l.From] {
 				dist[l.From] = nd
 				push(nd<<nodeBits | int64(l.From))
@@ -156,7 +79,7 @@ func refTree(g *topology.Graph, cost []sim.Time, down []bool, dest topology.Node
 		best := int64(infDist)
 		for _, lid := range g.Out(topology.NodeID(v)) {
 			l := g.Link(lid)
-			if down[l.Trunk] || dist[l.To] == infDist {
+			if dist[l.To] == infDist {
 				continue
 			}
 			if c := int64(cost[lid]) + dist[l.To]; c < best {
@@ -181,30 +104,19 @@ func allPairs(g *topology.Graph) func(topology.NodeID) []topology.NodeID {
 	return func(v topology.NodeID) []topology.NodeID { return sets[v] }
 }
 
-// checkRoutes holds r, built for g, faults and destsOf, to refTree. For every
+// checkRoutes holds r, built for g and destsOf, to refTree. For every
 // destination it walks the closure itself — the destination's sources, then
-// every node a reference next hop of any epoch leads to, the destination
-// excluded — and requires an entry at each node of it whose line in every
-// epoch is the reference's link (noLine exactly where the reference has
-// none). The table may keep nothing else.
-func checkRoutes(t *testing.T, g *topology.Graph, faults []Fault, destsOf func(topology.NodeID) []topology.NodeID, r *routing) {
+// every node a reference next hop leads to, the destination excluded — and
+// requires an entry at each node of it whose line is the reference's link.
+// The table may keep nothing else.
+func checkRoutes(t *testing.T, g *topology.Graph, destsOf func(topology.NodeID) []topology.NodeID, r *routing) {
 	t.Helper()
 	n := g.NumNodes()
 	cost := make([]sim.Time, g.NumLinks())
 	for i, l := range g.Links() {
 		cost[i] = linkCost(l)
 	}
-	downs := make([][]bool, len(r.epochs))
-	refs := make([][]int32, len(r.epochs))
-	for e, at := range r.epochs {
-		downs[e] = make([]bool, g.NumTrunks())
-		for _, f := range faults {
-			if f.At <= at {
-				downs[e][f.Trunk] = !f.Up
-			}
-		}
-		refs[e] = make([]int32, n)
-	}
+	ref := make([]int32, n)
 	sources := make([][]topology.NodeID, n)
 	for v := range n {
 		for _, d := range destsOf(topology.NodeID(v)) {
@@ -218,9 +130,7 @@ func checkRoutes(t *testing.T, g *topology.Graph, faults []Fault, destsOf func(t
 			continue
 		}
 		dests++
-		for e := range r.epochs {
-			refTree(g, cost, downs[e], dst, refs[e])
-		}
+		refTree(g, cost, dst, ref)
 		in := make([]bool, n)
 		in[d] = true
 		var queue []topology.NodeID
@@ -237,25 +147,20 @@ func checkRoutes(t *testing.T, g *topology.Graph, faults []Fault, destsOf func(t
 			if r.record(v, dst) < 0 {
 				t.Fatalf("node %d toward %d: no entry, but the closure holds the node", v, d)
 			}
-			for e := range r.epochs {
-				ref, line := refs[e][v], r.nextLine(e, dst, v)
-				if (ref < 0) != (line == noLine) || ref >= 0 && g.Out(v)[line] != topology.LinkID(ref) {
-					t.Fatalf("epoch %d, node %d toward %d: line %d of its %d, reference link %d",
-						e, v, d, line, g.Degree(v), ref)
-				}
-				if ref < 0 {
-					continue
-				}
-				if w := g.Link(topology.LinkID(ref)).To; !in[w] {
-					in[w] = true
-					queue = append(queue, w)
-				}
+			line := r.nextLine(dst, v)
+			if ref[v] < 0 || g.Out(v)[line] != topology.LinkID(ref[v]) {
+				t.Fatalf("node %d toward %d: line %d of its %d, reference link %d",
+					v, d, line, g.Degree(v), ref[v])
+			}
+			if w := g.Link(topology.LinkID(ref[v])).To; !in[w] {
+				in[w] = true
+				queue = append(queue, w)
 			}
 		}
 	}
 	kept := 0
-	for k := 0; k < len(r.rec); k += r.w {
-		if r.rec[k] != 0 {
+	for _, e := range r.rec {
+		if e.key != 0 {
 			kept++
 		}
 	}
@@ -267,13 +172,14 @@ func checkRoutes(t *testing.T, g *topology.Graph, faults []Fault, destsOf func(t
 
 // TestStaticRoutesAgainstLinkIDReference checks the static table under
 // all-pairs traffic, where every node is in every closure, with checkRoutes:
-// every (epoch, destination, node) entry is the reference's link,
-// Out(v)[line] == ref, and noLine exactly where the reference has none. The
-// goldens and CheckShardRouting see the table only end to end, through the
-// packets it routes.
+// every (destination, node) entry is the reference's link, Out(v)[line] ==
+// ref. The goldens see the table only end to end, through the packets it
+// routes.
 func TestStaticRoutesAgainstLinkIDReference(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != entryBytes {
+		t.Fatalf("an entry is %d bytes, RouteStats counts %d", size, entryBytes)
+	}
 	hier := testGraph(t)
-	bb := backboneTrunks(hier)
 
 	// Two equal trunks side by side between A and B: only the line number
 	// tells them apart, and the tie must go to the lower link ID.
@@ -283,8 +189,7 @@ func TestStaticRoutesAgainstLinkIDReference(t *testing.T) {
 	twin.AddTrunk(a, b, topology.T56)
 	twin.AddTrunk(b, c, topology.T56)
 
-	// Lines past 255 at the hub; failing the hub's trunk to S259 sends that
-	// spoke's traffic round through S260, line 260.
+	// Lines past 255 at the hub: its line toward spoke Si is line i.
 	hub := topology.New()
 	h := hub.AddNode("HUB")
 	const spokes = 300
@@ -296,31 +201,23 @@ func TestStaticRoutesAgainstLinkIDReference(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name   string
-		g      *topology.Graph
-		faults []Fault
-		also   func(t *testing.T, r *routing)
+		name string
+		g    *topology.Graph
+		also func(t *testing.T, r *routing)
 	}{
-		{"hier:4x8, two failures and a repair", hier, []Fault{
-			{Trunk: bb[0], At: 3 * sim.Second},
-			{Trunk: bb[1], At: 5 * sim.Second},
-			{Trunk: bb[0], At: 8 * sim.Second, Up: true},
-		}, nil},
-		{"parallel equal-cost trunks", twin, nil, func(t *testing.T, r *routing) {
+		{"hier:4x8", hier, nil},
+		{"parallel equal-cost trunks", twin, func(t *testing.T, r *routing) {
 			for _, dst := range []topology.NodeID{b, c} {
-				if line := r.nextLine(0, dst, a); line != 0 || twin.Out(a)[line] != lo {
+				if line := r.nextLine(dst, a); line != 0 || twin.Out(a)[line] != lo {
 					t.Errorf("A toward %d: line %d, want 0 (link %d, the lower ID of the tie)", dst, line, lo)
 				}
 			}
 		}},
-		{"300-line hub", hub, []Fault{{Trunk: 259, At: sim.Second}}, func(t *testing.T, r *routing) {
-			if line := r.nextLine(1, 260, h); line != 260 {
-				t.Errorf("hub toward S259 with its trunk down: line %d, want 260 (through S260)", line)
-			}
-		}},
-		{"a fault partitions the graph", twin, []Fault{{Trunk: 2, At: sim.Second}}, func(t *testing.T, r *routing) {
-			if r.nextLine(0, c, a) == noLine || r.nextLine(1, c, a) != noLine || r.nextLine(1, a, c) != noLine {
-				t.Error("C is not cut off exactly while trunk B–C is down")
+		{"300-line hub", hub, func(t *testing.T, r *routing) {
+			for i := range spokes {
+				if line := r.nextLine(topology.NodeID(1+i), h); line != uint16(i) {
+					t.Errorf("hub toward S%d: line %d, want %d", i, line, i)
+				}
 			}
 		}},
 	} {
@@ -330,14 +227,11 @@ func TestStaticRoutesAgainstLinkIDReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			destsOf := allPairs(g)
-			r, err := buildRouting(g, tc.faults, destsOf)
+			r, err := buildRouting(g, destsOf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.epochs) != 1+len(tc.faults) {
-				t.Fatalf("%d epochs for %d faults at distinct times", len(r.epochs), len(tc.faults))
-			}
-			checkRoutes(t, g, tc.faults, destsOf, r)
+			checkRoutes(t, g, destsOf, r)
 			if tc.also != nil {
 				tc.also(t, r)
 			}
@@ -347,10 +241,11 @@ func TestStaticRoutesAgainstLinkIDReference(t *testing.T) {
 
 // TestStaticRouteClosures holds tables built from the traffic model's own
 // destination sets — uniform and within a radius — to checkRoutes, on small
-// hier and waxman graphs under fault scripts whose faults share instants,
-// whose repairs bring trunks back and whose partitions take every trunk of a
-// node down at once: every entry the reference's, every closure complete,
-// nothing kept past it.
+// hier and waxman graphs: every entry the reference's, every closure
+// complete, nothing kept past it. Each trial also draws a fault script —
+// faults sharing instants, repairs, partitions taking every trunk of a node
+// down at once — which the static plane refuses by name: no PSN there would
+// hear of a failure.
 func TestStaticRouteClosures(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for trial := range 60 {
@@ -378,11 +273,17 @@ func TestStaticRouteClosures(t *testing.T) {
 			Dests: 1 + rng.Intn(4), DestRadius: rng.Intn(3), Faults: faults}
 		t.Run(fmt.Sprintf("%d:%d-nodes,%d-faults,dests-%d,radius-%d", trial, g.NumNodes(), len(faults), cfg.Dests, cfg.DestRadius),
 			func(t *testing.T) {
+				if len(faults) > 0 {
+					if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Faults need Adaptive") {
+						t.Fatalf("static plane with %d faults: New = %v, want it refused by name", len(faults), err)
+					}
+					cfg.Faults = nil
+				}
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkRoutes(t, g, faults, s.DestsOf, s.routes)
+				checkRoutes(t, g, s.DestsOf, s.routes)
 			})
 	}
 }
@@ -392,7 +293,7 @@ func TestStaticRouteClosures(t *testing.T) {
 func TestStaticRouteOutsideClosurePanics(t *testing.T) {
 	g := testGraph(t)
 	src, dst := topology.NodeID(0), topology.NodeID(1)
-	r, err := buildRouting(g, nil, func(v topology.NodeID) []topology.NodeID {
+	r, err := buildRouting(g, func(v topology.NodeID) []topology.NodeID {
 		if v == src {
 			return []topology.NodeID{dst}
 		}
@@ -401,8 +302,8 @@ func TestStaticRouteOutsideClosurePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.nextLine(0, dst, src) == noLine {
-		t.Fatal("the source has no route to its destination")
+	if r.record(src, dst) < 0 {
+		t.Fatal("the source has no entry toward its destination")
 	}
 	far := topology.NodeID(g.NumNodes() - 1)
 	if r.record(far, dst) >= 0 {
@@ -416,19 +317,18 @@ func TestStaticRouteOutsideClosurePanics(t *testing.T) {
 					t.Errorf("lookup from %d toward %d: recovered %q, want %q", q.from, q.to, msg, want)
 				}
 			}()
-			r.nextLine(0, q.to, q.from)
+			r.nextLine(q.to, q.from)
 		}()
 	}
 }
 
 // TestFinalizeAllocations: building the table allocates a fixed set of
 // arrays — the trees' shared scratch, the sources, the closures and the
-// table — however many destinations and epochs there are. On hier:32x32
-// under a three-epoch fault script, every node sending to node 0 (one
-// destination) and every node sending to every other (1,024) allocate alike;
-// a heap or a closure made per tree would add 3,072. Only forwarding that
-// extends a closure past its sources grows the entry buffer (logged for the
-// benchmark's neighbour traffic).
+// table — however many destinations there are. On hier:32x32, every node
+// sending to node 0 (one destination) and every node sending to every other
+// (1,024) allocate alike; a heap or a closure made per tree would add 1,024.
+// Only forwarding that extends a closure past its sources grows the entry
+// buffer (logged for the benchmark's neighbour traffic).
 func TestFinalizeAllocations(t *testing.T) {
 	// AllocsPerRun counts the whole process's mallocs and drops GOMAXPROCS to
 	// 1, which moves the other P's timers onto this one; the runtime's
@@ -437,12 +337,10 @@ func TestFinalizeAllocations(t *testing.T) {
 	// P here, before the set-up below, lets that growth happen first.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := topology.Hierarchical(32, 32, 1987)
-	bb := backboneTrunks(g)
-	faults := []Fault{{Trunk: bb[0], At: sim.Second}, {Trunk: bb[0], At: 2 * sim.Second, Up: true}}
 	count := func(destsOf func(topology.NodeID) []topology.NodeID) (float64, int) {
-		r := &routing{epochs: faultEpochs(faults)}
+		r := &routing{}
 		allocs := testing.AllocsPerRun(1, func() {
-			if err := r.finalize(g, faults, destsOf); err != nil {
+			if err := r.finalize(g, destsOf); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -456,12 +354,12 @@ func TestFinalizeAllocations(t *testing.T) {
 		return toZero
 	})
 	all, dAll := count(allPairs(g))
-	s, err := New(Config{Graph: g, Shards: 1, Seed: 1987, PktRate: 50, Dests: 4, DestRadius: 1, Faults: faults})
+	s, err := New(Config{Graph: g, Shards: 1, Seed: 1987, PktRate: 50, Dests: 4, DestRadius: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	radius, dRadius := count(s.DestsOf)
-	t.Logf("3 epochs: %.0f allocations for %d destination, %.0f for %d, %.0f for the benchmark's %d",
+	t.Logf("%.0f allocations for %d destination, %.0f for %d, %.0f for the benchmark's %d",
 		one, d1, all, dAll, radius, dRadius)
 	if one != all || all > 16 {
 		t.Errorf("finalize made %.0f allocations for %d destination and %.0f for %d, want the same, <= 16", one, d1, all, dAll)

@@ -38,7 +38,6 @@ package shard
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -69,7 +68,7 @@ type Config struct {
 	QueueLimit int             // per-link output buffer (default node.DefaultQueueLimit)
 	Metric     node.MetricKind // cost module for the per-link metric readings
 
-	// Adaptive switches routing from the static per-epoch tables to the full
+	// Adaptive switches routing from the static table to the full
 	// adaptive plane (see adaptive.go): each measurement period feeds the
 	// cost modules, significant changes flood routing updates over the
 	// simulated trunks (crossing shard boundaries on the wires like any
@@ -88,6 +87,8 @@ type Config struct {
 	MeasureSample int      // trace metric readings for nodes with id%sample == 0; 0 disables
 	TraceDrops    bool     // record a trace line per dropped packet
 
+	// Faults scripts trunk failures and repairs; they need Adaptive, since a
+	// PSN hears of a line's state only through flooded updates (§2.2).
 	Faults []Fault
 }
 
@@ -140,8 +141,8 @@ func (cfg Config) Validate() error {
 	if cfg.DestRadius < 0 { // 0 draws destinations uniformly
 		return fmt.Errorf("shard: DestRadius must be >= 0, got %d", cfg.DestRadius)
 	}
-	if cfg.QueueLimit < 0 { // 0 is the default limit
-		return fmt.Errorf("shard: QueueLimit must be positive, got %d", cfg.QueueLimit)
+	if cfg.QueueLimit < 0 {
+		return fmt.Errorf("shard: QueueLimit must be >= 0 (0 = default), got %d", cfg.QueueLimit)
 	}
 	if cfg.MeasureSample < 0 { // 0 disables sampling
 		return fmt.Errorf("shard: MeasureSample must be >= 0, got %d", cfg.MeasureSample)
@@ -149,10 +150,13 @@ func (cfg Config) Validate() error {
 	if cfg.Metric == node.BF1969 {
 		return fmt.Errorf("shard: BF1969 has no cost module; use HNSPF, DSPF or MinHop")
 	}
-	if cfg.MeasurePeriod < 0 { // 0 is the default period
-		return fmt.Errorf("shard: MeasurePeriod must be positive")
+	if cfg.MeasurePeriod < 0 {
+		return fmt.Errorf("shard: MeasurePeriod must be >= 0 (0 = default), got %v", cfg.MeasurePeriod)
 	}
 	g := cfg.Graph
+	if len(cfg.Faults) > 0 && !cfg.Adaptive {
+		return fmt.Errorf("shard: Faults need Adaptive: static routes flood nothing, so no PSN would hear of a failure")
+	}
 	for _, f := range cfg.Faults {
 		if f.Trunk < 0 || f.Trunk >= g.NumTrunks() {
 			return fmt.Errorf("shard: fault on unknown trunk %d", f.Trunk)
@@ -231,7 +235,7 @@ func New(cfg Config) (*Sim, error) {
 		s.bootAdaptive() // per-node SPF over the modules' initial costs
 	} else {
 		var err error
-		if s.routes, err = buildRouting(g, cfg.Faults, s.DestsOf); err != nil {
+		if s.routes, err = buildRouting(g, s.DestsOf); err != nil {
 			return nil, err
 		}
 	}
@@ -318,25 +322,16 @@ func (s *Sim) KernelStats() sim.Stats {
 // Run was given — never of GOMAXPROCS or the goroutine schedule — and enter no
 // Report, trace or digest.
 type BarrierStats struct {
-	Windows          int64 // barrier windows run; the two below add up to it
+	Windows          int64 // barrier windows run; those not cut by the lookahead ran to Run's deadline
 	EndedByLookahead int64 // cut at tmin+lookahead-1: the cut's propagation delay bounded the window
-	EndedByDeadline  int64 // ran to Run's deadline
 	WiresDelivered   int64 // cross-shard arrivals injected: the sum of the ledgers' Imported + CtrlImported
 
 	// CriticalEvents sums, over windows, the events of the shard that fired
 	// the most in the window: the events a window must wait for however many
 	// cores run it. Fired()/CriticalEvents is the speed-up a barrier that cost
 	// nothing could reach.
-	CriticalEvents  int64
-	EventsPerWindow Pow2Hist // events fired across all shards, one count per window
-	WiresPerWindow  Pow2Hist // cross-shard packets exported, one count per window
+	CriticalEvents int64
 }
-
-// Pow2Hist counts values by power of two: bucket 0 holds the zeros and
-// bucket k >= 1 the values in [2^(k-1), 2^k).
-type Pow2Hist [65]int64
-
-func (h *Pow2Hist) add(v uint64) { h[bits.Len64(v)]++ }
 
 // BarrierStats returns the barrier counters so far. Call it between Run
 // invocations.
@@ -361,31 +356,26 @@ func (s *Sim) Run(until sim.Time) {
 		if b := tmin + s.lookahead - 1; s.hasCross && b < w {
 			w = b
 			s.barrier.EndedByLookahead++
-		} else {
-			s.barrier.EndedByDeadline++
 		}
 		for i, sh := range s.shards {
 			s.fired[i] = sh.kernel.Fired()
 		}
 		s.runWindow(w)
-		s.countWindow(s.collectOutboxes())
+		s.collectOutboxes()
+		s.countWindow()
 	}
 	// No pending event at or before until remains; advance every clock.
 	s.runWindow(until)
 }
 
-// countWindow adds the window just run to the per-window counters, from
-// each kernel's Fired() delta and the wires its outboxes held.
-func (s *Sim) countWindow(wires int) {
-	var sum, critical uint64
+// countWindow adds the busiest shard's events in the window just run, from
+// each kernel's Fired() delta, to CriticalEvents.
+func (s *Sim) countWindow() {
+	var critical uint64
 	for i, sh := range s.shards {
-		n := sh.kernel.Fired() - s.fired[i]
-		sum += n
-		critical = max(critical, n)
+		critical = max(critical, sh.kernel.Fired()-s.fired[i])
 	}
 	s.barrier.CriticalEvents += int64(critical)
-	s.barrier.EventsPerWindow.add(sum)
-	s.barrier.WiresPerWindow.add(uint64(wires))
 }
 
 // nextEventTime returns the earliest pending event time across shards.
@@ -467,10 +457,9 @@ func (s *Sim) deliverWires() {
 }
 
 // collectOutboxes routes every shard's exported packets to their target
-// shards' pending-wire lists and returns how many there were.
-func (s *Sim) collectOutboxes() (n int) {
+// shards' pending-wire lists.
+func (s *Sim) collectOutboxes() {
 	for _, sh := range s.shards {
-		n += len(sh.outbox)
 		for i := range sh.outbox {
 			w := sh.outbox[i]
 			t := s.part[s.g.Link(w.link).To]
@@ -478,7 +467,6 @@ func (s *Sim) collectOutboxes() (n int) {
 		}
 		sh.outbox = sh.outbox[:0]
 	}
-	return n
 }
 
 // pendingWireKinds splits the pending cross-shard packets into user traffic
