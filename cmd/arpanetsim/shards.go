@@ -193,7 +193,7 @@ func runShardedBF1969(w io.Writer, cfg shard.Config, seconds float64) (*network.
 	for id := 0; id < g.NumNodes(); id++ {
 		ds := probe.DestsOf(topology.NodeID(id))
 		for _, d := range ds {
-			m.Set(topology.NodeID(id), d, cfg.PktRate*network.ClampedMeanPktBits()/float64(len(ds)))
+			m.Set(topology.NodeID(id), d, cfg.PktRate*node.ClampedMeanPktBits()/float64(len(ds)))
 		}
 	}
 	fmt.Fprintf(w, "unsharded run: %d nodes, %d trunks, Bellman-Ford 1969 (distance-vector; no shard barrier)\n",

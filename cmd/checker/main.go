@@ -1,20 +1,19 @@
 // Command checker runs randomized correctness campaigns against the
-// routing stack: differential SPF oracles, metric and flood invariants,
-// scenario audits, the hybrid fluid/packet differential, and the sharded
-// adaptive-routing differential and custody torture, all from
-// internal/check.
+// routing stack, all from internal/check: differential SPF oracles, metric
+// and flood invariants, scenario audits, the hybrid fluid/packet
+// differential, the shard differential (one adaptive run at 1, 2 and 4
+// shards must agree bit for bit) and the shard custody torture.
 //
-//	checker -campaigns 100 -seed 1            # CI smoke
+//	checker -campaigns 25 -seed 1             # CI smoke
 //	checker -campaigns 5000 -seed 1 -out ./repro   # the weekly long run
 //
 // Campaign i runs under seed+i and every campaign is deterministic from
 // its seed, so output is byte-identical at any GOMAXPROCS (the campaigns
 // fan out over that many workers) and a failure reruns alone with
-// -campaigns 1 -seed <its seed>. On failure the
-// minimized reproducers are printed and, with -out, written one file per
-// failure (scenario failures as runnable .scn scripts); the exit status
-// is 1. A -campaigns below one or a stray argument is refused with usage
-// and exit status 2.
+// -campaigns 1 -seed <its seed>. On failure the minimized reproducers are
+// printed and, with -out, written one file per failure (the five scripted
+// pillars' as runnable .scn scripts); the exit status is 1. A -campaigns
+// below one or a stray argument is refused with usage and exit status 2.
 package main
 
 import (
@@ -84,16 +83,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeRepro saves one failure's minimized reproducer. Scenario audits
-// produce complete .scn scripts; everything else is a .txt op list. The
-// file name carries the checker and seed, which is all a rerun needs.
+// writeRepro saves one failure's minimized reproducer. The five scripted
+// pillars produce complete .scn scripts; the SPF and metric checks a .txt
+// op list. The file name carries the checker and seed, which is all a rerun
+// needs.
 func writeRepro(dir string, n int, f *check.Failure) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	ext := ".txt"
 	switch f.Check {
-	case "scenario-audit", "hybrid-differential", "shard-differential", "shard-custody":
+	case "flood-delivery", "scenario-audit", "hybrid-differential", "shard-differential", "shard-custody":
 		ext = ".scn"
 	}
 	name := fmt.Sprintf("%03d-%s-seed%d%s", n, f.Check, f.Seed, ext)

@@ -9,15 +9,19 @@ import (
 	"repro/internal/check"
 )
 
+// TestWriteRepro: every scripted pillar's reproducer is saved as a .scn
+// script, an op list as .txt, named by pillar and seed.
 func TestWriteRepro(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "repro")
 	scn := &check.Failure{Check: "scenario-audit", Seed: 42, Repro: "# topo: ring(n=5)\nname check\nduration 60\n"}
-	txt := &check.Failure{Check: "spf-differential", Seed: 7, Repro: "update 3 12\nerror: boom\n"}
-	if err := writeRepro(dir, 1, scn); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRepro(dir, 2, txt); err != nil {
-		t.Fatal(err)
+	for i, f := range []*check.Failure{
+		scn,
+		{Check: "spf-differential", Seed: 7, Repro: "update 3 12\nerror: boom\n"},
+		{Check: "flood-delivery", Seed: 9, Repro: "# topo: ring(n=5)\nname flood\nduration 60\n"},
+	} {
+		if err := writeRepro(dir, i+1, f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -28,7 +32,7 @@ func TestWriteRepro(t *testing.T) {
 		names = append(names, e.Name())
 	}
 	got := strings.Join(names, " ")
-	if got != "001-scenario-audit-seed42.scn 002-spf-differential-seed7.txt" {
+	if got != "001-scenario-audit-seed42.scn 002-spf-differential-seed7.txt 003-flood-delivery-seed9.scn" {
 		t.Fatalf("reproducer files = %q", got)
 	}
 	b, err := os.ReadFile(filepath.Join(dir, "001-scenario-audit-seed42.scn"))

@@ -26,8 +26,9 @@
 //     background demand as fluid tracks the full-packet run's advertised
 //     costs and routes on the ARPANET map;
 //   - shard-differential (CheckShardRouting, shardcheck.go): the sharded
-//     adaptive engine matches itself at 1, 2 and 4 shards exactly, and the
-//     unsharded engine within calibrated tolerances;
+//     adaptive engine matches itself at 1, 2 and 4 shards bit for bit —
+//     every link's cost series and the merged trace — with its custody
+//     audits passing;
 //   - shard-custody (CheckShardCustody, shardcheck.go): the user and
 //     control custody ledgers balance at every barrier under random shard
 //     cuts and fault scripts.

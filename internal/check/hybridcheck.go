@@ -11,6 +11,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/spf"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -329,4 +330,26 @@ func compareHybrid(g *topology.Graph, w, h, p []float64) error {
 			frac, agree, total, hybridAgreeMin)
 	}
 	return nil
+}
+
+// nextHopAgreement counts the (source, destination) pairs, of total, whose SPF
+// next hop agrees between two per-link cost vectors.
+func nextHopAgreement(g *topology.Graph, a, b []float64) (agree, total int) {
+	ac := func(l topology.LinkID) float64 { return math.Max(a[l], 1e-9) }
+	bc := func(l topology.LinkID) float64 { return math.Max(b[l], 1e-9) }
+	for s := 0; s < g.NumNodes(); s++ {
+		src := topology.NodeID(s)
+		at := spf.Compute(g, src, ac)
+		bt := spf.Compute(g, src, bc)
+		for d := 0; d < g.NumNodes(); d++ {
+			if d == s {
+				continue
+			}
+			total++
+			if at.NextHop(topology.NodeID(d)) == bt.NextHop(topology.NodeID(d)) {
+				agree++
+			}
+		}
+	}
+	return agree, total
 }

@@ -1,0 +1,79 @@
+package network
+
+import (
+	"testing"
+
+	"repro/internal/metric"
+	"repro/internal/node"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/traffic"
+)
+
+// recorder wraps a trunk's cost module and keeps every delay the engine
+// feeds it, with the cost and report flag the module returned. It passes
+// no report on, so the trunk's owner floods nothing before its 50 s refresh
+// and no routing packet shares the trunk with a test's packets until then.
+type recorder struct {
+	node.CostModule
+	delays, costs []float64
+	reports       []bool
+}
+
+func (r *recorder) Update(delay float64) (float64, bool) {
+	cost, report := r.CostModule.Update(delay)
+	r.delays = append(r.delays, delay)
+	r.costs = append(r.costs, cost)
+	r.reports = append(r.reports, report)
+	return cost, false
+}
+
+// TestIdleLinkMeasurement: on a trunk that carries nothing but one packet a
+// measurement period, the delay the engine feeds Module.Update is exactly
+// that packet's tick-rounded transmission time plus node.ProcessingDelay,
+// and D-SPF's first report is exactly (delay + propagation) / DSPFUnit.
+// internal/shard's test of the same name holds the sharded engine to the
+// same numbers.
+func TestIdleLinkMeasurement(t *testing.T) {
+	const (
+		prop    = 0.004 // seconds
+		bits    = 1000.0
+		periods = 4 // node A measures at 10, 20, 30 and 40 s; its refresh floods at 50 s
+	)
+	g := topology.New()
+	a, b := g.AddNode("A"), g.AddNode("B")
+	ab, _ := g.AddTrunkDelay(a, b, topology.T56, prop)
+	n := New(Config{Graph: g, Matrix: traffic.NewMatrix(2), Metric: node.DSPF, Seed: 1})
+	rec := &recorder{CostModule: n.links[ab].Module}
+	n.links[ab].Module = rec
+
+	for k := 0; k < periods; k++ {
+		at := sim.Time(k)*node.MeasurementPeriod + 3*sim.Second
+		n.kernel.Schedule(at, func(now sim.Time) {
+			pkt := n.pool.Get()
+			pkt.Src, pkt.Dst = a, b
+			pkt.SizeBits, pkt.Created = bits, now
+			pkt.Arrival = topology.NoLink
+			n.handlePacket(n.psns[a], pkt, now)
+		})
+	}
+	n.Run(sim.Time(periods)*node.MeasurementPeriod + 5*sim.Second)
+
+	want := sim.FromSeconds(bits/topology.T56.Bandwidth()).Seconds() + node.ProcessingDelay.Seconds()
+	if len(rec.delays) != periods {
+		t.Fatalf("Module.Update called %d times, want %d", len(rec.delays), periods)
+	}
+	for i, d := range rec.delays {
+		if d != want {
+			t.Errorf("period %d: Module.Update got %.9g s, want %.9g s (transmission + processing)", i+1, d, want)
+		}
+	}
+	dspf := rec.CostModule.(*metric.DSPF)
+	cost := (want + prop) / metric.DSPFUnit
+	if cost <= dspf.Bias() || cost >= dspf.Ceiling() {
+		t.Fatalf("test packet's cost %.4g is not inside (%.4g, %.4g); pick another size", cost, dspf.Bias(), dspf.Ceiling())
+	}
+	if !rec.reports[0] || rec.costs[0] != cost {
+		t.Errorf("D-SPF's first report = %.9g (report %v), want %.9g", rec.costs[0], rec.reports[0], cost)
+	}
+}

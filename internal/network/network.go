@@ -33,9 +33,6 @@ const (
 	DefaultQueueLimit = node.DefaultQueueLimit
 )
 
-// ClampedMeanPktBits is node.ClampedMeanPktBits.
-func ClampedMeanPktBits() float64 { return node.ClampedMeanPktBits() }
-
 // Conservation is node.Conservation.
 type Conservation = node.Conservation
 

@@ -266,7 +266,7 @@ func TestClampedMeanFormula(t *testing.T) {
 		sum += node.ClampPktBits(sim.Exp(r, node.MeanPktBits))
 	}
 	got := sum / nSamples
-	if want := ClampedMeanPktBits(); math.Abs(got-want)/want > 0.005 {
+	if want := node.ClampedMeanPktBits(); math.Abs(got-want)/want > 0.005 {
 		t.Errorf("empirical clamped mean %.2f vs formula %.2f", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,27 @@ func TestMeasurement(t *testing.T) {
 	// Take resets.
 	if m.Count() != 0 || m.Take() != 0 {
 		t.Error("Take should reset the accumulator")
+	}
+}
+
+// TestClampedMeanPktBits pins the closed-form mean packet size against a
+// direct numeric integration of the clamped exponential. The network
+// engine's source rates, arpanetsim's sharded BF-1969 traffic matrix and the
+// shard engine's service estimate all divide or multiply by it.
+func TestClampedMeanPktBits(t *testing.T) {
+	t.Parallel()
+	// E[min(max(X, lo), hi)] for X ~ Exp(mean), integrated by quadrature.
+	const steps = 4_000_000
+	lo, hi, mean := MinPktBits, MaxPktBits, MeanPktBits
+	var want float64
+	for i := 0; i < steps; i++ {
+		u := (float64(i) + 0.5) / steps
+		x := -mean * math.Log(1-u)
+		want += math.Min(math.Max(x, lo), hi)
+	}
+	want /= steps
+	if got := ClampedMeanPktBits(); math.Abs(got-want) > 0.5 {
+		t.Errorf("ClampedMeanPktBits() = %.3f, quadrature says %.3f", got, want)
 	}
 }
 

@@ -167,6 +167,37 @@ func TestHorizonCheckpointRecordedOnce(t *testing.T) {
 	}
 }
 
+// TestSameInstantEventsApplyInFileOrder: a down and an up of one trunk at
+// one instant leave the trunk as the later line of the script says, in
+// either order. The trunk is already down from 10 s, so the up line changes
+// its state wherever it falls.
+func TestSameInstantEventsApplyInFileOrder(t *testing.T) {
+	for _, c := range []struct {
+		lines    string
+		wantDown bool
+	}{
+		{"at 20 down N0 N1\nat 20 up N0 N1\n", false},
+		{"at 20 up N0 N1\nat 20 down N0 N1\n", true},
+	} {
+		sc, err := Parse(strings.NewReader("duration 30\nat 10 down N0 N1\n" + c.lines))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ringCfg(node.MinHop, 6)
+		var net *network.Network
+		cfg.Prepare = func(n *network.Network) { net = n }
+		if _, err := Run(cfg, sc); err != nil {
+			t.Fatal(err)
+		}
+		for _, ends := range [][2]topology.NodeID{{0, 1}, {1, 0}} {
+			l, _ := cfg.Graph.FindTrunk(ends[0], ends[1])
+			if net.LinkIsDown(l) != c.wantDown {
+				t.Errorf("%q: link %d->%d down = %v, want %v", c.lines, ends[0], ends[1], !c.wantDown, c.wantDown)
+			}
+		}
+	}
+}
+
 func TestRunRejectsBadScenarios(t *testing.T) {
 	cfg := ringCfg(node.HNSPF, 5)
 	cases := []struct {
