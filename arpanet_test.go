@@ -1,6 +1,7 @@
 package arpanet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -230,6 +231,20 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60, Track: [][2]string{{"N0", "N1"}}}
 	if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.Track") {
 		t.Errorf("RunSeeds with Track: err = %v, want one naming Spec.Track", err)
+	}
+}
+
+// RunSeeds refuses a seed count below one by name, instead of panicking on a
+// negative slice length or returning no result and no error for zero.
+func TestRunSeedsRejectsBadCounts(t *testing.T) {
+	t.Parallel()
+	ring := Ring(4, T56)
+	s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60}
+	for _, n := range []int{-1, 0} {
+		rs, err := RunSeeds(s, n)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("RunSeeds n %d", n)) || rs != nil {
+			t.Errorf("RunSeeds(spec, %d) = %d results, %v; want an error naming n", n, len(rs), err)
+		}
 	}
 }
 

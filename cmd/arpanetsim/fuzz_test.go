@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	arpanet "repro"
 )
 
 // FuzzRun drives the whole command with arbitrary argument lists (the input,
@@ -17,7 +19,7 @@ import (
 func FuzzRun(f *testing.F) {
 	for _, args := range []string{
 		// checkFlags: a flag the chosen mode never reads, or a map it cannot build.
-		"-shards 2 -scenario x.scn", "-shards 2 -background 100", "-shards 2 -background-epoch 5",
+		"-shards 2 -adaptive -scenario x.scn -seconds 5", "-shards 2 -background 100", "-shards 2 -background-epoch 5",
 		"-shards 2 -seeds 2", "-shards 2 -json", "-shards 2 -traffic 100", "-shards 2 -growth 2",
 		"-shards 2 -warmup 5", "-shards 2 -metric hnspf", "-rate 2", "-dests 2", "-radius 1",
 		"-adaptive", "-scenario x.scn -seconds 5", "-scenario x.scn -growth 2",
@@ -33,6 +35,13 @@ func FuzzRun(f *testing.F) {
 		// Runs that finish in well under a second.
 		"-seconds 5 -warmup 1", "-metric bf1969 -seconds 2 -warmup 1 -json",
 		"-shards 2 -topology hier:2x4 -seconds 2 -adaptive", "-shards 1 -topology waxman:20 -seconds 2",
+		// checkFlags for a script on the sharded engine (-seconds leads the
+		// list): no -adaptive, the 1969 protocol, and each other flag the
+		// script or the mode replaces.
+		"-shards 2 -scenario x.scn", "-shards 2 -adaptive -metric bf1969 -scenario x.scn",
+		"-shards 2 -adaptive -scenario x.scn -seeds 2", "-shards 2 -adaptive -scenario x.scn -json",
+		"-shards 2 -adaptive -scenario x.scn -traffic 100", "-shards 2 -adaptive -scenario x.scn -growth 2",
+		"-shards 2 -adaptive -scenario x.scn -warmup 5",
 	} {
 		f.Add(args)
 	}
@@ -66,7 +75,9 @@ func cheap(args []string) bool {
 		var regions, per, n int
 		switch {
 		case o.topology == "arpanet":
-			n = 128 // hier:8x16, too many
+			n = arpanet.Arpanet1987().NumNodes()
+		case o.topology == "milnet":
+			n = arpanet.Milnet1987().NumNodes()
 		case strings.HasPrefix(o.topology, "hier:"):
 			fmt.Sscanf(o.topology, "hier:%dx%d", &regions, &per)
 			n = regions * per

@@ -18,12 +18,15 @@
 // seed's outcome and any violated invariant: packet conservation, single
 // transmitter per link, post-flood convergence. The script supplies the
 // duration and the timeline; -traffic, -warmup, -seed and -topology keep
-// their meaning. -shards runs the sharded simulator (shards.go).
+// their meaning. -shards runs the sharded simulator (shards.go), and with
+// -adaptive and -scenario it runs the script's trunk events on it:
+//
+//	arpanetsim -shards 2 -adaptive -metric dspf -scenario examples/flapping/utah-collins.scn
 //
 // The exit status is 0 after the output is written; 1 with the reason on
 // stderr when a run cannot start or a script does not load, and after the
-// per-seed table when a -scenario seed violates an invariant; 2 with usage
-// for flags no mode can mean.
+// output when a -scenario run violates an invariant; 2 with usage for flags
+// no mode can mean.
 package main
 
 import (
@@ -92,7 +95,7 @@ func (o *options) check(fs *flag.FlagSet) ([]arpanet.Metric, error) {
 		err = numberFlag(fs)
 	}
 	if err == nil {
-		err = checkFlags(set, o.shards, o.adaptive, o.scenario, o.topology, len(kinds))
+		err = checkFlags(set, o.shards, o.adaptive, o.scenario, o.topology, kinds)
 	}
 	return kinds, err
 }
@@ -104,12 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return 2
 	}
-	kinds, err := o.check(fs)
-	var sharded func(io.Writer) (any, error)
-	if err == nil && o.shards > 0 {
-		sharded, err = shardedRun(o.topology, o.shards, o.rate, o.dests, o.radius, o.seed, o.seconds, o.adaptive, kinds[0])
-	}
-	if err != nil {
+	usage := func(err error) int {
 		fmt.Fprintln(stderr, "arpanetsim:", err)
 		fs.Usage()
 		return 2
@@ -118,9 +116,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "arpanetsim:", err)
 		return 1
 	}
-	// The unsharded modes, the Table 1 study and -scenario, run one Spec per
-	// metric: the script's timeline at one load, or the study's measured
-	// window with the after run's load grown.
+	kinds, err := o.check(fs)
+	if err != nil {
+		return usage(err)
+	}
 	var script []byte
 	if o.scenario != "" {
 		if script, err = os.ReadFile(o.scenario); err == nil && len(script) == 0 {
@@ -130,6 +129,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
+	var sharded func(io.Writer) (any, error)
+	if o.shards > 0 {
+		if sharded, err = shardedRun(o, kinds[0], script); err != nil {
+			return usage(err)
+		}
+	}
+	// The unsharded modes, the Table 1 study and -scenario, run one Spec per
+	// metric: the script's timeline at one load, or the study's measured
+	// window with the after run's load grown.
 	topo, weights, bps := arpanet.Arpanet1987(), arpanet.ArpanetWeights(), o.traffic*1000
 	if o.topology == "milnet" {
 		topo, weights = arpanet.Milnet1987(), arpanet.MilnetWeights()
@@ -219,18 +227,21 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 }
 
 // checkFlags rejects a flag that the chosen mode never reads: setting one
-// is an error, not a silent no-op (`-shards 2 -scenario flap.scn` used to
-// run no script, `-shards 2 -seeds 5` one seed). set holds the flags given
-// on the command line (flag.Visit), so defaults never count; kinds is how
-// many metrics -metric named. It also refuses a -topology only -shards can
-// build: the other modes run the arpanet or milnet map.
-func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topology string, kinds int) error {
+// is an error, not a silent no-op (`-shards 2 -seeds 5` used to run one
+// seed). set holds the flags given on the command line (flag.Visit), so
+// defaults never count; kinds are the metrics -metric named. It also
+// refuses a -topology only -shards can build: the other modes run the
+// arpanet or milnet map.
+func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topology string, kinds []arpanet.Metric) error {
 	mode := "without -shards (the Table 1 study is always adaptive)"
 	ignored := []string{"rate", "dests", "radius", "adaptive"}
 	switch {
+	case shards > 0 && scenario != "":
+		mode = "with -shards -scenario (the script supplies the duration)"
+		ignored = []string{"seconds", "seeds", "json", "traffic", "growth", "warmup"}
 	case shards > 0:
 		mode = "with -shards"
-		ignored = []string{"scenario", "seeds", "json", "traffic", "growth", "warmup"}
+		ignored = []string{"seeds", "json", "traffic", "growth", "warmup"}
 	case scenario != "":
 		mode = "with -scenario"
 		ignored = append(ignored, "seconds", "growth")
@@ -241,9 +252,13 @@ func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topolo
 		}
 	}
 	switch {
+	case shards > 0 && scenario != "" && !adaptive:
+		return errors.New("-scenario with -shards needs -adaptive: static routes flood nothing, so no PSN would hear of a failure")
+	case shards > 0 && scenario != "" && kinds[0] == arpanet.BF1969:
+		return errors.New("-metric bf1969 runs no -scenario with -shards: the 1969 protocol runs on the unsharded engine only")
 	case shards > 0 && !adaptive && set["metric"]:
 		return errors.New("-metric has no effect with -shards unless -adaptive is set (static routes otherwise)")
-	case shards <= 0 && scenario == "" && kinds == 1 && set["growth"]:
+	case shards <= 0 && scenario == "" && len(kinds) == 1 && set["growth"]:
 		return errors.New("-growth has no effect with a single -metric (it scales the after run of -metric both)")
 	case shards <= 0 && topology != "arpanet" && topology != "milnet":
 		return fmt.Errorf("-topology %q without -shards (want arpanet or milnet)", topology)

@@ -56,14 +56,23 @@ func TestCheckFlags(t *testing.T) {
 		{args: "shards topology seconds seed rate dests radius cpuprofile memprofile", shards: 2, metric: "both"},
 		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "hnspf"},
 		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "bf1969"},
+		{args: "shards adaptive metric scenario seed rate dests radius topology", shards: 2, adaptive: true, scenario: "flap.scn", metric: "hnspf"},
 		// -shards returns before these were ever looked at.
-		{args: "shards scenario", shards: 2, scenario: "flap.scn", metric: "both", reject: "-scenario"},
 		{args: "shards seeds", shards: 2, metric: "both", reject: "-seeds"},
 		{args: "shards json", shards: 2, metric: "both", reject: "-json"},
 		{args: "shards traffic", shards: 2, metric: "both", reject: "-traffic"},
 		{args: "shards growth", shards: 2, metric: "both", reject: "-growth"},
 		{args: "shards warmup", shards: 2, metric: "both", reject: "-warmup"},
 		{args: "shards metric", shards: 2, metric: "hnspf", reject: "-metric"},
+		// The script supplies the sharded run's duration, and it runs one seed at one load.
+		{args: "shards scenario", shards: 2, scenario: "flap.scn", metric: "both", reject: "-scenario"},
+		{args: "shards adaptive scenario seconds", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seconds"},
+		{args: "shards adaptive scenario seeds", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seeds"},
+		{args: "shards adaptive scenario json", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-json"},
+		{args: "shards adaptive scenario traffic", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-traffic"},
+		{args: "shards adaptive scenario growth", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-growth"},
+		{args: "shards adaptive scenario warmup", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-warmup"},
+		{args: "shards adaptive metric scenario", shards: 2, adaptive: true, scenario: "flap.scn", metric: "bf1969", reject: "-metric"},
 		// The sharded runner's knobs without -shards.
 		{args: "adaptive", adaptive: true, metric: "both", reject: "-adaptive"},
 		{args: "rate", metric: "both", reject: "-rate"},
@@ -95,7 +104,7 @@ func TestCheckFlags(t *testing.T) {
 		if topology == "" {
 			topology = "arpanet"
 		}
-		err = checkFlags(set, tc.shards, tc.adaptive, tc.scenario, topology, len(kinds))
+		err = checkFlags(set, tc.shards, tc.adaptive, tc.scenario, topology, kinds)
 		switch {
 		case tc.reject == "" && err != nil:
 			t.Errorf("flags %q: rejected: %v", tc.args, err)
@@ -244,6 +253,12 @@ func TestRunExitStatus(t *testing.T) {
 		{"-scenario ../../examples/flapping/utah-collins.scn -metric hnspf", 0, "", `Scenario "utah-collins": 700 s, 8 events`},
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
 		{"-shards 2 -seeds 3", 2, "-seeds has no effect with -shards", ""},
+		{"-shards 2 -adaptive -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",
+			"checkpoints 14, 11 with no update in flight"},
+		{"-shards 2 -adaptive -scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
+		{"-shards 2 -adaptive -scenario " + fluid, 1, "surge background at 10.000000s: the sharded engine runs trunk events and checkpoints only", ""},
+		{"-shards 2 -adaptive -metric bf1969 -scenario " + unknown, 2, "-metric bf1969 runs no -scenario with -shards", ""},
+		{"-shards 2 -scenario " + unknown, 2, "-scenario with -shards needs -adaptive", ""},
 		{"-nonsense", 2, "flag provided but not defined: -nonsense", ""},
 		{"-background 28000", 2, "flag provided but not defined: -background", ""},
 		{"-background-epoch 5", 2, "flag provided but not defined: -background-epoch", ""},

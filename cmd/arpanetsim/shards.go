@@ -1,20 +1,26 @@
 package main
 
-// The -shards mode: run the conservative-sync sharded simulator on a
-// generated large topology instead of the Table 1 study.
+// The -shards mode: run the conservative-sync sharded simulator instead of
+// the Table 1 study, on the ARPANET or MILNET map or a generated large
+// topology.
 //
 //	arpanetsim -shards 4 -topology hier:32x32 -seconds 30
 //	arpanetsim -shards 2 -topology waxman:500 -rate 2 -dests 4
 //	arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric hnspf
+//	arpanetsim -shards 2 -adaptive -metric hnspf -scenario examples/flapping/utah-collins.scn
 //
 // By default the sharded runner routes by one static table over fixed link
 // costs; -adaptive switches it to the full measurement → flood →
 // incremental-SPF plane under the chosen -metric, which is how the
 // hier:32x32 Table-1-style study in EXPERIMENTS.md is produced. BF-1969 is
 // a distance-vector protocol implemented only by the packet-level engine, so
-// that leg runs unsharded over the identical offered traffic.
+// that leg runs unsharded over the identical offered traffic. With
+// -scenario the adaptive plane runs a fault script instead of -seconds: its
+// trunk failures and repairs, audited at its checkpoints
+// (scenario.RunSharded).
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -23,6 +29,7 @@ import (
 	arpanet "repro"
 	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/scenario"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -34,11 +41,18 @@ import (
 // the sharded engine can route, shard.MaxStaticNodes.
 const maxWaxmanNodes = 1 << 14
 
-// parseGenTopology builds a generated topology from a "hier:RxP" or
-// "waxman:N" spec. The spec is outside input: a size no engine could run is
-// refused before anything is built, and what a generator itself refuses — a
-// hub with more lines than 16-bit line numbers name — comes back as an error.
+// parseGenTopology builds the -shards topology: the "arpanet" or "milnet"
+// map, as in every mode, or a generated one from a "hier:RxP" or "waxman:N"
+// spec. The spec is outside input: a size no engine could run is refused
+// before anything is built, and what a generator itself refuses — a hub
+// with more lines than 16-bit line numbers name — comes back as an error.
 func parseGenTopology(spec string, seed int64) (g *topology.Graph, err error) {
+	switch spec {
+	case "arpanet":
+		return topology.Arpanet(), nil
+	case "milnet":
+		return topology.Milnet(), nil
+	}
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
 		return nil, fmt.Errorf("topology %q: want hier:<regions>x<perRegion> or waxman:<nodes>", spec)
@@ -85,24 +99,23 @@ func parseGenTopology(spec string, seed int64) (g *topology.Graph, err error) {
 
 // shardedRun checks the -shards invocation with the other flags and returns
 // the run, which returns the simulator it ran for the -memprofile heap
-// profile. The Table 1 maps are too small to shard usefully, so "arpanet"
-// means hier:8x16.
-func shardedRun(spec string, shards int, rate float64, dests, radius int, seed int64, seconds float64, adaptive bool, metric arpanet.Metric) (func(io.Writer) (any, error), error) {
-	if spec == "arpanet" {
-		spec = "hier:8x16"
-	}
-	g, err := parseGenTopology(spec, seed)
+// profile. A script (-scenario) runs through scenario.RunSharded.
+func shardedRun(o *options, metric arpanet.Metric, script []byte) (func(io.Writer) (any, error), error) {
+	g, err := parseGenTopology(o.topology, o.seed)
 	if err != nil {
 		return nil, err
 	}
-	cfg := shardConfig(shards, g, rate, dests, radius, seed, adaptive, metric)
+	cfg := shardConfig(o.shards, g, o.rate, o.dests, o.radius, o.seed, o.adaptive, metric)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if adaptive && metric == arpanet.BF1969 {
-		return func(w io.Writer) (any, error) { return runShardedBF1969(w, cfg, seconds) }, nil
+	switch {
+	case script != nil:
+		return func(w io.Writer) (any, error) { return runShardedScript(w, cfg, o.scenario, script) }, nil
+	case o.adaptive && metric == arpanet.BF1969:
+		return func(w io.Writer) (any, error) { return runShardedBF1969(w, cfg, o.seconds) }, nil
 	}
-	return func(w io.Writer) (any, error) { return runSharded(w, cfg, seconds) }, nil
+	return func(w io.Writer) (any, error) { return runSharded(w, cfg, o.seconds) }, nil
 }
 
 // shardConfig is the configuration the -shards mode runs; shardedRun
@@ -133,15 +146,7 @@ func runSharded(w io.Writer, cfg shard.Config, seconds float64) (*shard.Sim, err
 	if err != nil {
 		return nil, err
 	}
-	g := cfg.Graph
-	fmt.Fprintf(w, "sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), cfg.Shards)
-	if cfg.Adaptive {
-		fmt.Fprintf(w, ", adaptive %v", cfg.Metric)
-	}
-	if la := s.Lookahead(); la > 0 {
-		fmt.Fprintf(w, ", lookahead %v", la)
-	}
-	fmt.Fprintln(w)
+	printHeader(w, cfg, s)
 	s.Run(sim.FromSeconds(seconds))
 	if err := s.Audit(); err != nil {
 		return s, fmt.Errorf("conservation audit failed: %w", err)
@@ -152,6 +157,54 @@ func runSharded(w io.Writer, cfg shard.Config, seconds float64) (*shard.Sim, err
 		printRoutes(w, s)
 	}
 	return s, nil
+}
+
+// runShardedScript runs the script at path on cfg's engine and writes the
+// header, the report, the event count, the checkpoints and every violation.
+// The barrier and kernel lines are left out: they vary with the partition,
+// and apart from the header this output does not. A violation is an error,
+// after the output.
+func runShardedScript(w io.Writer, cfg shard.Config, path string, script []byte) (*shard.Sim, error) {
+	sc, err := scenario.Parse(bytes.NewReader(script))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	s, res, err := scenario.RunSharded(cfg, sc, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	printHeader(w, cfg, s)
+	fmt.Fprintf(w, "Scenario %q: %.0f s, %d events\n", sc.Name, sc.Duration.Seconds(), len(sc.Events))
+	fmt.Fprint(w, s.Report().String())
+	fmt.Fprintf(w, "events      %d\n", s.Fired())
+	quiet := 0
+	for _, cp := range res.Checkpoints {
+		if cp.ConvergenceChecked {
+			quiet++
+		}
+	}
+	fmt.Fprintf(w, "checkpoints %d, %d with no update in flight (convergence audited)\n", len(res.Checkpoints), quiet)
+	for _, v := range res.Violations {
+		fmt.Fprintf(w, "  VIOLATION at %v [%s]: %s\n", v.At, v.Check, v.Err)
+	}
+	if n := len(res.Violations); n > 0 {
+		return s, fmt.Errorf("%s: %d invariant violations", path, n)
+	}
+	return s, nil
+}
+
+// printHeader prints the line that opens every sharded run's output: the
+// map, the shard count and, when a trunk is cut, the lookahead.
+func printHeader(w io.Writer, cfg shard.Config, s *shard.Sim) {
+	g := cfg.Graph
+	fmt.Fprintf(w, "sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), cfg.Shards)
+	if cfg.Adaptive {
+		fmt.Fprintf(w, ", adaptive %v", cfg.Metric)
+	}
+	if la := s.Lookahead(); la > 0 {
+		fmt.Fprintf(w, ", lookahead %v", la)
+	}
+	fmt.Fprintln(w)
 }
 
 // printCounters prints the run's event count and the barrier and kernel

@@ -114,7 +114,7 @@ func TestParseGenTopology(t *testing.T) {
 			t.Errorf("parseGenTopology(%q) = %v, %v; want an error naming the spec", spec, g, err)
 		}
 	}
-	for spec, nodes := range map[string]int{"hier:8x8": 64, "waxman:64": 64} {
+	for spec, nodes := range map[string]int{"hier:8x8": 64, "waxman:64": 64, "arpanet": 30} {
 		g, err := parseGenTopology(spec, 1)
 		if err != nil || g.NumNodes() != nodes {
 			t.Errorf("parseGenTopology(%q): %v, want %d nodes", spec, err, nodes)

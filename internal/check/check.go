@@ -27,11 +27,11 @@
 //     costs and routes on the ARPANET map;
 //   - shard-differential (CheckShardRouting, shardcheck.go): the sharded
 //     adaptive engine matches itself at 1, 2 and 4 shards bit for bit —
-//     every link's cost series and the merged trace — with its custody
-//     audits passing;
+//     every link's cost series and the merged trace — with the audits of
+//     scenario.RunSharded passing at every 1 s checkpoint;
 //   - shard-custody (CheckShardCustody, shardcheck.go): the user and
-//     control custody ledgers balance at every barrier under random shard
-//     cuts and fault scripts.
+//     control custody ledgers balance, and the floods converge, at every
+//     1 s checkpoint under random shard cuts and fault scripts.
 //
 // Every failure shrinks before it surfaces (shrink.go): the input that
 // broke it — an update stream, a delay sequence, a fault script — is

@@ -15,8 +15,8 @@ import (
 
 // Every scripted check — flood heal, scenario audit, hybrid differential,
 // the two sharded checks — keeps its disturbances as a flat
-// []scenario.Event: the form ddmin shrinks, scenario.Run executes,
-// shardFaults resolves and Script renders as a .scn reproducer.
+// []scenario.Event: the form ddmin shrinks, scenario.Run and
+// scenario.RunSharded execute and Script renders as a .scn reproducer.
 
 // script wraps a disturbance list as a runnable scenario.
 func script(name string, duration, checkEvery sim.Time, events []scenario.Event) *scenario.Scenario {
@@ -31,6 +31,11 @@ func runScript(cfg scenario.Config, sc *scenario.Scenario) error {
 	if err != nil {
 		return err
 	}
+	return firstViolation(res)
+}
+
+// firstViolation reports a run's first audit violation as an error.
+func firstViolation(res scenario.Result) error {
 	if len(res.Violations) > 0 {
 		v := res.Violations[0]
 		return fmt.Errorf("%s violation at %v: %s", v.Check, v.At, v.Err)

@@ -16,9 +16,9 @@ import (
 // metric, traffic, fault script — run through internal/shard at 1, 2 and 4
 // shards must produce the identical per-link advertised-cost time series,
 // sample for sample, bit for bit, plus a byte-identical merged trace, with
-// the custody ledgers audited every 10 s. This is determinism-by-
-// construction made observable on state the trace does not record (every
-// link's module, not just the sampled nodes').
+// scenario.RunSharded's audits at every 1 s checkpoint. This is
+// determinism-by-construction made observable on state the trace does not
+// record (every link's module, not just the sampled nodes').
 //
 // The sharded engine is not compared with internal/network here: the two
 // draw independent packet sample paths, so their costs agree only within a
@@ -95,25 +95,27 @@ func (t shardTrial) header(partition string) string {
 // a .scn reproducer with the trial in comment headers.
 func CheckShardRouting(rng *rand.Rand, seed int64) *Failure {
 	trial, events := genShardTrial(rng)
-	run := func(sub []scenario.Event) error { return runShardDiff(trial, sub) }
+	sc := script("shard-diff", trial.duration, sim.Second, events)
+	run := func(sub []scenario.Event) error {
+		return runShardDiff(trial, script(sc.Name, sc.Duration, sc.CheckEvery, sub))
+	}
 	err := run(events)
 	if err == nil {
 		return nil
 	}
-	return scriptFailure("shard-differential", seed, trial.topoName, trial.header(""),
-		script("shard-diff", trial.duration, 0, events), err, run)
+	return scriptFailure("shard-differential", seed, trial.topoName, trial.header(""), sc, err, run)
 }
 
 // shardLeg is one shard-engine run's observables.
 type shardLeg struct {
-	series [][]float64 // [link][sample] advertised cost, sampled at 1 Hz
+	series [][]float64 // [link][checkpoint] advertised cost
 	trace  string
 }
 
-// runShardLeg runs the shard engine at the given shard count, sampling
-// every link's advertised cost once a second and auditing the custody
-// ledgers every 10 s.
-func runShardLeg(t shardTrial, events []scenario.Event, shards int) (*shardLeg, error) {
+// runShardLeg runs the script on the shard engine at the given shard count,
+// sampling every link's advertised cost at each of the script's 1 s
+// checkpoints, where the runner audits.
+func runShardLeg(t shardTrial, sc *scenario.Scenario, shards int) (*shardLeg, error) {
 	cfg := shard.Config{
 		Graph:         t.g,
 		Shards:        shards,
@@ -124,55 +126,33 @@ func runShardLeg(t shardTrial, events []scenario.Event, shards int) (*shardLeg, 
 		Metric:        t.metric,
 		MeasureSample: 8,
 		TraceDrops:    true,
-		Faults:        shardFaults(t.g, events),
-	}
-	s, err := shard.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("shard.New: %w", err)
 	}
 	leg := &shardLeg{series: make([][]float64, t.g.NumLinks())}
-	steps := int(t.duration / sim.Second)
-	for step := 1; step <= steps; step++ {
-		s.Run(sim.Time(step) * sim.Second)
+	s, res, err := scenario.RunSharded(cfg, sc, func(s *shard.Sim) {
 		for l := range leg.series {
 			leg.series[l] = append(leg.series[l], s.LinkCost(topology.LinkID(l)))
 		}
-		if step%10 == 0 {
-			if err := s.Audit(); err != nil {
-				return nil, fmt.Errorf("audit at %ds: %w", step, err)
-			}
-		}
+	})
+	if err == nil {
+		err = firstViolation(res)
 	}
-	if err := s.Audit(); err != nil {
-		return nil, fmt.Errorf("final audit: %w", err)
+	if err != nil {
+		return nil, err
 	}
 	leg.trace = s.TraceText()
 	return leg, nil
 }
 
-// shardFaults resolves trunk down/up events, in script order, into the
-// shard engine's fault list. Endpoints resolve as scenario.Run resolves
-// them — the first trunk joining the pair — so the shard run and a replayed
-// reproducer fault the same trunk.
-func shardFaults(g *topology.Graph, events []scenario.Event) []shard.Fault {
-	var faults []shard.Fault
-	for _, ev := range events {
-		l, _ := g.FindTrunk(g.MustLookup(ev.A), g.MustLookup(ev.B))
-		faults = append(faults, shard.Fault{Trunk: g.Link(l).Trunk, At: ev.At, Up: ev.Kind == scenario.TrunkUp})
-	}
-	return faults
-}
-
 // runShardDiff runs the trial at 1, 2 and 4 shards and returns the first
 // divergence from the single-kernel run, or the first failed audit, as an
 // error.
-func runShardDiff(t shardTrial, events []scenario.Event) error {
-	ref, err := runShardLeg(t, events, 1)
+func runShardDiff(t shardTrial, sc *scenario.Scenario) error {
+	ref, err := runShardLeg(t, sc, 1)
 	if err != nil {
 		return fmt.Errorf("shards=1: %w", err)
 	}
 	for _, shards := range []int{2, 4} {
-		leg, err := runShardLeg(t, events, shards)
+		leg, err := runShardLeg(t, sc, shards)
 		if err != nil {
 			return fmt.Errorf("shards=%d: %w", shards, err)
 		}
@@ -181,7 +161,7 @@ func runShardDiff(t shardTrial, events []scenario.Event) error {
 				// The pillar's whole point is bitwise equality across shard counts
 				if leg.series[l][i] != ref.series[l][i] {
 					a, b := t.g.Link(topology.LinkID(l)).From, t.g.Link(topology.LinkID(l)).To
-					return fmt.Errorf("shards=%d: advertised cost of %s->%s diverged at sample %d: %.9g vs %.9g",
+					return fmt.Errorf("shards=%d: advertised cost of %s->%s diverged at checkpoint %d: %.9g vs %.9g",
 						shards, t.g.Node(a).Name, t.g.Node(b).Name, i, leg.series[l][i], ref.series[l][i])
 				}
 			}
@@ -200,9 +180,10 @@ func runShardDiff(t shardTrial, events []scenario.Event) error {
 // striped or fully random assignment cuts low-latency intra-region trunks
 // the greedy partitioner never would, driving the barrier with 1-tick
 // lookaheads), adaptive routing under a random metric, and a random fault
-// script. The composed custody ledgers — user AND control identities — and
-// the wire/transmitter audits must hold at every 1 s barrier. Violations
-// ddmin to a runnable .scn with the partition in a header.
+// script. The composed custody ledgers — user AND control identities — the
+// wire/transmitter audits and convergence must hold at every 1 s checkpoint
+// of the script. Violations ddmin to a runnable .scn with the partition in a
+// header.
 func CheckShardCustody(rng *rand.Rand, seed int64) *Failure {
 	regions, per := 2+rng.Intn(3), 4+rng.Intn(5)
 	topoSeed := rng.Int63n(1 << 30)
@@ -220,7 +201,7 @@ func CheckShardCustody(rng *rand.Rand, seed int64) *Failure {
 	queueLimit := []int{0, 2, 8}[rng.Intn(3)]
 
 	nOps := 2 + rng.Intn(6)
-	var sc scenario.Scenario
+	sc := script("shard-diff", trial.duration, sim.Second, nil)
 	for len(sc.Events) < nOps {
 		at := sim.Second + sim.Time(rng.Int63n(int64(trial.duration*3/4)))
 		a, b := randTrunkNames(rng, trial.g)
@@ -232,14 +213,13 @@ func CheckShardCustody(rng *rand.Rand, seed int64) *Failure {
 	}
 
 	run := func(sub []scenario.Event) error {
-		return runShardCustody(trial, sub, shards, part, queueLimit)
+		return runShardCustody(trial, script(sc.Name, sc.Duration, sc.CheckEvery, sub), shards, part, queueLimit)
 	}
 	err := run(sc.Events)
 	if err == nil {
 		return nil
 	}
-	return scriptFailure("shard-custody", seed, trial.topoName, trial.header(partitionString(part)),
-		script("shard-diff", trial.duration, 0, sc.Events), err, run)
+	return scriptFailure("shard-custody", seed, trial.topoName, trial.header(partitionString(part)), sc, err, run)
 }
 
 // randPartition draws a uniformly random node→shard map, patched so every
@@ -282,10 +262,11 @@ func partitionString(part []int) string {
 	return b.String()
 }
 
-// runShardCustody runs one adaptive sharded simulation over an explicit cut
-// with barrier-by-barrier audits, and cross-checks every observable against
-// the canonical single-shard run (an explicit partition must be invisible).
-func runShardCustody(t shardTrial, events []scenario.Event, shards int, part []int, queueLimit int) error {
+// runShardCustody runs the script on the adaptive sharded engine over an
+// explicit cut, audited at every checkpoint, and cross-checks the trace and
+// report against the canonical single-shard run (an explicit partition must
+// be invisible).
+func runShardCustody(t shardTrial, sc *scenario.Scenario, shards int, part []int, queueLimit int) error {
 	cfg := shard.Config{
 		Graph:         t.g,
 		Shards:        shards,
@@ -299,39 +280,28 @@ func runShardCustody(t shardTrial, events []scenario.Event, shards int, part []i
 		MeasureSample: 4,
 		TraceDrops:    true,
 		Partition:     part,
-		Faults:        shardFaults(t.g, events),
 	}
-	s, err := shard.New(cfg)
+	s, res, err := scenario.RunSharded(cfg, sc, nil)
+	if err == nil {
+		err = firstViolation(res)
+	}
 	if err != nil {
-		return fmt.Errorf("shard.New: %w", err)
+		return fmt.Errorf("shards=%d cut: %w", shards, err)
 	}
-	steps := int(t.duration / sim.Second)
-	for step := 1; step <= steps; step++ {
-		s.Run(sim.Time(step) * sim.Second)
-		if err := s.Audit(); err != nil {
-			return fmt.Errorf("audit at %ds (shards=%d cut): %w", step, shards, err)
-		}
-	}
-	report := s.Report()
-	if !report.Conservation.Balanced() {
-		return fmt.Errorf("composed user ledger unbalanced: %+v", report.Conservation)
-	}
-
 	ref := cfg
 	ref.Shards = 1
 	ref.Partition = nil
-	r, err := shard.New(ref)
-	if err != nil {
-		return fmt.Errorf("shard.New (reference): %w", err)
+	r, res, err := scenario.RunSharded(ref, sc, nil)
+	if err == nil {
+		err = firstViolation(res)
 	}
-	r.Run(t.duration / sim.Second * sim.Second)
-	if err := r.Audit(); err != nil {
-		return fmt.Errorf("reference audit: %w", err)
+	if err != nil {
+		return fmt.Errorf("reference: %w", err)
 	}
 	if got, want := s.TraceText(), r.TraceText(); got != want {
 		return fmt.Errorf("random cut changed the merged trace (shards=%d)", shards)
 	}
-	if got, want := report.String(), r.Report().String(); got != want {
+	if got, want := s.Report().String(), r.Report().String(); got != want {
 		return fmt.Errorf("random cut changed the report:\n%s\nwant:\n%s", got, want)
 	}
 	return nil

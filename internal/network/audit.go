@@ -13,8 +13,8 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/flooding"
 	"repro/internal/node"
+	"repro/internal/spf"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -74,56 +74,20 @@ func (n *Network) TransmitterAudit() error {
 	return nil
 }
 
-// ConvergenceAudit checks that, within each connected component, every PSN
-// holds each origin's latest update — the sequence number the origin's own
-// router holds — and that its cost database matches the last flooded cost of
-// every link. A PSN cut off by a partition legitimately holds stale entries
-// for the far side. The check is inconclusive (nil) while routing packets
-// are still in flight, and does not apply to the 1969 distance-vector mode.
-// Once floods quiesce it needs no grace period: a repaired trunk resyncs both
-// ends (SetTrunkUp), so whatever a partition kept from either side has
-// crossed by the time the last routing packet lands.
-//
-// node.AuditRun's two checks need no quiescence and come first, in every mode.
+// ConvergenceAudit checks node.AuditRun's two invariants, which need no
+// quiescence, in every mode; then, once no routing packet is in flight and
+// unless the 1969 distance-vector mode runs, node.AuditConvergence over the
+// PSNs' routers. While routing packets are in flight it is inconclusive
+// (nil).
 func (n *Network) ConvergenceAudit() error {
-	if err := node.AuditRun(n.kernel, n.routers); err != nil || n.cfg.Metric == node.BF1969 {
+	if err := node.AuditRun(n.kernel, n.routers); err != nil || n.cfg.Metric == node.BF1969 || n.RoutingInFlight() > 0 {
 		return err
 	}
-	if n.RoutingInFlight() > 0 {
-		return nil
-	}
-	comp := topology.Components(n.g, func(l topology.LinkID) bool { return !n.links[l].Down() })
-	latest := make([]uint64, len(n.psns)) // by origin; 0 while it floods nothing but its boot costs
+	routers := make([]*spf.IncrementalRouter, len(n.psns))
 	for _, p := range n.psns {
-		p.router.Updates(func(u *flooding.Update) {
-			if u.Origin == p.id {
-				latest[p.id] = u.Seq
-			}
-		})
+		routers[p.id] = p.router
 	}
-	held := make([]uint64, len(n.psns))
-	for _, p := range n.psns {
-		clear(held)
-		p.router.Updates(func(u *flooding.Update) { held[u.Origin] = u.Seq })
-		for o, seq := range latest {
-			if comp[o] == comp[p.id] && held[o] != seq {
-				return fmt.Errorf("PSN %s holds update %d from %s, which last flooded update %d",
-					n.g.Node(p.id).Name, held[o], n.g.Node(topology.NodeID(o)).Name, seq)
-			}
-		}
-		for _, ls := range n.links {
-			if comp[p.id] != comp[ls.link.From] {
-				continue
-			}
-			// The flooded cost is copied verbatim into databases; convergence means bit-identical
-			if got := p.router.Cost(ls.link.ID); got != ls.lastFlooded {
-				return fmt.Errorf("PSN %s believes cost %v for link %d (%s->%s), last flooded %v",
-					n.g.Node(p.id).Name, got, ls.link.ID,
-					n.g.Node(ls.link.From).Name, n.g.Node(ls.link.To).Name, ls.lastFlooded)
-			}
-		}
-	}
-	return nil
+	return node.AuditConvergence(n.g, routers, n.LinkIsDown)
 }
 
 // --- runtime traffic control ---------------------------------------------

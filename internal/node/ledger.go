@@ -76,6 +76,54 @@ func AuditRun(k *sim.Kernel, routers *spf.Table) error {
 	return err
 }
 
+// AuditConvergence checks that, within each component of the links down
+// leaves up, every PSN holds each origin's latest update — the sequence
+// number the origin's own router holds — and believes, for every link, the
+// cost the link's origin holds for it, the one its last update flooded.
+// routers is indexed by node ID and may come from any number of tables. A PSN
+// cut off by a partition legitimately holds stale entries for the far side.
+// The verdict means something only once no routing packet is in flight, and
+// then needs no grace period: a repaired trunk resyncs both ends, so whatever
+// a partition kept from either side has crossed by the time the last routing
+// packet lands. Both engines' convergence audits call it.
+func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down func(topology.LinkID) bool) error {
+	comp := topology.Components(g, func(l topology.LinkID) bool { return !down(l) })
+	latest := make([]uint64, len(routers)) // by origin; 0 while it floods nothing but its boot costs
+	for o, r := range routers {
+		r.Updates(func(u *flooding.Update) {
+			if u.Origin == topology.NodeID(o) {
+				latest[o] = u.Seq
+			}
+		})
+	}
+	flooded := make([]float64, g.NumLinks()) // by link: the cost its origin holds
+	for _, l := range g.Links() {
+		flooded[l.ID] = routers[l.From].Cost(l.ID)
+	}
+	held := make([]uint64, len(routers))
+	for id, r := range routers {
+		clear(held)
+		r.Updates(func(u *flooding.Update) { held[u.Origin] = u.Seq })
+		for o, seq := range latest {
+			if comp[o] == comp[id] && held[o] != seq {
+				return fmt.Errorf("PSN %s holds update %d from %s, which last flooded update %d",
+					g.Node(topology.NodeID(id)).Name, held[o], g.Node(topology.NodeID(o)).Name, seq)
+			}
+		}
+		for _, l := range g.Links() {
+			if comp[id] != comp[l.From] {
+				continue
+			}
+			// The flooded cost is copied verbatim into databases; convergence means bit-identical
+			if got := r.Cost(l.ID); got != flooded[l.ID] {
+				return fmt.Errorf("PSN %s believes cost %v for link %d (%s->%s), last flooded %v",
+					g.Node(topology.NodeID(id)).Name, got, l.ID, g.Node(l.From).Name, g.Node(l.To).Name, flooded[l.ID])
+			}
+		}
+	}
+	return nil
+}
+
 // FloodTime bounds how long the floods a trunk repair starts take to settle
 // on an otherwise idle network, given which links are down: the most a
 // repaired line carries — its resync, one update from every origin, and up

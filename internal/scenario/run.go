@@ -12,8 +12,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// Config describes how to build the network under test. It mirrors
-// network.Config; RunBatch varies only the seed between runs.
+// Config describes how to build the network Run tests; RunBatch varies
+// only the seed between runs. RunSharded takes a shard.Config instead.
 type Config struct {
 	Graph     *topology.Graph
 	Matrix    *traffic.Matrix
@@ -42,7 +42,7 @@ type Config struct {
 // Violation is one invariant failure found at a checkpoint.
 type Violation struct {
 	At    sim.Time
-	Check string // "conservation", "transmitter" or "convergence"
+	Check string // "conservation", "transmitter" (network), "custody" (shard) or "convergence"
 	Err   string
 }
 
@@ -55,7 +55,7 @@ type CheckpointResult struct {
 	// and the convergence audit was therefore skipped. Quiescence needs no
 	// grace period after a topology change: a repaired trunk resyncs both
 	// ends, so once the last routing packet lands every PSN holds the latest
-	// update of every origin it can reach (network.ConvergenceAudit).
+	// update of every origin it can reach (node.AuditConvergence).
 	ConvergenceChecked bool
 }
 
@@ -123,7 +123,7 @@ func (r *runner) schedule(sc *Scenario) error {
 		var fire func(now sim.Time)
 		switch ev.Kind {
 		case TrunkDown, TrunkUp:
-			link, err := r.resolveTrunk(ev.A, ev.B)
+			link, err := resolveTrunk(g, ev.A, ev.B)
 			if err != nil {
 				return fmt.Errorf("scenario %q: %s at %v: %w", sc.Name, ev.Kind, ev.At, err)
 			}
@@ -174,9 +174,9 @@ func (r *runner) schedule(sc *Scenario) error {
 	return nil
 }
 
-// resolveTrunk finds the a→b simplex link of the named trunk.
-func (r *runner) resolveTrunk(a, b string) (topology.LinkID, error) {
-	g := r.cfg.Graph
+// resolveTrunk finds the a→b simplex link of the named trunk: the first
+// trunk joining the pair, for either engine.
+func resolveTrunk(g *topology.Graph, a, b string) (topology.LinkID, error) {
 	na, ok := g.Lookup(a)
 	if !ok {
 		return topology.NoLink, fmt.Errorf("unknown node %q", a)
@@ -219,26 +219,26 @@ func (r *runner) nodeUp(id topology.NodeID) {
 
 // checkpoint audits every invariant and records the outcome.
 func (r *runner) checkpoint(now sim.Time) {
-	cp := CheckpointResult{
-		At:              now,
-		Conservation:    r.net.Conservation(),
-		RoutingInFlight: r.net.RoutingInFlight(),
-	}
-	var violations []Violation
-	if err := cp.Conservation.Err(); err != nil {
-		violations = append(violations, Violation{At: now, Check: "conservation", Err: err.Error()})
-	}
-	if err := r.net.TransmitterAudit(); err != nil {
-		violations = append(violations, Violation{At: now, Check: "transmitter", Err: err.Error()})
-	}
-	if cp.RoutingInFlight == 0 {
-		cp.ConvergenceChecked = true
-		if err := r.net.ConvergenceAudit(); err != nil {
-			violations = append(violations, Violation{At: now, Check: "convergence", Err: err.Error()})
+	cp := CheckpointResult{At: now, Conservation: r.net.Conservation(), RoutingInFlight: r.net.RoutingInFlight()}
+	r.res.record(cp, "transmitter", r.net.TransmitterAudit(), r.net.ConvergenceAudit)
+}
+
+// record appends one checkpoint and its violations: the ledger's, the engine
+// audit's (named check), and — only when no routing packet is in flight —
+// converged's.
+func (res *Result) record(cp CheckpointResult, check string, audit error, converged func() error) {
+	add := func(check string, err error) {
+		if err != nil {
+			res.Violations = append(res.Violations, Violation{At: cp.At, Check: check, Err: err.Error()})
 		}
 	}
-	r.res.Checkpoints = append(r.res.Checkpoints, cp)
-	r.res.Violations = append(r.res.Violations, violations...)
+	add("conservation", cp.Conservation.Err())
+	add(check, audit)
+	if cp.RoutingInFlight == 0 {
+		cp.ConvergenceChecked = true
+		add("convergence", converged())
+	}
+	res.Checkpoints = append(res.Checkpoints, cp)
 }
 
 // RunBatch runs the scenario once per seed, each seed in its own

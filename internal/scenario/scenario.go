@@ -1,5 +1,5 @@
 // Package scenario is the fault-injection engine of the simulator: it runs
-// a network.Network under a declarative, timed script of failures and
+// either packet engine under a declarative, timed script of failures and
 // traffic shifts — trunk outages and repairs, flapping trunks, node
 // restarts, traffic surges and matrix switches — and audits the
 // simulator's own invariants at every checkpoint:
@@ -8,16 +8,20 @@
 //     window is delivered, in exactly one drop class, or demonstrably
 //     still in flight;
 //   - single transmitter per link: a trunk never runs two concurrent
-//     transmission chains, and never transmits while down;
-//   - convergence: once floods quiesce and the refresh interval has
-//     passed, every PSN's cost database matches the last flooded costs
-//     within its connected component.
+//     transmission chains, and never transmits while down (on the sharded
+//     engine, with the custody ledgers of shard.(*Sim).Audit);
+//   - convergence: at a checkpoint with no routing packet in flight, every
+//     PSN holds the latest update of each origin in its connected component
+//     (node.AuditConvergence).
 //
 // Scenarios come from the builder API (NewScenario().DownAt(...)...) or
 // from the line-oriented script format (Parse; see the grammar
-// in script.go). Run executes one seed; RunBatch fans a scenario over many
-// seeds (internal/fanout), each seed in its own independent Network, with
-// results that are byte-for-byte identical at any GOMAXPROCS.
+// in script.go). Run executes one seed on internal/network, with every event
+// and checkpoint on the network's kernel; RunSharded executes the trunk
+// events on internal/shard, running from checkpoint to checkpoint. RunBatch
+// fans a scenario over many seeds (internal/fanout), each seed in its own
+// independent Network, with results that are byte-for-byte identical at any
+// GOMAXPROCS.
 package scenario
 
 import (

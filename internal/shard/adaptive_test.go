@@ -316,10 +316,14 @@ func TestHier1kAdaptiveLiveHeap(t *testing.T) {
 // TestAdaptiveHealResyncs is internal/network's TestHealResyncsPartition on
 // the adaptive plane: a two-region map is cut between its regions, one more
 // trunk fails in each region while it is cut, and the cut heals. The cut must
-// hide news (some node lags an origin across it just before the heal); within
-// node.FloodTime of the heal every node holds, for each origin it reaches, an
-// update at least as new as the one the origin held at the heal. At 1 and 2
-// shards, with byte-identical traces and reports, and balanced ledgers.
+// hide news: at the last quiet instant before the heal each side has
+// converged but the map as the heal leaves it has not. Within node.FloodTime
+// of the heal every node holds, for each origin it reaches, an update at least
+// as new as the one the origin held at the heal; and the first instant after
+// that with no update in flight passes the shared convergence audit
+// (node.AuditConvergence): every node holds each reachable origin's latest
+// update. At 1 and 2 shards, with byte-identical traces and reports, and
+// balanced ledgers.
 func TestAdaptiveHealResyncs(t *testing.T) {
 	g := topology.Hierarchical(2, 6, 5)
 	bb := backboneTrunks(g)
@@ -345,45 +349,61 @@ func TestAdaptiveHealResyncs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// held[i][o] is the sequence number node i holds for origin o.
-		held := func() [][]uint64 {
-			h := make([][]uint64, g.NumNodes())
-			for i, n := range s.nodeAt {
-				h[i] = make([]uint64, g.NumNodes())
-				n.router.Updates(func(u *flooding.Update) { h[i][u.Origin] = u.Seq })
+		// settle runs s in 1 ms steps from at until no update copy is in
+		// flight, and returns that instant; it fails the test past until.
+		settle := func(at, until sim.Time) sim.Time {
+			for ; at <= until; at += sim.Millisecond {
+				if s.Run(at); s.Report().CtrlInFlight == 0 {
+					return at
+				}
 			}
+			t.Fatalf("shards=%d: update copies still in flight at %v", shards, until)
+			return 0
+		}
+		down := func(l topology.LinkID) bool { return s.linkAt[l].Down() }
+		healed := func(l topology.LinkID) bool { return down(l) && !slices.Contains(bb, g.Link(l).Trunk) }
+		routers := make([]*spf.IncrementalRouter, g.NumNodes())
+		for id, n := range s.nodeAt {
+			routers[id] = n.router
+		}
+		quiet := settle(heal-sim.Second, heal-1)
+		if err := s.ConvergenceAudit(); err != nil {
+			t.Fatalf("shards=%d: a side of the cut has not converged at %v: %v", shards, quiet, err)
+		}
+		stale := node.AuditConvergence(g, routers, healed)
+		if stale == nil {
+			t.Fatalf("shards=%d: the cut hid no news; the heal has nothing to resync", shards)
+		}
+		// held[o] is the sequence number r holds for origin o.
+		held := func(r *spf.IncrementalRouter) []uint64 {
+			h := make([]uint64, g.NumNodes())
+			r.Updates(func(u *flooding.Update) { h[u.Origin] = u.Seq })
 			return h
 		}
-		s.Run(heal - 1)
-		before, stale := held(), 0
-		for _, row := range before {
-			for o, seq := range row {
-				if seq < before[o][o] {
-					stale++
+		s.Run(heal)
+		atHeal := make([]uint64, g.NumNodes())
+		for o, r := range routers {
+			atHeal[o] = held(r)[o]
+		}
+		bound := node.FloodTime(g, healed)
+		s.Run(heal + bound)
+		comp := topology.Components(g, func(l topology.LinkID) bool { return !down(l) })
+		for i, r := range routers {
+			for o, seq := range held(r) {
+				if comp[i] == comp[o] && seq < atHeal[o] {
+					t.Fatalf("shards=%d: node %s holds update %d from %s %v after the heal; it held %d at the heal",
+						shards, g.Node(topology.NodeID(i)).Name, seq, g.Node(topology.NodeID(o)).Name, bound, atHeal[o])
 				}
 			}
 		}
-		if stale == 0 {
-			t.Fatalf("shards=%d: the cut hid no news; the heal has nothing to resync", shards)
-		}
-		s.Run(heal)
-		latest := held()
-		down := func(l topology.LinkID) bool { return s.linkAt[l].Down() }
-		bound := node.FloodTime(g, down)
-		s.Run(heal + bound)
+		settled := settle(heal+bound, heal+bound+5*sim.Second)
 		if err := s.Audit(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		comp := topology.Components(g, func(l topology.LinkID) bool { return !down(l) })
-		for i, row := range held() {
-			for o, seq := range row {
-				if comp[i] == comp[o] && seq < latest[o][o] {
-					t.Fatalf("shards=%d: node %s holds update %d from %s %v after the heal; it sent %d at the heal",
-						shards, g.Node(topology.NodeID(i)).Name, seq, g.Node(topology.NodeID(o)).Name, bound, latest[o][o])
-				}
-			}
+		if err := s.ConvergenceAudit(); err != nil {
+			t.Fatalf("shards=%d: %v after the heal: %v", shards, settled-heal, err)
 		}
-		t.Logf("shards=%d: %d (node, origin) pairs stale just before the heal; bound %v", shards, stale, bound)
+		t.Logf("shards=%d: before the heal, %v; converged %v after it (bound %v)", shards, stale, settled-heal, bound)
 		if shards == 1 {
 			trace, report = s.TraceText(), s.Report().String()
 		} else if got := s.TraceText(); got != trace {

@@ -13,6 +13,8 @@ import (
 	"strings"
 
 	"repro/internal/node"
+	"repro/internal/spf"
+	"repro/internal/topology"
 )
 
 // Report is a run summary, identical for every shard count.
@@ -147,4 +149,21 @@ func (s *Sim) Audit() error {
 		}
 	}
 	return nil
+}
+
+// ConvergenceAudit is node.AuditConvergence over every shard's routers: once
+// no control copy is in flight (Report().CtrlInFlight == 0), every PSN holds
+// each reachable origin's latest update. It stays out of Audit, which callers
+// run whether floods are in flight or not, and which stays linear in the
+// network's size. Without Adaptive there are no routers, and it returns nil.
+// Call it between Run invocations.
+func (s *Sim) ConvergenceAudit() error {
+	if !s.cfg.Adaptive {
+		return nil
+	}
+	routers := make([]*spf.IncrementalRouter, len(s.nodeAt))
+	for id, n := range s.nodeAt {
+		routers[id] = n.router
+	}
+	return node.AuditConvergence(s.g, routers, func(l topology.LinkID) bool { return s.linkAt[l].Down() })
 }

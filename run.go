@@ -104,9 +104,12 @@ func Run(s Spec) (Result, error) {
 // RunSeeds performs the run once per seed Spec.Seed, Spec.Seed+1, …,
 // Spec.Seed+n-1, fanned over GOMAXPROCS workers. Results are indexed like
 // the seeds, so they are identical at any worker count. Track and
-// TraceCapacity record one run, and are refused here.
+// TraceCapacity record one run, and are refused here, as is n < 1.
 func RunSeeds(s Spec, n int) ([]Result, error) {
-	if len(s.Track) > 0 || s.TraceCapacity > 0 {
+	switch {
+	case n < 1:
+		return nil, fmt.Errorf("arpanet: RunSeeds n %d is not a seed count (want at least 1)", n)
+	case len(s.Track) > 0 || s.TraceCapacity > 0:
 		return nil, errors.New("arpanet: Spec.Track and Spec.TraceCapacity record one run; use Run")
 	}
 	var res Result
