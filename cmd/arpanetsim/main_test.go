@@ -254,7 +254,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
 		{"-shards 2 -seeds 3", 2, "-seeds has no effect with -shards", ""},
 		{"-shards 2 -adaptive -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",
-			"checkpoints 14, 11 with no update in flight"},
+			"checkpoints 14, 373 of 420 origins with no update in flight"},
 		{"-shards 2 -adaptive -scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
 		{"-shards 2 -adaptive -scenario " + fluid, 1, "surge background at 10.000000s: the sharded engine runs trunk events and checkpoints only", ""},
 		{"-shards 2 -adaptive -metric bf1969 -scenario " + unknown, 2, "-metric bf1969 runs no -scenario with -shards", ""},

@@ -179,11 +179,10 @@ func runShardedScript(w io.Writer, cfg shard.Config, path string, script []byte)
 	fmt.Fprintf(w, "events      %d\n", s.Fired())
 	quiet := 0
 	for _, cp := range res.Checkpoints {
-		if cp.ConvergenceChecked {
-			quiet++
-		}
+		quiet += cp.QuietOrigins
 	}
-	fmt.Fprintf(w, "checkpoints %d, %d with no update in flight (convergence audited)\n", len(res.Checkpoints), quiet)
+	fmt.Fprintf(w, "checkpoints %d, %d of %d origins with no update in flight (convergence audited)\n",
+		len(res.Checkpoints), quiet, len(res.Checkpoints)*cfg.Graph.NumNodes())
 	for _, v := range res.Violations {
 		fmt.Fprintf(w, "  VIOLATION at %v [%s]: %s\n", v.At, v.Check, v.Err)
 	}

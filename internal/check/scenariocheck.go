@@ -140,8 +140,8 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 }
 
 // fixedCost is a cost module whose cost never moves. On idle lines it leaves
-// the faults and the 50 s refresh as the only floods, so a heal trial's
-// checkpoint finds the network quiescent and its convergence audit conclusive.
+// the faults and the 50 s refreshes as the only floods, so at a heal trial's
+// checkpoint only refreshes can be in flight.
 type fixedCost struct{}
 
 func (fixedCost) Update(float64) (float64, bool) { return 1, false }
@@ -155,7 +155,8 @@ func (fixedCost) Reset()                         {}
 // cutting the network into components; one more trunk fails on each side of
 // the cut; and the cut heals. Each side has flooded news the other missed,
 // and only the line-up exchange of a repaired trunk carries it across:
-// node.FloodTime after the heal the floods must have quiesced, and every PSN
+// node.FloodTime after the heal every flood older than the heal must have
+// landed (network.StaleFloods; a refresh may fall due since), and every PSN
 // must hold each origin's latest update (network.ConvergenceAudit) with
 // every other audit passing. A failure shrinks to a .scn script.
 func CheckFlood(rng *rand.Rand, seed int64) *Failure {
@@ -208,8 +209,9 @@ func CheckFlood(rng *rand.Rand, seed int64) *Failure {
 		if err := runScript(cfg, script(sc.Name, sc.Duration, 0, events)); err != nil {
 			return err
 		}
-		if n := net.RoutingInFlight(); n > 0 {
-			return fmt.Errorf("%d routing packets still in flight %v after the heal", n, settle)
+		if stale := net.StaleFloods(heal); len(stale) > 0 {
+			return fmt.Errorf("updates from %d origins that flooded nothing since the heal still in flight %v after it (first %s)",
+				len(stale), settle, g.Node(stale[0]).Name)
 		}
 		return nil
 	}

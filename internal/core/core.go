@@ -72,14 +72,27 @@ func (m *Module) Ceiling() float64 { return m.params.MaxCost }
 // Cost returns the last reported cost.
 func (m *Module) Cost() float64 { return m.lastReported }
 
-// Reset reinitializes the module to the link-up state. A new link reports
-// its highest cost so that routing "eases in" the new capacity gradually
-// (§5.4): each subsequent period the movement limit lets the cost fall by
-// only MaxDecrease, pulling in a little more traffic at a time.
+// Reset reinitializes the module to the link-up state of a line coming up
+// — a repaired trunk (node.Trunk.Restore). It reports its highest cost so
+// that routing "eases in" the new capacity gradually (§5.4): each
+// subsequent period the movement limit lets the cost fall by only
+// MaxDecrease, pulling in a little more traffic at a time. A network that
+// is already running starts from Settle instead.
 func (m *Module) Reset() {
 	m.lastAverage = 0
 	m.lastReported = m.params.MaxCost
 	m.initialized = false
+}
+
+// Settle puts the module in the steady state of an idle line that has been
+// up all along: zero average utilization and the floor, counted as already
+// reported, so the first period reports only a significant change. Table 1
+// measured a network that was already running; §5.4's ease-in is the rule
+// for a line coming up, which Reset keeps.
+func (m *Module) Settle() {
+	m.lastAverage = 0
+	m.lastReported = m.floor
+	m.initialized = true
 }
 
 // Update runs one measurement period of the HNM: measuredDelay is the

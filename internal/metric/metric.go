@@ -82,12 +82,22 @@ func (d *DSPF) Ceiling() float64 { return d.ceiling }
 // Cost returns the last reported cost in units.
 func (d *DSPF) Cost() float64 { return d.last }
 
-// Reset reinitializes to the link-up state: the delay metric has no
-// ease-in, so a fresh link simply reports its bias.
+// Reset reinitializes to the state of a line coming up: the delay metric
+// has no ease-in, so the link advertises its bias and reports its first
+// measurement, whatever it reads.
 func (d *DSPF) Reset() {
 	d.last = d.bias
 	d.threshold = dspfThreshold0
 	d.started = false
+}
+
+// Settle puts the metric in the steady state of an idle line that has been
+// up all along: the bias, counted as already reported with a fresh
+// threshold, so the first period reports only a significant change.
+func (d *DSPF) Settle() {
+	d.last = d.bias
+	d.threshold = dspfThreshold0
+	d.started = true
 }
 
 // Update processes one 10-second measurement period. measuredDelay is the
@@ -138,8 +148,9 @@ func (d *DSPF) RawCost(serviceTime, utilization float64) float64 {
 	return c
 }
 
-// MinHop is the static unit metric: every link always costs 1 and never
-// generates updates after the first.
+// MinHop is the static unit metric: every link always costs 1. It reports
+// once after Reset, so a repaired line's cost is flooded, and never after
+// Settle: every PSN boots holding the unit costs already.
 type MinHop struct {
 	started bool
 }
@@ -153,11 +164,15 @@ func (m *MinHop) Cost() float64 { return 1 }
 // Floor returns 1: the static metric's only value.
 func (m *MinHop) Floor() float64 { return 1 }
 
-// Reset returns the metric to its initial state.
+// Reset returns the metric to the state of a line coming up: its next
+// Update reports.
 func (m *MinHop) Reset() { m.started = false }
 
+// Settle counts the unit cost as already reported.
+func (m *MinHop) Settle() { m.started = true }
+
 // Update always returns cost 1; it reports only on the first call after
-// Reset so the initial topology gets flooded.
+// Reset.
 func (m *MinHop) Update(float64) (float64, bool) {
 	first := !m.started
 	m.started = true

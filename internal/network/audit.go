@@ -5,8 +5,8 @@ package network
 // The auditors check, from outside the event loop, that the simulator's
 // books balance: every offered packet is delivered, dropped into exactly
 // one drop class, or still demonstrably in flight; every trunk runs at most
-// one transmitter; and, once floods quiesce, every PSN holds every
-// reachable origin's latest update. internal/scenario calls these at every
+// one transmitter; and every PSN holds the latest update of every reachable
+// origin whose flood has quiesced. internal/scenario calls these at every
 // checkpoint, turning the failure-path bugfixes into permanently enforced
 // invariants.
 
@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/node"
+	"repro/internal/sim"
 	"repro/internal/spf"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -74,20 +75,56 @@ func (n *Network) TransmitterAudit() error {
 	return nil
 }
 
-// ConvergenceAudit checks node.AuditRun's two invariants, which need no
-// quiescence, in every mode; then, once no routing packet is in flight and
-// unless the 1969 distance-vector mode runs, node.AuditConvergence over the
-// PSNs' routers. While routing packets are in flight it is inconclusive
-// (nil).
+// ConvergenceAudit checks node.AuditRun's two invariants in every mode;
+// then, unless the 1969 distance-vector mode runs, that the per-origin
+// counts of update copies in flight add up to the routing packets queued,
+// on a transmitter or propagating, and node.AuditConvergence over the PSNs'
+// routers for every origin with no update copy in flight.
 func (n *Network) ConvergenceAudit() error {
-	if err := node.AuditRun(n.kernel, n.routers); err != nil || n.cfg.Metric == node.BF1969 || n.RoutingInFlight() > 0 {
+	if err := node.AuditRun(n.kernel, n.routers); err != nil || n.cfg.Metric == node.BF1969 {
 		return err
+	}
+	counted := 0
+	for _, c := range n.updatesInFlight {
+		counted += c
+	}
+	if held := n.RoutingInFlight(); counted != held {
+		return fmt.Errorf("the per-origin counts hold %d update copies in flight; queues, transmitters and wires hold %d", counted, held)
 	}
 	routers := make([]*spf.IncrementalRouter, len(n.psns))
 	for _, p := range n.psns {
 		routers[p.id] = p.router
 	}
-	return node.AuditConvergence(n.g, routers, n.LinkIsDown)
+	return node.AuditConvergence(n.g, routers, n.LinkIsDown, n.updatesInFlight)
+}
+
+// QuietOrigins returns how many origins have no copy of a flooded update in
+// flight: those ConvergenceAudit checks. It is 0 in the 1969
+// distance-vector mode, which floods nothing.
+func (n *Network) QuietOrigins() int {
+	if n.cfg.Metric == node.BF1969 {
+		return 0
+	}
+	quiet := 0
+	for _, c := range n.updatesInFlight {
+		if c == 0 {
+			quiet++
+		}
+	}
+	return quiet
+}
+
+// StaleFloods returns, ascending, the origins that still have a copy of an
+// update in flight but have originated nothing since t: floods older than t
+// that have not landed. A refresh that falls due after t is not one.
+func (n *Network) StaleFloods(t sim.Time) []topology.NodeID {
+	var stale []topology.NodeID
+	for o, c := range n.updatesInFlight {
+		if c > 0 && n.psns[o].lastOriginated < t {
+			stale = append(stale, topology.NodeID(o))
+		}
+	}
+	return stale
 }
 
 // --- runtime traffic control ---------------------------------------------

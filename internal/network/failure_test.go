@@ -87,8 +87,8 @@ func TestCostSeriesTracksMetricDynamics(t *testing.T) {
 	if lo < 30 || hi > 90 {
 		t.Errorf("cost series range [%v, %v] outside the 56T bounds [30, 90]", lo, hi)
 	}
-	// The link starts at its 90-unit ceiling (ease-in) and must descend to
-	// the ramp region for 71% utilization.
+	// The link boots at its floor, as in a network already running, and
+	// must climb into the ramp region for 71% utilization.
 	final := series.Y[series.Len()-1]
 	if final <= 30 || final >= 90 {
 		t.Errorf("final cost %v should sit inside the ramp for a 71%%-utilized link", final)

@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 
+	"repro/internal/flooding"
 	"repro/internal/metric"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -12,8 +13,8 @@ import (
 
 // recorder wraps a trunk's cost module and keeps every delay the engine
 // feeds it, with the cost and report flag the module returned. It passes
-// no report on, so the trunk's owner floods nothing before its 50 s refresh
-// and no routing packet shares the trunk with a test's packets until then.
+// no report on, so the trunk's owner floods only its refresh, whose copy
+// crosses the trunk in the period after the owner's first measurement.
 type recorder struct {
 	node.CostModule
 	delays, costs []float64
@@ -31,14 +32,16 @@ func (r *recorder) Update(delay float64) (float64, bool) {
 // TestIdleLinkMeasurement: on a trunk that carries nothing but one packet a
 // measurement period, the delay the engine feeds Module.Update is exactly
 // that packet's tick-rounded transmission time plus node.ProcessingDelay,
-// and D-SPF's first report is exactly (delay + propagation) / DSPFUnit.
-// internal/shard's test of the same name holds the sharded engine to the
-// same numbers.
+// and D-SPF's first report is exactly (delay + propagation) / DSPFUnit. The
+// second period carries only the refresh node A (ID 0) floods at its first
+// measurement, and measures exactly that update's transmission plus
+// processing. internal/shard's test of the same name holds the sharded
+// engine to the same numbers.
 func TestIdleLinkMeasurement(t *testing.T) {
 	const (
-		prop    = 0.004 // seconds
-		bits    = 1000.0
-		periods = 4 // node A measures at 10, 20, 30 and 40 s; its refresh floods at 50 s
+		prop    = 0.004  // seconds
+		bits    = 5000.0 // enough delay for D-SPF's first report: ≥ 64 ms over the bias
+		periods = 4      // node A measures at 10, 20, 30 and 40 s; its refresh floods at 10 s
 	)
 	g := topology.New()
 	a, b := g.AddNode("A"), g.AddNode("B")
@@ -48,6 +51,9 @@ func TestIdleLinkMeasurement(t *testing.T) {
 	n.links[ab].Module = rec
 
 	for k := 0; k < periods; k++ {
+		if k == 1 {
+			continue // the refresh's period
+		}
 		at := sim.Time(k)*node.MeasurementPeriod + 3*sim.Second
 		n.kernel.Schedule(at, func(now sim.Time) {
 			pkt := n.pool.Get()
@@ -60,11 +66,15 @@ func TestIdleLinkMeasurement(t *testing.T) {
 	n.Run(sim.Time(periods)*node.MeasurementPeriod + 5*sim.Second)
 
 	want := sim.FromSeconds(bits/topology.T56.Bandwidth()).Seconds() + node.ProcessingDelay.Seconds()
+	refresh := sim.FromSeconds(float64(flooding.HeaderBits+flooding.PerLinkBits)/topology.T56.Bandwidth()).Seconds() +
+		node.ProcessingDelay.Seconds()
 	if len(rec.delays) != periods {
 		t.Fatalf("Module.Update called %d times, want %d", len(rec.delays), periods)
 	}
 	for i, d := range rec.delays {
-		if d != want {
+		if i == 1 && d != refresh {
+			t.Errorf("period 2: Module.Update got %.9g s, want %.9g s (the refresh's transmission + processing)", d, refresh)
+		} else if i != 1 && d != want {
 			t.Errorf("period %d: Module.Update got %.9g s, want %.9g s (transmission + processing)", i+1, d, want)
 		}
 	}

@@ -122,6 +122,11 @@ type Network struct {
 	// transmitter and are on the wire awaiting the far-end handlePacket.
 	propCounted int // Counted user packets propagating
 	propRouting int // routing packets propagating
+
+	// updatesInFlight counts, by origin, the copies of its flooded updates
+	// queued, on a transmitter or propagating: the convergence audit checks
+	// an origin only while it is zero.
+	updatesInFlight []int
 }
 
 type psn struct {
@@ -224,6 +229,7 @@ func New(cfg Config) *Network {
 
 	// PSNs with routers booted from the identical database.
 	n.psns = make([]*psn, n.g.NumNodes())
+	n.updatesInFlight = make([]int, n.g.NumNodes())
 	if cfg.Metric != node.BF1969 {
 		roots := make([]topology.NodeID, n.g.NumNodes())
 		for i := range roots {
@@ -583,6 +589,8 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 			n.outageDrops.Inc()
 		}
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketOutage, Node: ls.link.From, Link: ls.link.ID})
+	} else if pkt.Update != nil {
+		n.updatesInFlight[pkt.Update.Origin]--
 	}
 	n.pool.Put(pkt)
 }
@@ -590,6 +598,7 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 // --- routing updates ----------------------------------------------------
 
 func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
+	n.updatesInFlight[pkt.Update.Origin]--
 	if p.accept(pkt.Update) {
 		n.flood(p, pkt.Update, pkt.Arrival, pkt.Created, now)
 	}
@@ -612,6 +621,7 @@ func (n *Network) send(l topology.LinkID, u *flooding.Update, created, now sim.T
 	pkt := n.pool.Get()
 	pkt.SizeBits = u.SizeBits()
 	pkt.Created, pkt.Update, pkt.Arrival = created, u, l
+	n.updatesInFlight[u.Origin]++
 	n.enqueue(n.links[l], pkt, now)
 }
 
@@ -650,6 +660,7 @@ func (n *Network) scheduleMeasurement() {
 		// synchronously, because flooding is fast — that effect emerges
 		// from the packet-level flood, not from scheduling).
 		offset := sim.Time(int64(period) * int64(i) / int64(len(n.psns)))
+		p.lastOriginated = node.BootOriginated(p.id, offset+period, period)
 		// Fire-and-forget: measurement periods run for the lifetime of the
 		// network; down links skip inside measure instead of cancelling.
 		_ = n.kernel.ScheduleCall(offset+period, n.measureFn, p)

@@ -77,16 +77,20 @@ func AuditRun(k *sim.Kernel, routers *spf.Table) error {
 }
 
 // AuditConvergence checks that, within each component of the links down
-// leaves up, every PSN holds each origin's latest update — the sequence
-// number the origin's own router holds — and believes, for every link, the
-// cost the link's origin holds for it, the one its last update flooded.
-// routers is indexed by node ID and may come from any number of tables. A PSN
-// cut off by a partition legitimately holds stale entries for the far side.
-// The verdict means something only once no routing packet is in flight, and
-// then needs no grace period: a repaired trunk resyncs both ends, so whatever
-// a partition kept from either side has crossed by the time the last routing
-// packet lands. Both engines' convergence audits call it.
-func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down func(topology.LinkID) bool) error {
+// leaves up, every PSN holds the latest update of each origin with no copy
+// of an update in flight — the sequence number the origin's own router
+// holds — and believes, for every link of such an origin, the cost the
+// origin holds for it, the one its last update flooded. routers is indexed
+// by node ID and may come from any number of tables; inFlight counts, by
+// origin, the copies of its updates queued, on a transmitter, propagating
+// or awaiting delivery. A PSN cut off by a partition legitimately holds
+// stale entries for the far side. An origin with nothing in flight needs
+// no grace period: a flood reaches every PSN its component connects, and a
+// repaired trunk resyncs both ends, so whatever a partition kept from
+// either side has crossed by the time its last copy lands. An origin with
+// a copy in flight is left for a later checkpoint. Both engines'
+// convergence audits call it.
+func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down func(topology.LinkID) bool, inFlight []int) error {
 	comp := topology.Components(g, func(l topology.LinkID) bool { return !down(l) })
 	latest := make([]uint64, len(routers)) // by origin; 0 while it floods nothing but its boot costs
 	for o, r := range routers {
@@ -105,13 +109,13 @@ func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down 
 		clear(held)
 		r.Updates(func(u *flooding.Update) { held[u.Origin] = u.Seq })
 		for o, seq := range latest {
-			if comp[o] == comp[id] && held[o] != seq {
+			if inFlight[o] == 0 && comp[o] == comp[id] && held[o] != seq {
 				return fmt.Errorf("PSN %s holds update %d from %s, which last flooded update %d",
 					g.Node(topology.NodeID(id)).Name, held[o], g.Node(topology.NodeID(o)).Name, seq)
 			}
 		}
 		for _, l := range g.Links() {
-			if comp[id] != comp[l.From] {
+			if inFlight[l.From] != 0 || comp[id] != comp[l.From] {
 				continue
 			}
 			// The flooded cost is copied verbatim into databases; convergence means bit-identical

@@ -33,6 +33,18 @@ const MeasurementPeriod = 10 * sim.Second
 // between routing updates for each PSN is 50 seconds".
 const MaxUpdateInterval = 50 * sim.Second
 
+// BootOriginated is the origination time a PSN booted into a running
+// network starts from: the one that makes its first refresh fall due at its
+// measurement 1 + id mod k, k the periods in MaxUpdateInterval (1 + id mod 5
+// at 10 s). first is the PSN's first measurement, period the interval
+// between measurements. It staggers the refreshes by node ID across the
+// 50 s interval, as the engines stagger measurement across a period, so
+// each period holds about 1/k of them.
+func BootOriginated(id topology.NodeID, first, period sim.Time) sim.Time {
+	k := (MaxUpdateInterval + period - 1) / period
+	return first + sim.Time(int64(id)%int64(k))*period - MaxUpdateInterval
+}
+
 // ProcessingDelay is the fixed per-packet PSN processing time.
 const ProcessingDelay = 500 * sim.Microsecond
 
@@ -301,7 +313,9 @@ type CostModule interface {
 	// Floor returns the smallest cost the module can advertise; multipath
 	// tolerance derivation and sanity checks rely on it.
 	Floor() float64
-	// Reset returns the module to its link-up state.
+	// Reset returns the module to the state of a line coming up: an
+	// HN-SPF link at its maximum cost, easing in (§5.4). Trunk.Restore
+	// calls it on a repair.
 	Reset()
 }
 
@@ -345,18 +359,37 @@ func (k MetricKind) String() string {
 // that parallel paths differing only by measurement noise split traffic,
 // and strictly below the half-of-minimum-cost bound that guarantees loop
 // freedom (see spf.ComputeDAG). tolerance = fraction × min(floor).
-const MultipathToleranceFraction = 0.45
+//
+// The noise an HN-SPF cost moves by is a movement-limited step: −15 or +16
+// units on a 56 kb/s line (core.LineParams.MaxDecrease/MaxIncrease). A
+// tolerance under a step collapses a split whenever one path's link steps
+// before its parallel twin, which is measured by another PSN at another
+// phase; the flow then lands on one path, whose links climb while the idle
+// ones fall, and the two can trade the whole flow period after period. Just
+// under one half, the tolerance on a line with a propagation term (a 31-unit
+// floor: 15.19) absorbs a −15 step; no fraction under the bound absorbs +16.
+const MultipathToleranceFraction = 0.49
 
-// NewCostModule builds the cost module of the given kind for a link.
+// NewCostModule builds the cost module of the given kind for a link of a
+// network that is already running: settled at its idle line's cost
+// (HN-SPF's floor, D-SPF's bias, min-hop's 1), counted as already reported,
+// so a PSN booted with these costs floods only a significant change or its
+// refresh.
 func NewCostModule(kind MetricKind, lt topology.LineType, propDelay float64) CostModule {
+	var m interface {
+		CostModule
+		Settle()
+	}
 	switch kind {
 	case HNSPF:
-		return core.NewModule(lt, propDelay)
+		m = core.NewModule(lt, propDelay)
 	case DSPF:
-		return metric.NewDSPF(lt, propDelay)
+		m = metric.NewDSPF(lt, propDelay)
 	case MinHop:
-		return metric.NewMinHop()
+		m = metric.NewMinHop()
 	default:
 		panic(fmt.Sprintf("node: unknown metric kind %d", int(kind)))
 	}
+	m.Settle()
+	return m
 }

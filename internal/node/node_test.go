@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/flooding"
 	"repro/internal/topology"
 )
@@ -180,14 +181,39 @@ func TestNewCostModulePanics(t *testing.T) {
 }
 
 func TestMetricInitialCosts(t *testing.T) {
-	// HN-SPF starts a link at its max (ease-in); D-SPF starts at its bias.
+	// A network that is already running boots every module settled at its
+	// idle line's cost, counted as reported: an idle first period floods
+	// nothing. A line coming up (Reset) is different: HN-SPF starts it at
+	// its max and eases in (§5.4); D-SPF and min-hop report their first
+	// period.
 	h := NewCostModule(HNSPF, topology.T56, 0)
-	if h.Cost() != 90 {
-		t.Errorf("HN-SPF fresh cost = %v, want 90", h.Cost())
+	if h.Cost() != 30 || h.Floor() != 30 {
+		t.Errorf("HN-SPF fresh cost = %v (floor %v), want the floor, 30", h.Cost(), h.Floor())
 	}
 	d := NewCostModule(DSPF, topology.T56, 0)
-	if c := d.Cost(); c < 1.9 || c > 2.1 {
+	if c := d.Cost(); c < 1.9 || c > 2.1 || c != d.Floor() {
 		t.Errorf("D-SPF fresh cost = %v, want ~2 (bias)", c)
+	}
+	m := NewCostModule(MinHop, topology.T56, 0)
+	for _, mod := range []CostModule{h, d, m} {
+		before := mod.Cost()
+		if c, report := mod.Update(0); report || c != before {
+			t.Errorf("%T: an idle first period reported %v (report %v); a settled module floods nothing", mod, c, report)
+		}
+	}
+	for _, mod := range []CostModule{h, d, m} {
+		mod.Reset()
+	}
+	if h.Cost() != 90 {
+		t.Errorf("HN-SPF cost after Reset = %v, want 90 (a line coming up eases in)", h.Cost())
+	}
+	if c, report := h.Update(0); !report || c != 90-core.DefaultParams(topology.T56).MaxDecrease() {
+		t.Errorf("HN-SPF after Reset, idle period: %v (report %v), want one MaxDecrease below 90", c, report)
+	}
+	for _, mod := range []CostModule{d, m} {
+		if c, report := mod.Update(0); !report || c != mod.Floor() {
+			t.Errorf("%T after Reset, idle period: %v (report %v), want the floor, reported", mod, c, report)
+		}
 	}
 }
 

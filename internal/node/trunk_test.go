@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -81,10 +82,11 @@ func TestTrunkAuditNamesEachViolation(t *testing.T) {
 // sequence behind the double-transmitter and polluted-measurement bugs.
 func TestTrunkFlap(t *testing.T) {
 	tr, k := newTestTrunk()
-	reset := tr.Module.Cost()
-	if cost, _ := tr.Module.Update(0); cost == reset {
-		t.Fatal("setup: an idle period did not move the HN-SPF cost off its reset value")
+	floor := tr.Module.Floor()
+	if cost, _ := tr.Module.Update(0); cost != floor || tr.Advertised() != floor {
+		t.Fatalf("setup: a fresh idle HN-SPF trunk advertises %v, want its floor %v", cost, floor)
 	}
+	reset := core.DefaultParams(topology.T56).MaxCost // a repaired line eases in from the top (§5.4)
 
 	// A full transmission: Done books queueing + transmission + processing.
 	enq := 3 * sim.Millisecond
@@ -155,6 +157,10 @@ func TestTrunkFlap(t *testing.T) {
 	tr.Queue.Push(user(5))
 	if p, _, _ := transmit(tr, k); p == nil || p.Seq != 5 {
 		t.Errorf("transmitter did not restart after the repair: Next = %+v", p)
+	}
+	if cost, report := tr.Module.Update(0); !report || cost <= floor || cost >= reset {
+		t.Errorf("first period after the repair: cost %v (report %v), want a reported step between the floor %v and %v",
+			cost, report, floor, reset)
 	}
 }
 

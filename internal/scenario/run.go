@@ -51,12 +51,13 @@ type CheckpointResult struct {
 	At              sim.Time
 	Conservation    network.Conservation
 	RoutingInFlight int
-	// ConvergenceChecked is false when routing packets were still in flight
-	// and the convergence audit was therefore skipped. Quiescence needs no
-	// grace period after a topology change: a repaired trunk resyncs both
-	// ends, so once the last routing packet lands every PSN holds the latest
-	// update of every origin it can reach (node.AuditConvergence).
-	ConvergenceChecked bool
+	// QuietOrigins counts the origins with no copy of an update in flight:
+	// the ones the convergence audit checked (node.AuditConvergence). An
+	// origin's flood needs no grace period after a topology change: a
+	// repaired trunk resyncs both ends, so once its last copy lands every
+	// PSN holds its latest update. Zero where nothing floods (the 1969
+	// distance-vector mode).
+	QuietOrigins int
 }
 
 // Result is one seed's run: the final report, every checkpoint's audit,
@@ -219,14 +220,14 @@ func (r *runner) nodeUp(id topology.NodeID) {
 
 // checkpoint audits every invariant and records the outcome.
 func (r *runner) checkpoint(now sim.Time) {
-	cp := CheckpointResult{At: now, Conservation: r.net.Conservation(), RoutingInFlight: r.net.RoutingInFlight()}
-	r.res.record(cp, "transmitter", r.net.TransmitterAudit(), r.net.ConvergenceAudit)
+	cp := CheckpointResult{At: now, Conservation: r.net.Conservation(), RoutingInFlight: r.net.RoutingInFlight(),
+		QuietOrigins: r.net.QuietOrigins()}
+	r.res.record(cp, "transmitter", r.net.TransmitterAudit(), r.net.ConvergenceAudit())
 }
 
 // record appends one checkpoint and its violations: the ledger's, the engine
-// audit's (named check), and — only when no routing packet is in flight —
-// converged's.
-func (res *Result) record(cp CheckpointResult, check string, audit error, converged func() error) {
+// audit's (named check) and the convergence audit's.
+func (res *Result) record(cp CheckpointResult, check string, audit, converged error) {
 	add := func(check string, err error) {
 		if err != nil {
 			res.Violations = append(res.Violations, Violation{At: cp.At, Check: check, Err: err.Error()})
@@ -234,10 +235,7 @@ func (res *Result) record(cp CheckpointResult, check string, audit error, conver
 	}
 	add("conservation", cp.Conservation.Err())
 	add(check, audit)
-	if cp.RoutingInFlight == 0 {
-		cp.ConvergenceChecked = true
-		add("convergence", converged())
-	}
+	add("convergence", converged)
 	res.Checkpoints = append(res.Checkpoints, cp)
 }
 

@@ -10,9 +10,9 @@
 //   - single transmitter per link: a trunk never runs two concurrent
 //     transmission chains, and never transmits while down (on the sharded
 //     engine, with the custody ledgers of shard.(*Sim).Audit);
-//   - convergence: at a checkpoint with no routing packet in flight, every
-//     PSN holds the latest update of each origin in its connected component
-//     (node.AuditConvergence).
+//   - convergence: at every checkpoint, every PSN holds the latest update
+//     of each origin in its connected component that has no copy of an
+//     update in flight (node.AuditConvergence).
 //
 // Scenarios come from the builder API (NewScenario().DownAt(...)...) or
 // from the line-oriented script format (Parse; see the grammar

@@ -14,9 +14,9 @@ import (
 // the first Run. The run then advances from checkpoint to checkpoint — the
 // CheckEvery multiples, the Checkpoint events and the horizon — and audits
 // each: the composed conservation ledger, shard.(*Sim).Audit's custody and
-// transmitter invariants ("custody"), and convergence when no control copy
-// is in flight. observe, when non-nil, is called after each checkpoint's
-// audits, between Run invocations.
+// transmitter invariants ("custody"), and convergence for every origin with
+// no update copy in flight. observe, when non-nil, is called after each
+// checkpoint's audits, between Run invocations.
 //
 // The sharded engine fails and repairs trunks only: a node restart, a
 // surge, a matrix switch or a background surge is a setup error naming the
@@ -64,8 +64,9 @@ func RunSharded(cfg shard.Config, sc *Scenario, observe func(*shard.Sim)) (*shar
 	for _, at := range slices.Compact(stops) {
 		s.Run(at)
 		r := s.Report()
-		cp := CheckpointResult{At: at, Conservation: r.Conservation, RoutingInFlight: int(r.CtrlInFlight)}
-		res.record(cp, "custody", s.Audit(), s.ConvergenceAudit)
+		cp := CheckpointResult{At: at, Conservation: r.Conservation, RoutingInFlight: int(r.CtrlInFlight),
+			QuietOrigins: s.QuietOrigins()}
+		res.record(cp, "custody", s.Audit(), s.ConvergenceAudit())
 		if observe != nil {
 			observe(s)
 		}

@@ -72,6 +72,7 @@ func (s *Sim) bootAdaptive() {
 			roots[i] = n.id
 		}
 		sh.routers = spf.NewTable(s.g, roots, initial)
+		sh.updatesInFlight = make([]int, s.g.NumNodes())
 		for i, n := range sh.nodes {
 			n.router = sh.routers.Router(i)
 			n.nhScratch = make([]topology.LinkID, len(n.dests))
@@ -138,6 +139,7 @@ func (sh *shardState) handleUpdate(n *lnode, p *node.Packet, now sim.Time) {
 	arrival := p.Arrival
 	created := p.Created
 	sh.led.CtrlConsumed++
+	sh.updatesInFlight[u.Origin]--
 	sh.pool.Put(p)
 	if !sh.acceptUpdate(n, u, now) {
 		return
@@ -168,6 +170,7 @@ func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now s
 		p.Enqueued = now
 		ls.Queue.Push(p)
 		sh.led.CtrlGenerated++
+		sh.updatesInFlight[u.Origin]++
 		sh.startTx(ls, now)
 	}
 }

@@ -149,17 +149,26 @@ func TestAdaptiveUpdatesSurviveCongestion(t *testing.T) {
 		Metric:        node.DSPF,
 		MeasurePeriod: sim.Second,
 	}
-	s := run(t, cfg, 4*sim.Second)
+	// Every node's 50 s refresh falls due inside the horizon, so every node
+	// floods at least once; the convergence audit then proves the floods
+	// crossed the congested queues: every node holds the latest update of
+	// each origin with nothing in flight.
+	s := run(t, cfg, node.MaxUpdateInterval+2*sim.Second)
 	r := s.Report()
-	// Every node floods at least its first measurement-period update; with
-	// dedup each update is consumed at most once per (node, neighbour) pair,
-	// so consumption at every node proves the floods crossed the congested
-	// queues.
 	if r.Originated < int64(g.NumNodes()) {
 		t.Errorf("originated %d updates, want >= %d (one per node)", r.Originated, g.NumNodes())
 	}
+	if r.BufferDrops == 0 {
+		t.Error("no buffer drops: the queues were not congested")
+	}
 	if r.CtrlOutageDrops != 0 {
 		t.Errorf("control outage drops %d without any fault", r.CtrlOutageDrops)
+	}
+	if quiet := s.QuietOrigins(); quiet == 0 {
+		t.Error("every origin has an update in flight: the audit checks nothing")
+	}
+	if err := s.ConvergenceAudit(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -370,7 +379,7 @@ func TestAdaptiveHealResyncs(t *testing.T) {
 		if err := s.ConvergenceAudit(); err != nil {
 			t.Fatalf("shards=%d: a side of the cut has not converged at %v: %v", shards, quiet, err)
 		}
-		stale := node.AuditConvergence(g, routers, healed)
+		stale := node.AuditConvergence(g, routers, healed, make([]int, g.NumNodes()))
 		if stale == nil {
 			t.Fatalf("shards=%d: the cut hid no news; the heal has nothing to resync", shards)
 		}

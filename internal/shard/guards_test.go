@@ -14,20 +14,18 @@ import (
 // be caught where the invariant lives, whatever the code that broke it
 // looks like.
 
-// heldUpdate returns a flooded update some router of s still holds that
-// lists at least one link.
+// heldUpdate returns the update node 0 flooded at its refresh, which falls
+// due at its first measurement, as node 0's own router holds it.
 func heldUpdate(t *testing.T, s *Sim) *flooding.Update {
 	t.Helper()
 	var held *flooding.Update
-	for _, sh := range s.shards {
-		sh.routers.Updates(func(u *flooding.Update) {
-			if held == nil && len(u.Costs) > 0 {
-				held = u
-			}
-		})
-	}
-	if held == nil {
-		t.Fatal("no router holds a flooded update after three measurement periods")
+	s.nodeAt[0].router.Updates(func(u *flooding.Update) {
+		if u.Origin == 0 {
+			held = u
+		}
+	})
+	if held == nil || len(held.Costs) == 0 {
+		t.Fatalf("node 0 holds no update of its own that lists a link: %+v", held)
 	}
 	return held
 }

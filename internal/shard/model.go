@@ -40,6 +40,13 @@ type shardState struct {
 
 	routers *spf.Table // this shard's nodes' routers (adaptive), driven by its goroutine only
 
+	// updatesInFlight counts, by origin, the update copies this shard's
+	// nodes enqueued less those it consumed or dropped (adaptive). A copy
+	// can die on another shard than the one that sent it, so only the sum
+	// over shards means anything: the copies in flight, queued, on a
+	// transmitter, on a wire or awaiting a drain.
+	updatesInFlight []int
+
 	// Bound callbacks, allocated once so the hot path closures nothing.
 	sourceCall  sim.Call
 	txDoneCall  sim.Call
@@ -487,6 +494,7 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 func (sh *shardState) dropOutage(n *lnode, ls *llink, p *node.Packet, now sim.Time) {
 	if p.Update != nil {
 		sh.led.CtrlOutageDrops++
+		sh.updatesInFlight[p.Update.Origin]--
 	} else {
 		sh.led.OutageDrops++
 	}

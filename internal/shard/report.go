@@ -151,19 +151,59 @@ func (s *Sim) Audit() error {
 	return nil
 }
 
-// ConvergenceAudit is node.AuditConvergence over every shard's routers: once
-// no control copy is in flight (Report().CtrlInFlight == 0), every PSN holds
-// each reachable origin's latest update. It stays out of Audit, which callers
-// run whether floods are in flight or not, and which stays linear in the
-// network's size. Without Adaptive there are no routers, and it returns nil.
-// Call it between Run invocations.
+// ConvergenceAudit checks that the per-origin counts of update copies in
+// flight add up to the control copies the shards hold and the wires carry,
+// then runs node.AuditConvergence over every shard's routers: every PSN
+// holds the latest update of each reachable origin with no update copy in
+// flight. It stays out of Audit, which stays linear in the network's size.
+// Without Adaptive there are no routers, and it returns nil. Call it
+// between Run invocations.
 func (s *Sim) ConvergenceAudit() error {
 	if !s.cfg.Adaptive {
 		return nil
+	}
+	counted := 0
+	for _, c := range s.updatesInFlight() {
+		counted += c
+	}
+	_, held := s.pendingWireKinds()
+	for _, sh := range s.shards {
+		_, ctrl := sh.inFlight()
+		held += ctrl
+	}
+	if int64(counted) != held {
+		return fmt.Errorf("the per-origin counts hold %d update copies in flight; queues, transmitters, wires and arrival buffers hold %d", counted, held)
 	}
 	routers := make([]*spf.IncrementalRouter, len(s.nodeAt))
 	for id, n := range s.nodeAt {
 		routers[id] = n.router
 	}
-	return node.AuditConvergence(s.g, routers, func(l topology.LinkID) bool { return s.linkAt[l].Down() })
+	return node.AuditConvergence(s.g, routers, func(l topology.LinkID) bool { return s.linkAt[l].Down() }, s.updatesInFlight())
+}
+
+// QuietOrigins returns how many origins have no update copy in flight: those
+// ConvergenceAudit checks (0 without Adaptive). Call it between Run
+// invocations.
+func (s *Sim) QuietOrigins() int {
+	if !s.cfg.Adaptive {
+		return 0
+	}
+	quiet := 0
+	for _, c := range s.updatesInFlight() {
+		if c == 0 {
+			quiet++
+		}
+	}
+	return quiet
+}
+
+// updatesInFlight sums the shards' per-origin update copy counts.
+func (s *Sim) updatesInFlight() []int {
+	sum := make([]int, s.g.NumNodes())
+	for _, sh := range s.shards {
+		for o, c := range sh.updatesInFlight {
+			sum[o] += c
+		}
+	}
+	return sum
 }

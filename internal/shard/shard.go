@@ -250,7 +250,9 @@ func New(cfg Config) (*Sim, error) {
 	for id := 0; id < g.NumNodes(); id++ {
 		n := s.nodeAt[id]
 		sh := n.sh
-		_ = mustCallAt(sh.kernel, cfg.MeasurePeriod+sim.Time(id)*step, sh.measureCall, n)
+		first := cfg.MeasurePeriod + sim.Time(id)*step
+		n.lastOrig = node.BootOriginated(n.id, first, cfg.MeasurePeriod)
+		_ = mustCallAt(sh.kernel, first, sh.measureCall, n)
 		_ = mustCallAt(sh.kernel, n.nextGap(), sh.sourceCall, n)
 		for fi := range cfg.Faults {
 			f := &cfg.Faults[fi]

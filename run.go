@@ -156,7 +156,9 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 	}
 	if opts := s.Ablations; len(opts) > 0 {
 		cfg.ModuleFactory = func(l topology.Link) node.CostModule {
-			return core.NewModuleOptions(core.DefaultParams(l.Type), l.Type.Bandwidth(), l.PropDelay, opts...)
+			m := core.NewModuleOptions(core.DefaultParams(l.Type), l.Type.Bandwidth(), l.PropDelay, opts...)
+			m.Settle() // booted as node.NewCostModule boots the full HNM
+			return m
 		}
 	}
 	if s.TraceCapacity > 0 {
