@@ -29,8 +29,13 @@ import (
 // run under random fault scripts in CheckScenario.
 
 // shardWarmup keeps generated faults clear of the boot: two measurement
-// periods, so every node's first flood wave (always reported) and the
-// second settling wave are behind the first fault.
+// periods. Routers boot converged at their idle costs, so no boot flood is
+// left to wait out; what the two periods put behind the first fault are each
+// line's first two measurements of its offered load, the updates that move
+// costs off the idle values, and the first refreshes of two fifths of the
+// PSNs (node.BootOriginated staggers them over five periods). The value
+// predates the steady boot and stays: every generated fault time, and with
+// it the census, depends on it.
 const shardWarmup = 2 * node.MeasurementPeriod
 
 // shardTrial is the generated-but-fixed part of a differential trial.

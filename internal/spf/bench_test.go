@@ -19,3 +19,22 @@ func BenchmarkMultipathDAG(b *testing.B) {
 		ComputeDAG(tree, cost, 15)
 	}
 }
+
+// BenchmarkTableBoot measures NewTable over every root of hier:32x32, the
+// from-scratch part of a 1,024-node adaptive boot. HN-SPF's idle costs never
+// tie there, so every tree comes off the bucket queue; min-hop's unit costs
+// tie almost everywhere, so almost every tree is the heap's.
+func BenchmarkTableBoot(b *testing.B) {
+	g := topology.Hierarchical(32, 32, 1987)
+	roots := allRoots(g)
+	for _, kind := range []string{"hnspf", "minhop"} {
+		costs := bootCosts(g, kind)
+		b.Run(kind, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tableSink = NewTable(g, roots, costs)
+			}
+		})
+	}
+}
+
+var tableSink *Table

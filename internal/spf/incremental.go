@@ -74,7 +74,10 @@ type IncrementalRouter struct {
 }
 
 // NewTable boots one router per root from the same initial costs (copied).
-// All trees are computed through one Workspace and copied out, so nothing a
+// Each tree is computed straight into the router's rows on Dial's bucket
+// queue (boot.go); a root whose queue meets a tie, and every root when the
+// costs spread too wide, is computed by the binary heap of one Workspace and
+// copied out. Either way the tree is the heap's, bit for bit, and nothing a
 // router holds aliases Dijkstra scratch.
 func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Table {
 	nl, nn := g.NumLinks(), g.NumNodes()
@@ -104,12 +107,16 @@ func NewTable(g *topology.Graph, roots []topology.NodeID, costs []float64) *Tabl
 	dist := make([]float64, len(roots)*nn)
 	parent := make([]uint16, len(roots)*nn)
 	nextHop := make([]uint16, len(roots)*nn)
+	q := newBootQueue(g, costs)
 	var ws Workspace
 	for i, root := range roots {
 		r := &t.routers[i]
 		r.tab, r.root, r.idx, r.full = t, root, int32(i), 1
 		lo, hi := i*nn, (i+1)*nn
 		r.tree = Tree{g: g, root: root, dist: dist[lo:hi:hi], parent: parent[lo:hi:hi], nextHop: nextHop[lo:hi:hi]}
+		if q.tree(&r.tree) {
+			continue
+		}
 		boot := ws.dijkstra(g, root, costs)
 		copy(r.tree.dist, boot.dist)
 		copy(r.tree.parent, boot.parent)
