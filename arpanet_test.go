@@ -218,6 +218,10 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"script and seconds", func(s *Spec) { s.Script = "duration 60\n" }, "Spec.Seconds"},
 		{"no horizon", func(s *Spec) { s.Seconds = 0 }, "Spec.Seconds"},
 		{"negative warm-up", func(s *Spec) { s.WarmupSeconds = -1 }, "Spec.WarmupSeconds"},
+		{"warm-up past the horizon", func(s *Spec) { s.WarmupSeconds = 100 }, "Spec.Seconds 60 ends within Spec.WarmupSeconds 100"},
+		{"warm-up to the horizon", func(s *Spec) { s.WarmupSeconds = 60 }, "Spec.Seconds 60 ends within Spec.WarmupSeconds 60"},
+		{"warm-up past the script", func(s *Spec) { s.Seconds, s.Script, s.WarmupSeconds = 0, "duration 60\n", 80 },
+			"Spec.Script's duration 60 ends within Spec.WarmupSeconds 80"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60}
@@ -343,6 +347,18 @@ func TestDeterministicSimulation(t *testing.T) {
 				return topo, topo.UniformTraffic(40000)
 			},
 			spec: Spec{Metric: MinHop, Seed: 5, WarmupSeconds: 30, Seconds: 120, Multipath: true},
+		},
+		{
+			// HN-SPF on a 4×4 grid of alike trunks, where trunks tie often:
+			// copies of one flood sent on alike lines finish at one instant,
+			// and duplicates reach a PSN together over equal-hop paths, so
+			// the order a PSN puts its copies on its lines reaches output.
+			name: "grid-ties",
+			build: func() (*Topology, *Traffic) {
+				topo := Grid(4, 4, T56)
+				return topo, topo.UniformTraffic(300000)
+			},
+			spec: Spec{Metric: HNSPF, Seed: 9, WarmupSeconds: 20, Seconds: 80},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,7 +31,7 @@ func FuzzRun(f *testing.F) {
 		"-metric nonsense", "-nosuchflag", "-seconds", "stray",
 		// Malformed generated topologies, and what shard.Config.Validate refuses.
 		"-shards 1 -topology hier:4y8 -seconds 1", "-shards 1 -topology waxman:x -seconds 1",
-		"-shards 2 -topology hier:2x3 -seconds 1 -rate 0",
+		"-shards 2 -topology hier:2x3 -seconds 1 -rate 0", "-shards 1 -rate Inf",
 		// Runs that finish in well under a second.
 		"-seconds 5 -warmup 1", "-metric bf1969 -seconds 2 -warmup 1 -json",
 		"-shards 2 -topology hier:2x4 -seconds 2 -adaptive", "-shards 1 -topology waxman:20 -seconds 2",
@@ -57,15 +57,17 @@ func FuzzRun(f *testing.F) {
 }
 
 // cheap reports whether run(args) stays off the file system and simulates at
-// most a few seconds of wall time: a refused invocation always does; else
-// no script or profile, at most 30 simulated seconds at up to twice the
+// most a few seconds of wall time: a refused invocation always does (on at
+// most 64 nodes, the -shards refusals of shard.Config.Validate included);
+// else no script or profile, at most 30 simulated seconds at up to twice the
 // default load and two seeds, and -shards at most 20 seconds on 64 nodes.
 func cheap(args []string) bool {
 	o, fs, err := parse(args, io.Discard)
 	if err != nil {
 		return true
 	}
-	if _, err := o.check(fs); err != nil {
+	kinds, err := o.check(fs)
+	if err != nil {
 		return true
 	}
 	if o.scenario != "" || o.cpuProfile != "" || o.memProfile != "" {
@@ -84,7 +86,13 @@ func cheap(args []string) bool {
 		default:
 			fmt.Sscanf(o.topology, "waxman:%d", &n)
 		}
-		return regions >= 0 && per >= 0 && n <= 64 && o.shards <= 8 && o.seconds <= 20 && o.rate <= 5
+		if regions < 0 || per < 0 || n > 64 || o.shards > 8 {
+			return false
+		}
+		if _, err := shardedRun(o, kinds[0], nil); err != nil {
+			return true // shard.Config.Validate refused it
+		}
+		return o.seconds <= 20 && o.rate <= 5
 	}
 	return o.warmup+o.seconds <= 30 && o.traffic <= 560 && o.seeds <= 2
 }

@@ -230,11 +230,12 @@ func TestMeanAveragesEveryField(t *testing.T) {
 func TestRunExitStatus(t *testing.T) {
 	dir := t.TempDir()
 	unknown, empty := filepath.Join(dir, "unknown.scn"), filepath.Join(dir, "empty.scn")
-	if err := os.WriteFile(unknown, []byte("duration 60\nat 10 down UTAH NOWHERE\n"), 0o644); err != nil {
+	// Both scripts outlast the default -warmup, which a script must.
+	if err := os.WriteFile(unknown, []byte("duration 200\nat 10 down UTAH NOWHERE\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fluid := filepath.Join(dir, "fluid.scn")
-	if err := os.WriteFile(fluid, []byte("duration 60\nat 10 surge background 2\n"), 0o644); err != nil {
+	if err := os.WriteFile(fluid, []byte("duration 200\nat 10 surge background 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
@@ -251,6 +252,9 @@ func TestRunExitStatus(t *testing.T) {
 		{"-scenario " + empty, 1, "empty.scn: empty script", ""},
 		{"-scenario " + fluid, 1, "surge background at 10.000000s requires a background matrix", ""},
 		{"-scenario ../../examples/flapping/utah-collins.scn -metric hnspf", 0, "", `Scenario "utah-collins": 700 s, 8 events`},
+		{"-scenario ../../examples/flapping/utah-collins.scn -warmup 800 -metric hnspf", 1,
+			"Spec.Script's duration 700 ends within Spec.WarmupSeconds 800", ""},
+		{"-seconds 0 -metric hnspf", 1, "Spec.Seconds 100 ends within Spec.WarmupSeconds 100", ""},
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
 		{"-shards 2 -seeds 3", 2, "-seeds has no effect with -shards", ""},
 		{"-shards 2 -adaptive -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",

@@ -8,10 +8,11 @@
 // The package provides the update format (immutable once made, so PSNs share
 // an accepted update by reference), its wire-size accounting (routing
 // updates consume trunk bandwidth — one of the §3.3 costs of D-SPF), and a
-// per-node duplicate filter. Delivery timing lives in the engines, which
-// move updates over the simulated trunks at high priority, as does the
-// protocol's line-up exchange: the two ends of a repaired trunk send each
-// other the update they hold for every other origin.
+// per-node duplicate filter. The protocol's rules — originate, forward on
+// every line but the arrival's reverse, the 50 s refresh and the line-up
+// exchange of a repaired trunk — are internal/node's PSN; delivery timing
+// lives in the engines, which move updates over the simulated trunks at high
+// priority.
 package flooding
 
 import (

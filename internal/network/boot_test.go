@@ -63,20 +63,20 @@ func TestRepairedLineEasesIn(t *testing.T) {
 	params := core.DefaultParams(topology.T56)
 	floor := n.links[l].Module.Floor()
 	far := n.psns[2] // not an end of the trunk: it learns the cost only by flooding
-	if c := far.router.Cost(l); c != floor {
+	if c := far.Router.Cost(l); c != floor {
 		t.Fatalf("boot: PSN 2 believes cost %v for the trunk, want its floor %v", c, floor)
 	}
 	n.Kernel().Schedule(20*sim.Second, func(sim.Time) { n.SetTrunkDown(l) })
 	n.Kernel().Schedule(25*sim.Second, func(sim.Time) { n.SetTrunkUp(l) }) // PSN 0 measures at 30 s, 40 s, …
 	n.Run(26 * sim.Second)
-	if c := far.router.Cost(l); c != params.MaxCost {
+	if c := far.Router.Cost(l); c != params.MaxCost {
 		t.Fatalf("repair: PSN 2 believes cost %v, want MaxCost %v", c, params.MaxCost)
 	}
 	want := params.MaxCost
 	for at := 31 * sim.Second; want > floor; at += node.MeasurementPeriod {
 		n.Run(at)
 		want = max(want-params.MaxDecrease(), floor)
-		if c := far.router.Cost(l); c != want {
+		if c := far.Router.Cost(l); c != want {
 			t.Fatalf("%v: PSN 2 believes cost %v, want %v (one MaxDecrease a period down to the floor)", at, c, want)
 		}
 	}

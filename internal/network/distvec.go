@@ -54,7 +54,7 @@ func newDVState(self topology.NodeID, n, lines int) *dvState {
 // vectors with the current instantaneous line costs.
 func (n *Network) dvRecompute(p *psn) {
 	s := p.dv
-	self := p.id
+	self := p.ID
 	for d := range s.dist {
 		if topology.NodeID(d) == self {
 			continue
@@ -86,9 +86,9 @@ func (n *Network) dvExchange(p *psn, now sim.Time) {
 	if n.warmed {
 		n.updatesOrig.Inc()
 	}
-	vec := &node.Vector{Origin: p.id, Dist: append([]float64(nil), p.dv.dist...)}
+	vec := &node.Vector{Origin: p.ID, Dist: append([]float64(nil), p.dv.dist...)}
 	size := float64(128 + dvEntryBits*len(vec.Dist))
-	for _, l := range n.g.Out(p.id) {
+	for _, l := range n.g.Out(p.ID) {
 		if n.links[l].Down() {
 			continue
 		}
@@ -108,8 +108,8 @@ func (n *Network) dvReceive(p *psn, pkt *node.Packet) {
 	// corresponding outgoing line (its reverse).
 	out := n.g.Link(pkt.Arrival).Reverse()
 	rev := n.g.Link(out)
-	if rev.From != p.id {
-		panic(fmt.Sprintf("network: vector mis-associated at node %d", p.id))
+	if rev.From != p.ID {
+		panic(fmt.Sprintf("network: vector mis-associated at node %d", p.ID))
 	}
 	p.dv.nbr[n.g.OutLine(out)] = pkt.Vector.Dist
 }
@@ -119,7 +119,7 @@ func (n *Network) dvReceive(p *psn, pkt *node.Packet) {
 // Config.Metric is node.BF1969.
 func (n *Network) dvSetup() {
 	for i, p := range n.psns {
-		p.dv = newDVState(p.id, n.g.NumNodes(), len(n.g.Out(p.id)))
+		p.dv = newDVState(p.ID, n.g.NumNodes(), len(n.g.Out(p.ID)))
 		offset := sim.Time(int64(dvExchangePeriod) * int64(i) / int64(len(n.psns)))
 		// Fire-and-forget: see dvExchange — the chain is never cancelled.
 		_ = n.kernel.ScheduleCall(offset+dvExchangePeriod, n.dvExchangeFn, p)

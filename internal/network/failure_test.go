@@ -106,8 +106,8 @@ func TestDownTrunkAdvertisedAtDownCost(t *testing.T) {
 	n.Run(120 * sim.Second)
 	// Every PSN's router must believe the link is unusable.
 	for _, p := range n.psns {
-		if c := p.router.Cost(l); c != node.DownCost {
-			t.Fatalf("PSN %d believes cost %v for the down link, want DownCost", p.id, c)
+		if c := p.Router.Cost(l); c != node.DownCost {
+			t.Fatalf("PSN %d believes cost %v for the down link, want DownCost", p.ID, c)
 		}
 	}
 	if r := n.Report(); r.DeliveredRatio < 0.99 {
@@ -221,16 +221,32 @@ func TestHealResyncsPartition(t *testing.T) {
 		t.Fatalf("a side of the cut disagrees with itself: %v", err)
 	}
 
+	// Each end puts on the restored trunk its repair origination and the
+	// update it holds for every other origin, once each.
 	copies := 0
 	for _, l := range cut {
+		want := 2
 		for _, id := range []topology.NodeID{g.Link(l).From, g.Link(l).To} {
-			n.psns[id].router.Updates(func(u *flooding.Update) {
+			n.psns[id].Router.Updates(func(u *flooding.Update) {
 				if u.Origin != id {
-					copies++
+					want++
 				}
 			})
 		}
 		n.SetTrunkUp(l)
+		held := 0
+		for _, id := range []topology.LinkID{l, g.Link(l).Reverse()} {
+			n.links[id].Holding(func(p *node.Packet) {
+				if p.Update != nil {
+					held++
+				}
+			})
+		}
+		if held != want {
+			t.Fatalf("the restored trunk %s-%s holds %d update copies, want %d",
+				g.Node(g.Link(l).From).Name, g.Node(g.Link(l).To).Name, held, want)
+		}
+		copies += want - 2
 	}
 	bound := node.FloodTime(g, n.LinkIsDown)
 	for n.RoutingInFlight() > 0 && n.Kernel().Now() < heal+bound {

@@ -130,14 +130,11 @@ type Network struct {
 }
 
 type psn struct {
-	id             topology.NodeID
-	lines          []*linkState           // its out-links in Graph.Out order, so line i of its SPF tree is lines[i]
-	router         *spf.IncrementalRouter // SPF (nil in BF1969 mode)
-	dv             *dvState               // 1969 distance vector (nil otherwise)
-	pathRand       *rand.Rand             // multipath next-hop selection (nil otherwise)
-	dag            *spf.DAG               // multipath first hops over router's tree (nil: stale, built at the next lookup)
-	seq            flooding.Sequencer
-	lastOriginated sim.Time
+	node.PSN              // updating protocol; Router is nil in BF1969 mode
+	lines    []*linkState // its out-links in Graph.Out order, so line i of its SPF tree is lines[i]
+	dv       *dvState     // 1969 distance vector (nil otherwise)
+	pathRand *rand.Rand   // multipath next-hop selection (nil otherwise)
+	dag      *spf.DAG     // multipath first hops over Router's tree (nil: stale, built at the next lookup)
 
 	// Traffic generation: total packet rate and cumulative destination
 	// distribution.
@@ -147,8 +144,6 @@ type psn struct {
 	rand        *rand.Rand
 	size        *rand.Rand
 	sourceArmed bool // a sourceFire chain is scheduled
-
-	fwd []topology.LinkID // scratch for flood forwarding
 }
 
 // linkState is one directed link: the shared trunk model plus what only
@@ -240,7 +235,7 @@ func New(cfg Config) *Network {
 	for i := range n.psns {
 		id := topology.NodeID(i)
 		p := &psn{
-			id:    id,
+			PSN:   node.PSN{ID: id},
 			lines: make([]*linkState, n.g.Degree(id)),
 			rand:  n.rnd.Stream(fmt.Sprintf("dst/%d", i)),
 			size:  n.rnd.Stream(fmt.Sprintf("size/%d", i)),
@@ -249,7 +244,7 @@ func New(cfg Config) *Network {
 			p.lines[j] = n.links[l]
 		}
 		if n.routers != nil { // else dvSetup below installs distance-vector state
-			p.router = n.routers.Router(i)
+			p.Router = n.routers.Router(i)
 			if cfg.Multipath {
 				p.pathRand = n.rnd.Stream(fmt.Sprintf("path/%d", i))
 			}
@@ -278,7 +273,7 @@ func New(cfg Config) *Network {
 func (n *Network) setupSource(p *psn) {
 	var total float64
 	for d := 0; d < n.g.NumNodes(); d++ {
-		r := n.cfg.Matrix.Rate(p.id, topology.NodeID(d))
+		r := n.cfg.Matrix.Rate(p.ID, topology.NodeID(d))
 		if r > 0 {
 			total += r
 			p.dstIDs = append(p.dstIDs, topology.NodeID(d))
@@ -340,7 +335,7 @@ func (n *Network) altNextHop(p *psn, dst topology.NodeID) *linkState {
 		nh = p.dv.next[dst]
 	} else {
 		if p.dag == nil {
-			p.dag = spf.ComputeDAG(p.router.Tree(), p.router.Cost, n.multipathTol())
+			p.dag = spf.ComputeDAG(p.Router.Tree(), p.Router.Cost, n.multipathTol())
 		}
 		if hops := p.dag.NextHops(dst); len(hops) == 1 {
 			nh = hops[0]
@@ -357,7 +352,7 @@ func (n *Network) altNextHop(p *psn, dst topology.NodeID) *linkState {
 // accept offers one update copy to the PSN's router, its own duplicate
 // filter, and reports whether it was new; a new one drops the multipath DAG.
 func (p *psn) accept(u *flooding.Update) bool {
-	if !p.router.Accept(u) {
+	if !p.Router.Accept(u) {
 		return false
 	}
 	p.dag = nil
@@ -367,10 +362,10 @@ func (p *psn) accept(u *flooding.Update) bool {
 // recomputes returns the PSN's route-computation count (0 in BF1969 mode,
 // where there is no SPF).
 func (p *psn) recomputes() int64 {
-	if p.router == nil {
+	if p.Router == nil {
 		return 0
 	}
-	return p.router.Recomputes()
+	return p.Router.Recomputes()
 }
 
 // Kernel exposes the simulation clock for callers that schedule scenario
@@ -435,7 +430,7 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 	dst := p.pickDst()
 	size := node.ClampPktBits(sim.Exp(p.size, node.MeanPktBits))
 	pkt := n.pool.Get()
-	pkt.Src, pkt.Dst = p.id, dst
+	pkt.Src, pkt.Dst = p.ID, dst
 	pkt.SizeBits, pkt.Created = size, now
 	pkt.Arrival = topology.NoLink
 	pkt.Counted = n.warmed
@@ -478,7 +473,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		n.pool.Put(pkt)
 		return
 	}
-	if pkt.Dst == p.id {
+	if pkt.Dst == p.ID {
 		if pkt.Counted {
 			n.delivered.Inc()
 			n.deliveredBits += pkt.SizeBits
@@ -494,16 +489,16 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		if pkt.Counted {
 			n.loopDrops.Inc()
 		}
-		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketLooped, Node: p.id, Link: topology.NoLink})
+		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketLooped, Node: p.ID, Link: topology.NoLink})
 		n.pool.Put(pkt)
 		return
 	}
 	// The single SPF tree hop is a line number: the PSN's own lines answer it.
 	// Distance vectors and multipath (pathRand set) choose elsewhere.
 	var nh *linkState
-	if p.router == nil || p.pathRand != nil {
+	if p.Router == nil || p.pathRand != nil {
 		nh = n.altNextHop(p, pkt.Dst)
-	} else if i := p.router.Tree().NextLine(pkt.Dst); i >= 0 {
+	} else if i := p.Router.Tree().NextLine(pkt.Dst); i >= 0 {
 		nh = p.lines[i]
 	}
 	if nh == nil || nh.Down() {
@@ -514,7 +509,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		if nh != nil {
 			link = nh.link.ID
 		}
-		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketNoRoute, Node: p.id, Link: link})
+		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketNoRoute, Node: p.ID, Link: link})
 		n.pool.Put(pkt)
 		return
 	}
@@ -600,24 +595,14 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
 	n.updatesInFlight[pkt.Update.Origin]--
 	if p.accept(pkt.Update) {
-		n.flood(p, pkt.Update, pkt.Arrival, pkt.Created, now)
+		p.Flood(n.g, n, pkt.Update, pkt.Arrival, pkt.Created, now)
 	}
 }
 
-// flood sends u on every in-service line of p but the reverse of arrival
-// (NoLink: every line), one fresh routing packet per line.
-func (n *Network) flood(p *psn, u *flooding.Update, arrival topology.LinkID, created, now sim.Time) {
-	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], n.g, p.id, arrival)
-	for _, l := range p.fwd {
-		if !n.links[l].Down() {
-			n.send(l, u, created, now)
-		}
-	}
-}
-
-// send enqueues one copy of u on link l; a routing packet goes to the head
-// of the queue and is never refused.
-func (n *Network) send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
+// Send enqueues one copy of u on link l, one fresh routing packet: the
+// network's node.Egress. A routing packet goes to the head of the queue and
+// is never refused.
+func (n *Network) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
 	pkt := n.pool.Get()
 	pkt.SizeBits = u.SizeBits()
 	pkt.Created, pkt.Update, pkt.Arrival = created, u, l
@@ -632,22 +617,20 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	if p.dv != nil {
 		return
 	}
-	// The update lists the graph's own out-link slice (read-only); the costs
-	// are fresh because the update, and every router accepting it, keeps them.
-	out := n.g.Out(p.id)
-	costs := make([]float64, len(out))
-	for i, l := range out {
-		costs[i] = n.links[l].Advertised()
-		n.links[l].lastFlooded = costs[i]
+	// The costs are fresh because the update, and every router accepting it,
+	// keeps them.
+	costs := make([]float64, len(p.lines))
+	for i, ls := range p.lines {
+		costs[i] = ls.Advertised()
+		ls.lastFlooded = costs[i]
 	}
-	u := flooding.NewUpdate(p.id, p.seq.Next(), out, costs)
+	u := p.NextUpdate(n.g, costs, now)
 	p.accept(u)
-	p.lastOriginated = now
 	if n.warmed {
 		n.updatesOrig.Inc()
 	}
-	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.id, Link: topology.NoLink})
-	n.flood(p, u, topology.NoLink, now, now)
+	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink})
+	p.Flood(n.g, n, u, topology.NoLink, now, now)
 }
 
 // --- measurement periods ------------------------------------------------
@@ -660,7 +643,7 @@ func (n *Network) scheduleMeasurement() {
 		// synchronously, because flooding is fast — that effect emerges
 		// from the packet-level flood, not from scheduling).
 		offset := sim.Time(int64(period) * int64(i) / int64(len(n.psns)))
-		p.lastOriginated = node.BootOriginated(p.id, offset+period, period)
+		p.LastOriginated = node.BootOriginated(p.ID, offset+period, period)
 		// Fire-and-forget: measurement periods run for the lifetime of the
 		// network; down links skip inside measure instead of cancelling.
 		_ = n.kernel.ScheduleCall(offset+period, n.measureFn, p)
@@ -669,8 +652,7 @@ func (n *Network) scheduleMeasurement() {
 
 func (n *Network) measure(p *psn, now sim.Time) {
 	report := false
-	for _, l := range n.g.Out(p.id) {
-		ls := n.links[l]
+	for _, ls := range p.lines {
 		avg := ls.Meas.Take()
 		if ls.Down() {
 			continue
@@ -683,7 +665,7 @@ func (n *Network) measure(p *psn, now sim.Time) {
 		}
 	}
 	// Reliability refresh: force an update at least every 50 s.
-	if report || now-p.lastOriginated >= node.MaxUpdateInterval {
+	if report || p.RefreshDue(now) {
 		n.originate(p, now)
 	}
 	// Fire-and-forget: see scheduleMeasurement.
@@ -772,8 +754,8 @@ func (n *Network) SetTrunkDown(l topology.LinkID) {
 
 // SetTrunkUp returns the trunk to service. The metric modules Reset, so an
 // HN-SPF link comes back at its maximum cost and eases in (§5.4). Both ends
-// flood the repair and resynchronise each other over the trunk (resync). A
-// no-op on a trunk that is already up.
+// flood the repair and resynchronise each other over the trunk
+// (node.PSN.Resync). A no-op on a trunk that is already up.
 func (n *Network) SetTrunkUp(l topology.LinkID) {
 	if !n.links[l].Down() {
 		return
@@ -788,25 +770,8 @@ func (n *Network) SetTrunkUp(l topology.LinkID) {
 	from, to := n.psns[n.g.Link(l).From], n.psns[n.g.Link(l).To]
 	n.originate(from, now)
 	n.originate(to, now)
-	n.resync(from, l, now)
-	n.resync(to, rev, now)
-}
-
-// resync is the line-up exchange of Rosen's updating protocol: p sends on its
-// restored line l the update its router holds for every other origin (its
-// own rode the repair's origination), and the far end's Accept keeps what is
-// newer and floods it on. Whatever either side of a healed partition missed
-// crosses here, so quiescence means convergence without waiting for the 50 s
-// refresh. The distance-vector mode has no database to send.
-func (n *Network) resync(p *psn, l topology.LinkID, now sim.Time) {
-	if p.router == nil {
-		return
-	}
-	p.router.Updates(func(u *flooding.Update) {
-		if u.Origin != p.id {
-			n.send(l, u, now, now)
-		}
-	})
+	from.Resync(n, l, now)
+	to.Resync(n, rev, now)
 }
 
 // LinkIsDown reports whether the link is currently out of service.

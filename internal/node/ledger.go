@@ -83,14 +83,22 @@ func AuditRun(k *sim.Kernel, routers *spf.Table) error {
 // origin holds for it, the one its last update flooded. routers is indexed
 // by node ID and may come from any number of tables; inFlight counts, by
 // origin, the copies of its updates queued, on a transmitter, propagating
-// or awaiting delivery. A PSN cut off by a partition legitimately holds
-// stale entries for the far side. An origin with nothing in flight needs
-// no grace period: a flood reaches every PSN its component connects, and a
-// repaired trunk resyncs both ends, so whatever a partition kept from
-// either side has crossed by the time its last copy lands. An origin with
-// a copy in flight is left for a later checkpoint. Both engines'
-// convergence audits call it.
-func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down func(topology.LinkID) bool, inFlight []int) error {
+// or awaiting delivery, and held is the update copies the engine finds
+// there by walking them, which the counts must add up to. A PSN cut off by
+// a partition legitimately holds stale entries for the far side. An origin
+// with nothing in flight needs no grace period: a flood reaches every PSN
+// its component connects, and a repaired trunk resyncs both ends, so
+// whatever a partition kept from either side has crossed by the time its
+// last copy lands. An origin with a copy in flight is left for a later
+// checkpoint. Both engines' convergence audits call it.
+func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down func(topology.LinkID) bool, inFlight []int, held int) error {
+	counted := 0
+	for _, c := range inFlight {
+		counted += c
+	}
+	if counted != held {
+		return fmt.Errorf("the per-origin counts hold %d update copies in flight; the engine holds %d", counted, held)
+	}
 	comp := topology.Components(g, func(l topology.LinkID) bool { return !down(l) })
 	latest := make([]uint64, len(routers)) // by origin; 0 while it floods nothing but its boot costs
 	for o, r := range routers {
@@ -104,14 +112,14 @@ func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down 
 	for _, l := range g.Links() {
 		flooded[l.ID] = routers[l.From].Cost(l.ID)
 	}
-	held := make([]uint64, len(routers))
+	has := make([]uint64, len(routers))
 	for id, r := range routers {
-		clear(held)
-		r.Updates(func(u *flooding.Update) { held[u.Origin] = u.Seq })
+		clear(has)
+		r.Updates(func(u *flooding.Update) { has[u.Origin] = u.Seq })
 		for o, seq := range latest {
-			if inFlight[o] == 0 && comp[o] == comp[id] && held[o] != seq {
+			if inFlight[o] == 0 && comp[o] == comp[id] && has[o] != seq {
 				return fmt.Errorf("PSN %s holds update %d from %s, which last flooded update %d",
-					g.Node(topology.NodeID(id)).Name, held[o], g.Node(topology.NodeID(o)).Name, seq)
+					g.Node(topology.NodeID(id)).Name, has[o], g.Node(topology.NodeID(o)).Name, seq)
 			}
 		}
 		for _, l := range g.Links() {

@@ -13,7 +13,8 @@ import (
 // four-PSN line whose routers are fed by hand: within a component, a PSN that
 // missed an origin's latest update, or that believes a cost other than the one
 // the link's origin holds, is reported; across a cut, neither is; nor while
-// a copy of that origin's update is still in flight, whatever else is.
+// a copy of that origin's update is still in flight, whatever else is. Per-
+// origin counts that miss a copy the engine holds are reported first.
 func TestAuditConvergence(t *testing.T) {
 	g := topology.Line(4, topology.T56) // N0 - N1 - N2 - N3
 	var n1n2 topology.LinkID
@@ -30,20 +31,23 @@ func TestAuditConvergence(t *testing.T) {
 		lag  topology.NodeID // misses N0's second update
 		bent topology.NodeID // holds N1's first update with N1->N2 at 5
 		busy topology.NodeID // has a copy of an update in flight
+		lost int             // copies the engine holds that the counts miss
 		want string          // "" for converged
 	}{
-		{"converged", none, topology.NoNode, topology.NoNode, topology.NoNode, ""},
-		{"stale update", none, 3, topology.NoNode, topology.NoNode, "PSN N3 holds update 1 from N0, which last flooded update 2"},
-		{"stale cost", none, topology.NoNode, 2, topology.NoNode,
+		{"converged", none, topology.NoNode, topology.NoNode, topology.NoNode, 0, ""},
+		{"stale update", none, 3, topology.NoNode, topology.NoNode, 0, "PSN N3 holds update 1 from N0, which last flooded update 2"},
+		{"stale cost", none, topology.NoNode, 2, topology.NoNode, 0,
 			fmt.Sprintf("PSN N2 believes cost 5 for link %d (N1->N2), last flooded 1", n1n2)},
-		{"stale update beside a cut", cut, 2, topology.NoNode, topology.NoNode, "PSN N2 holds update 1 from N0, which last flooded update 2"},
-		{"stale update across a cut", cut, 3, topology.NoNode, topology.NoNode, ""},
-		{"stale cost across a cut", cut, topology.NoNode, 3, topology.NoNode, ""},
-		{"stale update in flight", none, 3, topology.NoNode, 0, ""},
-		{"stale cost in flight", none, topology.NoNode, 2, 1, ""},
-		{"stale update, another origin in flight", none, 3, topology.NoNode, 1, "PSN N3 holds update 1 from N0, which last flooded update 2"},
-		{"stale cost, another origin in flight", none, topology.NoNode, 2, 0,
+		{"stale update beside a cut", cut, 2, topology.NoNode, topology.NoNode, 0, "PSN N2 holds update 1 from N0, which last flooded update 2"},
+		{"stale update across a cut", cut, 3, topology.NoNode, topology.NoNode, 0, ""},
+		{"stale cost across a cut", cut, topology.NoNode, 3, topology.NoNode, 0, ""},
+		{"stale update in flight", none, 3, topology.NoNode, 0, 0, ""},
+		{"stale cost in flight", none, topology.NoNode, 2, 1, 0, ""},
+		{"stale update, another origin in flight", none, 3, topology.NoNode, 1, 0, "PSN N3 holds update 1 from N0, which last flooded update 2"},
+		{"stale cost, another origin in flight", none, topology.NoNode, 2, 0, 0,
 			fmt.Sprintf("PSN N2 believes cost 5 for link %d (N1->N2), last flooded 1", n1n2)},
+		{"counts miss a copy", none, topology.NoNode, topology.NoNode, 1, 1,
+			"the per-origin counts hold 1 update copies in flight; the engine holds 2"},
 	} {
 		costs := make([]float64, g.NumLinks())
 		for i := range costs {
@@ -81,11 +85,12 @@ func TestAuditConvergence(t *testing.T) {
 				r.Accept(second)
 			}
 		}
-		inFlight := make([]int, g.NumNodes())
+		inFlight, held := make([]int, g.NumNodes()), tc.lost
 		if tc.busy != topology.NoNode {
 			inFlight[tc.busy] = 1
+			held++
 		}
-		err := AuditConvergence(g, routers, tc.down, inFlight)
+		err := AuditConvergence(g, routers, tc.down, inFlight, held)
 		if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
 			t.Errorf("%s: AuditConvergence = %v, want %q", tc.name, err, tc.want)
 		}

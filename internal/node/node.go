@@ -9,9 +9,13 @@
 // measurement and module into one state machine with its fail/repair
 // transitions, and the Conservation ledger the engines report into.
 //
+// It also holds Rosen's updating protocol (flood.go: PSN and Egress), which
+// originates, floods and resynchronises routing updates for both engines,
+// and the one convergence audit (AuditConvergence).
+//
 // internal/network (one kernel) and internal/shard (one kernel per shard
 // behind a conservative barrier) wire these into their event loops; sources,
-// forwarding, flooding and SPF stay with the engines.
+// forwarding, measurement and packet construction stay with the engines.
 package node
 
 import (

@@ -2,13 +2,14 @@ package shard
 
 // The adaptive routing plane: measurement → cost module → flooded update →
 // per-node incremental SPF. The pieces are the ones internal/network wires
-// up — node.Trunk for measurement and advertised cost, flooding for update
-// payloads and forward sets, spf.Table for the routers, whose link-state
-// database is the set of updates each accepted — driven here
-// under the shard model's determinism rules; the measure/originate/forward
-// loops themselves stay per engine because their hooks differ (trace
-// sampling and the control custody ledger here; fluid superposition,
-// multipath and BF-1969 there).
+// up — node.Trunk for measurement and advertised cost, node.PSN for
+// origination, forwarding, the refresh and the line-up resync, flooding for
+// update payloads, spf.Table for the routers, whose link-state database is
+// the set of updates each accepted — driven here under the shard model's
+// determinism rules. What stays here is this engine's side of them: the
+// shard's node.Egress (control sequence numbers, the custody ledger, absolute-
+// time transmissions), trace sampling, and the measure loop, which
+// internal/network runs with fluid superposition.
 //
 // Routing updates are just more packets: they ride the output queues at
 // head priority, consume trunk bandwidth, and cross shard boundaries on the
@@ -69,12 +70,12 @@ func (s *Sim) bootAdaptive() {
 	for _, sh := range s.shards {
 		roots := make([]topology.NodeID, len(sh.nodes))
 		for i, n := range sh.nodes {
-			roots[i] = n.id
+			roots[i] = n.ID
 		}
 		sh.routers = spf.NewTable(s.g, roots, initial)
 		sh.updatesInFlight = make([]int, s.g.NumNodes())
 		for i, n := range sh.nodes {
-			n.router = sh.routers.Router(i)
+			n.Router = sh.routers.Router(i)
 			n.nhScratch = make([]topology.LinkID, len(n.dests))
 		}
 	}
@@ -100,7 +101,7 @@ func (s *Sim) RoutingStats() spf.TableStats {
 // internal/network uses — because with flooded costs a down link is a
 // transiently stale database entry.
 func (n *lnode) adaptiveNextHop(dst topology.NodeID) *llink {
-	i := n.router.Tree().NextLine(dst)
+	i := n.Router.Tree().NextLine(dst)
 	if i < 0 || n.out[i].Down() {
 		return nil
 	}
@@ -108,71 +109,63 @@ func (n *lnode) adaptiveNextHop(dst topology.NodeID) *llink {
 }
 
 // originate floods n's current link costs (DownCost for out-of-service
-// links) to the whole network and accepts them locally. The update lists the
-// graph's own out-link slice (read-only; n.out is in the same order); the
-// costs are fresh because the Update, and every router accepting it, keeps them.
+// links) to the whole network and accepts them locally. The costs are fresh
+// because the Update, and every router accepting it, keeps them.
 func (sh *shardState) originate(n *lnode, now sim.Time) {
-	links := sh.s.g.Out(n.id)
 	costs := make([]float64, len(n.out))
 	for i, ls := range n.out {
 		costs[i] = ls.Advertised()
 	}
-	u := flooding.NewUpdate(n.id, n.seq.Next(), links, costs)
+	u := n.NextUpdate(sh.s.g, costs, now)
 	sh.acceptUpdate(n, u, now)
-	n.lastOrig = now
 	sh.origs++
-	if sample := sh.s.cfg.MeasureSample; sample > 0 && int(n.id)%sample == 0 {
-		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recOriginate,
-			link: topology.NoLink, pkt: u.Seq, count: int64(len(links))})
+	if sample := sh.s.cfg.MeasureSample; sample > 0 && int(n.ID)%sample == 0 {
+		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recOriginate,
+			link: topology.NoLink, pkt: u.Seq, count: int64(len(costs))})
 		n.rseq++
 	}
-	n.fwd = flooding.AppendForwardLinks(n.fwd[:0], sh.s.g, n.id, topology.NoLink)
-	sh.forwardUpdate(n, u, now, now)
+	n.Flood(sh.s.g, sh, u, topology.NoLink, now, now)
 }
 
 // handleUpdate consumes one arriving update copy: accept it or drop it as a
-// duplicate, forward a new one on every link except the arrival's reverse.
-// The carrying packet dies here; forwarded copies are fresh packets sharing
-// the immutable payload.
+// duplicate, flood a new one on. The carrying packet dies here; forwarded
+// copies are fresh packets sharing the immutable payload.
 func (sh *shardState) handleUpdate(n *lnode, p *node.Packet, now sim.Time) {
-	u := p.Update
-	arrival := p.Arrival
-	created := p.Created
+	u, arrival, created := p.Update, p.Arrival, p.Created
 	sh.led.CtrlConsumed++
 	sh.updatesInFlight[u.Origin]--
 	sh.pool.Put(p)
-	if !sh.acceptUpdate(n, u, now) {
-		return
+	if sh.acceptUpdate(n, u, now) {
+		n.Flood(sh.s.g, sh, u, arrival, created, now)
 	}
-	n.fwd = flooding.AppendForwardLinks(n.fwd[:0], sh.s.g, n.id, arrival)
-	sh.forwardUpdate(n, u, created, now)
 }
 
-// forwardUpdate enqueues one copy of u on every link in n.fwd that is in
-// service. Routing packets head-insert and are never buffer-dropped, so
-// every copy is accepted.
-func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now sim.Time) {
-	for _, lid := range n.fwd {
-		ls := sh.s.linkAt[lid]
-		if ls.Down() {
-			continue
-		}
-		if n.cseq == math.MaxUint32 {
-			panic(fmt.Sprintf("shard: node %d used all 2^32 control sequence numbers; the next would carry into the origin field of Packet.Seq", n.id))
-		}
-		p := sh.pool.Get()
-		n.cseq++
-		p.Seq = ctrlSeqBit | uint64(n.id)<<32 | n.cseq
-		p.SizeBits = u.SizeBits()
-		p.Created = created
-		p.Update = u
-		p.Arrival = ls.l.ID // the link this copy will traverse
-		p.Enqueued = now
-		ls.Queue.Push(p)
-		sh.led.CtrlGenerated++
-		sh.updatesInFlight[u.Origin]++
-		sh.startTx(ls, now)
+// LinkIsDown reports whether link l, one of this shard's, is out of
+// service: half the shard's node.Egress.
+func (sh *shardState) LinkIsDown(l topology.LinkID) bool { return sh.s.linkAt[l].Down() }
+
+// Send enqueues one copy of u on link l, one of this shard's, stamped with
+// the sending node's next control sequence number: the other half of the
+// shard's node.Egress. Routing packets head-insert and are never
+// buffer-dropped, so every copy is accepted.
+func (sh *shardState) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
+	ls := sh.s.linkAt[l]
+	n := sh.s.nodeAt[ls.l.From]
+	if n.cseq == math.MaxUint32 {
+		panic(fmt.Sprintf("shard: node %d used all 2^32 control sequence numbers; the next would carry into the origin field of Packet.Seq", n.ID))
 	}
+	p := sh.pool.Get()
+	n.cseq++
+	p.Seq = ctrlSeqBit | uint64(n.ID)<<32 | n.cseq
+	p.SizeBits = u.SizeBits()
+	p.Created = created
+	p.Update = u
+	p.Arrival = l // the link this copy will traverse
+	p.Enqueued = now
+	ls.Queue.Push(p)
+	sh.led.CtrlGenerated++
+	sh.updatesInFlight[u.Origin]++
+	sh.startTx(ls, now)
 }
 
 // acceptUpdate offers u to n's router and reports whether it was new. For
@@ -182,14 +175,14 @@ func (sh *shardState) forwardUpdate(n *lnode, u *flooding.Update, created, now s
 // instant" into the golden trace.
 func (sh *shardState) acceptUpdate(n *lnode, u *flooding.Update, now sim.Time) bool {
 	sample := sh.s.cfg.MeasureSample
-	if sample == 0 || int(n.id)%sample != 0 {
-		return n.router.Accept(u)
+	if sample == 0 || int(n.ID)%sample != 0 {
+		return n.Router.Accept(u)
 	}
-	tree := n.router.Tree() // repaired in place: snapshot before Accept
+	tree := n.Router.Tree() // repaired in place: snapshot before Accept
 	for i, d := range n.dests {
 		n.nhScratch[i] = tree.NextHop(d)
 	}
-	if !n.router.Accept(u) {
+	if !n.Router.Accept(u) {
 		return false
 	}
 	changed := int64(0)
@@ -200,7 +193,7 @@ func (sh *shardState) acceptUpdate(n *lnode, u *flooding.Update, now sim.Time) b
 	}
 	if changed > 0 {
 		// Allocates: the trace record buffer grows amortized; it is never drained (TraceText reads every record)
-		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recReroute,
+		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recReroute,
 			link: topology.NoLink, pkt: uint64(u.Origin)<<32 | (u.Seq & 0xffffffff), count: changed})
 		n.rseq++
 	}

@@ -182,7 +182,7 @@ func TestCtrlSeqExhaustionPanics(t *testing.T) {
 	}
 	n := s.nodeAt[5]
 	if len(n.out) < 2 {
-		t.Fatalf("node %d has %d out-links; the test needs two copies per flood", n.id, len(n.out))
+		t.Fatalf("node %d has %d out-links; the test needs two copies per flood", n.ID, len(n.out))
 	}
 	n.cseq = math.MaxUint32 - 1
 	defer func() {
@@ -373,13 +373,13 @@ func TestAdaptiveHealResyncs(t *testing.T) {
 		healed := func(l topology.LinkID) bool { return down(l) && !slices.Contains(bb, g.Link(l).Trunk) }
 		routers := make([]*spf.IncrementalRouter, g.NumNodes())
 		for id, n := range s.nodeAt {
-			routers[id] = n.router
+			routers[id] = n.Router
 		}
 		quiet := settle(heal-sim.Second, heal-1)
 		if err := s.ConvergenceAudit(); err != nil {
 			t.Fatalf("shards=%d: a side of the cut has not converged at %v: %v", shards, quiet, err)
 		}
-		stale := node.AuditConvergence(g, routers, healed, make([]int, g.NumNodes()))
+		stale := node.AuditConvergence(g, routers, healed, make([]int, g.NumNodes()), 0)
 		if stale == nil {
 			t.Fatalf("shards=%d: the cut hid no news; the heal has nothing to resync", shards)
 		}

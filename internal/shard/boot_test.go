@@ -142,7 +142,7 @@ func TestStaticRoutesAgainstAdaptiveMinHop(t *testing.T) {
 						continue
 					}
 					checked++
-					line := adaptive.nodeAt[v].router.Tree().NextLine(dst)
+					line := adaptive.nodeAt[v].Router.Tree().NextLine(dst)
 					if line < 0 || hops[g.Link(g.Out(from)[line]).To] != hops[v]-1 {
 						t.Fatalf("%s toward %s: adaptive min-hop's line %d is not on a shortest path", g.Node(from).Name, g.Node(dst).Name, line)
 					}

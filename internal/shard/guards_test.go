@@ -19,7 +19,7 @@ import (
 func heldUpdate(t *testing.T, s *Sim) *flooding.Update {
 	t.Helper()
 	var held *flooding.Update
-	s.nodeAt[0].router.Updates(func(u *flooding.Update) {
+	s.nodeAt[0].Router.Updates(func(u *flooding.Update) {
 		if u.Origin == 0 {
 			held = u
 		}

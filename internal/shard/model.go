@@ -65,7 +65,8 @@ func (sh *shardState) bind() {
 
 // lnode is one node's shard-local state.
 type lnode struct {
-	id   topology.NodeID
+	node.PSN // updating protocol (adaptive); Router is nil on the static plane
+
 	sh   *shardState
 	rate float64
 	arr  rng // inter-arrival draws
@@ -83,14 +84,10 @@ type lnode struct {
 	delaySum  float64 // seconds, accumulated in this node's event order
 	hopSum    int64
 
-	// Adaptive routing plane (nil/zero unless Config.Adaptive). All of it is
-	// node-local state driven by the node's own event order, so it inherits
-	// the partition-independence argument unchanged.
-	router    *spf.IncrementalRouter
-	seq       flooding.Sequencer
-	lastOrig  sim.Time
+	// Adaptive routing plane (nil/zero unless Config.Adaptive), beside PSN.
+	// All of it is node-local state driven by the node's own event order, so
+	// it inherits the partition-independence argument unchanged.
 	cseq      uint64            // control copies enqueued (low word of ctrl Seq)
-	fwd       []topology.LinkID // flood-forwarding scratch
 	nhScratch []topology.LinkID // next-hop diff scratch, one per dest
 }
 
@@ -138,7 +135,7 @@ type wire struct {
 func (s *Sim) buildNode(id topology.NodeID, balls *topology.Search) {
 	sh := s.shards[s.part[id]]
 	n := &lnode{
-		id:   id,
+		PSN:  node.PSN{ID: id},
 		sh:   sh,
 		rate: s.cfg.PktRate,
 		arr:  seedRNG(s.cfg.Seed, int(id), 0),
@@ -158,7 +155,7 @@ func (s *Sim) sampleDests(n *lnode, balls *topology.Search) []topology.NodeID {
 	want := s.cfg.Dests
 	if s.cfg.DestRadius > 0 {
 		// The ball, n excluded, ascending by ID: the draw indexes into it.
-		cand := slices.Clone(balls.From(n.id, s.cfg.DestRadius, nil)[1:])
+		cand := slices.Clone(balls.From(n.ID, s.cfg.DestRadius, nil)[1:])
 		slices.Sort(cand)
 		if len(cand) <= want {
 			return cand
@@ -178,7 +175,7 @@ func (s *Sim) sampleDests(n *lnode, balls *topology.Search) []topology.NodeID {
 	out := make([]topology.NodeID, 0, want)
 	for len(out) < want {
 		d := topology.NodeID(n.dst.intn(total - 1))
-		if d >= n.id {
+		if d >= n.ID {
 			d++ // skip self without biasing the draw
 		}
 		if !containsNode(out, d) {
@@ -235,12 +232,12 @@ func (n *lnode) nextGap() sim.Time {
 func (sh *shardState) source(now sim.Time, arg any) {
 	n := arg.(*lnode)
 	if n.pseq == math.MaxUint32 {
-		panic(fmt.Sprintf("shard: node %d used up its 32-bit user sequence numbers; one more would carry into the node field of Packet.Seq", n.id))
+		panic(fmt.Sprintf("shard: node %d used up its 32-bit user sequence numbers; one more would carry into the node field of Packet.Seq", n.ID))
 	}
 	p := sh.pool.Get()
-	p.Seq = uint64(n.id)<<32 | n.pseq
+	p.Seq = uint64(n.ID)<<32 | n.pseq
 	n.pseq++
-	p.Src = n.id
+	p.Src = n.ID
 	p.Dst = n.dests[n.dst.intn(len(n.dests))]
 	p.SizeBits = node.ClampPktBits(n.size.exp(node.MeanPktBits))
 	p.Created = now
@@ -257,7 +254,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		sh.handleUpdate(n, p, now)
 		return
 	}
-	if p.Dst == n.id {
+	if p.Dst == n.ID {
 		n.delivered++
 		n.delaySum += (now - p.Created).Seconds()
 		n.hopSum += int64(p.Hops)
@@ -284,7 +281,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 			return
 		}
 	} else {
-		ls = n.out[sh.s.routes.nextLine(p.Dst, n.id)]
+		ls = n.out[sh.s.routes.nextLine(p.Dst, n.ID)]
 	}
 	p.Enqueued = now
 	if !ls.Queue.Push(p) {
@@ -302,7 +299,7 @@ func (sh *shardState) dropRec(n *lnode, now sim.Time, kind recKind, link topolog
 		n.rseq++ // keep sequence numbering identical whether or not traced
 		return
 	}
-	sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: kind, link: link, pkt: pkt})
+	sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: kind, link: link, pkt: pkt})
 	n.rseq++
 }
 
@@ -429,13 +426,13 @@ func (sh *shardState) measure(now sim.Time, arg any) {
 		if rep {
 			report = true
 		}
-		if sample > 0 && int(n.id)%sample == 0 {
-			sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recMeasure,
+		if sample > 0 && int(n.ID)%sample == 0 {
+			sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recMeasure,
 				link: ls.l.ID, count: count, avg: avg, cost: cost})
 			n.rseq++
 		}
 	}
-	if sh.s.cfg.Adaptive && (report || now-n.lastOrig >= node.MaxUpdateInterval) {
+	if sh.s.cfg.Adaptive && (report || n.RefreshDue(now)) {
 		sh.originate(n, now)
 	}
 	_ = mustCallAt(sh.kernel, now+sh.s.cfg.MeasurePeriod, sh.measureCall, n)
@@ -457,8 +454,8 @@ type faultEv struct {
 // the other direction's own fault event does the same at the far endpoint,
 // which is internal/network's originate-from-both-ends in per-direction form.
 // A repair also sends the far end, on the restored link, the update n's
-// router holds for every other origin: Rosen's line-up exchange,
-// internal/network's resync in the same per-direction form.
+// router holds for every other origin: Rosen's line-up exchange
+// (node.PSN.Resync), as internal/network does it, in per-direction form.
 func (sh *shardState) fault(now sim.Time, arg any) {
 	f := arg.(*faultEv)
 	ls := f.ls
@@ -468,24 +465,19 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 			return
 		}
 		ls.Restore()
-		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkUp, link: ls.l.ID})
+		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recLinkUp, link: ls.l.ID})
 		n.rseq++
 	} else {
 		if ls.Down() {
 			return
 		}
-		sh.recs = append(sh.recs, rec{at: now, node: n.id, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
+		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
 		n.rseq++
 		ls.Fail(func(p *node.Packet) { sh.dropOutage(n, ls, p, now) })
 	}
 	sh.originate(n, now)
 	if f.up {
-		n.fwd = append(n.fwd[:0], ls.l.ID)
-		n.router.Updates(func(u *flooding.Update) {
-			if u.Origin != n.id {
-				sh.forwardUpdate(n, u, now, now)
-			}
-		})
+		n.Resync(sh, ls.l.ID, now)
 	}
 }
 

@@ -38,6 +38,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -132,8 +133,8 @@ func (cfg Config) Validate() error {
 	if err := staticPlaneFits(cfg.Graph.NumNodes(), cfg.Adaptive); err != nil {
 		return err
 	}
-	if cfg.PktRate <= 0 {
-		return fmt.Errorf("shard: PktRate must be positive")
+	if !(cfg.PktRate > 0) || math.IsInf(cfg.PktRate, 1) { // !(x > 0) is true for NaN
+		return fmt.Errorf("shard: PktRate must be positive and finite, got %v", cfg.PktRate)
 	}
 	if cfg.Dests < 1 {
 		return fmt.Errorf("shard: Dests must be >= 1")
@@ -251,7 +252,7 @@ func New(cfg Config) (*Sim, error) {
 		n := s.nodeAt[id]
 		sh := n.sh
 		first := cfg.MeasurePeriod + sim.Time(id)*step
-		n.lastOrig = node.BootOriginated(n.id, first, cfg.MeasurePeriod)
+		n.LastOriginated = node.BootOriginated(n.ID, first, cfg.MeasurePeriod)
 		_ = mustCallAt(sh.kernel, first, sh.measureCall, n)
 		_ = mustCallAt(sh.kernel, n.nextGap(), sh.sourceCall, n)
 		for fi := range cfg.Faults {
@@ -492,6 +493,6 @@ func (s *Sim) pendingWireKinds() (user, ctrl int64) {
 func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id].dests }
 
 // LinkCost returns the cost currently advertised by the link's metric
-// module — the same observable network.LinkCost exposes, for per-trunk
-// advertised-cost time-series comparison.
+// module; the checker's shard differential samples it at every checkpoint
+// and compares the series across shard counts.
 func (s *Sim) LinkCost(l topology.LinkID) float64 { return s.linkAt[l].Module.Cost() }

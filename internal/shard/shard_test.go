@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -99,6 +100,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Shards = 0 },
 		func(c *Config) { c.Shards = g.NumNodes() + 1 },
 		func(c *Config) { c.PktRate = 0 },
+		func(c *Config) { c.PktRate = math.NaN() },  // New would panic converting its gaps to ticks
+		func(c *Config) { c.PktRate = math.Inf(1) }, // one packet every tick
 		func(c *Config) { c.Dests = 0 },
 		func(c *Config) { c.Metric = node.BF1969 },
 		func(c *Config) { c.Adaptive, c.Faults = true, []Fault{{Trunk: g.NumTrunks(), At: sim.Second}} },

@@ -144,6 +144,9 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 		if res.Script, err = scenario.Parse(strings.NewReader(s.Script)); err != nil {
 			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Script: %w", err)
 		}
+		if d := res.Script.Duration; d <= sim.FromSeconds(s.WarmupSeconds) {
+			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Script's duration %v ends within Spec.WarmupSeconds %v: nothing is measured", d.Seconds(), s.WarmupSeconds)
+		}
 	}
 	g := s.Topology.g
 	cfg := scenario.Config{
@@ -200,6 +203,8 @@ func (s Spec) check() error {
 		return errors.New("Spec.Seconds must be zero with Spec.Script (its duration is the horizon)")
 	case s.Script == "" && !(s.Seconds > 0):
 		return fmt.Errorf("Spec.Seconds %v is not a positive time", s.Seconds)
+	case s.Script == "" && s.Seconds <= s.WarmupSeconds:
+		return fmt.Errorf("Spec.Seconds %v ends within Spec.WarmupSeconds %v: nothing is measured", s.Seconds, s.WarmupSeconds)
 	}
 	return nil
 }

@@ -27,5 +27,6 @@ if [ "$fuzztime" != 0 ]; then
   go test -fuzz FuzzGraphBuild -fuzztime "$fuzztime" ./internal/topology/
   go test -fuzz FuzzKernelOps -fuzztime "$fuzztime" ./internal/sim/
   go test -fuzz FuzzTableOps -fuzztime "$fuzztime" ./internal/spf/
+  go test -fuzz FuzzBootMatchesHeap -fuzztime "$fuzztime" ./internal/spf/
   go test -fuzz FuzzRun -fuzztime "$fuzztime" ./cmd/arpanetsim/
 fi
