@@ -217,6 +217,8 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"script without a duration", func(s *Spec) { s.Seconds, s.Script = 0, "at 5 down N0 N1\n" }, "Spec.Script"},
 		{"script and seconds", func(s *Spec) { s.Script = "duration 60\n" }, "Spec.Seconds"},
 		{"no horizon", func(s *Spec) { s.Seconds = 0 }, "Spec.Seconds"},
+		{"infinite horizon", func(s *Spec) { s.Seconds = math.Inf(1) }, "Spec.Seconds"},
+		{"infinite traffic", func(s *Spec) { s.Traffic.SetRate("N0", "N1", math.Inf(1)) }, "Spec.Traffic"},
 		{"negative warm-up", func(s *Spec) { s.WarmupSeconds = -1 }, "Spec.WarmupSeconds"},
 		{"warm-up past the horizon", func(s *Spec) { s.WarmupSeconds = 100 }, "Spec.Seconds 60 ends within Spec.WarmupSeconds 100"},
 		{"warm-up to the horizon", func(s *Spec) { s.WarmupSeconds = 60 }, "Spec.Seconds 60 ends within Spec.WarmupSeconds 60"},

@@ -42,6 +42,8 @@ func FuzzRun(f *testing.F) {
 		"-shards 2 -adaptive -scenario x.scn -seeds 2", "-shards 2 -adaptive -scenario x.scn -json",
 		"-shards 2 -adaptive -scenario x.scn -traffic 100", "-shards 2 -adaptive -scenario x.scn -growth 2",
 		"-shards 2 -adaptive -scenario x.scn -warmup 5",
+		// numberFlag: an infinite horizon.
+		"-seconds Inf",
 	} {
 		f.Add(args)
 	}

@@ -201,10 +201,12 @@ func metricKinds(name string) ([]arpanet.Metric, error) {
 }
 
 // numberFlag rejects a number no mode can mean: NaN, which flag.Float64
-// parses happily and sim.FromSeconds panics on; anything below zero, which
-// panics in traffic.Gravity (-traffic, -growth) or silently runs something
-// else (no measured time, no warm-up, uniform destinations, -shards -1 the
-// Table 1 study); and -seeds 0, no run to average.
+// parses happily and sim.FromSeconds panics on; infinity, a horizon that
+// never comes or a load whose packets all arrive at once, so the clock
+// never moves; anything below zero, which panics in traffic.Gravity
+// (-traffic, -growth) or silently runs something else (no measured time, no
+// warm-up, uniform destinations, -shards -1 the Table 1 study); and -seeds
+// 0, no run to average.
 func numberFlag(fs *flag.FlagSet) (err error) {
 	fs.Visit(func(f *flag.Flag) {
 		var v float64
@@ -217,6 +219,8 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 		switch {
 		case math.IsNaN(v):
 			err = fmt.Errorf("-%s is not a number", f.Name)
+		case math.IsInf(v, 0):
+			err = fmt.Errorf("-%s %s is not finite", f.Name, f.Value)
 		case v < 0:
 			err = fmt.Errorf("-%s %s is negative", f.Name, f.Value)
 		case v == 0 && f.Name == "seeds":

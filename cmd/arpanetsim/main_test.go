@@ -114,14 +114,15 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// flag.Float64 accepts "NaN"; the simulator's time conversion panics on it,
-// so the command line must refuse it by name first.
+// flag.Float64 accepts "NaN" and "Inf"; the simulator's time conversion
+// panics on the one and never ends a run on the other, so the command line
+// must refuse both by name first.
 func TestNaNFlagRejected(t *testing.T) {
 	for _, tc := range []struct{ args, reject string }{
 		{"-seconds 12 -rate 0.5", ""},
 		{"-seconds NaN", "-seconds"},
 		{"-seconds 12 -rate nan", "-rate"},
-		{"-seconds +Inf", ""}, // a run that never ends is the caller's to ask for
+		{"-seconds +Inf", "-seconds"},
 	} {
 		fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
 		fs.Float64("seconds", 600, "")
@@ -255,6 +256,10 @@ func TestRunExitStatus(t *testing.T) {
 		{"-scenario ../../examples/flapping/utah-collins.scn -warmup 800 -metric hnspf", 1,
 			"Spec.Script's duration 700 ends within Spec.WarmupSeconds 800", ""},
 		{"-seconds 0 -metric hnspf", 1, "Spec.Seconds 100 ends within Spec.WarmupSeconds 100", ""},
+		{"-seconds Inf -metric hnspf", 2, "-seconds +Inf is not finite", ""},
+		{"-traffic Inf -metric hnspf -seconds 10", 2, "-traffic +Inf is not finite", ""},
+		{"-growth Inf -seconds 10", 2, "-growth +Inf is not finite", ""},
+		{"-shards 1 -topology hier:2x3 -seconds Inf", 2, "-seconds +Inf is not finite", ""},
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
 		{"-shards 2 -seeds 3", 2, "-seeds has no effect with -shards", ""},
 		{"-shards 2 -adaptive -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",

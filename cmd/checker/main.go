@@ -1,8 +1,10 @@
 // Command checker runs randomized correctness campaigns against the
 // routing stack, all from internal/check: differential SPF oracles, metric
 // and flood invariants, scenario audits, the hybrid fluid/packet
-// differential, the shard differential (one adaptive run at 1, 2 and 4
-// shards must agree bit for bit) and the shard custody torture.
+// differential, and the two shard pillars, the shard differential
+// (the partitioner's 2- and 4-shard cuts) and the shard custody torture (a
+// random cut under congestion), each holding its cuts to the one-shard run
+// on every link's cost series, the merged trace and the report.
 //
 //	checker -campaigns 25 -seed 1             # CI smoke
 //	checker -campaigns 5000 -seed 1 -out ./repro   # the weekly long run

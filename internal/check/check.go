@@ -25,13 +25,15 @@
 //   - hybrid-differential (CheckHybrid, hybridcheck.go): a run carrying
 //     background demand as fluid tracks the full-packet run's advertised
 //     costs and routes on the ARPANET map;
-//   - shard-differential (CheckShardRouting, shardcheck.go): the sharded
-//     adaptive engine matches itself at 1, 2 and 4 shards bit for bit —
-//     every link's cost series and the merged trace — with the audits of
-//     scenario.RunSharded passing at every 1 s checkpoint;
-//   - shard-custody (CheckShardCustody, shardcheck.go): the user and
-//     control custody ledgers balance, and the floods converge, at every
-//     1 s checkpoint under random shard cuts and fault scripts.
+//   - shard-differential (CheckShardRouting, shardcheck.go) and
+//     shard-custody (CheckShardCustody, shardcheck.go): a cut of the sharded
+//     adaptive engine reproduces the one-shard run — every link's cost
+//     series bit for bit, the merged trace and the report byte for byte —
+//     with the audits of scenario.RunSharded (the user and control custody
+//     ledgers, the transmitters, convergence) passing at every 1 s
+//     checkpoint; the differential cuts at 2 and 4 shards where the
+//     partitioner does, the custody torture at random under congestion and
+//     random fault scripts.
 //
 // Every failure shrinks before it surfaces (shrink.go): the input that
 // broke it — an update stream, a delay sequence, a fault script — is

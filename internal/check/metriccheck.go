@@ -79,7 +79,7 @@ func CheckMetric(rng *rand.Rand, seed int64) *Failure {
 		min := Minimize(delays, func(sub []float64) bool {
 			return runMetricTrace(props, sub) != nil
 		})
-		finalErr := runMetricTraceErr(props, min)
+		finalErr := runMetricTrace(props, min)
 		var b strings.Builder
 		fmt.Fprintf(&b, "module: %s\n", props.name)
 		for _, d := range min {
@@ -127,11 +127,9 @@ func genDelayTrace(rng *rand.Rand, lt topology.LineType) []float64 {
 	return delays
 }
 
+// runMetricTrace feeds the delays to a fresh module and returns the first
+// broken invariant.
 func runMetricTrace(p metricProps, delays []float64) error {
-	return runMetricTraceErr(p, delays)
-}
-
-func runMetricTraceErr(p metricProps, delays []float64) error {
 	m := p.build()
 	prev := m.Cost()
 	silent := 0

@@ -12,13 +12,17 @@ import (
 	"repro/internal/topology"
 )
 
-// The sharded-adaptive differential: the same adaptive scenario — topology,
-// metric, traffic, fault script — run through internal/shard at 1, 2 and 4
-// shards must produce the identical per-link advertised-cost time series,
-// sample for sample, bit for bit, plus a byte-identical merged trace, with
-// scenario.RunSharded's audits at every 1 s checkpoint. This is
-// determinism-by-construction made observable on state the trace does not
-// record (every link's module, not just the sampled nodes').
+// The shard identity: a partition is invisible, so the same adaptive
+// scenario — topology, metric, traffic, fault script — run through
+// internal/shard on any cut must reproduce the one-shard run, with
+// scenario.RunSharded's audits passing at every 1 s checkpoint of each run.
+// runShardCuts compares three observables: every link's advertised cost at
+// every checkpoint, bit for bit, which makes determinism-by-construction
+// observable on state the trace does not record (every link's module, not
+// just the sampled nodes'); the merged trace; and the rendered report, the
+// one place the shards' books are summed. Two pillars draw the cuts:
+// CheckShardRouting the partitioner's at 2 and 4 shards under light load,
+// CheckShardCustody a random one under congestion.
 //
 // The sharded engine is not compared with internal/network here: the two
 // draw independent packet sample paths, so their costs agree only within a
@@ -95,14 +99,25 @@ func (t shardTrial) header(partition string) string {
 	return h
 }
 
-// CheckShardRouting runs one randomized shard differential (1 vs 2 vs 4
-// shards, above). On failure the fault script is minimized and rendered as
+// CheckShardRouting runs one randomized shard differential: the trial at 2
+// and 4 shards, on the partitioner's cuts, against the one-shard run
+// (runShardCuts). On failure the fault script is minimized and rendered as
 // a .scn reproducer with the trial in comment headers.
 func CheckShardRouting(rng *rand.Rand, seed int64) *Failure {
 	trial, events := genShardTrial(rng)
+	cfg := shard.Config{
+		Graph:         trial.g,
+		Seed:          trial.seed,
+		PktRate:       trial.pktRate,
+		Dests:         trial.dests,
+		Adaptive:      true,
+		Metric:        trial.metric,
+		MeasureSample: 8,
+		TraceDrops:    true,
+	}
 	sc := script("shard-diff", trial.duration, sim.Second, events)
 	run := func(sub []scenario.Event) error {
-		return runShardDiff(trial, script(sc.Name, sc.Duration, sc.CheckEvery, sub))
+		return runShardCuts(cfg, script(sc.Name, sc.Duration, sc.CheckEvery, sub), 2, 4)
 	}
 	err := run(events)
 	if err == nil {
@@ -111,68 +126,53 @@ func CheckShardRouting(rng *rand.Rand, seed int64) *Failure {
 	return scriptFailure("shard-differential", seed, trial.topoName, trial.header(""), sc, err, run)
 }
 
-// shardLeg is one shard-engine run's observables.
-type shardLeg struct {
-	series [][]float64 // [link][checkpoint] advertised cost
-	trace  string
-}
-
-// runShardLeg runs the script on the shard engine at the given shard count,
-// sampling every link's advertised cost at each of the script's 1 s
-// checkpoints, where the runner audits.
-func runShardLeg(t shardTrial, sc *scenario.Scenario, shards int) (*shardLeg, error) {
-	cfg := shard.Config{
-		Graph:         t.g,
-		Shards:        shards,
-		Seed:          t.seed,
-		PktRate:       t.pktRate,
-		Dests:         t.dests,
-		Adaptive:      true,
-		Metric:        t.metric,
-		MeasureSample: 8,
-		TraceDrops:    true,
-	}
-	leg := &shardLeg{series: make([][]float64, t.g.NumLinks())}
-	s, res, err := scenario.RunSharded(cfg, sc, func(s *shard.Sim) {
-		for l := range leg.series {
-			leg.series[l] = append(leg.series[l], s.LinkCost(topology.LinkID(l)))
+// runShardCuts runs the script through scenario.RunSharded, audited at every
+// checkpoint, first on one shard with no partition — the reference — and
+// then cut into each of the given shard counts: over cfg.Partition, or the
+// partitioner's cut when it is nil. It returns the first failed audit, or
+// the first of the three observables (above) in which a cut departs from
+// the reference.
+func runShardCuts(cfg shard.Config, sc *scenario.Scenario, shards ...int) error {
+	var refSeries [][]float64
+	var refTrace, refReport string
+	for i, n := range append([]int{1}, shards...) {
+		c := cfg
+		c.Shards = n
+		if i == 0 {
+			c.Partition = nil
 		}
-	})
-	if err == nil {
-		err = firstViolation(res)
-	}
-	if err != nil {
-		return nil, err
-	}
-	leg.trace = s.TraceText()
-	return leg, nil
-}
-
-// runShardDiff runs the trial at 1, 2 and 4 shards and returns the first
-// divergence from the single-kernel run, or the first failed audit, as an
-// error.
-func runShardDiff(t shardTrial, sc *scenario.Scenario) error {
-	ref, err := runShardLeg(t, sc, 1)
-	if err != nil {
-		return fmt.Errorf("shards=1: %w", err)
-	}
-	for _, shards := range []int{2, 4} {
-		leg, err := runShardLeg(t, sc, shards)
+		series := make([][]float64, cfg.Graph.NumLinks())
+		s, res, err := scenario.RunSharded(c, sc, func(s *shard.Sim) {
+			for l := range series {
+				series[l] = append(series[l], s.LinkCost(topology.LinkID(l)))
+			}
+		})
+		if err == nil {
+			err = firstViolation(res)
+		}
 		if err != nil {
-			return fmt.Errorf("shards=%d: %w", shards, err)
+			return fmt.Errorf("shards=%d: %w", n, err)
 		}
-		for l := range ref.series {
-			for i := range ref.series[l] {
-				// The pillar's whole point is bitwise equality across shard counts
-				if leg.series[l][i] != ref.series[l][i] {
-					a, b := t.g.Link(topology.LinkID(l)).From, t.g.Link(topology.LinkID(l)).To
+		trace, report := s.TraceText(), s.Report().String()
+		if i == 0 {
+			refSeries, refTrace, refReport = series, trace, report
+			continue
+		}
+		for l := range refSeries {
+			for k := range refSeries[l] {
+				// The pillar's whole point is bitwise equality across cuts
+				if series[l][k] != refSeries[l][k] {
+					lnk := cfg.Graph.Link(topology.LinkID(l))
 					return fmt.Errorf("shards=%d: advertised cost of %s->%s diverged at checkpoint %d: %.9g vs %.9g",
-						shards, t.g.Node(a).Name, t.g.Node(b).Name, i, leg.series[l][i], ref.series[l][i])
+						n, cfg.Graph.Node(lnk.From).Name, cfg.Graph.Node(lnk.To).Name, k, series[l][k], refSeries[l][k])
 				}
 			}
 		}
-		if leg.trace != ref.trace {
-			return fmt.Errorf("shards=%d: merged trace diverged from single-kernel run", shards)
+		if trace != refTrace {
+			return fmt.Errorf("shards=%d: merged trace diverged from the one-shard run", n)
+		}
+		if report != refReport {
+			return fmt.Errorf("shards=%d: report diverged from the one-shard run:\n%s\nwant:\n%s", n, report, refReport)
 		}
 	}
 	return nil
@@ -187,8 +187,9 @@ func runShardDiff(t shardTrial, sc *scenario.Scenario) error {
 // lookaheads), adaptive routing under a random metric, and a random fault
 // script. The composed custody ledgers — user AND control identities — the
 // wire/transmitter audits and convergence must hold at every 1 s checkpoint
-// of the script. Violations ddmin to a runnable .scn with the partition in a
-// header.
+// of the script, and the cut must reproduce the one-shard run
+// (runShardCuts). Violations ddmin to a runnable .scn with the partition in
+// a header.
 func CheckShardCustody(rng *rand.Rand, seed int64) *Failure {
 	regions, per := 2+rng.Intn(3), 4+rng.Intn(5)
 	topoSeed := rng.Int63n(1 << 30)
@@ -217,8 +218,21 @@ func CheckShardCustody(rng *rand.Rand, seed int64) *Failure {
 		}
 	}
 
+	cfg := shard.Config{
+		Graph:         trial.g,
+		Seed:          trial.seed,
+		PktRate:       trial.pktRate,
+		Dests:         trial.dests,
+		QueueLimit:    queueLimit,
+		Adaptive:      true,
+		Metric:        trial.metric,
+		MeasurePeriod: 2 * sim.Second, // several flood waves inside the short run
+		MeasureSample: 4,
+		TraceDrops:    true,
+		Partition:     part,
+	}
 	run := func(sub []scenario.Event) error {
-		return runShardCustody(trial, script(sc.Name, sc.Duration, sc.CheckEvery, sub), shards, part, queueLimit)
+		return runShardCuts(cfg, script(sc.Name, sc.Duration, sc.CheckEvery, sub), shards)
 	}
 	err := run(sc.Events)
 	if err == nil {
@@ -265,49 +279,4 @@ func partitionString(part []int) string {
 		fmt.Fprintf(&b, "%d", p)
 	}
 	return b.String()
-}
-
-// runShardCustody runs the script on the adaptive sharded engine over an
-// explicit cut, audited at every checkpoint, and cross-checks the trace and
-// report against the canonical single-shard run (an explicit partition must
-// be invisible).
-func runShardCustody(t shardTrial, sc *scenario.Scenario, shards int, part []int, queueLimit int) error {
-	cfg := shard.Config{
-		Graph:         t.g,
-		Shards:        shards,
-		Seed:          t.seed,
-		PktRate:       t.pktRate,
-		Dests:         t.dests,
-		QueueLimit:    queueLimit,
-		Adaptive:      true,
-		Metric:        t.metric,
-		MeasurePeriod: 2 * sim.Second, // several flood waves inside the short run
-		MeasureSample: 4,
-		TraceDrops:    true,
-		Partition:     part,
-	}
-	s, res, err := scenario.RunSharded(cfg, sc, nil)
-	if err == nil {
-		err = firstViolation(res)
-	}
-	if err != nil {
-		return fmt.Errorf("shards=%d cut: %w", shards, err)
-	}
-	ref := cfg
-	ref.Shards = 1
-	ref.Partition = nil
-	r, res, err := scenario.RunSharded(ref, sc, nil)
-	if err == nil {
-		err = firstViolation(res)
-	}
-	if err != nil {
-		return fmt.Errorf("reference: %w", err)
-	}
-	if got, want := s.TraceText(), r.TraceText(); got != want {
-		return fmt.Errorf("random cut changed the merged trace (shards=%d)", shards)
-	}
-	if got, want := s.Report().String(), r.Report().String(); got != want {
-		return fmt.Errorf("random cut changed the report:\n%s\nwant:\n%s", got, want)
-	}
-	return nil
 }

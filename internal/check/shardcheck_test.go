@@ -8,9 +8,9 @@ import (
 )
 
 // TestCheckShardRouting: adaptive runs at 1, 2 and 4 shards agree bit for
-// bit — every link's cost series and the merged trace — with the custody
-// audits passing, on the ARPANET map and a small hierarchical graph. The
-// test fails if seeds 1..4 stop drawing at least two metrics.
+// bit — every link's cost series, the merged trace and the report — with
+// the custody audits passing, on the ARPANET map and a small hierarchical
+// graph. The test fails if seeds 1..4 stop drawing at least two metrics.
 func TestCheckShardRouting(t *testing.T) {
 	t.Parallel()
 	n := int64(4)

@@ -27,15 +27,8 @@ import (
 // without being booked into a drop class unbalances the ledger instead of
 // hiding.
 func (n *Network) Conservation() Conservation {
-	c := Conservation{
-		Offered:      n.offeredPkts.Value(),
-		Delivered:    n.delivered.Value(),
-		BufferDrops:  n.bufferDrops.Value(),
-		LoopDrops:    n.loopDrops.Value(),
-		NoRouteDrops: n.noRouteDrops.Value(),
-		OutageDrops:  n.outageDrops.Value(),
-		InFlight:     int64(n.propCounted),
-	}
+	c := n.led
+	c.InFlight = int64(n.propCounted)
 	counted := func(p *node.Packet) {
 		if !p.IsRouting() && p.Counted {
 			c.InFlight++

@@ -84,7 +84,7 @@ func (n *Network) dvRecompute(p *psn) {
 func (n *Network) dvExchange(p *psn, now sim.Time) {
 	n.dvRecompute(p)
 	if n.warmed {
-		n.updatesOrig.Inc()
+		n.updatesOrig++
 	}
 	vec := &node.Vector{Origin: p.ID, Dist: append([]float64(nil), p.dv.dist...)}
 	size := float64(128 + dvEntryBits*len(vec.Dist))

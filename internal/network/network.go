@@ -102,19 +102,16 @@ type Network struct {
 	dvExchangeFn sim.Call
 
 	// Cumulative statistics over Counted packets (generated post-warmup).
-	offeredPkts   stats.Counter
+	// led books each one's fate; its InFlight is counted only at the
+	// snapshot (Conservation).
+	led           node.Conservation
 	offeredBits   float64
-	delivered     stats.Counter
 	deliveredBits float64
 	delay         stats.Welford    // one-way delivery delay, seconds
 	delayHist     *stats.Histogram // same, for percentiles
 	hops          stats.Welford    // per delivered packet
-	loopDrops     stats.Counter
-	noRouteDrops  stats.Counter
-	bufferDrops   stats.Counter // Counted packets refused by full queues
-	outageDrops   stats.Counter // Counted packets destroyed by trunk failures
-	updatesOrig   stats.Counter // routing updates originated
-	updateTx      stats.Counter // routing update transmissions
+	updatesOrig   int64            // routing updates originated
+	updateTx      int64            // routing update transmissions
 	routingBits   float64
 	measuredSince sim.Time
 
@@ -158,8 +155,8 @@ type linkState struct {
 	propLat sim.Time
 
 	// lastFlooded is the cost most recently flooded for this link by its
-	// owning PSN (DownCost while out of service). The convergence auditor
-	// compares every PSN's database against it.
+	// owning PSN (DownCost while out of service): the cost the fluid
+	// background routes its demand on.
 	lastFlooded float64
 
 	txBitsWindow float64 // bits since the last utilization sample
@@ -435,7 +432,7 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 	pkt.Arrival = topology.NoLink
 	pkt.Counted = n.warmed
 	if pkt.Counted {
-		n.offeredPkts.Inc()
+		n.led.Offered++
 		n.offeredBits += size
 	}
 	n.handlePacket(p, pkt, now)
@@ -475,7 +472,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 	}
 	if pkt.Dst == p.ID {
 		if pkt.Counted {
-			n.delivered.Inc()
+			n.led.Delivered++
 			n.deliveredBits += pkt.SizeBits
 			d := (now - pkt.Created).Seconds()
 			n.delay.Add(d)
@@ -487,7 +484,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 	}
 	if pkt.Hops >= MaxHops {
 		if pkt.Counted {
-			n.loopDrops.Inc()
+			n.led.LoopDrops++
 		}
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketLooped, Node: p.ID, Link: topology.NoLink})
 		n.pool.Put(pkt)
@@ -503,7 +500,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 	}
 	if nh == nil || nh.Down() {
 		if pkt.Counted {
-			n.noRouteDrops.Inc()
+			n.led.NoRouteDrops++
 		}
 		link := topology.NoLink
 		if nh != nil {
@@ -520,7 +517,7 @@ func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
 	pkt.Enqueued = now
 	if !ls.Queue.Push(pkt) {
 		if pkt.Counted {
-			n.bufferDrops.Inc()
+			n.led.BufferDrops++
 		}
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketDropped, Node: ls.link.From, Link: ls.link.ID})
 		n.pool.Put(pkt)
@@ -548,7 +545,7 @@ func (n *Network) txDone(ls *linkState, now sim.Time) {
 	ls.txBitsWindow += pkt.SizeBits
 	if pkt.IsRouting() {
 		if n.warmed {
-			n.updateTx.Inc()
+			n.updateTx++
 			n.routingBits += pkt.SizeBits
 		}
 		n.propRouting++
@@ -581,7 +578,7 @@ func (n *Network) propArrive(pkt *node.Packet, now sim.Time) {
 func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 	if !pkt.IsRouting() {
 		if pkt.Counted {
-			n.outageDrops.Inc()
+			n.led.OutageDrops++
 		}
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketOutage, Node: ls.link.From, Link: ls.link.ID})
 	} else if pkt.Update != nil {
@@ -627,7 +624,7 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	u := p.NextUpdate(n.g, costs, now)
 	p.accept(u)
 	if n.warmed {
-		n.updatesOrig.Inc()
+		n.updatesOrig++
 	}
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink})
 	p.Flood(n.g, n, u, topology.NoLink, now, now)

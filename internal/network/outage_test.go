@@ -114,7 +114,7 @@ func TestOutageDropAccounting(t *testing.T) {
 			}
 
 			n.SetTrunkDown(l)
-			if got := n.outageDrops.Value(); got != inFlight+queued {
+			if got := n.led.OutageDrops; got != inFlight+queued {
 				t.Errorf("outage drops = %d after failure, want %d (1 in flight + %d queued)",
 					got, inFlight+queued, queued)
 			}

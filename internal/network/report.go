@@ -73,9 +73,9 @@ func (n *Network) Report() Report {
 	if r.MinPathHops > 0 {
 		r.PathRatio = r.ActualPathHops / r.MinPathHops
 	}
-	r.UpdatesPerTrunkSec = float64(n.updateTx.Value()) / float64(n.g.NumTrunks()) / dur
-	if n.updatesOrig.Value() > 0 {
-		r.UpdatePeriodPerNode = dur / (float64(n.updatesOrig.Value()) / float64(n.g.NumNodes()))
+	r.UpdatesPerTrunkSec = float64(n.updateTx) / float64(n.g.NumTrunks()) / dur
+	if n.updatesOrig > 0 {
+		r.UpdatePeriodPerNode = dur / (float64(n.updatesOrig) / float64(n.g.NumNodes()))
 	}
 	cons := n.Conservation()
 	r.DeliveredPackets = cons.Delivered
@@ -88,7 +88,7 @@ func (n *Network) Report() Report {
 	if r.OfferedPackets > 0 {
 		r.DeliveredRatio = float64(r.DeliveredPackets) / float64(r.OfferedPackets)
 	}
-	r.UpdatesOriginated = n.updatesOrig.Value()
+	r.UpdatesOriginated = n.updatesOrig
 	r.RoutingKbps = n.routingBits / dur / 1000
 	for _, p := range n.psns {
 		r.SPFRecomputes += p.recomputes()

@@ -4,7 +4,7 @@ package shard
 // by shard index, delay sums by node ID), so its rendered form is as
 // partition-independent as the trace. Audit enforces the custody-ledger
 // invariants — per-shard balance, composed balance, and the wire identity
-// ΣExported − ΣImported == packets pending injection — plus the
+// ΣExported == ΣImported, user and control packets apiece — plus the
 // single-transmitter invariant (node.Trunk.Audit) on every link, that no
 // kernel refused a schedule, and that every update a router holds is intact.
 
@@ -49,7 +49,8 @@ func (s *Sim) Ledgers() []Ledger {
 	return out
 }
 
-// Report aggregates the shard ledgers and delivery statistics.
+// Report aggregates the shard ledgers and delivery statistics. Call it
+// between Run invocations, when no packet is on a wire.
 func (s *Sim) Report() Report {
 	var r Report
 	for _, l := range s.Ledgers() {
@@ -68,9 +69,6 @@ func (s *Sim) Report() Report {
 	for _, sh := range s.shards {
 		r.Originated += sh.origs
 	}
-	userWires, ctrlWires := s.pendingWireKinds()
-	r.InFlight += userWires
-	r.CtrlInFlight += ctrlWires
 	var delay float64
 	var hops, delivered int64
 	for _, n := range s.nodeAt { // global node order: float sum is partition-independent
@@ -82,9 +80,6 @@ func (s *Sim) Report() Report {
 		r.AvgDelay = delay / float64(delivered)
 		r.AvgHops = float64(hops) / float64(delivered)
 	}
-	// Compose's in-flight term already counts the wires: each shard books
-	// Exported−Imported into it, and the pending wires are exactly the
-	// exported-not-yet-imported packets.
 	r.Conservation = Compose(s.Ledgers())
 	return r
 }
@@ -112,7 +107,9 @@ func (r Report) String() string {
 }
 
 // Audit checks every custody, transmitter, schedule and shared-payload
-// invariant. Call it between Run invocations.
+// invariant. Call it between Run invocations: Run returns only after
+// deliverWires has emptied every wire, so by then each exported packet has
+// been imported.
 func (s *Sim) Audit() error {
 	ledgers := s.Ledgers()
 	var exported, imported, ctrlExported, ctrlImported int64
@@ -128,14 +125,11 @@ func (s *Sim) Audit() error {
 	if err := Compose(ledgers).Err(); err != nil {
 		return fmt.Errorf("composed: %w", err)
 	}
-	userWires, ctrlWires := s.pendingWireKinds()
-	if onWire := exported - imported; onWire != userWires {
-		return fmt.Errorf("wire imbalance: exported-imported = %d, pending wires = %d",
-			onWire, userWires)
+	if exported != imported {
+		return fmt.Errorf("wire imbalance: exported %d, imported %d", exported, imported)
 	}
-	if onWire := ctrlExported - ctrlImported; onWire != ctrlWires {
-		return fmt.Errorf("control wire imbalance: exported-imported = %d, pending wires = %d",
-			onWire, ctrlWires)
+	if ctrlExported != ctrlImported {
+		return fmt.Errorf("control wire imbalance: exported %d, imported %d", ctrlExported, ctrlImported)
 	}
 	for _, ls := range s.linkAt {
 		if err := ls.Audit(); err != nil {
@@ -152,16 +146,17 @@ func (s *Sim) Audit() error {
 }
 
 // ConvergenceAudit runs node.AuditConvergence over every shard's routers,
-// its per-origin counts held to the control copies the shards hold and the
-// wires carry: every PSN holds the latest update of each reachable origin
-// with no update copy in flight. It stays out of Audit, which stays linear
-// in the network's size. Without Adaptive there are no routers, and it
-// returns nil. Call it between Run invocations.
+// its per-origin counts held to the control copies the shards hold (the
+// wires are empty between Run invocations): every PSN holds the latest
+// update of each reachable origin with no update copy in flight. It stays
+// out of Audit, which stays linear in the network's size. Without Adaptive
+// there are no routers, and it returns nil. Call it between Run
+// invocations.
 func (s *Sim) ConvergenceAudit() error {
 	if !s.cfg.Adaptive {
 		return nil
 	}
-	_, held := s.pendingWireKinds()
+	var held int64
 	for _, sh := range s.shards {
 		_, ctrl := sh.inFlight()
 		held += ctrl

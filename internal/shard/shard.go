@@ -472,21 +472,6 @@ func (s *Sim) collectOutboxes() {
 	}
 }
 
-// pendingWireKinds splits the pending cross-shard packets into user traffic
-// and routing-update copies, for the per-class custody audits.
-func (s *Sim) pendingWireKinds() (user, ctrl int64) {
-	for _, ws := range s.wires {
-		for i := range ws {
-			if ws[i].upd != nil {
-				ctrl++
-			} else {
-				user++
-			}
-		}
-	}
-	return user, ctrl
-}
-
 // DestsOf returns the destination set the traffic model drew for a node.
 // The differential checks use it to offer the identical traffic matrix to
 // the unsharded engine. The caller must not modify it.

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical estimators used by every
 // experiment in the repository: streaming mean/variance (Welford), min/max
-// tracking, fixed-bucket histograms, counters and time series.
+// tracking, fixed-bucket histograms and time series.
 package stats
 
 import (
@@ -170,14 +170,3 @@ func (s *Series) Crossings(level float64) int {
 	}
 	return n
 }
-
-// Counter is a named monotonically increasing count.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }

@@ -147,16 +147,6 @@ func TestSeriesCrossings(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	for range 10 {
-		c.Inc()
-	}
-	if c.Value() != 10 {
-		t.Errorf("Value = %d, want 10", c.Value())
-	}
-}
-
 func TestWelfordGaussian(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var w Welford

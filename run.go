@@ -3,6 +3,7 @@ package arpanet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -41,7 +42,8 @@ const (
 // updates flooded as real high-priority packets.
 type Spec struct {
 	Topology *Topology
-	// Traffic is the offered load; it must have been built from Topology.
+	// Traffic is the offered load; it must have been built from Topology,
+	// and its total must be finite.
 	Traffic *Traffic
 	// Metric is the link metric to run with (default HNSPF).
 	Metric Metric
@@ -49,8 +51,9 @@ type Spec struct {
 	Seed int64
 	// WarmupSeconds discards statistics collected before this time.
 	WarmupSeconds float64
-	// Seconds is the simulated time the run ends at, warm-up included. It
-	// must be zero with Script, whose duration is the horizon then.
+	// Seconds is the simulated time the run ends at, warm-up included, and
+	// finite. It must be zero with Script, whose duration is the horizon
+	// then.
 	Seconds float64
 	// Script is a fault-injection script in the .scn format (e.g.
 	// examples/flapping/utah-collins.scn): trunk and node faults, surges,
@@ -85,9 +88,10 @@ type Result struct {
 // Tracked is one trunk direction's series, X in simulated seconds.
 type Tracked struct{ Utilization, Cost *Series }
 
-// Run performs one run. Bad input — a Traffic from another Topology, an
-// unknown PSN name, a script that does not parse or surges a fluid
-// background no Spec carries — is an error naming the Spec field; invariant
+// Run performs one run. Bad input — a Traffic from another Topology or
+// with an infinite total, an infinite horizon, an unknown PSN name, a script
+// that does not parse or surges a fluid background no Spec carries — is an
+// error naming the Spec field; invariant
 // violations are data, in Result.Violations.
 func Run(s Spec) (Result, error) {
 	var res Result
@@ -191,6 +195,8 @@ func (s Spec) check() error {
 	switch {
 	case s.Traffic == nil || s.Traffic.t != s.Topology:
 		return errors.New("Spec.Traffic was not built from Spec.Topology")
+	case !(s.Traffic.TotalBPS() < math.Inf(1)):
+		return fmt.Errorf("Spec.Traffic totals %v bits/s, not a finite load", s.Traffic.TotalBPS())
 	case s.Metric < HNSPF || s.Metric > BF1969:
 		return fmt.Errorf("Spec.Metric %d is not a metric", int(s.Metric))
 	case s.Multipath && s.Metric == BF1969:
@@ -201,8 +207,8 @@ func (s Spec) check() error {
 		return fmt.Errorf("Spec.WarmupSeconds %v is not a time", s.WarmupSeconds)
 	case s.Script != "" && s.Seconds != 0:
 		return errors.New("Spec.Seconds must be zero with Spec.Script (its duration is the horizon)")
-	case s.Script == "" && !(s.Seconds > 0):
-		return fmt.Errorf("Spec.Seconds %v is not a positive time", s.Seconds)
+	case s.Script == "" && !(s.Seconds > 0 && s.Seconds < math.Inf(1)):
+		return fmt.Errorf("Spec.Seconds %v is not a finite positive time", s.Seconds)
 	case s.Script == "" && s.Seconds <= s.WarmupSeconds:
 		return fmt.Errorf("Spec.Seconds %v ends within Spec.WarmupSeconds %v: nothing is measured", s.Seconds, s.WarmupSeconds)
 	}

@@ -23,10 +23,5 @@ fuzztime="${FUZZTIME:-30s}"
 go run ./cmd/checker -campaigns "$campaigns" -seed "$seed" -out repro-artifacts
 
 if [ "$fuzztime" != 0 ]; then
-  go test -fuzz FuzzScenarioParse -fuzztime "$fuzztime" ./internal/scenario/
-  go test -fuzz FuzzGraphBuild -fuzztime "$fuzztime" ./internal/topology/
-  go test -fuzz FuzzKernelOps -fuzztime "$fuzztime" ./internal/sim/
-  go test -fuzz FuzzTableOps -fuzztime "$fuzztime" ./internal/spf/
-  go test -fuzz FuzzBootMatchesHeap -fuzztime "$fuzztime" ./internal/spf/
-  go test -fuzz FuzzRun -fuzztime "$fuzztime" ./cmd/arpanetsim/
+  scripts/fuzz.sh "$fuzztime"
 fi
