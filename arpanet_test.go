@@ -218,6 +218,7 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"script and seconds", func(s *Spec) { s.Script = "duration 60\n" }, "Spec.Seconds"},
 		{"no horizon", func(s *Spec) { s.Seconds = 0 }, "Spec.Seconds"},
 		{"infinite horizon", func(s *Spec) { s.Seconds = math.Inf(1) }, "Spec.Seconds"},
+		{"horizon past the clock", func(s *Spec) { s.Seconds = 1e300 }, "Spec.Seconds"},
 		{"infinite traffic", func(s *Spec) { s.Traffic.SetRate("N0", "N1", math.Inf(1)) }, "Spec.Traffic"},
 		{"negative warm-up", func(s *Spec) { s.WarmupSeconds = -1 }, "Spec.WarmupSeconds"},
 		{"warm-up past the horizon", func(s *Spec) { s.WarmupSeconds = 100 }, "Spec.Seconds 60 ends within Spec.WarmupSeconds 100"},
@@ -237,6 +238,10 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60, Track: [][2]string{{"N0", "N1"}}}
 	if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.Track") {
 		t.Errorf("RunSeeds with Track: err = %v, want one naming Spec.Track", err)
+	}
+	s = Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 1e300}
+	if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.Seconds") {
+		t.Errorf("RunSeeds with a horizon past the clock: err = %v, want one naming Spec.Seconds", err)
 	}
 }
 

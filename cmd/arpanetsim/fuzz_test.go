@@ -44,6 +44,8 @@ func FuzzRun(f *testing.F) {
 		"-shards 2 -adaptive -scenario x.scn -warmup 5",
 		// numberFlag: an infinite horizon.
 		"-seconds Inf",
+		// numberFlag: a horizon past the simulated clock's range.
+		"-seconds 1e300",
 	} {
 		f.Add(args)
 	}

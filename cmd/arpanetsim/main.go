@@ -94,6 +94,10 @@ func (o *options) check(fs *flag.FlagSet) ([]arpanet.Metric, error) {
 	if err == nil {
 		err = numberFlag(fs)
 	}
+	if err == nil && o.shards == 0 && o.scenario == "" && o.warmup+o.seconds >= arpanet.MaxSeconds {
+		// The Table 1 study's horizon is the two together.
+		err = fmt.Errorf("-warmup %v plus -seconds %v is past the simulated clock's range (%g s)", o.warmup, o.seconds, arpanet.MaxSeconds)
+	}
 	if err == nil {
 		err = checkFlags(set, o.shards, o.adaptive, o.scenario, o.topology, kinds)
 	}
@@ -203,10 +207,12 @@ func metricKinds(name string) ([]arpanet.Metric, error) {
 // numberFlag rejects a number no mode can mean: NaN, which flag.Float64
 // parses happily and sim.FromSeconds panics on; infinity, a horizon that
 // never comes or a load whose packets all arrive at once, so the clock
-// never moves; anything below zero, which panics in traffic.Gravity
-// (-traffic, -growth) or silently runs something else (no measured time, no
-// warm-up, uniform destinations, -shards -1 the Table 1 study); and -seeds
-// 0, no run to average.
+// never moves; a -seconds or -warmup past the simulated clock's range,
+// which sim.FromSeconds saturates to a horizon that never comes; anything
+// below zero, which panics in traffic.Gravity (-traffic, -growth) or
+// silently runs something else (no measured time, no warm-up, uniform
+// destinations, -shards -1 the Table 1 study); and -seeds 0, no run to
+// average.
 func numberFlag(fs *flag.FlagSet) (err error) {
 	fs.Visit(func(f *flag.Flag) {
 		var v float64
@@ -221,6 +227,8 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 			err = fmt.Errorf("-%s is not a number", f.Name)
 		case math.IsInf(v, 0):
 			err = fmt.Errorf("-%s %s is not finite", f.Name, f.Value)
+		case (f.Name == "seconds" || f.Name == "warmup") && v >= arpanet.MaxSeconds:
+			err = fmt.Errorf("-%s %s is past the simulated clock's range (%g s)", f.Name, f.Value, arpanet.MaxSeconds)
 		case v < 0:
 			err = fmt.Errorf("-%s %s is negative", f.Name, f.Value)
 		case v == 0 && f.Name == "seeds":

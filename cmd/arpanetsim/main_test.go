@@ -260,6 +260,9 @@ func TestRunExitStatus(t *testing.T) {
 		{"-traffic Inf -metric hnspf -seconds 10", 2, "-traffic +Inf is not finite", ""},
 		{"-growth Inf -seconds 10", 2, "-growth +Inf is not finite", ""},
 		{"-shards 1 -topology hier:2x3 -seconds Inf", 2, "-seconds +Inf is not finite", ""},
+		{"-seconds 1e300 -metric hnspf", 2, "-seconds 1e+300 is past the simulated clock's range", ""},
+		{"-warmup 1e13 -seconds 1e13 -metric hnspf", 2, "-warmup 1e+13 is past the simulated clock's range", ""},
+		{"-shards 1 -topology hier:2x3 -seconds 1e300", 2, "-seconds 1e+300 is past the simulated clock's range", ""},
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
 		{"-shards 2 -seeds 3", 2, "-seeds has no effect with -shards", ""},
 		{"-shards 2 -adaptive -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",

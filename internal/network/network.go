@@ -11,7 +11,6 @@ package network
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/flooding"
 	"repro/internal/flowmodel"
@@ -77,7 +76,6 @@ type Network struct {
 	g      *topology.Graph
 	psns   []*psn
 	links  []*linkState
-	rnd    *sim.Source
 	// routers is the PSNs' shared table, the one link-state database: one
 	// kernel, one goroutine drives them all (nil in BF1969 mode).
 	routers *spf.Table
@@ -130,16 +128,15 @@ type psn struct {
 	node.PSN              // updating protocol; Router is nil in BF1969 mode
 	lines    []*linkState // its out-links in Graph.Out order, so line i of its SPF tree is lines[i]
 	dv       *dvState     // 1969 distance vector (nil otherwise)
-	pathRand *rand.Rand   // multipath next-hop selection (nil otherwise)
+	paths    sim.RNG      // multipath next-hop selection (Config.Multipath)
 	dag      *spf.DAG     // multipath first hops over Router's tree (nil: stale, built at the next lookup)
 
-	// Traffic generation: total packet rate and cumulative destination
-	// distribution.
+	// Traffic generation: total packet rate, cumulative destination
+	// distribution, and the streams drawing from them.
 	pktRate     float64 // packets per second
 	dstCum      []float64
 	dstIDs      []topology.NodeID
-	rand        *rand.Rand
-	size        *rand.Rand
+	draw        node.Draws
 	sourceArmed bool // a sourceFire chain is scheduled
 }
 
@@ -183,7 +180,6 @@ func New(cfg Config) *Network {
 		cfg:    cfg,
 		kernel: sim.New(),
 		g:      cfg.Graph,
-		rnd:    sim.NewSource(cfg.Seed),
 		// 10 ms buckets to 10 s cover every plausible one-way delay.
 		delayHist: stats.NewHistogram(0, 10, 1000),
 	}
@@ -234,8 +230,7 @@ func New(cfg Config) *Network {
 		p := &psn{
 			PSN:   node.PSN{ID: id},
 			lines: make([]*linkState, n.g.Degree(id)),
-			rand:  n.rnd.Stream(fmt.Sprintf("dst/%d", i)),
-			size:  n.rnd.Stream(fmt.Sprintf("size/%d", i)),
+			draw:  node.NewDraws(cfg.Seed, id),
 		}
 		for j, l := range n.g.Out(id) {
 			p.lines[j] = n.links[l]
@@ -243,7 +238,7 @@ func New(cfg Config) *Network {
 		if n.routers != nil { // else dvSetup below installs distance-vector state
 			p.Router = n.routers.Router(i)
 			if cfg.Multipath {
-				p.pathRand = n.rnd.Stream(fmt.Sprintf("path/%d", i))
+				p.paths = sim.NewRNG(cfg.Seed, i, node.StreamPaths)
 			}
 		}
 		n.psns[i] = p
@@ -337,7 +332,7 @@ func (n *Network) altNextHop(p *psn, dst topology.NodeID) *linkState {
 		if hops := p.dag.NextHops(dst); len(hops) == 1 {
 			nh = hops[0]
 		} else if len(hops) > 1 {
-			nh = hops[p.pathRand.Intn(len(hops))]
+			nh = hops[p.paths.Intn(len(hops))]
 		}
 	}
 	if nh == topology.NoLink {
@@ -410,11 +405,7 @@ func (n *Network) armSource(p *psn) {
 	p.sourceArmed = true
 	// Fire-and-forget: the source chain parks itself via sourceArmed when
 	// the matrix zeroes the rate, rather than being cancelled.
-	_ = n.kernel.ScheduleCall(n.nextArrival(p), n.sourceFireFn, p)
-}
-
-func (n *Network) nextArrival(p *psn) sim.Time {
-	return sim.FromSeconds(sim.Exp(p.rand, 1/p.pktRate))
+	_ = n.kernel.ScheduleCall(p.draw.Gap(p.pktRate), n.sourceFireFn, p)
 }
 
 func (n *Network) sourceFire(p *psn, now sim.Time) {
@@ -425,7 +416,7 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 		return
 	}
 	dst := p.pickDst()
-	size := node.ClampPktBits(sim.Exp(p.size, node.MeanPktBits))
+	size := p.draw.PktBits()
 	pkt := n.pool.Get()
 	pkt.Src, pkt.Dst = p.ID, dst
 	pkt.SizeBits, pkt.Created = size, now
@@ -437,11 +428,11 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 	}
 	n.handlePacket(p, pkt, now)
 	// Fire-and-forget: see armSource.
-	_ = n.kernel.ScheduleCall(n.nextArrival(p), n.sourceFireFn, p)
+	_ = n.kernel.ScheduleCall(p.draw.Gap(p.pktRate), n.sourceFireFn, p)
 }
 
 func (p *psn) pickDst() topology.NodeID {
-	u := p.rand.Float64()
+	u := p.draw.Dst.Float64()
 	lo, hi := 0, len(p.dstCum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -491,9 +482,9 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		return
 	}
 	// The single SPF tree hop is a line number: the PSN's own lines answer it.
-	// Distance vectors and multipath (pathRand set) choose elsewhere.
+	// Distance vectors and multipath choose elsewhere.
 	var nh *linkState
-	if p.Router == nil || p.pathRand != nil {
+	if p.Router == nil || n.cfg.Multipath {
 		nh = n.altNextHop(p, pkt.Dst)
 	} else if i := p.Router.Tree().NextLine(pkt.Dst); i >= 0 {
 		nh = p.lines[i]
@@ -634,16 +625,12 @@ func (n *Network) originate(p *psn, now sim.Time) {
 
 func (n *Network) scheduleMeasurement() {
 	period := node.MeasurementPeriod
-	for i, p := range n.psns {
-		// Stagger the nodes' periods across the interval: the paper's PSNs
-		// measure asynchronously (though they *re-route* almost
-		// synchronously, because flooding is fast — that effect emerges
-		// from the packet-level flood, not from scheduling).
-		offset := sim.Time(int64(period) * int64(i) / int64(len(n.psns)))
-		p.LastOriginated = node.BootOriginated(p.ID, offset+period, period)
+	for _, p := range n.psns {
+		first := node.FirstMeasurement(p.ID, len(n.psns), period)
+		p.LastOriginated = node.BootOriginated(p.ID, first, period)
 		// Fire-and-forget: measurement periods run for the lifetime of the
 		// network; down links skip inside measure instead of cancelling.
-		_ = n.kernel.ScheduleCall(offset+period, n.measureFn, p)
+		_ = n.kernel.ScheduleCall(first, n.measureFn, p)
 	}
 }
 

@@ -178,6 +178,8 @@ func TestConservationAcrossFlaps(t *testing.T) {
 	// The conservation ledger must balance exactly under repeated trunk
 	// flapping, for every routing mode (the 1969 distance-vector baseline
 	// included — its exchanges are routing packets outside the ledger).
+	// Each down waits for a counted packet on the trunk's transmitter, so
+	// the failure path runs whatever the draws: the outage drops it.
 	metrics := []node.MetricKind{node.HNSPF, node.DSPF, node.MinHop, node.BF1969}
 	for _, metric := range metrics {
 		t.Run(metric.String(), func(t *testing.T) {
@@ -185,18 +187,29 @@ func TestConservationAcrossFlaps(t *testing.T) {
 			m := traffic.Uniform(g, 40000)
 			n := New(Config{Graph: g, Matrix: m, Metric: metric, Seed: 24, Warmup: 20 * sim.Second})
 			l, _ := g.FindTrunk(0, 1)
-			for i := 0; i < 6; i++ {
-				at := sim.Time(40+25*i) * sim.Second
-				down := i%2 == 0
-				n.kernel.Schedule(at-n.kernel.Now(), func(sim.Time) {
-					if down {
-						n.SetTrunkDown(l)
-					} else {
-						n.SetTrunkUp(l)
+			flaps := 0
+			// flap runs the flaps at 40, 65, …, 165 s that fall before until.
+			flap := func(until sim.Time) {
+				for ; flaps < 6; flaps++ {
+					at := sim.Time(40+25*flaps) * sim.Second
+					if at >= until {
+						return
 					}
-				})
+					n.Run(at)
+					if flaps%2 == 1 {
+						n.SetTrunkUp(l)
+						continue
+					}
+					for p := sending(&n.links[l].Trunk); p == nil || !p.Counted; p = sending(&n.links[l].Trunk) {
+						if !n.kernel.Step() {
+							t.Fatalf("the kernel drained at %v waiting for a packet on the trunk", n.kernel.Now())
+						}
+					}
+					n.SetTrunkDown(l)
+				}
 			}
 			for _, checkpoint := range []sim.Time{50, 90, 130, 200, 300} {
+				flap(checkpoint * sim.Second)
 				n.Run(checkpoint * sim.Second)
 				auditAll(t, n, checkpoint.String())
 			}
@@ -258,12 +271,13 @@ func TestOfferedLoadMatchesMatrix(t *testing.T) {
 }
 
 func TestClampedMeanFormula(t *testing.T) {
-	// Monte-Carlo check of the closed form E[clamp(X,a,b)].
-	r := sim.NewSource(99).Stream("sizes")
+	// Monte-Carlo check of the closed form E[clamp(X,a,b)], over the size
+	// draws both engines take.
+	d := node.NewDraws(99, 0)
 	var sum float64
 	const nSamples = 2_000_000
 	for i := 0; i < nSamples; i++ {
-		sum += node.ClampPktBits(sim.Exp(r, node.MeanPktBits))
+		sum += d.PktBits()
 	}
 	got := sum / nSamples
 	if want := node.ClampedMeanPktBits(); math.Abs(got-want)/want > 0.005 {

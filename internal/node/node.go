@@ -72,12 +72,6 @@ const (
 	MaxPktBits  = 8000.0
 )
 
-// ClampPktBits turns an exponential draw of mean MeanPktBits into a user
-// packet size.
-func ClampPktBits(draw float64) float64 {
-	return min(max(draw, MinPktBits), MaxPktBits)
-}
-
 // clampedMeanPktBits is the true mean of the clamped size distribution:
 // E[clamp(X,a,b)] = a + λ(e^{-a/λ} - e^{-b/λ}) for X ~ Exp(λ).
 var clampedMeanPktBits = MinPktBits +

@@ -3,13 +3,13 @@ package shard
 // The per-shard traffic model: Poisson sources, store-and-forward over
 // node.Trunk, and scripted trunk faults. The trunk — output queue, single
 // transmitter, §2.2 measurement, cost module, fail/repair transitions — the
-// packet size law and the conservation ledger are internal/node's, the same
-// code internal/network runs. What is this engine's own is what makes every
-// event a node observes independent of the partition (see the package
-// comment for the ordering rules): completions are scheduled at absolute
-// times, a transmitted packet goes to the far node's content-sorted arrival
-// buffer or over the wire to another shard rather than into a propagation
-// event, draws come from per-node value-type streams, and outcomes are
+// per-node random streams and their draw rules (node.Draws) and the
+// conservation ledger are internal/node's, the same code internal/network
+// runs. What is this engine's own is what makes every event a node observes
+// independent of the partition (see the package comment for the ordering
+// rules): completions are scheduled at absolute times, a transmitted packet
+// goes to the far node's content-sorted arrival buffer or over the wire to
+// another shard rather than into a propagation event, and outcomes are
 // booked into per-shard custody ledgers. With Config.Adaptive the static
 // table is replaced by the adaptive routing plane of adaptive.go.
 
@@ -69,9 +69,7 @@ type lnode struct {
 
 	sh   *shardState
 	rate float64
-	arr  rng // inter-arrival draws
-	size rng // packet size draws
-	dst  rng // destination choice (also seeds the setup-time dest sample)
+	draw node.Draws // traffic streams; Dst also draws the setup-time destination sample
 
 	dests []topology.NodeID
 	out   []*llink // this node's out-links in Graph.Out order: line i of its SPF tree, or of the static table, is out[i]
@@ -138,16 +136,14 @@ func (s *Sim) buildNode(id topology.NodeID, balls *topology.Search) {
 		PSN:  node.PSN{ID: id},
 		sh:   sh,
 		rate: s.cfg.PktRate,
-		arr:  seedRNG(s.cfg.Seed, int(id), 0),
-		size: seedRNG(s.cfg.Seed, int(id), 1),
-		dst:  seedRNG(s.cfg.Seed, int(id), 2),
+		draw: node.NewDraws(s.cfg.Seed, id),
 	}
 	s.nodeAt[id] = n
 	sh.nodes = append(sh.nodes, n)
 	n.dests = s.sampleDests(n, balls)
 }
 
-// sampleDests draws the node's destination set from its dst stream: within
+// sampleDests draws the node's destination set from its Dst stream: within
 // DestRadius hops when set (locality traffic; balls is then New's search),
 // else uniformly.
 func (s *Sim) sampleDests(n *lnode, balls *topology.Search) []topology.NodeID {
@@ -162,7 +158,7 @@ func (s *Sim) sampleDests(n *lnode, balls *topology.Search) []topology.NodeID {
 		}
 		out := make([]topology.NodeID, 0, want)
 		for len(out) < want {
-			d := cand[n.dst.intn(len(cand))]
+			d := cand[n.draw.Dst.Intn(len(cand))]
 			if !containsNode(out, d) {
 				out = append(out, d)
 			}
@@ -174,7 +170,7 @@ func (s *Sim) sampleDests(n *lnode, balls *topology.Search) []topology.NodeID {
 	}
 	out := make([]topology.NodeID, 0, want)
 	for len(out) < want {
-		d := topology.NodeID(n.dst.intn(total - 1))
+		d := topology.NodeID(n.draw.Dst.Intn(total - 1))
 		if d >= n.ID {
 			d++ // skip self without biasing the draw
 		}
@@ -219,15 +215,6 @@ func (s *Sim) buildLinks(id topology.NodeID) {
 
 // --- traffic --------------------------------------------------------------
 
-// nextGap draws the node's next inter-arrival gap, at least one tick.
-func (n *lnode) nextGap() sim.Time {
-	gap := sim.FromSeconds(n.arr.exp(1 / n.rate))
-	if gap < 1 {
-		gap = 1
-	}
-	return gap
-}
-
 // source generates one packet and re-arms itself.
 func (sh *shardState) source(now sim.Time, arg any) {
 	n := arg.(*lnode)
@@ -238,14 +225,14 @@ func (sh *shardState) source(now sim.Time, arg any) {
 	p.Seq = uint64(n.ID)<<32 | n.pseq
 	n.pseq++
 	p.Src = n.ID
-	p.Dst = n.dests[n.dst.intn(len(n.dests))]
-	p.SizeBits = node.ClampPktBits(n.size.exp(node.MeanPktBits))
+	p.Dst = n.dests[n.draw.Dst.Intn(len(n.dests))]
+	p.SizeBits = n.draw.PktBits()
 	p.Created = now
 	p.Arrival = topology.NoLink
 	p.Counted = true
 	sh.led.Generated++
 	sh.handlePacket(n, p, now)
-	_ = mustCallAt(sh.kernel, now.Add(n.nextGap()), sh.sourceCall, n)
+	_ = mustCallAt(sh.kernel, now.Add(n.draw.Gap(n.rate)), sh.sourceCall, n)
 }
 
 // handlePacket delivers, drops, or forwards a packet at node n.

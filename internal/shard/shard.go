@@ -26,8 +26,9 @@
 //     consumed by a drain event scheduled with sim.ScheduleTailCallAt, so
 //     the drain fires after every normal same-instant event at the node no
 //     matter which side of a shard boundary armed it;
-//  3. all randomness comes from per-node value-type streams (rng.go's
-//     splitmix64, three per node), all floating point state is node- or
+//  3. all randomness comes from per-node value-type streams (node.Draws:
+//     three sim.RNG streams per node, keyed by seed, node and stream, the
+//     unsharded engine's too), all floating point state is node- or
 //     link-local, and merged output is sorted by (time, node, per-node
 //     sequence).
 //
@@ -244,17 +245,13 @@ func New(cfg Config) (*Sim, error) {
 	// node's measurement tick, source, and fault events): within a shard,
 	// relative sequence numbers of same-instant setup events are then
 	// independent of the partition.
-	step := cfg.MeasurePeriod / sim.Time(g.NumNodes())
-	if step < 1 {
-		step = 1
-	}
 	for id := 0; id < g.NumNodes(); id++ {
 		n := s.nodeAt[id]
 		sh := n.sh
-		first := cfg.MeasurePeriod + sim.Time(id)*step
+		first := node.FirstMeasurement(n.ID, g.NumNodes(), cfg.MeasurePeriod)
 		n.LastOriginated = node.BootOriginated(n.ID, first, cfg.MeasurePeriod)
 		_ = mustCallAt(sh.kernel, first, sh.measureCall, n)
-		_ = mustCallAt(sh.kernel, n.nextGap(), sh.sourceCall, n)
+		_ = mustCallAt(sh.kernel, n.draw.Gap(n.rate), sh.sourceCall, n)
 		for fi := range cfg.Faults {
 			f := &cfg.Faults[fi]
 			for _, lid := range []topology.LinkID{topology.LinkID(2 * f.Trunk), topology.LinkID(2*f.Trunk + 1)} {

@@ -55,6 +55,11 @@ const (
 // parked at maxTime unfired.
 const maxTime = Time(math.MaxInt64)
 
+// MaxSeconds bounds the seconds a Time can hold: FromSeconds saturates
+// anything from here on to the last instant, so a horizon at or past it
+// never ends. Callers taking a horizon in seconds refuse it by this bound.
+const MaxSeconds = float64(maxTime) / float64(Second)
+
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
@@ -199,50 +198,6 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSourceReproducible(t *testing.T) {
-	a := NewSource(42).Stream("traffic")
-	b := NewSource(42).Stream("traffic")
-	for i := 0; i < 100; i++ {
-		if a.Int63() != b.Int63() {
-			t.Fatal("same (seed, name) should give identical streams")
-		}
-	}
-}
-
-func TestSourceIndependentStreams(t *testing.T) {
-	s := NewSource(42)
-	a, b := s.Stream("traffic"), s.Stream("packets")
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Int63() == b.Int63() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("streams for different names look identical (%d/100 equal draws)", same)
-	}
-}
-
-func TestExp(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := Exp(r, 600)
-		if v < 0 {
-			t.Fatal("Exp returned negative value")
-		}
-		sum += v
-	}
-	mean := sum / n
-	if mean < 580 || mean > 620 {
-		t.Errorf("Exp mean = %v, want ~600", mean)
-	}
-	if Exp(r, 0) != 0 || Exp(r, -1) != 0 {
-		t.Error("Exp with non-positive mean should return 0")
 	}
 }
 

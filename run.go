@@ -51,9 +51,9 @@ type Spec struct {
 	Seed int64
 	// WarmupSeconds discards statistics collected before this time.
 	WarmupSeconds float64
-	// Seconds is the simulated time the run ends at, warm-up included, and
-	// finite. It must be zero with Script, whose duration is the horizon
-	// then.
+	// Seconds is the simulated time the run ends at, warm-up included,
+	// below MaxSeconds. It must be zero with Script, whose duration is the
+	// horizon then.
 	Seconds float64
 	// Script is a fault-injection script in the .scn format (e.g.
 	// examples/flapping/utah-collins.scn): trunk and node faults, surges,
@@ -72,6 +72,10 @@ type Spec struct {
 	TraceCapacity int
 }
 
+// MaxSeconds bounds Spec.Seconds, and any other horizon in seconds: the
+// simulated clock holds no instant from here on.
+const MaxSeconds = sim.MaxSeconds
+
 // Result is one run. The embedded scenario.Result — the Report over the
 // post-warm-up window, every checkpoint's audit and any violated invariant
 // — is all that encodes as JSON.
@@ -89,10 +93,10 @@ type Result struct {
 type Tracked struct{ Utilization, Cost *Series }
 
 // Run performs one run. Bad input — a Traffic from another Topology or
-// with an infinite total, an infinite horizon, an unknown PSN name, a script
-// that does not parse or surges a fluid background no Spec carries — is an
-// error naming the Spec field; invariant
-// violations are data, in Result.Violations.
+// with an infinite total, a horizon past the clock's range, an unknown PSN
+// name, a script that does not parse or surges a fluid background no Spec
+// carries — is an error naming the Spec field; invariant violations are
+// data, in Result.Violations.
 func Run(s Spec) (Result, error) {
 	var res Result
 	cfg, err := s.config(&res)
@@ -207,8 +211,8 @@ func (s Spec) check() error {
 		return fmt.Errorf("Spec.WarmupSeconds %v is not a time", s.WarmupSeconds)
 	case s.Script != "" && s.Seconds != 0:
 		return errors.New("Spec.Seconds must be zero with Spec.Script (its duration is the horizon)")
-	case s.Script == "" && !(s.Seconds > 0 && s.Seconds < math.Inf(1)):
-		return fmt.Errorf("Spec.Seconds %v is not a finite positive time", s.Seconds)
+	case s.Script == "" && !(s.Seconds > 0 && s.Seconds < MaxSeconds):
+		return fmt.Errorf("Spec.Seconds %v is not a positive time the simulated clock holds (below %g s)", s.Seconds, MaxSeconds)
 	case s.Script == "" && s.Seconds <= s.WarmupSeconds:
 		return fmt.Errorf("Spec.Seconds %v ends within Spec.WarmupSeconds %v: nothing is measured", s.Seconds, s.WarmupSeconds)
 	}

@@ -10,7 +10,9 @@
 #
 # go test fuzzes one target of one package per invocation, so the targets run
 # one after another and the script stops at the first failure; the failing
-# input lands in that package's testdata/fuzz/.
+# input lands in that package's testdata/fuzz/. -run '^$' keeps each
+# invocation from running the package's tests first (CI's corpus step runs
+# every corpus as tests).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,5 +27,5 @@ targets=$(go test -list '^Fuzz' ./... |
   awk '/^Fuzz/ { t[n++] = $1 } $1 == "ok" { for (i = 0; i < n; i++) print t[i], $2; n = 0 }')
 
 while read -r target pkg; do
-  go test -fuzz "^$target\$" -fuzztime "$1" "$pkg" </dev/null
+  go test -run '^$' -fuzz "^$target\$" -fuzztime "$1" "$pkg" </dev/null
 done <<<"$targets"
