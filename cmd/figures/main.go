@@ -31,6 +31,9 @@ type figs struct {
 	seconds float64
 }
 
+// fig1Warmup is Figure 1's warm-up in seconds, before the -seconds it measures.
+const fig1Warmup = 100.0
+
 // order is every figure, as -fig all prints them.
 var order = []string{"1", "4", "5", "7", "8", "9", "10", "11", "12", "13"}
 
@@ -40,7 +43,8 @@ func main() {
 
 // run is main minus the process exit, so tests drive it directly: 0 after the
 // figures are written, 2 with one line on stderr (then usage) for a flag
-// that does not parse, a -seconds that is not a positive time or a figure
+// that does not parse, a stray argument, a -seconds that is not a positive
+// time the clock holds after Figure 1's warm-up, a -days below 1 or a figure
 // that does not exist.
 func run(args []string, stdout, stderr io.Writer) int {
 	fg := &figs{out: stdout}
@@ -55,14 +59,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&fg.tsv, "tsv", false, "emit TSV instead of ASCII charts")
 	fs.Int64Var(&fg.seed, "seed", 1987, "random seed")
 	fs.IntVar(&fg.days, "days", 30, "simulated days for figure 13")
-	fs.Float64Var(&fg.seconds, "seconds", 600, "simulated seconds per run (figures 1, 13 use their own scale)")
+	fs.Float64Var(&fg.seconds, "seconds", 600, "simulated seconds figure 1 measures after its 100 s warm-up (no other figure reads it)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !(fg.seconds > 0) {
-		fmt.Fprintf(stderr, "figures: -seconds %v is not a positive time\n", fg.seconds)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "figures: "+format+"\n", a...)
 		fs.Usage()
 		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		// Flag parsing stops at the first non-flag, so every flag after it
+		// would be ignored.
+		return usage("unexpected argument %q", fs.Arg(0))
+	case !(fg.seconds > 0 && fig1Warmup+fg.seconds < arpanet.MaxSeconds):
+		return usage("-seconds %v is not a positive time the simulated clock holds after figure 1's %g s warm-up", fg.seconds, fig1Warmup)
+	case fg.days < 1:
+		return usage("-days %d is below 1", fg.days)
 	}
 	if *fig == "all" {
 		for _, k := range order {
@@ -73,9 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	draw, ok := figures[*fig]
 	if !ok {
-		fmt.Fprintf(stderr, "figures: unknown figure %q\n", *fig)
-		fs.Usage()
-		return 2
+		return usage("unknown figure %q", *fig)
 	}
 	draw()
 	return 0
@@ -89,7 +101,8 @@ func (fg *figs) render(title string, series ...*stats.Series) {
 	fmt.Fprint(fg.out, asciiplot.Chart(title, 64, 16, series...))
 }
 
-// run performs one packet-level run; its -seconds was checked, so an error is a bug.
+// run performs one packet-level run; its -seconds and -days were checked, so
+// an error is a bug.
 func (fg *figs) run(s arpanet.Spec) arpanet.Result {
 	res, err := arpanet.Run(s)
 	if err != nil {
@@ -113,7 +126,7 @@ func (fg *figs) figure1() {
 			return strings.HasPrefix(name, "W")
 		}, 120000, 0.80)
 		res := fg.run(arpanet.Spec{
-			Topology: topo, Traffic: tr, Metric: m, Seed: fg.seed, WarmupSeconds: 100, Seconds: 100 + fg.seconds,
+			Topology: topo, Traffic: tr, Metric: m, Seed: fg.seed, WarmupSeconds: fig1Warmup, Seconds: fig1Warmup + fg.seconds,
 			Track: [][2]string{{"W0", "E0"}, {"W1", "E1"}},
 		})
 		return res.Tracked[0].Utilization, res.Tracked[1].Utilization, res.Report
@@ -313,5 +326,5 @@ func (fg *figs) figure13() {
 		})
 		drops.Add(float64(day), float64(res.Report.BufferDrops))
 	}
-	fg.render("dropped packets vs day (metric switched after day 15)", drops)
+	fg.render(fmt.Sprintf("dropped packets vs day (metric switched after day %d)", switchDay), drops)
 }

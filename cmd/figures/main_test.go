@@ -13,8 +13,9 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// A figure that does not exist and a flag that does not parse exit 2 with the
-// reason on stderr's first line and nothing on stdout.
+// A figure that does not exist, a flag that does not parse or holds what no
+// figure can run, and a stray argument exit 2 with the reason on stderr's
+// first line and nothing on stdout.
 func TestBadInvocationExitsTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -26,6 +27,11 @@ func TestBadInvocationExitsTwo(t *testing.T) {
 		{[]string{"-days", "many"}, `invalid value "many" for flag -days`},
 		{[]string{"-fig", "1", "-seconds", "0"}, "figures: -seconds 0 is not a positive time"},
 		{[]string{"-seconds", "NaN"}, "figures: -seconds NaN is not a positive time"},
+		{[]string{"-fig", "1", "-seconds", "+Inf"}, "figures: -seconds +Inf is not a positive time"},
+		{[]string{"-fig", "1", "-seconds", "1e300"}, "figures: -seconds 1e+300 is not a positive time"},
+		{[]string{"-fig", "13", "-days", "0"}, "figures: -days 0 is below 1"},
+		{[]string{"-fig", "13", "-days", "-3"}, "figures: -days -3 is below 1"},
+		{[]string{"-fig", "8", "stray"}, `figures: unexpected argument "stray"`},
 	} {
 		code, out, errOut := runCLI(tc.args...)
 		first, _, _ := strings.Cut(errOut, "\n")

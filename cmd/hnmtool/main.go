@@ -26,7 +26,8 @@ func main() {
 
 // run is main minus the process exit, so tests drive it directly: 0 after the
 // table, curves or trace is written, 2 with one line on stderr for a flag
-// that does not parse, an unknown line type or a bad utilization.
+// that does not parse, a stray argument, a -line without -trace, an unknown
+// line type or a bad utilization.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hnmtool", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -38,7 +39,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	lineSet := false
+	fs.Visit(func(f *flag.Flag) { lineSet = lineSet || f.Name == "line" })
 	switch {
+	case fs.NArg() > 0:
+		// Flag parsing stops at the first non-flag, so every flag after it
+		// would be ignored.
+		fmt.Fprintf(stderr, "hnmtool: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	case lineSet && *trace == "":
+		fmt.Fprintln(stderr, "hnmtool: -line applies only to -trace")
+		return 2
 	case *trace != "":
 		if err := runTrace(stdout, *kind, *trace); err != nil {
 			fmt.Fprintf(stderr, "hnmtool: %v\n", err)

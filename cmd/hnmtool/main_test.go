@@ -29,6 +29,10 @@ func TestModesAndRejections(t *testing.T) {
 		{"-trace 0.2,NaN", 2, `hnmtool: bad utilization "NaN"`},
 		{"-trace 0.2,,0.3", 2, `hnmtool: bad utilization ""`},
 		{"-curve", 2, "flag provided but not defined: -curve"},
+		{"foo", 2, `hnmtool: unexpected argument "foo"`},
+		{"-curves foo", 2, `hnmtool: unexpected argument "foo"`},
+		{"-line 9.6S", 2, "hnmtool: -line applies only to -trace"},
+		{"-curves -line 56S", 2, "hnmtool: -line applies only to -trace"},
 	} {
 		code, out, errOut := runCLI(strings.Fields(tc.args)...)
 		got := out

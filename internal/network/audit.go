@@ -28,14 +28,14 @@ import (
 // hiding.
 func (n *Network) Conservation() Conservation {
 	c := n.led
-	c.InFlight = int64(n.propCounted)
-	counted := func(p *node.Packet) {
-		if !p.IsRouting() && p.Counted {
+	c.InFlight = int64(n.propUser)
+	user := func(p *node.Packet) {
+		if !p.IsRouting() {
 			c.InFlight++
 		}
 	}
 	for _, ls := range n.links {
-		ls.Holding(counted)
+		ls.Holding(user)
 	}
 	return c
 }

@@ -83,9 +83,7 @@ func (n *Network) dvRecompute(p *psn) {
 // high-priority packet and recomputes from what it has heard.
 func (n *Network) dvExchange(p *psn, now sim.Time) {
 	n.dvRecompute(p)
-	if n.warmed {
-		n.updatesOrig++
-	}
+	n.win.updatesOrig++
 	vec := &node.Vector{Origin: p.ID, Dist: append([]float64(nil), p.dv.dist...)}
 	size := float64(128 + dvEntryBits*len(vec.Dist))
 	for _, l := range n.g.Out(p.ID) {

@@ -4,6 +4,7 @@ package network
 // metric dynamics under faults.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/flooding"
@@ -83,7 +84,7 @@ func TestCostSeriesTracksMetricDynamics(t *testing.T) {
 	if series.Len() < 290 {
 		t.Fatalf("cost series has %d samples, want ~300", series.Len())
 	}
-	lo, hi := series.MinMaxY()
+	lo, hi := slices.Min(series.Y), slices.Max(series.Y)
 	if lo < 30 || hi > 90 {
 		t.Errorf("cost series range [%v, %v] outside the 56T bounds [30, 90]", lo, hi)
 	}

@@ -46,7 +46,8 @@ type Config struct {
 
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// Warmup: statistics before this time are discarded.
+	// Warmup opens the measured window: Report covers what happens after
+	// it. The packet ledger (Conservation) books every packet from t = 0.
 	Warmup sim.Time
 	// ModuleFactory overrides the per-link cost module (nil = build from
 	// Metric). Used by the ablation experiments to run modified HNMs.
@@ -80,8 +81,6 @@ type Network struct {
 	// kernel, one goroutine drives them all (nil in BF1969 mode).
 	routers *spf.Table
 
-	warmed bool
-
 	// fluid is the hybrid engine's background layer (nil without
 	// cfg.Background).
 	fluid *flowmodel.Fluid
@@ -99,10 +98,28 @@ type Network struct {
 	measureFn    sim.Call
 	dvExchangeFn sim.Call
 
-	// Cumulative statistics over Counted packets (generated post-warmup).
-	// led books each one's fate; its InFlight is counted only at the
-	// snapshot (Conservation).
-	led           node.Conservation
+	// led books every user packet's fate from t = 0; its InFlight is
+	// counted only at the snapshot (Conservation). win is the measured
+	// window's statistics.
+	led node.Conservation
+	win window
+
+	// In-flight propagation accounting: packets that have left a
+	// transmitter and are on the wire awaiting the far-end handlePacket.
+	propUser    int // user packets propagating
+	propRouting int // routing packets propagating
+
+	// updatesInFlight counts, by origin, the copies of its flooded updates
+	// queued, on a transmitter or propagating: the convergence audit checks
+	// an origin only while it is zero.
+	updatesInFlight []int
+}
+
+// window is what Report covers, from Config.Warmup on: startMeasuring opens
+// it in one assignment. Its packet rows are the ledger minus base.
+type window struct {
+	since         sim.Time
+	base          node.Conservation // the ledger when the window opened
 	offeredBits   float64
 	deliveredBits float64
 	delay         stats.Welford    // one-way delivery delay, seconds
@@ -111,17 +128,7 @@ type Network struct {
 	updatesOrig   int64            // routing updates originated
 	updateTx      int64            // routing update transmissions
 	routingBits   float64
-	measuredSince sim.Time
-
-	// In-flight propagation accounting: packets that have left a
-	// transmitter and are on the wire awaiting the far-end handlePacket.
-	propCounted int // Counted user packets propagating
-	propRouting int // routing packets propagating
-
-	// updatesInFlight counts, by origin, the copies of its flooded updates
-	// queued, on a transmitter or propagating: the convergence audit checks
-	// an origin only while it is zero.
-	updatesInFlight []int
+	util          []stats.Welford // by link: sampled utilization while in service
 }
 
 type psn struct {
@@ -159,7 +166,6 @@ type linkState struct {
 	txBitsWindow float64 // bits since the last utilization sample
 	series       *stats.Series
 	costSeries   *stats.Series
-	util         stats.Welford // sampled utilization (post-warmup)
 }
 
 // New builds a network ready to run. It validates the topology, creates
@@ -180,8 +186,6 @@ func New(cfg Config) *Network {
 		cfg:    cfg,
 		kernel: sim.New(),
 		g:      cfg.Graph,
-		// 10 ms buckets to 10 s cover every plausible one-way delay.
-		delayHist: stats.NewHistogram(0, 10, 1000),
 	}
 	n.sourceFireFn = func(t sim.Time, a any) { n.sourceFire(a.(*psn), t) }
 	n.txDoneFn = func(t sim.Time, a any) { n.txDone(a.(*linkState), t) }
@@ -253,11 +257,11 @@ func New(cfg Config) *Network {
 	n.setupBackground()
 	n.scheduleSampling()
 	n.scheduleTraffic()
+	// A window opens at boot; a warm-up's end opens a fresh one.
+	n.startMeasuring()
 	if cfg.Warmup > 0 {
 		// Fire-and-forget: warmup end is unconditional for the whole run.
 		_ = n.kernel.Schedule(cfg.Warmup, func(sim.Time) { n.startMeasuring() })
-	} else {
-		n.startMeasuring()
 	}
 	return n
 }
@@ -421,11 +425,8 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 	pkt.Src, pkt.Dst = p.ID, dst
 	pkt.SizeBits, pkt.Created = size, now
 	pkt.Arrival = topology.NoLink
-	pkt.Counted = n.warmed
-	if pkt.Counted {
-		n.led.Offered++
-		n.offeredBits += size
-	}
+	n.led.Offered++
+	n.win.offeredBits += size
 	n.handlePacket(p, pkt, now)
 	// Fire-and-forget: see armSource.
 	_ = n.kernel.ScheduleCall(p.draw.Gap(p.pktRate), n.sourceFireFn, p)
@@ -462,21 +463,17 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		return
 	}
 	if pkt.Dst == p.ID {
-		if pkt.Counted {
-			n.led.Delivered++
-			n.deliveredBits += pkt.SizeBits
-			d := (now - pkt.Created).Seconds()
-			n.delay.Add(d)
-			n.delayHist.Add(d)
-			n.hops.Add(float64(pkt.Hops))
-		}
+		n.led.Delivered++
+		n.win.deliveredBits += pkt.SizeBits
+		d := (now - pkt.Created).Seconds()
+		n.win.delay.Add(d)
+		n.win.delayHist.Add(d)
+		n.win.hops.Add(float64(pkt.Hops))
 		n.pool.Put(pkt)
 		return
 	}
 	if pkt.Hops >= MaxHops {
-		if pkt.Counted {
-			n.led.LoopDrops++
-		}
+		n.led.LoopDrops++
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketLooped, Node: p.ID, Link: topology.NoLink})
 		n.pool.Put(pkt)
 		return
@@ -490,9 +487,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		nh = p.lines[i]
 	}
 	if nh == nil || nh.Down() {
-		if pkt.Counted {
-			n.led.NoRouteDrops++
-		}
+		n.led.NoRouteDrops++
 		link := topology.NoLink
 		if nh != nil {
 			link = nh.link.ID
@@ -507,9 +502,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
 	pkt.Enqueued = now
 	if !ls.Queue.Push(pkt) {
-		if pkt.Counted {
-			n.led.BufferDrops++
-		}
+		n.led.BufferDrops++
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketDropped, Node: ls.link.From, Link: ls.link.ID})
 		n.pool.Put(pkt)
 		return
@@ -535,13 +528,11 @@ func (n *Network) txDone(ls *linkState, now sim.Time) {
 	}
 	ls.txBitsWindow += pkt.SizeBits
 	if pkt.IsRouting() {
-		if n.warmed {
-			n.updateTx++
-			n.routingBits += pkt.SizeBits
-		}
+		n.win.updateTx++
+		n.win.routingBits += pkt.SizeBits
 		n.propRouting++
-	} else if pkt.Counted {
-		n.propCounted++
+	} else {
+		n.propUser++
 	}
 	// The packet is its own propagation record: Arrival names the link it
 	// is crossing. Fire-and-forget: a packet on the wire is past
@@ -556,21 +547,18 @@ func (n *Network) txDone(ls *linkState, now sim.Time) {
 func (n *Network) propArrive(pkt *node.Packet, now sim.Time) {
 	if pkt.IsRouting() {
 		n.propRouting--
-	} else if pkt.Counted {
-		n.propCounted--
+	} else {
+		n.propUser--
 	}
 	n.handlePacket(n.psns[n.links[pkt.Arrival].link.To], pkt, now)
 }
 
 // dropOutage accounts one packet destroyed by a trunk failure. Routing
 // packets are not counted — the flood refresh regenerates them — but user
-// packets inside the measurement window enter the outage-drop class so
-// conservation stays exact. Either way the packet's life ends here.
+// packets enter the outage-drop class so conservation stays exact. Either way the packet's life ends here.
 func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 	if !pkt.IsRouting() {
-		if pkt.Counted {
-			n.led.OutageDrops++
-		}
+		n.led.OutageDrops++
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketOutage, Node: ls.link.From, Link: ls.link.ID})
 	} else if pkt.Update != nil {
 		n.updatesInFlight[pkt.Update.Origin]--
@@ -614,9 +602,7 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	}
 	u := p.NextUpdate(n.g, costs, now)
 	p.accept(u)
-	if n.warmed {
-		n.updatesOrig++
-	}
+	n.win.updatesOrig++
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink})
 	p.Flood(n.g, n, u, topology.NoLink, now, now)
 }
@@ -700,16 +686,23 @@ func (n *Network) scheduleSampling() {
 			if ls.costSeries != nil {
 				ls.costSeries.Add(now.Seconds(), ls.Module.Cost())
 			}
-			if n.warmed && !ls.Down() {
-				ls.util.Add(u)
+			if !ls.Down() {
+				n.win.util[ls.link.ID].Add(u)
 			}
 		}
 	})
 }
 
+// startMeasuring opens the measured window: the ledger as it stands is the
+// window's base, and every window statistic starts afresh.
 func (n *Network) startMeasuring() {
-	n.warmed = true
-	n.measuredSince = n.kernel.Now()
+	n.win = window{
+		since: n.kernel.Now(),
+		base:  n.Conservation(),
+		// 10 ms buckets to 10 s cover every plausible one-way delay.
+		delayHist: stats.NewHistogram(0, 10, 1000),
+		util:      make([]stats.Welford, len(n.links)),
+	}
 }
 
 // --- link failures ------------------------------------------------------

@@ -3,6 +3,7 @@ package network
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,10 +215,8 @@ func TestFigure1OscillationShape(t *testing.T) {
 	ha, hb, hrep := oscillationRun(t, node.HNSPF)
 
 	dSwing, hSwing := swing(da, db), swing(ha, hb)
-	t.Logf("D-SPF: swing=%.3f crossings=%d+%d drops=%d delay=%.0fms",
-		dSwing, da.Crossings(0.42), db.Crossings(0.42), drep.BufferDrops, drep.RoundTripDelayMs)
-	t.Logf("HN-SPF: swing=%.3f crossings=%d+%d drops=%d delay=%.0fms",
-		hSwing, ha.Crossings(0.42), hb.Crossings(0.42), hrep.BufferDrops, hrep.RoundTripDelayMs)
+	t.Logf("D-SPF: swing=%.3f drops=%d delay=%.0fms", dSwing, drep.BufferDrops, drep.RoundTripDelayMs)
+	t.Logf("HN-SPF: swing=%.3f drops=%d delay=%.0fms", hSwing, hrep.BufferDrops, hrep.RoundTripDelayMs)
 
 	// The paper's Figure 1 story: D-SPF alternates the trunks ("instead of
 	// cooperating"), HN-SPF shares the load without the alternation.
@@ -225,8 +224,7 @@ func TestFigure1OscillationShape(t *testing.T) {
 		t.Errorf("D-SPF oscillation swing (%.3f) should far exceed HN-SPF's (%.3f)", dSwing, hSwing)
 	}
 	// Under HN-SPF both trunks stay in use.
-	aMin, _ := ha.MinMaxY()
-	bMin, _ := hb.MinMaxY()
+	aMin, bMin := slices.Min(ha.Y), slices.Min(hb.Y)
 	if aMin+bMin < 0.1 {
 		t.Errorf("HN-SPF should keep both trunks loaded (mins %.3f, %.3f)", aMin, bMin)
 	}
@@ -243,7 +241,7 @@ func TestTTLGuardsAgainstLoops(t *testing.T) {
 	// packet ever reports > MaxHops.
 	n := lightRing(node.DSPF, 12)
 	n.Run(120 * sim.Second)
-	if h := n.hops.Max(); h > MaxHops {
+	if h := n.win.hops.Max(); h > MaxHops {
 		t.Errorf("a packet crossed %v links, TTL is %d", h, MaxHops)
 	}
 }
@@ -275,6 +273,56 @@ func TestPacketConservation(t *testing.T) {
 	}
 	if r.DeliveredPackets == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// The warm-up moves only the measured window: the ledger books every packet
+// from t = 0 whatever Config.Warmup says, and the report's packet rows are
+// the ledger's growth over the window, in flight the snapshot at its end.
+// BF-1969 drops packets as no-route while its vectors converge, so its
+// warm-up books a drop class the window must leave out.
+func TestWarmupMovesOnlyTheWindow(t *testing.T) {
+	const warm, horizon = 40 * sim.Second, 120 * sim.Second
+	for _, metric := range []node.MetricKind{node.HNSPF, node.BF1969} {
+		t.Run(metric.String(), func(t *testing.T) {
+			g := topology.Ring(5, topology.T56)
+			m := traffic.Uniform(g, 40000)
+			var led [2][2]Conservation // by run (warm-up 0, warm), then instant (warm, horizon)
+			var r Report
+			for i, warmup := range []sim.Time{0, warm} {
+				n := New(Config{Graph: g, Matrix: m, Metric: metric, Seed: 7, Warmup: warmup})
+				for j, until := range []sim.Time{warm, horizon} {
+					n.Run(until)
+					led[i][j] = n.Conservation()
+					if err := led[i][j].Err(); err != nil {
+						t.Errorf("warm-up %v, at %v: %v", warmup, until, err)
+					}
+				}
+				r = n.Report()
+			}
+			if led[0] != led[1] {
+				t.Fatalf("the warm-up moved the ledger:\n  warm-up 0:  %+v\n  warm-up %v: %+v", led[0], warm, led[1])
+			}
+			start, end := led[0][0], led[0][1]
+			t.Logf("ledger at %v: %+v; at %v: %+v", warm, start, horizon, end)
+			got := Conservation{Offered: r.OfferedPackets, Delivered: r.DeliveredPackets, BufferDrops: r.BufferDrops,
+				LoopDrops: r.LoopDrops, NoRouteDrops: r.NoRouteDrops, OutageDrops: r.OutageDrops, InFlight: r.InFlightPackets}
+			want := Conservation{Offered: end.Offered - start.Offered, Delivered: end.Delivered - start.Delivered,
+				BufferDrops: end.BufferDrops - start.BufferDrops, LoopDrops: end.LoopDrops - start.LoopDrops,
+				NoRouteDrops: end.NoRouteDrops - start.NoRouteDrops, OutageDrops: end.OutageDrops - start.OutageDrops,
+				InFlight: end.InFlight}
+			if got != want {
+				t.Errorf("report rows %+v, want the ledger at %v less the ledger at %v: %+v", got, horizon, warm, want)
+			}
+			// The window carries what was offered in it and what was in
+			// flight when it opened, so the ratio stays a share.
+			if ratio := float64(want.Delivered) / float64(want.Offered+start.InFlight); r.DeliveredRatio != ratio {
+				t.Errorf("delivered ratio %v, want %v", r.DeliveredRatio, ratio)
+			}
+			if start.Offered == 0 || start.Delivered == 0 {
+				t.Fatalf("degenerate warm-up: %+v", start)
+			}
+		})
 	}
 }
 

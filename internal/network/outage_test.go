@@ -95,17 +95,16 @@ func TestOutageDropAccounting(t *testing.T) {
 			m.Set(0, 1, tc.load)
 			n := New(Config{Graph: g, Matrix: m, Metric: node.MinHop, Seed: 22})
 			l, _ := g.FindTrunk(0, 1)
-			n.startMeasuring() // count from t=0
 			stepUntilBusy(t, n, l, 60*sim.Second)
 
 			ls := n.links[l]
 			inFlight := int64(0)
-			if p := sending(&ls.Trunk); p != nil && p.Counted && !p.IsRouting() {
+			if p := sending(&ls.Trunk); p != nil && !p.IsRouting() {
 				inFlight = 1
 			}
 			queued := int64(0)
 			ls.Queue.Scan(func(p *node.Packet) {
-				if p.Counted && !p.IsRouting() {
+				if !p.IsRouting() {
 					queued++
 				}
 			})
@@ -178,7 +177,7 @@ func TestConservationAcrossFlaps(t *testing.T) {
 	// The conservation ledger must balance exactly under repeated trunk
 	// flapping, for every routing mode (the 1969 distance-vector baseline
 	// included — its exchanges are routing packets outside the ledger).
-	// Each down waits for a counted packet on the trunk's transmitter, so
+	// Each down waits for a user packet on the trunk's transmitter, so
 	// the failure path runs whatever the draws: the outage drops it.
 	metrics := []node.MetricKind{node.HNSPF, node.DSPF, node.MinHop, node.BF1969}
 	for _, metric := range metrics {
@@ -200,7 +199,7 @@ func TestConservationAcrossFlaps(t *testing.T) {
 						n.SetTrunkUp(l)
 						continue
 					}
-					for p := sending(&n.links[l].Trunk); p == nil || !p.Counted; p = sending(&n.links[l].Trunk) {
+					for p := sending(&n.links[l].Trunk); p == nil || p.IsRouting(); p = sending(&n.links[l].Trunk) {
 						if !n.kernel.Step() {
 							t.Fatalf("the kernel drained at %v waiting for a packet on the trunk", n.kernel.Now())
 						}

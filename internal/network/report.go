@@ -24,10 +24,12 @@ type Report struct {
 	MinPathHops          float64 // traffic-weighted min-hop path length
 	PathRatio            float64 // actual / minimum
 
-	// Congestion and loss. All packet counters cover packets generated
-	// inside the measurement window, so they satisfy the conservation
-	// identity OfferedPackets == DeliveredPackets + BufferDrops + LoopDrops
-	// + NoRouteDrops + OutageDrops + InFlightPackets.
+	// Congestion and loss. Each packet counter is the ledger's
+	// (Network.Conservation, which books every packet from t = 0) less its
+	// value when the window opened; InFlightPackets is the ledger's snapshot.
+	// So OfferedPackets + the packets in flight when the window opened ==
+	// DeliveredPackets + BufferDrops + LoopDrops + NoRouteDrops + OutageDrops
+	// + InFlightPackets; without a warm-up the window opens empty.
 	OfferedKbps      float64
 	DeliveredPackets int64
 	OfferedPackets   int64
@@ -35,8 +37,10 @@ type Report struct {
 	LoopDrops        int64
 	NoRouteDrops     int64
 	OutageDrops      int64 // destroyed by trunk failures (queued or in flight)
-	InFlightPackets  int64 // still in the network at report time
-	DeliveredRatio   float64
+	InFlightPackets  int64 // in the network at report time
+	// DeliveredRatio is the share of the packets the window carried —
+	// offered in it or in flight when it opened — that it delivered.
+	DeliveredRatio float64
 
 	// Overhead.
 	UpdatesOriginated int64
@@ -55,7 +59,8 @@ type Report struct {
 
 // Report computes the indicators at the current simulation time.
 func (n *Network) Report() Report {
-	dur := (n.kernel.Now() - n.measuredSince).Seconds()
+	w := &n.win
+	dur := (n.kernel.Now() - w.since).Seconds()
 	r := Report{
 		Metric:   n.cfg.Metric.String(),
 		Duration: dur,
@@ -63,42 +68,42 @@ func (n *Network) Report() Report {
 	if dur <= 0 {
 		return r
 	}
-	r.InternodeTrafficKbps = n.deliveredBits / dur / 1000
-	r.OfferedKbps = n.offeredBits / dur / 1000
-	r.RoundTripDelayMs = 2 * n.delay.Mean() * 1000
-	r.DelayMsSigma = 2 * n.delay.StdDev() * 1000
-	r.DelayMsP95 = 2 * n.delayHist.Quantile(0.95) * 1000
-	r.ActualPathHops = n.hops.Mean()
+	r.InternodeTrafficKbps = w.deliveredBits / dur / 1000
+	r.OfferedKbps = w.offeredBits / dur / 1000
+	r.RoundTripDelayMs = 2 * w.delay.Mean() * 1000
+	r.DelayMsSigma = 2 * w.delay.StdDev() * 1000
+	r.DelayMsP95 = 2 * w.delayHist.Quantile(0.95) * 1000
+	r.ActualPathHops = w.hops.Mean()
 	r.MinPathHops = n.minPathHops()
 	if r.MinPathHops > 0 {
 		r.PathRatio = r.ActualPathHops / r.MinPathHops
 	}
-	r.UpdatesPerTrunkSec = float64(n.updateTx) / float64(n.g.NumTrunks()) / dur
-	if n.updatesOrig > 0 {
-		r.UpdatePeriodPerNode = dur / (float64(n.updatesOrig) / float64(n.g.NumNodes()))
+	r.UpdatesPerTrunkSec = float64(w.updateTx) / float64(n.g.NumTrunks()) / dur
+	if w.updatesOrig > 0 {
+		r.UpdatePeriodPerNode = dur / (float64(w.updatesOrig) / float64(n.g.NumNodes()))
 	}
 	cons := n.Conservation()
-	r.DeliveredPackets = cons.Delivered
-	r.OfferedPackets = cons.Offered
-	r.BufferDrops = cons.BufferDrops
-	r.LoopDrops = cons.LoopDrops
-	r.NoRouteDrops = cons.NoRouteDrops
-	r.OutageDrops = cons.OutageDrops
+	r.DeliveredPackets = cons.Delivered - w.base.Delivered
+	r.OfferedPackets = cons.Offered - w.base.Offered
+	r.BufferDrops = cons.BufferDrops - w.base.BufferDrops
+	r.LoopDrops = cons.LoopDrops - w.base.LoopDrops
+	r.NoRouteDrops = cons.NoRouteDrops - w.base.NoRouteDrops
+	r.OutageDrops = cons.OutageDrops - w.base.OutageDrops
 	r.InFlightPackets = cons.InFlight
-	if r.OfferedPackets > 0 {
-		r.DeliveredRatio = float64(r.DeliveredPackets) / float64(r.OfferedPackets)
+	if carried := r.OfferedPackets + w.base.InFlight; carried > 0 {
+		r.DeliveredRatio = float64(r.DeliveredPackets) / float64(carried)
 	}
-	r.UpdatesOriginated = n.updatesOrig
-	r.RoutingKbps = n.routingBits / dur / 1000
+	r.UpdatesOriginated = w.updatesOrig
+	r.RoutingKbps = w.routingBits / dur / 1000
 	for _, p := range n.psns {
 		r.SPFRecomputes += p.recomputes()
 	}
 	var util stats.Welford
 	maxU := 0.0
-	for _, ls := range n.links {
-		if ls.util.N() > 0 {
-			util.Add(ls.util.Mean())
-			if m := ls.util.Mean(); m > maxU {
+	for _, u := range w.util {
+		if u.N() > 0 {
+			util.Add(u.Mean())
+			if m := u.Mean(); m > maxU {
 				maxU = m
 			}
 		}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/topology"
 )
 
-// Conservation is a snapshot of the packet ledger over Counted packets
-// (user packets generated inside the measurement window).
+// Conservation is a snapshot of the packet ledger: every user packet's fate
+// from t = 0.
 type Conservation struct {
 	Offered      int64
 	Delivered    int64

@@ -92,14 +92,6 @@ type Packet struct {
 	Enqueued sim.Time // when placed on the current output queue
 	Hops     int      // links traversed so far
 
-	// Counted marks a user packet generated inside the measurement window.
-	// Every statistics site (delivery, each drop class, the in-flight walk)
-	// keys on it, so the conservation identity offered == delivered + drops
-	// + in-flight holds exactly over one well-defined packet population —
-	// packets created during warmup but still alive afterwards can bias
-	// neither side.
-	Counted bool
-
 	// Routing updates are flooded at high priority and are never user
 	// traffic; Update is non-nil exactly for them. Vector is the 1969
 	// distance-vector exchange payload (non-nil only in BF1969 mode).
@@ -151,7 +143,7 @@ func (pp *PacketPool) Put(p *Packet) {
 	// Field by field: assigning a Packet literal goes through a stack copy and
 	// a typed move, four times the cost on the per-packet path.
 	p.Seq, p.Src, p.Dst, p.SizeBits = math.MaxUint64, topology.NoNode, topology.NoNode, math.NaN()
-	p.Created, p.Enqueued, p.Hops, p.Counted = -1, -1, -1, false
+	p.Created, p.Enqueued, p.Hops = -1, -1, -1
 	p.Update, p.Vector, p.Arrival, p.poolNext = nil, nil, topology.NoLink, pp.free
 	pp.free = p
 }
@@ -159,7 +151,7 @@ func (pp *PacketPool) Put(p *Packet) {
 // poisoned reports whether every field still holds what Put left there.
 func (p *Packet) poisoned() bool {
 	return p.Seq == math.MaxUint64 && p.Src == topology.NoNode && p.Dst == topology.NoNode && math.IsNaN(p.SizeBits) &&
-		p.Created == -1 && p.Enqueued == -1 && p.Hops == -1 && !p.Counted && p.Update == nil && p.Vector == nil &&
+		p.Created == -1 && p.Enqueued == -1 && p.Hops == -1 && p.Update == nil && p.Vector == nil &&
 		p.Arrival == topology.NoLink
 }
 

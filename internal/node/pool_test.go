@@ -79,11 +79,11 @@ func TestPoolGuards(t *testing.T) {
 			p.Hops = 7
 			pp.Get()
 		}},
-		{"write after a release inside a callee, deeper in the list", " Hops:-1 Counted:true ", func(pp *PacketPool) {
+		{"write after a release inside a callee, deeper in the list", " Hops:-1 Update:<nil> Vector:<nil> Arrival:4 ", func(pp *PacketPool) {
 			a, b := pp.Get(), pp.Get()
 			dispose(pp, a)
 			pp.Put(b)
-			a.Counted = true
+			a.Arrival = 4
 			pp.Get() // b: intact
 			pp.Get() // a
 		}},
@@ -122,12 +122,12 @@ func TestPoolGuards(t *testing.T) {
 // however it was used, re-acquiring after a release is a new life, and a
 // branch that did not release leaves the packet live.
 func TestPoolRecyclesZeroed(t *testing.T) {
-	if n := reflect.TypeOf(Packet{}).NumField(); n != 12 {
-		t.Fatalf("Packet has %d fields: Put poisons and poisoned checks 12, one by one — teach both the new one", n)
+	if n := reflect.TypeOf(Packet{}).NumField(); n != 11 {
+		t.Fatalf("Packet has %d fields: Put poisons and poisoned checks 11, one by one — teach both the new one", n)
 	}
 	var pp PacketPool
 	p := pp.Get()
-	*p = Packet{Seq: 9, Src: 1, Dst: 2, SizeBits: 600, Created: 5, Enqueued: 6, Hops: 3, Counted: true,
+	*p = Packet{Seq: 9, Src: 1, Dst: 2, SizeBits: 600, Created: 5, Enqueued: 6, Hops: 3,
 		Vector: &Vector{}, Arrival: 4}
 	releaseIf(&pp, p, false)
 	if p.Seq != 9 || p.SizeBits != 600 {

@@ -70,7 +70,6 @@ func TestIdleLinkMeasurement(t *testing.T) {
 				p.Src, p.Dst = a, b
 				p.SizeBits, p.Created = bits, now
 				p.Arrival = topology.NoLink
-				p.Counted = true
 				sh.led.Generated++
 				sh.handlePacket(n, p, now)
 			}

@@ -229,7 +229,6 @@ func (sh *shardState) source(now sim.Time, arg any) {
 	p.SizeBits = n.draw.PktBits()
 	p.Created = now
 	p.Arrival = topology.NoLink
-	p.Counted = true
 	sh.led.Generated++
 	sh.handlePacket(n, p, now)
 	_ = mustCallAt(sh.kernel, now.Add(n.draw.Gap(n.rate)), sh.sourceCall, n)
@@ -345,7 +344,6 @@ func (sh *shardState) importWire(w *wire) {
 		p.Update = w.upd
 		sh.led.CtrlImported++
 	} else {
-		p.Counted = true
 		sh.led.Imported++
 	}
 	sh.deliverArrival(sh.s.nodeAt[sh.s.g.Link(w.link).To], w.at, w.link, p)

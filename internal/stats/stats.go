@@ -140,33 +140,3 @@ func (s *Series) MeanY() float64 {
 	}
 	return sum / float64(len(s.Y))
 }
-
-// MinMaxY returns the extreme Y values (0, 0 for an empty series).
-func (s *Series) MinMaxY() (min, max float64) {
-	if len(s.Y) == 0 {
-		return 0, 0
-	}
-	min, max = s.Y[0], s.Y[0]
-	for _, y := range s.Y[1:] {
-		if y < min {
-			min = y
-		}
-		if y > max {
-			max = y
-		}
-	}
-	return min, max
-}
-
-// Crossings counts how many times the series crosses the level y = level,
-// a cheap oscillation detector used by the Figure 1 experiment.
-func (s *Series) Crossings(level float64) int {
-	n := 0
-	for i := 1; i < len(s.Y); i++ {
-		a, b := s.Y[i-1]-level, s.Y[i]-level
-		if (a < 0 && b >= 0) || (a >= 0 && b < 0) {
-			n++
-		}
-	}
-	return n
-}

@@ -108,42 +108,12 @@ func TestSeries(t *testing.T) {
 	if got := s.MeanY(); got != (0+1+4+9)/4.0 {
 		t.Errorf("MeanY = %v", got)
 	}
-	min, max := s.MinMaxY()
-	if min != 0 || max != 9 {
-		t.Errorf("MinMaxY = %v, %v", min, max)
-	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	s := NewSeries("e")
 	if s.MeanY() != 0 {
 		t.Error("MeanY of empty series should be 0")
-	}
-	min, max := s.MinMaxY()
-	if min != 0 || max != 0 {
-		t.Error("MinMaxY of empty series should be 0, 0")
-	}
-	if s.Crossings(1) != 0 {
-		t.Error("Crossings of empty series should be 0")
-	}
-}
-
-func TestSeriesCrossings(t *testing.T) {
-	s := NewSeries("osc")
-	// Square-ish wave around 0.5: crosses on every step.
-	ys := []float64{0.9, 0.1, 0.9, 0.1, 0.9}
-	for i, y := range ys {
-		s.Add(float64(i), y)
-	}
-	if got := s.Crossings(0.5); got != 4 {
-		t.Errorf("Crossings = %d, want 4", got)
-	}
-	flat := NewSeries("flat")
-	for i := 0; i < 5; i++ {
-		flat.Add(float64(i), 0.5)
-	}
-	if got := flat.Crossings(0.9); got != 0 {
-		t.Errorf("flat Crossings = %d, want 0", got)
 	}
 }
 
