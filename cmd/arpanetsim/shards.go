@@ -33,7 +33,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // maxWaxmanNodes bounds waxman:<N>: the generator weighs every pair of nodes,
@@ -230,27 +229,19 @@ func printRoutes(w io.Writer, s *shard.Sim) {
 // runShardedBF1969 is the BF-1969 leg of the large-topology study. The 1969
 // metric is distance-vector — periodic neighbor table exchanges, not
 // link-state floods — and only the packet-level engine implements it, so it
-// runs on one kernel. To stay comparable, it offers the exact traffic the
-// sharded runs do: a throwaway static shard.Sim built from cfg draws the
-// per-node destination sets from the same seed, and the matrix reproduces
-// the sharded source rate exactly (network divides the matrix total by the
-// clamped mean packet size to recover pkt/s).
+// runs on one kernel. To stay comparable, it offers the sharded runs' own
+// packets: a throwaway static shard.Sim built from cfg draws the per-node
+// destination sets from the same seed, and its Matrix, run from the same
+// seed, draws every packet the sharded sources do.
 func runShardedBF1969(w io.Writer, cfg shard.Config, seconds float64) (*network.Network, error) {
 	g := cfg.Graph
 	probe, err := shard.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := traffic.NewMatrix(g.NumNodes())
-	for id := 0; id < g.NumNodes(); id++ {
-		ds := probe.DestsOf(topology.NodeID(id))
-		for _, d := range ds {
-			m.Set(topology.NodeID(id), d, cfg.PktRate*node.ClampedMeanPktBits()/float64(len(ds)))
-		}
-	}
 	fmt.Fprintf(w, "unsharded run: %d nodes, %d trunks, Bellman-Ford 1969 (distance-vector; no shard barrier)\n",
 		g.NumNodes(), g.NumTrunks())
-	n := network.New(network.Config{Graph: g, Matrix: m, Metric: node.BF1969, Seed: cfg.Seed})
+	n := network.New(network.Config{Graph: g, Matrix: probe.Matrix(), Metric: node.BF1969, Seed: cfg.Seed})
 	n.Run(sim.FromSeconds(seconds))
 	if err := n.Conservation().Err(); err != nil {
 		return n, fmt.Errorf("conservation audit failed: %w", err)

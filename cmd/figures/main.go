@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	arpanet "repro"
@@ -37,15 +38,23 @@ const fig1Warmup = 100.0
 // order is every figure, as -fig all prints them.
 var order = []string{"1", "4", "5", "7", "8", "9", "10", "11", "12", "13"}
 
+// readers names, for each flag only some figures read, the figures that read
+// it: the packet-level runs of Figures 1 and 13 (the rest are the §5 model).
+var readers = map[string][]string{
+	"seconds": {"1"},
+	"days":    {"13"},
+	"seed":    {"1", "13"},
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is main minus the process exit, so tests drive it directly: 0 after the
 // figures are written, 2 with one line on stderr (then usage) for a flag
-// that does not parse, a stray argument, a -seconds that is not a positive
-// time the clock holds after Figure 1's warm-up, a -days below 1 or a figure
-// that does not exist.
+// that does not parse, a stray argument, a figure that does not exist, a flag
+// the chosen figure never reads (readers), a -seconds that is not a positive
+// time the clock holds after Figure 1's warm-up or a -days below 1.
 func run(args []string, stdout, stderr io.Writer) int {
 	fg := &figs{out: stdout}
 	figures := map[string]func(){
@@ -68,11 +77,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	switch {
-	case fs.NArg() > 0:
+	if fs.NArg() > 0 {
 		// Flag parsing stops at the first non-flag, so every flag after it
 		// would be ignored.
 		return usage("unexpected argument %q", fs.Arg(0))
+	}
+	if _, ok := figures[*fig]; !ok && *fig != "all" {
+		return usage("unknown figure %q", *fig)
+	}
+	var ignored string
+	fs.Visit(func(f *flag.Flag) {
+		if r, ok := readers[f.Name]; ok && ignored == "" && *fig != "all" && !slices.Contains(r, *fig) {
+			ignored = f.Name
+		}
+	})
+	switch {
+	case ignored != "":
+		return usage("-%s has no effect on figure %s (it is read by figure %s only)", ignored, *fig, strings.Join(readers[ignored], " and figure "))
 	case !(fg.seconds > 0 && fig1Warmup+fg.seconds < arpanet.MaxSeconds):
 		return usage("-seconds %v is not a positive time the simulated clock holds after figure 1's %g s warm-up", fg.seconds, fig1Warmup)
 	case fg.days < 1:
@@ -85,11 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	draw, ok := figures[*fig]
-	if !ok {
-		return usage("unknown figure %q", *fig)
-	}
-	draw()
+	figures[*fig]()
 	return 0
 }
 

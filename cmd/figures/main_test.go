@@ -32,6 +32,12 @@ func TestBadInvocationExitsTwo(t *testing.T) {
 		{[]string{"-fig", "13", "-days", "0"}, "figures: -days 0 is below 1"},
 		{[]string{"-fig", "13", "-days", "-3"}, "figures: -days -3 is below 1"},
 		{[]string{"-fig", "8", "stray"}, `figures: unexpected argument "stray"`},
+		{[]string{"-fig", "6", "-seconds", "5"}, `figures: unknown figure "6"`},
+		{[]string{"-fig", "13", "-seconds", "5"}, "figures: -seconds has no effect on figure 13 (it is read by figure 1 only)"},
+		{[]string{"-fig", "8", "-seconds", "5"}, "figures: -seconds has no effect on figure 8 (it is read by figure 1 only)"},
+		{[]string{"-fig", "1", "-days", "2"}, "figures: -days has no effect on figure 1 (it is read by figure 13 only)"},
+		{[]string{"-fig", "4", "-days", "2"}, "figures: -days has no effect on figure 4 (it is read by figure 13 only)"},
+		{[]string{"-fig", "10", "-seed", "3"}, "figures: -seed has no effect on figure 10 (it is read by figure 1 and figure 13 only)"},
 	} {
 		code, out, errOut := runCLI(tc.args...)
 		first, _, _ := strings.Cut(errOut, "\n")

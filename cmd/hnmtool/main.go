@@ -26,8 +26,9 @@ func main() {
 
 // run is main minus the process exit, so tests drive it directly: 0 after the
 // table, curves or trace is written, 2 with one line on stderr for a flag
-// that does not parse, a stray argument, a -line without -trace, an unknown
-// line type or a bad utilization.
+// that does not parse, a stray argument, a flag the mode never reads (then
+// usage: -line without -trace, -curves with it), an unknown line type or a
+// bad utilization.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hnmtool", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -41,6 +42,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	lineSet := false
 	fs.Visit(func(f *flag.Flag) { lineSet = lineSet || f.Name == "line" })
+	refuse := func(why string) int {
+		fmt.Fprintln(stderr, "hnmtool: "+why)
+		fs.Usage()
+		return 2
+	}
 	switch {
 	case fs.NArg() > 0:
 		// Flag parsing stops at the first non-flag, so every flag after it
@@ -48,8 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hnmtool: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	case lineSet && *trace == "":
-		fmt.Fprintln(stderr, "hnmtool: -line applies only to -trace")
-		return 2
+		return refuse("-line applies only to -trace")
+	case *curves && *trace != "":
+		return refuse("-curves has no effect with -trace")
 	case *trace != "":
 		if err := runTrace(stdout, *kind, *trace); err != nil {
 			fmt.Fprintf(stderr, "hnmtool: %v\n", err)

@@ -33,6 +33,7 @@ func TestModesAndRejections(t *testing.T) {
 		{"-curves foo", 2, `hnmtool: unexpected argument "foo"`},
 		{"-line 9.6S", 2, "hnmtool: -line applies only to -trace"},
 		{"-curves -line 56S", 2, "hnmtool: -line applies only to -trace"},
+		{"-curves -trace 0.5", 2, "hnmtool: -curves has no effect with -trace"},
 	} {
 		code, out, errOut := runCLI(strings.Fields(tc.args)...)
 		got := out

@@ -115,9 +115,7 @@ func (n *Network) ScaleTraffic(factor float64) {
 		panic("network: traffic scale factor must be positive")
 	}
 	for _, p := range n.psns {
-		if p.pktRate > 0 {
-			p.pktRate *= factor
-		}
+		p.src.Rate *= factor
 	}
 	n.cfg.Trace.Add(trace.Event{At: n.kernel.Now(), Kind: trace.TrafficChange,
 		Node: topology.NoNode, Link: topology.NoLink, Cost: factor})
@@ -134,10 +132,8 @@ func (n *Network) SetMatrix(m *traffic.Matrix) {
 	}
 	n.cfg.Matrix = m
 	for _, p := range n.psns {
-		p.dstIDs = p.dstIDs[:0]
-		p.dstCum = p.dstCum[:0]
-		n.setupSource(p)
-		if p.pktRate > 0 && !p.sourceArmed {
+		p.src.SetRow(n.ids, m.Row(p.ID))
+		if p.src.Rate > 0 && !p.sourceArmed {
 			n.armSource(p)
 		}
 	}

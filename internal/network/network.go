@@ -75,6 +75,7 @@ type Network struct {
 	cfg    Config
 	kernel *sim.Kernel
 	g      *topology.Graph
+	ids    []topology.NodeID // every PSN's ID, ascending: the destinations of a matrix row
 	psns   []*psn
 	links  []*linkState
 	// routers is the PSNs' shared table, the one link-state database: one
@@ -138,13 +139,8 @@ type psn struct {
 	paths    sim.RNG      // multipath next-hop selection (Config.Multipath)
 	dag      *spf.DAG     // multipath first hops over Router's tree (nil: stale, built at the next lookup)
 
-	// Traffic generation: total packet rate, cumulative destination
-	// distribution, and the streams drawing from them.
-	pktRate     float64 // packets per second
-	dstCum      []float64
-	dstIDs      []topology.NodeID
-	draw        node.Draws
-	sourceArmed bool // a sourceFire chain is scheduled
+	src         node.Source // its Poisson source over its matrix row
+	sourceArmed bool        // a sourceFire chain is scheduled
 }
 
 // linkState is one directed link: the shared trunk model plus what only
@@ -154,8 +150,8 @@ type linkState struct {
 	node.Trunk
 	link topology.Link
 
-	// propLat is the fixed propagation + processing latency to the far-end
-	// PSN, hoisted out of the transmit path (saves a float conversion).
+	// propLat is node.HopLatency, hoisted out of the transmit path (saves a
+	// float conversion).
 	propLat sim.Time
 
 	// lastFlooded is the cost most recently flooded for this link by its
@@ -212,7 +208,7 @@ func New(cfg Config) *Network {
 		ls := &linkState{
 			Trunk:   node.NewTrunk(node.DefaultQueueLimit, mod(l), l.Type.Bandwidth()),
 			link:    l,
-			propLat: sim.FromSeconds(l.PropDelay) + node.ProcessingDelay,
+			propLat: node.HopLatency(l),
 		}
 		n.links[i] = ls
 		initial[i] = ls.Module.Cost()
@@ -222,19 +218,19 @@ func New(cfg Config) *Network {
 	// PSNs with routers booted from the identical database.
 	n.psns = make([]*psn, n.g.NumNodes())
 	n.updatesInFlight = make([]int, n.g.NumNodes())
+	n.ids = make([]topology.NodeID, n.g.NumNodes())
+	for i := range n.ids {
+		n.ids[i] = topology.NodeID(i)
+	}
 	if cfg.Metric != node.BF1969 {
-		roots := make([]topology.NodeID, n.g.NumNodes())
-		for i := range roots {
-			roots[i] = topology.NodeID(i)
-		}
-		n.routers = spf.NewTable(n.g, roots, initial)
+		n.routers = spf.NewTable(n.g, n.ids, initial)
 	}
 	for i := range n.psns {
 		id := topology.NodeID(i)
 		p := &psn{
 			PSN:   node.PSN{ID: id},
 			lines: make([]*linkState, n.g.Degree(id)),
-			draw:  node.NewDraws(cfg.Seed, id),
+			src:   node.NewSource(cfg.Seed, id),
 		}
 		for j, l := range n.g.Out(id) {
 			p.lines[j] = n.links[l]
@@ -246,7 +242,7 @@ func New(cfg Config) *Network {
 			}
 		}
 		n.psns[i] = p
-		n.setupSource(p)
+		p.src.SetRow(n.ids, cfg.Matrix.Row(id))
 	}
 
 	if cfg.Metric == node.BF1969 {
@@ -264,24 +260,6 @@ func New(cfg Config) *Network {
 		_ = n.kernel.Schedule(cfg.Warmup, func(sim.Time) { n.startMeasuring() })
 	}
 	return n
-}
-
-func (n *Network) setupSource(p *psn) {
-	var total float64
-	for d := 0; d < n.g.NumNodes(); d++ {
-		r := n.cfg.Matrix.Rate(p.ID, topology.NodeID(d))
-		if r > 0 {
-			total += r
-			p.dstIDs = append(p.dstIDs, topology.NodeID(d))
-			p.dstCum = append(p.dstCum, total)
-		}
-	}
-	// packets/s at the *realized* mean size — the clamped-distribution mean,
-	// so offered bits match the matrix exactly in expectation.
-	p.pktRate = total / node.ClampedMeanPktBits()
-	for i := range p.dstCum {
-		p.dstCum[i] /= total
-	}
 }
 
 // setupBackground builds the hybrid engine's fluid layer: the background
@@ -398,7 +376,7 @@ func (n *Network) TrackLinkCost(l topology.LinkID) *stats.Series {
 
 func (n *Network) scheduleTraffic() {
 	for _, p := range n.psns {
-		if p.pktRate <= 0 {
+		if p.src.Rate <= 0 {
 			continue
 		}
 		n.armSource(p)
@@ -409,41 +387,23 @@ func (n *Network) armSource(p *psn) {
 	p.sourceArmed = true
 	// Fire-and-forget: the source chain parks itself via sourceArmed when
 	// the matrix zeroes the rate, rather than being cancelled.
-	_ = n.kernel.ScheduleCall(p.draw.Gap(p.pktRate), n.sourceFireFn, p)
+	_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
 }
 
 func (n *Network) sourceFire(p *psn, now sim.Time) {
-	if p.pktRate <= 0 {
+	if p.src.Rate <= 0 {
 		// The matrix switched this source off; the chain parks until
 		// SetMatrix re-arms it.
 		p.sourceArmed = false
 		return
 	}
-	dst := p.pickDst()
-	size := p.draw.PktBits()
 	pkt := n.pool.Get()
-	pkt.Src, pkt.Dst = p.ID, dst
-	pkt.SizeBits, pkt.Created = size, now
-	pkt.Arrival = topology.NoLink
+	p.src.Emit(pkt, now)
 	n.led.Offered++
-	n.win.offeredBits += size
+	n.win.offeredBits += pkt.SizeBits
 	n.handlePacket(p, pkt, now)
 	// Fire-and-forget: see armSource.
-	_ = n.kernel.ScheduleCall(p.draw.Gap(p.pktRate), n.sourceFireFn, p)
-}
-
-func (p *psn) pickDst() topology.NodeID {
-	u := p.draw.Dst.Float64()
-	lo, hi := 0, len(p.dstCum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.dstCum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return p.dstIDs[lo]
+	_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
 }
 
 // --- forwarding ---------------------------------------------------------
@@ -535,15 +495,18 @@ func (n *Network) txDone(ls *linkState, now sim.Time) {
 		n.propUser++
 	}
 	// The packet is its own propagation record: Arrival names the link it
-	// is crossing. Fire-and-forget: a packet on the wire is past
-	// cancellation; an outage mid-propagation is handled at arrival.
+	// is crossing, and keys its arrival, a tail event (see
+	// sim.Kernel.ScheduleTailCallAt). Fire-and-forget: a packet on the wire
+	// is past cancellation; an outage mid-propagation is handled at arrival.
 	pkt.Arrival = ls.link.ID
-	_ = n.kernel.ScheduleCall(ls.propLat, n.propArriveFn, pkt)
+	_, _ = n.kernel.ScheduleTailCallAt(now+ls.propLat, int(ls.link.ID), n.propArriveFn, pkt)
 	n.startTx(ls)
 }
 
 // propArrive completes one link traversal: the packet reaches the far-end
-// PSN after the propagation and processing delays.
+// PSN node.HopLatency after its transmission ended, after every other event
+// of the instant and in link order among the instant's arrivals, as on the
+// sharded engine.
 func (n *Network) propArrive(pkt *node.Packet, now sim.Time) {
 	if pkt.IsRouting() {
 		n.propRouting--

@@ -272,11 +272,14 @@ func TestOfferedLoadMatchesMatrix(t *testing.T) {
 func TestClampedMeanFormula(t *testing.T) {
 	// Monte-Carlo check of the closed form E[clamp(X,a,b)], over the size
 	// draws both engines take.
-	d := node.NewDraws(99, 0)
+	src := node.NewSource(99, 0)
+	src.SetRow([]topology.NodeID{1}, []float64{1})
+	var p node.Packet
 	var sum float64
 	const nSamples = 2_000_000
 	for i := 0; i < nSamples; i++ {
-		sum += d.PktBits()
+		src.Emit(&p, 0)
+		sum += p.SizeBits
 	}
 	got := sum / nSamples
 	if want := node.ClampedMeanPktBits(); math.Abs(got-want)/want > 0.005 {

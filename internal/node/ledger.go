@@ -143,20 +143,21 @@ func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down 
 // service, plus one flood crossing. The news reaches every node in at most D
 // hops, D the most hops between two nodes that reach each other, and its
 // last duplicate lands one hop later; each hop is one update's transmission
-// on that line, the longest propagation delay and ProcessingDelay. On the
-// ARPANET map it is a few seconds, far below the MaxUpdateInterval refresh.
+// on that line and the longest HopLatency. On the ARPANET map it is a few
+// seconds, far below the MaxUpdateInterval refresh.
 func FloodTime(g *topology.Graph, down func(topology.LinkID) bool) sim.Time {
-	var vol, update, prop float64
+	var vol, update float64
 	for id := 0; id < g.NumNodes(); id++ {
 		bits := float64(flooding.HeaderBits + flooding.PerLinkBits*g.Degree(topology.NodeID(id)))
 		vol += bits
 		update = max(update, bits)
 	}
 	slow := math.Inf(1)
+	var lat sim.Time
 	for _, l := range g.Links() {
 		if !down(l.ID) {
 			slow = min(slow, l.Type.Bandwidth())
-			prop = max(prop, l.PropDelay)
+			lat = max(lat, HopLatency(l))
 		}
 	}
 	diameter := 0
@@ -166,6 +167,6 @@ func FloodTime(g *topology.Graph, down func(topology.LinkID) bool) sim.Time {
 		reached := search.From(topology.NodeID(s), -1, up)
 		diameter = max(diameter, search.Hops(reached[len(reached)-1]))
 	}
-	hop := update/slow + prop + ProcessingDelay.Seconds()
+	hop := update/slow + lat.Seconds()
 	return sim.FromSeconds(3*vol/slow + float64(diameter+1)*hop)
 }

@@ -52,6 +52,13 @@ func BootOriginated(id topology.NodeID, first, period sim.Time) sim.Time {
 // ProcessingDelay is the fixed per-packet PSN processing time.
 const ProcessingDelay = 500 * sim.Microsecond
 
+// HopLatency is the time from a transmission's end on link l to the packet's
+// arrival at the far PSN: the link's propagation delay plus ProcessingDelay.
+// It is at least ProcessingDelay, so every hop takes time.
+func HopLatency(l topology.Link) sim.Time {
+	return sim.FromSeconds(l.PropDelay) + ProcessingDelay
+}
+
 // DownCost is the cost flooded for a dead link: large enough that no
 // finite alternative ever loses to it, finite so SPF arithmetic stays
 // well-defined.

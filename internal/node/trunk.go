@@ -48,11 +48,11 @@ func NewTrunk(queueLimit int, module CostModule, bandwidth float64) Trunk {
 // need no check of their own before asking.
 //
 // The time is at least one tick, so a completion never shares an instant
-// with the event that started it — the sharded engine's ordering rule 1.
-// The floor never binds on today's packets and lines: the smallest packet
-// (MinPktBits; routing packets are larger) on the fastest line (112 kb/s)
-// takes 893 µs. So internal/network, which does not need it, is unchanged
-// by it.
+// with the event that started it, and no two of a link's arrivals share an
+// instant: the ordering rules both engines keep (internal/shard's package
+// comment, rules 1 and 2). The floor never binds on today's packets and
+// lines: the smallest packet (MinPktBits; routing packets are larger) on the
+// fastest line (112 kb/s) takes 893 µs.
 func (t *Trunk) Next() (*Packet, sim.Time) {
 	if t.busy || t.down {
 		return nil, 0

@@ -7,17 +7,17 @@ package shard
 // update payloads, spf.Table for the routers, whose link-state database is
 // the set of updates each accepted — driven here under the shard model's
 // determinism rules. What stays here is this engine's side of them: the
-// shard's node.Egress (control sequence numbers, the custody ledger, absolute-
-// time transmissions), trace sampling, and the measure loop, which
-// internal/network runs with fluid superposition.
+// shard's node.Egress (control sequence numbers, the custody ledger), trace
+// sampling, and the measure loop, which internal/network runs with fluid
+// superposition.
 //
 // Routing updates are just more packets: they ride the output queues at
-// head priority, consume trunk bandwidth, and cross shard boundaries on the
-// buffered wires under the same propagation-delay lookahead bound as user
-// traffic — an update generated inside a window can only arrive at a remote
-// shard at or after the window's end plus the cut's minimum propagation
-// delay, so the conservative barrier needs no new machinery (cf. DESIGN.md
-// "Adaptive routing through the barrier").
+// head priority, consume trunk bandwidth, arrive as the same link-keyed tail
+// events, and cross shard boundaries on the wires under the same hop-latency
+// lookahead bound as user traffic — an update generated inside a window can
+// only arrive at a remote shard at or after the window's end plus the cut's
+// minimum hop latency, so the conservative barrier needs no new machinery
+// (cf. DESIGN.md "Adaptive routing through the barrier").
 //
 // Determinism by construction carries over untouched:
 //
@@ -76,7 +76,7 @@ func (s *Sim) bootAdaptive() {
 		sh.updatesInFlight = make([]int, s.g.NumNodes())
 		for i, n := range sh.nodes {
 			n.Router = sh.routers.Router(i)
-			n.nhScratch = make([]topology.LinkID, len(n.dests))
+			n.nhScratch = make([]topology.LinkID, len(n.src.Dests()))
 		}
 	}
 }
@@ -179,14 +179,14 @@ func (sh *shardState) acceptUpdate(n *lnode, u *flooding.Update, now sim.Time) b
 		return n.Router.Accept(u)
 	}
 	tree := n.Router.Tree() // repaired in place: snapshot before Accept
-	for i, d := range n.dests {
+	for i, d := range n.src.Dests() {
 		n.nhScratch[i] = tree.NextHop(d)
 	}
 	if !n.Router.Accept(u) {
 		return false
 	}
 	changed := int64(0)
-	for i, d := range n.dests {
+	for i, d := range n.src.Dests() {
 		if tree.NextHop(d) != n.nhScratch[i] {
 			changed++
 		}

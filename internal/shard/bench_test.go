@@ -9,7 +9,7 @@ package shard
 // The workload is a 1024-node hierarchical topology with neighbor-local
 // traffic (DestRadius 1, ~1 hop per packet, 3 kernel events per packet):
 // the configuration that measures the sharded runner's own per-packet
-// overhead — source, transmit, drain, barrier — rather than route length.
+// overhead — source, transmit, arrival, barrier — rather than route length.
 // It is NOT comparable to internal/network on Table 1 (the repo
 // benchmark's table1_arpanet workload), which runs the full
 // adaptive-routing model at 11.41 events per packet; see DESIGN.md's legacy

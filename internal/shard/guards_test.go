@@ -56,7 +56,7 @@ func TestAuditCatchesWriteThroughPublishedUpdate(t *testing.T) {
 	}
 }
 
-// Every non-drain event sits at least one tick after the instant that
+// Every non-arrival event sits at least one tick after the instant that
 // scheduled it. mustCallAt holds that for any delay, however it was computed:
 // a literal zero, a FromSeconds that rounded to zero, or a struct field
 // nothing re-validated.
@@ -95,7 +95,7 @@ func TestAuditCatchesDroppedScheduleError(t *testing.T) {
 	drops := map[string]func(k *sim.Kernel){
 		"bare ScheduleAt":             func(k *sim.Kernel) { k.ScheduleAt(k.Now()-1, func(sim.Time) {}) },
 		"blanked ScheduleAt":          func(k *sim.Kernel) { h, _ := k.ScheduleAt(k.Now()-1, func(sim.Time) {}); _ = h },
-		"deferred ScheduleTailCallAt": func(k *sim.Kernel) { defer k.ScheduleTailCallAt(k.Now()-1, func(sim.Time, any) {}, nil) },
+		"deferred ScheduleTailCallAt": func(k *sim.Kernel) { defer k.ScheduleTailCallAt(k.Now()-1, 0, func(sim.Time, any) {}, nil) },
 	}
 	for name, drop := range drops {
 		s := run(t, testConfig(testGraph(t), 2), sim.Second)

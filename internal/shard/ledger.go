@@ -35,7 +35,7 @@ type Ledger struct {
 	LoopDrops    int64
 	OutageDrops  int64
 	Exported     int64
-	InFlight     int64 // snapshot: queued, transmitting, or awaiting drain
+	InFlight     int64 // snapshot: queued, transmitting, or awaiting arrival
 
 	// Control plane (routing-update copies), all zero without Config.Adaptive.
 	CtrlGenerated   int64 // copies enqueued (origination + flood forwarding)

@@ -1,17 +1,17 @@
 package shard
 
 // The per-shard traffic model: Poisson sources, store-and-forward over
-// node.Trunk, and scripted trunk faults. The trunk — output queue, single
-// transmitter, §2.2 measurement, cost module, fail/repair transitions — the
-// per-node random streams and their draw rules (node.Draws) and the
+// node.Trunk, and scripted trunk faults. The source (node.Source), the trunk
+// — output queue, single transmitter, §2.2 measurement, cost module,
+// fail/repair transitions — the hop latency (node.HopLatency) and the
 // conservation ledger are internal/node's, the same code internal/network
-// runs. What is this engine's own is what makes every event a node observes
-// independent of the partition (see the package comment for the ordering
-// rules): completions are scheduled at absolute times, a transmitted packet
-// goes to the far node's content-sorted arrival buffer or over the wire to
-// another shard rather than into a propagation event, and outcomes are
-// booked into per-shard custody ledgers. With Config.Adaptive the static
-// table is replaced by the adaptive routing plane of adaptive.go.
+// runs, and an arrival is the same tail event keyed by its link on both
+// engines (the package comment's rule 2). What is this engine's own is what
+// carries a packet across a shard boundary unchanged: a packet bound for a
+// node on another shard leaves over the wire, its arrival scheduled there
+// at the barrier, and outcomes are booked into per-shard custody ledgers.
+// With Config.Adaptive the static table is replaced by the adaptive routing
+// plane of adaptive.go.
 
 import (
 	"fmt"
@@ -23,6 +23,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spf"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // shardState is one shard: a kernel plus the nodes and links it owns.
@@ -44,13 +45,17 @@ type shardState struct {
 	// nodes enqueued less those it consumed or dropped (adaptive). A copy
 	// can die on another shard than the one that sent it, so only the sum
 	// over shards means anything: the copies in flight, queued, on a
-	// transmitter, on a wire or awaiting a drain.
+	// transmitter, on a wire or awaiting their arrival.
 	updatesInFlight []int
+
+	// Arrival events pending on this shard's kernel: user packets and
+	// update copies that have crossed a link and not yet reached its far end.
+	propUser, propCtrl int64
 
 	// Bound callbacks, allocated once so the hot path closures nothing.
 	sourceCall  sim.Call
 	txDoneCall  sim.Call
-	drainCall   sim.Call
+	arriveCall  sim.Call
 	measureCall sim.Call
 	faultCall   sim.Call
 }
@@ -58,7 +63,7 @@ type shardState struct {
 func (sh *shardState) bind() {
 	sh.sourceCall = sh.source
 	sh.txDoneCall = sh.txDone
-	sh.drainCall = sh.drain
+	sh.arriveCall = sh.arrive
 	sh.measureCall = sh.measure
 	sh.faultCall = sh.fault
 }
@@ -67,16 +72,12 @@ func (sh *shardState) bind() {
 type lnode struct {
 	node.PSN // updating protocol (adaptive); Router is nil on the static plane
 
-	sh   *shardState
-	rate float64
-	draw node.Draws // traffic streams; Dst also draws the setup-time destination sample
-
-	dests []topology.NodeID
-	out   []*llink // this node's out-links in Graph.Out order: line i of its SPF tree, or of the static table, is out[i]
+	sh  *shardState
+	src node.Source // its Poisson source over its destination set, ascending
+	out []*llink    // this node's out-links in Graph.Out order: line i of its SPF tree, or of the static table, is out[i]
 
 	pseq uint64 // packets generated (low word of Packet.Seq)
 	rseq uint32 // trace records emitted
-	pend []pendArr
 
 	delivered int64
 	delaySum  float64 // seconds, accumulated in this node's event order
@@ -89,23 +90,14 @@ type lnode struct {
 	nhScratch []topology.LinkID // next-hop diff scratch, one per dest
 }
 
-// pendArr is one arrival awaiting its drain, sorted by (at, link) — an
-// order that depends only on content, never on insertion order, which is
-// what makes cross-shard injection invisible to the model.
-type pendArr struct {
-	at   sim.Time
-	link topology.LinkID
-	pkt  *node.Packet
-}
-
 // llink is one directed link's shard-local state: the shared trunk model
 // plus where its packets land. It lives in the shard of its From node; To
 // may be remote, in which case completed transmissions export over the wire
-// instead of buffering an arrival.
+// instead of scheduling their arrival here.
 type llink struct {
 	node.Trunk
 	l       topology.Link
-	propLat sim.Time // >= 1 tick
+	propLat sim.Time // node.HopLatency
 	toLocal *lnode   // nil when To lives in another shard
 }
 
@@ -133,61 +125,75 @@ type wire struct {
 func (s *Sim) buildNode(id topology.NodeID, balls *topology.Search) {
 	sh := s.shards[s.part[id]]
 	n := &lnode{
-		PSN:  node.PSN{ID: id},
-		sh:   sh,
-		rate: s.cfg.PktRate,
-		draw: node.NewDraws(s.cfg.Seed, id),
+		PSN: node.PSN{ID: id},
+		sh:  sh,
+		src: node.NewSource(s.cfg.Seed, id),
 	}
 	s.nodeAt[id] = n
 	sh.nodes = append(sh.nodes, n)
-	n.dests = s.sampleDests(n, balls)
+	dests := s.sampleDests(id, balls)
+	n.src.SetRow(dests, s.row(dests))
 }
 
-// sampleDests draws the node's destination set from its Dst stream: within
-// DestRadius hops when set (locality traffic; balls is then New's search),
-// else uniformly.
-func (s *Sim) sampleDests(n *lnode, balls *topology.Search) []topology.NodeID {
+// row is the traffic-matrix row of a node that sends to dests: each an equal
+// share of PktRate packets per second, at the clamped mean packet size, in
+// bits per second. Every node's source is built from it, and so is Matrix.
+func (s *Sim) row(dests []topology.NodeID) []float64 {
+	bps := make([]float64, len(dests))
+	for i := range bps {
+		bps[i] = s.cfg.PktRate * node.ClampedMeanPktBits() / float64(len(dests))
+	}
+	return bps
+}
+
+// Matrix returns the traffic this simulation offers as a traffic matrix:
+// row by row, what each node's source draws from. An unsharded engine given
+// it draws the same packets from the same seed.
+func (s *Sim) Matrix() *traffic.Matrix {
+	m := traffic.NewMatrix(s.g.NumNodes())
+	for _, n := range s.nodeAt {
+		ds := n.src.Dests()
+		for i, bps := range s.row(ds) {
+			m.Set(n.ID, ds[i], bps)
+		}
+	}
+	return m
+}
+
+// sampleDests draws node id's destination set, ascending, from its
+// StreamDestSet stream: within DestRadius hops when set (locality traffic;
+// balls is then New's search), else uniformly.
+func (s *Sim) sampleDests(id topology.NodeID, balls *topology.Search) []topology.NodeID {
+	rng := sim.NewRNG(s.cfg.Seed, int(id), node.StreamDestSet)
 	total := s.g.NumNodes()
 	want := s.cfg.Dests
+	var out []topology.NodeID
 	if s.cfg.DestRadius > 0 {
-		// The ball, n excluded, ascending by ID: the draw indexes into it.
-		cand := slices.Clone(balls.From(n.ID, s.cfg.DestRadius, nil)[1:])
+		// The ball, id excluded, ascending by ID: the draw indexes into it.
+		cand := slices.Clone(balls.From(id, s.cfg.DestRadius, nil)[1:])
 		slices.Sort(cand)
 		if len(cand) <= want {
 			return cand
 		}
-		out := make([]topology.NodeID, 0, want)
 		for len(out) < want {
-			d := cand[n.draw.Dst.Intn(len(cand))]
-			if !containsNode(out, d) {
+			if d := cand[rng.Intn(len(cand))]; !slices.Contains(out, d) {
 				out = append(out, d)
 			}
 		}
-		return out
-	}
-	if want > total-1 {
-		want = total - 1
-	}
-	out := make([]topology.NodeID, 0, want)
-	for len(out) < want {
-		d := topology.NodeID(n.draw.Dst.Intn(total - 1))
-		if d >= n.ID {
-			d++ // skip self without biasing the draw
-		}
-		if !containsNode(out, d) {
-			out = append(out, d)
+	} else {
+		want = min(want, total-1)
+		for len(out) < want {
+			d := topology.NodeID(rng.Intn(total - 1))
+			if d >= id {
+				d++ // skip self without biasing the draw
+			}
+			if !slices.Contains(out, d) {
+				out = append(out, d)
+			}
 		}
 	}
+	slices.Sort(out)
 	return out
-}
-
-func containsNode(s []topology.NodeID, d topology.NodeID) bool {
-	for _, v := range s {
-		if v == d {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *Sim) buildLinks(id topology.NodeID) {
@@ -199,10 +205,7 @@ func (s *Sim) buildLinks(id topology.NodeID) {
 			Trunk: node.NewTrunk(s.cfg.QueueLimit,
 				node.NewCostModule(s.cfg.Metric, l.Type, l.PropDelay), l.Type.Bandwidth()),
 			l:       l,
-			propLat: sim.FromSeconds(l.PropDelay),
-		}
-		if ls.propLat < 1 {
-			ls.propLat = 1
+			propLat: node.HopLatency(l),
 		}
 		if s.part[l.To] == s.part[id] {
 			ls.toLocal = s.nodeAt[l.To]
@@ -224,14 +227,10 @@ func (sh *shardState) source(now sim.Time, arg any) {
 	p := sh.pool.Get()
 	p.Seq = uint64(n.ID)<<32 | n.pseq
 	n.pseq++
-	p.Src = n.ID
-	p.Dst = n.dests[n.draw.Dst.Intn(len(n.dests))]
-	p.SizeBits = n.draw.PktBits()
-	p.Created = now
-	p.Arrival = topology.NoLink
+	n.src.Emit(p, now)
 	sh.led.Generated++
 	sh.handlePacket(n, p, now)
-	_ = mustCallAt(sh.kernel, now.Add(n.draw.Gap(n.rate)), sh.sourceCall, n)
+	_ = mustCallAt(sh.kernel, now.Add(n.src.Gap()), sh.sourceCall, n)
 }
 
 // handlePacket delivers, drops, or forwards a packet at node n.
@@ -291,7 +290,7 @@ func (sh *shardState) dropRec(n *lnode, now sim.Time, kind recKind, link topolog
 
 // startTx puts the queue head on the transmitter if the trunk will take one
 // (in service, idle, backlog non-empty — Trunk.Next decides), with its
-// completion at an absolute time on the shard's kernel. Trunk.Next keeps
+// completion the transmission time later on the shard's kernel. Trunk.Next keeps
 // the transmission at least one tick long, so the completion never collides
 // with the event that started it.
 func (sh *shardState) startTx(ls *llink, now sim.Time) {
@@ -302,7 +301,7 @@ func (sh *shardState) startTx(ls *llink, now sim.Time) {
 	ls.Started(mustCallAt(sh.kernel, now+tx, sh.txDoneCall, ls))
 }
 
-// txDone completes a transmission, then either buffers the arrival at the
+// txDone completes a transmission, then either schedules the arrival at the
 // local peer or exports it over the wire.
 func (sh *shardState) txDone(now sim.Time, arg any) {
 	ls := arg.(*llink)
@@ -313,7 +312,7 @@ func (sh *shardState) txDone(now sim.Time, arg any) {
 	at := now + ls.propLat
 	if ls.toLocal != nil {
 		p.Arrival = ls.l.ID
-		sh.deliverArrival(ls.toLocal, at, ls.l.ID, p)
+		sh.scheduleArrival(p, at)
 	} else {
 		// Allocates: the outbox grows to the per-window export high-watermark, then reuses
 		sh.outbox = append(sh.outbox, wire{
@@ -346,48 +345,34 @@ func (sh *shardState) importWire(w *wire) {
 	} else {
 		sh.led.Imported++
 	}
-	sh.deliverArrival(sh.s.nodeAt[sh.s.g.Link(w.link).To], w.at, w.link, p)
+	sh.scheduleArrival(p, w.at)
 }
 
-// deliverArrival inserts an arrival into n's pending buffer, keeping it
-// sorted by (at, link), and arms one drain for the instant if none exists.
-// The drain is a tail event: at its instant it fires after every normal
-// event, so node n processes the arrival identically whether the sender was
-// local (drain armed mid-window) or remote (armed at the barrier).
-func (sh *shardState) deliverArrival(n *lnode, at sim.Time, link topology.LinkID, p *node.Packet) {
-	i := len(n.pend)
-	for i > 0 {
-		e := &n.pend[i-1]
-		if e.at < at || (e.at == at && e.link < link) {
-			break
-		}
-		i--
+// scheduleArrival schedules p's arrival at the far end of link p.Arrival at
+// instant at: a tail event keyed by the link (rule 2), so the node takes it
+// after every other event of the instant and in link order among the
+// instant's arrivals, whether the sender was local (scheduled mid-window) or
+// remote (at the barrier). Until it fires the packet counts as in flight.
+func (sh *shardState) scheduleArrival(p *node.Packet, at sim.Time) {
+	if p.Update != nil {
+		sh.propCtrl++
+	} else {
+		sh.propUser++
 	}
-	sameAt := (i > 0 && n.pend[i-1].at == at) || (i < len(n.pend) && n.pend[i].at == at)
-	n.pend = append(n.pend, pendArr{}) // pending-arrival buffer grows to its high-watermark, then reuses
-	copy(n.pend[i+1:], n.pend[i:])
-	n.pend[i] = pendArr{at: at, link: link, pkt: p}
-	if !sameAt {
-		if _, err := sh.kernel.ScheduleTailCallAt(at, sh.drainCall, n); err != nil {
-			panic(fmt.Sprintf("shard: %v", err))
-		}
+	if _, err := sh.kernel.ScheduleTailCallAt(at, int(p.Arrival), sh.arriveCall, p); err != nil {
+		panic(fmt.Sprintf("shard: %v", err))
 	}
 }
 
-// drain processes every pending arrival whose time has come, in link order.
-func (sh *shardState) drain(now sim.Time, arg any) {
-	n := arg.(*lnode)
-	if len(n.pend) > 0 && n.pend[0].at < now {
-		panic("shard: arrival missed its drain")
+// arrive hands a packet to the node at the far end of the link it crossed.
+func (sh *shardState) arrive(now sim.Time, arg any) {
+	p := arg.(*node.Packet)
+	if p.Update != nil {
+		sh.propCtrl--
+	} else {
+		sh.propUser--
 	}
-	i := 0
-	for i < len(n.pend) && n.pend[i].at == now {
-		p := n.pend[i].pkt
-		n.pend[i].pkt = nil
-		i++
-		sh.handlePacket(n, p, now)
-	}
-	n.pend = n.pend[:copy(n.pend, n.pend[i:])]
+	sh.handlePacket(sh.s.nodeAt[sh.s.linkAt[p.Arrival].l.To], p, now)
 }
 
 // --- measurement ----------------------------------------------------------
@@ -480,22 +465,18 @@ func (sh *shardState) dropOutage(n *lnode, ls *llink, p *node.Packet, now sim.Ti
 }
 
 // inFlight snapshots the packets this shard holds custody of, split into
-// user traffic and routing-update copies.
+// user traffic and routing-update copies: those its links hold and those
+// whose arrival is pending on its kernel.
 func (sh *shardState) inFlight() (user, ctrl int64) {
-	classify := func(p *node.Packet) {
-		if p.Update != nil {
-			ctrl++
-		} else {
-			user++
-		}
-	}
+	user, ctrl = sh.propUser, sh.propCtrl
 	for _, ls := range sh.links {
-		ls.Holding(classify)
-	}
-	for _, ln := range sh.nodes {
-		for i := range ln.pend {
-			classify(ln.pend[i].pkt)
-		}
+		ls.Holding(func(p *node.Packet) {
+			if p.Update != nil {
+				ctrl++
+			} else {
+				user++
+			}
+		})
 	}
 	return user, ctrl
 }

@@ -8,6 +8,7 @@ package shard
 // cuts only backbone trunks (>= 8 ms), a lookahead thousands of ticks wide.
 
 import (
+	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -75,9 +76,9 @@ func affinity(l topology.Link) float64 {
 }
 
 // CutLookahead returns the conservative lookahead for a partition: the
-// minimum propagation delay, in ticks and at least 1, over every link whose
-// endpoints live in different parts. found is false when no link is cut
-// (single shard, or a disconnected assignment).
+// minimum node.HopLatency over every link whose endpoints live in different
+// parts. found is false when no link is cut (single shard, or a disconnected
+// assignment).
 func CutLookahead(g *topology.Graph, part []int) (sim.Time, bool) {
 	var min sim.Time
 	found := false
@@ -86,10 +87,7 @@ func CutLookahead(g *topology.Graph, part []int) (sim.Time, bool) {
 		if part[l.From] == part[l.To] {
 			continue
 		}
-		d := sim.FromSeconds(l.PropDelay)
-		if d < 1 {
-			d = 1
-		}
+		d := node.HopLatency(l)
 		if !found || d < min {
 			min, found = d, true
 		}

@@ -87,7 +87,7 @@ const entryBytes = 8
 // arc is what a tree reads of a link, 16 bytes of it instead of a 48-byte
 // topology.Link copy per relaxation.
 type arc struct {
-	cost     int64 // linkCost: prop + mean transmission + processing, >= 1 tick
+	cost     int64 // linkCost: hop latency + mean transmission
 	from, to int32
 }
 
@@ -98,18 +98,12 @@ type treeScratch struct {
 	heap []int64 // (dist, node) keys, emptied by every tree; never outgrows its capacity
 }
 
-// linkCost returns the static routing weight of a link in ticks: propagation
-// delay plus mean-size transmission time plus processing, at least one tick.
-// The mean transmission term uses the truncated-exponential mean matching
-// the traffic model's size clamp.
+// linkCost returns the static routing weight of a link in ticks:
+// node.HopLatency plus the mean-size transmission time. The mean
+// transmission term uses the truncated-exponential mean matching the traffic
+// model's size clamp.
 func linkCost(l topology.Link) sim.Time {
-	c := sim.FromSeconds(l.PropDelay) +
-		sim.FromSeconds(node.ClampedMeanPktBits()/l.Type.Bandwidth()) +
-		node.ProcessingDelay
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return node.HopLatency(l) + sim.FromSeconds(node.ClampedMeanPktBits()/l.Type.Bandwidth())
 }
 
 // buildRouting computes the static routes for the traffic model's

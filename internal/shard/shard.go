@@ -3,8 +3,8 @@
 // byte-identical output for every shard count.
 //
 // The graph is split by a deterministic partitioner (see partition.go)
-// that prefers to cut long-haul trunks; the minimum propagation delay over
-// the cut trunks is the conservative lookahead L. The runner repeats a
+// that prefers to cut long-haul trunks; the minimum node.HopLatency over the
+// cut trunks is the conservative lookahead L. The runner repeats a
 // barrier round: deliver pending cross-shard arrivals into the idle target
 // kernels, agree on the earliest pending event time tmin across kernels,
 // then let every kernel run the window [tmin, tmin+L-1] concurrently. An
@@ -17,24 +17,28 @@
 // Determinism across shard counts and goroutine schedules is by
 // construction, resting on three rules:
 //
-//  1. every model-scheduled delay except an arrival drain is >= 1 tick, so
-//     a node never has two of its own chain events collide at the instant
+//  1. every model-scheduled delay except an arrival's is >= 1 tick, so a
+//     node never has two of its own chain events collide at the instant
 //     that scheduled them;
-//  2. cross-node interaction happens only through arrival buffers: a
-//     transmission completion appends the arrival to the target node's
-//     time-sorted buffer (or to the cross-shard outbox), and the buffer is
-//     consumed by a drain event scheduled with sim.ScheduleTailCallAt, so
-//     the drain fires after every normal same-instant event at the node no
-//     matter which side of a shard boundary armed it;
-//  3. all randomness comes from per-node value-type streams (node.Draws:
-//     three sim.RNG streams per node, keyed by seed, node and stream, the
-//     unsharded engine's too), all floating point state is node- or
-//     link-local, and merged output is sorted by (time, node, per-node
-//     sequence).
+//  2. cross-node interaction happens only through arrivals: a transmission
+//     completion schedules the packet's arrival node.HopLatency later (or
+//     puts it in the cross-shard outbox, whose target schedules it at the
+//     barrier) as a tail event keyed by the link it crossed
+//     (sim.Kernel.ScheduleTailCallAt). No two arrivals share a (time, link),
+//     so a node takes the arrivals of an instant after every other event
+//     there, in link order, whichever side of a shard boundary scheduled
+//     them;
+//  3. all randomness comes from per-node value-type streams (node.Source
+//     and the destination-set stream: sim.RNG streams keyed by seed, node
+//     and stream, the unsharded engine's too), all floating point state is
+//     node- or link-local, and merged output is sorted by (time, node,
+//     per-node sequence).
 //
 // Under those rules the event order observed by any single node — and
 // therefore its random draws, its float accumulations, and its trace
-// records — is a pure function of the model, not of the partition.
+// records — is a pure function of the model, not of the partition. The
+// rules are internal/network's too: a one-shard Sim and an unsharded
+// network offered Matrix agree packet for packet.
 package shard
 
 import (
@@ -131,6 +135,9 @@ func (cfg Config) Validate() error {
 	if cfg.Shards > cfg.Graph.NumNodes() {
 		return fmt.Errorf("shard: %d shards for %d nodes", cfg.Shards, cfg.Graph.NumNodes())
 	}
+	if n := cfg.Graph.NumLinks(); n > sim.MaxTailKey+1 {
+		return fmt.Errorf("shard: %d links, more than the %d arrival keys a kernel orders", n, sim.MaxTailKey+1)
+	}
 	if err := staticPlaneFits(cfg.Graph.NumNodes(), cfg.Adaptive); err != nil {
 		return err
 	}
@@ -226,7 +233,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	for id := 0; id < g.NumNodes(); id++ {
 		s.buildNode(topology.NodeID(id), balls)
-		if len(s.nodeAt[id].dests) == 0 {
+		if len(s.nodeAt[id].src.Dests()) == 0 {
 			return nil, fmt.Errorf("shard: node %d (%s) has nowhere to send: its destination set is empty", id, g.Node(topology.NodeID(id)).Name)
 		}
 	}
@@ -251,7 +258,7 @@ func New(cfg Config) (*Sim, error) {
 		first := node.FirstMeasurement(n.ID, g.NumNodes(), cfg.MeasurePeriod)
 		n.LastOriginated = node.BootOriginated(n.ID, first, cfg.MeasurePeriod)
 		_ = mustCallAt(sh.kernel, first, sh.measureCall, n)
-		_ = mustCallAt(sh.kernel, n.draw.Gap(n.rate), sh.sourceCall, n)
+		_ = mustCallAt(sh.kernel, n.src.Gap(), sh.sourceCall, n)
 		for fi := range cfg.Faults {
 			f := &cfg.Faults[fi]
 			for _, lid := range []topology.LinkID{topology.LinkID(2 * f.Trunk), topology.LinkID(2*f.Trunk + 1)} {
@@ -265,14 +272,15 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// mustCallAt is the one way the shard model schedules anything but an arrival
-// drain, so it is where rule 1 of the package comment is held: the event sits
-// at least one tick after the instant scheduling it, whatever the delay was
-// computed from. The kernel takes a 0-tick delay; a node's event order would
-// then depend on the partition. A runner bug, never a caller's: it panics.
+// mustCallAt is the one way the shard model schedules anything but an
+// arrival, so it is where rule 1 of the package comment is held: the event
+// sits at least one tick after the instant scheduling it, whatever the delay
+// was computed from. The kernel takes a 0-tick delay; a node's event order
+// would then depend on the partition. A runner bug, never a caller's: it
+// panics.
 func mustCallAt(k *sim.Kernel, at sim.Time, fn sim.Call, arg any) sim.Handle {
 	if at <= k.Now() {
-		panic(fmt.Sprintf("shard: event scheduled for %v at %v; every non-drain delay must be at least one tick", at, k.Now()))
+		panic(fmt.Sprintf("shard: event scheduled for %v at %v; every non-arrival delay must be at least one tick", at, k.Now()))
 	}
 	return k.ScheduleCall(at-k.Now(), fn, arg)
 }
@@ -469,10 +477,9 @@ func (s *Sim) collectOutboxes() {
 	}
 }
 
-// DestsOf returns the destination set the traffic model drew for a node.
-// The differential checks use it to offer the identical traffic matrix to
-// the unsharded engine. The caller must not modify it.
-func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id].dests }
+// DestsOf returns the destination set, ascending, the traffic model drew for
+// a node. The caller must not modify it.
+func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id].src.Dests() }
 
 // LinkCost returns the cost currently advertised by the link's metric
 // module; the checker's shard differential samples it at every checkpoint

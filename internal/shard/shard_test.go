@@ -499,7 +499,7 @@ func itoa(n int) string {
 
 // TestSteadyStateAllocsPerPacket is the run-time guard on the data plane's
 // allocation-free contract (source → handlePacket → startTx → txDone →
-// deliverArrival → drain, importWire at 2 shards, adaptiveNextHop on the
+// scheduleArrival → arrive, importWire at 2 shards, adaptiveNextHop on the
 // adaptive plane): after warm-up the heap allocations per delivered packet
 // stay at amortized-growth level. The three rows differ in what still
 // allocates by design, so each has its own bound; an allocation planted on

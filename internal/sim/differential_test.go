@@ -12,22 +12,31 @@ import (
 )
 
 // refItem / refHeap reimplement the kernel's pre-rewrite event queue: a
-// container/heap over (at, seq) with lazily drained cancellations.
+// container/heap over (at, seq) with lazily drained cancellations. Tail
+// events sort after the normal events of their instant, by (key, seq).
 type refItem struct {
 	at      Time
 	seq     uint64
 	id      int
 	stopped bool
+	tail    bool
+	key     int
 }
 
 type refHeap []*refItem
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	a, b := h[i], h[j]
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.tail != b.tail:
+		return b.tail
+	case a.key != b.key:
+		return a.key < b.key
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refItem)) }

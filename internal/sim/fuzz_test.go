@@ -18,6 +18,10 @@ package sim
 //	fzStep                         Step
 //	fzRunUntil             c x     RunUntil(now + fuzzDelay(c, x))
 //	fzParent               c x n   Schedule an event that schedules 1+n%3 children at its own instant, every second one a tail
+//
+// A tail's key is the op byte's quotient: (op byte with fzPeek cleared) /
+// fzNumOps, 0 to 12, so equal keys are common and key 0 is the default. A
+// parent's tail children take the parent's key.
 //	fzBurst                n b s   130+n%171 events at now + b·64µs + (i mod (1+16·s))µs: over-fills the calendar, forcing a retune
 //
 // After every operation the harness compares the fired order, Now, Pending,
@@ -120,6 +124,7 @@ func (o fuzzOp) String() string { return fmt.Sprintf("op %d: %s %v", o.n, o.what
 type fuzzSpec struct {
 	kind int
 	n    int // fzParent: children to schedule
+	key  int // fzParent: its tail children's key
 }
 
 type fuzzHarness struct {
@@ -157,12 +162,13 @@ func newFuzzHarness(t *testing.T) *fuzzHarness {
 
 // schedule places one event on both sides: Schedule for fzRel, ScheduleAt
 // for fzAbs, ScheduleTailCallAt for fzTail.
-func (h *fuzzHarness) schedule(form int, delay Time, sp fuzzSpec) {
-	h.kSchedule(form, h.k.Now(), delay, sp)
-	h.rSchedule(form, delay, sp)
+// key is a tail's key, ignored by the other forms.
+func (h *fuzzHarness) schedule(form, key int, delay Time, sp fuzzSpec) {
+	h.kSchedule(form, key, h.k.Now(), delay, sp)
+	h.rSchedule(form, key, delay, sp)
 }
 
-func (h *fuzzHarness) kSchedule(form int, now, delay Time, sp fuzzSpec) {
+func (h *fuzzHarness) kSchedule(form, key int, now, delay Time, sp fuzzSpec) {
 	id := len(h.specs)
 	h.specs = append(h.specs, sp)
 	var hd Handle
@@ -173,7 +179,7 @@ func (h *fuzzHarness) kSchedule(form int, now, delay Time, sp fuzzSpec) {
 	case fzAbs:
 		hd, err = h.k.ScheduleAt(satAdd(now, delay), func(now Time) { h.kFire(id, now) })
 	case fzTail:
-		hd, err = h.k.ScheduleTailCallAt(satAdd(now, delay), h.callFn, id)
+		hd, err = h.k.ScheduleTailCallAt(satAdd(now, delay), key, h.callFn, id)
 	}
 	if err != nil {
 		h.t.Fatalf("schedule form %d, delay %d at now=%d: %v", form, delay, now, err)
@@ -184,20 +190,17 @@ func (h *fuzzHarness) kSchedule(form int, now, delay Time, sp fuzzSpec) {
 	h.handles = append(h.handles, hd)
 }
 
-func (h *fuzzHarness) rPush(at Time, id int, tail bool) *refItem {
-	it := &refItem{at: at, seq: h.ref.seq, id: id}
-	if tail {
-		it.seq |= tailSeq
-	}
+func (h *fuzzHarness) rPush(at Time, id int, tail bool, key int) *refItem {
+	it := &refItem{at: at, seq: h.ref.seq, id: id, tail: tail, key: key}
 	h.ref.seq++
 	heap.Push(&h.ref.queue, it)
 	return it
 }
 
-func (h *fuzzHarness) rSchedule(form int, delay Time, sp fuzzSpec) {
+func (h *fuzzHarness) rSchedule(form, key int, delay Time, sp fuzzSpec) {
 	id := len(h.rspecs)
 	h.rspecs = append(h.rspecs, sp)
-	h.items = append(h.items, h.rPush(satAdd(h.ref.now, delay), id, form == fzTail))
+	h.items = append(h.items, h.rPush(satAdd(h.ref.now, delay), id, form == fzTail, key))
 	h.done = append(h.done, false)
 }
 
@@ -220,7 +223,7 @@ func (h *fuzzHarness) kFire(id int, now Time) {
 	}
 	if id >= 0 && h.specs[id].kind == fzParent {
 		for j := 0; j < h.specs[id].n; j++ {
-			h.kSchedule(childForm(j), now, 0, fuzzSpec{})
+			h.kSchedule(childForm(j), h.specs[id].key, now, 0, fuzzSpec{})
 		}
 	}
 }
@@ -235,11 +238,11 @@ func (h *fuzzHarness) rFire() {
 		h.done[it.id] = true
 		if sp := h.rspecs[it.id]; sp.kind == fzParent {
 			for j := 0; j < sp.n; j++ {
-				h.rSchedule(childForm(j), 0, fuzzSpec{})
+				h.rSchedule(childForm(j), sp.key, 0, fuzzSpec{})
 			}
 		}
 	} else {
-		h.rPush(satAdd(h.ref.now, h.periods[-1-it.id]), it.id, false)
+		h.rPush(satAdd(h.ref.now, h.periods[-1-it.id]), it.id, false, 0)
 	}
 	h.budget--
 }
@@ -333,19 +336,20 @@ func fuzzRun(t *testing.T, data []byte) {
 		switch code := int(b&^fzPeek) % fzNumOps; code {
 		case fzRel, fzAbs, fzTail, fzParent:
 			d := fuzzDelay(next(), next())
+			key := int(b&^fzPeek) / fzNumOps
 			sp, form := fuzzSpec{}, code
 			if code == fzParent {
-				sp, form = fuzzSpec{kind: fzParent, n: 1 + int(next())%3}, fzRel
+				sp, form = fuzzSpec{kind: fzParent, n: 1 + int(next())%3, key: key}, fzRel
 			}
-			op.what, op.args = "schedule (form, delay, kind)", [3]int64{int64(form), int64(d), int64(sp.kind)}
+			op.what, op.args = "schedule (form, delay, key)", [3]int64{int64(form), int64(d), int64(key)}
 			if room {
-				h.schedule(form, d, sp)
+				h.schedule(form, key, d, sp)
 			}
 		case fzPast:
 			at := k.Now() - 1 - Time(next())
 			op.what, op.args[0] = "schedule in the past (at)", int64(at)
 			_, err1 := k.ScheduleAt(at, func(Time) { t.Fatal("past event fired") })
-			_, err2 := k.ScheduleTailCallAt(at, h.callFn, -1)
+			_, err2 := k.ScheduleTailCallAt(at, 0, h.callFn, -1)
 			for _, err := range []error{err1, err2} {
 				if !errors.Is(err, ErrPastEvent) {
 					t.Fatalf("%v: error %v, want ErrPastEvent", op, err)
@@ -376,7 +380,7 @@ func fuzzRun(t *testing.T, data []byte) {
 			if i := len(h.periods); i < 4 {
 				k.Every(period, func(now Time) { h.kFire(-1-i, now) })
 				h.periods = append(h.periods, period)
-				h.rPush(satAdd(h.ref.now, period), -1-i, false)
+				h.rPush(satAdd(h.ref.now, period), -1-i, false, 0)
 			}
 		case fzStep:
 			op.what = "Step"
@@ -395,7 +399,7 @@ func fuzzRun(t *testing.T, data []byte) {
 			count, base, spread := 130+int(next())%171, Time(next())*64*Microsecond, 1+16*int(next())
 			op.what, op.args = "burst (count, base, spread)", [3]int64{int64(count), int64(base), int64(spread)}
 			for i := 0; i < count && room; i++ {
-				h.schedule(fzAbs, base+Time(i%spread), fuzzSpec{})
+				h.schedule(fzAbs, 0, base+Time(i%spread), fuzzSpec{})
 			}
 		}
 		if testing.Verbose() {

@@ -14,7 +14,8 @@
 // fire in the order they were scheduled (FIFO tie-break by sequence
 // number) — byte-for-byte the order the binary-heap kernel produced, which
 // the differential tests in this package pin against a container/heap
-// reference.
+// reference. Tail events (ScheduleTailCallAt) are the one exception: they
+// fire after every normal event of their instant, by (key, schedule).
 //
 // Event state lives in a struct-of-arrays slot store: the fields of a
 // scheduled event are split across parallel slices indexed by a compact
@@ -318,21 +319,27 @@ func (k *Kernel) reject(at Time) error {
 // it so that, at its timestamp, it sorts after every normally scheduled
 // event — including ones scheduled after it. Normal sequence numbers are
 // assigned from a counter starting at zero and can never reach the bit.
+// Under the bit a tail event carries its key, and under the key its
+// sequence number, so tail events at one instant sort by (key, sequence).
 const tailSeq = uint64(1) << 63
 
-// scheduleSlot allocates and enqueues one event. Sequence numbers are
-// assigned in call order — the FIFO tie-break for same-instant events. A
-// tail event takes the same sequence number with the tail bit set, so tail
-// events keep FIFO order among themselves while sorting after every normal
-// event at their instant.
-func (k *Kernel) scheduleSlot(at Time, cfn Call, arg any, tail bool) Handle {
+// tailSeqBits is the width of the sequence number under a tail key: a kernel
+// takes 2^39 (about 5.5e11) schedules before a tail event's sequence would
+// carry into its key, and ScheduleTailCallAt panics rather than let it.
+const tailSeqBits = 39
+
+// MaxTailKey is the largest key ScheduleTailCallAt takes: keys span the 24
+// bits between the tail bit and the sequence number.
+const MaxTailKey = 1<<(63-tailSeqBits) - 1
+
+// scheduleSlot allocates and enqueues one event whose sequence number, the
+// FIFO tie-break for same-instant events, is eseq | the kernel's schedule
+// count. Normal events pass eseq 0; a tail event passes the tail bit and its
+// key.
+func (k *Kernel) scheduleSlot(at Time, cfn Call, arg any, eseq uint64) Handle {
 	s := k.alloc()
 	k.at[s] = at
-	if tail {
-		k.eseq[s] = tailSeq | k.seq
-	} else {
-		k.eseq[s] = k.seq
-	}
+	k.eseq[s] = eseq | k.seq
 	k.seq++
 	k.cfn[s], k.arg[s] = cfn, arg
 	k.pending++
@@ -351,7 +358,7 @@ func (k *Kernel) ScheduleAt(at Time, fn Event) (Handle, error) {
 	if at < k.now {
 		return Handle{}, k.reject(at)
 	}
-	return k.scheduleSlot(at, callEvent, fn, false), nil
+	return k.scheduleSlot(at, callEvent, fn, 0), nil
 }
 
 // Schedule schedules fn to run after delay (which may be zero). A negative
@@ -361,7 +368,7 @@ func (k *Kernel) Schedule(delay Time, fn Event) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.scheduleSlot(k.now.Add(delay), callEvent, fn, false)
+	return k.scheduleSlot(k.now.Add(delay), callEvent, fn, 0)
 }
 
 // ScheduleCall schedules fn(now, arg) after delay (which may be zero),
@@ -370,28 +377,38 @@ func (k *Kernel) ScheduleCall(delay Time, fn Call, arg any) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	return k.scheduleSlot(k.now.Add(delay), fn, arg, false)
+	return k.scheduleSlot(k.now.Add(delay), fn, arg, 0)
 }
 
 // ScheduleTailCallAt schedules fn(at, arg) at absolute time at, ordered
 // after every normally scheduled event with the same timestamp — including
 // ones scheduled later, from either side of the firing instant. Tail events
-// at one instant fire in schedule order among themselves. The sharded
-// runner's arrival drains rely on this: a drain must observe every
-// same-instant local action at its node, and its position in the instant
-// must not depend on *when* the arrival that armed it was scheduled —
-// which, for a cross-shard arrival, depends on the shard count.
+// at one instant fire in (key, schedule) order among themselves. key must
+// lie in [0, MaxTailKey]; anything else panics.
+//
+// Both packet engines schedule each packet's arrival as one tail event keyed
+// by the link it crossed. No two arrivals share a (time, link): a link's
+// transmissions are at least one tick long each and its latency is fixed.
+// So the arrivals at an instant fire after everything else there, in link
+// order, whichever order — and, on the sharded runner, whichever shard —
+// scheduled them.
 //
 // A non-tail event scheduled at the current instant from within a tail
 // callback still fires (it is the queue minimum), but such
 // scheduling forfeits the after-everything guarantee for the remaining tail
-// events of the instant; model code keeps every non-drain delay >= 1 tick
+// events of the instant; model code keeps every non-arrival delay >= 1 tick
 // precisely so the case never arises.
-func (k *Kernel) ScheduleTailCallAt(at Time, fn Call, arg any) (Handle, error) {
+func (k *Kernel) ScheduleTailCallAt(at Time, key int, fn Call, arg any) (Handle, error) {
+	if key < 0 || key > MaxTailKey {
+		panic(fmt.Sprintf("sim: tail key %d outside [0, %d]", key, MaxTailKey))
+	}
 	if at < k.now {
 		return Handle{}, k.reject(at)
 	}
-	return k.scheduleSlot(at, fn, arg, true), nil
+	if k.seq>>tailSeqBits != 0 {
+		panic(fmt.Sprintf("sim: after %d schedules a tail event's sequence number would carry into its key", k.seq))
+	}
+	return k.scheduleSlot(at, fn, arg, tailSeq|uint64(key)<<tailSeqBits), nil
 }
 
 // NextEventTime returns the timestamp of the earliest pending event, or ok

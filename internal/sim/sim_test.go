@@ -273,14 +273,14 @@ func TestScheduleCallAtPast(t *testing.T) {
 	k := New()
 	k.Schedule(2*Second, func(Time) {})
 	drain(k)
-	if _, err := k.ScheduleTailCallAt(Second, func(Time, any) {}, nil); err == nil {
+	if _, err := k.ScheduleTailCallAt(Second, 0, func(Time, any) {}, nil); err == nil {
 		t.Error("ScheduleTailCallAt in the past should error")
 	}
 	// The refusal is counted, whatever the caller does with the error, and
 	// only the refusal: the clock's own instant is not the past.
 	_, _ = k.ScheduleAt(Second, func(Time) {})
-	_, _ = k.ScheduleTailCallAt(k.Now()-1, func(Time, any) {}, nil)
-	if _, err := k.ScheduleTailCallAt(k.Now(), func(Time, any) {}, nil); err != nil {
+	_, _ = k.ScheduleTailCallAt(k.Now()-1, 0, func(Time, any) {}, nil)
+	if _, err := k.ScheduleTailCallAt(k.Now(), 0, func(Time, any) {}, nil); err != nil {
 		t.Error(err)
 	}
 	if st := k.Stats(); st.Rejected != 3 || st.Scheduled != 2 {
@@ -434,7 +434,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil || !h.Pending() || !h.Cancel() {
 			t.Fatal("ScheduleAt/Pending/Cancel failed")
 		}
-		if _, err := k.ScheduleTailCallAt(k.Now()+Microsecond, call, arg); err != nil {
+		if _, err := k.ScheduleTailCallAt(k.Now()+Microsecond, 0, call, arg); err != nil {
 			t.Fatal(err)
 		}
 		at, ok := k.NextEventTime()

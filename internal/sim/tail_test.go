@@ -4,7 +4,10 @@ package sim
 // negative-input bugfix), tail-ordered events, and NextEventTime.
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -64,11 +67,11 @@ func TestTailOrdersAfterLaterSchedules(t *testing.T) {
 	var order []string
 	add := func(tag string) Call { return func(Time, any) { order = append(order, tag) } }
 	k.Schedule(Millisecond, func(Time) { order = append(order, "early") })
-	if _, err := k.ScheduleTailCallAt(Millisecond, add("tail1"), nil); err != nil {
+	if _, err := k.ScheduleTailCallAt(Millisecond, 0, add("tail1"), nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Schedule(Millisecond, func(Time) { order = append(order, "late") })
-	if _, err := k.ScheduleTailCallAt(Millisecond, add("tail2"), nil); err != nil {
+	if _, err := k.ScheduleTailCallAt(Millisecond, 0, add("tail2"), nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Schedule(2*Millisecond, func(Time) { order = append(order, "next-instant") })
@@ -84,6 +87,84 @@ func TestTailOrdersAfterLaterSchedules(t *testing.T) {
 	}
 }
 
+// TestTailKeyOrder schedules four same-instant tail events, keys 0 to 3, in
+// every order, each behind a normal event scheduled after them: the normal
+// event fires first, then the tails in key order, however they were
+// scheduled. It also holds two tails of one key to schedule order.
+func TestTailKeyOrder(t *testing.T) {
+	var permute func(keys []int, n int, visit func([]int))
+	permute = func(keys []int, n int, visit func([]int)) {
+		if n == 1 {
+			visit(keys)
+			return
+		}
+		for i := 0; i < n; i++ {
+			permute(keys, n-1, visit)
+			if n%2 == 0 {
+				keys[i], keys[n-1] = keys[n-1], keys[i]
+			} else {
+				keys[0], keys[n-1] = keys[n-1], keys[0]
+			}
+		}
+	}
+	perms := 0
+	permute([]int{0, 1, 2, 3}, 4, func(keys []int) {
+		perms++
+		k := New()
+		var order []int
+		fire := func(_ Time, arg any) { order = append(order, arg.(int)) }
+		for _, key := range keys {
+			if _, err := k.ScheduleTailCallAt(Millisecond, key, fire, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k.ScheduleCall(Millisecond, fire, -1)
+		drain(k)
+		if want := []int{-1, 0, 1, 2, 3}; !slices.Equal(order, want) {
+			t.Fatalf("scheduled keys %v: fired %v, want %v", keys, order, want)
+		}
+	})
+	if perms != 24 {
+		t.Fatalf("visited %d orders, want 24", perms)
+	}
+
+	k := New()
+	var order []string
+	add := func(tag string) Call { return func(Time, any) { order = append(order, tag) } }
+	for _, e := range []struct {
+		key int
+		tag string
+	}{{7, "7a"}, {3, "3a"}, {7, "7b"}, {3, "3b"}, {MaxTailKey, "max"}, {0, "0"}} {
+		if _, err := k.ScheduleTailCallAt(Millisecond, e.key, add(e.tag), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(k)
+	if want := []string{"0", "3a", "3b", "7a", "7b", "max"}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+}
+
+// TestTailKeyRange holds keys to [0, MaxTailKey]: one outside panics by
+// name, before anything is scheduled.
+func TestTailKeyRange(t *testing.T) {
+	for _, key := range []int{-1, MaxTailKey + 1, math.MinInt, math.MaxInt} {
+		k := New()
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "tail key") {
+					t.Errorf("key %d: recovered %v, want a tail key panic", key, r)
+				}
+			}()
+			k.ScheduleTailCallAt(Millisecond, key, func(Time, any) {}, nil)
+		}()
+		if st := k.Stats(); st.Scheduled != 0 || st.Rejected != 0 {
+			t.Errorf("key %d: %+v after the refusal, want nothing scheduled", key, st)
+		}
+	}
+}
+
 // TestTailSchedulingMidInstant arms a tail from within the firing instant
 // itself: normal events already queued at the instant still beat it.
 func TestTailSchedulingMidInstant(t *testing.T) {
@@ -92,7 +173,7 @@ func TestTailSchedulingMidInstant(t *testing.T) {
 	tail := func(Time, any) { order = append(order, "tail") }
 	k.Schedule(Millisecond, func(now Time) {
 		order = append(order, "a")
-		if _, err := k.ScheduleTailCallAt(now, tail, nil); err != nil {
+		if _, err := k.ScheduleTailCallAt(now, 0, tail, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -112,7 +193,7 @@ func TestTailSchedulingMidInstant(t *testing.T) {
 func TestTailCancelAndPending(t *testing.T) {
 	k := New()
 	fired := false
-	h, err := k.ScheduleTailCallAt(Millisecond, func(Time, any) { fired = true }, nil)
+	h, err := k.ScheduleTailCallAt(Millisecond, 0, func(Time, any) { fired = true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +213,7 @@ func TestTailCancelAndPending(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Fatalf("Pending() = %d after drain", k.Pending())
 	}
-	if _, err := k.ScheduleTailCallAt(k.Now()-1, func(Time, any) {}, nil); err == nil {
+	if _, err := k.ScheduleTailCallAt(k.Now()-1, 0, func(Time, any) {}, nil); err == nil {
 		t.Fatal("past tail schedule should error")
 	}
 }
@@ -148,7 +229,7 @@ func TestTailOrderAcrossContainers(t *testing.T) {
 	mustAt := func(id int, tail bool) {
 		var err error
 		if tail {
-			_, err = k.ScheduleTailCallAt(at, func(Time, any) { order = append(order, id) }, nil)
+			_, err = k.ScheduleTailCallAt(at, 0, func(Time, any) { order = append(order, id) }, nil)
 		} else {
 			_, err = k.ScheduleAt(at, func(Time) { order = append(order, id) })
 		}

@@ -46,6 +46,12 @@ func (m *Matrix) Set(s, d topology.NodeID, bps float64) {
 	m.rate[int(s)*m.n+int(d)] = bps
 }
 
+// Row returns the offered loads from s, indexed by destination. The caller
+// must not modify it.
+func (m *Matrix) Row(s topology.NodeID) []float64 {
+	return m.rate[int(s)*m.n : (int(s)+1)*m.n]
+}
+
 // Total returns the network-wide offered load in bits/second.
 func (m *Matrix) Total() float64 {
 	sum := 0.0
