@@ -312,35 +312,45 @@ func emitJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// mean averages every numeric field of the seeds' reports — floats as
-// floats, counters by integer division — and recomputes the path ratio from
-// the mean hop counts. The reports share a metric and a duration.
+// mean averages every numeric field of the seeds' reports, the ledger's
+// too — floats as floats, counters by integer division — and recomputes the
+// path ratio from the mean hop counts. The reports share a metric and a
+// duration.
 func mean(rs []arpanet.Result) arpanet.Report {
 	out := rs[0].Report
-	if len(rs) == 1 {
-		return out
+	vs := make([]reflect.Value, len(rs))
+	for i, r := range rs {
+		vs[i] = reflect.ValueOf(r.Report)
 	}
-	o := reflect.ValueOf(&out).Elem()
-	for i := 0; i < o.NumField(); i++ {
-		switch f := o.Field(i); f.Kind() {
-		case reflect.Float64:
-			sum := 0.0
-			for _, r := range rs {
-				sum += reflect.ValueOf(r.Report).Field(i).Float()
-			}
-			f.SetFloat(sum / float64(len(rs)))
-		case reflect.Int64:
-			var sum int64
-			for _, r := range rs {
-				sum += reflect.ValueOf(r.Report).Field(i).Int()
-			}
-			f.SetInt(sum / int64(len(rs)))
-		}
-	}
+	average(reflect.ValueOf(&out).Elem(), vs)
 	if out.MinPathHops > 0 {
 		out.PathRatio = out.ActualPathHops / out.MinPathHops
 	}
 	return out
+}
+
+// average sets each float64 and int64 field of out, in nested structs too,
+// to the mean of that field over vs, values of out's type: a counter's mean
+// rounds toward zero.
+func average(out reflect.Value, vs []reflect.Value) {
+	for i := 0; i < out.NumField(); i++ {
+		fs, sum := make([]reflect.Value, len(vs)), 0.0
+		for j, v := range vs {
+			if fs[j] = v.Field(i); fs[j].CanInt() {
+				sum += float64(fs[j].Int())
+			} else if fs[j].CanFloat() {
+				sum += fs[j].Float()
+			}
+		}
+		switch f := out.Field(i); f.Kind() {
+		case reflect.Struct:
+			average(f, fs)
+		case reflect.Float64:
+			f.SetFloat(sum / float64(len(vs)))
+		case reflect.Int64:
+			f.SetInt(int64(sum) / int64(len(vs)))
+		}
+	}
 }
 
 func printSpread(w io.Writer, before, after []arpanet.Result) {

@@ -175,36 +175,35 @@ func TestNegativeFlagRejected(t *testing.T) {
 }
 
 // mean averages every numeric field of Report, whatever is added to it
-// later: each field of the first report is set to k and of the second to
-// 3k, so the mean must read 2k everywhere but the path ratio, which it
-// recomputes from the mean hop counts.
+// later, in nested structs such as the ledger too: leaf k of the first
+// report is set to k and of the second to 3k, so the mean must read 2k
+// everywhere but the path ratio, which it recomputes from the mean hop
+// counts.
 func TestMeanAveragesEveryField(t *testing.T) {
 	var a, b arpanet.Report
-	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	for i := 0; i < va.NumField(); i++ {
+	va, vb := leaves(reflect.ValueOf(&a).Elem(), ""), leaves(reflect.ValueOf(&b).Elem(), "")
+	for i, f := range va {
 		k := int64(i + 1)
-		switch va.Field(i).Kind() {
+		switch f.v.Kind() {
 		case reflect.Float64:
-			va.Field(i).SetFloat(float64(k))
-			vb.Field(i).SetFloat(float64(3 * k))
+			f.v.SetFloat(float64(k))
+			vb[i].v.SetFloat(float64(3 * k))
 		case reflect.Int64:
-			va.Field(i).SetInt(k)
-			vb.Field(i).SetInt(3 * k)
+			f.v.SetInt(k)
+			vb[i].v.SetInt(3 * k)
 		case reflect.String:
-			va.Field(i).SetString("D-SPF")
-			vb.Field(i).SetString("D-SPF")
+			f.v.SetString("D-SPF")
+			vb[i].v.SetString("D-SPF")
 		default:
-			t.Fatalf("Report.%s is a %v; mean averages float64 and int64 fields", va.Type().Field(i).Name, va.Field(i).Kind())
+			t.Fatalf("Report.%s is a %v; mean averages float64 and int64 fields", f.name, f.v.Kind())
 		}
 	}
 	rs := make([]arpanet.Result, 2)
 	rs[0].Report, rs[1].Report = a, b
 	m := mean(rs)
-	vm := reflect.ValueOf(m)
-	for i := 0; i < vm.NumField(); i++ {
-		name, k := vm.Type().Field(i).Name, float64(i+1)
-		want := 2 * k
-		switch name {
+	for i, f := range leaves(reflect.ValueOf(&m).Elem(), "") {
+		want := 2 * float64(i+1)
+		switch f.name {
 		case "PathRatio":
 			want = m.ActualPathHops / m.MinPathHops
 		case "Metric":
@@ -214,15 +213,35 @@ func TestMeanAveragesEveryField(t *testing.T) {
 			continue
 		}
 		var got float64
-		if f := vm.Field(i); f.Kind() == reflect.Int64 {
-			got = float64(f.Int())
+		if f.v.Kind() == reflect.Int64 {
+			got = float64(f.v.Int())
 		} else {
-			got = f.Float()
+			got = f.v.Float()
 		}
 		if got != want {
-			t.Errorf("mean %s = %v, want %v", name, got, want)
+			t.Errorf("mean %s = %v, want %v", f.name, got, want)
 		}
 	}
+}
+
+type leaf struct {
+	name string
+	v    reflect.Value
+}
+
+// leaves lists the fields of struct v that are not structs themselves, the
+// fields of nested structs in their place, named by their path.
+func leaves(v reflect.Value, prefix string) []leaf {
+	var out []leaf
+	for i := 0; i < v.NumField(); i++ {
+		name := prefix + v.Type().Field(i).Name
+		if f := v.Field(i); f.Kind() == reflect.Struct {
+			out = append(out, leaves(f, name+".")...)
+		} else {
+			out = append(out, leaf{name, f})
+		}
+	}
+	return out
 }
 
 // run's exit status: a script that cannot be read or names a PSN the map

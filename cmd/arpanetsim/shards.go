@@ -174,7 +174,7 @@ func runShardedScript(w io.Writer, cfg shard.Config, path string, script []byte)
 	}
 	printHeader(w, cfg, s)
 	fmt.Fprintf(w, "Scenario %q: %.0f s, %d events\n", sc.Name, sc.Duration.Seconds(), len(sc.Events))
-	fmt.Fprint(w, s.Report().String())
+	fmt.Fprint(w, res.Report.String())
 	fmt.Fprintf(w, "events      %d\n", s.Fired())
 	quiet := 0
 	for _, cp := range res.Checkpoints {

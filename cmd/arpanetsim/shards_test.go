@@ -131,3 +131,27 @@ func TestParseGenTopology(t *testing.T) {
 		}
 	}
 }
+
+// -shards prints the one Report, Table 1's rows included, and its bytes
+// (the events line too) do not depend on the shard count: only the header
+// and the barrier and kernel counters do.
+func TestShardedTable1Rows(t *testing.T) {
+	report := func(shards string) string {
+		var out, errOut strings.Builder
+		if code := run([]string{"-shards", shards, "-topology", "arpanet", "-adaptive", "-metric", "hnspf", "-seconds", "60"}, &out, &errOut); code != 0 {
+			t.Fatalf("-shards %s exited %d: %s", shards, code, errOut.String())
+		}
+		_, body, _ := strings.Cut(out.String(), "\n")
+		body, _, _ = strings.Cut(body, "\nbarrier ")
+		return body
+	}
+	one := report("1")
+	for _, row := range []string{"HN-SPF (60s measured)", "\n  Round Trip Delay (ms) ", "\n  Path Ratio (Actual/Min.) ", "\nevents "} {
+		if !strings.Contains(one, row) {
+			t.Errorf("-shards 1 printed no %q:\n%s", row, one)
+		}
+	}
+	if two := report("2"); two != one {
+		t.Errorf("-shards 2 printed\n%s\n-shards 1 printed\n%s", two, one)
+	}
+}

@@ -29,13 +29,9 @@ import (
 func (n *Network) Conservation() Conservation {
 	c := n.led
 	c.InFlight = int64(n.propUser)
-	user := func(p *node.Packet) {
-		if !p.IsRouting() {
-			c.InFlight++
-		}
-	}
 	for _, ls := range n.links {
-		ls.Holding(user)
+		user, _ := ls.Custody()
+		c.InFlight += user
 	}
 	return c
 }
@@ -45,13 +41,9 @@ func (n *Network) Conservation() Conservation {
 // propagating. Zero means the last flood has fully quiesced.
 func (n *Network) RoutingInFlight() int {
 	inFlight := n.propRouting
-	routing := func(p *node.Packet) {
-		if p.IsRouting() {
-			inFlight++
-		}
-	}
 	for _, ls := range n.links {
-		ls.Holding(routing)
+		_, routing := ls.Custody()
+		inFlight += int(routing)
 	}
 	return inFlight
 }
@@ -131,6 +123,7 @@ func (n *Network) SetMatrix(m *traffic.Matrix) {
 		panic("network: matrix size does not match graph")
 	}
 	n.cfg.Matrix = m
+	n.win.MinPathHops = n.matrixMinPath()
 	for _, p := range n.psns {
 		p.src.SetRow(n.ids, m.Row(p.ID))
 		if p.src.Rate > 0 && !p.sourceArmed {

@@ -83,7 +83,7 @@ func (n *Network) dvRecompute(p *psn) {
 // high-priority packet and recomputes from what it has heard.
 func (n *Network) dvExchange(p *psn, now sim.Time) {
 	n.dvRecompute(p)
-	n.win.updatesOrig++
+	p.Originated++
 	vec := &node.Vector{Origin: p.ID, Dist: append([]float64(nil), p.dv.dist...)}
 	size := float64(128 + dvEntryBits*len(vec.Dist))
 	for _, l := range n.g.Out(p.ID) {

@@ -44,9 +44,9 @@ func TestBF1969ConvergesAndDelivers(t *testing.T) {
 	if r.UpdatePeriodPerNode < 0.5 || r.UpdatePeriodPerNode > 1.0 {
 		t.Errorf("exchange period %.2f s, want ~0.67", r.UpdatePeriodPerNode)
 	}
-	// No SPF runs in 1969 mode.
-	if r.SPFRecomputes != 0 {
-		t.Errorf("SPF recomputes = %d in Bellman-Ford mode", r.SPFRecomputes)
+	// No SPF runs in 1969 mode: there is no table of routers to run it.
+	if n.routers != nil {
+		t.Error("Bellman-Ford mode built an SPF table")
 	}
 }
 

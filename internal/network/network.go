@@ -35,6 +35,10 @@ const (
 // Conservation is node.Conservation.
 type Conservation = node.Conservation
 
+// Report is node.Report, the one report of both packet engines: here its
+// window opens at Config.Warmup.
+type Report = node.Report
+
 // sampleInterval is the period of the link-utilization and cost series.
 const sampleInterval = sim.Second
 
@@ -98,12 +102,16 @@ type Network struct {
 	propArriveFn sim.Call
 	measureFn    sim.Call
 	dvExchangeFn sim.Call
+	sampleFn     sim.Call
 
 	// led books every user packet's fate from t = 0; its InFlight is
 	// counted only at the snapshot (Conservation). win is the measured
-	// window's statistics.
-	led node.Conservation
-	win window
+	// window over the PSNs' meters and the links' utilization. ctrlSent,
+	// ctrlConsumed and ctrlOutage count update copies enqueued, consumed and
+	// destroyed by an outage, from t = 0.
+	led                                node.Conservation
+	win                                *node.Window
+	ctrlSent, ctrlConsumed, ctrlOutage int64
 
 	// In-flight propagation accounting: packets that have left a
 	// transmitter and are on the wire awaiting the far-end handlePacket.
@@ -114,22 +122,6 @@ type Network struct {
 	// queued, on a transmitter or propagating: the convergence audit checks
 	// an origin only while it is zero.
 	updatesInFlight []int
-}
-
-// window is what Report covers, from Config.Warmup on: startMeasuring opens
-// it in one assignment. Its packet rows are the ledger minus base.
-type window struct {
-	since         sim.Time
-	base          node.Conservation // the ledger when the window opened
-	offeredBits   float64
-	deliveredBits float64
-	delay         stats.Welford    // one-way delivery delay, seconds
-	delayHist     *stats.Histogram // same, for percentiles
-	hops          stats.Welford    // per delivered packet
-	updatesOrig   int64            // routing updates originated
-	updateTx      int64            // routing update transmissions
-	routingBits   float64
-	util          []stats.Welford // by link: sampled utilization while in service
 }
 
 type psn struct {
@@ -145,7 +137,7 @@ type psn struct {
 
 // linkState is one directed link: the shared trunk model plus what only
 // this engine keeps — the far end's latency, the flooded-cost view the
-// auditors and the fluid layer read, and the utilization statistics.
+// auditors and the fluid layer read, and the tracked series.
 type linkState struct {
 	node.Trunk
 	link topology.Link
@@ -159,9 +151,8 @@ type linkState struct {
 	// background routes its demand on.
 	lastFlooded float64
 
-	txBitsWindow float64 // bits since the last utilization sample
-	series       *stats.Series
-	costSeries   *stats.Series
+	series     *stats.Series
+	costSeries *stats.Series
 }
 
 // New builds a network ready to run. It validates the topology, creates
@@ -188,6 +179,7 @@ func New(cfg Config) *Network {
 	n.propArriveFn = func(t sim.Time, a any) { n.propArrive(a.(*node.Packet), t) }
 	n.measureFn = func(t sim.Time, a any) { n.measure(a.(*psn), t) }
 	n.dvExchangeFn = func(t sim.Time, a any) { n.dvExchange(a.(*psn), t) }
+	n.sampleFn = func(t sim.Time, _ any) { n.sample(t) }
 
 	// Per-link state and the shared initial cost database.
 	initial := make([]float64, n.g.NumLinks())
@@ -245,19 +237,22 @@ func New(cfg Config) *Network {
 		p.src.SetRow(n.ids, cfg.Matrix.Row(id))
 	}
 
+	n.win = node.NewWindow(len(n.psns), func(i int) *node.PSN { return &n.psns[i].PSN },
+		len(n.links), func(l int) *node.Trunk { return &n.links[l].Trunk })
+	n.win.MinPathHops = n.matrixMinPath()
+
 	if cfg.Metric == node.BF1969 {
 		n.dvSetup()
 	} else {
 		n.scheduleMeasurement()
 	}
 	n.setupBackground()
-	n.scheduleSampling()
+	_, _ = n.kernel.ScheduleTailCallAt(sampleInterval, sim.MaxTailKey, n.sampleFn, nil)
 	n.scheduleTraffic()
-	// A window opens at boot; a warm-up's end opens a fresh one.
-	n.startMeasuring()
+	// The window is open from boot; a warm-up's end opens a fresh one.
 	if cfg.Warmup > 0 {
 		// Fire-and-forget: warmup end is unconditional for the whole run.
-		_ = n.kernel.Schedule(cfg.Warmup, func(sim.Time) { n.startMeasuring() })
+		_ = n.kernel.Schedule(cfg.Warmup, func(now sim.Time) { n.win.Open(now, n.Conservation()) })
 	}
 	return n
 }
@@ -333,15 +328,6 @@ func (p *psn) accept(u *flooding.Update) bool {
 	return true
 }
 
-// recomputes returns the PSN's route-computation count (0 in BF1969 mode,
-// where there is no SPF).
-func (p *psn) recomputes() int64 {
-	if p.Router == nil {
-		return 0
-	}
-	return p.Router.Recomputes()
-}
-
 // Kernel exposes the simulation clock for callers that schedule scenario
 // events (link failures, matrix switches).
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
@@ -400,7 +386,7 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 	pkt := n.pool.Get()
 	p.src.Emit(pkt, now)
 	n.led.Offered++
-	n.win.offeredBits += pkt.SizeBits
+	p.Meter.Offer(pkt)
 	n.handlePacket(p, pkt, now)
 	// Fire-and-forget: see armSource.
 	_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
@@ -424,11 +410,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 	}
 	if pkt.Dst == p.ID {
 		n.led.Delivered++
-		n.win.deliveredBits += pkt.SizeBits
-		d := (now - pkt.Created).Seconds()
-		n.win.delay.Add(d)
-		n.win.delayHist.Add(d)
-		n.win.hops.Add(float64(pkt.Hops))
+		p.Meter.Deliver(pkt, now)
 		n.pool.Put(pkt)
 		return
 	}
@@ -486,10 +468,8 @@ func (n *Network) txDone(ls *linkState, now sim.Time) {
 	if pkt == nil {
 		return // stale completion; see Trunk.Done
 	}
-	ls.txBitsWindow += pkt.SizeBits
 	if pkt.IsRouting() {
-		n.win.updateTx++
-		n.win.routingBits += pkt.SizeBits
+		n.psns[ls.link.From].Meter.Transmit(pkt)
 		n.propRouting++
 	} else {
 		n.propUser++
@@ -524,6 +504,7 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 		n.led.OutageDrops++
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketOutage, Node: ls.link.From, Link: ls.link.ID})
 	} else if pkt.Update != nil {
+		n.ctrlOutage++
 		n.updatesInFlight[pkt.Update.Origin]--
 	}
 	n.pool.Put(pkt)
@@ -532,6 +513,7 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 // --- routing updates ----------------------------------------------------
 
 func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
+	n.ctrlConsumed++
 	n.updatesInFlight[pkt.Update.Origin]--
 	if p.accept(pkt.Update) {
 		p.Flood(n.g, n, pkt.Update, pkt.Arrival, pkt.Created, now)
@@ -545,6 +527,7 @@ func (n *Network) Send(l topology.LinkID, u *flooding.Update, created, now sim.T
 	pkt := n.pool.Get()
 	pkt.SizeBits = u.SizeBits()
 	pkt.Created, pkt.Update, pkt.Arrival = created, u, l
+	n.ctrlSent++
 	n.updatesInFlight[u.Origin]++
 	n.enqueue(n.links[l], pkt, now)
 }
@@ -565,7 +548,6 @@ func (n *Network) originate(p *psn, now sim.Time) {
 	}
 	u := p.NextUpdate(n.g, costs, now)
 	p.accept(u)
-	n.win.updatesOrig++
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink})
 	p.Flood(n.g, n, u, topology.NoLink, now, now)
 }
@@ -630,42 +612,47 @@ func (n *Network) superpose(ls *linkState, avg float64) float64 {
 
 // --- utilization sampling -----------------------------------------------
 
-func (n *Network) scheduleSampling() {
-	// Sampling runs for the lifetime of the network.
-	n.kernel.Every(sampleInterval, func(now sim.Time) {
-		dt := sampleInterval.Seconds()
-		for _, ls := range n.links {
-			u := ls.txBitsWindow / (ls.link.Type.Bandwidth() * dt)
-			ls.txBitsWindow = 0
-			if n.fluid != nil && !ls.Down() {
-				// The fluid background occupies capacity the transmitter
-				// never sees; a dead trunk's stranded fluid counts nothing
-				// until the next epoch re-routes it.
-				u += n.fluid.LinkBPS(ls.link.ID) / ls.link.Type.Bandwidth()
-			}
-			if ls.series != nil {
-				ls.series.Add(now.Seconds(), u)
-			}
-			if ls.costSeries != nil {
-				ls.costSeries.Add(now.Seconds(), ls.Module.Cost())
-			}
-			if !ls.Down() {
-				n.win.util[ls.link.ID].Add(u)
-			}
+// sample takes every link's utilization sample, extends the tracked series
+// and re-arms itself a sampleInterval later. It is a tail event, after
+// every other event of its instant (sim.Kernel.ScheduleTailCallAt), so a
+// transmission ending on the instant counts in its sample, as on the
+// sharded engine. Sampling runs for the lifetime of the network.
+func (n *Network) sample(now sim.Time) {
+	for _, ls := range n.links {
+		extra := 0.0
+		if n.fluid != nil && !ls.Down() {
+			// The fluid background occupies capacity the transmitter
+			// never sees; a dead trunk's stranded fluid counts nothing
+			// until the next epoch re-routes it.
+			extra = n.fluid.LinkBPS(ls.link.ID) / ls.Bandwidth
 		}
-	})
+		u := n.win.Sample(ls.link.ID, sampleInterval, extra)
+		if ls.series != nil {
+			ls.series.Add(now.Seconds(), u)
+		}
+		if ls.costSeries != nil {
+			ls.costSeries.Add(now.Seconds(), ls.Module.Cost())
+		}
+	}
+	_, _ = n.kernel.ScheduleTailCallAt(now+sampleInterval, sim.MaxTailKey, n.sampleFn, nil)
 }
 
-// startMeasuring opens the measured window: the ledger as it stands is the
-// window's base, and every window statistic starts afresh.
-func (n *Network) startMeasuring() {
-	n.win = window{
-		since: n.kernel.Now(),
-		base:  n.Conservation(),
-		// 10 ms buckets to 10 s cover every plausible one-way delay.
-		delayHist: stats.NewHistogram(0, 10, 1000),
-		util:      make([]stats.Welford, len(n.links)),
+// Report composes the measured window (node.Window.Report) at the current
+// simulation time, with the update copies' counters from t = 0.
+func (n *Network) Report() Report {
+	r := n.win.Report(n.cfg.Metric.String(), n.kernel.Now(), n.Conservation())
+	r.CtrlGenerated, r.CtrlConsumed, r.CtrlOutageDrops = n.ctrlSent, n.ctrlConsumed, n.ctrlOutage
+	for _, c := range n.updatesInFlight {
+		r.CtrlInFlight += int64(c)
 	}
+	return r
+}
+
+// matrixMinPath is the current matrix's node.MinPathHops.
+func (n *Network) matrixMinPath() float64 {
+	return node.MinPathHops(n.g, func(s topology.NodeID) ([]topology.NodeID, []float64) {
+		return n.ids, n.cfg.Matrix.Row(s)
+	})
 }
 
 // --- link failures ------------------------------------------------------

@@ -93,8 +93,8 @@ func TestRoutingOverheadCounted(t *testing.T) {
 	if r.RoutingKbps <= 0 {
 		t.Error("routing overhead bandwidth should be positive")
 	}
-	if r.SPFRecomputes == 0 {
-		t.Error("SPF recomputations should be counted")
+	if st := n.routers.Stats(); st.Accepted == 0 || st.Repairs == 0 {
+		t.Errorf("routers accepted %d updates and repaired %d trees; both should be counted", st.Accepted, st.Repairs)
 	}
 }
 
@@ -237,12 +237,19 @@ func TestFigure1OscillationShape(t *testing.T) {
 func TestTTLGuardsAgainstLoops(t *testing.T) {
 	// MaxHops is the only protection against transient loops; make sure a
 	// packet that exceeds it is dropped, not forwarded forever. We force
-	// the situation artificially by running a network and checking no
-	// packet ever reports > MaxHops.
+	// the situation artificially by running a network and checking, after
+	// every event, that no queued or transmitting packet has used up its
+	// hops: one that has is never forwarded, so none is delivered past
+	// MaxHops either.
 	n := lightRing(node.DSPF, 12)
-	n.Run(120 * sim.Second)
-	if h := n.win.hops.Max(); h > MaxHops {
-		t.Errorf("a packet crossed %v links, TTL is %d", h, MaxHops)
+	for n.kernel.Step() && n.kernel.Now() < 120*sim.Second {
+		for _, ls := range n.links {
+			ls.Holding(func(p *node.Packet) {
+				if p.Hops >= MaxHops {
+					t.Fatalf("a packet that crossed %d links was forwarded again, TTL is %d", p.Hops, MaxHops)
+				}
+			})
+		}
 	}
 }
 
@@ -323,18 +330,6 @@ func TestWarmupMovesOnlyTheWindow(t *testing.T) {
 				t.Fatalf("degenerate warm-up: %+v", start)
 			}
 		})
-	}
-}
-
-func TestDelayPercentiles(t *testing.T) {
-	n := lightRing(node.HNSPF, 21)
-	n.Run(200 * sim.Second)
-	r := n.Report()
-	if r.DelayMsP95 < r.RoundTripDelayMs {
-		t.Errorf("P95 (%.1f ms) below the mean (%.1f ms)", r.DelayMsP95, r.RoundTripDelayMs)
-	}
-	if r.DelayMsP95 > 20*r.RoundTripDelayMs {
-		t.Errorf("P95 (%.1f ms) implausibly above the mean (%.1f ms)", r.DelayMsP95, r.RoundTripDelayMs)
 	}
 }
 

@@ -35,6 +35,11 @@ type PSN struct {
 	// LastOriginated is when the PSN last flooded its own update; the
 	// engines boot it from BootOriginated.
 	LastOriginated sim.Time
+	// Originated counts the updates the PSN flooded from t = 0 (and
+	// internal/network's 1969 vector exchanges); Meter is its share of the
+	// measured window.
+	Originated int64
+	Meter      Meter
 
 	seq flooding.Sequencer
 	fwd []topology.LinkID // Flood's forwarding scratch
@@ -44,6 +49,7 @@ type PSN struct {
 // g.Out order, and now becomes its origination time.
 func (p *PSN) NextUpdate(g *topology.Graph, costs []float64, now sim.Time) *flooding.Update {
 	p.LastOriginated = now
+	p.Originated++
 	return flooding.NewUpdate(p.ID, p.seq.Next(), g.Out(p.ID), costs)
 }
 

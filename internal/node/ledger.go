@@ -24,9 +24,7 @@ type Conservation struct {
 
 // Balanced reports whether the ledger balances: offered equals delivered
 // plus every drop class plus in-flight.
-func (c Conservation) Balanced() bool {
-	return c.Offered == c.Delivered+c.BufferDrops+c.LoopDrops+c.NoRouteDrops+c.OutageDrops+c.InFlight
-}
+func (c Conservation) Balanced() bool { return c.Err() == nil }
 
 // Plus returns the component-wise sum of two ledgers. The sharded runner
 // composes its per-shard custody ledgers into one global Conservation with
@@ -47,10 +45,10 @@ func (c Conservation) Plus(d Conservation) Conservation {
 
 // Err returns nil when balanced, or an error naming the imbalance.
 func (c Conservation) Err() error {
-	if c.Balanced() {
+	accounted := c.Delivered + c.BufferDrops + c.LoopDrops + c.NoRouteDrops + c.OutageDrops + c.InFlight
+	if c.Offered == accounted {
 		return nil
 	}
-	accounted := c.Delivered + c.BufferDrops + c.LoopDrops + c.NoRouteDrops + c.OutageDrops + c.InFlight
 	return fmt.Errorf("packet conservation violated: offered %d != accounted %d (missing %d): %+v",
 		c.Offered, accounted, c.Offered-accounted, c)
 }

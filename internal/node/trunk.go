@@ -32,8 +32,13 @@ type Trunk struct {
 	// The transmitter. busy and pkt say the same thing twice on purpose:
 	// Audit reads their disagreement as a broken transmitter.
 	busy bool
-	pkt  *Packet    // on the transmitter
-	done sim.Handle // its completion event
+	// samples counts the measured window's utilization samples taken in
+	// service (Window.Sample); it sits in busy's padding.
+	samples int32
+	pkt     *Packet    // on the transmitter
+	done    sim.Handle // its completion event
+
+	sent float64 // bits transmitted since the last utilization sample
 }
 
 // NewTrunk returns an idle, in-service trunk with an empty queue.
@@ -85,6 +90,7 @@ func (t *Trunk) Done(now sim.Time) *Packet {
 	}
 	t.busy, t.pkt, t.done = false, nil, sim.Handle{}
 	t.Meas.Record((now - p.Enqueued).Seconds() + ProcessingDelay.Seconds())
+	t.sent += p.SizeBits
 	p.Hops++
 	return p
 }
@@ -132,13 +138,25 @@ func (t *Trunk) Advertised() float64 {
 }
 
 // Holding calls fn for every packet in the trunk's custody: the backlog,
-// head first, then the one on the transmitter. The conservation ledgers of
-// both engines count their in-flight terms through it.
+// head first, then the one on the transmitter.
 func (t *Trunk) Holding(fn func(*Packet)) {
 	t.Queue.Scan(fn)
 	if t.pkt != nil {
 		fn(t.pkt)
 	}
+}
+
+// Custody counts the packets in the trunk's custody, user and routing: the
+// conservation ledgers of both engines count their in-flight terms by it.
+func (t *Trunk) Custody() (user, routing int64) {
+	t.Holding(func(p *Packet) {
+		if p.IsRouting() {
+			routing++
+		} else {
+			user++
+		}
+	})
+	return user, routing
 }
 
 // Audit checks the single-transmitter invariant: a busy trunk has exactly

@@ -65,7 +65,7 @@ type CheckpointResult struct {
 type Result struct {
 	Scenario    string
 	Seed        int64
-	Report      network.Report
+	Report      node.Report
 	Checkpoints []CheckpointResult
 	Violations  []Violation
 }

@@ -21,9 +21,8 @@ import (
 // The sharded engine fails and repairs trunks only: a node restart, a
 // surge, a matrix switch or a background surge is a setup error naming the
 // event, and so is a trunk event at 0 s, before the engine's first event.
-// The returned simulator holds the report, trace and counters; the Result
-// holds the checkpoints and violations, and its Report, the network
-// engine's, stays zero.
+// The returned simulator holds the trace and counters; the Result holds the
+// report at the horizon, the checkpoints and the violations.
 func RunSharded(cfg shard.Config, sc *Scenario, observe func(*shard.Sim)) (*shard.Sim, Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, Result{}, err
@@ -67,6 +66,7 @@ func RunSharded(cfg shard.Config, sc *Scenario, observe func(*shard.Sim)) (*shar
 		cp := CheckpointResult{At: at, Conservation: r.Conservation, RoutingInFlight: int(r.CtrlInFlight),
 			QuietOrigins: s.QuietOrigins()}
 		res.record(cp, "custody", s.Audit(), s.ConvergenceAudit())
+		res.Report = r // the last stop is the horizon
 		if observe != nil {
 			observe(s)
 		}

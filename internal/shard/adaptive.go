@@ -118,7 +118,6 @@ func (sh *shardState) originate(n *lnode, now sim.Time) {
 	}
 	u := n.NextUpdate(sh.s.g, costs, now)
 	sh.acceptUpdate(n, u, now)
-	sh.origs++
 	if sample := sh.s.cfg.MeasureSample; sample > 0 && int(n.ID)%sample == 0 {
 		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recOriginate,
 			link: topology.NoLink, pkt: u.Seq, count: int64(len(costs))})

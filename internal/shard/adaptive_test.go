@@ -41,7 +41,7 @@ func TestAdaptiveDeterminismAcrossShardCounts(t *testing.T) {
 	ref := run(t, cfg, until)
 	refTrace := ref.TraceText()
 	refReport := ref.Report().String()
-	if ref.Report().Delivered == 0 {
+	if ref.Report().Conservation.Delivered == 0 {
 		t.Fatal("reference run delivered nothing")
 	}
 	if ref.Report().Originated == 0 || ref.Report().CtrlGenerated == 0 {

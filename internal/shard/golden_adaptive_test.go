@@ -87,7 +87,7 @@ func TestGoldenAdaptiveLargeTopology(t *testing.T) {
 		if first == nil {
 			first = got
 			r := s.Report()
-			if r.Delivered == 0 || r.OutageDrops == 0 {
+			if r.Conservation.Delivered == 0 || r.OutageDrops == 0 {
 				t.Fatalf("golden scenario inert: %+v", r)
 			}
 			if r.Originated == 0 || r.CtrlGenerated == 0 {
@@ -147,7 +147,7 @@ func TestGoldenAdaptiveCoversRecordKinds(t *testing.T) {
 			t.Errorf("golden trace contains no %q records", kind)
 		}
 	}
-	if !strings.Contains(text, "\ncontrol     originated=") {
-		t.Error("golden report carries no control-plane line")
+	if !strings.Contains(text, "\n  Updates from t = 0") || strings.Contains(text, " originated=0 ") {
+		t.Error("golden report carries no control-plane line with originations")
 	}
 }

@@ -75,7 +75,7 @@ func TestGoldenLargeTopology(t *testing.T) {
 		if first == nil {
 			first = got
 			r := s.Report()
-			if r.Delivered == 0 {
+			if r.Conservation.Delivered == 0 {
 				t.Fatalf("golden scenario inert: %+v", r)
 			}
 			continue

@@ -1,15 +1,15 @@
 package shard
 
-// Per-shard packet custody ledger. Each shard tracks its own packets with
-// two extra classes a single-kernel simulation does not need: Exported
-// (handed to another shard's wire) and Imported (received over one). The
-// per-shard identity
+// Per-shard packet custody ledger. Each shard books its own nodes' user
+// packets in a node.Conservation (User), with two extra classes a single-kernel
+// simulation does not need: Exported (handed to another shard's wire) and
+// Imported (received over one). The per-shard identity
 //
-//	Generated + Imported == Delivered + drops + Exported + InFlight
+//	Offered + Imported == Delivered + drops + Exported + InFlight
 //
-// holds at every barrier, and composing all shards (node.Conservation.Plus)
-// cancels the export/import terms so the global ledger obeys the classic
-// single-kernel conservation identity.
+// holds at every barrier; it is the single-kernel identity of Global, whose
+// in-flight term counts the wires, and in the sum of all shards (Compose)
+// the export/import terms cancel.
 //
 // Adaptive routing adds a second, independent custody identity over the
 // control plane. Every enqueued copy of a routing update is one control
@@ -25,17 +25,12 @@ import (
 	"repro/internal/node"
 )
 
-// Ledger is one shard's packet custody record.
+// Ledger is one shard's packet custody record. User books the user packets
+// the shard's nodes offered, delivered and dropped, its InFlight those in
+// the shard's custody: queued, transmitting, or awaiting arrival.
 type Ledger struct {
-	Generated    int64
-	Imported     int64
-	Delivered    int64
-	BufferDrops  int64
-	NoRouteDrops int64
-	LoopDrops    int64
-	OutageDrops  int64
-	Exported     int64
-	InFlight     int64 // snapshot: queued, transmitting, or awaiting arrival
+	User               node.Conservation
+	Imported, Exported int64
 
 	// Control plane (routing-update copies), all zero without Config.Adaptive.
 	CtrlGenerated   int64 // copies enqueued (origination + flood forwarding)
@@ -46,53 +41,46 @@ type Ledger struct {
 	CtrlInFlight    int64
 }
 
-// Balanced reports whether the shard's custody books balance — the user
-// identity and the control identity independently.
-func (l Ledger) Balanced() bool {
-	return l.Generated+l.Imported ==
-		l.Delivered+l.BufferDrops+l.NoRouteDrops+l.LoopDrops+l.OutageDrops+l.Exported+l.InFlight &&
-		l.CtrlGenerated+l.CtrlImported ==
-			l.CtrlConsumed+l.CtrlOutageDrops+l.CtrlExported+l.CtrlInFlight
-}
-
-// Err returns nil when balanced, or an error naming the imbalance.
+// Err returns nil when the shard's custody books balance — the user
+// identity and the control identity independently — or an error naming the
+// imbalance.
 func (l Ledger) Err() error {
-	if l.Balanced() {
-		return nil
-	}
-	in := l.Generated + l.Imported
-	out := l.Delivered + l.BufferDrops + l.NoRouteDrops + l.LoopDrops + l.OutageDrops + l.Exported + l.InFlight
-	if in != out {
-		return fmt.Errorf("shard ledger violated: in %d != out %d (missing %d): %+v", in, out, in-out, l)
+	if err := l.Global().Err(); err != nil {
+		return fmt.Errorf("shard ledger: %w (imported %d, exported %d)", err, l.Imported, l.Exported)
 	}
 	cin := l.CtrlGenerated + l.CtrlImported
-	cout := l.CtrlConsumed + l.CtrlOutageDrops + l.CtrlExported + l.CtrlInFlight
-	return fmt.Errorf("shard control ledger violated: in %d != out %d (missing %d): %+v", cin, cout, cin-cout, l)
+	if cout := l.CtrlConsumed + l.CtrlOutageDrops + l.CtrlExported + l.CtrlInFlight; cin != cout {
+		return fmt.Errorf("shard control ledger violated: in %d != out %d (missing %d): %+v", cin, cout, cin-cout, l)
+	}
+	return nil
 }
 
-// Conservation converts the shard ledger into the single-kernel ledger
-// shape: exported packets count as in flight (they are on a wire or in a
-// neighbour shard's future), imported packets are deducted from that same
-// in-flight term since the neighbour already exported them. Control copies
-// are deliberately excluded — node.Conservation models offered user
-// traffic, and the control plane has its own identity above.
-func (l Ledger) Conservation() node.Conservation {
-	return node.Conservation{
-		Offered:      l.Generated,
-		Delivered:    l.Delivered,
-		BufferDrops:  l.BufferDrops,
-		LoopDrops:    l.LoopDrops,
-		NoRouteDrops: l.NoRouteDrops,
-		OutageDrops:  l.OutageDrops,
-		InFlight:     l.InFlight + l.Exported - l.Imported,
-	}
-}
-
-// Compose folds per-shard ledgers into one global conservation ledger.
-func Compose(ledgers []Ledger) node.Conservation {
-	var c node.Conservation
-	for _, l := range ledgers {
-		c = c.Plus(l.Conservation())
-	}
+// Global is the shard ledger in the single-kernel shape: exported packets
+// count as in flight (they are on a wire or in a neighbour shard's future),
+// imported packets are deducted from that same term since the neighbour
+// already exported them. Control copies are deliberately excluded —
+// node.Conservation models offered user traffic, and the control plane has
+// its own identity above.
+func (l Ledger) Global() node.Conservation {
+	c := l.User
+	c.InFlight += l.Exported - l.Imported
 	return c
+}
+
+// Compose adds up per-shard ledgers. The wire terms cancel in the sum's
+// Global, the one conservation ledger of the network.
+func Compose(ledgers []Ledger) Ledger {
+	var t Ledger
+	for _, l := range ledgers {
+		t.User = t.User.Plus(l.User)
+		t.Imported += l.Imported
+		t.Exported += l.Exported
+		t.CtrlGenerated += l.CtrlGenerated
+		t.CtrlImported += l.CtrlImported
+		t.CtrlConsumed += l.CtrlConsumed
+		t.CtrlOutageDrops += l.CtrlOutageDrops
+		t.CtrlExported += l.CtrlExported
+		t.CtrlInFlight += l.CtrlInFlight
+	}
+	return t
 }

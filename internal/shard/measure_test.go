@@ -70,7 +70,7 @@ func TestIdleLinkMeasurement(t *testing.T) {
 				p.Src, p.Dst = a, b
 				p.SizeBits, p.Created = bits, now
 				p.Arrival = topology.NoLink
-				sh.led.Generated++
+				sh.led.User.Offered++
 				sh.handlePacket(n, p, now)
 			}
 			for k := 0; k < periods; k++ {
@@ -82,7 +82,7 @@ func TestIdleLinkMeasurement(t *testing.T) {
 			if err := s.Audit(); err != nil {
 				t.Fatal(err)
 			}
-			if got := Compose(s.Ledgers()).Offered; got != periods-1 {
+			if got := Compose(s.Ledgers()).Global().Offered; got != periods-1 {
 				t.Fatalf("%d user packets generated, want only the test's %d", got, periods-1)
 			}
 

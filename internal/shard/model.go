@@ -37,7 +37,6 @@ type shardState struct {
 	led    Ledger
 	recs   []rec
 	outbox []wire // packets exported during the current window
-	origs  int64  // routing updates originated by this shard's nodes (adaptive)
 
 	routers *spf.Table // this shard's nodes' routers (adaptive), driven by its goroutine only
 
@@ -78,10 +77,6 @@ type lnode struct {
 
 	pseq uint64 // packets generated (low word of Packet.Seq)
 	rseq uint32 // trace records emitted
-
-	delivered int64
-	delaySum  float64 // seconds, accumulated in this node's event order
-	hopSum    int64
 
 	// Adaptive routing plane (nil/zero unless Config.Adaptive), beside PSN.
 	// All of it is node-local state driven by the node's own event order, so
@@ -228,7 +223,8 @@ func (sh *shardState) source(now sim.Time, arg any) {
 	p.Seq = uint64(n.ID)<<32 | n.pseq
 	n.pseq++
 	n.src.Emit(p, now)
-	sh.led.Generated++
+	n.Meter.Offer(p)
+	sh.led.User.Offered++
 	sh.handlePacket(n, p, now)
 	_ = mustCallAt(sh.kernel, now.Add(n.src.Gap()), sh.sourceCall, n)
 }
@@ -240,15 +236,13 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		return
 	}
 	if p.Dst == n.ID {
-		n.delivered++
-		n.delaySum += (now - p.Created).Seconds()
-		n.hopSum += int64(p.Hops)
-		sh.led.Delivered++
+		n.Meter.Deliver(p, now)
+		sh.led.User.Delivered++
 		sh.pool.Put(p)
 		return
 	}
 	if p.Hops >= node.MaxHops {
-		sh.led.LoopDrops++
+		sh.led.User.LoopDrops++
 		sh.dropRec(n, now, recLoopDrop, p.Arrival, p.Seq)
 		sh.pool.Put(p)
 		return
@@ -260,7 +254,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		// the classification internal/network uses too.
 		ls = n.adaptiveNextHop(p.Dst)
 		if ls == nil {
-			sh.led.NoRouteDrops++
+			sh.led.User.NoRouteDrops++
 			sh.dropRec(n, now, recNoRouteDrop, p.Arrival, p.Seq)
 			sh.pool.Put(p)
 			return
@@ -270,7 +264,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	}
 	p.Enqueued = now
 	if !ls.Queue.Push(p) {
-		sh.led.BufferDrops++
+		sh.led.User.BufferDrops++
 		sh.dropRec(n, now, recBufferDrop, ls.l.ID, p.Seq)
 		sh.pool.Put(p)
 		return
@@ -308,6 +302,9 @@ func (sh *shardState) txDone(now sim.Time, arg any) {
 	p := ls.Done(now)
 	if p == nil {
 		return // stale completion; see Trunk.Done
+	}
+	if p.Update != nil {
+		sh.s.nodeAt[ls.l.From].Meter.Transmit(p)
 	}
 	at := now + ls.propLat
 	if ls.toLocal != nil {
@@ -458,7 +455,7 @@ func (sh *shardState) dropOutage(n *lnode, ls *llink, p *node.Packet, now sim.Ti
 		sh.led.CtrlOutageDrops++
 		sh.updatesInFlight[p.Update.Origin]--
 	} else {
-		sh.led.OutageDrops++
+		sh.led.User.OutageDrops++
 	}
 	sh.dropRec(n, now, recOutageDrop, ls.l.ID, p.Seq)
 	sh.pool.Put(p)
@@ -470,13 +467,8 @@ func (sh *shardState) dropOutage(n *lnode, ls *llink, p *node.Packet, now sim.Ti
 func (sh *shardState) inFlight() (user, ctrl int64) {
 	user, ctrl = sh.propUser, sh.propCtrl
 	for _, ls := range sh.links {
-		ls.Holding(func(p *node.Packet) {
-			if p.Update != nil {
-				ctrl++
-			} else {
-				user++
-			}
-		})
+		u, c := ls.Custody()
+		user, ctrl = user+u, ctrl+c
 	}
 	return user, ctrl
 }

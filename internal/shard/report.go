@@ -1,8 +1,8 @@
 package shard
 
-// Reporting and auditing. Report aggregates in fixed global order (ledgers
-// by shard index, delay sums by node ID), so its rendered form is as
-// partition-independent as the trace. Audit enforces the custody-ledger
+// Reporting and auditing. Report composes in fixed global order (ledgers
+// by shard index, the window by node and link ID), so its rendered form is
+// as partition-independent as the trace. Audit enforces the custody-ledger
 // invariants — per-shard balance, composed balance, and the wire identity
 // ΣExported == ΣImported, user and control packets apiece — plus the
 // single-transmitter invariant (node.Trunk.Audit) on every link, that no
@@ -10,100 +10,40 @@ package shard
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/node"
 	"repro/internal/spf"
 	"repro/internal/topology"
 )
 
-// Report is a run summary, identical for every shard count.
-type Report struct {
-	Generated    int64
-	Delivered    int64
-	BufferDrops  int64
-	NoRouteDrops int64
-	LoopDrops    int64
-	OutageDrops  int64
-	InFlight     int64
-	AvgDelay     float64 // seconds, over delivered packets
-	AvgHops      float64
-	Conservation node.Conservation
-
-	// Control plane (all zero without Config.Adaptive).
-	Originated      int64 // routing updates flooded
-	CtrlGenerated   int64 // update copies enqueued
-	CtrlConsumed    int64
-	CtrlOutageDrops int64
-	CtrlInFlight    int64
-}
+// Report is node.Report, the one report of both packet engines: here its
+// window opens at boot.
+type Report = node.Report
 
 // Ledgers snapshots every shard's custody ledger, in-flight terms included.
 func (s *Sim) Ledgers() []Ledger {
 	out := make([]Ledger, len(s.shards))
 	for i, sh := range s.shards {
 		l := sh.led
-		l.InFlight, l.CtrlInFlight = sh.inFlight()
+		l.User.InFlight, l.CtrlInFlight = sh.inFlight()
 		out[i] = l
 	}
 	return out
 }
 
-// Report aggregates the shard ledgers and delivery statistics. Call it
-// between Run invocations, when no packet is on a wire.
+// Report composes the measured window (node.Window.Report) over the nodes in
+// node order and the links in link order, with the composed ledger and the
+// shards' update-copy counters. Call it between Run invocations, when no
+// packet is on a wire.
 func (s *Sim) Report() Report {
-	var r Report
-	for _, l := range s.Ledgers() {
-		r.Generated += l.Generated
-		r.Delivered += l.Delivered
-		r.BufferDrops += l.BufferDrops
-		r.NoRouteDrops += l.NoRouteDrops
-		r.LoopDrops += l.LoopDrops
-		r.OutageDrops += l.OutageDrops
-		r.InFlight += l.InFlight
-		r.CtrlGenerated += l.CtrlGenerated
-		r.CtrlConsumed += l.CtrlConsumed
-		r.CtrlOutageDrops += l.CtrlOutageDrops
-		r.CtrlInFlight += l.CtrlInFlight
+	metric := "static routes"
+	if s.cfg.Adaptive {
+		metric = s.cfg.Metric.String()
 	}
-	for _, sh := range s.shards {
-		r.Originated += sh.origs
-	}
-	var delay float64
-	var hops, delivered int64
-	for _, n := range s.nodeAt { // global node order: float sum is partition-independent
-		delivered += n.delivered
-		delay += n.delaySum
-		hops += n.hopSum
-	}
-	if delivered > 0 {
-		r.AvgDelay = delay / float64(delivered)
-		r.AvgHops = float64(hops) / float64(delivered)
-	}
-	r.Conservation = Compose(s.Ledgers())
+	t := Compose(s.Ledgers())
+	r := s.win.Report(metric, s.shards[0].kernel.Now(), t.Global())
+	r.CtrlGenerated, r.CtrlConsumed, r.CtrlOutageDrops, r.CtrlInFlight = t.CtrlGenerated, t.CtrlConsumed, t.CtrlOutageDrops, t.CtrlInFlight
 	return r
-}
-
-// String renders the report with fixed formats for golden comparison. It
-// deliberately omits the shard count and lookahead — the fields that
-// legitimately differ between partitionings of the same run.
-func (r Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "generated   %d\n", r.Generated)
-	fmt.Fprintf(&b, "delivered   %d\n", r.Delivered)
-	fmt.Fprintf(&b, "drops       buffer=%d noroute=%d loop=%d outage=%d\n",
-		r.BufferDrops, r.NoRouteDrops, r.LoopDrops, r.OutageDrops)
-	fmt.Fprintf(&b, "in-flight   %d\n", r.InFlight)
-	fmt.Fprintf(&b, "avg-delay   %.9fs\n", r.AvgDelay)
-	fmt.Fprintf(&b, "avg-hops    %.6f\n", r.AvgHops)
-	fmt.Fprintf(&b, "conserved   %v\n", r.Conservation.Balanced())
-	// The control line appears only for adaptive runs, keeping static-mode
-	// renderings (and their committed goldens) byte-identical to before.
-	if r.Originated > 0 || r.CtrlGenerated > 0 {
-		fmt.Fprintf(&b, "control     originated=%d copies=%d consumed=%d outage=%d in-flight=%d\n",
-			r.Originated, r.CtrlGenerated, r.CtrlConsumed, r.CtrlOutageDrops, r.CtrlInFlight)
-	}
-	return b.String()
 }
 
 // Audit checks every custody, transmitter, schedule and shared-payload
@@ -112,24 +52,20 @@ func (r Report) String() string {
 // been imported.
 func (s *Sim) Audit() error {
 	ledgers := s.Ledgers()
-	var exported, imported, ctrlExported, ctrlImported int64
 	for i, l := range ledgers {
 		if err := l.Err(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		exported += l.Exported
-		imported += l.Imported
-		ctrlExported += l.CtrlExported
-		ctrlImported += l.CtrlImported
 	}
-	if err := Compose(ledgers).Err(); err != nil {
+	t := Compose(ledgers)
+	if err := t.Global().Err(); err != nil {
 		return fmt.Errorf("composed: %w", err)
 	}
-	if exported != imported {
-		return fmt.Errorf("wire imbalance: exported %d, imported %d", exported, imported)
+	if t.Exported != t.Imported {
+		return fmt.Errorf("wire imbalance: exported %d, imported %d", t.Exported, t.Imported)
 	}
-	if ctrlExported != ctrlImported {
-		return fmt.Errorf("control wire imbalance: exported %d, imported %d", ctrlExported, ctrlImported)
+	if t.CtrlExported != t.CtrlImported {
+		return fmt.Errorf("control wire imbalance: exported %d, imported %d", t.CtrlExported, t.CtrlImported)
 	}
 	for _, ls := range s.linkAt {
 		if err := ls.Audit(); err != nil {

@@ -110,6 +110,8 @@ type Sim struct {
 	nodeAt    []*lnode // by global NodeID
 	linkAt    []*llink // by global LinkID
 	wires     [][]wire // pending cross-shard arrivals, by target shard
+	win       *node.Window
+	sampled   sim.Time // the last utilization sample's instant (0: none yet)
 	barrier   BarrierStats
 	fired     []uint64 // each kernel's Fired() when the current window opened
 
@@ -248,6 +250,12 @@ func New(cfg Config) (*Sim, error) {
 			return nil, err
 		}
 	}
+	s.win = node.NewWindow(len(s.nodeAt), func(i int) *node.PSN { return &s.nodeAt[i].PSN },
+		len(s.linkAt), func(l int) *node.Trunk { return &s.linkAt[l].Trunk })
+	s.win.MinPathHops = node.MinPathHops(g, func(id topology.NodeID) ([]topology.NodeID, []float64) {
+		ds := s.nodeAt[id].src.Dests()
+		return ds, s.row(ds)
+	})
 	// Setup events in one canonical global order (ascending node, then the
 	// node's measurement tick, source, and fault events): within a shard,
 	// relative sequence numbers of same-instant setup events are then
@@ -349,6 +357,12 @@ func (s *Sim) BarrierStats() BarrierStats { return s.barrier }
 // repeatedly with increasing deadlines. With more than one shard, the
 // kernels run on one worker goroutine per shard that lives as long as the
 // call.
+//
+// Once a second the runner samples every link's utilization between
+// windows, when every kernel is idle: no window runs past a sample's
+// instant, and the sample follows every event of it, as internal/network's
+// tail-event sampler does. It fires no event, so the events a run fires
+// stay a function of the model alone.
 func (s *Sim) Run(until sim.Time) {
 	if len(s.shards) > 1 {
 		defer s.startWorkers()()
@@ -359,7 +373,8 @@ func (s *Sim) Run(until sim.Time) {
 		if !ok || tmin > until {
 			break
 		}
-		w := until
+		s.sampleBefore(tmin)
+		w := min(until, s.sampled+sim.Second)
 		s.barrier.Windows++
 		if b := tmin + s.lookahead - 1; s.hasCross && b < w {
 			w = b
@@ -374,6 +389,17 @@ func (s *Sim) Run(until sim.Time) {
 	}
 	// No pending event at or before until remains; advance every clock.
 	s.runWindow(until)
+	s.sampleBefore(until + 1)
+}
+
+// sampleBefore takes every utilization sample due before t, each over every
+// link in link order (node.Window.Sample).
+func (s *Sim) sampleBefore(t sim.Time) {
+	for ; s.sampled+sim.Second < t; s.sampled += sim.Second {
+		for l := range s.linkAt {
+			s.win.Sample(topology.LinkID(l), sim.Second, 0)
+		}
+	}
 }
 
 // countWindow adds the busiest shard's events in the window just run, from

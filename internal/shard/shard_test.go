@@ -205,7 +205,7 @@ func TestDeterminismAcrossShardCounts(t *testing.T) {
 	refTrace := ref.TraceText()
 	refReport := ref.Report().String()
 	refCons := ref.Report().Conservation
-	if generated(ref) == 0 || ref.Report().Delivered == 0 {
+	if generated(ref) == 0 || ref.Report().Conservation.Delivered == 0 {
 		t.Fatal("reference run moved no traffic")
 	}
 	if !strings.Contains(refTrace, "meas") {
@@ -289,7 +289,7 @@ func TestLedgerUnderCongestion(t *testing.T) {
 	if r.BufferDrops == 0 {
 		t.Error("200 pkts/s/node into 2-packet queues dropped nothing")
 	}
-	if r.Delivered == 0 {
+	if r.Conservation.Delivered == 0 {
 		t.Error("nothing delivered")
 	}
 	if !r.Conservation.Balanced() {
@@ -542,12 +542,12 @@ func TestSteadyStateAllocsPerPacket(t *testing.T) {
 			}
 			const warm, span = 3 * sim.Second, 4 * sim.Second
 			s.Run(warm)
-			delivered := s.Report().Delivered
+			delivered := s.Report().Conservation.Delivered
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			s.Run(warm + span)
 			runtime.ReadMemStats(&after)
-			delivered = s.Report().Delivered - delivered
+			delivered = s.Report().Conservation.Delivered - delivered
 			if delivered < 10000 {
 				t.Fatalf("only %d packets delivered; the measurement is vacuous", delivered)
 			}
@@ -581,7 +581,7 @@ func sending(t *node.Trunk) *node.Packet {
 func generated(s *Sim) int64 {
 	var n int64
 	for _, sh := range s.shards {
-		n += sh.led.Generated
+		n += sh.led.User.Offered
 	}
 	return n
 }

@@ -269,10 +269,6 @@ func (r *IncrementalRouter) Stats() (full, incremental, skipped, touched int64) 
 	return r.full, r.incremental, r.skipped, r.touched
 }
 
-// Recomputes returns the number of route computations of any kind (full or
-// incremental) — the Table 1 "PSN CPU" proxy.
-func (r *IncrementalRouter) Recomputes() int64 { return r.full + r.incremental }
-
 // Accept is the PSN's whole reaction to one copy of a routing update. A
 // sequence number no newer than the one held for u's origin is a duplicate:
 // nothing changes and Accept reports false (the caller does not forward).

@@ -44,59 +44,6 @@ func TestWelfordSingle(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if q, want := h.Quantile(float64(i)/10), float64(i)+0.5; q != want {
-			t.Errorf("Quantile(%v) = %v, want %v: one observation a bucket", float64(i)/10, q, want)
-		}
-	}
-	if h.w.N() != 10 {
-		t.Errorf("count = %d, want 10", h.w.N())
-	}
-	// Outliers clamp into the edge buckets: two observations in each.
-	h.Add(-5)
-	h.Add(42)
-	if h.w.N() != 12 || math.Abs(h.w.Mean()-(50+37)/12.0) > 1e-12 {
-		t.Errorf("count, mean = %d, %v, want 12, %v: outliers keep their values", h.w.N(), h.w.Mean(), (50+37)/12.0)
-	}
-	if q := h.Quantile(1.0 / 12); q != 0.5 {
-		t.Errorf("Quantile(1/12) = %v, want 0.5: -5 clamps into the first bucket", q)
-	}
-	if q := h.Quantile(10.0 / 12); q != 9.5 {
-		t.Errorf("Quantile(10/12) = %v, want 9.5: 42 clamps into the last bucket", q)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	if q := h.Quantile(0.5); math.Abs(q-50) > 1.5 {
-		t.Errorf("median = %v, want ~50", q)
-	}
-	if q := h.Quantile(0.99); math.Abs(q-99) > 1.5 {
-		t.Errorf("p99 = %v, want ~99", q)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if empty.Quantile(0.5) != 0 {
-		t.Error("quantile of empty histogram should be 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid bounds should panic")
-		}
-	}()
-	NewHistogram(1, 1, 10)
-}
-
 func TestSeries(t *testing.T) {
 	s := NewSeries("util")
 	for i := 0; i < 4; i++ {

@@ -1,5 +1,7 @@
 package topology
 
+import "slices"
+
 // Search is a reusable breadth-first search over a graph's links: the one
 // answer to "how many hops from s over these links" — Table 1's minimum
 // path, the §5 model's hop distances with one link removed, connected
@@ -61,6 +63,53 @@ func (s *Search) Hops(v NodeID) int {
 		return -1
 	}
 	return int(s.visit[v].hops)
+}
+
+// AllHops calls fn for every node s of g, ascending, with hops, the hop
+// count from s to any node over all links (-1 for a node s does not reach).
+// It runs 64 of the searches at once, one bit of a word each: level h of a
+// pass is the set of the pass's sources within h hops of each node, one
+// pass over the links from level h-1, so the whole table costs about a
+// tenth of a From from every node. hops reads the levels (O(diameter)), and
+// is valid only during the call.
+func AllHops(g *Graph, fn func(s NodeID, hops func(v NodeID) int)) {
+	n := g.NumNodes()
+	// within[h][v] has a bit for each of the pass's sources at most h hops
+	// from v; the levels are reused from pass to pass.
+	within := [][]uint64{make([]uint64, n)}
+	for base := 0; base < n; base += 64 {
+		clear(within[0])
+		for s := base; s < min(base+64, n); s++ {
+			within[0][s] = 1 << (s - base)
+		}
+		h := 1
+		for ; ; h++ {
+			if h == len(within) {
+				within = append(within, make([]uint64, n))
+			}
+			prev, next := within[h-1], within[h]
+			copy(next, prev)
+			for _, l := range g.links {
+				next[l.To] |= prev[l.From]
+			}
+			if slices.Equal(next, prev) {
+				break
+			}
+		}
+		levels, bit := within[:h], uint64(0)
+		hops := func(v NodeID) int {
+			for d, set := range levels {
+				if set[v]&bit != 0 {
+					return d
+				}
+			}
+			return -1
+		}
+		for s := base; s < min(base+64, n); s++ {
+			bit = 1 << (s - base)
+			fn(NodeID(s), hops)
+		}
+	}
 }
 
 // Components labels each node of g with its connected component over the

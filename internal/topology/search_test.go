@@ -165,3 +165,32 @@ func TestComponentsAgreeWithReachability(t *testing.T) {
 		}
 	}
 }
+
+// TestAllHopsMatchesSearch holds every row of AllHops to a From over all
+// links, on graphs of one word of sources and more (hier:10x10 runs two
+// passes, the second partial), and on a graph with a node no link reaches.
+func TestAllHopsMatchesSearch(t *testing.T) {
+	island := topology.Ring(5, topology.T56)
+	island.AddNode("island")
+	graphs := append(searchGraphs(), namedGraph{"hier10x10", topology.Hierarchical(10, 10, 5)}, namedGraph{"island", island})
+	for _, ng := range graphs {
+		g := ng.g
+		search := topology.NewSearch(g)
+		rows := 0
+		topology.AllHops(g, func(s topology.NodeID, hops func(topology.NodeID) int) {
+			if int(s) != rows {
+				t.Fatalf("%s: row %d came as source %d", ng.name, rows, s)
+			}
+			rows++
+			search.From(s, -1, nil)
+			for v := 0; v < g.NumNodes(); v++ {
+				if got, want := hops(topology.NodeID(v)), search.Hops(topology.NodeID(v)); got != want {
+					t.Fatalf("%s: %d hops from %d to %d, From says %d", ng.name, got, s, v, want)
+				}
+			}
+		})
+		if rows != g.NumNodes() {
+			t.Errorf("%s: %d rows for %d nodes", ng.name, rows, g.NumNodes())
+		}
+	}
+}

@@ -17,9 +17,10 @@ import (
 )
 
 // Report is the network-wide indicators of a run — Table 1's rows plus
-// congestion, loss and overhead counters (fields documented on
-// internal/network.Report); String renders the Table 1 layout.
-type Report = network.Report
+// congestion, loss and overhead counters over the window after the warm-up,
+// and the packet ledger and update counters from t = 0 (fields documented
+// on internal/node.Report); String renders the Table 1 layout.
+type Report = node.Report
 
 // Series is an (x, y) data series, e.g. trunk utilization over time.
 type Series = stats.Series

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run the randomized correctness harness: checker campaigns plus a short
-# fuzzing pass per target. This is the local equivalent of the weekly CI
+# fuzzing pass per target, after printing the code-line count
+# (scripts/lines.sh). This is the local equivalent of the weekly CI
 # workflow, scaled down by default.
 #
 # Usage:
@@ -20,6 +21,7 @@ campaigns="${CAMPAIGNS:-500}"
 seed="${SEED:-1}"
 fuzztime="${FUZZTIME:-30s}"
 
+scripts/lines.sh
 go run ./cmd/checker -campaigns "$campaigns" -seed "$seed" -out repro-artifacts
 
 if [ "$fuzztime" != 0 ]; then
