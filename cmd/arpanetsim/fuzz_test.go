@@ -29,7 +29,7 @@ func FuzzRun(f *testing.F) {
 		"-background 100 -background-epoch 0", "-shards -1",
 		// metricKinds and the flag package.
 		"-metric nonsense", "-nosuchflag", "-seconds", "stray",
-		// Malformed generated topologies, and what shard.Config.Validate refuses.
+		// Malformed generated topologies, and what arpanet.Run refuses.
 		"-shards 1 -topology hier:4y8 -seconds 1", "-shards 1 -topology waxman:x -seconds 1",
 		"-shards 2 -topology hier:2x3 -seconds 1 -rate 0", "-shards 1 -rate Inf",
 		// Runs that finish in well under a second.
@@ -61,17 +61,16 @@ func FuzzRun(f *testing.F) {
 }
 
 // cheap reports whether run(args) stays off the file system and simulates at
-// most a few seconds of wall time: a refused invocation always does (on at
-// most 64 nodes, the -shards refusals of shard.Config.Validate included);
-// else no script or profile, at most 30 simulated seconds at up to twice the
-// default load and two seeds, and -shards at most 20 seconds on 64 nodes.
+// most a few seconds of wall time: an invocation the flag checks refuse
+// always does; else no script or profile, at most 30 simulated seconds at up
+// to twice the default load and two seeds, and -shards at most 20 seconds
+// on 64 nodes (what arpanet.Run refuses among them).
 func cheap(args []string) bool {
 	o, fs, err := parse(args, io.Discard)
 	if err != nil {
 		return true
 	}
-	kinds, err := o.check(fs)
-	if err != nil {
+	if _, err := o.check(fs); err != nil {
 		return true
 	}
 	if o.scenario != "" || o.cpuProfile != "" || o.memProfile != "" {
@@ -92,9 +91,6 @@ func cheap(args []string) bool {
 		}
 		if regions < 0 || per < 0 || n > 64 || o.shards > 8 {
 			return false
-		}
-		if _, err := shardedRun(o, kinds[0], nil); err != nil {
-			return true // shard.Config.Validate refused it
 		}
 		return o.seconds <= 20 && o.rate <= 5
 	}

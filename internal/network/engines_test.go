@@ -12,7 +12,7 @@ import (
 
 // TestShardEngineMatchesPacketForPacket runs each configuration on a
 // one-shard adaptive shard.Sim and on a Network offered the Sim's own traffic
-// (shard.Sim.Matrix), from one seed, with trunk 0 failed and repaired 30 s
+// (shard.Config.Matrix), from one seed, with trunk 0 failed and repaired 30 s
 // later on both. The engines share the source, the hop latency, the arrival
 // order and the measured window, so every second they must render the same
 // Report — Table 1's rows, the packet ledger and the update counters — and
@@ -49,7 +49,7 @@ func TestShardEngineMatchesPacketForPacket(t *testing.T) {
 		}
 		t.Run(m.name+"/outage", func(t *testing.T) {
 			c := cfg(1)
-			probe := newNetworkFor(t, c)
+			probe := newNetworkFor(c)
 			probe.Run(30 * sim.Second)
 			for !loaded(&probe.links[0].Trunk) && !loaded(&probe.links[1].Trunk) {
 				if !probe.kernel.Step() || probe.kernel.Now() > seconds*sim.Second {
@@ -67,13 +67,8 @@ func TestShardEngineMatchesPacketForPacket(t *testing.T) {
 }
 
 // newNetworkFor builds the unsharded engine over the traffic cfg's Sim offers.
-func newNetworkFor(t *testing.T, cfg shard.Config) *Network {
-	t.Helper()
-	s, err := shard.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(Config{Graph: cfg.Graph, Matrix: s.Matrix(), Metric: cfg.Metric, Seed: cfg.Seed})
+func newNetworkFor(cfg shard.Config) *Network {
+	return New(Config{Graph: cfg.Graph, Matrix: cfg.Matrix(), Metric: cfg.Metric, Seed: cfg.Seed})
 }
 
 // runBothEngines runs cfg, with trunk 0 down at down and up 30 s later, on
@@ -87,7 +82,7 @@ func runBothEngines(t *testing.T, cfg shard.Config, down sim.Time, seconds int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := newNetworkFor(t, cfg)
+	n := newNetworkFor(cfg)
 	// Scheduled now, like the Sim's faults, so each fires first at its instant.
 	_, _ = n.kernel.ScheduleAt(down, func(sim.Time) { n.SetTrunkDown(0) })
 	_, _ = n.kernel.ScheduleAt(up, func(sim.Time) { n.SetTrunkUp(0) })
@@ -131,11 +126,7 @@ func TestWindowIdentity(t *testing.T) {
 	cfg := shard.Config{Graph: topology.Arpanet(), Seed: 1, PktRate: 12, Dests: 4, Metric: node.HNSPF, Adaptive: true,
 		Faults: []shard.Fault{{Trunk: trunk, At: down}, {Trunk: trunk, At: up, Up: true}}}
 	network := func(warmup sim.Time) func(sim.Time) Report {
-		probe, err := shard.New(shard.Config{Graph: cfg.Graph, Shards: 1, Seed: cfg.Seed, PktRate: cfg.PktRate, Dests: cfg.Dests})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := New(Config{Graph: cfg.Graph, Matrix: probe.Matrix(), Metric: cfg.Metric, Seed: cfg.Seed, Warmup: warmup})
+		n := New(Config{Graph: cfg.Graph, Matrix: cfg.Matrix(), Metric: cfg.Metric, Seed: cfg.Seed, Warmup: warmup})
 		_, _ = n.kernel.ScheduleAt(down, func(sim.Time) { n.SetTrunkDown(2 * trunk) })
 		_, _ = n.kernel.ScheduleAt(up, func(sim.Time) { n.SetTrunkUp(2 * trunk) })
 		return func(at sim.Time) Report { n.Run(at); return n.Report() }

@@ -9,9 +9,8 @@ import (
 	"testing"
 )
 
-// The examples and arpanetsim run networks through this package's Run, not
-// by wiring internal packages themselves. The one exception is arpanetsim's
-// shards.go: the sharded engine does not run under Run yet.
+// The examples and arpanetsim run networks through this package's Run, on
+// either engine, not by wiring internal packages themselves.
 func TestCallersUseRootPackage(t *testing.T) {
 	examples, err1 := filepath.Glob(filepath.Join("examples", "*", "*.go"))
 	cli, err2 := filepath.Glob(filepath.Join("cmd", "arpanetsim", "*.go"))
@@ -19,7 +18,7 @@ func TestCallersUseRootPackage(t *testing.T) {
 		t.Fatalf("found %d example and %d arpanetsim files (%v, %v)", len(examples), len(cli), err1, err2)
 	}
 	for _, name := range append(examples, cli...) {
-		if strings.HasSuffix(name, "_test.go") || name == filepath.Join("cmd", "arpanetsim", "shards.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)

@@ -1,6 +1,11 @@
 package arpanet
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"repro/internal/shard"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -68,6 +73,68 @@ func Milnet1987() *Topology { return &Topology{g: topology.Milnet()} }
 // MilnetWeights returns the per-site traffic weights that pair with
 // Milnet1987 for GravityTraffic.
 func MilnetWeights() map[string]float64 { return topology.MilnetWeights() }
+
+// maxWaxmanNodes bounds waxman:<N>: the generator weighs every pair of nodes,
+// so 2^14 is already 10^8 pairs. hier:<R>x<P> is linear and bounded by what
+// the sharded engine's static plane can route.
+const maxWaxmanNodes = 1 << 14
+
+// ParseTopology builds a topology from a spec: the "arpanet" or "milnet"
+// map, or a generated one, "hier:RxP" (R regions of P PSNs) or "waxman:N",
+// drawn from seed. The spec is outside input: a size no engine could run is
+// refused before anything is built, and what a generator itself refuses —
+// a hub with more lines than 16-bit line numbers name — comes back as an
+// error.
+func ParseTopology(spec string, seed int64) (t *Topology, err error) {
+	switch spec {
+	case "arpanet":
+		return Arpanet1987(), nil
+	case "milnet":
+		return Milnet1987(), nil
+	}
+	kind, arg, ok := strings.Cut(spec, ":")
+	if !ok {
+		return nil, fmt.Errorf("topology %q: want hier:<regions>x<perRegion> or waxman:<nodes>", spec)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t, err = nil, fmt.Errorf("topology %q: %v", spec, r)
+		}
+	}()
+	switch kind {
+	case "hier":
+		rs, ps, ok := strings.Cut(arg, "x")
+		if !ok {
+			return nil, fmt.Errorf("topology %q: want hier:<regions>x<perRegion>", spec)
+		}
+		var per int
+		regions, err := strconv.Atoi(rs)
+		if err == nil {
+			per, err = strconv.Atoi(ps)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("topology %q: %v", spec, err)
+		}
+		if regions < 2 || per < 3 {
+			return nil, fmt.Errorf("topology %q: need >= 2 regions and >= 3 nodes per region", spec)
+		}
+		if regions > shard.MaxStaticNodes/per {
+			return nil, fmt.Errorf("topology %q: more than %d nodes", spec, shard.MaxStaticNodes)
+		}
+		return &Topology{g: topology.Hierarchical(regions, per, seed)}, nil
+	case "waxman":
+		n, err := strconv.Atoi(arg)
+		if err != nil {
+			return nil, fmt.Errorf("topology %q: %v", spec, err)
+		}
+		if n < 2 || n > maxWaxmanNodes {
+			return nil, fmt.Errorf("topology %q: need 2 to %d nodes", spec, maxWaxmanNodes)
+		}
+		return &Topology{g: topology.Waxman(n, 0.6, 0.12, seed, topology.T56, topology.T112)}, nil
+	default:
+		return nil, fmt.Errorf("topology %q: unknown generator %q (want hier or waxman)", spec, kind)
+	}
+}
 
 // TwoRegion returns the Figure 1 topology: two regions of n PSNs joined by
 // exactly two parallel trunks of the given kind. Node names are W0..Wn-1
