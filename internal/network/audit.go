@@ -116,16 +116,14 @@ func (n *Network) ScaleTraffic(factor float64) {
 // SetMatrix switches the network to a new traffic matrix mid-run: every
 // source's rate and destination distribution are rebuilt, sources the old
 // matrix had silenced are re-armed, and sources the new matrix silences
-// park at their next arrival. The report's minimum-path baseline follows
-// the new matrix.
+// park at their next arrival.
 func (n *Network) SetMatrix(m *traffic.Matrix) {
 	if m.NumNodes() != n.g.NumNodes() {
 		panic("network: matrix size does not match graph")
 	}
 	n.cfg.Matrix = m
-	n.win.MinPathHops = n.matrixMinPath()
+	n.setRows(m)
 	for _, p := range n.psns {
-		p.src.SetRow(n.ids, m.Row(p.ID))
 		if p.src.Rate > 0 && !p.sourceArmed {
 			n.armSource(p)
 		}

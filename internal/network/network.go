@@ -234,12 +234,11 @@ func New(cfg Config) *Network {
 			}
 		}
 		n.psns[i] = p
-		p.src.SetRow(n.ids, cfg.Matrix.Row(id))
 	}
+	n.setRows(cfg.Matrix)
 
 	n.win = node.NewWindow(len(n.psns), func(i int) *node.PSN { return &n.psns[i].PSN },
 		len(n.links), func(l int) *node.Trunk { return &n.links[l].Trunk })
-	n.win.MinPathHops = n.matrixMinPath()
 
 	if cfg.Metric == node.BF1969 {
 		n.dvSetup()
@@ -648,10 +647,11 @@ func (n *Network) Report() Report {
 	return r
 }
 
-// matrixMinPath is the current matrix's node.MinPathHops.
-func (n *Network) matrixMinPath() float64 {
-	return node.MinPathHops(n.g, func(s topology.NodeID) ([]topology.NodeID, []float64) {
-		return n.ids, n.cfg.Matrix.Row(s)
+// setRows gives every source its row of m, each destination with its hop
+// count.
+func (n *Network) setRows(m *traffic.Matrix) {
+	topology.AllHops(n.g, func(s topology.NodeID, hops func(topology.NodeID) int) {
+		n.psns[s].src.SetRow(n.ids, m.Row(s), hops)
 	})
 }
 

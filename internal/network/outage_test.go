@@ -273,7 +273,7 @@ func TestClampedMeanFormula(t *testing.T) {
 	// Monte-Carlo check of the closed form E[clamp(X,a,b)], over the size
 	// draws both engines take.
 	src := node.NewSource(99, 0)
-	src.SetRow([]topology.NodeID{1}, []float64{1})
+	src.SetRow([]topology.NodeID{1}, []float64{1}, func(topology.NodeID) int { return 1 })
 	var p node.Packet
 	var sum float64
 	const nSamples = 2_000_000

@@ -98,6 +98,7 @@ type Packet struct {
 	Created  sim.Time // when generated at the source
 	Enqueued sim.Time // when placed on the current output queue
 	Hops     int      // links traversed so far
+	MinHops  int      // the fewest links from Src to Dst (user packets), set at Emit
 
 	// Routing updates are flooded at high priority and are never user
 	// traffic; Update is non-nil exactly for them. Vector is the 1969
@@ -150,7 +151,7 @@ func (pp *PacketPool) Put(p *Packet) {
 	// Field by field: assigning a Packet literal goes through a stack copy and
 	// a typed move, four times the cost on the per-packet path.
 	p.Seq, p.Src, p.Dst, p.SizeBits = math.MaxUint64, topology.NoNode, topology.NoNode, math.NaN()
-	p.Created, p.Enqueued, p.Hops = -1, -1, -1
+	p.Created, p.Enqueued, p.Hops, p.MinHops = -1, -1, -1, -1
 	p.Update, p.Vector, p.Arrival, p.poolNext = nil, nil, topology.NoLink, pp.free
 	pp.free = p
 }
@@ -158,7 +159,7 @@ func (pp *PacketPool) Put(p *Packet) {
 // poisoned reports whether every field still holds what Put left there.
 func (p *Packet) poisoned() bool {
 	return p.Seq == math.MaxUint64 && p.Src == topology.NoNode && p.Dst == topology.NoNode && math.IsNaN(p.SizeBits) &&
-		p.Created == -1 && p.Enqueued == -1 && p.Hops == -1 && p.Update == nil && p.Vector == nil &&
+		p.Created == -1 && p.Enqueued == -1 && p.Hops == -1 && p.MinHops == -1 && p.Update == nil && p.Vector == nil &&
 		p.Arrival == topology.NoLink
 }
 

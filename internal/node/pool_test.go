@@ -79,7 +79,7 @@ func TestPoolGuards(t *testing.T) {
 			p.Hops = 7
 			pp.Get()
 		}},
-		{"write after a release inside a callee, deeper in the list", " Hops:-1 Update:<nil> Vector:<nil> Arrival:4 ", func(pp *PacketPool) {
+		{"write after a release inside a callee, deeper in the list", " Hops:-1 MinHops:-1 Update:<nil> Vector:<nil> Arrival:4 ", func(pp *PacketPool) {
 			a, b := pp.Get(), pp.Get()
 			dispose(pp, a)
 			pp.Put(b)
@@ -122,13 +122,13 @@ func TestPoolGuards(t *testing.T) {
 // however it was used, re-acquiring after a release is a new life, and a
 // branch that did not release leaves the packet live.
 func TestPoolRecyclesZeroed(t *testing.T) {
-	if n := reflect.TypeOf(Packet{}).NumField(); n != 11 {
-		t.Fatalf("Packet has %d fields: Put poisons and poisoned checks 11, one by one — teach both the new one", n)
+	if n := reflect.TypeOf(Packet{}).NumField(); n != 12 {
+		t.Fatalf("Packet has %d fields: Put poisons and poisoned checks 12, one by one — teach both the new one", n)
 	}
 	var pp PacketPool
 	p := pp.Get()
 	*p = Packet{Seq: 9, Src: 1, Dst: 2, SizeBits: 600, Created: 5, Enqueued: 6, Hops: 3,
-		Vector: &Vector{}, Arrival: 4}
+		MinHops: 2, Vector: &Vector{}, Arrival: 4}
 	releaseIf(&pp, p, false)
 	if p.Seq != 9 || p.SizeBits != 600 {
 		t.Fatalf("an untaken release changed the packet: %+v", *p)
@@ -138,7 +138,7 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 		t.Fatalf("Get returned %p %+v, want the released packet %p zeroed", q, *q, p)
 	}
 	p.Src, p.Dst = topology.NoNode, topology.NoNode // a live packet may hold any one poison value
-	p.Hops = -1
+	p.Hops, p.MinHops = -1, -1
 	pp.Put(p)
 	pp.Put(pp.Get())
 }

@@ -24,12 +24,14 @@ func TestGapAtLeastOneTick(t *testing.T) {
 
 // SetRow keeps the positive entries in row order and sets Rate to the row's
 // total at the clamped mean size; Emit sends to each destination in
-// proportion to its entry, never to one the row leaves out.
+// proportion to its entry, never to one the row leaves out, and stamps the
+// destination's hop count.
 func TestSourceRow(t *testing.T) {
 	s := NewSource(7, 2)
 	dsts := []topology.NodeID{0, 1, 3, 4}
 	bps := []float64{3000, 0, 1000, -5}
-	s.SetRow(dsts, bps)
+	hops := func(d topology.NodeID) int { return 10 + int(d) }
+	s.SetRow(dsts, bps, hops)
 	if got := s.Dests(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Fatalf("Dests() = %v, want [0 3]", got)
 	}
@@ -41,7 +43,8 @@ func TestSourceRow(t *testing.T) {
 	var p Packet
 	for i := 0; i < n; i++ {
 		s.Emit(&p, 9)
-		if p.Src != 2 || p.Created != 9 || p.Arrival != topology.NoLink || p.SizeBits < MinPktBits || p.SizeBits > MaxPktBits {
+		if p.Src != 2 || p.Created != 9 || p.Arrival != topology.NoLink || p.SizeBits < MinPktBits || p.SizeBits > MaxPktBits ||
+			p.MinHops != hops(p.Dst) {
 			t.Fatalf("emitted %+v", p)
 		}
 		count[p.Dst]++
@@ -50,7 +53,7 @@ func TestSourceRow(t *testing.T) {
 		t.Errorf("destinations %v over %d packets, want 0 three times as often as 3", count, n)
 	}
 	// A new row replaces the old one.
-	s.SetRow(dsts, []float64{0, 0, 0, 600})
+	s.SetRow(dsts, []float64{0, 0, 0, 600}, hops)
 	if got := s.Dests(); len(got) != 1 || got[0] != 4 || s.Rate != 600/ClampedMeanPktBits() {
 		t.Fatalf("after SetRow: Dests() = %v, Rate %v", got, s.Rate)
 	}
