@@ -23,10 +23,13 @@ var docsChecked = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md
 	".github/workflows/*.yml", "scripts/*.sh"}
 
 var (
-	fence     = regexp.MustCompile("(?s)```[^\n]*\n(.*?)```")
-	codeSpan  = regexp.MustCompile("`([^`]+)`")
-	testName  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
-	goRunCmd  = regexp.MustCompile(`go run \./cmd/([a-z]+)((?:[ \t]+[^\s|;&>#]+)*)`)
+	fence    = regexp.MustCompile("(?s)```[^\n]*\n(.*?)```")
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
+	goRunCmd = regexp.MustCompile(`go run \./cmd/([a-z]+)((?:[ \t]+[^\s|;&>#]+)*)`)
+	// goTestCmd is a go test command line: its flags and packages, a quoted
+	// -run pattern's alternatives included, up to a shell separator.
+	goTestCmd = regexp.MustCompile(`go test((?:[ \t]+(?:'[^'\n]*'|"[^"\n]*"|[^\s|;&>#'"]+))*)`)
 	flagDecls = map[string]bool{
 		"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
 		"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
@@ -49,10 +52,10 @@ func codeIn(doc string) []string {
 }
 
 // moduleFuncs returns the name of every function declared in the module,
-// test files and bench/ included.
-func moduleFuncs(t *testing.T) []string {
+// test files and bench/ included, by package directory ("." for the root).
+func moduleFuncs(t *testing.T) map[string][]string {
 	t.Helper()
-	var names []string
+	names := map[string][]string{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -70,7 +73,7 @@ func moduleFuncs(t *testing.T) []string {
 		}
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok {
-				names = append(names, fn.Name.Name)
+				names[filepath.Dir(path)] = append(names[filepath.Dir(path)], fn.Name.Name)
 			}
 		}
 		return nil
@@ -123,11 +126,16 @@ func commandFlags(t *testing.T, name string) map[string]bool {
 // checkDoc reports every stale name in one document's code (a Markdown
 // document's code spans and blocks, any other file whole): a TestX,
 // BenchmarkX or FuzzX that is no prefix of a module function (docs cite -run
-// patterns such as TestBF1969 and TestStaticRoute*), and a `go run ./cmd/X`
-// flag that X does not define.
-func checkDoc(t *testing.T, doc, text string, funcs []string) []string {
+// patterns such as TestBF1969 and TestStaticRoute*), a name in a go test
+// command's -run pattern that is no prefix of a function in the packages
+// that command lists, and a `go run ./cmd/X` flag that X does not define.
+func checkDoc(t *testing.T, doc, text string, funcs map[string][]string) []string {
 	t.Helper()
 	var stale []string
+	var all []string
+	for _, fs := range funcs {
+		all = append(all, fs...)
+	}
 	flagsOf := map[string]map[string]bool{}
 	codes := []string{text}
 	if strings.HasSuffix(doc, ".md") {
@@ -135,16 +143,12 @@ func checkDoc(t *testing.T, doc, text string, funcs []string) []string {
 	}
 	for _, code := range codes {
 		for _, name := range testName.FindAllString(code, -1) {
-			found := false
-			for _, fn := range funcs {
-				if strings.HasPrefix(fn, name) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !prefixOfAny(name, all) {
 				stale = append(stale, doc+": "+name+" names no function in the module")
 			}
+		}
+		for _, m := range goTestCmd.FindAllStringSubmatch(code, -1) {
+			stale = append(stale, staleRunNames(doc, m[1], funcs, all)...)
 		}
 		for _, m := range goRunCmd.FindAllStringSubmatch(code, -1) {
 			cmd := m[1]
@@ -158,6 +162,55 @@ func checkDoc(t *testing.T, doc, text string, funcs []string) []string {
 			for _, flag := range unknownFlags(strings.Fields(m[2]), flagsOf[cmd]) {
 				stale = append(stale, doc+": go run ./cmd/"+cmd+" -"+flag+": "+cmd+" defines no such flag")
 			}
+		}
+	}
+	return stale
+}
+
+// prefixOfAny reports whether name is a prefix of one of fns.
+func prefixOfAny(name string, fns []string) bool {
+	for _, fn := range fns {
+		if strings.HasPrefix(fn, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// staleRunNames reports each name of a go test command's -run pattern (args,
+// the command line after "go test") that no function of the packages the
+// command lists starts with, though one elsewhere in the module (all) does:
+// a test moved out of them would silently stop running there. A command over
+// ./..., or run in another module (-C), is left to the module-wide check;
+// one with no package runs the root's.
+func staleRunNames(doc, args string, funcs map[string][]string, all []string) []string {
+	var pattern string
+	var pkgs []string
+	fields := strings.Fields(args)
+	for i := 0; i < len(fields); i++ {
+		switch f := fields[i]; {
+		case f == "-run" && i+1 < len(fields):
+			i++
+			pattern = fields[i]
+		case strings.HasPrefix(f, "-run="):
+			pattern = strings.TrimPrefix(f, "-run=")
+		case f == "-C" || strings.HasSuffix(f, "..."):
+			return nil
+		case strings.HasPrefix(f, "."):
+			pkgs = append(pkgs, filepath.Clean(f))
+		}
+	}
+	if len(pkgs) == 0 {
+		pkgs = []string{"."}
+	}
+	var in []string
+	for _, p := range pkgs {
+		in = append(in, funcs[p]...)
+	}
+	var stale []string
+	for _, name := range testName.FindAllString(pattern, -1) {
+		if !prefixOfAny(name, in) && prefixOfAny(name, all) {
+			stale = append(stale, doc+": "+name+" names no function in "+strings.Join(pkgs, " "))
 		}
 	}
 	return stale
@@ -242,7 +295,7 @@ func TestDocsNameRealCode(t *testing.T) {
 
 // TestDocsCheckCatchesStaleNames plants one stale name of each kind.
 func TestDocsCheckCatchesStaleNames(t *testing.T) {
-	funcs := []string{"TestRunUntil", "TestStaticRouteClosures"}
+	funcs := map[string][]string{"internal/sim": {"TestRunUntil"}, "internal/shard": {"TestStaticRouteClosures"}}
 	doc := "Run `TestStaticRoute*` and\n\n```\ngo run ./cmd/checker -campaigns 3 -seed 1 | tee out\n" +
 		"go run ./cmd/figures -fig 1\ngo test -run TestRunUntil ./internal/sim\n```\n" +
 		"then `TestStopOnViolationFreezes`, `go run ./cmd/arpanetsim -seeds 3\n-frozen` and `go run ./cmd/nosuch -x`."
@@ -254,6 +307,19 @@ func TestDocsCheckCatchesStaleNames(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("stale names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// A -run name must name a test of the packages its own command lists.
+	runs := "`go test -run 'TestRunUntil|TestStaticRouteClosures' ./internal/sim/` and\n" +
+		"```\ngo test -count=1 -run=TestRunUntil ./internal/shard ./internal/sim\n" +
+		"go test -run TestStaticRouteClosures ./...\ngo test -run TestRunUntil -v\n```\n"
+	got = checkDoc(t, "doc.md", runs, funcs)
+	want = []string{
+		"doc.md: TestRunUntil names no function in .",
+		"doc.md: TestStaticRouteClosures names no function in internal/sim",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("stale -run names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
 	// A workflow is code throughout, comments and prose included.
