@@ -1,0 +1,17 @@
+package network
+
+import (
+	"repro/internal/node"
+	"repro/internal/topology"
+)
+
+// What agree_test.go reads of the engine: it is package network_test, for it
+// imports internal/check, which imports this package.
+var (
+	RunBothEngines = runBothEngines
+	NewNetworkFor  = newNetworkFor
+	Sending        = sending
+)
+
+// Trunk is link l's trunk.
+func (n *Network) Trunk(l topology.LinkID) *node.Trunk { return &n.links[l].Trunk }
