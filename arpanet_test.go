@@ -238,9 +238,9 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"sharded ablations", func(s *Spec) { sharded(s); s.Ablations = []HNMOption{HNMWithoutAveraging()} }, "Spec.Ablations: the sharded engine"},
 		{"sharded track", func(s *Spec) { sharded(s); s.Track = [][2]string{{"N0", "N1"}} }, "Spec.Track: the sharded engine"},
 		{"sharded trace", func(s *Spec) { sharded(s); s.TraceCapacity = 10 }, "Spec.TraceCapacity: the sharded engine"},
-		{"sharded BF-1969", func(s *Spec) { sharded(s); s.Metric = BF1969 }, "Spec.Metric BF1969: the sharded engine"},
 		{"static routes unsharded", func(s *Spec) { s.StaticRoutes = true }, "Spec.StaticRoutes needs Spec.Shards"},
 		{"static routes scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script, s.StaticRoutes = 0, "duration 60\n", true }, "runs no Spec.Script"},
+		{"static routes with a metric", func(s *Spec) { sharded(s); s.StaticRoutes, s.Metric = true, DSPF }, "Spec.Metric D-SPF has no effect on Spec.StaticRoutes"},
 		{"sharded unknown PSN scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script = 0, "duration 60\nat 10 down N0 X9\n" }, `Spec.Script: scenario "scenario": down at 10.000000s: unknown node "X9"`},
 		{"sharded restart scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script = 0, "duration 60\nat 10 restart N0 for 5\n" }, "Spec.Script: scenario \"scenario\": node-down at 10.000000s: the sharded engine runs trunk events"},
 	} {

@@ -81,7 +81,7 @@ func parse(args []string, stderr io.Writer) (*options, *flag.FlagSet, error) {
 	fs.Float64Var(&o.rate, "rate", 1.0, "per-node packet rate for -shards mode (pkts/sec)")
 	fs.IntVar(&o.dests, "dests", 3, "destinations per source for -shards mode")
 	fs.IntVar(&o.radius, "radius", 0, "destination locality radius in hops for -shards mode (0 = uniform)")
-	fs.BoolVar(&o.adaptive, "adaptive", false, "with -shards: route by the adaptive plane (-metric hnspf/dspf/minhop; bf1969 falls back to the unsharded engine)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "with -shards: route by the adaptive plane under -metric")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards the simulator is still live in it)")
 	return o, fs, fs.Parse(args)
@@ -274,8 +274,6 @@ func checkFlags(set map[string]bool, shards int, adaptive bool, scenario, topolo
 	switch {
 	case shards > 0 && scenario != "" && !adaptive:
 		return errors.New("-scenario with -shards needs -adaptive: static routes flood nothing, so no PSN would hear of a failure")
-	case shards > 0 && scenario != "" && kinds[0] == arpanet.BF1969:
-		return errors.New("-metric bf1969 runs no -scenario with -shards: the 1969 protocol runs on the unsharded engine only")
 	case shards > 0 && !adaptive && set["metric"]:
 		return errors.New("-metric has no effect with -shards unless -adaptive is set (static routes otherwise)")
 	case shards <= 0 && scenario == "" && len(kinds) == 1 && set["growth"]:

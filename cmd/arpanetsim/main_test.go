@@ -72,7 +72,7 @@ func TestCheckFlags(t *testing.T) {
 		{args: "shards adaptive scenario traffic", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-traffic"},
 		{args: "shards adaptive scenario growth", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-growth"},
 		{args: "shards adaptive scenario warmup", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-warmup"},
-		{args: "shards adaptive metric scenario", shards: 2, adaptive: true, scenario: "flap.scn", metric: "bf1969", reject: "-metric"},
+		{args: "shards adaptive metric scenario", shards: 2, adaptive: true, scenario: "flap.scn", metric: "bf1969"},
 		// The sharded runner's knobs without -shards.
 		{args: "adaptive", adaptive: true, metric: "both", reject: "-adaptive"},
 		{args: "rate", metric: "both", reject: "-rate"},
@@ -288,7 +288,9 @@ func TestRunExitStatus(t *testing.T) {
 			"checkpoints 14, 373 of 420 origins with no update in flight"},
 		{"-shards 2 -adaptive -scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
 		{"-shards 2 -adaptive -scenario " + fluid, 1, "surge background at 10.000000s: the sharded engine runs trunk events and checkpoints only", ""},
-		{"-shards 2 -adaptive -metric bf1969 -scenario " + unknown, 2, "-metric bf1969 runs no -scenario with -shards", ""},
+		{"-shards 2 -adaptive -metric bf1969 -scenario ../../examples/flapping/utah-collins.scn", 0, "",
+			"checkpoints 14, 0 of 420 origins with no update in flight"},
+		{"-shards 5000 -topology arpanet -adaptive -metric bf1969 -seconds 60", 1, "Spec.Shards 5000", ""},
 		{"-shards 2 -scenario " + unknown, 2, "-scenario with -shards needs -adaptive", ""},
 		{"-nonsense", 2, "flag provided but not defined: -nonsense", ""},
 		{"-background 28000", 2, "flag provided but not defined: -background", ""},

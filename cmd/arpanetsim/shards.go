@@ -8,15 +8,15 @@ package main
 //	arpanetsim -shards 2 -topology waxman:500 -rate 2 -dests 4
 //	arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric hnspf
 //	arpanetsim -shards 2 -adaptive -metric hnspf -scenario examples/flapping/utah-collins.scn
+//	arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric bf1969
 //
 // By default the sharded runner routes by one static table over fixed link
 // costs; -adaptive switches it to the full measurement → flood →
-// incremental-SPF plane under the chosen -metric, which is how the
-// hier:32x32 Table-1-style study in EXPERIMENTS.md is produced. BF-1969 is
-// a distance-vector protocol implemented only by the unsharded engine, so
-// that leg runs there (Spec.Shards 0) over the identical per-node traffic.
-// With -scenario the adaptive plane runs a fault script instead of
-// -seconds: its trunk failures and repairs, audited at its checkpoints.
+// incremental-SPF plane under the chosen -metric, or under bf1969 to the
+// 1969 distance-vector exchange, which is how the hier:32x32
+// Table-1-style study in EXPERIMENTS.md is produced. With -scenario the
+// adaptive plane runs a fault script instead of -seconds: its trunk
+// failures and repairs, audited at its checkpoints.
 
 import (
 	"fmt"
@@ -33,18 +33,15 @@ func shardSpec(o *options, topo *arpanet.Topology, metric arpanet.Metric, script
 	if o.adaptive {
 		s.Metric = metric
 	}
-	if s.Metric == arpanet.BF1969 {
-		s.Shards = 0 // the 1969 protocol runs on the unsharded engine only
-	}
 	if script == nil {
 		s.Seconds = o.seconds
 	}
 	return s
 }
 
-// sharded runs s and writes the header, the report and, on the sharded
-// engine, the event count and either the checkpoints (with a script) or the
-// barrier, kernel and, on the static plane, routes counters. The barrier and
+// sharded runs s and writes the header, the report, the event count and
+// either the checkpoints (with a script) or the barrier, kernel and, on the
+// static plane, routes counters. The barrier and
 // kernel lines are left out with a script: they vary with the partition, and
 // apart from the header that output does not. A violation is an error,
 // after the output.
@@ -58,8 +55,7 @@ func sharded(w io.Writer, s arpanet.Spec) (arpanet.Result, error) {
 		fmt.Fprintf(w, "Scenario %q: %.0f s, %d events\n", sc.Name, sc.Duration.Seconds(), len(sc.Events))
 	}
 	fmt.Fprint(w, res.Report.String())
-	switch {
-	case s.Script != "":
+	if s.Script != "" {
 		fmt.Fprintf(w, "events      %d\n", res.Stats.Events)
 		quiet := 0
 		for _, cp := range res.Checkpoints {
@@ -67,7 +63,7 @@ func sharded(w io.Writer, s arpanet.Spec) (arpanet.Result, error) {
 		}
 		fmt.Fprintf(w, "checkpoints %d, %d of %d origins with no update in flight (convergence audited)\n",
 			len(res.Checkpoints), quiet, len(res.Checkpoints)*s.Topology.NumNodes())
-	case s.Shards > 0:
+	} else {
 		printCounters(w, res.Stats)
 		if s.StaticRoutes {
 			printRoutes(w, res.Stats)
@@ -83,15 +79,9 @@ func sharded(w io.Writer, s arpanet.Spec) (arpanet.Result, error) {
 }
 
 // printHeader prints the line that opens every -shards run's output: the
-// map, the shard count and, when a trunk is cut, the lookahead; or that the
-// BF-1969 leg runs unsharded.
+// map, the shard count and, when a trunk is cut, the lookahead.
 func printHeader(w io.Writer, s arpanet.Spec, st arpanet.Stats) {
 	g := s.Topology
-	if s.Shards == 0 {
-		fmt.Fprintf(w, "unsharded run: %d nodes, %d trunks, Bellman-Ford 1969 (distance-vector; no shard barrier)\n",
-			g.NumNodes(), g.NumTrunks())
-		return
-	}
 	fmt.Fprintf(w, "sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), s.Shards)
 	if !s.StaticRoutes {
 		fmt.Fprintf(w, ", adaptive %v", s.Metric)

@@ -7,7 +7,7 @@
 //
 // The original 1969 metric — instantaneous output queue length plus
 // QueueLengthConstant (§2.1) — is computed inline by the distributed
-// Bellman-Ford baseline (internal/network's distvec.go).
+// Bellman-Ford baseline (internal/node's distvec.go).
 //
 // All metrics share the Update(measuredDelay) → (cost, report) contract of
 // internal/core.Module, so the node layer can swap them freely.

@@ -60,12 +60,11 @@ func (n *Network) TransmitterAudit() error {
 	return nil
 }
 
-// ConvergenceAudit checks node.AuditRun's two invariants in every mode;
-// then, unless the 1969 distance-vector mode runs, node.AuditConvergence
-// over the PSNs' routers, its per-origin counts held to the routing packets
-// queued, on a transmitter or propagating.
+// ConvergenceAudit checks node.AuditRun's two invariants, then
+// node.AuditConvergence over the PSNs' routers, its per-origin counts held
+// to the routing packets queued, on a transmitter or propagating.
 func (n *Network) ConvergenceAudit() error {
-	if err := node.AuditRun(n.kernel, n.routers); err != nil || n.cfg.Metric == node.BF1969 {
+	if err := node.AuditRun(n.kernel, n.routers); err != nil {
 		return err
 	}
 	routers := make([]*spf.IncrementalRouter, len(n.psns))
@@ -76,14 +75,8 @@ func (n *Network) ConvergenceAudit() error {
 }
 
 // QuietOrigins returns how many origins have no copy of a flooded update in
-// flight: those ConvergenceAudit checks. It is 0 in the 1969
-// distance-vector mode, which floods nothing.
-func (n *Network) QuietOrigins() int {
-	if n.cfg.Metric == node.BF1969 {
-		return 0
-	}
-	return node.QuietOrigins(n.updatesInFlight)
-}
+// flight: those ConvergenceAudit checks.
+func (n *Network) QuietOrigins() int { return node.QuietOrigins(n.updatesInFlight) }
 
 // StaleFloods returns, ascending, the origins that still have a copy of an
 // update in flight but have originated nothing since t: floods older than t

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/node"
@@ -19,20 +18,21 @@ func TestBF1969ConvergesAndDelivers(t *testing.T) {
 	if r.DeliveredRatio < 0.98 {
 		t.Errorf("delivered ratio %.3f at light load", r.DeliveredRatio)
 	}
-	// Vectors converge to hop-counts plus queue constants: under light
-	// load distances ≈ (queue-constant) × hops.
-	dist := n.psns[0].dv.dist
+	// The vectors converge: under light load every line costs about the
+	// queue constant, so node 0's next lines follow minimum-hop paths.
 	want := topology.NewSearch(g)
 	want.From(0, -1, nil)
-	for d := 1; d < g.NumNodes(); d++ {
-		hops := float64(want.Hops(topology.NodeID(d)))
-		if math.IsInf(dist[d], 1) {
-			t.Fatalf("node 0 never learned a route to %d", d)
+	for d := topology.NodeID(1); int(d) < g.NumNodes(); d++ {
+		at, hops := topology.NodeID(0), 0
+		for ; at != d && hops <= g.NumNodes(); hops++ {
+			line := n.psns[at].NextLine(d)
+			if line < 0 {
+				t.Fatalf("node %d has no route to %d", at, d)
+			}
+			at = g.Link(g.Out(at)[line]).To
 		}
-		// Each hop costs at least the constant (4) and at light load not
-		// much more.
-		if dist[d] < 4*hops || dist[d] > 10*hops {
-			t.Errorf("dist to %d = %v for %v hops", d, dist[d], hops)
+		if hops != want.Hops(d) {
+			t.Errorf("node 0 reaches %d in %d hops, the fewest are %d", d, hops, want.Hops(d))
 		}
 	}
 	// At light load queues are near empty, so costs are near static and the

@@ -16,28 +16,32 @@ import (
 	"repro/internal/topology"
 )
 
-// Egress is an engine's side of a flood: whether a line is out of service,
-// and how one copy of an update goes onto it.
+// Egress is an engine's side of a flood and of a vector exchange: whether a
+// line is out of service, and how one copy of an update or a vector goes
+// onto it. A routing packet goes to the head of the queue and is never
+// refused.
 type Egress interface {
 	LinkIsDown(l topology.LinkID) bool
 	// Send enqueues one copy of u on line l, stamped with the flood's
-	// creation time; a routing packet goes to the head of the queue and is
-	// never refused.
+	// creation time.
 	Send(l topology.LinkID, u *flooding.Update, created, now sim.Time)
+	// SendVector enqueues v on line l.
+	SendVector(l topology.LinkID, v *Vector, now sim.Time)
 }
 
-// PSN is one PSN's updating-protocol state: its SPF router (nil in the
-// 1969 distance-vector mode, which floods nothing), its update sequence and
-// when it last originated. Both engines embed it in their per-node state.
+// PSN is one PSN's routing-protocol state: its SPF router, its update
+// sequence and when it last originated; or, in the 1969 mode, which floods
+// nothing and has no router, its distance vector (distvec.go). Both engines
+// embed it in their per-node state.
 type PSN struct {
 	ID     topology.NodeID
 	Router *spf.IncrementalRouter
+	dv     *distVec
 	// LastOriginated is when the PSN last flooded its own update; the
 	// engines boot it from BootOriginated.
 	LastOriginated sim.Time
-	// Originated counts the updates the PSN flooded from t = 0 (and
-	// internal/network's 1969 vector exchanges); Meter is its share of the
-	// measured window.
+	// Originated counts the updates the PSN flooded, or the vectors it
+	// exchanged, from t = 0; Meter is its share of the measured window.
 	Originated int64
 	Meter      Meter
 
@@ -88,7 +92,8 @@ func (p *PSN) Resync(e Egress, l topology.LinkID, now sim.Time) {
 }
 
 // QuietOrigins counts the origins with no update copy in flight, given the
-// copies in flight by origin: those AuditConvergence checks.
+// copies in flight by origin: those AuditConvergence checks (none in a run
+// without routers, whose inFlight is nil).
 func QuietOrigins(inFlight []int) int {
 	quiet := 0
 	for _, c := range inFlight {

@@ -17,16 +17,29 @@ type sent struct {
 	created, when sim.Time
 }
 
-// recorder is an Egress that records every copy, with a set of down lines.
+// sentVector is one vector an Egress was asked to send.
+type sentVector struct {
+	link topology.LinkID
+	v    *Vector
+	when sim.Time
+}
+
+// recorder is an Egress that records every copy and vector, with a set of
+// down lines.
 type recorder struct {
-	down map[topology.LinkID]bool
-	sent []sent
+	down    map[topology.LinkID]bool
+	sent    []sent
+	vectors []sentVector
 }
 
 func (r *recorder) LinkIsDown(l topology.LinkID) bool { return r.down[l] }
 
 func (r *recorder) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
 	r.sent = append(r.sent, sent{l, u, created, now})
+}
+
+func (r *recorder) SendVector(l topology.LinkID, v *Vector, now sim.Time) {
+	r.vectors = append(r.vectors, sentVector{l, v, now})
 }
 
 // hub builds H joined to A, B and C, with A and B also joined: H's lines in

@@ -88,8 +88,13 @@ func AuditRun(k *sim.Kernel, routers *spf.Table) error {
 // its component connects, and a repaired trunk resyncs both ends, so
 // whatever a partition kept from either side has crossed by the time its
 // last copy lands. An origin with a copy in flight is left for a later
-// checkpoint. Both engines' convergence audits call it.
+// checkpoint. A run without routers (the 1969 distance-vector mode, the
+// static plane) has no counts, a nil inFlight, and nothing to converge. Both
+// engines' convergence audits call it.
 func AuditConvergence(g *topology.Graph, routers []*spf.IncrementalRouter, down func(topology.LinkID) bool, inFlight []int, held int) error {
+	if inFlight == nil {
+		return nil
+	}
 	counted := 0
 	for _, c := range inFlight {
 		counted += c

@@ -9,8 +9,9 @@
 // measurement and module into one state machine with its fail/repair
 // transitions, and the Conservation ledger the engines report into.
 //
-// It also holds Rosen's updating protocol (flood.go: PSN and Egress), which
-// originates, floods and resynchronises routing updates for both engines,
+// It also holds the two routing protocols both engines run over Egress:
+// Rosen's updating protocol (flood.go: PSN), which originates, floods and
+// resynchronises routing updates, and the 1969 distance vector (distvec.go);
 // and the one convergence audit (AuditConvergence).
 //
 // internal/network (one kernel) and internal/shard (one kernel per shard
@@ -161,13 +162,6 @@ func (p *Packet) poisoned() bool {
 	return p.Seq == math.MaxUint64 && p.Src == topology.NoNode && p.Dst == topology.NoNode && math.IsNaN(p.SizeBits) &&
 		p.Created == -1 && p.Enqueued == -1 && p.Hops == -1 && p.MinHops == -1 && p.Update == nil && p.Vector == nil &&
 		p.Arrival == topology.NoLink
-}
-
-// Vector is a 1969 distance-vector table as exchanged between neighbors
-// every 2/3 second (§2.1).
-type Vector struct {
-	Origin topology.NodeID
-	Dist   []float64
 }
 
 // IsRouting reports whether the packet carries routing control traffic (a
@@ -372,7 +366,8 @@ const MultipathToleranceFraction = 0.49
 // network that is already running: settled at its idle line's cost
 // (HN-SPF's floor, D-SPF's bias, min-hop's 1), counted as already reported,
 // so a PSN booted with these costs floods only a significant change or its
-// refresh.
+// refresh. BF1969's is min-hop's, a placeholder: the 1969 mode prices its
+// lines by queue length (PSN.Exchange) and measures nothing.
 func NewCostModule(kind MetricKind, lt topology.LineType, propDelay float64) CostModule {
 	var m interface {
 		CostModule
@@ -383,7 +378,7 @@ func NewCostModule(kind MetricKind, lt topology.LineType, propDelay float64) Cos
 		m = core.NewModule(lt, propDelay)
 	case DSPF:
 		m = metric.NewDSPF(lt, propDelay)
-	case MinHop:
+	case MinHop, BF1969:
 		m = metric.NewMinHop()
 	default:
 		panic(fmt.Sprintf("node: unknown metric kind %d", int(kind)))

@@ -61,8 +61,14 @@ const ctrlSeqBit = uint64(1) << 63
 // the identical initial cost database (each module's link-up cost), as in
 // internal/network. Each shard gets its own spf.Table, because a table's
 // routers share repair scratch and a shard's nodes are exactly the ones its
-// goroutine drives.
+// goroutine drives. Under BF1969 every node boots a distance vector instead.
 func (s *Sim) bootAdaptive() {
+	if s.cfg.Metric == node.BF1969 {
+		for _, n := range s.nodeAt {
+			n.BootVector(s.g, func(l topology.LinkID) *node.Trunk { return &s.linkAt[l].Trunk })
+		}
+		return
+	}
 	initial := make([]float64, s.g.NumLinks())
 	for lid, ls := range s.linkAt {
 		initial[lid] = ls.Module.Cost()
@@ -95,23 +101,14 @@ func (s *Sim) RoutingStats() spf.TableStats {
 	return st
 }
 
-// adaptiveNextHop picks n's outgoing link toward dst from its own SPF tree,
-// whose line numbers index n.out; nil is no route. A next hop onto a link
-// this node knows to be down counts as no route — the same classification
-// internal/network uses — because with flooded costs a down link is a
-// transiently stale database entry.
-func (n *lnode) adaptiveNextHop(dst topology.NodeID) *llink {
-	i := n.Router.Tree().NextLine(dst)
-	if i < 0 || n.out[i].Down() {
-		return nil
-	}
-	return n.out[i]
-}
-
 // originate floods n's current link costs (DownCost for out-of-service
 // links) to the whole network and accepts them locally. The costs are fresh
-// because the Update, and every router accepting it, keeps them.
+// because the Update, and every router accepting it, keeps them. Under
+// BF1969 there is no router and nothing floods: the vectors carry it all.
 func (sh *shardState) originate(n *lnode, now sim.Time) {
+	if n.Router == nil {
+		return
+	}
 	costs := make([]float64, len(n.out))
 	for i, ls := range n.out {
 		costs[i] = ls.Advertised()
@@ -126,14 +123,19 @@ func (sh *shardState) originate(n *lnode, now sim.Time) {
 	n.Flood(sh.s.g, sh, u, topology.NoLink, now, now)
 }
 
-// handleUpdate consumes one arriving update copy: accept it or drop it as a
-// duplicate, flood a new one on. The carrying packet dies here; forwarded
-// copies are fresh packets sharing the immutable payload.
-func (sh *shardState) handleUpdate(n *lnode, p *node.Packet, now sim.Time) {
-	u, arrival, created := p.Update, p.Arrival, p.Created
+// handleRouting consumes one arriving routing packet: a vector is kept for
+// n's next exchange; an update copy is accepted, or dropped as a duplicate,
+// and a new one flooded on. The carrying packet dies here; forwarded copies
+// are fresh packets sharing the immutable payload.
+func (sh *shardState) handleRouting(n *lnode, p *node.Packet, now sim.Time) {
+	u, v, arrival, created := p.Update, p.Vector, p.Arrival, p.Created
 	sh.led.CtrlConsumed++
-	sh.updatesInFlight[u.Origin]--
 	sh.pool.Put(p)
+	if v != nil {
+		n.Hear(sh.s.g, v, arrival)
+		return
+	}
+	sh.updatesInFlight[u.Origin]--
 	if sh.acceptUpdate(n, u, now) {
 		n.Flood(sh.s.g, sh, u, arrival, created, now)
 	}
@@ -143,11 +145,22 @@ func (sh *shardState) handleUpdate(n *lnode, p *node.Packet, now sim.Time) {
 // service: half the shard's node.Egress.
 func (sh *shardState) LinkIsDown(l topology.LinkID) bool { return sh.s.linkAt[l].Down() }
 
-// Send enqueues one copy of u on link l, one of this shard's, stamped with
-// the sending node's next control sequence number: the other half of the
-// shard's node.Egress. Routing packets head-insert and are never
-// buffer-dropped, so every copy is accepted.
+// Send enqueues one copy of u on link l, one of this shard's: with
+// SendVector, the other half of the shard's node.Egress.
 func (sh *shardState) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
+	sh.updatesInFlight[u.Origin]++
+	sh.sendRouting(l, u, nil, u.SizeBits(), created, now)
+}
+
+// SendVector enqueues v on link l, one of this shard's.
+func (sh *shardState) SendVector(l topology.LinkID, v *node.Vector, now sim.Time) {
+	sh.sendRouting(l, nil, v, v.SizeBits(), now, now)
+}
+
+// sendRouting enqueues on link l one routing packet carrying u or v, stamped
+// with the sending node's next control sequence number. Routing packets
+// head-insert and are never buffer-dropped, so every one is accepted.
+func (sh *shardState) sendRouting(l topology.LinkID, u *flooding.Update, v *node.Vector, size float64, created, now sim.Time) {
 	ls := sh.s.linkAt[l]
 	n := sh.s.nodeAt[ls.l.From]
 	if n.cseq == math.MaxUint32 {
@@ -156,14 +169,11 @@ func (sh *shardState) Send(l topology.LinkID, u *flooding.Update, created, now s
 	p := sh.pool.Get()
 	n.cseq++
 	p.Seq = ctrlSeqBit | uint64(n.ID)<<32 | n.cseq
-	p.SizeBits = u.SizeBits()
-	p.Created = created
-	p.Update = u
-	p.Arrival = l // the link this copy will traverse
-	p.Enqueued = now
+	p.SizeBits, p.Created, p.Enqueued = size, created, now
+	p.Update, p.Vector = u, v
+	p.Arrival = l // the link this packet will traverse
 	ls.Queue.Push(p)
 	sh.led.CtrlGenerated++
-	sh.updatesInFlight[u.Origin]++
 	sh.startTx(ls, now)
 }
 

@@ -12,10 +12,11 @@ package shard
 // the export/import terms cancel.
 //
 // Adaptive routing adds a second, independent custody identity over the
-// control plane. Every enqueued copy of a routing update is one control
-// packet; copies are never buffer-dropped (they head-insert) and never loop
-// (dedup kills them after one hop), so their only exits are consumption at
-// a node, outage flushes, and the wire:
+// control plane. Every enqueued copy of a routing update, and under BF1969
+// every enqueued vector, is one control packet; control packets are never
+// buffer-dropped (they head-insert) and never loop (a node consumes each one
+// it receives), so their only exits are consumption at a node, outage
+// flushes, and the wire:
 //
 //	CtrlGenerated + CtrlImported == CtrlConsumed + CtrlOutageDrops + CtrlExported + CtrlInFlight
 
@@ -32,7 +33,8 @@ type Ledger struct {
 	User               node.Conservation
 	Imported, Exported int64
 
-	// Control plane (routing-update copies), all zero without Config.Adaptive.
+	// Control plane (routing-update copies, or BF1969's vectors), all zero
+	// without Config.Adaptive.
 	CtrlGenerated   int64 // copies enqueued (origination + flood forwarding)
 	CtrlImported    int64
 	CtrlConsumed    int64 // copies that reached a node and were processed or deduped

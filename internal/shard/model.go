@@ -57,6 +57,7 @@ type shardState struct {
 	arriveCall  sim.Call
 	measureCall sim.Call
 	faultCall   sim.Call
+	vectorCall  sim.Call
 }
 
 func (sh *shardState) bind() {
@@ -65,6 +66,7 @@ func (sh *shardState) bind() {
 	sh.arriveCall = sh.arrive
 	sh.measureCall = sh.measure
 	sh.faultCall = sh.fault
+	sh.vectorCall = sh.exchange
 }
 
 // lnode is one node's shard-local state.
@@ -98,11 +100,11 @@ type llink struct {
 
 // wire is one packet in transit between shards, fully serialized: the
 // target reconstructs the packet from its own pool, so no *node.Packet ever
-// crosses a shard boundary. Routing-update copies additionally carry their
-// payload pointer: a *flooding.Update is immutable after construction, so
-// sharing it across the barrier is value semantics — the importing shard
-// reads exactly the bytes any partitioning would read, and the barrier's
-// happens-before edges make the share race-free.
+// crosses a shard boundary. Routing packets additionally carry their
+// payload pointer: a *flooding.Update or a *node.Vector is immutable after
+// construction, so sharing it across the barrier is value semantics — the
+// importing shard reads exactly the bytes any partitioning would read, and
+// the barrier's happens-before edges make the share race-free.
 type wire struct {
 	at      sim.Time // arrival time at the target node
 	link    topology.LinkID
@@ -114,6 +116,7 @@ type wire struct {
 	hops    int
 	minHops int
 	upd     *flooding.Update // non-nil for routing-update copies
+	vec     *node.Vector     // non-nil for 1969 vectors
 }
 
 // --- setup ----------------------------------------------------------------
@@ -240,8 +243,8 @@ func (sh *shardState) source(now sim.Time, arg any) {
 
 // handlePacket delivers, drops, or forwards a packet at node n.
 func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
-	if p.Update != nil {
-		sh.handleUpdate(n, p, now)
+	if p.IsRouting() {
+		sh.handleRouting(n, p, now)
 		return
 	}
 	if p.Dst == n.ID {
@@ -258,10 +261,13 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	}
 	var ls *llink
 	if sh.s.cfg.Adaptive {
-		// Adaptive: the node's own SPF tree decides. A next hop onto a link
-		// this node knows to be down is "no route" (the database is stale),
-		// the classification internal/network uses too.
-		ls = n.adaptiveNextHop(p.Dst)
+		// Adaptive: the node's own SPF tree or distance vector decides,
+		// its line numbers indexing n.out. A next hop onto a link this node
+		// knows to be down is "no route" (the database is stale), the
+		// classification internal/network uses too.
+		if i := n.NextLine(p.Dst); i >= 0 && !n.out[i].Down() {
+			ls = n.out[i]
+		}
 		if ls == nil {
 			sh.led.User.NoRouteDrops++
 			sh.dropRec(n, now, recNoRouteDrop, p.Arrival, p.Seq)
@@ -312,7 +318,7 @@ func (sh *shardState) txDone(now sim.Time, arg any) {
 	if p == nil {
 		return // stale completion; see Trunk.Done
 	}
-	if p.Update != nil {
+	if p.IsRouting() {
 		sh.s.nodeAt[ls.l.From].Meter.Transmit(p)
 	}
 	at := now + ls.propLat
@@ -323,9 +329,9 @@ func (sh *shardState) txDone(now sim.Time, arg any) {
 		// Allocates: the outbox grows to the per-window export high-watermark, then reuses
 		sh.outbox = append(sh.outbox, wire{
 			at: at, link: ls.l.ID, seq: p.Seq, src: p.Src, dst: p.Dst,
-			size: p.SizeBits, created: p.Created, hops: p.Hops, minHops: p.MinHops, upd: p.Update,
+			size: p.SizeBits, created: p.Created, hops: p.Hops, minHops: p.MinHops, upd: p.Update, vec: p.Vector,
 		})
-		if p.Update != nil {
+		if p.IsRouting() {
 			sh.led.CtrlExported++
 		} else {
 			sh.led.Exported++
@@ -346,8 +352,8 @@ func (sh *shardState) importWire(w *wire) {
 	p.Hops = w.hops
 	p.MinHops = w.minHops
 	p.Arrival = w.link
-	if w.upd != nil {
-		p.Update = w.upd
+	p.Update, p.Vector = w.upd, w.vec
+	if p.IsRouting() {
 		sh.led.CtrlImported++
 	} else {
 		sh.led.Imported++
@@ -361,7 +367,7 @@ func (sh *shardState) importWire(w *wire) {
 // instant's arrivals, whether the sender was local (scheduled mid-window) or
 // remote (at the barrier). Until it fires the packet counts as in flight.
 func (sh *shardState) scheduleArrival(p *node.Packet, at sim.Time) {
-	if p.Update != nil {
+	if p.IsRouting() {
 		sh.propCtrl++
 	} else {
 		sh.propUser++
@@ -374,7 +380,7 @@ func (sh *shardState) scheduleArrival(p *node.Packet, at sim.Time) {
 // arrive hands a packet to the node at the far end of the link it crossed.
 func (sh *shardState) arrive(now sim.Time, arg any) {
 	p := arg.(*node.Packet)
-	if p.Update != nil {
+	if p.IsRouting() {
 		sh.propCtrl--
 	} else {
 		sh.propUser--
@@ -413,6 +419,14 @@ func (sh *shardState) measure(now sim.Time, arg any) {
 		sh.originate(n, now)
 	}
 	_ = mustCallAt(sh.kernel, now+sh.s.cfg.MeasurePeriod, sh.measureCall, n)
+}
+
+// exchange is one of n's 1969 vector exchanges (node.PSN.Exchange); it
+// re-arms itself VectorPeriod later.
+func (sh *shardState) exchange(now sim.Time, arg any) {
+	n := arg.(*lnode)
+	n.Exchange(sh.s.g, sh, now)
+	_ = mustCallAt(sh.kernel, now+node.VectorPeriod, sh.vectorCall, n)
 }
 
 // --- faults ---------------------------------------------------------------
@@ -458,12 +472,14 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 	}
 }
 
-// dropOutage books one packet flushed by a link outage, keeping control
-// copies in their own ledger class.
+// dropOutage books one packet flushed by a link outage, keeping routing
+// packets in their own ledger class.
 func (sh *shardState) dropOutage(n *lnode, ls *llink, p *node.Packet, now sim.Time) {
 	if p.Update != nil {
-		sh.led.CtrlOutageDrops++
 		sh.updatesInFlight[p.Update.Origin]--
+	}
+	if p.IsRouting() {
+		sh.led.CtrlOutageDrops++
 	} else {
 		sh.led.User.OutageDrops++
 	}

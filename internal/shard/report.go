@@ -33,8 +33,9 @@ func (s *Sim) Ledgers() []Ledger {
 
 // Report composes the measured window (node.Window.Report) over the nodes in
 // node order and the links in link order, with the composed ledger and the
-// shards' update-copy counters. Call it between Run invocations, when no
-// packet is on a wire.
+// shards' update-copy counters: none under BF1969, whose routing packets
+// are vectors, as on internal/network. Call it between Run invocations, when
+// no packet is on a wire.
 func (s *Sim) Report() Report {
 	metric := "static routes"
 	if s.cfg.Adaptive {
@@ -42,7 +43,9 @@ func (s *Sim) Report() Report {
 	}
 	t := Compose(s.Ledgers())
 	r := s.win.Report(metric, s.shards[0].kernel.Now(), t.Global())
-	r.CtrlGenerated, r.CtrlConsumed, r.CtrlOutageDrops, r.CtrlInFlight = t.CtrlGenerated, t.CtrlConsumed, t.CtrlOutageDrops, t.CtrlInFlight
+	if s.shards[0].routers != nil {
+		r.CtrlGenerated, r.CtrlConsumed, r.CtrlOutageDrops, r.CtrlInFlight = t.CtrlGenerated, t.CtrlConsumed, t.CtrlOutageDrops, t.CtrlInFlight
+	}
 	return r
 }
 
@@ -85,13 +88,10 @@ func (s *Sim) Audit() error {
 // its per-origin counts held to the control copies the shards hold (the
 // wires are empty between Run invocations): every PSN holds the latest
 // update of each reachable origin with no update copy in flight. It stays
-// out of Audit, which stays linear in the network's size. Without Adaptive
-// there are no routers, and it returns nil. Call it between Run
+// out of Audit, which stays linear in the network's size. Without routers
+// (the static plane, BF1969) it returns nil. Call it between Run
 // invocations.
 func (s *Sim) ConvergenceAudit() error {
-	if !s.cfg.Adaptive {
-		return nil
-	}
 	var held int64
 	for _, sh := range s.shards {
 		_, ctrl := sh.inFlight()
@@ -105,17 +105,16 @@ func (s *Sim) ConvergenceAudit() error {
 }
 
 // QuietOrigins returns how many origins have no update copy in flight: those
-// ConvergenceAudit checks (0 without Adaptive). Call it between Run
+// ConvergenceAudit checks (0 without routers). Call it between Run
 // invocations.
-func (s *Sim) QuietOrigins() int {
-	if !s.cfg.Adaptive {
-		return 0
-	}
-	return node.QuietOrigins(s.updatesInFlight())
-}
+func (s *Sim) QuietOrigins() int { return node.QuietOrigins(s.updatesInFlight()) }
 
-// updatesInFlight sums the shards' per-origin update copy counts.
+// updatesInFlight sums the shards' per-origin update copy counts: nil without
+// routers, which count none.
 func (s *Sim) updatesInFlight() []int {
+	if s.shards[0].routers == nil {
+		return nil
+	}
 	sum := make([]int, s.g.NumNodes())
 	for _, sh := range s.shards {
 		for o, c := range sh.updatesInFlight {

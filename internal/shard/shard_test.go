@@ -103,7 +103,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PktRate = math.NaN() },  // New would panic converting its gaps to ticks
 		func(c *Config) { c.PktRate = math.Inf(1) }, // one packet every tick
 		func(c *Config) { c.Dests = 0 },
-		func(c *Config) { c.Metric = node.BF1969 },
 		func(c *Config) { c.Adaptive, c.Faults = true, []Fault{{Trunk: g.NumTrunks(), At: sim.Second}} },
 		func(c *Config) { c.Adaptive, c.Faults = true, []Fault{{Trunk: 0, At: 0}} },
 		func(c *Config) { c.Graph, c.Shards = lone, 1 }, // its first source event would divide by len(dests) == 0
@@ -499,7 +498,7 @@ func itoa(n int) string {
 
 // TestSteadyStateAllocsPerPacket is the run-time guard on the data plane's
 // allocation-free contract (source → handlePacket → startTx → txDone →
-// scheduleArrival → arrive, importWire at 2 shards, adaptiveNextHop on the
+// scheduleArrival → arrive, importWire at 2 shards, PSN.NextLine on the
 // adaptive plane): after warm-up the heap allocations per delivered packet
 // stay at amortized-growth level. The three rows differ in what still
 // allocates by design, so each has its own bound; an allocation planted on

@@ -68,12 +68,12 @@ type Spec struct {
 	Script string
 	// Shards, when positive, runs the sharded engine on that many shards (at
 	// most one a PSN) instead of the unsharded one. It takes NodeTraffic, and
-	// runs no matrix, warm-up, Multipath, Ablations, Track, TraceCapacity or
-	// BF1969 yet.
+	// runs no matrix, warm-up, Multipath, Ablations, Track or TraceCapacity
+	// yet.
 	Shards int
 	// StaticRoutes routes the sharded engine by one static table over fixed
-	// link costs instead of the adaptive plane under Metric; it runs no
-	// Script.
+	// link costs instead of the adaptive plane under a Metric, which it
+	// leaves unset; it runs no Script.
 	StaticRoutes bool
 	// Track names trunks by their two PSNs; the run samples each a→b
 	// direction's utilization and cost once per simulated second.
@@ -299,10 +299,12 @@ func (s Spec) check() error {
 		return fmt.Errorf("Spec.Shards %d: want 0 (the unsharded engine) to %d, one PSN a shard", s.Shards, s.Topology.NumNodes())
 	case s.StaticRoutes && (s.Shards == 0 || s.Script != ""):
 		return errors.New("Spec.StaticRoutes needs Spec.Shards, the one engine with a static plane, and runs no Spec.Script: static routes flood nothing, so no PSN would hear of a failure")
+	case s.StaticRoutes && s.Metric != HNSPF:
+		return fmt.Errorf("Spec.Metric %v has no effect on Spec.StaticRoutes, which route over fixed link costs; leave it unset", s.Metric)
 	}
 	// What the sharded engine does not run yet, and the fields that set it.
-	names := []string{"Traffic (a matrix; set NodeTraffic)", "WarmupSeconds", "Multipath", "Ablations", "Track", "TraceCapacity", "Metric BF1969"}
-	for i, set := range []bool{s.Traffic != nil, s.WarmupSeconds != 0, s.Multipath, len(s.Ablations) > 0, len(s.Track) > 0, s.TraceCapacity > 0, s.Metric == BF1969} {
+	names := []string{"Traffic (a matrix; set NodeTraffic)", "WarmupSeconds", "Multipath", "Ablations", "Track", "TraceCapacity"}
+	for i, set := range []bool{s.Traffic != nil, s.WarmupSeconds != 0, s.Multipath, len(s.Ablations) > 0, len(s.Track) > 0, s.TraceCapacity > 0} {
 		if s.Shards > 0 && set {
 			return fmt.Errorf("Spec.%s: the sharded engine (Spec.Shards %d) does not run it", names[i], s.Shards)
 		}

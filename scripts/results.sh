@@ -18,7 +18,7 @@ go build -o "$tmp/arpanetsim" ./cmd/arpanetsim
 "$tmp/arpanetsim" -seeds 3 -seed 1987 > "$tmp/table1.txt"
 go run ./cmd/figures -seed 1987 > "$tmp/figures.txt"
 # EXPERIMENTS.md "Table 1 at 1024 nodes": four metrics at a light and a heavy
-# rate, through four shards (BF-1969 runs unsharded on the same packets).
+# rate, through four shards.
 for rate in 0.3 2; do
 	for metric in minhop dspf hnspf bf1969; do
 		echo "== arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric $metric -rate $rate -seconds 120 -seed 1987"
