@@ -48,8 +48,10 @@ type Violation struct {
 
 // CheckpointResult is the audit outcome at one checkpoint.
 type CheckpointResult struct {
-	At              sim.Time
-	Conservation    network.Conservation
+	At           sim.Time
+	Conservation network.Conservation
+	// RoutingInFlight counts the routing packets — update copies or 1969
+	// vectors — queued, on a transmitter or propagating.
 	RoutingInFlight int
 	// QuietOrigins counts the origins with no copy of an update in flight:
 	// the ones the convergence audit checked (node.AuditConvergence). An

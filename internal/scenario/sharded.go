@@ -63,7 +63,7 @@ func RunSharded(cfg shard.Config, sc *Scenario, observe func(*shard.Sim)) (*shar
 	for _, at := range slices.Compact(stops) {
 		s.Run(at)
 		r := s.Report()
-		cp := CheckpointResult{At: at, Conservation: r.Conservation, RoutingInFlight: int(r.CtrlInFlight),
+		cp := CheckpointResult{At: at, Conservation: r.Conservation, RoutingInFlight: int(shard.Compose(s.Ledgers()).CtrlInFlight),
 			QuietOrigins: s.QuietOrigins()}
 		res.record(cp, "custody", s.Audit(), s.ConvergenceAudit())
 		res.Report = r // the last stop is the horizon
