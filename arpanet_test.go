@@ -232,8 +232,6 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"negative radius", func(s *Spec) { s.Traffic, s.NodeTraffic = nil, &NodeTraffic{Rate: 1, Dests: 3, Radius: -1} }, "Spec.NodeTraffic {Rate:1 Dests:3 Radius:-1}"},
 		{"more shards than PSNs", func(s *Spec) { s.Traffic, s.NodeTraffic, s.Shards = nil, &NodeTraffic{Rate: 1, Dests: 3}, 5 }, "Spec.Shards 5"},
 		{"negative shards", func(s *Spec) { s.Shards = -1 }, "Spec.Shards -1"},
-		{"sharded matrix", func(s *Spec) { s.Shards = 2 }, "Spec.Traffic (a matrix; set NodeTraffic): the sharded engine"},
-		{"sharded warm-up", func(s *Spec) { sharded(s); s.WarmupSeconds = 10 }, "Spec.WarmupSeconds: the sharded engine"},
 		{"sharded multipath", func(s *Spec) { sharded(s); s.Multipath = true }, "Spec.Multipath: the sharded engine"},
 		{"sharded ablations", func(s *Spec) { sharded(s); s.Ablations = []HNMOption{HNMWithoutAveraging()} }, "Spec.Ablations: the sharded engine"},
 		{"sharded track", func(s *Spec) { sharded(s); s.Track = [][2]string{{"N0", "N1"}} }, "Spec.Track: the sharded engine"},
@@ -242,7 +240,7 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"static routes scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script, s.StaticRoutes = 0, "duration 60\n", true }, "runs no Spec.Script"},
 		{"static routes with a metric", func(s *Spec) { sharded(s); s.StaticRoutes, s.Metric = true, DSPF }, "Spec.Metric D-SPF has no effect on Spec.StaticRoutes"},
 		{"sharded unknown PSN scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script = 0, "duration 60\nat 10 down N0 X9\n" }, `Spec.Script: scenario "scenario": down at 10.000000s: unknown node "X9"`},
-		{"sharded restart scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script = 0, "duration 60\nat 10 restart N0 for 5\n" }, "Spec.Script: scenario \"scenario\": node-down at 10.000000s: the sharded engine runs trunk events"},
+		{"sharded fluid background scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script = 0, "duration 60\nat 10 surge background 2\n" }, "Spec.Script: scenario \"scenario\": surge background at 10.000000s requires a background matrix (hybrid mode)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60}
@@ -262,13 +260,36 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		t.Errorf("RunSeeds with a horizon past the clock: err = %v, want one naming Spec.Seconds", err)
 	}
 	s = Spec{Topology: ring, Seconds: 60}
-	sharded(&s)
-	if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.Shards") {
-		t.Errorf("RunSeeds with Shards: err = %v, want one naming Spec.Shards", err)
+	sharded(&s) // a matrix drawn from Seed alone would not be Seed+1's, on either engine
+	for _, shards := range []int{0, 2} {
+		s.Shards = shards
+		if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.NodeTraffic") {
+			t.Errorf("RunSeeds with NodeTraffic at Shards %d: err = %v, want one naming Spec.NodeTraffic", shards, err)
+		}
 	}
-	s.Shards = 0 // a matrix drawn from Seed alone would not be Seed+1's
-	if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.NodeTraffic") {
-		t.Errorf("RunSeeds with NodeTraffic: err = %v, want one naming Spec.NodeTraffic", err)
+}
+
+// RunSeeds takes Shards with a matrix Traffic, the same for every seed: the
+// sharded engine returns each seed's result as the unsharded one does.
+func TestRunSeedsOnEitherEngine(t *testing.T) {
+	t.Parallel()
+	ring := Ring(5, T56)
+	var want string
+	for _, shards := range []int{0, 2} {
+		rs, err := RunSeeds(Spec{Topology: ring, Traffic: ring.UniformTraffic(40_000), Seed: 1, WarmupSeconds: 10,
+			Script: "duration 40\nat 20 restart N2 for 5\n", Shards: shards}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%s%+v\n%s%+v", rs[0].Report, rs[0].Checkpoints, rs[1].Report, rs[1].Checkpoints)
+		if rs[0].Seed != 1 || rs[1].Seed != 2 || rs[0].Report.String() == rs[1].Report.String() {
+			t.Errorf("Shards %d: seeds %d and %d, reports\n%s", shards, rs[0].Seed, rs[1].Seed, got)
+		}
+		if shards == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("Shards %d rendered\n%s\nShards 0 rendered\n%s", shards, got, want)
+		}
 	}
 }
 

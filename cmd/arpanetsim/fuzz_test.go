@@ -20,8 +20,8 @@ func FuzzRun(f *testing.F) {
 	for _, args := range []string{
 		// checkFlags: a flag the chosen mode never reads, or a map it cannot build.
 		"-shards 2 -adaptive -scenario x.scn -seconds 5", "-shards 2 -background 100", "-shards 2 -background-epoch 5",
-		"-shards 2 -seeds 2", "-shards 2 -json", "-shards 2 -traffic 100", "-shards 2 -growth 2",
-		"-shards 2 -warmup 5", "-shards 2 -metric hnspf", "-rate 2", "-dests 2", "-radius 1",
+		"-shards 2 -rate 1 -seeds 2", "-shards 2 -dests 2 -json", "-shards 2 -radius 1 -traffic 100", "-shards 2 -adaptive -growth 2",
+		"-shards 2 -adaptive -warmup 5", "-shards 2 -rate 1 -metric hnspf", "-rate 2", "-dests 2", "-radius 1",
 		"-adaptive", "-scenario x.scn -seconds 5", "-scenario x.scn -growth 2",
 		"-background-epoch 5", "-metric dspf -growth 2", "-topology hier:4x8",
 		// numberFlag: NaN, below zero, a zero seed count.
@@ -33,12 +33,12 @@ func FuzzRun(f *testing.F) {
 		"-shards 1 -topology hier:4y8 -seconds 1", "-shards 1 -topology waxman:x -seconds 1",
 		"-shards 2 -topology hier:2x3 -seconds 1 -rate 0", "-shards 1 -rate Inf",
 		// Runs that finish in well under a second.
-		"-seconds 5 -warmup 1", "-metric bf1969 -seconds 2 -warmup 1 -json",
+		"-seconds 5 -warmup 1", "-metric bf1969 -seconds 2 -warmup 1 -json", "-shards 2 -seconds 5 -warmup 1 -seeds 2",
 		"-shards 2 -topology hier:2x4 -seconds 2 -adaptive", "-shards 1 -topology waxman:20 -seconds 2",
 		// checkFlags for a script on the sharded engine (-seconds leads the
 		// list): no -adaptive, and each flag the script or the mode replaces,
 		// under the 1969 protocol too.
-		"-shards 2 -scenario x.scn", "-shards 2 -adaptive -metric bf1969 -scenario x.scn -seconds 5",
+		"-shards 2 -rate 1 -scenario x.scn", "-shards 2 -adaptive -metric bf1969 -scenario x.scn -seconds 5",
 		"-shards 2 -adaptive -scenario x.scn -seeds 2", "-shards 2 -adaptive -scenario x.scn -json",
 		"-shards 2 -adaptive -scenario x.scn -traffic 100", "-shards 2 -adaptive -scenario x.scn -growth 2",
 		"-shards 2 -adaptive -scenario x.scn -warmup 5",
@@ -63,8 +63,9 @@ func FuzzRun(f *testing.F) {
 // cheap reports whether run(args) stays off the file system and simulates at
 // most a few seconds of wall time: an invocation the flag checks refuse
 // always does; else no script or profile, at most 30 simulated seconds at up
-// to twice the default load and two seeds, and -shards at most 20 seconds
-// on 64 nodes (what arpanet.Run refuses among them).
+// to twice the default load and two seeds on at most 4 shards, and -shards'
+// per-node mode at most 20 seconds on 64 nodes (what arpanet.Run refuses
+// among them).
 func cheap(args []string) bool {
 	o, fs, err := parse(args, io.Discard)
 	if err != nil {
@@ -76,7 +77,7 @@ func cheap(args []string) bool {
 	if o.scenario != "" || o.cpuProfile != "" || o.memProfile != "" {
 		return false
 	}
-	if o.shards > 0 {
+	if o.perNode {
 		var regions, per, n int
 		switch {
 		case o.topology == "arpanet":
@@ -94,5 +95,5 @@ func cheap(args []string) bool {
 		}
 		return o.seconds <= 20 && o.rate <= 5
 	}
-	return o.warmup+o.seconds <= 30 && o.traffic <= 560 && o.seeds <= 2
+	return o.warmup+o.seconds <= 30 && o.traffic <= 560 && o.seeds <= 2 && o.shards <= 4
 }

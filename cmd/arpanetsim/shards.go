@@ -1,8 +1,10 @@
 package main
 
-// The -shards mode: run the conservative-sync sharded simulator instead of
-// the Table 1 study, on the ARPANET or MILNET map or a generated large
-// topology.
+// The per-node -shards mode: per-node traffic on the sharded engine, on the
+// ARPANET or MILNET map or a generated large topology. -rate, -dests,
+// -radius, -adaptive or a generated -topology choose it; without them
+// -shards runs the Table 1 study or -scenario on the sharded engine instead
+// (main.go).
 //
 //	arpanetsim -shards 4 -topology hier:32x32 -seconds 30
 //	arpanetsim -shards 2 -topology waxman:500 -rate 2 -dests 4
@@ -15,8 +17,8 @@ package main
 // incremental-SPF plane under the chosen -metric, or under bf1969 to the
 // 1969 distance-vector exchange, which is how the hier:32x32
 // Table-1-style study in EXPERIMENTS.md is produced. With -scenario the
-// adaptive plane runs a fault script instead of -seconds: its trunk
-// failures and repairs, audited at its checkpoints.
+// adaptive plane runs a fault script instead of -seconds, audited at its
+// checkpoints.
 
 import (
 	"fmt"

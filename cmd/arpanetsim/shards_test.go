@@ -92,3 +92,23 @@ func TestShardedTable1Rows(t *testing.T) {
 		t.Errorf("-shards 2 printed\n%s\n-shards 1 printed\n%s", two, one)
 	}
 }
+
+// Without a per-node flag, -shards runs the Table 1 study on the sharded
+// engine and prints the unsharded study's bytes.
+func TestShardsRunTheStudy(t *testing.T) {
+	var want string
+	for _, shards := range []string{"0", "2"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-shards", shards, "-warmup", "10", "-seconds", "60"}, &out, &errOut); code != 0 {
+			t.Fatalf("-shards %s exited %d: %s", shards, code, errOut.String())
+		}
+		if shards == "0" {
+			want = out.String()
+		} else if got := out.String(); got != want {
+			t.Errorf("-shards %s printed\n%s\n-shards 0 printed\n%s", shards, got, want)
+		}
+	}
+	if !strings.Contains(want, "Table 1: Network-wide Performance Indicators") {
+		t.Errorf("printed no Table 1:\n%s", want)
+	}
+}

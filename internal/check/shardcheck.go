@@ -142,7 +142,7 @@ func runShardCuts(cfg shard.Config, sc *scenario.Scenario, shards ...int) error 
 			c.Partition = nil
 		}
 		series := make([][]float64, cfg.Graph.NumLinks())
-		s, res, err := scenario.RunSharded(c, sc, func(s *shard.Sim) {
+		s, res, err := scenario.RunSharded(c, 0, sc, func(s *shard.Sim) {
 			for l := range series {
 				series[l] = append(series[l], s.LinkCost(topology.LinkID(l)))
 			}

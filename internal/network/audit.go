@@ -116,11 +116,7 @@ func (n *Network) SetMatrix(m *traffic.Matrix) {
 	}
 	n.cfg.Matrix = m
 	n.setRows(m)
-	for _, p := range n.psns {
-		if p.src.Rate > 0 && !p.sourceArmed {
-			n.armSource(p)
-		}
-	}
+	n.armSources()
 	n.cfg.Trace.Add(trace.Event{At: n.kernel.Now(), Kind: trace.TrafficChange,
 		Node: topology.NoNode, Link: topology.NoLink})
 }

@@ -52,7 +52,14 @@ type Config struct {
 	Seed int64
 	// Warmup opens the measured window: Report covers what happens after
 	// it. The packet ledger (Conservation) books every packet from t = 0.
+	// The window opens before every other event of its instant, as the
+	// sharded engine opens it between barrier windows.
 	Warmup sim.Time
+	// Script, when non-nil, is called by New before it schedules anything
+	// but the warm-up, so each event Script schedules fires before every
+	// event of the engine's own at its instant: where the sharded engine
+	// applies a scripted event, between barrier windows.
+	Script func(*Network)
 	// ModuleFactory overrides the per-link cost module (nil = build from
 	// Metric). Used by the ablation experiments to run modified HNMs.
 	ModuleFactory func(l topology.Link) node.CostModule
@@ -130,8 +137,7 @@ type psn struct {
 	paths    sim.RNG      // multipath next-hop selection (Config.Multipath)
 	dag      *spf.DAG     // multipath first hops over Router's tree (nil: stale, built at the next lookup)
 
-	src         node.Source // its Poisson source over its matrix row
-	sourceArmed bool        // a sourceFire chain is scheduled
+	src node.Source // its Poisson source over its matrix row
 }
 
 // linkState is one directed link: the shared trunk model plus what only
@@ -179,6 +185,14 @@ func New(cfg Config) *Network {
 	n.measureFn = func(t sim.Time, a any) { n.measure(a.(*psn), t) }
 	n.exchangeFn = func(t sim.Time, a any) { n.exchange(a.(*psn), t) }
 	n.sampleFn = func(t sim.Time, _ any) { n.sample(t) }
+	// The window is open from boot; a warm-up's end opens a fresh one.
+	if cfg.Warmup > 0 {
+		// Fire-and-forget: warmup end is unconditional for the whole run.
+		_ = n.kernel.Schedule(cfg.Warmup, func(now sim.Time) { n.win.Open(now, n.Conservation()) })
+	}
+	if cfg.Script != nil {
+		cfg.Script(n)
+	}
 
 	// Per-link state and the shared initial cost database.
 	initial := make([]float64, n.g.NumLinks())
@@ -243,12 +257,7 @@ func New(cfg Config) *Network {
 	}
 	n.setupBackground()
 	_, _ = n.kernel.ScheduleTailCallAt(sampleInterval, sim.MaxTailKey, n.sampleFn, nil)
-	n.scheduleTraffic()
-	// The window is open from boot; a warm-up's end opens a fresh one.
-	if cfg.Warmup > 0 {
-		// Fire-and-forget: warmup end is unconditional for the whole run.
-		_ = n.kernel.Schedule(cfg.Warmup, func(now sim.Time) { n.win.Open(now, n.Conservation()) })
-	}
+	n.armSources()
 	return n
 }
 
@@ -350,27 +359,21 @@ func (n *Network) TrackLinkCost(l topology.LinkID) *stats.Series {
 
 // --- traffic generation -------------------------------------------------
 
-func (n *Network) scheduleTraffic() {
+// armSources schedules the first arrival of every source node.Source.Arm
+// says to: at boot, of each that offers something, and after SetMatrix, of
+// each the new matrix revived.
+func (n *Network) armSources() {
 	for _, p := range n.psns {
-		if p.src.Rate <= 0 {
-			continue
+		if p.src.Arm() {
+			// Fire-and-forget: a source the matrix silences parks at its next
+			// arrival (node.Source.Fire) rather than being cancelled.
+			_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
 		}
-		n.armSource(p)
 	}
 }
 
-func (n *Network) armSource(p *psn) {
-	p.sourceArmed = true
-	// Fire-and-forget: the source chain parks itself via sourceArmed when
-	// the matrix zeroes the rate, rather than being cancelled.
-	_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
-}
-
 func (n *Network) sourceFire(p *psn, now sim.Time) {
-	if p.src.Rate <= 0 {
-		// The matrix switched this source off; the chain parks until
-		// SetMatrix re-arms it.
-		p.sourceArmed = false
+	if !p.src.Fire() {
 		return
 	}
 	pkt := n.pool.Get()
@@ -378,7 +381,7 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 	n.led.Offered++
 	p.Meter.Offer(pkt)
 	n.handlePacket(p, pkt, now)
-	// Fire-and-forget: see armSource.
+	// Fire-and-forget: see armSources.
 	_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
 }
 

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,41 +107,41 @@ func TestRunScenarioAllEventKinds(t *testing.T) {
 
 func TestNodeRestartRestoresOnlyItsTrunks(t *testing.T) {
 	// A trunk a separate TrunkDown holds down must stay down across an
-	// overlapping node restart at one of its endpoints.
-	cfg := ringCfg(node.HNSPF, 3)
-	g := cfg.Graph
+	// overlapping node restart at one of its endpoints: the restart fails
+	// and restores the node's other trunks only, on the timeline both
+	// engines run.
+	g := ringCfg(node.HNSPF, 3).Graph
 	a, b := ringNode(t, g, 0), ringNode(t, g, 1)
-	l, _ := g.FindTrunk(topology.NodeID(0), topology.NodeID(1))
+	ab, _ := g.FindTrunk(topology.NodeID(0), topology.NodeID(1))
 
 	sc := NewScenario("overlap", 200*sim.Second)
 	sc.DownAt(50*sim.Second, a, b)                // scripted outage...
 	sc.RestartAt(60*sim.Second, a, 20*sim.Second) // ...overlapped by a restart at one endpoint
 	sc.UpAt(150*sim.Second, a, b)
-
-	// Drive the runner directly so the network can be probed mid-scenario:
-	// just after the restart completes (t=100) the a—b trunk must still be
-	// down, and the scripted repair must bring it back.
-	net := network.New(network.Config{
-		Graph: cfg.Graph, Matrix: cfg.Matrix, Metric: cfg.Metric,
-		Seed: cfg.Seed, Warmup: cfg.Warmup,
-	})
-	r := &runner{cfg: cfg, net: net}
-	if err := r.schedule(sc); err != nil {
+	acts, err := timeline(g, sc, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	net.Run(100 * sim.Second)
-	if !net.LinkIsDown(l) {
-		t.Error("restart at an endpoint resurrected a trunk a scripted outage holds down")
+	var got []string
+	for _, a := range acts {
+		got = append(got, fmt.Sprintf("%v %s %d", a.At, a.Kind, g.Link(a.link).Trunk))
 	}
-	net.Run(200 * sim.Second)
-	if net.LinkIsDown(l) {
-		t.Error("scripted repair did not bring the trunk back")
+	other := g.Link(g.Out(0)[0]).Trunk
+	if other == g.Link(ab).Trunk {
+		other = g.Link(g.Out(0)[1]).Trunk
 	}
-	if err := net.Conservation().Err(); err != nil {
-		t.Error(err)
+	want := []string{
+		fmt.Sprintf("50.000000s down %d", g.Link(ab).Trunk),
+		fmt.Sprintf("60.000000s down %d", other),
+		fmt.Sprintf("80.000000s up %d", other),
+		fmt.Sprintf("150.000000s up %d", g.Link(ab).Trunk),
 	}
-	if err := net.TransmitterAudit(); err != nil {
-		t.Error(err)
+	if !slices.Equal(got, want) {
+		t.Errorf("timeline %q, want %q", got, want)
+	}
+	res, err := Run(ringCfg(node.HNSPF, 3), sc)
+	if err != nil || len(res.Violations) > 0 {
+		t.Errorf("run: %v, violations %v", err, res.Violations)
 	}
 }
 
@@ -211,6 +213,7 @@ func TestRunRejectsBadScenarios(t *testing.T) {
 		{"no trunk", NewScenario("x", 100*sim.Second).DownAt(sim.Second,
 			cfg.Graph.Node(0).Name, cfg.Graph.Node(2).Name), "no trunk"},
 		{"bad surge", NewScenario("x", 100*sim.Second).SurgeAt(sim.Second, -1), "surge"},
+		{"countless checkpoints", &Scenario{Name: "x", Duration: 1e8 * sim.Second, CheckEvery: 1}, "audits more than 1048576 times"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -121,18 +121,6 @@ type wire struct {
 
 // --- setup ----------------------------------------------------------------
 
-func (s *Sim) buildNode(id topology.NodeID, dests []topology.NodeID, hops func(topology.NodeID) int) {
-	sh := s.shards[s.part[id]]
-	n := &lnode{
-		PSN: node.PSN{ID: id},
-		sh:  sh,
-		src: node.NewSource(s.cfg.Seed, id),
-	}
-	s.nodeAt[id] = n
-	sh.nodes = append(sh.nodes, n)
-	n.src.SetRow(dests, s.cfg.row(dests), hops)
-}
-
 // row is the traffic-matrix row of a node that sends to dests: each an equal
 // share of PktRate packets per second, at the clamped mean packet size, in
 // bits per second. Every node's source is built from it, and so is Matrix.
@@ -149,6 +137,9 @@ func (cfg Config) row(dests []topology.NodeID) []float64 {
 // unsharded engine given it draws the same packets from the same seed. It
 // reads only Graph, Seed and the traffic fields.
 func (cfg Config) Matrix() *traffic.Matrix {
+	if cfg.Traffic != nil {
+		return cfg.Traffic
+	}
 	m := traffic.NewMatrix(cfg.Graph.NumNodes())
 	for id, ds := range cfg.destSets() {
 		for i, bps := range cfg.row(ds) {
@@ -225,9 +216,52 @@ func (s *Sim) buildLinks(id topology.NodeID) {
 
 // --- traffic --------------------------------------------------------------
 
-// source generates one packet and re-arms itself.
+// The scripted changes below — a surge, a matrix switch, a trunk fault, the
+// warm-up's end — are made between Run invocations, once the run has reached
+// the end of the instant before the change's (Run(at-1)): every kernel is
+// idle, and the change takes effect before every event of its instant, as
+// internal/network's scripted events do.
+
+// setRows gives every node's source its row of m, each destination with its
+// hop count.
+func (s *Sim) setRows(m *traffic.Matrix) {
+	ids := make([]topology.NodeID, s.g.NumNodes())
+	for i := range ids {
+		ids[i] = topology.NodeID(i)
+	}
+	topology.AllHops(s.g, func(id topology.NodeID, hops func(topology.NodeID) int) {
+		s.nodeAt[id].src.SetRow(ids, m.Row(id), hops)
+	})
+}
+
+// ScaleTraffic multiplies every source's rate by factor, on every shard,
+// effective from each source's next arrival: a surge.
+func (s *Sim) ScaleTraffic(factor float64) {
+	for _, n := range s.nodeAt {
+		n.src.Rate *= factor
+	}
+}
+
+// SetMatrix switches every source to its row of m at instant at, on every
+// shard, effective from its next arrival. A source m silences parks then
+// (node.Source.Fire); one m revives is re-armed, its next arrival a Gap
+// after at.
+func (s *Sim) SetMatrix(m *traffic.Matrix, at sim.Time) {
+	s.setRows(m)
+	for _, n := range s.nodeAt {
+		if n.src.Arm() {
+			_ = mustCallAt(n.sh.kernel, at+n.src.Gap(), n.sh.sourceCall, n)
+		}
+	}
+}
+
+// source generates one packet and re-arms itself, unless its rate has
+// fallen to 0 (node.Source.Fire).
 func (sh *shardState) source(now sim.Time, arg any) {
 	n := arg.(*lnode)
+	if !n.src.Fire() {
+		return
+	}
 	if n.pseq == math.MaxUint32 {
 		panic(fmt.Sprintf("shard: node %d used up its 32-bit user sequence numbers; one more would carry into the node field of Packet.Seq", n.ID))
 	}
@@ -434,6 +468,15 @@ func (sh *shardState) exchange(now sim.Time, arg any) {
 type faultEv struct {
 	ls *llink
 	up bool
+}
+
+// ApplyFault fails or restores f.Trunk at f.At, each direction as its
+// Config.Faults event would. Only the adaptive plane takes faults.
+func (s *Sim) ApplyFault(f Fault) {
+	for _, l := range [2]topology.LinkID{topology.LinkID(2 * f.Trunk), topology.LinkID(2*f.Trunk + 1)} {
+		ls := s.linkAt[l]
+		s.nodeAt[ls.l.From].sh.fault(f.At, &faultEv{ls: ls, up: f.Up})
+	}
 }
 
 // fault applies one scripted state change to a directed link through the

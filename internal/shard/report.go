@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/node"
+	"repro/internal/sim"
 	"repro/internal/spf"
 	"repro/internal/topology"
 )
@@ -48,6 +49,11 @@ func (s *Sim) Report() Report {
 	}
 	return r
 }
+
+// OpenWindow starts the measured window afresh at instant at
+// (node.Window.Open), the warm-up's end, made like a scripted change: the
+// window opens before every event of at.
+func (s *Sim) OpenWindow(at sim.Time) { s.win.Open(at, Compose(s.Ledgers()).Global()) }
 
 // Audit checks every custody, transmitter, schedule and shared-payload
 // invariant. Call it between Run invocations: Run returns only after

@@ -48,6 +48,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // Fault is one scripted trunk state change.
@@ -70,6 +71,10 @@ type Config struct {
 	PktRate    float64
 	Dests      int
 	DestRadius int
+	// Traffic, when non-nil, is the offered load as a matrix instead, and
+	// PktRate, Dests and DestRadius stay zero: each node's source offers
+	// its row, as internal/network's sources do.
+	Traffic *traffic.Matrix
 
 	QueueLimit int             // per-link output buffer (default node.DefaultQueueLimit)
 	Metric     node.MetricKind // cost module for the per-link metric readings
@@ -144,13 +149,17 @@ func (cfg Config) Validate() error {
 	if err := staticPlaneFits(cfg.Graph.NumNodes(), cfg.Adaptive); err != nil {
 		return err
 	}
-	if !(cfg.PktRate > 0) || math.IsInf(cfg.PktRate, 1) { // !(x > 0) is true for NaN
+	switch m := cfg.Traffic; {
+	case m != nil && (m.NumNodes() != cfg.Graph.NumNodes() || !(m.Total() < math.Inf(1))):
+		return fmt.Errorf("shard: Traffic is not a finite load over the graph's %d nodes", cfg.Graph.NumNodes())
+	case m != nil && (cfg.PktRate != 0 || cfg.Dests != 0 || cfg.DestRadius != 0):
+		return fmt.Errorf("shard: Traffic is set, so PktRate, Dests and DestRadius must stay zero")
+	case m != nil:
+	case !(cfg.PktRate > 0) || math.IsInf(cfg.PktRate, 1): // !(x > 0) is true for NaN
 		return fmt.Errorf("shard: PktRate must be positive and finite, got %v", cfg.PktRate)
-	}
-	if cfg.Dests < 1 {
+	case cfg.Dests < 1:
 		return fmt.Errorf("shard: Dests must be >= 1")
-	}
-	if cfg.DestRadius < 0 { // 0 draws destinations uniformly
+	case cfg.DestRadius < 0: // 0 draws destinations uniformly
 		return fmt.Errorf("shard: DestRadius must be >= 0, got %d", cfg.DestRadius)
 	}
 	if cfg.QueueLimit < 0 {
@@ -227,15 +236,24 @@ func New(cfg Config) (*Sim, error) {
 		s.shards = append(s.shards, sh)
 	}
 
-	sets := cfg.destSets()
-	for id, dests := range sets {
-		if len(dests) == 0 {
-			return nil, fmt.Errorf("shard: node %d (%s) has nowhere to send: its destination set is empty", id, g.Node(topology.NodeID(id)).Name)
-		}
+	for id := range g.NumNodes() {
+		n := &lnode{PSN: node.PSN{ID: topology.NodeID(id)}, sh: s.shards[s.part[id]], src: node.NewSource(cfg.Seed, topology.NodeID(id))}
+		s.nodeAt[id] = n
+		n.sh.nodes = append(n.sh.nodes, n)
 	}
-	topology.AllHops(g, func(id topology.NodeID, hops func(topology.NodeID) int) {
-		s.buildNode(id, sets[id], hops)
-	})
+	if cfg.Traffic != nil {
+		s.setRows(cfg.Traffic)
+	} else {
+		sets := cfg.destSets()
+		for id, dests := range sets {
+			if len(dests) == 0 {
+				return nil, fmt.Errorf("shard: node %d (%s) has nowhere to send: its destination set is empty", id, g.Node(topology.NodeID(id)).Name)
+			}
+		}
+		topology.AllHops(g, func(id topology.NodeID, hops func(topology.NodeID) int) {
+			s.nodeAt[id].src.SetRow(sets[id], cfg.row(sets[id]), hops)
+		})
+	}
 	for id := 0; id < g.NumNodes(); id++ {
 		s.buildLinks(topology.NodeID(id))
 	}
@@ -264,7 +282,9 @@ func New(cfg Config) (*Sim, error) {
 			n.LastOriginated = node.BootOriginated(n.ID, first, cfg.MeasurePeriod)
 			_ = mustCallAt(sh.kernel, first, sh.measureCall, n)
 		}
-		_ = mustCallAt(sh.kernel, n.src.Gap(), sh.sourceCall, n)
+		if n.src.Arm() {
+			_ = mustCallAt(sh.kernel, n.src.Gap(), sh.sourceCall, n)
+		}
 		for fi := range cfg.Faults {
 			f := &cfg.Faults[fi]
 			for _, lid := range []topology.LinkID{topology.LinkID(2 * f.Trunk), topology.LinkID(2*f.Trunk + 1)} {
