@@ -16,9 +16,10 @@
 //
 // Scenarios come from the builder API (NewScenario().DownAt(...)...) or
 // from the line-oriented script format (Parse; see the grammar
-// in script.go). Run executes one seed on internal/network, with every event
-// and checkpoint on the network's kernel; RunSharded executes the trunk
-// events on internal/shard, running from checkpoint to checkpoint. RunBatch
+// in script.go). Both engines run one timeline of a script (timeline), each
+// step before every event of its instant: Run executes one seed on
+// internal/network, every step an event on the network's kernel, and
+// RunSharded on internal/shard, every step between barrier windows. RunBatch
 // fans a scenario over many seeds (internal/fanout), each seed in its own
 // independent Network, with results that are byte-for-byte identical at any
 // GOMAXPROCS.
