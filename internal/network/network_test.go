@@ -333,6 +333,26 @@ func TestWarmupMovesOnlyTheWindow(t *testing.T) {
 	}
 }
 
+// The warm-up opens its window before every other event of its instant, as
+// the sharded engine opens it between barrier windows, so an update flooded
+// at that instant counts whether its measurement was scheduled at boot
+// (node A's first, at 10 s) or by the run (A's refresh 50 s later). Opened
+// after the boot-scheduled events of its instant, as it once was, the window
+// missed the first and counted the second.
+func TestWarmupOpensBeforeItsInstant(t *testing.T) {
+	g := topology.New()
+	a, b := g.AddNode("A"), g.AddNode("B")
+	g.AddTrunk(a, b, topology.T56)
+	first := node.FirstMeasurement(a, g.NumNodes(), node.MeasurementPeriod)
+	for _, warm := range []sim.Time{first, first + node.MaxUpdateInterval} {
+		n := New(Config{Graph: g, Matrix: traffic.NewMatrix(2), Metric: node.MinHop, Seed: 1, Warmup: warm})
+		n.Run(warm + sim.Second)
+		if got := n.Report().UpdatesOriginated; got != 1 {
+			t.Errorf("warm-up %v: %d updates in the window, want node A's refresh at its end", warm, got)
+		}
+	}
+}
+
 // TestSteadyStateAllocsPerPacket is the runtime twin of the engine's
 // allocation-free packet path (sourceFire → handlePacket → enqueue → startTx
 // → txDone → propArrive): on the ARPANET map under D-SPF, so floods run,
