@@ -233,12 +233,12 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"more shards than PSNs", func(s *Spec) { s.Traffic, s.NodeTraffic, s.Shards = nil, &NodeTraffic{Rate: 1, Dests: 3}, 5 }, "Spec.Shards 5"},
 		{"negative shards", func(s *Spec) { s.Shards = -1 }, "Spec.Shards -1"},
 		{"sharded multipath", func(s *Spec) { sharded(s); s.Multipath = true }, "Spec.Multipath: the sharded engine"},
-		{"sharded ablations", func(s *Spec) { sharded(s); s.Ablations = []HNMOption{HNMWithoutAveraging()} }, "Spec.Ablations: the sharded engine"},
 		{"sharded track", func(s *Spec) { sharded(s); s.Track = [][2]string{{"N0", "N1"}} }, "Spec.Track: the sharded engine"},
 		{"sharded trace", func(s *Spec) { sharded(s); s.TraceCapacity = 10 }, "Spec.TraceCapacity: the sharded engine"},
 		{"static routes unsharded", func(s *Spec) { s.StaticRoutes = true }, "Spec.StaticRoutes needs Spec.Shards"},
 		{"static routes scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script, s.StaticRoutes = 0, "duration 60\n", true }, "runs no Spec.Script"},
 		{"static routes with a metric", func(s *Spec) { sharded(s); s.StaticRoutes, s.Metric = true, DSPF }, "Spec.Metric D-SPF has no effect on Spec.StaticRoutes"},
+		{"static routes ablated", func(s *Spec) { sharded(s); s.StaticRoutes, s.Ablations = true, []HNMOption{HNMWithoutAveraging()} }, "Spec.Ablations have no effect on Spec.StaticRoutes"},
 		{"sharded unknown PSN scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script = 0, "duration 60\nat 10 down N0 X9\n" }, `Spec.Script: scenario "scenario": down at 10.000000s: unknown node "X9"`},
 		{"sharded fluid background scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script = 0, "duration 60\nat 10 surge background 2\n" }, "Spec.Script: scenario \"scenario\": surge background at 10.000000s requires a background matrix (hybrid mode)"},
 	} {

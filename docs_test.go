@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,6 +31,10 @@ var (
 	// goTestCmd is a go test command line: its flags and packages, a quoted
 	// -run pattern's alternatives included, up to a shell separator.
 	goTestCmd = regexp.MustCompile(`go test((?:[ \t]+(?:'[^'\n]*'|"[^"\n]*"|[^\s|;&>#'"]+))*)`)
+	// repoPath is a file path: a directory, a / and a name with a lowercase
+	// extension, a glob's * allowed, a :line suffix stripped first.
+	repoPath  = regexp.MustCompile(`^(?:\./)?[\w.*-]+(?:/[\w.*-]+)*/[\w*-][\w.*-]*\.[a-z][a-z0-9]*$`)
+	lineRef   = regexp.MustCompile(`:[0-9]+(?:[–-][0-9]+)?$`)
 	flagDecls = map[string]bool{
 		"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
 		"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
@@ -38,17 +43,60 @@ var (
 	}
 )
 
-// codeIn returns the code of a Markdown document: every fenced block and
-// every inline span, a span's line breaks read as spaces.
-func codeIn(doc string) []string {
-	var code []string
+// codeIn returns the code of a Markdown document: every fenced block, then
+// every inline span, a span's line breaks read as spaces; spans counts the
+// spans, which end the list.
+func codeIn(doc string) (code []string, spans int) {
 	for _, m := range fence.FindAllStringSubmatch(doc, -1) {
 		code = append(code, m[1])
 	}
 	for _, m := range codeSpan.FindAllStringSubmatch(fence.ReplaceAllString(doc, ""), -1) {
 		code = append(code, strings.ReplaceAll(m[1], "\n", " "))
+		spans++
 	}
-	return code
+	return code, spans
+}
+
+// repoFiles returns the path of every file in the working tree, relative to
+// its root, hidden directories but .github left out.
+func repoFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." && d.Name() != ".github" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() {
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// missingPaths returns each file path in a code span that names no file of
+// files: none is the path, or ends in it after a / (a package's
+// testdata/x.golden), or matches it as a glob.
+func missingPaths(span string, files []string) []string {
+	var missing []string
+	for _, f := range strings.Fields(span) {
+		path := strings.TrimPrefix(lineRef.ReplaceAllString(strings.TrimRight(f, ".,;)"), ""), "./")
+		if repoPath.MatchString(path) && !slices.ContainsFunc(files, func(file string) bool {
+			parts := strings.Split(file, "/")
+			tail := strings.Join(parts[max(0, len(parts)-strings.Count(path, "/")-1):], "/")
+			ok, _ := filepath.Match(path, tail)
+			return ok
+		}) {
+			missing = append(missing, path)
+		}
+	}
+	return missing
 }
 
 // moduleFuncs returns the name of every function declared in the module,
@@ -128,8 +176,9 @@ func commandFlags(t *testing.T, name string) map[string]bool {
 // BenchmarkX or FuzzX that is no prefix of a module function (docs cite -run
 // patterns such as TestBF1969 and TestStaticRoute*), a name in a go test
 // command's -run pattern that is no prefix of a function in the packages
-// that command lists, and a `go run ./cmd/X` flag that X does not define.
-func checkDoc(t *testing.T, doc, text string, funcs map[string][]string) []string {
+// that command lists, a `go run ./cmd/X` flag that X does not define, and in
+// a Markdown code span a repo-relative file path that names no file.
+func checkDoc(t *testing.T, doc, text string, funcs map[string][]string, files []string) []string {
 	t.Helper()
 	var stale []string
 	var all []string
@@ -137,9 +186,14 @@ func checkDoc(t *testing.T, doc, text string, funcs map[string][]string) []strin
 		all = append(all, fs...)
 	}
 	flagsOf := map[string]map[string]bool{}
-	codes := []string{text}
+	codes, spans := []string{text}, 0
 	if strings.HasSuffix(doc, ".md") {
-		codes = codeIn(text)
+		codes, spans = codeIn(text)
+	}
+	for _, span := range codes[len(codes)-spans:] {
+		for _, path := range missingPaths(span, files) {
+			stale = append(stale, doc+": "+path+" names no file")
+		}
 	}
 	for _, code := range codes {
 		for _, name := range testName.FindAllString(code, -1) {
@@ -265,7 +319,7 @@ func commandDoc(t *testing.T, name string) string {
 // benchmark or fuzz target they cite exists, and every flag they or a
 // command's own package comment pass a command is one it defines.
 func TestDocsNameRealCode(t *testing.T) {
-	funcs := moduleFuncs(t)
+	funcs, files := moduleFuncs(t), repoFiles(t)
 	for _, pattern := range docsChecked {
 		docs, err := filepath.Glob(pattern)
 		if err != nil || len(docs) == 0 {
@@ -276,7 +330,7 @@ func TestDocsNameRealCode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range checkDoc(t, doc, string(text), funcs) {
+			for _, s := range checkDoc(t, doc, string(text), funcs, files) {
 				t.Error(s)
 			}
 		}
@@ -296,11 +350,15 @@ func TestDocsNameRealCode(t *testing.T) {
 // TestDocsCheckCatchesStaleNames plants one stale name of each kind.
 func TestDocsCheckCatchesStaleNames(t *testing.T) {
 	funcs := map[string][]string{"internal/sim": {"TestRunUntil"}, "internal/shard": {"TestStaticRouteClosures"}}
+	files := []string{"internal/node/psn.go", ".github/workflows/ci.yml", "internal/shard/testdata/hier1k.golden"}
 	doc := "Run `TestStaticRoute*` and\n\n```\ngo run ./cmd/checker -campaigns 3 -seed 1 | tee out\n" +
 		"go run ./cmd/figures -fig 1\ngo test -run TestRunUntil ./internal/sim\n```\n" +
-		"then `TestStopOnViolationFreezes`, `go run ./cmd/arpanetsim -seeds 3\n-frozen` and `go run ./cmd/nosuch -x`."
-	got := checkDoc(t, "doc.md", doc, funcs)
+		"then `TestStopOnViolationFreezes`, `go run ./cmd/arpanetsim -seeds 3\n-frozen` and `go run ./cmd/nosuch -x`.\n" +
+		"`internal/node/psn.go:20`, `.github/workflows/*.yml`, `testdata/hier1k.golden`, `go test ./internal/node`,\n" +
+		"`1/2.5` and `internal/core.Module.Update` are fine; `internal/network/distvec.go:82` moved."
+	got := checkDoc(t, "doc.md", doc, funcs, files)
 	want := []string{
+		"doc.md: internal/network/distvec.go names no file",
 		"doc.md: TestStopOnViolationFreezes names no function in the module",
 		"doc.md: go run ./cmd/arpanetsim -frozen: arpanetsim defines no such flag",
 		"doc.md: go run ./cmd/nosuch names no command",
@@ -313,7 +371,7 @@ func TestDocsCheckCatchesStaleNames(t *testing.T) {
 	runs := "`go test -run 'TestRunUntil|TestStaticRouteClosures' ./internal/sim/` and\n" +
 		"```\ngo test -count=1 -run=TestRunUntil ./internal/shard ./internal/sim\n" +
 		"go test -run TestStaticRouteClosures ./...\ngo test -run TestRunUntil -v\n```\n"
-	got = checkDoc(t, "doc.md", runs, funcs)
+	got = checkDoc(t, "doc.md", runs, funcs, files)
 	want = []string{
 		"doc.md: TestRunUntil names no function in .",
 		"doc.md: TestStaticRouteClosures names no function in internal/sim",
@@ -326,7 +384,7 @@ func TestDocsCheckCatchesStaleNames(t *testing.T) {
 	ci := "      - name: Race\n        # TestRunUntil, then the renamed FuzzGone target\n" +
 		"        run: |\n          go test -run 'TestRunUntil|TestRenamedAway' ./internal/sim\n" +
 		"          go test -fuzz FuzzGone ./internal/sim\n          go run ./cmd/checker -campaigns 25 -frozen\n"
-	got = checkDoc(t, "ci.yml", ci, funcs)
+	got = checkDoc(t, "ci.yml", ci, funcs, files)
 	want = []string{
 		"ci.yml: FuzzGone names no function in the module",
 		"ci.yml: TestRenamedAway names no function in the module",

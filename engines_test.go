@@ -13,9 +13,10 @@ import (
 //   - Table 1's two legs — D-SPF on the 280 kbps gravity matrix, then HN-SPF
 //     at the paper's +13% load — each after the 100 s warm-up, over a
 //     measured window shortened to 10 s;
-//   - per-node traffic under HN-SPF and under BF-1969 on hier:4x8, with one
-//     trunk failed and repaired by a script (offered to Shards 0 as the same
-//     draws in a matrix).
+//   - per-node traffic under HN-SPF, under HN-SPF without its averaging and
+//     its minimum-change threshold (Spec.Ablations), and under BF-1969 on
+//     hier:4x8, with one trunk failed and repaired by a script (offered to
+//     Shards 0 as the same draws in a matrix).
 func TestRunEngineDoesNotShow(t *testing.T) {
 	t.Parallel()
 	arpa := Arpanet1987()
@@ -30,31 +31,37 @@ func TestRunEngineDoesNotShow(t *testing.T) {
 		{Topology: arpa, Traffic: arpa.GravityTraffic(ArpanetWeights(), 280_000), Metric: DSPF, Seed: 1987, WarmupSeconds: 100, Seconds: 110},
 		{Topology: arpa, Traffic: arpa.GravityTraffic(ArpanetWeights(), 280_000*413.99/366.26), Metric: HNSPF, Seed: 1987, WarmupSeconds: 100, Seconds: 110},
 		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: HNSPF, Seed: 1, Script: script},
+		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: HNSPF, Seed: 1, Script: script,
+			Ablations: []HNMOption{HNMWithoutAveraging(), HNMWithoutMinChange()}},
 		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: BF1969, Seed: 1, Script: script},
 	} {
 		var want string
+		name := spec.Metric.String()
+		if len(spec.Ablations) > 0 {
+			name += " ablated"
+		}
 		for _, shards := range []int{0, 1, 2, 4} {
 			spec.Shards = shards
 			res, err := Run(spec)
 			if err != nil {
-				t.Fatalf("%v, Shards %d: %v", spec.Metric, shards, err)
+				t.Fatalf("%s, Shards %d: %v", name, shards, err)
 			}
 			if len(res.Violations) > 0 {
-				t.Errorf("%v, Shards %d: %v", spec.Metric, shards, res.Violations)
+				t.Errorf("%s, Shards %d: %v", name, shards, res.Violations)
 			}
 			got := fmt.Sprintf("%s%+v", res.Report, res.Checkpoints)
 			if shards == 0 {
 				want = got
 				if c := res.Report.Conservation; c.BufferDrops == 0 {
-					t.Errorf("%v: ledger %+v: the load should overflow a buffer", spec.Metric, c)
+					t.Errorf("%s: ledger %+v: the load should overflow a buffer", name, c)
 				}
 				continue
 			}
 			if got != want {
-				t.Errorf("%v, Shards %d rendered\n%s\nShards 0 rendered\n%s", spec.Metric, shards, got, want)
+				t.Errorf("%s, Shards %d rendered\n%s\nShards 0 rendered\n%s", name, shards, got, want)
 			}
 			if res.Stats.Events == 0 || res.Stats.Barrier.Windows == 0 {
-				t.Errorf("%v, Shards %d: no engine counters: %+v", spec.Metric, shards, res.Stats)
+				t.Errorf("%s, Shards %d: no engine counters: %+v", name, shards, res.Stats)
 			}
 		}
 	}

@@ -139,16 +139,6 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 	return scriptFailure("scenario-audit", seed, topo.Desc, header, sc, err, run)
 }
 
-// fixedCost is a cost module whose cost never moves. On idle lines it leaves
-// the faults and the 50 s refreshes as the only floods, so at a heal trial's
-// checkpoint only refreshes can be in flight.
-type fixedCost struct{}
-
-func (fixedCost) Update(float64) (float64, bool) { return 1, false }
-func (fixedCost) Cost() float64                  { return 1 }
-func (fixedCost) Floor() float64                 { return 1 }
-func (fixedCost) Reset()                         {}
-
 // CheckFlood runs one heal trial, the case random fault scripts rarely draw.
 // On a generated topology with idle lines, just after every PSN's first 50 s
 // refresh, the trunks between a random half of the nodes and the rest fail,
@@ -198,12 +188,11 @@ func CheckFlood(rng *rand.Rand, seed int64) *Failure {
 
 	var net *network.Network
 	cfg := scenario.Config{
-		Graph:         g,
-		Matrix:        traffic.NewMatrix(g.NumNodes()),
-		Metric:        node.MinHop,
-		Seed:          seed,
-		ModuleFactory: func(topology.Link) node.CostModule { return fixedCost{} },
-		Prepare:       func(n *network.Network) { net = n },
+		Graph:   g,
+		Matrix:  traffic.NewMatrix(g.NumNodes()),
+		Metric:  node.MinHop,
+		Seed:    seed,
+		Prepare: func(n *network.Network) { net = n },
 	}
 	run := func(events []scenario.Event) error {
 		if err := runScript(cfg, script(sc.Name, sc.Duration, 0, events)); err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/scenario"
@@ -24,7 +25,8 @@ const agreeSeconds = 60
 // agreeSeeds are TestEnginesAgree's inputs: between them they draw the
 // ARPANET and MILNET maps and three generated ones (a ring, a Waxman and a
 // hierarchical graph), every metric at least once and each SPF metric
-// under load, per-node and gravity loads, with and without a warm-up.
+// under load, HN-SPF with one, two and all five ablations, per-node and
+// gravity loads, with and without a warm-up.
 var agreeSeeds = []int64{2, 3, 5, 6, 10, 26, 84, 147}
 
 // TestEnginesAgree holds the two packet engines to each other on random
@@ -42,9 +44,11 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-// FuzzEnginesAgree is TestEnginesAgree over any seed.
+// FuzzEnginesAgree is TestEnginesAgree over any seed; its second seed draws
+// HN-SPF with two ablations.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add(int64(7))
+	f.Add(int64(107))
 	f.Fuzz(func(t *testing.T, seed int64) { agree(t, seed) })
 }
 
@@ -61,7 +65,7 @@ func agree(t *testing.T, seed int64) {
 			t.Fatalf("at %v the reports differ:\nnetwork:\n%s\nshard:\n%s", at, got, want)
 		}
 		for l := range topology.LinkID(in.cfg.Graph.NumLinks()) {
-			if got, want := n.Trunk(l).Module.Cost(), s.LinkCost(l); got != want {
+			if got, want := n.Trunk(l).Cost(), s.LinkCost(l); got != want {
 				t.Fatalf("at %v: link %d advertises %v on the network, %v on the shard", at, l, got, want)
 			}
 		}
@@ -101,8 +105,8 @@ func (in agreement) network() *network.Network {
 	evs := slices.Clone(in.sc.Events)
 	slices.SortStableFunc(evs, func(a, b scenario.Event) int { return cmp.Compare(a.At, b.At) })
 	took := map[topology.NodeID][]topology.LinkID{}
-	return network.New(network.Config{Graph: g, Matrix: in.cfg.Matrix(), Metric: in.cfg.Metric, Seed: in.cfg.Seed,
-		Warmup: in.warmup, Script: func(n *network.Network) {
+	return network.New(network.Config{Graph: g, Matrix: in.cfg.Matrix(), Metric: in.cfg.Metric, Ablations: in.cfg.Ablations,
+		Seed: in.cfg.Seed, Warmup: in.warmup, Script: func(n *network.Network) {
 			for _, ev := range evs {
 				_, _ = n.Kernel().ScheduleAt(ev.At, func(sim.Time) {
 					id, _ := g.Lookup(ev.Node)
@@ -137,7 +141,8 @@ func (in agreement) network() *network.Network {
 }
 
 // drawAgreement draws one input from seed: the map (the ARPANET map, MILNET
-// or check.GenTopology's), the metric, a per-node or a gravity load from
+// or check.GenTopology's), the metric — under HN-SPF with any of its five
+// ablations — a per-node or a gravity load from
 // light to past saturation, a warm-up, and a script. Its first failure
 // fires one tick after the first instant from a drawn time on at which a
 // user packet is on some trunk's transmitter, found by stepping a probe
@@ -164,6 +169,15 @@ func drawAgreement(t *testing.T, seed int64) agreement {
 	metrics := []node.MetricKind{node.MinHop, node.DSPF, node.HNSPF, node.BF1969}
 	in := agreement{cfg: shard.Config{Graph: g, Shards: 1, Seed: seed, Metric: metrics[rng.Intn(len(metrics))], Adaptive: true},
 		sc: scenario.NewScenario("agree", agreeSeconds*sim.Second)}
+	var ablated []string
+	if in.cfg.Metric == node.HNSPF {
+		for i, o := range hnmOptions {
+			if rng.Intn(2) == 0 {
+				in.cfg.Ablations = append(in.cfg.Ablations, o)
+				ablated = append(ablated, hnmOptionNames[i])
+			}
+		}
+	}
 	rate, load := 0.5*math.Exp2(6*rng.Float64()), ""
 	if rng.Intn(2) == 0 {
 		in.cfg.PktRate, in.cfg.Dests = rate, 1+rng.Intn(4)
@@ -246,9 +260,17 @@ func drawAgreement(t *testing.T, seed int64) agreement {
 			in.sc.UpAt(at, a, b)
 		}
 	}
-	in.desc = fmt.Sprintf("seed %d: %s, %v, %s, warm-up %v, script %+v", seed, topo.Desc, in.cfg.Metric, load, in.warmup, in.sc.Events)
+	in.desc = fmt.Sprintf("seed %d: %s, %v ablated %v, %s, warm-up %v, script %+v", seed, topo.Desc, in.cfg.Metric, ablated, load, in.warmup, in.sc.Events)
 	return in
 }
+
+// hnmOptions are the HNM's five ablations, each drawn with even odds under
+// HN-SPF; hnmOptionNames name them in a drawn input's description.
+var (
+	hnmOptions = []core.Option{core.WithoutAveraging(), core.WithoutMovementLimits(), core.WithSymmetricLimits(),
+		core.WithoutMinChange(), core.WithMD1Table()}
+	hnmOptionNames = []string{"averaging", "movement limits", "asymmetric limits", "minimum change", "M/D/1 table"}
+)
 
 // within draws a time within one measurement period, to the microsecond.
 func within(rng *rand.Rand) sim.Time {

@@ -76,7 +76,7 @@ func (n *Network) ConvergenceAudit() error {
 
 // QuietOrigins returns how many origins have no copy of a flooded update in
 // flight: those ConvergenceAudit checks.
-func (n *Network) QuietOrigins() int { return node.QuietOrigins(n.updatesInFlight) }
+func (n *Network) QuietOrigins() int { return n.updatesInFlight.Quiet() }
 
 // StaleFloods returns, ascending, the origins that still have a copy of an
 // update in flight but have originated nothing since t: floods older than t

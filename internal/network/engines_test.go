@@ -107,7 +107,7 @@ func runBothEngines(t testing.TB, cfg shard.Config, seconds int) Report {
 			t.Fatalf("at %v the reports differ:\nnetwork:\n%s\nshard:\n%s", at, got, want)
 		}
 		for l, ls := range n.links {
-			if got, want := ls.Module.Cost(), s.LinkCost(topology.LinkID(l)); got != want {
+			if got, want := ls.Cost(), s.LinkCost(topology.LinkID(l)); got != want {
 				t.Fatalf("at %v: link %d advertises %v on the network, %v on the shard", at, l, got, want)
 			}
 		}

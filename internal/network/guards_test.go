@@ -52,7 +52,7 @@ func TestConvergenceAuditCatchesDroppedScheduleError(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := n.Kernel()
-		k.ScheduleTailCallAt(k.Now()-sim.Millisecond, 0, n.measureFn, n.psns[0]) // the measurement tick that never re-arms
+		k.ScheduleTailCallAt(k.Now()-sim.Millisecond, 0, n.tickFn, n.psns[0]) // the tick that never re-arms
 		if err := n.ConvergenceAudit(); err == nil || !strings.Contains(err.Error(), "refused 1 schedules") {
 			t.Errorf("%v: ConvergenceAudit = %v, want the refusal reported", metric, err)
 		}

@@ -1,9 +1,10 @@
 // Package network assembles the complete ARPANET model on top of the
 // discrete-event kernel: PSNs with finite output queues, trunk
 // transmitters, Poisson traffic sources driven by a traffic matrix,
-// per-link delay measurement on the 10-second period, the pluggable link
-// metric (HN-SPF / D-SPF / min-hop), and the flooding of routing updates as
-// real high-priority packets that consume trunk bandwidth.
+// per-link delay measurement on the 10-second period, and the routing
+// protocol a node.PSN runs — the flood of routing updates over one of the SPF
+// metrics (HN-SPF, D-SPF, min-hop) or the 1969 distance vector — as real
+// high-priority packets that consume trunk bandwidth.
 //
 // It is the experiment driver behind Table 1, Figure 1 and Figure 13.
 package network
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/flooding"
 	"repro/internal/flowmodel"
 	"repro/internal/node"
@@ -60,9 +62,9 @@ type Config struct {
 	// event of the engine's own at its instant: where the sharded engine
 	// applies a scripted event, between barrier windows.
 	Script func(*Network)
-	// ModuleFactory overrides the per-link cost module (nil = build from
-	// Metric). Used by the ablation experiments to run modified HNMs.
-	ModuleFactory func(l topology.Link) node.CostModule
+	// Ablations switch HN-SPF's stabilization mechanisms off, one option
+	// each (node.NewCostModule); the other metrics ignore them.
+	Ablations []core.Option
 	// Multipath enables equal-cost multipath forwarding (§4.5): packets
 	// spread randomly over every first hop on a minimum-cost path. This is
 	// the paper's "future work" remedy for large single flows.
@@ -90,7 +92,7 @@ type Network struct {
 	psns   []*psn
 	links  []*linkState
 	// routers is the PSNs' shared table, the one link-state database: one
-	// kernel, one goroutine drives them all (nil in BF1969 mode).
+	// kernel, one goroutine drives them all (nil where nothing floods).
 	routers *spf.Table
 
 	// fluid is the hybrid engine's background layer (nil without
@@ -107,15 +109,14 @@ type Network struct {
 	sourceFireFn sim.Call
 	txDoneFn     sim.Call
 	propArriveFn sim.Call
-	measureFn    sim.Call
-	exchangeFn   sim.Call
+	tickFn       sim.Call
 	sampleFn     sim.Call
 
 	// led books every user packet's fate from t = 0; its InFlight is
 	// counted only at the snapshot (Conservation). win is the measured
 	// window over the PSNs' meters and the links' utilization. ctrlSent,
-	// ctrlConsumed and ctrlOutage count update copies enqueued, consumed and
-	// destroyed by an outage, from t = 0.
+	// ctrlConsumed and ctrlOutage count routing packets enqueued, consumed and
+	// destroyed by an outage, from t = 0: the update copies where PSNs flood.
 	led                                node.Conservation
 	win                                *node.Window
 	ctrlSent, ctrlConsumed, ctrlOutage int64
@@ -126,13 +127,12 @@ type Network struct {
 	propRouting int // routing packets propagating
 
 	// updatesInFlight counts, by origin, the copies of its flooded updates
-	// queued, on a transmitter or propagating: the convergence audit checks
-	// an origin only while it is zero (nil in BF1969 mode).
-	updatesInFlight []int
+	// queued, on a transmitter or propagating (nil where nothing floods).
+	updatesInFlight node.Copies
 }
 
 type psn struct {
-	node.PSN              // routing protocol; Router is nil in BF1969 mode
+	node.PSN              // routing protocol
 	lines    []*linkState // its out-links in Graph.Out order, so its next line i is lines[i]
 	paths    sim.RNG      // multipath next-hop selection (Config.Multipath)
 	dag      *spf.DAG     // multipath first hops over Router's tree (nil: stale, built at the next lookup)
@@ -182,8 +182,7 @@ func New(cfg Config) *Network {
 	n.sourceFireFn = func(t sim.Time, a any) { n.sourceFire(a.(*psn), t) }
 	n.txDoneFn = func(t sim.Time, a any) { n.txDone(a.(*linkState), t) }
 	n.propArriveFn = func(t sim.Time, a any) { n.propArrive(a.(*node.Packet), t) }
-	n.measureFn = func(t sim.Time, a any) { n.measure(a.(*psn), t) }
-	n.exchangeFn = func(t sim.Time, a any) { n.exchange(a.(*psn), t) }
+	n.tickFn = func(t sim.Time, a any) { n.tick(a.(*psn), t) }
 	n.sampleFn = func(t sim.Time, _ any) { n.sample(t) }
 	// The window is open from boot; a warm-up's end opens a fresh one.
 	if cfg.Warmup > 0 {
@@ -194,39 +193,23 @@ func New(cfg Config) *Network {
 		cfg.Script(n)
 	}
 
-	// Per-link state and the shared initial cost database.
-	initial := make([]float64, n.g.NumLinks())
 	n.links = make([]*linkState, n.g.NumLinks())
 	for i, l := range n.g.Links() {
-		mod := cfg.ModuleFactory
-		if mod == nil {
-			mod = func(l topology.Link) node.CostModule {
-				return node.NewCostModule(cfg.Metric, l.Type, l.PropDelay)
-			}
-		}
 		ls := &linkState{
-			Trunk:   node.NewTrunk(node.DefaultQueueLimit, mod(l), l.Type.Bandwidth()),
+			Trunk:   node.NewTrunk(node.DefaultQueueLimit, node.NewCostModule(cfg.Metric, l.Type, l.PropDelay, cfg.Ablations...), l.Type.Bandwidth()),
 			link:    l,
 			propLat: node.HopLatency(l),
 		}
+		ls.lastFlooded = ls.Advertised()
 		n.links[i] = ls
-		initial[i] = ls.Module.Cost()
-		ls.lastFlooded = initial[i]
 	}
 
-	// PSNs with routers booted from the identical database, or under BF1969
-	// with distance vectors, their exchanges staggered by node ID.
 	n.psns = make([]*psn, n.g.NumNodes())
 	n.ids = make([]topology.NodeID, n.g.NumNodes())
-	for i := range n.ids {
-		n.ids[i] = topology.NodeID(i)
-	}
-	if cfg.Metric != node.BF1969 {
-		n.routers = spf.NewTable(n.g, n.ids, initial)
-		n.updatesInFlight = make([]int, n.g.NumNodes())
-	}
+	psns := make([]*node.PSN, n.g.NumNodes())
 	for i := range n.psns {
 		id := topology.NodeID(i)
+		n.ids[i] = id
 		p := &psn{
 			PSN:   node.PSN{ID: id},
 			lines: make([]*linkState, n.g.Degree(id)),
@@ -235,25 +218,22 @@ func New(cfg Config) *Network {
 		for j, l := range n.g.Out(id) {
 			p.lines[j] = n.links[l]
 		}
-		if n.routers == nil {
-			p.BootVector(n.g, func(l topology.LinkID) *node.Trunk { return &n.links[l].Trunk })
-			// Fire-and-forget: see exchange — the chain is never cancelled.
-			_ = n.kernel.ScheduleCall(node.FirstExchange(id, len(n.psns)), n.exchangeFn, p)
-		} else {
-			p.Router = n.routers.Router(i)
-			if cfg.Multipath {
-				p.paths = sim.NewRNG(cfg.Seed, i, node.StreamPaths)
-			}
+		if cfg.Multipath {
+			p.paths = sim.NewRNG(cfg.Seed, i, node.StreamPaths)
 		}
-		n.psns[i] = p
+		n.psns[i], psns[i] = p, &p.PSN
 	}
+	n.routers, n.updatesInFlight = node.Boot(cfg.Metric, true, n.g, psns,
+		func(l topology.LinkID) *node.Trunk { return &n.links[l].Trunk }, node.MeasurementPeriod)
 	n.setRows(cfg.Matrix)
 
 	n.win = node.NewWindow(len(n.psns), func(i int) *node.PSN { return &n.psns[i].PSN },
 		len(n.links), func(l int) *node.Trunk { return &n.links[l].Trunk })
 
-	if n.routers != nil {
-		n.scheduleMeasurement()
+	for _, p := range n.psns {
+		// Fire-and-forget: each PSN's tick chain runs for the lifetime of the
+		// network; a down line is skipped inside the tick, not cancelled.
+		_ = n.kernel.ScheduleCall(p.FirstTick(len(n.psns)), n.tickFn, p)
 	}
 	n.setupBackground()
 	_, _ = n.kernel.ScheduleTailCallAt(sampleInterval, sim.MaxTailKey, n.sampleFn, nil)
@@ -265,9 +245,8 @@ func New(cfg Config) *Network {
 // matrix is routed over the last-flooded costs (what every converged PSN's
 // database holds — so the fluid follows exactly the routes the packet
 // engine would have used), assigned once at boot and re-assigned every
-// measurement period. In BF1969 mode nothing floods, so the background
-// stays on the boot-time min-hop routes; the hybrid mode is meant for the
-// SPF metrics.
+// measurement period. Where nothing floods (BF-1969) the background stays
+// on the boot-time routes; the hybrid mode is meant for the SPF metrics.
 func (n *Network) setupBackground() {
 	if n.cfg.Background == nil {
 		return
@@ -315,16 +294,6 @@ func (n *Network) multipathNextHop(p *psn, dst topology.NodeID) *linkState {
 		return nil
 	}
 	return n.links[nh]
-}
-
-// accept offers one update copy to the PSN's router, its own duplicate
-// filter, and reports whether it was new; a new one drops the multipath DAG.
-func (p *psn) accept(u *flooding.Update) bool {
-	if !p.Router.Accept(u) {
-		return false
-	}
-	p.dag = nil
-	return true
 }
 
 // Kernel exposes the simulation clock for callers that schedule scenario
@@ -391,13 +360,11 @@ func (n *Network) sourceFire(p *psn, now sim.Time) {
 // the next-hop link per the PSN's current SPF tree.
 func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 	if pkt.IsRouting() {
-		if pkt.Vector != nil {
-			p.Hear(n.g, pkt.Vector, pkt.Arrival)
-		} else {
-			n.handleUpdate(p, pkt, now)
-		}
-		// Routing consumption: the update's payload lives on (flood copies
-		// share it); the carrying packet is done.
+		n.ctrlConsumed++
+		n.updatesInFlight.Remove(pkt)
+		p.Hear(n.g, n, pkt, now)
+		// Routing consumption: the payload lives on (flood copies share it);
+		// the carrying packet is done.
 		n.pool.Put(pkt)
 		return
 	}
@@ -496,28 +463,23 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 	if !pkt.IsRouting() {
 		n.led.OutageDrops++
 		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketOutage, Node: ls.link.From, Link: ls.link.ID})
-	} else if pkt.Update != nil {
+	} else {
 		n.ctrlOutage++
-		n.updatesInFlight[pkt.Update.Origin]--
+		n.updatesInFlight.Remove(pkt)
 	}
 	n.pool.Put(pkt)
 }
 
-// --- routing updates ----------------------------------------------------
+// --- routing -------------------------------------------------------------
 
-func (n *Network) handleUpdate(p *psn, pkt *node.Packet, now sim.Time) {
-	n.ctrlConsumed++
-	n.updatesInFlight[pkt.Update.Origin]--
-	if p.accept(pkt.Update) {
-		p.Flood(n.g, n, pkt.Update, pkt.Arrival, pkt.Created, now)
-	}
-}
+// The network's node.Egress: Send and SendVector put a routing packet on a
+// line, Accept drops the multipath DAG of a router that took an update,
+// Originated keeps the flooded costs for the fluid background and traces the
+// origination, and Delay superposes the fluid background on a measurement.
 
-// Send enqueues one copy of u on link l: with SendVector, the network's
-// node.Egress.
+// Send enqueues one copy of u on link l.
 func (n *Network) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
-	n.ctrlSent++
-	n.updatesInFlight[u.Origin]++
+	n.updatesInFlight.Add(u)
 	n.sendRouting(l, u, nil, u.SizeBits(), created, now)
 }
 
@@ -529,73 +491,46 @@ func (n *Network) SendVector(l topology.LinkID, v *node.Vector, now sim.Time) {
 // sendRouting enqueues on link l one fresh routing packet carrying u or v.
 // A routing packet goes to the head of the queue and is never refused.
 func (n *Network) sendRouting(l topology.LinkID, u *flooding.Update, v *node.Vector, size float64, created, now sim.Time) {
+	n.ctrlSent++
 	pkt := n.pool.Get()
 	pkt.SizeBits, pkt.Created, pkt.Update, pkt.Vector, pkt.Arrival = size, created, u, v, l
 	n.enqueue(n.links[l], pkt, now)
 }
 
-// exchange is one of p's 1969 vector exchanges (node.PSN.Exchange); it
-// re-arms itself VectorPeriod later.
-func (n *Network) exchange(p *psn, now sim.Time) {
-	p.Exchange(n.g, n, now)
-	// Fire-and-forget: the exchange chain re-arms itself forever; nothing
-	// ever cancels a vector exchange.
-	_ = n.kernel.ScheduleCall(node.VectorPeriod, n.exchangeFn, p)
+// Accept offers u to p's router, its own duplicate filter; a new one drops
+// p's multipath DAG.
+func (n *Network) Accept(p *node.PSN, u *flooding.Update, _ sim.Time) bool {
+	if !p.Router.Accept(u) {
+		return false
+	}
+	n.psns[p.ID].dag = nil
+	return true
 }
 
-// originate floods p's current link costs to the whole network and applies
-// them locally. In BF1969 mode there is no flooding: the periodic vector
-// exchange carries all routing information.
-func (n *Network) originate(p *psn, now sim.Time) {
-	if p.Router == nil {
-		return
+// Originated keeps u's costs as the ones last flooded for p's lines and
+// traces the origination.
+func (n *Network) Originated(p *node.PSN, u *flooding.Update, now sim.Time) {
+	for i, l := range u.Links {
+		n.links[l].lastFlooded = u.Costs[i]
 	}
-	// The costs are fresh because the update, and every router accepting it,
-	// keeps them.
-	costs := make([]float64, len(p.lines))
-	for i, ls := range p.lines {
-		costs[i] = ls.Advertised()
-		ls.lastFlooded = costs[i]
-	}
-	u := p.NextUpdate(n.g, costs, now)
-	p.accept(u)
 	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink})
-	p.Flood(n.g, n, u, topology.NoLink, now, now)
 }
 
-// --- measurement periods ------------------------------------------------
-
-func (n *Network) scheduleMeasurement() {
-	period := node.MeasurementPeriod
-	for _, p := range n.psns {
-		first := node.FirstMeasurement(p.ID, len(n.psns), period)
-		p.LastOriginated = node.BootOriginated(p.ID, first, period)
-		// Fire-and-forget: measurement periods run for the lifetime of the
-		// network; down links skip inside measure instead of cancelling.
-		_ = n.kernel.ScheduleCall(first, n.measureFn, p)
+// Delay folds the fluid background into line l's period average.
+func (n *Network) Delay(l topology.LinkID, avg float64) float64 {
+	if n.fluid == nil {
+		return avg
 	}
+	return n.superpose(n.links[l], avg)
 }
 
-func (n *Network) measure(p *psn, now sim.Time) {
-	report := false
-	for _, ls := range p.lines {
-		avg := ls.Meas.Take()
-		if ls.Down() {
-			continue
-		}
-		if n.fluid != nil {
-			avg = n.superpose(ls, avg)
-		}
-		if _, rep := ls.Module.Update(avg); rep {
-			report = true
-		}
-	}
-	// Reliability refresh: force an update at least every 50 s.
-	if report || p.RefreshDue(now) {
-		n.originate(p, now)
-	}
-	// Fire-and-forget: see scheduleMeasurement.
-	_ = n.kernel.ScheduleCall(node.MeasurementPeriod, n.measureFn, p)
+// Measured keeps nothing of a measurement.
+func (n *Network) Measured(*node.PSN, topology.LinkID, int64, float64, float64, sim.Time) {}
+
+// tick is one of p's periodic steps (node.PSN.Tick); it re-arms itself.
+func (n *Network) tick(p *psn, now sim.Time) {
+	// Fire-and-forget: see New.
+	_ = n.kernel.ScheduleCall(p.Tick(n.g, n, now), n.tickFn, p)
 }
 
 // superpose folds the link's fluid background load into one measurement
@@ -642,19 +577,22 @@ func (n *Network) sample(now sim.Time) {
 			ls.series.Add(now.Seconds(), u)
 		}
 		if ls.costSeries != nil {
-			ls.costSeries.Add(now.Seconds(), ls.Module.Cost())
+			ls.costSeries.Add(now.Seconds(), ls.Cost())
 		}
 	}
 	_, _ = n.kernel.ScheduleTailCallAt(now+sampleInterval, sim.MaxTailKey, n.sampleFn, nil)
 }
 
 // Report composes the measured window (node.Window.Report) at the current
-// simulation time, with the update copies' counters from t = 0.
+// simulation time, with the update copies' counters from t = 0: none where
+// nothing floods, whose routing packets are vectors, as on internal/shard.
 func (n *Network) Report() Report {
 	r := n.win.Report(n.cfg.Metric.String(), n.kernel.Now(), n.Conservation())
-	r.CtrlGenerated, r.CtrlConsumed, r.CtrlOutageDrops = n.ctrlSent, n.ctrlConsumed, n.ctrlOutage
-	for _, c := range n.updatesInFlight {
-		r.CtrlInFlight += int64(c)
+	if n.routers != nil {
+		r.CtrlGenerated, r.CtrlConsumed, r.CtrlOutageDrops = n.ctrlSent, n.ctrlConsumed, n.ctrlOutage
+		for _, c := range n.updatesInFlight {
+			r.CtrlInFlight += int64(c)
+		}
 	}
 	return r
 }
@@ -687,14 +625,14 @@ func (n *Network) SetTrunkDown(l topology.LinkID) {
 		// outage (see Trunk.Fail); each is booked as an outage drop.
 		ls.Fail(func(pkt *node.Packet) { n.dropOutage(ls, pkt, now) })
 	}
-	n.originate(n.psns[n.g.Link(l).From], now)
-	n.originate(n.psns[n.g.Link(l).To], now)
+	n.psns[n.g.Link(l).From].LineChanged(n.g, n, l, now)
+	n.psns[n.g.Link(l).To].LineChanged(n.g, n, n.g.Link(l).Reverse(), now)
 }
 
 // SetTrunkUp returns the trunk to service. The metric modules Reset, so an
 // HN-SPF link comes back at its maximum cost and eases in (§5.4). Both ends
 // flood the repair and resynchronise each other over the trunk
-// (node.PSN.Resync). A no-op on a trunk that is already up.
+// (node.PSN.LineChanged). A no-op on a trunk that is already up.
 func (n *Network) SetTrunkUp(l topology.LinkID) {
 	if !n.links[l].Down() {
 		return
@@ -706,11 +644,8 @@ func (n *Network) SetTrunkUp(l topology.LinkID) {
 	n.links[rev].Restore()
 	// Flooding the repair enqueues the updates on the restored trunk itself,
 	// which restarts its transmitter.
-	from, to := n.psns[n.g.Link(l).From], n.psns[n.g.Link(l).To]
-	n.originate(from, now)
-	n.originate(to, now)
-	from.Resync(n, l, now)
-	to.Resync(n, rev, now)
+	n.psns[n.g.Link(l).From].LineChanged(n.g, n, l, now)
+	n.psns[n.g.Link(l).To].LineChanged(n.g, n, rev, now)
 }
 
 // LinkIsDown reports whether the link is currently out of service.

@@ -7,16 +7,15 @@ package node
 // output-queue length plus a constant. This is the baseline the paper says
 // D-SPF was "far superior" to: the volatile metric and the slow vector
 // propagation produce transient loops and sluggish failure response, which
-// the TTL counter (LoopDrops) makes measurable. The engines schedule the
-// exchanges and turn each vector into packets (Egress.SendVector); the
-// protocol is PSN's BootVector, Exchange, Hear and NextLine.
+// the TTL counter (LoopDrops) makes measurable. The engines turn each vector
+// into packets (Egress.SendVector); the PSN reaches the protocol through its
+// seam (psn.go): Boot, Tick, Hear and NextLine.
 
 import (
 	"fmt"
 	"math"
 	"slices"
 
-	"repro/internal/metric"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -26,7 +25,7 @@ const VectorPeriod = 2 * sim.Second / 3
 
 // Vector is a 1969 distance-vector table as exchanged between neighbours,
 // the sender's distance to every node: one per exchange, shared by every
-// copy and every PSN that hears it, and never written after Exchange makes
+// copy and every PSN that hears it, and never written after exchange makes
 // it. A PSN knows the sender by the line it heard it on.
 type Vector struct{ Dist []float64 }
 
@@ -40,33 +39,33 @@ type distVec struct {
 	dist  []float64   // estimated distance per destination
 	next  []int16     // chosen line per destination, -1 for none
 	nbr   [][]float64 // by line: the last vector heard over it, nil until one is
+	price []float64   // by line: its price at the current exchange
 }
 
-// FirstExchange is PSN id's first exchange in a network of nodes PSNs:
-// the exchanges are staggered by ID across one VectorPeriod.
-func FirstExchange(id topology.NodeID, nodes int) sim.Time {
-	return sim.Time(int64(VectorPeriod)*int64(id)/int64(nodes)) + VectorPeriod
-}
-
-// BootVector puts the PSN on 1969 routing, knowing only itself, in a
-// network of g's nodes; trunk(l) is the trunk of each of its lines l.
-func (p *PSN) BootVector(g *topology.Graph, trunk func(topology.LinkID) *Trunk) {
-	n := g.NumNodes()
-	p.dv = &distVec{dist: make([]float64, n), next: make([]int16, n), nbr: make([][]float64, g.Degree(p.ID))}
+// bootVector puts the PSN on 1969 routing, knowing only itself, in a network
+// of g's nodes, its exchanges every VectorPeriod.
+func (p *PSN) bootVector(g *topology.Graph) {
+	nodes, deg := g.NumNodes(), g.Degree(p.ID)
+	p.period = VectorPeriod
+	p.dv = &distVec{dist: make([]float64, nodes), next: make([]int16, nodes),
+		nbr: make([][]float64, deg), price: make([]float64, deg)}
 	for _, l := range g.Out(p.ID) {
-		p.dv.lines = append(p.dv.lines, trunk(l))
+		p.dv.lines = append(p.dv.lines, p.trunk(l))
 	}
-	for d := range n {
+	for d := range nodes {
 		p.dv.dist[d], p.dv.next[d] = math.Inf(1), -1
 	}
 	p.dv.dist[p.ID] = 0
 }
 
-// Exchange is one table exchange: the PSN runs the Bellman-Ford relaxation
-// over the vectors it has heard with its lines' current costs, then sends
+// exchange is one table exchange: the PSN runs the Bellman-Ford relaxation
+// over the vectors it has heard with its lines' current prices, then sends
 // the result, one Vector, on every in-service line in Graph.Out order.
-func (p *PSN) Exchange(g *topology.Graph, e Egress, now sim.Time) {
+func (p *PSN) exchange(g *topology.Graph, e Egress, now sim.Time) {
 	v := p.dv
+	for i, t := range v.lines {
+		v.price[i] = t.Advertised()
+	}
 	for d := range v.dist {
 		if topology.NodeID(d) == p.ID {
 			continue
@@ -77,9 +76,7 @@ func (p *PSN) Exchange(g *topology.Graph, e Egress, now sim.Time) {
 			if heard == nil || t.Down() {
 				continue
 			}
-			// §2.1: "the link metric... was simply the instantaneous queue
-			// length at the moment of updating plus a fixed constant."
-			if est := float64(t.Queue.Len()) + metric.QueueLengthConstant + heard[d]; est < best {
+			if est := v.price[i] + heard[d]; est < best {
 				best, line = est, i
 			}
 		}
@@ -94,22 +91,12 @@ func (p *PSN) Exchange(g *topology.Graph, e Egress, now sim.Time) {
 	}
 }
 
-// Hear keeps vec, which arrived over link arrival, as the vector heard on
-// the PSN's line back over that link; the next Exchange relaxes over it.
-func (p *PSN) Hear(g *topology.Graph, vec *Vector, arrival topology.LinkID) {
+// hearVector keeps vec, which arrived over link arrival, as the vector heard
+// on the PSN's line back over that link; the next exchange relaxes over it.
+func (p *PSN) hearVector(g *topology.Graph, vec *Vector, arrival topology.LinkID) {
 	back := g.Link(arrival).Reverse()
 	if g.Link(back).From != p.ID {
 		panic(fmt.Sprintf("node: a vector over link %d heard at node %d", arrival, p.ID))
 	}
 	p.dv.nbr[g.OutLine(back)] = vec.Dist
-}
-
-// NextLine is the line, an index into Graph.Out, on which the PSN forwards
-// a packet for dst — its distance vector's choice in the 1969 mode, else
-// its SPF tree's — or -1 for none.
-func (p *PSN) NextLine(dst topology.NodeID) int {
-	if p.dv != nil {
-		return int(p.dv.next[dst])
-	}
-	return p.Router.Tree().NextLine(dst)
 }

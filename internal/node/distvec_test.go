@@ -7,25 +7,30 @@ import (
 	"repro/internal/topology"
 )
 
-// Exchange relaxes over the vectors heard with each line's queue length plus
-// the constant, skipping lines unheard or down, and sends one Vector, never
-// written again, on every in-service line in Graph.Out order; Hear keeps a
-// vector under the line back over its arrival link, and refuses any other.
+// A tick under BF1969 is an exchange: it relaxes over the vectors heard with
+// each line's queue length plus the constant, skipping lines unheard or down,
+// and sends one Vector, never written again, on every in-service line in
+// Graph.Out order. Hear keeps a vector under the line back over its arrival
+// link, and refuses any other.
 func TestExchangeRelaxesOverHeardVectors(t *testing.T) {
 	g, h, toA, toB, toC := hub()
-	trunks := make([]Trunk, g.NumLinks())
-	for l := range trunks {
-		trunks[l] = NewTrunk(DefaultQueueLimit, NewCostModule(BF1969, topology.T56, 0), topology.T56.Bandwidth())
-	}
+	trunks, trunk := trunks(g, BF1969)
 	p := PSN{ID: h}
-	p.BootVector(g, func(l topology.LinkID) *Trunk { return &trunks[l] })
-	p.Hear(g, &Vector{Dist: []float64{4, 0, 4, 12}}, g.Link(toA).Reverse())
-	p.Hear(g, &Vector{Dist: []float64{4, 4, 0, 12}}, g.Link(toB).Reverse())
+	if tab, copies := Boot(BF1969, true, g, []*PSN{&p}, trunk, MeasurementPeriod); tab != nil || copies != nil {
+		t.Errorf("BF1969 booted a table %v and copies %v", tab, copies)
+	}
+	if p.FirstTick(g.NumNodes()) != VectorPeriod {
+		t.Errorf("node 0's first exchange at %v, want %v", p.FirstTick(g.NumNodes()), VectorPeriod)
+	}
+	e := &recorder{}
+	p.Hear(g, e, &Packet{Vector: &Vector{Dist: []float64{4, 0, 4, 12}}, Arrival: g.Link(toA).Reverse()}, 5)
+	p.Hear(g, e, &Packet{Vector: &Vector{Dist: []float64{4, 4, 0, 12}}, Arrival: g.Link(toB).Reverse()}, 6)
 	for range 2 { // toA's queue: 2 + 4 a hop
 		trunks[toA].Queue.Push(&Packet{SizeBits: 600})
 	}
-	e := &recorder{}
-	p.Exchange(g, e, 7)
+	if next := p.Tick(g, e, 7); next != VectorPeriod {
+		t.Errorf("next exchange in %v, want %v", next, VectorPeriod)
+	}
 	first := e.vectors[0].v
 	if want := []float64{0, 6, 4, 16}; !slices.Equal(first.Dist, want) {
 		t.Errorf("distances %v, want %v", first.Dist, want)
@@ -48,7 +53,7 @@ func TestExchangeRelaxesOverHeardVectors(t *testing.T) {
 
 	trunks[toB].Fail(func(*Packet) {})
 	e.vectors = nil
-	p.Exchange(g, e, 8)
+	p.Tick(g, e, 8)
 	if got, want := e.vectors[0].v.Dist, []float64{0, 6, 10, 18}; !slices.Equal(got, want) {
 		t.Errorf("with toB down: distances %v, want %v", got, want)
 	}
@@ -64,5 +69,5 @@ func TestExchangeRelaxesOverHeardVectors(t *testing.T) {
 			t.Error("a vector over H's own out-link was heard")
 		}
 	}()
-	p.Hear(g, first, toA)
+	p.Hear(g, e, &Packet{Vector: first, Arrival: toA}, 9)
 }

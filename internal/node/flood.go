@@ -7,99 +7,62 @@ package node
 // a repaired trunk send each other the updates they hold. The engines keep
 // what differs between them — how a copy becomes a packet on a queue, what
 // they count and trace, and what an accepted update invalidates — and reach
-// the protocol through PSN and Egress.
+// the protocol through PSN (psn.go) and Egress.
 
 import (
 	"repro/internal/flooding"
 	"repro/internal/sim"
-	"repro/internal/spf"
 	"repro/internal/topology"
 )
 
-// Egress is an engine's side of a flood and of a vector exchange: whether a
-// line is out of service, and how one copy of an update or a vector goes
-// onto it. A routing packet goes to the head of the queue and is never
-// refused.
-type Egress interface {
-	LinkIsDown(l topology.LinkID) bool
-	// Send enqueues one copy of u on line l, stamped with the flood's
-	// creation time.
-	Send(l topology.LinkID, u *flooding.Update, created, now sim.Time)
-	// SendVector enqueues v on line l.
-	SendVector(l topology.LinkID, v *Vector, now sim.Time)
-}
-
-// PSN is one PSN's routing-protocol state: its SPF router, its update
-// sequence and when it last originated; or, in the 1969 mode, which floods
-// nothing and has no router, its distance vector (distvec.go). Both engines
-// embed it in their per-node state.
-type PSN struct {
-	ID     topology.NodeID
-	Router *spf.IncrementalRouter
-	dv     *distVec
-	// LastOriginated is when the PSN last flooded its own update; the
-	// engines boot it from BootOriginated.
-	LastOriginated sim.Time
-	// Originated counts the updates the PSN flooded, or the vectors it
-	// exchanged, from t = 0; Meter is its share of the measured window.
-	Originated int64
-	Meter      Meter
-
-	seq flooding.Sequencer
-	fwd []topology.LinkID // Flood's forwarding scratch
-}
-
-// NextUpdate makes the PSN's next update: costs are its own lines', in
+// nextUpdate makes the PSN's next update: costs are its own lines', in
 // g.Out order, and now becomes its origination time.
-func (p *PSN) NextUpdate(g *topology.Graph, costs []float64, now sim.Time) *flooding.Update {
+func (p *PSN) nextUpdate(g *topology.Graph, costs []float64, now sim.Time) *flooding.Update {
 	p.LastOriginated = now
 	p.Originated++
 	return flooding.NewUpdate(p.ID, p.seq.Next(), g.Out(p.ID), costs)
 }
 
-// RefreshDue reports whether MaxUpdateInterval has passed since the PSN
+// refreshDue reports whether MaxUpdateInterval has passed since the PSN
 // last originated: the reliability refresh.
-func (p *PSN) RefreshDue(now sim.Time) bool {
+func (p *PSN) refreshDue(now sim.Time) bool {
 	return now-p.LastOriginated >= MaxUpdateInterval
 }
 
-// Flood sends u on every in-service line of the PSN, in g.Out order, but the
+// originate floods the PSN's current line costs (DownCost for a line out of
+// service) to the whole network, accepting them locally first. The costs are
+// fresh because the update, and every router accepting it, keeps them.
+func (p *PSN) originate(g *topology.Graph, e Egress, now sim.Time) {
+	costs := make([]float64, g.Degree(p.ID))
+	for i, l := range g.Out(p.ID) {
+		costs[i] = p.trunk(l).Advertised()
+	}
+	u := p.nextUpdate(g, costs, now)
+	e.Accept(p, u, now)
+	e.Originated(p, u, now)
+	p.flood(g, e, u, topology.NoLink, now, now)
+}
+
+// flood sends u on every in-service line of the PSN, in g.Out order, but the
 // reverse of arrival (NoLink, for the PSN's own update: every line).
-func (p *PSN) Flood(g *topology.Graph, e Egress, u *flooding.Update, arrival topology.LinkID, created, now sim.Time) {
+func (p *PSN) flood(g *topology.Graph, e Egress, u *flooding.Update, arrival topology.LinkID, created, now sim.Time) {
 	p.fwd = flooding.AppendForwardLinks(p.fwd[:0], g, p.ID, arrival)
 	for _, l := range p.fwd {
-		if !e.LinkIsDown(l) {
+		if !p.trunk(l).Down() {
 			e.Send(l, u, created, now)
 		}
 	}
 }
 
-// Resync is the line-up exchange: the PSN sends on its restored line l the
+// resync is the line-up exchange: the PSN sends on its restored line l the
 // update its router holds for every other origin (its own rides the
 // repair's origination), and the far end's Accept keeps what is newer and
 // floods it on. Whatever either side of a healed partition missed crosses
 // here, so quiescence means convergence without waiting for the refresh.
-// Without a router there is no database to send.
-func (p *PSN) Resync(e Egress, l topology.LinkID, now sim.Time) {
-	if p.Router == nil {
-		return
-	}
+func (p *PSN) resync(e Egress, l topology.LinkID, now sim.Time) {
 	p.Router.Updates(func(u *flooding.Update) {
 		if u.Origin != p.ID {
 			e.Send(l, u, now, now)
 		}
 	})
-}
-
-// QuietOrigins counts the origins with no update copy in flight, given the
-// copies in flight by origin: those AuditConvergence checks (none in a run
-// without routers, whose inFlight is nil).
-func QuietOrigins(inFlight []int) int {
-	quiet := 0
-	for _, c := range inFlight {
-		if c == 0 {
-			quiet++
-		}
-	}
-	return quiet
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/flooding"
 	"repro/internal/sim"
-	"repro/internal/spf"
 	"repro/internal/topology"
 )
 
@@ -24,15 +23,13 @@ type sentVector struct {
 	when sim.Time
 }
 
-// recorder is an Egress that records every copy and vector, with a set of
-// down lines.
+// recorder is an Egress that records every copy, vector and origination,
+// and feeds each measurement to its module unchanged.
 type recorder struct {
-	down    map[topology.LinkID]bool
-	sent    []sent
-	vectors []sentVector
+	sent       []sent
+	vectors    []sentVector
+	originated []*flooding.Update
 }
-
-func (r *recorder) LinkIsDown(l topology.LinkID) bool { return r.down[l] }
 
 func (r *recorder) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
 	r.sent = append(r.sent, sent{l, u, created, now})
@@ -40,6 +37,26 @@ func (r *recorder) Send(l topology.LinkID, u *flooding.Update, created, now sim.
 
 func (r *recorder) SendVector(l topology.LinkID, v *Vector, now sim.Time) {
 	r.vectors = append(r.vectors, sentVector{l, v, now})
+}
+
+func (r *recorder) Accept(p *PSN, u *flooding.Update, _ sim.Time) bool { return p.Router.Accept(u) }
+
+func (r *recorder) Originated(_ *PSN, u *flooding.Update, _ sim.Time) {
+	r.originated = append(r.originated, u)
+}
+
+func (r *recorder) Delay(_ topology.LinkID, avg float64) float64 { return avg }
+
+func (r *recorder) Measured(*PSN, topology.LinkID, int64, float64, float64, sim.Time) {}
+
+// trunks returns one trunk for each of g's links, each with kind's cost
+// module, and the function Boot reads them by.
+func trunks(g *topology.Graph, kind MetricKind) ([]Trunk, func(topology.LinkID) *Trunk) {
+	ts := make([]Trunk, g.NumLinks())
+	for _, l := range g.Links() {
+		ts[l.ID] = NewTrunk(DefaultQueueLimit, NewCostModule(kind, l.Type, l.PropDelay), l.Type.Bandwidth())
+	}
+	return ts, func(l topology.LinkID) *Trunk { return &ts[l] }
 }
 
 // hub builds H joined to A, B and C, with A and B also joined: H's lines in
@@ -71,7 +88,7 @@ func TestFloodSkipsArrivalAndDownLines(t *testing.T) {
 	g, h, toA, toB, toC := hub()
 	fromA := g.Link(toA).Reverse()
 	p := PSN{ID: h}
-	u := p.NextUpdate(g, ones(g.Degree(h)), sim.Second)
+	u := p.nextUpdate(g, ones(g.Degree(h)), sim.Second)
 	for _, tc := range []struct {
 		name    string
 		arrival topology.LinkID
@@ -84,11 +101,13 @@ func TestFloodSkipsArrivalAndDownLines(t *testing.T) {
 		{"arrived from A, line to C down", fromA, []topology.LinkID{toC}, []topology.LinkID{toB}},
 		{"arrived from A, every other line down", fromA, []topology.LinkID{toB, toC}, nil},
 	} {
-		e := &recorder{down: map[topology.LinkID]bool{}}
+		ts, trunk := trunks(g, MinHop)
+		Boot(MinHop, false, g, []*PSN{&p}, trunk, MeasurementPeriod)
 		for _, l := range tc.down {
-			e.down[l] = true
+			ts[l].Fail(func(*Packet) {})
 		}
-		p.Flood(g, e, u, tc.arrival, 3*sim.Second, 5*sim.Second)
+		e := &recorder{}
+		p.flood(g, e, u, tc.arrival, 3*sim.Second, 5*sim.Second)
 		var got []topology.LinkID
 		for _, s := range e.sent {
 			got = append(got, s.link)
@@ -102,27 +121,44 @@ func TestFloodSkipsArrivalAndDownLines(t *testing.T) {
 	}
 }
 
-// Resync sends, on the one restored line, the update the router holds for
-// every origin but the PSN itself, each once, created now; without a router
-// it sends nothing.
+// A restored line makes a flooding PSN originate, its own update first on
+// every line, then resync: send on that line the update its router holds
+// for every origin but itself, each once, created now (node.PSN.LineChanged).
+// A line gone down makes it originate only; a PSN without a router does
+// neither.
 func TestResyncSendsEveryOtherOrigin(t *testing.T) {
 	g, h, _, toB, _ := hub()
-	roots := []topology.NodeID{0, 1, 2, 3}
-	tab := spf.NewTable(g, roots, ones(g.NumLinks()))
-	psns := make([]PSN, g.NumNodes())
-	var updates []*flooding.Update
+	ts, trunk := trunks(g, MinHop)
+	psns := make([]*PSN, g.NumNodes())
 	for i := range psns {
-		psns[i] = PSN{ID: topology.NodeID(i), Router: tab.Router(i)}
-		updates = append(updates, psns[i].NextUpdate(g, ones(g.Degree(psns[i].ID)), sim.Second))
+		psns[i] = &PSN{ID: topology.NodeID(i)}
 	}
-	p := &psns[h]
+	Boot(MinHop, true, g, psns, trunk, MeasurementPeriod)
+	var updates []*flooding.Update
+	for _, q := range psns {
+		updates = append(updates, q.nextUpdate(g, ones(g.Degree(q.ID)), sim.Second))
+	}
+	p := psns[h]
 	for _, u := range updates {
 		p.Router.Accept(u)
 	}
+
 	e := &recorder{}
-	p.Resync(e, toB, 7*sim.Second)
+	ts[toB].Fail(func(*Packet) {})
+	p.LineChanged(g, e, toB, 6*sim.Second)
+	if own := e.originated; len(own) != 1 || own[0].Costs[g.OutLine(toB)] != DownCost || len(e.sent) != g.Degree(h)-1 {
+		t.Errorf("line down: originated %v and sent %d copies, want one update pricing the line at DownCost on the %d others",
+			own, len(e.sent), g.Degree(h)-1)
+	}
+
+	e = &recorder{}
+	ts[toB].Restore()
+	p.LineChanged(g, e, toB, 7*sim.Second)
+	if len(e.originated) != 1 || len(e.sent) < g.Degree(h) {
+		t.Fatalf("line up: originated %d updates and sent %d copies, want one on every line first", len(e.originated), len(e.sent))
+	}
 	var origins []topology.NodeID
-	for _, s := range e.sent {
+	for _, s := range e.sent[g.Degree(h):] {
 		if s.link != toB || s.created != 7*sim.Second || s.when != 7*sim.Second || s.u != updates[s.u.Origin] {
 			t.Errorf("resync sent %+v, want the held update on line %d, created and sent at 7s", s, toB)
 		}
@@ -131,22 +167,25 @@ func TestResyncSendsEveryOtherOrigin(t *testing.T) {
 	if want := []topology.NodeID{1, 2, 3}; !slices.Equal(origins, want) {
 		t.Errorf("resync sent the updates of origins %v, want %v (every origin but H, once)", origins, want)
 	}
+
 	e = &recorder{}
-	(&PSN{ID: h}).Resync(e, toB, 7*sim.Second)
-	if len(e.sent) != 0 {
-		t.Errorf("a PSN without a router resynced %d updates", len(e.sent))
+	q := &PSN{ID: h}
+	Boot(MinHop, false, g, []*PSN{q}, trunk, MeasurementPeriod)
+	q.LineChanged(g, e, toB, 7*sim.Second)
+	if len(e.sent) != 0 || len(e.originated) != 0 {
+		t.Errorf("a PSN without a router sent %d copies", len(e.sent))
 	}
 }
 
-// NextUpdate numbers a PSN's updates 1, 2, …, lists its own lines and marks
-// the origination; RefreshDue fires exactly MaxUpdateInterval after it.
+// nextUpdate numbers a PSN's updates 1, 2, …, lists its own lines and marks
+// the origination; refreshDue fires exactly MaxUpdateInterval after it.
 func TestNextUpdateAndRefresh(t *testing.T) {
 	g, h, _, _, _ := hub()
 	p := PSN{ID: h}
 	costs := []float64{1, 2, 3}
 	for seq := uint64(1); seq <= 3; seq++ {
 		now := sim.Time(seq) * sim.Second
-		u := p.NextUpdate(g, costs, now)
+		u := p.nextUpdate(g, costs, now)
 		if u.Origin != h || u.Seq != seq || !slices.Equal(u.Links, g.Out(h)) || !slices.Equal(u.Costs, costs) {
 			t.Fatalf("update %d = %+v, want origin H, sequence %d, H's lines at %v", seq, u, seq, costs)
 		}
@@ -155,16 +194,16 @@ func TestNextUpdateAndRefresh(t *testing.T) {
 		}
 	}
 	last := p.LastOriginated
-	if p.RefreshDue(last + MaxUpdateInterval - 1) {
+	if p.refreshDue(last + MaxUpdateInterval - 1) {
 		t.Errorf("refresh due one tick before %v after the last origination", MaxUpdateInterval)
 	}
-	if !p.RefreshDue(last + MaxUpdateInterval) {
+	if !p.refreshDue(last + MaxUpdateInterval) {
 		t.Errorf("refresh not due %v after the last origination", MaxUpdateInterval)
 	}
 }
 
 func TestQuietOrigins(t *testing.T) {
-	if got := QuietOrigins([]int{0, 2, 0, 1, 0}); got != 3 {
-		t.Errorf("QuietOrigins = %d, want 3", got)
+	if got := (Copies{0, 2, 0, 1, 0}).Quiet(); got != 3 {
+		t.Errorf("Quiet = %d, want 3", got)
 	}
 }

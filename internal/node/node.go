@@ -9,14 +9,15 @@
 // measurement and module into one state machine with its fail/repair
 // transitions, and the Conservation ledger the engines report into.
 //
-// It also holds the two routing protocols both engines run over Egress:
-// Rosen's updating protocol (flood.go: PSN), which originates, floods and
-// resynchronises routing updates, and the 1969 distance vector (distvec.go);
-// and the one convergence audit (AuditConvergence).
+// It also holds the routing protocol both engines run, behind one seam
+// (psn.go: PSN, over an engine's Egress): Rosen's updating protocol
+// (flood.go), which originates, floods and resynchronises routing updates,
+// or the 1969 distance vector (distvec.go); and the one convergence audit
+// (AuditConvergence).
 //
 // internal/network (one kernel) and internal/shard (one kernel per shard
-// behind a conservative barrier) wire these into their event loops; sources,
-// forwarding, measurement and packet construction stay with the engines.
+// behind a conservative barrier) wire these into their event loops;
+// forwarding and packet construction stay with the engines.
 package node
 
 import (
@@ -322,7 +323,8 @@ var (
 type MetricKind int
 
 // The three SPF metrics the paper compares (§5), plus the original 1969
-// queue-length metric used by the Bellman-Ford baseline package.
+// distance vector over the queue-length metric (§2.1), which the PSN runs
+// instead of the flood (distvec.go).
 const (
 	HNSPF  MetricKind = iota // the revised metric (the paper's contribution)
 	DSPF                     // measured delay (May 1979)
@@ -366,22 +368,26 @@ const MultipathToleranceFraction = 0.49
 // network that is already running: settled at its idle line's cost
 // (HN-SPF's floor, D-SPF's bias, min-hop's 1), counted as already reported,
 // so a PSN booted with these costs floods only a significant change or its
-// refresh. BF1969's is min-hop's, a placeholder: the 1969 mode prices its
-// lines by queue length (PSN.Exchange) and measures nothing.
-func NewCostModule(kind MetricKind, lt topology.LineType, propDelay float64) CostModule {
+// refresh. An HN-SPF module is built with opts (core.NewModuleOptions), the
+// ablations that switch its §4.3 mechanisms off; other kinds ignore them. A
+// kind that measures nothing has no module, and NewCostModule returns nil:
+// BF1969 prices its lines by queue length (Trunk.Cost).
+func NewCostModule(kind MetricKind, lt topology.LineType, propDelay float64, opts ...core.Option) CostModule {
 	var m interface {
 		CostModule
 		Settle()
 	}
-	switch kind {
-	case HNSPF:
-		m = core.NewModule(lt, propDelay)
-	case DSPF:
+	switch {
+	case kind == HNSPF:
+		m = core.NewModuleOptions(core.DefaultParams(lt), lt.Bandwidth(), propDelay, opts...)
+	case kind == DSPF:
 		m = metric.NewDSPF(lt, propDelay)
-	case MinHop, BF1969:
+	case kind == MinHop:
 		m = metric.NewMinHop()
-	default:
+	case kind < HNSPF || kind > BF1969:
 		panic(fmt.Sprintf("node: unknown metric kind %d", int(kind)))
+	default:
+		return nil
 	}
 	m.Settle()
 	return m

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/metric"
 	"repro/internal/sim"
 )
 
@@ -121,18 +122,32 @@ func (t *Trunk) Fail(drop func(*Packet)) {
 // the engine enqueues.
 func (t *Trunk) Restore() {
 	t.down = false
-	t.Module.Reset()
+	if t.Module != nil {
+		t.Module.Reset()
+	}
 	t.Meas.Take()
 }
 
 // Down reports whether the trunk is out of service.
 func (t *Trunk) Down() bool { return t.down }
 
-// Advertised is the cost the owning PSN floods for the trunk: the module's
-// current cost, or DownCost while out of service.
+// Advertised is the trunk's price as its PSN's routing protocol reads it:
+// Cost in service, DownCost out of it.
 func (t *Trunk) Advertised() float64 {
 	if t.down {
 		return DownCost
+	}
+	return t.Cost()
+}
+
+// Cost is the trunk's price whether in service or not: its cost module's
+// current cost, or, for a trunk with no module (BF1969's), the instantaneous
+// queue length plus metric.QueueLengthConstant — §2.1: "the link metric...
+// was simply the instantaneous queue length at the moment of updating plus a
+// fixed constant."
+func (t *Trunk) Cost() float64 {
+	if t.Module == nil {
+		return float64(t.Queue.Len()) + metric.QueueLengthConstant
 	}
 	return t.Module.Cost()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/fanout"
 	"repro/internal/network"
 	"repro/internal/node"
@@ -23,9 +24,9 @@ type Config struct {
 	Seed      int64
 	Warmup    sim.Time
 	Multipath bool
-	// ModuleFactory overrides the per-link cost module (see
-	// network.Config); the ablation experiments run modified HNMs with it.
-	ModuleFactory func(l topology.Link) node.CostModule
+	// Ablations switch HN-SPF's stabilization mechanisms off (see
+	// network.Config); shard.Config carries the same field.
+	Ablations []core.Option
 	// Background configures the hybrid fluid/packet engine (see
 	// network.Config). A scenario with a BackgroundSurge event requires a
 	// non-nil Background; schedule reports the mismatch as a setup error
@@ -86,15 +87,15 @@ func Run(cfg Config, sc *Scenario) (Result, error) {
 	}
 	r := &runner{res: Result{Scenario: sc.Name, Seed: cfg.Seed}}
 	net := network.New(network.Config{
-		Graph:         cfg.Graph,
-		Matrix:        cfg.Matrix,
-		Metric:        cfg.Metric,
-		Seed:          cfg.Seed,
-		Warmup:        cfg.Warmup,
-		Multipath:     cfg.Multipath,
-		ModuleFactory: cfg.ModuleFactory,
-		Trace:         cfg.Trace,
-		Background:    cfg.Background,
+		Graph:      cfg.Graph,
+		Matrix:     cfg.Matrix,
+		Metric:     cfg.Metric,
+		Seed:       cfg.Seed,
+		Warmup:     cfg.Warmup,
+		Multipath:  cfg.Multipath,
+		Ablations:  cfg.Ablations,
+		Trace:      cfg.Trace,
+		Background: cfg.Background,
 		Script: func(n *network.Network) {
 			for _, a := range acts {
 				// Fire-and-forget: Validate keeps every step inside [0, Duration].

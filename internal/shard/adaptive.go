@@ -1,15 +1,14 @@
 package shard
 
 // The adaptive routing plane: measurement → cost module → flooded update →
-// per-node incremental SPF. The pieces are the ones internal/network wires
-// up — node.Trunk for measurement and advertised cost, node.PSN for
-// origination, forwarding, the refresh and the line-up resync, flooding for
-// update payloads, spf.Table for the routers, whose link-state database is
-// the set of updates each accepted — driven here under the shard model's
-// determinism rules. What stays here is this engine's side of them: the
-// shard's node.Egress (control sequence numbers, the custody ledger), trace
-// sampling, and the measure loop, which internal/network runs with fluid
-// superposition.
+// per-node incremental SPF, or under BF-1969 the vector exchange. The pieces
+// are the ones internal/network wires up — node.Trunk for measurement and
+// advertised cost, node.PSN for the protocol (node.Boot, Tick, Hear,
+// LineChanged, NextLine), flooding for update payloads, spf.Table for the
+// routers, whose link-state database is the set of updates each accepted —
+// driven here under the shard model's determinism rules. What stays here is
+// this engine's side of them, the shard's node.Egress: control sequence
+// numbers, the custody ledger and trace sampling.
 //
 // Routing updates are just more packets: they ride the output queues at
 // head priority, consume trunk bandwidth, arrive as the same link-keyed tail
@@ -57,33 +56,20 @@ import (
 // spaces never collide and a drop record names its class.
 const ctrlSeqBit = uint64(1) << 63
 
-// bootAdaptive builds the per-node routing state: every router starts from
-// the identical initial cost database (each module's link-up cost), as in
-// internal/network. Each shard gets its own spf.Table, because a table's
-// routers share repair scratch and a shard's nodes are exactly the ones its
-// goroutine drives. Under BF1969 every node boots a distance vector instead.
-func (s *Sim) bootAdaptive() {
-	if s.cfg.Metric == node.BF1969 {
-		for _, n := range s.nodeAt {
-			n.BootVector(s.g, func(l topology.LinkID) *node.Trunk { return &s.linkAt[l].Trunk })
-		}
-		return
-	}
-	initial := make([]float64, s.g.NumLinks())
-	for lid, ls := range s.linkAt {
-		initial[lid] = ls.Module.Cost()
-	}
+// boot puts every node on its routing protocol (node.Boot), the nodes of
+// each shard on a table of their own, since a table's routers share repair
+// scratch and a shard's nodes are exactly the ones its goroutine drives.
+// Every router starts from the identical initial cost database (each
+// trunk's link-up cost), as in internal/network. On the static plane the
+// nodes only measure.
+func (s *Sim) boot() {
+	trunk := func(l topology.LinkID) *node.Trunk { return &s.linkAt[l].Trunk }
 	for _, sh := range s.shards {
-		roots := make([]topology.NodeID, len(sh.nodes))
+		psns := make([]*node.PSN, len(sh.nodes))
 		for i, n := range sh.nodes {
-			roots[i] = n.ID
+			psns[i] = &n.PSN
 		}
-		sh.routers = spf.NewTable(s.g, roots, initial)
-		sh.updatesInFlight = make([]int, s.g.NumNodes())
-		for i, n := range sh.nodes {
-			n.Router = sh.routers.Router(i)
-			n.nhScratch = make([]topology.LinkID, len(n.src.Dests()))
-		}
+		sh.routers, sh.updatesInFlight = node.Boot(s.cfg.Metric, s.cfg.Adaptive, s.g, psns, trunk, s.cfg.MeasurePeriod)
 	}
 }
 
@@ -101,54 +87,23 @@ func (s *Sim) RoutingStats() spf.TableStats {
 	return st
 }
 
-// originate floods n's current link costs (DownCost for out-of-service
-// links) to the whole network and accepts them locally. The costs are fresh
-// because the Update, and every router accepting it, keeps them. Under
-// BF1969 there is no router and nothing floods: the vectors carry it all.
-func (sh *shardState) originate(n *lnode, now sim.Time) {
-	if n.Router == nil {
-		return
-	}
-	costs := make([]float64, len(n.out))
-	for i, ls := range n.out {
-		costs[i] = ls.Advertised()
-	}
-	u := n.NextUpdate(sh.s.g, costs, now)
-	sh.acceptUpdate(n, u, now)
-	if sample := sh.s.cfg.MeasureSample; sample > 0 && int(n.ID)%sample == 0 {
-		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recOriginate,
-			link: topology.NoLink, pkt: u.Seq, count: int64(len(costs))})
-		n.rseq++
-	}
-	n.Flood(sh.s.g, sh, u, topology.NoLink, now, now)
-}
-
-// handleRouting consumes one arriving routing packet: a vector is kept for
-// n's next exchange; an update copy is accepted, or dropped as a duplicate,
-// and a new one flooded on. The carrying packet dies here; forwarded copies
-// are fresh packets sharing the immutable payload.
+// handleRouting consumes one arriving routing packet: n hears it
+// (node.PSN.Hear), and the carrying packet dies here; forwarded copies are
+// fresh packets sharing the immutable payload.
 func (sh *shardState) handleRouting(n *lnode, p *node.Packet, now sim.Time) {
-	u, v, arrival, created := p.Update, p.Vector, p.Arrival, p.Created
 	sh.led.CtrlConsumed++
+	sh.updatesInFlight.Remove(p)
+	n.Hear(sh.s.g, sh, p, now)
 	sh.pool.Put(p)
-	if v != nil {
-		n.Hear(sh.s.g, v, arrival)
-		return
-	}
-	sh.updatesInFlight[u.Origin]--
-	if sh.acceptUpdate(n, u, now) {
-		n.Flood(sh.s.g, sh, u, arrival, created, now)
-	}
 }
 
-// LinkIsDown reports whether link l, one of this shard's, is out of
-// service: half the shard's node.Egress.
-func (sh *shardState) LinkIsDown(l topology.LinkID) bool { return sh.s.linkAt[l].Down() }
+// The shard's node.Egress: Send and SendVector put a routing packet on one of
+// the shard's links, Accept and Originated trace a sampled node's reroutes and
+// originations, and Measured its metric readings.
 
-// Send enqueues one copy of u on link l, one of this shard's: with
-// SendVector, the other half of the shard's node.Egress.
+// Send enqueues one copy of u on link l, one of this shard's.
 func (sh *shardState) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
-	sh.updatesInFlight[u.Origin]++
+	sh.updatesInFlight.Add(u)
 	sh.sendRouting(l, u, nil, u.SizeBits(), created, now)
 }
 
@@ -177,26 +132,59 @@ func (sh *shardState) sendRouting(l topology.LinkID, u *flooding.Update, v *node
 	sh.startTx(ls, now)
 }
 
-// acceptUpdate offers u to n's router and reports whether it was new. For
+// sampled reports whether node id's routing and metric readings are traced
+// (Config.MeasureSample).
+func (sh *shardState) sampled(id topology.NodeID) bool {
+	sample := sh.s.cfg.MeasureSample
+	return sample > 0 && int(id)%sample == 0
+}
+
+// Originated traces the origination of u at a sampled node.
+func (sh *shardState) Originated(p *node.PSN, u *flooding.Update, now sim.Time) {
+	if sh.sampled(p.ID) {
+		n := sh.s.nodeAt[p.ID]
+		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recOriginate,
+			link: topology.NoLink, pkt: u.Seq, count: int64(len(u.Costs))})
+		n.rseq++
+	}
+}
+
+// Delay is the period average itself: the shard carries every load as
+// packets.
+func (sh *shardState) Delay(_ topology.LinkID, avg float64) float64 { return avg }
+
+// Measured traces a sampled node's metric reading.
+func (sh *shardState) Measured(p *node.PSN, l topology.LinkID, count int64, avg, cost float64, now sim.Time) {
+	if sh.sampled(p.ID) {
+		n := sh.s.nodeAt[p.ID]
+		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recMeasure,
+			link: l, count: count, avg: avg, cost: cost})
+		n.rseq++
+	}
+}
+
+// Accept offers u to p's router and reports whether it was new. For
 // trace-sampled nodes it also diffs the next hops toward the node's own
 // destination set around an accepted update and records a reroute event when
 // any changed — the observable that pins "the reroute happened here, at this
 // instant" into the golden trace.
-func (sh *shardState) acceptUpdate(n *lnode, u *flooding.Update, now sim.Time) bool {
-	sample := sh.s.cfg.MeasureSample
-	if sample == 0 || int(n.ID)%sample != 0 {
-		return n.Router.Accept(u)
+func (sh *shardState) Accept(p *node.PSN, u *flooding.Update, now sim.Time) bool {
+	if !sh.sampled(p.ID) {
+		return p.Router.Accept(u)
 	}
+	n := sh.s.nodeAt[p.ID]
 	tree := n.Router.Tree() // repaired in place: snapshot before Accept
-	for i, d := range n.src.Dests() {
-		n.nhScratch[i] = tree.NextHop(d)
+	// Allocates: the scratch grows to the most destinations of a sampled node, then reuses
+	sh.nhScratch = sh.nhScratch[:0]
+	for _, d := range n.src.Dests() {
+		sh.nhScratch = append(sh.nhScratch, tree.NextHop(d))
 	}
 	if !n.Router.Accept(u) {
 		return false
 	}
 	changed := int64(0)
 	for i, d := range n.src.Dests() {
-		if tree.NextHop(d) != n.nhScratch[i] {
+		if tree.NextHop(d) != sh.nhScratch[i] {
 			changed++
 		}
 	}

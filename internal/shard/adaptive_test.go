@@ -195,7 +195,7 @@ func TestCtrlSeqExhaustionPanics(t *testing.T) {
 			t.Fatalf("last in-range copy: %+v, want Seq %#x", first, ctrlSeqBit|5<<32|uint64(math.MaxUint32))
 		}
 	}()
-	n.sh.originate(n, sim.Millisecond)
+	n.LineChanged(s.g, n.sh, n.out[0].l.ID, sim.Millisecond) // originates
 	t.Fatal("originate returned: cseq passed 2^32 unnoticed")
 }
 

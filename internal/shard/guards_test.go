@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/flooding"
+	"repro/internal/node"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // Run-time twins of the conventions a lint rule used to look for in this
@@ -69,7 +71,10 @@ func TestZeroTickScheduleCaught(t *testing.T) {
 		"0 ticks":                 func() { mustCallAt(sh.kernel, now, sh.sourceCall, n) },
 		"FromSeconds rounds to 0": func() { mustCallAt(sh.kernel, now+sim.FromSeconds(4e-7), sh.sourceCall, n) },
 		"in the past":             func() { mustCallAt(sh.kernel, now-1, sh.sourceCall, n) },
-		"a zeroed period field":   func() { s.cfg.MeasurePeriod = 0; sh.measure(now, n) },
+		"a zero tick period": func() {
+			node.Boot(s.cfg.Metric, s.cfg.Adaptive, s.g, []*node.PSN{&n.PSN}, func(l topology.LinkID) *node.Trunk { return &s.linkAt[l].Trunk }, 0)
+			sh.tick(now, n)
+		},
 	} {
 		func() {
 			defer func() {

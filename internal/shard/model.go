@@ -38,40 +38,40 @@ type shardState struct {
 	recs   []rec
 	outbox []wire // packets exported during the current window
 
-	routers *spf.Table // this shard's nodes' routers (adaptive), driven by its goroutine only
+	routers   *spf.Table        // this shard's nodes' routers (where PSNs flood), driven by its goroutine only
+	nhScratch []topology.LinkID // Accept's next-hop diff scratch, one per destination of a sampled node
 
 	// updatesInFlight counts, by origin, the update copies this shard's
-	// nodes enqueued less those it consumed or dropped (adaptive). A copy
+	// nodes enqueued less those it consumed or dropped (where PSNs flood,
+	// else nil). A copy
 	// can die on another shard than the one that sent it, so only the sum
 	// over shards means anything: the copies in flight, queued, on a
 	// transmitter, on a wire or awaiting their arrival.
-	updatesInFlight []int
+	updatesInFlight node.Copies
 
 	// Arrival events pending on this shard's kernel: user packets and
 	// update copies that have crossed a link and not yet reached its far end.
 	propUser, propCtrl int64
 
 	// Bound callbacks, allocated once so the hot path closures nothing.
-	sourceCall  sim.Call
-	txDoneCall  sim.Call
-	arriveCall  sim.Call
-	measureCall sim.Call
-	faultCall   sim.Call
-	vectorCall  sim.Call
+	sourceCall sim.Call
+	txDoneCall sim.Call
+	arriveCall sim.Call
+	tickCall   sim.Call
+	faultCall  sim.Call
 }
 
 func (sh *shardState) bind() {
 	sh.sourceCall = sh.source
 	sh.txDoneCall = sh.txDone
 	sh.arriveCall = sh.arrive
-	sh.measureCall = sh.measure
+	sh.tickCall = sh.tick
 	sh.faultCall = sh.fault
-	sh.vectorCall = sh.exchange
 }
 
 // lnode is one node's shard-local state.
 type lnode struct {
-	node.PSN // updating protocol (adaptive); Router is nil on the static plane
+	node.PSN // routing protocol (node.Boot); no Router or vector on the static plane
 
 	sh  *shardState
 	src node.Source // its Poisson source over its destination set, ascending
@@ -80,11 +80,10 @@ type lnode struct {
 	pseq uint64 // packets generated (low word of Packet.Seq)
 	rseq uint32 // trace records emitted
 
-	// Adaptive routing plane (nil/zero unless Config.Adaptive), beside PSN.
-	// All of it is node-local state driven by the node's own event order, so
-	// it inherits the partition-independence argument unchanged.
-	cseq      uint64            // control copies enqueued (low word of ctrl Seq)
-	nhScratch []topology.LinkID // next-hop diff scratch, one per dest
+	// Adaptive routing plane (zero unless Config.Adaptive), beside PSN. All
+	// of it is node-local state driven by the node's own event order, so it
+	// inherits the partition-independence argument unchanged.
+	cseq uint64 // control copies enqueued (low word of ctrl Seq)
 }
 
 // llink is one directed link's shard-local state: the shared trunk model
@@ -201,7 +200,7 @@ func (s *Sim) buildLinks(id topology.NodeID) {
 		l := s.g.Link(lid)
 		ls := &llink{
 			Trunk: node.NewTrunk(s.cfg.QueueLimit,
-				node.NewCostModule(s.cfg.Metric, l.Type, l.PropDelay), l.Type.Bandwidth()),
+				node.NewCostModule(s.cfg.Metric, l.Type, l.PropDelay, s.cfg.Ablations...), l.Type.Bandwidth()),
 			l:       l,
 			propLat: node.HopLatency(l),
 		}
@@ -422,45 +421,14 @@ func (sh *shardState) arrive(now sim.Time, arg any) {
 	sh.handlePacket(sh.s.nodeAt[sh.s.linkAt[p.Arrival].l.To], p, now)
 }
 
-// --- measurement ----------------------------------------------------------
+// --- routing --------------------------------------------------------------
 
-// measure is one measurement period at node n: take every out-link's period
-// average (a down link discards its — unobservable on the static plane, see
-// fault), feed the cost modules, re-arm the tick, and on the adaptive plane
-// originate a flood when any module reports a significant change or the
-// 50-second reliability refresh is due.
-func (sh *shardState) measure(now sim.Time, arg any) {
+// tick is one of n's periodic steps (node.PSN.Tick): a measurement period,
+// and on the adaptive plane maybe a flood, or a 1969 vector exchange; it
+// re-arms itself.
+func (sh *shardState) tick(now sim.Time, arg any) {
 	n := arg.(*lnode)
-	sample := sh.s.cfg.MeasureSample
-	report := false
-	for _, ls := range n.out {
-		count := ls.Meas.Count()
-		avg := ls.Meas.Take()
-		if ls.Down() {
-			continue
-		}
-		cost, rep := ls.Module.Update(avg)
-		if rep {
-			report = true
-		}
-		if sample > 0 && int(n.ID)%sample == 0 {
-			sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recMeasure,
-				link: ls.l.ID, count: count, avg: avg, cost: cost})
-			n.rseq++
-		}
-	}
-	if sh.s.cfg.Adaptive && (report || n.RefreshDue(now)) {
-		sh.originate(n, now)
-	}
-	_ = mustCallAt(sh.kernel, now+sh.s.cfg.MeasurePeriod, sh.measureCall, n)
-}
-
-// exchange is one of n's 1969 vector exchanges (node.PSN.Exchange); it
-// re-arms itself VectorPeriod later.
-func (sh *shardState) exchange(now sim.Time, arg any) {
-	n := arg.(*lnode)
-	n.Exchange(sh.s.g, sh, now)
-	_ = mustCallAt(sh.kernel, now+node.VectorPeriod, sh.vectorCall, n)
+	_ = mustCallAt(sh.kernel, now+n.Tick(sh.s.g, sh, now), sh.tickCall, n)
 }
 
 // --- faults ---------------------------------------------------------------
@@ -483,13 +451,12 @@ func (s *Sim) ApplyFault(f Fault) {
 // trunk's Fail/Restore transitions; only the adaptive plane has faults (New
 // refuses them otherwise). Going down, the packet on the transmitter and the
 // backlog are booked as outage drops (packets already propagating are past
-// the cut and survive). Either transition also makes the endpoint originate
-// an update advertising the new state (DownCost or the module's reset cost) —
-// the other direction's own fault event does the same at the far endpoint,
-// which is internal/network's originate-from-both-ends in per-direction form.
-// A repair also sends the far end, on the restored link, the update n's
-// router holds for every other origin: Rosen's line-up exchange
-// (node.PSN.Resync), as internal/network does it, in per-direction form.
+// the cut and survive). Then the endpoint takes its part in the change
+// (node.PSN.LineChanged): a flooding PSN originates an update advertising the
+// new state (DownCost or the module's reset cost) and, over a restored link,
+// sends the far end the update its router holds for every other origin,
+// Rosen's line-up exchange. The other direction's own fault event does the
+// same at the far endpoint: internal/network's both-ends form, per direction.
 func (sh *shardState) fault(now sim.Time, arg any) {
 	f := arg.(*faultEv)
 	ls := f.ls
@@ -509,19 +476,14 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 		n.rseq++
 		ls.Fail(func(p *node.Packet) { sh.dropOutage(n, ls, p, now) })
 	}
-	sh.originate(n, now)
-	if f.up {
-		n.Resync(sh, ls.l.ID, now)
-	}
+	n.LineChanged(sh.s.g, sh, ls.l.ID, now)
 }
 
 // dropOutage books one packet flushed by a link outage, keeping routing
 // packets in their own ledger class.
 func (sh *shardState) dropOutage(n *lnode, ls *llink, p *node.Packet, now sim.Time) {
-	if p.Update != nil {
-		sh.updatesInFlight[p.Update.Origin]--
-	}
 	if p.IsRouting() {
+		sh.updatesInFlight.Remove(p)
 		sh.led.CtrlOutageDrops++
 	} else {
 		sh.led.User.OutageDrops++

@@ -113,7 +113,7 @@ func (s *Sim) ConvergenceAudit() error {
 // QuietOrigins returns how many origins have no update copy in flight: those
 // ConvergenceAudit checks (0 without routers). Call it between Run
 // invocations.
-func (s *Sim) QuietOrigins() int { return node.QuietOrigins(s.updatesInFlight()) }
+func (s *Sim) QuietOrigins() int { return node.Copies(s.updatesInFlight()).Quiet() }
 
 // updatesInFlight sums the shards' per-origin update copy counts: nil without
 // routers, which count none.

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -78,14 +79,18 @@ type Config struct {
 
 	QueueLimit int             // per-link output buffer (default node.DefaultQueueLimit)
 	Metric     node.MetricKind // cost module for the per-link metric readings
+	// Ablations switch the HNM's stabilization mechanisms off, one option
+	// each (node.NewCostModule): only with Adaptive under Metric HNSPF.
+	Ablations []core.Option
 
-	// Adaptive switches routing from the static table to the full
-	// adaptive plane (see adaptive.go): each measurement period feeds the
-	// cost modules, significant changes flood routing updates over the
-	// simulated trunks (crossing shard boundaries on the wires like any
-	// other traffic), and every node forwards by its own incremental-SPF
-	// tree over the flooded costs. Under Metric BF1969 the nodes exchange
-	// 1969 distance vectors over the trunks instead (node.PSN.Exchange).
+	// Adaptive switches routing from the static table to the routing
+	// protocol Metric names (node.Boot), run by every node over the
+	// simulated trunks, its routing packets crossing shard boundaries on the
+	// wires like any other traffic (see adaptive.go): under an SPF metric
+	// each measurement period feeds the cost modules, significant changes
+	// flood routing updates, and every node forwards by its own
+	// incremental-SPF tree over the flooded costs; under the 1969 metric the
+	// nodes exchange distance vectors.
 	Adaptive bool
 
 	// Partition, when non-nil, overrides the deterministic partitioner with
@@ -175,6 +180,9 @@ func (cfg Config) Validate() error {
 	if len(cfg.Faults) > 0 && !cfg.Adaptive {
 		return fmt.Errorf("shard: Faults need Adaptive: static routes flood nothing, so no PSN would hear of a failure")
 	}
+	if len(cfg.Ablations) > 0 && (!cfg.Adaptive || cfg.Metric != node.HNSPF) {
+		return fmt.Errorf("shard: Ablations need Adaptive under Metric %v: only the HNM has the mechanisms they switch off, and static routes read no cost", node.HNSPF)
+	}
 	for _, f := range cfg.Faults {
 		if f.Trunk < 0 || f.Trunk >= g.NumTrunks() {
 			return fmt.Errorf("shard: fault on unknown trunk %d", f.Trunk)
@@ -257,9 +265,8 @@ func New(cfg Config) (*Sim, error) {
 	for id := 0; id < g.NumNodes(); id++ {
 		s.buildLinks(topology.NodeID(id))
 	}
-	if cfg.Adaptive {
-		s.bootAdaptive() // per-node SPF over the modules' initial costs
-	} else {
+	s.boot()
+	if !cfg.Adaptive {
 		var err error
 		if s.routes, err = buildRouting(g, s.DestsOf); err != nil {
 			return nil, err
@@ -268,20 +275,13 @@ func New(cfg Config) (*Sim, error) {
 	s.win = node.NewWindow(len(s.nodeAt), func(i int) *node.PSN { return &s.nodeAt[i].PSN },
 		len(s.linkAt), func(l int) *node.Trunk { return &s.linkAt[l].Trunk })
 	// Setup events in one canonical global order (ascending node, then the
-	// node's measurement tick or, under adaptive BF1969, its first vector
-	// exchange, source, and fault events): within a shard, relative sequence
-	// numbers of same-instant setup events are then independent of the
-	// partition.
+	// node's first tick, source, and fault events): within a shard, relative
+	// sequence numbers of same-instant setup events are then independent of
+	// the partition.
 	for id := 0; id < g.NumNodes(); id++ {
 		n := s.nodeAt[id]
 		sh := n.sh
-		if cfg.Adaptive && cfg.Metric == node.BF1969 {
-			_ = mustCallAt(sh.kernel, node.FirstExchange(n.ID, g.NumNodes()), sh.vectorCall, n)
-		} else {
-			first := node.FirstMeasurement(n.ID, g.NumNodes(), cfg.MeasurePeriod)
-			n.LastOriginated = node.BootOriginated(n.ID, first, cfg.MeasurePeriod)
-			_ = mustCallAt(sh.kernel, first, sh.measureCall, n)
-		}
+		_ = mustCallAt(sh.kernel, n.FirstTick(g.NumNodes()), sh.tickCall, n)
 		if n.src.Arm() {
 			_ = mustCallAt(sh.kernel, n.src.Gap(), sh.sourceCall, n)
 		}
@@ -525,7 +525,7 @@ func (s *Sim) collectOutboxes() {
 // a node. The caller must not modify it.
 func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id].src.Dests() }
 
-// LinkCost returns the cost currently advertised by the link's metric
-// module; the checker's shard differential samples it at every checkpoint
-// and compares the series across shard counts.
-func (s *Sim) LinkCost(l topology.LinkID) float64 { return s.linkAt[l].Module.Cost() }
+// LinkCost returns the link's price (node.Trunk.Cost); the checker's shard
+// differential samples it at every checkpoint and compares the series across
+// shard counts.
+func (s *Sim) LinkCost(l topology.LinkID) float64 { return s.linkAt[l].Cost() }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -155,6 +156,19 @@ func TestConfigValidation(t *testing.T) {
 	static.Adaptive = true
 	if err := static.Validate(); err != nil {
 		t.Errorf("adaptive plane with a fault script: %v", err)
+	}
+	// An ablation switches off one of the HNM's mechanisms: only the adaptive
+	// plane under HN-SPF has an HNM, and the refusal names the field.
+	for _, tc := range []struct {
+		adaptive bool
+		metric   node.MetricKind
+		ok       bool
+	}{{false, node.HNSPF, false}, {true, node.DSPF, false}, {true, node.BF1969, false}, {true, node.HNSPF, true}} {
+		cfg := testConfig(g, 2)
+		cfg.Adaptive, cfg.Metric, cfg.Ablations = tc.adaptive, tc.metric, []core.Option{core.WithoutAveraging()}
+		if err := cfg.Validate(); (err == nil) != tc.ok || err != nil && !strings.Contains(err.Error(), "Ablations") {
+			t.Errorf("Ablations, adaptive %v, %v: Validate = %v", tc.adaptive, tc.metric, err)
+		}
 	}
 	if _, err := New(Config{Graph: lone, Shards: 1, PktRate: 5, Dests: 1}); err == nil || !strings.Contains(err.Error(), "ALONE") {
 		t.Errorf("one-node graph: error %v, want one naming the node with nowhere to send", err)

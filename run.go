@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fanout"
 	"repro/internal/network"
 	"repro/internal/node"
@@ -70,12 +69,12 @@ type Spec struct {
 	Script string
 	// Shards, when positive, runs the sharded engine on that many shards (at
 	// most one a PSN) instead of the unsharded one, on the same Traffic or
-	// NodeTraffic, warm-up and Script. It runs no Multipath, Ablations,
-	// Track or TraceCapacity yet.
+	// NodeTraffic, warm-up, Script and Ablations. It runs no Multipath, Track
+	// or TraceCapacity yet.
 	Shards int
 	// StaticRoutes routes the sharded engine by one static table over fixed
 	// link costs instead of the adaptive plane under a Metric, which it
-	// leaves unset; it runs no Script.
+	// leaves unset; it runs no Script and no Ablations.
 	StaticRoutes bool
 	// Track names trunks by their two PSNs; the run samples each a→b
 	// direction's utilization and cost once per simulated second.
@@ -230,13 +229,7 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 		Seed:      s.Seed,
 		Warmup:    sim.FromSeconds(s.WarmupSeconds),
 		Multipath: s.Multipath,
-	}
-	if opts := s.Ablations; len(opts) > 0 {
-		cfg.ModuleFactory = func(l topology.Link) node.CostModule {
-			m := core.NewModuleOptions(core.DefaultParams(l.Type), l.Type.Bandwidth(), l.PropDelay, opts...)
-			m.Settle() // booted as node.NewCostModule boots the full HNM
-			return m
-		}
+		Ablations: s.Ablations,
 	}
 	if s.TraceCapacity > 0 {
 		res.Trace = trace.NewRing(s.TraceCapacity)
@@ -264,7 +257,8 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 // NodeTraffic; with Shards 0 it only draws the traffic (shard.Config.Matrix)
 // the unsharded engine is offered.
 func (s Spec) shardConfig() shard.Config {
-	cfg := shard.Config{Graph: s.Topology.g, Shards: s.Shards, Seed: s.Seed, Metric: s.Metric, Adaptive: !s.StaticRoutes}
+	cfg := shard.Config{Graph: s.Topology.g, Shards: s.Shards, Seed: s.Seed, Metric: s.Metric, Ablations: s.Ablations,
+		Adaptive: !s.StaticRoutes}
 	if nt := s.NodeTraffic; nt != nil {
 		cfg.PktRate, cfg.Dests, cfg.DestRadius = nt.Rate, nt.Dests, nt.Radius
 	} else {
@@ -305,10 +299,12 @@ func (s Spec) check() error {
 		return errors.New("Spec.StaticRoutes needs Spec.Shards, the one engine with a static plane, and runs no Spec.Script: static routes flood nothing, so no PSN would hear of a failure")
 	case s.StaticRoutes && s.Metric != HNSPF:
 		return fmt.Errorf("Spec.Metric %v has no effect on Spec.StaticRoutes, which route over fixed link costs; leave it unset", s.Metric)
+	case s.StaticRoutes && len(s.Ablations) > 0:
+		return errors.New("Spec.Ablations have no effect on Spec.StaticRoutes, which route over fixed link costs; leave them unset")
 	}
 	// What the sharded engine does not run yet, and the fields that set it.
-	names := []string{"Multipath", "Ablations", "Track", "TraceCapacity"}
-	for i, set := range []bool{s.Multipath, len(s.Ablations) > 0, len(s.Track) > 0, s.TraceCapacity > 0} {
+	names := []string{"Multipath", "Track", "TraceCapacity"}
+	for i, set := range []bool{s.Multipath, len(s.Track) > 0, s.TraceCapacity > 0} {
 		if s.Shards > 0 && set {
 			return fmt.Errorf("Spec.%s: the sharded engine (Spec.Shards %d) does not run it", names[i], s.Shards)
 		}
