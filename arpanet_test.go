@@ -233,8 +233,8 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"more shards than PSNs", func(s *Spec) { s.Traffic, s.NodeTraffic, s.Shards = nil, &NodeTraffic{Rate: 1, Dests: 3}, 5 }, "Spec.Shards 5"},
 		{"negative shards", func(s *Spec) { s.Shards = -1 }, "Spec.Shards -1"},
 		{"sharded multipath", func(s *Spec) { sharded(s); s.Multipath = true }, "Spec.Multipath: the sharded engine"},
-		{"sharded track", func(s *Spec) { sharded(s); s.Track = [][2]string{{"N0", "N1"}} }, "Spec.Track: the sharded engine"},
-		{"sharded trace", func(s *Spec) { sharded(s); s.TraceCapacity = 10 }, "Spec.TraceCapacity: the sharded engine"},
+		{"sharded unknown PSN tracked", func(s *Spec) { sharded(s); s.Track = [][2]string{{"N0", "X9"}} }, `Spec.Track: no trunk joins PSNs "N0" and "X9"`},
+		{"negative trace capacity", func(s *Spec) { s.TraceCapacity = -1 }, "Spec.TraceCapacity -1"},
 		{"static routes unsharded", func(s *Spec) { s.StaticRoutes = true }, "Spec.StaticRoutes needs Spec.Shards"},
 		{"static routes scripted", func(s *Spec) { sharded(s); s.Seconds, s.Script, s.StaticRoutes = 0, "duration 60\n", true }, "runs no Spec.Script"},
 		{"static routes with a metric", func(s *Spec) { sharded(s); s.StaticRoutes, s.Metric = true, DSPF }, "Spec.Metric D-SPF has no effect on Spec.StaticRoutes"},

@@ -7,16 +7,18 @@ import (
 	"testing"
 )
 
-// The engine a Spec picks does not show in its Report or its checkpoints:
-// the unsharded engine (Shards 0) and the sharded one at 1, 2 and 4 shards
-// render the same Report and audit the same checkpoints for
+// The engine a Spec picks does not show in its Result: the unsharded engine
+// (Shards 0) and the sharded one at 1, 2 and 4 shards render the same
+// Report, audit the same checkpoints, record the same trace and sample the
+// same tracked series, bit for bit, for
 //   - Table 1's two legs — D-SPF on the 280 kbps gravity matrix, then HN-SPF
 //     at the paper's +13% load — each after the 100 s warm-up, over a
-//     measured window shortened to 10 s;
+//     measured window shortened to 10 s, the first into a ring the run
+//     overflows;
 //   - per-node traffic under HN-SPF, under HN-SPF without its averaging and
 //     its minimum-change threshold (Spec.Ablations), and under BF-1969 on
 //     hier:4x8, with one trunk failed and repaired by a script (offered to
-//     Shards 0 as the same draws in a matrix).
+//     Shards 0 as the same draws in a matrix), that trunk tracked.
 func TestRunEngineDoesNotShow(t *testing.T) {
 	t.Parallel()
 	arpa := Arpanet1987()
@@ -27,13 +29,16 @@ func TestRunEngineDoesNotShow(t *testing.T) {
 	a, rest, _ := strings.Cut(topo.Trunks()[0], "-")
 	b, _, _ := strings.Cut(rest, " ")
 	script := "duration 120\nat 30 down " + a + " " + b + "\nat 60 up " + a + " " + b + "\n"
+	arpaTrack, hierTrack := [][2]string{{"UTAH", "COLLINS"}, {"COLLINS", "UTAH"}}, [][2]string{{a, b}}
 	for _, spec := range []Spec{
-		{Topology: arpa, Traffic: arpa.GravityTraffic(ArpanetWeights(), 280_000), Metric: DSPF, Seed: 1987, WarmupSeconds: 100, Seconds: 110},
-		{Topology: arpa, Traffic: arpa.GravityTraffic(ArpanetWeights(), 280_000*413.99/366.26), Metric: HNSPF, Seed: 1987, WarmupSeconds: 100, Seconds: 110},
-		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: HNSPF, Seed: 1, Script: script},
-		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: HNSPF, Seed: 1, Script: script,
+		{Topology: arpa, Traffic: arpa.GravityTraffic(ArpanetWeights(), 280_000), Metric: DSPF, Seed: 1987, WarmupSeconds: 100, Seconds: 110,
+			Track: arpaTrack, TraceCapacity: 2000},
+		{Topology: arpa, Traffic: arpa.GravityTraffic(ArpanetWeights(), 280_000*413.99/366.26), Metric: HNSPF, Seed: 1987, WarmupSeconds: 100, Seconds: 110,
+			Track: arpaTrack, TraceCapacity: 1 << 15},
+		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: HNSPF, Seed: 1, Script: script, Track: hierTrack, TraceCapacity: 1 << 15},
+		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: HNSPF, Seed: 1, Script: script, Track: hierTrack, TraceCapacity: 1 << 15,
 			Ablations: []HNMOption{HNMWithoutAveraging(), HNMWithoutMinChange()}},
-		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: BF1969, Seed: 1, Script: script},
+		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: BF1969, Seed: 1, Script: script, Track: hierTrack, TraceCapacity: 1 << 15},
 	} {
 		var want string
 		name := spec.Metric.String()
@@ -49,16 +54,32 @@ func TestRunEngineDoesNotShow(t *testing.T) {
 			if len(res.Violations) > 0 {
 				t.Errorf("%s, Shards %d: %v", name, shards, res.Violations)
 			}
-			got := fmt.Sprintf("%s%+v", res.Report, res.Checkpoints)
+			got := fmt.Sprintf("%s%+v\n%d overwritten\n%s", res.Report, res.Checkpoints, res.Trace.Overwritten(), res.Trace.Dump())
+			for _, tr := range res.Tracked {
+				got += fmt.Sprintf("%v\n%v\n%v\n%v\n", tr.Utilization.X, tr.Utilization.Y, tr.Cost.X, tr.Cost.Y)
+			}
 			if shards == 0 {
 				want = got
 				if c := res.Report.Conservation; c.BufferDrops == 0 {
 					t.Errorf("%s: ledger %+v: the load should overflow a buffer", name, c)
 				}
+				if o := res.Trace.Overwritten(); (o > 0) != (spec.TraceCapacity < 1<<15) {
+					t.Errorf("%s: %d events overwritten in a ring of %d", name, o, spec.TraceCapacity)
+				}
+				if n, want := len(res.Tracked[0].Cost.Y), int(res.Script.Duration.Seconds()); n != want {
+					t.Errorf("%s: %d cost samples over %d s", name, n, want)
+				}
 				continue
 			}
 			if got != want {
-				t.Errorf("%s, Shards %d rendered\n%s\nShards 0 rendered\n%s", name, shards, got, want)
+				g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+				for i := range min(len(g), len(w)) {
+					if g[i] != w[i] {
+						t.Errorf("%s, Shards %d: line %d is\n%s\nShards 0 rendered\n%s", name, shards, i+1, g[i], w[i])
+						break
+					}
+				}
+				t.Errorf("%s, Shards %d rendered %d lines, Shards 0 %d", name, shards, len(g), len(w))
 			}
 			if res.Stats.Events == 0 || res.Stats.Barrier.Windows == 0 {
 				t.Errorf("%s, Shards %d: no engine counters: %+v", name, shards, res.Stats)

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/flowmodel"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -244,18 +243,15 @@ func runHybridSide(t hybridTrial, events []scenario.Event, hybrid bool) ([]float
 	} else {
 		cfg.Matrix = sumMatrix(t.fg, t.bg, 1)
 	}
-	series := make([]*stats.Series, t.g.NumLinks())
-	cfg.Prepare = func(n *network.Network) {
-		for l := range series {
-			series[l] = n.TrackLinkCost(topology.LinkID(l))
-		}
+	for l := range topology.LinkID(t.g.NumLinks()) {
+		cfg.Track = append(cfg.Track, node.LinkSeries{Link: l, Util: stats.NewSeries("utilization"), Cost: stats.NewSeries("cost")})
 	}
 	if err := runScript(cfg, script("hybrid-diff", t.duration, 0, evs)); err != nil {
 		return nil, err
 	}
-	means := make([]float64, len(series))
-	for l, s := range series {
-		means[l] = meanAfter(s, hybridWarmup.Seconds())
+	means := make([]float64, len(cfg.Track))
+	for l, s := range cfg.Track {
+		means[l] = meanAfter(s.Cost, hybridWarmup.Seconds())
 	}
 	return means, nil
 }

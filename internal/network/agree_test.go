@@ -15,7 +15,9 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/shard"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -36,8 +38,9 @@ var agreeSeeds = []int64{2, 3, 5, 6, 10, 26, 84, 147}
 // the ledger and the originations — and advertise the same cost on every
 // link, at the end of every second's last instant, through a script whose
 // first failure flushes a user packet and whose surge lands on an instant a
-// source fires. The network side restarts a node by its own live trunk
-// state, not by the timeline scenario expands a restart into.
+// source fires; and, where drawn, record the same trace and the same tracked
+// series. The network side restarts a node by its own live trunk state, not
+// by the timeline scenario expands a restart into.
 func TestEnginesAgree(t *testing.T) {
 	for _, seed := range agreeSeeds {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { agree(t, seed) })
@@ -85,15 +88,42 @@ func agree(t *testing.T, seed int64) {
 	if c := res.Report.Conservation; c.OutageDrops == 0 {
 		t.Errorf("ledger %+v: the first failure should flush a user packet", c)
 	}
+	if in.ring != nil {
+		ring := trace.NewRing(agreeTrace)
+		for _, e := range s.Events() {
+			ring.Add(e)
+		}
+		for k := trace.PacketDropped; k <= trace.Reroute; k++ {
+			if got, want := in.ring.Count(k), ring.Count(k); got != want {
+				t.Errorf("%d %v events on the network, %d on the shard", got, k, want)
+			}
+		}
+		if got, want := in.ring.Dump(), ring.Dump(); got != want {
+			t.Errorf("the traces differ:\nnetwork:\n%s\nshard:\n%s", got, want)
+		}
+	}
+	for i, ls := range in.track {
+		for _, s := range [][2]*stats.Series{{ls.Util, in.cfg.Track[i].Util}, {ls.Cost, in.cfg.Track[i].Cost}} {
+			if !slices.Equal(s[0].X, s[1].X) || !slices.Equal(s[0].Y, s[1].Y) {
+				t.Errorf("link %d's %s series differ:\nnetwork %v %v\nshard   %v %v", ls.Link, s[0].Name, s[0].X, s[0].Y, s[1].X, s[1].Y)
+			}
+		}
+	}
 }
 
+// agreeTrace is the capacity of the rings TestEnginesAgree compares.
+const agreeTrace = 1 << 16
+
 // agreement is one drawn input: the sharded engine's configuration, the
-// warm-up and the script.
+// warm-up and the script, and the trace ring and tracked series of the
+// network that runs it (nil where not drawn).
 type agreement struct {
 	cfg    shard.Config
 	warmup sim.Time
 	sc     *scenario.Scenario
 	desc   string
+	ring   *trace.Ring
+	track  []node.LinkSeries
 }
 
 // network builds the unsharded engine over in's traffic, with every script
@@ -106,7 +136,7 @@ func (in agreement) network() *network.Network {
 	slices.SortStableFunc(evs, func(a, b scenario.Event) int { return cmp.Compare(a.At, b.At) })
 	took := map[topology.NodeID][]topology.LinkID{}
 	return network.New(network.Config{Graph: g, Matrix: in.cfg.Matrix(), Metric: in.cfg.Metric, Ablations: in.cfg.Ablations,
-		Seed: in.cfg.Seed, Warmup: in.warmup, Script: func(n *network.Network) {
+		Seed: in.cfg.Seed, Warmup: in.warmup, Trace: in.ring, Track: in.track, Script: func(n *network.Network) {
 			for _, ev := range evs {
 				_, _ = n.Kernel().ScheduleAt(ev.At, func(sim.Time) {
 					id, _ := g.Lookup(ev.Node)
@@ -152,7 +182,8 @@ func (in agreement) network() *network.Network {
 // restart of that node which must leave the trunk down, and its repair;
 // matrix switches that silence three sources and revive them; and a few
 // other trunks' failures, repairs and flaps, each within one measurement
-// period.
+// period. Last, each with even odds, it traces every PSN's events and
+// tracks one link.
 func drawAgreement(t *testing.T, seed int64) agreement {
 	rng := rand.New(rand.NewSource(seed))
 	var topo check.Topo
@@ -260,7 +291,19 @@ func drawAgreement(t *testing.T, seed int64) agreement {
 			in.sc.UpAt(at, a, b)
 		}
 	}
-	in.desc = fmt.Sprintf("seed %d: %s, %v ablated %v, %s, warm-up %v, script %+v", seed, topo.Desc, in.cfg.Metric, ablated, load, in.warmup, in.sc.Events)
+	if rng.Intn(2) == 0 {
+		in.cfg.MeasureSample, in.cfg.TraceDrops, in.ring = 1, true, trace.NewRing(agreeTrace)
+	}
+	tracked := "no link"
+	if rng.Intn(2) == 0 {
+		l := topology.LinkID(rng.Intn(g.NumLinks()))
+		for _, track := range []*[]node.LinkSeries{&in.cfg.Track, &in.track} {
+			*track = []node.LinkSeries{{Link: l, Util: stats.NewSeries("utilization"), Cost: stats.NewSeries("cost")}}
+		}
+		tracked = fmt.Sprint("link ", l)
+	}
+	in.desc = fmt.Sprintf("seed %d: %s, %v ablated %v, %s, warm-up %v, traced %v, tracked %s, script %+v", seed, topo.Desc, in.cfg.Metric,
+		ablated, load, in.warmup, in.ring != nil, tracked, in.sc.Events)
 	return in
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spf"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -100,10 +99,8 @@ func (n *Network) ScaleTraffic(factor float64) {
 		panic("network: traffic scale factor must be positive")
 	}
 	for _, p := range n.psns {
-		p.src.Rate *= factor
+		p.Src.Rate *= factor
 	}
-	n.cfg.Trace.Add(trace.Event{At: n.kernel.Now(), Kind: trace.TrafficChange,
-		Node: topology.NoNode, Link: topology.NoLink, Cost: factor})
 }
 
 // SetMatrix switches the network to a new traffic matrix mid-run: every
@@ -117,8 +114,6 @@ func (n *Network) SetMatrix(m *traffic.Matrix) {
 	n.cfg.Matrix = m
 	n.setRows(m)
 	n.armSources()
-	n.cfg.Trace.Add(trace.Event{At: n.kernel.Now(), Kind: trace.TrafficChange,
-		Node: topology.NoNode, Link: topology.NoLink})
 }
 
 // ScaleBackground multiplies the fluid background demand by factor,
@@ -130,6 +125,4 @@ func (n *Network) ScaleBackground(factor float64) {
 		panic("network: ScaleBackground without a background matrix")
 	}
 	n.fluid.Scale(factor)
-	n.cfg.Trace.Add(trace.Event{At: n.kernel.Now(), Kind: trace.TrafficChange,
-		Node: topology.NoNode, Link: topology.NoLink, Cost: factor})
 }

@@ -77,9 +77,10 @@ func TestCostSeriesTracksMetricDynamics(t *testing.T) {
 	g := topology.Line(3, topology.T56)
 	m := traffic.NewMatrix(3)
 	m.Set(0, 2, 40000) // ~71% of each trunk
-	n := New(Config{Graph: g, Matrix: m, Metric: node.HNSPF, Seed: 12, Warmup: 10 * sim.Second})
+	cfg := Config{Graph: g, Matrix: m, Metric: node.HNSPF, Seed: 12, Warmup: 10 * sim.Second}
 	l, _ := g.FindTrunk(0, 1)
-	series := n.TrackLinkCost(l)
+	series := track(&cfg, l).Cost
+	n := New(cfg)
 	n.Run(300 * sim.Second)
 	if series.Len() < 290 {
 		t.Fatalf("cost series has %d samples, want ~300", series.Len())
@@ -126,9 +127,10 @@ func TestEaseInIsGradualAtPacketLevel(t *testing.T) {
 	m := traffic.NewMatrix(3)
 	m.Set(0, 1, 25000)
 	m.Set(1, 0, 25000)
-	n := New(Config{Graph: g, Matrix: m, Metric: node.HNSPF, Seed: 14, Warmup: 30 * sim.Second})
+	cfg := Config{Graph: g, Matrix: m, Metric: node.HNSPF, Seed: 14, Warmup: 30 * sim.Second}
 	l, _ := g.FindTrunk(0, 1)
-	series := n.TrackLink(l)
+	series := track(&cfg, l).Util
+	n := New(cfg)
 	n.Kernel().Schedule(100*sim.Second, func(sim.Time) { n.SetTrunkDown(l) })
 	n.Kernel().Schedule(200*sim.Second, func(sim.Time) { n.SetTrunkUp(l) })
 	n.Run(360 * sim.Second)

@@ -71,8 +71,6 @@ func TestBackgroundCongestionSteersForeground(t *testing.T) {
 	bg := traffic.NewMatrix(4)
 	bg.Set(0, 1, 50000) // A->B direct: rho ~0.89 on A-B
 	n, ab, ac := hybridDiamond(bg, 11)
-	sc := n.TrackLinkCost(ab)
-	_ = sc
 	n.Run(300 * sim.Second)
 	if n.links[ab].Module.Cost() <= n.links[ac].Module.Cost() {
 		t.Errorf("A-B carries the background (cost %v) and should be pricier than A-C (cost %v)",

@@ -10,7 +10,6 @@
 package network
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/queueing"
 	"repro/internal/sim"
 	"repro/internal/spf"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -41,7 +39,7 @@ type Conservation = node.Conservation
 // window opens at Config.Warmup.
 type Report = node.Report
 
-// sampleInterval is the period of the link-utilization and cost series.
+// sampleInterval is the period of the link-utilization samples.
 const sampleInterval = sim.Second
 
 // Config describes one simulation run.
@@ -69,8 +67,13 @@ type Config struct {
 	// spread randomly over every first hop on a minimum-cost path. This is
 	// the paper's "future work" remedy for large single flows.
 	Multipath bool
-	// Trace, when non-nil, receives loss/routing events (bounded ring).
+	// Trace, when non-nil, receives every PSN's trace events (bounded ring),
+	// in the trace's order (trace.Sort): each second's as its utilization
+	// sample closes it, and the rest when Run returns.
 	Trace *trace.Ring
+	// Track names links whose utilization and price every sample records
+	// (node.Window.Series).
+	Track []node.LinkSeries
 
 	// Background, when non-nil, turns on the hybrid fluid/packet engine:
 	// this matrix is modeled as fluid flows routed over the advertised
@@ -82,8 +85,9 @@ type Config struct {
 	Background *traffic.Matrix
 }
 
-// Network is a running simulation. Build with New, drive with Run/RunUntil,
-// then read Report and the tracked series. Not safe for concurrent use.
+// Network is a running simulation. Build with New, drive with Run, then
+// read Report, the trace and the tracked series. Not safe for concurrent
+// use.
 type Network struct {
 	cfg    Config
 	kernel *sim.Kernel
@@ -121,6 +125,9 @@ type Network struct {
 	win                                *node.Window
 	ctrlSent, ctrlConsumed, ctrlOutage int64
 
+	// log holds the trace events since the last sample, with Config.Trace.
+	log trace.Log
+
 	// In-flight propagation accounting: packets that have left a
 	// transmitter and are on the wire awaiting the far-end handlePacket.
 	propUser    int // user packets propagating
@@ -136,13 +143,11 @@ type psn struct {
 	lines    []*linkState // its out-links in Graph.Out order, so its next line i is lines[i]
 	paths    sim.RNG      // multipath next-hop selection (Config.Multipath)
 	dag      *spf.DAG     // multipath first hops over Router's tree (nil: stale, built at the next lookup)
-
-	src node.Source // its Poisson source over its matrix row
 }
 
 // linkState is one directed link: the shared trunk model plus what only
-// this engine keeps — the far end's latency, the flooded-cost view the
-// auditors and the fluid layer read, and the tracked series.
+// this engine keeps — the far end's latency and the flooded-cost view the
+// auditors and the fluid layer read.
 type linkState struct {
 	node.Trunk
 	link topology.Link
@@ -155,9 +160,6 @@ type linkState struct {
 	// owning PSN (DownCost while out of service): the cost the fluid
 	// background routes its demand on.
 	lastFlooded float64
-
-	series     *stats.Series
-	costSeries *stats.Series
 }
 
 // New builds a network ready to run. It validates the topology, creates
@@ -211,9 +213,11 @@ func New(cfg Config) *Network {
 		id := topology.NodeID(i)
 		n.ids[i] = id
 		p := &psn{
-			PSN:   node.PSN{ID: id},
+			PSN:   node.PSN{ID: id, Src: node.NewSource(cfg.Seed, id)},
 			lines: make([]*linkState, n.g.Degree(id)),
-			src:   node.NewSource(cfg.Seed, id),
+		}
+		if cfg.Trace != nil {
+			p.Trace = &n.log
 		}
 		for j, l := range n.g.Out(id) {
 			p.lines[j] = n.links[l]
@@ -229,6 +233,7 @@ func New(cfg Config) *Network {
 
 	n.win = node.NewWindow(len(n.psns), func(i int) *node.PSN { return &n.psns[i].PSN },
 		len(n.links), func(l int) *node.Trunk { return &n.links[l].Trunk })
+	n.win.Series = cfg.Track
 
 	for _, p := range n.psns {
 		// Fire-and-forget: each PSN's tick chain runs for the lifetime of the
@@ -300,30 +305,28 @@ func (n *Network) multipathNextHop(p *psn, dst topology.NodeID) *linkState {
 // events (link failures, matrix switches).
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
 
-// Run advances the simulation to the given absolute time.
-func (n *Network) Run(until sim.Time) { n.kernel.RunUntil(until) }
-
-// TrackLink starts recording a per-sample utilization series for the link;
-// call before Run. The series' X axis is seconds.
-func (n *Network) TrackLink(l topology.LinkID) *stats.Series {
-	ls := n.links[l]
-	if ls.series == nil {
-		lnk := ls.link
-		ls.series = stats.NewSeries(fmt.Sprintf("%s->%s", n.g.Node(lnk.From).Name, n.g.Node(lnk.To).Name))
-	}
-	return ls.series
+// Run advances the simulation to the given absolute time, its trace
+// events up to then in Config.Trace.
+func (n *Network) Run(until sim.Time) {
+	n.kernel.RunUntil(until)
+	n.flush()
 }
 
-// TrackLinkCost records the link's advertised cost once per sample
-// interval; call before Run.
-func (n *Network) TrackLinkCost(l topology.LinkID) *stats.Series {
-	ls := n.links[l]
-	if ls.costSeries == nil {
-		lnk := ls.link
-		ls.costSeries = stats.NewSeries(fmt.Sprintf("cost %s->%s",
-			n.g.Node(lnk.From).Name, n.g.Node(lnk.To).Name))
+// record adds a drop's or a link's trace event (with Config.Trace).
+func (n *Network) record(e trace.Event) {
+	if n.cfg.Trace != nil {
+		n.log.Add(e)
 	}
-	return ls.costSeries
+}
+
+// flush puts the trace events recorded since the last flush into
+// Config.Trace in the trace's order. Every event from then on is later.
+func (n *Network) flush() {
+	trace.Sort(n.log)
+	for _, e := range n.log {
+		n.cfg.Trace.Add(e)
+	}
+	n.log = n.log[:0]
 }
 
 // --- traffic generation -------------------------------------------------
@@ -333,25 +336,25 @@ func (n *Network) TrackLinkCost(l topology.LinkID) *stats.Series {
 // each the new matrix revived.
 func (n *Network) armSources() {
 	for _, p := range n.psns {
-		if p.src.Arm() {
+		if p.Src.Arm() {
 			// Fire-and-forget: a source the matrix silences parks at its next
 			// arrival (node.Source.Fire) rather than being cancelled.
-			_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
+			_ = n.kernel.ScheduleCall(p.Src.Gap(), n.sourceFireFn, p)
 		}
 	}
 }
 
 func (n *Network) sourceFire(p *psn, now sim.Time) {
-	if !p.src.Fire() {
+	if !p.Src.Fire() {
 		return
 	}
 	pkt := n.pool.Get()
-	p.src.Emit(pkt, now)
+	p.Src.Emit(pkt, now)
 	n.led.Offered++
 	p.Meter.Offer(pkt)
 	n.handlePacket(p, pkt, now)
 	// Fire-and-forget: see armSources.
-	_ = n.kernel.ScheduleCall(p.src.Gap(), n.sourceFireFn, p)
+	_ = n.kernel.ScheduleCall(p.Src.Gap(), n.sourceFireFn, p)
 }
 
 // --- forwarding ---------------------------------------------------------
@@ -376,7 +379,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 	}
 	if pkt.Hops >= MaxHops {
 		n.led.LoopDrops++
-		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketLooped, Node: p.ID, Link: topology.NoLink})
+		n.record(trace.Event{At: now, Kind: trace.PacketLooped, Node: p.ID, Link: pkt.Arrival, Pkt: pkt.Seq})
 		n.pool.Put(pkt)
 		return
 	}
@@ -390,11 +393,7 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 	}
 	if nh == nil || nh.Down() {
 		n.led.NoRouteDrops++
-		link := topology.NoLink
-		if nh != nil {
-			link = nh.link.ID
-		}
-		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketNoRoute, Node: p.ID, Link: link})
+		n.record(trace.Event{At: now, Kind: trace.PacketNoRoute, Node: p.ID, Link: pkt.Arrival, Pkt: pkt.Seq})
 		n.pool.Put(pkt)
 		return
 	}
@@ -405,7 +404,7 @@ func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
 	pkt.Enqueued = now
 	if !ls.Queue.Push(pkt) {
 		n.led.BufferDrops++
-		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketDropped, Node: ls.link.From, Link: ls.link.ID})
+		n.record(trace.Event{At: now, Kind: trace.PacketDropped, Node: ls.link.From, Link: ls.link.ID, Pkt: pkt.Seq})
 		n.pool.Put(pkt)
 		return
 	}
@@ -457,16 +456,17 @@ func (n *Network) propArrive(pkt *node.Packet, now sim.Time) {
 }
 
 // dropOutage accounts one packet destroyed by a trunk failure. Routing
-// packets are not counted — the flood refresh regenerates them — but user
-// packets enter the outage-drop class so conservation stays exact. Either way the packet's life ends here.
+// packets are counted apart — the flood refresh regenerates them — and user
+// packets enter the outage-drop class so conservation stays exact. Either
+// way the packet's life ends here, traced at the link's sending end.
 func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 	if !pkt.IsRouting() {
 		n.led.OutageDrops++
-		n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PacketOutage, Node: ls.link.From, Link: ls.link.ID})
 	} else {
 		n.ctrlOutage++
 		n.updatesInFlight.Remove(pkt)
 	}
+	n.record(trace.Event{At: now, Kind: trace.PacketOutage, Node: ls.link.From, Link: ls.link.ID, Pkt: pkt.Seq})
 	n.pool.Put(pkt)
 }
 
@@ -474,8 +474,8 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 
 // The network's node.Egress: Send and SendVector put a routing packet on a
 // line, Accept drops the multipath DAG of a router that took an update,
-// Originated keeps the flooded costs for the fluid background and traces the
-// origination, and Delay superposes the fluid background on a measurement.
+// Originated keeps the flooded costs for the fluid background, and Delay
+// superposes the fluid background on a measurement.
 
 // Send enqueues one copy of u on link l.
 func (n *Network) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
@@ -488,11 +488,13 @@ func (n *Network) SendVector(l topology.LinkID, v *node.Vector, now sim.Time) {
 	n.sendRouting(l, nil, v, v.SizeBits(), now, now)
 }
 
-// sendRouting enqueues on link l one fresh routing packet carrying u or v.
-// A routing packet goes to the head of the queue and is never refused.
+// sendRouting enqueues on link l one fresh routing packet carrying u or v,
+// numbered by its sender (node.PSN.CtrlSeq). A routing packet goes to the
+// head of the queue and is never refused.
 func (n *Network) sendRouting(l topology.LinkID, u *flooding.Update, v *node.Vector, size float64, created, now sim.Time) {
 	n.ctrlSent++
 	pkt := n.pool.Get()
+	pkt.Seq = n.psns[n.links[l].link.From].CtrlSeq()
 	pkt.SizeBits, pkt.Created, pkt.Update, pkt.Vector, pkt.Arrival = size, created, u, v, l
 	n.enqueue(n.links[l], pkt, now)
 }
@@ -507,13 +509,11 @@ func (n *Network) Accept(p *node.PSN, u *flooding.Update, _ sim.Time) bool {
 	return true
 }
 
-// Originated keeps u's costs as the ones last flooded for p's lines and
-// traces the origination.
-func (n *Network) Originated(p *node.PSN, u *flooding.Update, now sim.Time) {
+// Originated keeps u's costs as the ones last flooded for p's lines.
+func (n *Network) Originated(_ *node.PSN, u *flooding.Update, _ sim.Time) {
 	for i, l := range u.Links {
 		n.links[l].lastFlooded = u.Costs[i]
 	}
-	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink})
 }
 
 // Delay folds the fluid background into line l's period average.
@@ -523,9 +523,6 @@ func (n *Network) Delay(l topology.LinkID, avg float64) float64 {
 	}
 	return n.superpose(n.links[l], avg)
 }
-
-// Measured keeps nothing of a measurement.
-func (n *Network) Measured(*node.PSN, topology.LinkID, int64, float64, float64, sim.Time) {}
 
 // tick is one of p's periodic steps (node.PSN.Tick); it re-arms itself.
 func (n *Network) tick(p *psn, now sim.Time) {
@@ -558,11 +555,13 @@ func (n *Network) superpose(ls *linkState, avg float64) float64 {
 
 // --- utilization sampling -----------------------------------------------
 
-// sample takes every link's utilization sample, extends the tracked series
-// and re-arms itself a sampleInterval later. It is a tail event, after
-// every other event of its instant (sim.Kernel.ScheduleTailCallAt), so a
-// transmission ending on the instant counts in its sample, as on the
-// sharded engine. Sampling runs for the lifetime of the network.
+// sample takes every link's utilization sample, puts the second's trace
+// events into Config.Trace, and re-arms itself a sampleInterval later. It is
+// a tail event, after every other event of its instant
+// (sim.Kernel.ScheduleTailCallAt), so a transmission ending on the instant
+// counts in its sample, as on the sharded engine, and every event of the
+// instant is in the second it closes. Sampling runs for the lifetime of the
+// network.
 func (n *Network) sample(now sim.Time) {
 	for _, ls := range n.links {
 		extra := 0.0
@@ -572,14 +571,9 @@ func (n *Network) sample(now sim.Time) {
 			// until the next epoch re-routes it.
 			extra = n.fluid.LinkBPS(ls.link.ID) / ls.Bandwidth
 		}
-		u := n.win.Sample(ls.link.ID, sampleInterval, extra)
-		if ls.series != nil {
-			ls.series.Add(now.Seconds(), u)
-		}
-		if ls.costSeries != nil {
-			ls.costSeries.Add(now.Seconds(), ls.Cost())
-		}
+		n.win.Sample(ls.link.ID, now, sampleInterval, extra)
 	}
+	n.flush()
 	_, _ = n.kernel.ScheduleTailCallAt(now+sampleInterval, sim.MaxTailKey, n.sampleFn, nil)
 }
 
@@ -601,26 +595,27 @@ func (n *Network) Report() Report {
 // count.
 func (n *Network) setRows(m *traffic.Matrix) {
 	topology.AllHops(n.g, func(s topology.NodeID, hops func(topology.NodeID) int) {
-		n.psns[s].src.SetRow(n.ids, m.Row(s), hops)
+		n.psns[s].Src.SetRow(n.ids, m.Row(s), hops)
 	})
 }
 
 // --- link failures ------------------------------------------------------
 
 // SetTrunkDown takes both directions of the trunk containing link l out of
-// service and floods the news from both ends. Packets on the transmitters
-// and in the output queues are destroyed by the outage and counted as
-// outage drops — they do not vanish from the conservation ledger, and no
-// stale completion event survives to double-start a transmitter after a
-// repair. A no-op on a trunk that is already down.
+// service, each traced at its sending end, and floods the news from both
+// ends. Packets on the transmitters and in the output queues are destroyed by
+// the outage and counted as outage drops — they do not vanish from the
+// conservation ledger, and no stale completion event survives to
+// double-start a transmitter after a repair. A no-op on a trunk that is
+// already down.
 func (n *Network) SetTrunkDown(l topology.LinkID) {
 	if n.links[l].Down() {
 		return
 	}
 	now := n.kernel.Now()
-	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.LinkDown, Node: n.g.Link(l).From, Link: l})
 	for _, id := range []topology.LinkID{l, n.g.Link(l).Reverse()} {
 		ls := n.links[id]
+		n.record(trace.Event{At: now, Kind: trace.LinkDown, Node: ls.link.From, Link: id})
 		// The packet on the transmitter and the backlog are lost to the
 		// outage (see Trunk.Fail); each is booked as an outage drop.
 		ls.Fail(func(pkt *node.Packet) { n.dropOutage(ls, pkt, now) })
@@ -629,19 +624,21 @@ func (n *Network) SetTrunkDown(l topology.LinkID) {
 	n.psns[n.g.Link(l).To].LineChanged(n.g, n, n.g.Link(l).Reverse(), now)
 }
 
-// SetTrunkUp returns the trunk to service. The metric modules Reset, so an
-// HN-SPF link comes back at its maximum cost and eases in (§5.4). Both ends
-// flood the repair and resynchronise each other over the trunk
-// (node.PSN.LineChanged). A no-op on a trunk that is already up.
+// SetTrunkUp returns the trunk to service, each direction traced at its
+// sending end. The metric modules Reset, so an HN-SPF link comes back at its
+// maximum cost and eases in (§5.4). Both ends flood the repair and
+// resynchronise each other over the trunk (node.PSN.LineChanged). A no-op on
+// a trunk that is already up.
 func (n *Network) SetTrunkUp(l topology.LinkID) {
 	if !n.links[l].Down() {
 		return
 	}
 	now := n.kernel.Now()
-	n.cfg.Trace.Add(trace.Event{At: now, Kind: trace.LinkUp, Node: n.g.Link(l).From, Link: l})
 	rev := n.g.Link(l).Reverse()
-	n.links[l].Restore()
-	n.links[rev].Restore()
+	for _, id := range []topology.LinkID{l, rev} {
+		n.links[id].Restore()
+		n.record(trace.Event{At: now, Kind: trace.LinkUp, Node: n.links[id].link.From, Link: id})
+	}
 	// Flooding the repair enqueues the updates on the restored trunk itself,
 	// which restarts its transmitter.
 	n.psns[n.g.Link(l).From].LineChanged(n.g, n, l, now)

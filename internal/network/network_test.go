@@ -171,9 +171,9 @@ func oscillationRun(t *testing.T, kind node.MetricKind) (a, b *stats.Series, rep
 	// Inter-region offered load ≈ 85% of ONE trunk in each direction:
 	// enough that a single trunk saturates, comfortable for two.
 	m := traffic.Hotspot(g, west, 120000, 0.80)
-	n := New(Config{Graph: g, Matrix: m, Metric: kind, Seed: 11, Warmup: 100 * sim.Second})
-	sa := n.TrackLink(la)
-	sb := n.TrackLink(lb)
+	cfg := Config{Graph: g, Matrix: m, Metric: kind, Seed: 11, Warmup: 100 * sim.Second}
+	sa, sb := track(&cfg, la).Util, track(&cfg, lb).Util
+	n := New(cfg)
 	n.Run(700 * sim.Second)
 	return smooth(sa, 10), smooth(sb, 10), n.Report()
 }

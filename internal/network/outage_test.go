@@ -45,9 +45,10 @@ func TestFlapMidTransmissionSingleTransmitter(t *testing.T) {
 	g := topology.Line(2, topology.T56)
 	m := traffic.NewMatrix(2)
 	m.Set(0, 1, 80000) // ~1.4× the trunk: the queue stays backlogged
-	n := New(Config{Graph: g, Matrix: m, Metric: node.MinHop, Seed: 21, Warmup: 5 * sim.Second})
+	cfg := Config{Graph: g, Matrix: m, Metric: node.MinHop, Seed: 21, Warmup: 5 * sim.Second}
 	l, _ := g.FindTrunk(0, 1)
-	series := n.TrackLink(l)
+	series := track(&cfg, l).Util
+	n := New(cfg)
 
 	// Flap repeatedly, each time with a packet mid-transmission and a deep
 	// backlog; every unfixed flap would stack one more concurrent
@@ -235,16 +236,17 @@ func TestSetTrunkDownUpIdempotent(t *testing.T) {
 	n.Run(20 * sim.Second)
 	n.SetTrunkDown(l)
 	n.SetTrunkDown(l)
-	if got := ring.Count(trace.LinkDown); got != 1 {
-		t.Errorf("duplicate SetTrunkDown logged %d transitions, want 1", got)
-	}
 	n.Run(40 * sim.Second)
-	n.SetTrunkUp(l)
-	n.SetTrunkUp(l)
-	if got := ring.Count(trace.LinkUp); got != 1 {
-		t.Errorf("duplicate SetTrunkUp logged %d transitions, want 1", got)
+	// One transition a direction, each traced at its sending end.
+	if got := ring.Count(trace.LinkDown); got != 2 {
+		t.Errorf("duplicate SetTrunkDown logged %d transitions, want 2", got)
 	}
+	n.SetTrunkUp(l)
+	n.SetTrunkUp(l)
 	n.Run(80 * sim.Second)
+	if got := ring.Count(trace.LinkUp); got != 2 {
+		t.Errorf("duplicate SetTrunkUp logged %d transitions, want 2", got)
+	}
 	auditAll(t, n, "after duplicate transitions")
 	if n.LinkIsDown(l) {
 		t.Error("trunk should be up")

@@ -6,13 +6,14 @@ package node
 // goes more than MaxUpdateInterval without originating; and the two ends of
 // a repaired trunk send each other the updates they hold. The engines keep
 // what differs between them — how a copy becomes a packet on a queue, what
-// they count and trace, and what an accepted update invalidates — and reach
+// they count, and what an accepted update invalidates — and reach
 // the protocol through PSN (psn.go) and Egress.
 
 import (
 	"repro/internal/flooding"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // nextUpdate makes the PSN's next update: costs are its own lines', in
@@ -38,7 +39,10 @@ func (p *PSN) originate(g *topology.Graph, e Egress, now sim.Time) {
 		costs[i] = p.trunk(l).Advertised()
 	}
 	u := p.nextUpdate(g, costs, now)
-	e.Accept(p, u, now)
+	p.accept(e, u, now)
+	if p.Trace != nil {
+		p.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink, Pkt: u.Seq, Count: int64(len(costs))})
+	}
 	e.Originated(p, u, now)
 	p.flood(g, e, u, topology.NoLink, now, now)
 }

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/flooding"
@@ -46,8 +48,6 @@ func (r *recorder) Originated(_ *PSN, u *flooding.Update, _ sim.Time) {
 }
 
 func (r *recorder) Delay(_ topology.LinkID, avg float64) float64 { return avg }
-
-func (r *recorder) Measured(*PSN, topology.LinkID, int64, float64, float64, sim.Time) {}
 
 // trunks returns one trunk for each of g's links, each with kind's cost
 // module, and the function Boot reads them by.
@@ -206,4 +206,22 @@ func TestQuietOrigins(t *testing.T) {
 	if got := (Copies{0, 2, 0, 1, 0}).Quiet(); got != 3 {
 		t.Errorf("Quiet = %d, want 3", got)
 	}
+}
+
+// A routing packet's Seq is ctrlSeqBit | its PSN's ID<<32 | the routing
+// packets the PSN sent, this one included. The last count that fits must
+// pack with the ID intact, and the one after it must panic instead of
+// carrying into the ID.
+func TestCtrlSeqExhaustionPanics(t *testing.T) {
+	p := PSN{ID: 5, cseq: math.MaxUint32 - 1}
+	if got, want := p.CtrlSeq(), ctrlSeqBit|5<<32|math.MaxUint32; got != want {
+		t.Fatalf("last in-range routing packet: Seq %#x, want %#x", got, want)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "control sequence") || !strings.Contains(msg, "node 5") {
+			t.Fatalf("routing packet past the limit: recovered %q, want the named control-sequence panic", msg)
+		}
+	}()
+	p.CtrlSeq()
+	t.Fatal("CtrlSeq returned: the count passed 2^32 unnoticed")
 }

@@ -94,7 +94,7 @@ func ClampedMeanPktBits() float64 { return clampedMeanPktBits }
 
 // Packet is one message or routing update moving through the network.
 type Packet struct {
-	Seq      uint64          // set by internal/shard only, for its drop records
+	Seq      uint64          // Source.Emit's or PSN.CtrlSeq's number, for drop trace events
 	Src, Dst topology.NodeID // endpoints (user packets)
 	SizeBits float64
 	Created  sim.Time // when generated at the source

@@ -8,17 +8,22 @@ package node
 // decided here, at Boot, and nowhere in an engine.
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/flooding"
 	"repro/internal/sim"
 	"repro/internal/spf"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Egress is an engine's side of the routing protocol: how one copy of an
 // update or a vector goes onto a line, and what the engine keeps of the
-// protocol's steps — its counters, its trace records, what it derives from a
-// router's tree and the load it models without packets. A routing packet
-// goes to the head of the queue and is never refused.
+// protocol's steps — its counters, what it derives from a router's tree and
+// the load it models without packets. A routing packet goes to the head of
+// the queue and is never refused. The protocol's trace events are the PSN's
+// own (PSN.Trace).
 type Egress interface {
 	// Send enqueues one copy of u on line l, stamped with the flood's
 	// creation time.
@@ -35,16 +40,14 @@ type Egress interface {
 	// period whose packets averaged avg seconds: avg, or avg with load the
 	// engine carries without packets folded in.
 	Delay(l topology.LinkID, avg float64) float64
-	// Measured tells the engine that p's line l measured count packets
-	// averaging avg seconds over the period just ended, and that its module
-	// now costs cost.
-	Measured(p *PSN, l topology.LinkID, count int64, avg, cost float64, now sim.Time)
 }
 
 // PSN is one PSN's routing-protocol state: its lines, and under an SPF
 // metric its router, its update sequence and when it last originated; or,
 // under BF1969, which floods nothing and has no router, its distance vector.
-// Both engines embed it in their per-node state and boot it with Boot.
+// Beside it are the PSN's traffic source and its share of the measured
+// window. Both engines embed it in their per-node state and boot it with
+// Boot.
 type PSN struct {
 	ID     topology.NodeID
 	Router *spf.IncrementalRouter
@@ -58,9 +61,14 @@ type PSN struct {
 	// exchanged, from t = 0; Meter is its share of the measured window.
 	Originated int64
 	Meter      Meter
+	Src        Source
+	// Trace, when non-nil, receives the PSN's measurements, originations and
+	// reroutes.
+	Trace *trace.Log
 
-	seq flooding.Sequencer
-	fwd []topology.LinkID // flood's forwarding scratch
+	seq  flooding.Sequencer
+	cseq uint32            // routing packets sent (CtrlSeq)
+	fwd  []topology.LinkID // flood's forwarding scratch, and a traced accept's next hops before it
 }
 
 // Boot puts psns, the PSNs one goroutine drives, on the routing protocol of
@@ -133,7 +141,9 @@ func (p *PSN) Tick(g *topology.Graph, e Egress, now sim.Time) sim.Time {
 		}
 		cost, rep := t.Module.Update(e.Delay(l, avg))
 		report = report || rep
-		e.Measured(p, l, count, avg, cost, now)
+		if p.Trace != nil {
+			p.Trace.Add(trace.Event{At: now, Kind: trace.Measure, Node: p.ID, Link: l, Count: count, Avg: avg, Cost: cost})
+		}
 	}
 	if p.Router != nil && (report || p.refreshDue(now)) {
 		p.originate(g, e, now)
@@ -148,9 +158,53 @@ func (p *PSN) Hear(g *topology.Graph, e Egress, pkt *Packet, now sim.Time) {
 		p.hearVector(g, pkt.Vector, pkt.Arrival)
 		return
 	}
-	if e.Accept(p, pkt.Update, now) {
+	if p.accept(e, pkt.Update, now) {
 		p.flood(g, e, pkt.Update, pkt.Arrival, pkt.Created, now)
 	}
+}
+
+// accept offers u to the PSN's router (Egress.Accept) and reports whether it
+// was new. A traced PSN records a reroute when the update moved its next hop
+// toward any of its source's destinations.
+func (p *PSN) accept(e Egress, u *flooding.Update, now sim.Time) bool {
+	if p.Trace == nil {
+		return e.Accept(p, u, now)
+	}
+	tree := p.Router.Tree() // repaired in place: read the next hops before Accept
+	p.fwd = p.fwd[:0]
+	for _, d := range p.Src.Dests() {
+		p.fwd = append(p.fwd, tree.NextHop(d))
+	}
+	if !e.Accept(p, u, now) {
+		return false
+	}
+	changed := int64(0)
+	for i, d := range p.Src.Dests() {
+		if tree.NextHop(d) != p.fwd[i] {
+			changed++
+		}
+	}
+	if changed > 0 {
+		p.Trace.Add(trace.Event{At: now, Kind: trace.Reroute, Node: p.ID, Link: topology.NoLink,
+			Pkt: uint64(u.Origin)<<32 | u.Seq&0xffffffff, Count: changed})
+	}
+	return true
+}
+
+// ctrlSeqBit marks a Packet.Seq as a routing packet's: bit 63 set, then the
+// sending PSN's ID and its count of routing packets sent (CtrlSeq). A user
+// packet's Seq is its source PSN's ID and count of packets emitted
+// (Source.Emit), bit 63 clear, so the two never collide and a drop's trace
+// event names its class.
+const ctrlSeqBit = uint64(1) << 63
+
+// CtrlSeq numbers the next routing packet the PSN sends: its Packet.Seq.
+func (p *PSN) CtrlSeq() uint64 {
+	if p.cseq == math.MaxUint32 {
+		panic(fmt.Sprintf("node: node %d used all 2^32 control sequence numbers; the next would carry into the origin field of Packet.Seq", p.ID))
+	}
+	p.cseq++
+	return ctrlSeqBit | uint64(p.ID)<<32 | uint64(p.cseq)
 }
 
 // LineChanged is the PSN's part in its line l going down or coming back: a

@@ -1,6 +1,9 @@
 package node
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -20,8 +23,9 @@ const (
 // arrival, size and destination streams, its rate, and the traffic-matrix
 // row its packets' destinations are drawn from.
 type Source struct {
-	id             int32 // the PSN's topology.NodeID, beside armed in one word
-	armed          bool  // an arrival is scheduled: Arm has said so, and no Fire has parked it since
+	id             int32  // the PSN's topology.NodeID
+	emitted        uint32 // packets emitted: the low word of each one's Packet.Seq
+	armed          bool   // an arrival is scheduled: Arm has said so, and no Fire has parked it since
 	arr, size, dst sim.RNG
 
 	// Rate is the source's packets per second. SetRow sets it; an engine may
@@ -97,12 +101,18 @@ func (s *Source) Gap() sim.Time {
 	return max(sim.FromSeconds(s.arr.Exp(1/s.Rate)), 1)
 }
 
-// Emit fills a fresh user packet created at now: from this PSN, to a
-// destination drawn from the row (the first whose cumulative share reaches a
-// uniform draw) that lies MinHops links away, of an exponential size of mean
-// MeanPktBits clamped to [MinPktBits, MaxPktBits], not yet on any link. The
-// row must offer something.
+// Emit fills a fresh user packet created at now: numbered PSN<<32 | packets
+// emitted before it, from this PSN, to a destination drawn from the row (the
+// first whose cumulative share reaches a uniform draw) that lies MinHops
+// links away, of an exponential size of mean MeanPktBits clamped to
+// [MinPktBits, MaxPktBits], not yet on any link. The row must offer
+// something.
 func (s *Source) Emit(p *Packet, now sim.Time) {
+	if s.emitted == math.MaxUint32 {
+		panic(fmt.Sprintf("node: node %d used up its 32-bit user sequence numbers; one more would carry into the node field of Packet.Seq", s.id))
+	}
+	p.Seq = uint64(s.id)<<32 | uint64(s.emitted)
+	s.emitted++
 	u := s.dst.Float64()
 	lo, hi := 0, len(s.cum)-1
 	for lo < hi {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -57,4 +58,25 @@ func TestSourceRow(t *testing.T) {
 	if got := s.Dests(); len(got) != 1 || got[0] != 4 || s.Rate != 600/ClampedMeanPktBits() {
 		t.Fatalf("after SetRow: Dests() = %v, Rate %v", got, s.Rate)
 	}
+}
+
+// A user packet's Seq is its PSN's ID<<32 | the packets its source emitted
+// before it. The last count that fits must pack with the ID intact, and the
+// one after it must panic instead of carrying into the ID.
+func TestUserSeqExhaustionPanics(t *testing.T) {
+	s := NewSource(1, 5)
+	s.SetRow([]topology.NodeID{0}, []float64{1000}, func(topology.NodeID) int { return 1 })
+	s.emitted = math.MaxUint32 - 1
+	var p Packet
+	s.Emit(&p, 1)
+	if want := uint64(5<<32 | (math.MaxUint32 - 1)); p.Seq != want {
+		t.Fatalf("last in-range packet: Seq %#x, want %#x", p.Seq, want)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "user sequence") || !strings.Contains(msg, "node 5") {
+			t.Fatalf("packet past the limit: recovered %q, want the named user-sequence panic", msg)
+		}
+	}()
+	s.Emit(&p, 2)
+	t.Fatal("Emit returned: the count passed 2^32 unnoticed")
 }

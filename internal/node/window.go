@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -42,12 +43,22 @@ func (m *Meter) Transmit(p *Packet) {
 	m.RoutingBits += p.SizeBits
 }
 
+// LinkSeries is one link's samples, X in simulated seconds: its utilization
+// and its trunk's price (Trunk.Cost) at each.
+type LinkSeries struct {
+	Link       topology.LinkID
+	Util, Cost *stats.Series
+}
+
 // Window is the measured window a Report covers: since when, the ledger
 // and the originations as they stood then, the PSNs whose meters it adds,
 // in node order, and each link's utilization samples. A window is open from
 // boot; Open, the one way to start a fresh one, is how internal/network
 // ends its warm-up.
 type Window struct {
+	// Series are the links whose every sample is recorded, from boot.
+	Series []LinkSeries
+
 	nodes      int
 	psn        func(i int) *PSN   // by node ID
 	trunk      func(l int) *Trunk // by link ID
@@ -78,13 +89,13 @@ func (w *Window) Open(now sim.Time, led Conservation) {
 	}
 }
 
-// Sample closes one utilization sample of length dt on link l: the share
-// of its trunk's capacity the transmissions that completed since the last
-// sample filled, plus extra (a fluid background's share). The sample joins
-// l's mean if the trunk is in service, and is returned either way. Both
-// engines sample every link once a second, after every other event of the
-// instant.
-func (w *Window) Sample(l topology.LinkID, dt sim.Time, extra float64) float64 {
+// Sample closes one utilization sample of length dt, ending at now, on link
+// l: the share of its trunk's capacity the transmissions that completed
+// since the last sample filled, plus extra (a fluid background's share).
+// The sample joins l's mean if the trunk is in service, and l's Series
+// either way. Both engines sample every link once a second, after every
+// other event of the instant.
+func (w *Window) Sample(l topology.LinkID, now, dt sim.Time, extra float64) {
 	t := w.trunk(int(l))
 	u := t.sent/(t.Bandwidth*dt.Seconds()) + extra
 	t.sent = 0
@@ -92,7 +103,12 @@ func (w *Window) Sample(l topology.LinkID, dt sim.Time, extra float64) float64 {
 		t.samples++
 		w.util[l] += (u - w.util[l]) / float64(t.samples)
 	}
-	return u
+	for _, s := range w.Series {
+		if s.Link == l {
+			s.Util.Add(now.Seconds(), u)
+			s.Cost.Add(now.Seconds(), t.Cost())
+		}
+	}
 }
 
 // Report composes the window at now, given the ledger led as it stands. The

@@ -32,13 +32,14 @@ type Config struct {
 	// non-nil Background; schedule reports the mismatch as a setup error
 	// before the run starts.
 	Background *traffic.Matrix
-	// Trace, when non-nil, receives the network's event ring. RunBatch
-	// ignores it: a shared ring across concurrent seeds would race.
+	// Trace, when non-nil, receives the network's trace events, and Track
+	// names links whose samples it records (network.Config). RunBatch
+	// ignores both: shared sinks across concurrent seeds would race.
 	Trace *trace.Ring
+	Track []node.LinkSeries
 	// Prepare, when non-nil, is called on the freshly built network before
-	// the scenario starts — the hook for TrackLink / TrackLinkCost. Under
-	// RunBatch it runs once per seed, concurrently; it must not touch
-	// shared state.
+	// the scenario starts. Under RunBatch it runs once per seed,
+	// concurrently; it must not touch shared state.
 	Prepare func(*network.Network)
 }
 
@@ -95,6 +96,7 @@ func Run(cfg Config, sc *Scenario) (Result, error) {
 		Multipath:  cfg.Multipath,
 		Ablations:  cfg.Ablations,
 		Trace:      cfg.Trace,
+		Track:      cfg.Track,
 		Background: cfg.Background,
 		Script: func(n *network.Network) {
 			for _, a := range acts {
@@ -271,7 +273,7 @@ func RunBatch(cfg Config, sc *Scenario, seeds []int64) ([]Result, error) {
 		for i, ok := next(); ok; i, ok = next() {
 			c := cfg
 			c.Seed = seeds[i]
-			c.Trace = nil // a shared ring across goroutines would race
+			c.Trace, c.Track = nil, nil // shared sinks across goroutines would race
 			results[i], errs[i] = Run(c, sc)
 		}
 	})

@@ -7,8 +7,8 @@ package shard
 // LineChanged, NextLine), flooding for update payloads, spf.Table for the
 // routers, whose link-state database is the set of updates each accepted —
 // driven here under the shard model's determinism rules. What stays here is
-// this engine's side of them, the shard's node.Egress: control sequence
-// numbers, the custody ledger and trace sampling.
+// this engine's side of them, the shard's node.Egress: packets on its links
+// and the custody ledger.
 //
 // Routing updates are just more packets: they ride the output queues at
 // head priority, consume trunk bandwidth, arrive as the same link-keyed tail
@@ -40,21 +40,12 @@ package shard
 // line's state.
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/flooding"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/spf"
 	"repro/internal/topology"
 )
-
-// ctrlSeqBit marks a packet sequence number as control-plane (an update
-// copy): bit 63 set, then the enqueueing node's ID and its private control
-// counter. User packets use id<<32|pseq with bit 63 clear, so the two
-// spaces never collide and a drop record names its class.
-const ctrlSeqBit = uint64(1) << 63
 
 // boot puts every node on its routing protocol (node.Boot), the nodes of
 // each shard on a table of their own, since a table's routers share repair
@@ -98,8 +89,8 @@ func (sh *shardState) handleRouting(n *lnode, p *node.Packet, now sim.Time) {
 }
 
 // The shard's node.Egress: Send and SendVector put a routing packet on one of
-// the shard's links, Accept and Originated trace a sampled node's reroutes and
-// originations, and Measured its metric readings.
+// the shard's links, and Accept offers an update to the router; Originated
+// and Delay add nothing, since the shard carries every load as packets.
 
 // Send enqueues one copy of u on link l, one of this shard's.
 func (sh *shardState) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
@@ -113,17 +104,13 @@ func (sh *shardState) SendVector(l topology.LinkID, v *node.Vector, now sim.Time
 }
 
 // sendRouting enqueues on link l one routing packet carrying u or v, stamped
-// with the sending node's next control sequence number. Routing packets
-// head-insert and are never buffer-dropped, so every one is accepted.
+// with the sending node's next control sequence number (node.PSN.CtrlSeq).
+// Routing packets head-insert and are never buffer-dropped, so every one is
+// accepted.
 func (sh *shardState) sendRouting(l topology.LinkID, u *flooding.Update, v *node.Vector, size float64, created, now sim.Time) {
 	ls := sh.s.linkAt[l]
-	n := sh.s.nodeAt[ls.l.From]
-	if n.cseq == math.MaxUint32 {
-		panic(fmt.Sprintf("shard: node %d used all 2^32 control sequence numbers; the next would carry into the origin field of Packet.Seq", n.ID))
-	}
 	p := sh.pool.Get()
-	n.cseq++
-	p.Seq = ctrlSeqBit | uint64(n.ID)<<32 | n.cseq
+	p.Seq = sh.s.nodeAt[ls.l.From].CtrlSeq()
 	p.SizeBits, p.Created, p.Enqueued = size, created, now
 	p.Update, p.Vector = u, v
 	p.Arrival = l // the link this packet will traverse
@@ -132,67 +119,14 @@ func (sh *shardState) sendRouting(l topology.LinkID, u *flooding.Update, v *node
 	sh.startTx(ls, now)
 }
 
-// sampled reports whether node id's routing and metric readings are traced
-// (Config.MeasureSample).
-func (sh *shardState) sampled(id topology.NodeID) bool {
-	sample := sh.s.cfg.MeasureSample
-	return sample > 0 && int(id)%sample == 0
-}
-
-// Originated traces the origination of u at a sampled node.
-func (sh *shardState) Originated(p *node.PSN, u *flooding.Update, now sim.Time) {
-	if sh.sampled(p.ID) {
-		n := sh.s.nodeAt[p.ID]
-		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recOriginate,
-			link: topology.NoLink, pkt: u.Seq, count: int64(len(u.Costs))})
-		n.rseq++
-	}
-}
+// Originated keeps nothing of an origination.
+func (sh *shardState) Originated(*node.PSN, *flooding.Update, sim.Time) {}
 
 // Delay is the period average itself: the shard carries every load as
 // packets.
 func (sh *shardState) Delay(_ topology.LinkID, avg float64) float64 { return avg }
 
-// Measured traces a sampled node's metric reading.
-func (sh *shardState) Measured(p *node.PSN, l topology.LinkID, count int64, avg, cost float64, now sim.Time) {
-	if sh.sampled(p.ID) {
-		n := sh.s.nodeAt[p.ID]
-		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recMeasure,
-			link: l, count: count, avg: avg, cost: cost})
-		n.rseq++
-	}
-}
-
-// Accept offers u to p's router and reports whether it was new. For
-// trace-sampled nodes it also diffs the next hops toward the node's own
-// destination set around an accepted update and records a reroute event when
-// any changed — the observable that pins "the reroute happened here, at this
-// instant" into the golden trace.
-func (sh *shardState) Accept(p *node.PSN, u *flooding.Update, now sim.Time) bool {
-	if !sh.sampled(p.ID) {
-		return p.Router.Accept(u)
-	}
-	n := sh.s.nodeAt[p.ID]
-	tree := n.Router.Tree() // repaired in place: snapshot before Accept
-	// Allocates: the scratch grows to the most destinations of a sampled node, then reuses
-	sh.nhScratch = sh.nhScratch[:0]
-	for _, d := range n.src.Dests() {
-		sh.nhScratch = append(sh.nhScratch, tree.NextHop(d))
-	}
-	if !n.Router.Accept(u) {
-		return false
-	}
-	changed := int64(0)
-	for i, d := range n.src.Dests() {
-		if tree.NextHop(d) != sh.nhScratch[i] {
-			changed++
-		}
-	}
-	if changed > 0 {
-		// Allocates: the trace record buffer grows amortized; it is never drained (TraceText reads every record)
-		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recReroute,
-			link: topology.NoLink, pkt: uint64(u.Origin)<<32 | (u.Seq & 0xffffffff), count: changed})
-		n.rseq++
-	}
-	return true
+// Accept offers u to p's router and reports whether it was new.
+func (sh *shardState) Accept(p *node.PSN, u *flooding.Update, _ sim.Time) bool {
+	return p.Router.Accept(u)
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -170,68 +169,6 @@ func TestAdaptiveUpdatesSurviveCongestion(t *testing.T) {
 	if err := s.ConvergenceAudit(); err != nil {
 		t.Error(err)
 	}
-}
-
-// Packet.Seq of a control copy is ctrlSeqBit | node<<32 | cseq. The last
-// counter value that fits must pack with the origin field intact, and the
-// one after it must panic instead of carrying into that field.
-func TestCtrlSeqExhaustionPanics(t *testing.T) {
-	s, err := New(adaptiveConfig(testGraph(t), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.nodeAt[5]
-	if len(n.out) < 2 {
-		t.Fatalf("node %d has %d out-links; the test needs two copies per flood", n.ID, len(n.out))
-	}
-	n.cseq = math.MaxUint32 - 1
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "control sequence") || !strings.Contains(msg, "node 5") {
-			t.Fatalf("second copy past the limit: recovered %q, want the named control-sequence panic", msg)
-		}
-		first := sending(&n.out[0].Trunk)
-		if first == nil || first.Seq != ctrlSeqBit|5<<32|math.MaxUint32 {
-			t.Fatalf("last in-range copy: %+v, want Seq %#x", first, ctrlSeqBit|5<<32|uint64(math.MaxUint32))
-		}
-	}()
-	n.LineChanged(s.g, n.sh, n.out[0].l.ID, sim.Millisecond) // originates
-	t.Fatal("originate returned: cseq passed 2^32 unnoticed")
-}
-
-// Packet.Seq of a user packet is node<<32 | pseq. The last counter value the
-// guard lets through must pack with the node field intact, and the one after
-// it must panic instead of carrying into that field.
-func TestUserSeqExhaustionPanics(t *testing.T) {
-	s, err := New(testConfig(testGraph(t), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.nodeAt[5]
-	n.pseq = math.MaxUint32 - 1
-	sent := func() *node.Packet {
-		for _, ls := range n.out {
-			if p := sending(&ls.Trunk); p != nil {
-				return p
-			}
-		}
-		return nil
-	}
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "user sequence") || !strings.Contains(msg, "node 5") {
-			t.Fatalf("packet past the limit: recovered %q, want the named user-sequence panic", msg)
-		}
-		if p := sent(); p == nil || p.Seq != 5<<32|(math.MaxUint32-1) {
-			t.Fatalf("last in-range packet: %+v, want Seq %#x", p, uint64(5<<32|(math.MaxUint32-1)))
-		}
-	}()
-	n.sh.source(sim.Millisecond, n)
-	if sent() == nil {
-		t.Fatal("the in-range packet is on no transmitter of its source")
-	}
-	n.sh.source(2*sim.Millisecond, n)
-	t.Fatal("source returned: pseq passed 2^32 unnoticed")
 }
 
 // Accept is the one place an update copy is ruled new or duplicate, so the

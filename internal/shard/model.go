@@ -15,7 +15,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/flooding"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spf"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -35,11 +35,10 @@ type shardState struct {
 	nodes  []*lnode // ascending global NodeID
 	links  []*llink // ascending global LinkID
 	led    Ledger
-	recs   []rec
-	outbox []wire // packets exported during the current window
+	log    trace.Log // this shard's nodes' trace events, each node's in its own event order
+	outbox []wire    // packets exported during the current window
 
-	routers   *spf.Table        // this shard's nodes' routers (where PSNs flood), driven by its goroutine only
-	nhScratch []topology.LinkID // Accept's next-hop diff scratch, one per destination of a sampled node
+	routers *spf.Table // this shard's nodes' routers (where PSNs flood), driven by its goroutine only
 
 	// updatesInFlight counts, by origin, the update copies this shard's
 	// nodes enqueued less those it consumed or dropped (where PSNs flood,
@@ -69,21 +68,13 @@ func (sh *shardState) bind() {
 	sh.faultCall = sh.fault
 }
 
-// lnode is one node's shard-local state.
+// lnode is one node's shard-local state: its PSN, whose source draws over
+// its destination set, ascending, or its matrix row.
 type lnode struct {
 	node.PSN // routing protocol (node.Boot); no Router or vector on the static plane
 
 	sh  *shardState
-	src node.Source // its Poisson source over its destination set, ascending
-	out []*llink    // this node's out-links in Graph.Out order: line i of its SPF tree, or of the static table, is out[i]
-
-	pseq uint64 // packets generated (low word of Packet.Seq)
-	rseq uint32 // trace records emitted
-
-	// Adaptive routing plane (zero unless Config.Adaptive), beside PSN. All
-	// of it is node-local state driven by the node's own event order, so it
-	// inherits the partition-independence argument unchanged.
-	cseq uint64 // control copies enqueued (low word of ctrl Seq)
+	out []*llink // this node's out-links in Graph.Out order: line i of its SPF tree, or of the static table, is out[i]
 }
 
 // llink is one directed link's shard-local state: the shared trunk model
@@ -229,7 +220,7 @@ func (s *Sim) setRows(m *traffic.Matrix) {
 		ids[i] = topology.NodeID(i)
 	}
 	topology.AllHops(s.g, func(id topology.NodeID, hops func(topology.NodeID) int) {
-		s.nodeAt[id].src.SetRow(ids, m.Row(id), hops)
+		s.nodeAt[id].Src.SetRow(ids, m.Row(id), hops)
 	})
 }
 
@@ -237,7 +228,7 @@ func (s *Sim) setRows(m *traffic.Matrix) {
 // effective from each source's next arrival: a surge.
 func (s *Sim) ScaleTraffic(factor float64) {
 	for _, n := range s.nodeAt {
-		n.src.Rate *= factor
+		n.Src.Rate *= factor
 	}
 }
 
@@ -248,8 +239,8 @@ func (s *Sim) ScaleTraffic(factor float64) {
 func (s *Sim) SetMatrix(m *traffic.Matrix, at sim.Time) {
 	s.setRows(m)
 	for _, n := range s.nodeAt {
-		if n.src.Arm() {
-			_ = mustCallAt(n.sh.kernel, at+n.src.Gap(), n.sh.sourceCall, n)
+		if n.Src.Arm() {
+			_ = mustCallAt(n.sh.kernel, at+n.Src.Gap(), n.sh.sourceCall, n)
 		}
 	}
 }
@@ -258,20 +249,15 @@ func (s *Sim) SetMatrix(m *traffic.Matrix, at sim.Time) {
 // fallen to 0 (node.Source.Fire).
 func (sh *shardState) source(now sim.Time, arg any) {
 	n := arg.(*lnode)
-	if !n.src.Fire() {
+	if !n.Src.Fire() {
 		return
 	}
-	if n.pseq == math.MaxUint32 {
-		panic(fmt.Sprintf("shard: node %d used up its 32-bit user sequence numbers; one more would carry into the node field of Packet.Seq", n.ID))
-	}
 	p := sh.pool.Get()
-	p.Seq = uint64(n.ID)<<32 | n.pseq
-	n.pseq++
-	n.src.Emit(p, now)
+	n.Src.Emit(p, now)
 	n.Meter.Offer(p)
 	sh.led.User.Offered++
 	sh.handlePacket(n, p, now)
-	_ = mustCallAt(sh.kernel, now.Add(n.src.Gap()), sh.sourceCall, n)
+	_ = mustCallAt(sh.kernel, now.Add(n.Src.Gap()), sh.sourceCall, n)
 }
 
 // handlePacket delivers, drops, or forwards a packet at node n.
@@ -288,7 +274,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	}
 	if p.Hops >= node.MaxHops {
 		sh.led.User.LoopDrops++
-		sh.dropRec(n, now, recLoopDrop, p.Arrival, p.Seq)
+		sh.dropRec(n, now, trace.PacketLooped, p.Arrival, p.Seq)
 		sh.pool.Put(p)
 		return
 	}
@@ -303,7 +289,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 		}
 		if ls == nil {
 			sh.led.User.NoRouteDrops++
-			sh.dropRec(n, now, recNoRouteDrop, p.Arrival, p.Seq)
+			sh.dropRec(n, now, trace.PacketNoRoute, p.Arrival, p.Seq)
 			sh.pool.Put(p)
 			return
 		}
@@ -313,21 +299,19 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 	p.Enqueued = now
 	if !ls.Queue.Push(p) {
 		sh.led.User.BufferDrops++
-		sh.dropRec(n, now, recBufferDrop, ls.l.ID, p.Seq)
+		sh.dropRec(n, now, trace.PacketDropped, ls.l.ID, p.Seq)
 		sh.pool.Put(p)
 		return
 	}
 	sh.startTx(ls, now)
 }
 
-// Allocates: the trace record buffer grows amortized; it is never drained (TraceText reads every record)
-func (sh *shardState) dropRec(n *lnode, now sim.Time, kind recKind, link topology.LinkID, pkt uint64) {
-	if !sh.s.cfg.TraceDrops {
-		n.rseq++ // keep sequence numbering identical whether or not traced
-		return
+// dropRec traces a drop at n (Config.TraceDrops).
+// Allocates: the trace log grows amortized; it is never drained (Events reads every event)
+func (sh *shardState) dropRec(n *lnode, now sim.Time, kind trace.Kind, link topology.LinkID, pkt uint64) {
+	if sh.s.cfg.TraceDrops {
+		sh.log.Add(trace.Event{At: now, Kind: kind, Node: n.ID, Link: link, Pkt: pkt})
 	}
-	sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: kind, link: link, pkt: pkt})
-	n.rseq++
 }
 
 // startTx puts the queue head on the transmitter if the trunk will take one
@@ -466,14 +450,12 @@ func (sh *shardState) fault(now sim.Time, arg any) {
 			return
 		}
 		ls.Restore()
-		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recLinkUp, link: ls.l.ID})
-		n.rseq++
+		sh.log.Add(trace.Event{At: now, Kind: trace.LinkUp, Node: n.ID, Link: ls.l.ID})
 	} else {
 		if ls.Down() {
 			return
 		}
-		sh.recs = append(sh.recs, rec{at: now, node: n.ID, seq: n.rseq, kind: recLinkDown, link: ls.l.ID})
-		n.rseq++
+		sh.log.Add(trace.Event{At: now, Kind: trace.LinkDown, Node: n.ID, Link: ls.l.ID})
 		ls.Fail(func(p *node.Packet) { sh.dropOutage(n, ls, p, now) })
 	}
 	n.LineChanged(sh.s.g, sh, ls.l.ID, now)
@@ -488,7 +470,7 @@ func (sh *shardState) dropOutage(n *lnode, ls *llink, p *node.Packet, now sim.Ti
 	} else {
 		sh.led.User.OutageDrops++
 	}
-	sh.dropRec(n, now, recOutageDrop, ls.l.ID, p.Seq)
+	sh.dropRec(n, now, trace.PacketOutage, ls.l.ID, p.Seq)
 	sh.pool.Put(p)
 }
 

@@ -31,8 +31,8 @@
 //  3. all randomness comes from per-node value-type streams (node.Source
 //     and the destination-set stream: sim.RNG streams keyed by seed, node
 //     and stream, the unsharded engine's too), all floating point state is
-//     node- or link-local, and merged output is sorted by (time, node,
-//     per-node sequence).
+//     node- or link-local, and the merged trace is sorted by (time, node),
+//     each node's events in the order it recorded them (trace.Sort).
 //
 // Under those rules the event order observed by any single node — and
 // therefore its random draws, its float accumulations, and its trace
@@ -101,8 +101,11 @@ type Config struct {
 	Partition []int
 
 	MeasurePeriod sim.Time // link measurement interval (default node.MeasurementPeriod)
-	MeasureSample int      // trace metric readings for nodes with id%sample == 0; 0 disables
-	TraceDrops    bool     // record a trace line per dropped packet
+	MeasureSample int      // trace the measurements, originations and reroutes of nodes with id%sample == 0; 0 disables
+	TraceDrops    bool     // trace every dropped packet
+	// Track names links whose utilization and price every sample records
+	// (node.Window.Series).
+	Track []node.LinkSeries
 
 	// Faults scripts trunk failures and repairs; they need Adaptive, since a
 	// PSN hears of a line's state only through flooded updates (§2.2).
@@ -167,6 +170,9 @@ func (cfg Config) Validate() error {
 	case cfg.DestRadius < 0: // 0 draws destinations uniformly
 		return fmt.Errorf("shard: DestRadius must be >= 0, got %d", cfg.DestRadius)
 	}
+	if cfg.Metric < node.HNSPF || cfg.Metric > node.BF1969 {
+		return fmt.Errorf("shard: Metric %d is not a metric kind", int(cfg.Metric))
+	}
 	if cfg.QueueLimit < 0 {
 		return fmt.Errorf("shard: QueueLimit must be >= 0 (0 = default), got %d", cfg.QueueLimit)
 	}
@@ -182,6 +188,11 @@ func (cfg Config) Validate() error {
 	}
 	if len(cfg.Ablations) > 0 && (!cfg.Adaptive || cfg.Metric != node.HNSPF) {
 		return fmt.Errorf("shard: Ablations need Adaptive under Metric %v: only the HNM has the mechanisms they switch off, and static routes read no cost", node.HNSPF)
+	}
+	for _, t := range cfg.Track {
+		if t.Link < 0 || int(t.Link) >= g.NumLinks() {
+			return fmt.Errorf("shard: Track names unknown link %d", t.Link)
+		}
 	}
 	for _, f := range cfg.Faults {
 		if f.Trunk < 0 || f.Trunk >= g.NumTrunks() {
@@ -245,7 +256,10 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	for id := range g.NumNodes() {
-		n := &lnode{PSN: node.PSN{ID: topology.NodeID(id)}, sh: s.shards[s.part[id]], src: node.NewSource(cfg.Seed, topology.NodeID(id))}
+		n := &lnode{PSN: node.PSN{ID: topology.NodeID(id), Src: node.NewSource(cfg.Seed, topology.NodeID(id))}, sh: s.shards[s.part[id]]}
+		if cfg.MeasureSample > 0 && id%cfg.MeasureSample == 0 {
+			n.Trace = &n.sh.log
+		}
 		s.nodeAt[id] = n
 		n.sh.nodes = append(n.sh.nodes, n)
 	}
@@ -259,7 +273,7 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 		topology.AllHops(g, func(id topology.NodeID, hops func(topology.NodeID) int) {
-			s.nodeAt[id].src.SetRow(sets[id], cfg.row(sets[id]), hops)
+			s.nodeAt[id].Src.SetRow(sets[id], cfg.row(sets[id]), hops)
 		})
 	}
 	for id := 0; id < g.NumNodes(); id++ {
@@ -274,6 +288,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.win = node.NewWindow(len(s.nodeAt), func(i int) *node.PSN { return &s.nodeAt[i].PSN },
 		len(s.linkAt), func(l int) *node.Trunk { return &s.linkAt[l].Trunk })
+	s.win.Series = cfg.Track
 	// Setup events in one canonical global order (ascending node, then the
 	// node's first tick, source, and fault events): within a shard, relative
 	// sequence numbers of same-instant setup events are then independent of
@@ -282,8 +297,8 @@ func New(cfg Config) (*Sim, error) {
 		n := s.nodeAt[id]
 		sh := n.sh
 		_ = mustCallAt(sh.kernel, n.FirstTick(g.NumNodes()), sh.tickCall, n)
-		if n.src.Arm() {
-			_ = mustCallAt(sh.kernel, n.src.Gap(), sh.sourceCall, n)
+		if n.Src.Arm() {
+			_ = mustCallAt(sh.kernel, n.Src.Gap(), sh.sourceCall, n)
 		}
 		for fi := range cfg.Faults {
 			f := &cfg.Faults[fi]
@@ -415,7 +430,7 @@ func (s *Sim) Run(until sim.Time) {
 func (s *Sim) sampleBefore(t sim.Time) {
 	for ; s.sampled+sim.Second < t; s.sampled += sim.Second {
 		for l := range s.linkAt {
-			s.win.Sample(topology.LinkID(l), sim.Second, 0)
+			s.win.Sample(topology.LinkID(l), s.sampled+sim.Second, sim.Second, 0)
 		}
 	}
 }
@@ -523,7 +538,7 @@ func (s *Sim) collectOutboxes() {
 
 // DestsOf returns the destination set, ascending, the traffic model drew for
 // a node. The caller must not modify it.
-func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id].src.Dests() }
+func (s *Sim) DestsOf(id topology.NodeID) []topology.NodeID { return s.nodeAt[id].Src.Dests() }
 
 // LinkCost returns the link's price (node.Trunk.Cost); the checker's shard
 // differential samples it at every checkpoint and compares the series across

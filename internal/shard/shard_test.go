@@ -106,7 +106,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Dests = 0 },
 		func(c *Config) { c.Adaptive, c.Faults = true, []Fault{{Trunk: g.NumTrunks(), At: sim.Second}} },
 		func(c *Config) { c.Adaptive, c.Faults = true, []Fault{{Trunk: 0, At: 0}} },
-		func(c *Config) { c.Graph, c.Shards = lone, 1 }, // its first source event would divide by len(dests) == 0
+		func(c *Config) { c.Metric = node.BF1969 + 1 },                                         // node.NewCostModule would panic on it
+		func(c *Config) { c.Track = []node.LinkSeries{{Link: topology.LinkID(g.NumLinks())}} }, // no sample would ever record it
+		func(c *Config) { c.Graph, c.Shards = lone, 1 },                                        // its first source event would divide by len(dests) == 0
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config fails Validate: %v", err)
@@ -121,6 +123,11 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); (err == nil) != (i == len(bad)-1) {
 			t.Errorf("bad config %d: Validate = %v", i, err)
 		}
+	}
+	unknown := testConfig(g, 2)
+	unknown.Metric = -1
+	if err := unknown.Validate(); err == nil || !strings.Contains(err.Error(), "Metric -1") {
+		t.Errorf("metric kind -1: Validate = %v, want it refused naming Metric", err)
 	}
 	// A negative value has no meaning to these four, whose zero is a default:
 	// each is refused by name, with what it accepts, never read as something

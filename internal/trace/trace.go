@@ -1,12 +1,18 @@
-// Package trace provides a bounded event log for the simulator: routing
-// and loss events are appended to a fixed-capacity ring so long runs can
-// be diagnosed ("why did drops spike at t=412?") without unbounded memory.
-// The network emits events only when a ring is configured; a nil ring
-// costs one branch per event site.
+// Package trace is the simulator's one event vocabulary: drops, link
+// changes, measurements, originations and reroutes, each an Event that the
+// PSN involved records. Both packet engines record the same events, and
+// every trace is in one order — by time, then node, each node's events in
+// its own event order (Sort) — which neither the engine nor the shard count
+// changes. A Ring keeps a bounded tail of a trace, so long runs can be
+// diagnosed ("why did drops spike at t=412?") without unbounded memory. An
+// engine records events only when tracing is on; off, it costs one branch
+// per event site.
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -16,56 +22,89 @@ import (
 // Kind classifies an event.
 type Kind int
 
-// The event kinds the network emits.
+// The event kinds, each recorded by the PSN named in the event.
 const (
-	PacketDropped   Kind = iota // buffer overflow (Figure 13's signal)
-	PacketNoRoute               // destination unreachable
-	PacketLooped                // TTL exceeded during a routing transient
+	PacketDropped   Kind = iota // buffer overflow (Figure 13's signal), at the sending PSN
+	PacketNoRoute               // no line in service toward the destination
+	PacketLooped                // hop limit reached during a routing transient
+	PacketOutage                // packet destroyed by a trunk failure (queued or on a transmitter)
+	LinkDown                    // a link taken out of service, at its sending end
+	LinkUp                      // a link restored, at its sending end
+	Measure                     // a line's measurement period ended and fed its cost module
 	UpdateOriginate             // a PSN flooded a routing update
-	LinkDown                    // trunk taken out of service
-	LinkUp                      // trunk restored
-	PacketOutage                // packet destroyed by a trunk failure (queued or in flight)
-	TrafficChange               // traffic matrix scaled or switched mid-run
+	Reroute                     // an accepted update moved next hops toward the PSN's destinations
 
 	numKinds // count of kinds; keep last
 )
 
+var kindNames = [numKinds]string{"drop-buffer", "drop-noroute", "drop-loop", "drop-outage",
+	"link-down", "link-up", "meas", "originate", "reroute"}
+
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case PacketDropped:
-		return "drop"
-	case PacketNoRoute:
-		return "no-route"
-	case PacketLooped:
-		return "loop"
-	case UpdateOriginate:
-		return "update"
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case PacketOutage:
-		return "outage-drop"
-	case TrafficChange:
-		return "traffic-change"
-	default:
+	if k < 0 || k >= numKinds {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // Event is one logged occurrence.
 type Event struct {
 	At   sim.Time
 	Kind Kind
-	Node topology.NodeID // the PSN involved (NoNode if not applicable)
-	Link topology.LinkID // the link involved (NoLink if not applicable)
-	Cost float64         // advertised cost for UpdateOriginate, else 0
+	Node topology.NodeID // the PSN that recorded it
+	Link topology.LinkID // the link involved (NoLink if none)
+	// Pkt is a drop's Packet.Seq, an origination's update sequence number,
+	// or a reroute's update origin<<32 | its sequence number's low word.
+	Pkt uint64
+	// Count is the packets a measurement averaged, the lines an origination
+	// advertises, or the next hops a reroute moved.
+	Count int64
+	Avg   float64 // a measurement's mean delay, seconds
+	Cost  float64 // a measurement's cost reading after it
 }
 
-// String renders one event compactly.
+// Render writes the event as one line of text, without the newline, naming
+// its PSN node.
+func (e Event) Render(b *strings.Builder, node string) {
+	fmt.Fprintf(b, "%s %s %s link=%d", e.At, node, e.Kind, e.Link)
+	switch e.Kind {
+	case Measure:
+		fmt.Fprintf(b, " n=%d avg=%.9f cost=%.6g", e.Count, e.Avg, e.Cost)
+	case LinkDown, LinkUp:
+		// state change only
+	case UpdateOriginate:
+		fmt.Fprintf(b, " seq=%d links=%d", e.Pkt, e.Count)
+	case Reroute:
+		fmt.Fprintf(b, " origin=%d seq=%d changed=%d", e.Pkt>>32, e.Pkt&0xffffffff, e.Count)
+	default:
+		fmt.Fprintf(b, " pkt=%#016x", e.Pkt)
+	}
+}
+
+// String renders the event, its PSN by number.
 func (e Event) String() string {
-	return fmt.Sprintf("%s %s node=%d link=%d", e.At, e.Kind, e.Node, e.Link)
+	var b strings.Builder
+	e.Render(&b, fmt.Sprintf("node=%d", e.Node))
+	return b.String()
+}
+
+// Log is the events one goroutine records, in the order it records them:
+// each node's in its own event order.
+type Log []Event
+
+// Add records e.
+// Allocates: the log grows amortized, to what its engine keeps between drains
+func (l *Log) Add(e Event) { *l = append(*l, e) }
+
+// Sort puts events in the trace's order: by time, then node, each node's
+// events as they were recorded (a stable sort). A node's events are recorded
+// by one goroutine in its own event order, which is the same on both engines
+// and on every partition of the sharded one, so the sorted trace is too.
+func Sort(events []Event) {
+	slices.SortStableFunc(events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Node, b.Node))
+	})
 }
 
 // Ring is a fixed-capacity event log. The zero value is unusable; create
@@ -130,7 +169,7 @@ func (r *Ring) Count(k Kind) int64 {
 	return r.byKind[k]
 }
 
-// Events returns the retained events in chronological order (a copy).
+// Events returns the retained events in the order they were added (a copy).
 func (r *Ring) Events() []Event {
 	if r == nil {
 		return nil
@@ -145,7 +184,8 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// OfKind returns the retained events of one kind, chronologically.
+// OfKind returns the retained events of one kind, in the order they were
+// added.
 func (r *Ring) OfKind(k Kind) []Event {
 	var out []Event
 	for _, e := range r.Events() {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,8 +76,8 @@ func TestOfKindAndDump(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
-		PacketDropped: "drop", PacketNoRoute: "no-route", PacketLooped: "loop",
-		UpdateOriginate: "update", LinkDown: "link-down", LinkUp: "link-up",
+		PacketDropped: "drop-buffer", PacketNoRoute: "drop-noroute", PacketLooped: "drop-loop", PacketOutage: "drop-outage",
+		LinkDown: "link-down", LinkUp: "link-up", Measure: "meas", UpdateOriginate: "originate", Reroute: "reroute",
 	} {
 		if k.String() != want {
 			t.Errorf("Kind %d = %q, want %q", int(k), k.String(), want)
@@ -84,6 +85,28 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(42).String() == "" {
 		t.Error("unknown kind should still stringify")
+	}
+}
+
+// Sort orders by time, then node, and keeps each node's events of an
+// instant in the order they were recorded.
+func TestSortKeepsEachNodesOrder(t *testing.T) {
+	evs := []Event{
+		{At: 2, Node: 1, Kind: Measure}, {At: 1, Node: 3, Kind: LinkDown}, {At: 2, Node: 0, Kind: PacketDropped},
+		{At: 2, Node: 1, Kind: UpdateOriginate}, {At: 1, Node: 3, Kind: PacketOutage}, {At: 2, Node: 1, Kind: Reroute},
+	}
+	Sort(evs)
+	var got []string
+	for _, e := range evs {
+		got = append(got, e.String())
+	}
+	want := []string{
+		"0.000001s node=3 link-down link=0", "0.000001s node=3 drop-outage link=0 pkt=0x0000000000000000",
+		"0.000002s node=0 drop-buffer link=0 pkt=0x0000000000000000", "0.000002s node=1 meas link=0 n=0 avg=0.000000000 cost=0",
+		"0.000002s node=1 originate link=0 seq=0 links=0", "0.000002s node=1 reroute link=0 origin=0 seq=0 changed=0",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sorted:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

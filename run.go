@@ -7,13 +7,11 @@ import (
 	"strings"
 
 	"repro/internal/fanout"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -69,15 +67,16 @@ type Spec struct {
 	Script string
 	// Shards, when positive, runs the sharded engine on that many shards (at
 	// most one a PSN) instead of the unsharded one, on the same Traffic or
-	// NodeTraffic, warm-up, Script and Ablations. It runs no Multipath, Track
-	// or TraceCapacity yet.
+	// NodeTraffic, warm-up, Script, Ablations, Track and TraceCapacity, with
+	// the same Result. It runs no Multipath yet.
 	Shards int
 	// StaticRoutes routes the sharded engine by one static table over fixed
 	// link costs instead of the adaptive plane under a Metric, which it
 	// leaves unset; it runs no Script and no Ablations.
 	StaticRoutes bool
 	// Track names trunks by their two PSNs; the run samples each a→b
-	// direction's utilization and cost once per simulated second.
+	// direction's utilization and price once per simulated second, after
+	// every other event of the second, on either engine.
 	Track [][2]string
 	// Ablations disable individual HNM stabilization mechanisms (only
 	// with Metric HNSPF); see the HNM* options.
@@ -85,7 +84,10 @@ type Spec struct {
 	// Multipath enables equal-cost multipath forwarding (§4.5), which
 	// load-shares within one large flow; it needs an SPF metric.
 	Multipath bool
-	// TraceCapacity, when positive, keeps that many events in Result.Trace.
+	// TraceCapacity, when positive, keeps the last that many of the run's
+	// trace events in Result.Trace: every PSN's drops, link changes,
+	// measurements, originations and reroutes, in the trace's one order (by
+	// time, then PSN), the same on either engine. Zero traces nothing.
 	TraceCapacity int
 }
 
@@ -149,7 +151,12 @@ func Run(s Spec) (Result, error) {
 		return Result{}, err
 	}
 	if s.Shards > 0 {
-		res.engine, res.Result, err = scenario.RunSharded(s.shardConfig(), sim.FromSeconds(s.WarmupSeconds), res.Script, nil)
+		sc := s.shardConfig()
+		sc.Track, sc.TraceDrops = cfg.Track, cfg.Trace != nil
+		if sc.TraceDrops {
+			sc.MeasureSample = 1 // every PSN's events, as the unsharded engine records them
+		}
+		res.engine, res.Result, err = scenario.RunSharded(sc, cfg.Warmup, res.Script, nil)
 	} else {
 		res.Result, err = scenario.Run(cfg, res.Script)
 	}
@@ -159,6 +166,11 @@ func Run(s Spec) (Result, error) {
 	if e := res.engine; e != nil {
 		res.Stats = Stats{Events: e.Fired(), Lookahead: e.Lookahead(), Barrier: e.BarrierStats(), Kernel: e.KernelStats(),
 			Routes: e.RouteStats()}
+		if res.Trace != nil {
+			for _, ev := range e.Events() {
+				res.Trace.Add(ev)
+			}
+		}
 	}
 	return res, nil
 }
@@ -195,9 +207,10 @@ func RunSeeds(s Spec, n int) ([]Result, error) {
 	return out, nil
 }
 
-// config checks s and builds the unsharded engine's configuration (none
-// with Shards). res receives the timeline, and the trace and tracked series
-// the run will fill.
+// config checks s and builds the unsharded engine's configuration, whose
+// Warmup, Trace and Track the sharded one takes too (it has no Matrix with
+// Shards). res receives the timeline, and the trace and tracked series the
+// run will fill.
 func (s Spec) config(res *Result) (scenario.Config, error) {
 	if err := s.check(); err != nil {
 		return scenario.Config{}, fmt.Errorf("arpanet: %w", err)
@@ -212,19 +225,9 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Script's duration %v ends within Spec.WarmupSeconds %v: nothing is measured", d.Seconds(), s.WarmupSeconds)
 		}
 	}
-	if s.Shards > 0 {
-		if err := s.shardConfig().Validate(); err != nil {
-			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Topology: %w", err)
-		}
-		return scenario.Config{}, nil
-	}
-	if s.Traffic == nil { // NodeTraffic, drawn as the sharded engine draws it
-		s.Traffic = &Traffic{t: s.Topology, m: s.shardConfig().Matrix()}
-	}
 	g := s.Topology.g
 	cfg := scenario.Config{
 		Graph:     g,
-		Matrix:    s.Traffic.m,
 		Metric:    s.Metric,
 		Seed:      s.Seed,
 		Warmup:    sim.FromSeconds(s.WarmupSeconds),
@@ -235,7 +238,6 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 		res.Trace = trace.NewRing(s.TraceCapacity)
 		cfg.Trace = res.Trace
 	}
-	var links []topology.LinkID
 	for _, p := range s.Track {
 		a, okA := g.Lookup(p[0])
 		b, okB := g.Lookup(p[1])
@@ -243,13 +245,21 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 		if !okA || !okB || !ok {
 			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Track: no trunk joins PSNs %q and %q", p[0], p[1])
 		}
-		links = append(links, l)
+		name := p[0] + "->" + p[1]
+		ls := node.LinkSeries{Link: l, Util: stats.NewSeries(name), Cost: stats.NewSeries("cost " + name)}
+		cfg.Track = append(cfg.Track, ls)
+		res.Tracked = append(res.Tracked, Tracked{Utilization: ls.Util, Cost: ls.Cost})
 	}
-	cfg.Prepare = func(n *network.Network) {
-		for _, l := range links {
-			res.Tracked = append(res.Tracked, Tracked{Utilization: n.TrackLink(l), Cost: n.TrackLinkCost(l)})
+	if s.Shards > 0 {
+		if err := s.shardConfig().Validate(); err != nil {
+			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Topology: %w", err)
 		}
+		return cfg, nil
 	}
+	if s.Traffic == nil { // NodeTraffic, drawn as the sharded engine draws it
+		s.Traffic = &Traffic{t: s.Topology, m: s.shardConfig().Matrix()}
+	}
+	cfg.Matrix = s.Traffic.m
 	return cfg, nil
 }
 
@@ -285,6 +295,8 @@ func (s Spec) check() error {
 		return errors.New("Spec.Multipath requires an SPF metric, not Bellman-Ford 1969")
 	case len(s.Ablations) > 0 && s.Metric != HNSPF:
 		return fmt.Errorf("Spec.Ablations require Metric HNSPF, not %v", s.Metric)
+	case s.TraceCapacity < 0:
+		return fmt.Errorf("Spec.TraceCapacity %d is not a capacity: want 0 (no trace) or more", s.TraceCapacity)
 	case !(s.WarmupSeconds >= 0):
 		return fmt.Errorf("Spec.WarmupSeconds %v is not a time", s.WarmupSeconds)
 	case s.Script != "" && s.Seconds != 0:
@@ -301,13 +313,8 @@ func (s Spec) check() error {
 		return fmt.Errorf("Spec.Metric %v has no effect on Spec.StaticRoutes, which route over fixed link costs; leave it unset", s.Metric)
 	case s.StaticRoutes && len(s.Ablations) > 0:
 		return errors.New("Spec.Ablations have no effect on Spec.StaticRoutes, which route over fixed link costs; leave them unset")
-	}
-	// What the sharded engine does not run yet, and the fields that set it.
-	names := []string{"Multipath", "Track", "TraceCapacity"}
-	for i, set := range []bool{s.Multipath, len(s.Track) > 0, s.TraceCapacity > 0} {
-		if s.Shards > 0 && set {
-			return fmt.Errorf("Spec.%s: the sharded engine (Spec.Shards %d) does not run it", names[i], s.Shards)
-		}
+	case s.Multipath && s.Shards > 0:
+		return fmt.Errorf("Spec.Multipath: the sharded engine (Spec.Shards %d) does not run it", s.Shards)
 	}
 	return nil
 }

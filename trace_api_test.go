@@ -22,11 +22,12 @@ func TestTraceRecordsLinkEventsAndUpdates(t *testing.T) {
 	if ring == nil {
 		t.Fatal("trace enabled but nil")
 	}
-	if got := len(ring.OfKind(TraceLinkDown)); got != 1 {
-		t.Errorf("link-down events = %d, want 1", got)
+	// One event a direction, at its sending end.
+	if got := len(ring.OfKind(TraceLinkDown)); got != 2 {
+		t.Errorf("link-down events = %d, want 2", got)
 	}
-	if got := len(ring.OfKind(TraceLinkUp)); got != 1 {
-		t.Errorf("link-up events = %d, want 1", got)
+	if got := len(ring.OfKind(TraceLinkUp)); got != 2 {
+		t.Errorf("link-up events = %d, want 2", got)
 	}
 	if ring.Count(TraceUpdate) == 0 {
 		t.Error("no update originations logged in 120 s")
