@@ -232,7 +232,7 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"negative radius", func(s *Spec) { s.Traffic, s.NodeTraffic = nil, &NodeTraffic{Rate: 1, Dests: 3, Radius: -1} }, "Spec.NodeTraffic {Rate:1 Dests:3 Radius:-1}"},
 		{"more shards than PSNs", func(s *Spec) { s.Traffic, s.NodeTraffic, s.Shards = nil, &NodeTraffic{Rate: 1, Dests: 3}, 5 }, "Spec.Shards 5"},
 		{"negative shards", func(s *Spec) { s.Shards = -1 }, "Spec.Shards -1"},
-		{"sharded multipath", func(s *Spec) { sharded(s); s.Multipath = true }, "Spec.Multipath: the sharded engine"},
+		{"static multipath", func(s *Spec) { sharded(s); s.StaticRoutes, s.Multipath = true, true }, "Spec.Multipath has no effect on Spec.StaticRoutes"},
 		{"sharded unknown PSN tracked", func(s *Spec) { sharded(s); s.Track = [][2]string{{"N0", "X9"}} }, `Spec.Track: no trunk joins PSNs "N0" and "X9"`},
 		{"negative trace capacity", func(s *Spec) { s.TraceCapacity = -1 }, "Spec.TraceCapacity -1"},
 		{"static routes unsharded", func(s *Spec) { s.StaticRoutes = true }, "Spec.StaticRoutes needs Spec.Shards"},

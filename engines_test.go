@@ -18,7 +18,10 @@ import (
 //   - per-node traffic under HN-SPF, under HN-SPF without its averaging and
 //     its minimum-change threshold (Spec.Ablations), and under BF-1969 on
 //     hier:4x8, with one trunk failed and repaired by a script (offered to
-//     Shards 0 as the same draws in a matrix), that trunk tracked.
+//     Shards 0 as the same draws in a matrix), that trunk tracked;
+//   - multipath forwarding under min-hop on TestDeterministicSimulation's
+//     2×2 grid, loaded until buffers overflow: opposite corners draw one of
+//     two first hops, both of one corner's tracked.
 func TestRunEngineDoesNotShow(t *testing.T) {
 	t.Parallel()
 	arpa := Arpanet1987()
@@ -30,6 +33,7 @@ func TestRunEngineDoesNotShow(t *testing.T) {
 	b, _, _ := strings.Cut(rest, " ")
 	script := "duration 120\nat 30 down " + a + " " + b + "\nat 60 up " + a + " " + b + "\n"
 	arpaTrack, hierTrack := [][2]string{{"UTAH", "COLLINS"}, {"COLLINS", "UTAH"}}, [][2]string{{a, b}}
+	grid := Grid(2, 2, T56)
 	for _, spec := range []Spec{
 		{Topology: arpa, Traffic: arpa.GravityTraffic(ArpanetWeights(), 280_000), Metric: DSPF, Seed: 1987, WarmupSeconds: 100, Seconds: 110,
 			Track: arpaTrack, TraceCapacity: 2000},
@@ -39,11 +43,16 @@ func TestRunEngineDoesNotShow(t *testing.T) {
 		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: HNSPF, Seed: 1, Script: script, Track: hierTrack, TraceCapacity: 1 << 15,
 			Ablations: []HNMOption{HNMWithoutAveraging(), HNMWithoutMinChange()}},
 		{Topology: topo, NodeTraffic: &NodeTraffic{Rate: 12, Dests: 4}, Metric: BF1969, Seed: 1, Script: script, Track: hierTrack, TraceCapacity: 1 << 15},
+		{Topology: grid, Traffic: grid.UniformTraffic(300_000), Metric: MinHop, Seed: 5, WarmupSeconds: 30, Seconds: 120, Multipath: true,
+			Track: [][2]string{{"R0.C0", "R0.C1"}, {"R0.C0", "R1.C0"}}, TraceCapacity: 1 << 15},
 	} {
 		var want string
 		name := spec.Metric.String()
 		if len(spec.Ablations) > 0 {
 			name += " ablated"
+		}
+		if spec.Multipath {
+			name += " multipath"
 		}
 		for _, shards := range []int{0, 1, 2, 4} {
 			spec.Shards = shards

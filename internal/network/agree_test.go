@@ -28,8 +28,9 @@ const agreeSeconds = 60
 // ARPANET and MILNET maps and three generated ones (a ring, a Waxman and a
 // hierarchical graph), every metric at least once and each SPF metric
 // under load, HN-SPF with one, two and all five ablations, per-node and
-// gravity loads, with and without a warm-up.
-var agreeSeeds = []int64{2, 3, 5, 6, 10, 26, 84, 147}
+// gravity loads, with and without a warm-up, and multipath forwarding under
+// each SPF metric, traced under HN-SPF.
+var agreeSeeds = []int64{2, 3, 5, 6, 10, 26, 84, 112, 147}
 
 // TestEnginesAgree holds the two packet engines to each other on random
 // inputs (drawAgreement): a one-shard shard.Sim run by scenario.RunSharded
@@ -56,7 +57,7 @@ func FuzzEnginesAgree(f *testing.F) {
 }
 
 func agree(t *testing.T, seed int64) {
-	in := drawAgreement(t, seed)
+	in := drawAgreement(t, seed, false)
 	t.Log(in.desc)
 	n := in.network()
 	sc := *in.sc
@@ -136,7 +137,7 @@ func (in agreement) network() *network.Network {
 	slices.SortStableFunc(evs, func(a, b scenario.Event) int { return cmp.Compare(a.At, b.At) })
 	took := map[topology.NodeID][]topology.LinkID{}
 	return network.New(network.Config{Graph: g, Matrix: in.cfg.Matrix(), Metric: in.cfg.Metric, Ablations: in.cfg.Ablations,
-		Seed: in.cfg.Seed, Warmup: in.warmup, Trace: in.ring, Track: in.track, Script: func(n *network.Network) {
+		Multipath: in.cfg.Multipath, Seed: in.cfg.Seed, Warmup: in.warmup, Trace: in.ring, Track: in.track, Script: func(n *network.Network) {
 			for _, ev := range evs {
 				_, _ = n.Kernel().ScheduleAt(ev.At, func(sim.Time) {
 					id, _ := g.Lookup(ev.Node)
@@ -182,9 +183,11 @@ func (in agreement) network() *network.Network {
 // restart of that node which must leave the trunk down, and its repair;
 // matrix switches that silence three sources and revive them; and a few
 // other trunks' failures, repairs and flaps, each within one measurement
-// period. Last, each with even odds, it traces every PSN's events and
-// tracks one link.
-func drawAgreement(t *testing.T, seed int64) agreement {
+// period. Last, each with even odds, it traces every PSN's events, tracks
+// one link and, under an SPF metric, forwards by multipath. No draw depends
+// on a probe's outcome, so a drawn multipath draws the input again with
+// multipath on from the start, its probes forwarding as the run will.
+func drawAgreement(t *testing.T, seed int64, multipath bool) agreement {
 	rng := rand.New(rand.NewSource(seed))
 	var topo check.Topo
 	var weights map[string]float64
@@ -198,8 +201,8 @@ func drawAgreement(t *testing.T, seed int64) agreement {
 	}
 	g := topo.G
 	metrics := []node.MetricKind{node.MinHop, node.DSPF, node.HNSPF, node.BF1969}
-	in := agreement{cfg: shard.Config{Graph: g, Shards: 1, Seed: seed, Metric: metrics[rng.Intn(len(metrics))], Adaptive: true},
-		sc: scenario.NewScenario("agree", agreeSeconds*sim.Second)}
+	in := agreement{cfg: shard.Config{Graph: g, Shards: 1, Seed: seed, Metric: metrics[rng.Intn(len(metrics))], Adaptive: true,
+		Multipath: multipath}, sc: scenario.NewScenario("agree", agreeSeconds*sim.Second)}
 	var ablated []string
 	if in.cfg.Metric == node.HNSPF {
 		for i, o := range hnmOptions {
@@ -302,8 +305,11 @@ func drawAgreement(t *testing.T, seed int64) agreement {
 		}
 		tracked = fmt.Sprint("link ", l)
 	}
-	in.desc = fmt.Sprintf("seed %d: %s, %v ablated %v, %s, warm-up %v, traced %v, tracked %s, script %+v", seed, topo.Desc, in.cfg.Metric,
-		ablated, load, in.warmup, in.ring != nil, tracked, in.sc.Events)
+	if in.cfg.Metric != node.BF1969 && rng.Intn(2) == 0 && !multipath {
+		return drawAgreement(t, seed, true)
+	}
+	in.desc = fmt.Sprintf("seed %d: %s, %v ablated %v, %s, warm-up %v, traced %v, tracked %s, multipath %v, script %+v", seed, topo.Desc,
+		in.cfg.Metric, ablated, load, in.warmup, in.ring != nil, tracked, multipath, in.sc.Events)
 	return in
 }
 

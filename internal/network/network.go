@@ -10,8 +10,6 @@
 package network
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/flooding"
 	"repro/internal/flowmodel"
@@ -63,9 +61,10 @@ type Config struct {
 	// Ablations switch HN-SPF's stabilization mechanisms off, one option
 	// each (node.NewCostModule); the other metrics ignore them.
 	Ablations []core.Option
-	// Multipath enables equal-cost multipath forwarding (§4.5): packets
-	// spread randomly over every first hop on a minimum-cost path. This is
-	// the paper's "future work" remedy for large single flows.
+	// Multipath enables near-equal-cost multipath forwarding (§4.5,
+	// node.Boot): packets spread randomly over every first hop on a
+	// minimum-cost path. This is the paper's "future work" remedy for large
+	// single flows.
 	Multipath bool
 	// Trace, when non-nil, receives every PSN's trace events (bounded ring),
 	// in the trace's order (trace.Sort): each second's as its utilization
@@ -141,8 +140,6 @@ type Network struct {
 type psn struct {
 	node.PSN              // routing protocol
 	lines    []*linkState // its out-links in Graph.Out order, so its next line i is lines[i]
-	paths    sim.RNG      // multipath next-hop selection (Config.Multipath)
-	dag      *spf.DAG     // multipath first hops over Router's tree (nil: stale, built at the next lookup)
 }
 
 // linkState is one directed link: the shared trunk model plus what only
@@ -222,12 +219,9 @@ func New(cfg Config) *Network {
 		for j, l := range n.g.Out(id) {
 			p.lines[j] = n.links[l]
 		}
-		if cfg.Multipath {
-			p.paths = sim.NewRNG(cfg.Seed, i, node.StreamPaths)
-		}
 		n.psns[i], psns[i] = p, &p.PSN
 	}
-	n.routers, n.updatesInFlight = node.Boot(cfg.Metric, true, n.g, psns,
+	n.routers, n.updatesInFlight = node.Boot(cfg.Metric, true, cfg.Multipath, cfg.Seed, n.g, psns,
 		func(l topology.LinkID) *node.Trunk { return &n.links[l].Trunk }, node.MeasurementPeriod)
 	n.setRows(cfg.Matrix)
 
@@ -266,39 +260,6 @@ func (n *Network) setupBackground() {
 	// Background re-routing runs for the lifetime of the network, like
 	// measurement and sampling.
 	n.kernel.Every(node.MeasurementPeriod, func(sim.Time) { n.fluid.Reassign(cost, down) })
-}
-
-// multipathTol derives the near-equality tolerance from the cheapest link
-// floor in this network: node.MultipathToleranceFraction of it, which is
-// under the loop-freedom bound of half the minimum link cost.
-func (n *Network) multipathTol() float64 {
-	min := math.Inf(1)
-	for _, ls := range n.links {
-		if f := ls.Module.Floor(); f < min {
-			min = f
-		}
-	}
-	return node.MultipathToleranceFraction * min
-}
-
-// multipathNextHop picks the outgoing link toward dst, nil for none, at
-// random among the equal-cost first hops. Those come from a DAG over the
-// router's tree, rebuilt at the first lookup after the router accepts an
-// update.
-func (n *Network) multipathNextHop(p *psn, dst topology.NodeID) *linkState {
-	if p.dag == nil {
-		p.dag = spf.ComputeDAG(p.Router.Tree(), p.Router.Cost, n.multipathTol())
-	}
-	nh := topology.NoLink
-	if hops := p.dag.NextHops(dst); len(hops) == 1 {
-		nh = hops[0]
-	} else if len(hops) > 1 {
-		nh = hops[p.paths.Intn(len(hops))]
-	}
-	if nh == topology.NoLink {
-		return nil
-	}
-	return n.links[nh]
 }
 
 // Kernel exposes the simulation clock for callers that schedule scenario
@@ -383,21 +344,16 @@ func (n *Network) handlePacket(p *psn, pkt *node.Packet, now sim.Time) {
 		n.pool.Put(pkt)
 		return
 	}
-	// The next hop is a line number, the SPF tree's or the distance
-	// vector's: the PSN's own lines answer it. Multipath chooses elsewhere.
-	var nh *linkState
-	if n.cfg.Multipath {
-		nh = n.multipathNextHop(p, pkt.Dst)
-	} else if i := p.NextLine(pkt.Dst); i >= 0 {
-		nh = p.lines[i]
-	}
-	if nh == nil || nh.Down() {
+	// The next hop is a line number, the SPF tree's, the multipath DAG's or
+	// the distance vector's: the PSN's own lines answer it.
+	i := p.NextLine(pkt.Dst)
+	if i < 0 || p.lines[i].Down() {
 		n.led.NoRouteDrops++
 		n.record(trace.Event{At: now, Kind: trace.PacketNoRoute, Node: p.ID, Link: pkt.Arrival, Pkt: pkt.Seq})
 		n.pool.Put(pkt)
 		return
 	}
-	n.enqueue(nh, pkt, now)
+	n.enqueue(p.lines[i], pkt, now)
 }
 
 func (n *Network) enqueue(ls *linkState, pkt *node.Packet, now sim.Time) {
@@ -473,9 +429,8 @@ func (n *Network) dropOutage(ls *linkState, pkt *node.Packet, now sim.Time) {
 // --- routing -------------------------------------------------------------
 
 // The network's node.Egress: Send and SendVector put a routing packet on a
-// line, Accept drops the multipath DAG of a router that took an update,
-// Originated keeps the flooded costs for the fluid background, and Delay
-// superposes the fluid background on a measurement.
+// line, Originated keeps the flooded costs for the fluid background, and
+// Delay superposes the fluid background on a measurement.
 
 // Send enqueues one copy of u on link l.
 func (n *Network) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
@@ -497,16 +452,6 @@ func (n *Network) sendRouting(l topology.LinkID, u *flooding.Update, v *node.Vec
 	pkt.Seq = n.psns[n.links[l].link.From].CtrlSeq()
 	pkt.SizeBits, pkt.Created, pkt.Update, pkt.Vector, pkt.Arrival = size, created, u, v, l
 	n.enqueue(n.links[l], pkt, now)
-}
-
-// Accept offers u to p's router, its own duplicate filter; a new one drops
-// p's multipath DAG.
-func (n *Network) Accept(p *node.PSN, u *flooding.Update, _ sim.Time) bool {
-	if !p.Router.Accept(u) {
-		return false
-	}
-	n.psns[p.ID].dag = nil
-	return true
 }
 
 // Originated keeps u's costs as the ones last flooded for p's lines.

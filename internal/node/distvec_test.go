@@ -16,7 +16,7 @@ func TestExchangeRelaxesOverHeardVectors(t *testing.T) {
 	g, h, toA, toB, toC := hub()
 	trunks, trunk := trunks(g, BF1969)
 	p := PSN{ID: h}
-	if tab, copies := Boot(BF1969, true, g, []*PSN{&p}, trunk, MeasurementPeriod); tab != nil || copies != nil {
+	if tab, copies := Boot(BF1969, true, false, 0, g, []*PSN{&p}, trunk, MeasurementPeriod); tab != nil || copies != nil {
 		t.Errorf("BF1969 booted a table %v and copies %v", tab, copies)
 	}
 	if p.FirstTick(g.NumNodes()) != VectorPeriod {

@@ -5,9 +5,8 @@ package node
 // new update forwards it on every line except the one it arrived on; no PSN
 // goes more than MaxUpdateInterval without originating; and the two ends of
 // a repaired trunk send each other the updates they hold. The engines keep
-// what differs between them — how a copy becomes a packet on a queue, what
-// they count, and what an accepted update invalidates — and reach
-// the protocol through PSN (psn.go) and Egress.
+// what differs between them — how a copy becomes a packet on a queue and
+// what they count — and reach the protocol through PSN (psn.go) and Egress.
 
 import (
 	"repro/internal/flooding"
@@ -39,7 +38,7 @@ func (p *PSN) originate(g *topology.Graph, e Egress, now sim.Time) {
 		costs[i] = p.trunk(l).Advertised()
 	}
 	u := p.nextUpdate(g, costs, now)
-	p.accept(e, u, now)
+	p.accept(u, now)
 	if p.Trace != nil {
 		p.Trace.Add(trace.Event{At: now, Kind: trace.UpdateOriginate, Node: p.ID, Link: topology.NoLink, Pkt: u.Seq, Count: int64(len(costs))})
 	}

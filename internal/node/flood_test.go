@@ -41,8 +41,6 @@ func (r *recorder) SendVector(l topology.LinkID, v *Vector, now sim.Time) {
 	r.vectors = append(r.vectors, sentVector{l, v, now})
 }
 
-func (r *recorder) Accept(p *PSN, u *flooding.Update, _ sim.Time) bool { return p.Router.Accept(u) }
-
 func (r *recorder) Originated(_ *PSN, u *flooding.Update, _ sim.Time) {
 	r.originated = append(r.originated, u)
 }
@@ -102,7 +100,7 @@ func TestFloodSkipsArrivalAndDownLines(t *testing.T) {
 		{"arrived from A, every other line down", fromA, []topology.LinkID{toB, toC}, nil},
 	} {
 		ts, trunk := trunks(g, MinHop)
-		Boot(MinHop, false, g, []*PSN{&p}, trunk, MeasurementPeriod)
+		Boot(MinHop, false, false, 0, g, []*PSN{&p}, trunk, MeasurementPeriod)
 		for _, l := range tc.down {
 			ts[l].Fail(func(*Packet) {})
 		}
@@ -133,7 +131,7 @@ func TestResyncSendsEveryOtherOrigin(t *testing.T) {
 	for i := range psns {
 		psns[i] = &PSN{ID: topology.NodeID(i)}
 	}
-	Boot(MinHop, true, g, psns, trunk, MeasurementPeriod)
+	Boot(MinHop, true, false, 0, g, psns, trunk, MeasurementPeriod)
 	var updates []*flooding.Update
 	for _, q := range psns {
 		updates = append(updates, q.nextUpdate(g, ones(g.Degree(q.ID)), sim.Second))
@@ -170,7 +168,7 @@ func TestResyncSendsEveryOtherOrigin(t *testing.T) {
 
 	e = &recorder{}
 	q := &PSN{ID: h}
-	Boot(MinHop, false, g, []*PSN{q}, trunk, MeasurementPeriod)
+	Boot(MinHop, false, false, 0, g, []*PSN{q}, trunk, MeasurementPeriod)
 	q.LineChanged(g, e, toB, 7*sim.Second)
 	if len(e.sent) != 0 || len(e.originated) != 0 {
 		t.Errorf("a PSN without a router sent %d copies", len(e.sent))
@@ -224,4 +222,70 @@ func TestCtrlSeqExhaustionPanics(t *testing.T) {
 	}()
 	p.CtrlSeq()
 	t.Fatal("CtrlSeq returned: the count passed 2^32 unnoticed")
+}
+
+// With multipath a PSN draws its next line uniformly among the first hops
+// within the tolerance of the cheapest path, on its own StreamPaths stream;
+// an update it accepts drops the first hops it drew from, so the next lookup
+// reads the new costs.
+func TestMultipathNextLine(t *testing.T) {
+	g := topology.Grid(2, 2, topology.T56)
+	src, via, dst := g.MustLookup("R0.C0"), g.MustLookup("R0.C1"), g.MustLookup("R1.C1")
+	_, trunk := trunks(g, MinHop)
+	psns := make([]*PSN, g.NumNodes())
+	for i := range psns {
+		psns[i] = &PSN{ID: topology.NodeID(i)}
+	}
+	const seed = 7
+	Boot(MinHop, true, true, seed, g, psns, trunk, MeasurementPeriod)
+	p := psns[src]
+	ref := sim.NewRNG(seed, int(src), StreamPaths)
+	for i := range 64 {
+		if got, want := p.NextLine(dst), ref.Intn(2); got != want {
+			t.Fatalf("draw %d: line %d, want %d: two equal 2-hop paths, drawn on StreamPaths", i, got, want)
+		}
+	}
+	// R0.C1 prices its line to R1.C1 at 5: the path through it costs 6
+	// against 2, far outside the tolerance.
+	costs := ones(g.Degree(via))
+	costs[g.OutLine(mustFind(t, g, via, dst))] = 5
+	u := psns[via].nextUpdate(g, costs, sim.Second)
+	p.Hear(g, &recorder{}, &Packet{Update: u, Arrival: mustFind(t, g, via, src)}, 2*sim.Second)
+	want := g.OutLine(mustFind(t, g, src, g.MustLookup("R1.C0")))
+	for i := range 16 {
+		if got := p.NextLine(dst); got != want {
+			t.Fatalf("after the update, lookup %d: line %d, want %d, the one cheap first hop", i, got, want)
+		}
+	}
+}
+
+// The multipath tolerance is a network's, not a goroutine's: Boot takes it
+// from the smallest floor over every trunk it sees, so a PSN booted alone
+// on a shard whose lines are all satellites still reads the terrestrial
+// floor.
+func TestMultipathToleranceSpansTheNetwork(t *testing.T) {
+	g := topology.New()
+	a, b, c := g.AddNode("A"), g.AddNode("B"), g.AddNode("C")
+	g.AddTrunk(a, b, topology.T56)
+	sat, _ := g.AddTrunk(b, c, topology.S56)
+	_, trunk := trunks(g, HNSPF)
+	p := &PSN{ID: c}
+	Boot(HNSPF, true, true, 1, g, []*PSN{p}, trunk, MeasurementPeriod)
+	floor := NewCostModule(HNSPF, topology.T56, topology.T56.DefaultPropDelay()).Floor()
+	if own := trunk(g.Link(sat).Reverse()).Module.Floor(); own <= floor {
+		t.Fatalf("the satellite floor %v is not above the terrestrial %v: the test shows nothing", own, floor)
+	}
+	if got, want := p.mp.tol, MultipathToleranceFraction*floor; got != want {
+		t.Errorf("tolerance %v, want %v × the terrestrial floor %v", got, MultipathToleranceFraction, floor)
+	}
+}
+
+// mustFind is the link from a to b.
+func mustFind(t *testing.T, g *topology.Graph, a, b topology.NodeID) topology.LinkID {
+	t.Helper()
+	l, ok := g.FindTrunk(a, b)
+	if !ok {
+		t.Fatalf("no trunk from %d to %d", a, b)
+	}
+	return l
 }

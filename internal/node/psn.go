@@ -20,19 +20,15 @@ import (
 
 // Egress is an engine's side of the routing protocol: how one copy of an
 // update or a vector goes onto a line, and what the engine keeps of the
-// protocol's steps — its counters, what it derives from a router's tree and
-// the load it models without packets. A routing packet goes to the head of
-// the queue and is never refused. The protocol's trace events are the PSN's
-// own (PSN.Trace).
+// protocol's steps — its counters and the load it models without packets. A
+// routing packet goes to the head of the queue and is never refused. The
+// protocol's trace events are the PSN's own (PSN.Trace).
 type Egress interface {
 	// Send enqueues one copy of u on line l, stamped with the flood's
 	// creation time.
 	Send(l topology.LinkID, u *flooding.Update, created, now sim.Time)
 	// SendVector enqueues v on line l.
 	SendVector(l topology.LinkID, v *Vector, now sim.Time)
-	// Accept offers u to p's router (p.Router.Accept) and reports whether it
-	// was new.
-	Accept(p *PSN, u *flooding.Update, now sim.Time) bool
 	// Originated tells the engine that p made u, its own update, at now,
 	// just before p floods it.
 	Originated(p *PSN, u *flooding.Update, now sim.Time)
@@ -43,8 +39,9 @@ type Egress interface {
 }
 
 // PSN is one PSN's routing-protocol state: its lines, and under an SPF
-// metric its router, its update sequence and when it last originated; or,
-// under BF1969, which floods nothing and has no router, its distance vector.
+// metric its router, its update sequence, when it last originated and, with
+// multipath forwarding, its first-hop choice; or, under BF1969, which floods
+// nothing and has no router, its distance vector.
 // Beside it are the PSN's traffic source and its share of the measured
 // window. Both engines embed it in their per-node state and boot it with
 // Boot.
@@ -52,6 +49,7 @@ type PSN struct {
 	ID     topology.NodeID
 	Router *spf.IncrementalRouter
 	dv     *distVec
+	mp     *paths                       // nil without multipath forwarding
 	trunk  func(topology.LinkID) *Trunk // the trunk of each of its lines
 	period sim.Time                     // between ticks
 	// LastOriginated is when the PSN last flooded its own update; Boot sets
@@ -75,14 +73,20 @@ type PSN struct {
 // kind in a network of g's nodes, trunk(l) being link l's trunk:
 //   - under an SPF metric, routers of one spf.Table, which it returns, booted
 //     from every trunk's advertised cost, with a measurement every period;
+//     with multipath, each PSN forwards at random over its tree's
+//     near-equal-cost first hops (§4.5), within MultipathToleranceFraction
+//     × the smallest floor of any trunk — one tolerance however the PSNs
+//     are split among goroutines — drawing on its StreamPaths stream of seed;
 //   - under BF1969, distance vectors knowing only their own PSN, exchanged
 //     every VectorPeriod;
 //   - with route false (a static plane, which forwards by a table of its
 //     own), no routing state at all: its PSNs only measure, every period.
 //
-// It also returns the engine's count of update copies in flight (Copies),
-// nil where nothing floods.
-func Boot(kind MetricKind, route bool, g *topology.Graph, psns []*PSN, trunk func(topology.LinkID) *Trunk, period sim.Time) (*spf.Table, Copies) {
+// Boot ignores multipath under BF1969 or without route, which have no tree
+// to split over; callers refuse that combination. It also returns the
+// engine's count of update copies in flight (Copies), nil where nothing
+// floods.
+func Boot(kind MetricKind, route, multipath bool, seed int64, g *topology.Graph, psns []*PSN, trunk func(topology.LinkID) *Trunk, period sim.Time) (*spf.Table, Copies) {
 	for _, p := range psns {
 		p.trunk, p.period = trunk, period
 	}
@@ -95,9 +99,10 @@ func Boot(kind MetricKind, route bool, g *topology.Graph, psns []*PSN, trunk fun
 		}
 		return nil, nil
 	}
-	initial := make([]float64, g.NumLinks())
+	initial, floor := make([]float64, g.NumLinks()), math.Inf(1)
 	for l := range initial {
-		initial[l] = trunk(topology.LinkID(l)).Advertised()
+		t := trunk(topology.LinkID(l))
+		initial[l], floor = t.Advertised(), min(floor, t.Module.Floor())
 	}
 	roots := make([]topology.NodeID, len(psns))
 	for i, p := range psns {
@@ -107,6 +112,9 @@ func Boot(kind MetricKind, route bool, g *topology.Graph, psns []*PSN, trunk fun
 	for i, p := range psns {
 		p.Router = table.Router(i)
 		p.LastOriginated = BootOriginated(p.ID, p.FirstTick(g.NumNodes()), period)
+		if multipath {
+			p.mp = &paths{g: g, tol: MultipathToleranceFraction * floor, rng: sim.NewRNG(seed, int(p.ID), StreamPaths)}
+		}
 	}
 	return table, make(Copies, g.NumNodes())
 }
@@ -158,25 +166,31 @@ func (p *PSN) Hear(g *topology.Graph, e Egress, pkt *Packet, now sim.Time) {
 		p.hearVector(g, pkt.Vector, pkt.Arrival)
 		return
 	}
-	if p.accept(e, pkt.Update, now) {
+	if p.accept(pkt.Update, now) {
 		p.flood(g, e, pkt.Update, pkt.Arrival, pkt.Created, now)
 	}
 }
 
-// accept offers u to the PSN's router (Egress.Accept) and reports whether it
-// was new. A traced PSN records a reroute when the update moved its next hop
+// accept offers u to the PSN's router, its own duplicate filter, and
+// reports whether it was new. A new one makes the multipath first hops
+// stale, and a traced PSN records a reroute when it moved the PSN's next hop
 // toward any of its source's destinations.
-func (p *PSN) accept(e Egress, u *flooding.Update, now sim.Time) bool {
-	if p.Trace == nil {
-		return e.Accept(p, u, now)
-	}
+func (p *PSN) accept(u *flooding.Update, now sim.Time) bool {
 	tree := p.Router.Tree() // repaired in place: read the next hops before Accept
-	p.fwd = p.fwd[:0]
-	for _, d := range p.Src.Dests() {
-		p.fwd = append(p.fwd, tree.NextHop(d))
+	if p.Trace != nil {
+		p.fwd = p.fwd[:0]
+		for _, d := range p.Src.Dests() {
+			p.fwd = append(p.fwd, tree.NextHop(d))
+		}
 	}
-	if !e.Accept(p, u, now) {
+	if !p.Router.Accept(u) {
 		return false
+	}
+	if p.mp != nil {
+		p.mp.dag = nil
+	}
+	if p.Trace == nil {
+		return true
 	}
 	changed := int64(0)
 	for i, d := range p.Src.Dests() {
@@ -221,13 +235,43 @@ func (p *PSN) LineChanged(g *topology.Graph, e Egress, l topology.LinkID, now si
 }
 
 // NextLine is the line, an index into Graph.Out, on which the PSN forwards
-// a packet for dst — its distance vector's choice under BF1969, else its SPF
-// tree's — or -1 for none.
+// a packet for dst — its distance vector's choice under BF1969, with
+// multipath one of its near-equal-cost first hops, else its SPF tree's — or
+// -1 for none.
 func (p *PSN) NextLine(dst topology.NodeID) int {
-	if p.dv != nil {
+	switch {
+	case p.dv != nil:
 		return int(p.dv.next[dst])
+	case p.mp != nil:
+		return p.mp.nextLine(p.Router, dst)
 	}
 	return p.Router.Tree().NextLine(dst)
+}
+
+// paths is a PSN's §4.5 forwarding state: the first hops of the
+// near-equal-cost DAG over its router's tree, within tol of the cheapest
+// path, and the stream it draws one of several by.
+type paths struct {
+	g   *topology.Graph
+	tol float64  // MultipathToleranceFraction × the smallest link floor Boot saw
+	rng sim.RNG  // StreamPaths
+	dag *spf.DAG // nil: stale, built at the next lookup
+}
+
+// nextLine picks, uniformly at random, the line of one first hop toward dst
+// over r's tree, or -1 for none.
+func (m *paths) nextLine(r *spf.IncrementalRouter, dst topology.NodeID) int {
+	if m.dag == nil {
+		m.dag = spf.ComputeDAG(r.Tree(), r.Cost, m.tol)
+	}
+	switch hops := m.dag.NextHops(dst); len(hops) {
+	case 0:
+		return -1
+	case 1:
+		return m.g.OutLine(hops[0])
+	default:
+		return m.g.OutLine(hops[m.rng.Intn(len(hops))])
+	}
 }
 
 // Copies counts, by origin, the update copies in an engine's custody: queued,

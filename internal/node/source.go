@@ -15,7 +15,7 @@ const (
 	StreamArrivals = iota // inter-arrival gaps
 	StreamSizes           // user packet sizes
 	StreamDests           // each packet's destination
-	StreamPaths           // equal-cost next-hop choice (internal/network's multipath)
+	StreamPaths           // multipath's next-hop choice among near-equal-cost first hops
 	StreamDestSet         // internal/shard's per-node destination set, drawn once at set-up
 )
 

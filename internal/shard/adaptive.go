@@ -60,7 +60,7 @@ func (s *Sim) boot() {
 		for i, n := range sh.nodes {
 			psns[i] = &n.PSN
 		}
-		sh.routers, sh.updatesInFlight = node.Boot(s.cfg.Metric, s.cfg.Adaptive, s.g, psns, trunk, s.cfg.MeasurePeriod)
+		sh.routers, sh.updatesInFlight = node.Boot(s.cfg.Metric, s.cfg.Adaptive, s.cfg.Multipath, s.cfg.Seed, s.g, psns, trunk, s.cfg.MeasurePeriod)
 	}
 }
 
@@ -89,8 +89,8 @@ func (sh *shardState) handleRouting(n *lnode, p *node.Packet, now sim.Time) {
 }
 
 // The shard's node.Egress: Send and SendVector put a routing packet on one of
-// the shard's links, and Accept offers an update to the router; Originated
-// and Delay add nothing, since the shard carries every load as packets.
+// the shard's links; Originated and Delay add nothing, since the shard
+// carries every load as packets.
 
 // Send enqueues one copy of u on link l, one of this shard's.
 func (sh *shardState) Send(l topology.LinkID, u *flooding.Update, created, now sim.Time) {
@@ -125,8 +125,3 @@ func (sh *shardState) Originated(*node.PSN, *flooding.Update, sim.Time) {}
 // Delay is the period average itself: the shard carries every load as
 // packets.
 func (sh *shardState) Delay(_ topology.LinkID, avg float64) float64 { return avg }
-
-// Accept offers u to p's router and reports whether it was new.
-func (sh *shardState) Accept(p *node.PSN, u *flooding.Update, _ sim.Time) bool {
-	return p.Router.Accept(u)
-}

@@ -72,7 +72,7 @@ func TestZeroTickScheduleCaught(t *testing.T) {
 		"FromSeconds rounds to 0": func() { mustCallAt(sh.kernel, now+sim.FromSeconds(4e-7), sh.sourceCall, n) },
 		"in the past":             func() { mustCallAt(sh.kernel, now-1, sh.sourceCall, n) },
 		"a zero tick period": func() {
-			node.Boot(s.cfg.Metric, s.cfg.Adaptive, s.g, []*node.PSN{&n.PSN}, func(l topology.LinkID) *node.Trunk { return &s.linkAt[l].Trunk }, 0)
+			node.Boot(s.cfg.Metric, s.cfg.Adaptive, false, 0, s.g, []*node.PSN{&n.PSN}, func(l topology.LinkID) *node.Trunk { return &s.linkAt[l].Trunk }, 0)
 			sh.tick(now, n)
 		},
 	} {

@@ -35,7 +35,7 @@ type shardState struct {
 	nodes  []*lnode // ascending global NodeID
 	links  []*llink // ascending global LinkID
 	led    Ledger
-	log    trace.Log // this shard's nodes' trace events, each node's in its own event order
+	log    trace.Log // this shard's nodes' trace events since the last flush, each node's in its own event order
 	outbox []wire    // packets exported during the current window
 
 	routers *spf.Table // this shard's nodes' routers (where PSNs flood), driven by its goroutine only
@@ -307,7 +307,7 @@ func (sh *shardState) handlePacket(n *lnode, p *node.Packet, now sim.Time) {
 }
 
 // dropRec traces a drop at n (Config.TraceDrops).
-// Allocates: the trace log grows amortized; it is never drained (Events reads every event)
+// Allocates: the trace log grows amortized; only Config.Trace drains it, once a second
 func (sh *shardState) dropRec(n *lnode, now sim.Time, kind trace.Kind, link topology.LinkID, pkt uint64) {
 	if sh.s.cfg.TraceDrops {
 		sh.log.Add(trace.Event{At: now, Kind: kind, Node: n.ID, Link: link, Pkt: pkt})

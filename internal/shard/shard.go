@@ -28,11 +28,13 @@
 //     so a node takes the arrivals of an instant after every other event
 //     there, in link order, whichever side of a shard boundary scheduled
 //     them;
-//  3. all randomness comes from per-node value-type streams (node.Source
-//     and the destination-set stream: sim.RNG streams keyed by seed, node
-//     and stream, the unsharded engine's too), all floating point state is
-//     node- or link-local, and the merged trace is sorted by (time, node),
-//     each node's events in the order it recorded them (trace.Sort).
+//  3. all randomness comes from per-node value-type streams (node.Source,
+//     the destination-set stream and a multipath PSN's next-hop stream:
+//     sim.RNG streams keyed by seed, node and stream, the unsharded
+//     engine's too), all floating point state is node- or link-local
+//     (the multipath tolerance, a constant of the whole graph, aside), and
+//     the merged trace is sorted by (time, node), each node's events in the
+//     order it recorded them (trace.Sort).
 //
 // Under those rules the event order observed by any single node — and
 // therefore its random draws, its float accumulations, and its trace
@@ -49,6 +51,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -92,6 +95,10 @@ type Config struct {
 	// incremental-SPF tree over the flooded costs; under the 1969 metric the
 	// nodes exchange distance vectors.
 	Adaptive bool
+	// Multipath has every node forward a packet at random over the
+	// near-equal-cost first hops of its SPF tree (§4.5, node.Boot) instead
+	// of its tree's one: only with Adaptive under an SPF metric.
+	Multipath bool
 
 	// Partition, when non-nil, overrides the deterministic partitioner with
 	// an explicit node→shard assignment (len == NumNodes, values in
@@ -103,6 +110,11 @@ type Config struct {
 	MeasurePeriod sim.Time // link measurement interval (default node.MeasurementPeriod)
 	MeasureSample int      // trace the measurements, originations and reroutes of nodes with id%sample == 0; 0 disables
 	TraceDrops    bool     // trace every dropped packet
+	// Trace, when non-nil, receives the traced events in the trace's order
+	// (trace.Sort): each second's at its utilization sample, between barrier
+	// windows, and the rest when Run returns. Without it the shards keep
+	// every event for Events.
+	Trace *trace.Ring
 	// Track names links whose utilization and price every sample records
 	// (node.Window.Series).
 	Track []node.LinkSeries
@@ -185,6 +197,9 @@ func (cfg Config) Validate() error {
 	g := cfg.Graph
 	if len(cfg.Faults) > 0 && !cfg.Adaptive {
 		return fmt.Errorf("shard: Faults need Adaptive: static routes flood nothing, so no PSN would hear of a failure")
+	}
+	if cfg.Multipath && (!cfg.Adaptive || cfg.Metric == node.BF1969) {
+		return fmt.Errorf("shard: Multipath needs Adaptive under an SPF metric (Adaptive %v, Metric %v): it splits over an SPF tree's near-equal-cost paths", cfg.Adaptive, cfg.Metric)
 	}
 	if len(cfg.Ablations) > 0 && (!cfg.Adaptive || cfg.Metric != node.HNSPF) {
 		return fmt.Errorf("shard: Ablations need Adaptive under Metric %v: only the HNM has the mechanisms they switch off, and static routes read no cost", node.HNSPF)
@@ -395,7 +410,9 @@ func (s *Sim) BarrierStats() BarrierStats { return s.barrier }
 // windows, when every kernel is idle: no window runs past a sample's
 // instant, and the sample follows every event of it, as internal/network's
 // tail-event sampler does. It fires no event, so the events a run fires
-// stay a function of the model alone.
+// stay a function of the model alone. With Config.Trace, each sample puts
+// the events logged up to its instant into the ring, and so does Run's
+// return with the rest.
 func (s *Sim) Run(until sim.Time) {
 	if len(s.shards) > 1 {
 		defer s.startWorkers()()
@@ -423,15 +440,32 @@ func (s *Sim) Run(until sim.Time) {
 	// No pending event at or before until remains; advance every clock.
 	s.runWindow(until)
 	s.sampleBefore(until + 1)
+	s.flush()
 }
 
 // sampleBefore takes every utilization sample due before t, each over every
-// link in link order (node.Window.Sample).
+// link in link order (node.Window.Sample), and flushes the trace at each.
 func (s *Sim) sampleBefore(t sim.Time) {
 	for ; s.sampled+sim.Second < t; s.sampled += sim.Second {
 		for l := range s.linkAt {
 			s.win.Sample(topology.LinkID(l), s.sampled+sim.Second, sim.Second, 0)
 		}
+		s.flush()
+	}
+}
+
+// flush moves every event the shards logged into Config.Trace in the trace's
+// order: between windows, at the end of an instant, so every event logged
+// later is later in that order too. Without a ring the shards keep them.
+func (s *Sim) flush() {
+	if s.cfg.Trace == nil {
+		return
+	}
+	for _, e := range s.Events() {
+		s.cfg.Trace.Add(e)
+	}
+	for _, sh := range s.shards {
+		sh.log = sh.log[:0]
 	}
 }
 

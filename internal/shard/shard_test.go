@@ -177,6 +177,22 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("Ablations, adaptive %v, %v: Validate = %v", tc.adaptive, tc.metric, err)
 		}
 	}
+	// Multipath splits over an SPF tree's near-equal-cost paths: the static
+	// plane has no tree, nor has BF-1969; the refusal names the field.
+	for _, tc := range []struct {
+		adaptive bool
+		metric   node.MetricKind
+		ok       bool
+	}{{false, node.HNSPF, false}, {true, node.BF1969, false}, {true, node.MinHop, true}, {true, node.HNSPF, true}} {
+		cfg := testConfig(g, 2)
+		cfg.Adaptive, cfg.Metric, cfg.Multipath = tc.adaptive, tc.metric, true
+		if err := cfg.Validate(); (err == nil) != tc.ok || err != nil && !strings.Contains(err.Error(), "Multipath") {
+			t.Errorf("Multipath, adaptive %v, %v: Validate = %v", tc.adaptive, tc.metric, err)
+		}
+		if _, err := New(cfg); (err == nil) != tc.ok {
+			t.Errorf("Multipath, adaptive %v, %v: New = %v", tc.adaptive, tc.metric, err)
+		}
+	}
 	if _, err := New(Config{Graph: lone, Shards: 1, PktRate: 5, Dests: 1}); err == nil || !strings.Contains(err.Error(), "ALONE") {
 		t.Errorf("one-node graph: error %v, want one naming the node with nowhere to send", err)
 	}

@@ -13,8 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Events returns the merged trace of every shard. Safe to call between Run
-// invocations only.
+// Events returns the merged trace of every shard: every event of the run,
+// or with Config.Trace those not yet flushed into it. Safe to call between
+// Run invocations only.
 func (s *Sim) Events() []trace.Event {
 	var all []trace.Event
 	for _, sh := range s.shards {

@@ -67,12 +67,12 @@ type Spec struct {
 	Script string
 	// Shards, when positive, runs the sharded engine on that many shards (at
 	// most one a PSN) instead of the unsharded one, on the same Traffic or
-	// NodeTraffic, warm-up, Script, Ablations, Track and TraceCapacity, with
-	// the same Result. It runs no Multipath yet.
+	// NodeTraffic, warm-up, Script, Ablations, Multipath, Track and
+	// TraceCapacity, with the same Result.
 	Shards int
 	// StaticRoutes routes the sharded engine by one static table over fixed
 	// link costs instead of the adaptive plane under a Metric, which it
-	// leaves unset; it runs no Script and no Ablations.
+	// leaves unset; it runs no Script, Ablations or Multipath.
 	StaticRoutes bool
 	// Track names trunks by their two PSNs; the run samples each a→b
 	// direction's utilization and price once per simulated second, after
@@ -152,7 +152,7 @@ func Run(s Spec) (Result, error) {
 	}
 	if s.Shards > 0 {
 		sc := s.shardConfig()
-		sc.Track, sc.TraceDrops = cfg.Track, cfg.Trace != nil
+		sc.Track, sc.Trace, sc.TraceDrops = cfg.Track, cfg.Trace, cfg.Trace != nil
 		if sc.TraceDrops {
 			sc.MeasureSample = 1 // every PSN's events, as the unsharded engine records them
 		}
@@ -166,11 +166,6 @@ func Run(s Spec) (Result, error) {
 	if e := res.engine; e != nil {
 		res.Stats = Stats{Events: e.Fired(), Lookahead: e.Lookahead(), Barrier: e.BarrierStats(), Kernel: e.KernelStats(),
 			Routes: e.RouteStats()}
-		if res.Trace != nil {
-			for _, ev := range e.Events() {
-				res.Trace.Add(ev)
-			}
-		}
 	}
 	return res, nil
 }
@@ -268,7 +263,7 @@ func (s Spec) config(res *Result) (scenario.Config, error) {
 // the unsharded engine is offered.
 func (s Spec) shardConfig() shard.Config {
 	cfg := shard.Config{Graph: s.Topology.g, Shards: s.Shards, Seed: s.Seed, Metric: s.Metric, Ablations: s.Ablations,
-		Adaptive: !s.StaticRoutes}
+		Adaptive: !s.StaticRoutes, Multipath: s.Multipath}
 	if nt := s.NodeTraffic; nt != nil {
 		cfg.PktRate, cfg.Dests, cfg.DestRadius = nt.Rate, nt.Dests, nt.Radius
 	} else {
@@ -313,8 +308,8 @@ func (s Spec) check() error {
 		return fmt.Errorf("Spec.Metric %v has no effect on Spec.StaticRoutes, which route over fixed link costs; leave it unset", s.Metric)
 	case s.StaticRoutes && len(s.Ablations) > 0:
 		return errors.New("Spec.Ablations have no effect on Spec.StaticRoutes, which route over fixed link costs; leave them unset")
-	case s.Multipath && s.Shards > 0:
-		return fmt.Errorf("Spec.Multipath: the sharded engine (Spec.Shards %d) does not run it", s.Shards)
+	case s.StaticRoutes && s.Multipath:
+		return errors.New("Spec.Multipath has no effect on Spec.StaticRoutes, which have no router tree to split over; leave it unset")
 	}
 	return nil
 }
