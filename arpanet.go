@@ -12,9 +12,9 @@
 //   - LinkMetric is the revised metric itself (Figure 3's HNM), usable in
 //     any router that can feed it a measured delay every ten seconds.
 //   - Run runs a packet-level network under a chosen metric, optionally
-//     under a fault-injection script, and produces the Table 1 indicators:
-//     on the unsharded engine, or with Spec.Shards on the sharded one,
-//     which prints the same Report for the same per-node traffic.
+//     under a fault-injection script, and produces the Table 1 indicators;
+//     Spec.Shards splits the network over goroutines and changes no
+//     Report.
 //   - Analysis is the §5 equilibrium model: network response maps, metric
 //     maps, fixed points and cobweb dynamics (Figures 7-12).
 //

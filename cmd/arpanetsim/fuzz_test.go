@@ -21,9 +21,9 @@ func FuzzRun(f *testing.F) {
 		// checkFlags: a flag the chosen mode never reads, or a map it cannot build.
 		"-shards 2 -adaptive -scenario x.scn -seconds 5", "-shards 2 -background 100", "-shards 2 -background-epoch 5",
 		"-shards 2 -rate 1 -seeds 2", "-shards 2 -dests 2 -json", "-shards 2 -radius 1 -traffic 100", "-shards 2 -adaptive -growth 2",
-		"-shards 2 -adaptive -warmup 5", "-shards 2 -rate 1 -metric hnspf", "-rate 2", "-dests 2", "-radius 1",
-		"-adaptive", "-scenario x.scn -seconds 5", "-scenario x.scn -growth 2",
-		"-background-epoch 5", "-metric dspf -growth 2", "-topology hier:4x8",
+		"-shards 2 -adaptive -warmup 5", "-shards 2 -rate 1 -metric hnspf", "-rate 2 -seeds 2", "-dests 2 -json", "-radius 1 -traffic 100",
+		"-adaptive -growth 2", "-scenario x.scn -seconds 5", "-scenario x.scn -growth 2",
+		"-background-epoch 5", "-metric dspf -growth 2", "-topology hier:4x8 -warmup 5",
 		// numberFlag: NaN, below zero, a zero seed count.
 		"-seconds NaN", "-traffic -5", "-growth -1", "-warmup -1", "-seeds 0",
 		"-background 100 -background-epoch 0", "-shards -1",
@@ -63,7 +63,7 @@ func FuzzRun(f *testing.F) {
 // cheap reports whether run(args) stays off the file system and simulates at
 // most a few seconds of wall time: an invocation the flag checks refuse
 // always does; else no script or profile, at most 30 simulated seconds at up
-// to twice the default load and two seeds on at most 4 shards, and -shards'
+// to twice the default load and two seeds on at most 4 shards, and the
 // per-node mode at most 20 seconds on 64 nodes (what arpanet.Run refuses
 // among them).
 func cheap(args []string) bool {

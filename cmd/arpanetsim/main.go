@@ -20,21 +20,22 @@
 // duration and the timeline; -traffic, -warmup, -seed and -topology keep
 // their meaning.
 //
-// -shards N runs either mode on the sharded engine, N shards, through the
-// same arpanet.Run with Spec.Shards set, and prints the same bytes:
+// -shards N splits the network of any mode into N shards, each run on a
+// goroutine of its own (arpanet.Spec.Shards), and prints the same bytes but
+// for a per-node run's counters:
 //
 //	arpanetsim -shards 2 -warmup 10 -seconds 60
 //	arpanetsim -shards 2 -scenario examples/flapping/utah-collins.scn
 //
-// With -rate, -dests, -radius, -adaptive or a generated -topology it runs
-// per-node traffic instead (shards.go):
+// -rate, -dests, -radius, -adaptive or a generated -topology run per-node
+// traffic instead of a gravity matrix (shards.go):
 //
-//	arpanetsim -shards 2 -adaptive -metric dspf -scenario examples/flapping/utah-collins.scn
+//	arpanetsim -adaptive -metric dspf -scenario examples/flapping/utah-collins.scn
 //
 // The exit status is 0 after the output is written; 1 with the reason on
 // stderr when a run cannot start (arpanet.Run refuses its Spec) or a script
-// does not load, and after the output when a -scenario or per-node -shards
-// run violates an invariant; 2 with usage for flags no mode can mean and for a
+// does not load, and after the output when a -scenario or per-node run
+// violates an invariant; 2 with usage for flags no mode can mean and for a
 // -topology no generator builds.
 package main
 
@@ -62,7 +63,7 @@ type options struct {
 	seed                                               int64
 	seeds, shards, dests, radius                       int
 	json, adaptive                                     bool
-	perNode                                            bool // -shards' per-node mode (check sets it)
+	perNode                                            bool // the per-node mode (check sets it)
 }
 
 // parse reads args into options. The error is a bad flag, already reported
@@ -71,7 +72,7 @@ func parse(args []string, stderr io.Writer) (*options, *flag.FlagSet, error) {
 	fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	o := &options{}
-	fs.StringVar(&o.metric, "metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with -shards -adaptive)")
+	fs.StringVar(&o.metric, "metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with per-node traffic)")
 	// 280 kbps plays the role of the paper's May-1987 peak-hour load
 	// (366 kbps over 71 trunks) on this 44-trunk topology: heavy enough
 	// that D-SPF's oscillations dominate, light enough that HN-SPF
@@ -83,15 +84,15 @@ func parse(args []string, stderr io.Writer) (*options, *flag.FlagSet, error) {
 	fs.Int64Var(&o.seed, "seed", 1987, "random seed")
 	fs.IntVar(&o.seeds, "seeds", 1, "number of independent seeds to average over")
 	fs.BoolVar(&o.json, "json", false, "emit reports as JSON instead of the table")
-	fs.StringVar(&o.topology, "topology", "arpanet", "arpanet, milnet, or (with -shards, per-node traffic) hier:<R>x<P> / waxman:<N>")
+	fs.StringVar(&o.topology, "topology", "arpanet", "arpanet, milnet, or (per-node traffic) hier:<R>x<P> / waxman:<N>")
 	fs.StringVar(&o.scenario, "scenario", "", "fault-injection script to run instead of the Table 1 study")
-	fs.IntVar(&o.shards, "shards", 0, "run on the sharded engine with this many shards (0 = the unsharded one)")
-	fs.Float64Var(&o.rate, "rate", 1.0, "per-node packet rate for -shards' per-node mode (pkts/sec)")
-	fs.IntVar(&o.dests, "dests", 3, "destinations per source for -shards' per-node mode")
-	fs.IntVar(&o.radius, "radius", 0, "destination locality radius in hops for -shards' per-node mode (0 = uniform)")
-	fs.BoolVar(&o.adaptive, "adaptive", false, "with -shards: per-node traffic, routed by the adaptive plane under -metric")
+	fs.IntVar(&o.shards, "shards", 0, "split the network into this many shards, one goroutine each (0 = one shard)")
+	fs.Float64Var(&o.rate, "rate", 1.0, "per-node traffic: packets a second from each PSN")
+	fs.IntVar(&o.dests, "dests", 3, "per-node traffic: destinations per source")
+	fs.IntVar(&o.radius, "radius", 0, "per-node traffic: destination locality radius in hops (0 = uniform)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "per-node traffic, routed by the adaptive plane under -metric")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit, after a GC (with -shards' per-node mode the simulator is still live in it)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit, after a GC (with per-node traffic the simulator is still live in it)")
 	return o, fs, fs.Parse(args)
 }
 
@@ -104,13 +105,13 @@ func (o *options) check(fs *flag.FlagSet) ([]arpanet.Metric, error) {
 	if err == nil {
 		err = numberFlag(fs)
 	}
-	o.perNode = perNode(set, o.shards, o.adaptive, o.topology)
+	o.perNode = perNode(set, o.adaptive, o.topology)
 	if err == nil && !o.perNode && o.scenario == "" && o.warmup+o.seconds >= arpanet.MaxSeconds {
 		// The Table 1 study's horizon is the two together.
 		err = fmt.Errorf("-warmup %v plus -seconds %v is past the simulated clock's range (%g s)", o.warmup, o.seconds, arpanet.MaxSeconds)
 	}
 	if err == nil {
-		err = checkFlags(set, o.perNode, o.adaptive, o.scenario, o.topology, kinds)
+		err = checkFlags(set, o.perNode, o.adaptive, o.scenario, kinds)
 	}
 	return kinds, err
 }
@@ -203,7 +204,7 @@ func studySpecs(o *options, topo *arpanet.Topology, kinds []arpanet.Metric, scri
 
 // metricKinds maps the -metric flag to the metrics it names, for every
 // mode. "both" is the before/after pair, D-SPF first; a mode that runs a
-// single metric (-shards) takes the first.
+// single metric (per-node traffic) takes the first.
 func metricKinds(name string) ([]arpanet.Metric, error) {
 	switch name {
 	case "both":
@@ -228,8 +229,7 @@ func metricKinds(name string) ([]arpanet.Metric, error) {
 // which sim.FromSeconds saturates to a horizon that never comes; anything
 // below zero, which panics in traffic.Gravity (-traffic, -growth) or
 // silently runs something else (no measured time, no warm-up, uniform
-// destinations, -shards -1 the Table 1 study); and -seeds 0, no run to
-// average.
+// destinations); and -seeds 0, no run to average.
 func numberFlag(fs *flag.FlagSet) (err error) {
 	fs.Visit(func(f *flag.Flag) {
 		var v float64
@@ -255,28 +255,28 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 	return err
 }
 
-// perNode reports whether -shards runs its per-node mode, which -rate,
-// -dests, -radius, -adaptive or a generated -topology choose; set holds the
-// flags given on the command line.
-func perNode(set map[string]bool, shards int, adaptive bool, topology string) bool {
-	return shards > 0 && (adaptive || set["rate"] || set["dests"] || set["radius"] || topology != "arpanet" && topology != "milnet")
+// perNode reports whether the command runs per-node traffic, which -rate,
+// -dests, -radius, -adaptive or a generated -topology choose, instead of a
+// gravity matrix on the arpanet or milnet map; set holds the flags given on
+// the command line.
+func perNode(set map[string]bool, adaptive bool, topology string) bool {
+	return adaptive || set["rate"] || set["dests"] || set["radius"] || topology != "arpanet" && topology != "milnet"
 }
 
 // checkFlags rejects a flag that the chosen mode never reads: setting one
 // is an error, not a silent no-op. set holds the flags given on the command line (flag.Visit), so
 // defaults never count; kinds are the metrics -metric named. perNode is
-// -shards' per-node mode (perNode); else -shards runs the Table 1 study or
-// -scenario on that many shards. It also refuses a -topology only the
-// per-node mode can build: the other modes run the arpanet or milnet map.
-func checkFlags(set map[string]bool, perNode, adaptive bool, scenario, topology string, kinds []arpanet.Metric) error {
-	mode := "without -shards (the Table 1 study is always adaptive)"
-	ignored := []string{"rate", "dests", "radius", "adaptive"}
+// the per-node mode (perNode); else the command runs the Table 1 study or
+// -scenario on a gravity matrix. -shards means the same in every mode.
+func checkFlags(set map[string]bool, perNode, adaptive bool, scenario string, kinds []arpanet.Metric) error {
+	mode := "with a gravity matrix (the Table 1 study and -scenario are always adaptive)"
+	ignored := []string{"adaptive"} // -adaptive=false: only the per-node mode has static routes
 	switch {
 	case perNode && scenario != "":
-		mode = "with -shards' per-node traffic and -scenario (the script supplies the duration)"
+		mode = "with per-node traffic and -scenario (the script supplies the duration)"
 		ignored = []string{"seconds", "seeds", "json", "traffic", "growth", "warmup"}
 	case perNode:
-		mode = "with -shards' per-node traffic"
+		mode = "with per-node traffic"
 		ignored = []string{"seeds", "json", "traffic", "growth", "warmup"}
 	case scenario != "":
 		mode = "with -scenario"
@@ -289,13 +289,11 @@ func checkFlags(set map[string]bool, perNode, adaptive bool, scenario, topology 
 	}
 	switch {
 	case perNode && scenario != "" && !adaptive:
-		return errors.New("-scenario with -shards' per-node traffic needs -adaptive: static routes flood nothing, so no PSN would hear of a failure")
+		return errors.New("-scenario with per-node traffic needs -adaptive: static routes flood nothing, so no PSN would hear of a failure")
 	case perNode && !adaptive && set["metric"]:
-		return errors.New("-metric has no effect with -shards' per-node traffic unless -adaptive is set (static routes otherwise)")
+		return errors.New("-metric has no effect with per-node traffic unless -adaptive is set (static routes otherwise)")
 	case !perNode && scenario == "" && len(kinds) == 1 && set["growth"]:
 		return errors.New("-growth has no effect with a single -metric (it scales the after run of -metric both)")
-	case !perNode && topology != "arpanet" && topology != "milnet":
-		return fmt.Errorf("-topology %q without -shards (want arpanet or milnet)", topology)
 	}
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 	arpanet "repro"
 )
 
-// One parser serves the Table 1 study, -scenario and -shards: every name
-// means the same kinds in each, and anything else is an error, never a
-// silent min-hop.
+// One parser serves the Table 1 study, -scenario and per-node traffic:
+// every name means the same kinds in each, and anything else is an error,
+// never a silent min-hop.
 func TestMetricKinds(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,12 +36,10 @@ func TestMetricKinds(t *testing.T) {
 }
 
 // A flag the chosen mode never reads is rejected by name before anything
-// runs, as is a -topology only -shards builds; a flag left at its default
-// never counts.
+// runs, whatever -shards says; a flag left at its default never counts.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		args     string // flags set on the command line
-		shards   int
 		adaptive bool
 		scenario string
 		topology string // "": the default, arpanet
@@ -53,48 +51,53 @@ func TestCheckFlags(t *testing.T) {
 		{args: "metric traffic growth seconds warmup seed seeds json topology", metric: "both"},
 		{args: "metric traffic seconds", metric: "hnspf"},
 		{args: "scenario metric traffic warmup seed seeds json topology", scenario: "flap.scn", metric: "hnspf"},
-		{args: "shards metric traffic growth seconds warmup seed seeds json topology", shards: 2, metric: "both"},
-		{args: "shards scenario metric traffic warmup seed seeds json topology", shards: 2, scenario: "flap.scn", metric: "hnspf"},
-		{args: "shards topology seconds seed rate dests radius cpuprofile memprofile", shards: 2, metric: "both"},
-		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "hnspf"},
-		{args: "shards adaptive metric", shards: 2, adaptive: true, metric: "bf1969"},
-		{args: "shards adaptive metric scenario seed rate dests radius topology", shards: 2, adaptive: true, scenario: "flap.scn", metric: "hnspf"},
+		{args: "shards metric traffic growth seconds warmup seed seeds json topology", metric: "both"},
+		{args: "shards scenario metric traffic warmup seed seeds json topology", scenario: "flap.scn", metric: "hnspf"},
+		{args: "shards topology seconds seed rate dests radius cpuprofile memprofile", metric: "both"},
+		{args: "shards adaptive metric", adaptive: true, metric: "hnspf"},
+		{args: "shards adaptive metric", adaptive: true, metric: "bf1969"},
+		{args: "shards adaptive metric scenario seed rate dests radius topology", adaptive: true, scenario: "flap.scn", metric: "hnspf"},
 		// The per-node mode returns before these were ever looked at.
-		{args: "shards rate seeds", shards: 2, metric: "both", reject: "-seeds"},
-		{args: "shards dests json", shards: 2, metric: "both", reject: "-json"},
-		{args: "shards radius traffic", shards: 2, metric: "both", reject: "-traffic"},
-		{args: "shards topology growth", shards: 2, topology: "hier:4x8", metric: "both", reject: "-growth"},
-		{args: "shards adaptive warmup", shards: 2, adaptive: true, metric: "both", reject: "-warmup"},
-		{args: "shards rate metric", shards: 2, metric: "hnspf", reject: "-metric"},
+		{args: "shards rate seeds", metric: "both", reject: "-seeds"},
+		{args: "shards dests json", metric: "both", reject: "-json"},
+		{args: "shards radius traffic", metric: "both", reject: "-traffic"},
+		{args: "shards topology growth", topology: "hier:4x8", metric: "both", reject: "-growth"},
+		{args: "shards adaptive warmup", adaptive: true, metric: "both", reject: "-warmup"},
+		{args: "shards rate metric", metric: "hnspf", reject: "-metric"},
 		// The script supplies the per-node run's duration, and it runs one seed at one load.
-		{args: "shards rate scenario", shards: 2, scenario: "flap.scn", metric: "both", reject: "-scenario"},
-		{args: "shards adaptive scenario seconds", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seconds"},
-		{args: "shards adaptive scenario seeds", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seeds"},
-		{args: "shards adaptive scenario json", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-json"},
-		{args: "shards adaptive scenario traffic", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-traffic"},
-		{args: "shards adaptive scenario growth", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-growth"},
-		{args: "shards adaptive scenario warmup", shards: 2, adaptive: true, scenario: "flap.scn", metric: "both", reject: "-warmup"},
-		{args: "shards adaptive metric scenario", shards: 2, adaptive: true, scenario: "flap.scn", metric: "bf1969"},
-		// The per-node knobs without -shards.
-		{args: "adaptive", adaptive: true, metric: "both", reject: "-adaptive"},
-		{args: "rate", metric: "both", reject: "-rate"},
-		{args: "dests", metric: "both", reject: "-dests"},
-		{args: "radius", metric: "both", reject: "-radius"},
-		{args: "shards rate", shards: 0, metric: "both", reject: "-rate"},
-		{args: "scenario adaptive", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-adaptive"},
+		{args: "shards rate scenario", scenario: "flap.scn", metric: "both", reject: "-scenario"},
+		{args: "shards adaptive scenario seconds", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seconds"},
+		{args: "shards adaptive scenario seeds", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seeds"},
+		{args: "shards adaptive scenario json", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-json"},
+		{args: "shards adaptive scenario traffic", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-traffic"},
+		{args: "shards adaptive scenario growth", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-growth"},
+		{args: "shards adaptive scenario warmup", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-warmup"},
+		{args: "shards adaptive metric scenario", adaptive: true, scenario: "flap.scn", metric: "bf1969"},
+		// The per-node knobs choose the per-node mode without -shards too; only
+		// the per-node mode has static routes to switch -adaptive off from.
+		{args: "adaptive", adaptive: true, metric: "both"},
+		{args: "rate", metric: "both"},
+		{args: "dests", metric: "both"},
+		{args: "radius", metric: "both"},
+		{args: "shards rate", metric: "both"},
+		{args: "topology seconds seed rate dests radius", topology: "hier:4x8", metric: "both"},
+		{args: "scenario adaptive", adaptive: true, scenario: "flap.scn", metric: "both"},
+		{args: "rate seeds", metric: "both", reject: "-seeds"},
+		{args: "topology warmup", topology: "waxman:64", metric: "both", reject: "-warmup"},
+		{args: "adaptive", metric: "both", reject: "-adaptive"},
+		{args: "scenario adaptive", scenario: "flap.scn", metric: "both", reject: "-adaptive"},
 		// The script supplies the duration, and runs every metric at one load.
 		{args: "scenario seconds", scenario: "flap.scn", metric: "both", reject: "-seconds"},
 		{args: "scenario growth", scenario: "flap.scn", metric: "both", reject: "-growth"},
-		{args: "shards scenario growth", shards: 2, scenario: "flap.scn", metric: "both", reject: "-growth"},
+		{args: "shards scenario growth", scenario: "flap.scn", metric: "both", reject: "-growth"},
 		{args: "metric growth", metric: "dspf", reject: "-growth"},
-		{args: "shards metric growth", shards: 2, metric: "dspf", reject: "-growth"},
-		// Generated maps are the per-node mode's; the other modes know two.
-		{args: "shards topology", shards: 2, topology: "hier:4x8", metric: "both"},
+		{args: "shards metric growth", metric: "dspf", reject: "-growth"},
+		// Generated maps choose the per-node mode; the gravity modes know two.
+		{args: "shards topology", topology: "hier:4x8", metric: "both"},
 		{args: "topology", topology: "milnet", metric: "both"},
-		{args: "shards topology", shards: 2, topology: "milnet", metric: "both"},
-		{args: "topology", topology: "foo", metric: "both", reject: "-topology"},
-		{args: "topology", topology: "hier:4x8", metric: "both", reject: "-topology"},
-		{args: "scenario topology", scenario: "flap.scn", topology: "waxman:64", metric: "hnspf", reject: "-topology"},
+		{args: "shards topology", topology: "milnet", metric: "both"},
+		{args: "topology", topology: "hier:4x8", metric: "both"},
+		{args: "scenario topology", scenario: "flap.scn", topology: "waxman:64", metric: "hnspf", reject: "-scenario"},
 	}
 	for _, tc := range cases {
 		set := map[string]bool{}
@@ -109,7 +112,7 @@ func TestCheckFlags(t *testing.T) {
 		if topology == "" {
 			topology = "arpanet"
 		}
-		err = checkFlags(set, perNode(set, tc.shards, tc.adaptive, topology), tc.adaptive, tc.scenario, topology, kinds)
+		err = checkFlags(set, perNode(set, tc.adaptive, topology), tc.adaptive, tc.scenario, kinds)
 		switch {
 		case tc.reject == "" && err != nil:
 			t.Errorf("flags %q: rejected: %v", tc.args, err)
@@ -288,7 +291,10 @@ func TestRunExitStatus(t *testing.T) {
 		{"-warmup 1e13 -seconds 1e13 -metric hnspf", 2, "-warmup 1e+13 is past the simulated clock's range", ""},
 		{"-shards 1 -topology hier:2x3 -seconds 1e300", 2, "-seconds 1e+300 is past the simulated clock's range", ""},
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
-		{"-shards 2 -rate 1 -seeds 3", 2, "-seeds has no effect with -shards' per-node traffic", ""},
+		{"-shards 2 -rate 1 -seeds 3", 2, "-seeds has no effect with per-node traffic", ""},
+		{"-rate 1 -seeds 3", 2, "-seeds has no effect with per-node traffic", ""},
+		{"-topology hier:2x3 -seconds 5", 0, "", "sharded run: 6 nodes, 8 trunks, 1 shards\n"},
+		{"-topology nowhere", 2, `"nowhere"`, ""},
 		{"-shards 2 -adaptive -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",
 			"checkpoints 14, 373 of 420 origins with no update in flight"},
 		{"-shards 2 -adaptive -scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
@@ -298,7 +304,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"-shards 2 -adaptive -metric bf1969 -scenario ../../examples/flapping/utah-collins.scn", 0, "",
 			"checkpoints 14, 0 of 420 origins with no update in flight"},
 		{"-shards 5000 -topology arpanet -adaptive -metric bf1969 -seconds 60", 1, "Spec.Shards 5000", ""},
-		{"-shards 2 -rate 1 -scenario " + unknown, 2, "-scenario with -shards' per-node traffic needs -adaptive", ""},
+		{"-shards 2 -rate 1 -scenario " + unknown, 2, "-scenario with per-node traffic needs -adaptive", ""},
 		{"-nonsense", 2, "flag provided but not defined: -nonsense", ""},
 		{"-background 28000", 2, "flag provided but not defined: -background", ""},
 		{"-background-epoch 5", 2, "flag provided but not defined: -background-epoch", ""},

@@ -1,18 +1,17 @@
 package main
 
-// The per-node -shards mode: per-node traffic on the sharded engine, on the
-// ARPANET or MILNET map or a generated large topology. -rate, -dests,
-// -radius, -adaptive or a generated -topology choose it; without them
-// -shards runs the Table 1 study or -scenario on the sharded engine instead
-// (main.go).
+// The per-node mode: per-node traffic, on the ARPANET or MILNET map or a
+// generated large topology. -rate, -dests, -radius, -adaptive or a generated
+// -topology choose it; without them the command runs the Table 1 study or
+// -scenario on a gravity matrix instead (main.go). -shards splits either.
 //
 //	arpanetsim -shards 4 -topology hier:32x32 -seconds 30
 //	arpanetsim -shards 2 -topology waxman:500 -rate 2 -dests 4
 //	arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric hnspf
 //	arpanetsim -shards 2 -adaptive -metric hnspf -scenario examples/flapping/utah-collins.scn
-//	arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric bf1969
+//	arpanetsim -topology hier:32x32 -adaptive -metric bf1969
 //
-// By default the sharded runner routes by one static table over fixed link
+// By default the per-node mode routes by one static table over fixed link
 // costs; -adaptive switches it to the full measurement → flood →
 // incremental-SPF plane under the chosen -metric, or under bf1969 to the
 // 1969 distance-vector exchange, which is how the hier:32x32
@@ -27,7 +26,7 @@ import (
 	arpanet "repro"
 )
 
-// shardSpec is the run the -shards flags describe on topo, under metric
+// shardSpec is the run the per-node flags describe on topo, under metric
 // (read with -adaptive only), for script (nil: -seconds).
 func shardSpec(o *options, topo *arpanet.Topology, metric arpanet.Metric, script []byte) arpanet.Spec {
 	s := arpanet.Spec{Topology: topo, Shards: o.shards, Seed: o.seed, Script: string(script), StaticRoutes: !o.adaptive,
@@ -80,11 +79,11 @@ func sharded(w io.Writer, s arpanet.Spec) (arpanet.Result, error) {
 	return res, nil
 }
 
-// printHeader prints the line that opens every -shards run's output: the
+// printHeader prints the line that opens every per-node run's output: the
 // map, the shard count and, when a trunk is cut, the lookahead.
 func printHeader(w io.Writer, s arpanet.Spec, st arpanet.Stats) {
 	g := s.Topology
-	fmt.Fprintf(w, "sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), s.Shards)
+	fmt.Fprintf(w, "sharded run: %d nodes, %d trunks, %d shards", g.NumNodes(), g.NumTrunks(), max(s.Shards, 1))
 	if !s.StaticRoutes {
 		fmt.Fprintf(w, ", adaptive %v", s.Metric)
 	}

@@ -8,8 +8,6 @@
 // maximum cost and "eases in" — traffic returns a little at a time, one
 // movement limit per 10-second period — where D-SPF immediately advertises
 // a small measured delay and yanks every cross-country route back at once.
-// Both runs take the sharded engine on two shards (Spec.Shards), whose
-// tracked series are the unsharded engine's bit for bit.
 //
 //	go run ./examples/flapping
 //
@@ -40,7 +38,7 @@ func main() {
 	for _, metric := range []arpanet.Metric{arpanet.HNSPF, arpanet.DSPF} {
 		res, err := arpanet.Run(arpanet.Spec{
 			Topology: topo, Traffic: tm, Metric: metric, Seed: 1987, WarmupSeconds: 60,
-			Script: script, Track: [][2]string{{"UTAH", "COLLINS"}}, Shards: 2,
+			Script: script, Track: [][2]string{{"UTAH", "COLLINS"}},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -3,9 +3,7 @@
 // dominated by several large flows would require a multi-path routing
 // algorithm" — so a flow bigger than any one trunk drops no matter what
 // the metric does. Near-equal-cost multipath forwarding spreads the flow
-// over parallel shortest paths. Both runs take the sharded engine on two
-// shards (Spec.Shards), which forwards as the unsharded engine does, packet
-// for packet.
+// over parallel shortest paths.
 //
 //	go run ./examples/multipath
 package main
@@ -43,7 +41,7 @@ func run(multipath bool) arpanet.Report {
 	tr := topo.NewTraffic()
 	tr.SetRate("R0.C0", "R1.C1", 1.6*56_000)
 	res, err := arpanet.Run(arpanet.Spec{
-		Topology: topo, Traffic: tr, Metric: arpanet.HNSPF, Seed: 3, WarmupSeconds: 60, Seconds: 300, Multipath: multipath, Shards: 2,
+		Topology: topo, Traffic: tr, Metric: arpanet.HNSPF, Seed: 3, WarmupSeconds: 60, Seconds: 300, Multipath: multipath,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/fanout"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -15,8 +14,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// Config describes how to build the network Run tests; RunBatch varies
-// only the seed between runs. RunSharded takes a shard.Config instead.
+// Config describes how to build the network Run tests. RunSharded takes a
+// shard.Config instead.
 type Config struct {
 	Graph     *topology.Graph
 	Matrix    *traffic.Matrix
@@ -33,13 +32,11 @@ type Config struct {
 	// before the run starts.
 	Background *traffic.Matrix
 	// Trace, when non-nil, receives the network's trace events, and Track
-	// names links whose samples it records (network.Config). RunBatch
-	// ignores both: shared sinks across concurrent seeds would race.
+	// names links whose samples it records (network.Config).
 	Trace *trace.Ring
 	Track []node.LinkSeries
 	// Prepare, when non-nil, is called on the freshly built network before
-	// the scenario starts. Under RunBatch it runs once per seed,
-	// concurrently; it must not touch shared state.
+	// the scenario starts.
 	Prepare func(*network.Network)
 }
 
@@ -256,31 +253,4 @@ func (res *Result) record(cp CheckpointResult, check string, audit, converged er
 	add(check, audit)
 	add("convergence", converged)
 	res.Checkpoints = append(res.Checkpoints, cp)
-}
-
-// RunBatch runs the scenario once per seed, each seed in its own
-// independent Network, fanned over the cores. Workers write disjoint result
-// slots, so the returned slice — indexed like seeds — is byte-for-byte
-// identical at any GOMAXPROCS. The first setup error (if any) is returned;
-// invariant violations live in the per-seed Results.
-func RunBatch(cfg Config, sc *Scenario, seeds []int64) ([]Result, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(seeds))
-	errs := make([]error, len(seeds))
-	fanout.Do(len(seeds), func(next func() (int, bool)) {
-		for i, ok := next(); ok; i, ok = next() {
-			c := cfg
-			c.Seed = seeds[i]
-			c.Trace, c.Track = nil, nil // shared sinks across goroutines would race
-			results[i], errs[i] = Run(c, sc)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

@@ -19,10 +19,7 @@
 // in script.go). Both engines run one timeline of a script (timeline), each
 // step before every event of its instant: Run executes one seed on
 // internal/network, every step an event on the network's kernel, and
-// RunSharded on internal/shard, every step between barrier windows. RunBatch
-// fans a scenario over many seeds (internal/fanout), each seed in its own
-// independent Network, with results that are byte-for-byte identical at any
-// GOMAXPROCS.
+// RunSharded on internal/shard, every step between barrier windows.
 package scenario
 
 import (

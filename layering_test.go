@@ -1,6 +1,7 @@
 package arpanet
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -9,8 +10,8 @@ import (
 	"testing"
 )
 
-// The examples and arpanetsim run networks through this package's Run, on
-// either engine, not by wiring internal packages themselves.
+// The examples and arpanetsim run networks through this package's Run, not
+// by wiring internal packages themselves.
 func TestCallersUseRootPackage(t *testing.T) {
 	examples, err1 := filepath.Glob(filepath.Join("examples", "*", "*.go"))
 	cli, err2 := filepath.Glob(filepath.Join("cmd", "arpanetsim", "*.go"))
@@ -30,5 +31,37 @@ func TestCallersUseRootPackage(t *testing.T) {
 				t.Errorf("%s imports %s", name, path)
 			}
 		}
+	}
+}
+
+// Run drives one engine: no non-test file of this package reaches
+// internal/network, directly or through scenario.Run, which keeps it only
+// for the checker and the frozen bench/.
+func TestRunHasOneEngine(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("found %d files (%v)", len(files), err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "repro/internal/network" {
+				t.Errorf("%s imports %s", name, path)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "scenario" && sel.Sel.Name == "Run" {
+					t.Errorf("%s calls scenario.Run", name)
+				}
+			}
+			return true
+		})
 	}
 }

@@ -39,8 +39,7 @@ const (
 // Spec describes one packet-level run of a network under one routing
 // metric: Poisson traffic, FIFO trunk queues with finite buffers, 10-second
 // delay measurement driving the metric, and routing updates flooded as real
-// high-priority packets. Shards picks the engine; the Report does not show
-// which one ran.
+// high-priority packets.
 type Spec struct {
 	Topology *Topology
 	// Traffic is the offered load as a matrix; it must have been built from
@@ -62,21 +61,21 @@ type Spec struct {
 	// Script is a fault-injection script in the .scn format (e.g.
 	// examples/flapping/utah-collins.scn): trunk and node faults, surges,
 	// and checkpoints auditing conservation, transmitters and convergence.
-	// Both engines run every event but "surge background", which no Spec
+	// The run takes every event but "surge background", which no Spec
 	// carries a fluid background for.
 	Script string
-	// Shards, when positive, runs the sharded engine on that many shards (at
-	// most one a PSN) instead of the unsharded one, on the same Traffic or
-	// NodeTraffic, warm-up, Script, Ablations, Multipath, Track and
-	// TraceCapacity, with the same Result.
+	// Shards splits the network into that many shards (at most one a PSN),
+	// run in parallel, one goroutine each; 0 runs one, as 1 does. It is
+	// parallelism only: every Result field but Stats is the same at any
+	// shard count.
 	Shards int
-	// StaticRoutes routes the sharded engine by one static table over fixed
-	// link costs instead of the adaptive plane under a Metric, which it
-	// leaves unset; it runs no Script, Ablations or Multipath.
+	// StaticRoutes routes by one static table over fixed link costs instead
+	// of the adaptive plane under a Metric, which it leaves unset; it runs
+	// no Script, Ablations or Multipath.
 	StaticRoutes bool
 	// Track names trunks by their two PSNs; the run samples each a→b
 	// direction's utilization and price once per simulated second, after
-	// every other event of the second, on either engine.
+	// every other event of the second.
 	Track [][2]string
 	// Ablations disable individual HNM stabilization mechanisms (only
 	// with Metric HNSPF); see the HNM* options.
@@ -87,14 +86,14 @@ type Spec struct {
 	// TraceCapacity, when positive, keeps the last that many of the run's
 	// trace events in Result.Trace: every PSN's drops, link changes,
 	// measurements, originations and reroutes, in the trace's one order (by
-	// time, then PSN), the same on either engine. Zero traces nothing.
+	// time, then PSN), the same at any shard count. Zero traces nothing.
 	TraceCapacity int
 }
 
 // NodeTraffic is per-PSN traffic: every PSN offers Rate packets a second,
 // in equal shares to Dests destinations drawn once from the run's seed —
 // among the PSNs within Radius hops when Radius is positive, else among all.
-// Both engines draw the same destinations and the same packets.
+// Every shard count draws the same destinations and the same packets.
 type NodeTraffic struct {
 	Rate   float64
 	Dests  int
@@ -116,15 +115,15 @@ type Result struct {
 	Trace *Trace `json:"-"`
 	// Script is the timeline run: Spec.Script parsed, or an empty one.
 	Script *scenario.Scenario `json:"-"`
-	// Stats are the sharded engine's counters, zero on the unsharded one.
+	// Stats are what the run cost.
 	Stats Stats `json:"-"`
 
-	// engine is the sharded simulator that ran, kept reachable as long as
-	// the Result is: a heap profile taken then shows what it retains.
+	// engine is the simulator that ran, kept reachable as long as the
+	// Result is: a heap profile taken then shows what it retains.
 	engine *shard.Sim
 }
 
-// Stats are what a sharded run cost, summed over its shards: the events it
+// Stats are what a run cost, summed over its shards: the events it
 // fired, its barrier windows, its kernels' calendar geometry, the static
 // plane's route table (with Spec.StaticRoutes) and the lookahead (0 when no
 // trunk is cut). They vary with the shard count and enter no Report.
@@ -142,40 +141,29 @@ type Tracked struct{ Utilization, Cost *Series }
 // Run performs one run. Bad input — a Traffic from another Topology or
 // with an infinite total, a horizon past the clock's range, an unknown PSN
 // name, a script that does not parse or surges a fluid background no Spec
-// carries, a setting the sharded engine does not run — is an error naming
-// the Spec field; invariant violations are data, in Result.Violations.
+// carries, a setting the Spec cannot run together — is an error naming the
+// Spec field; invariant violations are data, in Result.Violations.
 func Run(s Spec) (Result, error) {
 	var res Result
-	cfg, err := s.config(&res)
+	cfg, warmup, err := s.config(&res)
 	if err != nil {
 		return Result{}, err
 	}
-	if s.Shards > 0 {
-		sc := s.shardConfig()
-		sc.Track, sc.Trace, sc.TraceDrops = cfg.Track, cfg.Trace, cfg.Trace != nil
-		if sc.TraceDrops {
-			sc.MeasureSample = 1 // every PSN's events, as the unsharded engine records them
-		}
-		res.engine, res.Result, err = scenario.RunSharded(sc, cfg.Warmup, res.Script, nil)
-	} else {
-		res.Result, err = scenario.Run(cfg, res.Script)
-	}
-	if err != nil {
+	if res.engine, res.Result, err = scenario.RunSharded(cfg, warmup, res.Script, nil); err != nil {
 		return Result{}, fmt.Errorf("arpanet: Spec.Script: %w", err)
 	}
-	if e := res.engine; e != nil {
-		res.Stats = Stats{Events: e.Fired(), Lookahead: e.Lookahead(), Barrier: e.BarrierStats(), Kernel: e.KernelStats(),
-			Routes: e.RouteStats()}
-	}
+	e := res.engine
+	res.Stats = Stats{Events: e.Fired(), Lookahead: e.Lookahead(), Barrier: e.BarrierStats(), Kernel: e.KernelStats(),
+		Routes: e.RouteStats()}
 	return res, nil
 }
 
 // RunSeeds performs the run once per seed Spec.Seed, Spec.Seed+1, …,
-// Spec.Seed+n-1, fanned over GOMAXPROCS workers on either engine. A matrix
-// Traffic is the same for every seed. Results are indexed like the seeds,
-// so they are identical at any worker count. Track and TraceCapacity record
-// one run, and are refused here, as are n < 1 and NodeTraffic, whose
-// destinations each run draws from its own seed.
+// Spec.Seed+n-1, fanned over GOMAXPROCS workers. A matrix Traffic is the
+// same for every seed. Results are indexed like the seeds, so they are
+// identical at any worker count. Track and TraceCapacity record one run,
+// and are refused here, as are n < 1 and NodeTraffic, whose destinations
+// each run draws from its own seed.
 func RunSeeds(s Spec, n int) ([]Result, error) {
 	switch {
 	case n < 1:
@@ -202,74 +190,51 @@ func RunSeeds(s Spec, n int) ([]Result, error) {
 	return out, nil
 }
 
-// config checks s and builds the unsharded engine's configuration, whose
-// Warmup, Trace and Track the sharded one takes too (it has no Matrix with
-// Shards). res receives the timeline, and the trace and tracked series the
-// run will fill.
-func (s Spec) config(res *Result) (scenario.Config, error) {
+// config checks s and builds the simulator's configuration and the
+// warm-up's end. res receives the timeline, and the trace and tracked
+// series the run will fill.
+func (s Spec) config(res *Result) (shard.Config, sim.Time, error) {
 	if err := s.check(); err != nil {
-		return scenario.Config{}, fmt.Errorf("arpanet: %w", err)
+		return shard.Config{}, 0, fmt.Errorf("arpanet: %w", err)
 	}
 	res.Script = scenario.NewScenario("run", sim.FromSeconds(s.Seconds))
 	if s.Script != "" {
 		var err error
 		if res.Script, err = scenario.Parse(strings.NewReader(s.Script)); err != nil {
-			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Script: %w", err)
+			return shard.Config{}, 0, fmt.Errorf("arpanet: Spec.Script: %w", err)
 		}
 		if d := res.Script.Duration; d <= sim.FromSeconds(s.WarmupSeconds) {
-			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Script's duration %v ends within Spec.WarmupSeconds %v: nothing is measured", d.Seconds(), s.WarmupSeconds)
+			return shard.Config{}, 0, fmt.Errorf("arpanet: Spec.Script's duration %v ends within Spec.WarmupSeconds %v: nothing is measured", d.Seconds(), s.WarmupSeconds)
 		}
 	}
 	g := s.Topology.g
-	cfg := scenario.Config{
-		Graph:     g,
-		Metric:    s.Metric,
-		Seed:      s.Seed,
-		Warmup:    sim.FromSeconds(s.WarmupSeconds),
-		Multipath: s.Multipath,
-		Ablations: s.Ablations,
-	}
-	if s.TraceCapacity > 0 {
-		res.Trace = trace.NewRing(s.TraceCapacity)
-		cfg.Trace = res.Trace
-	}
-	for _, p := range s.Track {
-		a, okA := g.Lookup(p[0])
-		b, okB := g.Lookup(p[1])
-		l, ok := g.FindTrunk(a, b)
-		if !okA || !okB || !ok {
-			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Track: no trunk joins PSNs %q and %q", p[0], p[1])
-		}
-		name := p[0] + "->" + p[1]
-		ls := node.LinkSeries{Link: l, Util: stats.NewSeries(name), Cost: stats.NewSeries("cost " + name)}
-		cfg.Track = append(cfg.Track, ls)
-		res.Tracked = append(res.Tracked, Tracked{Utilization: ls.Util, Cost: ls.Cost})
-	}
-	if s.Shards > 0 {
-		if err := s.shardConfig().Validate(); err != nil {
-			return scenario.Config{}, fmt.Errorf("arpanet: Spec.Topology: %w", err)
-		}
-		return cfg, nil
-	}
-	if s.Traffic == nil { // NodeTraffic, drawn as the sharded engine draws it
-		s.Traffic = &Traffic{t: s.Topology, m: s.shardConfig().Matrix()}
-	}
-	cfg.Matrix = s.Traffic.m
-	return cfg, nil
-}
-
-// shardConfig is the sharded engine's configuration for a Spec with
-// NodeTraffic; with Shards 0 it only draws the traffic (shard.Config.Matrix)
-// the unsharded engine is offered.
-func (s Spec) shardConfig() shard.Config {
-	cfg := shard.Config{Graph: s.Topology.g, Shards: s.Shards, Seed: s.Seed, Metric: s.Metric, Ablations: s.Ablations,
+	cfg := shard.Config{Graph: g, Shards: max(s.Shards, 1), Seed: s.Seed, Metric: s.Metric, Ablations: s.Ablations,
 		Adaptive: !s.StaticRoutes, Multipath: s.Multipath}
 	if nt := s.NodeTraffic; nt != nil {
 		cfg.PktRate, cfg.Dests, cfg.DestRadius = nt.Rate, nt.Dests, nt.Radius
 	} else {
 		cfg.Traffic = s.Traffic.m
 	}
-	return cfg
+	if s.TraceCapacity > 0 {
+		res.Trace = trace.NewRing(s.TraceCapacity)
+		cfg.Trace, cfg.TraceDrops, cfg.MeasureSample = res.Trace, true, 1 // every PSN's events
+	}
+	for _, p := range s.Track {
+		a, okA := g.Lookup(p[0])
+		b, okB := g.Lookup(p[1])
+		l, ok := g.FindTrunk(a, b)
+		if !okA || !okB || !ok {
+			return shard.Config{}, 0, fmt.Errorf("arpanet: Spec.Track: no trunk joins PSNs %q and %q", p[0], p[1])
+		}
+		name := p[0] + "->" + p[1]
+		ls := node.LinkSeries{Link: l, Util: stats.NewSeries(name), Cost: stats.NewSeries("cost " + name)}
+		cfg.Track = append(cfg.Track, ls)
+		res.Tracked = append(res.Tracked, Tracked{Utilization: ls.Util, Cost: ls.Cost})
+	}
+	if err := cfg.Validate(); err != nil {
+		return shard.Config{}, 0, fmt.Errorf("arpanet: Spec.Topology: %w", err)
+	}
+	return cfg, sim.FromSeconds(s.WarmupSeconds), nil
 }
 
 // check refuses a Spec no run can mean, naming the field at fault.
@@ -301,9 +266,9 @@ func (s Spec) check() error {
 	case s.Script == "" && s.Seconds <= s.WarmupSeconds:
 		return fmt.Errorf("Spec.Seconds %v ends within Spec.WarmupSeconds %v: nothing is measured", s.Seconds, s.WarmupSeconds)
 	case s.Shards < 0 || s.Shards > s.Topology.NumNodes():
-		return fmt.Errorf("Spec.Shards %d: want 0 (the unsharded engine) to %d, one PSN a shard", s.Shards, s.Topology.NumNodes())
-	case s.StaticRoutes && (s.Shards == 0 || s.Script != ""):
-		return errors.New("Spec.StaticRoutes needs Spec.Shards, the one engine with a static plane, and runs no Spec.Script: static routes flood nothing, so no PSN would hear of a failure")
+		return fmt.Errorf("Spec.Shards %d: want 0 (one shard) to %d, one PSN a shard", s.Shards, s.Topology.NumNodes())
+	case s.StaticRoutes && s.Script != "":
+		return errors.New("Spec.StaticRoutes runs no Spec.Script: static routes flood nothing, so no PSN would hear of a failure")
 	case s.StaticRoutes && s.Metric != HNSPF:
 		return fmt.Errorf("Spec.Metric %v has no effect on Spec.StaticRoutes, which route over fixed link costs; leave it unset", s.Metric)
 	case s.StaticRoutes && len(s.Ablations) > 0:

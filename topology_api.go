@@ -76,7 +76,7 @@ func MilnetWeights() map[string]float64 { return topology.MilnetWeights() }
 
 // maxWaxmanNodes bounds waxman:<N>: the generator weighs every pair of nodes,
 // so 2^14 is already 10^8 pairs. hier:<R>x<P> is linear and bounded by what
-// the sharded engine's static plane can route.
+// the static plane (Spec.StaticRoutes) can route.
 const maxWaxmanNodes = 1 << 14
 
 // ParseTopology builds a topology from a spec: the "arpanet" or "milnet"
