@@ -298,16 +298,31 @@ func sharded(s *Spec) {
 	s.Traffic, s.NodeTraffic, s.Shards = nil, &NodeTraffic{Rate: 1, Dests: 3}, 2
 }
 
-// RunSeeds refuses a seed count below one by name, instead of panicking on a
-// negative slice length or returning no result and no error for zero.
+// RunSeeds refuses by name, before it allocates, a seed count below one,
+// one whose seeds leave int64 and one whose results no allocation can hold,
+// instead of panicking on its result slice's length or returning no result
+// and no error for zero.
 func TestRunSeedsRejectsBadCounts(t *testing.T) {
 	t.Parallel()
 	ring := Ring(4, T56)
 	s := Spec{Topology: ring, Traffic: ring.UniformTraffic(1000), Seconds: 60}
-	for _, n := range []int{-1, 0} {
-		rs, err := RunSeeds(s, n)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("RunSeeds n %d", n)) || rs != nil {
-			t.Errorf("RunSeeds(spec, %d) = %d results, %v; want an error naming n", n, len(rs), err)
+	for _, tc := range []struct {
+		seed int64
+		n    int
+		want string
+	}{
+		{0, -1, "not a seed count"},
+		{0, 0, "not a seed count"},
+		{1987, math.MaxInt, "leave int64"},
+		{math.MaxInt64, 2, "leave int64"},
+		{1, math.MaxInt, "no allocation holds"}, // the last seed is MaxInt64
+		{math.MinInt64, math.MaxInt / 2, "no allocation holds"},
+	} {
+		s.Seed = tc.seed
+		rs, err := RunSeeds(s, tc.n)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("RunSeeds n %d", tc.n)) ||
+			!strings.Contains(err.Error(), tc.want) || rs != nil {
+			t.Errorf("RunSeeds(Seed %d, %d) = %d results, %v; want an error naming n and %q", tc.seed, tc.n, len(rs), err, tc.want)
 		}
 	}
 }

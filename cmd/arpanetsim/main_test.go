@@ -291,6 +291,8 @@ func TestRunExitStatus(t *testing.T) {
 		{"-warmup 1e13 -seconds 1e13 -metric hnspf", 2, "-warmup 1e+13 is past the simulated clock's range", ""},
 		{"-shards 1 -topology hier:2x3 -seconds 1e300", 2, "-seconds 1e+300 is past the simulated clock's range", ""},
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
+		{"-seeds 9223372036854775807", 1, "RunSeeds n 9223372036854775807: the seeds from Spec.Seed 1987 on leave int64", ""},
+		{"-seeds 9223372036854775807 -seed 1", 1, "RunSeeds n 9223372036854775807: no allocation holds that many results", ""},
 		{"-shards 2 -rate 1 -seeds 3", 2, "-seeds has no effect with per-node traffic", ""},
 		{"-rate 1 -seeds 3", 2, "-seeds has no effect with per-node traffic", ""},
 		{"-topology hier:2x3 -seconds 5", 0, "", "sharded run: 6 nodes, 8 trunks, 1 shards\n"},

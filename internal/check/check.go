@@ -3,7 +3,8 @@
 // above the hand-picked scenarios and golden traces.
 //
 // A campaign runs seven pillars, the rows of campaign.go's trials, in this
-// order:
+// order (every scripted pillar but the hybrid differential runs on
+// internal/shard, through scenario.RunSharded):
 //
 //   - spf-differential (CheckSPF, spfcheck.go): on seeded generated
 //     topologies with random weights and failures, the incremental SPF
@@ -15,13 +16,13 @@
 //     within its Floor/Ceiling band, respects the §4.2/§4.3 per-update
 //     movement limits and never stays silent past its forced-update
 //     horizon;
-//   - flood-delivery (CheckFlood, scenariocheck.go): the engines' flood
-//     heals a partition — a generated topology is cut into components,
-//     news floods on each side, the cut heals, and one flood time later
-//     every PSN holds every origin's latest update;
+//   - flood-delivery (CheckFlood, scenariocheck.go): the flood heals a
+//     partition — a generated topology is cut into components, news floods
+//     on each side, the cut heals, and one flood time later every PSN
+//     holds every origin's latest update;
 //   - scenario-audit (CheckScenario, scenariocheck.go): the packet-
-//     conservation ledger, single-transmitter and convergence audits of
-//     internal/scenario hold under randomized fault scripts;
+//     conservation ledger, custody, transmitter and convergence audits of
+//     scenario.RunSharded hold under randomized fault scripts;
 //   - hybrid-differential (CheckHybrid, hybridcheck.go): a run carrying
 //     background demand as fluid tracks the full-packet run's advertised
 //     costs and routes on the ARPANET map;

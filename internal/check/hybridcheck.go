@@ -246,7 +246,11 @@ func runHybridSide(t hybridTrial, events []scenario.Event, hybrid bool) ([]float
 	for l := range topology.LinkID(t.g.NumLinks()) {
 		cfg.Track = append(cfg.Track, node.LinkSeries{Link: l, Util: stats.NewSeries("utilization"), Cost: stats.NewSeries("cost")})
 	}
-	if err := runScript(cfg, script("hybrid-diff", t.duration, 0, evs)); err != nil {
+	res, err := scenario.Run(cfg, script("hybrid-diff", t.duration, 0, evs))
+	if err == nil {
+		err = firstViolation(res)
+	}
+	if err != nil {
 		return nil, err
 	}
 	means := make([]float64, len(cfg.Track))

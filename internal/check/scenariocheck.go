@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/scenario"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -15,23 +15,13 @@ import (
 
 // Every scripted check — flood heal, scenario audit, hybrid differential,
 // the two sharded checks — keeps its disturbances as a flat
-// []scenario.Event: the form ddmin shrinks, scenario.Run and
-// scenario.RunSharded execute and Script renders as a .scn reproducer.
+// []scenario.Event: the form ddmin shrinks, scenario.RunSharded (and, for
+// the hybrid differential, scenario.Run) executes and Script renders as a
+// .scn reproducer.
 
 // script wraps a disturbance list as a runnable scenario.
 func script(name string, duration, checkEvery sim.Time, events []scenario.Event) *scenario.Scenario {
 	return &scenario.Scenario{Name: name, Duration: duration, CheckEvery: checkEvery, Events: events}
-}
-
-// runScript runs one scenario and reports the first audit violation (or
-// setup error) as an error; nil means every checkpoint's conservation,
-// transmitter and convergence audit passed.
-func runScript(cfg scenario.Config, sc *scenario.Scenario) error {
-	res, err := scenario.Run(cfg, sc)
-	if err != nil {
-		return err
-	}
-	return firstViolation(res)
 }
 
 // firstViolation reports a run's first audit violation as an error.
@@ -69,9 +59,10 @@ func scriptFailure(check string, seed int64, topo, header string, sc *scenario.S
 
 // CheckScenario runs one randomized fault-script trial: a small generated
 // topology under light uniform load and a random metric, hit with random
-// trunk outages, repairs, flaps and traffic surges. The packet-conservation
-// ledger, the single-transmitter audit and the convergence check from
-// internal/scenario must hold at every checkpoint. On failure the fault
+// trunk outages, repairs, flaps and traffic surges, run on one shard
+// (runShardCuts with no cut). The packet-conservation ledger, the custody
+// and transmitter audits and the convergence check of scenario.RunSharded
+// must hold at every checkpoint. On failure the fault
 // script is minimized and rendered as a self-contained .scn scenario file
 // (with the topology and seed in comment headers) as the reproducer.
 func CheckScenario(rng *rand.Rand, seed int64) *Failure {
@@ -120,15 +111,9 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 		}
 	}
 
-	cfg := scenario.Config{
-		Graph:  g,
-		Matrix: traffic.Uniform(g, load),
-		Metric: metric,
-		Seed:   cfgSeed,
-		Warmup: 15 * sim.Second,
-	}
+	cfg := shard.Config{Graph: g, Traffic: traffic.Uniform(g, load), Adaptive: true, Metric: metric, Seed: cfgSeed}
 	run := func(events []scenario.Event) error {
-		return runScript(cfg, script(sc.Name, duration, sc.CheckEvery, events))
+		return runShardCuts(cfg, 15*sim.Second, script(sc.Name, duration, sc.CheckEvery, events))
 	}
 	err := run(sc.Events)
 	if err == nil {
@@ -146,9 +131,10 @@ func CheckScenario(rng *rand.Rand, seed int64) *Failure {
 // the cut; and the cut heals. Each side has flooded news the other missed,
 // and only the line-up exchange of a repaired trunk carries it across:
 // node.FloodTime after the heal every flood older than the heal must have
-// landed (network.StaleFloods; a refresh may fall due since), and every PSN
-// must hold each origin's latest update (network.ConvergenceAudit) with
-// every other audit passing. A failure shrinks to a .scn script.
+// landed (shard.(*Sim).StaleFloods; a refresh may fall due since), and
+// every PSN must hold each origin's latest update (the convergence audit)
+// with every other audit of scenario.RunSharded, on one shard, passing. A
+// failure shrinks to a .scn script.
 func CheckFlood(rng *rand.Rand, seed int64) *Failure {
 	topo := GenTopology(rng, 16)
 	g := topo.G
@@ -186,19 +172,16 @@ func CheckFlood(rng *rand.Rand, seed int64) *Failure {
 	settle := node.FloodTime(g, func(l topology.LinkID) bool { return down[l] })
 	sc.Duration = heal + settle
 
-	var net *network.Network
-	cfg := scenario.Config{
-		Graph:   g,
-		Matrix:  traffic.NewMatrix(g.NumNodes()),
-		Metric:  node.MinHop,
-		Seed:    seed,
-		Prepare: func(n *network.Network) { net = n },
-	}
+	cfg := shard.Config{Graph: g, Shards: 1, Traffic: traffic.NewMatrix(g.NumNodes()), Adaptive: true, Metric: node.MinHop, Seed: seed}
 	run := func(events []scenario.Event) error {
-		if err := runScript(cfg, script(sc.Name, sc.Duration, 0, events)); err != nil {
+		s, res, err := scenario.RunSharded(cfg, 0, script(sc.Name, sc.Duration, 0, events), nil)
+		if err == nil {
+			err = firstViolation(res)
+		}
+		if err != nil {
 			return err
 		}
-		if stale := net.StaleFloods(heal); len(stale) > 0 {
+		if stale := s.StaleFloods(heal); len(stale) > 0 {
 			return fmt.Errorf("updates from %d origins that flooded nothing since the heal still in flight %v after it (first %s)",
 				len(stale), settle, g.Node(stale[0]).Name)
 		}

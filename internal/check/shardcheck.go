@@ -25,12 +25,10 @@ import (
 // CheckShardCustody a random one under congestion.
 //
 // The sharded engine is not compared with internal/network here: the two
-// draw independent packet sample paths, so their costs agree only within a
-// band, and a band both flags noise and hides a skewed measurement. What
-// the two engines must share exactly — the delay each feeds Module.Update
-// on an idle trunk, and the cost D-SPF makes of it — is pinned by a test
-// in each package (TestIdleLinkMeasurement); the network engine's audits
-// run under random fault scripts in CheckScenario.
+// meet exactly in internal/network's TestShardEngineMatchesPacketForPacket
+// and TestEnginesAgree, and what they must share on an idle trunk — the
+// delay each feeds Module.Update and the cost D-SPF makes of it — is pinned
+// by a test in each package (TestIdleLinkMeasurement).
 
 // shardWarmup keeps generated faults clear of the boot: two measurement
 // periods. Routers boot converged at their idle costs, so no boot flood is
@@ -117,7 +115,7 @@ func CheckShardRouting(rng *rand.Rand, seed int64) *Failure {
 	}
 	sc := script("shard-diff", trial.duration, sim.Second, events)
 	run := func(sub []scenario.Event) error {
-		return runShardCuts(cfg, script(sc.Name, sc.Duration, sc.CheckEvery, sub), 2, 4)
+		return runShardCuts(cfg, 0, script(sc.Name, sc.Duration, sc.CheckEvery, sub), 2, 4)
 	}
 	err := run(events)
 	if err == nil {
@@ -127,12 +125,12 @@ func CheckShardRouting(rng *rand.Rand, seed int64) *Failure {
 }
 
 // runShardCuts runs the script through scenario.RunSharded, audited at every
-// checkpoint, first on one shard with no partition — the reference — and
-// then cut into each of the given shard counts: over cfg.Partition, or the
-// partitioner's cut when it is nil. It returns the first failed audit, or
-// the first of the three observables (above) in which a cut departs from
-// the reference.
-func runShardCuts(cfg shard.Config, sc *scenario.Scenario, shards ...int) error {
+// checkpoint, with the measured window opening at warmup: first on one shard
+// with no partition — the reference — and then cut into each of the given
+// shard counts: over cfg.Partition, or the partitioner's cut when it is nil.
+// It returns the first failed audit, or the first of the three observables
+// (above) in which a cut departs from the reference.
+func runShardCuts(cfg shard.Config, warmup sim.Time, sc *scenario.Scenario, shards ...int) error {
 	var refSeries [][]float64
 	var refTrace, refReport string
 	for i, n := range append([]int{1}, shards...) {
@@ -142,7 +140,7 @@ func runShardCuts(cfg shard.Config, sc *scenario.Scenario, shards ...int) error 
 			c.Partition = nil
 		}
 		series := make([][]float64, cfg.Graph.NumLinks())
-		s, res, err := scenario.RunSharded(c, 0, sc, func(s *shard.Sim) {
+		s, res, err := scenario.RunSharded(c, warmup, sc, func(s *shard.Sim) {
 			for l := range series {
 				series[l] = append(series[l], s.LinkCost(topology.LinkID(l)))
 			}
@@ -232,7 +230,7 @@ func CheckShardCustody(rng *rand.Rand, seed int64) *Failure {
 		Partition:     part,
 	}
 	run := func(sub []scenario.Event) error {
-		return runShardCuts(cfg, script(sc.Name, sc.Duration, sc.CheckEvery, sub), shards)
+		return runShardCuts(cfg, 0, script(sc.Name, sc.Duration, sc.CheckEvery, sub), shards)
 	}
 	err := run(sc.Events)
 	if err == nil {

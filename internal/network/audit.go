@@ -14,9 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/node"
-	"repro/internal/sim"
 	"repro/internal/spf"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -76,19 +74,6 @@ func (n *Network) ConvergenceAudit() error {
 // QuietOrigins returns how many origins have no copy of a flooded update in
 // flight: those ConvergenceAudit checks.
 func (n *Network) QuietOrigins() int { return n.updatesInFlight.Quiet() }
-
-// StaleFloods returns, ascending, the origins that still have a copy of an
-// update in flight but have originated nothing since t: floods older than t
-// that have not landed. A refresh that falls due after t is not one.
-func (n *Network) StaleFloods(t sim.Time) []topology.NodeID {
-	var stale []topology.NodeID
-	for o, c := range n.updatesInFlight {
-		if c > 0 && n.psns[o].LastOriginated < t {
-			stale = append(stale, topology.NodeID(o))
-		}
-	}
-	return stale
-}
 
 // --- runtime traffic control ---------------------------------------------
 

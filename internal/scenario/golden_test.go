@@ -7,6 +7,8 @@ package scenario
 // prove that recycling events and packets through free-lists altered
 // nothing: a recycled object that leaked state into a later packet would
 // show up here as a diverging trace long before it corrupted a statistic.
+// They run on one shard through RunSharded; TestZeroBackgroundMatchesGolden
+// holds internal/network to the same bytes through Run.
 //
 // Regenerate (only after an intentional behaviour change) with:
 //
@@ -21,6 +23,7 @@ import (
 	"testing"
 
 	"repro/internal/node"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -29,10 +32,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace files")
 
+// goldenCase is one golden run: cfg on one shard, adaptive, its measured
+// window opening at warmup.
 type goldenCase struct {
-	name string
-	cfg  Config
-	sc   *Scenario
+	name   string
+	cfg    shard.Config
+	warmup sim.Time
+	sc     *Scenario
 }
 
 // goldenCases covers the three packet populations the pooling change
@@ -54,14 +60,10 @@ func goldenCases() []goldenCase {
 	sc.UpAt(70*sim.Second, a, b)
 	cases = append(cases, goldenCase{
 		name: "arpanet-hnspf-failure",
-		cfg: Config{
-			Graph:  g,
-			Matrix: traffic.Gravity(g, topology.ArpanetWeights(), 280_000),
-			Metric: node.HNSPF,
-			Seed:   1987,
-			Warmup: 20 * sim.Second,
-		},
-		sc: sc,
+		cfg: shard.Config{Graph: g, Shards: 1, Traffic: traffic.Gravity(g, topology.ArpanetWeights(), 280_000), Adaptive: true,
+			Metric: node.HNSPF, Seed: 1987},
+		warmup: 20 * sim.Second,
+		sc:     sc,
 	})
 
 	// 1969 distance-vector mode: the periodic vector packets are pooled
@@ -72,15 +74,10 @@ func goldenCases() []goldenCase {
 	rsc.DownAt(60*sim.Second, rg.Node(0).Name, rg.Node(1).Name)
 	rsc.UpAt(100*sim.Second, rg.Node(0).Name, rg.Node(1).Name)
 	cases = append(cases, goldenCase{
-		name: "ring-bf1969",
-		cfg: Config{
-			Graph:  rg,
-			Matrix: traffic.Uniform(rg, 40_000),
-			Metric: node.BF1969,
-			Seed:   7,
-			Warmup: 20 * sim.Second,
-		},
-		sc: rsc,
+		name:   "ring-bf1969",
+		cfg:    shard.Config{Graph: rg, Shards: 1, Traffic: traffic.Uniform(rg, 40_000), Adaptive: true, Metric: node.BF1969, Seed: 7},
+		warmup: 20 * sim.Second,
+		sc:     rsc,
 	})
 
 	// Multipath forwarding: pins the first-hop DAGs over the shared table's
@@ -94,15 +91,10 @@ func goldenCases() []goldenCase {
 	msc.SurgeAt(70*sim.Second, 1.5)
 	cases = append(cases, goldenCase{
 		name: "ring-multipath",
-		cfg: Config{
-			Graph:     mg,
-			Matrix:    traffic.Uniform(mg, 60_000),
-			Metric:    node.HNSPF,
-			Seed:      42,
-			Warmup:    20 * sim.Second,
-			Multipath: true,
-		},
-		sc: msc,
+		cfg: shard.Config{Graph: mg, Shards: 1, Traffic: traffic.Uniform(mg, 60_000), Adaptive: true, Metric: node.HNSPF, Seed: 42,
+			Multipath: true},
+		warmup: 20 * sim.Second,
+		sc:     msc,
 	})
 	return cases
 }
@@ -137,8 +129,8 @@ func TestGoldenTrace(t *testing.T) {
 			for run := 1; run <= goldenRuns; run++ {
 				ring := trace.NewRing(1 << 17)
 				cfg := tc.cfg
-				cfg.Trace = ring
-				res, err := Run(cfg, tc.sc)
+				cfg.Trace, cfg.TraceDrops, cfg.MeasureSample = ring, true, 1 // every PSN's events
+				_, res, err := RunSharded(cfg, tc.warmup, tc.sc, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -118,17 +118,17 @@ func TestHybridScenarioRun(t *testing.T) {
 
 // Acceptance criterion: with the hybrid machinery configured but zero
 // background demand, the full observable output — report, checkpoints,
-// event trace — is byte-identical to the committed golden trace of the
-// pure packet engine. The fluid epochs run (the code path is live); they
+// event trace — is byte-identical to the committed golden trace, which
+// TestGoldenTrace renders on the shard engine. The fluid epochs run (the code path is live); they
 // just must not perturb a single packet, sample or RNG draw.
 func TestZeroBackgroundMatchesGolden(t *testing.T) {
 	for _, tc := range goldenCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			ring := trace.NewRing(1 << 17)
-			cfg := tc.cfg
-			cfg.Trace = ring
-			cfg.Background = traffic.NewMatrix(cfg.Graph.NumNodes()) // all-zero demand
+			c := tc.cfg
+			cfg := Config{Graph: c.Graph, Matrix: c.Traffic, Metric: c.Metric, Seed: c.Seed, Warmup: tc.warmup, Multipath: c.Multipath,
+				Trace: ring, Background: traffic.NewMatrix(c.Graph.NumNodes())} // all-zero demand
 			res, err := Run(cfg, tc.sc)
 			if err != nil {
 				t.Fatal(err)

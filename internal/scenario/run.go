@@ -14,8 +14,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// Config describes how to build the network Run tests. RunSharded takes a
-// shard.Config instead.
+// Config describes how to build the network Run tests: bench/, the hybrid
+// pillar and the engine comparisons. RunSharded takes a shard.Config instead.
 type Config struct {
 	Graph     *topology.Graph
 	Matrix    *traffic.Matrix
@@ -36,21 +36,23 @@ type Config struct {
 	Trace *trace.Ring
 	Track []node.LinkSeries
 	// Prepare, when non-nil, is called on the freshly built network before
-	// the scenario starts.
+	// the scenario starts. bench/ is its only caller.
 	Prepare func(*network.Network)
 }
 
 // Violation is one invariant failure found at a checkpoint.
 type Violation struct {
-	At    sim.Time
-	Check string // "conservation", "transmitter" (network), "custody" (shard) or "convergence"
+	At sim.Time
+	// Check is "conservation", "convergence", or the engine audit's name:
+	// "transmitter" where Run records it, "custody" where RunSharded does.
+	Check string
 	Err   string
 }
 
 // CheckpointResult is the audit outcome at one checkpoint.
 type CheckpointResult struct {
 	At           sim.Time
-	Conservation network.Conservation
+	Conservation node.Conservation
 	// RoutingInFlight counts the routing packets — update copies or 1969
 	// vectors — queued, on a transmitter or propagating.
 	RoutingInFlight int

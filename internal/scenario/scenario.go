@@ -17,9 +17,12 @@
 // Scenarios come from the builder API (NewScenario().DownAt(...)...) or
 // from the line-oriented script format (Parse; see the grammar
 // in script.go). Both engines run one timeline of a script (timeline), each
-// step before every event of its instant: Run executes one seed on
-// internal/network, every step an event on the network's kernel, and
-// RunSharded on internal/shard, every step between barrier windows.
+// step before every event of its instant: RunSharded on internal/shard,
+// every step between barrier windows, is the runner arpanet.Run, the
+// checker's scripted pillars and this package's tests use; Run executes one
+// seed on internal/network, every step an event on the network's kernel,
+// and remains only for bench/, the checker's hybrid pillar (the fluid
+// background) and the tests that compare the two engines.
 package scenario
 
 import (

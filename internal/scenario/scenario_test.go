@@ -7,25 +7,23 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/network"
 	"repro/internal/node"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
-// ringCfg builds a 5-node ring under uniform load — small enough to run
-// fast, meshy enough that failures reroute rather than partition.
-func ringCfg(metric node.MetricKind, seed int64) Config {
+// ringCfg builds a 5-node ring under uniform load, on one shard — small
+// enough to run fast, meshy enough that failures reroute rather than
+// partition. Its runs open the measured window at ringWarmup.
+func ringCfg(metric node.MetricKind, seed int64) shard.Config {
 	g := topology.Ring(5, topology.T56)
-	return Config{
-		Graph:  g,
-		Matrix: traffic.Uniform(g, 40000),
-		Metric: metric,
-		Seed:   seed,
-		Warmup: 20 * sim.Second,
-	}
+	return shard.Config{Graph: g, Shards: 1, Traffic: traffic.Uniform(g, 40000), Adaptive: true, Metric: metric, Seed: seed}
 }
+
+const ringWarmup = 20 * sim.Second
 
 // ringNode returns the name of the i-th ring node.
 func ringNode(t *testing.T, g *topology.Graph, i int) string {
@@ -39,7 +37,7 @@ func TestRunCleanScenario(t *testing.T) {
 	cfg := ringCfg(node.HNSPF, 1)
 	sc := NewScenario("clean", 200*sim.Second)
 	sc.CheckEvery = 25 * sim.Second
-	res, err := Run(cfg, sc)
+	_, res, err := RunSharded(cfg, ringWarmup, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +68,7 @@ func TestRunScenarioAllEventKinds(t *testing.T) {
 			g := cfg.Graph
 			// Enough load that the transmitters are busy when the trunk
 			// fails — otherwise the outages destroy nothing.
-			cfg.Matrix = traffic.Uniform(g, 120000)
+			cfg.Traffic = traffic.Uniform(g, 120000)
 			a, b := ringNode(t, g, 0), ringNode(t, g, 1)
 			sc := NewScenario("everything", 400*sim.Second)
 			sc.CheckEvery = 40 * sim.Second
@@ -81,7 +79,7 @@ func TestRunScenarioAllEventKinds(t *testing.T) {
 			sc.SurgeAt(220*sim.Second, 1.5)
 			sc.Events = append(sc.Events, Event{At: 260 * sim.Second, Kind: SwitchMatrix, Matrix: traffic.Uniform(g, 25000)})
 			sc.CheckpointAt(171 * sim.Second)
-			res, err := Run(cfg, sc)
+			_, res, err := RunSharded(cfg, ringWarmup, sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +137,7 @@ func TestNodeRestartRestoresOnlyItsTrunks(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("timeline %q, want %q", got, want)
 	}
-	res, err := Run(ringCfg(node.HNSPF, 3), sc)
+	_, res, err := RunSharded(ringCfg(node.HNSPF, 3), ringWarmup, sc, nil)
 	if err != nil || len(res.Violations) > 0 {
 		t.Errorf("run: %v, violations %v", err, res.Violations)
 	}
@@ -151,7 +149,7 @@ func TestHorizonCheckpointRecordedOnce(t *testing.T) {
 	cfg := ringCfg(node.MinHop, 4)
 	sc := NewScenario("horizon-tick", 100*sim.Second)
 	sc.CheckEvery = 50 * sim.Second
-	res, err := Run(cfg, sc)
+	_, res, err := RunSharded(cfg, ringWarmup, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +184,20 @@ func TestSameInstantEventsApplyInFileOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := ringCfg(node.MinHop, 6)
-		var net *network.Network
-		cfg.Prepare = func(n *network.Network) { net = n }
-		if _, err := Run(cfg, sc); err != nil {
+		s, _, err := RunSharded(cfg, ringWarmup, sc, nil)
+		if err != nil {
 			t.Fatal(err)
+		}
+		// The last link-up or link-down a direction logged is its state.
+		down := map[topology.LinkID]bool{}
+		for _, e := range s.Events() {
+			if e.Kind == trace.LinkDown || e.Kind == trace.LinkUp {
+				down[e.Link] = e.Kind == trace.LinkDown
+			}
 		}
 		for _, ends := range [][2]topology.NodeID{{0, 1}, {1, 0}} {
 			l, _ := cfg.Graph.FindTrunk(ends[0], ends[1])
-			if net.LinkIsDown(l) != c.wantDown {
+			if down[l] != c.wantDown {
 				t.Errorf("%q: link %d->%d down = %v, want %v", c.lines, ends[0], ends[1], !c.wantDown, c.wantDown)
 			}
 		}
@@ -217,7 +221,7 @@ func TestRunRejectsBadScenarios(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(cfg, tc.sc)
+			_, _, err := RunSharded(cfg, ringWarmup, tc.sc, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %v, want mention of %q", err, tc.want)
 			}
@@ -237,14 +241,13 @@ func TestVanishingSurgeFinishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ringCfg(node.HNSPF, 3)
-	cfg.Warmup = 0 // count every offered packet
 	type outcome struct {
 		res Result
 		err error
 	}
 	done := make(chan outcome, 1) // the runner never blocks on a test that gave up
 	go func() {
-		res, err := Run(cfg, sc)
+		_, res, err := RunSharded(cfg, 0, sc, nil) // no warm-up: count every offered packet
 		done <- outcome{res, err}
 	}()
 	var res Result

@@ -102,7 +102,7 @@ func TestParseErrors(t *testing.T) {
 			if sc != nil {
 				t.Errorf("a failed Parse returned a scenario: %+v", sc)
 			}
-			if _, err := Run(ringCfg(0, 7), sc); err == nil || !strings.Contains(err.Error(), "nil scenario") {
+			if _, _, err := RunSharded(ringCfg(0, 7), ringWarmup, sc, nil); err == nil || !strings.Contains(err.Error(), "nil scenario") {
 				t.Errorf("Run of a failed Parse's result: %v, want the nil scenario refused", err)
 			}
 		})
@@ -121,7 +121,7 @@ func TestParsedScriptRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, sc)
+	_, res, err := RunSharded(cfg, ringWarmup, sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,3 +359,35 @@ func TestAdaptiveHealResyncs(t *testing.T) {
 		}
 	}
 }
+
+// StaleFloods names the origins whose floods older than t have not landed.
+// Nothing originates in the first measurement period, so a trunk failed
+// inside it starts the only floods: its two ends'. One millisecond on,
+// their copies are in flight; StaleFloods names both for a t after the
+// failure and neither for t at it, and once a flood time has passed, none.
+func TestStaleFloods(t *testing.T) {
+	g := topology.Ring(5, topology.T56)
+	at := sim.Second
+	l := g.Link(0)
+	ends := []topology.NodeID{min(l.From, l.To), max(l.From, l.To)}
+	for _, shards := range []int{1, 2} {
+		cfg := adaptiveConfig(g, shards)
+		cfg.Metric = node.MinHop
+		cfg.Faults = []Fault{{Trunk: l.Trunk, At: at}}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(at + sim.Millisecond)
+		if got := s.StaleFloods(at + 1); !slices.Equal(got, ends) {
+			t.Errorf("shards=%d: StaleFloods after the failure = %v, want its ends %v", shards, got, ends)
+		}
+		if got := s.StaleFloods(at); got != nil {
+			t.Errorf("shards=%d: StaleFloods at the failure = %v, want none", shards, got)
+		}
+		s.Run(at + node.FloodTime(g, func(id topology.LinkID) bool { return g.Link(id).Trunk == l.Trunk }))
+		if got := s.StaleFloods(at + 1); got != nil {
+			t.Errorf("shards=%d: StaleFloods a flood time after the failure = %v, want none", shards, got)
+		}
+	}
+}

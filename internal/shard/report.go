@@ -115,6 +115,20 @@ func (s *Sim) ConvergenceAudit() error {
 // invocations.
 func (s *Sim) QuietOrigins() int { return node.Copies(s.updatesInFlight()).Quiet() }
 
+// StaleFloods returns, ascending, the origins that still have a copy of an
+// update in flight but have originated nothing since t: floods older than t
+// that have not landed. A refresh that falls due after t is not one. Call it
+// between Run invocations.
+func (s *Sim) StaleFloods(t sim.Time) []topology.NodeID {
+	var stale []topology.NodeID
+	for o, c := range s.updatesInFlight() {
+		if c > 0 && s.nodeAt[o].LastOriginated < t {
+			stale = append(stale, topology.NodeID(o))
+		}
+	}
+	return stale
+}
+
 // updatesInFlight sums the shards' per-origin update copy counts: nil without
 // routers, which count none.
 func (s *Sim) updatesInFlight() []int {

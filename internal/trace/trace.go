@@ -107,11 +107,13 @@ func Sort(events []Event) {
 	})
 }
 
-// Ring is a fixed-capacity event log. The zero value is unusable; create
-// one with NewRing. A nil *Ring is safe to Add to (no-op), so callers can
-// emit unconditionally.
+// Ring is a fixed-capacity event log. Its memory grows with the events it
+// keeps, up to its capacity, so any positive capacity is valid. The zero
+// value is unusable; create one with NewRing. A nil *Ring is safe to Add to
+// (no-op), so callers can emit unconditionally.
 type Ring struct {
 	events  []Event
+	limit   int // the capacity
 	next    int
 	wrapped bool
 	dropped int64 // events overwritten
@@ -123,7 +125,7 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("trace: capacity must be positive")
 	}
-	return &Ring{events: make([]Event, 0, capacity)}
+	return &Ring{limit: capacity}
 }
 
 // Add appends an event, overwriting the oldest when full. Safe on nil.
@@ -134,12 +136,15 @@ func (r *Ring) Add(e Event) {
 	if int(e.Kind) >= 0 && int(e.Kind) < len(r.byKind) {
 		r.byKind[e.Kind]++
 	}
-	if len(r.events) < cap(r.events) {
+	if n := len(r.events); n < r.limit {
+		if n == cap(r.events) { // double, never past the capacity
+			r.events = append(make([]Event, 0, min(max(2*n, 64), r.limit)), r.events...)
+		}
 		r.events = append(r.events, e)
 		return
 	}
 	r.events[r.next] = e
-	r.next = (r.next + 1) % cap(r.events)
+	r.next = (r.next + 1) % r.limit
 	r.wrapped = true
 	r.dropped++
 }

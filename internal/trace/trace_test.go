@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -107,6 +108,28 @@ func TestSortKeepsEachNodesOrder(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("sorted:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// A ring's memory follows the events it keeps: any positive capacity is
+// valid, math.MaxInt included, and a ring grown to its capacity holds
+// exactly that many events and wraps over them in order.
+func TestRingGrowsToItsCapacity(t *testing.T) {
+	r := NewRing(math.MaxInt)
+	for i := range 3 {
+		r.Add(Event{At: sim.Time(i), Kind: LinkUp})
+	}
+	if r.Len() != 3 || cap(r.events) > 64 {
+		t.Errorf("a MaxInt ring holding 3 events: Len %d, room for %d", r.Len(), cap(r.events))
+	}
+	r = NewRing(200)
+	for i := range 1000 {
+		r.Add(Event{At: sim.Time(i), Kind: LinkUp})
+	}
+	evs := r.Events()
+	if len(evs) != 200 || cap(r.events) != 200 || evs[0].At != 800 || evs[199].At != 999 || r.Overwritten() != 800 {
+		t.Errorf("a ring of 200 after 1000 events: %d kept (room for %d), %v..%v, %d overwritten",
+			len(evs), cap(r.events), evs[0].At, evs[len(evs)-1].At, r.Overwritten())
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/fanout"
 	"repro/internal/node"
@@ -162,12 +164,17 @@ func Run(s Spec) (Result, error) {
 // Spec.Seed+n-1, fanned over GOMAXPROCS workers. A matrix Traffic is the
 // same for every seed. Results are indexed like the seeds, so they are
 // identical at any worker count. Track and TraceCapacity record one run,
-// and are refused here, as are n < 1 and NodeTraffic, whose destinations
-// each run draws from its own seed.
+// and are refused here, as are NodeTraffic, whose destinations each run
+// draws from its own seed, and an n below 1, or one whose seeds leave int64
+// or whose results no allocation can hold.
 func RunSeeds(s Spec, n int) ([]Result, error) {
 	switch {
 	case n < 1:
 		return nil, fmt.Errorf("arpanet: RunSeeds n %d is not a seed count (want at least 1)", n)
+	case s.Seed > math.MaxInt64-int64(n-1):
+		return nil, fmt.Errorf("arpanet: RunSeeds n %d: the seeds from Spec.Seed %d on leave int64", n, s.Seed)
+	case uint64(n) > maxAlloc/uint64(unsafe.Sizeof(Result{})+unsafe.Sizeof(error(nil))):
+		return nil, fmt.Errorf("arpanet: RunSeeds n %d: no allocation holds that many results", n)
 	case len(s.Track) > 0 || s.TraceCapacity > 0:
 		return nil, errors.New("arpanet: Spec.Track and Spec.TraceCapacity record one run; use Run")
 	case s.NodeTraffic != nil:
@@ -189,6 +196,11 @@ func RunSeeds(s Spec, n int) ([]Result, error) {
 	}
 	return out, nil
 }
+
+// maxAlloc bounds the bytes one Go allocation can hold: the runtime
+// addresses 48 bits of heap on a 64-bit platform, and a 32-bit int caps a
+// slice below 2^31.
+const maxAlloc = 1 << min(48, strconv.IntSize-1)
 
 // config checks s and builds the simulator's configuration and the
 // warm-up's end. res receives the timeline, and the trace and tracked

@@ -1,12 +1,26 @@
 package arpanet
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	topo := Ring(4, T56)
 	res := mustRun(t, Spec{Topology: topo, Traffic: topo.UniformTraffic(10000), Seed: 1, Seconds: 30})
 	if res.Trace != nil {
 		t.Error("trace should be nil unless TraceCapacity is set")
+	}
+}
+
+// Any positive TraceCapacity runs: the ring's memory follows the events it
+// keeps, so math.MaxInt asks for nothing up front.
+func TestTraceCapacityAnySize(t *testing.T) {
+	topo := Ring(4, T56)
+	res := mustRun(t, Spec{Topology: topo, Traffic: topo.UniformTraffic(20000), Seed: 2, TraceCapacity: math.MaxInt,
+		Script: "duration 60\nat 30 down N0 N1\n"})
+	if n := len(res.Trace.OfKind(TraceLinkDown)); n != 2 || res.Trace.Overwritten() != 0 {
+		t.Errorf("%d link-down events, %d overwritten; want 2 and none", n, res.Trace.Overwritten())
 	}
 }
 
