@@ -259,36 +259,46 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.Seconds") {
 		t.Errorf("RunSeeds with a horizon past the clock: err = %v, want one naming Spec.Seconds", err)
 	}
-	s = Spec{Topology: ring, Seconds: 60}
-	sharded(&s) // destinations drawn from Seed alone would not be Seed+1's, at any shard count
-	for _, shards := range []int{0, 2} {
-		s.Shards = shards
-		if _, err := RunSeeds(s, 2); err == nil || !strings.Contains(err.Error(), "Spec.NodeTraffic") {
-			t.Errorf("RunSeeds with NodeTraffic at Shards %d: err = %v, want one naming Spec.NodeTraffic", shards, err)
-		}
-	}
 }
 
 // RunSeeds takes Shards with a matrix Traffic, the same for every seed, and
-// returns each seed's result at two shards as at one.
+// with NodeTraffic, whose destinations each seed draws afresh: result i
+// renders as Run at Seed+i, at two shards as at one.
 func TestRunSeedsOnEitherEngine(t *testing.T) {
 	t.Parallel()
 	ring := Ring(5, T56)
-	var want string
-	for _, shards := range []int{0, 2} {
-		rs, err := RunSeeds(Spec{Topology: ring, Traffic: ring.UniformTraffic(40_000), Seed: 1, WarmupSeconds: 10,
-			Script: "duration 40\nat 20 restart N2 for 5\n", Shards: shards}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fmt.Sprintf("%s%+v\n%s%+v", rs[0].Report, rs[0].Checkpoints, rs[1].Report, rs[1].Checkpoints)
-		if rs[0].Seed != 1 || rs[1].Seed != 2 || rs[0].Report.String() == rs[1].Report.String() {
-			t.Errorf("Shards %d: seeds %d and %d, reports\n%s", shards, rs[0].Seed, rs[1].Seed, got)
-		}
-		if shards == 0 {
-			want = got
-		} else if got != want {
-			t.Errorf("Shards %d rendered\n%s\nShards 0 rendered\n%s", shards, got, want)
+	render := func(r Result) string { return fmt.Sprintf("%s%+v\n", r.Report, r.Checkpoints) }
+	for name, s := range map[string]Spec{
+		"matrix":      {Topology: ring, Traffic: ring.UniformTraffic(40_000), Seed: 1, WarmupSeconds: 10, Script: "duration 40\nat 20 restart N2 for 5\n"},
+		"NodeTraffic": {Topology: ring, NodeTraffic: &NodeTraffic{Rate: 5, Dests: 2}, Seed: 1, WarmupSeconds: 10, Seconds: 40},
+	} {
+		var want string
+		for _, shards := range []int{0, 2} {
+			s.Shards = shards
+			rs, err := RunSeeds(s, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := render(rs[0]) + render(rs[1])
+			if rs[0].Seed != 1 || rs[1].Seed != 2 || rs[0].Report.String() == rs[1].Report.String() {
+				t.Errorf("%s, Shards %d: seeds %d and %d, reports\n%s", name, shards, rs[0].Seed, rs[1].Seed, got)
+			}
+			for i, r := range rs {
+				c := s
+				c.Seed += int64(i)
+				one, err := Run(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if render(one) != render(r) {
+					t.Errorf("%s, Shards %d: RunSeeds result %d rendered\n%sRun at Seed %d rendered\n%s", name, shards, i, render(r), c.Seed, render(one))
+				}
+			}
+			if shards == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s, Shards %d rendered\n%s\nShards 0 rendered\n%s", name, shards, got, want)
+			}
 		}
 	}
 }

@@ -14,38 +14,29 @@ import (
 // corpus holds each refusal checkFlags and numberFlag make, by name, and a
 // malformed generated-topology spec of each kind; inputs that would touch a
 // file or simulate more than a few seconds are skipped (cheap). The
-// -background… seeds name flags the command does not define: the flag
-// package refuses them.
+// -background… and -adaptive seeds name flags the command does not define:
+// the flag package refuses them.
 func FuzzRun(f *testing.F) {
 	for _, args := range []string{
-		// checkFlags: a flag the chosen mode never reads, or a map it cannot build.
-		"-shards 2 -adaptive -scenario x.scn -seconds 5", "-shards 2 -background 100", "-shards 2 -background-epoch 5",
-		"-shards 2 -rate 1 -seeds 2", "-shards 2 -dests 2 -json", "-shards 2 -radius 1 -traffic 100", "-shards 2 -adaptive -growth 2",
-		"-shards 2 -adaptive -warmup 5", "-shards 2 -rate 1 -metric hnspf", "-rate 2 -seeds 2", "-dests 2 -json", "-radius 1 -traffic 100",
-		"-adaptive -growth 2", "-scenario x.scn -seconds 5", "-scenario x.scn -growth 2",
-		"-background-epoch 5", "-metric dspf -growth 2", "-topology hier:4x8 -warmup 5",
-		// numberFlag: NaN, below zero, a zero seed count.
-		"-seconds NaN", "-traffic -5", "-growth -1", "-warmup -1", "-seeds 0",
-		"-background 100 -background-epoch 0", "-shards -1",
+		// checkFlags: a flag the run never reads.
+		"-shards 2 -rate 1 -traffic 100", "-radius 1 -traffic 100", "-topology hier:4x8 -traffic 100",
+		"-scenario x.scn -seconds 5", "-shards 2 -rate 1 -metric bf1969 -scenario x.scn -seconds 5",
+		"-scenario x.scn -growth 2", "-metric dspf -growth 2", "-metric static -growth 2", "-rate 1 -metric hnspf -growth 2",
+		// Flags the command does not define.
+		"-shards 2 -background 100", "-shards 2 -background-epoch 5", "-background 100 -background-epoch 0", "-adaptive",
+		// numberFlag: NaN, below zero, a zero seed count, an infinite
+		// horizon and one past the simulated clock's range.
+		"-seconds NaN", "-traffic -5", "-growth -1", "-warmup -1", "-seeds 0", "-shards -1", "-seconds Inf", "-seconds 1e300",
 		// metricKinds and the flag package.
 		"-metric nonsense", "-nosuchflag", "-seconds", "stray",
-		// Malformed generated topologies, and what arpanet.Run refuses.
+		// Malformed generated topologies, and what arpanet.RunSeeds refuses.
 		"-shards 1 -topology hier:4y8 -seconds 1", "-shards 1 -topology waxman:x -seconds 1",
-		"-shards 2 -topology hier:2x3 -seconds 1 -rate 0", "-shards 1 -rate Inf",
-		// Runs that finish in well under a second.
+		"-shards 2 -topology hier:2x3 -seconds 1 -rate 0", "-shards 1 -rate Inf", "-metric static -scenario x.scn",
+		// Runs that finish in well under a second, on either traffic.
 		"-seconds 5 -warmup 1", "-metric bf1969 -seconds 2 -warmup 1 -json", "-shards 2 -seconds 5 -warmup 1 -seeds 2",
-		"-shards 2 -topology hier:2x4 -seconds 2 -adaptive", "-shards 1 -topology waxman:20 -seconds 2",
-		// checkFlags for a script on the sharded engine (-seconds leads the
-		// list): no -adaptive, and each flag the script or the mode replaces,
-		// under the 1969 protocol too.
-		"-shards 2 -rate 1 -scenario x.scn", "-shards 2 -adaptive -metric bf1969 -scenario x.scn -seconds 5",
-		"-shards 2 -adaptive -scenario x.scn -seeds 2", "-shards 2 -adaptive -scenario x.scn -json",
-		"-shards 2 -adaptive -scenario x.scn -traffic 100", "-shards 2 -adaptive -scenario x.scn -growth 2",
-		"-shards 2 -adaptive -scenario x.scn -warmup 5",
-		// numberFlag: an infinite horizon.
-		"-seconds Inf",
-		// numberFlag: a horizon past the simulated clock's range.
-		"-seconds 1e300",
+		"-metric static -seconds 2 -warmup 1", "-shards 2 -topology hier:2x4 -seconds 2 -warmup 0 -metric static",
+		"-shards 2 -topology hier:2x4 -seconds 2 -warmup 1 -seeds 2 -json", "-shards 1 -topology waxman:20 -seconds 2 -warmup 0",
+		"-rate 2 -metric hnspf -seconds 2 -warmup 1",
 	} {
 		f.Add(args)
 	}
@@ -62,10 +53,10 @@ func FuzzRun(f *testing.F) {
 
 // cheap reports whether run(args) stays off the file system and simulates at
 // most a few seconds of wall time: an invocation the flag checks refuse
-// always does; else no script or profile, at most 30 simulated seconds at up
-// to twice the default load and two seeds on at most 4 shards, and the
-// per-node mode at most 20 seconds on 64 nodes (what arpanet.Run refuses
-// among them).
+// always does; else no script or profile, and at most two seeds of each
+// run, whose load -growth grows: at most 30 simulated seconds at up to twice
+// the default gravity load on at most 4 shards, or with per-node traffic at
+// most 20 seconds on 64 nodes (what arpanet.RunSeeds refuses among them).
 func cheap(args []string) bool {
 	o, fs, err := parse(args, io.Discard)
 	if err != nil {
@@ -74,10 +65,11 @@ func cheap(args []string) bool {
 	if _, err := o.check(fs); err != nil {
 		return true
 	}
-	if o.scenario != "" || o.cpuProfile != "" || o.memProfile != "" {
+	if o.scenario != "" || o.cpuProfile != "" || o.memProfile != "" || o.seeds > 2 {
 		return false
 	}
-	if o.perNode {
+	grow := max(o.growth, 1)
+	if o.perNode() {
 		var regions, per, n int
 		switch {
 		case o.topology == "arpanet":
@@ -93,7 +85,7 @@ func cheap(args []string) bool {
 		if regions < 0 || per < 0 || n > 64 || o.shards > 8 {
 			return false
 		}
-		return o.seconds <= 20 && o.rate <= 5
+		return o.warmup+o.seconds <= 20 && o.rate*grow <= 5
 	}
-	return o.warmup+o.seconds <= 30 && o.traffic <= 560 && o.seeds <= 2 && o.shards <= 4
+	return o.warmup+o.seconds <= 30 && o.traffic*grow <= 560 && o.shards <= 4
 }

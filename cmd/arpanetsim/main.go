@@ -7,36 +7,37 @@
 //	arpanetsim -metric hnspf       # a single run
 //	arpanetsim -traffic 500 -seconds 900
 //	arpanetsim -scenario examples/flapping/utah-collins.scn -seeds 5
+//	arpanetsim -shards 4 -topology hier:32x32 -metric static -warmup 0 -seconds 30
 //
 // The topology is the synthetic ARPANET-like network (see DESIGN.md); the
 // absolute numbers therefore differ from the paper's, but the comparisons
 // — who wins each row, by roughly what factor — are the reproduction
 // target (see EXPERIMENTS.md).
 //
-// -scenario runs a fault-injection script (the .scn format of
-// arpanet.Spec.Script) instead, once per seed and metric, and prints each
-// seed's outcome and any violated invariant: packet conservation, single
-// transmitter per link, post-flood convergence. The script supplies the
-// duration and the timeline; -traffic, -warmup, -seed and -topology keep
-// their meaning.
+// Every invocation is one arpanet.RunSeeds call per metric, -seeds runs
+// each. The offered load is a gravity matrix of -traffic kbps on the
+// arpanet or milnet map, or per-node traffic (arpanet.NodeTraffic) when
+// -rate, -dests or -radius is set or -topology is generated; -growth scales
+// the after run's. -metric static routes one run by a static table over
+// fixed link costs instead of the adaptive plane.
 //
-// -shards N splits the network of any mode into N shards, each run on a
-// goroutine of its own (arpanet.Spec.Shards), and prints the same bytes but
-// for a per-node run's counters:
+// -scenario runs a fault-injection script (the .scn format of
+// arpanet.Spec.Script) instead of -seconds, once per seed and metric, and
+// prints each seed's outcome and any violated invariant: packet
+// conservation, single transmitter per link, post-flood convergence.
+//
+// -shards N splits the network into N shards, each run on a goroutine of
+// its own (arpanet.Spec.Shards), and prints the same bytes but for the
+// counters a single text run prints after its report:
 //
 //	arpanetsim -shards 2 -warmup 10 -seconds 60
-//	arpanetsim -shards 2 -scenario examples/flapping/utah-collins.scn
-//
-// -rate, -dests, -radius, -adaptive or a generated -topology run per-node
-// traffic instead of a gravity matrix (shards.go):
-//
-//	arpanetsim -adaptive -metric dspf -scenario examples/flapping/utah-collins.scn
+//	arpanetsim -shards 2 -rate 1 -metric bf1969 -scenario examples/flapping/utah-collins.scn
 //
 // The exit status is 0 after the output is written; 1 with the reason on
-// stderr when a run cannot start (arpanet.Run refuses its Spec) or a script
-// does not load, and after the output when a -scenario or per-node run
-// violates an invariant; 2 with usage for flags no mode can mean and for a
-// -topology no generator builds.
+// stderr when a run cannot start (arpanet.RunSeeds refuses its Spec) or a
+// script does not load, and after the output, with their count on stderr,
+// when a run violates an invariant; 2 with usage for flags the run would
+// ignore and for a -topology no generator builds.
 package main
 
 import (
@@ -62,8 +63,8 @@ type options struct {
 	traffic, growth, seconds, warmup, rate             float64
 	seed                                               int64
 	seeds, shards, dests, radius                       int
-	json, adaptive                                     bool
-	perNode                                            bool // the per-node mode (check sets it)
+	json                                               bool
+	set                                                map[string]bool // the flags given on the command line (check fills it)
 }
 
 // parse reads args into options. The error is a bad flag, already reported
@@ -72,12 +73,12 @@ func parse(args []string, stderr io.Writer) (*options, *flag.FlagSet, error) {
 	fs := flag.NewFlagSet("arpanetsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	o := &options{}
-	fs.StringVar(&o.metric, "metric", "both", "hnspf, dspf, minhop, bf1969, or both (the before/after study; D-SPF with per-node traffic)")
+	fs.StringVar(&o.metric, "metric", "both", "hnspf, dspf, minhop, bf1969, static (fixed link costs), or both (the before/after study)")
 	// 280 kbps plays the role of the paper's May-1987 peak-hour load
 	// (366 kbps over 71 trunks) on this 44-trunk topology: heavy enough
 	// that D-SPF's oscillations dominate, light enough that HN-SPF
 	// carries nearly everything. See EXPERIMENTS.md for the calibration.
-	fs.Float64Var(&o.traffic, "traffic", 280, "offered internode traffic in kbps ('May-1987' level)")
+	fs.Float64Var(&o.traffic, "traffic", 280, "gravity traffic: offered internode load in kbps ('May-1987' level)")
 	fs.Float64Var(&o.growth, "growth", 413.99/366.26, "traffic multiplier for the after run")
 	fs.Float64Var(&o.seconds, "seconds", 600, "measured simulation time")
 	fs.Float64Var(&o.warmup, "warmup", 100, "warmup time before measurement")
@@ -85,33 +86,31 @@ func parse(args []string, stderr io.Writer) (*options, *flag.FlagSet, error) {
 	fs.IntVar(&o.seeds, "seeds", 1, "number of independent seeds to average over")
 	fs.BoolVar(&o.json, "json", false, "emit reports as JSON instead of the table")
 	fs.StringVar(&o.topology, "topology", "arpanet", "arpanet, milnet, or (per-node traffic) hier:<R>x<P> / waxman:<N>")
-	fs.StringVar(&o.scenario, "scenario", "", "fault-injection script to run instead of the Table 1 study")
+	fs.StringVar(&o.scenario, "scenario", "", "fault-injection script to run instead of -seconds")
 	fs.IntVar(&o.shards, "shards", 0, "split the network into this many shards, one goroutine each (0 = one shard)")
 	fs.Float64Var(&o.rate, "rate", 1.0, "per-node traffic: packets a second from each PSN")
 	fs.IntVar(&o.dests, "dests", 3, "per-node traffic: destinations per source")
 	fs.IntVar(&o.radius, "radius", 0, "per-node traffic: destination locality radius in hops (0 = uniform)")
-	fs.BoolVar(&o.adaptive, "adaptive", false, "per-node traffic, routed by the adaptive plane under -metric")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit, after a GC (with per-node traffic the simulator is still live in it)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit, after a GC (every run's simulator still live in it)")
 	return o, fs, fs.Parse(args)
 }
 
-// check returns the metrics -metric names, or why no mode can run the
-// flags fs parsed into o.
-func (o *options) check(fs *flag.FlagSet) ([]arpanet.Metric, error) {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+// check returns the runs -metric names, or why the flags fs parsed into o
+// cannot run.
+func (o *options) check(fs *flag.FlagSet) ([]arpanet.Spec, error) {
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	kinds, err := metricKinds(o.metric)
 	if err == nil {
 		err = numberFlag(fs)
 	}
-	o.perNode = perNode(set, o.adaptive, o.topology)
-	if err == nil && !o.perNode && o.scenario == "" && o.warmup+o.seconds >= arpanet.MaxSeconds {
-		// The Table 1 study's horizon is the two together.
+	if err == nil && o.scenario == "" && o.warmup+o.seconds >= arpanet.MaxSeconds {
+		// The run's horizon is the two together.
 		err = fmt.Errorf("-warmup %v plus -seconds %v is past the simulated clock's range (%g s)", o.warmup, o.seconds, arpanet.MaxSeconds)
 	}
 	if err == nil {
-		err = checkFlags(set, o.perNode, o.adaptive, o.scenario, kinds)
+		err = checkFlags(o.set, o.perNode(), o.scenario, kinds)
 	}
 	return kinds, err
 }
@@ -153,72 +152,87 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	var live any
-	code := 0
-	if o.perNode {
-		live, err = sharded(stdout, shardSpec(o, topo, kinds[0], script))
-	} else {
-		code, err = study(stdout, studySpecs(o, topo, kinds, script), o.seeds, o.json)
-	}
+	specs := studySpecs(o, topo, kinds, script)
+	results, err := study(specs, o.seeds)
 	if err != nil && script != nil {
 		err = fmt.Errorf("%s: %w", o.scenario, err)
 	}
-	if perr := stopProfiles(live); err == nil {
+	violations := 0
+	if err == nil {
+		violations, err = output(stdout, specs, results, o.json)
+	}
+	if perr := stopProfiles(results); err == nil {
 		err = perr
 	}
 	if err != nil {
 		return fail(err)
 	}
-	return code
+	if violations > 0 {
+		return fail(fmt.Errorf("%d invariant violations", violations))
+	}
+	return 0
 }
 
-// studySpecs are the runs of the Table 1 study and -scenario, on -shards
-// shards: one Spec per metric, the script's timeline at one load, or the
-// study's measured window with the after run's load grown. The gravity
-// weights are the map's.
-func studySpecs(o *options, topo *arpanet.Topology, kinds []arpanet.Metric, script []byte) []arpanet.Spec {
+// perNode reports whether the run offers per-node traffic, which -rate,
+// -dests, -radius or a generated -topology choose, instead of a gravity
+// matrix on the arpanet or milnet map.
+func (o *options) perNode() bool {
+	return o.set["rate"] || o.set["dests"] || o.set["radius"] || o.topology != "arpanet" && o.topology != "milnet"
+}
+
+// studySpecs completes each of the runs -metric names (kinds) on topo and
+// -shards shards: per-node traffic or a gravity matrix on the map's
+// weights, and the script's timeline at one load or the measured window
+// after the warm-up with the after run's load grown.
+func studySpecs(o *options, topo *arpanet.Topology, kinds []arpanet.Spec, script []byte) []arpanet.Spec {
 	weights, bps := arpanet.ArpanetWeights(), o.traffic*1000
 	if o.topology == "milnet" {
 		weights = arpanet.MilnetWeights()
-		if o.traffic == 280 {
+		if !o.set["traffic"] {
 			// MILNET's aggregate capacity is smaller; rescale the default load
 			// to the equivalent regime (see milnet_test.go).
 			bps = 150_000
 		}
 	}
-	var specs []arpanet.Spec
-	for i, m := range kinds {
-		load := bps
+	specs := make([]arpanet.Spec, len(kinds))
+	for i, s := range kinds {
+		grow := 1.0
 		if i == 1 && script == nil {
-			load *= o.growth
+			grow = o.growth
 		}
-		s := arpanet.Spec{Topology: topo, Traffic: topo.GravityTraffic(weights, load), Metric: m,
-			Seed: o.seed, WarmupSeconds: o.warmup, Script: string(script), Shards: o.shards}
+		if o.perNode() {
+			s.NodeTraffic = &arpanet.NodeTraffic{Rate: o.rate * grow, Dests: o.dests, Radius: o.radius}
+		} else {
+			s.Traffic = topo.GravityTraffic(weights, bps*grow)
+		}
+		s.Topology, s.Seed, s.WarmupSeconds, s.Script, s.Shards = topo, o.seed, o.warmup, string(script), o.shards
 		if script == nil {
 			s.Seconds = o.warmup + o.seconds
 		}
-		specs = append(specs, s)
+		specs[i] = s
 	}
 	return specs
 }
 
-// metricKinds maps the -metric flag to the metrics it names, for every
-// mode. "both" is the before/after pair, D-SPF first; a mode that runs a
-// single metric (per-node traffic) takes the first.
-func metricKinds(name string) ([]arpanet.Metric, error) {
+// metricKinds maps the -metric flag to the runs it names, each a Spec
+// with only its routing set. "both" is the before/after pair, D-SPF first;
+// "static" is one run on static routes, Metric left unset.
+func metricKinds(name string) ([]arpanet.Spec, error) {
 	switch name {
 	case "both":
-		return []arpanet.Metric{arpanet.DSPF, arpanet.HNSPF}, nil
+		return []arpanet.Spec{{Metric: arpanet.DSPF}, {Metric: arpanet.HNSPF}}, nil
 	case "hnspf":
-		return []arpanet.Metric{arpanet.HNSPF}, nil
+		return []arpanet.Spec{{Metric: arpanet.HNSPF}}, nil
 	case "dspf":
-		return []arpanet.Metric{arpanet.DSPF}, nil
+		return []arpanet.Spec{{Metric: arpanet.DSPF}}, nil
 	case "minhop":
-		return []arpanet.Metric{arpanet.MinHop}, nil
+		return []arpanet.Spec{{Metric: arpanet.MinHop}}, nil
 	case "bf1969":
-		return []arpanet.Metric{arpanet.BF1969}, nil
+		return []arpanet.Spec{{Metric: arpanet.BF1969}}, nil
+	case "static":
+		return []arpanet.Spec{{StaticRoutes: true}}, nil
 	default:
-		return nil, fmt.Errorf("unknown -metric %q (want hnspf, dspf, minhop, bf1969, or both)", name)
+		return nil, fmt.Errorf("unknown -metric %q (want hnspf, dspf, minhop, bf1969, static, or both)", name)
 	}
 }
 
@@ -255,75 +269,74 @@ func numberFlag(fs *flag.FlagSet) (err error) {
 	return err
 }
 
-// perNode reports whether the command runs per-node traffic, which -rate,
-// -dests, -radius, -adaptive or a generated -topology choose, instead of a
-// gravity matrix on the arpanet or milnet map; set holds the flags given on
-// the command line.
-func perNode(set map[string]bool, adaptive bool, topology string) bool {
-	return adaptive || set["rate"] || set["dests"] || set["radius"] || topology != "arpanet" && topology != "milnet"
-}
-
-// checkFlags rejects a flag that the chosen mode never reads: setting one
-// is an error, not a silent no-op. set holds the flags given on the command line (flag.Visit), so
-// defaults never count; kinds are the metrics -metric named. perNode is
-// the per-node mode (perNode); else the command runs the Table 1 study or
-// -scenario on a gravity matrix. -shards means the same in every mode.
-func checkFlags(set map[string]bool, perNode, adaptive bool, scenario string, kinds []arpanet.Metric) error {
-	mode := "with a gravity matrix (the Table 1 study and -scenario are always adaptive)"
-	ignored := []string{"adaptive"} // -adaptive=false: only the per-node mode has static routes
+// checkFlags rejects a flag the run never reads: setting one is an error,
+// not a silent no-op. set holds the flags given on the command line
+// (flag.Visit), so defaults never count; perNode is per-node traffic
+// (options.perNode), kinds the runs -metric names. What arpanet.Spec's own
+// check refuses, such as a script on static routes, is left to it.
+func checkFlags(set map[string]bool, perNode bool, scenario string, kinds []arpanet.Spec) error {
 	switch {
-	case perNode && scenario != "":
-		mode = "with per-node traffic and -scenario (the script supplies the duration)"
-		ignored = []string{"seconds", "seeds", "json", "traffic", "growth", "warmup"}
-	case perNode:
-		mode = "with per-node traffic"
-		ignored = []string{"seeds", "json", "traffic", "growth", "warmup"}
-	case scenario != "":
-		mode = "with -scenario"
-		ignored = append(ignored, "seconds", "growth")
-	}
-	for _, name := range ignored {
-		if set[name] {
-			return fmt.Errorf("-%s has no effect %s", name, mode)
-		}
-	}
-	switch {
-	case perNode && scenario != "" && !adaptive:
-		return errors.New("-scenario with per-node traffic needs -adaptive: static routes flood nothing, so no PSN would hear of a failure")
-	case perNode && !adaptive && set["metric"]:
-		return errors.New("-metric has no effect with per-node traffic unless -adaptive is set (static routes otherwise)")
-	case !perNode && scenario == "" && len(kinds) == 1 && set["growth"]:
+	case perNode && set["traffic"]:
+		return errors.New("-traffic has no effect with per-node traffic (-rate sets its load)")
+	case scenario != "" && set["seconds"]:
+		return errors.New("-seconds has no effect with -scenario (the script supplies the duration)")
+	case scenario != "" && set["growth"]:
+		return errors.New("-growth has no effect with -scenario (every metric runs at one load)")
+	case len(kinds) == 1 && set["growth"]:
 		return errors.New("-growth has no effect with a single -metric (it scales the after run of -metric both)")
 	}
 	return nil
 }
 
-// study runs every spec over n seeds, in parallel through arpanet.RunSeeds,
-// and writes the Table 1 output, or with a script the -scenario output.
-func study(w io.Writer, specs []arpanet.Spec, n int, asJSON bool) (code int, err error) {
+// study runs every spec over n seeds, in parallel through arpanet.RunSeeds.
+func study(specs []arpanet.Spec, n int) ([][]arpanet.Result, error) {
 	results := make([][]arpanet.Result, len(specs))
 	for i, s := range specs {
+		var err error
 		if results[i], err = arpanet.RunSeeds(s, n); err != nil {
-			return 0, err
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// output writes the results of specs: with a script the -scenario output,
+// else the Table 1 pair or the single run's report, which at one seed the
+// run's counters follow, and every violated invariant as a VIOLATION line;
+// or with asJSON the mean reports. It returns the number of violations.
+func output(w io.Writer, specs []arpanet.Spec, results [][]arpanet.Result, asJSON bool) (violations int, err error) {
+	for _, rs := range results {
+		for _, r := range rs {
+			violations += len(r.Violations)
 		}
 	}
 	if specs[0].Script != "" {
-		return printScenario(w, results, asJSON)
+		return violations, printScenario(w, results, asJSON)
 	}
 	switch {
 	case asJSON && len(results) == 2:
-		return 0, emitJSON(w, map[string]arpanet.Report{"before": mean(results[0]), "after": mean(results[1])})
+		return violations, emitJSON(w, map[string]arpanet.Report{"before": mean(results[0]), "after": mean(results[1])})
 	case asJSON:
-		return 0, emitJSON(w, mean(results[0]))
+		return violations, emitJSON(w, mean(results[0]))
 	case len(results) == 2: // "both": the before/after study
 		printTable1(w, mean(results[0]), mean(results[1]))
-		if n > 1 {
+		if len(results[0]) > 1 {
 			printSpread(w, results[0], results[1])
+		}
+	case len(results[0]) == 1:
+		r := results[0][0]
+		fmt.Fprint(w, r.Report.String())
+		printCounters(w, r.Stats)
+		if specs[0].StaticRoutes {
+			printRoutes(w, r.Stats)
 		}
 	default:
 		fmt.Fprint(w, mean(results[0]).String())
 	}
-	return 0, nil
+	for _, rs := range results {
+		printViolations(w, rs)
+	}
+	return violations, nil
 }
 
 func emitJSON(w io.Writer, v any) error {
@@ -424,20 +437,14 @@ func printTable1(w io.Writer, before, after arpanet.Report) {
 }
 
 // printScenario writes the per-seed results of every metric, as JSON keyed
-// by metric name or as one table per metric. The code is 1 when any seed
-// violated an invariant.
-func printScenario(w io.Writer, byMetric [][]arpanet.Result, asJSON bool) (code int, err error) {
-	m := map[string][]arpanet.Result{}
-	for _, results := range byMetric {
-		m[results[0].Report.Metric] = results
-		for _, r := range results {
-			if len(r.Violations) > 0 {
-				code = 1
-			}
-		}
-	}
+// by metric name or as one table per metric.
+func printScenario(w io.Writer, byMetric [][]arpanet.Result, asJSON bool) error {
 	if asJSON {
-		return code, emitJSON(w, m)
+		m := map[string][]arpanet.Result{}
+		for _, results := range byMetric {
+			m[results[0].Report.Metric] = results
+		}
+		return emitJSON(w, m)
 	}
 	sc := byMetric[0][0].Script
 	fmt.Fprintf(w, "Scenario %q: %.0f s, %d events\n", sc.Name, sc.Duration.Seconds(), len(sc.Events))
@@ -450,11 +457,41 @@ func printScenario(w io.Writer, byMetric [][]arpanet.Result, asJSON bool) (code 
 				r.Seed, r.Report.DeliveredRatio, r.Report.BufferDrops,
 				r.Report.OutageDrops, r.Report.NoRouteDrops, len(r.Checkpoints))
 		}
-		for _, r := range results {
-			for _, v := range r.Violations {
-				fmt.Fprintf(w, "  VIOLATION seed %d at %v [%s]: %s\n", r.Seed, v.At, v.Check, v.Err)
-			}
+		printViolations(w, results)
+	}
+	return nil
+}
+
+// printViolations writes each invariant the seeds' runs violated.
+func printViolations(w io.Writer, results []arpanet.Result) {
+	for _, r := range results {
+		for _, v := range r.Violations {
+			fmt.Fprintf(w, "  VIOLATION seed %d at %v [%s]: %s\n", r.Seed, v.At, v.Check, v.Err)
 		}
 	}
-	return code, nil
+}
+
+// printCounters prints the run's event count and the barrier counters, with
+// the lookahead when a trunk is cut, and the kernel counters, summed over
+// shards.
+func printCounters(w io.Writer, st arpanet.Stats) {
+	fmt.Fprintf(w, "events      %d\n", st.Events)
+	b := st.Barrier
+	fmt.Fprintf(w, "barrier     %d windows, %d lookahead-cut, %d wires, %d critical events, bound %.2fx",
+		b.Windows, b.EndedByLookahead, b.WiresDelivered, b.CriticalEvents, float64(st.Events)/float64(max(b.CriticalEvents, 1)))
+	if st.Lookahead > 0 {
+		fmt.Fprintf(w, ", lookahead %v", st.Lookahead)
+	}
+	fmt.Fprintln(w)
+	k := st.Kernel
+	fmt.Fprintf(w, "kernel      %d slots, %d buckets, width %dus, %d retunes, ladder %.2f%% of fires, %d front-sorted\n",
+		k.Slots, k.Buckets, k.Width, k.Retunes, 100*float64(k.LadderPops)/float64(max(k.Fired, 1)), k.Sorted)
+}
+
+// printRoutes prints the size of the static plane's route table beside the
+// 2·D·N bytes of a table holding every node's line toward every one of the D
+// destinations.
+func printRoutes(w io.Writer, st arpanet.Stats) {
+	r := st.Routes
+	fmt.Fprintf(w, "routes      %d entries, %d bytes, dense 2·D·N %d bytes\n", r.Entries, r.Bytes, r.DenseBytes)
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,23 +12,26 @@ import (
 	"testing"
 
 	arpanet "repro"
+	"repro/internal/scenario"
 )
 
-// One parser serves the Table 1 study, -scenario and per-node traffic:
-// every name means the same kinds in each, and anything else is an error,
-// never a silent min-hop.
+// One parser serves every run: each name means the same routing on either
+// traffic and under -scenario, and anything else is an error, never a
+// silent min-hop.
 func TestMetricKinds(t *testing.T) {
 	cases := []struct {
 		name string
-		want []arpanet.Metric // nil: rejected
+		want []arpanet.Spec // nil: rejected
 	}{
-		{"hnspf", []arpanet.Metric{arpanet.HNSPF}},
-		{"dspf", []arpanet.Metric{arpanet.DSPF}},
-		{"minhop", []arpanet.Metric{arpanet.MinHop}},
-		{"both", []arpanet.Metric{arpanet.DSPF, arpanet.HNSPF}},
-		{"bf1969", []arpanet.Metric{arpanet.BF1969}},
+		{"hnspf", []arpanet.Spec{{Metric: arpanet.HNSPF}}},
+		{"dspf", []arpanet.Spec{{Metric: arpanet.DSPF}}},
+		{"minhop", []arpanet.Spec{{Metric: arpanet.MinHop}}},
+		{"both", []arpanet.Spec{{Metric: arpanet.DSPF}, {Metric: arpanet.HNSPF}}},
+		{"bf1969", []arpanet.Spec{{Metric: arpanet.BF1969}}},
+		{"static", []arpanet.Spec{{StaticRoutes: true}}},
 		{"", nil},
 		{"nonsense", nil},
+		{"adaptive", nil},
 	}
 	for _, tc := range cases {
 		got, err := metricKinds(tc.name)
@@ -35,69 +41,41 @@ func TestMetricKinds(t *testing.T) {
 	}
 }
 
-// A flag the chosen mode never reads is rejected by name before anything
-// runs, whatever -shards says; a flag left at its default never counts.
+// A flag the run never reads is rejected by name before anything runs,
+// whatever -shards says; a flag left at its default never counts. Either
+// traffic reads -seeds, -json, -warmup, -growth and every -metric alike.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		args     string // flags set on the command line
-		adaptive bool
 		scenario string
 		topology string // "": the default, arpanet
 		metric   string
 		reject   string // "": accepted; else the flag the error must name
 	}{
-		// The four modes with the flags they read.
+		// Gravity traffic, the study and a script.
 		{args: "", metric: "both"},
-		{args: "metric traffic growth seconds warmup seed seeds json topology", metric: "both"},
-		{args: "metric traffic seconds", metric: "hnspf"},
-		{args: "scenario metric traffic warmup seed seeds json topology", scenario: "flap.scn", metric: "hnspf"},
 		{args: "shards metric traffic growth seconds warmup seed seeds json topology", metric: "both"},
-		{args: "shards scenario metric traffic warmup seed seeds json topology", scenario: "flap.scn", metric: "hnspf"},
-		{args: "shards topology seconds seed rate dests radius cpuprofile memprofile", metric: "both"},
-		{args: "shards adaptive metric", adaptive: true, metric: "hnspf"},
-		{args: "shards adaptive metric", adaptive: true, metric: "bf1969"},
-		{args: "shards adaptive metric scenario seed rate dests radius topology", adaptive: true, scenario: "flap.scn", metric: "hnspf"},
-		// The per-node mode returns before these were ever looked at.
-		{args: "shards rate seeds", metric: "both", reject: "-seeds"},
-		{args: "shards dests json", metric: "both", reject: "-json"},
-		{args: "shards radius traffic", metric: "both", reject: "-traffic"},
-		{args: "shards topology growth", topology: "hier:4x8", metric: "both", reject: "-growth"},
-		{args: "shards adaptive warmup", adaptive: true, metric: "both", reject: "-warmup"},
-		{args: "shards rate metric", metric: "hnspf", reject: "-metric"},
-		// The script supplies the per-node run's duration, and it runs one seed at one load.
-		{args: "shards rate scenario", scenario: "flap.scn", metric: "both", reject: "-scenario"},
-		{args: "shards adaptive scenario seconds", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seconds"},
-		{args: "shards adaptive scenario seeds", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-seeds"},
-		{args: "shards adaptive scenario json", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-json"},
-		{args: "shards adaptive scenario traffic", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-traffic"},
-		{args: "shards adaptive scenario growth", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-growth"},
-		{args: "shards adaptive scenario warmup", adaptive: true, scenario: "flap.scn", metric: "both", reject: "-warmup"},
-		{args: "shards adaptive metric scenario", adaptive: true, scenario: "flap.scn", metric: "bf1969"},
-		// The per-node knobs choose the per-node mode without -shards too; only
-		// the per-node mode has static routes to switch -adaptive off from.
-		{args: "adaptive", adaptive: true, metric: "both"},
-		{args: "rate", metric: "both"},
-		{args: "dests", metric: "both"},
-		{args: "radius", metric: "both"},
-		{args: "shards rate", metric: "both"},
-		{args: "topology seconds seed rate dests radius", topology: "hier:4x8", metric: "both"},
-		{args: "scenario adaptive", adaptive: true, scenario: "flap.scn", metric: "both"},
-		{args: "rate seeds", metric: "both", reject: "-seeds"},
-		{args: "topology warmup", topology: "waxman:64", metric: "both", reject: "-warmup"},
-		{args: "adaptive", metric: "both", reject: "-adaptive"},
-		{args: "scenario adaptive", scenario: "flap.scn", metric: "both", reject: "-adaptive"},
+		{args: "metric traffic seconds", metric: "hnspf"},
+		{args: "metric traffic seconds seeds json", metric: "static"},
+		{args: "shards scenario metric traffic warmup seed seeds json topology", scenario: "flap.scn", metric: "both"},
+		{args: "topology traffic", topology: "milnet", metric: "both"},
+		// Per-node traffic, which -rate, -dests, -radius or a generated map choose.
+		{args: "shards rate dests radius growth seconds warmup seed seeds json", metric: "both"},
+		{args: "topology seconds warmup seeds json cpuprofile memprofile", topology: "hier:4x8", metric: "both"},
+		{args: "rate metric seconds", metric: "static"},
+		{args: "shards rate metric scenario warmup seeds json", scenario: "flap.scn", metric: "bf1969"},
+		{args: "topology scenario", scenario: "flap.scn", topology: "waxman:64", metric: "hnspf"},
+		// -traffic sizes the gravity matrix only.
+		{args: "rate traffic", metric: "both", reject: "-traffic"},
+		{args: "topology traffic", topology: "hier:4x8", metric: "both", reject: "-traffic"},
 		// The script supplies the duration, and runs every metric at one load.
 		{args: "scenario seconds", scenario: "flap.scn", metric: "both", reject: "-seconds"},
+		{args: "rate scenario seconds", scenario: "flap.scn", metric: "hnspf", reject: "-seconds"},
 		{args: "scenario growth", scenario: "flap.scn", metric: "both", reject: "-growth"},
-		{args: "shards scenario growth", scenario: "flap.scn", metric: "both", reject: "-growth"},
+		// -growth scales the after run of the pair.
 		{args: "metric growth", metric: "dspf", reject: "-growth"},
-		{args: "shards metric growth", metric: "dspf", reject: "-growth"},
-		// Generated maps choose the per-node mode; the gravity modes know two.
-		{args: "shards topology", topology: "hier:4x8", metric: "both"},
-		{args: "topology", topology: "milnet", metric: "both"},
-		{args: "shards topology", topology: "milnet", metric: "both"},
-		{args: "topology", topology: "hier:4x8", metric: "both"},
-		{args: "scenario topology", scenario: "flap.scn", topology: "waxman:64", metric: "hnspf", reject: "-scenario"},
+		{args: "metric growth", metric: "static", reject: "-growth"},
+		{args: "rate metric growth", metric: "hnspf", reject: "-growth"},
 	}
 	for _, tc := range cases {
 		set := map[string]bool{}
@@ -108,16 +86,109 @@ func TestCheckFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topology := tc.topology
-		if topology == "" {
-			topology = "arpanet"
+		o := &options{set: set, topology: tc.topology}
+		if o.topology == "" {
+			o.topology = "arpanet"
 		}
-		err = checkFlags(set, perNode(set, tc.adaptive, topology), tc.adaptive, tc.scenario, kinds)
+		err = checkFlags(set, o.perNode(), tc.scenario, kinds)
 		switch {
 		case tc.reject == "" && err != nil:
 			t.Errorf("flags %q: rejected: %v", tc.args, err)
 		case tc.reject != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.reject+" ")):
 			t.Errorf("flags %q: err = %v, want %s rejected", tc.args, err, tc.reject)
+		}
+	}
+}
+
+// The flags build one Spec a run: a gravity matrix of -traffic kbps on the
+// arpanet or milnet map, the milnet default rescaled only when -traffic is
+// unset, or per-node traffic at -rate; -growth grows the after run's load,
+// and -metric static sets StaticRoutes with Metric unset.
+func TestStudySpecs(t *testing.T) {
+	growth := 413.99 / 366.26
+	for _, tc := range []struct {
+		args  string
+		loads []float64 // each run's Traffic.TotalBPS, or NodeTraffic.Rate
+	}{
+		{"", []float64{280_000, 280_000 * growth}},
+		{"-metric hnspf -traffic 100", []float64{100_000}},
+		{"-topology milnet -metric hnspf", []float64{150_000}},
+		{"-topology milnet -metric hnspf -traffic 280", []float64{280_000}},
+		{"-topology milnet -metric hnspf -traffic 150", []float64{150_000}},
+		{"-rate 2 -growth 1.5", []float64{2, 3}},
+		{"-topology hier:2x4 -metric static", []float64{1}},
+		{"-rate 2 -metric dspf -scenario flap.scn", []float64{2}},
+	} {
+		o, fs, err := parse(strings.Fields(tc.args), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds, err := o.check(fs)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		topo, err := arpanet.ParseTopology(o.topology, o.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var script []byte
+		if o.scenario != "" {
+			script = []byte("duration 200\n")
+		}
+		specs := studySpecs(o, topo, kinds, script)
+		var loads []float64
+		for i, s := range specs {
+			if s.NodeTraffic != nil {
+				loads = append(loads, s.NodeTraffic.Rate)
+			} else {
+				loads = append(loads, s.Traffic.TotalBPS())
+			}
+			if s.Metric != kinds[i].Metric || s.StaticRoutes != (o.metric == "static") || s.Shards != o.shards || s.Seed != o.seed ||
+				s.WarmupSeconds != o.warmup || (script == nil) != (s.Seconds == o.warmup+o.seconds) || s.Script != string(script) {
+				t.Errorf("%q: run %d is %+v", tc.args, i, s)
+			}
+		}
+		if len(loads) != len(tc.loads) {
+			t.Fatalf("%q: loads %v, want %v", tc.args, loads, tc.loads)
+		}
+		for i := range loads {
+			if math.Abs(loads[i]-tc.loads[i]) > 1e-6*tc.loads[i] {
+				t.Errorf("%q: loads %v, want %v", tc.args, loads, tc.loads)
+			}
+		}
+	}
+}
+
+// A run whose audit fails prints each violation after the table or report
+// it belongs to, in text; -json keeps stdout valid JSON. Either way the
+// count comes back for run to exit 1 on.
+func TestOutputReportsViolations(t *testing.T) {
+	var clean, bad arpanet.Result
+	clean.Seed, bad.Seed = 7, 7
+	clean.Report.Metric, bad.Report.Metric = "D-SPF", "HN-SPF"
+	bad.Violations = []scenario.Violation{{Check: "custody", Err: "packet held twice"}}
+	for _, tc := range []struct {
+		name    string
+		results [][]arpanet.Result
+		asJSON  bool
+	}{
+		{"pair", [][]arpanet.Result{{clean}, {bad}}, false},
+		{"single", [][]arpanet.Result{{bad}}, false},
+		{"pair -json", [][]arpanet.Result{{clean}, {bad}}, true},
+		{"single -json", [][]arpanet.Result{{bad}}, true},
+	} {
+		var out strings.Builder
+		n, err := output(&out, make([]arpanet.Spec, len(tc.results)), tc.results, tc.asJSON)
+		if err != nil || n != 1 {
+			t.Errorf("%s: %d violations, err %v; want 1", tc.name, n, err)
+		}
+		line := "\n  VIOLATION seed 7 at 0.000000s [custody]: packet held twice\n"
+		if tc.asJSON {
+			if !json.Valid([]byte(out.String())) || strings.Contains(out.String(), "VIOLATION") {
+				t.Errorf("%s: stdout is not the JSON alone:\n%s", tc.name, out.String())
+			}
+		} else if !strings.HasSuffix(out.String(), line) {
+			t.Errorf("%s: printed\n%s\nwant it to end with %q", tc.name, out.String(), line)
 		}
 	}
 }
@@ -253,8 +324,9 @@ func leaves(v reflect.Value, prefix string) []leaf {
 }
 
 // run's exit status: a script that cannot be read or names a PSN the map
-// does not have exits 1 with the reason on stderr; a committed script runs
-// and exits 0; flags no mode can mean exit 2 with usage.
+// does not have, or a Spec arpanet.RunSeeds refuses, exits 1 with the reason
+// on stderr; a committed script runs and exits 0 on either traffic; flags
+// the run would ignore exit 2 with usage.
 func TestRunExitStatus(t *testing.T) {
 	dir := t.TempDir()
 	unknown, empty := filepath.Join(dir, "unknown.scn"), filepath.Join(dir, "empty.scn")
@@ -293,20 +365,23 @@ func TestRunExitStatus(t *testing.T) {
 		{"-metric nonsense", 2, `unknown -metric "nonsense"`, ""},
 		{"-seeds 9223372036854775807", 1, "RunSeeds n 9223372036854775807: the seeds from Spec.Seed 1987 on leave int64", ""},
 		{"-seeds 9223372036854775807 -seed 1", 1, "RunSeeds n 9223372036854775807: no allocation holds that many results", ""},
-		{"-shards 2 -rate 1 -seeds 3", 2, "-seeds has no effect with per-node traffic", ""},
-		{"-rate 1 -seeds 3", 2, "-seeds has no effect with per-node traffic", ""},
-		{"-topology hier:2x3 -seconds 5", 0, "", "sharded run: 6 nodes, 8 trunks, 1 shards\n"},
+		{"-rate 1 -seeds 3 -warmup 5 -seconds 10", 0, "", "Spread over 3 seeds"},
+		{"-rate 1 -traffic 100", 2, "-traffic has no effect with per-node traffic", ""},
+		{"-topology hier:2x3 -metric static -warmup 0 -seconds 5", 0, "", "static routes (5s measured)\n"},
+		{"-topology hier:2x3 -warmup 5 -seconds 5", 0, "", "Table 1: Network-wide Performance Indicators\n"},
 		{"-topology nowhere", 2, `"nowhere"`, ""},
-		{"-shards 2 -adaptive -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",
-			"checkpoints 14, 373 of 420 origins with no update in flight"},
-		{"-shards 2 -adaptive -scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
-		{"-shards 2 -adaptive -scenario " + fluid, 1, "surge background at 10.000000s requires a background matrix (hybrid mode)", ""},
+		{"-shards 2 -rate 1 -metric minhop -scenario ../../examples/flapping/utah-collins.scn", 0, "",
+			"Scenario \"utah-collins\": 700 s, 8 events\n\nmin-hop\n"},
+		{"-shards 2 -rate 1 -scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
+		{"-shards 2 -rate 1 -scenario " + fluid, 1, "surge background at 10.000000s requires a background matrix (hybrid mode)", ""},
 		{"-shards 2 -scenario " + fluid, 1, "surge background at 10.000000s requires a background matrix (hybrid mode)", ""},
 		{"-shards 2 -scenario " + unknown, 1, `unknown node "NOWHERE"`, ""},
-		{"-shards 2 -adaptive -metric bf1969 -scenario ../../examples/flapping/utah-collins.scn", 0, "",
-			"checkpoints 14, 0 of 420 origins with no update in flight"},
-		{"-shards 5000 -topology arpanet -adaptive -metric bf1969 -seconds 60", 1, "Spec.Shards 5000", ""},
-		{"-shards 2 -rate 1 -scenario " + unknown, 2, "-scenario with per-node traffic needs -adaptive", ""},
+		{"-shards 2 -rate 1 -metric bf1969 -scenario ../../examples/flapping/utah-collins.scn", 0, "",
+			"\nBellman-Ford 1969\n"},
+		{"-shards 5000 -rate 1 -metric bf1969 -seconds 60", 1, "Spec.Shards 5000", ""},
+		{"-rate 1 -metric static -scenario ../../examples/flapping/utah-collins.scn", 1, "Spec.StaticRoutes runs no Spec.Script", ""},
+		{"-metric static -scenario ../../examples/flapping/utah-collins.scn", 1, "Spec.StaticRoutes runs no Spec.Script", ""},
+		{"-adaptive", 2, "flag provided but not defined: -adaptive", ""},
 		{"-nonsense", 2, "flag provided but not defined: -nonsense", ""},
 		{"-background 28000", 2, "flag provided but not defined: -background", ""},
 		{"-background-epoch 5", 2, "flag provided but not defined: -background-epoch", ""},

@@ -70,16 +70,15 @@ func TestRoutesLine(t *testing.T) {
 }
 
 // -shards prints the one Report, Table 1's rows included, and its bytes
-// (the events line too) do not depend on the shard count: only the header
-// and the barrier and kernel counters do.
+// (the events line too) do not depend on the shard count: only the barrier
+// and kernel counters do.
 func TestShardedTable1Rows(t *testing.T) {
 	report := func(shards string) string {
 		var out, errOut strings.Builder
-		if code := run([]string{"-shards", shards, "-topology", "arpanet", "-adaptive", "-metric", "hnspf", "-seconds", "60"}, &out, &errOut); code != 0 {
+		if code := run([]string{"-shards", shards, "-rate", "1", "-metric", "hnspf", "-warmup", "0", "-seconds", "60"}, &out, &errOut); code != 0 {
 			t.Fatalf("-shards %s exited %d: %s", shards, code, errOut.String())
 		}
-		_, body, _ := strings.Cut(out.String(), "\n")
-		body, _, _ = strings.Cut(body, "\nbarrier ")
+		body, _, _ := strings.Cut(out.String(), "\nbarrier ")
 		return body
 	}
 	one := report("1")
@@ -93,22 +92,28 @@ func TestShardedTable1Rows(t *testing.T) {
 	}
 }
 
-// Without a per-node flag, -shards splits the Table 1 study and prints the
-// same bytes at 0, 1 and 2 shards.
+// -shards splits the Table 1 study, on a gravity matrix or per-node traffic,
+// and a static-route run, and prints the same bytes at 0, 1 and 2 shards.
 func TestShardsRunTheStudy(t *testing.T) {
-	var want string
-	for _, shards := range []string{"0", "1", "2"} {
-		var out, errOut strings.Builder
-		if code := run([]string{"-shards", shards, "-warmup", "10", "-seconds", "60"}, &out, &errOut); code != 0 {
-			t.Fatalf("-shards %s exited %d: %s", shards, code, errOut.String())
+	for _, tc := range []struct{ args, want string }{
+		{"-warmup 10 -seconds 60", "Table 1: Network-wide Performance Indicators"},
+		{"-rate 2 -topology hier:2x4 -seeds 2 -warmup 5 -seconds 20", "Spread over 2 seeds"},
+		{"-rate 2 -topology hier:2x4 -seeds 2 -warmup 5 -seconds 20 -metric static", "static routes (20s measured)"},
+	} {
+		var want string
+		for _, shards := range []string{"0", "1", "2"} {
+			var out, errOut strings.Builder
+			if code := run(append(strings.Fields(tc.args), "-shards", shards), &out, &errOut); code != 0 {
+				t.Fatalf("%s -shards %s exited %d: %s", tc.args, shards, code, errOut.String())
+			}
+			if shards == "0" {
+				want = out.String()
+			} else if got := out.String(); got != want {
+				t.Errorf("%s -shards %s printed\n%s\n-shards 0 printed\n%s", tc.args, shards, got, want)
+			}
 		}
-		if shards == "0" {
-			want = out.String()
-		} else if got := out.String(); got != want {
-			t.Errorf("-shards %s printed\n%s\n-shards 0 printed\n%s", shards, got, want)
+		if !strings.Contains(want, tc.want) {
+			t.Errorf("%s printed no %q:\n%s", tc.args, tc.want, want)
 		}
-	}
-	if !strings.Contains(want, "Table 1: Network-wide Performance Indicators") {
-		t.Errorf("printed no Table 1:\n%s", want)
 	}
 }

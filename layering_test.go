@@ -36,6 +36,39 @@ func TestCallersUseRootPackage(t *testing.T) {
 	}
 }
 
+// arpanetsim has one run path: its non-test code runs every invocation
+// through RunSeeds and never calls Run itself.
+func TestCLIRunsThroughRunSeeds(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("cmd", "arpanetsim", "*.go"))
+	if err != nil || len(files) < 2 {
+		t.Fatalf("found %d arpanetsim files (%v)", len(files), err)
+	}
+	calls := map[string]int{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "arpanet" && (sel.Sel.Name == "Run" || sel.Sel.Name == "RunSeeds") {
+					calls[sel.Sel.Name]++
+					if sel.Sel.Name == "Run" {
+						t.Errorf("%s calls arpanet.Run", name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if calls["RunSeeds"] == 0 {
+		t.Error("cmd/arpanetsim never calls arpanet.RunSeeds")
+	}
+}
+
 // Run drives one engine: no non-test file of this package reaches
 // internal/network, directly or through scenario.Run, which keeps it only
 // for the checker's hybrid pillar and the frozen bench/.

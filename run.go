@@ -162,11 +162,11 @@ func Run(s Spec) (Result, error) {
 
 // RunSeeds performs the run once per seed Spec.Seed, Spec.Seed+1, …,
 // Spec.Seed+n-1, fanned over GOMAXPROCS workers. A matrix Traffic is the
-// same for every seed. Results are indexed like the seeds, so they are
-// identical at any worker count. Track and TraceCapacity record one run,
-// and are refused here, as are NodeTraffic, whose destinations each run
-// draws from its own seed, and an n below 1, or one whose seeds leave int64
-// or whose results no allocation can hold.
+// same for every seed; NodeTraffic's destinations each run draws from its
+// own seed, as it draws everything else. Results are indexed like the
+// seeds, so they are identical at any worker count. Track and TraceCapacity
+// record one run, and are refused here, as is an n below 1, or one whose
+// seeds leave int64 or whose results no allocation can hold.
 func RunSeeds(s Spec, n int) ([]Result, error) {
 	switch {
 	case n < 1:
@@ -177,8 +177,6 @@ func RunSeeds(s Spec, n int) ([]Result, error) {
 		return nil, fmt.Errorf("arpanet: RunSeeds n %d: no allocation holds that many results", n)
 	case len(s.Track) > 0 || s.TraceCapacity > 0:
 		return nil, errors.New("arpanet: Spec.Track and Spec.TraceCapacity record one run; use Run")
-	case s.NodeTraffic != nil:
-		return nil, errors.New("arpanet: Spec.NodeTraffic draws its destinations from one seed a run; use Run")
 	}
 	out := make([]Result, n)
 	errs := make([]error, n)

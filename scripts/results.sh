@@ -21,8 +21,8 @@ go run ./cmd/figures -seed 1987 > "$tmp/figures.txt"
 # rate, through four shards.
 for rate in 0.3 2; do
 	for metric in minhop dspf hnspf bf1969; do
-		echo "== arpanetsim -shards 4 -topology hier:32x32 -adaptive -metric $metric -rate $rate -seconds 120 -seed 1987"
-		"$tmp/arpanetsim" -shards 4 -topology hier:32x32 -adaptive -metric "$metric" -rate "$rate" -seconds 120 -seed 1987
+		echo "== arpanetsim -shards 4 -topology hier:32x32 -metric $metric -rate $rate -warmup 0 -seconds 120 -seed 1987"
+		"$tmp/arpanetsim" -shards 4 -topology hier:32x32 -metric "$metric" -rate "$rate" -warmup 0 -seconds 120 -seed 1987
 		echo
 	done
 done > "$tmp/table1_hier1k.txt"
