@@ -323,15 +323,14 @@ func output(w io.Writer, specs []arpanet.Spec, results [][]arpanet.Result, asJSO
 		if len(results[0]) > 1 {
 			printSpread(w, results[0], results[1])
 		}
-	case len(results[0]) == 1:
-		r := results[0][0]
-		fmt.Fprint(w, r.Report.String())
-		printCounters(w, r.Stats)
-		if specs[0].StaticRoutes {
-			printRoutes(w, r.Stats)
-		}
 	default:
 		fmt.Fprint(w, mean(results[0]).String())
+		if rs := results[0]; len(rs) == 1 {
+			printCounters(w, rs[0].Stats)
+			if specs[0].StaticRoutes {
+				printRoutes(w, rs[0].Stats)
+			}
+		}
 	}
 	for _, rs := range results {
 		printViolations(w, rs)
