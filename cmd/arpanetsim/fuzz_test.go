@@ -25,18 +25,23 @@ func FuzzRun(f *testing.F) {
 		// Flags the command does not define.
 		"-shards 2 -background 100", "-shards 2 -background-epoch 5", "-background 100 -background-epoch 0", "-adaptive",
 		// numberFlag: NaN, below zero, a zero seed count, an infinite
-		// horizon and one past the simulated clock's range.
+		// horizon and ones past the simulated clock's range.
 		"-seconds NaN", "-traffic -5", "-growth -1", "-warmup -1", "-seeds 0", "-shards -1", "-seconds Inf", "-seconds 1e300",
-		// metricKinds and the flag package.
+		"-seeds -1", "-dests -1", "-radius -1", "-warmup 1e300",
+		// metricKinds and the flag package; a stray argument ends the flags
+		// and leaves the default study, too long to run here.
 		"-metric nonsense", "-nosuchflag", "-seconds", "stray",
-		// Malformed generated topologies, and what arpanet.RunSeeds refuses.
-		"-shards 1 -topology hier:4y8 -seconds 1", "-shards 1 -topology waxman:x -seconds 1",
-		"-shards 2 -topology hier:2x3 -seconds 1 -rate 0", "-shards 1 -rate Inf", "-metric static -scenario x.scn",
+		// Malformed generated topologies, and what arpanet.RunSeeds refuses,
+		// with no warm-up so the run is cheap enough to reach the refusal.
+		"-shards 1 -topology hier:4y8 -seconds 1 -warmup 0", "-shards 1 -topology waxman:x -seconds 1 -warmup 0",
+		"-topology hier:0x4 -seconds 1 -warmup 0", "-topology waxman:0 -seconds 1 -warmup 0",
+		"-shards 2 -topology hier:2x3 -seconds 1 -warmup 0 -rate 0", "-rate 1 -dests 0 -seconds 1 -warmup 0", "-shards 1 -rate Inf",
 		// Runs that finish in well under a second, on either traffic.
 		"-seconds 5 -warmup 1", "-metric bf1969 -seconds 2 -warmup 1 -json", "-shards 2 -seconds 5 -warmup 1 -seeds 2",
 		"-metric static -seconds 2 -warmup 1", "-shards 2 -topology hier:2x4 -seconds 2 -warmup 0 -metric static",
 		"-shards 2 -topology hier:2x4 -seconds 2 -warmup 1 -seeds 2 -json", "-shards 1 -topology waxman:20 -seconds 2 -warmup 0",
-		"-rate 2 -metric hnspf -seconds 2 -warmup 1",
+		"-rate 2 -metric hnspf -seconds 2 -warmup 1", "-topology milnet -seconds 2 -warmup 1", "-metric minhop -seconds 2 -warmup 1",
+		"-rate 1 -seeds 2 -seconds 2 -warmup 1 -json", "-rate 1 -radius 2 -growth 2 -seconds 2 -warmup 1",
 	} {
 		f.Add(args)
 	}
